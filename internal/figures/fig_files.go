@@ -149,7 +149,7 @@ func (c Config) fileAccessOnce(p *sim.Proc, o faOpts, client, server *hw.Node, s
 			bufAS = client.NewUserSpace("orfa")
 		}
 		cachePages := 8192
-		var gmCl *rfsrv.GMClient
+		var gmCl *rfsrv.FabricClient
 		gmCl, err = rfsrv.NewGMClient(p, gm.Attach(client), 2, kernSide, bufAS, server.ID, 1, cachePages)
 		if err == nil && o.noPhys {
 			err = gmCl.DisablePhysicalAPI(p)

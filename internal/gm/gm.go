@@ -487,7 +487,14 @@ func (g *GM) receive(p *sim.Proc, m *hw.Message) {
 		return
 	}
 	pr := q[0]
-	pt.posted[tag] = q[1:]
+	if len(q) == 1 {
+		// Drop the drained key: reply tags carry a sequence number, so
+		// keeping empty queues would keep one map entry per request ever
+		// matched.
+		delete(pt.posted, tag)
+	} else {
+		pt.posted[tag] = q[1:]
+	}
 	g.node.Cluster.Env.Tracef("gm[%s:%d] recv %dB tag=%#x from node %d",
 		g.node.Name, pt.id, len(m.Payload), tag, m.Src)
 	if pr.virtual {

@@ -570,3 +570,52 @@ func TestDirectedSendRequiresLocalRegistration(t *testing.T) {
 	})
 	r.env.Run(0)
 }
+
+// TestPostedQueueDrainsItsKeys pins the posted-receive table's size:
+// reply tags carry a sequence number, so a port sees one distinct tag
+// per request, and a matched receive must take its map entry with it.
+func TestPostedQueueDrainsItsKeys(t *testing.T) {
+	r := newRig()
+	asA := r.a.NewUserSpace("appA")
+	asB := r.b.NewUserSpace("appB")
+	vaA, _ := asA.Mmap(mem.PageSize, "src")
+	vaB, _ := asB.Mmap(mem.PageSize, "dst")
+	const tags = 10000
+	var pb *Port
+	posted := sim.NewChan[uint64](r.env)
+	r.env.Spawn("b", func(p *sim.Proc) {
+		pb, _ = r.gb.OpenPort(1, false)
+		if _, err := pb.RegisterMemory(p, asB, vaB, mem.PageSize); err != nil {
+			t.Error(err)
+			return
+		}
+		for tag := uint64(1); tag <= tags; tag++ {
+			if err := pb.PostRecv(p, tag, asB, vaB, 8); err != nil {
+				t.Error(err)
+				return
+			}
+			posted.Send(tag)
+			if ev := waitRecv(p, pb); ev.Err != nil || ev.Tag != tag {
+				t.Errorf("recv event %+v, want tag %d", ev, tag)
+				return
+			}
+		}
+	})
+	r.env.Spawn("a", func(p *sim.Proc) {
+		pa, _ := r.ga.OpenPort(1, false)
+		if _, err := pa.RegisterMemory(p, asA, vaA, mem.PageSize); err != nil {
+			t.Error(err)
+			return
+		}
+		for i := 0; i < tags; i++ {
+			if err := pa.Send(p, r.b.ID, 1, posted.Recv(p), asA, vaA, 8); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	})
+	r.env.Run(0)
+	if n := len(pb.posted); n != 0 {
+		t.Fatalf("%d posted-receive keys left after %d matched tags, want 0", n, tags)
+	}
+}

@@ -86,7 +86,7 @@ type Endpoint struct {
 	posted     []*Request // posted receives, matched in post order
 	unexpected []*unexp
 
-	completions *sim.Chan[*Request] // completed receives, for WaitAny
+	completions *sim.Chan[*Request] // completed receives not yet consumed, for WaitAny
 
 	rndvOut map[uint64]*Request // our RTSes awaiting CTS
 	rndvIn  map[uint64]*Request // matched RTSes awaiting data
@@ -196,6 +196,14 @@ func (r *Request) charge(p *sim.Proc) {
 		return
 	}
 	r.charged = true
+	// A receive consumed here will never be handed out by WaitAny.
+	// Drop it — and every other consumed receive — from the head of the
+	// completion queue, or each waited request would stay queued,
+	// pinning its vector and extents, for the endpoint's life.
+	q := r.ep.completions
+	for head, ok := q.Peek(); ok && head.charged; head, ok = q.Peek() {
+		q.TryRecv()
+	}
 	cpu := r.ep.mx.node.CPU
 	cpu.Compute(p, r.ep.mx.p.MXHostEvent)
 	if r.recvCopy > 0 {

@@ -259,6 +259,56 @@ func TestWaitAny(t *testing.T) {
 	}
 }
 
+// TestWaitedReceivesLeaveTheCompletionQueue pins the WaitAny queue's
+// size: a receive retired through Request.Wait (every rfsrv, fabric
+// and nbd receive is) must not stay queued for the endpoint's life.
+// Receives waited out of completion order leave once the older ones
+// ahead of them are consumed.
+func TestWaitedReceivesLeaveTheCompletionQueue(t *testing.T) {
+	r := newRig()
+	asA := r.a.NewUserSpace("appA")
+	asB := r.b.NewUserSpace("appB")
+	vaA, _ := asA.Mmap(mem.PageSize, "src")
+	vaB, _ := asB.Mmap(mem.PageSize, "dst")
+	const rounds = 5000 // two receives each
+	var eb *Endpoint
+	ready := sim.NewChan[struct{}](r.env)
+	r.env.Spawn("b", func(p *sim.Proc) {
+		eb, _ = r.mb.OpenEndpoint(1, false)
+		dst := core.Of(core.UserSeg(asB, vaB, 128))
+		for i := 0; i < rounds; i++ {
+			first, _ := eb.Recv(p, core.Exact(1), dst)
+			second, _ := eb.Recv(p, core.Exact(2), dst)
+			ready.Send(struct{}{})
+			if st := second.Wait(p); st.Err != nil {
+				t.Error(st.Err)
+			}
+			if n := eb.completions.Len(); n != 2 {
+				t.Errorf("round %d: %d completions queued behind the unconsumed first receive, want 2", i, n)
+				return
+			}
+			if st := first.Wait(p); st.Err != nil {
+				t.Error(st.Err)
+			}
+		}
+	})
+	r.env.Spawn("a", func(p *sim.Proc) {
+		ea, _ := r.ma.OpenEndpoint(1, false)
+		src := core.Of(core.UserSeg(asA, vaA, 32))
+		for i := 0; i < rounds; i++ {
+			ready.Recv(p)
+			for info := uint64(1); info <= 2; info++ {
+				req, _ := ea.Send(p, r.b.ID, 1, info, src)
+				req.Wait(p)
+			}
+		}
+	})
+	r.env.Run(0)
+	if n := eb.completions.Len(); n != 0 {
+		t.Fatalf("%d completions still queued after %d waited receives, want 0", n, 2*rounds)
+	}
+}
+
 func TestTruncation(t *testing.T) {
 	for _, n := range []int{4096, 100000} { // medium and rendezvous
 		r := newRig()

@@ -15,10 +15,10 @@ import (
 )
 
 // FabricClient is the one protocol client, written once against the
-// unified fabric. It replaces the former MXClient/GMClient pair: what
-// used to be two parallel implementations is now a handful of
-// capability branches, and the asymmetry the paper measures reads off
-// the Caps directly —
+// unified fabric: what the paper describes as two parallel
+// implementations (one over MX, one over GM) is a handful of
+// capability branches here, and the asymmetry the paper measures reads
+// off the Caps directly —
 //
 //   - On a vectorial transport (MX) the request and its write data ride
 //     in one message, read data lands straight in the caller's vector
@@ -79,13 +79,6 @@ type ctlBufs struct {
 	reqXS, hdrXS []mem.Extent // kernel side, physical transports: resolved once
 	req          Req
 }
-
-// MXClient is the fabric client over an MX endpoint (kept as a named
-// alias for the paper-facing construction surface).
-type MXClient = FabricClient
-
-// GMClient is the fabric client over a GM port.
-type GMClient = FabricClient
 
 // NewFabricClient prepares a protocol client over any fabric
 // transport. The client's internal request/reply buffers live in
@@ -148,7 +141,7 @@ func (c *FabricClient) newCtlBufs(p *sim.Proc, b *ctlBufs) error {
 
 // NewMXClient opens MX endpoint epID (kernel or user per kernelSide)
 // and prepares a fabric client over it.
-func NewMXClient(m *mx.MX, epID uint8, kernelSide bool, bufAS *vm.AddressSpace, server hw.NodeID, serverEP uint8) (*MXClient, error) {
+func NewMXClient(m *mx.MX, epID uint8, kernelSide bool, bufAS *vm.AddressSpace, server hw.NodeID, serverEP uint8) (*FabricClient, error) {
 	t, err := fabric.NewMX(m, epID, kernelSide)
 	if err != nil {
 		return nil, err
@@ -159,7 +152,7 @@ func NewMXClient(m *mx.MX, epID uint8, kernelSide bool, bufAS *vm.AddressSpace, 
 // NewGMClient opens GM port portID and prepares a fabric client over
 // it. cachePages sizes the registration cache; 0 disables caching
 // (every user-buffer transfer pays register+deregister).
-func NewGMClient(p *sim.Proc, g *gm.GM, portID uint8, kernelSide bool, bufAS *vm.AddressSpace, server hw.NodeID, serverPort uint8, cachePages int) (*GMClient, error) {
+func NewGMClient(p *sim.Proc, g *gm.GM, portID uint8, kernelSide bool, bufAS *vm.AddressSpace, server hw.NodeID, serverPort uint8, cachePages int) (*FabricClient, error) {
 	t, err := fabric.NewGM(g, portID, kernelSide, fabric.WithCachePages(cachePages))
 	if err != nil {
 		return nil, err
@@ -464,26 +457,151 @@ func (c *FabricClient) finish(p *sim.Proc, b *ctlBufs, hdrOp fabric.Op, seq uint
 	return resp, nil
 }
 
+// ---- the one issue path and the one retire path ----
+//
+// The paper's kernel API has one primitive: post a request, then wait
+// on it (§4, §5.2). Everything the client does is issue + retire on
+// some ctlBufs slot — the client's own ctl slot under c.lock
+// (Meta/Read/Write and the cluster's control path) or a Session window
+// slot — and a synchronous call is nothing but the two back to back.
+
+// flight is one request on the wire from one slot: what retire needs
+// to complete it and leave the slot quiescent. It is a plain value:
+// the synchronous paths keep it on the stack, a Session stores it in
+// its Pending.
+type flight struct {
+	bufs    *ctlBufs
+	seq     uint64
+	hdrOp   fabric.Op
+	dataOp  fabric.Op                // reads: the posted data receive
+	release func()                   // acquired (cache-managed) user memory, if any
+	fixup   func(p *sim.Proc, n int) // staged (noPhys) reads: copy-out once the length is known
+	issued  sim.Time                 // the reply deadline runs from here
+}
+
+// issue stamps req with the next sequence number and puts it on the
+// wire from slot b, which the caller owns. The reply-header receive is
+// posted before the request leaves (replies are matched by sequence
+// number); a read also posts its data receive into data first, so the
+// bytes land wherever the transport allows; a write's data rides in
+// the request message on vectorial transports and follows as its own
+// message otherwise. req may be b.req — it is fully encoded before
+// issue returns, so the slot's request staging is free again. On error
+// the request never left and nothing stays posted: the header buffer
+// and, crucially, the caller's data vector are quiescent, not parked
+// under stale seq tags (failover retries reach this path against
+// possibly-dead replicas).
+func (c *FabricClient) issue(p *sim.Proc, b *ctlBufs, req *Req, data core.Vector) (flight, error) {
+	c.seq++
+	req.Seq, req.EP = c.seq, c.myEP
+	fl := flight{bufs: b, seq: req.Seq}
+	var err error
+	if fl.hdrOp, err = c.postHdr(p, b, req.Seq); err != nil {
+		return flight{}, err
+	}
+	switch {
+	case req.Op == OpRead:
+		if fl.dataOp, fl.release, fl.fixup, err = c.postData(p, req.Seq, data); err == nil {
+			if err = c.sendReq(p, b, req, nil); err != nil {
+				fabric.Cancel(p, fl.dataOp)
+			}
+		}
+	case req.Op == OpWrite && !c.t.Caps().Vectors:
+		if err = c.sendReq(p, b, req, nil); err == nil {
+			fl.release, err = c.sendData(p, req.Seq, data)
+		}
+	default:
+		err = c.sendReq(p, b, req, data) // metadata carries no data
+	}
+	if err != nil {
+		fabric.Cancel(p, fl.hdrOp)
+		if fl.release != nil {
+			fl.release()
+		}
+		return flight{}, err
+	}
+	fl.issued = p.Now()
+	return fl, nil
+}
+
+// retire completes a flight: data completion first (reads), then the
+// header reply. Both waits share one deadline running from the
+// flight's issue (deadlineFrom); whichever expires withdraws its
+// posted receive and surfaces an error satisfying fabric.IsFault. The
+// header receive is always made inert — even after a data error — so
+// the slot can be reused: after a data-phase transport fault the
+// header is presumed lost with the peer and is withdrawn instead of
+// waited a second time; after any other data error (truncation) the
+// reply is still coming and is consumed.
+func (c *FabricClient) retire(p *sim.Proc, fl *flight) (*Resp, error) {
+	var dataErr error
+	if fl.dataOp != nil {
+		st, ok := c.waitData(p, fl.dataOp, c.deadlineFrom(p, fl.issued))
+		switch {
+		case !ok:
+			dataErr = fmt.Errorf("rfsrv: read data for request %d: %w", fl.seq, fabric.ErrTimeout)
+		case st.Err != nil:
+			dataErr = st.Err
+		case fl.fixup != nil:
+			fl.fixup(p, st.Len)
+		}
+	}
+	var resp *Resp
+	var err error
+	if dataErr != nil && fabric.IsFault(dataErr) {
+		c.quiesceHdr(p, fl.bufs, fl.hdrOp, fl.seq)
+		err = dataErr
+	} else {
+		resp, err = c.finish(p, fl.bufs, fl.hdrOp, fl.seq, c.deadlineFrom(p, fl.issued))
+		if dataErr != nil {
+			err = dataErr
+		}
+	}
+	if fl.release != nil {
+		fl.release()
+	}
+	return resp, err
+}
+
+// The package's lock order: a window slot (Session.free token) may be
+// held while taking the client control lock, never the reverse —
+// otherwise a consumer holding the control path could park on a full
+// window that only drains through that same control path.
+//
+//analyze:lockorder Session.free < FabricClient.lock
+
+// startCtl takes the control path and issues a metadata request on the
+// client's own ctl slot — NOT a window slot, which is what keeps
+// cluster metadata deadlock-free: a consumer whose striped reads or
+// writes hold every window slot of some server (ORFS readahead can
+// legitimately do this) can still look up, stat and reconcile. On
+// success the control path stays held until waitCtl, so a fan may put
+// one request on every server before waiting any.
+func (c *FabricClient) startCtl(p *sim.Proc, req *Req) (flight, error) {
+	c.lock.Acquire(p)
+	fl, err := c.issue(p, &c.ctl, req, nil)
+	if err != nil {
+		c.lock.Release()
+	}
+	return fl, err
+}
+
+// waitCtl retires a startCtl flight and releases the control path.
+func (c *FabricClient) waitCtl(p *sim.Proc, fl *flight) (*Resp, error) {
+	defer c.lock.Release()
+	return c.retire(p, fl)
+}
+
 // Meta implements Client.
 func (c *FabricClient) Meta(p *sim.Proc, req *Req) (*Resp, error) {
 	if err := ValidateReq(req); err != nil {
 		return &Resp{Status: StatusOf(err)}, err
 	}
-	c.lock.Acquire(p)
-	defer c.lock.Release()
-	c.seq++
-	req.Seq, req.EP = c.seq, c.myEP
-	hdrOp, err := c.postHdr(p, &c.ctl, req.Seq)
+	fl, err := c.startCtl(p, req)
 	if err != nil {
 		return nil, err
 	}
-	if err := c.sendReq(p, &c.ctl, req, nil); err != nil {
-		// The request never left (e.g. dead-peer rejection): withdraw
-		// the posted receive so the control buffer stays quiescent.
-		fabric.Cancel(p, hdrOp)
-		return nil, err
-	}
-	return c.finish(p, &c.ctl, hdrOp, req.Seq, c.timeout)
+	return c.waitCtl(p, &fl)
 }
 
 // Rename implements Renamer over one server: a single OpRenameLocal.
@@ -502,91 +620,36 @@ func (c *FabricClient) Read(p *sim.Proc, ino kernel.InodeID, off int64, dst core
 	}
 	c.lock.Acquire(p)
 	defer c.lock.Release()
-	c.seq++
-	seq := c.seq
-	req := &c.ctl.req // slot-staged: encoded before the next request
-	*req = Req{Op: OpRead, Seq: seq, EP: c.myEP, Ino: ino, Off: off, Len: uint32(dst.TotalLen())}
-	hdrOp, err := c.postHdr(p, &c.ctl, seq)
+	c.ctl.req = Req{Op: OpRead, Ino: ino, Off: off, Len: uint32(dst.TotalLen())}
+	fl, err := c.issue(p, &c.ctl, &c.ctl.req, dst)
 	if err != nil {
 		return nil, err
 	}
-	dataOp, release, fixup, err := c.postData(p, seq, dst)
-	if err != nil {
-		fabric.Cancel(p, hdrOp)
-		return nil, err
-	}
-	defer release()
-	if err := c.sendReq(p, &c.ctl, req, nil); err != nil {
-		// The request never left: withdraw both posted receives — the
-		// control buffer AND the caller's data vector must be
-		// quiescent, not parked under stale seq tags (failover retries
-		// reach this path against possibly-dead replicas).
-		fabric.Cancel(p, dataOp)
-		fabric.Cancel(p, hdrOp)
-		return nil, err
-	}
-	st, ok := c.waitData(p, dataOp, c.timeout)
-	if !ok {
-		c.quiesceHdr(p, &c.ctl, hdrOp, seq)
-		return nil, fmt.Errorf("rfsrv: read data for request %d: %w", seq, fabric.ErrTimeout)
-	}
-	if st.Err != nil {
-		// A failed data completion (e.g. truncation) still leaves the
-		// header receive armed on the shared control buffer — quiesce
-		// it before the next request posts over the same staging.
-		c.quiesceHdr(p, &c.ctl, hdrOp, seq)
-		return nil, st.Err
-	}
-	if fixup != nil {
-		fixup(p, st.Len)
-	}
-	return c.finish(p, &c.ctl, hdrOp, seq, c.timeout)
+	return c.retire(p, &fl)
 }
 
-// Write implements Client: on vectorial transports write data rides in
-// the request message itself; otherwise it follows as its own message.
-// Either way it is chunked at MaxWriteChunk.
+// Write implements Client, chunked at MaxWriteChunk with one round
+// trip per chunk. It keeps its own loop rather than Session.Write's
+// pipeline because its short-write semantics differ: each chunk's
+// offset is recomputed from the cumulative count the server reported,
+// so a short chunk is a prefix to continue from, not a hole.
 func (c *FabricClient) Write(p *sim.Proc, ino kernel.InodeID, off int64, src core.Vector) (*Resp, error) {
 	if off < 0 {
 		return &Resp{Status: StInval}, ErrInval
 	}
 	c.lock.Acquire(p)
 	defer c.lock.Release()
-	vectors := c.t.Caps().Vectors
 	total := src.TotalLen()
 	written := 0
 	var last *Resp
 	for written < total || total == 0 {
-		chunk := total - written
-		if chunk > MaxWriteChunk {
-			chunk = MaxWriteChunk
-		}
-		c.seq++
-		seq := c.seq
-		req := &c.ctl.req // slot-staged, like Read
-		*req = Req{Op: OpWrite, Seq: seq, EP: c.myEP, Ino: ino, Off: off + int64(written), Len: uint32(chunk)}
-		hdrOp, err := c.postHdr(p, &c.ctl, seq)
+		chunk := min(total-written, MaxWriteChunk)
+		c.ctl.req = Req{Op: OpWrite, Ino: ino, Off: off + int64(written), Len: uint32(chunk)}
+		fl, err := c.issue(p, &c.ctl, &c.ctl.req, src.Slice(written, chunk))
 		if err != nil {
 			return nil, err
 		}
-		release := func() {}
-		if vectors {
-			if err := c.sendReq(p, &c.ctl, req, src.Slice(written, chunk)); err != nil {
-				fabric.Cancel(p, hdrOp)
-				return nil, err
-			}
-		} else {
-			if err := c.sendReq(p, &c.ctl, req, nil); err != nil {
-				fabric.Cancel(p, hdrOp)
-				return nil, err
-			}
-			if release, err = c.sendData(p, seq, src.Slice(written, chunk)); err != nil {
-				fabric.Cancel(p, hdrOp)
-				return nil, err
-			}
-		}
-		resp, err := c.finish(p, &c.ctl, hdrOp, seq, c.timeout)
-		release()
+		resp, err := c.retire(p, &fl)
 		if err != nil {
 			return resp, err
 		}
@@ -598,9 +661,6 @@ func (c *FabricClient) Write(p *sim.Proc, ino kernel.InodeID, off int64, src cor
 		if resp.N == 0 {
 			return last, fmt.Errorf("rfsrv: short write at %d", written)
 		}
-	}
-	if last == nil {
-		last = &Resp{}
 	}
 	last.N = uint32(written)
 	return last, nil

@@ -235,11 +235,12 @@ type Cluster struct {
 	runScratch    []run
 	needScratch   []int
 	partFree      []*part
-	syncParts     []*part
+	syncOp        clusterPending // the synchronous Read/Write's pending (parts/runs backing reused)
 	coverScratch  []bool
-	flightScratch []syncMetaFlight
 	targetScratch []int
 	tailScratch   []int
+	fanFlights    []fanFlight
+	fanResps      []*Resp
 	fanReq        Req
 
 	// StripeReads and StripeWrites count data bytes issued per
@@ -780,18 +781,19 @@ func (cl *Cluster) allReplicasDown(off int64) error {
 		off, cl.replicas, fabric.ErrPeerDead)
 }
 
-// withReplica is the shared issue-time failover policy: run op against
-// the preferred replica of the byte at off under the inode's layout,
-// excluding each target whose transport faults and retrying on the
-// next alive replica; a non-fault error returns as produced. bytes is
-// the data volume recorded per failover (0 for metadata-sized
-// operations).
-func withReplica[T any](cl *Cluster, lay LayoutClass, ino kernel.InodeID, off int64, bytes int, op func(idx int) (T, error)) (T, error) {
+// firstAlive is the one first-alive-with-failover loop: run op against
+// the target pick names; a transport fault excludes that target,
+// counts a failover (bytes is the data volume re-routed, 0 for
+// metadata-sized operations) and goes around — pick is re-evaluated
+// per attempt because exclusion changes the routing. A non-fault error
+// returns as produced. pick() < 0 means nobody is left to ask, and
+// dead builds that error (it satisfies fabric.IsFault).
+func firstAlive[T any](cl *Cluster, bytes int, pick func() int, dead func() error, op func(idx int) (T, error)) (T, int, error) {
 	for {
-		idx := cl.readIdx(lay, ino, off)
+		idx := pick()
 		if idx < 0 {
 			var zero T
-			return zero, cl.allReplicasDown(off)
+			return zero, idx, dead()
 		}
 		v, err := op(idx)
 		if err != nil && fabric.IsFault(err) {
@@ -799,12 +801,35 @@ func withReplica[T any](cl *Cluster, lay LayoutClass, ino kernel.InodeID, off in
 			cl.Failovers.Add(bytes)
 			continue
 		}
-		return v, err
+		return v, idx, err
 	}
 }
 
+// withReplica is firstAlive over the replica set of the byte at off
+// under the inode's layout — the data path's issue-time failover.
+func withReplica[T any](cl *Cluster, lay LayoutClass, ino kernel.InodeID, off int64, bytes int, op func(idx int) (T, error)) (T, error) {
+	v, _, err := firstAlive(cl, bytes,
+		func() int { return cl.readIdx(lay, ino, off) },
+		func() error { return cl.allReplicasDown(off) }, op)
+	return v, err
+}
+
+// metaFirstAlive is firstAlive for one metadata round trip on the
+// control path. The answer is the control-path revalidation point: its
+// epoch either confirms the cached size or invalidates it.
+func (cl *Cluster) metaFirstAlive(p *sim.Proc, req *Req, pick func() int, dead func() error) (*Resp, int, error) {
+	resp, idx, err := firstAlive(cl, 0, pick, dead, func(idx int) (*Resp, error) {
+		return cl.syncMeta(p, idx, req)
+	})
+	if resp == nil {
+		resp = &Resp{Status: StatusOf(err)}
+	}
+	cl.observeResp(resp)
+	return resp, idx, err
+}
+
 // degenerate runs a zero-length data operation against the offset's
-// preferred replica, with the shared issue-time failover policy.
+// preferred replica, with the shared failover policy.
 func (cl *Cluster) degenerate(p *sim.Proc, lay LayoutClass, ino kernel.InodeID, off int64, op func(idx int) (*Resp, error)) (*Resp, error) {
 	resp, err := withReplica(cl, lay, ino, off, 0, op)
 	if resp == nil && err != nil {
@@ -974,7 +999,7 @@ func (cl *Cluster) issueRead(p *sim.Proc, lay LayoutClass, ino kernel.InodeID, r
 	return withReplica(cl, lay, ino, r.off, r.n, func(idx int) (*part, error) {
 		s := cl.sessions[idx]
 		makeRoom(p, s, parts)
-		pd, err := s.startRead(p, ino, r.off, vec)
+		pd, err := s.startData(p, OpRead, ino, r.off, vec)
 		if err != nil {
 			return nil, err
 		}
@@ -1012,8 +1037,20 @@ func (cl *Cluster) failoverReads(p *sim.Proc, lay LayoutClass, ino kernel.InodeI
 	}
 }
 
-// Read implements Client: the range splits into per-server runs issued
-// in parallel through each server's window; data lands directly in the
+// dataLayout is the shared front of the four data entry points: a
+// negative offset is invalid, and the inode's layout class decides
+// where its bytes live.
+func (cl *Cluster) dataLayout(p *sim.Proc, ino kernel.InodeID, off int64) (LayoutClass, error) {
+	if off < 0 {
+		return LayoutStandard, ErrInval
+	}
+	return cl.layoutFor(p, ino)
+}
+
+// Read implements Client: StartRead's issue and the pending's Wait,
+// back to back on the cluster's own pending (no per-operation
+// allocation). The range splits into per-server runs issued in
+// parallel through each server's window; data lands directly in the
 // caller's vector (each run scatters into its own slice of dst, so
 // striping adds no copies). The merged byte count is the contiguous
 // prefix before the first server-clipped (EOF) run. A run whose target
@@ -1024,45 +1061,22 @@ func (cl *Cluster) Read(p *sim.Proc, ino kernel.InodeID, off int64, dst core.Vec
 		return &Resp{Status: StatusOf(err)}, err
 	}
 	defer cl.exitOp()
-	if off < 0 {
-		return &Resp{Status: StInval}, ErrInval
+	lay, err := cl.dataLayout(p, ino, off)
+	if err != nil {
+		return &Resp{Status: StatusOf(err)}, err
 	}
-	lay, lerr := cl.layoutFor(p, ino)
-	if lerr != nil {
-		return &Resp{Status: StatusOf(lerr)}, lerr
-	}
-	total := dst.TotalLen()
-	if total == 0 {
+	if dst.TotalLen() == 0 {
 		// Degenerate read: one attr-only round trip to the offset's
 		// preferred replica, failing over like any other data path.
 		return cl.degenerate(p, lay, ino, off, func(idx int) (*Resp, error) {
 			return cl.sessions[idx].Read(p, ino, off, dst)
 		})
 	}
-	parts := cl.syncParts[:0]
-	defer func() {
-		cl.putParts(parts)
-		cl.syncParts = parts[:0]
-	}()
-	for _, r := range cl.runs(lay, ino, off, total) {
-		pt, err := cl.issueRead(p, lay, ino, r, dst.Slice(int(r.off-off), r.n), parts)
-		if err != nil {
-			drainParts(p, parts)
-			return &Resp{Status: StatusOf(err)}, err
-		}
-		parts = append(parts, pt)
+	cp := cl.newPending(&cl.syncOp, ino, lay, -1)
+	if err := cl.issueReads(p, cp, off, dst); err != nil {
+		return &Resp{Status: StatusOf(err)}, err
 	}
-	for _, pt := range parts {
-		pt.retire(p)
-	}
-	cl.failoverReads(p, lay, ino, parts)
-	for _, pt := range parts {
-		cl.observeResp(pt.resp)
-	}
-	if err := firstError(parts); err != nil {
-		return &Resp{Status: StatusOf(err), Attr: mergeAttr(parts)}, err
-	}
-	return mergeRead(parts), nil
+	return cp.Wait(p)
 }
 
 // mergeRead folds per-run read responses into one: byte count is the
@@ -1099,110 +1113,59 @@ func drainParts(p *sim.Proc, parts []*part) {
 	}
 }
 
-// Write implements Client: runs are chunked at MaxWriteChunk and
-// pipelined across the per-server windows — each run to its primary
-// and, with replication, to the next R-1 alive servers; after a write
-// that extends the file, grow-only OpSetSize requests reconcile every
-// other server's local size (see the package comment on size
-// reconciliation). A replica that faults mid-write is excluded; the
-// write succeeds as long as every run kept at least one clean replica.
+// Write implements Client: the striped issue loop and the pending's
+// Wait shared with StartWrite, plus what only a synchronous write does
+// — runs longer than one request are chunked (inside issueWrites), a
+// write under way during a migration is logged once it succeeded, and
+// after a write that extends the file, grow-only OpSetSize requests
+// reconcile every other server's local size (see the package comment
+// on size reconciliation). A replica that faults mid-write is
+// excluded; the write succeeds as long as every run kept at least one
+// clean replica.
 func (cl *Cluster) Write(p *sim.Proc, ino kernel.InodeID, off int64, src core.Vector) (*Resp, error) {
 	if err := cl.enterOp(p, false); err != nil {
 		return &Resp{Status: StatusOf(err)}, err
 	}
 	defer cl.exitOp()
-	if off < 0 {
-		return &Resp{Status: StInval}, ErrInval
+	lay, err := cl.dataLayout(p, ino, off)
+	if err != nil {
+		return &Resp{Status: StatusOf(err)}, err
 	}
 	total := src.TotalLen()
-	lay, lerr := cl.layoutFor(p, ino)
-	if lerr != nil {
-		return &Resp{Status: StatusOf(lerr)}, lerr
-	}
 	if total == 0 {
 		// Degenerate write: like the degenerate read, with failover.
 		return cl.degenerate(p, lay, ino, off, func(idx int) (*Resp, error) {
 			return cl.sessions[idx].Write(p, ino, off, src)
 		})
 	}
-	if lay, lerr = cl.maybePromote(p, ino, lay, off+int64(total)); lerr != nil {
-		return &Resp{Status: StatusOf(lerr)}, lerr
-	}
-	runs := cl.runs(lay, ino, off, total)
-	parts := cl.syncParts[:0]
-	defer func() {
-		cl.putParts(parts)
-		cl.syncParts = parts[:0]
-	}()
-	fail := func(err error) (*Resp, error) {
-		drainParts(p, parts)
+	if lay, err = cl.maybePromote(p, ino, lay, off+int64(total)); err != nil {
 		return &Resp{Status: StatusOf(err)}, err
 	}
-	tailTargets := cl.tailScratch[:0]
-	defer func() { cl.tailScratch = tailTargets[:0] }()
-	for ri, r := range runs {
-		live := 0
-		tail := ri == len(runs)-1
-		for j := 0; j < cl.replicas; j++ {
-			idx := cl.members[(r.owner+j)%len(cl.members)]
-			if cl.down[idx] {
-				continue
-			}
-			s := cl.sessions[idx]
-			faulted := false
-			// Runs longer than one request (a merged single-server range
-			// or a wide stripe) chunk exactly like Session.Write does.
-			for done := 0; done < r.n; {
-				chunk := r.n - done
-				if chunk > MaxWriteChunk {
-					chunk = MaxWriteChunk
-				}
-				makeRoom(p, s, parts)
-				at := r.off + int64(done)
-				pd, err := s.startWrite(p, ino, at, src.Slice(int(at-off), chunk))
-				if err != nil {
-					if fabric.IsFault(err) {
-						cl.markDown(idx)
-						faulted = true
-						break // this replica is lost; others may carry the run
-					}
-					return fail(err)
-				}
-				cl.StripeWrites.Add(chunk)
-				pt := cl.getPart()
-				pt.pd, pt.r = pd, run{owner: r.owner, off: at, n: chunk}
-				pt.want, pt.ridx, pt.target = chunk, ri, idx
-				parts = append(parts, pt)
-				done += chunk
-			}
-			if !faulted {
-				live++
-				if tail {
-					tailTargets = append(tailTargets, idx)
-				}
-			}
-		}
-		if live == 0 {
-			return fail(cl.allReplicasDown(r.off))
+	cp := cl.newPending(&cl.syncOp, ino, lay, total)
+	if err := cl.issueWrites(p, cp, off, src); err != nil {
+		return &Resp{Status: StatusOf(err)}, err
+	}
+	// The tail run's own targets already reach the new end of file;
+	// the reconciliation below skips them. Collected before Wait
+	// recycles the parts.
+	tail := cl.tailScratch[:0]
+	for _, pt := range cp.parts {
+		if pt.ridx == len(cp.runs)-1 && !skipsServer(tail, pt.target) {
+			tail = append(tail, pt.target)
 		}
 	}
-	for _, pt := range parts {
-		pt.retire(p)
-	}
-	resp, err := cl.finishWriteParts(ino, runs, parts, total)
+	cl.tailScratch = tail
+	// Wait feeds the data replies' size epochs into the validated cache
+	// BEFORE the reconciliation decision: a foreign truncate since this
+	// client's last reconciliation resets the cached floor there, which
+	// is exactly what forces setSizeTo to re-run for an overwrite below
+	// the stale cached size.
+	resp, err := cp.Wait(p)
 	if err != nil {
 		return resp, err
 	}
 	if v := cl.view; v != nil && v.migrating {
 		v.logWrite(ino, off, total)
-	}
-	// Feed the data replies' size epochs into the validated cache
-	// BEFORE deciding whether to reconcile: a foreign truncate since
-	// this client's last reconciliation resets the cached floor here,
-	// which is exactly what forces setSizeTo to re-run for an overwrite
-	// below the stale cached size.
-	for _, pt := range parts {
-		cl.observeResp(pt.resp)
 	}
 	if cl.pubBatch > 0 && lay != LayoutWhole && len(cl.members) > 1 {
 		// Batched publish mode: enqueue the new end instead of fanning
@@ -1210,10 +1173,11 @@ func (cl *Cluster) Write(p *sim.Proc, ino kernel.InodeID, off int64, src core.Ve
 		// window or the next metadata operation. Every part retired
 		// above, so a window-triggered flush never contends with this
 		// write's own slots.
-		if err := cl.enqueueSizePub(p, ino, off+int64(total)); err != nil {
-			return &Resp{Status: StatusOf(err)}, err
-		}
-	} else if err := cl.setSizeTo(p, lay, ino, off+int64(total), tailTargets); err != nil {
+		err = cl.enqueueSizePub(p, ino, off+int64(total))
+	} else {
+		err = cl.setSizeTo(p, lay, ino, off+int64(total), tail)
+	}
+	if err != nil {
 		return &Resp{Status: StatusOf(err)}, err
 	}
 	return resp, nil
@@ -1341,11 +1305,16 @@ func (cl *Cluster) setSizeTo(p *sim.Proc, lay LayoutClass, ino kernel.InodeID, e
 		if e.size >= end {
 			return nil
 		}
-		stale, err := cl.setSizeFan(p, ino, end, e.epoch, skip)
-		if err != nil {
-			return err
+		// One round: OpSetSize to every alive server not in skip (see
+		// fan). Faulting servers are excluded — not an error; other
+		// application errors win over staleness.
+		req := Req{Op: OpSetSize, Ino: ino, Off: end, Len: PackSetSize(false, e.epoch)}
+		f := cl.fan(p, cl.aliveTargets(0, len(cl.members), skip), &req)
+		addN(&cl.SetSizes, f.tried)
+		if f.err != nil {
+			return f.err
 		}
-		if !stale {
+		if !f.stale {
 			cl.sizes[ino] = cl.entry(end, e.epoch)
 			return nil
 		}
@@ -1371,65 +1340,6 @@ func skipsServer(skip []int, i int) bool {
 		}
 	}
 	return false
-}
-
-// setSizeFan is one round of the grow-only reconciliation: OpSetSize
-// to every alive server not in skip, in parallel on the control paths.
-// Faulting servers are excluded; stale reports whether any server
-// refused the observed epoch (the caller revalidates and retries);
-// other application errors win over staleness. Flights live in the
-// cluster's scratch (reconciliation fans never nest with metadata
-// fanout — both run to completion before returning).
-func (cl *Cluster) setSizeFan(p *sim.Proc, ino kernel.InodeID, end int64, epoch uint64, skip []int) (stale bool, err error) {
-	flights := cl.flightScratch[:0]
-	targets := cl.targetScratch[:0]
-	defer func() {
-		cl.flightScratch = flights[:0]
-		cl.targetScratch = targets[:0]
-	}()
-	var firstErr error
-	for _, i := range cl.members {
-		s := cl.sessions[i]
-		if cl.down[i] || skipsServer(skip, i) {
-			continue
-		}
-		cl.SetSizes.Add(1)
-		cl.fanReq = Req{Op: OpSetSize, Ino: ino, Off: end, Len: PackSetSize(false, epoch)}
-		fl, err := startSyncMeta(p, s, &cl.fanReq)
-		if err != nil {
-			if fabric.IsFault(err) {
-				cl.markDown(i)
-				continue
-			}
-			firstErr = err
-			break
-		}
-		flights = append(flights, fl)
-		targets = append(targets, i)
-	}
-	for k := range flights {
-		resp, err := flights[k].wait(p)
-		if err != nil && fabric.IsFault(err) {
-			cl.markDown(targets[k])
-			continue
-		}
-		cl.observeResp(resp)
-		if errors.Is(err, ErrStaleEpoch) {
-			if cl.epochBehind(resp) {
-				// A member lagging the cached epoch missed an exact set
-				// outright (see epochBehind) — exclude it instead of
-				// burning the retry budget on a fan it can never accept.
-				cl.markDown(targets[k])
-				continue
-			}
-			stale = true
-			continue
-		}
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return stale, firstErr
 }
 
 // SetFileSize publishes an externally tracked end-of-file through the
@@ -1616,23 +1526,35 @@ type clusterPending struct {
 	gated bool // counted in the view's pending until Wait
 }
 
-// seal records the issue time once every part is out (the first part's
+// newPending resets cp for a new striped operation on ino, keeping its
+// parts/runs backing arrays (want < 0 marks a read).
+func (cl *Cluster) newPending(cp *clusterPending, ino kernel.InodeID, lay LayoutClass, want int) *clusterPending {
+	*cp = clusterPending{cl: cl, ino: ino, lay: lay, want: want, parts: cp.parts[:0], runs: cp.runs[:0]}
+	return cp
+}
+
+// seal records the issue time once every part is out: the first part's
 // window-entry instant — the same instant a Session would report,
 // keeping latency accounting bit-identical in the one-server
-// configuration) so Issued keeps answering after Wait recycles the
+// configuration — so Issued keeps answering after Wait recycles the
 // parts.
-func (cp *clusterPending) seal() {
-	if len(cp.parts) > 0 {
-		cp.issued = cp.parts[0].pd.issued
-	}
+func (cp *clusterPending) seal() { cp.issued = cp.parts[0].pd.fl.issued }
+
+// abandon is the issue loops' error path: every part already out is
+// retired (an early return would leak window slots) and recycled.
+func (cp *clusterPending) abandon(p *sim.Proc, err error) error {
+	drainParts(p, cp.parts)
+	cp.cl.putParts(cp.parts)
+	cp.parts = cp.parts[:0]
+	return err
 }
 
 // Wait implements PendingOp: retires every part and merges. Faulted
 // read parts fail over to their stripe's next alive replica before the
 // merge; faulted write parts exclude their server and are tolerated as
-// long as every run kept a clean replica. The parts return to the
-// cluster's freelist once merged — the memoized (resp, err) is all a
-// second Wait needs.
+// long as every run kept a clean replica. Every reply feeds the
+// validated caches. The parts return to the cluster's freelist once
+// merged — the memoized (resp, err) is all a second Wait needs.
 func (cp *clusterPending) Wait(p *sim.Proc) (*Resp, error) {
 	if cp.done {
 		return cp.resp, cp.err
@@ -1643,33 +1565,95 @@ func (cp *clusterPending) Wait(p *sim.Proc) (*Resp, error) {
 	}
 	if cp.want < 0 {
 		cp.cl.failoverReads(p, cp.lay, cp.ino, cp.parts)
-		for _, pt := range cp.parts {
-			cp.cl.observeResp(pt.resp)
-		}
+	} else {
+		cp.resp, cp.err = cp.cl.finishWriteParts(cp.ino, cp.runs, cp.parts, cp.want)
+	}
+	for _, pt := range cp.parts {
+		cp.cl.observeResp(pt.resp)
+	}
+	if cp.want < 0 {
 		if err := firstError(cp.parts); err != nil {
 			cp.resp, cp.err = &Resp{Status: StatusOf(err), Attr: mergeAttr(cp.parts)}, err
 		} else {
 			cp.resp = mergeRead(cp.parts)
 		}
-	} else {
-		cp.resp, cp.err = cp.cl.finishWriteParts(cp.ino, cp.runs, cp.parts, cp.want)
-		for _, pt := range cp.parts {
-			cp.cl.observeResp(pt.resp)
-		}
 	}
 	cp.cl.notePendingDone(cp)
 	cp.cl.putParts(cp.parts)
-	cp.parts = nil
+	cp.parts = cp.parts[:0]
 	return cp.resp, cp.err
 }
 
 // Issued implements PendingOp: the time the first per-server request
-// entered its window (sealed at issue; see seal).
-func (cp *clusterPending) Issued() sim.Time {
-	if len(cp.parts) > 0 {
-		return cp.parts[0].pd.issued
+// entered its window (see seal).
+func (cp *clusterPending) Issued() sim.Time { return cp.issued }
+
+// issueReads starts one read per run of [off, off+len(dst)) into cp.
+// An operation spanning more same-server stripes than that server's
+// window retires its own earlier runs to make room (inside issueRead)
+// — it must never depend on the caller, who cannot retire a pending it
+// has not been handed yet.
+func (cl *Cluster) issueReads(p *sim.Proc, cp *clusterPending, off int64, dst core.Vector) error {
+	for _, r := range cl.runs(cp.lay, cp.ino, off, dst.TotalLen()) {
+		pt, err := cl.issueRead(p, cp.lay, cp.ino, r, dst.Slice(int(r.off-off), r.n), cp.parts)
+		if err != nil {
+			return cp.abandon(p, err)
+		}
+		cp.parts = append(cp.parts, pt)
 	}
-	return cp.issued
+	cp.seal()
+	return nil
+}
+
+// issueWrites starts the striped write of src at off into cp, in run →
+// replica → chunk order: each run goes to its primary and, with
+// replication, to the next R-1 alive servers, pipelined across the
+// per-server windows; a run longer than one request (a merged
+// single-server range or a wide stripe — synchronous writes only,
+// StartWrite caps the whole operation at one request) is chunked at
+// MaxWriteChunk exactly like Session.Write. A replica whose transport
+// faults at issue is excluded and the others carry the run; a run no
+// replica accepted fails the operation.
+func (cl *Cluster) issueWrites(p *sim.Proc, cp *clusterPending, off int64, src core.Vector) error {
+	// The pending outlives this call, so it gets its own copy of the
+	// runs (cl.runs returns per-operation scratch).
+	cp.runs = append(cp.runs, cl.runs(cp.lay, cp.ino, off, src.TotalLen())...)
+	for ri, r := range cp.runs {
+		live := 0
+		for j := 0; j < cl.replicas; j++ {
+			idx := cl.members[(r.owner+j)%len(cl.members)]
+			if cl.down[idx] {
+				continue
+			}
+			s := cl.sessions[idx]
+			live++
+			for done := 0; done < r.n; {
+				chunk := min(r.n-done, MaxWriteChunk)
+				at := r.off + int64(done)
+				makeRoom(p, s, cp.parts)
+				pd, err := s.startData(p, OpWrite, cp.ino, at, src.Slice(int(at-off), chunk))
+				if err != nil {
+					if !fabric.IsFault(err) {
+						return cp.abandon(p, err)
+					}
+					cl.markDown(idx)
+					live-- // this replica is lost; others may carry the run
+					break
+				}
+				cl.StripeWrites.Add(chunk)
+				pt := cl.getPart()
+				pt.pd, pt.r = pd, run{owner: r.owner, off: at, n: chunk}
+				pt.want, pt.ridx, pt.target = chunk, ri, idx
+				cp.parts = append(cp.parts, pt)
+				done += chunk
+			}
+		}
+		if live == 0 {
+			return cp.abandon(p, cl.allReplicasDown(r.off))
+		}
+	}
+	cp.seal()
+	return nil
 }
 
 // StartRead implements Async: the striped read issues without waiting.
@@ -1681,53 +1665,47 @@ func (cl *Cluster) StartRead(p *sim.Proc, ino kernel.InodeID, off int64, dst cor
 		return nil, err
 	}
 	defer cl.exitOp()
-	if off < 0 {
-		return nil, ErrInval
+	lay, err := cl.dataLayout(p, ino, off)
+	if err != nil {
+		return nil, err
 	}
-	lay, lerr := cl.layoutFor(p, ino)
-	if lerr != nil {
-		return nil, lerr
-	}
-	total := dst.TotalLen()
-	cp := &clusterPending{cl: cl, ino: ino, lay: lay, want: -1, issued: p.Now()}
-	if total == 0 {
+	cp := cl.newPending(new(clusterPending), ino, lay, -1)
+	if dst.TotalLen() == 0 {
 		// Zero-length read: one attr-only request to the offset's
 		// preferred replica, like the synchronous Read path — with the
 		// same issue-time failover (Wait-time faults fail over through
 		// failoverReads like any other part).
-		pt, err := withReplica(cl, lay, ino, off, 0, func(idx int) (*part, error) {
-			pd, err := cl.sessions[idx].startRead(p, ino, off, dst)
-			if err != nil {
-				return nil, err
-			}
-			pt := cl.getPart()
-			pt.pd, pt.r, pt.target, pt.vec = pd, run{owner: cl.ownerAt(lay, ino, off), off: off}, idx, dst
-			return pt, nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		cp.parts = append(cp.parts, pt)
-		cp.seal()
-		cl.notePendingStart(cp)
-		return cp, nil
+		r := run{owner: cl.ownerAt(lay, ino, off), off: off}
+		err = cl.issueZero(p, cp, r, OpRead, dst)
+	} else {
+		err = cl.issueReads(p, cp, off, dst)
 	}
-	for _, r := range cl.runs(lay, ino, off, total) {
-		// An operation spanning more same-server stripes than that
-		// server's window retires its own earlier runs to make room
-		// (inside issueRead) — it must never depend on the caller, who
-		// cannot retire a pending it has not been handed yet.
-		pt, err := cl.issueRead(p, lay, ino, r, dst.Slice(int(r.off-off), r.n), cp.parts)
-		if err != nil {
-			drainParts(p, cp.parts)
-			cl.putParts(cp.parts)
-			return nil, err
-		}
-		cp.parts = append(cp.parts, pt)
+	if err != nil {
+		return nil, err
 	}
-	cp.seal()
 	cl.notePendingStart(cp)
 	return cp, nil
+}
+
+// issueZero starts a zero-length operation's single request on the
+// offset's preferred replica (so the RPC trace and the returned
+// attributes match the Session's) as cp's only part.
+func (cl *Cluster) issueZero(p *sim.Proc, cp *clusterPending, r run, op Op, vec core.Vector) error {
+	pt, err := withReplica(cl, cp.lay, cp.ino, r.off, 0, func(idx int) (*part, error) {
+		pd, err := cl.sessions[idx].startData(p, op, cp.ino, r.off, vec)
+		if err != nil {
+			return nil, err
+		}
+		pt := cl.getPart()
+		pt.pd, pt.r, pt.target, pt.vec = pd, r, idx, vec
+		return pt, nil
+	})
+	if err != nil {
+		return err
+	}
+	cp.parts = append(cp.parts, pt)
+	cp.seal()
+	return nil
 }
 
 // StartWrite implements Async: one striped write request of at most
@@ -1744,79 +1722,29 @@ func (cl *Cluster) StartWrite(p *sim.Proc, ino kernel.InodeID, off int64, src co
 		return nil, err
 	}
 	defer cl.exitOp()
-	if off < 0 {
-		return nil, ErrInval
-	}
-	lay, lerr := cl.layoutFor(p, ino)
-	if lerr != nil {
-		return nil, lerr
+	lay, err := cl.dataLayout(p, ino, off)
+	if err != nil {
+		return nil, err
 	}
 	total := src.TotalLen()
 	if total > MaxWriteChunk {
 		return nil, fmt.Errorf("rfsrv: StartWrite of %d bytes exceeds one %d-byte request", total, MaxWriteChunk)
 	}
-	cp := &clusterPending{cl: cl, ino: ino, lay: lay, want: total, issued: p.Now()}
+	cp := cl.newPending(new(clusterPending), ino, lay, total)
 	if total == 0 {
-		// Zero-length write: one real request to the offset's preferred
-		// replica, like the synchronous degenerate path (so the RPC
-		// trace and the returned attributes match Session.StartWrite).
-		// The synthetic run makes finishWriteParts' coverage check see
-		// a Wait-time fault instead of vacuously succeeding.
+		// Zero-length write: one real request, like the synchronous
+		// degenerate path. The synthetic run makes finishWriteParts'
+		// coverage check see a Wait-time fault instead of vacuously
+		// succeeding.
 		r := run{owner: cl.ownerAt(lay, ino, off), off: off}
-		cp.runs = []run{r}
-		pt, err := withReplica(cl, lay, ino, off, 0, func(idx int) (*part, error) {
-			pd, err := cl.sessions[idx].startWrite(p, ino, off, src)
-			if err != nil {
-				return nil, err
-			}
-			pt := cl.getPart()
-			pt.pd, pt.r, pt.target = pd, r, idx
-			return pt, nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		cp.parts = append(cp.parts, pt)
-		cp.seal()
-		cl.notePendingStart(cp)
-		return cp, nil
+		cp.runs = append(cp.runs, r)
+		err = cl.issueZero(p, cp, r, OpWrite, src)
+	} else {
+		err = cl.issueWrites(p, cp, off, src)
 	}
-	// The pending outlives this call, so it gets its own copy of the
-	// runs (cl.runs returns per-operation scratch).
-	cp.runs = append(cp.runs, cl.runs(lay, ino, off, total)...)
-	for ri, r := range cp.runs {
-		issued := 0
-		for j := 0; j < cl.replicas; j++ {
-			idx := cl.members[(r.owner+j)%len(cl.members)]
-			if cl.down[idx] {
-				continue
-			}
-			s := cl.sessions[idx]
-			makeRoom(p, s, cp.parts)
-			pd, err := s.startWrite(p, ino, r.off, src.Slice(int(r.off-off), r.n))
-			if err != nil {
-				if fabric.IsFault(err) {
-					cl.markDown(idx)
-					continue
-				}
-				drainParts(p, cp.parts)
-				cl.putParts(cp.parts)
-				return nil, err
-			}
-			cl.StripeWrites.Add(r.n)
-			pt := cl.getPart()
-			pt.pd, pt.r = pd, r
-			pt.want, pt.ridx, pt.target = r.n, ri, idx
-			cp.parts = append(cp.parts, pt)
-			issued++
-		}
-		if issued == 0 {
-			drainParts(p, cp.parts)
-			cl.putParts(cp.parts)
-			return nil, cl.allReplicasDown(r.off)
-		}
+	if err != nil {
+		return nil, err
 	}
-	cp.seal()
 	cl.notePendingStart(cp)
 	if v := cl.view; v != nil && v.migrating {
 		v.logWrite(ino, off, total)
@@ -1838,61 +1766,139 @@ func cloneReq(req *Req) *Req {
 	return &r
 }
 
-// syncMetaFlight is one in-flight metadata request on a server's
-// synchronous control path.
-type syncMetaFlight struct {
-	c     *FabricClient
-	hdrOp fabric.Op
-	seq   uint64
-}
-
-// The package's lock order: a window slot (Session.free token) may be
-// held while taking the client control lock, never the reverse —
-// otherwise a consumer holding the control path could park on a full
-// window that only drains through that same control path.
-//
-//analyze:lockorder Session.free < FabricClient.lock
-
-// startSyncMeta issues a metadata request through s's underlying
-// synchronous client — its private control buffers, NOT a window slot.
-// This is what makes cluster metadata deadlock-free: a consumer whose
-// striped reads or writes hold every window slot of some server
-// (ORFS readahead can legitimately do this) can still look up, stat
-// and reconcile, because metadata never waits on the data windows.
-func startSyncMeta(p *sim.Proc, s *Session, req *Req) (syncMetaFlight, error) {
-	c := s.c
-	c.lock.Acquire(p)
-	c.seq++
-	req.Seq, req.EP = c.seq, c.myEP
-	hdrOp, err := c.postHdr(p, &c.ctl, req.Seq)
-	if err != nil {
-		c.lock.Release()
-		return syncMetaFlight{}, err
-	}
-	if err := c.sendReq(p, &c.ctl, req, nil); err != nil {
-		// The request never left (e.g. dead-peer rejection): withdraw
-		// the posted header receive so the control buffer is quiescent
-		// for the next requester.
-		fabric.Cancel(p, hdrOp)
-		c.lock.Release()
-		return syncMetaFlight{}, err
-	}
-	return syncMetaFlight{c: c, hdrOp: hdrOp, seq: req.Seq}, nil
-}
-
-// wait retires the flight and releases the control path.
-func (fl *syncMetaFlight) wait(p *sim.Proc) (*Resp, error) {
-	defer fl.c.lock.Release()
-	return fl.c.finish(p, &fl.c.ctl, fl.hdrOp, fl.seq, fl.c.timeout)
-}
-
-// syncMeta is one synchronous metadata round trip to server idx.
+// syncMeta is one synchronous metadata round trip on server idx's
+// control path (FabricClient.startCtl — never a window slot).
 func (cl *Cluster) syncMeta(p *sim.Proc, idx int, req *Req) (*Resp, error) {
-	fl, err := startSyncMeta(p, cl.sessions[idx], req)
+	c := cl.sessions[idx].c
+	fl, err := c.startCtl(p, req)
 	if err != nil {
 		return &Resp{Status: StatusOf(err)}, err
 	}
-	return fl.wait(p)
+	return c.waitCtl(p, &fl)
+}
+
+// fanFlight is one control-path request of a fan in flight.
+type fanFlight struct {
+	target int
+	fl     flight
+}
+
+// fanned is what one control-path fan produced.
+type fanned struct {
+	// resps holds the answer of every target that gave one — application
+	// statuses included; faulted targets and stale refusals are not in
+	// it — in target order. It is cluster scratch, valid until the next
+	// fan.
+	resps []*Resp
+	// tried counts the targets the request was started on; extra counts
+	// those started while an earlier one was already on the wire (the
+	// fan-out beyond the first server).
+	tried, extra int
+	// stale: some target refused the observed size epoch from AHEAD of
+	// the cache — the refusal refreshed the cache entry, and the caller
+	// revalidates and retries.
+	stale bool
+	// err is the first application error, at issue or in a reply.
+	err error
+}
+
+// fan is the one control-path fan: req goes out on the control path of
+// every target in order, all in flight together (each server's own
+// ctl slot — see FabricClient.startCtl — so a fan never waits on the
+// data windows), then each is waited in order. A target whose
+// transport faults, at issue or at wait, is excluded — a degraded-mode
+// fact, never an error or divergence. Every answer feeds the validated
+// caches. An ErrStaleEpoch refusal is classified by epochBehind: a
+// refuser BEHIND the cache missed an exact size set while dead in
+// another client's view, no retry epoch can satisfy it and the
+// coherent members at once, so it is excluded like a fault; one ahead
+// of the cache reports stale. What the answers mean — agreement,
+// in-doubt windows, which counter a request bumps — is the caller's
+// verdict. One reusable request serves the whole fan: startCtl stamps
+// and encodes it into the target's control buffer before returning,
+// so the next target may overwrite it (per-server clones would only
+// feed the garbage collector); results live in cluster scratch (fans
+// never nest — each runs to completion before returning).
+func (cl *Cluster) fan(p *sim.Proc, targets []int, req *Req) fanned {
+	var f fanned
+	flights := cl.fanFlights[:0]
+	for _, i := range targets {
+		f.tried++
+		if len(flights) > 0 {
+			f.extra++
+		}
+		cl.fanReq = *req
+		fl, err := cl.sessions[i].c.startCtl(p, &cl.fanReq)
+		if err != nil {
+			if fabric.IsFault(err) {
+				cl.markDown(i)
+				continue
+			}
+			f.err = err
+			break
+		}
+		flights = append(flights, fanFlight{target: i, fl: fl})
+	}
+	resps := cl.fanResps[:0]
+	for k := range flights {
+		i := flights[k].target
+		resp, err := cl.sessions[i].c.waitCtl(p, &flights[k].fl)
+		if err != nil && fabric.IsFault(err) {
+			cl.markDown(i)
+			continue
+		}
+		cl.observeResp(resp)
+		if errors.Is(err, ErrStaleEpoch) {
+			if cl.epochBehind(resp) {
+				cl.markDown(i)
+			} else {
+				f.stale = true
+			}
+			continue
+		}
+		if err != nil && f.err == nil {
+			f.err = err
+		}
+		if resp != nil {
+			resps = append(resps, resp)
+		}
+	}
+	cl.fanFlights, cl.fanResps = flights[:0], resps[:0]
+	f.resps = resps
+	return f
+}
+
+// aliveTargets collects, in cluster scratch, the session slots of the
+// n placement positions starting at from that are neither excluded nor
+// in skip — a fan's target list (all members: from 0, n = the member
+// count; an owner group: from its residue, n = R).
+func (cl *Cluster) aliveTargets(from, n int, skip []int) []int {
+	out := cl.targetScratch[:0]
+	for j := 0; j < n; j++ {
+		if i := cl.members[(from+j)%len(cl.members)]; !cl.down[i] && !skipsServer(skip, i) {
+			out = append(out, i)
+		}
+	}
+	cl.targetScratch = out
+	return out
+}
+
+// addN records n single-request operations on c.
+func addN(c *sim.Counter, n int) {
+	for ; n > 0; n-- {
+		c.Add(1)
+	}
+}
+
+// disagree returns the first answer whose (status, inode) differs from
+// the first answer's, or nil when all agree.
+func disagree(resps []*Resp) *Resp {
+	for _, r := range resps[1:] {
+		if r.Status != resps[0].Status || r.Attr.Ino != resps[0].Attr.Ino {
+			return r
+		}
+	}
+	return nil
 }
 
 // Meta implements Client. Read-only operations go to the home server
@@ -1992,34 +1998,19 @@ func (cl *Cluster) setSizeMeta(p *sim.Proc, ino kernel.InodeID, size int64, exac
 
 // homedMeta runs a read-only metadata request against its home server,
 // excluding the home and re-homing (the hash walks to the next alive
-// server) whenever the transport faults. home is re-evaluated per
-// attempt because exclusion changes the routing.
+// server) whenever the transport faults.
 func (cl *Cluster) homedMeta(p *sim.Proc, req *Req, home func() int) (*Resp, error) {
-	for {
-		idx := home()
-		if idx < 0 {
-			err := fmt.Errorf("rfsrv: %v: every server excluded: %w", req.Op, fabric.ErrPeerDead)
-			return &Resp{Status: StatusOf(err)}, err
-		}
-		resp, err := cl.syncMeta(p, idx, req)
-		if err != nil && fabric.IsFault(err) {
-			cl.markDown(idx)
-			cl.Failovers.Add(0)
-			continue
-		}
-		// The home's reply is the control-path revalidation point: its
-		// epoch either confirms the cached size or invalidates it.
-		cl.observeResp(resp)
-		return resp, err
-	}
+	resp, _, err := cl.metaFirstAlive(p, req, home, func() error {
+		return fmt.Errorf("rfsrv: %v: every server excluded: %w", req.Op, fabric.ErrPeerDead)
+	})
+	return resp, err
 }
 
-// fanout replicates a namespace mutation to every alive server in
-// parallel (each server's synchronous control path; see startSyncMeta)
+// fanout replicates a namespace mutation to every alive server (fan)
 // and verifies the answers agree. With one server it is exactly one
 // synchronous metadata round trip. A server that faults mid-mutation
-// is recorded as excluded — its missing answer is a degraded-mode
-// fact, not namespace divergence; it must re-sync before Reinstate.
+// is excluded — its missing answer is a degraded-mode fact, not
+// namespace divergence; it must re-sync before Reinstate.
 func (cl *Cluster) fanout(p *sim.Proc, req *Req) (*Resp, error) {
 	if len(cl.members) == 1 {
 		resp, err := cl.syncMeta(p, cl.members[0], req)
@@ -2027,91 +2018,29 @@ func (cl *Cluster) fanout(p *sim.Proc, req *Req) (*Resp, error) {
 		cl.noteMutation(req, resp, err)
 		return resp, err
 	}
-	flights := cl.flightScratch[:0]
-	targets := cl.targetScratch[:0]
-	defer func() {
-		cl.flightScratch = flights[:0]
-		cl.targetScratch = targets[:0]
-	}()
-	var firstErr error
-	for _, i := range cl.members {
-		s := cl.sessions[i]
-		if cl.down[i] {
-			continue
-		}
-		if len(flights) > 0 {
-			cl.MetaFanout.Add(1)
-		}
-		// One reusable request per fan: startSyncMeta stamps and encodes
-		// it into the target's control buffer before returning, so the
-		// next iteration may overwrite it (per-server clones would only
-		// feed the garbage collector).
-		cl.fanReq = *req
-		fl, err := startSyncMeta(p, s, &cl.fanReq)
-		if err != nil {
-			if fabric.IsFault(err) {
-				cl.markDown(i)
-				continue
-			}
-			firstErr = err
-			break
-		}
-		flights = append(flights, fl)
-		targets = append(targets, i)
-	}
-	resps := make([]*Resp, 0, len(flights))
-	stale := false
-	for k := range flights {
-		r, err := flights[k].wait(p)
-		if err != nil && fabric.IsFault(err) {
-			cl.markDown(targets[k])
-			continue // excluded, not divergent
-		}
-		cl.observeResp(r)
-		if errors.Is(err, ErrStaleEpoch) {
-			if cl.epochBehind(r) {
-				// The refuser's epoch is BEHIND the cache: it missed an
-				// exact set while dead in another client's view, and no
-				// retry epoch can satisfy it and the coherent members
-				// at once. Exclude it like a fault (see epochBehind).
-				cl.markDown(targets[k])
-				continue
-			}
-			stale = true
-			continue
-		}
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-		resps = append(resps, r)
-	}
-	if stale {
+	f := cl.fan(p, cl.aliveTargets(0, len(cl.members), nil), req)
+	addN(&cl.MetaFanout, f.extra)
+	if f.stale {
 		// A foreign exact size set raced this OpSetSize: some servers
 		// may have applied it (winning their epoch's slot) while the
 		// rest refused — that is staleness to revalidate and retry
-		// against, never namespace divergence. The cache entry was
-		// refreshed above.
+		// against, never namespace divergence.
 		return &Resp{Status: StStale}, ErrStaleEpoch
 	}
-	if len(resps) == 0 {
-		if firstErr == nil {
-			firstErr = fmt.Errorf("rfsrv: %v: every server excluded: %w", req.Op, fabric.ErrPeerDead)
+	if len(f.resps) == 0 {
+		if f.err == nil {
+			f.err = fmt.Errorf("rfsrv: %v: every server excluded: %w", req.Op, fabric.ErrPeerDead)
 		}
-		return &Resp{Status: StatusOf(firstErr)}, firstErr
+		return &Resp{Status: StatusOf(f.err)}, f.err
 	}
-	base := resps[0]
-	for _, r := range resps[1:] {
-		if r == nil || base == nil {
-			continue
-		}
-		if r.Status != base.Status || r.Attr.Ino != base.Attr.Ino {
-			err := fmt.Errorf("rfsrv: cluster namespace diverged on %v %q (status %d/ino %d vs %d/%d)",
-				req.Op, req.Name, base.Status, base.Attr.Ino, r.Status, r.Attr.Ino)
-			return &Resp{Status: StIO}, err
-		}
+	base := f.resps[0]
+	if r := disagree(f.resps); r != nil {
+		err := fmt.Errorf("rfsrv: cluster namespace diverged on %v %q (status %d/ino %d vs %d/%d)",
+			req.Op, req.Name, base.Status, base.Attr.Ino, r.Status, r.Attr.Ino)
+		return &Resp{Status: StIO}, err
 	}
-	cl.noteMutation(req, base, firstErr)
-	return base, firstErr
+	cl.noteMutation(req, base, f.err)
+	return base, f.err
 }
 
 // bumpAllNs records a mutation every server was (or should have been)

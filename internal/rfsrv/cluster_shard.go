@@ -349,108 +349,60 @@ func (cl *Cluster) groupDead(op Op, owner int) error {
 	return fmt.Errorf("rfsrv: %v: every server of owner group %d excluded: %w", op, owner, fabric.ErrPeerDead)
 }
 
+// groupFirst runs req against an owner group's first alive member,
+// failing over within the group (metaFirstAlive).
+func (cl *Cluster) groupFirst(p *sim.Proc, owner int, req *Req) (*Resp, int, error) {
+	return cl.metaFirstAlive(p, req,
+		func() int { return cl.groupPrimary(owner) },
+		func() error { return cl.groupDead(req.Op, owner) })
+}
+
 // groupRead runs a read-only metadata request against its owner
-// group's first alive member, excluding a faulting member and failing
-// over to the next — the sharded analogue of homedMeta.
+// group's first alive member — the sharded analogue of homedMeta.
 func (cl *Cluster) groupRead(p *sim.Proc, owner int, req *Req) (*Resp, error) {
 	for {
-		idx := cl.groupPrimary(owner)
-		if idx < 0 {
-			err := cl.groupDead(req.Op, owner)
-			return &Resp{Status: StatusOf(err)}, err
+		resp, idx, err := cl.groupFirst(p, owner, req)
+		if idx < 0 || !cl.epochBehind(resp) {
+			return resp, err
 		}
-		resp, err := cl.syncMeta(p, idx, req)
-		if err != nil && fabric.IsFault(err) {
-			cl.markDown(idx)
-			cl.Failovers.Add(0)
-			continue
-		}
-		cl.observeResp(resp)
-		if cl.epochBehind(resp) {
-			// The member answered under an epoch behind the cache: it
-			// missed an exact set and its sizes are pre-truncate stale
-			// (see epochBehind). Serving this reply would hand the
-			// caller a resurrected size — exclude and fail over.
-			cl.markDown(idx)
-			cl.Failovers.Add(0)
-			continue
-		}
-		return resp, err
+		// The member answered under an epoch behind the cache: it
+		// missed an exact set and its sizes are pre-truncate stale
+		// (see epochBehind). Serving this reply would hand the
+		// caller a resurrected size — exclude and fail over.
+		cl.markDown(idx)
+		cl.Failovers.Add(0)
 	}
 }
 
 // groupFan replicates a mutation to every alive member of an owner
-// group in parallel (synchronous control paths, like fanout) and
-// verifies the answers agree. A faulting member is excluded, never
-// counted as divergent; an entirely excluded group is an error.
+// group (fan) and verifies the answers agree. A faulting member is
+// excluded, never counted as divergent; an entirely excluded group is
+// an error.
 func (cl *Cluster) groupFan(p *sim.Proc, owner int, req *Req) (*Resp, error) {
-	n := len(cl.members)
-	flights := cl.flightScratch[:0]
-	targets := cl.targetScratch[:0]
-	defer func() {
-		cl.flightScratch = flights[:0]
-		cl.targetScratch = targets[:0]
-	}()
-	var firstErr error
-	for j := 0; j < cl.replicas; j++ {
-		i := cl.members[(owner+j)%n]
-		if cl.down[i] {
-			continue
+	f := cl.fan(p, cl.aliveTargets(owner, cl.replicas, nil), req)
+	addN(&cl.MetaFanout, f.extra)
+	if len(f.resps) == 0 {
+		if f.err == nil {
+			f.err = cl.groupDead(req.Op, owner)
 		}
-		if len(flights) > 0 {
-			cl.MetaFanout.Add(1)
-		}
-		cl.fanReq = *req
-		fl, err := startSyncMeta(p, cl.sessions[i], &cl.fanReq)
-		if err != nil {
-			if fabric.IsFault(err) {
-				cl.markDown(i)
-				continue
-			}
-			firstErr = err
-			break
-		}
-		flights = append(flights, fl)
-		targets = append(targets, i)
+		return &Resp{Status: StatusOf(f.err)}, f.err
 	}
-	var base *Resp
-	for k := range flights {
-		r, err := flights[k].wait(p)
-		if err != nil && fabric.IsFault(err) {
-			cl.markDown(targets[k])
-			continue
+	base := f.resps[0]
+	if r := disagree(f.resps); r != nil {
+		if r.Status == StBusy || base.Status == StBusy {
+			// A rename-tainted entry mid-resolution: members still
+			// holding the prepare mark refuse with StBusy while
+			// members that already saw the abort or finalize answer
+			// from the settled state. That is the in-doubt window
+			// showing through — report busy (the caller re-drives
+			// the rename), never divergence.
+			return &Resp{Status: StBusy}, ErrBusy
 		}
-		cl.observeResp(r)
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-		if r == nil {
-			continue
-		}
-		if base == nil {
-			base = r
-		} else if r.Status != base.Status || r.Attr.Ino != base.Attr.Ino {
-			if r.Status == StBusy || base.Status == StBusy {
-				// A rename-tainted entry mid-resolution: members still
-				// holding the prepare mark refuse with StBusy while
-				// members that already saw the abort or finalize answer
-				// from the settled state. That is the in-doubt window
-				// showing through — report busy (the caller re-drives
-				// the rename), never divergence.
-				return &Resp{Status: StBusy}, ErrBusy
-			}
-			derr := fmt.Errorf("rfsrv: owner group %d diverged on %v %q (status %d/ino %d vs %d/%d)",
-				owner, req.Op, req.Name, base.Status, base.Attr.Ino, r.Status, r.Attr.Ino)
-			return &Resp{Status: StIO}, derr
-		}
+		derr := fmt.Errorf("rfsrv: owner group %d diverged on %v %q (status %d/ino %d vs %d/%d)",
+			owner, req.Op, req.Name, base.Status, base.Attr.Ino, r.Status, r.Attr.Ino)
+		return &Resp{Status: StIO}, derr
 	}
-	if base == nil {
-		if firstErr == nil {
-			firstErr = cl.groupDead(req.Op, owner)
-		}
-		return &Resp{Status: StatusOf(firstErr)}, firstErr
-	}
-	return base, firstErr
+	return base, f.err
 }
 
 // groupFanFrom fans a request to every alive member of an owner group
@@ -458,45 +410,9 @@ func (cl *Cluster) groupFan(p *sim.Proc, owner int, req *Req) (*Resp, error) {
 // dentry-replication round of sharded creates. Faulting members are
 // excluded; application errors win.
 func (cl *Cluster) groupFanFrom(p *sim.Proc, owner, except int, req *Req) error {
-	n := len(cl.members)
-	flights := cl.flightScratch[:0]
-	targets := cl.targetScratch[:0]
-	defer func() {
-		cl.flightScratch = flights[:0]
-		cl.targetScratch = targets[:0]
-	}()
-	var firstErr error
-	for j := 0; j < cl.replicas; j++ {
-		i := cl.members[(owner+j)%n]
-		if i == except || cl.down[i] {
-			continue
-		}
-		cl.MetaFanout.Add(1)
-		cl.fanReq = *req
-		fl, err := startSyncMeta(p, cl.sessions[i], &cl.fanReq)
-		if err != nil {
-			if fabric.IsFault(err) {
-				cl.markDown(i)
-				continue
-			}
-			firstErr = err
-			break
-		}
-		flights = append(flights, fl)
-		targets = append(targets, i)
-	}
-	for k := range flights {
-		r, err := flights[k].wait(p)
-		if err != nil && fabric.IsFault(err) {
-			cl.markDown(targets[k])
-			continue
-		}
-		cl.observeResp(r)
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
+	f := cl.fan(p, cl.aliveTargets(owner, cl.replicas, []int{except}), req)
+	addN(&cl.MetaFanout, f.tried)
+	return f.err
 }
 
 // groupMint runs a minting mutation (create, mkdir) at the owner
@@ -504,31 +420,18 @@ func (cl *Cluster) groupFanFrom(p *sim.Proc, owner, except int, req *Req) error 
 // transport faults — then replicates the fresh dentry to the rest of
 // the group with OpLink.
 func (cl *Cluster) groupMint(p *sim.Proc, owner int, req *Req) (*Resp, error) {
-	for {
-		idx := cl.groupPrimary(owner)
-		if idx < 0 {
-			err := cl.groupDead(req.Op, owner)
-			return &Resp{Status: StatusOf(err)}, err
-		}
-		resp, err := cl.syncMeta(p, idx, req)
-		if err != nil && fabric.IsFault(err) {
-			cl.markDown(idx)
-			cl.Failovers.Add(0)
-			continue
-		}
-		cl.observeResp(resp)
-		if err != nil {
-			return resp, err
-		}
-		if cl.replicas > 1 {
-			link := Req{Op: OpLink, Ino: req.Ino, Name: req.Name,
-				Off: int64(resp.Attr.Ino), Len: uint32(resp.Attr.Kind)}
-			if lerr := cl.groupFanFrom(p, owner, idx, &link); lerr != nil {
-				return &Resp{Status: StatusOf(lerr)}, lerr
-			}
-		}
-		return resp, nil
+	resp, idx, err := cl.groupFirst(p, owner, req)
+	if err != nil {
+		return resp, err
 	}
+	if cl.replicas > 1 {
+		link := Req{Op: OpLink, Ino: req.Ino, Name: req.Name,
+			Off: int64(resp.Attr.Ino), Len: uint32(resp.Attr.Kind)}
+		if lerr := cl.groupFanFrom(p, owner, idx, &link); lerr != nil {
+			return &Resp{Status: StatusOf(lerr)}, lerr
+		}
+	}
+	return resp, nil
 }
 
 // shardMeta is the sharded Meta dispatch: reads to the owner group's

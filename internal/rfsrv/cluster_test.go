@@ -8,9 +8,12 @@ package rfsrv_test
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
+	"repro/internal/fabric"
 	"repro/internal/hw"
 	"repro/internal/kernel"
 	"repro/internal/mem"
@@ -317,6 +320,144 @@ func TestClusterOneServerMatchesSession(t *testing.T) {
 	}
 	if !bytes.Equal(sessSum, clSum) {
 		t.Error("one-server cluster read different bytes than the plain session")
+	}
+}
+
+// clientLayers lists the three client layers whose synchronous calls
+// are all issue + retire on one slot — the FabricClient's own control
+// slot, a window-1 Session's only slot, and a one-server Cluster over
+// such a session — each built over a fresh kernel-side client of the
+// given transport.
+var clientLayers = []struct {
+	name  string
+	build func(t *testing.T, p *sim.Proc, r *rig, transport string) rfsrv.Client
+}{
+	{"FabricClient", func(t *testing.T, p *sim.Proc, r *rig, transport string) rfsrv.Client {
+		return r.sessionOver(t, p, transport, 10, 1).Client()
+	}},
+	{"Session(1)", func(t *testing.T, p *sim.Proc, r *rig, transport string) rfsrv.Client {
+		return r.sessionOver(t, p, transport, 10, 1)
+	}},
+	{"Cluster(1 server)", func(t *testing.T, p *sim.Proc, r *rig, transport string) rfsrv.Client {
+		cl, err := rfsrv.NewCluster(p, []*rfsrv.Session{r.sessionOver(t, p, transport, 10, 1)}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cl
+	}},
+}
+
+// TestClientLayersIdentical is the window-1 identity across all three
+// client layers on both transports: the same Meta/Read/Write workload
+// completes at the same virtual instant, reads the same bytes and
+// costs the server the same requests whichever layer issues it.
+func TestClientLayersIdentical(t *testing.T) {
+	for _, transport := range []string{"mx", "gm"} {
+		var baseEnd sim.Time
+		var baseSum []byte
+		var baseReqs sim.Counter
+		for i, layer := range clientLayers {
+			r := newRig(t)
+			var end sim.Time
+			var sum []byte
+			r.run(t, func(p *sim.Proc) {
+				end, sum = oneServerWorkload(t, p, r.client.Kernel, layer.build(t, p, r, transport))
+			})
+			if i == 0 {
+				baseEnd, baseSum, baseReqs = end, sum, r.srv.Requests
+				continue
+			}
+			if end != baseEnd {
+				t.Errorf("%s: %s finished at %v, %s at %v", transport, layer.name, end, clientLayers[0].name, baseEnd)
+			}
+			if !bytes.Equal(sum, baseSum) {
+				t.Errorf("%s: %s read different bytes than %s", transport, layer.name, clientLayers[0].name)
+			}
+			if r.srv.Requests != baseReqs {
+				t.Errorf("%s: %s cost the server %+v, %s %+v", transport, layer.name, r.srv.Requests, clientLayers[0].name, baseReqs)
+			}
+		}
+	}
+}
+
+// readUnderKill writes a 256 KB file through a fresh client of the
+// given layer over GM, arms the reply deadline, kills the server's NIC
+// killAt after the read-back starts, and reports how long the read
+// took and how it ended.
+func readUnderKill(t *testing.T, layer int, timeout, killAt time.Duration) (elapsed sim.Time, rerr error) {
+	t.Helper()
+	const size = 256 * 1024
+	r := newRig(t)
+	r.run(t, func(p *sim.Proc) {
+		cl := clientLayers[layer].build(t, p, r, "gm")
+		resp, err := cl.Meta(p, &rfsrv.Req{Op: rfsrv.OpCreate, Ino: 0, Name: "f"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ino := resp.Attr.Ino
+		va, err := r.client.Kernel.Mmap(size, "buf")
+		if err != nil {
+			t.Fatal(err)
+		}
+		vec := core.Of(core.KernelSeg(r.client.Kernel, va, size))
+		if _, err := cl.Write(p, ino, 0, vec); err != nil {
+			t.Fatal(err)
+		}
+		switch c := cl.(type) {
+		case *rfsrv.FabricClient:
+			c.SetRequestTimeout(timeout)
+		case *rfsrv.Session:
+			c.SetRequestTimeout(timeout)
+		case *rfsrv.Cluster:
+			c.Sessions()[0].SetRequestTimeout(timeout)
+		}
+		r.server.NIC.KillAfter(killAt)
+		start := p.Now()
+		_, rerr = cl.Read(p, ino, 0, vec)
+		elapsed = p.Now() - start
+	})
+	return elapsed, rerr
+}
+
+// TestReplyDeadlineRunsFromIssue pins the one deadline rule on every
+// layer: a read's data and header waits share ONE budget that starts
+// when the request was issued. The server is killed after the read's
+// data left and before its reply header did (on GM they are separate,
+// ordered messages), so the data wait succeeds late in the budget and
+// only the header wait can expire — at issue + timeout, not a fresh
+// timeout after the data landed. The gap between the two messages is
+// well under a microsecond, so the test aims the kill itself: the
+// read's outcome is monotone in the kill instant (data lost, then
+// header lost, then nothing lost), and a bisection finds the last
+// instant that still loses something.
+func TestReplyDeadlineRunsFromIssue(t *testing.T) {
+	const timeout = 2 * time.Millisecond
+	lost, clean := time.Duration(0), timeout // the fault-free read takes ~1.1 ms
+	for clean-lost > 1 {
+		mid := (lost + clean) / 2
+		if _, err := readUnderKill(t, 0, timeout, mid); err != nil {
+			lost = mid
+		} else {
+			clean = mid
+		}
+	}
+	var base sim.Time
+	for i, layer := range clientLayers {
+		elapsed, err := readUnderKill(t, i, timeout, lost)
+		if !fabric.IsFault(err) || !strings.Contains(err.Error(), "reply for request") {
+			t.Fatalf("%s: read under a kill at %v = %v, want the reply HEADER's deadline to expire", layer.name, lost, err)
+		}
+		// Issue costs a few microseconds before the budget starts and
+		// withdrawing the expired receive a few after it ends; a budget
+		// re-armed after the data phase would end past 3 ms.
+		if elapsed < timeout || elapsed > timeout+50*time.Microsecond {
+			t.Errorf("%s: read gave up after %v, want issue + %v", layer.name, elapsed, timeout)
+		}
+		if i == 0 {
+			base = elapsed
+		} else if elapsed != base {
+			t.Errorf("%s gave up after %v, %s after %v", layer.name, elapsed, clientLayers[0].name, base)
+		}
 	}
 }
 

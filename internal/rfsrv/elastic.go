@@ -383,37 +383,45 @@ func (cl *Cluster) replayOps(p *sim.Proc, i int, j *resyncJournal) error {
 	return nil
 }
 
+// replayReq builds the request that replays op. Epoch-bumping ops get
+// an OpSyncEpoch prelude rewinding the returning server's size epoch
+// to wantEpoch−1, so the replayed bump lands exactly at wantEpoch —
+// idempotent even when the server already applied the op (the rewind
+// makes re-application converge, not double-bump) — and a replayed
+// OpSetSize observes that rewound epoch.
+func replayReq(op *journalOp) (req, prelude Req, hasPrelude bool) {
+	req = op.req // copy: issuing stamps Seq/EP into the request
+	switch req.Op {
+	case OpSetSize, OpSetLayout, OpTruncate:
+		var obs uint64
+		if op.wantEpoch > 0 {
+			obs = op.wantEpoch - 1
+			prelude, hasPrelude = Req{Op: OpSyncEpoch, Ino: req.Ino, Off: int64(obs)}, true
+		}
+		if req.Op == OpSetSize {
+			exact, _ := UnpackSetSize(req.Len)
+			req.Len = PackSetSize(exact, obs)
+		}
+	}
+	return req, prelude, hasPrelude
+}
+
 // replayOpsBatched issues the whole journal as combined metadata
-// batches against server i and interprets the per-op statuses. It
-// returns fallback=true (and no error) when some status requires the
-// serial path's verification lookups; transport failures and
-// non-tolerated statuses are errors exactly as on the serial path —
-// the journal stays intact for a Reinstate retry.
+// batches against server i and interprets the per-op statuses
+// (replayVerdict). It returns fallback=true (and no error) when some
+// status requires the serial path's verification lookups; transport
+// failures and non-tolerated statuses are errors exactly as on the
+// serial path — the journal stays intact for a Reinstate retry.
 func (cl *Cluster) replayOpsBatched(p *sim.Proc, i int, j *resyncJournal) (fallback bool, err error) {
 	reqs := make([]*Req, 0, len(j.ops)+len(j.ops)/2)
 	idx := make([]int, 0, cap(reqs)) // journal index +1 per request; 0 marks an epoch prelude
 	for k := range j.ops {
-		op := &j.ops[k]
-		req := op.req // copy: the flight stamps Seq/EP into each request
-		switch req.Op {
-		case OpSetSize, OpSetLayout, OpTruncate:
-			// Same epoch-rewind prelude as replayOp, carried in the
-			// batch right before its epoch-bumping op.
-			if op.wantEpoch > 0 {
-				reqs = append(reqs, &Req{Op: OpSyncEpoch, Ino: req.Ino, Off: int64(op.wantEpoch - 1)})
-				idx = append(idx, 0)
-			}
-			if req.Op == OpSetSize {
-				exact, _ := UnpackSetSize(req.Len)
-				var obs uint64
-				if op.wantEpoch > 0 {
-					obs = op.wantEpoch - 1
-				}
-				req.Len = PackSetSize(exact, obs)
-			}
+		req, prelude, hasPrelude := replayReq(&j.ops[k])
+		if hasPrelude {
+			reqs = append(reqs, &prelude)
+			idx = append(idx, 0)
 		}
-		r := req
-		reqs = append(reqs, &r)
+		reqs = append(reqs, &req)
 		idx = append(idx, k+1)
 	}
 	// Like replayRT, transport-level failures (fault, timeout, decode)
@@ -439,80 +447,97 @@ func (cl *Cluster) replayOpsBatched(p *sim.Proc, i int, j *resyncJournal) (fallb
 			continue
 		}
 		op := &j.ops[k-1]
-		verify, err := batchReplayVerdict(op, resp)
+		verify, err := replayVerdict(op, resp)
 		if err != nil {
 			return false, fmt.Errorf("replay op %d/%d (%s): %w", k, len(j.ops), opNames[op.req.Op], err)
 		}
-		if verify {
+		if verify != nil {
 			return true, nil
 		}
 	}
 	return false, nil
 }
 
-// batchReplayVerdict interprets one batched replay response with the
-// serial path's tolerance rules (see replayOp). verify=true means the
-// status signals an already-applied prefix and needs a verification
-// lookup — the caller falls back to the serial path, which performs
-// it in place.
-func batchReplayVerdict(op *journalOp, resp *Resp) (verify bool, err error) {
+// entryCheck is the verification a replay verdict can ask for: (dir,
+// name) must resolve to want on the returning server.
+type entryCheck struct {
+	dir  kernel.InodeID
+	name string
+	want kernel.InodeID
+}
+
+// replayVerdict is the one per-opcode status tolerance table of journal
+// replay, shared by the batched and the serial path: replay lives on
+// tolerating the statuses an already-applied prefix of the journal
+// produces. A non-nil verify means the status says "already applied"
+// in a way only a lookup can confirm — the batched path falls back to
+// the serial one, which performs the lookup in journal order. Reads
+// and lookups are never journaled; writes resync through dirty
+// ranges; RenamePrepare is always resolved to Finalize or Abort before
+// it is journaled; SyncEpoch is what replay itself emits.
+func replayVerdict(op *journalOp, resp *Resp) (verify *entryCheck, err error) {
 	req := &op.req
 	//analyze:dispatch ops -OpLookup -OpGetattr -OpReaddir -OpRead -OpWrite -OpRenamePrepare -OpSyncEpoch
 	switch req.Op {
 	case OpMember:
-		return false, ErrOf(resp.Status)
+		return nil, ErrOf(resp.Status)
 
 	case OpSetSize, OpSetLayout, OpTruncate:
 		if resp.Status == StNotFound {
-			// The inode was unlinked later in the journal.
-			return false, nil
+			// The inode was unlinked later in the journal; the size
+			// set is moot.
+			return nil, nil
 		}
-		return false, ErrOf(resp.Status)
+		return nil, ErrOf(resp.Status)
 
 	case OpCreate, OpMkdir:
 		switch resp.Status {
 		case StOK:
 			if op.wantIno != 0 && resp.Attr.Ino != op.wantIno {
-				return false, fmt.Errorf("replayed create of %q minted inode %d, cluster holds %d: server diverged", req.Name, resp.Attr.Ino, op.wantIno)
+				return nil, fmt.Errorf("replayed create of %q minted inode %d, cluster holds %d: server diverged", req.Name, resp.Attr.Ino, op.wantIno)
 			}
-			return false, nil
+			return nil, nil
 		case StExists:
-			return true, nil
+			// Already applied: the entry must resolve to the same inode.
+			return &entryCheck{req.Ino, req.Name, op.wantIno}, nil
 		}
-		return false, ErrOf(resp.Status)
+		return nil, ErrOf(resp.Status)
 
 	case OpLink:
 		switch resp.Status {
 		case StOK:
-			return false, nil
+			return nil, nil
 		case StExists:
-			return true, nil
+			return &entryCheck{req.Ino, req.Name, kernel.InodeID(req.Off)}, nil
 		}
-		return false, ErrOf(resp.Status)
+		return nil, ErrOf(resp.Status)
 
 	case OpUnlink, OpRmdir, OpScrub, OpMaterialize, OpRenameFinalize, OpRenameAbort:
+		// Idempotent per-server verbs: absence means already applied.
 		switch resp.Status {
 		case StOK, StNotFound:
-			return false, nil
+			return nil, nil
 		}
-		return false, ErrOf(resp.Status)
+		return nil, ErrOf(resp.Status)
 
 	case OpRenameLocal:
 		switch resp.Status {
 		case StOK:
-			return false, nil
+			return nil, nil
 		case StNotFound:
-			return true, nil
+			// Source gone: already applied — verify the destination.
+			if _, dst, ok := SplitRenameNames(req.Name); ok {
+				return &entryCheck{kernel.InodeID(req.Off), dst, op.wantIno}, nil
+			}
 		}
-		return false, ErrOf(resp.Status)
+		return nil, ErrOf(resp.Status)
 	}
-	return false, fmt.Errorf("unreplayable op %s", opNames[req.Op])
+	return nil, fmt.Errorf("unreplayable op %s", opNames[req.Op])
 }
 
 // replayRT is one replay round trip to server i: transport-level
 // failures (fault, timeout, decode) abort the replay; application
-// statuses come back for the caller to interpret — replay lives on
-// tolerating the statuses an already-applied prefix produces.
+// statuses come back for the caller to interpret.
 func (cl *Cluster) replayRT(p *sim.Proc, i int, req *Req) (*Resp, error) {
 	resp, err := cl.syncMeta(p, i, req)
 	if err != nil && (resp == nil || fabric.IsFault(err)) {
@@ -521,116 +546,29 @@ func (cl *Cluster) replayRT(p *sim.Proc, i int, req *Req) (*Resp, error) {
 	return resp, nil
 }
 
+// replayOp is the serial replay of one journaled op: the same requests
+// and the same verdict as the batched path, with the verification
+// lookup a verdict asks for performed in place.
 func (cl *Cluster) replayOp(p *sim.Proc, i int, op *journalOp) error {
-	req := op.req
-	// Reads and lookups are never journaled; writes resync through
-	// dirty ranges; RenamePrepare is always resolved to Finalize or
-	// Abort before it is journaled; SyncEpoch is what replay itself
-	// emits.
-	//analyze:dispatch ops -OpLookup -OpGetattr -OpReaddir -OpRead -OpWrite -OpRenamePrepare -OpSyncEpoch
-	switch req.Op {
-	case OpMember:
-		resp, err := cl.replayRT(p, i, &req)
+	req, prelude, hasPrelude := replayReq(op)
+	if hasPrelude {
+		resp, err := cl.replayRT(p, i, &prelude)
 		if err != nil {
 			return err
 		}
-		return ErrOf(resp.Status)
-
-	case OpSetSize, OpSetLayout, OpTruncate:
-		// Epoch-bumping ops: rewind the returning server's size epoch
-		// to wantEpoch−1 so the replayed bump lands exactly at
-		// wantEpoch — idempotent even when the server already applied
-		// the op (the rewind makes re-application converge, not
-		// double-bump).
-		if op.wantEpoch > 0 {
-			sync := Req{Op: OpSyncEpoch, Ino: req.Ino, Off: int64(op.wantEpoch - 1)}
-			resp, err := cl.replayRT(p, i, &sync)
-			if err != nil {
-				return err
-			}
-			if resp.Status != StOK {
-				return ErrOf(resp.Status)
-			}
+		if resp.Status != StOK {
+			return ErrOf(resp.Status)
 		}
-		if req.Op == OpSetSize {
-			exact, _ := UnpackSetSize(req.Len)
-			var obs uint64
-			if op.wantEpoch > 0 {
-				obs = op.wantEpoch - 1
-			}
-			req.Len = PackSetSize(exact, obs)
-		}
-		resp, err := cl.replayRT(p, i, &req)
-		if err != nil {
-			return err
-		}
-		if resp.Status == StNotFound {
-			// The inode was unlinked later in the journal; the size
-			// set is moot.
-			return nil
-		}
-		return ErrOf(resp.Status)
-
-	case OpCreate, OpMkdir:
-		resp, err := cl.replayRT(p, i, &req)
-		if err != nil {
-			return err
-		}
-		switch resp.Status {
-		case StOK:
-			if op.wantIno != 0 && resp.Attr.Ino != op.wantIno {
-				return fmt.Errorf("replayed create of %q minted inode %d, cluster holds %d: server diverged", req.Name, resp.Attr.Ino, op.wantIno)
-			}
-			return nil
-		case StExists:
-			// Already applied (the server held a prefix of the
-			// journal): verify the entry resolves to the same inode.
-			return cl.verifyEntry(p, i, req.Ino, req.Name, op.wantIno)
-		}
-		return ErrOf(resp.Status)
-
-	case OpLink:
-		resp, err := cl.replayRT(p, i, &req)
-		if err != nil {
-			return err
-		}
-		switch resp.Status {
-		case StOK:
-			return nil
-		case StExists:
-			return cl.verifyEntry(p, i, req.Ino, req.Name, kernel.InodeID(req.Off))
-		}
-		return ErrOf(resp.Status)
-
-	case OpUnlink, OpRmdir, OpScrub, OpMaterialize, OpRenameFinalize, OpRenameAbort:
-		// Idempotent per-server verbs: absence means already applied.
-		resp, err := cl.replayRT(p, i, &req)
-		if err != nil {
-			return err
-		}
-		switch resp.Status {
-		case StOK, StNotFound:
-			return nil
-		}
-		return ErrOf(resp.Status)
-
-	case OpRenameLocal:
-		resp, err := cl.replayRT(p, i, &req)
-		if err != nil {
-			return err
-		}
-		switch resp.Status {
-		case StOK:
-			return nil
-		case StNotFound:
-			// Source gone: already applied — verify the destination.
-			if _, dst, ok := SplitRenameNames(req.Name); ok {
-				return cl.verifyEntry(p, i, kernel.InodeID(req.Off), dst, op.wantIno)
-			}
-		}
-		return ErrOf(resp.Status)
 	}
-	return fmt.Errorf("unreplayable op %s", opNames[req.Op])
+	resp, err := cl.replayRT(p, i, &req)
+	if err != nil {
+		return err
+	}
+	verify, err := replayVerdict(op, resp)
+	if err != nil || verify == nil {
+		return err
+	}
+	return cl.verifyEntry(p, i, verify.dir, verify.name, verify.want)
 }
 
 // verifyEntry checks that (dir, name) resolves to want on server i —

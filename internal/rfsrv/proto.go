@@ -3,23 +3,24 @@
 // ORFA library or in-kernel ORFS filesystem) and a file server backed
 // by memfs.
 //
-// The protocol is transport-neutral; the two Client implementations
-// (MXClient, GMClient) embody the paper's comparison:
+// The protocol is transport-neutral and there is one protocol client,
+// FabricClient (NewMXClient and NewGMClient only pick its transport);
+// its capability branches embody the paper's comparison:
 //
-//   - MXClient uses the MX kernel interface directly: vectorial,
+//   - Over MX it uses the kernel interface directly: vectorial,
 //     address-typed requests; write data rides in the request message;
 //     read data lands zero-copy in physically-addressed page-cache
 //     frames or in (pinned) user buffers via rendezvous; waits are
 //     per-request.
-//   - GMClient has to assemble the same functionality out of GM's
+//   - Over GM it has to assemble the same functionality out of GM's
 //     primitives: everything it touches must be registered (a GMKRC
 //     registration cache handles user buffers), there are no vectors
 //     (header and data travel as separate messages), and completions
 //     come from the port's unique event queue via a blocking wait that
 //     costs a dispatch-thread hop (§5.3).
 //
-// The asymmetry in code shape between the two clients *is* the paper's
-// point; the measured gap in ORFS throughput (Fig 7) follows from it.
+// The asymmetry between the two branches *is* the paper's point; the
+// measured gap in ORFS throughput (Fig 7) follows from it.
 package rfsrv
 
 import (

@@ -72,7 +72,7 @@ func (r *rig) run(t *testing.T, body func(p *sim.Proc)) {
 }
 
 // mxKernelClient builds an ORFS-style transport.
-func (r *rig) mxKernelClient(t *testing.T) *rfsrv.MXClient {
+func (r *rig) mxKernelClient(t *testing.T) *rfsrv.FabricClient {
 	t.Helper()
 	cl, err := rfsrv.NewMXClient(r.mxC, 2, true, r.client.Kernel, r.server.ID, 1)
 	if err != nil {
@@ -81,7 +81,7 @@ func (r *rig) mxKernelClient(t *testing.T) *rfsrv.MXClient {
 	return cl
 }
 
-func (r *rig) gmKernelClient(t *testing.T, p *sim.Proc, cachePages int) *rfsrv.GMClient {
+func (r *rig) gmKernelClient(t *testing.T, p *sim.Proc, cachePages int) *rfsrv.FabricClient {
 	t.Helper()
 	cl, err := rfsrv.NewGMClient(p, r.gmC, 2, true, r.client.Kernel, r.server.ID, 1, cachePages)
 	if err != nil {

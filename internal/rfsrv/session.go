@@ -122,17 +122,11 @@ func (s *Session) put(b *ctlBufs) {
 	s.free.Send(b)
 }
 
-// Pending is one in-flight request. Wait retires it; requests of one
-// session may be waited in any order.
+// Pending is one in-flight request: a flight on a window slot. Wait
+// retires it; requests of one session may be waited in any order.
 type Pending struct {
-	s       *Session
-	bufs    *ctlBufs
-	seq     uint64
-	hdrOp   fabric.Op
-	dataOp  fabric.Op
-	release func()
-	fixup   func(p *sim.Proc, n int)
-	issued  sim.Time
+	s  *Session
+	fl flight
 
 	done bool
 	resp *Resp
@@ -141,7 +135,19 @@ type Pending struct {
 
 // Issued returns the virtual time the request entered the window
 // (latency accounting for the scalability figures).
-func (pd *Pending) Issued() sim.Time { return pd.issued }
+func (pd *Pending) Issued() sim.Time { return pd.fl.issued }
+
+// launch issues req through window slot b (FabricClient.issue), giving
+// the slot back when the request never left.
+func (s *Session) launch(p *sim.Proc, b *ctlBufs, req *Req, data core.Vector) (*Pending, error) {
+	fl, err := s.c.issue(p, b, req, data)
+	if err != nil {
+		s.put(b)
+		return nil, err
+	}
+	s.Issued.Add(1)
+	return &Pending{s: s, fl: fl}, nil
+}
 
 // StartMeta issues a metadata request through the window, blocking
 // only while the window is full.
@@ -157,170 +163,59 @@ func (s *Session) startMeta(p *sim.Proc, req *Req) (*Pending, error) {
 	if err := ValidateReq(req); err != nil {
 		return nil, err
 	}
-	b := s.acquire(p)
-	s.c.seq++
-	req.Seq, req.EP = s.c.seq, s.c.myEP
-	hdrOp, err := s.c.postHdr(p, b, req.Seq)
-	if err != nil {
-		s.put(b)
-		return nil, err
-	}
-	if err := s.c.sendReq(p, b, req, nil); err != nil {
-		fabric.Cancel(p, hdrOp)
-		s.put(b)
-		return nil, err
-	}
-	s.Issued.Add(1)
-	return &Pending{s: s, bufs: b, seq: req.Seq, hdrOp: hdrOp, issued: p.Now()}, nil
+	return s.launch(p, s.acquire(p), req, nil)
 }
 
 // StartRead issues a read through the window; data lands directly in
 // dst when the transport allows it, exactly like the sync client.
 func (s *Session) StartRead(p *sim.Proc, ino kernel.InodeID, off int64, dst core.Vector) (PendingOp, error) {
-	pd, err := s.startRead(p, ino, off, dst)
+	pd, err := s.startData(p, OpRead, ino, off, dst)
 	if err != nil {
 		return nil, err
 	}
 	return pd, nil
-}
-
-func (s *Session) startRead(p *sim.Proc, ino kernel.InodeID, off int64, dst core.Vector) (*Pending, error) {
-	if off < 0 {
-		return nil, ErrInval
-	}
-	b := s.acquire(p)
-	s.c.seq++
-	seq := s.c.seq
-	// The request struct stages in the slot (encoded before this call
-	// returns), so the issue path allocates nothing.
-	req := &b.req
-	*req = Req{Op: OpRead, Seq: seq, EP: s.c.myEP, Ino: ino, Off: off, Len: uint32(dst.TotalLen())}
-	hdrOp, err := s.c.postHdr(p, b, seq)
-	if err != nil {
-		s.put(b)
-		return nil, err
-	}
-	dataOp, release, fixup, err := s.c.postData(p, seq, dst)
-	if err != nil {
-		fabric.Cancel(p, hdrOp)
-		s.put(b)
-		return nil, err
-	}
-	if err := s.c.sendReq(p, b, req, nil); err != nil {
-		// The request never left: withdraw both posted receives so the
-		// slot's header buffer — and, crucially, the caller's data
-		// buffer — are quiescent, not parked under stale seq tags.
-		fabric.Cancel(p, dataOp)
-		fabric.Cancel(p, hdrOp)
-		release()
-		s.put(b)
-		return nil, err
-	}
-	s.Issued.Add(1)
-	return &Pending{
-		s: s, bufs: b, seq: seq, hdrOp: hdrOp, dataOp: dataOp,
-		release: release, fixup: fixup, issued: p.Now(),
-	}, nil
 }
 
 // StartWrite issues one write request through the window. src must not
 // exceed MaxWriteChunk (one protocol request); Write chunks larger
 // transfers across the window.
 func (s *Session) StartWrite(p *sim.Proc, ino kernel.InodeID, off int64, src core.Vector) (PendingOp, error) {
-	pd, err := s.startWrite(p, ino, off, src)
+	pd, err := s.startData(p, OpWrite, ino, off, src)
 	if err != nil {
 		return nil, err
 	}
 	return pd, nil
 }
 
-func (s *Session) startWrite(p *sim.Proc, ino kernel.InodeID, off int64, src core.Vector) (*Pending, error) {
+// startData issues one read or write of data's length at off. The
+// request struct stages in the slot (encoded before this call
+// returns), so the issue path allocates nothing but the Pending.
+func (s *Session) startData(p *sim.Proc, op Op, ino kernel.InodeID, off int64, data core.Vector) (*Pending, error) {
 	if off < 0 {
 		return nil, ErrInval
 	}
-	n := src.TotalLen()
-	if n > MaxWriteChunk {
+	n := data.TotalLen()
+	if op == OpWrite && n > MaxWriteChunk {
 		return nil, fmt.Errorf("rfsrv: StartWrite of %d bytes exceeds one %d-byte request", n, MaxWriteChunk)
 	}
 	b := s.acquire(p)
-	s.c.seq++
-	seq := s.c.seq
-	req := &b.req // slot-staged, like startRead
-	*req = Req{Op: OpWrite, Seq: seq, EP: s.c.myEP, Ino: ino, Off: off, Len: uint32(n)}
-	hdrOp, err := s.c.postHdr(p, b, seq)
-	if err != nil {
-		s.put(b)
-		return nil, err
-	}
-	release := func() {}
-	if s.c.t.Caps().Vectors {
-		if err := s.c.sendReq(p, b, req, src); err != nil {
-			fabric.Cancel(p, hdrOp)
-			s.put(b)
-			return nil, err
-		}
-	} else {
-		if err := s.c.sendReq(p, b, req, nil); err != nil {
-			fabric.Cancel(p, hdrOp)
-			s.put(b)
-			return nil, err
-		}
-		if release, err = s.c.sendData(p, seq, src); err != nil {
-			fabric.Cancel(p, hdrOp)
-			s.put(b)
-			return nil, err
-		}
-	}
-	s.Issued.Add(1)
-	return &Pending{s: s, bufs: b, seq: seq, hdrOp: hdrOp, release: release, issued: p.Now()}, nil
+	b.req = Req{Op: op, Ino: ino, Off: off, Len: uint32(n)}
+	return s.launch(p, b, &b.req, data)
 }
 
-// Wait retires the request: data completion first (reads), then the
-// header reply, then the slot returns to the window. Waiting twice
-// returns the memoized result. Under an armed request timeout either
-// phase gives up after the deadline, withdraws its posted receive, and
-// surfaces an error satisfying fabric.IsFault — the slot still returns
-// to the window with all its staging quiescent.
+// Wait retires the request (FabricClient.retire) and returns its slot
+// to the window; waiting twice returns the memoized result. Under an
+// armed request timeout the slot still comes back with all its staging
+// quiescent.
 func (pd *Pending) Wait(p *sim.Proc) (*Resp, error) {
 	if pd.done {
 		return pd.resp, pd.err
 	}
-	var dataErr error
-	var dataLen int
-	if pd.dataOp != nil {
-		st, ok := pd.s.c.waitData(p, pd.dataOp, pd.s.c.deadlineFrom(p, pd.issued))
-		if !ok {
-			dataErr = fmt.Errorf("rfsrv: read data for request %d: %w", pd.seq, fabric.ErrTimeout)
-		} else {
-			dataErr, dataLen = st.Err, st.Len
-		}
-	}
-	if pd.fixup != nil && dataErr == nil {
-		pd.fixup(p, dataLen)
-	}
-	// Always quiesce the header reply — even after a data error — so
-	// the slot's posted receive is inert before the slot is reused.
-	// After a data-phase transport fault the header is presumed lost
-	// with the peer: withdraw its receive instead of waiting a second
-	// timeout.
-	var resp *Resp
-	var err error
-	if dataErr != nil && fabric.IsFault(dataErr) {
-		pd.s.c.quiesceHdr(p, pd.bufs, pd.hdrOp, pd.seq)
-		err = dataErr
-	} else {
-		resp, err = pd.s.c.finish(p, pd.bufs, pd.hdrOp, pd.seq, pd.s.c.deadlineFrom(p, pd.issued))
-		if dataErr != nil {
-			err = dataErr
-		}
-	}
-	if pd.release != nil {
-		pd.release()
-	}
-	pd.resp, pd.err, pd.done = resp, err, true
+	pd.resp, pd.err = pd.s.c.retire(p, &pd.fl)
+	pd.done = true
 	pd.s.Completed.Add(1)
-	pd.s.put(pd.bufs)
-	return resp, err
+	pd.s.put(pd.fl.bufs)
+	return pd.resp, pd.err
 }
 
 // ---- the synchronous Client interface over the window ----
@@ -337,7 +232,7 @@ func (s *Session) Meta(p *sim.Proc, req *Req) (*Resp, error) {
 // Read implements Client: one request, issue-and-wait (identical
 // timing to the sync client at any window).
 func (s *Session) Read(p *sim.Proc, ino kernel.InodeID, off int64, dst core.Vector) (*Resp, error) {
-	pd, err := s.startRead(p, ino, off, dst)
+	pd, err := s.startData(p, OpRead, ino, off, dst)
 	if err != nil {
 		return &Resp{Status: StatusOf(err)}, err
 	}
@@ -360,7 +255,7 @@ func (s *Session) drain(p *sim.Proc, pds []*Pending) {
 func (s *Session) Write(p *sim.Proc, ino kernel.InodeID, off int64, src core.Vector) (*Resp, error) {
 	total := src.TotalLen()
 	if total <= MaxWriteChunk {
-		pd, err := s.startWrite(p, ino, off, src)
+		pd, err := s.startData(p, OpWrite, ino, off, src)
 		if err != nil {
 			return &Resp{Status: StatusOf(err)}, err
 		}
@@ -399,7 +294,7 @@ func (s *Session) Write(p *sim.Proc, ino kernel.InodeID, off int64, src core.Vec
 				return last, err
 			}
 		}
-		pd, err := s.startWrite(p, ino, off+int64(issued), src.Slice(issued, chunk))
+		pd, err := s.startData(p, OpWrite, ino, off+int64(issued), src.Slice(issued, chunk))
 		if err != nil {
 			s.drain(p, inflight)
 			return last, err

@@ -120,7 +120,11 @@ func TestShardRenameInDoubtAbortFaultStateA(t *testing.T) {
 		for _, n := range r.servers {
 			n.NIC.Revive()
 		}
-		p.Sleep(2 * faultTimeout)
+		// Revive does not lift a stall: wait out the destination
+		// members' 10ms one, or the re-driven commit would sit behind
+		// it past its deadline. (Both commit flights expired together,
+		// one deadline after their issue, so the clock reads ~2ms here.)
+		p.Sleep(10 * time.Millisecond)
 		for i := range r.servers {
 			if err := cl.Reinstate(p, i); err != nil {
 				t.Fatalf("reinstate server %d after state-A in-doubt: %v", i, err)

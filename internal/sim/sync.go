@@ -184,6 +184,15 @@ func (c *Chan[T]) TryRecv() (v T, ok bool) {
 	return c.popBuf(), true
 }
 
+// Peek returns the oldest buffered value without dequeuing it; ok
+// reports whether there is one.
+func (c *Chan[T]) Peek() (v T, ok bool) {
+	if c.Len() == 0 {
+		return v, false
+	}
+	return c.buf[c.bufHead], true
+}
+
 // RecvTimeout dequeues the oldest value, blocking p for at most d.
 // ok reports whether a value was received.
 func (c *Chan[T]) RecvTimeout(p *Proc, d Time) (v T, ok bool) {

@@ -151,7 +151,13 @@ func TestChanTryRecv(t *testing.T) {
 	if _, ok := c.TryRecv(); ok {
 		t.Error("TryRecv on empty chan returned ok")
 	}
+	if _, ok := c.Peek(); ok {
+		t.Error("Peek on empty chan returned ok")
+	}
 	c.Send(42)
+	if v, ok := c.Peek(); !ok || v != 42 || c.Len() != 1 {
+		t.Errorf("Peek = %d,%v with %d buffered, want 42,true with 1", v, ok, c.Len())
+	}
 	v, ok := c.TryRecv()
 	if !ok || v != 42 {
 		t.Errorf("TryRecv = %d,%v want 42,true", v, ok)

@@ -106,10 +106,11 @@ type (
 	// Remote file access.
 	FileServer = rfsrv.Server
 	FSClient   = rfsrv.Client
-	MXClient   = rfsrv.MXClient
-	GMClient   = rfsrv.GMClient
-	ORFS       = orfs.FS
-	ORFA       = orfa.Lib
+	// FSFabricClient is the one protocol client; NewMXClient and
+	// NewGMClient build it over either transport.
+	FSFabricClient = rfsrv.FabricClient
+	ORFS           = orfs.FS
+	ORFA           = orfa.Lib
 
 	// Pipelined sessions: a sliding window of in-flight requests over
 	// a protocol client (Session satisfies FSClient; window 1 is the
