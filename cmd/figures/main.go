@@ -9,7 +9,7 @@
 //	go run ./cmd/figures -only fig6                 # one experiment
 //	go run ./cmd/figures -only smallfile,metadata   # a comma-separated few
 //	go run ./cmd/figures -iters 20                  # more round trips per point
-//	go run ./cmd/figures -json BENCH_PR8.json       # machine-readable snapshot
+//	go run ./cmd/figures -json figures.json         # machine-readable snapshot
 package main
 
 import (
@@ -61,7 +61,7 @@ type jsonElastic struct {
 	Members       []int   `json:"members"`
 }
 
-// snapshot is the BENCH_PR6.json layout: every figure that ran, plus
+// snapshot is the -json file's layout: every figure that ran, plus
 // the allocation profile of the per-request hot path and (since PR 9)
 // the elastic-membership lifecycle numbers.
 type snapshot struct {

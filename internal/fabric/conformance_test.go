@@ -505,3 +505,50 @@ func TestConformanceGMUncachedRelease(t *testing.T) {
 		t.Fatal(fmt.Errorf("body did not run"))
 	}
 }
+
+// TestGMSameTagFIFO: several receives enrolled under one tag complete
+// in post order (the per-key FIFO threaded through the Ops), a
+// cancelled one leaves the queue without disturbing its neighbours, and
+// an Op whose primitive failed after enrolment does not linger to
+// swallow a later completion.
+func TestGMSameTagFIFO(t *testing.T) {
+	run(t, builders()[0], func(p *sim.Proc, na, nb *hw.Node, pr pair) {
+		const tag, n = 9, 64
+		asB, vaB := buf(t, p, pr.b, 4*vm.PageSize)
+		slot := func(i int) core.Vector { return core.Of(core.UserSeg(asB, vaB+vm.VirtAddr(i*vm.PageSize), n)) }
+		var ops [3]fabric.Op
+		for i := range ops {
+			var err error
+			if ops[i], err = pr.b.PostRecv(p, core.Exact(tag), slot(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// An unregistered range fails inside the port, after enrolment.
+		if _, err := pr.b.PostRecv(p, core.Exact(tag), core.Of(core.UserSeg(asB, vaB+vm.VirtAddr(64*vm.PageSize), n))); err == nil {
+			t.Fatal("posting an unregistered range succeeded")
+		}
+		if !fabric.Cancel(p, ops[2]) {
+			t.Fatal("cancel of the newest unmatched receive refused")
+		}
+		asA, vaA := buf(t, p, pr.a, 2*vm.PageSize)
+		for i := 0; i < 2; i++ {
+			asA.WriteBytes(vaA+vm.VirtAddr(i*vm.PageSize), pattern(n, i))
+			if _, err := pr.a.Send(p, nb.ID, pr.bEP, tag, core.Of(core.UserSeg(asA, vaA+vm.VirtAddr(i*vm.PageSize), n))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Waiting the LATER op first drains both completions; each must
+		// have been routed to the Op posted in that position.
+		for _, i := range []int{1, 0} {
+			if st := ops[i].Wait(p); st.Err != nil || st.Len != n {
+				t.Fatalf("receive %d: %+v", i, st)
+			}
+			if got, _ := asB.ReadBytes(vaB+vm.VirtAddr(i*vm.PageSize), n); !bytes.Equal(got, pattern(n, i)) {
+				t.Errorf("receive %d holds the wrong message", i)
+			}
+		}
+		if st := ops[2].Wait(p); st.Err == nil {
+			t.Errorf("cancelled receive completed with %+v", st)
+		}
+	})
+}

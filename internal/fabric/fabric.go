@@ -82,10 +82,15 @@ type Caps struct {
 	// NeedsReg: virtual memory must be registered (Register/Acquire)
 	// before Send/PostRecv may name it (GM).
 	NeedsReg bool
-	// EagerSend: the local buffer is reusable as soon as Send returns;
-	// the send Op only tracks end-to-end completion bookkeeping (GM's
-	// token flow control, stream sockets' blocking write). When false,
-	// the sender must Wait the Op before touching the buffer (MX).
+	// EagerSend: the send Op reports end-to-end delivery (GM's token
+	// flow control completes a send when the peer's NIC acknowledged
+	// it; a stream socket's write blocks until then), so a sender whose
+	// protocol already tells it the message arrived — a ping-pong
+	// holding its pong — may skip waiting the Op. It does not make the
+	// buffer reusable when Send returns: GM hands the extents to the
+	// NIC, which gathers them at DMA time. On every transport a sent
+	// buffer is reusable once its Op is Done, no sooner; the rule is
+	// stated where it is applied, at rfsrv.Server.reply.
 	EagerSend bool
 	// Stream: byte-stream semantics — matching is ignored, message
 	// boundaries are not preserved, receives complete synchronously

@@ -39,7 +39,9 @@ type GMTransport struct {
 	// waiting routes drained events to their Ops: GM's unique event
 	// queue interleaves completions of unrelated operations, so
 	// whichever Op drains the queue dispatches everything it pulls.
-	waiting map[gmEvKey][]*gmOp
+	// Each key's FIFO is threaded through the Ops themselves (gmOp.next),
+	// so enrolling allocates nothing.
+	waiting map[gmEvKey]gmOpFIFO
 
 	// regions tracks Register calls for Deregister/Close.
 	regions map[regKey]*gm.Region
@@ -49,6 +51,8 @@ type gmEvKey struct {
 	send bool
 	tag  uint64
 }
+
+type gmOpFIFO struct{ head, tail *gmOp }
 
 type regKey struct {
 	as *vm.AddressSpace
@@ -79,7 +83,7 @@ func NewGM(g *gm.GM, portID uint8, kernel bool, opts ...GMOption) (*GMTransport,
 	}
 	t := &GMTransport{
 		port:    port,
-		waiting: make(map[gmEvKey][]*gmOp),
+		waiting: make(map[gmEvKey]gmOpFIFO),
 		regions: make(map[regKey]*gm.Region),
 	}
 	for _, o := range opts {
@@ -104,8 +108,8 @@ func (t *GMTransport) Node() *hw.Node { return t.port.Node() }
 func (t *GMTransport) LocalEP() uint8 { return t.port.ID() }
 
 // Caps implements Transport: no vectors, registration required,
-// physical addressing on kernel ports only, eager sends (token flow
-// control guards the buffer; completion is end-to-end bookkeeping).
+// physical addressing on kernel ports only, eager sends (a send's
+// completion is the peer NIC's acknowledgement).
 func (t *GMTransport) Caps() Caps {
 	return Caps{Physical: t.port.Kernel(), NeedsReg: true, EagerSend: true}
 }
@@ -204,8 +208,7 @@ func (t *GMTransport) Send(p *sim.Proc, dst hw.NodeID, dstEP uint8, info uint64,
 	if err != nil {
 		return nil, err
 	}
-	op := &gmOp{t: t, key: gmEvKey{send: true, tag: info}}
-	t.waiting[op.key] = append(t.waiting[op.key], op)
+	op := t.enroll(gmEvKey{send: true, tag: info})
 	if phys {
 		err = t.port.SendPhysical(p, dst, dstEP, info, xs)
 	} else {
@@ -228,8 +231,7 @@ func (t *GMTransport) PostRecv(p *sim.Proc, match core.Match, v core.Vector) (Op
 	if err != nil {
 		return nil, err
 	}
-	op := &gmOp{t: t, key: gmEvKey{tag: tag}}
-	t.waiting[op.key] = append(t.waiting[op.key], op)
+	op := t.enroll(gmEvKey{tag: tag})
 	if phys {
 		err = t.port.PostRecvPhysical(p, tag, xs)
 	} else {
@@ -242,14 +244,43 @@ func (t *GMTransport) PostRecv(p *sim.Proc, match core.Match, v core.Vector) (Op
 	return op, nil
 }
 
-// unwait removes an op whose primitive failed after enrollment.
+// enroll appends a new Op to the FIFO of those waiting for key's event.
+func (t *GMTransport) enroll(key gmEvKey) *gmOp {
+	op := &gmOp{t: t, key: key}
+	q := t.waiting[key]
+	if q.tail == nil {
+		q.head = op
+	} else {
+		q.tail.next = op
+	}
+	q.tail = op
+	t.waiting[key] = q
+	return op
+}
+
+// unwait removes an enrolled op whose primitive failed or whose receive
+// was cancelled.
 func (t *GMTransport) unwait(op *gmOp) {
 	q := t.waiting[op.key]
-	for i, o := range q {
-		if o == op {
-			t.waiting[op.key] = append(q[:i], q[i+1:]...)
-			return
-		}
+	link, prev := &q.head, (*gmOp)(nil)
+	for *link != op {
+		prev, link = *link, &(*link).next
+	}
+	*link = op.next
+	if q.tail == op {
+		q.tail = prev
+	}
+	t.setFIFO(op.key, q)
+}
+
+// setFIFO stores key's queue, dropping drained keys: reply tags carry a
+// sequence number, so keeping empty queues would keep one map entry per
+// request ever completed.
+func (t *GMTransport) setFIFO(key gmEvKey, q gmOpFIFO) {
+	if q.head == nil {
+		delete(t.waiting, key)
+	} else {
+		t.waiting[key] = q
 	}
 }
 
@@ -259,15 +290,12 @@ func (t *GMTransport) unwait(op *gmOp) {
 func (t *GMTransport) dispatch(ev gm.Event) {
 	key := gmEvKey{send: ev.Type == gm.SendComplete, tag: ev.Tag}
 	q := t.waiting[key]
-	if len(q) == 0 {
+	op := q.head
+	if op == nil {
 		return
 	}
-	op := q[0]
-	if len(q) == 1 {
-		delete(t.waiting, key)
-	} else {
-		t.waiting[key] = q[1:]
-	}
+	q.head = op.next
+	t.setFIFO(key, q)
 	op.done = true
 	op.st = Status{Src: ev.Src, Len: ev.Len, Err: ev.Err}
 }
@@ -328,6 +356,7 @@ func (t *GMTransport) Close(p *sim.Proc) error {
 type gmOp struct {
 	t    *GMTransport
 	key  gmEvKey
+	next *gmOp // the Op enrolled behind this one under the same key
 	done bool
 	st   Status
 }

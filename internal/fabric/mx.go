@@ -75,7 +75,7 @@ func (t *MXTransport) Send(p *sim.Proc, dst hw.NodeID, dstEP uint8, info uint64,
 	if err != nil {
 		return nil, err
 	}
-	return mxOp{t.ep, req}, nil
+	return mxOp{req}, nil
 }
 
 // PostRecv implements Transport.
@@ -84,17 +84,15 @@ func (t *MXTransport) PostRecv(p *sim.Proc, match core.Match, v core.Vector) (Op
 	if err != nil {
 		return nil, err
 	}
-	return mxOp{t.ep, req}, nil
+	return mxOp{req}, nil
 }
 
 // Close implements Transport.
 func (t *MXTransport) Close(p *sim.Proc) error { return nil }
 
-// mxOp wraps an MX request.
-type mxOp struct {
-	ep  *mx.Endpoint
-	req *mx.Request
-}
+// mxOp wraps an MX request. It is pointer-shaped — the request already
+// knows its endpoint — so boxing it into an Op allocates nothing.
+type mxOp struct{ req *mx.Request }
 
 // Done implements Op.
 func (o mxOp) Done() bool { return o.req.Done() }
@@ -117,7 +115,7 @@ func (o mxOp) WaitTimeout(p *sim.Proc, d sim.Time) (Status, bool) {
 // Cancel implements CancelableOp via mx_cancel: an unmatched posted
 // receive is withdrawn and its buffer can never be scattered into.
 func (o mxOp) Cancel(p *sim.Proc) bool {
-	return o.ep.CancelRecv(p, o.req)
+	return o.req.Cancel(p)
 }
 
 var _ Transport = (*MXTransport)(nil)

@@ -480,6 +480,10 @@ func (ep *Endpoint) CancelRecv(p *sim.Proc, req *Request) bool {
 	return false
 }
 
+// Cancel withdraws r, a posted receive, from its endpoint (see
+// Endpoint.CancelRecv).
+func (r *Request) Cancel(p *sim.Proc) bool { return r.ep.CancelRecv(p, r) }
+
 // ErrCancelled is the completion status of a receive withdrawn by
 // CancelRecv.
 var ErrCancelled = fmt.Errorf("mx: request cancelled")

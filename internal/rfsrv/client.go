@@ -266,10 +266,24 @@ func (c *FabricClient) seg(va vm.VirtAddr, n int) core.Segment {
 // ctlVec describes n bytes at one of the client's internal buffers the
 // way the transport wants them addressed.
 func (c *FabricClient) ctlVec(va vm.VirtAddr, xs []mem.Extent, n int) core.Vector {
-	if c.physCtl() {
-		return physVec(mem.Clip(xs, n))
+	return ctlVec(nil, c.physCtl(), c.seg(va, n), xs, n)
+}
+
+// ctlVec is the one addressing rule for internal (request, reply and
+// bounce) buffers, client and server side. It appends to dst the first
+// n bytes of a buffer: by its physical extents xs — resolved once, no
+// registration, the §3.3 extension at work — when phys, by its virtual
+// segment seg otherwise.
+func ctlVec(dst core.Vector, phys bool, seg core.Segment, xs []mem.Extent, n int) core.Vector {
+	if !phys {
+		return append(dst, seg)
 	}
-	return core.Of(c.seg(va, n))
+	for i := 0; n > 0 && i < len(xs); i++ {
+		l := min(xs[i].Len, n)
+		dst = append(dst, core.PhysSeg(xs[i].Addr, l))
+		n -= l
+	}
+	return dst
 }
 
 // postHdr posts the reply-header receive for seq into b's header

@@ -412,6 +412,10 @@ func DecodeReq(b []byte) (*Req, int, error) {
 		Len: binary.LittleEndian.Uint32(b[26:]),
 	}
 	nameLen := int(binary.LittleEndian.Uint16(b[30:]))
+	if nameLen > MaxNameLen {
+		// No request buffer holds it, and EncodeReqInto would refuse it.
+		return nil, 0, fmt.Errorf("rfsrv: %d-byte name exceeds the request buffer", nameLen)
+	}
 	if len(b) < reqFixed+nameLen {
 		return nil, 0, fmt.Errorf("rfsrv: truncated name")
 	}

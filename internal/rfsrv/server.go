@@ -57,10 +57,13 @@ type Server struct {
 	// sliding window as seen from the server.
 	sessions map[clientKey]*ClientSession
 
-	// workFree recycles MX work records (and their header-scratch
-	// buffers) between the dispatcher and the workers — one simulated
-	// host, so a plain freelist needs no locking.
-	workFree []*mxWork
+	// workFree recycles work records (and their header-scratch slices)
+	// between receiving and serving — one simulated host, so a plain
+	// freelist needs no locking. staged and enc belong to reply.
+	workFree []*work
+	staged   []stagedReply
+	enc      []byte
+	vec      core.Vector // bufVec's scratch
 
 	// Sharded-namespace state (see EnableSharding): when shard is set
 	// this server owns only the directories whose routing residue falls
@@ -77,9 +80,10 @@ type Server struct {
 
 	// member is the membership-view epoch this server last committed
 	// (OpMember, DESIGN.md §13), stamped into every reply's epoch slot
-	// so clients routing under an older view find out on their next
-	// round trip. Zero for the fixed-membership clusters every
-	// pre-elastic test and figure builds.
+	// (by reply, the one sender of reply headers) so clients routing
+	// under an older view find out on their next round trip. Zero for
+	// the fixed-membership clusters every pre-elastic test and figure
+	// builds.
 	member uint64
 
 	// Requests counts served operations; Batched counts requests that
@@ -89,17 +93,17 @@ type Server struct {
 }
 
 // getWork takes a work record from the freelist (or allocates one).
-func (s *Server) getWork() *mxWork {
+func (s *Server) getWork() *work {
 	if k := len(s.workFree); k > 0 {
 		w := s.workFree[k-1]
 		s.workFree = s.workFree[:k-1]
 		return w
 	}
-	return &mxWork{rawBuf: make([]byte, 4096)}
+	return &work{rawBuf: make([]byte, 4096)}
 }
 
 // putWork recycles a finished work record.
-func (s *Server) putWork(w *mxWork) {
+func (s *Server) putWork(w *work) {
 	w.req, w.raw, w.buf, w.sess = nil, nil, nil, nil
 	s.workFree = append(s.workFree, w)
 }
@@ -298,18 +302,6 @@ func (s *Server) handleMeta(p *sim.Proc, req *Req) *Resp {
 		err = fmt.Errorf("rfsrv: bad op %v", req.Op)
 	}
 	resp.Status = StatusOf(err)
-	// Every reply advertises the size epoch and layout class of the
-	// inode it resolved (the looked-up child when the operation returned
-	// one), so any round trip revalidates a cluster client's size cache
-	// and teaches it the file's placement.
-	if resp.Attr.Ino != 0 {
-		resp.Epoch = s.epochs[resp.Attr.Ino]
-		resp.Layout = s.layouts[resp.Attr.Ino]
-	} else {
-		resp.Epoch = s.epochs[ino]
-		resp.Layout = s.layouts[ino]
-	}
-	resp.MemberEpoch = s.member
 	return resp
 }
 
@@ -432,9 +424,6 @@ func (s *Server) readExtents(p *sim.Proc, req *Req) (*Resp, []mem.Extent) {
 	}
 	resp.N = uint32(n)
 	resp.Attr = attr
-	resp.Epoch = s.epochs[req.Ino]
-	resp.Layout = s.layouts[req.Ino]
-	resp.MemberEpoch = s.member
 	return resp, mem.MergeExtents(xs)
 }
 
@@ -455,23 +444,27 @@ func (s *Server) handleWrite(p *sim.Proc, req *Req, src core.Vector) *Resp {
 			resp.Attr = a
 		}
 	}
-	// Data writes extend local sizes but never bump the size epoch
-	// (see Server.epochs); the reply still advertises the current one,
-	// and the layout class along with it.
-	resp.Epoch = s.epochs[req.Ino]
-	resp.Layout = s.layouts[req.Ino]
-	resp.MemberEpoch = s.member
 	return resp
 }
 
-// ---- MX transport ----
+// ---- serving over the fabric ----
+//
+// The server is written once against fabric.Transport; like
+// FabricClient it branches on the transport's capabilities only where
+// the paper's asymmetry lives (§5.2): a write's payload rides inline
+// behind the request on a vectorial transport and follows as a second
+// tagged message otherwise (writeSrc); internal buffers are addressed
+// kernel-virtual on a vectorial transport and physically otherwise
+// (ctlVec, shared with the client); and a transport whose completions
+// come from a single queue is served by one process in arrival order
+// instead of a receive dispatcher feeding workers (Serve).
 
-// mxWork is one received request message on its way from the receive
-// dispatcher to the worker pool: the decoded leading request, the raw
-// message (which may carry inline write data, or further packed
-// metadata requests), and the pooled bounce buffer the message landed
-// in (released once the worker is done with it).
-type mxWork struct {
+// work is one received request message on its way to being served: the
+// decoded leading request, the head of the raw message (which may carry
+// further packed metadata requests), and the pooled bounce buffer the
+// message landed in (inline write payload stays there), released once
+// the request is served.
+type work struct {
 	req      *Req
 	src      hw.NodeID
 	raw      []byte // leading <=4096 bytes (header+name, or a packed batch)
@@ -482,63 +475,106 @@ type mxWork struct {
 	sess     *ClientSession
 }
 
-// ServeMX serves the protocol on MX kernel endpoint epID: one receive
-// dispatcher keeps a request receive posted and feeds a shared queue
-// that `workers` worker processes drain. Replacing the former
-// one-synchronous-loop-per-worker shape, the dispatcher can accept a
-// pipelined client's next request while every worker is still busy —
-// the server half of the protocol's sliding window.
+// ServeMX serves the protocol on MX kernel endpoint epID with `workers`
+// serving processes (through the unified fabric).
 func (s *Server) ServeMX(m *mx.MX, epID uint8, workers int) (*mx.Endpoint, error) {
-	ep, err := m.OpenEndpoint(epID, true)
+	t, err := fabric.NewMX(m, epID, true)
 	if err != nil {
 		return nil, err
 	}
-	env := s.node.Cluster.Env
-	queue := sim.NewChan[*mxWork](env)
-	env.Spawn(fmt.Sprintf("%s-rfsrv-mx-rx", s.node.Name), func(p *sim.Proc) {
-		s.mxDispatch(p, ep, queue)
-	})
-	for w := 0; w < workers; w++ {
-		w := w
-		env.Spawn(fmt.Sprintf("%s-rfsrv-mx-%d", s.node.Name, w), func(p *sim.Proc) {
-			s.mxWorker(p, ep, queue)
-		})
-	}
-	return ep, nil
+	return t.Endpoint(), s.Serve(t, workers)
 }
 
-// mxDispatch receives request messages into pooled bounce buffers and
-// queues them for the workers. Each outstanding request holds its own
-// buffer (returned to the pool when its worker finishes), so the
-// queue depth is bounded only by the clients' aggregate window.
-func (s *Server) mxDispatch(p *sim.Proc, ep *mx.Endpoint, queue *sim.Chan[*mxWork]) {
-	kern := s.node.Kernel
-	pool := fabric.PoolOf(s.node)
-	bounceLen := MaxWriteChunk + HdrBufSize
-	reqMatch := core.Match{Bits: reqTag, Mask: 15}
+// ServeGM serves the protocol on GM kernel port portID (through the
+// unified fabric).
+func (s *Server) ServeGM(g *gm.GM, portID uint8) (*gm.Port, error) {
+	t, err := fabric.NewGM(g, portID, true)
+	if err != nil {
+		return nil, err
+	}
+	return t.Port(), s.Serve(t, 1)
+}
+
+// Serve serves the protocol on any message transport with physical
+// addressing. On a vectorial transport, whose waits are per request,
+// one receive dispatcher keeps a request receive posted and feeds a
+// queue that `workers` processes drain: it can accept a pipelined
+// client's next request while every worker is still busy — the server
+// half of the protocol's sliding window. A non-vectorial transport
+// delivers every completion through one event queue that a single
+// consumer must drain (§5.2, §5.3), so one process receives and serves
+// in arrival order (pipelined clients still overlap their requests'
+// transfers with its work) and workers must be 1.
+func (s *Server) Serve(t fabric.Transport, workers int) error {
+	caps := t.Caps()
+	if caps.Stream || !caps.Physical {
+		return fmt.Errorf("rfsrv: server needs a message transport with physical addressing")
+	}
+	env, name := s.node.Cluster.Env, s.node.Name
+	if !caps.Vectors {
+		if workers != 1 {
+			return fmt.Errorf("rfsrv: %d workers on a transport with a single completion queue (want 1)", workers)
+		}
+		env.Spawn(name+"-rfsrv-gm", func(p *sim.Proc) {
+			for {
+				s.serve(p, t, s.recvReq(p, t))
+			}
+		})
+		return nil
+	}
+	queue := sim.NewChan[*work](env)
+	env.Spawn(name+"-rfsrv-mx-rx", func(p *sim.Proc) {
+		for {
+			queue.Send(s.recvReq(p, t))
+		}
+	})
+	for w := 0; w < workers; w++ {
+		env.Spawn(fmt.Sprintf("%s-rfsrv-mx-%d", name, w), func(p *sim.Proc) {
+			for {
+				s.serve(p, t, queue.Recv(p))
+			}
+		})
+	}
+	return nil
+}
+
+// bufVec describes the first n bytes of a pooled buffer the way t wants
+// the server's internal buffers addressed. The physical description is
+// built in a scratch the server reuses: a non-vectorial transport has
+// one serving process, and its primitives take extents, which the
+// transport resolves from the vector before Send/PostRecv returns.
+func (s *Server) bufVec(t fabric.Transport, buf *fabric.Buffer, n int) core.Vector {
+	if t.Caps().Vectors {
+		return ctlVec(nil, false, core.KernelSeg(s.node.Kernel, buf.VA(), n), nil, n)
+	}
+	s.vec = ctlVec(s.vec[:0], true, core.Segment{}, buf.Extents(buf.Size()), n)
+	return s.vec
+}
+
+// recvReq receives the next well-formed request message into a pooled
+// bounce buffer. Each outstanding request holds its own buffer
+// (returned to the pool when it has been served), so the queue depth
+// is bounded only by the clients' aggregate window.
+func (s *Server) recvReq(p *sim.Proc, t fabric.Transport) *work {
+	const bounceLen = MaxWriteChunk + HdrBufSize
 	for {
-		buf, err := pool.Get(bounceLen)
+		buf, err := fabric.PoolOf(s.node).Get(bounceLen)
 		if err != nil {
 			panic(err)
 		}
-		rr, err := ep.Recv(p, reqMatch, buf.KernelVec(bounceLen))
+		op, err := t.PostRecv(p, core.Exact(reqTag), s.bufVec(t, buf, bounceLen))
 		if err != nil {
 			panic(err)
 		}
-		st := rr.Wait(p)
+		st := op.Wait(p)
 		// Only the header (plus a possible packed batch) is decoded on
 		// the host: requests are capped at 4096 bytes by the client, so
 		// a longer message is a write whose payload stays in the bounce
-		// buffer and is consumed in place by the worker. Copying all of
-		// st.Len here would drag up to MaxWriteChunk through the kernel
-		// for nothing.
-		head := st.Len
-		if head > 4096 {
-			head = 4096
-		}
+		// buffer and is consumed in place. Copying all of st.Len here
+		// would drag up to MaxWriteChunk through the kernel for nothing.
 		w := s.getWork()
-		raw := w.rawBuf[:head]
-		if err := kern.ReadBytesInto(buf.VA(), raw); err != nil {
+		raw := w.rawBuf[:min(st.Len, 4096)]
+		if err := s.node.Kernel.ReadBytesInto(buf.VA(), raw); err != nil {
 			panic(err)
 		}
 		req, consumed, err := DecodeReq(raw)
@@ -550,61 +586,77 @@ func (s *Server) mxDispatch(p *sim.Proc, ep *mx.Endpoint, queue *sim.Chan[*mxWor
 		s.Requests.Add(st.Len)
 		sess := s.session(st.Src, req.EP)
 		sess.Outstanding++
-		if sess.Outstanding > sess.MaxOutstanding {
-			sess.MaxOutstanding = sess.Outstanding
-		}
+		sess.MaxOutstanding = max(sess.MaxOutstanding, sess.Outstanding)
 		w.req, w.src, w.raw, w.n, w.consumed, w.buf, w.sess = req, st.Src, raw, st.Len, consumed, buf, sess
-		queue.Send(w)
+		return w
 	}
 }
 
-func (s *Server) mxWorker(p *sim.Proc, ep *mx.Endpoint, queue *sim.Chan[*mxWork]) {
-	kern := s.node.Kernel
-	hdrBuf, err := fabric.PoolOf(s.node).Get(HdrBufSize)
-	if err != nil {
-		panic(err)
-	}
-	hdrVA := hdrBuf.VA()
-	encBuf := make([]byte, 0, respFixed)
-	for {
-		w := queue.Recv(p)
-		s.node.CPU.VFS(p) // request dispatch
-		//analyze:dispatch ops group=serve
-		switch w.req.Op {
-		case OpRead:
-			resp, xs := s.readExtents(p, w.req)
-			// Data first (zero-copy from the block store), then the
-			// header. A zero-length data message is still sent so the
-			// client's posted receive always completes.
-			dataVec := physVec(xs)
-			if len(dataVec) == 0 {
-				dataVec = core.Of(core.PhysSeg(s.zero.Addr(), 0))
-			}
-			if _, err := ep.Send(p, w.src, w.req.EP, tag(w.req.Seq, w.req.EP, kindData), dataVec); err != nil {
-				panic(err)
-			}
-			encBuf = s.replyMX(p, ep, kern, hdrVA, encBuf, w.src, w.req, resp)
-		case OpWrite:
-			src := core.Of(core.KernelSeg(kern, w.buf.VA()+vm.VirtAddr(w.consumed), w.n-w.consumed))
-			resp := s.handleWrite(p, w.req, src)
-			encBuf = s.replyMX(p, ep, kern, hdrVA, encBuf, w.src, w.req, resp)
-		default:
-			resp := s.handleMeta(p, w.req)
-			encBuf = s.replyMX(p, ep, kern, hdrVA, encBuf, w.src, w.req, resp)
-			// Trailing bytes after a metadata request are further
-			// packed requests (client-side combining): answer each.
-			for _, extra := range s.unpack(w.raw[w.consumed:]) {
-				s.Batched.Add(1)
-				w.sess.Served.Add(1)
-				resp := s.handleMeta(p, extra)
-				encBuf = s.replyMX(p, ep, kern, hdrVA, encBuf, w.src, extra, resp)
-			}
+// serve executes one received request and answers it.
+func (s *Server) serve(p *sim.Proc, t fabric.Transport, w *work) {
+	req := w.req
+	s.node.CPU.VFS(p) // request dispatch
+	//analyze:dispatch ops group=serve
+	switch req.Op {
+	case OpRead:
+		resp, xs := s.readExtents(p, req)
+		// Data first (zero-copy from the block store), then the header.
+		// A zero-length data message is still sent so the client's
+		// posted receive always completes.
+		data := physVec(xs)
+		if len(data) == 0 {
+			data = core.Of(core.PhysSeg(s.zero.Addr(), 0))
 		}
-		w.sess.Served.Add(1)
-		w.sess.Outstanding--
-		w.buf.Release()
-		s.putWork(w)
+		if _, err := t.Send(p, w.src, req.EP, tag(req.Seq, req.EP, kindData), data); err != nil && !fabric.IsFault(err) {
+			panic(err)
+		}
+		s.reply(p, t, w.src, req, resp)
+	case OpWrite:
+		resp := &Resp{Seq: req.Seq, Status: StInval}
+		if src, ok := s.writeSrc(p, t, w); ok {
+			resp = s.handleWrite(p, req, src)
+		}
+		s.reply(p, t, w.src, req, resp)
+	default:
+		s.reply(p, t, w.src, req, s.handleMeta(p, req))
+		// Trailing bytes after a metadata request are further packed
+		// requests (client-side combining): answer each.
+		for _, extra := range s.unpack(w.raw[w.consumed:]) {
+			s.Batched.Add(1)
+			w.sess.Served.Add(1)
+			s.reply(p, t, w.src, extra, s.handleMeta(p, extra))
+		}
 	}
+	w.sess.Served.Add(1)
+	w.sess.Outstanding--
+	w.buf.Release()
+	s.putWork(w)
+}
+
+// writeSrc locates a write's payload in w's bounce buffer — inline
+// behind the request on a vectorial transport, received here as the
+// request's second tagged message otherwise (it has usually already
+// arrived and sits in the unexpected queue) — and applies the one
+// length rule: the payload is exactly req.Len bytes and at most
+// MaxWriteChunk. (That also refuses a request message truncated into
+// the bounce, whose HdrBufSize of slack over MaxWriteChunk exceeds any
+// request head: what is left of such a payload is still too long.) ok
+// is false on a violation, which the caller answers StInval; the
+// announced data message is consumed either way, so it can never
+// strand in the transport's unexpected queue or be taken for a later
+// request's.
+func (s *Server) writeSrc(p *sim.Proc, t fabric.Transport, w *work) (src core.Vector, ok bool) {
+	off, n, ok := w.consumed, w.n-w.consumed, true
+	if !t.Caps().Vectors {
+		op, err := t.PostRecv(p, core.Exact(tag(w.req.Seq, w.req.EP, kindData)), s.bufVec(t, w.buf, MaxWriteChunk))
+		if err != nil {
+			panic(err)
+		}
+		st := op.Wait(p)
+		off, n, ok = 0, st.Len, st.Err == nil
+	}
+	ok = ok && n == int(w.req.Len) && n <= MaxWriteChunk
+	return core.Of(core.KernelSeg(s.node.Kernel, w.buf.VA()+vm.VirtAddr(off), n)), ok
 }
 
 // unpack decodes the metadata requests packed behind the first one in
@@ -623,201 +675,67 @@ func (s *Server) unpack(raw []byte) []*Req {
 	return out
 }
 
-// replyMX encodes resp into enc (a per-worker scratch, safe because
-// the bytes are copied into the worker's header buffer before Send)
-// and returns the scratch for reuse.
-func (s *Server) replyMX(p *sim.Proc, ep *mx.Endpoint, kern *vm.AddressSpace, hdrVA vm.VirtAddr, enc []byte, dst hw.NodeID, req *Req, resp *Resp) []byte {
-	hdr, err := EncodeRespInto(enc[:0], resp)
+// stagedReply is one reply header on its way out: the send and the
+// pooled buffer the NIC reads it from.
+type stagedReply struct {
+	op  fabric.Op
+	buf *fabric.Buffer
+}
+
+// reply stamps resp and sends its header to the requester. It is the
+// only sender of reply headers, so every reply — error replies included
+// — advertises the size epoch and layout class of the inode it
+// resolved (the looked-up child when the operation returned one), which
+// revalidates a cluster client's size cache and teaches it the file's
+// placement, and the server's membership epoch, which poisons a client
+// routing under a retired view (DESIGN.md §13).
+//
+// The one staging rule: every header stages in its own pooled buffer,
+// released once its send Op reports Done. No transport lets the buffer
+// be reused sooner — a non-vectorial NIC gathers the extents at DMA
+// time and completes only when the peer has acknowledged, a vectorial
+// one completes a rendezvous-sized listing only after the payload left
+// — so back-to-back replies to a pipelined client never share staging.
+// A send that reports a transport fault (the client's NIC is dead) is
+// dropped and its staging released: a peer's death is not the server's.
+func (s *Server) reply(p *sim.Proc, t fabric.Transport, dst hw.NodeID, req *Req, resp *Resp) {
+	ino := resp.Attr.Ino
+	if ino == 0 {
+		if ino = req.Ino; ino == 0 {
+			ino = s.fs.Root()
+		}
+	}
+	resp.Epoch, resp.Layout, resp.MemberEpoch = s.epochs[ino], s.layouts[ino], s.member
+	hdr, err := EncodeRespInto(s.enc[:0], resp)
 	if err != nil {
-		resp = &Resp{Seq: req.Seq, Status: StIO}
-		hdr, _ = EncodeRespInto(enc[:0], resp)
+		resp.Status, resp.Attr, resp.N, resp.Entries = StIO, kernel.Attr{}, 0, nil
+		hdr, _ = EncodeRespInto(s.enc[:0], resp)
 	}
-	if err := kern.WriteBytes(hdrVA, hdr); err != nil {
-		panic(err)
-	}
-	if _, err := ep.Send(p, dst, req.EP, tag(req.Seq, req.EP, kindHdr), core.Of(core.KernelSeg(kern, hdrVA, len(hdr)))); err != nil {
-		panic(err)
-	}
-	return hdr
-}
-
-// ---- GM transport ----
-
-// ServeGM starts a worker serving the protocol on GM kernel port
-// portID. GM offers no vectors and a single event queue, so the server
-// (like the client) juggles separate header and data messages and
-// filters its completions out of the unique queue — the per-request
-// overhead §5.2 blames for the ORFS/GM gap. The same unique queue is
-// why GM keeps the ordered single-worker loop instead of the MX
-// dispatcher/worker-pool split: completions must be drained by one
-// consumer, so requests are served in arrival order (pipelined
-// clients still overlap their requests' transfers with its work).
-func (s *Server) ServeGM(g *gm.GM, portID uint8) (*gm.Port, error) {
-	port, err := g.OpenPort(portID, true)
-	if err != nil {
-		return nil, err
-	}
-	env := s.node.Cluster.Env
-	env.Spawn(fmt.Sprintf("%s-rfsrv-gm", s.node.Name), func(p *sim.Proc) {
-		s.gmWorker(p, port)
-	})
-	return port, nil
-}
-
-// gmReplies tracks reply-header buffers whose send is still in the
-// NIC: GM gathers the payload at DMA time, so a header buffer cannot
-// be reused (or recycled) until its SendComplete event arrives. Each
-// reply stages in its own pooled buffer; the event drain loop releases
-// them. Without this, back-to-back replies to a pipelined client would
-// overwrite one another's staging — the shared-buffer bug the
-// synchronous protocol could never hit.
-type gmReplies struct {
-	pending map[uint64][]*fabric.Buffer // hdr send tag → staged buffers, FIFO
-}
-
-// sent records a reply buffer as in-flight under its send tag.
-func (t *gmReplies) sent(tag uint64, buf *fabric.Buffer) {
-	t.pending[tag] = append(t.pending[tag], buf)
-}
-
-// event releases the oldest staged buffer for a completed header send
-// (same-tag sends complete in FIFO order on the NIC's transmit path).
-func (t *gmReplies) event(ev gm.Event) {
-	if ev.Type != gm.SendComplete {
-		return
-	}
-	q := t.pending[ev.Tag]
-	if len(q) == 0 {
-		return
-	}
-	q[0].Release()
-	if len(q) == 1 {
-		delete(t.pending, ev.Tag)
-	} else {
-		t.pending[ev.Tag] = q[1:]
-	}
-}
-
-func (s *Server) gmWorker(p *sim.Proc, port *gm.Port) {
-	kern := s.node.Kernel
-	pool := fabric.PoolOf(s.node)
-	reqBuf, err := pool.Get(4096)
-	if err != nil {
-		panic(err)
-	}
-	reqVA, reqXS := reqBuf.VA(), reqBuf.Extents(4096)
-	bounceBuf, err := pool.Get(MaxWriteChunk)
-	if err != nil {
-		panic(err)
-	}
-	bounceVA := bounceBuf.VA()
-	replies := &gmReplies{pending: make(map[uint64][]*fabric.Buffer)}
-	// Request bytes are decoded in place from this scratch each
-	// iteration: DecodeReq copies everything it keeps (names included),
-	// and the GM loop is strictly sequential, so reuse is safe.
-	rawScratch := make([]byte, 4096)
-	encBuf := make([]byte, 0, respFixed)
-	for {
-		if err := port.PostRecvPhysical(p, reqTag, reqXS); err != nil {
-			panic(err)
-		}
-		ev := s.gmWaitRecv(p, port, replies, reqTag)
-		raw := rawScratch[:ev.Len]
-		if err := kern.ReadBytesInto(reqVA, raw); err != nil {
-			panic(err)
-		}
-		req, consumed, err := DecodeReq(raw)
-		if err != nil {
-			continue
-		}
-		s.Requests.Add(ev.Len)
-		sess := s.session(ev.Src, req.EP)
-		sess.Outstanding++
-		if sess.Outstanding > sess.MaxOutstanding {
-			sess.MaxOutstanding = sess.Outstanding
-		}
-		s.node.CPU.VFS(p)
-		//analyze:dispatch ops group=serve
-		switch req.Op {
-		case OpRead:
-			resp, xs := s.readExtents(p, req)
-			if len(xs) == 0 {
-				xs = []mem.Extent{{Addr: s.zero.Addr(), Len: 0}}
-			}
-			// Data then header, as separate messages (no vectors in GM).
-			if err := port.SendPhysical(p, ev.Src, req.EP, tag(req.Seq, req.EP, kindData), xs); err != nil {
-				panic(err)
-			}
-			encBuf = s.replyGM(p, port, kern, replies, encBuf, ev.Src, req, resp)
-		case OpWrite:
-			// The data message follows the request; post the bounce now
-			// (it has usually already arrived and sits in the
-			// unexpected queue — GM's eager staging).
-			n := int(req.Len)
-			if n > MaxWriteChunk {
-				encBuf = s.replyGM(p, port, kern, replies, encBuf, ev.Src, req, &Resp{Seq: req.Seq, Status: StIO})
-				sess.Served.Add(1)
-				sess.Outstanding--
-				continue
-			}
-			bxs := bounceBuf.Extents(max(n, 1))
-			if err := port.PostRecvPhysical(p, tag(req.Seq, req.EP, kindData), bxs); err != nil {
-				panic(err)
-			}
-			s.gmWaitRecv(p, port, replies, tag(req.Seq, req.EP, kindData))
-			resp := s.handleWrite(p, req, core.Of(core.KernelSeg(kern, bounceVA, n)))
-			encBuf = s.replyGM(p, port, kern, replies, encBuf, ev.Src, req, resp)
-		default:
-			resp := s.handleMeta(p, req)
-			encBuf = s.replyGM(p, port, kern, replies, encBuf, ev.Src, req, resp)
-			for _, extra := range s.unpack(raw[consumed:]) {
-				s.Batched.Add(1)
-				sess.Served.Add(1)
-				resp := s.handleMeta(p, extra)
-				encBuf = s.replyGM(p, port, kern, replies, encBuf, ev.Src, extra, resp)
-			}
-		}
-		sess.Served.Add(1)
-		sess.Outstanding--
-	}
-}
-
-// gmWaitRecv blocks on the unique event queue until the receive with
-// the given tag completes, consuming (and paying for) the unrelated
-// send completions that share the queue.
-func (s *Server) gmWaitRecv(p *sim.Proc, port *gm.Port, replies *gmReplies, want uint64) gm.Event {
-	for {
-		ev := port.WaitEvent(p)
-		replies.event(ev) // recycle reply staging whose send completed
-		if ev.Type == gm.RecvComplete && ev.Tag == want {
-			return ev
+	s.enc = hdr // scratch: the bytes are copied into staging before anything can yield
+	live := s.staged[:0]
+	for _, sr := range s.staged {
+		if sr.op.Done() {
+			sr.buf.Release()
+		} else {
+			live = append(live, sr)
 		}
 	}
-}
-
-// replyGM encodes resp into enc (the worker's scratch — the bytes are
-// copied into a pooled staging buffer before Send) and returns the
-// scratch for reuse.
-func (s *Server) replyGM(p *sim.Proc, port *gm.Port, kern *vm.AddressSpace, replies *gmReplies, enc []byte, dst hw.NodeID, req *Req, resp *Resp) []byte {
-	hdr, err := EncodeRespInto(enc[:0], resp)
-	if err != nil {
-		resp = &Resp{Seq: req.Seq, Status: StIO}
-		hdr, _ = EncodeRespInto(enc[:0], resp)
-	}
-	// Each reply stages in its own pooled buffer: GM gathers the
-	// payload at DMA time, so the buffer stays reserved until its
-	// SendComplete comes back through the event queue.
+	clear(s.staged[len(live):])
+	s.staged = live
 	buf, err := fabric.PoolOf(s.node).Get(HdrBufSize)
 	if err != nil {
 		panic(err)
 	}
-	if err := kern.WriteBytes(buf.VA(), hdr); err != nil {
+	if err := s.node.Kernel.WriteBytes(buf.VA(), hdr); err != nil {
 		panic(err)
 	}
-	hdrTag := tag(req.Seq, req.EP, kindHdr)
-	if err := port.SendPhysical(p, dst, req.EP, hdrTag, buf.Extents(len(hdr))); err != nil {
-		panic(err)
+	op, err := t.Send(p, dst, req.EP, tag(req.Seq, req.EP, kindHdr), s.bufVec(t, buf, len(hdr)))
+	if err != nil {
+		if !fabric.IsFault(err) {
+			panic(err)
+		}
+		buf.Release()
+		return
 	}
-	replies.sent(hdrTag, buf)
-	return hdr
+	s.staged = append(s.staged, stagedReply{op, buf})
 }

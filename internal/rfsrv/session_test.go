@@ -259,6 +259,7 @@ func TestSessionStressNoCrossTalk(t *testing.T) {
 			t.Errorf("session %v/%d still has %d outstanding after quiesce", cs.Node, cs.EP, cs.Outstanding)
 		}
 	}
+	assertServerQuiet(t, srv, server)
 }
 
 // TestMetaBatch packs several getattrs into combined request messages

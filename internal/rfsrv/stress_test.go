@@ -278,6 +278,7 @@ func TestGMServerInterleavedClients(t *testing.T) {
 	if finished != 2 {
 		t.Fatalf("%d/2 GM clients finished", finished)
 	}
+	assertServerQuiet(t, srv, server)
 }
 
 var _ = mem.PageSize

@@ -18,7 +18,7 @@ package main
 // the package that declares that type. A surface must cover the
 // whole universe minus its explicit -Exclusions; surfaces sharing a
 // group=<name> are unioned first (the server's meta dispatch plus
-// the read/write worker switches together cover every op). An
+// serve's one read/write/metadata switch together cover every op). An
 // exclusion that IS covered is reported too — stale exclusions rot.
 //
 // The rfsrv package itself must declare at least one "ops" and one

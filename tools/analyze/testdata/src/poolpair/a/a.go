@@ -77,3 +77,33 @@ func leakOnContinue(p *fabric.Pool, n int) {
 		buf.Release()
 	}
 }
+
+type staged struct{ b *fabric.Buffer }
+
+type server struct{ staged []staged }
+
+// stagedReply mirrors rfsrv.Server.reply: a failed send releases the
+// staging at once, a posted one hands it to the staging list, whose
+// sweep releases it when the send completes.
+func (s *server) stagedReply(p *fabric.Pool, sendFailed bool) {
+	buf, err := p.Get(64)
+	if err != nil {
+		return
+	}
+	if sendFailed {
+		buf.Release()
+		return
+	}
+	s.staged = append(s.staged, staged{buf})
+}
+
+func (s *server) stagedReplyForgetsFailedSend(p *fabric.Pool, sendFailed bool) {
+	buf, err := p.Get(64) // want "fabric.Pool.Get is not released on every path: leaks at this return"
+	if err != nil {
+		return
+	}
+	if sendFailed {
+		return // dropped the reply, kept the buffer
+	}
+	s.staged = append(s.staged, staged{buf})
+}
