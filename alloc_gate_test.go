@@ -4,7 +4,7 @@
 // zero-alloc pass cut the simulator's per-request heap traffic (87
 // allocs per cluster op, down from 287; Fig 5a generation from 27.3k
 // to 17.6k allocs, Fig 5b from 128k to 40.8k); these tests pin
-// ceilings ~25% above the measured numbers so a future change that
+// ceilings 12-25% above the measured numbers so a future change that
 // reintroduces per-request allocation fails loudly instead of slowly
 // rotting the benchmarks. Excluded under the race detector, whose
 // instrumentation changes allocation counts.
@@ -17,14 +17,16 @@ import (
 	"repro/internal/figures"
 )
 
-// Measured on the PR6 branch (go1.24, linux/amd64); ceilings leave
-// ~25% headroom for toolchain drift. Lower them when a future pass
-// cuts allocations further.
+// Measured with go1.24 on linux/amd64. The two figure ceilings are the
+// PR6 measurements plus ~25% for toolchain drift; the two per-op
+// ceilings are the PR 13 measurements (unchanged by PR 14's placement
+// refactor, whose data-path methods are //allocfree) plus ~12%. Lower
+// them when a future pass cuts allocations further.
 const (
-	maxRequestPathAllocsPerOp = 110   // measured 87.0
+	maxRequestPathAllocsPerOp = 95    // measured 84.5
 	maxFig5aAllocs            = 22000 // measured 17620
 	maxFig5bAllocs            = 51000 // measured 40795
-	maxSizePublishAllocsPerOp = 88    // measured 70.0 (PR 7)
+	maxSizePublishAllocsPerOp = 76    // measured 67.5
 )
 
 // figAllocs generates the figure twice — once to warm lazy caches and

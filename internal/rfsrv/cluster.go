@@ -142,13 +142,15 @@ type LayoutPolicy struct {
 // cluster unchanged.
 type Cluster struct {
 	sessions []*Session
-	stripe   int64
 	node     *hw.Node
 
-	// replicas is the replication factor R: every stripe is written to
-	// R consecutive servers. 1 (NewCluster's choice) stripes without
-	// redundancy.
-	replicas int
+	// pl is the placement every path routes by: the member ring (ring
+	// position → session slot, so membership changes re-place data and
+	// metadata without touching the construction-time sessions array),
+	// the stripe width and the replication factor R. Fault state below
+	// stays slot-indexed — where placement puts a server is independent
+	// of whether it is up.
+	pl placement
 
 	// down marks servers excluded after an observed transport fault;
 	// excluded servers are skipped by every path until Reinstate.
@@ -264,21 +266,12 @@ type Cluster struct {
 	// what the cluster actually observed.
 	Reinstates, ReinstateRefusals, RenameInDoubts sim.Counter
 
-	// Elastic membership (DESIGN.md §13). members maps placement
-	// position → session slot: every placement function ((ino−2) mod N
-	// owner groups, k mod N..+R−1 stripe replica sets, metadata
-	// homing) indexes this slice, so membership changes re-place data
-	// and metadata without touching the construction-time sessions
-	// array. down/nsEpochs/downNs/journals stay slot-indexed — a
-	// server's fault state is independent of where placement puts it.
-	members []int
-
 	// view is the shared membership view this cluster follows (nil for
-	// a construction-time-fixed cluster); viewEpoch is the epoch of
-	// the members slice currently adopted. staleMember latches when a
-	// reply's membership epoch proves a viewless cluster's fixed
-	// membership is outdated — every subsequent operation fails with
-	// ErrStaleMembership.
+	// a construction-time-fixed cluster; DESIGN.md §13); viewEpoch is
+	// the epoch of the member ring currently adopted. staleMember
+	// latches when a reply's membership epoch proves a viewless
+	// cluster's fixed membership is outdated — every subsequent
+	// operation fails with ErrStaleMembership.
 	view        *MemberView
 	viewEpoch   uint64
 	staleMember bool
@@ -370,20 +363,16 @@ func NewReplicatedCluster(p *sim.Proc, sessions []*Session, stripe, replicas int
 		}
 		eps[ep] = true
 	}
-	members := make([]int, len(sessions))
-	for i := range members {
-		members[i] = i
-	}
+	pl := ringPlacement(len(sessions), replicas)
+	pl.stripe = int64(stripe)
 	return &Cluster{
 		sessions: sessions,
-		stripe:   int64(stripe),
 		node:     node,
-		replicas: replicas,
+		pl:       pl,
 		down:     make([]bool, len(sessions)),
 		nsEpochs: make([]uint64, len(sessions)),
 		downNs:   make([]uint64, len(sessions)),
 		sizes:    make(map[kernel.InodeID]sizeEntry),
-		members:  members,
 	}, nil
 }
 
@@ -532,16 +521,16 @@ func (cl *Cluster) epochBehind(resp *Resp) bool {
 
 // NumServers returns the number of servers data is striped across —
 // the current member count, which membership changes move.
-func (cl *Cluster) NumServers() int { return len(cl.members) }
+func (cl *Cluster) NumServers() int { return len(cl.pl.members) }
 
 // Replicas returns the replication factor R.
-func (cl *Cluster) Replicas() int { return cl.replicas }
+func (cl *Cluster) Replicas() int { return cl.pl.replicas }
 
 // StripeSize returns the standard-layout stripe width in bytes. The
 // return type matches the internal int64 arithmetic (offsets and
 // stripe indices are 64-bit); LayoutWide files stripe at
 // WideStripeSize and LayoutWhole files do not stripe at all.
-func (cl *Cluster) StripeSize() int64 { return cl.stripe }
+func (cl *Cluster) StripeSize() int64 { return cl.pl.stripe }
 
 // DownServers returns the indices of servers currently excluded after
 // an observed fault, in server order.
@@ -578,7 +567,7 @@ func (cl *Cluster) markDown(i int) {
 // slots are never addressed, so they do not count).
 func (cl *Cluster) aliveCount() int {
 	n := 0
-	for _, i := range cl.members {
+	for _, i := range cl.pl.members {
 		if !cl.down[i] {
 			n++
 		}
@@ -635,8 +624,8 @@ func (cl *Cluster) CanStart(ino kernel.InodeID, off int64, n int) bool {
 		need[i] = 0
 	}
 	for _, r := range cl.runs(cl.layoutCached(ino), ino, off, n) {
-		for j := 0; j < cl.replicas; j++ {
-			if idx := cl.members[(r.owner+j)%len(cl.members)]; !cl.down[idx] {
+		for j := 0; j < cl.pl.replicas; j++ {
+			if idx := cl.pl.slot(r.owner, j); !cl.down[idx] {
 				need[idx]++
 			}
 		}
@@ -655,63 +644,29 @@ func (cl *Cluster) CanStart(ino kernel.InodeID, off int64, n int) bool {
 	return true
 }
 
-// ---- placement ----
+// ---- placement under faults ----
+//
+// Where bytes and dentries live is cl.pl's answer (placement.go); what
+// the Cluster adds is the exclusion state placement knows nothing of.
 
-// mix is the splitmix64 finalizer: a cheap, well-distributed hash for
-// home-server selection.
-func mix(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
-
-// ownerIdx returns the placement POSITION owning the standard-layout
-// stripe containing off (the primary — replicas follow on the next
-// R-1 positions, wrapping). Positions index cl.members; session slots
-// come out of that map, so membership changes re-place stripes by
-// editing members alone.
-func (cl *Cluster) ownerIdx(off int64) int {
-	return int((off / cl.stripe) % int64(len(cl.members)))
-}
-
-// wholeHome returns the fixed data owner of a whole-on-home file: the
-// same hash homeIdx routes the inode's metadata to, so ONE server
-// answers both getattr and every byte of the file — the point of the
-// class. Unlike homeIdx it does not walk past excluded servers
-// (placement is fixed; reads fail over across the replica set instead).
-func (cl *Cluster) wholeHome(ino kernel.InodeID) int {
-	return int(mix(uint64(ino)) % uint64(len(cl.members)))
-}
-
-// ownerAt returns the primary data server for byte off of an inode
-// under its layout class (replicas follow on the next R-1 servers,
-// wrapping, for every class).
-func (cl *Cluster) ownerAt(lay LayoutClass, ino kernel.InodeID, off int64) int {
-	switch lay {
-	case LayoutWhole:
-		return cl.wholeHome(ino)
-	case LayoutWide:
-		return int((off / WideStripeSize) % int64(len(cl.members)))
-	default:
-		return cl.ownerIdx(off)
+// firstUp returns the first non-excluded slot among the span ring
+// positions starting at pos, or -1: a replica group's preferred member
+// (span R) or a hashed home's stand-in (span N) — the one
+// first-alive-of-group loop.
+func (cl *Cluster) firstUp(pos, span int) int {
+	for j := 0; j < span; j++ {
+		if k := cl.pl.slot(pos, j); !cl.down[k] {
+			return k
+		}
 	}
+	return -1
 }
 
 // readIdx returns the preferred read target for byte off of an inode
 // under its layout, as a session slot: the primary when alive, else
 // the first alive replica, else -1.
 func (cl *Cluster) readIdx(lay LayoutClass, ino kernel.InodeID, off int64) int {
-	owner := cl.ownerAt(lay, ino, off)
-	n := len(cl.members)
-	for j := 0; j < cl.replicas; j++ {
-		if k := cl.members[(owner+j)%n]; !cl.down[k] {
-			return k
-		}
-	}
-	return -1
+	return cl.firstUp(cl.pl.owner(lay, ino, off), cl.pl.replicas)
 }
 
 // layoutCached returns the inode's cached layout class without
@@ -743,42 +698,24 @@ func (cl *Cluster) layoutFor(p *sim.Proc, ino kernel.InodeID) (LayoutClass, erro
 	return resp.Layout, nil
 }
 
-// aliveFrom returns the session slot of the first non-excluded member
-// at or cyclically after position i, or -1 when every member is
-// excluded.
-func (cl *Cluster) aliveFrom(i int) int {
-	n := len(cl.members)
-	for j := 0; j < n; j++ {
-		if k := cl.members[(i+j)%n]; !cl.down[k] {
-			return k
-		}
-	}
-	return -1
-}
-
 // homeIdx returns the metadata home of an inode: the hashed server, or
 // the next alive one when the hashed home is excluded.
 func (cl *Cluster) homeIdx(ino kernel.InodeID) int {
-	return cl.aliveFrom(int(mix(uint64(ino)) % uint64(len(cl.members))))
+	return cl.firstUp(cl.pl.inodeHome(ino), len(cl.pl.members))
 }
 
-// pathHomeIdx returns the metadata home of a path component: the hash
-// chains the directory's inode with the name (FNV-1a over the
-// component), so sibling entries spread across servers. Excluded homes
-// re-route to the next alive server, like homeIdx.
+// pathHomeIdx returns the metadata home of a path component, so
+// sibling entries spread across servers. Excluded homes re-route to the
+// next alive server, like homeIdx.
 func (cl *Cluster) pathHomeIdx(dir kernel.InodeID, name string) int {
-	h := mix(uint64(dir))
-	for i := 0; i < len(name); i++ {
-		h = (h ^ uint64(name[i])) * 1099511628211
-	}
-	return cl.aliveFrom(int(h % uint64(len(cl.members))))
+	return cl.firstUp(cl.pl.pathHome(dir, name), len(cl.pl.members))
 }
 
 // allReplicasDown is the error for a stripe whose every replica is
 // excluded; it satisfies fabric.IsFault.
 func (cl *Cluster) allReplicasDown(off int64) error {
 	return fmt.Errorf("rfsrv: stripe at %d: all %d replicas excluded: %w",
-		off, cl.replicas, fabric.ErrPeerDead)
+		off, cl.pl.replicas, fabric.ErrPeerDead)
 }
 
 // firstAlive is the one first-alive-with-failover loop: run op against
@@ -843,59 +780,20 @@ func (cl *Cluster) degenerate(p *sim.Proc, lay LayoutClass, ino kernel.InodeID, 
 // contains byte offset off (stats, tests, placement-aware callers).
 // The primary owner is reported even when that server is excluded
 // (reads would route to a replica; see DownServers).
-func (cl *Cluster) OwnerServer(off int64) int { return cl.ownerIdx(off) }
+func (cl *Cluster) OwnerServer(off int64) int { return cl.pl.owner(LayoutStandard, 0, off) }
 
 // HomeServer returns the index of the metadata home of an inode. The
 // home shifts past excluded servers, so the answer changes as faults
 // are observed; it is -1 only when every server is excluded.
 func (cl *Cluster) HomeServer(ino kernel.InodeID) int { return cl.homeIdx(ino) }
 
-// run is one contiguous byte range owned by a single server.
-type run struct {
-	owner int
-	off   int64 // global file offset
-	n     int
-}
-
-// runs splits [off, off+n) of an inode into maximal contiguous
-// same-owner ranges under its layout class, in offset order. A
-// whole-on-home file (and any file on a one-server cluster) is a
-// single run; striped files get one run per stripe fragment.
-//
-// The returned slice is the cluster's per-operation scratch: valid
-// until the next runs call, so callers that outlive their own issue
-// loop (StartRead/StartWrite pendings) must copy it.
+// runs splits [off, off+n) of an inode into its per-owner runs
+// (placement.runs) in the cluster's per-operation scratch: valid until
+// the next runs call, so callers that outlive their own issue loop
+// (StartRead/StartWrite pendings) must copy it.
 func (cl *Cluster) runs(lay LayoutClass, ino kernel.InodeID, off int64, n int) []run {
-	out := cl.runScratch[:0]
-	if lay == LayoutWhole {
-		out = append(out, run{owner: cl.wholeHome(ino), off: off, n: n})
-		cl.runScratch = out
-		return out
-	}
-	width := cl.stripe
-	if lay == LayoutWide {
-		width = WideStripeSize
-	}
-	end := off + int64(n)
-	for off < end {
-		owner := cl.ownerAt(lay, ino, off)
-		cur := off
-		for cur < end {
-			stripeEnd := (cur/width + 1) * width
-			if stripeEnd >= end {
-				cur = end
-				break
-			}
-			cur = stripeEnd
-			if cl.ownerAt(lay, ino, cur) != owner {
-				break
-			}
-		}
-		out = append(out, run{owner: owner, off: off, n: int(cur - off)})
-		off = cur
-	}
-	cl.runScratch = out
-	return out
+	cl.runScratch = cl.pl.runs(lay, ino, off, n, cl.runScratch[:0])
+	return cl.runScratch
 }
 
 // ---- data path ----
@@ -1167,7 +1065,7 @@ func (cl *Cluster) Write(p *sim.Proc, ino kernel.InodeID, off int64, src core.Ve
 	if v := cl.view; v != nil && v.migrating {
 		v.logWrite(ino, off, total)
 	}
-	if cl.pubBatch > 0 && lay != LayoutWhole && len(cl.members) > 1 {
+	if cl.pubBatch > 0 && lay != LayoutWhole && len(cl.pl.members) > 1 {
 		// Batched publish mode: enqueue the new end instead of fanning
 		// an OpSetSize now; the coalesced batch flushes at the publish
 		// window or the next metadata operation. Every part retired
@@ -1213,9 +1111,7 @@ func (cl *Cluster) finishWriteParts(ino kernel.InodeID, runs []run, parts []*par
 	// The write succeeded; record its byte ranges in the resync journal
 	// of every excluded replica (skipped at issue or faulted above), so
 	// Reinstate can re-copy them.
-	if cl.anyDown() {
-		cl.journalRunDirty(ino, runs)
-	}
+	cl.journalRunDirty(ino, runs)
 	return &Resp{Status: StOK, Attr: mergeAttr(parts), Epoch: mergeEpoch(parts), N: uint32(total)}, nil
 }
 
@@ -1309,7 +1205,7 @@ func (cl *Cluster) setSizeTo(p *sim.Proc, lay LayoutClass, ino kernel.InodeID, e
 		// fan). Faulting servers are excluded — not an error; other
 		// application errors win over staleness.
 		req := Req{Op: OpSetSize, Ino: ino, Off: end, Len: PackSetSize(false, e.epoch)}
-		f := cl.fan(p, cl.aliveTargets(0, len(cl.members), skip), &req)
+		f := cl.fan(p, cl.aliveTargets(0, len(cl.pl.members), skip), &req)
 		addN(&cl.SetSizes, f.tried)
 		if f.err != nil {
 			return f.err
@@ -1365,7 +1261,7 @@ func (cl *Cluster) SetFileSize(p *sim.Proc, ino kernel.InodeID, size int64) erro
 	if lay, err = cl.maybePromote(p, ino, lay, size); err != nil {
 		return err
 	}
-	if cl.pubBatch > 0 && lay != LayoutWhole && len(cl.members) > 1 {
+	if cl.pubBatch > 0 && lay != LayoutWhole && len(cl.pl.members) > 1 {
 		// A size publish IS a barrier: enqueue, then flush everything
 		// pending, so the caller's EOF is on every alive server when
 		// this returns (what ORFS write-behind's sync point needs).
@@ -1432,7 +1328,7 @@ func (cl *Cluster) stagingVec(n int) (core.Vector, error) {
 // bytes at their global offsets, which is exactly where standard
 // striping expects them.
 func (cl *Cluster) promote(p *sim.Proc, ino kernel.InodeID) error {
-	src := cl.members[cl.wholeHome(ino)]
+	src := cl.pl.slot(cl.pl.inodeHome(ino), 0)
 	resp, err := cl.homedMeta(p, &Req{Op: OpGetattr, Ino: ino}, func() int { return cl.homeIdx(ino) })
 	if err != nil {
 		return err
@@ -1447,9 +1343,8 @@ func (cl *Cluster) promote(p *sim.Proc, ino kernel.InodeID) error {
 		if err != nil {
 			return err
 		}
-		chunkOff := off
-		rresp, err := withReplica(cl, LayoutWhole, ino, chunkOff, n, func(idx int) (*Resp, error) {
-			return cl.sessions[idx].Client().Read(p, ino, chunkOff, vec)
+		rresp, err := withReplica(cl, LayoutWhole, ino, off, n, func(idx int) (*Resp, error) {
+			return cl.sessions[idx].Client().Read(p, ino, off, vec)
 		})
 		if err != nil {
 			return err
@@ -1459,44 +1354,37 @@ func (cl *Cluster) promote(p *sim.Proc, ino kernel.InodeID) error {
 		}
 		// Scatter the chunk to its standard-placement replicas, one
 		// stripe fragment at a time.
-		end := off + int64(n)
-		for off < end {
-			fragEnd := (off/cl.stripe + 1) * cl.stripe
-			if fragEnd > end {
-				fragEnd = end
-			}
-			frag := int(fragEnd - off)
-			owner := cl.ownerIdx(off)
+		for _, r := range cl.runs(LayoutStandard, ino, off, n) {
 			okReplicas := 0
-			for j := 0; j < cl.replicas; j++ {
-				idx := cl.members[(owner+j)%len(cl.members)]
+			for j := 0; j < cl.pl.replicas; j++ {
+				idx := cl.pl.slot(r.owner, j)
 				if cl.down[idx] {
-					cl.journalDirty(idx, ino, off, frag)
+					cl.journalDirty(idx, ino, r.off, r.n)
 					continue
 				}
 				if idx == src {
 					okReplicas++ // the home already holds these bytes
 					continue
 				}
-				wresp, werr := cl.sessions[idx].Client().Write(p, ino, off, vec.Slice(int(off-chunkOff), frag))
+				wresp, werr := cl.sessions[idx].Client().Write(p, ino, r.off, vec.Slice(int(r.off-off), r.n))
 				if werr != nil {
 					if fabric.IsFault(werr) {
 						cl.markDown(idx)
-						cl.journalDirty(idx, ino, off, frag)
+						cl.journalDirty(idx, ino, r.off, r.n)
 						continue
 					}
 					return werr
 				}
-				if int(wresp.N) != frag {
-					return fmt.Errorf("rfsrv: promote inode %d: short copy (%d of %d) at %d", ino, wresp.N, frag, off)
+				if int(wresp.N) != r.n {
+					return fmt.Errorf("rfsrv: promote inode %d: short copy (%d of %d) at %d", ino, wresp.N, r.n, r.off)
 				}
 				okReplicas++
 			}
 			if okReplicas == 0 {
-				return cl.allReplicasDown(off)
+				return cl.allReplicasDown(r.off)
 			}
-			off = fragEnd
 		}
+		off += int64(n)
 	}
 	if _, err := cl.fanout(p, &Req{Op: OpSetLayout, Ino: ino, Len: uint32(LayoutStandard)}); err != nil {
 		return err
@@ -1620,8 +1508,8 @@ func (cl *Cluster) issueWrites(p *sim.Proc, cp *clusterPending, off int64, src c
 	cp.runs = append(cp.runs, cl.runs(cp.lay, cp.ino, off, src.TotalLen())...)
 	for ri, r := range cp.runs {
 		live := 0
-		for j := 0; j < cl.replicas; j++ {
-			idx := cl.members[(r.owner+j)%len(cl.members)]
+		for j := 0; j < cl.pl.replicas; j++ {
+			idx := cl.pl.slot(r.owner, j)
 			if cl.down[idx] {
 				continue
 			}
@@ -1675,7 +1563,7 @@ func (cl *Cluster) StartRead(p *sim.Proc, ino kernel.InodeID, off int64, dst cor
 		// preferred replica, like the synchronous Read path — with the
 		// same issue-time failover (Wait-time faults fail over through
 		// failoverReads like any other part).
-		r := run{owner: cl.ownerAt(lay, ino, off), off: off}
+		r := run{owner: cl.pl.owner(lay, ino, off), off: off}
 		err = cl.issueZero(p, cp, r, OpRead, dst)
 	} else {
 		err = cl.issueReads(p, cp, off, dst)
@@ -1736,7 +1624,7 @@ func (cl *Cluster) StartWrite(p *sim.Proc, ino kernel.InodeID, off int64, src co
 		// degenerate path. The synthetic run makes finishWriteParts'
 		// coverage check see a Wait-time fault instead of vacuously
 		// succeeding.
-		r := run{owner: cl.ownerAt(lay, ino, off), off: off}
+		r := run{owner: cl.pl.owner(lay, ino, off), off: off}
 		cp.runs = append(cp.runs, r)
 		err = cl.issueZero(p, cp, r, OpWrite, src)
 	} else {
@@ -1875,7 +1763,7 @@ func (cl *Cluster) fan(p *sim.Proc, targets []int, req *Req) fanned {
 func (cl *Cluster) aliveTargets(from, n int, skip []int) []int {
 	out := cl.targetScratch[:0]
 	for j := 0; j < n; j++ {
-		if i := cl.members[(from+j)%len(cl.members)]; !cl.down[i] && !skipsServer(skip, i) {
+		if i := cl.pl.slot(from, j); !cl.down[i] && !skipsServer(skip, i) {
 			out = append(out, i)
 		}
 	}
@@ -2012,13 +1900,13 @@ func (cl *Cluster) homedMeta(p *sim.Proc, req *Req, home func() int) (*Resp, err
 // is excluded — its missing answer is a degraded-mode fact, not
 // namespace divergence; it must re-sync before Reinstate.
 func (cl *Cluster) fanout(p *sim.Proc, req *Req) (*Resp, error) {
-	if len(cl.members) == 1 {
-		resp, err := cl.syncMeta(p, cl.members[0], req)
+	if len(cl.pl.members) == 1 {
+		resp, err := cl.syncMeta(p, cl.pl.members[0], req)
 		cl.observeResp(resp)
 		cl.noteMutation(req, resp, err)
 		return resp, err
 	}
-	f := cl.fan(p, cl.aliveTargets(0, len(cl.members), nil), req)
+	f := cl.fan(p, cl.aliveTargets(0, len(cl.pl.members), nil), req)
 	addN(&cl.MetaFanout, f.extra)
 	if f.stale {
 		// A foreign exact size set raced this OpSetSize: some servers
@@ -2050,7 +1938,7 @@ func (cl *Cluster) fanout(p *sim.Proc, req *Req) (*Resp, error) {
 // fan-out and by the global operations that still fan under sharding
 // (exact size sets, truncate, layout flips).
 func (cl *Cluster) bumpAllNs() {
-	for _, i := range cl.members {
+	for _, i := range cl.pl.members {
 		cl.nsEpochs[i]++
 	}
 }
@@ -2060,9 +1948,8 @@ func (cl *Cluster) bumpAllNs() {
 // excluded members (they missed it and must resync before Reinstate);
 // everyone else's slice is untouched and their counts stay put.
 func (cl *Cluster) bumpGroupNs(owner int) {
-	n := len(cl.members)
-	for j := 0; j < cl.replicas; j++ {
-		cl.nsEpochs[cl.members[(owner+j)%n]]++
+	for j := 0; j < cl.pl.replicas; j++ {
+		cl.nsEpochs[cl.pl.slot(owner, j)]++
 	}
 }
 
@@ -2080,27 +1967,27 @@ func (cl *Cluster) noteMutation(req *Req, resp *Resp, err error) {
 	case OpCreate:
 		cl.bumpAllNs()
 		cl.sizes[resp.Attr.Ino] = cl.entry(resp.Attr.Size, resp.Epoch)
-		cl.journalMutationAll(req, resp.Attr.Ino, resp.Epoch)
+		cl.journalMutationAll(*req, resp.Attr.Ino, resp.Epoch)
 	case OpMkdir, OpUnlink, OpRmdir, OpRenameLocal:
 		cl.bumpAllNs()
-		cl.journalMutationAll(req, resp.Attr.Ino, resp.Epoch)
+		cl.journalMutationAll(*req, resp.Attr.Ino, resp.Epoch)
 	case OpSetLayout:
 		// A layout flip bumps the size epoch on every server (that is
 		// what revalidates other clients' placement); a server that
 		// missed it is desynchronized like any missed exact size set.
 		cl.bumpAllNs()
-		cl.journalMutationAll(req, req.Ino, resp.Epoch)
+		cl.journalMutationAll(*req, req.Ino, resp.Epoch)
 	case OpTruncate:
 		// Defensive: Meta translates truncates to exact OpSetSize, but a
 		// raw fan-out (MetaBatch carrying one) records the same facts.
 		cl.bumpAllNs()
 		cl.sizes[req.Ino] = cl.entry(req.Off, resp.Epoch)
-		cl.journalMutationAll(&Req{Op: OpSetSize, Ino: req.Ino, Off: req.Off, Len: PackSetSize(true, 0)}, req.Ino, resp.Epoch)
+		cl.journalMutationAll(Req{Op: OpSetSize, Ino: req.Ino, Off: req.Off, Len: PackSetSize(true, 0)}, req.Ino, resp.Epoch)
 	case OpSetSize:
 		if exact, _ := UnpackSetSize(req.Len); exact {
 			cl.bumpAllNs()
 			cl.sizes[req.Ino] = cl.entry(req.Off, resp.Epoch)
-			cl.journalMutationAll(req, req.Ino, resp.Epoch)
+			cl.journalMutationAll(*req, req.Ino, resp.Epoch)
 		} else if e, ok := cl.sizes[req.Ino]; !ok || e.epoch == resp.Epoch && req.Off > e.size {
 			cl.sizes[req.Ino] = cl.entry(req.Off, resp.Epoch)
 		}
@@ -2138,8 +2025,8 @@ func (cl *Cluster) MetaBatch(p *sim.Proc, reqs []*Req) ([]*Resp, error) {
 	if cl.sharded {
 		return cl.shardMetaBatch(p, reqs)
 	}
-	if len(cl.members) == 1 {
-		return cl.sessions[cl.members[0]].MetaBatch(p, reqs)
+	if len(cl.pl.members) == 1 {
+		return cl.sessions[cl.pl.members[0]].MetaBatch(p, reqs)
 	}
 	type share struct {
 		idx  []int // original positions
@@ -2188,7 +2075,7 @@ func (cl *Cluster) MetaBatch(p *sim.Proc, reqs []*Req) ([]*Resp, error) {
 			mutation[i] = true
 			track[i] = w
 			first := true
-			for _, s := range cl.members {
+			for _, s := range cl.pl.members {
 				if cl.down[s] {
 					continue
 				}

@@ -31,9 +31,16 @@ const faultTimeout = 2 * time.Millisecond
 // session with the reply deadline armed.
 func (r *clusterRig) clusterRep(t *testing.T, p *sim.Proc, window, stripe, replicas int) *rfsrv.Cluster {
 	t.Helper()
+	return r.clusterRepAt(t, p, 10, window, stripe, replicas)
+}
+
+// clusterRepAt is clusterRep on local endpoints epBase+i: a second
+// cluster on the rig's one client node needs endpoints of its own.
+func (r *clusterRig) clusterRepAt(t *testing.T, p *sim.Proc, epBase, window, stripe, replicas int) *rfsrv.Cluster {
+	t.Helper()
 	sessions := make([]*rfsrv.Session, len(r.servers))
 	for i, srv := range r.servers {
-		fc, err := rfsrv.NewMXClient(r.clientMX, uint8(10+i), true, r.client.Kernel, srv.ID, 1)
+		fc, err := rfsrv.NewMXClient(r.clientMX, uint8(epBase+i), true, r.client.Kernel, srv.ID, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,12 +5,11 @@ package rfsrv
 // can use.
 //
 // Ownership. Every directory — and every inode minted under it — has
-// a routing residue: (ino-2) mod N, with the root on residue 0. The
-// residue names the directory's OWNER GROUP, the R consecutive
-// servers residue..residue+R-1 (the namespace reuses the data path's
-// replica geometry). Namespace mutations go only to the owner group;
-// lookups, getattrs and readdirs go to the group's first alive
-// member. Files inherit their parent directory's residue, so the
+// a routing residue (placement.residue), which names the directory's
+// OWNER GROUP: the residue's replica group, the same R slots the data
+// path replicates a stripe on (placement.slot). Namespace mutations go
+// only to the owner group; lookups, getattrs and readdirs go to the
+// group's first alive member (Cluster.firstUp). Files inherit their parent directory's residue, so the
 // group that owns a dentry also owns the child's attributes; fresh
 // directories are spread by hashing (dir, name), which is what makes
 // create/unlink throughput scale with N instead of paying an N-way
@@ -220,13 +219,13 @@ func (cl *Cluster) flushFan(p *sim.Proc, reqs []*Req, npub int) (stale bool, err
 	for i := range starts {
 		starts[i] = len(reqs) // non-members never receive flushes
 	}
-	for _, i := range cl.members {
+	for _, i := range cl.pl.members {
 		if cl.down[i] {
 			// The excluded member misses the scrubs in this flush (the
 			// grow publishes are replayable and are not journaled); record
 			// them so Reinstate reclaims the dead inodes there too.
 			for _, r := range reqs[npub:] {
-				cl.journalMut(i, r, r.Ino, 0)
+				cl.journalMut(i, *r, r.Ino, 0)
 			}
 			continue
 		}
@@ -309,40 +308,6 @@ func (cl *Cluster) flushFan(p *sim.Proc, reqs []*Req, npub int) (stale bool, err
 
 // ---- sharded routing ----
 
-// shardOwner returns the residue (= primary placement POSITION, an
-// index into cl.members) owning an inode's namespace slice: (ino-2)
-// mod N, with the root (and the pre-root 0 alias) on residue 0 — the
-// mirror of memfs.SetInodePartition minting and Server.shardResidue.
-func (cl *Cluster) shardOwner(ino kernel.InodeID) int {
-	if ino <= 1 {
-		return 0
-	}
-	return int((uint64(ino) - 2) % uint64(len(cl.members)))
-}
-
-// spreadResidue picks a fresh directory's residue by hashing its
-// (parent, name) — the same FNV-1a chaining pathHomeIdx uses, minus
-// the exclusion walk (residues are placement, fixed at mint time).
-func (cl *Cluster) spreadResidue(dir kernel.InodeID, name string) int {
-	h := mix(uint64(dir))
-	for i := 0; i < len(name); i++ {
-		h = (h ^ uint64(name[i])) * 1099511628211
-	}
-	return int(h % uint64(len(cl.members)))
-}
-
-// groupPrimary returns the first alive member of a residue's owner
-// group, or -1 when the whole group is excluded.
-func (cl *Cluster) groupPrimary(owner int) int {
-	n := len(cl.members)
-	for j := 0; j < cl.replicas; j++ {
-		if k := cl.members[(owner+j)%n]; !cl.down[k] {
-			return k
-		}
-	}
-	return -1
-}
-
 // groupDead is the error for an owner group whose every member is
 // excluded; it satisfies fabric.IsFault.
 func (cl *Cluster) groupDead(op Op, owner int) error {
@@ -353,7 +318,7 @@ func (cl *Cluster) groupDead(op Op, owner int) error {
 // failing over within the group (metaFirstAlive).
 func (cl *Cluster) groupFirst(p *sim.Proc, owner int, req *Req) (*Resp, int, error) {
 	return cl.metaFirstAlive(p, req,
-		func() int { return cl.groupPrimary(owner) },
+		func() int { return cl.firstUp(owner, cl.pl.replicas) },
 		func() error { return cl.groupDead(req.Op, owner) })
 }
 
@@ -379,7 +344,7 @@ func (cl *Cluster) groupRead(p *sim.Proc, owner int, req *Req) (*Resp, error) {
 // excluded, never counted as divergent; an entirely excluded group is
 // an error.
 func (cl *Cluster) groupFan(p *sim.Proc, owner int, req *Req) (*Resp, error) {
-	f := cl.fan(p, cl.aliveTargets(owner, cl.replicas, nil), req)
+	f := cl.fan(p, cl.aliveTargets(owner, cl.pl.replicas, nil), req)
 	addN(&cl.MetaFanout, f.extra)
 	if len(f.resps) == 0 {
 		if f.err == nil {
@@ -410,7 +375,7 @@ func (cl *Cluster) groupFan(p *sim.Proc, owner int, req *Req) (*Resp, error) {
 // dentry-replication round of sharded creates. Faulting members are
 // excluded; application errors win.
 func (cl *Cluster) groupFanFrom(p *sim.Proc, owner, except int, req *Req) error {
-	f := cl.fan(p, cl.aliveTargets(owner, cl.replicas, []int{except}), req)
+	f := cl.fan(p, cl.aliveTargets(owner, cl.pl.replicas, []int{except}), req)
 	addN(&cl.MetaFanout, f.tried)
 	return f.err
 }
@@ -424,7 +389,7 @@ func (cl *Cluster) groupMint(p *sim.Proc, owner int, req *Req) (*Resp, error) {
 	if err != nil {
 		return resp, err
 	}
-	if cl.replicas > 1 {
+	if cl.pl.replicas > 1 {
 		link := Req{Op: OpLink, Ino: req.Ino, Name: req.Name,
 			Off: int64(resp.Attr.Ino), Len: uint32(resp.Attr.Kind)}
 		if lerr := cl.groupFanFrom(p, owner, idx, &link); lerr != nil {
@@ -449,7 +414,7 @@ func (cl *Cluster) shardMeta(p *sim.Proc, req *Req) (*Resp, error) {
 		if len(cl.renameDoubt) > 0 {
 			cl.resolveRenameDoubt(p, req.Ino)
 		}
-		return cl.groupRead(p, cl.shardOwner(req.Ino), req)
+		return cl.groupRead(p, cl.pl.residue(req.Ino), req)
 	case OpCreate:
 		return cl.shardCreate(p, req.Ino, req.Name)
 	case OpMkdir:
@@ -482,19 +447,17 @@ func (cl *Cluster) shardMeta(p *sim.Proc, req *Req) (*Resp, error) {
 // the dentry also owns the child's attributes and ONE group — not the
 // whole cluster — serves the create.
 func (cl *Cluster) shardCreate(p *sim.Proc, dir kernel.InodeID, name string) (*Resp, error) {
-	owner := cl.shardOwner(dir)
+	owner := cl.pl.residue(dir)
 	resp, err := cl.groupMint(p, owner, &Req{Op: OpCreate, Ino: dir, Name: name, Len: uint32(owner + 1)})
 	if err != nil {
 		return resp, err
 	}
 	cl.bumpGroupNs(owner)
 	cl.sizes[resp.Attr.Ino] = cl.entry(resp.Attr.Size, resp.Epoch)
-	if cl.anyDown() {
-		// Excluded group members missed the dentry: journal the
-		// idempotent replication verb (OpLink), not the minting create.
-		cl.journalGroup(owner, &Req{Op: OpLink, Ino: dir, Name: name,
-			Off: int64(resp.Attr.Ino), Len: uint32(resp.Attr.Kind)}, resp.Attr.Ino, resp.Epoch)
-	}
+	// Excluded group members missed the dentry: journal the
+	// idempotent replication verb (OpLink), not the minting create.
+	cl.journalGroup(owner, Req{Op: OpLink, Ino: dir, Name: name,
+		Off: int64(resp.Attr.Ino), Len: uint32(resp.Attr.Kind)}, resp.Attr.Ino, resp.Epoch)
 	return resp, nil
 }
 
@@ -502,28 +465,24 @@ func (cl *Cluster) shardCreate(p *sim.Proc, dir kernel.InodeID, name string) (*R
 // PARENT's owner group (round one), then the fresh directory's object
 // is materialized at ITS owner group (round two) — the group its
 // residue routes its children's operations to, generally a different
-// one (spreadResidue is what scatters the namespace over N servers).
+// one (placement.pathHome is what scatters the namespace over N servers).
 // A crash between the rounds leaves a dentry whose object the child's
 // group materializes on demand at first touch.
 func (cl *Cluster) shardMkdir(p *sim.Proc, dir kernel.InodeID, name string) (*Resp, error) {
-	owner := cl.shardOwner(dir)
-	res := cl.spreadResidue(dir, name)
+	owner := cl.pl.residue(dir)
+	res := cl.pl.pathHome(dir, name)
 	resp, err := cl.groupMint(p, owner, &Req{Op: OpMkdir, Ino: dir, Name: name, Len: uint32(res + 1)})
 	if err != nil {
 		return resp, err
 	}
 	cl.bumpGroupNs(owner)
-	if cl.anyDown() {
-		cl.journalGroup(owner, &Req{Op: OpLink, Ino: dir, Name: name,
-			Off: int64(resp.Attr.Ino), Len: uint32(kernel.Directory)}, resp.Attr.Ino, resp.Epoch)
-	}
+	cl.journalGroup(owner, Req{Op: OpLink, Ino: dir, Name: name,
+		Off: int64(resp.Attr.Ino), Len: uint32(kernel.Directory)}, resp.Attr.Ino, resp.Epoch)
 	if _, err := cl.groupFan(p, res, &Req{Op: OpMaterialize, Ino: resp.Attr.Ino, Len: uint32(kernel.Directory)}); err != nil {
 		return &Resp{Status: StatusOf(err)}, err
 	}
 	cl.bumpGroupNs(res)
-	if cl.anyDown() {
-		cl.journalGroup(res, &Req{Op: OpMaterialize, Ino: resp.Attr.Ino, Len: uint32(kernel.Directory)}, resp.Attr.Ino, 0)
-	}
+	cl.journalGroup(res, Req{Op: OpMaterialize, Ino: resp.Attr.Ino, Len: uint32(kernel.Directory)}, resp.Attr.Ino, 0)
 	return resp, nil
 }
 
@@ -533,15 +492,13 @@ func (cl *Cluster) shardMkdir(p *sim.Proc, dir kernel.InodeID, name string) (*Re
 // that rides the next size-publish flush instead of costing this
 // unlink an N-way round.
 func (cl *Cluster) shardUnlink(p *sim.Proc, dir kernel.InodeID, name string) (*Resp, error) {
-	owner := cl.shardOwner(dir)
+	owner := cl.pl.residue(dir)
 	resp, err := cl.groupFan(p, owner, &Req{Op: OpUnlink, Ino: dir, Name: name})
 	if err != nil {
 		return resp, err
 	}
 	cl.bumpGroupNs(owner)
-	if cl.anyDown() {
-		cl.journalGroup(owner, &Req{Op: OpUnlink, Ino: dir, Name: name}, resp.Attr.Ino, 0)
-	}
+	cl.journalGroup(owner, Req{Op: OpUnlink, Ino: dir, Name: name}, resp.Attr.Ino, 0)
 	if err := cl.noteUnlinkVictim(p, resp.Attr.Ino, resp.Attr.Size); err != nil {
 		return &Resp{Status: StatusOf(err)}, err
 	}
@@ -590,7 +547,7 @@ func (cl *Cluster) noteUnlinkVictim(p *sim.Proc, victim kernel.InodeID, ownerSiz
 // children's dentries — OpScrub with ScrubRequireEmptyDir is the
 // emptiness authority), then drop the dentry at the parent's group.
 func (cl *Cluster) shardRmdir(p *sim.Proc, dir kernel.InodeID, name string) (*Resp, error) {
-	owner := cl.shardOwner(dir)
+	owner := cl.pl.residue(dir)
 	lresp, err := cl.groupRead(p, owner, &Req{Op: OpLookup, Ino: dir, Name: name})
 	if err != nil {
 		return lresp, err
@@ -599,22 +556,18 @@ func (cl *Cluster) shardRmdir(p *sim.Proc, dir kernel.InodeID, name string) (*Re
 		return &Resp{Status: StNotDir}, kernel.ErrNotDir
 	}
 	child := lresp.Attr.Ino
-	cres := cl.shardOwner(child)
+	cres := cl.pl.residue(child)
 	if sresp, err := cl.groupFan(p, cres, &Req{Op: OpScrub, Ino: child, Len: ScrubRequireEmptyDir}); err != nil {
 		return sresp, err
 	}
 	cl.bumpGroupNs(cres)
-	if cl.anyDown() {
-		cl.journalGroup(cres, &Req{Op: OpScrub, Ino: child, Len: ScrubRequireEmptyDir}, child, 0)
-	}
+	cl.journalGroup(cres, Req{Op: OpScrub, Ino: child, Len: ScrubRequireEmptyDir}, child, 0)
 	resp, err := cl.groupFan(p, owner, &Req{Op: OpRmdir, Ino: dir, Name: name})
 	if err != nil {
 		return resp, err
 	}
 	cl.bumpGroupNs(owner)
-	if cl.anyDown() {
-		cl.journalGroup(owner, &Req{Op: OpRmdir, Ino: dir, Name: name}, child, 0)
-	}
+	cl.journalGroup(owner, Req{Op: OpRmdir, Ino: dir, Name: name}, child, 0)
 	delete(cl.sizes, child)
 	return resp, nil
 }
@@ -647,14 +600,12 @@ func (cl *Cluster) Rename(p *sim.Proc, srcDir kernel.InodeID, srcName string, ds
 	if !cl.sharded {
 		return cl.fanout(p, local) // noteMutation bumps every server
 	}
-	so, do := cl.shardOwner(srcDir), cl.shardOwner(dstDir)
+	so, do := cl.pl.residue(srcDir), cl.pl.residue(dstDir)
 	if so == do {
 		resp, err := cl.groupFan(p, so, local)
 		if err == nil {
 			cl.bumpGroupNs(so)
-			if cl.anyDown() {
-				cl.journalGroup(so, local, resp.Attr.Ino, 0)
-			}
+			cl.journalGroup(so, *local, resp.Attr.Ino, 0)
 		}
 		return resp, err
 	}
@@ -685,9 +636,7 @@ func (cl *Cluster) Rename(p *sim.Proc, srcDir kernel.InodeID, srcName string, ds
 		// may hold the prepare mark with nobody left to clear it. Journal
 		// the abort so replay lifts the mark (idempotently a no-op on
 		// members that never saw the prepare).
-		if cl.anyDown() {
-			cl.journalGroup(so, &Req{Op: OpRenameAbort, Ino: srcDir, Name: srcName}, 0, 0)
-		}
+		cl.journalGroup(so, Req{Op: OpRenameAbort, Ino: srcDir, Name: srcName}, 0, 0)
 		cl.clearRenameDoubt(srcDir, srcName, dstDir, dstName)
 		return cresp, err
 	}
@@ -698,9 +647,7 @@ func (cl *Cluster) Rename(p *sim.Proc, srcDir kernel.InodeID, srcName string, ds
 	// though the finalize below never reached it.
 	cl.bumpGroupNs(do)
 	cl.bumpGroupNs(so)
-	if cl.anyDown() {
-		cl.journalGroup(do, &Req{Op: OpLink, Ino: dstDir, Off: int64(child.Ino), Len: uint32(child.Kind), Name: dstName}, child.Ino, cresp.Epoch)
-	}
+	cl.journalGroup(do, Req{Op: OpLink, Ino: dstDir, Off: int64(child.Ino), Len: uint32(child.Kind), Name: dstName}, child.Ino, cresp.Epoch)
 	// Phase 3 — finalize at the source group: detach the old entry and
 	// clear the mark.
 	if _, ferr := cl.groupFan(p, so, &Req{Op: OpRenameFinalize, Ino: srcDir, Off: int64(child.Ino), Name: srcName}); ferr != nil {
@@ -711,14 +658,12 @@ func (cl *Cluster) Rename(p *sim.Proc, srcDir kernel.InodeID, srcName string, ds
 		// journal the finalize it missed (the journal hook below runs
 		// after the fan precisely so newly-excluded members are seen).
 		cl.bumpGroupNs(so)
-		cl.journalGroup(so, &Req{Op: OpRenameFinalize, Ino: srcDir, Off: int64(child.Ino), Name: srcName}, child.Ino, 0)
+		cl.journalGroup(so, Req{Op: OpRenameFinalize, Ino: srcDir, Off: int64(child.Ino), Name: srcName}, child.Ino, 0)
 		cl.RenameInDoubts.Add(1)
 		cl.noteRenameDoubt(srcDir, srcName, dstDir, dstName)
 		return cresp, &RenameInDoubtError{SrcDir: srcDir, SrcName: srcName, DstDir: dstDir, DstName: dstName, Err: ferr}
 	}
-	if cl.anyDown() {
-		cl.journalGroup(so, &Req{Op: OpRenameFinalize, Ino: srcDir, Off: int64(child.Ino), Name: srcName}, child.Ino, 0)
-	}
+	cl.journalGroup(so, Req{Op: OpRenameFinalize, Ino: srcDir, Off: int64(child.Ino), Name: srcName}, child.Ino, 0)
 	cl.clearRenameDoubt(srcDir, srcName, dstDir, dstName)
 	return cresp, nil
 }
@@ -805,7 +750,6 @@ func (cl *Cluster) shardMetaBatch(p *sim.Proc, reqs []*Req) ([]*Resp, error) {
 			return cl.metaBatchSequential(p, reqs)
 		}
 	}
-	n := len(cl.members)
 	type share struct {
 		idx  []int
 		reqs []*Req
@@ -826,15 +770,16 @@ func (cl *Cluster) shardMetaBatch(p *sim.Proc, reqs []*Req) ([]*Resp, error) {
 		muts[i].owner = -1
 		switch r.Op {
 		case OpLookup, OpGetattr, OpReaddir:
-			idx := cl.groupPrimary(cl.shardOwner(r.Ino))
+			owner := cl.pl.residue(r.Ino)
+			idx := cl.firstUp(owner, cl.pl.replicas)
 			if idx < 0 {
-				return nil, cl.groupDead(r.Op, cl.shardOwner(r.Ino))
+				return nil, cl.groupDead(r.Op, owner)
 			}
 			shares[idx].idx = append(shares[idx].idx, i)
 			shares[idx].reqs = append(shares[idx].reqs, r)
 		case OpCreate:
-			owner := cl.shardOwner(r.Ino)
-			idx := cl.groupPrimary(owner)
+			owner := cl.pl.residue(r.Ino)
+			idx := cl.firstUp(owner, cl.pl.replicas)
 			if idx < 0 {
 				return nil, cl.groupDead(r.Op, owner)
 			}
@@ -845,8 +790,8 @@ func (cl *Cluster) shardMetaBatch(p *sim.Proc, reqs []*Req) ([]*Resp, error) {
 			shares[idx].idx = append(shares[idx].idx, i)
 			shares[idx].reqs = append(shares[idx].reqs, w)
 		case OpUnlink:
-			owner := cl.shardOwner(r.Ino)
-			idx := cl.groupPrimary(owner)
+			owner := cl.pl.residue(r.Ino)
+			idx := cl.firstUp(owner, cl.pl.replicas)
 			if idx < 0 {
 				return nil, cl.groupDead(r.Op, owner)
 			}
@@ -854,8 +799,8 @@ func (cl *Cluster) shardMetaBatch(p *sim.Proc, reqs []*Req) ([]*Resp, error) {
 			// The whole owner group applies the unlink; each member's
 			// share carries the same *Req (batches start sequentially
 			// and every start fully encodes — see startBatchFlight).
-			for j := 0; j < cl.replicas; j++ {
-				k := cl.members[(owner+j)%n]
+			for j := 0; j < cl.pl.replicas; j++ {
+				k := cl.pl.slot(owner, j)
 				if cl.down[k] {
 					continue
 				}
@@ -937,21 +882,17 @@ func (cl *Cluster) shardMetaBatch(p *sim.Proc, reqs []*Req) ([]*Resp, error) {
 		case OpCreate:
 			link := Req{Op: OpLink, Ino: r.Ino, Name: r.Name,
 				Off: int64(out[i].Attr.Ino), Len: uint32(out[i].Attr.Kind)}
-			if cl.replicas > 1 {
+			if cl.pl.replicas > 1 {
 				if err := cl.groupFanFrom(p, m.owner, m.primary, &link); err != nil {
 					return out, err
 				}
 			}
 			cl.bumpGroupNs(m.owner)
-			if cl.anyDown() {
-				cl.journalGroup(m.owner, &link, out[i].Attr.Ino, out[i].Epoch)
-			}
+			cl.journalGroup(m.owner, link, out[i].Attr.Ino, out[i].Epoch)
 			cl.sizes[out[i].Attr.Ino] = cl.entry(out[i].Attr.Size, out[i].Epoch)
 		case OpUnlink:
 			cl.bumpGroupNs(m.owner)
-			if cl.anyDown() {
-				cl.journalGroup(m.owner, r, out[i].Attr.Ino, 0)
-			}
+			cl.journalGroup(m.owner, *r, out[i].Attr.Ino, 0)
 			if err := cl.noteUnlinkVictim(p, out[i].Attr.Ino, out[i].Attr.Size); err != nil {
 				return out, err
 			}

@@ -37,6 +37,7 @@ type clusterRig struct {
 	servers  []*hw.Node
 	serverFS []*memfs.FS
 	rsrv     []*rfsrv.Server // handles for SetResyncPeers
+	audits   int             // assertPlacementHeld calls so far
 }
 
 func newClusterRig(t *testing.T, nServers int) *clusterRig {

@@ -3,20 +3,24 @@
 // membership view. Two mechanisms live here. (1) Journaled resync:
 // while a server is excluded, the cluster records the namespace
 // mutations, exact size sets, layout changes, and data-stripe writes
-// the server misses in a per-slot journal; Reinstate replays the
-// journal — idempotently, on the grow-only/exact OpSetSize and fan-out
-// semantics the protocol already has — instead of refusing, and spills
-// to a full-slice resync (memfs slice export/import plus stripe
-// re-copy) when the journal outgrows its bounds. (2) Live
-// join/leave: Join/Retire rebuild the members position→slot map under
-// a shared MemberView, migrating stripes to their new replica sets —
-// online under load in the unsharded cluster, stop-world in the
-// sharded one — and committing the new geometry on every server with
-// OpMember so replies stamp the new membership epoch.
+// the server misses in a per-slot journal (placement says which slots
+// a mutation was meant for; the hooks record it against the excluded
+// ones); Reinstate replays the journal — idempotently, on the
+// grow-only/exact OpSetSize and fan-out semantics the protocol already
+// has — instead of refusing, and spills to a full-slice resync when
+// the journal outgrows its bounds. (2) Live join/leave: Join/Retire
+// replace the placement's member ring under a shared MemberView,
+// migrating placement.delta — the stripes the new ring assigns to
+// slots that lack them — online under load in the unsharded cluster,
+// stop-world in the sharded one, and committing the new geometry on
+// every server with OpMember so replies stamp the new membership
+// epoch. Changes fail closed: an excluded member of either geometry
+// fails the change rather than being skipped (membersUp).
 //
-// Journals and the bulk-resync channel (slice export, ReadRange/
-// WriteRange) are host-level bookkeeping: they cost no simulated time
-// and allocate nothing on the fault-free path, so a static-membership
+// Journals and the bulk channel (one section below: snapshot, rebuild,
+// copyStripes — the only code that touches servers other than over the
+// wire) are host-level bookkeeping: they cost no simulated time and
+// allocate nothing on the fault-free path, so a static-membership
 // cluster stays bit-identical. Everything a *returning or joining
 // server* is sent during replay and online migration, by contrast, is
 // real simulated traffic through the ordinary request path, competing
@@ -26,6 +30,8 @@ package rfsrv
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"time"
 
 	"repro/internal/fabric"
@@ -178,7 +184,7 @@ func (cl *Cluster) spillJournal(j *resyncJournal) {
 }
 
 // journalMut records one missed mutation in excluded slot i's journal.
-func (cl *Cluster) journalMut(i int, req *Req, wantIno kernel.InodeID, wantEpoch uint64) {
+func (cl *Cluster) journalMut(i int, req Req, wantIno kernel.InodeID, wantEpoch uint64) {
 	j := cl.journalFor(i)
 	if j.spilled {
 		return
@@ -187,31 +193,34 @@ func (cl *Cluster) journalMut(i int, req *Req, wantIno kernel.InodeID, wantEpoch
 		cl.spillJournal(j)
 		return
 	}
-	j.ops = append(j.ops, journalOp{req: *req, wantIno: wantIno, wantEpoch: wantEpoch})
+	j.ops = append(j.ops, journalOp{req: req, wantIno: wantIno, wantEpoch: wantEpoch})
 }
 
-// journalMutationAll records a fanned mutation in every excluded
-// member's journal (the unsharded hook: mutations fan to all members).
-func (cl *Cluster) journalMutationAll(req *Req, wantIno kernel.InodeID, wantEpoch uint64) {
-	for _, i := range cl.members {
-		if cl.down[i] {
+// journalSpan records a mutation fanned to the span ring positions
+// starting at pos in the journal of every excluded slot among them.
+// Call sites invoke the hooks unconditionally: the request travels by
+// value, so with nobody excluded the walk finds nothing and allocates
+// nothing.
+func (cl *Cluster) journalSpan(pos, span int, req Req, wantIno kernel.InodeID, wantEpoch uint64) {
+	for j := 0; j < span; j++ {
+		if i := cl.pl.slot(pos, j); cl.down[i] {
 			cl.journalMut(i, req, wantIno, wantEpoch)
 		}
 	}
 }
 
-// journalGroup records a group-fanned mutation in the journals of the
-// excluded members of owner position's replica group (the sharded
-// hook). The request must be the idempotent per-server verb the fan
-// actually delivered (OpLink, OpUnlink, OpScrub, ...), not the
-// client-facing operation.
-func (cl *Cluster) journalGroup(owner int, req *Req, wantIno kernel.InodeID, wantEpoch uint64) {
-	n := len(cl.members)
-	for j := 0; j < cl.replicas; j++ {
-		if i := cl.members[(owner+j)%n]; cl.down[i] {
-			cl.journalMut(i, req, wantIno, wantEpoch)
-		}
-	}
+// journalMutationAll records a mutation fanned to every member (the
+// unsharded hook).
+func (cl *Cluster) journalMutationAll(req Req, wantIno kernel.InodeID, wantEpoch uint64) {
+	cl.journalSpan(0, len(cl.pl.members), req, wantIno, wantEpoch)
+}
+
+// journalGroup records a mutation fanned to owner position's replica
+// group (the sharded hook). The request must be the idempotent
+// per-server verb the fan actually delivered (OpLink, OpUnlink,
+// OpScrub, ...), not the client-facing operation.
+func (cl *Cluster) journalGroup(owner int, req Req, wantIno kernel.InodeID, wantEpoch uint64) {
+	cl.journalSpan(owner, cl.pl.replicas, req, wantIno, wantEpoch)
 }
 
 // journalDirty records that [off, off+n) of ino was written while
@@ -247,26 +256,25 @@ func (cl *Cluster) journalDirty(i int, ino kernel.InodeID, off int64, n int) {
 // journalRunDirty records a data write's byte ranges against every
 // excluded replica of its runs. Called once per write after the fan,
 // with the same run decomposition the write used, so the dirty map
-// covers exactly the stripes each excluded server would have held.
+// covers exactly the stripes each excluded server would have held. It
+// sits on every write's path, so it first asks whether anyone is
+// excluded at all.
 func (cl *Cluster) journalRunDirty(ino kernel.InodeID, runs []run) {
-	n := len(cl.members)
+	if !cl.anyDown() {
+		return
+	}
 	for _, r := range runs {
-		if r.n <= 0 {
-			continue
-		}
-		for j := 0; j < cl.replicas; j++ {
-			if i := cl.members[(r.owner+j)%n]; cl.down[i] {
+		for j := 0; j < cl.pl.replicas; j++ {
+			if i := cl.pl.slot(r.owner, j); cl.down[i] {
 				cl.journalDirty(i, ino, r.off, r.n)
 			}
 		}
 	}
 }
 
-// anyDown reports whether any member is currently excluded — the
-// cheap guard in front of every journal hook, so the fault-free path
-// costs one slice scan and no allocation.
+// anyDown reports whether any member is currently excluded.
 func (cl *Cluster) anyDown() bool {
-	for _, i := range cl.members {
+	for _, i := range cl.pl.members {
 		if cl.down[i] {
 			return true
 		}
@@ -305,7 +313,7 @@ func (cl *Cluster) Reinstate(p *sim.Proc, i int) error {
 		if cl.peers == nil {
 			return fmt.Errorf("rfsrv: reinstate server %d: resync journal spilled its bounds and no resync peers are wired; resync its backing store out of band first", i)
 		}
-		if err := cl.fullResync(p, i); err != nil {
+		if err := cl.fullResync(i); err != nil {
 			return fmt.Errorf("rfsrv: reinstate server %d: full-slice resync: %w", i, err)
 		}
 	case j != nil:
@@ -636,238 +644,195 @@ func (cl *Cluster) replayRange(p *sim.Proc, i int, ino kernel.InodeID, r dirtyRa
 	return nil
 }
 
-// --- Full-slice resync (journal spill fallback) ---
+// --- The bulk channel ---
+//
+// This section is the only code that reaches into the servers directly
+// (SetResyncPeers) instead of over the wire — the simulation's stand-in
+// for an out-of-band bulk transfer, costing no simulated time and out
+// of reach of injected faults, and the one seam ROADMAP item 4 replaces
+// with wire ops. Its three callers (fullResync, Join's namespace seed,
+// memberStopWorld) compose the same pieces: one snapshot of the live
+// members, the store image and soft state of one ring position
+// (rebuild), and a stripe copier driven by placement.delta.
 
-// storeOf returns server slot i's backing store through the resync
-// peers, asserting the memfs slice surface the bulk channel needs.
-func (cl *Cluster) storeOf(slot int) (*memfs.FS, error) {
-	if cl.peers == nil || slot >= len(cl.peers) || cl.peers[slot] == nil {
-		return nil, fmt.Errorf("no resync peer for server %d (SetResyncPeers)", slot)
-	}
-	st, ok := cl.peers[slot].fs.(*memfs.FS)
-	if !ok {
-		return nil, fmt.Errorf("server %d's backing store is not a memfs.FS; slice resync unsupported", slot)
-	}
-	return st, nil
+// snapshot is the cluster's authoritative state read from its live
+// members, plus the opened channel itself: every peer's server and
+// store by slot, resolved up front so a rebuild cannot fail on a
+// missing peer after it started modifying servers.
+type snapshot struct {
+	srv     []*Server
+	store   []*memfs.FS
+	live    []int // the member slots the snapshot was read from
+	sharded bool  // the namespace is sharded: a member holds only what its owner groups cover
+
+	// nodes holds the owning copy of every inode, regular files already
+	// at their global size; files lists those, ascending (copy order
+	// must not depend on map order); next is the highest
+	// sequential-mint cursor; marks is every in-flight rename mark.
+	nodes map[kernel.InodeID]memfs.SliceNode
+	files []kernel.InodeID
+	next  kernel.InodeID
+	marks map[renameKey]renameMark
 }
 
-// residueAt is the (ino−2) mod n routing residue of the sharded
-// namespace, with the root (and the invalid inode 0) pinned to 0.
-func residueAt(ino kernel.InodeID, n int) int {
-	if ino <= 1 {
-		return 0
-	}
-	return int((uint64(ino) - 2) % uint64(n))
-}
-
-// posDist is the forward distance from owner position res to position
-// pos in a ring of n — < replicas means pos is in res's replica group.
-func posDist(pos, res, n int) int {
-	return (pos - res + n) % n
-}
-
-func (cl *Cluster) memberPos(slot int) int {
-	for pos, s := range cl.members {
-		if s == slot {
-			return pos
+// takeSnapshot reads the authoritative metadata of the cluster from
+// its live members (all but slot skip and the excluded): for each inode
+// the owning copy — sharded, the lowest-ranked live replica of its
+// owner group; replicated, the first live member's, whose namespace is
+// everyone's — and each regular file's global size.
+func (cl *Cluster) takeSnapshot(skip int) (*snapshot, error) {
+	snap := &snapshot{srv: cl.peers, store: make([]*memfs.FS, len(cl.peers)), sharded: cl.sharded,
+		nodes: make(map[kernel.InodeID]memfs.SliceNode), marks: make(map[renameKey]renameMark)}
+	for slot, srv := range cl.peers {
+		if srv == nil {
+			return nil, fmt.Errorf("no resync peer for server %d (SetResyncPeers)", slot)
 		}
+		st, ok := srv.fs.(*memfs.FS)
+		if !ok {
+			return nil, fmt.Errorf("server %d's backing store is not a memfs.FS; slice resync unsupported", slot)
+		}
+		snap.store[slot] = st
 	}
-	return -1
-}
-
-// collectAuth builds the authoritative metadata snapshot of the
-// cluster from the live members' stores (excluding slot skip): for
-// each inode the owning copy (sharded: lowest-distance alive replica
-// of its owner group; unsharded: the first alive member, whose
-// namespace is replicated-identical), plus each regular file's true
-// size — the max local size across every live member, since size
-// publishes fan everywhere but an individual store may lag — and the
-// max sequential-mint cursor.
-func (cl *Cluster) collectAuth(skip int) (map[kernel.InodeID]memfs.SliceNode, map[kernel.InodeID]int64, kernel.InodeID, error) {
-	n := len(cl.members)
-	auth := make(map[kernel.InodeID]memfs.SliceNode)
 	rank := make(map[kernel.InodeID]int)
-	var next kernel.InodeID
-	namespaceDone := false
-	for pos, slot := range cl.members {
+	for _, slot := range cl.pl.members {
 		if slot == skip || cl.down[slot] {
 			continue
 		}
-		st, err := cl.storeOf(slot)
-		if err != nil {
-			return nil, nil, 0, err
+		snap.live = append(snap.live, slot)
+		for key, mark := range snap.srv[slot].renames {
+			snap.marks[key] = mark
 		}
-		sl := st.ExportSlice(nil)
-		if sl.Next > next {
-			next = sl.Next
-		}
-		if !cl.sharded {
-			if namespaceDone {
-				continue
-			}
-			namespaceDone = true
-			for _, nd := range sl.Nodes {
-				auth[nd.Attr.Ino] = nd
-			}
+		sl := snap.store[slot].ExportSlice(nil)
+		snap.next = max(snap.next, sl.Next)
+		if !cl.sharded && len(snap.live) > 1 {
 			continue
 		}
 		for _, nd := range sl.Nodes {
-			d := posDist(pos, residueAt(nd.Attr.Ino, n), n)
-			if d >= cl.replicas {
+			d := 0
+			if cl.sharded {
 				// A non-owner stub (lazy data materialization) is not
 				// authoritative: trusting one could resurrect an inode
 				// its owner group already unlinked.
-				continue
+				if d = cl.pl.rank(cl.pl.residue(nd.Attr.Ino), slot); d < 0 {
+					continue
+				}
 			}
 			if prev, ok := rank[nd.Attr.Ino]; !ok || d < prev {
-				auth[nd.Attr.Ino] = nd
-				rank[nd.Attr.Ino] = d
+				snap.nodes[nd.Attr.Ino], rank[nd.Attr.Ino] = nd, d
 			}
 		}
 	}
-	if len(auth) == 0 {
-		return nil, nil, 0, errors.New("no live member to resync from")
+	if len(snap.nodes) == 0 {
+		return nil, errors.New("no live member to resync from")
 	}
-	sizes := make(map[kernel.InodeID]int64)
-	for ino, nd := range auth {
-		if nd.Attr.Kind != kernel.RegularFile {
-			continue
+	for ino, nd := range snap.nodes {
+		if nd.Attr.Kind == kernel.RegularFile {
+			nd.Attr.Size = snap.sizeOf(ino)
+			snap.nodes[ino] = nd
+			snap.files = append(snap.files, ino)
 		}
-		var max int64
-		for _, slot := range cl.members {
-			if slot == skip || cl.down[slot] {
-				continue
-			}
-			st, err := cl.storeOf(slot)
-			if err != nil {
-				return nil, nil, 0, err
-			}
-			if s := st.LocalSize(ino); s > max {
-				max = s
-			}
-		}
-		sizes[ino] = max
 	}
-	return auth, sizes, next, nil
+	slices.Sort(snap.files)
+	return snap, nil
 }
 
-// fullResync rebuilds excluded server slot i's whole slice from the
-// live members through the bulk channel: authoritative metadata
-// imported exactly (sizes trimmed, unknown inodes purged), size
-// epochs and owned rename marks copied from a live replica, and the
-// data stripes i holds under the current placement re-copied from
-// their live replicas.
-func (cl *Cluster) fullResync(p *sim.Proc, i int) error {
-	_ = p // the bulk channel costs no simulated time
-	if cl.policyOn {
-		return errors.New("full-slice resync under an adaptive layout policy is not supported")
+// sizeOf returns a file's global size as of now: the max local size
+// across the live members, since size publishes fan everywhere but an
+// individual store may lag.
+func (snap *snapshot) sizeOf(ino kernel.InodeID) int64 {
+	var size int64
+	for _, slot := range snap.live {
+		size = max(size, snap.store[slot].LocalSize(ino))
 	}
-	pos := cl.memberPos(i)
-	if pos < 0 {
-		return fmt.Errorf("server %d is not a member", i)
-	}
-	dst, err := cl.storeOf(i)
-	if err != nil {
-		return err
-	}
-	auth, sizes, next, err := cl.collectAuth(i)
-	if err != nil {
-		return err
-	}
-	n := len(cl.members)
-	sl := &memfs.Slice{Next: next}
-	for ino, nd := range auth {
-		if nd.Attr.Kind == kernel.RegularFile {
-			nd.Attr.Size = sizes[ino]
-		}
-		owned := !cl.sharded || posDist(pos, residueAt(ino, n), n) < cl.replicas
+	return size
+}
+
+// rebuild makes the server at ring position pos of pl hold exactly what
+// that position holds according to the snapshot. Its store takes, in a
+// sharded namespace, the inodes its owner groups cover in full and
+// every other regular file as an exact-size stub (data stripes and size
+// publishes need somewhere to land, like the lazy materialization of
+// the sharded write path), and in a replicated one everything; sizes
+// are exact, unknown inodes purged. The image carries no mint-sequence
+// cursor — per-server partitions are disjoint, so a server's retained
+// cursor stays correct. Rename marks follow directory ownership. A
+// fresh server — one the snapshot was not read from — also takes the
+// size epochs, layouts and membership epoch of a live member: they are
+// replicated-identical (exact sets always fan), so any one is
+// authoritative.
+func (snap *snapshot) rebuild(pl placement, pos int, fresh bool) {
+	slot := pl.members[pos]
+	sl := &memfs.Slice{Next: snap.next}
+	for ino, nd := range snap.nodes {
 		switch {
-		case owned:
+		case !snap.sharded || pl.holds(slot, pl.residue(ino)):
 			sl.Nodes = append(sl.Nodes, nd)
 		case nd.Attr.Kind == kernel.RegularFile:
-			// Foreign file: keep an attr-only stub so data stripes and
-			// size publishes have somewhere to land, like the lazy
-			// materialization of the sharded write path.
 			sl.Nodes = append(sl.Nodes, memfs.SliceNode{Attr: nd.Attr})
 		}
 	}
-	// The slice carries no mint-sequence cursor: per-server partitions
-	// are disjoint, minting for a residue happens on its group primary,
-	// and an excluded server never mints — so the returning server's
-	// own retained cursor is already correct (the import's max rule
-	// keeps it).
-	dst.ImportSlice(sl, nil, true)
-
-	// Server-side soft state: size epochs are replicated-identical
-	// across members (exact sets always fan), so any live member's map
-	// is authoritative; rename marks follow directory ownership.
-	var src *Server
-	for _, slot := range cl.members {
-		if slot != i && !cl.down[slot] {
-			src = cl.peers[slot]
-			break
-		}
+	snap.store[slot].ImportSlice(sl, nil, true)
+	srv := snap.srv[slot]
+	if fresh {
+		src := snap.srv[snap.live[0]]
+		srv.epochs, srv.layouts, srv.member = maps.Clone(src.epochs), maps.Clone(src.layouts), src.member
 	}
-	dstSrv := cl.peers[i]
-	dstSrv.epochs = make(map[kernel.InodeID]uint64, len(src.epochs))
-	for ino, e := range src.epochs {
-		dstSrv.epochs[ino] = e
-	}
-	dstSrv.layouts = make(map[kernel.InodeID]LayoutClass, len(src.layouts))
-	for ino, lc := range src.layouts {
-		dstSrv.layouts[ino] = lc
-	}
-	dstSrv.member = src.member
-	if cl.sharded {
-		dstSrv.renames = make(map[renameKey]renameMark)
-		for _, slot := range cl.members {
-			if slot == i || cl.down[slot] {
-				continue
-			}
-			for key, mark := range cl.peers[slot].renames {
-				if dstSrv.ownsDir(key.dir) {
-					dstSrv.renames[key] = mark
-				}
+	if snap.sharded {
+		srv.renames = make(map[renameKey]renameMark)
+		for key, mark := range snap.marks {
+			if pl.holds(slot, pl.residue(key.dir)) {
+				srv.renames[key] = mark
 			}
 		}
 	}
+}
 
-	// Data: re-copy the stripes i holds under the current placement
-	// from their live replicas.
-	for ino, sz := range sizes {
-		for off := int64(0); off < sz; off += cl.stripe {
-			end := off + cl.stripe
-			if end > sz {
-				end = sz
-			}
-			owner := int((off / cl.stripe) % int64(n))
-			if posDist(pos, owner, n) >= cl.replicas {
-				continue
-			}
+// copyStripes copies every stripe fragment some slot holds under next
+// but not under old (old.delta) from its longest live old-geometry
+// replica to those slots, counting the bytes on moved.
+func (cl *Cluster) copyStripes(snap *snapshot, old, next placement, moved *sim.Counter) error {
+	for _, ino := range snap.files {
+		for _, mv := range old.delta(next, 0, snap.nodes[ino].Attr.Size) {
 			var data []byte
-			for j := 0; j < cl.replicas; j++ {
-				slot := cl.members[(owner+j)%n]
-				if slot == i || cl.down[slot] {
-					continue
-				}
-				st, err := cl.storeOf(slot)
-				if err != nil {
-					return err
-				}
-				if d := st.ReadRange(ino, off, int(end-off)); len(d) > len(data) {
-					data = d
+			for j, was := 0, old.owner(LayoutStandard, ino, mv.off); j < old.replicas; j++ {
+				if src := old.slot(was, j); src >= 0 && !cl.down[src] {
+					if d := snap.store[src].ReadRange(ino, mv.off, mv.n); len(d) > len(data) {
+						data = d
+					}
 				}
 			}
 			if len(data) == 0 {
 				continue
 			}
-			if err := dst.WriteRange(ino, off, data); err != nil {
-				return err
+			for _, slot := range mv.to {
+				if err := snap.store[slot].WriteRange(ino, mv.off, data); err != nil {
+					return err
+				}
+				moved.Add(len(data))
 			}
-			cl.ResyncBytes.Add(len(data))
 		}
 	}
 	return nil
+}
+
+// fullResync rebuilds excluded member slot i from the live members —
+// the fallback when its resync journal spilled: store and soft state
+// from the snapshot, then the stripes it holds under the current
+// placement re-copied from their live replicas.
+func (cl *Cluster) fullResync(i int) error {
+	if cl.policyOn {
+		return errors.New("full-slice resync under an adaptive layout policy is not supported")
+	}
+	pos := cl.pl.pos(i)
+	if pos < 0 {
+		return fmt.Errorf("server %d is not a member", i)
+	}
+	snap, err := cl.takeSnapshot(i)
+	if err != nil {
+		return err
+	}
+	snap.rebuild(cl.pl, pos, true)
+	return cl.copyStripes(snap, cl.pl.vacate(pos), cl.pl, &cl.ResyncBytes)
 }
 
 // --- Membership view and operation gates ---
@@ -952,7 +917,7 @@ func (v *MemberView) logWrite(ino kernel.InodeID, off int64, n int) {
 // cluster to it. Membership changes (Join/Retire/Bounce) require a
 // view even with a single client.
 func (cl *Cluster) ShareView() *MemberView {
-	v := &MemberView{epoch: cl.viewEpoch, members: append([]int(nil), cl.members...)}
+	v := &MemberView{epoch: cl.viewEpoch, members: cl.Members()}
 	cl.view = v
 	return v
 }
@@ -962,8 +927,7 @@ func (cl *Cluster) ShareView() *MemberView {
 // and its operations participate in membership-change fencing.
 func (cl *Cluster) AttachView(v *MemberView) {
 	cl.view = v
-	cl.members = append(cl.members[:0], v.members...)
-	cl.viewEpoch = v.epoch
+	cl.pl.members, cl.viewEpoch = v.Members(), v.epoch
 }
 
 // SetMembers restricts the cluster's initial active membership to the
@@ -975,25 +939,25 @@ func (cl *Cluster) SetMembers(active int) error {
 	if cl.sharded {
 		return errors.New("rfsrv: SetMembers: sharded clusters enumerate all sessions as members")
 	}
-	if active < cl.replicas || active > len(cl.sessions) {
-		return fmt.Errorf("rfsrv: SetMembers: %d outside %d..%d", active, cl.replicas, len(cl.sessions))
+	if active < cl.pl.replicas || active > len(cl.sessions) {
+		return fmt.Errorf("rfsrv: SetMembers: %d outside %d..%d", active, cl.pl.replicas, len(cl.sessions))
 	}
-	cl.members = cl.members[:active]
+	cl.pl.members = cl.pl.members[:active]
 	return nil
 }
 
 // Members returns a copy of the cluster's current position→slot map.
 func (cl *Cluster) Members() []int {
-	return append([]int(nil), cl.members...)
+	return append([]int(nil), cl.pl.members...)
 }
 
+// adoptView follows the view to a new epoch. The ring is replaced, never
+// edited in place: a placement value handed out earlier stays what it
+// was.
 func (cl *Cluster) adoptView() {
-	v := cl.view
-	if v == nil || v.epoch == cl.viewEpoch {
-		return
+	if v := cl.view; v != nil && v.epoch != cl.viewEpoch {
+		cl.pl.members, cl.viewEpoch = v.Members(), v.epoch
 	}
-	cl.members = append(cl.members[:0], v.members...)
-	cl.viewEpoch = v.epoch
 }
 
 // enterOp is the membership gate at every cluster entry point. With
@@ -1067,6 +1031,23 @@ func (cl *Cluster) notePendingDone(cp *clusterPending) {
 
 // --- Join / Retire / Bounce ---
 
+// membersUp is the fail-closed rule of membership changes: no member
+// of the geometries involved may be excluded — an excluded server can
+// neither serve as a migration source nor receive what the new
+// placement assigns it, so a change that went on without it would
+// commit a geometry with holes. It holds when a change begins and must
+// still hold at its cutover.
+func (cl *Cluster) membersUp(lists ...[]int) error {
+	for _, list := range lists {
+		for _, slot := range list {
+			if cl.down[slot] {
+				return fmt.Errorf("rfsrv: membership change: server %d is excluded; reinstate it first", slot)
+			}
+		}
+	}
+	return nil
+}
+
 // beginChange validates one or more prospective member lists and
 // claims the view for this cluster as operator. The returned func
 // releases the operator claim and every fence.
@@ -1081,14 +1062,9 @@ func (cl *Cluster) beginChange(lists ...[]int) (func(), error) {
 	if cl.policyOn {
 		return nil, errors.New("rfsrv: membership change under an adaptive layout policy is not supported")
 	}
-	for _, slot := range cl.members {
-		if cl.down[slot] {
-			return nil, fmt.Errorf("rfsrv: membership change: member %d is excluded; reinstate it first", slot)
-		}
-	}
 	for _, next := range lists {
-		if len(next) < cl.replicas {
-			return nil, fmt.Errorf("rfsrv: membership change: %d members < replication factor %d", len(next), cl.replicas)
+		if len(next) < cl.pl.replicas {
+			return nil, fmt.Errorf("rfsrv: membership change: %d members < replication factor %d", len(next), cl.pl.replicas)
 		}
 		seen := make(map[int]bool, len(next))
 		for _, slot := range next {
@@ -1099,10 +1075,10 @@ func (cl *Cluster) beginChange(lists ...[]int) (func(), error) {
 				return nil, fmt.Errorf("rfsrv: membership change: slot %d listed twice", slot)
 			}
 			seen[slot] = true
-			if cl.down[slot] {
-				return nil, fmt.Errorf("rfsrv: membership change: slot %d is excluded", slot)
-			}
 		}
+	}
+	if err := cl.membersUp(append(lists, cl.pl.members)...); err != nil {
+		return nil, err
 	}
 	if v.operator != nil && v.operator != cl {
 		return nil, errors.New("rfsrv: membership change already in progress")
@@ -1118,7 +1094,7 @@ func (cl *Cluster) beginChange(lists ...[]int) (func(), error) {
 // Join admits session slot at the end of the placement order —
 // Join(p, slot) is JoinAt(p, slot, len(members)).
 func (cl *Cluster) Join(p *sim.Proc, slot int) error {
-	return cl.JoinAt(p, slot, len(cl.members))
+	return cl.JoinAt(p, slot, len(cl.pl.members))
 }
 
 // JoinAt admits session slot into the membership at placement
@@ -1128,19 +1104,17 @@ func (cl *Cluster) Join(p *sim.Proc, slot int) error {
 // copy, with a dirty log catching racing writes and a brief full
 // fence at cutover), stop-world in the sharded one (every client
 // fences while owner groups, directory slices, and stripes rebuild).
-// Requires a shared view (ShareView/AttachView) and resync peers.
+// Requires a shared view (ShareView/AttachView) and resync peers. A
+// member found excluded during the change fails it with the old
+// geometry intact (membersUp); Reinstate it and retry.
 func (cl *Cluster) JoinAt(p *sim.Proc, slot, pos int) error {
-	if cl.memberPos(slot) >= 0 {
+	if cl.pl.pos(slot) >= 0 {
 		return fmt.Errorf("rfsrv: join: slot %d is already a member", slot)
 	}
-	if pos < 0 || pos > len(cl.members) {
-		return fmt.Errorf("rfsrv: join: position %d outside 0..%d", pos, len(cl.members))
+	if pos < 0 || pos > len(cl.pl.members) {
+		return fmt.Errorf("rfsrv: join: position %d outside 0..%d", pos, len(cl.pl.members))
 	}
-	next := make([]int, 0, len(cl.members)+1)
-	next = append(next, cl.members[:pos]...)
-	next = append(next, slot)
-	next = append(next, cl.members[pos:]...)
-	return cl.changeMembers(p, next)
+	return cl.changeMembers(p, slices.Insert(cl.Members(), pos, slot))
 }
 
 // Retire removes session slot from the membership, re-placing the
@@ -1148,14 +1122,11 @@ func (cl *Cluster) JoinAt(p *sim.Proc, slot, pos int) error {
 // before the epoch cutover (same online/stop-world split as JoinAt).
 // The retiree must be alive: its data is a migration source.
 func (cl *Cluster) Retire(p *sim.Proc, slot int) error {
-	pos := cl.memberPos(slot)
+	pos := cl.pl.pos(slot)
 	if pos < 0 {
 		return fmt.Errorf("rfsrv: retire: slot %d is not a member", slot)
 	}
-	next := make([]int, 0, len(cl.members)-1)
-	next = append(next, cl.members[:pos]...)
-	next = append(next, cl.members[pos+1:]...)
-	return cl.changeMembers(p, next)
+	return cl.changeMembers(p, slices.Delete(cl.Members(), pos, pos+1))
 }
 
 // Bounce retires and immediately re-admits member slot inside one
@@ -1165,17 +1136,14 @@ func (cl *Cluster) Retire(p *sim.Proc, slot int) error {
 // torture harness uses it as the membership-change event whose final
 // placement the oracle can still predict.
 func (cl *Cluster) Bounce(p *sim.Proc, slot int) error {
-	pos := cl.memberPos(slot)
+	pos := cl.pl.pos(slot)
 	if pos < 0 {
 		return fmt.Errorf("rfsrv: bounce: slot %d is not a member", slot)
 	}
 	if !cl.sharded {
 		return errors.New("rfsrv: bounce: stop-world path is sharded-only; use Retire then JoinAt")
 	}
-	without := make([]int, 0, len(cl.members)-1)
-	without = append(without, cl.members[:pos]...)
-	without = append(without, cl.members[pos+1:]...)
-	with := append([]int(nil), cl.members...)
+	with, without := cl.Members(), slices.Delete(cl.Members(), pos, pos+1)
 	done, err := cl.beginChange(without, with)
 	if err != nil {
 		return err
@@ -1199,44 +1167,47 @@ func (cl *Cluster) changeMembers(p *sim.Proc, next []int) error {
 	return cl.memberOnline(p, next)
 }
 
-// commitMember fans OpMember to every slot of next (in position
-// order) and an epoch-only stamp to retirees, so every server's
-// replies carry the new membership epoch.
-func (cl *Cluster) commitMember(p *sim.Proc, old, next []int, epoch uint64, floor kernel.InodeID, sharded bool) error {
-	n := len(next)
-	for pos, slot := range next {
-		req := Req{Op: OpMember, Ino: floor, Off: int64(epoch), Len: PackMember(pos, n, cl.replicas, sharded)}
-		resp, err := cl.syncMeta(p, slot, &req)
-		if err != nil {
-			return fmt.Errorf("commit membership on server %d: %w", slot, err)
+// commitMember is the cutover's wire half: once membersUp confirms
+// that nobody of either geometry was excluded along the way, it fans
+// OpMember to every slot of next (in position order) and an epoch-only
+// stamp to retirees, so every server's replies carry the new
+// membership epoch.
+func (cl *Cluster) commitMember(p *sim.Proc, old, next placement, epoch uint64, floor kernel.InodeID, sharded bool) error {
+	if err := cl.membersUp(old.members, next.members); err != nil {
+		return err
+	}
+	send := func(what string, slot int, geometry uint32) error {
+		resp, err := cl.syncMeta(p, slot, &Req{Op: OpMember, Ino: floor, Off: int64(epoch), Len: geometry})
+		if err == nil {
+			err = ErrOf(resp.Status)
 		}
-		if resp.Status != StOK {
-			return fmt.Errorf("commit membership on server %d: %w", slot, ErrOf(resp.Status))
+		if err != nil {
+			return fmt.Errorf("%s server %d: %w", what, slot, err)
+		}
+		return nil
+	}
+	n := len(next.members)
+	for pos, slot := range next.members {
+		if err := send("commit membership on", slot, PackMember(pos, n, next.replicas, sharded)); err != nil {
+			return err
 		}
 	}
-	for _, slot := range old {
-		if posOf(next, slot) >= 0 {
-			continue
-		}
-		req := Req{Op: OpMember, Ino: floor, Off: int64(epoch), Len: PackMember(0, n, cl.replicas, false)}
-		resp, err := cl.syncMeta(p, slot, &req)
-		if err != nil {
-			return fmt.Errorf("stamp retiring server %d: %w", slot, err)
-		}
-		if resp.Status != StOK {
-			return fmt.Errorf("stamp retiring server %d: %w", slot, ErrOf(resp.Status))
+	for _, slot := range old.members {
+		if next.pos(slot) < 0 {
+			if err := send("stamp retiring", slot, PackMember(0, n, next.replicas, false)); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
 }
 
-func posOf(list []int, slot int) int {
-	for p, s := range list {
-		if s == slot {
-			return p
-		}
-	}
-	return -1
+// flipView publishes the committed geometry: the view moves to next at
+// epoch and this cluster adopts it (subscribers follow at their next
+// operation).
+func (cl *Cluster) flipView(next placement, epoch uint64) {
+	cl.view.members, cl.view.epoch = next.members, epoch
+	cl.adoptView()
 }
 
 // memberOnline is the unsharded membership change: mutations fence
@@ -1246,9 +1217,9 @@ func posOf(list []int, slot int) int {
 // writes keep flowing through the old placement, a dirty log
 // re-copies ranges written mid-migration, and only the final cutover
 // briefly fences everything.
-func (cl *Cluster) memberOnline(p *sim.Proc, next []int) error {
+func (cl *Cluster) memberOnline(p *sim.Proc, members []int) error {
 	v := cl.view
-	old := append([]int(nil), cl.members...)
+	old, next := cl.pl, cl.pl.withMembers(members)
 
 	// Phase 1: freeze the namespace.
 	v.fenceMut = true
@@ -1259,60 +1230,22 @@ func (cl *Cluster) memberOnline(p *sim.Proc, next []int) error {
 	// Phase 2: seed joiners with the frozen namespace (bulk channel):
 	// exact sizes (trimming any stale local state a re-joining slot
 	// kept from an earlier tenure), size epochs, layouts.
-	var joiners []int
-	for _, slot := range next {
-		if posOf(old, slot) < 0 {
-			joiners = append(joiners, slot)
-		}
-	}
-	srcStore, err := cl.storeOf(old[0])
+	snap, err := cl.takeSnapshot(-1)
 	if err != nil {
 		return err
 	}
-	sl := srcStore.ExportSlice(nil)
-	var files []kernel.InodeID
-	fileSizes := make(map[kernel.InodeID]int64)
-	for i := range sl.Nodes {
-		nd := &sl.Nodes[i]
-		if nd.Attr.Kind != kernel.RegularFile {
-			continue
-		}
-		var max int64
-		for _, slot := range old {
-			st, err := cl.storeOf(slot)
-			if err != nil {
-				return err
-			}
-			if s := st.LocalSize(nd.Attr.Ino); s > max {
-				max = s
-			}
-		}
-		nd.Attr.Size = max
-		files = append(files, nd.Attr.Ino)
-		fileSizes[nd.Attr.Ino] = max
-	}
-	srcSrv := cl.peers[old[0]]
-	for _, j := range joiners {
-		dst, err := cl.storeOf(j)
-		if err != nil {
-			return err
-		}
-		dst.ImportSlice(sl, nil, true)
-		dstSrv := cl.peers[j]
-		dstSrv.epochs = make(map[kernel.InodeID]uint64, len(srcSrv.epochs))
-		for ino, e := range srcSrv.epochs {
-			dstSrv.epochs[ino] = e
-		}
-		dstSrv.layouts = make(map[kernel.InodeID]LayoutClass, len(srcSrv.layouts))
-		for ino, lc := range srcSrv.layouts {
-			dstSrv.layouts[ino] = lc
+	var joiners []int
+	for pos, slot := range next.members {
+		if old.pos(slot) < 0 {
+			joiners = append(joiners, slot)
+			snap.rebuild(next, pos, true)
 		}
 	}
 
 	// Phase 3: migrate stripes to their new replica sets under load.
 	v.migrating = true
-	for _, ino := range files {
-		if err := cl.migrateRange(p, ino, 0, fileSizes[ino], old, next); err != nil {
+	for _, ino := range snap.files {
+		if err := cl.migrateRange(p, ino, 0, snap.nodes[ino].Attr.Size, old, next); err != nil {
 			return err
 		}
 	}
@@ -1323,13 +1256,19 @@ func (cl *Cluster) memberOnline(p *sim.Proc, next []int) error {
 	// the same bytes as one per write — under heavy load the same hot
 	// stripe is redirtied thousands of times per pass, and re-copying
 	// every entry would multiply migration traffic by that factor.
-	for pass := 0; len(v.dirty) > 0 && pass < 16; pass++ {
+	drain := func() error {
 		batch := dedupeWrites(v.dirty)
 		v.dirty = nil
 		for _, w := range batch {
 			if err := cl.migrateRange(p, w.ino, w.off, int64(w.n), old, next); err != nil {
 				return err
 			}
+		}
+		return nil
+	}
+	for pass := 0; len(v.dirty) > 0 && pass < 16; pass++ {
+		if err := drain(); err != nil {
+			return err
 		}
 	}
 
@@ -1339,12 +1278,8 @@ func (cl *Cluster) memberOnline(p *sim.Proc, next []int) error {
 		p.Sleep(memberFencePoll)
 	}
 	for len(v.dirty) > 0 {
-		batch := dedupeWrites(v.dirty)
-		v.dirty = nil
-		for _, w := range batch {
-			if err := cl.migrateRange(p, w.ino, w.off, int64(w.n), old, next); err != nil {
-				return err
-			}
+		if err := drain(); err != nil {
+			return err
 		}
 	}
 
@@ -1352,19 +1287,10 @@ func (cl *Cluster) memberOnline(p *sim.Proc, next []int) error {
 	// every size fan during migration; joiners saw none, and a joiner
 	// can be an inode's metadata home after cutover, so its local size
 	// must be the global one.
-	for _, ino := range files {
-		var max int64
-		for _, slot := range old {
-			st, err := cl.storeOf(slot)
-			if err != nil {
-				return err
-			}
-			if s := st.LocalSize(ino); s > max {
-				max = s
-			}
-		}
+	for _, ino := range snap.files {
+		size := snap.sizeOf(ino)
 		for _, j := range joiners {
-			if err := cl.publishGrow(p, j, ino, max); err != nil {
+			if err := cl.publishGrow(p, j, ino, size); err != nil {
 				return err
 			}
 		}
@@ -1376,68 +1302,43 @@ func (cl *Cluster) memberOnline(p *sim.Proc, next []int) error {
 	if err := cl.commitMember(p, old, next, epoch, 0, false); err != nil {
 		return err
 	}
-	v.members = append(v.members[:0], next...)
-	v.epoch = epoch
-	cl.adoptView()
+	cl.flipView(next, epoch)
 	return nil
 }
 
-// migrateRange copies [off, off+n) of a file to the new-placement
-// replica slots that do not hold it under the current (old-placement)
-// authoritative geometry: striped reads through the live cluster,
-// direct writes to each target — real simulated traffic competing
-// with client load.
-func (cl *Cluster) migrateRange(p *sim.Proc, ino kernel.InodeID, off, n int64, old, next []int) error {
-	var targets []int
-	for cur, end := off, off+n; cur < end; {
-		sb := (cur / cl.stripe) * cl.stripe
-		se := sb + cl.stripe
-		if se > end {
-			se = end
+// migrateRange copies [off, off+n) of a file to the slots that hold it
+// under next but not under the authoritative old geometry (old.delta):
+// striped reads through the live cluster, direct writes to each target
+// — real simulated traffic competing with client load. An excluded
+// target fails the change (membersUp): skipping it would leave a hole
+// the cutover then commits.
+func (cl *Cluster) migrateRange(p *sim.Proc, ino kernel.InodeID, off, n int64, old, next placement) error {
+	for _, mv := range old.delta(next, off, n) {
+		if err := cl.membersUp(mv.to); err != nil {
+			return err
 		}
-		frag := int(se - cur)
-		oldPos := int((sb / cl.stripe) % int64(len(old)))
-		newPos := int((sb / cl.stripe) % int64(len(next)))
-		targets = targets[:0]
-		for j := 0; j < cl.replicas; j++ {
-			slot := next[(newPos+j)%len(next)]
-			if cl.down[slot] {
-				continue
-			}
-			held := false
-			for k := 0; k < cl.replicas; k++ {
-				if old[(oldPos+k)%len(old)] == slot {
-					held = true
-					break
-				}
-			}
-			if !held {
-				targets = append(targets, slot)
-			}
+		vec, err := cl.stagingVec(mv.n)
+		if err != nil {
+			return err
 		}
-		if len(targets) > 0 {
-			vec, err := cl.stagingVec(frag)
+		rresp, err := cl.Read(p, ino, mv.off, vec)
+		if err != nil {
+			return err
+		}
+		got := int(rresp.N)
+		if got == 0 {
+			continue
+		}
+		for _, slot := range mv.to {
+			wresp, err := cl.sessions[slot].Client().Write(p, ino, mv.off, vec.Slice(0, got))
 			if err != nil {
 				return err
 			}
-			rresp, err := cl.Read(p, ino, cur, vec)
-			if err != nil {
-				return err
+			if int(wresp.N) != got {
+				return fmt.Errorf("short migration write to server %d: %d of %d bytes", slot, wresp.N, got)
 			}
-			if got := int(rresp.N); got > 0 {
-				for _, slot := range targets {
-					wresp, err := cl.sessions[slot].Client().Write(p, ino, cur, vec.Slice(0, got))
-					if err != nil {
-						return err
-					}
-					if int(wresp.N) != got {
-						return fmt.Errorf("short migration write to server %d: %d of %d bytes", slot, wresp.N, got)
-					}
-					cl.Migrated.Add(got)
-				}
-			}
+			cl.Migrated.Add(got)
 		}
-		cur = se
 	}
 	return nil
 }
@@ -1481,150 +1382,44 @@ func (cl *Cluster) publishGrow(p *sim.Proc, slot int, ino kernel.InodeID, size i
 // memberStopWorld is the sharded membership change: every client
 // fences, in-flight operations drain, and the operator rebuilds the
 // world under the new geometry — OpMember re-partitions every server's
-// ownership map and minting floor, each new member's store is rebuilt
-// from the authoritative old-geometry snapshot (owned inodes in full,
-// foreign files as exact-size stubs, everything else purged), rename
-// marks follow directory ownership, and stripes copy to their new
-// replica sets through the bulk channel. Re-sharding the directory
-// slices of a live namespace incrementally is follow-up work; the
-// stop-world window makes the geometry swap atomic for every client
-// attached to the view.
-func (cl *Cluster) memberStopWorld(p *sim.Proc, next []int) error {
+// ownership map and minting floor, every new member is rebuilt from
+// the authoritative old-geometry snapshot, and stripes copy to their
+// new replica sets, all through the bulk channel. Re-sharding the
+// directory slices of a live namespace incrementally is follow-up
+// work; the stop-world window makes the geometry swap atomic for every
+// client attached to the view.
+func (cl *Cluster) memberStopWorld(p *sim.Proc, members []int) error {
 	v := cl.view
 	v.fenceMut, v.fenceAll = true, true
 	for v.activeData+v.activeMut+v.pending > 0 {
 		p.Sleep(memberFencePoll)
 	}
-	old := append([]int(nil), cl.members...)
-	n := len(next)
-
-	// Authoritative snapshot under the old geometry.
-	auth, sizes, maxNext, err := cl.collectAuth(-1)
+	old, next := cl.pl, cl.pl.withMembers(members)
+	snap, err := cl.takeSnapshot(-1)
 	if err != nil {
 		return err
 	}
 
 	// Mint floor: past anything any affected store ever assigned —
 	// including stale state on re-joining slots.
-	floor := maxNext - 1
-	for _, slot := range append(append([]int(nil), old...), next...) {
-		st, err := cl.storeOf(slot)
-		if err != nil {
-			return err
-		}
-		if m := st.MaxIno(); m > floor {
-			floor = m
-		}
+	floor := snap.next - 1
+	for _, slot := range slices.Concat(old.members, next.members) {
+		floor = max(floor, snap.store[slot].MaxIno())
 	}
 
 	// Commit the new geometry first: servers swap ownership maps and
-	// minting partitions while the world is stopped, so the store
-	// rebuild below lands on servers that already route by the new
-	// residues.
+	// minting partitions while the world is stopped, so the rebuild
+	// below lands on servers that already route by the new residues.
 	epoch := v.epoch + 1
 	if err := cl.commitMember(p, old, next, epoch, floor, true); err != nil {
 		return err
 	}
-
-	// Rebuild every new member's store from the snapshot.
-	for pos, slot := range next {
-		sl := &memfs.Slice{Next: maxNext}
-		for ino, nd := range auth {
-			if nd.Attr.Kind == kernel.RegularFile {
-				nd.Attr.Size = sizes[ino]
-			}
-			if posDist(pos, residueAt(ino, n), n) < cl.replicas {
-				sl.Nodes = append(sl.Nodes, nd)
-			} else if nd.Attr.Kind == kernel.RegularFile {
-				sl.Nodes = append(sl.Nodes, memfs.SliceNode{Attr: nd.Attr})
-			}
-		}
-		st, err := cl.storeOf(slot)
-		if err != nil {
-			return err
-		}
-		st.ImportSlice(sl, nil, true)
+	for pos, slot := range next.members {
+		snap.rebuild(next, pos, old.pos(slot) < 0)
 	}
-
-	// Server-side soft state: size epochs are replicated-identical;
-	// rename marks follow directory ownership under the new geometry.
-	srcSrv := cl.peers[old[0]]
-	marks := make(map[renameKey]renameMark)
-	for _, slot := range old {
-		for key, mark := range cl.peers[slot].renames {
-			marks[key] = mark
-		}
+	if err := cl.copyStripes(snap, old, next, &cl.Migrated); err != nil {
+		return err
 	}
-	for _, slot := range next {
-		dstSrv := cl.peers[slot]
-		if posOf(old, slot) < 0 {
-			dstSrv.epochs = make(map[kernel.InodeID]uint64, len(srcSrv.epochs))
-			for ino, e := range srcSrv.epochs {
-				dstSrv.epochs[ino] = e
-			}
-		}
-		if dstSrv.renames == nil {
-			dstSrv.renames = make(map[renameKey]renameMark)
-		}
-		for key, mark := range marks {
-			if dstSrv.ownsDir(key.dir) {
-				dstSrv.renames[key] = mark
-			}
-		}
-	}
-
-	// Data re-placement through the bulk channel: each stripe copies
-	// from its old-placement replicas to the new-placement slots that
-	// do not already hold it.
-	for ino, sz := range sizes {
-		for off := int64(0); off < sz; off += cl.stripe {
-			end := off + cl.stripe
-			if end > sz {
-				end = sz
-			}
-			oldPos := int((off / cl.stripe) % int64(len(old)))
-			newPos := int((off / cl.stripe) % int64(n))
-			for j := 0; j < cl.replicas; j++ {
-				slot := next[(newPos+j)%n]
-				held := false
-				for k := 0; k < cl.replicas; k++ {
-					if old[(oldPos+k)%len(old)] == slot {
-						held = true
-						break
-					}
-				}
-				if held {
-					continue
-				}
-				var data []byte
-				for k := 0; k < cl.replicas; k++ {
-					srcSlot := old[(oldPos+k)%len(old)]
-					st, err := cl.storeOf(srcSlot)
-					if err != nil {
-						return err
-					}
-					if d := st.ReadRange(ino, off, int(end-off)); len(d) > len(data) {
-						data = d
-					}
-				}
-				if len(data) == 0 {
-					continue
-				}
-				dst, err := cl.storeOf(slot)
-				if err != nil {
-					return err
-				}
-				if err := dst.WriteRange(ino, off, data); err != nil {
-					return err
-				}
-				cl.Migrated.Add(len(data))
-			}
-		}
-	}
-
-	// Flip.
-	v.members = append(v.members[:0], next...)
-	v.epoch = epoch
-	cl.adoptView()
+	cl.flipView(next, epoch)
 	return nil
 }

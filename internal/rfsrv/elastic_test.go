@@ -6,8 +6,9 @@ package rfsrv_test
 // replayed, journal spill falling back to full-slice resync (and
 // refusing without peers), live Join/Retire with online stripe
 // migration, a kill mid-Join leaving committed state clean and
-// retryable, the sharded stop-world Bounce, and the stale-membership
-// latch on viewless clients. Every fault path ends on the usual bars:
+// retryable, an old member excluded mid-Join failing the change closed,
+// the sharded stop-world Bounce, and the stale-membership latch on
+// viewless clients. Every store rebuild ends on assertPlacementHeld. Every fault path ends on the usual bars:
 // window slots idle, pooled staging leak-free.
 
 import (
@@ -49,6 +50,42 @@ func elasticReadBack(t *testing.T, p *sim.Proc, r *clusterRig, cl *rfsrv.Cluster
 		t.Fatal(err)
 	}
 	return got
+}
+
+// assertPlacementHeld audits a file against the COMMITTED membership,
+// whichever path rebuilt it: every slot that holds a stripe under
+// cl.Members() (stripe k on ring positions k mod N .. +R-1, computed
+// here independently of the code under test) has frames for it, and
+// every byte reads back through a second client freshly attached to the
+// shared view (nil: the construction-time membership) — one that
+// excluded nobody, so every stripe is served by its primary.
+func assertPlacementHeld(t *testing.T, p *sim.Proc, r *clusterRig, cl *rfsrv.Cluster, view *rfsrv.MemberView, ino kernel.InodeID, expect []byte) {
+	t.Helper()
+	members, stripe := cl.Members(), int(cl.StripeSize())
+	for k := 0; k*stripe < len(expect); k++ {
+		for j := 0; j < cl.Replicas(); j++ {
+			slot := members[(k+j)%len(members)]
+			if r.serverFS[slot].FrameAt(ino, int64(k*stripe/mem.PageSize)) == nil {
+				t.Errorf("server %d holds no frames for stripe %d, which members %v assign it", slot, k, members)
+			}
+		}
+	}
+	fresh := r.clusterRepAt(t, p, 40+r.audits*len(r.servers), 4, stripe, cl.Replicas())
+	r.audits++
+	if cl.ShardedNamespace() {
+		if err := fresh.EnableShardedNamespace(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if view != nil {
+		fresh.AttachView(view)
+	}
+	if got := elasticReadBack(t, p, r, fresh, ino, len(expect)); !bytes.Equal(got, expect) {
+		t.Error("a fresh client of the committed membership read wrong bytes")
+	}
+	if down := fresh.DownServers(); len(down) != 0 {
+		t.Errorf("the fresh client had to exclude %v to read the file", down)
+	}
 }
 
 // TestElasticReplayRetryIdempotent interrupts a journal replay midway
@@ -238,6 +275,7 @@ func TestElasticSpillFallsBackToFullResync(t *testing.T) {
 				t.Errorf("victim missing %q after full resync: %v", name, err)
 			}
 		}
+		assertPlacementHeld(t, p, r, cl, nil, ino, expect)
 		r.servers[0].NIC.Kill()
 		if got := elasticReadBack(t, p, r, cl, ino, size); !bytes.Equal(got, expect) {
 			t.Error("full resync landed wrong bytes")
@@ -308,14 +346,7 @@ func TestElasticJoinRetireOnline(t *testing.T) {
 		if got := elasticReadBack(t, p, r, cl, ino, size); !bytes.Equal(got, expect) {
 			t.Fatal("read after join returned wrong bytes")
 		}
-		// New placement: stripe k lives on (k%4, (k+1)%4); stripes 2, 3
-		// put frames on slot 3.
-		pagesPerStripe := testStripe / mem.PageSize
-		for _, k := range []int{2, 3} {
-			if r.serverFS[3].FrameAt(ino, int64(k*pagesPerStripe)) == nil {
-				t.Errorf("joiner holds no frames for stripe %d it now replicates", k)
-			}
-		}
+		assertPlacementHeld(t, p, r, cl, view, ino, expect)
 
 		if err := cl.Retire(p, 1); err != nil {
 			t.Fatalf("retire: %v", err)
@@ -334,6 +365,7 @@ func TestElasticJoinRetireOnline(t *testing.T) {
 			t.Errorf("retired slot still in the data path: %d new failovers, down=%v",
 				cl.Failovers.N-before, cl.DownServers())
 		}
+		assertPlacementHeld(t, p, r, cl, view, ino, expect)
 		assertWindowsIdle(t, cl)
 		r.checkNoLeaks(t)
 	})
@@ -402,6 +434,75 @@ func TestElasticJoinKillPointRetries(t *testing.T) {
 		if got := elasticReadBack(t, p, r, cl, ino, size); !bytes.Equal(got, expect) {
 			t.Fatal("read after retried join returned wrong bytes")
 		}
+		assertPlacementHeld(t, p, r, cl, view, ino, expect)
+		assertWindowsIdle(t, cl)
+		r.checkNoLeaks(t)
+	})
+}
+
+// TestElasticJoinOldMemberExcludedMidMigration stalls an OLD member's
+// NIC past the reply deadline in the middle of a Join: the operator's
+// striped read times out, excludes the member and fails over — and the
+// member is also a new holder of stripes the migration has yet to copy.
+// The Join must fail closed (it used to skip the excluded target,
+// commit the geometry and leave those stripes one replica short, with
+// nothing journaled to repair them): epoch, members and bytes intact,
+// and Reinstate + retry completes with every new holder populated.
+func TestElasticJoinOldMemberExcludedMidMigration(t *testing.T) {
+	r := newClusterRig(t, 4)
+	r.run(t, func(p *sim.Proc) {
+		cl := r.clusterRep(t, p, 4, testStripe, 2)
+		if err := cl.SetMembers(3); err != nil {
+			t.Fatal(err)
+		}
+		if err := cl.SetResyncPeers(r.rsrv); err != nil {
+			t.Fatal(err)
+		}
+		view := cl.ShareView()
+		const size = 64 * testStripe
+		ino := clusterCreate(t, p, cl, "f")
+		expect := pattern(size)
+		elasticWrite(t, p, r, cl, ino, 0, expect)
+
+		// The seeded namespace appearing on the joiner means the Join is
+		// into stripe migration: stall member 1 there, once, for longer
+		// than the reply deadline.
+		stop := false
+		r.env.Spawn("staller", func(kp *sim.Proc) {
+			for !stop {
+				if _, err := r.serverFS[3].Lookup(kp, r.serverFS[3].Root(), "f"); err == nil {
+					r.servers[1].NIC.StallFor(faultTimeout + 500*time.Microsecond)
+					return
+				}
+				kp.Sleep(2 * time.Microsecond)
+			}
+		})
+		err := cl.Join(p, 3)
+		stop = true
+		if down := cl.DownServers(); !equalInts(down, []int{1}) {
+			t.Fatalf("down = %v after the stall, want [1] (the stall missed the migration)", down)
+		}
+		if err == nil {
+			t.Fatal("join with an old member excluded mid-migration committed; want it to fail closed")
+		}
+		if m := view.Members(); !equalInts(m, []int{0, 1, 2}) || view.Epoch() != 0 {
+			t.Fatalf("failed join moved the view: members %v epoch %d", m, view.Epoch())
+		}
+		if got := elasticReadBack(t, p, r, cl, ino, size); !bytes.Equal(got, expect) {
+			t.Fatal("read after failed join returned wrong bytes")
+		}
+
+		p.Sleep(faultTimeout) // the stall has passed
+		if err := cl.Reinstate(p, 1); err != nil {
+			t.Fatalf("reinstate member 1: %v", err)
+		}
+		if err := cl.Join(p, 3); err != nil {
+			t.Fatalf("join retry: %v", err)
+		}
+		if m := view.Members(); !equalInts(m, []int{0, 1, 2, 3}) || view.Epoch() != 1 {
+			t.Fatalf("after retried join: members %v epoch %d, want [0 1 2 3] epoch 1", m, view.Epoch())
+		}
+		assertPlacementHeld(t, p, r, cl, view, ino, expect)
 		assertWindowsIdle(t, cl)
 		r.checkNoLeaks(t)
 	})
@@ -443,6 +544,7 @@ func TestElasticBounceStopWorldSharded(t *testing.T) {
 		if got := elasticReadBack(t, p, r, cl, ino, size); !bytes.Equal(got, expect) {
 			t.Fatal("read after bounce returned wrong bytes")
 		}
+		assertPlacementHeld(t, p, r, cl, view, ino, expect)
 		assertWindowsIdle(t, cl)
 		r.checkNoLeaks(t)
 	})

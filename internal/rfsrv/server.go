@@ -66,15 +66,15 @@ type Server struct {
 	vec      core.Vector // bufVec's scratch
 
 	// Sharded-namespace state (see EnableSharding): when shard is set
-	// this server owns only the directories whose routing residue falls
-	// in [shardIdx, shardIdx+shardR) mod shardN and refuses namespace
-	// mutations outside that slice with StNotOwner. sfs is fs narrowed
-	// to the sharded verbs; renames holds the source-side marks of
-	// in-flight two-phase renames (see OpRenamePrepare).
+	// this server is ring position shardIdx of the geometry geo, owns
+	// only the directories whose residue's owner group includes it
+	// (ownsDir) and refuses namespace mutations outside that slice with
+	// StNotOwner. sfs is fs narrowed to the sharded verbs; renames holds
+	// the source-side marks of in-flight two-phase renames (see
+	// OpRenamePrepare).
 	shard    bool
 	shardIdx int
-	shardN   int
-	shardR   int
+	geo      placement
 	sfs      ShardBackingFS
 	renames  map[renameKey]renameMark
 
@@ -323,8 +323,7 @@ func (s *Server) handleMember(p *sim.Proc, req *Req) error {
 	if s.sfs == nil {
 		return ErrInval // sharded commit needs a shard-capable backing store
 	}
-	s.shard = true
-	s.shardIdx, s.shardN, s.shardR = pos, n, r
+	s.shard, s.shardIdx, s.geo = true, pos, ringPlacement(n, r)
 	if pf, ok := s.fs.(interface {
 		SetInodePartitionFloor(index, count int, floor kernel.InodeID)
 	}); ok {

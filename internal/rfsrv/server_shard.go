@@ -71,28 +71,18 @@ func (s *Server) EnableSharding(index, count, replicas int) error {
 	if count < 1 || index < 0 || index >= count || replicas < 1 || replicas > count {
 		return fmt.Errorf("rfsrv: bad shard geometry %d/%d r=%d", index, count, replicas)
 	}
-	s.shard, s.shardIdx, s.shardN, s.shardR = true, index, count, replicas
+	s.shard, s.shardIdx, s.geo = true, index, ringPlacement(count, replicas)
 	s.sfs = sfs
 	s.renames = make(map[renameKey]renameMark)
 	return nil
 }
 
-// shardResidue maps an inode to its routing residue: the directory
-// slice it belongs to. The root (and the pre-root 0 alias) is slice 0
-// by convention.
-func (s *Server) shardResidue(ino kernel.InodeID) int {
-	if ino <= 1 {
-		return 0
-	}
-	return int((uint64(ino) - 2) % uint64(s.shardN))
-}
-
 // ownsDir reports whether this server's owner slice covers the
-// directory: residues [shardIdx-shardR+1 .. shardIdx] reversed —
-// i.e. the R servers owner..owner+R-1 cover residue owner.
+// directory: it is one of the R servers of the directory's residue —
+// the same placement question, asked of the same value, as the client's
+// owner-group routing.
 func (s *Server) ownsDir(dir kernel.InodeID) bool {
-	d := (s.shardIdx - s.shardResidue(dir) + s.shardN) % s.shardN
-	return d < s.shardR
+	return s.geo.holds(s.shardIdx, s.geo.residue(dir))
 }
 
 // renameMarked reports whether (dir, name) is held by an in-flight
@@ -134,7 +124,7 @@ func (s *Server) shardMakeNode(p *sim.Proc, dir kernel.InodeID, req *Req, kind k
 		}
 	}
 	residue := int(req.Len) - 1
-	if residue >= s.shardN {
+	if residue >= len(s.geo.members) {
 		return kernel.Attr{}, ErrInval
 	}
 	return s.sfs.MakeNode(p, dir, req.Name, kind, residue)

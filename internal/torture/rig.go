@@ -325,8 +325,9 @@ func (st *runState) groupOf(res int) []int {
 	return out
 }
 
-// residueOf is the sharded owner residue of an inode (shardOwner's
-// formula; pinned by the rfsrv tests).
+// residueOf is the sharded owner residue of an inode (an independent
+// copy of rfsrv's placement.residue; the rfsrv placement tests pin the
+// two to each other).
 func (st *runState) residueOf(ino kernel.InodeID) int {
 	if ino <= 1 {
 		return 0
