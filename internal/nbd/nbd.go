@@ -167,9 +167,7 @@ func (s *Server) worker(p *sim.Proc, t fabric.Transport) {
 				core.KernelSeg(kern, hdrVA, hdrLen),
 				core.PhysSeg(f.Addr(), BlockSize),
 			}
-			if _, err := t.Send(p, st.Src, cep, seq<<1, v); err != nil {
-				panic(err)
-			}
+			s.reply(p, t, st.Src, cep, seq, v)
 		case kindWrite:
 			s.Writes.Add(BlockSize)
 			f, err := s.frame(block, true)
@@ -181,10 +179,19 @@ func (s *Server) worker(p *sim.Proc, t fabric.Transport) {
 				copy(f.Data(), raw[hdrLen:])
 			}
 			kern.WriteBytes(hdrVA, encHdr(status, seq, block, 0))
-			if _, err := t.Send(p, st.Src, cep, seq<<1, core.Of(core.KernelSeg(kern, hdrVA, hdrLen))); err != nil {
-				panic(err)
-			}
+			s.reply(p, t, st.Src, cep, seq, core.Of(core.KernelSeg(kern, hdrVA, hdrLen)))
 		}
+	}
+}
+
+// reply sends one reply to the client that asked. A client that died
+// with its request in flight is a transport fault (dead peer at send
+// time), and its reply is dropped — the server and its other clients
+// carry on, exactly like rfsrv.Server.reply; any other send error is a
+// bug.
+func (s *Server) reply(p *sim.Proc, t fabric.Transport, dst hw.NodeID, ep uint8, seq uint64, v core.Vector) {
+	if _, err := t.Send(p, dst, ep, seq<<1, v); err != nil && !fabric.IsFault(err) {
+		panic(err)
 	}
 }
 

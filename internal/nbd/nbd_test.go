@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/hw"
 	"repro/internal/kernel"
@@ -521,5 +522,64 @@ func TestStripedDeviceOneClientMatchesPlain(t *testing.T) {
 	striped := workload(true)
 	if plain != striped {
 		t.Errorf("one-client striped device finished at %v, plain at %v", striped, plain)
+	}
+}
+
+// TestServerSurvivesDeadClient: a client NIC killed with a block
+// request in flight must not take the server down. The reply to the
+// dead client is a transport fault at send time and is dropped; the
+// other client's reads on the same server still complete.
+func TestServerSurvivesDeadClient(t *testing.T) {
+	env := sim.NewEngine()
+	c := hw.NewCluster(env, hw.DefaultParams(), hw.PCIXD)
+	a, b, server := c.AddNode("client-a"), c.AddNode("client-b"), c.AddNode("server")
+	srv, err := nbd.NewServer(server, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.ServeMX(mx.Attach(server), 1, 1); err != nil {
+		t.Fatal(err)
+	}
+	clA, err := nbd.NewClient(mx.Attach(a), 2, server.ID, 1, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clB, err := nbd.NewClient(mx.Attach(b), 2, server.ID, 1, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := false
+	env.Spawn("test", func(p *sim.Proc) {
+		out, _ := b.Mem.AllocFrame()
+		for i := range out.Data() {
+			out.Data()[i] = byte(i * 13)
+		}
+		if err := clB.WriteBlock(p, 3, out, nbd.BlockSize); err != nil {
+			t.Fatal(err)
+		}
+		// Hold A's request at the server's NIC until A is dead: the
+		// server then serves a request whose client is gone.
+		server.NIC.StallFor(100 * time.Microsecond)
+		inA, _ := a.Mem.AllocFrame()
+		if _, err := clA.StartRead(p, 3, inA); err != nil {
+			t.Fatal(err)
+		}
+		a.NIC.KillAfter(50 * time.Microsecond)
+		// B's read queues behind A's request on the same server.
+		in, _ := b.Mem.AllocFrame()
+		if err := clB.ReadBlock(p, 3, in); err != nil {
+			t.Fatalf("client B's read after client A died: %v", err)
+		}
+		if !bytes.Equal(in.Data(), out.Data()) {
+			t.Fatal("client B read back the wrong block")
+		}
+		if srv.Reads.N != 2 {
+			t.Fatalf("server served %d reads, want 2 (the dead client's and B's)", srv.Reads.N)
+		}
+		done = true
+	})
+	env.Run(0)
+	if !done {
+		t.Fatal("deadlock")
 	}
 }

@@ -37,10 +37,12 @@ package rfsrv
 // *validated*: every server keeps a per-inode size epoch (bumped by
 // exact size sets, which always fan out; never by data writes or
 // grow reconciliation, so epochs stay replicated-identical), every
-// reply carries the epoch of the inode it resolves, and the cluster
-// caches (size, epoch) pairs. A reply whose epoch differs from the
-// cached one proves a foreign client truncated the file: the entry is
-// invalidated on the spot and the next overwrite re-reconciles —
+// reply carries the epoch of the inode it resolves, and the cluster's
+// size book (sizebook.go — the cache and every rule about what an
+// entry proves; this file keeps the fans) caches (size, epoch) pairs.
+// A reply whose epoch is newer than the cached one proves a foreign
+// client truncated the file: the entry is invalidated on the spot and
+// the next overwrite re-reconciles —
 // which is what makes truncate-then-overwrite coherent across
 // clients (TestClusterCrossClientExtend). OpSetSize itself carries
 // the writer's observed epoch, so a server refuses (StStale) to
@@ -79,9 +81,9 @@ package rfsrv
 // Reinstate, which refuses to re-admit a server that missed namespace
 // mutations (the caller must resync its backing store out of band
 // first) and drops exactly the size-cache entries established during
-// the server's exclusion — the ones whose reconciliation fans skipped
-// it — so the next write to an affected file replays the grow-only
-// OpSetSize reconciliation.
+// the server's exclusion (sizeBook.readmit) — the ones whose
+// reconciliation fans skipped it — so the next write to an affected
+// file replays the grow-only OpSetSize reconciliation.
 // Application-level errors (EEXIST, EOF clipping, short writes) are
 // never treated as faults and fail the operation exactly as before.
 // With R=1 and no faults every path below is bit-identical to the
@@ -97,6 +99,7 @@ package rfsrv
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/fabric"
@@ -175,38 +178,12 @@ type Cluster struct {
 	// DESIGN.md §11). Data striping and size coherence are unchanged.
 	sharded bool
 
-	// pubBatch, when positive, defers the grow-only size publishes of
-	// the write path: instead of fanning an OpSetSize after every
-	// extending write, the cluster coalesces the highest pending
-	// end-of-file per inode (pendPub, flushed in pendOrder insertion
-	// order for determinism) and flushes them — plus the lazy OpScrub
-	// fan for unlinked inodes (pendScrub) — in one combined batch per
-	// server once pubSince reaches pubBatch, or at the next metadata
-	// operation, whichever comes first (SetSizePublishBatch,
-	// FlushSizes). Zero keeps the per-write reconciliation fan and the
-	// bit-identical default path.
-	pubBatch  int
-	pubSince  int
-	pendPub   map[kernel.InodeID]int64
-	pendOrder []kernel.InodeID
-	pendScrub []kernel.InodeID
-
-	// flush scratch (FlushSizes is the amortized per-write path, so it
-	// reuses cluster-owned slices instead of allocating per flush).
-	flushReqStore []Req
-	flushReqs     []*Req
-	flushStarts   []int
-	flushFlights  []*batchFlight
-	flushTargets  []int
-	flushResps    []*Resp
-
-	// sizes caches, per inode, the highest end-of-file this client has
-	// established on every alive server, together with the size epoch
-	// that view was valid under. Overwrites below the cached size skip
-	// the OpSetSize reconciliation round; any reply carrying a
-	// different epoch invalidates the entry (validated caching — see
-	// the package comment on size coherence).
-	sizes map[kernel.InodeID]sizeEntry
+	// sz is the size coherence book (sizebook.go): the validated
+	// (size, epoch) cache every reply feeds and, with
+	// SetSizePublishBatch, the queue of deferred grow-only publishes.
+	// The cluster runs the fans; the book keeps every rule about what a
+	// cached size means.
+	sz sizeBook
 
 	// policy is the layout policy (SetLayoutPolicy); policyOn gates the
 	// whole per-file layout machinery, so a policy-free cluster never
@@ -242,8 +219,9 @@ type Cluster struct {
 	targetScratch []int
 	tailScratch   []int
 	fanFlights    []fanFlight
-	fanResps      []*Resp
+	respScratch   []*Resp // reply scratch of fan and of runShares' waits (neither runs inside the other)
 	fanReq        Req
+	shares        []share // runShares' per-slot scratch (newShares)
 
 	// StripeReads and StripeWrites count data bytes issued per
 	// direction; MetaFanout counts replicated metadata requests beyond
@@ -284,17 +262,14 @@ type Cluster struct {
 	gateMut     bool
 	gateCounted bool
 
-	// journals holds one resync journal per excluded server slot (nil
-	// while a server is up, reset at exclusion), recording the
-	// mutations and data-stripe writes the server misses so Reinstate
-	// can replay them. journalOpCap/journalByteCap bound journal
-	// growth (0 selects the defaults); past either bound the journal
-	// spills and Reinstate falls back to a full-slice resync through
-	// peers (SetResyncPeers).
-	journals       []*resyncJournal
-	journalOpCap   int
-	journalByteCap int64
-	peers          []*Server
+	// jn holds the resync journal of every server slot (journal.go):
+	// empty while a server is up, reset at exclusion, recording the
+	// mutations and data-stripe writes an excluded server misses so
+	// Reinstate can replay them — or, once a journal spills its caps
+	// (SetJournalLimits), rebuild the slice in full through peers
+	// (SetResyncPeers).
+	jn    journal
+	peers []*Server
 
 	// renameDoubt parks unresolved in-doubt renames, keyed by each
 	// directory involved, so the next lookup/getattr/readdir walking
@@ -337,11 +312,6 @@ func NewReplicatedCluster(p *sim.Proc, sessions []*Session, stripe, replicas int
 	if len(sessions) == 0 {
 		return nil, fmt.Errorf("rfsrv: cluster needs at least one session")
 	}
-	if len(sessions) > 64 {
-		// The size cache stamps each entry with the exclusion set as a
-		// 64-bit mask (sizeEntry.downAt).
-		return nil, fmt.Errorf("rfsrv: cluster supports at most 64 servers, got %d", len(sessions))
-	}
 	if replicas < 1 || replicas > len(sessions) {
 		return nil, fmt.Errorf("rfsrv: replication factor %d outside 1..%d", replicas, len(sessions))
 	}
@@ -372,7 +342,8 @@ func NewReplicatedCluster(p *sim.Proc, sessions []*Session, stripe, replicas int
 		down:     make([]bool, len(sessions)),
 		nsEpochs: make([]uint64, len(sessions)),
 		downNs:   make([]uint64, len(sessions)),
-		sizes:    make(map[kernel.InodeID]sizeEntry),
+		sz:       newSizeBook(len(sessions)),
+		jn:       newJournal(len(sessions)),
 	}, nil
 }
 
@@ -427,50 +398,11 @@ func (cl *Cluster) LayoutPolicy() (LayoutPolicy, bool) { return cl.policy, cl.po
 // stats; the data path uses layoutFor, which fetches unknown inodes).
 func (cl *Cluster) LayoutOf(ino kernel.InodeID) LayoutClass { return cl.layoutCached(ino) }
 
-// sizeEntry is one validated size-cache record: every alive server's
-// local size for the inode is at least size, established while the
-// inode's size epoch was epoch. The entry is dropped the moment any
-// reply carries a different epoch. downAt records which servers were
-// excluded when the entry was (last) established — exactly the
-// servers its reconciliation fan skipped, and therefore exactly the
-// entries Reinstate must drop when one of them returns.
-type sizeEntry struct {
-	size   int64
-	epoch  uint64
-	downAt uint64 // bitmask of servers excluded at establishment
-}
-
-// downBits snapshots the current exclusion set as an entry's downAt
-// bitmask (the session count is capped at 64 by the constructor).
-func (cl *Cluster) downBits() uint64 {
-	var m uint64
-	for i, d := range cl.down {
-		if d {
-			m |= 1 << i
-		}
-	}
-	return m
-}
-
-// entry builds a size-cache record stamped with the current exclusion
-// set.
-func (cl *Cluster) entry(size int64, epoch uint64) sizeEntry {
-	return sizeEntry{size: size, epoch: epoch, downAt: cl.downBits()}
-}
-
-// observeResp feeds one server reply into the validated size cache:
-// the epoch it carries either confirms the cached entry for the inode
-// it resolves, or proves a foreign exact size set ran — in which case
-// the cached size floor is reset to zero (forcing the next overwrite
-// to re-reconcile) under the freshly observed epoch. Adoption is
-// strictly newest-wins: epochs only ever advance (exact sets bump,
-// inodes are never reused), so an OLDER reply epoch proves the
-// replying server — not the cache — is stale: it was excluded in some
-// client's view while that client ran an exact set. Adopting its
-// epoch would corrupt the cache backward and make every size-fan
-// retry loop ping-pong between the divergent members' epochs forever;
-// instead the fans detect the lagging member with epochBehind and
-// exclude it. Replies that resolve no inode are ignored.
+// observeResp feeds one server reply into the validated caches: the
+// size epoch it carries for the inode it resolves goes to the size book
+// (sizeBook.observe — it confirms the cached entry or proves a foreign
+// exact size set ran), the layout nibble to the layout cache. Replies
+// that resolve no inode are ignored.
 func (cl *Cluster) observeResp(resp *Resp) {
 	if resp == nil {
 		return
@@ -482,41 +414,16 @@ func (cl *Cluster) observeResp(resp *Resp) {
 		// rather than keep routing by a retired geometry.
 		cl.staleMember = true
 	}
-	if resp.Attr.Ino == 0 {
+	if resp.Attr.Ino == 0 || resp.Status != StOK && resp.Status != StStale {
 		return
 	}
-	if resp.Status != StOK && resp.Status != StStale {
-		return
-	}
-	ino := resp.Attr.Ino
-	e, ok := cl.sizes[ino]
-	if !ok || resp.Epoch > e.epoch {
-		cl.sizes[ino] = cl.entry(0, resp.Epoch)
-	}
+	cl.sz.observe(resp.Attr.Ino, resp.Epoch)
 	if cl.policyOn {
 		// Every reply teaches the layout cache alongside the size cache;
 		// with the policy off the nibble is ignored and the map stays
 		// empty (no per-reply map cost on the default path).
-		cl.layouts[ino] = resp.Layout
+		cl.layouts[resp.Attr.Ino] = resp.Layout
 	}
-}
-
-// epochBehind reports whether a reply proves the replying server
-// missed an exact size set this client already observed: its epoch
-// for the resolved inode is strictly behind the cached one. Such a
-// server's size state is incoherent (it was down, in the truncating
-// client's view, when the epoch advanced — and grow publishes are
-// epoch-checked precisely so it cannot silently resurrect the
-// pre-truncate size). No single observed epoch satisfies a group
-// whose members disagree, so retrying a refused fan against it can
-// never converge: the caller must exclude the lagging member and let
-// the coherent survivors carry the group.
-func (cl *Cluster) epochBehind(resp *Resp) bool {
-	if resp == nil || resp.Attr.Ino == 0 {
-		return false
-	}
-	e, ok := cl.sizes[resp.Attr.Ino]
-	return ok && resp.Epoch < e.epoch
 }
 
 // NumServers returns the number of servers data is striped across —
@@ -551,28 +458,17 @@ func (cl *Cluster) DownServers() []int {
 // while the server was out.
 
 // markDown records a server as excluded after an observed fault,
-// snapshotting the mutation epoch and resetting the slot's resync
-// journal: everything the server misses from here on is recorded for
-// Reinstate to replay.
+// snapshotting the mutation epoch, resetting the slot's resync journal
+// — everything the server misses from here on is recorded for
+// Reinstate to replay — and ticking the size book's exclusion stamp.
 func (cl *Cluster) markDown(i int) {
 	if !cl.down[i] {
 		cl.down[i] = true
 		cl.downNs[i] = cl.nsEpochs[i]
-		cl.resetJournal(i)
+		cl.jn.reset(i)
+		cl.sz.excluded(i)
 		cl.Excluded.Add(0)
 	}
-}
-
-// aliveCount returns the number of members not excluded (standby
-// slots are never addressed, so they do not count).
-func (cl *Cluster) aliveCount() int {
-	n := 0
-	for _, i := range cl.pl.members {
-		if !cl.down[i] {
-			n++
-		}
-	}
-	return n
 }
 
 // Sessions returns the per-server sessions in server order (stats,
@@ -1048,7 +944,7 @@ func (cl *Cluster) Write(p *sim.Proc, ino kernel.InodeID, off int64, src core.Ve
 	// recycles the parts.
 	tail := cl.tailScratch[:0]
 	for _, pt := range cp.parts {
-		if pt.ridx == len(cp.runs)-1 && !skipsServer(tail, pt.target) {
+		if pt.ridx == len(cp.runs)-1 && !slices.Contains(tail, pt.target) {
 			tail = append(tail, pt.target)
 		}
 	}
@@ -1065,20 +961,28 @@ func (cl *Cluster) Write(p *sim.Proc, ino kernel.InodeID, off int64, src core.Ve
 	if v := cl.view; v != nil && v.migrating {
 		v.logWrite(ino, off, total)
 	}
-	if cl.pubBatch > 0 && lay != LayoutWhole && len(cl.pl.members) > 1 {
-		// Batched publish mode: enqueue the new end instead of fanning
-		// an OpSetSize now; the coalesced batch flushes at the publish
-		// window or the next metadata operation. Every part retired
-		// above, so a window-triggered flush never contends with this
-		// write's own slots.
-		err = cl.enqueueSizePub(p, ino, off+int64(total))
-	} else {
-		err = cl.setSizeTo(p, lay, ino, off+int64(total), tail)
-	}
-	if err != nil {
+	if err := cl.publishEnd(p, lay, ino, off+int64(total), tail, false); err != nil {
 		return &Resp{Status: StatusOf(err)}, err
 	}
 	return resp, nil
+}
+
+// publishEnd makes a new end of file known to every alive server: the
+// immediate grow-only fan (setSizeTo), or — in batched publish mode
+// (SetSizePublishBatch; whole-on-home files and one-server clusters
+// have nothing to reconcile either way) — an enqueue, the coalesced
+// batch flushing when the publish window fills, at the next metadata
+// operation, or right now when the caller's publish is a barrier.
+// Every part of a write has retired by the time it publishes, so a
+// window-triggered flush never contends with the write's own slots.
+func (cl *Cluster) publishEnd(p *sim.Proc, lay LayoutClass, ino kernel.InodeID, end int64, tail []int, barrier bool) error {
+	if cl.sz.batching() && lay != LayoutWhole && len(cl.pl.members) > 1 {
+		if cl.sz.enqueue(ino, end) || barrier {
+			return cl.FlushSizes(p)
+		}
+		return nil
+	}
+	return cl.setSizeTo(p, lay, ino, end, tail)
 }
 
 // finishWriteParts is the shared epilogue of the two replicated write
@@ -1188,54 +1092,33 @@ func (cl *Cluster) checkRunCoverage(runs []run, parts []*part) error {
 // pending end per inode and flushes one combined OpSetSize batch per
 // server at the publish window, taking the per-write cost from N−1
 // round trips to an amortized fraction of one. This function is the
-// immediate (unbatched) path; Write diverts to enqueueSizePub when a
-// publish window is configured. figures.SmallFile audits the
+// immediate (unbatched) path; publishEnd diverts to the book's queue
+// when a publish window is configured. figures.SmallFile audits the
 // whole-on-home zero and figures.SharedFile the amortized fraction.
-func (cl *Cluster) setSizeTo(p *sim.Proc, lay LayoutClass, ino kernel.InodeID, end int64, tailTargets []int) error {
+func (cl *Cluster) setSizeTo(p *sim.Proc, lay LayoutClass, ino kernel.InodeID, end int64, skip []int) error {
 	if lay == LayoutWhole {
 		return nil
 	}
-	skip := tailTargets
-	for attempt := 0; ; attempt++ {
-		e := cl.sizes[ino]
-		if e.size >= end {
-			return nil
+	return publish("size reconciliation", func() (bool, error) {
+		size, epoch := cl.sz.floor(ino)
+		if size >= end {
+			return false, nil
 		}
 		// One round: OpSetSize to every alive server not in skip (see
 		// fan). Faulting servers are excluded — not an error; other
 		// application errors win over staleness.
-		req := Req{Op: OpSetSize, Ino: ino, Off: end, Len: PackSetSize(false, e.epoch)}
+		req := Req{Op: OpSetSize, Ino: ino, Off: end, Len: PackSetSize(false, epoch)}
 		f := cl.fan(p, cl.aliveTargets(0, len(cl.pl.members), skip), &req)
 		addN(&cl.SetSizes, f.tried)
-		if f.err != nil {
-			return f.err
+		if f.err == nil && !f.stale {
+			cl.sz.establish(ino, end, epoch)
 		}
-		if !f.stale {
-			cl.sizes[ino] = cl.entry(end, e.epoch)
-			return nil
-		}
-		// The StStale replies refreshed the cache entry (observeResp);
-		// go around with the authoritative epoch. The foreign exact set
-		// that raced us may have shrunk the tail targets after our data
-		// landed on them, so retries stop skipping anyone. The cap only
-		// guards against a pathological truncate storm.
+		// A foreign exact set that raced us may have shrunk the tail
+		// targets after our data landed on them, so retries stop
+		// skipping anyone.
 		skip = nil
-		if attempt >= 3 {
-			return fmt.Errorf("rfsrv: size reconciliation of inode %d kept racing foreign truncates: %w", ino, ErrStaleEpoch)
-		}
-	}
-}
-
-// skipsServer reports whether server i is in the (tiny, ≤R-entry)
-// skip list — a linear scan beats a map allocation on the per-write
-// reconciliation path.
-func skipsServer(skip []int, i int) bool {
-	for _, s := range skip {
-		if s == i {
-			return true
-		}
-	}
-	return false
+		return f.stale, f.err
+	})
 }
 
 // SetFileSize publishes an externally tracked end-of-file through the
@@ -1261,21 +1144,10 @@ func (cl *Cluster) SetFileSize(p *sim.Proc, ino kernel.InodeID, size int64) erro
 	if lay, err = cl.maybePromote(p, ino, lay, size); err != nil {
 		return err
 	}
-	if cl.pubBatch > 0 && lay != LayoutWhole && len(cl.pl.members) > 1 {
-		// A size publish IS a barrier: enqueue, then flush everything
-		// pending, so the caller's EOF is on every alive server when
-		// this returns (what ORFS write-behind's sync point needs).
-		if e := cl.sizes[ino]; e.size < size {
-			if _, ok := cl.pendPub[ino]; !ok {
-				cl.pendOrder = append(cl.pendOrder, ino)
-				cl.pendPub[ino] = size
-			} else if size > cl.pendPub[ino] {
-				cl.pendPub[ino] = size
-			}
-		}
-		return cl.FlushSizes(p)
-	}
-	return cl.setSizeTo(p, lay, ino, size, nil)
+	// A size publish IS a barrier: in batched mode everything pending
+	// flushes with it, so the caller's EOF is on every alive server when
+	// this returns (what ORFS write-behind's sync point needs).
+	return cl.publishEnd(p, lay, ino, size, nil, true)
 }
 
 // ---- adaptive promotion ----
@@ -1647,13 +1519,6 @@ func (cl *Cluster) StartWrite(p *sim.Proc, ino kernel.InodeID, off int64, src co
 
 // ---- metadata path ----
 
-// cloneReq copies a request so per-server sequence stamping never
-// mutates a caller's (or a sibling server's) request.
-func cloneReq(req *Req) *Req {
-	r := *req
-	return &r
-}
-
 // syncMeta is one synchronous metadata round trip on server idx's
 // control path (FabricClient.startCtl — never a window slot).
 func (cl *Cluster) syncMeta(p *sim.Proc, idx int, req *Req) (*Resp, error) {
@@ -1696,7 +1561,7 @@ type fanned struct {
 // data windows), then each is waited in order. A target whose
 // transport faults, at issue or at wait, is excluded — a degraded-mode
 // fact, never an error or divergence. Every answer feeds the validated
-// caches. An ErrStaleEpoch refusal is classified by epochBehind: a
+// caches. An ErrStaleEpoch refusal is classified by sizeBook.behind: a
 // refuser BEHIND the cache missed an exact size set while dead in
 // another client's view, no retry epoch can satisfy it and the
 // coherent members at once, so it is excluded like a fault; one ahead
@@ -1727,7 +1592,7 @@ func (cl *Cluster) fan(p *sim.Proc, targets []int, req *Req) fanned {
 		}
 		flights = append(flights, fanFlight{target: i, fl: fl})
 	}
-	resps := cl.fanResps[:0]
+	resps := cl.respScratch[:0]
 	for k := range flights {
 		i := flights[k].target
 		resp, err := cl.sessions[i].c.waitCtl(p, &flights[k].fl)
@@ -1737,7 +1602,7 @@ func (cl *Cluster) fan(p *sim.Proc, targets []int, req *Req) fanned {
 		}
 		cl.observeResp(resp)
 		if errors.Is(err, ErrStaleEpoch) {
-			if cl.epochBehind(resp) {
+			if cl.sz.behind(resp.Attr.Ino, resp.Epoch) {
 				cl.markDown(i)
 			} else {
 				f.stale = true
@@ -1751,7 +1616,7 @@ func (cl *Cluster) fan(p *sim.Proc, targets []int, req *Req) fanned {
 			resps = append(resps, resp)
 		}
 	}
-	cl.fanFlights, cl.fanResps = flights[:0], resps[:0]
+	cl.fanFlights, cl.respScratch = flights[:0], resps[:0]
 	f.resps = resps
 	return f
 }
@@ -1763,7 +1628,7 @@ func (cl *Cluster) fan(p *sim.Proc, targets []int, req *Req) fanned {
 func (cl *Cluster) aliveTargets(from, n int, skip []int) []int {
 	out := cl.targetScratch[:0]
 	for j := 0; j < n; j++ {
-		if i := cl.pl.slot(from, j); !cl.down[i] && !skipsServer(skip, i) {
+		if i := cl.pl.slot(from, j); !cl.down[i] && !slices.Contains(skip, i) {
 			out = append(out, i)
 		}
 	}
@@ -1820,7 +1685,7 @@ func (cl *Cluster) Meta(p *sim.Proc, req *Req) (*Resp, error) {
 	// namespace mutation never reorders ahead of the publishes that
 	// preceded it. (Data reads don't flush: an unpublished size only
 	// makes reads short, never wrong.)
-	if err := cl.flushDueSizes(p); err != nil {
+	if err := cl.FlushSizes(p); err != nil {
 		return &Resp{Status: StatusOf(err)}, err
 	}
 	if cl.sharded {
@@ -1869,19 +1734,17 @@ func (cl *Cluster) hintCreate(req *Req) *Req {
 // grow mode — revalidating and retrying when the observed epoch
 // proves stale, so callers never see a spurious ErrStaleEpoch from a
 // racing foreign size set.
-func (cl *Cluster) setSizeMeta(p *sim.Proc, ino kernel.InodeID, size int64, exact bool) (*Resp, error) {
-	for attempt := 0; ; attempt++ {
-		req := &Req{Op: OpSetSize, Ino: ino, Off: size, Len: PackSetSize(exact, cl.sizes[ino].epoch)}
-		resp, err := cl.fanout(p, req)
-		if !errors.Is(err, ErrStaleEpoch) {
-			return resp, err
-		}
+func (cl *Cluster) setSizeMeta(p *sim.Proc, ino kernel.InodeID, size int64, exact bool) (resp *Resp, err error) {
+	if rerr := publish("size set", func() (bool, error) {
+		_, epoch := cl.sz.floor(ino)
+		resp, err = cl.fanout(p, &Req{Op: OpSetSize, Ino: ino, Off: size, Len: PackSetSize(exact, epoch)})
 		// The refusals refreshed the cached epoch (observeResp in
-		// fanout); go around with the authoritative one.
-		if attempt >= 3 {
-			return resp, fmt.Errorf("rfsrv: size set of inode %d kept racing foreign size sets: %w", ino, ErrStaleEpoch)
-		}
+		// fanout); the next round carries the authoritative one.
+		return errors.Is(err, ErrStaleEpoch), nil
+	}); rerr != nil {
+		err = rerr
 	}
+	return resp, err
 }
 
 // homedMeta runs a read-only metadata request against its home server,
@@ -1966,7 +1829,7 @@ func (cl *Cluster) noteMutation(req *Req, resp *Resp, err error) {
 	switch req.Op {
 	case OpCreate:
 		cl.bumpAllNs()
-		cl.sizes[resp.Attr.Ino] = cl.entry(resp.Attr.Size, resp.Epoch)
+		cl.sz.establish(resp.Attr.Ino, resp.Attr.Size, resp.Epoch)
 		cl.journalMutationAll(*req, resp.Attr.Ino, resp.Epoch)
 	case OpMkdir, OpUnlink, OpRmdir, OpRenameLocal:
 		cl.bumpAllNs()
@@ -1981,15 +1844,17 @@ func (cl *Cluster) noteMutation(req *Req, resp *Resp, err error) {
 		// Defensive: Meta translates truncates to exact OpSetSize, but a
 		// raw fan-out (MetaBatch carrying one) records the same facts.
 		cl.bumpAllNs()
-		cl.sizes[req.Ino] = cl.entry(req.Off, resp.Epoch)
+		cl.sz.establish(req.Ino, req.Off, resp.Epoch)
 		cl.journalMutationAll(Req{Op: OpSetSize, Ino: req.Ino, Off: req.Off, Len: PackSetSize(true, 0)}, req.Ino, resp.Epoch)
 	case OpSetSize:
 		if exact, _ := UnpackSetSize(req.Len); exact {
 			cl.bumpAllNs()
-			cl.sizes[req.Ino] = cl.entry(req.Off, resp.Epoch)
+			cl.sz.establish(req.Ino, req.Off, resp.Epoch)
 			cl.journalMutationAll(*req, req.Ino, resp.Epoch)
-		} else if e, ok := cl.sizes[req.Ino]; !ok || e.epoch == resp.Epoch && req.Off > e.size {
-			cl.sizes[req.Ino] = cl.entry(req.Off, resp.Epoch)
+		} else if size, epoch := cl.sz.floor(req.Ino); epoch == resp.Epoch && req.Off > size {
+			// (The reply was observed on its way here, so the book holds
+			// an entry under an epoch at least as new as the reply's.)
+			cl.sz.establish(req.Ino, req.Off, resp.Epoch)
 		}
 		// Grow-mode publishes are deliberately NOT journaled: they are
 		// idempotent lower-bound facts the replayed data re-establishes,
@@ -1997,6 +1862,155 @@ func (cl *Cluster) noteMutation(req *Req, resp *Resp, err error) {
 		// streaming writes.
 	}
 }
+
+// ---- combined batches ----
+
+// share is one server's part of a combined batch: the requests bound
+// for session slot, in original order, and how far the run has got.
+type share struct {
+	slot int
+	reqs []*Req
+	idx  []int // each request's position in the caller's batch; empty when every share carries the whole list (a flush)
+	done int   // requests answered, or given up on
+	end  int   // where the flight on the wire ends
+	fl   *batchFlight
+}
+
+// add appends request r, position pos of the caller's batch.
+func (sh *share) add(pos int, r *Req) {
+	sh.idx = append(sh.idx, pos)
+	sh.reqs = append(sh.reqs, r)
+}
+
+// newShares returns the cluster's share scratch — one per session slot,
+// emptied, backing arrays kept (combined batches never nest: each run
+// completes before the next is built).
+func (cl *Cluster) newShares() []share {
+	if cl.shares == nil {
+		cl.shares = make([]share, len(cl.sessions))
+	}
+	for i := range cl.shares {
+		sh := &cl.shares[i]
+		*sh = share{slot: i, reqs: sh.reqs[:0], idx: sh.idx[:0]}
+	}
+	return cl.shares
+}
+
+// runShares is the one combined-batch driver: every share runs to
+// completion in parallel rounds — one combined flight per server per
+// round (startBatchFlight: up to a window of requests, one fabric
+// send), all in flight together, then all waited; a started flight is
+// always waited, so no path leaks a window slot. A server whose
+// transport faults, at start or at wait, is excluded and its share
+// ends. Every reply feeds the validated caches; one that refuses an
+// observed size epoch from BEHIND the book excludes its server like a
+// fault (sizeBook.behind: no retry can satisfy it).
+//
+// Two callers, two policies. A caller's batch (out non-nil) merges the
+// replies into out by position — replicated requests must agree on
+// (status, inode) — and does not retry: the first error, a fault and a
+// stale refusal included, ends the run with the round it surfaced in,
+// and the caller re-issues around whoever was excluded. A size flush
+// (out nil; the first npub requests of every share are the book's grow
+// publishes, tallied on SetSizes per flight) stands on the survivors:
+// faults are not errors, a refusal from ahead of the book reports stale
+// for the flush to revalidate and retry, a publish answered StNotFound
+// is moot rather than failed (sizeBook.settle), and an application
+// error is reported once every share has run out.
+//
+// allocfree
+func (cl *Cluster) runShares(p *sim.Proc, shares []share, out []*Resp, npub int) (stale bool, err error) {
+	strict := out != nil
+	for {
+		started := false
+		for k := range shares {
+			sh := &shares[k]
+			if sh.done >= len(sh.reqs) || cl.down[sh.slot] {
+				continue
+			}
+			fl, end, serr := cl.sessions[sh.slot].startBatchFlight(p, sh.reqs, sh.done)
+			if serr != nil {
+				sh.done = len(sh.reqs)
+				fault := fabric.IsFault(serr)
+				if fault {
+					cl.markDown(sh.slot)
+				}
+				if err == nil && (strict || !fault) {
+					err = serr
+				}
+				continue
+			}
+			if pubs := min(end, npub) - min(sh.done, npub); pubs > 0 {
+				cl.SetSizes.Add(pubs)
+			}
+			sh.fl, sh.end, started = fl, end, true
+		}
+		if !started {
+			return stale, err
+		}
+		for k := range shares {
+			sh := &shares[k]
+			if sh.fl == nil {
+				continue
+			}
+			resps, werr := sh.fl.wait(p, cl.respScratch[:0])
+			sh.fl, cl.respScratch = nil, resps[:0]
+			for _, r := range resps {
+				cl.observeResp(r)
+			}
+			// rerr is the flight's first error once the refusals and moot
+			// answers a flush absorbs are set aside.
+			var rerr error
+			lagging := false
+			for ri, r := range resps {
+				pos := sh.done + ri
+				if len(sh.idx) > 0 {
+					pos = sh.idx[pos]
+				}
+				var e error
+				switch {
+				case r == nil:
+					e = werr // never arrived: the flight's transport error
+				case r.Status == StStale && cl.sz.behind(r.Attr.Ino, r.Epoch):
+					lagging, e = true, ErrStaleEpoch
+				case r.Status == StStale && !strict:
+					stale = true
+				case !strict:
+					if !cl.sz.answered(pos, r.Status) {
+						e = ErrOf(r.Status)
+					}
+				case out[pos] != nil && r.Status != StStale && out[pos].Status != StStale &&
+					(r.Status != out[pos].Status || r.Attr.Ino != out[pos].Attr.Ino):
+					e = errDiverged
+				default:
+					e = ErrOf(r.Status)
+				}
+				if strict && out[pos] == nil {
+					out[pos] = r
+				}
+				if e != nil && rerr == nil {
+					rerr = e
+				}
+			}
+			sh.done = sh.end
+			fault := lagging || werr != nil && fabric.IsFault(werr)
+			if fault {
+				cl.markDown(sh.slot)
+				sh.done = len(sh.reqs)
+			}
+			if err == nil && (strict || !fault) {
+				err = rerr
+			}
+		}
+		if strict && err != nil {
+			return stale, err
+		}
+	}
+}
+
+// errDiverged reports replicas of one batched request that answered
+// differently: the replicated namespace (or an owner group) diverged.
+var errDiverged = errors.New("rfsrv: cluster namespace diverged in batch")
 
 // MetaBatch implements Async: requests route like Meta (read-only to
 // their homes, mutations to every server) and each server's share is
@@ -2016,10 +2030,10 @@ func (cl *Cluster) MetaBatch(p *sim.Proc, reqs []*Req) ([]*Resp, error) {
 		return nil, err
 	}
 	defer cl.exitOp()
-	if err := cl.flushDueSizes(p); err != nil {
+	if err := cl.FlushSizes(p); err != nil {
 		return nil, err
 	}
-	if cl.aliveCount() == 0 {
+	if len(cl.aliveTargets(0, len(cl.pl.members), nil)) == 0 {
 		return nil, fmt.Errorf("rfsrv: MetaBatch: every server excluded: %w", fabric.ErrPeerDead)
 	}
 	if cl.sharded {
@@ -2028,13 +2042,8 @@ func (cl *Cluster) MetaBatch(p *sim.Proc, reqs []*Req) ([]*Resp, error) {
 	if len(cl.pl.members) == 1 {
 		return cl.sessions[cl.pl.members[0]].MetaBatch(p, reqs)
 	}
-	type share struct {
-		idx  []int // original positions
-		reqs []*Req
-	}
-	shares := make([]share, len(cl.sessions))
-	mutation := make([]bool, len(reqs))
-	track := make([]*Req, len(reqs)) // the request actually fanned (post-translation)
+	shares := cl.newShares()
+	track := make([]*Req, len(reqs)) // mutations: the request actually fanned (post-translation)
 	// bumps counts the exact size sets already packed for each inode
 	// earlier in THIS batch: the servers apply the batch in order and
 	// bump the epoch after each exact set, so a later size mutation of
@@ -2045,13 +2054,9 @@ func (cl *Cluster) MetaBatch(p *sim.Proc, reqs []*Req) ([]*Resp, error) {
 	for i, r := range reqs {
 		switch r.Op {
 		case OpLookup:
-			h := cl.pathHomeIdx(r.Ino, r.Name)
-			shares[h].idx = append(shares[h].idx, i)
-			shares[h].reqs = append(shares[h].reqs, r)
+			shares[cl.pathHomeIdx(r.Ino, r.Name)].add(i, r)
 		case OpGetattr, OpReaddir:
-			h := cl.homeIdx(r.Ino)
-			shares[h].idx = append(shares[h].idx, i)
-			shares[h].reqs = append(shares[h].reqs, r)
+			shares[cl.homeIdx(r.Ino)].add(i, r)
 		default:
 			// Size mutations translate and get their observed epoch
 			// stamped like Meta's (batches do not retry staleness — a
@@ -2061,58 +2066,35 @@ func (cl *Cluster) MetaBatch(p *sim.Proc, reqs []*Req) ([]*Resp, error) {
 			switch r.Op {
 			case OpCreate:
 				w = cl.hintCreate(r)
-			case OpTruncate:
-				w = &Req{Op: OpSetSize, Ino: r.Ino, Off: r.Off, Len: PackSetSize(true, cl.sizes[r.Ino].epoch+bumps[r.Ino])}
-				bumps[r.Ino]++
-			case OpSetSize:
-				exact, _ := UnpackSetSize(r.Len)
-				w = cloneReq(r)
-				w.Len = PackSetSize(exact, cl.sizes[r.Ino].epoch+bumps[r.Ino])
+			case OpTruncate, OpSetSize:
+				exact := r.Op == OpTruncate
+				if !exact {
+					exact, _ = UnpackSetSize(r.Len)
+				}
+				_, epoch := cl.sz.floor(r.Ino)
+				w = &Req{Op: OpSetSize, Ino: r.Ino, Off: r.Off, Len: PackSetSize(exact, epoch+bumps[r.Ino])}
 				if exact {
 					bumps[r.Ino]++
 				}
 			}
-			mutation[i] = true
 			track[i] = w
-			first := true
-			for _, s := range cl.pl.members {
-				if cl.down[s] {
-					continue
-				}
-				if !first {
+			// Server batches run one at a time, and startBatchFlight
+			// stamps and encodes every request before returning, so the
+			// shares can share one *Req — no per-server clones.
+			for k, s := range cl.aliveTargets(0, len(cl.pl.members), nil) {
+				if k > 0 {
 					cl.MetaFanout.Add(1)
 				}
-				first = false
-				shares[s].idx = append(shares[s].idx, i)
-				// Server batches run one at a time, and Session.MetaBatch
-				// stamps and encodes every request before returning, so
-				// the shares can share one *Req — no per-server clones.
-				shares[s].reqs = append(shares[s].reqs, w)
+				shares[s].add(i, w)
 			}
 		}
 	}
 	out := make([]*Resp, len(reqs))
-	for s, sh := range shares {
-		if len(sh.reqs) == 0 {
-			continue
-		}
-		resps, err := cl.sessions[s].MetaBatch(p, sh.reqs)
-		for i, r := range resps {
-			pos := sh.idx[i]
-			cl.observeResp(r)
-			if out[pos] == nil {
-				out[pos] = r
-			} else if r != nil && r.Status != StStale && out[pos].Status != StStale &&
-				(r.Status != out[pos].Status || r.Attr.Ino != out[pos].Attr.Ino) {
-				return out, fmt.Errorf("rfsrv: cluster namespace diverged in batch at %d", pos)
-			}
-		}
-		if err != nil {
-			// A faulting server is excluded like on every other path, so
-			// the caller's re-issued batch routes around it.
-			if fabric.IsFault(err) {
-				cl.markDown(s)
-			}
+	for s := range shares {
+		// One share at a time (the documented order); a faulting server
+		// is excluded like on every other path, so the caller's
+		// re-issued batch routes around it.
+		if _, err := cl.runShares(p, shares[s:s+1], out, 0); err != nil {
 			return out, err
 		}
 	}
@@ -2120,7 +2102,7 @@ func (cl *Cluster) MetaBatch(p *sim.Proc, reqs []*Req) ([]*Resp, error) {
 	// mutations of one inode (grow then truncate), and the LAST one
 	// must win, exactly as the servers applied them.
 	for pos, r := range track {
-		if mutation[pos] && out[pos] != nil && out[pos].Status == StOK {
+		if r != nil && out[pos] != nil && out[pos].Status == StOK {
 			cl.noteMutation(r, out[pos], nil)
 		}
 	}

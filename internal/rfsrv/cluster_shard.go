@@ -1,8 +1,9 @@
 package rfsrv
 
 // Client half of the sharded namespace (DESIGN.md §11), plus the
-// batched size-publish machinery both it and the replicated cluster
-// can use.
+// flush of the batched size publishes both it and the replicated
+// cluster can use (the queue itself is the size book's, sizebook.go;
+// the per-server batches run through Cluster.runShares, cluster.go).
 //
 // Ownership. Every directory — and every inode minted under it — has
 // a routing residue (placement.residue), which names the directory's
@@ -63,7 +64,7 @@ func (cl *Cluster) EnableShardedNamespace() error {
 		return fmt.Errorf("%w: SetLayoutPolicy is already on", ErrShardLayoutConflict)
 	}
 	cl.sharded = true
-	if cl.pubBatch == 0 {
+	if !cl.sz.batching() {
 		return cl.SetSizePublishBatch(DefaultSizePublishBatch)
 	}
 	return nil
@@ -93,40 +94,8 @@ func (cl *Cluster) SetSizePublishBatch(k int) error {
 	if cl.policyOn {
 		return fmt.Errorf("%w: batched size publishes require a policy-free cluster", ErrShardLayoutConflict)
 	}
-	cl.pubBatch = k
-	if cl.pendPub == nil {
-		cl.pendPub = make(map[kernel.InodeID]int64)
-	}
+	cl.sz.setBatch(k)
 	return nil
-}
-
-// enqueueSizePub records a write's new end-of-file in the publish
-// queue, flushing when the window fills. Only called with a positive
-// pubBatch from the multi-server write path (see Cluster.Write).
-func (cl *Cluster) enqueueSizePub(p *sim.Proc, ino kernel.InodeID, end int64) error {
-	if e := cl.sizes[ino]; e.size < end {
-		if cur, ok := cl.pendPub[ino]; !ok {
-			cl.pendPub[ino] = end
-			cl.pendOrder = append(cl.pendOrder, ino)
-		} else if end > cur {
-			cl.pendPub[ino] = end
-		}
-	}
-	cl.pubSince++
-	if cl.pubSince >= cl.pubBatch {
-		return cl.FlushSizes(p)
-	}
-	return nil
-}
-
-// flushDueSizes is the metadata-path hook: a no-op unless batched
-// publishes are on and something is pending.
-func (cl *Cluster) flushDueSizes(p *sim.Proc) error {
-	if cl.pubBatch == 0 || (len(cl.pendOrder) == 0 && len(cl.pendScrub) == 0) {
-		cl.pubSince = 0
-		return nil
-	}
-	return cl.FlushSizes(p)
 }
 
 // FlushSizes drains the publish queue: every pending grow-only
@@ -134,91 +103,36 @@ func (cl *Cluster) flushDueSizes(p *sim.Proc) error {
 // every pending OpScrub — publishes first, so a scrubbed inode is
 // never re-grown by a publish queued before its unlink — packed into
 // one combined request batch per alive server, the per-server batches
-// in flight in parallel. A server that faults is excluded (the grow
-// mode is replayable; the alive servers are consistent, which is all
-// the cache records). StStale refusals — a foreign exact size set
-// raced the queue — refresh the cached epoch and the flush retries
-// under it. Exported for callers with their own barriers (the figures
-// harness audits sizes after a storm); a no-op when nothing is
-// pending.
+// in flight in parallel (runShares). A server that faults is excluded
+// (the grow mode is replayable; the alive servers are consistent,
+// which is all the cache records). StStale refusals — a foreign exact
+// size set raced the queue — refresh the cached epoch and the flush
+// retries under it; a publish for an inode someone else unlinked since
+// is moot, not an error (sizeBook.settle). Every metadata operation
+// starts with a flush, so a getattr after a batched write observes the
+// written size and a namespace mutation never reorders ahead of the
+// publishes that preceded it (data reads don't flush: an unpublished
+// size only makes reads short, never wrong). Exported for callers with
+// their own barriers (the figures harness audits sizes after a storm);
+// a no-op when nothing is pending.
 func (cl *Cluster) FlushSizes(p *sim.Proc) error {
-	if len(cl.pendOrder) == 0 && len(cl.pendScrub) == 0 {
-		cl.pubSince = 0
-		return nil
-	}
-	for attempt := 0; ; attempt++ {
-		reqs, npub := cl.buildFlush()
-		if len(reqs) == 0 {
-			break
-		}
-		stale, err := cl.flushFan(p, reqs, npub)
-		if err != nil {
+	if cl.sz.pending() {
+		if err := publish("batched size publish", func() (bool, error) { return cl.publishRound(p) }); err != nil {
 			return err
 		}
-		if !stale {
-			break
-		}
-		// The refusals refreshed the cache entries (observeResp); go
-		// around with the authoritative epochs. The cap only guards
-		// against a pathological foreign truncate storm.
-		if attempt >= 3 {
-			return fmt.Errorf("rfsrv: batched size publish kept racing foreign size sets: %w", ErrStaleEpoch)
-		}
 	}
-	for _, ino := range cl.pendOrder {
-		if end, ok := cl.pendPub[ino]; ok {
-			cl.sizes[ino] = cl.entry(end, cl.sizes[ino].epoch)
-			delete(cl.pendPub, ino)
-		}
-	}
-	cl.pendOrder = cl.pendOrder[:0]
-	cl.pendScrub = cl.pendScrub[:0]
-	cl.pubSince = 0
+	cl.sz.settle()
 	return nil
 }
 
-// buildFlush assembles the flush's request list in cluster scratch:
-// publishes in pendOrder insertion order (entries unlinked since they
-// were queued have left pendPub and are skipped), then scrubs. The
-// returned requests are shared across every server's batch —
-// startBatchFlight stamps and encodes each before returning, so
-// sequentially started flights may reuse them.
-func (cl *Cluster) buildFlush() (reqs []*Req, npub int) {
-	store := cl.flushReqStore[:0]
-	for _, ino := range cl.pendOrder {
-		end, ok := cl.pendPub[ino]
-		if !ok {
-			continue
-		}
-		store = append(store, Req{Op: OpSetSize, Ino: ino, Off: end, Len: PackSetSize(false, cl.sizes[ino].epoch)})
-	}
-	npub = len(store)
-	for _, victim := range cl.pendScrub {
-		store = append(store, Req{Op: OpScrub, Ino: victim})
-	}
-	cl.flushReqStore = store
-	reqs = cl.flushReqs[:0]
-	for i := range store {
-		reqs = append(reqs, &store[i])
-	}
-	cl.flushReqs = reqs
-	return reqs, npub
-}
-
-// flushFan runs one round of the flush: each alive server receives
-// the request list as combined batches through its window (a batch
-// larger than the window or the 4 KB request buffer spans several
-// flights; the outer loop advances every server in parallel rounds).
-// stale reports whether any publish was refused under a stale epoch.
-func (cl *Cluster) flushFan(p *sim.Proc, reqs []*Req, npub int) (stale bool, err error) {
-	n := len(cl.sessions)
-	if cap(cl.flushStarts) < n {
-		cl.flushStarts = make([]int, n)
-	}
-	starts := cl.flushStarts[:n]
-	for i := range starts {
-		starts[i] = len(reqs) // non-members never receive flushes
-	}
+// publishRound runs one round of the flush: each alive member receives
+// the book's request list as combined batches through its window (a
+// list larger than the window or the 4 KB request buffer spans several
+// flights). stale reports whether any publish was refused under a
+// stale epoch.
+func (cl *Cluster) publishRound(p *sim.Proc) (stale bool, err error) {
+	reqs, npub := cl.sz.requests()
+	shares := cl.newShares()
 	for _, i := range cl.pl.members {
 		if cl.down[i] {
 			// The excluded member misses the scrubs in this flush (the
@@ -229,81 +143,9 @@ func (cl *Cluster) flushFan(p *sim.Proc, reqs []*Req, npub int) (stale bool, err
 			}
 			continue
 		}
-		starts[i] = 0
+		shares[i].reqs = append(shares[i].reqs, reqs...)
 	}
-	var firstErr error
-	for {
-		flights := cl.flushFlights[:0]
-		targets := cl.flushTargets[:0]
-		ends := cl.targetScratch[:0]
-		started := false
-		for i, s := range cl.sessions {
-			if starts[i] >= len(reqs) {
-				continue
-			}
-			fl, end, err := s.startBatchFlight(p, reqs, starts[i])
-			if err != nil {
-				if fabric.IsFault(err) {
-					cl.markDown(i)
-				} else if firstErr == nil {
-					firstErr = err
-				}
-				starts[i] = len(reqs)
-				continue
-			}
-			if pubs := min(end, npub) - min(starts[i], npub); pubs > 0 {
-				cl.SetSizes.Add(pubs)
-			}
-			flights = append(flights, fl)
-			targets = append(targets, i)
-			ends = append(ends, end)
-			started = true
-		}
-		for k, fl := range flights {
-			resps, werr := fl.wait(p, cl.flushResps[:0])
-			behind := false
-			for _, r := range resps {
-				cl.observeResp(r)
-			}
-			for _, r := range resps {
-				if r != nil && r.Status == StStale && cl.epochBehind(r) {
-					behind = true
-				}
-			}
-			cl.flushResps = resps[:0]
-			i := targets[k]
-			if werr != nil {
-				switch {
-				case fabric.IsFault(werr):
-					cl.markDown(i)
-					starts[i] = len(reqs)
-					continue
-				case errors.Is(werr, ErrStaleEpoch):
-					if behind {
-						// The server refused under an epoch BEHIND the
-						// cache: it missed an exact set while dead in
-						// another client's view, and no retry epoch can
-						// satisfy it and the coherent members at once
-						// (see epochBehind). Exclude it; the publish
-						// stands on the survivors.
-						cl.markDown(i)
-						starts[i] = len(reqs)
-						continue
-					}
-					stale = true
-				case firstErr == nil:
-					firstErr = werr
-				}
-			}
-			starts[i] = ends[k]
-		}
-		cl.flushFlights = flights[:0]
-		cl.flushTargets = targets[:0]
-		cl.targetScratch = ends[:0]
-		if !started {
-			return stale, firstErr
-		}
-	}
+	return cl.runShares(p, shares, nil, npub)
 }
 
 // ---- sharded routing ----
@@ -327,12 +169,12 @@ func (cl *Cluster) groupFirst(p *sim.Proc, owner int, req *Req) (*Resp, int, err
 func (cl *Cluster) groupRead(p *sim.Proc, owner int, req *Req) (*Resp, error) {
 	for {
 		resp, idx, err := cl.groupFirst(p, owner, req)
-		if idx < 0 || !cl.epochBehind(resp) {
+		if idx < 0 || !cl.sz.behind(resp.Attr.Ino, resp.Epoch) {
 			return resp, err
 		}
 		// The member answered under an epoch behind the cache: it
 		// missed an exact set and its sizes are pre-truncate stale
-		// (see epochBehind). Serving this reply would hand the
+		// (see sizeBook.behind). Serving this reply would hand the
 		// caller a resurrected size — exclude and fail over.
 		cl.markDown(idx)
 		cl.Failovers.Add(0)
@@ -453,7 +295,7 @@ func (cl *Cluster) shardCreate(p *sim.Proc, dir kernel.InodeID, name string) (*R
 		return resp, err
 	}
 	cl.bumpGroupNs(owner)
-	cl.sizes[resp.Attr.Ino] = cl.entry(resp.Attr.Size, resp.Epoch)
+	cl.sz.establish(resp.Attr.Ino, resp.Attr.Size, resp.Epoch)
 	// Excluded group members missed the dentry: journal the
 	// idempotent replication verb (OpLink), not the minting create.
 	cl.journalGroup(owner, Req{Op: OpLink, Ino: dir, Name: name,
@@ -506,9 +348,9 @@ func (cl *Cluster) shardUnlink(p *sim.Proc, dir kernel.InodeID, name string) (*R
 }
 
 // noteUnlinkVictim queues the lazy cluster-wide scrub of a dead inode
-// and drops every client-side pending for it — a queued size publish
+// and drops everything the book held for it — a queued size publish
 // must never resurrect an unlinked file's object on servers that
-// already scrubbed it, so the victim leaves pendPub before the scrub
+// already scrubbed it, so the victim leaves the queue before the scrub
 // is queued (the flush also orders publishes before scrubs for the
 // same reason). ownerSize is the victim's size as the owner group
 // reported it with the unlink.
@@ -516,26 +358,20 @@ func (cl *Cluster) noteUnlinkVictim(p *sim.Proc, victim kernel.InodeID, ownerSiz
 	if victim == 0 {
 		return nil
 	}
-	cached := cl.sizes[victim]
-	_, pending := cl.pendPub[victim]
-	delete(cl.sizes, victim)
-	delete(cl.pendPub, victim) // its pendOrder slot is skipped at flush
-	if ownerSize == 0 && cached.size == 0 && cached.epoch == 0 && !pending {
+	if known := cl.sz.drop(victim); !known && ownerSize == 0 {
 		// The owner group never heard a size for the victim and this
-		// client has nothing queued for it: non-owner servers only
-		// acquire foreign-owned state through data writes and size sets
-		// (see materializeOnDemand), and every flushed publish or exact
-		// truncate grows the owner too — so nothing remote exists and
-		// the owner-side unlink already reclaimed everything. Skipping
-		// the fan here is what keeps empty-file churn O(R), not O(N).
-		// (A foreign client's not-yet-flushed writes are invisible; the
-		// frames such a race strands are reclaimed only by that
+		// client has nothing cached or queued for it: non-owner servers
+		// only acquire foreign-owned state through data writes and size
+		// sets (see materializeOnDemand), and every flushed publish or
+		// exact truncate grows the owner too — so nothing remote exists
+		// and the owner-side unlink already reclaimed everything.
+		// Skipping the fan here is what keeps empty-file churn O(R), not
+		// O(N). (A foreign client's not-yet-flushed writes are invisible;
+		// the frames such a race strands are reclaimed only by that
 		// client's own churn — the lazy-reconciliation trade.)
 		return nil
 	}
-	cl.pendScrub = append(cl.pendScrub, victim)
-	cl.pubSince++
-	if cl.pubSince >= cl.pubBatch {
+	if cl.sz.scrub(victim) {
 		return cl.FlushSizes(p)
 	}
 	return nil
@@ -568,7 +404,7 @@ func (cl *Cluster) shardRmdir(p *sim.Proc, dir kernel.InodeID, name string) (*Re
 	}
 	cl.bumpGroupNs(owner)
 	cl.journalGroup(owner, Req{Op: OpRmdir, Ino: dir, Name: name}, child, 0)
-	delete(cl.sizes, child)
+	cl.sz.forget(child)
 	return resp, nil
 }
 
@@ -590,7 +426,7 @@ func (cl *Cluster) Rename(p *sim.Proc, srcDir kernel.InodeID, srcName string, ds
 		return &Resp{Status: StatusOf(err)}, err
 	}
 	defer cl.exitOp()
-	if err := cl.flushDueSizes(p); err != nil {
+	if err := cl.FlushSizes(p); err != nil {
 		return &Resp{Status: StatusOf(err)}, err
 	}
 	local := &Req{Op: OpRenameLocal, Ino: srcDir, Off: int64(dstDir), Name: PackRenameNames(srcName, dstName)}
@@ -750,15 +586,8 @@ func (cl *Cluster) shardMetaBatch(p *sim.Proc, reqs []*Req) ([]*Resp, error) {
 			return cl.metaBatchSequential(p, reqs)
 		}
 	}
-	type share struct {
-		idx  []int
-		reqs []*Req
-		done int
-		fl   *batchFlight
-		end  int
-	}
-	shares := make([]share, len(cl.sessions))
-	// track remembers, per original position, the mutation's owner
+	shares := cl.newShares()
+	// muts remembers, per original position, the mutation's owner
 	// residue (-1 for reads) and primary, for the post-batch rounds.
 	type mut struct {
 		owner   int
@@ -767,108 +596,36 @@ func (cl *Cluster) shardMetaBatch(p *sim.Proc, reqs []*Req) ([]*Resp, error) {
 	muts := make([]mut, len(reqs))
 	out := make([]*Resp, len(reqs))
 	for i, r := range reqs {
-		muts[i].owner = -1
+		owner := cl.pl.residue(r.Ino)
+		idx := cl.firstUp(owner, cl.pl.replicas)
+		if idx < 0 {
+			return nil, cl.groupDead(r.Op, owner)
+		}
+		muts[i] = mut{owner: owner, primary: idx}
 		switch r.Op {
 		case OpLookup, OpGetattr, OpReaddir:
-			owner := cl.pl.residue(r.Ino)
-			idx := cl.firstUp(owner, cl.pl.replicas)
-			if idx < 0 {
-				return nil, cl.groupDead(r.Op, owner)
-			}
-			shares[idx].idx = append(shares[idx].idx, i)
-			shares[idx].reqs = append(shares[idx].reqs, r)
+			muts[i].owner = -1
+			shares[idx].add(i, r)
 		case OpCreate:
-			owner := cl.pl.residue(r.Ino)
-			idx := cl.firstUp(owner, cl.pl.replicas)
-			if idx < 0 {
-				return nil, cl.groupDead(r.Op, owner)
-			}
-			muts[i] = mut{owner: owner, primary: idx}
 			// Sharded servers read Len as the routing residue (files
 			// inherit the parent's); layout hints do not exist here.
-			w := &Req{Op: OpCreate, Ino: r.Ino, Name: r.Name, Len: uint32(owner + 1)}
-			shares[idx].idx = append(shares[idx].idx, i)
-			shares[idx].reqs = append(shares[idx].reqs, w)
+			shares[idx].add(i, &Req{Op: OpCreate, Ino: r.Ino, Name: r.Name, Len: uint32(owner + 1)})
 		case OpUnlink:
-			owner := cl.pl.residue(r.Ino)
-			idx := cl.firstUp(owner, cl.pl.replicas)
-			if idx < 0 {
-				return nil, cl.groupDead(r.Op, owner)
-			}
-			muts[i] = mut{owner: owner, primary: idx}
 			// The whole owner group applies the unlink; each member's
-			// share carries the same *Req (batches start sequentially
+			// share carries the same *Req (flights start sequentially
 			// and every start fully encodes — see startBatchFlight).
-			for j := 0; j < cl.pl.replicas; j++ {
-				k := cl.pl.slot(owner, j)
-				if cl.down[k] {
-					continue
-				}
+			for _, k := range cl.aliveTargets(owner, cl.pl.replicas, nil) {
 				if k != idx {
 					cl.MetaFanout.Add(1)
 				}
-				shares[k].idx = append(shares[k].idx, i)
-				shares[k].reqs = append(shares[k].reqs, r)
+				shares[k].add(i, r)
 			}
 		}
 	}
-	// Drive every share to completion in parallel rounds: one flight
-	// per server per round, all in flight together. On any error every
-	// started flight is still waited (slots must never leak), then the
-	// first error surfaces and the caller re-issues.
-	var firstErr error
-	for firstErr == nil {
-		started := false
-		for s := range shares {
-			sh := &shares[s]
-			if sh.fl != nil || sh.done >= len(sh.reqs) || cl.down[s] {
-				continue
-			}
-			fl, end, err := cl.sessions[s].startBatchFlight(p, sh.reqs, sh.done)
-			if err != nil {
-				if fabric.IsFault(err) {
-					cl.markDown(s)
-				}
-				if firstErr == nil {
-					firstErr = err
-				}
-				break
-			}
-			sh.fl, sh.end = fl, end
-			started = true
-		}
-		if !started {
-			break
-		}
-		for s := range shares {
-			sh := &shares[s]
-			if sh.fl == nil {
-				continue
-			}
-			resps, werr := sh.fl.wait(p, nil)
-			sh.fl = nil
-			for ri, r := range resps {
-				pos := sh.idx[sh.done+ri]
-				cl.observeResp(r)
-				if out[pos] == nil {
-					out[pos] = r
-				} else if r != nil && (r.Status != out[pos].Status || r.Attr.Ino != out[pos].Attr.Ino) {
-					return out, fmt.Errorf("rfsrv: owner group diverged in batch at %d", pos)
-				}
-			}
-			sh.done += len(resps)
-			if werr != nil {
-				if fabric.IsFault(werr) {
-					cl.markDown(s)
-				}
-				if firstErr == nil {
-					firstErr = werr
-				}
-			}
-		}
-	}
-	if firstErr != nil {
-		return out, firstErr
+	// Every share runs in parallel rounds; on any error the caller
+	// re-issues.
+	if _, err := cl.runShares(p, shares, out, 0); err != nil {
+		return out, err
 	}
 	// Post-batch rounds and bookkeeping, in request order: replicate
 	// fresh dentries (R > 1), bump the mutated groups, queue unlink
@@ -889,7 +646,7 @@ func (cl *Cluster) shardMetaBatch(p *sim.Proc, reqs []*Req) ([]*Resp, error) {
 			}
 			cl.bumpGroupNs(m.owner)
 			cl.journalGroup(m.owner, link, out[i].Attr.Ino, out[i].Epoch)
-			cl.sizes[out[i].Attr.Ino] = cl.entry(out[i].Attr.Size, out[i].Epoch)
+			cl.sz.establish(out[i].Attr.Ino, out[i].Attr.Size, out[i].Epoch)
 		case OpUnlink:
 			cl.bumpGroupNs(m.owner)
 			cl.journalGroup(m.owner, *r, out[i].Attr.Ino, 0)

@@ -40,57 +40,11 @@ import (
 	"repro/internal/sim"
 )
 
-const (
-	// DefaultJournalOps is the default bound on journaled mutations
-	// per excluded server before the journal spills to full-slice
-	// resync.
-	DefaultJournalOps = 4096
-
-	// DefaultJournalBytes is the default bound on journaled dirty data
-	// bytes per excluded server before the journal spills.
-	DefaultJournalBytes = 8 << 20
-
-	// memberFencePoll is how often a fenced operation re-checks the
-	// membership view, and how often an operator re-checks that
-	// in-flight operations have drained. Coarse enough not to spin,
-	// fine enough that fence latency is negligible next to a request
-	// round trip.
-	memberFencePoll = 5 * time.Microsecond
-)
-
-// journalOp is one namespace mutation an excluded server missed: the
-// request to replay, plus what the cluster observed the fan produce —
-// the minted inode for creates (verified after replay, since an
-// idempotent re-execution must converge on the same number) and the
-// resulting size epoch for epoch-bumping ops (replay aligns the
-// returning server to wantEpoch−1 with OpSyncEpoch first, so the
-// replayed bump lands exactly at wantEpoch).
-type journalOp struct {
-	req       Req
-	wantIno   kernel.InodeID
-	wantEpoch uint64
-}
-
-// dirtyRange is a byte range of one file written while a server that
-// holds (part of) it was excluded.
-type dirtyRange struct {
-	off int64
-	n   int
-}
-
-// resyncJournal accumulates what one excluded server missed. ops
-// replay in order (namespace mutations are order-sensitive); dirty
-// data is a state copy — re-read from live replicas and re-written —
-// so it needs no ordering, only coverage, and coalesces adjacent
-// writes. Once spilled the journal records nothing further; Reinstate
-// then rebuilds the server's whole slice instead.
-type resyncJournal struct {
-	ops     []journalOp
-	dirty   map[kernel.InodeID][]dirtyRange
-	order   []kernel.InodeID
-	bytes   int64
-	spilled bool
-}
+// memberFencePoll is how often a fenced operation re-checks the
+// membership view, and how often an operator re-checks that in-flight
+// operations have drained. Coarse enough not to spin, fine enough that
+// fence latency is negligible next to a request round trip.
+const memberFencePoll = 5 * time.Microsecond
 
 // SetJournalLimits bounds the per-excluded-server resync journal: at
 // most ops mutations and bytes dirty data bytes (0 keeps the current
@@ -98,14 +52,7 @@ type resyncJournal struct {
 // Past either bound the journal spills: recording stops and the next
 // Reinstate performs a full-slice resync through the peers wired with
 // SetResyncPeers.
-func (cl *Cluster) SetJournalLimits(ops int, bytes int64) {
-	if ops > 0 {
-		cl.journalOpCap = ops
-	}
-	if bytes > 0 {
-		cl.journalByteCap = bytes
-	}
-}
+func (cl *Cluster) SetJournalLimits(ops int, bytes int64) { cl.jn.limit(ops, bytes) }
 
 // SetResyncPeers hands the cluster direct handles to its servers, in
 // session-slot order, modeling the out-of-band bulk channel a real
@@ -123,77 +70,23 @@ func (cl *Cluster) SetResyncPeers(servers []*Server) error {
 // JournalSpilled reports whether server slot i's resync journal
 // overflowed its bounds, so the next Reinstate will need the
 // full-slice resync path (and will refuse without resync peers).
-func (cl *Cluster) JournalSpilled(i int) bool {
-	return cl.journals != nil && cl.journals[i] != nil && cl.journals[i].spilled
-}
+func (cl *Cluster) JournalSpilled(i int) bool { return cl.jn.slot(i).spilled }
 
 // JournalOps returns how many mutations server slot i's resync
 // journal currently holds (0 when the server is up or nothing was
 // missed).
-func (cl *Cluster) JournalOps(i int) int {
-	if cl.journals == nil || cl.journals[i] == nil {
-		return 0
-	}
-	return len(cl.journals[i].ops)
-}
+func (cl *Cluster) JournalOps(i int) int { return len(cl.jn.slot(i).ops) }
 
 // JournalBytes returns how many dirty data bytes server slot i's
 // resync journal currently holds (0 when the server is up, nothing
 // was missed, or the journal spilled).
-func (cl *Cluster) JournalBytes(i int) int64 {
-	if cl.journals == nil || cl.journals[i] == nil {
-		return 0
-	}
-	return cl.journals[i].bytes
-}
-
-func (cl *Cluster) journalOpLimit() int {
-	if cl.journalOpCap > 0 {
-		return cl.journalOpCap
-	}
-	return DefaultJournalOps
-}
-
-func (cl *Cluster) journalByteLimit() int64 {
-	if cl.journalByteCap > 0 {
-		return cl.journalByteCap
-	}
-	return DefaultJournalBytes
-}
-
-func (cl *Cluster) journalFor(i int) *resyncJournal {
-	if cl.journals == nil {
-		cl.journals = make([]*resyncJournal, len(cl.sessions))
-	}
-	if cl.journals[i] == nil {
-		cl.journals[i] = &resyncJournal{}
-	}
-	return cl.journals[i]
-}
-
-func (cl *Cluster) resetJournal(i int) {
-	if cl.journals != nil {
-		cl.journals[i] = nil
-	}
-}
-
-func (cl *Cluster) spillJournal(j *resyncJournal) {
-	j.spilled = true
-	j.ops, j.dirty, j.order, j.bytes = nil, nil, nil, 0
-	cl.ResyncSpills.Add(0)
-}
+func (cl *Cluster) JournalBytes(i int) int64 { return cl.jn.slot(i).bytes }
 
 // journalMut records one missed mutation in excluded slot i's journal.
 func (cl *Cluster) journalMut(i int, req Req, wantIno kernel.InodeID, wantEpoch uint64) {
-	j := cl.journalFor(i)
-	if j.spilled {
-		return
+	if cl.jn.record(i, req, wantIno, wantEpoch) {
+		cl.ResyncSpills.Add(0)
 	}
-	if len(j.ops) >= cl.journalOpLimit() {
-		cl.spillJournal(j)
-		return
-	}
-	j.ops = append(j.ops, journalOp{req: req, wantIno: wantIno, wantEpoch: wantEpoch})
 }
 
 // journalSpan records a mutation fanned to the span ring positions
@@ -226,43 +119,16 @@ func (cl *Cluster) journalGroup(owner int, req Req, wantIno kernel.InodeID, want
 // journalDirty records that [off, off+n) of ino was written while
 // slot i was excluded.
 func (cl *Cluster) journalDirty(i int, ino kernel.InodeID, off int64, n int) {
-	if n <= 0 {
-		return
+	if cl.jn.dirty(i, ino, off, n) {
+		cl.ResyncSpills.Add(0)
 	}
-	j := cl.journalFor(i)
-	if j.spilled {
-		return
-	}
-	if j.bytes+int64(n) > cl.journalByteLimit() {
-		cl.spillJournal(j)
-		return
-	}
-	if j.dirty == nil {
-		j.dirty = make(map[kernel.InodeID][]dirtyRange)
-	}
-	rs := j.dirty[ino]
-	if len(rs) == 0 {
-		j.order = append(j.order, ino)
-	}
-	if k := len(rs) - 1; k >= 0 && rs[k].off+int64(rs[k].n) == off {
-		rs[k].n += n
-	} else {
-		rs = append(rs, dirtyRange{off: off, n: n})
-	}
-	j.dirty[ino] = rs
-	j.bytes += int64(n)
 }
 
 // journalRunDirty records a data write's byte ranges against every
 // excluded replica of its runs. Called once per write after the fan,
 // with the same run decomposition the write used, so the dirty map
-// covers exactly the stripes each excluded server would have held. It
-// sits on every write's path, so it first asks whether anyone is
-// excluded at all.
+// covers exactly the stripes each excluded server would have held.
 func (cl *Cluster) journalRunDirty(ino kernel.InodeID, runs []run) {
-	if !cl.anyDown() {
-		return
-	}
 	for _, r := range runs {
 		for j := 0; j < cl.pl.replicas; j++ {
 			if i := cl.pl.slot(r.owner, j); cl.down[i] {
@@ -270,16 +136,6 @@ func (cl *Cluster) journalRunDirty(ino kernel.InodeID, runs []run) {
 			}
 		}
 	}
-}
-
-// anyDown reports whether any member is currently excluded.
-func (cl *Cluster) anyDown() bool {
-	for _, i := range cl.pl.members {
-		if cl.down[i] {
-			return true
-		}
-	}
-	return false
 }
 
 // Reinstate re-admits server slot i after its transport heals. What
@@ -303,12 +159,9 @@ func (cl *Cluster) Reinstate(p *sim.Proc, i int) error {
 	if !cl.down[i] {
 		return nil
 	}
-	var j *resyncJournal
-	if cl.journals != nil {
-		j = cl.journals[i]
-	}
+	j := cl.jn.slot(i)
 	switch {
-	case j != nil && j.spilled:
+	case j.spilled:
 		cl.ReinstateRefusals.Add(0)
 		if cl.peers == nil {
 			return fmt.Errorf("rfsrv: reinstate server %d: resync journal spilled its bounds and no resync peers are wired; resync its backing store out of band first", i)
@@ -316,28 +169,22 @@ func (cl *Cluster) Reinstate(p *sim.Proc, i int) error {
 		if err := cl.fullResync(i); err != nil {
 			return fmt.Errorf("rfsrv: reinstate server %d: full-slice resync: %w", i, err)
 		}
-	case j != nil:
+	case j.empty() && cl.downNs[i] != cl.nsEpochs[i]:
+		// Mutations ran but nothing was journaled — only possible if a
+		// hook was bypassed. Refuse rather than readmit a diverged
+		// server.
+		cl.ReinstateRefusals.Add(0)
+		return fmt.Errorf("rfsrv: reinstate server %d: %d namespace/size mutation(s) ran against its slice during its exclusion but were not journaled; resync its backing store out of band first", i, cl.nsEpochs[i]-cl.downNs[i])
+	default:
 		if err := cl.replayJournal(p, i, j); err != nil {
 			return fmt.Errorf("rfsrv: reinstate server %d: %w", i, err)
-		}
-	default:
-		if cl.downNs[i] != cl.nsEpochs[i] {
-			// Mutations ran but nothing was journaled — only possible
-			// if a hook was bypassed. Refuse rather than readmit a
-			// diverged server.
-			cl.ReinstateRefusals.Add(0)
-			return fmt.Errorf("rfsrv: reinstate server %d: %d namespace/size mutation(s) ran against its slice during its exclusion but were not journaled; resync its backing store out of band first", i, cl.nsEpochs[i]-cl.downNs[i])
 		}
 	}
 	cl.Reinstates.Add(0)
 	cl.down[i] = false
 	cl.downNs[i] = cl.nsEpochs[i]
-	cl.resetJournal(i)
-	for ino, e := range cl.sizes {
-		if e.downAt&(1<<i) != 0 {
-			delete(cl.sizes, ino)
-		}
-	}
+	cl.jn.reset(i)
+	cl.sz.readmit(i)
 	return nil
 }
 
@@ -375,9 +222,7 @@ func (cl *Cluster) replayOps(p *sim.Proc, i int, j *resyncJournal) error {
 		return err
 	}
 	if !fallback {
-		for range j.ops {
-			cl.ResyncOps.Add(0)
-		}
+		addN(&cl.ResyncOps, len(j.ops))
 		return nil
 	}
 	cl.ResyncFallbacks.Add(0)

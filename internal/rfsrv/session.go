@@ -363,8 +363,7 @@ func validateBatch(reqs []*Req) error {
 // reply deadlines run from. A session has at most ONE flight
 // outstanding (its staging is session scratch); cross-server
 // parallelism comes from flights on different sessions — the cluster
-// starts one per server, then waits them all (see Cluster.FlushSizes
-// and the sharded MetaBatch).
+// starts one per server, then waits them all (Cluster.runShares).
 type batchFlight struct {
 	s      *Session
 	bufs   []*ctlBufs
