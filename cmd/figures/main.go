@@ -44,30 +44,13 @@ type jsonFigure struct {
 	Series []jsonSeries `json:"series"`
 }
 
-// jsonElastic is the elastic-membership lifecycle section of the
-// snapshot: per-phase throughput (kill -> heal -> replayed
-// re-admission -> live Join) plus the recovery/migration accounting.
-type jsonElastic struct {
-	PreMBps       float64 `json:"pre_mbps"`
-	DegradedMBps  float64 `json:"degraded_mbps"`
-	PostMBps      float64 `json:"post_expansion_mbps"`
-	Reinstates    int64   `json:"reinstates"`
-	Refusals      int64   `json:"reinstate_refusals"`
-	Spills        int64   `json:"resync_spills"`
-	ResyncOps     int64   `json:"resync_ops"`
-	ResyncBytes   int64   `json:"resync_bytes"`
-	MigratedBytes int64   `json:"migrated_bytes"`
-	Epoch         uint64  `json:"epoch"`
-	Members       []int   `json:"members"`
-}
-
 // snapshot is the -json file's layout: every figure that ran, plus
 // the allocation profile of the per-request hot path and (since PR 9)
 // the elastic-membership lifecycle numbers.
 type snapshot struct {
-	Iters   int          `json:"iters"`
-	Figures []jsonFigure `json:"figures"`
-	Elastic *jsonElastic `json:"elastic,omitempty"`
+	Iters   int                   `json:"iters"`
+	Figures []jsonFigure          `json:"figures"`
+	Elastic *figures.ElasticStats `json:"elastic,omitempty"`
 	Allocs  struct {
 		// RequestPathPerOp is the measured heap allocations per
 		// client-observed cluster operation (see
@@ -106,6 +89,38 @@ func (s *snapshot) add(f *figures.Figure) {
 	s.Figures = append(s.Figures, jf)
 }
 
+// experiments lists every id -only accepts.
+var experiments = []string{
+	"fig1b", "fig3b", "fig4a", "fig4b", "fig5a", "fig5b", "fig6", "fig7a", "fig7b", "fig8a", "fig8b",
+	"table1", "scalability", "multiserver", "sharedfile", "smallfile", "metadata", "torture",
+	"degraded", "elastic",
+}
+
+// selectExperiments parses the -only flag into the set of ids to run:
+// comma-separated, case-insensitive, blanks ignored, "" meaning all of
+// them. Any id that is not an experiment is an error, even next to
+// ones that are.
+func selectExperiments(only string) (map[string]bool, error) {
+	valid := make(map[string]bool)
+	for _, id := range experiments {
+		valid[id] = true
+	}
+	sel := make(map[string]bool)
+	for _, id := range strings.Split(strings.ToLower(only), ",") {
+		if id = strings.TrimSpace(id); id == "" {
+			continue
+		}
+		if !valid[id] {
+			return nil, fmt.Errorf("unknown experiment %q (valid: %s)", id, strings.Join(experiments, ", "))
+		}
+		sel[id] = true
+	}
+	if len(sel) == 0 {
+		return valid, nil
+	}
+	return sel, nil
+}
+
 func main() {
 	iters := flag.Int("iters", 10, "ping-pong iterations per message size")
 	only := flag.String("only", "", "run only these comma-separated experiment ids (fig1b…fig8b, table1, scalability, multiserver, degraded, elastic, sharedfile, smallfile, metadata, torture)")
@@ -114,13 +129,11 @@ func main() {
 
 	cfg := figures.Config{Iters: *iters, Warmup: 2}
 	snap := &snapshot{Iters: *iters}
-	sel := make(map[string]bool)
-	for _, id := range strings.Split(strings.ToLower(*only), ",") {
-		if id = strings.TrimSpace(id); id != "" {
-			sel[id] = true
-		}
+	sel, err := selectExperiments(*only)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
-	want := func(id string) bool { return len(sel) == 0 || sel[id] }
 	type job struct {
 		id  string
 		fig func() (*figures.Figure, error)
@@ -138,16 +151,14 @@ func main() {
 		{"fig8a", cfg.Fig8a},
 		{"fig8b", cfg.Fig8b},
 	}
-	ran := false
 	emit := func(f *figures.Figure) {
 		fmt.Println(f.Render(f.Latency()))
 		snap.add(f)
 	}
 	for _, j := range jobs {
-		if !want(j.id) {
+		if !sel[j.id] {
 			continue
 		}
-		ran = true
 		f, err := j.fig()
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", j.id, err)
@@ -155,8 +166,7 @@ func main() {
 		}
 		emit(f)
 	}
-	if want("table1") {
-		ran = true
+	if sel["table1"] {
 		t, err := cfg.Table1()
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "table1: %v\n", err)
@@ -173,10 +183,9 @@ func main() {
 		"torture":     cfg.Torture,
 	}
 	for _, id := range []string{"scalability", "multiserver", "sharedfile", "smallfile", "metadata", "torture"} {
-		if !want(id) {
+		if !sel[id] {
 			continue
 		}
-		ran = true
 		figs, err := multi[id]()
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", id, err)
@@ -186,8 +195,7 @@ func main() {
 			emit(f)
 		}
 	}
-	if want("degraded") {
-		ran = true
+	if sel["degraded"] {
 		tbl, err := cfg.Degraded()
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "degraded: %v\n", err)
@@ -195,8 +203,7 @@ func main() {
 		}
 		fmt.Println(tbl.Render())
 	}
-	if want("elastic") {
-		ran = true
+	if sel["elastic"] {
 		tbls, stats, err := cfg.Elastic()
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "elastic: %v\n", err)
@@ -205,16 +212,7 @@ func main() {
 		for _, tbl := range tbls {
 			fmt.Println(tbl.Render())
 		}
-		snap.Elastic = &jsonElastic{
-			PreMBps: stats.PreMBps, DegradedMBps: stats.DegradedMBps, PostMBps: stats.PostMBps,
-			Reinstates: stats.Reinstates, Refusals: stats.Refusals, Spills: stats.Spills,
-			ResyncOps: stats.ResyncOps, ResyncBytes: stats.ResyncBytes,
-			MigratedBytes: stats.MigratedBytes, Epoch: stats.Epoch, Members: stats.Members,
-		}
-	}
-	if !ran {
-		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *only)
-		os.Exit(1)
+		snap.Elastic = stats
 	}
 	if *jsonPath != "" {
 		const allocOps = 512

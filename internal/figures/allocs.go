@@ -14,11 +14,10 @@ import (
 	"runtime"
 
 	"repro/internal/core"
-	"repro/internal/hw"
+	"repro/internal/kernel"
 	"repro/internal/mem"
-	"repro/internal/memfs"
-	"repro/internal/mx"
 	"repro/internal/rfsrv"
+	"repro/internal/rig"
 	"repro/internal/sim"
 )
 
@@ -26,6 +25,51 @@ import (
 // populate every freelist and grow every scratch buffer to its
 // steady-state capacity.
 const rpaWarmup = 32
+
+// steadyAllocs runs op rpaWarmup times, then ops more times between
+// two runtime.MemStats readings, and returns the mallocs per counted
+// operation. The simulation is single-threaded on the host, so the
+// delta is exact.
+func steadyAllocs(ops int, op func(i int) error) (float64, error) {
+	for i := 0; i < rpaWarmup; i++ {
+		if err := op(i); err != nil {
+			return 0, err
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < ops; i++ {
+		if err := op(rpaWarmup + i); err != nil {
+			return 0, err
+		}
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / float64(ops), nil
+}
+
+// probe builds a rig of the given width and stripe with one client
+// node (window 8) and hands its cluster to measure on a simulated
+// process.
+func probe(servers, stripe int, measure func(p *sim.Proc, cl *rfsrv.Cluster) error) error {
+	r, err := rig.New(rig.Desc{Servers: servers, Replicas: 1, Stripe: stripe, Window: 8})
+	if err != nil {
+		return err
+	}
+	_, err = r.Run("probe", 0, func(p *sim.Proc) error {
+		cl, err := r.Cluster(p, r.HW.AddNode("client"), 10)
+		if err != nil {
+			return err
+		}
+		return measure(p, cl)
+	}, nil)
+	return err
+}
+
+// probeFile creates the file the probes write and read.
+func probeFile(p *sim.Proc, cl *rfsrv.Cluster) (kernel.InodeID, error) {
+	attr, err := cl.Meta(p, &rfsrv.Req{Op: rfsrv.OpCreate, Ino: 0, Name: "probe"})
+	return attr.Attr.Ino, err
+}
 
 // SizePublishAllocs measures the steady-state host allocations per
 // extending one-page write through a 3-server striped cluster with the
@@ -37,155 +81,61 @@ func SizePublishAllocs(ops int) (float64, error) {
 	if ops <= 0 {
 		return 0, fmt.Errorf("figures: SizePublishAllocs needs ops > 0")
 	}
-	env := sim.NewEngine()
-	cl := hw.NewCluster(env, hw.DefaultParams(), hw.PCIXD)
-	var serverIDs []hw.NodeID
-	for j := 0; j < 3; j++ {
-		n := cl.AddNode(fmt.Sprintf("server%d", j))
-		serverIDs = append(serverIDs, n.ID)
-		fs := memfs.New(fmt.Sprintf("backing%d", j), n, 0)
-		if _, err := rfsrv.NewServer(n, fs).ServeMX(mx.Attach(n), 1, 4); err != nil {
-			return 0, err
-		}
-	}
-	client := cl.AddNode("client")
-
-	var failure error
 	var allocs float64
-	env.Spawn("probe", func(p *sim.Proc) {
-		cmx := mx.Attach(client)
-		sessions := make([]*rfsrv.Session, len(serverIDs))
-		for i, id := range serverIDs {
-			fc, err := rfsrv.NewMXClient(cmx, uint8(10+i), true, client.Kernel, id, 1)
-			if err != nil {
-				failure = err
-				return
-			}
-			if sessions[i], err = rfsrv.NewSession(p, fc, 8); err != nil {
-				failure = err
-				return
-			}
-		}
-		cluster, err := rfsrv.NewCluster(p, sessions, mem.PageSize)
-		if err != nil {
-			failure = err
-			return
-		}
-		if err := cluster.SetSizePublishBatch(rfsrv.DefaultSizePublishBatch); err != nil {
-			failure = err
-			return
-		}
-		attr, err := cluster.Meta(p, &rfsrv.Req{Op: rfsrv.OpCreate, Ino: 0, Name: "probe"})
-		if err != nil {
-			failure = err
-			return
-		}
-		va, err := client.Kernel.Mmap(mem.PageSize, "probe-buf")
-		if err != nil {
-			failure = err
-			return
-		}
-		vec := core.Of(core.KernelSeg(client.Kernel, va, mem.PageSize))
-		op := func(i int) error {
-			_, err := cluster.Write(p, attr.Attr.Ino, int64(i)*mem.PageSize, vec)
+	err := probe(3, mem.PageSize, func(p *sim.Proc, cl *rfsrv.Cluster) error {
+		if err := cl.SetSizePublishBatch(rfsrv.DefaultSizePublishBatch); err != nil {
 			return err
 		}
-		n := 0
-		for i := 0; i < rpaWarmup; i++ {
-			if failure = op(n); failure != nil {
-				return
-			}
-			n++
+		ino, err := probeFile(p, cl)
+		if err != nil {
+			return err
 		}
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for i := 0; i < ops; i++ {
-			if failure = op(n); failure != nil {
-				return
-			}
-			n++
+		node := cl.Node()
+		va, err := node.Kernel.Mmap(mem.PageSize, "probe-buf")
+		if err != nil {
+			return err
 		}
-		runtime.ReadMemStats(&after)
-		allocs = float64(after.Mallocs-before.Mallocs) / float64(ops)
+		vec := core.Of(core.KernelSeg(node.Kernel, va, mem.PageSize))
+		allocs, err = steadyAllocs(ops, func(i int) error {
+			_, err := cl.Write(p, ino, int64(i)*mem.PageSize, vec)
+			return err
+		})
+		return err
 	})
-	env.Run(0)
-	if failure != nil {
-		return 0, failure
-	}
-	return allocs, nil
+	return allocs, err
 }
 
 // RequestPathAllocs measures the steady-state host allocations per
 // synchronous 64 KB operation (alternating write and read) through one
-// Session to one MX server, measured over ops operations with
-// runtime.MemStats — the whole request path: encode, slot staging,
-// transfer, server dispatch/worker, decode. The simulation is
-// single-threaded on the host, so the mallocs delta is exact.
+// Session to one MX server — the whole request path: encode, slot
+// staging, transfer, server dispatch/worker, decode.
 func RequestPathAllocs(ops int) (float64, error) {
 	if ops <= 0 {
 		return 0, fmt.Errorf("figures: RequestPathAllocs needs ops > 0")
 	}
-	env := sim.NewEngine()
-	cl := hw.NewCluster(env, hw.DefaultParams(), hw.PCIXD)
-	server := cl.AddNode("server")
-	fs := memfs.New("backing", server, 0)
-	if _, err := rfsrv.NewServer(server, fs).ServeMX(mx.Attach(server), 1, 4); err != nil {
-		return 0, err
-	}
-	client := cl.AddNode("client")
-
-	var failure error
 	var allocs float64
-	env.Spawn("probe", func(p *sim.Proc) {
-		fc, err := rfsrv.NewMXClient(mx.Attach(client), 10, true, client.Kernel, server.ID, 1)
-		if err != nil {
-			failure = err
-			return
-		}
-		sess, err := rfsrv.NewSession(p, fc, 8)
-		if err != nil {
-			failure = err
-			return
-		}
-		attr, err := sess.Meta(p, &rfsrv.Req{Op: rfsrv.OpCreate, Ino: 0, Name: "probe"})
-		if err != nil {
-			failure = err
-			return
-		}
+	err := probe(1, msStripe, func(p *sim.Proc, cl *rfsrv.Cluster) error {
 		const chunk = 64 * 1024
-		va, err := client.Kernel.Mmap(chunk, "probe-buf")
+		ino, err := probeFile(p, cl)
 		if err != nil {
-			failure = err
-			return
-		}
-		vec := core.Of(core.KernelSeg(client.Kernel, va, chunk))
-		op := func(i int) error {
-			off := int64(i%8) * chunk
-			if i%2 == 0 {
-				_, err := sess.Write(p, attr.Attr.Ino, off, vec)
-				return err
-			}
-			_, err := sess.Read(p, attr.Attr.Ino, off, vec)
 			return err
 		}
-		for i := 0; i < rpaWarmup; i++ {
-			if failure = op(i); failure != nil {
-				return
-			}
+		node, sess := cl.Node(), cl.Sessions()[0]
+		va, err := node.Kernel.Mmap(chunk, "probe-buf")
+		if err != nil {
+			return err
 		}
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for i := 0; i < ops; i++ {
-			if failure = op(i); failure != nil {
-				return
+		vec := core.Of(core.KernelSeg(node.Kernel, va, chunk))
+		allocs, err = steadyAllocs(ops, func(i int) error {
+			off := int64(i%8) * chunk
+			if i%2 == 0 {
+				_, err := sess.Write(p, ino, off, vec)
+				return err
 			}
-		}
-		runtime.ReadMemStats(&after)
-		allocs = float64(after.Mallocs-before.Mallocs) / float64(ops)
+			_, err := sess.Read(p, ino, off, vec)
+			return err
+		})
+		return err
 	})
-	env.Run(0)
-	if failure != nil {
-		return 0, failure
-	}
-	return allocs, nil
+	return allocs, err
 }

@@ -31,11 +31,9 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/hw"
 	"repro/internal/kernel"
-	"repro/internal/memfs"
-	"repro/internal/mx"
 	"repro/internal/rfsrv"
+	"repro/internal/rig"
 	"repro/internal/sim"
 )
 
@@ -119,34 +117,18 @@ func (r *dgResult) mbpsTotal() float64 {
 	return mbps(b, r.finished-r.started)
 }
 
-// dgSeed lays the replicated striped layout down server-side: the
-// shared seeding helper at this suite's file size and R.
-func dgSeed(p *sim.Proc, serverFS []*memfs.FS, servers []*hw.Node, clients int) ([]kernel.InodeID, error) {
-	return msSeedStriped(p, serverFS, servers, clients, dgFilePerCli, dgReplicas)
-}
-
-// dgCluster wires one client node to every server: the shared cluster
-// builder at this suite's window and R, with the reply deadline armed
-// (timeout 0 leaves deadlines off — the calibration baseline).
-func dgCluster(p *sim.Proc, node *hw.Node, servers []hw.NodeID, timeout sim.Time) (*rfsrv.Cluster, error) {
-	return msClusterRep(p, node, servers, dgWindow, dgReplicas, timeout)
-}
-
 // dgClient runs one client's pipelined striped reads (the multiserver
-// orfs-direct workload) and returns its completion samples and its
-// cluster (for the failover counters).
-func dgClient(p *sim.Proc, node *hw.Node, servers []hw.NodeID, ino kernel.InodeID, timeout sim.Time) ([]dgSample, sim.Time, *rfsrv.Cluster, error) {
+// orfs-direct workload) through cluster and returns its completion
+// samples and worst request latency.
+func dgClient(p *sim.Proc, cluster *rfsrv.Cluster, ino kernel.InodeID) ([]dgSample, sim.Time, error) {
 	var maxLat sim.Time
-	cluster, err := dgCluster(p, node, servers, timeout)
-	if err != nil {
-		return nil, 0, nil, err
-	}
+	node := cluster.Node()
 	window := cluster.Window()
 	bufs := make([]core.Vector, window)
 	for i := range bufs {
 		va, err := node.Kernel.Mmap(msStripe, "dg-buf")
 		if err != nil {
-			return nil, 0, cluster, err
+			return nil, 0, err
 		}
 		bufs[i] = vecKernel(node.Kernel, va, msStripe)
 	}
@@ -170,21 +152,21 @@ func dgClient(p *sim.Proc, node *hw.Node, servers []hw.NodeID, ino kernel.InodeI
 			pd := q[0]
 			q = q[1:]
 			if err := retire(pd); err != nil {
-				return nil, 0, cluster, err
+				return nil, 0, err
 			}
 		}
 		pd, err := cluster.StartRead(p, ino, off, bufs[issued%window])
 		if err != nil {
-			return nil, 0, cluster, err
+			return nil, 0, err
 		}
 		q = append(q, pd)
 	}
 	for _, pd := range q {
 		if err := retire(pd); err != nil {
-			return nil, 0, cluster, err
+			return nil, 0, err
 		}
 	}
-	return samples, maxLat, cluster, nil
+	return samples, maxLat, nil
 }
 
 // dgRun executes the degraded workload on a fresh simulated cluster of
@@ -193,76 +175,39 @@ func dgClient(p *sim.Proc, node *hw.Node, servers []hw.NodeID, ino kernel.InodeI
 // makespan and worst latency calibrate the kill time and the reply
 // deadline). timeout arms per-request deadlines; 0 leaves them off.
 func (c Config) dgRun(servers int, killAt, timeout sim.Time) (*dgResult, error) {
-	env := sim.NewEngine()
-	if c.Trace != nil {
-		env.SetTrace(c.Trace)
-	}
-	cl := hw.NewCluster(env, hw.DefaultParams(), hw.PCIXD)
-	var (
-		serverNodes []*hw.Node
-		serverIDs   []hw.NodeID
-		serverFS    []*memfs.FS
-	)
-	for j := 0; j < servers; j++ {
-		n := cl.AddNode(fmt.Sprintf("server%d", j))
-		serverNodes = append(serverNodes, n)
-		serverIDs = append(serverIDs, n.ID)
-		fs := memfs.New(fmt.Sprintf("backing%d", j), n, 0)
-		serverFS = append(serverFS, fs)
-		if _, err := rfsrv.NewServer(n, fs).ServeMX(mx.Attach(n), 1, 4); err != nil {
-			return nil, err
-		}
+	r, err := rig.New(rig.Desc{Servers: servers, Replicas: dgReplicas, Stripe: msStripe,
+		Window: dgWindow, Timeout: timeout, Trace: c.Trace})
+	if err != nil {
+		return nil, err
 	}
 	if killAt > 0 {
-		serverNodes[0].NIC.KillAfter(killAt)
+		r.Nodes[0].NIC.KillAfter(killAt)
 	}
 	res := &dgResult{}
-	clusters := make([]*rfsrv.Cluster, msClients)
-	var failure error
-	done := 0
-	env.Spawn("seed", func(p *sim.Proc) {
-		inos, err := dgSeed(p, serverFS, serverNodes, msClients)
-		if err != nil {
-			failure = err
-			return
-		}
+	var inos []kernel.InodeID
+	span, err := r.Run("cl", msClients, func(p *sim.Proc) (err error) {
+		inos, err = msSeedStriped(p, r, servers, msClients, dgFilePerCli)
 		res.started = p.Now()
-		for i := 0; i < msClients; i++ {
-			i := i
-			node := cl.AddNode(fmt.Sprintf("client%d", i))
-			env.Spawn(fmt.Sprintf("cl%d", i), func(p *sim.Proc) {
-				samples, maxLat, cluster, err := dgClient(p, node, serverIDs, inos[i], timeout)
-				clusters[i] = cluster
-				if err != nil {
-					if failure == nil {
-						failure = err
-					}
-					return
-				}
-				if maxLat > res.maxLat {
-					res.maxLat = maxLat
-				}
-				res.samples = append(res.samples, samples...)
-				if p.Now() > res.finished {
-					res.finished = p.Now()
-				}
-				done++
-			})
+		return err
+	}, func(p *sim.Proc, i int) error {
+		cluster, err := r.Cluster(p, r.HW.AddNode(fmt.Sprintf("client%d", i)), 10)
+		if err != nil {
+			return err
 		}
+		samples, maxLat, err := dgClient(p, cluster, inos[i])
+		if err != nil {
+			return err
+		}
+		res.maxLat = max(res.maxLat, maxLat)
+		res.samples = append(res.samples, samples...)
+		res.failovers += cluster.Failovers.N
+		res.excluded += cluster.Excluded.N
+		return nil
 	})
-	env.Run(0)
-	if failure != nil {
-		return nil, failure
+	if err != nil {
+		return nil, fmt.Errorf("degraded s=%d: %w", servers, err)
 	}
-	if done != msClients {
-		return nil, fmt.Errorf("figures: %d/%d degraded clients finished (s=%d)", done, msClients, servers)
-	}
-	for _, cluster := range clusters {
-		if cluster != nil {
-			res.failovers += cluster.Failovers.N
-			res.excluded += cluster.Excluded.N
-		}
-	}
+	res.finished = res.started + span
 	return res, nil
 }
 

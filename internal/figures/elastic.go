@@ -29,11 +29,9 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/hw"
 	"repro/internal/kernel"
-	"repro/internal/memfs"
-	"repro/internal/mx"
 	"repro/internal/rfsrv"
+	"repro/internal/rig"
 	"repro/internal/sim"
 )
 
@@ -109,24 +107,10 @@ func (r *elResult) window(from, to sim.Time) float64 {
 }
 
 // elClient streams synchronous stripe reads (with periodic stripe
-// overwrites) against its own file until the controller flags done,
-// re-admitting its exclusions once heal is up. The cluster is
-// published through reg as soon as it is built, so the controller can
-// poll exclusion state while the client is still streaming.
-func elClient(p *sim.Proc, node *hw.Node, serverIDs []hw.NodeID, peers []*rfsrv.Server,
-	view *rfsrv.MemberView, ino kernel.InodeID, timeout sim.Time,
-	ctl *elCtl, res *elResult, reg func(*rfsrv.Cluster)) error {
-	cl, err := msClusterRep(p, node, serverIDs, elWindow, elReplicas, timeout)
-	if err != nil {
-		return err
-	}
-	reg(cl)
-	if err := cl.SetResyncPeers(peers); err != nil {
-		return err
-	}
-	if view != nil {
-		cl.AttachView(view)
-	}
+// overwrites) through cl against its own file until the controller
+// flags done, re-admitting its exclusions once heal is up.
+func elClient(p *sim.Proc, cl *rfsrv.Cluster, ino kernel.InodeID, ctl *elCtl, res *elResult) error {
+	node := cl.Node()
 	va, err := node.Kernel.Mmap(msStripe, "el-buf")
 	if err != nil {
 		return err
@@ -183,163 +167,123 @@ func elClient(p *sim.Proc, node *hw.Node, serverIDs []hw.NodeID, peers []*rfsrv.
 // join, just elPreDur+elTailDur of healthy traffic measuring makespan
 // throughput and worst latency.
 func (c Config) elRun(timeout sim.Time) (*elResult, error) {
-	env := sim.NewEngine()
-	if c.Trace != nil {
-		env.SetTrace(c.Trace)
+	r, err := rig.New(rig.Desc{Servers: elServers, Replicas: elReplicas, Stripe: msStripe,
+		Window: elWindow, Timeout: timeout, Trace: c.Trace})
+	if err != nil {
+		return nil, err
 	}
-	cl := hw.NewCluster(env, hw.DefaultParams(), hw.PCIXD)
-	var (
-		serverNodes []*hw.Node
-		serverIDs   []hw.NodeID
-		serverFS    []*memfs.FS
-		servers     []*rfsrv.Server
-	)
-	for j := 0; j < elServers; j++ {
-		n := cl.AddNode(fmt.Sprintf("server%d", j))
-		serverNodes = append(serverNodes, n)
-		serverIDs = append(serverIDs, n.ID)
-		fs := memfs.New(fmt.Sprintf("backing%d", j), n, 0)
-		serverFS = append(serverFS, fs)
-		srv := rfsrv.NewServer(n, fs)
-		if _, err := srv.ServeMX(mx.Attach(n), 1, 4); err != nil {
-			return nil, err
-		}
-		servers = append(servers, srv)
-	}
-	opNode := cl.AddNode("operator")
-
+	opNode := r.HW.AddNode("operator")
 	res := &elResult{}
 	ctl := &elCtl{}
 	clusters := make([]*rfsrv.Cluster, elClients)
-	var failure error
-	fail := func(err error) {
-		if failure == nil {
-			failure = err
-		}
-		ctl.done = true
-	}
-	done := 0
-	env.Spawn("el-setup", func(p *sim.Proc) {
+	var (
+		inos []kernel.InodeID
+		op   *rfsrv.Cluster
+	)
+	// Processes 0..elClients-1 are the streaming clients; the last one
+	// is the controller walking the lifecycle.
+	span, err := r.Run("el", elClients+1, func(p *sim.Proc) (err error) {
 		// Seed the initial members only: the standby slot's store is
 		// rebuilt by the Join from the authoritative snapshot.
-		inos, err := msSeedStriped(p, serverFS[:elActive], serverNodes[:elActive],
-			elClients, elStripes*msStripe, elReplicas)
-		if err != nil {
-			fail(err)
-			return
+		if inos, err = msSeedStriped(p, r, elActive, elClients, elStripes*msStripe); err != nil {
+			return err
 		}
 		// The operator cluster publishes the shared membership view
 		// (members = the first elActive slots) and holds the bulk
 		// resync channel for the Join's store rebuild.
-		op, err := msClusterRep(p, opNode, serverIDs, elWindow, elReplicas, timeout)
-		if err != nil {
-			fail(err)
-			return
+		if op, err = r.Cluster(p, opNode, 10); err != nil {
+			return err
 		}
 		if err := op.SetMembers(elActive); err != nil {
-			fail(err)
-			return
+			return err
 		}
-		if err := op.SetResyncPeers(servers); err != nil {
-			fail(err)
-			return
-		}
-		view := op.ShareView()
+		r.View = op.ShareView()
 		res.started = p.Now()
-		for i := 0; i < elClients; i++ {
-			i := i
-			node := cl.AddNode(fmt.Sprintf("client%d", i))
-			env.Spawn(fmt.Sprintf("el-c%d", i), func(p *sim.Proc) {
-				err := elClient(p, node, serverIDs, servers, view, inos[i], timeout, ctl, res,
-					func(cluster *rfsrv.Cluster) { clusters[i] = cluster })
-				if err != nil {
-					fail(err)
-					return
-				}
-				if p.Now() > res.finished {
-					res.finished = p.Now()
-				}
-				done++
-			})
+		return nil
+	}, func(p *sim.Proc, i int) error {
+		if i == elClients {
+			defer func() { ctl.done = true }()
+			return elController(p, r, op, clusters, timeout, ctl, res)
 		}
-		env.Spawn("el-controller", func(p *sim.Proc) {
-			p.Sleep(elPreDur)
-			if timeout == 0 {
-				// Baseline: healthy traffic only.
-				p.Sleep(elTailDur)
-				ctl.done = true
-				return
-			}
-			res.killAt = p.Now()
-			serverNodes[elVictim].NIC.Kill()
-			p.Sleep(elDwellDur)
-			serverNodes[elVictim].NIC.Revive()
-			// Two deadlines: every flight lost to the kill has expired
-			// and late frames have drained; then clients re-admit via
-			// journal replay.
-			p.Sleep(2 * timeout)
-			res.healAt = p.Now()
-			ctl.heal = true
-			for polls := 0; ; polls++ {
-				if ctl.done {
-					return
-				}
-				clean := true
-				for _, cluster := range clusters {
-					if cluster == nil || len(cluster.DownServers()) > 0 {
-						clean = false
-						break
-					}
-				}
-				if clean {
-					break
-				}
-				if polls > 400 {
-					state := ""
-					for i, cluster := range clusters {
-						if cluster != nil {
-							state += fmt.Sprintf(" c%d:down=%v reinst=%d refus=%d", i,
-								cluster.DownServers(), cluster.Reinstates.N, cluster.ReinstateRefusals.N)
-						}
-					}
-					fail(fmt.Errorf("figures: elastic clients never healed:%s", state))
-					return
-				}
-				p.Sleep(50 * sim.Time(1e3))
-			}
-			// Expand N -> N+1 under load: online stripe migration, then
-			// the epoch cutover every attached client adopts.
-			res.joinStart = p.Now()
-			if err := op.Join(p, elJoiner); err != nil {
-				fail(fmt.Errorf("join of standby slot %d: %w", elJoiner, err))
-				return
-			}
-			res.cutAt = p.Now()
-			res.epoch = view.Epoch()
-			res.members = view.Members()
-			res.migratedBytes = op.Migrated.Bytes
-			p.Sleep(elTailDur)
-			ctl.done = true
-		})
+		cl, err := r.Cluster(p, r.HW.AddNode(fmt.Sprintf("client%d", i)), 10)
+		if err != nil {
+			return err
+		}
+		// Published at once, so the controller can poll exclusion state
+		// while the client is still streaming.
+		clusters[i] = cl
+		return elClient(p, cl, inos[i], ctl, res)
 	})
-	env.Run(0)
-	if failure != nil {
-		return nil, failure
+	if err != nil {
+		return nil, fmt.Errorf("elastic: %w", err)
 	}
-	if done != elClients {
-		return nil, fmt.Errorf("figures: %d/%d elastic clients finished", done, elClients)
-	}
+	res.finished = res.started + span
 	for _, cluster := range clusters {
-		if cluster != nil {
-			res.failovers += cluster.Failovers.N
-			res.reinstates += cluster.Reinstates.N
-			res.refusals += cluster.ReinstateRefusals.N
-			res.resyncOps += cluster.ResyncOps.N
-			res.resyncBytes += cluster.ResyncBytes.Bytes
-			res.spills += cluster.ResyncSpills.N
-		}
+		res.failovers += cluster.Failovers.N
+		res.reinstates += cluster.Reinstates.N
+		res.refusals += cluster.ReinstateRefusals.N
+		res.resyncOps += cluster.ResyncOps.N
+		res.resyncBytes += cluster.ResyncBytes.Bytes
+		res.spills += cluster.ResyncSpills.N
 	}
 	return res, nil
+}
+
+// elController walks the lifecycle on its own process: healthy
+// traffic, kill, dwell, revive, heal, Join, tail. timeout == 0 is the
+// baseline: healthy traffic only.
+func elController(p *sim.Proc, r *rig.Rig, op *rfsrv.Cluster, clusters []*rfsrv.Cluster,
+	timeout sim.Time, ctl *elCtl, res *elResult) error {
+	p.Sleep(elPreDur)
+	if timeout == 0 {
+		p.Sleep(elTailDur)
+		return nil
+	}
+	victim := r.Nodes[elVictim].NIC
+	res.killAt = p.Now()
+	victim.Kill()
+	p.Sleep(elDwellDur)
+	victim.Revive()
+	// Two deadlines: every flight lost to the kill has expired and late
+	// frames have drained; then clients re-admit via journal replay.
+	p.Sleep(2 * timeout)
+	res.healAt = p.Now()
+	ctl.heal = true
+	for polls := 0; ; polls++ {
+		clean := true
+		for _, cluster := range clusters {
+			if cluster == nil || len(cluster.DownServers()) > 0 {
+				clean = false
+				break
+			}
+		}
+		if clean {
+			break
+		}
+		if polls > 400 {
+			state := ""
+			for i, cluster := range clusters {
+				if cluster != nil {
+					state += fmt.Sprintf(" c%d:down=%v reinst=%d refus=%d", i,
+						cluster.DownServers(), cluster.Reinstates.N, cluster.ReinstateRefusals.N)
+				}
+			}
+			return fmt.Errorf("figures: elastic clients never healed:%s", state)
+		}
+		p.Sleep(50 * sim.Time(1e3))
+	}
+	// Expand N -> N+1 under load: online stripe migration, then the
+	// epoch cutover every attached client adopts.
+	res.joinStart = p.Now()
+	if err := op.Join(p, elJoiner); err != nil {
+		return fmt.Errorf("join of standby slot %d: %w", elJoiner, err)
+	}
+	res.cutAt = p.Now()
+	res.epoch = r.View.Epoch()
+	res.members = r.View.Members()
+	res.migratedBytes = op.Migrated.Bytes
+	p.Sleep(elTailDur)
+	return nil
 }
 
 // elPhases derives the per-phase throughput rows of a faulted run:
@@ -352,15 +296,22 @@ func elPhases(res *elResult, timeout sim.Time) (pre, degraded, post float64) {
 	return
 }
 
-// ElasticStats carries the elastic suite's raw numbers for the
-// machine-readable benchmark snapshot (cmd/figures -json).
+// ElasticStats carries the elastic suite's raw numbers: per-phase
+// throughput (kill -> heal -> replayed re-admission -> live Join) plus
+// the recovery/migration accounting. It is the "elastic" section of
+// the machine-readable snapshot (cmd/figures -json) as is.
 type ElasticStats struct {
-	PreMBps, DegradedMBps, PostMBps float64
-	Reinstates, Refusals, Spills    int64
-	ResyncOps                       int64
-	ResyncBytes, MigratedBytes      int64
-	Epoch                           uint64
-	Members                         []int
+	PreMBps       float64 `json:"pre_mbps"`
+	DegradedMBps  float64 `json:"degraded_mbps"`
+	PostMBps      float64 `json:"post_expansion_mbps"`
+	Reinstates    int64   `json:"reinstates"`
+	Refusals      int64   `json:"reinstate_refusals"`
+	Spills        int64   `json:"resync_spills"`
+	ResyncOps     int64   `json:"resync_ops"`
+	ResyncBytes   int64   `json:"resync_bytes"`
+	MigratedBytes int64   `json:"migrated_bytes"`
+	Epoch         uint64  `json:"epoch"`
+	Members       []int   `json:"members"`
 }
 
 // Elastic runs the elastic-membership lifecycle and returns its two

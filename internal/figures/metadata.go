@@ -28,12 +28,10 @@ package figures
 import (
 	"fmt"
 
-	"repro/internal/hw"
 	"repro/internal/kernel"
-	"repro/internal/memfs"
-	"repro/internal/mx"
 	"repro/internal/netpipe"
 	"repro/internal/rfsrv"
+	"repro/internal/rig"
 	"repro/internal/sim"
 )
 
@@ -70,56 +68,31 @@ var mdModes = []string{"fan-out", "sharded"}
 // mdRun executes one scenario at one (sharded?, servers) point on a
 // fresh simulated cluster and returns aggregate namespace ops/s.
 func (c Config) mdRun(scenario string, sharded bool, servers int) (float64, error) {
-	env := sim.NewEngine()
-	if c.Trace != nil {
-		env.SetTrace(c.Trace)
+	r, err := rig.New(rig.Desc{Servers: servers, Replicas: 1, Stripe: msStripe, Window: msWindow,
+		Sharded: sharded, Trace: c.Trace})
+	if err != nil {
+		return 0, err
 	}
-	cl := hw.NewCluster(env, hw.DefaultParams(), hw.PCIXD)
-
-	var serverIDs []hw.NodeID
-	for j := 0; j < servers; j++ {
-		n := cl.AddNode(fmt.Sprintf("server%d", j))
-		serverIDs = append(serverIDs, n.ID)
-		fs := memfs.New(fmt.Sprintf("backing%d", j), n, 0)
-		srv := rfsrv.NewServer(n, fs)
-		if sharded {
-			fs.SetInodePartition(j, servers)
-			if err := srv.EnableSharding(j, servers, 1); err != nil {
-				return 0, err
-			}
-		}
-		if _, err := srv.ServeMX(mx.Attach(n), 1, 4); err != nil {
-			return 0, err
-		}
+	clusters := make([]*rfsrv.Cluster, mdClients)
+	dirs := make([][]kernel.InodeID, mdClients)
+	files := make([][]kernel.InodeID, mdClients)
+	// The replicated namespace cannot run concurrent creates safely;
+	// its create/unlink storm is the serialized best case, one process
+	// driving every client in turn.
+	procs, perProc := mdClients, 1
+	if scenario == "create-unlink" && !sharded {
+		procs, perProc = 1, mdClients
 	}
-
-	var (
-		failure  error
-		started  sim.Time
-		finished sim.Time
-		done     int
-		ops      int
-	)
-	env.Spawn("setup", func(p *sim.Proc) {
+	ops := 0
+	span, err := r.Run("storm", procs, func(p *sim.Proc) error {
 		// Clusters and directories are set up serially: in fan-out mode
 		// concurrent namespace minting is unsafe (see the file comment),
 		// and keeping setup identical across modes keeps the storms the
 		// only difference.
-		clusters := make([]*rfsrv.Cluster, mdClients)
-		dirs := make([][]kernel.InodeID, mdClients)
-		files := make([][]kernel.InodeID, mdClients)
-		for i := 0; i < mdClients; i++ {
-			node := cl.AddNode(fmt.Sprintf("client%d", i))
-			cluster, err := msCluster(p, node, serverIDs, msWindow)
+		for i := range clusters {
+			cluster, err := r.Cluster(p, r.HW.AddNode(fmt.Sprintf("client%d", i)), 10)
 			if err != nil {
-				failure = err
-				return
-			}
-			if sharded {
-				if err := cluster.EnableShardedNamespace(); err != nil {
-					failure = err
-					return
-				}
+				return err
 			}
 			clusters[i] = cluster
 			for d := 0; d < mdDirsPerCli; d++ {
@@ -127,60 +100,27 @@ func (c Config) mdRun(scenario string, sharded bool, servers int) (float64, erro
 					Op: rfsrv.OpMkdir, Ino: 0, Name: fmt.Sprintf("c%d-d%d", i, d),
 				})
 				if err != nil {
-					failure = err
-					return
+					return err
 				}
 				dirs[i] = append(dirs[i], resp.Attr.Ino)
 			}
 			if err := mdSeedScenario(p, scenario, cluster, dirs[i], &files[i], i); err != nil {
-				failure = err
-				return
+				return err
 			}
 		}
-		started = p.Now()
-		if scenario == "create-unlink" && !sharded {
-			// The replicated namespace cannot run concurrent creates
-			// safely; its storm is the serialized best case.
-			for i := 0; i < mdClients; i++ {
-				n, err := mdStorm(p, scenario, clusters[i], dirs[i], files[i], i)
-				if err != nil {
-					failure = err
-					return
-				}
-				ops += n
+		return nil
+	}, func(p *sim.Proc, proc int) error {
+		for i := proc * perProc; i < (proc+1)*perProc; i++ {
+			n, err := mdStorm(p, scenario, clusters[i], dirs[i], files[i], i)
+			if err != nil {
+				return err
 			}
-			finished = p.Now()
-			done = mdClients
-			return
+			ops += n
 		}
-		for i := 0; i < mdClients; i++ {
-			i := i
-			env.Spawn(fmt.Sprintf("storm%d", i), func(p *sim.Proc) {
-				n, err := mdStorm(p, scenario, clusters[i], dirs[i], files[i], i)
-				if err != nil {
-					if failure == nil {
-						failure = err
-					}
-					return
-				}
-				ops += n
-				if p.Now() > finished {
-					finished = p.Now()
-				}
-				done++
-			})
-		}
+		return nil
 	})
-	env.Run(0)
-	if failure != nil {
-		return 0, failure
-	}
-	if done != mdClients {
-		return 0, fmt.Errorf("figures: %d/%d metadata clients finished (%s sharded=%v s=%d)", done, mdClients, scenario, sharded, servers)
-	}
-	span := finished - started
-	if span <= 0 {
-		return 0, fmt.Errorf("figures: metadata storm took no time (%s sharded=%v s=%d)", scenario, sharded, servers)
+	if err != nil {
+		return 0, fmt.Errorf("metadata %s sharded=%v s=%d: %w", scenario, sharded, servers, err)
 	}
 	return float64(ops) / span.Seconds(), nil
 }

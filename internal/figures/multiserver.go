@@ -27,12 +27,10 @@ import (
 
 	"repro/internal/hw"
 	"repro/internal/kernel"
-	"repro/internal/memfs"
-	"repro/internal/mx"
 	"repro/internal/nbd"
-	"repro/internal/netpipe"
 	"repro/internal/orfs"
 	"repro/internal/rfsrv"
+	"repro/internal/rig"
 	"repro/internal/sim"
 )
 
@@ -52,25 +50,23 @@ const (
 // msServersAxis is the swept server count.
 var msServersAxis = []int{1, 2, 4, 8}
 
-// msScenarios names the three workloads.
-var msScenarios = []string{"orfs-direct", "orfs-buffered", "nbd"}
-
-// msSeedStriped replicates the namespace onto every server the way
-// the cluster client would (same creation order everywhere → same
-// inode numbers) and writes each file's stripes onto their owners —
-// stripe k to servers (k mod N)..(k mod N)+R-1 at its global offset —
+// msSeedStriped replicates the namespace onto every server of the rig
+// the way the cluster client would (same creation order everywhere →
+// same inode numbers) and writes each file's stripes onto their owners
+// — stripe k to servers (k mod N)..(k mod N)+R-1 at its global offset —
 // then extends every server's copy to the full size: the on-disk
 // layout a (replicated) cluster client's own writes would produce,
 // seeded server-side so setup cost stays out of the measurement. One
-// placement routine serves both the multiserver (R=1) and degraded
-// (R=2) suites, so it cannot drift from rfsrv.Cluster's policy in
-// just one of them.
-func msSeedStriped(p *sim.Proc, serverFS []*memfs.FS, servers []*hw.Node, clients, filePerCli, replicas int) ([]kernel.InodeID, error) {
+// placement routine serves the scalability and multiserver (R=1),
+// degraded and elastic (R=2) suites, so it cannot drift from
+// rfsrv.Cluster's policy in just one of them. The rig's first n
+// servers are seeded (the elastic suite's standby slot stays empty).
+func msSeedStriped(p *sim.Proc, r *rig.Rig, n, clients, filePerCli int) ([]kernel.InodeID, error) {
 	inos := make([]kernel.InodeID, clients)
 	stripes := filePerCli / msStripe
-	n := len(serverFS)
-	for j, fs := range serverFS {
-		seedVA, err := servers[j].Kernel.Mmap(msStripe, "seed")
+	for j, fs := range r.Stores[:n] {
+		kern := r.Nodes[j].Kernel
+		seedVA, err := kern.Mmap(msStripe, "seed")
 		if err != nil {
 			return nil, err
 		}
@@ -86,8 +82,8 @@ func msSeedStriped(p *sim.Proc, serverFS []*memfs.FS, servers []*hw.Node, client
 			}
 			for k := 0; k < stripes; k++ {
 				mine := false
-				for r := 0; r < replicas; r++ {
-					if (k%n+r)%n == j {
+				for rep := 0; rep < r.Desc.Replicas; rep++ {
+					if (k%n+rep)%n == j {
 						mine = true
 						break
 					}
@@ -96,7 +92,7 @@ func msSeedStriped(p *sim.Proc, serverFS []*memfs.FS, servers []*hw.Node, client
 					continue
 				}
 				off := int64(k) * msStripe
-				if _, err := fs.WriteDirect(p, attr.Ino, off, vecKernel(servers[j].Kernel, seedVA, msStripe)); err != nil {
+				if _, err := fs.WriteDirect(p, attr.Ino, off, vecKernel(kern, seedVA, msStripe)); err != nil {
 					return nil, err
 				}
 			}
@@ -108,190 +104,106 @@ func msSeedStriped(p *sim.Proc, serverFS []*memfs.FS, servers []*hw.Node, client
 	return inos, nil
 }
 
-// msSeedRfsrv is msSeedStriped at this suite's file size, without
-// replication.
-func msSeedRfsrv(p *sim.Proc, serverFS []*memfs.FS, servers []*hw.Node, clients int) ([]kernel.InodeID, error) {
-	return msSeedStriped(p, serverFS, servers, clients, scalFilePerCli, 1)
-}
-
-// msClusterRep wires one client node to every server: one kernel-side
-// MX fabric client per server on its own endpoint (reply deadline
-// armed when timeout > 0), one session per server, assembled into a
-// striped cluster with the given replication factor.
-func msClusterRep(p *sim.Proc, node *hw.Node, servers []hw.NodeID, window, replicas int, timeout sim.Time) (*rfsrv.Cluster, error) {
-	m := mx.Attach(node)
-	sessions := make([]*rfsrv.Session, len(servers))
-	for j, sid := range servers {
-		fc, err := rfsrv.NewMXClient(m, uint8(10+j), true, node.Kernel, sid, 1)
-		if err != nil {
-			return nil, err
-		}
-		if timeout > 0 {
-			fc.SetRequestTimeout(timeout)
-		}
-		if sessions[j], err = rfsrv.NewSession(p, fc, window); err != nil {
-			return nil, err
-		}
-	}
-	return rfsrv.NewReplicatedCluster(p, sessions, msStripe, replicas)
-}
-
-// msCluster is msClusterRep without replication or deadlines (the
-// fault-free multiserver suite).
-func msCluster(p *sim.Proc, node *hw.Node, servers []hw.NodeID, window int) (*rfsrv.Cluster, error) {
-	return msClusterRep(p, node, servers, window, 1, 0)
-}
-
-// msRun executes one scenario at one (servers, clients) point on a
-// fresh simulated cluster and returns aggregate throughput plus
-// per-request latency percentiles.
-func (c Config) msRun(scenario string, servers, clients int) (scalResult, error) {
-	env := sim.NewEngine()
-	if c.Trace != nil {
-		env.SetTrace(c.Trace)
-	}
-	cl := hw.NewCluster(env, hw.DefaultParams(), hw.PCIXD)
-
-	var (
-		serverNodes []*hw.Node
-		serverIDs   []hw.NodeID
-		serverFS    []*memfs.FS
-	)
-	for j := 0; j < servers; j++ {
-		n := cl.AddNode(fmt.Sprintf("server%d", j))
-		serverNodes = append(serverNodes, n)
-		serverIDs = append(serverIDs, n.ID)
-		switch scenario {
-		case "nbd":
-			srv, err := nbd.NewServer(n, clients*scalFilePerCli/nbd.BlockSize)
+// msRun executes one scenario at one (servers, clients, window) point
+// on a fresh rig and returns aggregate throughput plus per-request
+// latency percentiles. One server is the scalability suite's platform
+// (the cluster code path over one session is bit-identical to the
+// plain session — rfsrv.TestClusterOneServerMatchesSession).
+func (c Config) msRun(scenario string, servers, clients, window int) (scalResult, error) {
+	d := rig.Desc{Servers: servers, Replicas: 1, Stripe: msStripe, Window: window, Trace: c.Trace}
+	totalBlocks := clients * scalFilePerCli / nbd.BlockSize
+	var r *rig.Rig
+	var err error
+	if scenario == "nbd" {
+		r, err = rig.NewBare(d, func(r *rig.Rig, n *hw.Node) error {
+			srv, err := nbd.NewServer(n, totalBlocks)
 			if err != nil {
-				return scalResult{}, err
+				return err
 			}
-			if err := srv.ServeMX(mx.Attach(n), 1, 4); err != nil {
-				return scalResult{}, err
-			}
-		default:
-			fs := memfs.New(fmt.Sprintf("backing%d", j), n, 0)
-			serverFS = append(serverFS, fs)
-			if _, err := rfsrv.NewServer(n, fs).ServeMX(mx.Attach(n), 1, 4); err != nil {
-				return scalResult{}, err
-			}
-		}
+			return srv.ServeMX(r.MX(n), rig.ServerEP, rig.Workers)
+		})
+	} else {
+		r, err = rig.New(d)
 	}
-
-	var (
-		failure  error
-		samples  []sim.Time
-		started  sim.Time
-		finished sim.Time
-		done     int
-	)
-	env.Spawn("seed", func(p *sim.Proc) {
-		var inos []kernel.InodeID
+	if err != nil {
+		return scalResult{}, err
+	}
+	var inos []kernel.InodeID
+	var samples []sim.Time
+	span, err := r.Run("cl", clients, func(p *sim.Proc) (err error) {
+		// NBD blocks read as zeros unwritten; only rfsrv needs seeding.
 		if scenario != "nbd" {
-			var err error
-			if inos, err = msSeedRfsrv(p, serverFS, serverNodes, clients); err != nil {
-				failure = err
-				return
-			}
+			inos, err = msSeedStriped(p, r, servers, clients, scalFilePerCli)
 		}
-		started = p.Now()
-		for i := 0; i < clients; i++ {
-			i := i
-			node := cl.AddNode(fmt.Sprintf("client%d", i))
-			env.Spawn(fmt.Sprintf("cl%d", i), func(p *sim.Proc) {
-				lat, err := c.msClient(p, scenario, node, serverIDs, inos, i, clients)
-				if err != nil && failure == nil {
-					failure = err
-					return
-				}
-				samples = append(samples, lat...)
-				if p.Now() > finished {
-					finished = p.Now()
-				}
-				done++
-			})
-		}
+		return err
+	}, func(p *sim.Proc, i int) error {
+		lat, err := msClient(p, r, scenario, i, inos, totalBlocks)
+		samples = append(samples, lat...)
+		return err
 	})
-	env.Run(0)
-	if failure != nil {
-		return scalResult{}, failure
+	if err != nil {
+		return scalResult{}, fmt.Errorf("%s s=%d w=%d: %w", scenario, servers, window, err)
 	}
-	if done != clients {
-		return scalResult{}, fmt.Errorf("figures: %d/%d multiserver clients finished (%s s=%d)", done, clients, scenario, servers)
-	}
-	return summarize(samples, clients*scalFilePerCli, finished-started), nil
+	return summarize(samples, clients*scalFilePerCli, span), nil
 }
 
-// msClient runs one client's workload against the striped servers and
-// returns its latency samples.
-func (c Config) msClient(p *sim.Proc, scenario string, node *hw.Node, servers []hw.NodeID, inos []kernel.InodeID, i, clients int) ([]sim.Time, error) {
+// msClient runs client i's workload from its own node and returns its
+// latency samples.
+func msClient(p *sim.Proc, r *rig.Rig, scenario string, i int, inos []kernel.InodeID, totalBlocks int) ([]sim.Time, error) {
+	node := r.HW.AddNode(fmt.Sprintf("client%d", i))
 	switch scenario {
-	case "orfs-direct":
-		cluster, err := msCluster(p, node, servers, msWindow)
+	case "orfs-direct", "orfs-buffered":
+		cluster, err := r.Cluster(p, node, 10)
 		if err != nil {
 			return nil, err
 		}
-		return scalDirectReads(p, node, cluster, inos[i])
-
-	case "orfs-buffered":
-		cluster, err := msCluster(p, node, servers, msWindow)
-		if err != nil {
-			return nil, err
+		if scenario == "orfs-direct" {
+			return scalDirectReads(p, node, cluster, inos[i])
 		}
 		osys := kernel.NewOS(node, 0)
 		osys.Mount("/mnt", orfs.New("orfs", cluster))
 		return scalBufferedReads(p, node, osys, fmt.Sprintf("/mnt/f%d", i), 0)
-
 	case "nbd":
-		m := mx.Attach(node)
-		totalBlocks := clients * scalFilePerCli / nbd.BlockSize
-		cls := make([]*nbd.Client, len(servers))
-		for j, sid := range servers {
-			bc, err := nbd.NewClient(m, uint8(10+j), sid, 1, totalBlocks)
-			if err != nil {
-				return nil, err
-			}
-			if err := bc.SetWindow(msWindow); err != nil {
-				return nil, err
-			}
-			cls[j] = bc
-		}
-		dev, err := nbd.NewStripedDevice(cls)
+		return msNBDReads(p, r, node, totalBlocks, int64(i)*scalFilePerCli)
+	}
+	return nil, fmt.Errorf("figures: unknown multiserver scenario %q", scenario)
+}
+
+// msNBDReads reads one client's share of the block-striped device
+// through the page cache, which combines enough device pages per miss
+// that the resulting block queue spans every server's window.
+func msNBDReads(p *sim.Proc, r *rig.Rig, node *hw.Node, totalBlocks int, base int64) ([]sim.Time, error) {
+	m := r.MX(node)
+	cls := make([]*nbd.Client, len(r.Nodes))
+	for j, srv := range r.Nodes {
+		bc, err := nbd.NewClient(m, uint8(10+j), srv.ID, rig.ServerEP, totalBlocks)
 		if err != nil {
 			return nil, err
 		}
-		osys := kernel.NewOS(node, 0)
-		// Combine enough device pages per miss that the resulting block
-		// queue spans every server's window.
-		osys.SetReadChunkPages(msWindow * len(servers))
-		osys.Mount("/dev", dev)
-		return scalBufferedReads(p, node, osys, "/dev/disk", int64(i)*scalFilePerCli)
+		if err := bc.SetWindow(r.Desc.Window); err != nil {
+			return nil, err
+		}
+		cls[j] = bc
 	}
-	return nil, fmt.Errorf("figures: unknown multiserver scenario %q", scenario)
+	dev, err := nbd.NewStripedDevice(cls)
+	if err != nil {
+		return nil, err
+	}
+	osys := kernel.NewOS(node, 0)
+	osys.SetReadChunkPages(r.Desc.Window * len(r.Nodes))
+	osys.Mount("/dev", dev)
+	return scalBufferedReads(p, node, osys, "/dev/disk", base)
 }
 
 // MultiServer runs the whole suite and returns two figures: aggregate
 // throughput and p50/p99 request latency against the server count,
 // with the window and client count fixed.
 func (c Config) MultiServer() ([]*Figure, error) {
-	var bwSeries, latSeries []netpipe.Series
-	for _, scen := range msScenarios {
-		var bw netpipe.Series
-		var p50s, p99s netpipe.Series
-		bw.Label = scen
-		p50s.Label, p99s.Label = scen+" p50", scen+" p99"
-		for _, s := range msServersAxis {
-			r, err := c.msRun(scen, s, msClients)
-			if err != nil {
-				return nil, err
-			}
-			bw.Points = append(bw.Points, netpipe.Point{Size: s, MBps: r.mbps})
-			p50s.Points = append(p50s.Points, netpipe.Point{Size: s, OneWay: r.p50})
-			p99s.Points = append(p99s.Points, netpipe.Point{Size: s, OneWay: r.p99})
-		}
-		bwSeries = append(bwSeries, bw)
-		latSeries = append(latSeries, p50s, p99s)
+	bwSeries, latSeries, err := sweep(msServersAxis, func(scen string, s int) (scalResult, error) {
+		return c.msRun(scen, s, msClients, msWindow)
+	})
+	if err != nil {
+		return nil, err
 	}
 	bwFig := &Figure{
 		ID:     "multiserver",

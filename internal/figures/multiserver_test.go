@@ -3,18 +3,25 @@ package figures
 // Tests for the striped multi-server suite: the PR's scaling
 // acceptance bar and the one-server/plain-session harness equality.
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/kernel"
+	"repro/internal/rfsrv"
+	"repro/internal/rig"
+	"repro/internal/sim"
+)
 
 // TestMultiServerScaling is the acceptance bar: aggregate ORFS-direct
 // throughput at 4 servers must be at least 2.5x the 1-server
 // configuration, at the PR 2 best window, with the fixed client count.
 func TestMultiServerScaling(t *testing.T) {
 	c := DefaultConfig()
-	base, err := c.msRun("orfs-direct", 1, msClients)
+	base, err := c.msRun("orfs-direct", 1, msClients, msWindow)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wide, err := c.msRun("orfs-direct", 4, msClients)
+	wide, err := c.msRun("orfs-direct", 4, msClients, msWindow)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,20 +32,43 @@ func TestMultiServerScaling(t *testing.T) {
 		base.mbps, wide.mbps, wide.mbps/base.mbps)
 }
 
-// TestMultiServerOneServerMatchesScalability ties the new harness to
-// the PR 2 one: a 1-server multiserver point drives the whole cluster
-// code path, and must reproduce the plain-session scalability result
-// bit-identically (same workload, same window, same client count).
+// TestMultiServerOneServerMatchesScalability ties the cluster harness
+// to the PR 2 plain-session one: a 1-server point drives the whole
+// cluster code path, and must reproduce the same workload issued
+// through a bare Session on the same platform bit-identically (same
+// window, same client count).
 func TestMultiServerOneServerMatchesScalability(t *testing.T) {
 	c := DefaultConfig()
-	viaCluster, err := c.msRun("orfs-direct", 1, 1)
+	viaCluster, err := c.msRun("orfs-direct", 1, 1, msWindow)
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaSession, err := c.scalRun("orfs-direct", 1, msWindow)
+	r, err := rig.New(rig.Desc{Servers: 1, Replicas: 1, Stripe: msStripe, Window: msWindow})
 	if err != nil {
 		t.Fatal(err)
 	}
+	var inos []kernel.InodeID
+	var samples []sim.Time
+	span, err := r.Run("cl", 1, func(p *sim.Proc) (err error) {
+		inos, err = msSeedStriped(p, r, 1, 1, scalFilePerCli)
+		return err
+	}, func(p *sim.Proc, _ int) error {
+		node := r.HW.AddNode("client0")
+		fc, err := rfsrv.NewMXClient(r.MX(node), 10, true, node.Kernel, r.Nodes[0].ID, rig.ServerEP)
+		if err != nil {
+			return err
+		}
+		sess, err := rfsrv.NewSession(p, fc, msWindow)
+		if err != nil {
+			return err
+		}
+		samples, err = scalDirectReads(p, node, sess, inos[0])
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	viaSession := summarize(samples, scalFilePerCli, span)
 	if viaCluster.mbps != viaSession.mbps {
 		t.Errorf("1-server cluster harness %.6f MB/s != session harness %.6f MB/s", viaCluster.mbps, viaSession.mbps)
 	}
@@ -54,11 +84,11 @@ func TestMultiServerOneServerMatchesScalability(t *testing.T) {
 func TestMultiServerNBDAndBufferedScale(t *testing.T) {
 	for _, scen := range []string{"nbd", "orfs-buffered"} {
 		c := DefaultConfig()
-		base, err := c.msRun(scen, 1, 4)
+		base, err := c.msRun(scen, 1, 4, msWindow)
 		if err != nil {
 			t.Fatal(err)
 		}
-		wide, err := c.msRun(scen, 4, 4)
+		wide, err := c.msRun(scen, 4, 4, msWindow)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -7,11 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/hw"
 	"repro/internal/kernel"
-	"repro/internal/memfs"
-	"repro/internal/mx"
-	"repro/internal/nbd"
 	"repro/internal/netpipe"
-	"repro/internal/orfs"
 	"repro/internal/rfsrv"
 	"repro/internal/sim"
 	"repro/internal/vm"
@@ -61,143 +57,6 @@ func summarize(samples []sim.Time, totalBytes int, makespan sim.Time) scalResult
 		p50:  percentile(samples, 0.50),
 		p99:  percentile(samples, 0.99),
 	}
-}
-
-// scalRun executes one scenario at one (clients, window) point on a
-// fresh cluster and returns aggregate throughput plus per-request
-// latency percentiles.
-func (c Config) scalRun(scenario string, clients, window int) (scalResult, error) {
-	env := sim.NewEngine()
-	if c.Trace != nil {
-		env.SetTrace(c.Trace)
-	}
-	cl := hw.NewCluster(env, hw.DefaultParams(), hw.PCIXD)
-	server := cl.AddNode("server")
-
-	var serverFS *memfs.FS
-	var nbdSrv *nbd.Server
-	switch scenario {
-	case "nbd":
-		var err error
-		nbdSrv, err = nbd.NewServer(server, clients*scalFilePerCli/nbd.BlockSize)
-		if err != nil {
-			return scalResult{}, err
-		}
-		if err := nbdSrv.ServeMX(mx.Attach(server), 1, 4); err != nil {
-			return scalResult{}, err
-		}
-	default:
-		serverFS = memfs.New("backing", server, 0)
-		srv := rfsrv.NewServer(server, serverFS)
-		if _, err := srv.ServeMX(mx.Attach(server), 1, 4); err != nil {
-			return scalResult{}, err
-		}
-	}
-
-	var (
-		failure  error
-		samples  []sim.Time
-		started  sim.Time
-		finished sim.Time
-		done     int
-	)
-	env.Spawn("seed", func(p *sim.Proc) {
-		// Seed one file per client (rfsrv scenarios). NBD blocks read
-		// as zeros unwritten; seeding is not needed for throughput.
-		inos := make([]kernel.InodeID, clients)
-		if serverFS != nil {
-			seedVA, err := server.Kernel.Mmap(scalFilePerCli, "seed")
-			if err != nil {
-				failure = err
-				return
-			}
-			for i := 0; i < clients; i++ {
-				attr, err := serverFS.Create(p, serverFS.Root(), fmt.Sprintf("f%d", i))
-				if err != nil {
-					failure = err
-					return
-				}
-				if _, err := serverFS.WriteDirect(p, attr.Ino, 0, vecKernel(server.Kernel, seedVA, scalFilePerCli)); err != nil {
-					failure = err
-					return
-				}
-				inos[i] = attr.Ino
-			}
-		}
-		started = p.Now()
-		for i := 0; i < clients; i++ {
-			i := i
-			node := cl.AddNode(fmt.Sprintf("client%d", i))
-			env.Spawn(fmt.Sprintf("cl%d", i), func(p *sim.Proc) {
-				lat, err := c.scalClient(p, scenario, node, server.ID, inos, i, window)
-				if err != nil && failure == nil {
-					failure = err
-					return
-				}
-				samples = append(samples, lat...)
-				if p.Now() > finished {
-					finished = p.Now()
-				}
-				done++
-			})
-		}
-	})
-	env.Run(0)
-	if failure != nil {
-		return scalResult{}, failure
-	}
-	if done != clients {
-		return scalResult{}, fmt.Errorf("figures: %d/%d scalability clients finished (%s w=%d)", done, clients, scenario, window)
-	}
-	return summarize(samples, clients*scalFilePerCli, finished-started), nil
-}
-
-// scalClient runs one client's workload and returns its latency
-// samples.
-func (c Config) scalClient(p *sim.Proc, scenario string, node *hw.Node, server hw.NodeID, inos []kernel.InodeID, i, window int) ([]sim.Time, error) {
-	ep := uint8(10 + i)
-	switch scenario {
-	case "orfs-direct":
-		fc, err := rfsrv.NewMXClient(mx.Attach(node), ep, true, node.Kernel, server, 1)
-		if err != nil {
-			return nil, err
-		}
-		sess, err := rfsrv.NewSession(p, fc, window)
-		if err != nil {
-			return nil, err
-		}
-		return scalDirectReads(p, node, sess, inos[i])
-
-	case "orfs-buffered":
-		fc, err := rfsrv.NewMXClient(mx.Attach(node), ep, true, node.Kernel, server, 1)
-		if err != nil {
-			return nil, err
-		}
-		sess, err := rfsrv.NewSession(p, fc, window)
-		if err != nil {
-			return nil, err
-		}
-		osys := kernel.NewOS(node, 0)
-		osys.Mount("/mnt", orfs.New("orfs", sess))
-		return scalBufferedReads(p, node, osys, fmt.Sprintf("/mnt/f%d", i), 0)
-
-	case "nbd":
-		bc, err := nbd.NewClient(mx.Attach(node), ep, server, 1, len(inos)*scalFilePerCli/nbd.BlockSize)
-		if err != nil {
-			return nil, err
-		}
-		if err := bc.SetWindow(window); err != nil {
-			return nil, err
-		}
-		osys := kernel.NewOS(node, 0)
-		// The page cache combines up to `window` device pages per miss;
-		// the device turns the combined range into a queue of block
-		// requests pipelined through the client's window.
-		osys.SetReadChunkPages(window)
-		osys.Mount("/dev", nbd.NewDevice(bc))
-		return scalBufferedReads(p, node, osys, "/dev/disk", int64(i)*scalFilePerCli)
-	}
-	return nil, fmt.Errorf("figures: unknown scalability scenario %q", scenario)
 }
 
 // scalDirectReads issues the file's chunks through the client's window
@@ -283,59 +142,64 @@ var (
 // scalScenarios names the three workloads.
 var scalScenarios = []string{"orfs-direct", "orfs-buffered", "nbd"}
 
+// sweep runs every scenario at every point of one axis and returns
+// the aggregate-throughput series and the p50/p99 latency series.
+func sweep(xs []int, run func(scen string, x int) (scalResult, error)) (bw, lat []netpipe.Series, err error) {
+	for _, scen := range scalScenarios {
+		b := netpipe.Series{Label: scen}
+		p50s, p99s := netpipe.Series{Label: scen + " p50"}, netpipe.Series{Label: scen + " p99"}
+		for _, x := range xs {
+			r, err := run(scen, x)
+			if err != nil {
+				return nil, nil, err
+			}
+			b.Points = append(b.Points, netpipe.Point{Size: x, MBps: r.mbps})
+			p50s.Points = append(p50s.Points, netpipe.Point{Size: x, OneWay: r.p50})
+			p99s.Points = append(p99s.Points, netpipe.Point{Size: x, OneWay: r.p99})
+		}
+		bw = append(bw, b)
+		lat = append(lat, p50s, p99s)
+	}
+	return bw, lat, nil
+}
+
 // Scalability runs the whole suite and returns four figures: aggregate
 // throughput and p50/p99 latency against the window size (one client),
-// and the same pair against the client count (window 8).
+// and the same pair against the client count (window 8). Every point
+// is the multiserver harness at one server.
 func (c Config) Scalability() ([]*Figure, error) {
-	sweep := func(id, title, xlabel string, xs []int, run func(x int, scen string) (scalResult, error)) (*Figure, *Figure, error) {
-		var bwSeries, latSeries []netpipe.Series
-		for _, scen := range scalScenarios {
-			var bw netpipe.Series
-			var p50s, p99s netpipe.Series
-			bw.Label = scen
-			p50s.Label, p99s.Label = scen+" p50", scen+" p99"
-			for _, x := range xs {
-				r, err := run(x, scen)
-				if err != nil {
-					return nil, nil, err
-				}
-				bw.Points = append(bw.Points, netpipe.Point{Size: x, MBps: r.mbps})
-				p50s.Points = append(p50s.Points, netpipe.Point{Size: x, OneWay: r.p50})
-				p99s.Points = append(p99s.Points, netpipe.Point{Size: x, OneWay: r.p99})
-			}
-			bwSeries = append(bwSeries, bw)
-			latSeries = append(latSeries, p50s, p99s)
+	pair := func(id, title, xlabel string, xs []int, run func(scen string, x int) (scalResult, error)) ([]*Figure, error) {
+		bw, lat, err := sweep(xs, run)
+		if err != nil {
+			return nil, err
 		}
-		bwFig := &Figure{
+		return []*Figure{{
 			ID: id, Title: title,
 			XLabel: xlabel, YLabel: "aggregate throughput (MB/s)",
-			Series: bwSeries,
+			Series: bw,
 			Expected: "beyond the paper: its prototypes are synchronous (window = 1), " +
 				"so these curves have no measured counterpart",
-		}
-		latFig := &Figure{
+		}, {
 			ID: id + "-lat", Title: title + " — request latency",
 			XLabel: xlabel, YLabel: "latency p50/p99 (µs)",
-			Series: latSeries,
+			Series: lat,
 			Expected: "deeper windows trade per-request latency (queueing) for " +
 				"aggregate throughput; p99 grows with the window",
-		}
-		return bwFig, latFig, nil
+		}}, nil
 	}
-
-	winBW, winLat, err := sweep("scal-window",
+	win, err := pair("scal-window",
 		"Aggregate sequential-read throughput vs window size (1 client)",
 		"window (outstanding requests)", scalWindows,
-		func(w int, scen string) (scalResult, error) { return c.scalRun(scen, 1, w) })
+		func(scen string, w int) (scalResult, error) { return c.msRun(scen, 1, 1, w) })
 	if err != nil {
 		return nil, err
 	}
-	cliBW, cliLat, err := sweep("scal-clients",
+	cli, err := pair("scal-clients",
 		"Aggregate sequential-read throughput vs concurrent clients (window 8)",
 		"concurrent clients", scalClientsAxis,
-		func(n int, scen string) (scalResult, error) { return c.scalRun(scen, n, 8) })
+		func(scen string, n int) (scalResult, error) { return c.msRun(scen, 1, n, 8) })
 	if err != nil {
 		return nil, err
 	}
-	return []*Figure{winBW, winLat, cliBW, cliLat}, nil
+	return append(win, cli...), nil
 }

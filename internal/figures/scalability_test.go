@@ -17,11 +17,11 @@ import (
 // (window 1) baseline by at least 25%.
 func TestScalabilityWindowSpeedup(t *testing.T) {
 	c := DefaultConfig()
-	base, err := c.scalRun("orfs-direct", 1, 1)
+	base, err := c.msRun("orfs-direct", 1, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wide, err := c.scalRun("orfs-direct", 1, 8)
+	wide, err := c.msRun("orfs-direct", 1, 1, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,11 +37,11 @@ func TestScalabilityWindowSpeedup(t *testing.T) {
 func TestScalabilityBufferedAndNBDWindows(t *testing.T) {
 	c := DefaultConfig()
 	for _, scen := range []string{"orfs-buffered", "nbd"} {
-		base, err := c.scalRun(scen, 1, 1)
+		base, err := c.msRun(scen, 1, 1, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		wide, err := c.scalRun(scen, 1, 8)
+		wide, err := c.msRun(scen, 1, 1, 8)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -57,7 +57,7 @@ func TestScalabilityBufferedAndNBDWindows(t *testing.T) {
 // property that keeps Fig 7(a)/7(b) bit-identical).
 func TestWindowOneMatchesSynchronousClient(t *testing.T) {
 	c := DefaultConfig()
-	viaSession, err := c.scalRun("orfs-direct", 1, 1)
+	viaSession, err := c.msRun("orfs-direct", 1, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,12 +28,10 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/hw"
 	"repro/internal/kernel"
-	"repro/internal/memfs"
-	"repro/internal/mx"
 	"repro/internal/netpipe"
 	"repro/internal/rfsrv"
+	"repro/internal/rig"
 	"repro/internal/sim"
 )
 
@@ -76,44 +74,25 @@ type sfcResult struct {
 // namespace's inode assignment. The write/read storm then runs fully
 // concurrently — that is where the two policies differ.
 func (c Config) sfcRun(adaptive bool, servers int) (sfcResult, error) {
-	env := sim.NewEngine()
-	if c.Trace != nil {
-		env.SetTrace(c.Trace)
+	r, err := rig.New(rig.Desc{Servers: servers, Replicas: 1, Stripe: msStripe, Window: msWindow, Trace: c.Trace})
+	if err != nil {
+		return sfcResult{}, err
 	}
-	cl := hw.NewCluster(env, hw.DefaultParams(), hw.PCIXD)
-
-	var serverIDs []hw.NodeID
-	for j := 0; j < servers; j++ {
-		n := cl.AddNode(fmt.Sprintf("server%d", j))
-		serverIDs = append(serverIDs, n.ID)
-		fs := memfs.New(fmt.Sprintf("backing%d", j), n, 0)
-		if _, err := rfsrv.NewServer(n, fs).ServeMX(mx.Attach(n), 1, 4); err != nil {
-			return sfcResult{}, err
-		}
-	}
-
+	clusters := make([]*rfsrv.Cluster, sfcClients)
+	inos := make([][]kernel.InodeID, sfcClients)
 	var (
-		failure  error
-		started  sim.Time
-		finished sim.Time
-		done     int
+		created  sim.Time // the serialized creates' span (they start at time zero)
 		setSizes int64
 	)
-	env.Spawn("setup", func(p *sim.Proc) {
-		started = p.Now()
-		clusters := make([]*rfsrv.Cluster, sfcClients)
-		inos := make([][]kernel.InodeID, sfcClients)
-		for i := 0; i < sfcClients; i++ {
-			node := cl.AddNode(fmt.Sprintf("client%d", i))
-			cluster, err := msCluster(p, node, serverIDs, msWindow)
+	storm, err := r.Run("storm", sfcClients, func(p *sim.Proc) error {
+		for i := range clusters {
+			cluster, err := r.Cluster(p, r.HW.AddNode(fmt.Sprintf("client%d", i)), 10)
 			if err != nil {
-				failure = err
-				return
+				return err
 			}
 			if adaptive {
 				if err := cluster.SetLayoutPolicy(rfsrv.LayoutPolicy{Adaptive: true}); err != nil {
-					failure = err
-					return
+					return err
 				}
 			}
 			clusters[i] = cluster
@@ -122,47 +101,28 @@ func (c Config) sfcRun(adaptive bool, servers int) (sfcResult, error) {
 					Op: rfsrv.OpCreate, Ino: 0, Name: fmt.Sprintf("c%d-f%d", i, f),
 				})
 				if err != nil {
-					failure = err
-					return
+					return err
 				}
 				inos[i] = append(inos[i], resp.Attr.Ino)
 			}
 		}
-		for i := 0; i < sfcClients; i++ {
-			i := i
-			env.Spawn(fmt.Sprintf("storm%d", i), func(p *sim.Proc) {
-				if err := sfcStorm(p, clusters[i], inos[i]); err != nil {
-					if failure == nil {
-						failure = err
-					}
-					return
-				}
-				if p.Now() > finished {
-					finished = p.Now()
-				}
-				setSizes += clusters[i].SetSizes.N
-				done++
-			})
-		}
+		created = p.Now()
+		return nil
+	}, func(p *sim.Proc, i int) error {
+		err := sfcStorm(p, clusters[i], inos[i])
+		setSizes += clusters[i].SetSizes.N
+		return err
 	})
-	env.Run(0)
-	if failure != nil {
-		return sfcResult{}, failure
-	}
-	if done != sfcClients {
-		return sfcResult{}, fmt.Errorf("figures: %d/%d smallfile clients finished (adaptive=%v s=%d)", done, sfcClients, adaptive, servers)
+	if err != nil {
+		return sfcResult{}, fmt.Errorf("smallfile adaptive=%v s=%d: %w", adaptive, servers, err)
 	}
 	if adaptive && setSizes != 0 {
 		return sfcResult{}, fmt.Errorf("figures: whole-on-home storm issued %d OpSetSize reconciliations, want 0 (s=%d)", setSizes, servers)
 	}
 	ops := sfcClients * sfcFilesPerCli * sfcOpsPerFile
 	writes := sfcClients * sfcFilesPerCli
-	span := finished - started
-	if span <= 0 {
-		return sfcResult{}, fmt.Errorf("figures: smallfile storm took no time")
-	}
 	return sfcResult{
-		opsPerSec:       float64(ops) / span.Seconds(),
+		opsPerSec:       float64(ops) / (created + storm).Seconds(),
 		setSizePerWrite: float64(setSizes) / float64(writes),
 	}, nil
 }

@@ -170,13 +170,16 @@ func (s *Server) worker(p *sim.Proc, t fabric.Transport) {
 			s.reply(p, t, st.Src, cep, seq, v)
 		case kindWrite:
 			s.Writes.Add(BlockSize)
-			f, err := s.frame(block, true)
-			status := uint8(kindWriteResp)
-			if err != nil {
-				status = 0
-			} else {
-				s.node.CPU.Copy(p, BlockSize) // bounce → disk block
-				copy(f.Data(), raw[hdrLen:])
+			// A write whose receive failed or whose payload is not one
+			// whole block answers the error marker and leaves the block
+			// alone (rfsrv.Server checks its write payloads the same way).
+			status := uint8(0)
+			if st.Err == nil && st.Len == hdrLen+BlockSize {
+				if f, err := s.frame(block, true); err == nil {
+					s.node.CPU.Copy(p, BlockSize) // bounce → disk block
+					copy(f.Data(), raw[hdrLen:])
+					status = kindWriteResp
+				}
 			}
 			kern.WriteBytes(hdrVA, encHdr(status, seq, block, 0))
 			s.reply(p, t, st.Src, cep, seq, core.Of(core.KernelSeg(kern, hdrVA, hdrLen)))

@@ -2,11 +2,14 @@ package nbd_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
 
+	"repro/internal/core"
+	"repro/internal/fabric"
 	"repro/internal/hw"
 	"repro/internal/kernel"
 	"repro/internal/mem"
@@ -582,4 +585,67 @@ func TestServerSurvivesDeadClient(t *testing.T) {
 	if !done {
 		t.Fatal("deadlock")
 	}
+}
+
+// TestTruncatedWriteLeavesBlockUntouched: a write request whose payload
+// is shorter than a block must answer the error marker (kind 0) and
+// must not copy the partial payload over the block — the hole PR 13
+// closed in rfsrv.Server. The request goes over a raw fabric endpoint,
+// since the client never sends a short write.
+func TestTruncatedWriteLeavesBlockUntouched(t *testing.T) {
+	r := newRig(t, 16)
+	raw, err := fabric.NewMX(mx.Attach(r.server.Cluster.AddNode("rogue")), 3, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.run(t, func(p *sim.Proc) {
+		out, _ := r.client.Mem.AllocFrame()
+		for i := range out.Data() {
+			out.Data()[i] = byte(i*7 + 1)
+		}
+		if err := r.cl.WriteBlock(p, 5, out, nbd.BlockSize); err != nil {
+			t.Fatal(err)
+		}
+
+		// kind(1)=write seq(8) block(8) ep(1), then 100 payload bytes.
+		const hdrLen, kindWrite, seq, short = 18, 2, 99, 100
+		kern := raw.Node().Kernel
+		va, err := kern.Mmap(hdrLen+short, "rogue-req")
+		if err != nil {
+			t.Fatal(err)
+		}
+		req := make([]byte, hdrLen+short)
+		req[0] = kindWrite
+		binary.LittleEndian.PutUint64(req[1:], seq)
+		binary.LittleEndian.PutUint64(req[9:], 5)
+		req[17] = raw.LocalEP()
+		for i := hdrLen; i < len(req); i++ {
+			req[i] = 0xEE
+		}
+		kern.WriteBytes(va, req)
+		rva, err := kern.Mmap(hdrLen, "rogue-resp")
+		if err != nil {
+			t.Fatal(err)
+		}
+		rr, err := raw.PostRecv(p, core.Exact(seq<<1), core.Of(core.KernelSeg(kern, rva, hdrLen)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := raw.Send(p, r.server.ID, 1, seq<<1|1, core.Of(core.KernelSeg(kern, va, len(req)))); err != nil {
+			t.Fatal(err)
+		}
+		if st := rr.Wait(p); st.Err != nil {
+			t.Fatal(st.Err)
+		}
+		if resp, _ := kern.ReadBytes(rva, hdrLen); resp[0] != 0 {
+			t.Errorf("truncated write acknowledged with kind %d, want the error marker 0", resp[0])
+		}
+		in, _ := r.client.Mem.AllocFrame()
+		if err := r.cl.ReadBlock(p, 5, in); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(in.Data(), out.Data()) {
+			t.Error("truncated write modified the block")
+		}
+	})
 }

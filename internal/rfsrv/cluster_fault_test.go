@@ -18,6 +18,7 @@ import (
 	"repro/internal/kernel"
 	"repro/internal/mem"
 	"repro/internal/rfsrv"
+	platform "repro/internal/rig"
 	"repro/internal/sim"
 )
 
@@ -38,22 +39,7 @@ func (r *clusterRig) clusterRep(t *testing.T, p *sim.Proc, window, stripe, repli
 // cluster on the rig's one client node needs endpoints of its own.
 func (r *clusterRig) clusterRepAt(t *testing.T, p *sim.Proc, epBase, window, stripe, replicas int) *rfsrv.Cluster {
 	t.Helper()
-	sessions := make([]*rfsrv.Session, len(r.servers))
-	for i, srv := range r.servers {
-		fc, err := rfsrv.NewMXClient(r.clientMX, uint8(epBase+i), true, r.client.Kernel, srv.ID, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fc.SetRequestTimeout(faultTimeout)
-		if sessions[i], err = rfsrv.NewSession(p, fc, window); err != nil {
-			t.Fatal(err)
-		}
-	}
-	cl, err := rfsrv.NewReplicatedCluster(p, sessions, stripe, replicas)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return cl
+	return r.clusterOf(t, p, epBase, platform.Desc{Replicas: replicas, Stripe: stripe, Window: window, Timeout: faultTimeout})
 }
 
 // checkNoLeaks asserts every node's shared fabric pool has nothing

@@ -7,7 +7,6 @@ package rfsrv_test
 
 import (
 	"bytes"
-	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -20,6 +19,7 @@ import (
 	"repro/internal/memfs"
 	"repro/internal/mx"
 	"repro/internal/rfsrv"
+	platform "repro/internal/rig"
 	"repro/internal/sim"
 	"repro/internal/vm"
 )
@@ -28,9 +28,12 @@ import (
 // small enough that modest files cross many boundaries.
 const testStripe = 2 * mem.PageSize
 
-// clusterRig is an S-server, one-client fixture with every server
-// backed by its own memfs and served over MX.
+// clusterRig is an S-server, one-client fixture over internal/rig:
+// every server backed by its own memfs and served over MX. The slices
+// alias the rig's (servers = rig.Nodes, serverFS = rig.Stores, rsrv =
+// rig.Servers).
 type clusterRig struct {
+	rig      *platform.Rig
 	env      *sim.Engine
 	client   *hw.Node
 	clientMX *mx.MX
@@ -40,24 +43,38 @@ type clusterRig struct {
 	audits   int             // assertPlacementHeld calls so far
 }
 
+// newRigOf builds the fixture. The description's client-side geometry
+// (window, stripe, deadline) is only a starting point: the cluster
+// builders below state their own per cluster.
+func newRigOf(t *testing.T, nServers, replicas int, sharded bool) *clusterRig {
+	t.Helper()
+	rg, err := platform.New(platform.Desc{Servers: nServers, Replicas: replicas, Stripe: testStripe, Window: 4, Sharded: sharded})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := &clusterRig{rig: rg, env: rg.Env, client: rg.HW.AddNode("client"),
+		servers: rg.Nodes, serverFS: rg.Stores, rsrv: rg.Servers}
+	r.clientMX = rg.MX(r.client)
+	return r
+}
+
 func newClusterRig(t *testing.T, nServers int) *clusterRig {
 	t.Helper()
-	env := sim.NewEngine()
-	c := hw.NewCluster(env, hw.DefaultParams(), hw.PCIXD)
-	r := &clusterRig{env: env, client: c.AddNode("client")}
-	r.clientMX = mx.Attach(r.client)
-	for i := 0; i < nServers; i++ {
-		n := c.AddNode(fmt.Sprintf("server%d", i))
-		fs := memfs.New(fmt.Sprintf("backing%d", i), n, 0)
-		srv := rfsrv.NewServer(n, fs)
-		if _, err := srv.ServeMX(mx.Attach(n), 1, 4); err != nil {
-			t.Fatal(err)
-		}
-		r.servers = append(r.servers, n)
-		r.serverFS = append(r.serverFS, fs)
-		r.rsrv = append(r.rsrv, srv)
+	return newRigOf(t, nServers, 1, false)
+}
+
+// clusterOf builds one client view through the rig under this
+// cluster's own geometry: the rig is shared, the description is not.
+func (r *clusterRig) clusterOf(t *testing.T, p *sim.Proc, epBase int, d platform.Desc) *rfsrv.Cluster {
+	t.Helper()
+	view := *r.rig
+	d.Servers = view.Desc.Servers
+	view.Desc = d
+	cl, err := view.Cluster(p, r.client, epBase)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return r
+	return cl
 }
 
 func (r *clusterRig) run(t *testing.T, body func(p *sim.Proc)) {
@@ -74,24 +91,10 @@ func (r *clusterRig) run(t *testing.T, body func(p *sim.Proc)) {
 }
 
 // cluster builds the striped client: one kernel-side MX session per
-// server on distinct endpoints.
+// server on distinct endpoints, no replication, no deadline.
 func (r *clusterRig) cluster(t *testing.T, p *sim.Proc, window, stripe int) *rfsrv.Cluster {
 	t.Helper()
-	sessions := make([]*rfsrv.Session, len(r.servers))
-	for i, srv := range r.servers {
-		fc, err := rfsrv.NewMXClient(r.clientMX, uint8(10+i), true, r.client.Kernel, srv.ID, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sessions[i], err = rfsrv.NewSession(p, fc, window); err != nil {
-			t.Fatal(err)
-		}
-	}
-	cl, err := rfsrv.NewCluster(p, sessions, stripe)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return cl
+	return r.clusterOf(t, p, 10, platform.Desc{Replicas: 1, Stripe: stripe, Window: window})
 }
 
 // kbuf maps n kernel bytes on the client and returns (va, vector).

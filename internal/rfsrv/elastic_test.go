@@ -285,13 +285,37 @@ func TestElasticSpillFallsBackToFullResync(t *testing.T) {
 	})
 }
 
+// handBuilt assembles a replicated client (window 4, testStripe,
+// fault deadline) on endpoints epBase+i WITHOUT the rig: no resync
+// peers wired and no shared view attached — the two things Rig.Cluster
+// always supplies and these tests need absent.
+func (r *clusterRig) handBuilt(t *testing.T, p *sim.Proc, epBase, replicas int) *rfsrv.Cluster {
+	t.Helper()
+	sessions := make([]*rfsrv.Session, len(r.servers))
+	for i, srv := range r.servers {
+		fc, err := rfsrv.NewMXClient(r.clientMX, uint8(epBase+i), true, r.client.Kernel, srv.ID, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fc.SetRequestTimeout(faultTimeout)
+		if sessions[i], err = rfsrv.NewSession(p, fc, 4); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cl, err := rfsrv.NewReplicatedCluster(p, sessions, testStripe, replicas)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cl
+}
+
 // TestElasticSpillWithoutPeersRefuses is the last refusal left: a
 // spilled journal with no resync peers wired has no replay and no
 // fallback, so Reinstate must refuse and keep the server excluded.
 func TestElasticSpillWithoutPeersRefuses(t *testing.T) {
 	r := newClusterRig(t, 3)
 	r.run(t, func(p *sim.Proc) {
-		cl := r.clusterRep(t, p, 4, testStripe, 2)
+		cl := r.handBuilt(t, p, 10, 2)
 		cl.SetJournalLimits(1, 0)
 		clusterCreate(t, p, cl, "f")
 		r.servers[1].NIC.Kill()
@@ -570,21 +594,7 @@ func TestElasticViewlessClientGoesStale(t *testing.T) {
 
 		// A second cluster on the same client node needs its own local
 		// endpoints (clusterRep claims 10+i).
-		sessions := make([]*rfsrv.Session, len(r.servers))
-		for i, srv := range r.servers {
-			fc, err := rfsrv.NewMXClient(r.clientMX, uint8(20+i), true, r.client.Kernel, srv.ID, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fc.SetRequestTimeout(faultTimeout)
-			if sessions[i], err = rfsrv.NewSession(p, fc, 4); err != nil {
-				t.Fatal(err)
-			}
-		}
-		viewless, err := rfsrv.NewReplicatedCluster(p, sessions, testStripe, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
+		viewless := r.handBuilt(t, p, 20, 2)
 		if err := viewless.SetMembers(3); err != nil {
 			t.Fatal(err)
 		}

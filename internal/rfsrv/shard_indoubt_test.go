@@ -19,6 +19,7 @@ import (
 	knapi "repro"
 	"repro/internal/kernel"
 	"repro/internal/rfsrv"
+	platform "repro/internal/rig"
 	"repro/internal/sim"
 )
 
@@ -28,22 +29,7 @@ import (
 // application node.
 func (r *clusterRig) observerRep(t *testing.T, p *sim.Proc, replicas int) *rfsrv.Cluster {
 	t.Helper()
-	sessions := make([]*rfsrv.Session, len(r.servers))
-	for i, srv := range r.servers {
-		fc, err := rfsrv.NewMXClient(r.clientMX, uint8(30+i), true, r.client.Kernel, srv.ID, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fc.SetRequestTimeout(faultTimeout)
-		if sessions[i], err = rfsrv.NewSession(p, fc, 4); err != nil {
-			t.Fatal(err)
-		}
-	}
-	cl, err := rfsrv.NewReplicatedCluster(p, sessions, testStripe, replicas)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return cl
+	return r.clusterRepAt(t, p, 30, 4, testStripe, replicas)
 }
 
 // shardObserver is observerRep with the sharded namespace enabled: the
@@ -51,11 +37,7 @@ func (r *clusterRig) observerRep(t *testing.T, p *sim.Proc, replicas int) *rfsrv
 // issue.
 func (r *clusterRig) shardObserver(t *testing.T, p *sim.Proc, replicas int) *rfsrv.Cluster {
 	t.Helper()
-	cl := r.observerRep(t, p, replicas)
-	if err := cl.EnableShardedNamespace(); err != nil {
-		t.Fatal(err)
-	}
-	return cl
+	return r.clusterOf(t, p, 30, platform.Desc{Replicas: replicas, Stripe: testStripe, Window: 4, Timeout: faultTimeout, Sharded: true})
 }
 
 // TestShardRenameInDoubtAbortFaultStateA drives the FIRST in-doubt

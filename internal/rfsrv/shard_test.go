@@ -16,11 +16,9 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/hw"
 	"repro/internal/kernel"
-	"repro/internal/memfs"
-	"repro/internal/mx"
 	"repro/internal/rfsrv"
+	platform "repro/internal/rig"
 	"repro/internal/sim"
 )
 
@@ -29,37 +27,14 @@ import (
 // half of sharding (ownership checks, rename marks, materialize).
 func newShardRig(t *testing.T, nServers, replicas int) *clusterRig {
 	t.Helper()
-	env := sim.NewEngine()
-	c := hw.NewCluster(env, hw.DefaultParams(), hw.PCIXD)
-	r := &clusterRig{env: env, client: c.AddNode("client")}
-	r.clientMX = mx.Attach(r.client)
-	for i := 0; i < nServers; i++ {
-		n := c.AddNode(fmt.Sprintf("server%d", i))
-		fs := memfs.New(fmt.Sprintf("backing%d", i), n, 0)
-		fs.SetInodePartition(i, nServers)
-		srv := rfsrv.NewServer(n, fs)
-		if err := srv.EnableSharding(i, nServers, replicas); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := srv.ServeMX(mx.Attach(n), 1, 4); err != nil {
-			t.Fatal(err)
-		}
-		r.servers = append(r.servers, n)
-		r.serverFS = append(r.serverFS, fs)
-		r.rsrv = append(r.rsrv, srv)
-	}
-	return r
+	return newRigOf(t, nServers, replicas, true)
 }
 
 // shardClient builds the sharded client over the rig: replicated
 // sessions with the fault timeout armed, ownership routing enabled.
 func (r *clusterRig) shardClient(t *testing.T, p *sim.Proc, replicas int) *rfsrv.Cluster {
 	t.Helper()
-	cl := r.clusterRep(t, p, 4, testStripe, replicas)
-	if err := cl.EnableShardedNamespace(); err != nil {
-		t.Fatal(err)
-	}
-	return cl
+	return r.clusterOf(t, p, 10, platform.Desc{Replicas: replicas, Stripe: testStripe, Window: 4, Timeout: faultTimeout, Sharded: true})
 }
 
 // mkdirRes creates directories under the root until one lands on the

@@ -20,7 +20,6 @@ import (
 	"repro/internal/fabric"
 	"repro/internal/hw"
 	"repro/internal/kernel"
-	"repro/internal/mx"
 	"repro/internal/rfsrv"
 	"repro/internal/sim"
 	"repro/internal/vm"
@@ -30,7 +29,6 @@ type tClient struct {
 	st   *runState
 	idx  int
 	node *hw.Node
-	mx   *mx.MX
 	rng  *rand.Rand
 
 	cl *rfsrv.Cluster
@@ -91,54 +89,16 @@ func (c *tClient) run(p *sim.Proc) {
 	st.endDone++
 }
 
-// buildCluster assembles a sharded replicated cluster view over the
-// rig's servers from this client's node, sessions on endpoints
-// epBase+i.
-func (c *tClient) buildCluster(p *sim.Proc, epBase int) (*rfsrv.Cluster, error) {
-	cfg := c.st.cfg
-	sessions := make([]*rfsrv.Session, len(c.st.serverNodes))
-	for i, srv := range c.st.serverNodes {
-		fc, err := rfsrv.NewMXClient(c.mx, uint8(epBase+i), true, c.node.Kernel, srv.ID, 1)
-		if err != nil {
-			return nil, err
-		}
-		fc.SetRequestTimeout(cfg.Timeout)
-		if sessions[i], err = rfsrv.NewSession(p, fc, cfg.Window); err != nil {
-			return nil, err
-		}
-	}
-	cl, err := rfsrv.NewReplicatedCluster(p, sessions, cfg.Stripe, cfg.Replicas)
-	if err != nil {
-		return nil, err
-	}
-	if err := cl.EnableShardedNamespace(); err != nil {
-		return nil, err
-	}
-	// Peers let a spilled resync journal fall back to full-slice resync
-	// instead of refusing the reinstate outright.
-	if err := cl.SetResyncPeers(c.st.servers); err != nil {
-		return nil, err
-	}
-	// Under Config.Elastic every view (including the end-of-run
-	// observer's) follows the operator's membership epochs; a viewless
-	// cluster would refuse operations the moment a reply stamped an
-	// epoch a bounce advanced.
-	if c.st.memberView != nil {
-		cl.AttachView(c.st.memberView)
-	}
-	return cl, nil
-}
-
 func (c *tClient) setup(p *sim.Proc) bool {
 	st, cfg := c.st, c.st.cfg
-	for cfg.Elastic && st.memberView == nil && !st.failed() {
+	for cfg.Elastic && st.rig.View == nil && !st.failed() {
 		p.Sleep(tick) // the operator publishes the shared view first
 	}
 	if st.failed() {
 		return false
 	}
 	var err error
-	if c.cl, err = c.buildCluster(p, 10); err != nil {
+	if c.cl, err = st.rig.Cluster(p, c.node, 10); err != nil {
 		st.failf(-1, -1, "", "c%d: cluster setup: %v", c.idx, err)
 		return false
 	}

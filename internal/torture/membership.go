@@ -15,8 +15,6 @@ import (
 	"math/rand"
 	"time"
 
-	"repro/internal/mx"
-	"repro/internal/rfsrv"
 	"repro/internal/sim"
 )
 
@@ -24,10 +22,12 @@ import (
 // the shared view (clients wait for it before traffic), then bounce
 // until the storm drains.
 func (st *runState) membership(p *sim.Proc) {
-	if err := st.buildOperator(p); err != nil {
+	var err error
+	if st.operator, err = st.rig.Cluster(p, st.opNode, 10); err != nil {
 		st.failf(-1, -1, "", "membership: operator setup: %v", err)
 		return
 	}
+	st.rig.View = st.operator.ShareView()
 	rng := rand.New(rand.NewSource(st.cfg.ScheduleSeed ^ 0x626F756E636573))
 	for !st.stormOn && !st.failed() {
 		p.Sleep(tick)
@@ -60,37 +60,6 @@ func (st *runState) membership(p *sim.Proc) {
 		st.bounces++
 		st.memberBusy = false
 	}
-}
-
-// buildOperator assembles the operator's cluster view on its own node
-// and publishes the shared membership view.
-func (st *runState) buildOperator(p *sim.Proc) error {
-	cfg := st.cfg
-	m := mx.Attach(st.opNode)
-	sessions := make([]*rfsrv.Session, len(st.serverNodes))
-	for i, srv := range st.serverNodes {
-		fc, err := rfsrv.NewMXClient(m, uint8(10+i), true, st.opNode.Kernel, srv.ID, 1)
-		if err != nil {
-			return err
-		}
-		fc.SetRequestTimeout(cfg.Timeout)
-		if sessions[i], err = rfsrv.NewSession(p, fc, cfg.Window); err != nil {
-			return err
-		}
-	}
-	cl, err := rfsrv.NewReplicatedCluster(p, sessions, cfg.Stripe, cfg.Replicas)
-	if err != nil {
-		return err
-	}
-	if err := cl.EnableShardedNamespace(); err != nil {
-		return err
-	}
-	if err := cl.SetResyncPeers(st.servers); err != nil {
-		return err
-	}
-	st.operator = cl
-	st.memberView = cl.ShareView()
-	return nil
 }
 
 // quietForMembership reports whether a bounce may start: the last

@@ -16,8 +16,8 @@ import (
 	"repro/internal/hw"
 	"repro/internal/kernel"
 	"repro/internal/memfs"
-	"repro/internal/mx"
 	"repro/internal/rfsrv"
+	"repro/internal/rig"
 	"repro/internal/sim"
 )
 
@@ -41,14 +41,11 @@ type faultEvent struct {
 
 type runState struct {
 	cfg Config
-	env *sim.Engine
-
-	serverNodes []*hw.Node
-	serverFS    []*memfs.FS
-	servers     []*rfsrv.Server
-	clientNodes []*hw.Node
-	oracleNode  *hw.Node
-	oracle      *memfs.FS
+	// rig is the platform: the sharded replicated servers, their
+	// stores, and (Config.Elastic) the shared membership view every
+	// client attaches before traffic.
+	rig    *rig.Rig
+	oracle *memfs.FS
 
 	clients []*tClient
 	shared  []*sharedFile
@@ -76,14 +73,13 @@ type runState struct {
 	// clients' reinstate decisions (hw exposes Dead() but not stalls).
 	nicDown []bool
 
-	// Membership machinery (Config.Elastic): the operator cluster and
-	// the shared view every client attaches before traffic. memberBusy
-	// excludes fault injection while a bounce runs; lastFaultClear is
-	// when the schedule last finished an injection window, so the
-	// membership proc only strikes after residual timeouts drained.
+	// Membership machinery (Config.Elastic): the operator cluster,
+	// which publishes rig.View. memberBusy excludes fault injection
+	// while a bounce runs; lastFaultClear is when the schedule last
+	// finished an injection window, so the membership proc only strikes
+	// after residual timeouts drained.
 	opNode         *hw.Node
 	operator       *rfsrv.Cluster
-	memberView     *rfsrv.MemberView
 	memberBusy     bool
 	lastFaultClear sim.Time
 	bounces        int
@@ -100,42 +96,27 @@ func newRunState(cfg Config) (*runState, error) {
 	if cfg.Servers < 2 || cfg.Servers > 16 {
 		return nil, fmt.Errorf("torture: %d servers (want 2..16)", cfg.Servers)
 	}
-	if cfg.Replicas < 1 || cfg.Replicas > cfg.Servers {
-		return nil, fmt.Errorf("torture: %d replicas over %d servers", cfg.Replicas, cfg.Servers)
-	}
 	if cfg.Clients < 1 || cfg.Clients > 8 {
 		return nil, fmt.Errorf("torture: %d clients (want 1..8)", cfg.Clients)
 	}
 	if cfg.Mode != ModeData && cfg.Mode != ModeNS {
 		return nil, fmt.Errorf("torture: unknown mode %q", cfg.Mode)
 	}
+	r, err := rig.New(rig.Desc{Servers: cfg.Servers, Replicas: cfg.Replicas, Stripe: cfg.Stripe,
+		Window: cfg.Window, Timeout: cfg.Timeout, Sharded: true})
+	if err != nil {
+		return nil, err
+	}
 	st := &runState{
 		cfg:       cfg,
-		env:       sim.NewEngine(),
+		rig:       r,
 		oracleIno: make(map[int]kernel.InodeID),
 		nicDown:   make([]bool, cfg.Servers),
 	}
-	c := hw.NewCluster(st.env, hw.DefaultParams(), hw.PCIXD)
-	for i := 0; i < cfg.Servers; i++ {
-		n := c.AddNode(fmt.Sprintf("server%d", i))
-		fs := memfs.New(fmt.Sprintf("backing%d", i), n, 0)
-		fs.SetInodePartition(i, cfg.Servers)
-		srv := rfsrv.NewServer(n, fs)
-		if err := srv.EnableSharding(i, cfg.Servers, cfg.Replicas); err != nil {
-			return nil, err
-		}
-		if _, err := srv.ServeMX(mx.Attach(n), 1, 4); err != nil {
-			return nil, err
-		}
-		st.serverNodes = append(st.serverNodes, n)
-		st.serverFS = append(st.serverFS, fs)
-		st.servers = append(st.servers, srv)
-	}
 	if cfg.Elastic {
-		st.opNode = c.AddNode("operator")
+		st.opNode = r.HW.AddNode("operator")
 	}
-	st.oracleNode = c.AddNode("oracle")
-	st.oracle = memfs.New("oracle", st.oracleNode, 0)
+	st.oracle = memfs.New("oracle", r.HW.AddNode("oracle"), 0)
 	st.oracleIno[rootHandle] = st.oracle.Root()
 	st.nextHandle = rootHandle + 1
 	st.root = &dirModel{handle: rootHandle, name: "/", entries: map[string]*entryModel{}}
@@ -144,12 +125,10 @@ func newRunState(cfg Config) (*runState, error) {
 	// the master seed so a (Seed, ScheduleSeed) pair replays exactly.
 	master := rand.New(rand.NewSource(cfg.Seed))
 	for i := 0; i < cfg.Clients; i++ {
-		node := c.AddNode(fmt.Sprintf("client%d", i))
 		st.clients = append(st.clients, &tClient{
 			st:   st,
 			idx:  i,
-			node: node,
-			mx:   mx.Attach(node),
+			node: r.HW.AddNode(fmt.Sprintf("client%d", i)),
 			rng:  rand.New(rand.NewSource(master.Int63())),
 		})
 	}
@@ -175,7 +154,7 @@ func (st *runState) handle() int {
 	return h
 }
 
-func (st *runState) now() sim.Time { return st.env.Now() }
+func (st *runState) now() sim.Time { return st.rig.Env.Now() }
 
 func (st *runState) logf(format string, args ...any) {
 	if st.cfg.Logf != nil {
@@ -205,10 +184,10 @@ func (st *runState) failed() bool { return st.fail != nil }
 // simulation drains.
 func (st *runState) run() (*Result, error) {
 	var masterErr error
-	st.env.Spawn("torture-master", func(p *sim.Proc) {
+	st.rig.Env.Spawn("torture-master", func(p *sim.Proc) {
 		masterErr = st.master(p)
 	})
-	st.env.Run(simBudget)
+	st.rig.Env.Run(simBudget)
 	if st.fail != nil {
 		return nil, st.fail
 	}
@@ -227,11 +206,11 @@ func (st *runState) run() (*Result, error) {
 func (st *runState) master(p *sim.Proc) error {
 	st.stormLive = len(st.clients)
 	if st.cfg.Elastic {
-		st.env.Spawn("torture-membership", st.membership)
+		st.rig.Env.Spawn("torture-membership", st.membership)
 	}
 	for _, c := range st.clients {
 		c := c
-		st.env.Spawn(fmt.Sprintf("torture-c%d", c.idx), c.run)
+		st.rig.Env.Spawn(fmt.Sprintf("torture-c%d", c.idx), c.run)
 	}
 	for st.ready < len(st.clients) && !st.failed() {
 		p.Sleep(tick)
@@ -242,7 +221,7 @@ func (st *runState) master(p *sim.Proc) error {
 	st.stormStart = st.now()
 	st.stormOn = true
 	if !st.cfg.Quiet {
-		st.env.Spawn("torture-schedule", st.schedule)
+		st.rig.Env.Spawn("torture-schedule", st.schedule)
 	}
 	for st.stormLive > 0 && !st.failed() {
 		p.Sleep(tick)
@@ -251,7 +230,7 @@ func (st *runState) master(p *sim.Proc) error {
 	// Revive everything (the schedule may have exited mid-dwell on a
 	// failure) and let late frames and armed timeouts drain before the
 	// end checks read server state.
-	for i, n := range st.serverNodes {
+	for i, n := range st.rig.Nodes {
 		n.NIC.Revive()
 		st.nicDown[i] = false
 	}
