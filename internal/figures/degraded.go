@@ -30,7 +30,6 @@ package figures
 import (
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/kernel"
 	"repro/internal/rfsrv"
 	"repro/internal/rig"
@@ -122,49 +121,21 @@ func (r *dgResult) mbpsTotal() float64 {
 // samples and worst request latency.
 func dgClient(p *sim.Proc, cluster *rfsrv.Cluster, ino kernel.InodeID) ([]dgSample, sim.Time, error) {
 	var maxLat sim.Time
-	node := cluster.Node()
-	window := cluster.Window()
-	bufs := make([]core.Vector, window)
-	for i := range bufs {
-		va, err := node.Kernel.Mmap(msStripe, "dg-buf")
-		if err != nil {
-			return nil, 0, err
-		}
-		bufs[i] = vecKernel(node.Kernel, va, msStripe)
-	}
-	var q []rfsrv.PendingOp
 	var samples []dgSample
-	retire := func(pd rfsrv.PendingOp) error {
-		resp, err := pd.Wait(p)
-		if err != nil {
-			return err
-		}
-		if lat := p.Now() - pd.Issued(); lat > maxLat {
-			maxLat = lat
-		}
+	rs, err := newReadStream(cluster, ino, msStripe, "dg-buf", func(p *sim.Proc, pd rfsrv.PendingOp, resp *rfsrv.Resp) {
+		maxLat = max(maxLat, p.Now()-pd.Issued())
 		samples = append(samples, dgSample{at: p.Now(), bytes: int(resp.N)})
-		return nil
+	})
+	if err != nil {
+		return nil, 0, err
 	}
-	reads := dgFilePerCli / msStripe
-	for issued := 0; issued < reads; issued++ {
-		off := int64(issued) * msStripe
-		for len(q) > 0 && (len(q) == window || !cluster.CanStart(ino, off, msStripe)) {
-			pd := q[0]
-			q = q[1:]
-			if err := retire(pd); err != nil {
-				return nil, 0, err
-			}
+	for off := int64(0); off < dgFilePerCli; off += msStripe {
+		if rs.read(p, off) != nil {
+			break
 		}
-		pd, err := cluster.StartRead(p, ino, off, bufs[issued%window])
-		if err != nil {
-			return nil, 0, err
-		}
-		q = append(q, pd)
 	}
-	for _, pd := range q {
-		if err := retire(pd); err != nil {
-			return nil, 0, err
-		}
+	if err := rs.pl.Drain(p); err != nil {
+		return nil, 0, err
 	}
 	return samples, maxLat, nil
 }

@@ -5,7 +5,9 @@ package figures
 
 import (
 	"testing"
+	"time"
 
+	"repro/internal/fabric"
 	"repro/internal/kernel"
 	"repro/internal/rfsrv"
 	"repro/internal/rig"
@@ -62,7 +64,7 @@ func TestMultiServerOneServerMatchesScalability(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		samples, err = scalDirectReads(p, node, sess, inos[0])
+		samples, err = scalDirectReads(p, sess, inos[0])
 		return err
 	})
 	if err != nil {
@@ -96,5 +98,45 @@ func TestMultiServerNBDAndBufferedScale(t *testing.T) {
 			t.Errorf("%s: 4 servers = %.1f MB/s not above 1 server = %.1f MB/s", scen, wide.mbps, base.mbps)
 		}
 		t.Logf("%s: 1 server = %.1f MB/s, 4 servers = %.1f MB/s", scen, base.mbps, wide.mbps)
+	}
+}
+
+// TestDirectReadsDrainOnFault: the figures' shared read stream must
+// not abandon what it issued when the run fails. The server dies a few
+// chunks into a windowed read with the reply deadline armed; the loop
+// returns the fault with every window slot retired, so a figure that
+// fails reports its error instead of wedging the rig behind leaked
+// slots.
+func TestDirectReadsDrainOnFault(t *testing.T) {
+	const timeout = 2 * time.Millisecond
+	r, err := rig.New(rig.Desc{Servers: 1, Replicas: 1, Stripe: msStripe, Window: msWindow, Timeout: timeout})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var inos []kernel.InodeID
+	var sess *rfsrv.Session
+	_, err = r.Run("cl", 1, func(p *sim.Proc) (err error) {
+		inos, err = msSeedStriped(p, r, 1, 1, scalFilePerCli)
+		return err
+	}, func(p *sim.Proc, _ int) error {
+		node := r.HW.AddNode("client0")
+		fc, err := rfsrv.NewMXClient(r.MX(node), 10, true, node.Kernel, r.Nodes[0].ID, rig.ServerEP)
+		if err != nil {
+			return err
+		}
+		fc.SetRequestTimeout(timeout)
+		if sess, err = rfsrv.NewSession(p, fc, msWindow); err != nil {
+			return err
+		}
+		r.Nodes[0].NIC.KillAfter(time.Millisecond)
+		_, err = scalDirectReads(p, sess, inos[0])
+		return err
+	})
+	if !fabric.IsFault(err) {
+		t.Fatalf("read stream across a server kill = %v, want a transport fault", err)
+	}
+	if sess.InFlight() != 0 || sess.Issued.N != sess.Completed.N {
+		t.Errorf("%d window slots still held (issued %d, retired %d): the loop abandoned in-flight reads",
+			sess.InFlight(), sess.Issued.N, sess.Completed.N)
 	}
 }

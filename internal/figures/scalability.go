@@ -5,12 +5,12 @@ import (
 	"sort"
 
 	"repro/internal/core"
+	"repro/internal/fabric"
 	"repro/internal/hw"
 	"repro/internal/kernel"
 	"repro/internal/netpipe"
 	"repro/internal/rfsrv"
 	"repro/internal/sim"
-	"repro/internal/vm"
 )
 
 // This file holds the sliding-window scalability suite: ablations
@@ -59,49 +59,81 @@ func summarize(samples []sim.Time, totalBytes int, makespan sim.Time) scalResult
 	}
 }
 
-// scalDirectReads issues the file's chunks through the client's window
-// (sliding, retired in order), one buffer per window slot so transfers
-// never share staging. It takes any Async client — a Session drives
-// one server, a Cluster stripes the same chunk stream across several
-// (each 64 KB chunk is exactly one stripe, so chunks round-robin) —
-// pacing issues with CanStart so a full per-server window retires the
-// oldest chunk instead of blocking the pipeline.
-func scalDirectReads(p *sim.Proc, node *hw.Node, sess rfsrv.Async, ino kernel.InodeID) ([]sim.Time, error) {
-	window := sess.Window()
-	bufs := make([]vm.VirtAddr, window)
-	for j := range bufs {
-		va, err := node.Kernel.Mmap(scalChunk, "scal-buf")
+// readStream is the windowed read loop the cluster figures share:
+// chunk-sized reads of one file through any Async client — a Session
+// drives one server, a Cluster stripes the same chunk stream across
+// several — one kernel buffer per window slot so transfers never share
+// staging, retired in order.
+type readStream struct {
+	sess   rfsrv.Async
+	ino    kernel.InodeID
+	bufs   []core.Vector
+	issued int
+	pl     *fabric.Pipeline[rfsrv.PendingOp]
+}
+
+// newReadStream maps the stream's buffers (chunk bytes each) and arms
+// its pipeline; done sees every read that completed before any error.
+func newReadStream(sess rfsrv.Async, ino kernel.InodeID, chunk int, label string, done func(p *sim.Proc, pd rfsrv.PendingOp, resp *rfsrv.Resp)) (*readStream, error) {
+	kern := sess.Node().Kernel
+	rs := &readStream{sess: sess, ino: ino, bufs: make([]core.Vector, sess.Window())}
+	for i := range rs.bufs {
+		va, err := kern.Mmap(chunk, label)
 		if err != nil {
 			return nil, err
 		}
-		bufs[j] = va
+		rs.bufs[i] = vecKernel(kern, va, chunk)
 	}
-	type inflight struct{ pd rfsrv.PendingOp }
-	var q []inflight
+	rs.pl = fabric.NewPipeline(func(p *sim.Proc, pd rfsrv.PendingOp, failed bool) error {
+		resp, err := pd.Wait(p)
+		if err == nil && !failed {
+			done(p, pd, resp)
+		}
+		return err
+	})
+	return rs, nil
+}
+
+// read issues the stream's next chunk at off, pacing with CanStart so
+// a full per-server window retires the oldest chunk instead of
+// blocking the pipeline with retired slots in hand. The caller stops
+// at the first error and drains rs.pl either way.
+func (rs *readStream) read(p *sim.Proc, off int64) error {
+	dst := rs.bufs[rs.issued%len(rs.bufs)]
+	room := func() bool {
+		return rs.pl.Len() < len(rs.bufs) && rs.sess.CanStart(rs.ino, off, dst.TotalLen())
+	}
+	if err := rs.pl.Room(p, room); err != nil {
+		return err
+	}
+	pd, err := rs.sess.StartRead(p, rs.ino, off, dst)
+	if err != nil {
+		rs.pl.Fail(err)
+		return err
+	}
+	rs.pl.Push(pd)
+	rs.issued++
+	return nil
+}
+
+// scalDirectReads streams the file's chunks through the client's
+// window (each 64 KB chunk is exactly one stripe, so over a cluster
+// chunks round-robin) and returns every request's latency.
+func scalDirectReads(p *sim.Proc, sess rfsrv.Async, ino kernel.InodeID) ([]sim.Time, error) {
 	var samples []sim.Time
-	reads := scalFilePerCli / scalChunk
-	for issued := 0; issued < reads; issued++ {
-		off := int64(issued) * scalChunk
-		for len(q) > 0 && (len(q) == window || !sess.CanStart(ino, off, scalChunk)) {
-			pd := q[0].pd
-			q = q[1:]
-			if _, err := pd.Wait(p); err != nil {
-				return nil, err
-			}
-			samples = append(samples, p.Now()-pd.Issued())
-		}
-		pd, err := sess.StartRead(p, ino, off,
-			core.Of(core.KernelSeg(node.Kernel, bufs[issued%window], scalChunk)))
-		if err != nil {
-			return nil, err
-		}
-		q = append(q, inflight{pd})
+	rs, err := newReadStream(sess, ino, scalChunk, "scal-buf", func(p *sim.Proc, pd rfsrv.PendingOp, _ *rfsrv.Resp) {
+		samples = append(samples, p.Now()-pd.Issued())
+	})
+	if err != nil {
+		return nil, err
 	}
-	for _, f := range q {
-		if _, err := f.pd.Wait(p); err != nil {
-			return nil, err
+	for off := int64(0); off < scalFilePerCli; off += scalChunk {
+		if rs.read(p, off) != nil {
+			break
 		}
-		samples = append(samples, p.Now()-f.pd.Issued())
+	}
+	if err := rs.pl.Drain(p); err != nil {
+		return nil, err
 	}
 	return samples, nil
 }

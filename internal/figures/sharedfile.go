@@ -30,7 +30,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/kernel"
 	"repro/internal/netpipe"
 	"repro/internal/rfsrv"
@@ -223,64 +222,36 @@ func sfWriter(p *sim.Proc, cluster *rfsrv.Cluster, ino kernel.InodeID, w, chunks
 // have not reached yet inside the visible size read as holes — the
 // reader measures coherence and transport cost, not content.
 func sfReader(p *sim.Proc, cluster *rfsrv.Cluster, ino kernel.InodeID, total int64) ([]sim.Time, int, error) {
-	node := cluster.Node()
-	window := cluster.Window()
-	bufs := make([]core.Vector, window)
-	for j := range bufs {
-		va, err := node.Kernel.Mmap(sfChunk, "sf-rbuf")
-		if err != nil {
-			return nil, 0, err
-		}
-		bufs[j] = vecKernel(node.Kernel, va, sfChunk)
-	}
 	var samples []sim.Time
-	var q []rfsrv.PendingOp
-	retire := func(pd rfsrv.PendingOp) error {
-		if _, err := pd.Wait(p); err != nil {
-			return err
-		}
+	rs, err := newReadStream(cluster, ino, sfChunk, "sf-rbuf", func(p *sim.Proc, pd rfsrv.PendingOp, _ *rfsrv.Resp) {
 		samples = append(samples, p.Now()-pd.Issued())
-		return nil
+	})
+	if err != nil {
+		return nil, 0, err
 	}
-	moved := 0
 	var pos int64
-	issued := 0
+poll:
 	for pos < total {
 		resp, err := cluster.Meta(p, &rfsrv.Req{Op: rfsrv.OpGetattr, Ino: ino})
 		if err != nil {
-			return nil, 0, err
+			rs.pl.Fail(err)
+			break
 		}
-		limit := resp.Attr.Size - resp.Attr.Size%sfChunk
-		if limit > total {
-			limit = total
-		}
+		limit := min(resp.Attr.Size-resp.Attr.Size%sfChunk, total)
 		if pos == limit {
 			p.Sleep(sfPoll)
 			continue
 		}
 		for ; pos < limit; pos += sfChunk {
-			for len(q) > 0 && (len(q) == window || !cluster.CanStart(ino, pos, sfChunk)) {
-				pd := q[0]
-				q = q[1:]
-				if err := retire(pd); err != nil {
-					return nil, 0, err
-				}
+			if rs.read(p, pos) != nil {
+				break poll
 			}
-			pd, err := cluster.StartRead(p, ino, pos, bufs[issued%window])
-			if err != nil {
-				return nil, 0, err
-			}
-			q = append(q, pd)
-			issued++
-			moved += sfChunk
 		}
 	}
-	for _, pd := range q {
-		if err := retire(pd); err != nil {
-			return nil, 0, err
-		}
+	if err := rs.pl.Drain(p); err != nil {
+		return nil, 0, err
 	}
-	return samples, moved, nil
+	return samples, rs.issued * sfChunk, nil
 }
 
 // SharedFile runs the whole suite and returns three figures: aggregate

@@ -133,6 +133,8 @@ func pagesSpanned(off int64, n int) int64 {
 	return pageIndex(off+int64(n)-1) - pageIndex(off) + 1
 }
 
+// String renders the attributes for logs and test failures: kind,
+// inode, size and version.
 func (a Attr) String() string {
 	k := "file"
 	if a.Kind == Directory {

@@ -14,6 +14,15 @@
 // ("disk"), the moral equivalent of /dev/nbd0: buffered access to it
 // goes through the page cache in page-sized transfers, direct access
 // bypasses it, exactly like a raw block device node.
+//
+// The client is windowed: its request slots come from a fabric.Window
+// (the same type rfsrv.Session holds), and the device's two pipelined
+// loops — the combined page-cache fetch and the direct read — keep
+// their in-flight block requests in a fabric.Pipeline, which retires
+// every one of them on every exit. The wire stays the block protocol's
+// own (one reply message per block, where an rfsrv read takes two), and
+// a request has no reply deadline yet: a server that dies with a
+// request in flight parks its waiter (ROADMAP item 4).
 package nbd
 
 import (
@@ -199,10 +208,12 @@ func (s *Server) reply(p *sim.Proc, t fabric.Transport, dst hw.NodeID, ep uint8,
 }
 
 // Client is the in-kernel NBD client, speaking the block protocol over
-// any vectorial fabric transport. It keeps a window of request slots
-// (one by default — the synchronous protocol); SetWindow widens it so
-// multiple block requests can be queued on the wire at once, each with
-// its own header staging, demuxed by sequence number.
+// any vectorial fabric transport. It keeps a fabric.Window of request
+// slots (one by default — the synchronous protocol); SetWindow widens
+// it so multiple block requests can be queued on the wire at once,
+// demuxed by sequence number. A slot is one request's header staging,
+// a pooled buffer: the reply header lands at its start, the request
+// header stages hdrLen further in.
 type Client struct {
 	t         fabric.Transport
 	node      *hw.Node
@@ -210,18 +221,10 @@ type Client struct {
 	serverEP  uint8
 	numBlocks int
 	seq       uint64
-	window    int
-	free      *sim.Chan[*nbdSlot]
-	inFlight  int
+	win       *fabric.Window[*fabric.Buffer]
 
 	// BlockReads/BlockWrites count issued block operations.
 	BlockReads, BlockWrites sim.Counter
-}
-
-// nbdSlot is one request's header staging: the reply header lands at
-// hdrVA, the request header stages at hdrVA+hdrLen.
-type nbdSlot struct {
-	hdrVA vm.VirtAddr
 }
 
 // NewClient connects an NBD client on an MX kernel endpoint.
@@ -243,45 +246,35 @@ func NewFabricClient(t fabric.Transport, server hw.NodeID, serverEP uint8, numBl
 	c := &Client{
 		t: t, node: node, server: server, serverEP: serverEP,
 		numBlocks: numBlocks,
-		free:      sim.NewChan[*nbdSlot](node.Cluster.Env),
+		win:       fabric.NewWindow[*fabric.Buffer](node.Cluster.Env),
 	}
-	if err := c.addSlots(1); err != nil {
+	if err := c.SetWindow(1); err != nil {
 		return nil, err
 	}
-	c.window = 1
 	return c, nil
-}
-
-func (c *Client) addSlots(n int) error {
-	pool := fabric.PoolOf(c.node)
-	for i := 0; i < n; i++ {
-		buf, err := pool.Get(2 * hdrLen)
-		if err != nil {
-			return err
-		}
-		c.free.Send(&nbdSlot{hdrVA: buf.VA()})
-	}
-	return nil
 }
 
 // SetWindow widens the request window to w outstanding block requests
 // (w = 1 is the synchronous protocol). It can only grow the window.
 func (c *Client) SetWindow(w int) error {
-	if w < c.window {
-		return fmt.Errorf("nbd: window can only grow (%d -> %d)", c.window, w)
+	if w < c.win.Size() {
+		return fmt.Errorf("nbd: window can only grow (%d -> %d)", c.win.Size(), w)
 	}
-	if err := c.addSlots(w - c.window); err != nil {
-		return err
+	for c.win.Size() < w {
+		buf, err := fabric.PoolOf(c.node).Get(2 * hdrLen)
+		if err != nil {
+			return err
+		}
+		c.win.Add(buf)
 	}
-	c.window = w
 	return nil
 }
 
 // Window returns the configured request window.
-func (c *Client) Window() int { return c.window }
+func (c *Client) Window() int { return c.win.Size() }
 
 // InFlight returns the number of outstanding block requests.
-func (c *Client) InFlight() int { return c.inFlight }
+func (c *Client) InFlight() int { return c.win.InFlight() }
 
 // NumBlocks returns the device size in blocks.
 func (c *Client) NumBlocks() int { return c.numBlocks }
@@ -289,7 +282,7 @@ func (c *Client) NumBlocks() int { return c.numBlocks }
 // PendingBlock is one in-flight block request.
 type PendingBlock struct {
 	c        *Client
-	slot     *nbdSlot
+	slot     *fabric.Buffer
 	seq      uint64
 	idx      int64
 	wantKind uint8
@@ -299,16 +292,17 @@ type PendingBlock struct {
 }
 
 // start issues one block request through the window, blocking while
-// the window is full. recvExtra is the reply payload destination
-// (reads), data the request payload (writes).
+// the window is full. frame is the reply payload destination (reads)
+// or the request payload (writes). On error the request never left:
+// the slot is back in the window and nothing stays posted.
 func (c *Client) start(p *sim.Proc, kind uint8, idx int64, frame *mem.Frame) (*PendingBlock, error) {
-	slot := c.free.Recv(p)
-	c.inFlight++
+	slot := c.win.Acquire(p)
 	c.seq++
 	seq := c.seq
 	kern := c.node.Kernel
-	recv := core.Vector{core.KernelSeg(kern, slot.hdrVA, hdrLen)}
-	var data core.Vector
+	hdrOff := slot.VA() + vm.VirtAddr(hdrLen) // separate request header slot
+	recv := core.Vector{core.KernelSeg(kern, slot.VA(), hdrLen)}
+	send := core.Vector{core.KernelSeg(kern, hdrOff, hdrLen)}
 	wantKind := kindWriteResp
 	if kind == kindRead {
 		// Reply: header into the slot, payload straight into the
@@ -316,29 +310,25 @@ func (c *Client) start(p *sim.Proc, kind uint8, idx int64, frame *mem.Frame) (*P
 		recv = append(recv, core.PhysSeg(frame.Addr(), BlockSize))
 		wantKind = kindReadResp
 	} else {
-		data = core.Of(core.PhysSeg(frame.Addr(), BlockSize))
+		send = append(send, core.PhysSeg(frame.Addr(), BlockSize))
 	}
 	rr, err := c.t.PostRecv(p, core.Exact(seq<<1), recv)
 	if err != nil {
-		c.put(slot)
+		c.win.Release(slot)
 		return nil, err
 	}
-	hdrOff := slot.hdrVA + vm.VirtAddr(hdrLen) // separate request header slot
-	if err := kern.WriteBytes(hdrOff, encHdr(kind, seq, idx, c.t.LocalEP())); err != nil {
-		c.put(slot)
-		return nil, err
+	err = kern.WriteBytes(hdrOff, encHdr(kind, seq, idx, c.t.LocalEP()))
+	if err == nil {
+		_, err = c.t.Send(p, c.server, c.serverEP, seq<<1|1, send)
 	}
-	v := append(core.Vector{core.KernelSeg(kern, hdrOff, hdrLen)}, data...)
-	if _, err := c.t.Send(p, c.server, c.serverEP, seq<<1|1, v); err != nil {
-		c.put(slot)
+	if err != nil {
+		// The receive is tagged with a sequence number that was never
+		// sent, so withdrawing it cannot race a delivery.
+		fabric.Cancel(p, rr)
+		c.win.Release(slot)
 		return nil, err
 	}
 	return &PendingBlock{c: c, slot: slot, seq: seq, idx: idx, wantKind: wantKind, op: rr}, nil
-}
-
-func (c *Client) put(slot *nbdSlot) {
-	c.inFlight--
-	c.free.Send(slot)
 }
 
 // Wait retires the request; requests may be waited in any order.
@@ -347,13 +337,13 @@ func (pb *PendingBlock) Wait(p *sim.Proc) error {
 		return pb.err
 	}
 	pb.done = true
-	defer pb.c.put(pb.slot)
+	defer pb.c.win.Release(pb.slot)
 	st := pb.op.Wait(p)
 	if st.Err != nil {
 		pb.err = st.Err
 		return pb.err
 	}
-	raw, _ := pb.c.node.Kernel.ReadBytes(pb.slot.hdrVA, hdrLen)
+	raw, _ := pb.c.node.Kernel.ReadBytes(pb.slot.VA(), hdrLen)
 	kind, rseq, _, _, err := decHdr(raw)
 	if err != nil {
 		pb.err = err
@@ -393,44 +383,8 @@ func (c *Client) ReadBlock(p *sim.Proc, idx int64, frame *mem.Frame) error {
 	return pb.Wait(p)
 }
 
-// ReadBlocks reads consecutive blocks starting at idx into frames,
-// keeping up to the window's worth of block requests queued — how the
-// device pipelines multi-page accesses.
-func (c *Client) ReadBlocks(p *sim.Proc, idx int64, frames []*mem.Frame) error {
-	var inflight []*PendingBlock
-	var firstErr error
-	retire := func(pb *PendingBlock) {
-		if err := pb.Wait(p); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	for i, f := range frames {
-		if len(inflight) == c.window {
-			pb := inflight[0]
-			inflight = inflight[1:]
-			retire(pb)
-			if firstErr != nil {
-				break
-			}
-		}
-		pb, err := c.StartRead(p, idx+int64(i), f)
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			break
-		}
-		inflight = append(inflight, pb)
-	}
-	for _, pb := range inflight {
-		retire(pb)
-	}
-	return firstErr
-}
-
-// WriteBlock writes frame's first n bytes as block idx (rest zeroed
-// server-side only on fresh blocks).
-func (c *Client) WriteBlock(p *sim.Proc, idx int64, frame *mem.Frame, n int) error {
+// WriteBlock writes frame — always one whole block — as block idx.
+func (c *Client) WriteBlock(p *sim.Proc, idx int64, frame *mem.Frame) error {
 	pb, err := c.StartWrite(p, idx, frame)
 	if err != nil {
 		return err
@@ -612,46 +566,26 @@ func (d *Device) ReadPages(p *sim.Proc, ino kernel.InodeID, idx int64, frames []
 
 // readBlocks reads consecutive blocks starting at idx into frames,
 // routing each block to its owning client and keeping every owner's
-// window full — the striped generalization of Client.ReadBlocks (one
-// client reduces to the identical request sequence).
+// window full.
 func (d *Device) readBlocks(p *sim.Proc, idx int64, frames []*mem.Frame) error {
-	var inflight []*PendingBlock
-	var firstErr error
-	retire := func(pb *PendingBlock) {
-		if err := pb.Wait(p); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
+	pl := fabric.NewPipeline(func(p *sim.Proc, pb *PendingBlock, _ bool) error { return pb.Wait(p) })
 	for i, f := range frames {
 		b := idx + int64(i)
 		owner := d.cl(b)
 		// Retire oldest-first until the owner can queue one more; the
 		// oldest request frees a slot somewhere, and blocks round-robin
 		// uniformly, so the owner's slot frees within len(cls) retires.
-		for len(inflight) > 0 && owner.InFlight() >= owner.Window() {
-			pb := inflight[0]
-			inflight = inflight[1:]
-			retire(pb)
-			if firstErr != nil {
-				break
-			}
-		}
-		if firstErr != nil {
+		if pl.Room(p, owner.win.HasRoom) != nil {
 			break
 		}
 		pb, err := owner.StartRead(p, b, f)
 		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
+			pl.Fail(err)
 			break
 		}
-		inflight = append(inflight, pb)
+		pl.Push(pb)
 	}
-	for _, pb := range inflight {
-		retire(pb)
-	}
-	return firstErr
+	return pl.Drain(p)
 }
 
 // WritePage implements kernel.FileSystem.
@@ -662,7 +596,7 @@ func (d *Device) WritePage(p *sim.Proc, ino kernel.InodeID, idx int64, frame *me
 	if idx >= int64(d.numBlocks()) {
 		return kernel.ErrBadOffset
 	}
-	return d.cl(idx).WriteBlock(p, idx, frame, n)
+	return d.cl(idx).WriteBlock(p, idx, frame)
 }
 
 // ReadDirect implements kernel.FileSystem: block-aligned direct reads
@@ -692,70 +626,43 @@ func (d *Device) ReadDirect(p *sim.Proc, ino kernel.InodeID, off int64, v core.V
 		bOff   int // offset within the block
 		chunk  int
 	}
-	var inflight []chunkReq
 	done := 0
-	retire := func(cr chunkReq) error {
+	pl := fabric.NewPipeline(func(p *sim.Proc, cr chunkReq, failed bool) error {
 		err := cr.pb.Wait(p)
-		if err == nil {
+		if err == nil && !failed {
 			d.node.CPU.Copy(p, cr.chunk)
 			d.node.Mem.Scatter(slice(xs, cr.done, cr.chunk), cr.bounce.Data()[cr.bOff:cr.bOff+cr.chunk])
+			done += cr.chunk
 		}
 		d.node.Mem.Put(cr.bounce)
 		return err
-	}
+	})
 	for issued := 0; issued < n; {
 		idx := (off + int64(issued)) / BlockSize
 		bOff := int((off + int64(issued)) % BlockSize)
-		chunk := BlockSize - bOff
-		if chunk > n-issued {
-			chunk = n - issued
-		}
+		chunk := min(BlockSize-bOff, n-issued)
 		owner := d.cl(idx)
-		for len(inflight) > 0 && owner.InFlight() >= owner.Window() {
-			cr := inflight[0]
-			inflight = inflight[1:]
-			if err := retire(cr); err != nil {
-				for _, rest := range inflight {
-					rest.pb.Wait(p)
-					d.node.Mem.Put(rest.bounce)
-				}
-				return done, err
-			}
-			done += cr.chunk
+		if pl.Room(p, owner.win.HasRoom) != nil {
+			break
 		}
+		// An allocation failure surfaces as the error it is, not as a
+		// short read the caller would take for EOF.
 		bounce, err := d.node.Mem.AllocFrame()
 		if err != nil {
-			// Surface the allocation failure instead of silently
-			// returning a short read the caller would take for EOF.
-			for _, rest := range inflight {
-				rest.pb.Wait(p)
-				d.node.Mem.Put(rest.bounce)
-			}
-			return done, err
+			pl.Fail(err)
+			break
 		}
 		pb, err := owner.StartRead(p, idx, bounce)
 		if err != nil {
 			d.node.Mem.Put(bounce)
-			for _, rest := range inflight {
-				rest.pb.Wait(p)
-				d.node.Mem.Put(rest.bounce)
-			}
-			return done, err
+			pl.Fail(err)
+			break
 		}
-		inflight = append(inflight, chunkReq{pb: pb, bounce: bounce, done: issued, bOff: bOff, chunk: chunk})
+		pl.Push(chunkReq{pb: pb, bounce: bounce, done: issued, bOff: bOff, chunk: chunk})
 		issued += chunk
 	}
-	for i, cr := range inflight {
-		if err := retire(cr); err != nil {
-			for _, rest := range inflight[i+1:] {
-				rest.pb.Wait(p)
-				d.node.Mem.Put(rest.bounce)
-			}
-			return done, err
-		}
-		done += cr.chunk
-	}
-	return done, nil
+	err = pl.Drain(p) // before done is read: the retires still add to it
+	return done, err
 }
 
 // WriteDirect implements kernel.FileSystem.
@@ -781,10 +688,7 @@ func (d *Device) WriteDirect(p *sim.Proc, ino kernel.InodeID, off int64, v core.
 	for done < n {
 		idx := (off + int64(done)) / BlockSize
 		bOff := int((off + int64(done)) % BlockSize)
-		chunk := BlockSize - bOff
-		if chunk > n-done {
-			chunk = n - done
-		}
+		chunk := min(BlockSize-bOff, n-done)
 		owner := d.cl(idx)
 		if bOff != 0 || chunk != BlockSize {
 			// Read-modify-write for partial blocks.
@@ -795,7 +699,7 @@ func (d *Device) WriteDirect(p *sim.Proc, ino kernel.InodeID, off int64, v core.
 		data := d.node.Mem.Gather(slice(xs, done, chunk))
 		d.node.CPU.Copy(p, chunk)
 		copy(bounce.Data()[bOff:], data)
-		if err := owner.WriteBlock(p, idx, bounce, BlockSize); err != nil {
+		if err := owner.WriteBlock(p, idx, bounce); err != nil {
 			return done, err
 		}
 		done += chunk

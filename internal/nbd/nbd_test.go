@@ -66,7 +66,7 @@ func TestBlockRoundtrip(t *testing.T) {
 		for i := range out.Data() {
 			out.Data()[i] = byte(i * 17)
 		}
-		if err := r.cl.WriteBlock(p, 5, out, nbd.BlockSize); err != nil {
+		if err := r.cl.WriteBlock(p, 5, out); err != nil {
 			t.Fatal(err)
 		}
 		if err := r.cl.ReadBlock(p, 5, in); err != nil {
@@ -101,7 +101,7 @@ func TestOutOfRangeBlock(t *testing.T) {
 		if err := r.cl.ReadBlock(p, 99, f); err == nil {
 			t.Fatal("out-of-range read succeeded")
 		}
-		if err := r.cl.WriteBlock(p, 99, f, nbd.BlockSize); err == nil {
+		if err := r.cl.WriteBlock(p, 99, f); err == nil {
 			t.Fatal("out-of-range write succeeded")
 		}
 	})
@@ -232,7 +232,7 @@ func TestBlockStoreProperty(t *testing.T) {
 				blk := rng.Int63n(8)
 				if rng.Intn(2) == 0 {
 					rng.Read(out.Data())
-					if err := cl.WriteBlock(p, blk, out, nbd.BlockSize); err != nil {
+					if err := cl.WriteBlock(p, blk, out); err != nil {
 						ok = false
 						return
 					}
@@ -277,7 +277,7 @@ func TestWindowedBlockReads(t *testing.T) {
 			for j := range out.Data() {
 				out.Data()[j] = byte(i + j*7)
 			}
-			if err := r.cl.WriteBlock(p, int64(i), out, nbd.BlockSize); err != nil {
+			if err := r.cl.WriteBlock(p, int64(i), out); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -294,9 +294,11 @@ func TestWindowedBlockReads(t *testing.T) {
 			for i := range frames {
 				frames[i], _ = r.client.Mem.AllocFrame()
 			}
+			dev := nbd.NewDevice(r.cl)
+			disk := diskIno(t, p, dev)
 			t0 := p.Now()
-			if err := r.cl.ReadBlocks(p, 0, frames); err != nil {
-				t.Fatal(err)
+			if n, err := dev.ReadPages(p, disk, 0, frames); err != nil || n != blocks*nbd.BlockSize {
+				t.Fatalf("ReadPages: %d %v", n, err)
 			}
 			elapsed = p.Now() - t0
 			for i, f := range frames {
@@ -330,7 +332,7 @@ func TestDeviceCombinedPageReads(t *testing.T) {
 			for j := range out.Data() {
 				out.Data()[j] = byte(i ^ j)
 			}
-			if err := r.cl.WriteBlock(p, int64(i), out, nbd.BlockSize); err != nil {
+			if err := r.cl.WriteBlock(p, int64(i), out); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -364,11 +366,12 @@ func TestDeviceCombinedPageReads(t *testing.T) {
 // stripedRig builds S servers and one client node holding one Client
 // per server (distinct endpoints), assembled into a striped Device.
 type stripedRig struct {
-	env     *sim.Engine
-	client  *hw.Node
-	servers []*hw.Node
-	cls     []*nbd.Client
-	dev     *nbd.Device
+	env      *sim.Engine
+	client   *hw.Node
+	clientMX *mx.MX // the client node's one MX attachment
+	servers  []*hw.Node
+	cls      []*nbd.Client
+	dev      *nbd.Device
 }
 
 func newStripedRig(t *testing.T, nServers, blocks, window int) *stripedRig {
@@ -376,7 +379,7 @@ func newStripedRig(t *testing.T, nServers, blocks, window int) *stripedRig {
 	env := sim.NewEngine()
 	c := hw.NewCluster(env, hw.DefaultParams(), hw.PCIXD)
 	r := &stripedRig{env: env, client: c.AddNode("client")}
-	clientMX := mx.Attach(r.client)
+	r.clientMX = mx.Attach(r.client)
 	for i := 0; i < nServers; i++ {
 		n := c.AddNode("server")
 		srv, err := nbd.NewServer(n, blocks)
@@ -386,7 +389,7 @@ func newStripedRig(t *testing.T, nServers, blocks, window int) *stripedRig {
 		if err := srv.ServeMX(mx.Attach(n), 1, 2); err != nil {
 			t.Fatal(err)
 		}
-		cl, err := nbd.NewClient(clientMX, uint8(10+i), n.ID, 1, blocks)
+		cl, err := nbd.NewClient(r.clientMX, uint8(10+i), n.ID, 1, blocks)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -557,7 +560,7 @@ func TestServerSurvivesDeadClient(t *testing.T) {
 		for i := range out.Data() {
 			out.Data()[i] = byte(i * 13)
 		}
-		if err := clB.WriteBlock(p, 3, out, nbd.BlockSize); err != nil {
+		if err := clB.WriteBlock(p, 3, out); err != nil {
 			t.Fatal(err)
 		}
 		// Hold A's request at the server's NIC until A is dead: the
@@ -603,7 +606,7 @@ func TestTruncatedWriteLeavesBlockUntouched(t *testing.T) {
 		for i := range out.Data() {
 			out.Data()[i] = byte(i*7 + 1)
 		}
-		if err := r.cl.WriteBlock(p, 5, out, nbd.BlockSize); err != nil {
+		if err := r.cl.WriteBlock(p, 5, out); err != nil {
 			t.Fatal(err)
 		}
 
@@ -648,4 +651,118 @@ func TestTruncatedWriteLeavesBlockUntouched(t *testing.T) {
 			t.Error("truncated write modified the block")
 		}
 	})
+}
+
+// countingTransport wraps a fabric transport and counts the receives
+// that are posted and neither completed nor withdrawn — what a failed
+// issue must leave at zero.
+type countingTransport struct {
+	fabric.Transport
+	posted int
+}
+
+// countedRecv is one receive posted through a countingTransport.
+type countedRecv struct {
+	fabric.Op
+	t       *countingTransport
+	settled bool
+}
+
+func (t *countingTransport) PostRecv(p *sim.Proc, match core.Match, v core.Vector) (fabric.Op, error) {
+	op, err := t.Transport.PostRecv(p, match, v)
+	if err != nil {
+		return nil, err
+	}
+	t.posted++
+	return &countedRecv{Op: op, t: t}, nil
+}
+
+func (o *countedRecv) settle() {
+	if !o.settled {
+		o.settled = true
+		o.t.posted--
+	}
+}
+
+func (o *countedRecv) Wait(p *sim.Proc) fabric.Status {
+	st := o.Op.Wait(p)
+	o.settle()
+	return st
+}
+
+// Cancel implements fabric.CancelableOp over the wrapped receive.
+func (o *countedRecv) Cancel(p *sim.Proc) bool {
+	ok := fabric.Cancel(p, o.Op)
+	if ok {
+		o.settle()
+	}
+	return ok
+}
+
+// TestFailedIssueLeavesNothingPosted: against a dead server the send
+// of a block request fails as a transport fault. The request never
+// left, so its reply receive must be withdrawn and its slot returned —
+// and the client must work again once the server is back.
+func TestFailedIssueLeavesNothingPosted(t *testing.T) {
+	env := sim.NewEngine()
+	c := hw.NewCluster(env, hw.DefaultParams(), hw.PCIXD)
+	client, server := c.AddNode("client"), c.AddNode("server")
+	srv, err := nbd.NewServer(server, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.ServeMX(mx.Attach(server), 1, 1); err != nil {
+		t.Fatal(err)
+	}
+	inner, err := fabric.NewMX(mx.Attach(client), 2, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ct := &countingTransport{Transport: inner}
+	cl, err := nbd.NewFabricClient(ct, server.ID, 1, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.SetWindow(2); err != nil {
+		t.Fatal(err)
+	}
+	done := false
+	env.Spawn("test", func(p *sim.Proc) {
+		out, _ := client.Mem.AllocFrame()
+		in, _ := client.Mem.AllocFrame()
+		for i := range out.Data() {
+			out.Data()[i] = byte(i*11 + 3)
+		}
+		server.NIC.Kill()
+		if _, err := cl.StartRead(p, 3, in); !fabric.IsFault(err) {
+			t.Errorf("StartRead against a dead server = %v, want a transport fault", err)
+		}
+		if _, err := cl.StartWrite(p, 3, out); !fabric.IsFault(err) {
+			t.Errorf("StartWrite against a dead server = %v, want a transport fault", err)
+		}
+		if ct.posted != 0 {
+			t.Errorf("%d reply receives still posted after two failed issues", ct.posted)
+		}
+		if cl.InFlight() != 0 {
+			t.Errorf("%d window slots still held after two failed issues", cl.InFlight())
+		}
+		server.NIC.Revive()
+		if err := cl.WriteBlock(p, 3, out); err != nil {
+			t.Fatalf("write after revive: %v", err)
+		}
+		if err := cl.ReadBlock(p, 3, in); err != nil {
+			t.Fatalf("read after revive: %v", err)
+		}
+		if !bytes.Equal(in.Data(), out.Data()) {
+			t.Error("block corrupted after the failed issues")
+		}
+		if ct.posted != 0 || cl.InFlight() != 0 {
+			t.Errorf("after recovery: %d receives posted, %d slots held", ct.posted, cl.InFlight())
+		}
+		done = true
+	})
+	env.Run(0)
+	if !done {
+		t.Fatal("deadlock")
+	}
 }

@@ -16,6 +16,7 @@ import (
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/fabric"
 	"repro/internal/kernel"
 	"repro/internal/rfsrv"
 	"repro/internal/sim"
@@ -177,67 +178,40 @@ func (l *Lib) Read(p *sim.Proc, fd int, va vm.VirtAddr, n int) (int, error) {
 // session window and retires them in order, stopping at a short chunk
 // (EOF).
 func (l *Lib) readPipelined(p *sim.Proc, f *file, va vm.VirtAddr, n int) (int, error) {
-	type slot struct {
+	type chunk struct {
 		pd   rfsrv.PendingOp
 		want int
 	}
-	var inflight []slot
 	total := 0
 	short := false
-	retire := func(s slot) error {
-		resp, err := s.pd.Wait(p)
-		if err != nil {
+	pl := fabric.NewPipeline(func(p *sim.Proc, c chunk, failed bool) error {
+		resp, err := c.pd.Wait(p)
+		if err != nil || failed || short {
 			return err
 		}
-		if !short {
-			total += int(resp.N)
-			if int(resp.N) < s.want {
-				short = true // EOF inside this chunk; later chunks are empty
-			}
-		}
+		total += int(resp.N)
+		short = int(resp.N) < c.want // EOF inside this chunk; later chunks are empty
 		return nil
-	}
-	// drain retires leftover in-flight chunks on an error path, so
-	// their window slots return to the session instead of leaking.
-	drain := func(rest []slot) {
-		for _, s := range rest {
-			s.pd.Wait(p)
-		}
-	}
+	})
 	for issued := 0; issued < n; {
-		chunk := n - issued
-		if chunk > readChunk {
-			chunk = readChunk
-		}
+		off, want := f.off+int64(issued), min(n-issued, readChunk)
 		// Retire oldest-first until the chunk's target window(s) have
 		// room — over a striped cluster one chunk may span several
 		// servers, and blocking inside StartRead with retired slots in
 		// our own hands would deadlock the pipeline.
-		for len(inflight) > 0 &&
-			(len(inflight) == l.sess.Window() || !l.sess.CanStart(f.ino, f.off+int64(issued), chunk)) {
-			s := inflight[0]
-			inflight = inflight[1:]
-			if err := retire(s); err != nil {
-				drain(inflight)
-				return total, err
-			}
+		if pl.Room(p, func() bool { return pl.Len() < l.sess.Window() && l.sess.CanStart(f.ino, off, want) }) != nil {
+			break
 		}
-		pd, err := l.sess.StartRead(p, f.ino, f.off+int64(issued),
-			core.Of(core.UserSeg(l.as, va+vm.VirtAddr(issued), chunk)))
+		pd, err := l.sess.StartRead(p, f.ino, off, core.Of(core.UserSeg(l.as, va+vm.VirtAddr(issued), want)))
 		if err != nil {
-			drain(inflight)
-			return total, err
+			pl.Fail(err)
+			break
 		}
-		inflight = append(inflight, slot{pd, chunk})
-		issued += chunk
+		pl.Push(chunk{pd, want})
+		issued += want
 	}
-	for i, s := range inflight {
-		if err := retire(s); err != nil {
-			drain(inflight[i+1:])
-			return total, err
-		}
-	}
-	return total, nil
+	err := pl.Drain(p) // before total is read: the retires still add to it
+	return total, err
 }
 
 // Write writes n bytes from the process buffer at va.

@@ -19,9 +19,10 @@ package orfs
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/core"
+	"repro/internal/fabric"
 	"repro/internal/hw"
 	"repro/internal/kernel"
 	"repro/internal/mem"
@@ -60,7 +61,7 @@ type FS struct {
 
 	// write-behind state: in-flight page writes, their shadow frames,
 	// and the first deferred error (surfaced at the next barrier).
-	wb    []*wbWrite
+	wb    *fabric.Pipeline[wbWrite]
 	wbErr error
 	// wbEnd tracks, per inode, the end-of-file the write-behind
 	// pipeline has established: striped clusters extend only the
@@ -98,6 +99,7 @@ type wbWrite struct {
 // writes (write-behind) through the window.
 func New(name string, cl rfsrv.Client) *FS {
 	f := &FS{name: name, cl: cl}
+	f.wb = fabric.NewPipeline(f.retireWrite)
 	if s, ok := cl.(rfsrv.Async); ok && s.Window() > 1 {
 		f.sess = s
 		f.node = s.Node()
@@ -129,20 +131,9 @@ func (f *FS) Client() rfsrv.Client { return f.cl }
 // clusters only), so homed getattr and striped-read EOF clipping agree
 // with the write-behind data on every server.
 func (f *FS) Sync(p *sim.Proc) error {
+	f.wb.Drain(p) // never fails: retireWrite defers the errors to wbErr
 	first := f.wbErr
 	f.wbErr = nil
-	for _, w := range f.wb {
-		if _, err := w.pd.Wait(p); err != nil {
-			if first == nil {
-				first = err
-			}
-			if f.wbFailed != nil {
-				f.wbFailed[w.ino] = true
-			}
-		}
-		f.node.Mem.Put(w.shadow)
-	}
-	f.wb = nil
 	if len(f.wbEnd) > 0 {
 		sr := f.cl.(sizeReconciler) // wbEnd is only allocated alongside one
 		// Deterministic publication order (map iteration is not). An
@@ -155,7 +146,7 @@ func (f *FS) Sync(p *sim.Proc) error {
 		for ino := range f.wbEnd {
 			inos = append(inos, ino)
 		}
-		sort.Slice(inos, func(i, j int) bool { return inos[i] < inos[j] })
+		slices.Sort(inos)
 		for _, ino := range inos {
 			if f.wbFailed[ino] {
 				delete(f.wbEnd, ino)
@@ -176,15 +167,39 @@ func (f *FS) Sync(p *sim.Proc) error {
 	return first
 }
 
+// retireWrite completes one write-behind page write and frees its
+// shadow frame. Write-behind defers its errors instead of failing the
+// pipeline — the first goes to wbErr for the next barrier, and every
+// failed write marks its inode — so it always returns nil.
+func (f *FS) retireWrite(p *sim.Proc, w wbWrite, _ bool) error {
+	if _, err := w.pd.Wait(p); err != nil {
+		if f.wbErr == nil {
+			f.wbErr = err
+		}
+		if f.wbFailed != nil {
+			f.wbFailed[w.ino] = true
+		}
+	}
+	f.node.Mem.Put(w.shadow)
+	return nil
+}
+
 // dropReadahead retires (and discards) every outstanding prefetch —
 // required before anything that could make the prefetched bytes stale
 // or free their frames while a receive is still scattering into them.
+// Prefetches retire in page order, the order they were issued in: the
+// waits are simulated work, and map order would vary them run to run.
 func (f *FS) dropReadahead(p *sim.Proc) {
-	for idx, pf := range f.ra {
-		pf.pd.Wait(p)
-		f.node.Mem.Put(pf.frame)
-		delete(f.ra, idx)
+	idxs := make([]int64, 0, len(f.ra))
+	for idx := range f.ra {
+		idxs = append(idxs, idx)
 	}
+	slices.Sort(idxs)
+	for _, idx := range idxs {
+		f.ra[idx].pd.Wait(p)
+		f.node.Mem.Put(f.ra[idx].frame)
+	}
+	clear(f.ra)
 	f.raIno, f.raNext, f.raHigh = 0, 0, 0
 }
 
@@ -445,19 +460,7 @@ func (f *FS) WritePage(p *sim.Proc, ino kernel.InodeID, idx int64, frame *mem.Fr
 	}
 	// Retire the oldest writes first when the target's window is full,
 	// so the StartWrite below cannot block with nobody left to drain it.
-	for !f.sess.CanStart(ino, idx*mem.PageSize, n) && len(f.wb) > 0 {
-		w := f.wb[0]
-		f.wb = f.wb[1:]
-		if _, err := w.pd.Wait(p); err != nil {
-			if f.wbErr == nil {
-				f.wbErr = err
-			}
-			if f.wbFailed != nil {
-				f.wbFailed[w.ino] = true
-			}
-		}
-		f.node.Mem.Put(w.shadow)
-	}
+	f.wb.Room(p, func() bool { return f.sess.CanStart(ino, idx*mem.PageSize, n) })
 	// Over a striped cluster the blocking slots may be prefetches
 	// rather than writes (another inode's stream can fill one server's
 	// window); they are ours too — retire them rather than deadlock.
@@ -477,7 +480,7 @@ func (f *FS) WritePage(p *sim.Proc, ino kernel.InodeID, idx int64, frame *mem.Fr
 		f.node.Mem.Put(shadow)
 		return err
 	}
-	f.wb = append(f.wb, &wbWrite{pd: pd, shadow: shadow, ino: ino})
+	f.wb.Push(wbWrite{pd: pd, shadow: shadow, ino: ino})
 	if f.wbEnd != nil {
 		if end := idx*mem.PageSize + int64(n); end > f.wbEnd[ino] {
 			f.wbEnd[ino] = end

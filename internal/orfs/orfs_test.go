@@ -3,8 +3,10 @@ package orfs_test
 import (
 	"bytes"
 	"testing"
+	"time"
 
 	"repro/internal/core"
+	"repro/internal/fabric"
 	"repro/internal/hw"
 	"repro/internal/kernel"
 	"repro/internal/mem"
@@ -25,6 +27,14 @@ type rig struct {
 
 func run(t *testing.T, body func(r *rig, p *sim.Proc)) {
 	t.Helper()
+	runOver(t, func(p *sim.Proc, cl *rfsrv.FabricClient) (rfsrv.Client, error) { return cl, nil }, body)
+}
+
+// runOver is run with the mount's client built by wrap over the rig's
+// kernel-side MX client (a windowed session makes the mount
+// asynchronous).
+func runOver(t *testing.T, wrap func(p *sim.Proc, cl *rfsrv.FabricClient) (rfsrv.Client, error), body func(r *rig, p *sim.Proc)) {
+	t.Helper()
 	env := sim.NewEngine()
 	c := hw.NewCluster(env, hw.DefaultParams(), hw.PCIXD)
 	r := &rig{env: env}
@@ -42,7 +52,12 @@ func run(t *testing.T, body func(r *rig, p *sim.Proc)) {
 			t.Error(err)
 			return
 		}
-		r.fs = orfs.New("orfs", cl)
+		mount, err := wrap(p, cl)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		r.fs = orfs.New("orfs", mount)
 		body(r, p)
 		done = true
 	})
@@ -182,3 +197,60 @@ func TestDirectVectorPassThrough(t *testing.T) {
 }
 
 var _ = vm.PageSize
+
+// TestWriteBehindDrainsAfterServerDeath: page writes queued behind a
+// server that then dies are write-behind's to clean up. The next
+// WritePage finds the window full of doomed writes and retires the
+// oldest to make room (its deadline expires; the error is deferred),
+// then fails its own issue against the dead peer; Sync retires the
+// rest and surfaces the deferred fault once. Afterwards the window is
+// idle and every shadow frame is back.
+func TestWriteBehindDrainsAfterServerDeath(t *testing.T) {
+	const window = 4
+	var sess *rfsrv.Session
+	runOver(t, func(p *sim.Proc, cl *rfsrv.FabricClient) (_ rfsrv.Client, err error) {
+		cl.SetRequestTimeout(2 * time.Millisecond)
+		sess, err = rfsrv.NewSession(p, cl, window)
+		return sess, err
+	}, func(r *rig, p *sim.Proc) {
+		f, err := r.fs.Create(p, r.fs.Root(), "f")
+		if err != nil {
+			t.Fatal(err)
+		}
+		page, _ := r.client.Mem.AllocFrame()
+		before := r.client.Mem.Allocated()
+		// Hold the requests at the server's NIC until it is dead, so
+		// none of the window's writes is ever answered.
+		r.server.NIC.StallFor(100 * time.Microsecond)
+		for i := int64(0); i < window; i++ {
+			if err := r.fs.WritePage(p, f.Ino, i, page, mem.PageSize); err != nil {
+				t.Fatalf("write-behind page %d: %v", i, err)
+			}
+		}
+		if sess.InFlight() != window {
+			t.Fatalf("%d writes in flight, want a full window of %d", sess.InFlight(), window)
+		}
+		r.server.NIC.Kill()
+		if err := r.fs.WritePage(p, f.Ino, window, page, mem.PageSize); !fabric.IsFault(err) {
+			t.Errorf("WritePage against the dead server = %v, want its issue's transport fault", err)
+		}
+		if got := sess.InFlight(); got != window-1 {
+			t.Errorf("%d writes in flight after making room for one, want %d", got, window-1)
+		}
+		if err := r.fs.Sync(p); !fabric.IsFault(err) {
+			t.Errorf("Sync = %v, want the deferred write fault", err)
+		}
+		if err := r.fs.Sync(p); err != nil {
+			t.Errorf("second Sync = %v: the deferred error must surface once", err)
+		}
+		if sess.InFlight() != 0 || sess.Issued.N != sess.Completed.N {
+			t.Errorf("%d slots held; issued %d, retired %d", sess.InFlight(), sess.Issued.N, sess.Completed.N)
+		}
+		if got := r.client.Mem.Allocated(); got != before {
+			t.Errorf("%d frames allocated after the drain, %d before: shadow frames leaked", got, before)
+		}
+		if err := fabric.PoolOf(r.client).CheckLeaks(); err != nil {
+			t.Error(err)
+		}
+	})
+}

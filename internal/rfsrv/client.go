@@ -577,12 +577,12 @@ func (c *FabricClient) retire(p *sim.Proc, fl *flight) (*Resp, error) {
 	return resp, err
 }
 
-// The package's lock order: a window slot (Session.free token) may be
+// The package's lock order: a window slot (Session.win.Acquire) may be
 // held while taking the client control lock, never the reverse —
 // otherwise a consumer holding the control path could park on a full
 // window that only drains through that same control path.
 //
-//analyze:lockorder Session.free < FabricClient.lock
+//analyze:lockorder Session.win < FabricClient.lock
 
 // startCtl takes the control path and issues a metadata request on the
 // client's own ctl slot — NOT a window slot, which is what keeps

@@ -426,10 +426,6 @@ func (cl *Cluster) observeResp(resp *Resp) {
 	}
 }
 
-// NumServers returns the number of servers data is striped across —
-// the current member count, which membership changes move.
-func (cl *Cluster) NumServers() int { return len(cl.pl.members) }
-
 // Replicas returns the replication factor R.
 func (cl *Cluster) Replicas() int { return cl.pl.replicas }
 

@@ -936,14 +936,8 @@ func (cl *Cluster) beginChange(lists ...[]int) (func(), error) {
 	}, nil
 }
 
-// Join admits session slot at the end of the placement order —
-// Join(p, slot) is JoinAt(p, slot, len(members)).
-func (cl *Cluster) Join(p *sim.Proc, slot int) error {
-	return cl.JoinAt(p, slot, len(cl.pl.members))
-}
-
-// JoinAt admits session slot into the membership at placement
-// position pos, migrating data to its new replica sets before the
+// Join admits session slot into the membership at the end of the
+// placement order, migrating data to its new replica sets before the
 // epoch cutover: online under load in the unsharded cluster (reads
 // and writes keep flowing through the old placement while stripes
 // copy, with a dirty log catching racing writes and a brief full
@@ -952,19 +946,16 @@ func (cl *Cluster) Join(p *sim.Proc, slot int) error {
 // Requires a shared view (ShareView/AttachView) and resync peers. A
 // member found excluded during the change fails it with the old
 // geometry intact (membersUp); Reinstate it and retry.
-func (cl *Cluster) JoinAt(p *sim.Proc, slot, pos int) error {
+func (cl *Cluster) Join(p *sim.Proc, slot int) error {
 	if cl.pl.pos(slot) >= 0 {
 		return fmt.Errorf("rfsrv: join: slot %d is already a member", slot)
 	}
-	if pos < 0 || pos > len(cl.pl.members) {
-		return fmt.Errorf("rfsrv: join: position %d outside 0..%d", pos, len(cl.pl.members))
-	}
-	return cl.changeMembers(p, slices.Insert(cl.Members(), pos, slot))
+	return cl.changeMembers(p, append(cl.Members(), slot))
 }
 
 // Retire removes session slot from the membership, re-placing the
 // stripes and directory slices it held onto the remaining members
-// before the epoch cutover (same online/stop-world split as JoinAt).
+// before the epoch cutover (same online/stop-world split as Join).
 // The retiree must be alive: its data is a migration source.
 func (cl *Cluster) Retire(p *sim.Proc, slot int) error {
 	pos := cl.pl.pos(slot)
@@ -986,7 +977,7 @@ func (cl *Cluster) Bounce(p *sim.Proc, slot int) error {
 		return fmt.Errorf("rfsrv: bounce: slot %d is not a member", slot)
 	}
 	if !cl.sharded {
-		return errors.New("rfsrv: bounce: stop-world path is sharded-only; use Retire then JoinAt")
+		return errors.New("rfsrv: bounce: stop-world path is sharded-only; use Retire then Join")
 	}
 	with, without := cl.Members(), slices.Delete(cl.Members(), pos, pos+1)
 	done, err := cl.beginChange(without, with)

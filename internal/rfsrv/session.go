@@ -28,11 +28,8 @@ import (
 // A Session is used from one simulated process at a time, like the
 // underlying client.
 type Session struct {
-	c      *FabricClient
-	window int
-	free   *sim.Chan[*ctlBufs]
-
-	inFlight, maxInFlight int
+	c   *FabricClient
+	win *fabric.Window[*ctlBufs]
 
 	// Reusable MetaBatch staging (a session serves one simulated
 	// process, and every flight's contents are encoded and sent before
@@ -63,23 +60,19 @@ func NewSession(p *sim.Proc, c *FabricClient, window int) (*Session, error) {
 		// would interleave stagings.
 		return nil, fmt.Errorf("rfsrv: sessions need the physical API (DisablePhysicalAPI client)")
 	}
-	s := &Session{
-		c:      c,
-		window: window,
-		free:   sim.NewChan[*ctlBufs](c.t.Node().Cluster.Env),
-	}
+	s := &Session{c: c, win: fabric.NewWindow[*ctlBufs](c.t.Node().Cluster.Env)}
 	for i := 0; i < window; i++ {
 		b := new(ctlBufs)
 		if err := c.newCtlBufs(p, b); err != nil {
 			return nil, err
 		}
-		s.free.Send(b)
+		s.win.Add(b)
 	}
 	return s, nil
 }
 
 // Window returns the configured window size.
-func (s *Session) Window() int { return s.window }
+func (s *Session) Window() int { return s.win.Size() }
 
 // SetRequestTimeout arms the underlying client's per-request reply
 // deadline (see FabricClient.SetRequestTimeout): windowed operations
@@ -95,32 +88,16 @@ func (s *Session) Client() *FabricClient { return s.c }
 func (s *Session) Node() *hw.Node { return s.c.t.Node() }
 
 // InFlight returns the number of requests currently in the window.
-func (s *Session) InFlight() int { return s.inFlight }
+func (s *Session) InFlight() int { return s.win.InFlight() }
 
 // CanStart implements Async: whether one more request fits the window
 // right now. A session talks to a single server, so the inode and byte
 // range are irrelevant.
-func (s *Session) CanStart(ino kernel.InodeID, off int64, n int) bool { return s.inFlight < s.window }
+func (s *Session) CanStart(ino kernel.InodeID, off int64, n int) bool { return s.win.HasRoom() }
 
 // MaxInFlight returns the high-water mark of concurrently outstanding
 // requests (tests use it to verify backpressure).
-func (s *Session) MaxInFlight() int { return s.maxInFlight }
-
-// acquire takes a window slot, blocking while the window is full —
-// the protocol's backpressure.
-func (s *Session) acquire(p *sim.Proc) *ctlBufs {
-	b := s.free.Recv(p)
-	s.inFlight++
-	if s.inFlight > s.maxInFlight {
-		s.maxInFlight = s.inFlight
-	}
-	return b
-}
-
-func (s *Session) put(b *ctlBufs) {
-	s.inFlight--
-	s.free.Send(b)
-}
+func (s *Session) MaxInFlight() int { return s.win.MaxInFlight() }
 
 // Pending is one in-flight request: a flight on a window slot. Wait
 // retires it; requests of one session may be waited in any order.
@@ -142,7 +119,7 @@ func (pd *Pending) Issued() sim.Time { return pd.fl.issued }
 func (s *Session) launch(p *sim.Proc, b *ctlBufs, req *Req, data core.Vector) (*Pending, error) {
 	fl, err := s.c.issue(p, b, req, data)
 	if err != nil {
-		s.put(b)
+		s.win.Release(b)
 		return nil, err
 	}
 	s.Issued.Add(1)
@@ -163,7 +140,7 @@ func (s *Session) startMeta(p *sim.Proc, req *Req) (*Pending, error) {
 	if err := ValidateReq(req); err != nil {
 		return nil, err
 	}
-	return s.launch(p, s.acquire(p), req, nil)
+	return s.launch(p, s.win.Acquire(p), req, nil)
 }
 
 // StartRead issues a read through the window; data lands directly in
@@ -198,7 +175,7 @@ func (s *Session) startData(p *sim.Proc, op Op, ino kernel.InodeID, off int64, d
 	if op == OpWrite && n > MaxWriteChunk {
 		return nil, fmt.Errorf("rfsrv: StartWrite of %d bytes exceeds one %d-byte request", n, MaxWriteChunk)
 	}
-	b := s.acquire(p)
+	b := s.win.Acquire(p)
 	b.req = Req{Op: op, Ino: ino, Off: off, Len: uint32(n)}
 	return s.launch(p, b, &b.req, data)
 }
@@ -214,7 +191,7 @@ func (pd *Pending) Wait(p *sim.Proc) (*Resp, error) {
 	pd.resp, pd.err = pd.s.c.retire(p, &pd.fl)
 	pd.done = true
 	pd.s.Completed.Add(1)
-	pd.s.put(pd.fl.bufs)
+	pd.s.win.Release(pd.fl.bufs)
 	return pd.resp, pd.err
 }
 
@@ -239,16 +216,6 @@ func (s *Session) Read(p *sim.Proc, ino kernel.InodeID, off int64, dst core.Vect
 	return pd.Wait(p)
 }
 
-// drain retires the given pendings, discarding results — the error
-// path of every pipelined loop. Without it an early return would
-// abandon in-flight requests, leaking their window slots and
-// deadlocking the session's next acquire.
-func (s *Session) drain(p *sim.Proc, pds []*Pending) {
-	for _, pd := range pds {
-		pd.Wait(p)
-	}
-}
-
 // Write implements Client: transfers larger than MaxWriteChunk are
 // split into per-chunk requests pipelined through the window (the
 // sync client serializes them — one round trip per chunk).
@@ -261,53 +228,41 @@ func (s *Session) Write(p *sim.Proc, ino kernel.InodeID, off int64, src core.Vec
 		}
 		return pd.Wait(p)
 	}
-	var inflight []*Pending
-	want := make(map[*Pending]int)
+	type chunk struct {
+		pd   *Pending
+		want int
+	}
 	written := 0
 	var last *Resp
-	retire := func(pd *Pending) error {
-		resp, err := pd.Wait(p)
-		if err != nil {
+	pl := fabric.NewPipeline(func(p *sim.Proc, c chunk, failed bool) error {
+		resp, err := c.pd.Wait(p)
+		if err != nil || failed {
 			return err
 		}
 		// Chunks were issued at fixed offsets, so a partial chunk
 		// leaves a hole before the chunks already sent after it:
 		// anything short is an error here, unlike the sync client,
 		// which recomputes each offset from the cumulative count.
-		if int(resp.N) != want[pd] {
-			return fmt.Errorf("rfsrv: short write (%d of %d) at %d", resp.N, want[pd], written)
+		if int(resp.N) != c.want {
+			return fmt.Errorf("rfsrv: short write (%d of %d) at %d", resp.N, c.want, written)
 		}
 		written += int(resp.N)
 		last = resp
 		return nil
-	}
-	for issued := 0; issued < total; {
-		chunk := total - issued
-		if chunk > MaxWriteChunk {
-			chunk = MaxWriteChunk
-		}
-		if len(inflight) == s.window {
-			pd := inflight[0]
-			inflight = inflight[1:]
-			if err := retire(pd); err != nil {
-				s.drain(p, inflight)
-				return last, err
-			}
-		}
-		pd, err := s.startData(p, OpWrite, ino, off+int64(issued), src.Slice(issued, chunk))
+	})
+	room := func() bool { return pl.Len() < s.win.Size() }
+	for issued := 0; issued < total && pl.Room(p, room) == nil; {
+		n := min(total-issued, MaxWriteChunk)
+		pd, err := s.startData(p, OpWrite, ino, off+int64(issued), src.Slice(issued, n))
 		if err != nil {
-			s.drain(p, inflight)
-			return last, err
+			pl.Fail(err)
+			break
 		}
-		want[pd] = chunk
-		inflight = append(inflight, pd)
-		issued += chunk
+		pl.Push(chunk{pd, n})
+		issued += n
 	}
-	for i, pd := range inflight {
-		if err := retire(pd); err != nil {
-			s.drain(p, inflight[i+1:])
-			return last, err
-		}
+	if err := pl.Drain(p); err != nil {
+		return last, err
 	}
 	if last == nil {
 		last = &Resp{}
@@ -392,13 +347,13 @@ func (s *Session) startBatchFlight(p *sim.Proc, reqs []*Req, start int) (*batchF
 	abort := func() {
 		for i, b := range bufs {
 			fabric.Cancel(p, hdrs[i])
-			s.put(b)
+			s.win.Release(b)
 		}
 		s.batchBufs, s.batchHdrs = bufs[:0], hdrs[:0]
 		s.batchSeqs, s.packScratch = seqs[:0], packed[:0]
 	}
 	end := start
-	for end < len(reqs) && end-start < s.window {
+	for end < len(reqs) && end-start < s.win.Size() {
 		r := reqs[end]
 		s.c.seq++
 		r.Seq, r.EP = s.c.seq, s.c.myEP
@@ -409,10 +364,10 @@ func (s *Session) startBatchFlight(p *sim.Proc, reqs []*Req, start int) (*batchF
 			s.c.seq-- // undo; goes in the next flight
 			break
 		}
-		b := s.acquire(p)
+		b := s.win.Acquire(p)
 		hdrOp, err := s.c.postHdr(p, b, r.Seq)
 		if err != nil {
-			s.put(b)
+			s.win.Release(b)
 			abort()
 			return nil, start, err
 		}
@@ -454,7 +409,7 @@ func (fl *batchFlight) wait(p *sim.Proc, out []*Resp) ([]*Resp, error) {
 		}
 		out = append(out, resp)
 		s.Completed.Add(1)
-		s.put(fl.bufs[i])
+		s.win.Release(fl.bufs[i])
 	}
 	s.batchBufs, s.batchHdrs = s.batchBufs[:0], s.batchHdrs[:0]
 	s.batchSeqs, s.packScratch = s.batchSeqs[:0], s.packScratch[:0]

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"fmt"
 	"testing"
+	"time"
 
 	"repro/internal/core"
+	"repro/internal/fabric"
 	"repro/internal/hw"
 	"repro/internal/kernel"
 	"repro/internal/mem"
@@ -407,3 +409,74 @@ func TestORFSSessionEndToEnd(t *testing.T) {
 }
 
 var _ = mem.PageSize
+
+// TestSessionWriteDrainsOnFault: a chunked Session.Write whose server
+// dies mid-transfer must still retire every chunk it issued — the
+// doomed ones expire at their reply deadline — and return the fault:
+// no window slot stays held and no staging buffer or frame leaks. (The
+// server itself stays wedged on the half-received chunk — it has no
+// deadline of its own yet, ROADMAP item 2 — so nothing is retried.)
+func TestSessionWriteDrainsOnFault(t *testing.T) {
+	const size = 16 * rfsrv.MaxWriteChunk // 16 chunks through a window of 2
+	r := newRig(t)
+	r.run(t, func(p *sim.Proc) {
+		ino := r.seed(t, p, "f", nil)
+		sess := r.sessionOver(t, p, "mx", 2, 2)
+		sess.SetRequestTimeout(2 * time.Millisecond)
+		kern := r.client.Kernel
+		va, err := kern.Mmap(size, "src")
+		if err != nil {
+			t.Fatal(err)
+		}
+		kern.WriteBytes(va, pattern(size))
+		src := core.Of(core.KernelSeg(kern, va, size))
+		before := r.client.Mem.Allocated()
+		r.server.NIC.KillAfter(3 * time.Millisecond) // a few chunks in
+		_, err = sess.Write(p, ino, 0, src)
+		if !fabric.IsFault(err) {
+			t.Fatalf("write across a server kill = %v, want a transport fault", err)
+		}
+		if sess.MaxInFlight() != 2 {
+			t.Errorf("max in flight %d, want the window (2): the transfer never pipelined", sess.MaxInFlight())
+		}
+		if sess.InFlight() != 0 {
+			t.Errorf("%d window slots still held after the failed write", sess.InFlight())
+		}
+		if sess.Issued.N != sess.Completed.N {
+			t.Errorf("issued %d requests, retired %d", sess.Issued.N, sess.Completed.N)
+		}
+		if got := r.client.Mem.Allocated(); got != before {
+			t.Errorf("%d frames allocated after the failed write, %d before", got, before)
+		}
+		if err := fabric.PoolOf(r.client).CheckLeaks(); err != nil {
+			t.Error(err)
+		}
+	})
+}
+
+// TestSessionWriteVirtualTime pins the chunked write's virtual time
+// (recorded before Session.Write moved onto fabric.Pipeline): 1 MiB at
+// window 4 over MX.
+func TestSessionWriteVirtualTime(t *testing.T) {
+	const size = 1 << 20
+	r := newRig(t)
+	r.run(t, func(p *sim.Proc) {
+		ino := r.seed(t, p, "f", nil)
+		sess := r.sessionOver(t, p, "mx", 2, 4)
+		kern := r.client.Kernel
+		va, err := kern.Mmap(size, "src")
+		if err != nil {
+			t.Fatal(err)
+		}
+		kern.WriteBytes(va, pattern(size))
+		t0 := p.Now()
+		resp, err := sess.Write(p, ino, 0, core.Of(core.KernelSeg(kern, va, size)))
+		if err != nil || resp.N != size {
+			t.Fatalf("write: %v %v", resp, err)
+		}
+		const pin = 4983815 * time.Nanosecond
+		if got := p.Now() - t0; got != pin {
+			t.Errorf("1 MiB write at window 4 took %v (%d ns), pinned at %v", got, got.Nanoseconds(), pin)
+		}
+	})
+}

@@ -45,7 +45,7 @@ func TestPoolPair(t *testing.T) { runFixture(t, poolPair, "a", "hw") }
 
 func TestOpExhaustive(t *testing.T) { runFixture(t, opExhaustive, "a", "rfsrv") }
 
-func TestLockOrder(t *testing.T) { runFixture(t, lockOrder, "a") }
+func TestLockOrder(t *testing.T) { runFixture(t, lockOrder, "a", "b") }
 
 func TestAllocFree(t *testing.T) { runFixture(t, allocFree, "a") }
 

@@ -4,15 +4,19 @@ package main
 // once, in a directive comment, and every function is checked against
 // it:
 //
-//	//analyze:lockorder Session.free < FabricClient.lock
+//	//analyze:lockorder Session.win < FabricClient.lock
 //
-// Entities are Type.field pairs in the analyzed package. An
+// Entities are Type.field pairs in the analyzed package; a pair that
+// names no field of a struct type there is itself a finding (after a
+// rename the declared order would otherwise check nothing, silently),
+// and a trailing `// remark` on the directive line is ignored. An
 // acquisition is x.<field>.Lock() / RLock() (sync.Mutex, RWMutex),
-// x.<field>.Acquire(p) (sim.Resource used as a lock), or
-// x.<field>.Recv(p) (sim.Chan used as a token pool — receiving a
-// token IS taking the slot); the matching release is Unlock/RUnlock,
-// Release, or Send of the token back. Declaring `A < B` means A must
-// already be held when B is taken, never taken while B is held.
+// x.<field>.Acquire(p) (sim.Resource used as a lock, fabric.Window
+// used as a slot pool), or x.<field>.Recv(p) (sim.Chan used as a token
+// pool — receiving a token IS taking the slot); the matching release
+// is Unlock/RUnlock, Release, or Send of the token back. Declaring
+// `A < B` means A must already be held when B is taken, never taken
+// while B is held.
 //
 // Checked per function, with a one-level summary of same-package
 // callees (a call to a function that acquires E counts as acquiring
@@ -95,6 +99,7 @@ func (p *Pass) parseLockOrder() *lockDecls {
 					continue
 				}
 				found = true
+				rest, _, _ = strings.Cut(rest, " //")
 				var chain []lockEntity
 				bad := false
 				for _, part := range strings.Split(rest, "<") {
@@ -104,7 +109,13 @@ func (p *Pass) parseLockOrder() *lockDecls {
 						bad = true
 						break
 					}
-					chain = append(chain, lockEntity{typ: typ, field: field})
+					e := lockEntity{typ: typ, field: field}
+					if !p.hasField(e) {
+						p.report(c.Pos(), "//analyze:lockorder: package %s has no struct field %s — the declared order checks nothing", p.Pkg.Name(), e)
+						bad = true
+						break
+					}
+					chain = append(chain, e)
 				}
 				if bad {
 					continue
@@ -139,6 +150,25 @@ func (p *Pass) parseLockOrder() *lockDecls {
 		}
 	}
 	return d
+}
+
+// hasField reports whether e names a field of a struct type declared
+// in the analyzed package.
+func (p *Pass) hasField(e lockEntity) bool {
+	tn, ok := p.Pkg.Scope().Lookup(e.typ).(*types.TypeName)
+	if !ok {
+		return false
+	}
+	st, ok := tn.Type().Underlying().(*types.Struct)
+	if !ok {
+		return false
+	}
+	for i := range st.NumFields() {
+		if st.Field(i).Name() == e.field {
+			return true
+		}
+	}
+	return false
 }
 
 // lockSummaries builds, per package-level function, the set of

@@ -31,6 +31,7 @@ import (
 var simPackages = map[string]bool{
 	"sim": true, "hw": true, "fabric": true,
 	"rfsrv": true, "torture": true, "memfs": true,
+	"orfs": true, "orfa": true, "nbd": true,
 }
 
 // forbiddenTimeFuncs are the package time functions that read the

@@ -22,3 +22,12 @@ func (c *Chan) Send(v int) {}
 
 // Recv stands in for the cooperative receive.
 func (c *Chan) Recv(p *Proc) int { return 0 }
+
+// Window stands in for fabric.Window, the request-slot pool.
+type Window struct{}
+
+// Acquire stands in for taking a slot.
+func (w *Window) Acquire(p *Proc) int { return 0 }
+
+// Release stands in for giving the slot back.
+func (w *Window) Release(slot int) {}
