@@ -5,10 +5,16 @@
 //
 // A simulation is driven by an Engine holding a virtual clock and a
 // time-ordered event queue. Application logic runs in Procs: goroutines
-// that execute one at a time, cooperatively handing control back to the
-// scheduler whenever they block (Sleep, Signal.Wait, Chan.Recv,
-// Resource.Acquire). Exactly one goroutine — either the scheduler or a
-// single Proc — is runnable at any instant, so simulations are fully
+// that execute one at a time and block cooperatively (Sleep,
+// Signal.Wait, Chan.Recv, Resource.Acquire). There is no scheduler
+// goroutine; control is a baton. Whichever goroutine is about to block
+// — Run's caller, a Proc parking, a Proc exiting — runs the event loop
+// itself, firing callbacks inline, until a Proc is due. If that Proc is
+// itself it just returns (no goroutine switch); otherwise it resumes
+// the Proc and blocks (one switch). When the queue drains, Run's limit
+// is reached or a panic is recorded, the baton returns to Run's caller.
+// Exactly one goroutine is runnable at any instant and which one pops
+// an event never changes the order, so simulations are fully
 // deterministic: same inputs, same event interleaving, same results.
 // Ties between events scheduled for the same virtual time are broken by
 // creation order (a monotonically increasing sequence number).
@@ -32,8 +38,9 @@ import (
 // Time is virtual simulation time, measured from the beginning of the run.
 type Time = time.Duration
 
-// event is a scheduled callback. Events either run inline in the
-// scheduler (fn != nil) or transfer control to a parked Proc (proc != nil).
+// event is a scheduled callback. Events either run inline on the baton
+// holder's stack (fn != nil) or make a Proc due (proc != nil): a parked
+// one resumes, an unstarted one starts its body.
 type event struct {
 	at        Time
 	seq       uint64
@@ -87,21 +94,23 @@ func (h *eventHeap) Pop() any {
 // Engine is a discrete-event scheduler. The zero value is not usable;
 // create one with NewEngine.
 type Engine struct {
-	now     Time
-	seq     uint64
-	events  eventHeap
-	free    []*event      // recycled events; the hot paths (Sleep, After, wake) reuse them
-	yield   chan struct{} // a running Proc signals here when it parks or exits
-	running bool
-	parked  int // number of live Procs currently parked
-	procs   int // number of live Procs (started, not yet finished)
-	failure any // panic value captured from a Proc
-	trace   func(t Time, format string, args ...any)
+	now      Time
+	seq      uint64
+	events   eventHeap
+	free     []*event      // recycled events; the hot paths (Sleep, After, wake) reuse them
+	main     chan struct{} // Run's caller waits here while Procs hold the baton
+	limit    Time          // the current Run's limit; 0 means none
+	running  bool
+	parked   int    // number of live Procs currently parked
+	procs    int    // number of live Procs (spawned, not yet finished)
+	switches uint64 // baton hand-offs between goroutines; the tests pin the switch cost with it
+	failure  any    // panic captured from a Proc body or a callback, re-raised by Run
+	trace    func(t Time, format string, args ...any)
 }
 
 // NewEngine returns an empty engine with the clock at zero.
 func NewEngine() *Engine {
-	return &Engine{yield: make(chan struct{})}
+	return &Engine{main: make(chan struct{}, 1)}
 }
 
 // Now returns the current virtual time.
@@ -133,9 +142,9 @@ func (e *Engine) schedule(at Time, ev *event) *event {
 }
 
 // newEvent returns a zeroed event, recycling one from the free list if
-// possible. Events go back on the free list only once Run has popped
-// them from the heap, when no holder may cancel them any more (see
-// recycle), so reuse can never resurrect a live reference.
+// possible. Events go back on the free list only once the event loop
+// has popped them from the heap, when no holder may cancel them any
+// more (see recycle), so reuse can never resurrect a live reference.
 func (e *Engine) newEvent() *event {
 	if n := len(e.free); n > 0 {
 		ev := e.free[n-1]
@@ -162,10 +171,13 @@ func (e *Engine) recycle(ev *event) {
 	}
 }
 
-// After schedules fn to run in scheduler context after delay d.
-// fn must not block; it may schedule further events, fire signals,
-// send on channels and spawn Procs. The returned event may be cancelled
-// with Cancel.
+// After schedules fn to run after delay d, inline on the stack of
+// whichever goroutine holds the baton then: Run's caller, or a Proc
+// that is parking or exiting. fn must not block; it may schedule
+// further events, fire signals, send on channels and spawn Procs. A
+// panic in fn is recorded and re-raised by Run, never by the Proc that
+// happened to dispatch it. The returned event may be cancelled with
+// Cancel.
 func (e *Engine) After(d Time, fn func()) *event {
 	ev := e.newEvent()
 	ev.fn = fn
@@ -199,53 +211,73 @@ func (e *Engine) Spawn(name string, body func(p *Proc)) *Proc {
 	return e.SpawnAfter(0, name, body)
 }
 
-// SpawnAfter creates a Proc whose body starts after delay d.
+// SpawnAfter creates a Proc whose body starts after delay d. The start
+// is a Proc event like any wake-up, so the body begins in the slot this
+// call takes in the (time, sequence) order.
 func (e *Engine) SpawnAfter(d Time, name string, body func(p *Proc)) *Proc {
-	p := &Proc{e: e, name: name, resume: make(chan struct{})}
+	p := &Proc{e: e, name: name, resume: make(chan struct{}, 1), body: body}
 	e.procs++
-	ev := e.newEvent()
-	ev.fn = func() { e.launch(p, body) }
-	e.schedule(e.now+d, ev)
+	e.wakeAt(e.now+d, p)
 	return p
 }
 
-// launch starts the Proc goroutine and immediately transfers control to
-// it, waiting for it to park or finish.
-func (e *Engine) launch(p *Proc, body func(p *Proc)) {
-	go func() {
-		defer func() {
-			if r := recover(); r != nil {
-				if _, ok := r.(procKilled); !ok {
-					e.failure = fmt.Sprintf("sim: proc %q panicked: %v\n%s", p.name, r, debug.Stack())
-				}
-			}
-			p.done = true
-			e.procs--
-			e.yield <- struct{}{}
-		}()
-		body(p)
+// next runs the event loop on the calling goroutine, which holds the
+// baton: it fires callbacks inline until a Proc is due and returns that
+// Proc, or nil when the run is over — the queue drained, the next event
+// lies beyond Run's limit, or a failure was recorded. Each event is
+// recycled as soon as it is popped, because the caller may hand the
+// baton on and never run again. A callback's panic is recorded as the
+// failure here, whoever dispatches it, so it surfaces from Run and does
+// not unwind a Proc that only happened to be parking.
+func (e *Engine) next() (due *Proc) {
+	defer func() {
+		if r := recover(); r != nil {
+			e.failure, due = fmt.Sprintf("sim: callback panicked: %v\n%s", r, debug.Stack()), nil
+		}
 	}()
-	<-e.yield
-	e.checkFailure()
-}
-
-// transfer resumes a parked Proc and waits until it parks again or exits.
-func (e *Engine) transfer(p *Proc) {
-	p.wakePending = false
-	if p.done {
-		return
+	for e.failure == nil && len(e.events) > 0 {
+		ev := e.events[0]
+		if e.limit > 0 && ev.at > e.limit {
+			e.now = e.limit
+			return nil
+		}
+		heap.Pop(&e.events)
+		at, fn, p, cancelled := ev.at, ev.fn, ev.proc, ev.cancelled
+		e.recycle(ev)
+		if cancelled {
+			continue
+		}
+		e.now = at
+		if fn != nil {
+			fn()
+			continue
+		}
+		p.wakePending = false
+		if p.done {
+			continue // finished, or killed, since this event was scheduled
+		}
+		if p.body == nil {
+			e.parked--
+		}
+		return p
 	}
-	e.parked--
-	p.resume <- struct{}{}
-	<-e.yield
-	e.checkFailure()
+	return nil
 }
 
-func (e *Engine) checkFailure() {
-	if e.failure != nil {
-		f := e.failure
-		e.failure = nil
-		panic(f)
+// pass hands the baton to p — resuming it, or starting its goroutine if
+// its body has not run yet — or to Run's caller if p is nil. The caller
+// must not touch engine state again until it is resumed itself.
+func (e *Engine) pass(p *Proc) {
+	e.switches++
+	switch {
+	case p == nil:
+		e.main <- struct{}{}
+	case p.body != nil:
+		body := p.body
+		p.body = nil
+		go p.run(body)
+	default:
+		p.resume <- struct{}{}
 	}
 }
 
@@ -276,32 +308,23 @@ func (e *Engine) wakeAt(at Time, p *Proc) *event {
 // exceed limit. A zero limit means no limit. Run returns the virtual time
 // at which it stopped. Procs still parked when the queue drains are
 // "stranded" (see Stranded); this usually indicates a protocol deadlock
-// and is deliberately not an error here so tests can assert on it.
+// and is deliberately not an error here so tests can assert on it. A
+// Proc that was dispatching when the limit stopped the run is parked
+// like any other and resumes in a later Run. A panic in a Proc body or
+// a callback stops the run and is re-raised here.
 func (e *Engine) Run(limit Time) Time {
 	if e.running {
 		panic("sim: Run called re-entrantly")
 	}
-	e.running = true
+	e.running, e.limit = true, limit
 	defer func() { e.running = false }()
-	for len(e.events) > 0 {
-		next := e.events[0]
-		if limit > 0 && next.at > limit {
-			e.now = limit
-			return e.now
-		}
-		heap.Pop(&e.events)
-		if next.cancelled {
-			e.recycle(next)
-			continue
-		}
-		e.now = next.at
-		switch {
-		case next.proc != nil:
-			e.transfer(next.proc)
-		case next.fn != nil:
-			next.fn()
-		}
-		e.recycle(next)
+	if p := e.next(); p != nil {
+		e.pass(p)
+		<-e.main
+	}
+	if f := e.failure; f != nil {
+		e.failure = nil
+		panic(f)
 	}
 	return e.now
 }
@@ -309,9 +332,10 @@ func (e *Engine) Run(limit Time) Time {
 // Idle reports whether no events remain.
 func (e *Engine) Idle() bool { return len(e.events) == 0 }
 
-// Stranded returns the number of live Procs that are parked with no
-// pending wake-up event. After Run drains the queue this equals the
-// number of deadlocked processes.
+// Stranded returns the number of live Procs that are parked, whether or
+// not a wake-up is pending for them. After Run drains the queue none
+// is, so this equals the number of deadlocked processes; after a limit
+// stop it also counts the sleepers a later Run will resume.
 func (e *Engine) Stranded() int { return e.parked }
 
 // Live returns the number of Procs that have been spawned and have not

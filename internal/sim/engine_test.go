@@ -159,6 +159,22 @@ func TestKillUnwinds(t *testing.T) {
 	}
 }
 
+func TestKillBeforeStart(t *testing.T) {
+	e := NewEngine()
+	ran := false
+	victim := e.SpawnAfter(10*us, "victim", func(p *Proc) { ran = true })
+	e.After(1*us, func() { victim.Kill() })
+	if end := e.Run(0); end != 10*us {
+		t.Errorf("run ended at %v, want 10µs (the dead start event still pops)", end)
+	}
+	if ran || !victim.Done() {
+		t.Errorf("victim ran=%v done=%v, want false and true", ran, victim.Done())
+	}
+	if e.Live() != 0 || e.Stranded() != 0 {
+		t.Errorf("live %d stranded %d, want 0 and 0", e.Live(), e.Stranded())
+	}
+}
+
 func TestStrandedDetection(t *testing.T) {
 	e := NewEngine()
 	sig := NewSignal(e)

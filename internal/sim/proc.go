@@ -1,13 +1,19 @@
 package sim
 
-// Proc is a simulated process: a goroutine scheduled cooperatively by the
-// Engine. All blocking methods (Sleep, and the Wait/Recv/Acquire methods
-// on the synchronization types) must only be called from within the
-// Proc's own body.
+import (
+	"fmt"
+	"runtime/debug"
+)
+
+// Proc is a simulated process: a goroutine that runs only while it
+// holds the Engine's baton. All blocking methods (Sleep, and the
+// Wait/Recv/Acquire methods on the synchronization types) must only be
+// called from within the Proc's own body.
 type Proc struct {
 	e           *Engine
 	name        string
-	resume      chan struct{}
+	resume      chan struct{} // buffered: the baton holder never waits for p to reach its receive
+	body        func(p *Proc) // non-nil until the goroutine is started
 	done        bool
 	killed      bool
 	wakePending bool
@@ -25,13 +31,35 @@ func (p *Proc) Name() string { return p.name }
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.e.now }
 
-// park hands control back to the scheduler and blocks until resumed.
-// The caller must already have arranged for a future wake-up (an event,
-// or membership in some waiter list).
+// run is the Proc's goroutine: the body, then the event loop until some
+// other goroutine takes the baton.
+func (p *Proc) run(body func(p *Proc)) {
+	e := p.e
+	defer func() {
+		if r := recover(); r != nil {
+			if _, ok := r.(procKilled); !ok {
+				e.failure = fmt.Sprintf("sim: proc %q panicked: %v\n%s", p.name, r, debug.Stack())
+			}
+		}
+		p.done = true
+		e.procs--
+		e.pass(e.next())
+	}()
+	body(p)
+}
+
+// park blocks the Proc until an event makes it due again. The caller
+// must already have arranged for a future wake-up (an event, or
+// membership in some waiter list). The Proc dispatches events itself
+// meanwhile; when the next Proc due is p again — a Sleep with nothing
+// else runnable in between — it returns without a goroutine switch.
 func (p *Proc) park() {
-	p.e.parked++
-	p.e.yield <- struct{}{}
-	<-p.resume
+	e := p.e
+	e.parked++
+	if due := e.next(); due != p {
+		e.pass(due)
+		<-p.resume
+	}
 	if p.killed {
 		panic(procKilled{})
 	}
@@ -52,14 +80,22 @@ func (p *Proc) Sleep(d Time) {
 func (p *Proc) Yield() { p.Sleep(0) }
 
 // Kill marks the Proc so that it unwinds (via an internal panic that is
-// recovered by the scheduler) the next time it would resume. Killing an
-// already-finished Proc is a no-op. Kill must be called from scheduler
-// context or from another Proc.
+// recovered on its own goroutine) the next time it would resume; one
+// that has not started yet never runs its body. Killing an
+// already-finished Proc is a no-op. A victim queued on a Resource or
+// blocked in a Chan receive is passed over by Release and Send, but one
+// that already holds a Resource unit takes it along: nothing releases
+// it. Kill must be called from a callback or from another Proc.
 func (p *Proc) Kill() {
 	if p.done || p.killed {
 		return
 	}
 	p.killed = true
+	if p.body != nil {
+		p.body, p.done = nil, true
+		p.e.procs--
+		return
+	}
 	// If the proc is parked with no pending event, give it one so the
 	// unwind actually runs. A spurious extra wake-up is harmless: the
 	// killed flag is checked on every resume.

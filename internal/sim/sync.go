@@ -25,7 +25,7 @@ func NewSignal(e *Engine) *Signal { return &Signal{e: e} }
 func (s *Signal) Fired() bool { return s.fired }
 
 // Fire fires the signal and wakes all waiters. Firing twice is a no-op.
-// Fire may be called from a Proc or from scheduler context.
+// Fire may be called from a Proc or from a callback.
 func (s *Signal) Fire() {
 	if s.fired {
 		return
@@ -143,14 +143,17 @@ func (c *Chan[T]) popBuf() T {
 }
 
 // Send enqueues v, waking the oldest waiting receiver if any. Send may
-// be called from a Proc or from scheduler context and never blocks.
+// be called from a Proc or from a callback and never blocks.
 func (c *Chan[T]) Send(v T) {
-	if c.wHead < len(c.waiters) {
+	for c.wHead < len(c.waiters) {
 		w := c.waiters[c.wHead]
 		c.waiters[c.wHead] = nil
 		c.wHead++
 		if c.wHead == len(c.waiters) {
 			c.waiters, c.wHead = c.waiters[:0], 0
+		}
+		if w.p.killed {
+			continue // it will never take the value: the next receiver gets it
 		}
 		w.val = v
 		w.valid = true
@@ -231,7 +234,8 @@ type Resource struct {
 	name     string
 	capacity int
 	inUse    int
-	queue    []*Proc
+	queue    []*Proc // pops from the front by advancing head, like Chan
+	head     int
 
 	// Busy accumulates total occupancy (capacity-weighted virtual time)
 	// for utilization accounting.
@@ -255,7 +259,7 @@ func (r *Resource) stamp() {
 
 // Acquire blocks p until a unit of the resource is free, then takes it.
 func (r *Resource) Acquire(p *Proc) {
-	if r.inUse < r.capacity && len(r.queue) == 0 {
+	if r.inUse < r.capacity && r.QueueLen() == 0 {
 		r.stamp()
 		r.inUse++
 		return
@@ -270,9 +274,16 @@ func (r *Resource) Release() {
 	if r.inUse <= 0 {
 		panic("sim: Release of idle resource " + r.name)
 	}
-	if len(r.queue) > 0 {
-		next := r.queue[0]
-		r.queue = r.queue[1:]
+	for r.head < len(r.queue) {
+		next := r.queue[r.head]
+		r.queue[r.head] = nil
+		r.head++
+		if r.head == len(r.queue) {
+			r.queue, r.head = r.queue[:0], 0
+		}
+		if next.killed {
+			continue // the unit would be lost with it
+		}
 		// Ownership passes directly; inUse is unchanged.
 		r.e.wake(next)
 		return
@@ -294,7 +305,7 @@ func (r *Resource) Use(p *Proc, d Time) {
 func (r *Resource) InUse() int { return r.inUse }
 
 // QueueLen returns the number of procs waiting.
-func (r *Resource) QueueLen() int { return len(r.queue) }
+func (r *Resource) QueueLen() int { return len(r.queue) - r.head }
 
 // BusyTime returns accumulated occupancy (unit-weighted virtual time) up
 // to the current instant.

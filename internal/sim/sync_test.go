@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
 func TestSignalWakesAllWaiters(t *testing.T) {
 	e := NewEngine()
@@ -276,6 +273,45 @@ func TestResourceReleaseIdlePanics(t *testing.T) {
 	r.Release()
 }
 
+func TestKillQueuedOnResource(t *testing.T) {
+	e := NewEngine()
+	r := NewResource(e, "x", 1)
+	e.Spawn("holder", func(p *Proc) { r.Use(p, 10*us) })
+	victim := e.Spawn("victim", func(p *Proc) { r.Use(p, 10*us) })
+	var thirdDone Time
+	e.Spawn("third", func(p *Proc) {
+		r.Use(p, 10*us)
+		thirdDone = p.Now()
+	})
+	e.After(5*us, func() { victim.Kill() })
+	e.Run(0)
+	if thirdDone != 20*us {
+		t.Errorf("third finished at %v, want 20µs: Release must pass over the killed waiter", thirdDone)
+	}
+	if r.InUse() != 0 || r.QueueLen() != 0 || e.Stranded() != 0 {
+		t.Errorf("inUse %d queue %d stranded %d, want all 0", r.InUse(), r.QueueLen(), e.Stranded())
+	}
+}
+
+func TestKillBlockedInRecv(t *testing.T) {
+	e := NewEngine()
+	c := NewChan[int](e)
+	victim := e.Spawn("victim", func(p *Proc) { c.Recv(p) })
+	got := 0
+	e.Spawn("second", func(p *Proc) { got = c.Recv(p) })
+	e.After(1*us, func() {
+		victim.Kill()
+		c.Send(7) // the victim has not even unwound yet
+	})
+	e.Run(0)
+	if got != 7 {
+		t.Errorf("second receiver got %d, want 7: Send must pass over the killed waiter", got)
+	}
+	if e.Live() != 0 || e.Stranded() != 0 {
+		t.Errorf("live %d stranded %d, want 0 and 0", e.Live(), e.Stranded())
+	}
+}
+
 func BenchmarkEngineSleepLoop(b *testing.B) {
 	e := NewEngine()
 	e.Spawn("loop", func(p *Proc) {
@@ -299,5 +335,10 @@ func BenchmarkResourceHandoff(b *testing.B) {
 	}
 	b.ResetTimer()
 	e.Run(0)
-	_ = time.Microsecond
+}
+
+func BenchmarkChanPingPong(b *testing.B) {
+	e := NewEngine()
+	b.ResetTimer()
+	pingPong(e, b.N/2)
 }
