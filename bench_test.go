@@ -238,7 +238,7 @@ func BenchmarkMetadataStorm(b *testing.B) {
 // BenchmarkSizePublishAllocs — heap allocations per extending write on
 // the batched size-publish path (alloc_gate_test.go pins its ceiling).
 func BenchmarkSizePublishAllocs(b *testing.B) {
-	var perOp float64
+	var perOp figures.HostCost
 	var err error
 	for i := 0; i < b.N; i++ {
 		perOp, err = figures.SizePublishAllocs(256)
@@ -246,14 +246,15 @@ func BenchmarkSizePublishAllocs(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(perOp, "pub-allocs/op")
+	b.ReportMetric(perOp.Allocs, "pub-allocs/op")
+	b.ReportMetric(perOp.Bytes, "pub-bytes/op")
 }
 
 // BenchmarkRequestPathAllocs — heap allocations per client-observed
 // cluster operation on the MX request path (the PR6 zero-alloc pass's
 // headline number; alloc_gate_test.go pins its ceiling).
 func BenchmarkRequestPathAllocs(b *testing.B) {
-	var perOp float64
+	var perOp figures.HostCost
 	var err error
 	for i := 0; i < b.N; i++ {
 		perOp, err = figures.RequestPathAllocs(256)
@@ -263,7 +264,8 @@ func BenchmarkRequestPathAllocs(b *testing.B) {
 	}
 	// Not the builtin "allocs/op" (only shown under -benchmem): this is
 	// the per-cluster-operation count measured inside the simulation.
-	b.ReportMetric(perOp, "req-allocs/op")
+	b.ReportMetric(perOp.Allocs, "req-allocs/op")
+	b.ReportMetric(perOp.Bytes, "req-bytes/op")
 }
 
 // BenchmarkAblationCombining — the paper's §3.3 prediction: request

@@ -226,8 +226,8 @@ func main() {
 			fmt.Fprintf(os.Stderr, "size-publish allocs: %v\n", err)
 			os.Exit(1)
 		}
-		snap.Allocs.RequestPathPerOp = perOp
-		snap.Allocs.SizePublishPerOp = pubOp
+		snap.Allocs.RequestPathPerOp = perOp.Allocs
+		snap.Allocs.SizePublishPerOp = pubOp.Allocs
 		snap.Allocs.Ops = allocOps
 		out, err := json.MarshalIndent(snap, "", "  ")
 		if err != nil {

@@ -1,13 +1,16 @@
 package figures
 
-// This file holds the host-allocation probe behind the PR 6 zero-alloc
-// data-path pass: a steady-state measurement of how many Go heap
-// allocations one pipelined request costs on the host, after the
-// per-object scratch (encode buffers, part freelists, slot-staged
-// requests) has warmed up. bench_test.go reports it as a metric and
-// alloc_gate_test.go pins a ceiling on it, so a regression that
-// reintroduces per-request garbage fails CI rather than silently
-// eroding simulation throughput.
+// This file holds the host-allocation probes behind the PR 6 zero-alloc
+// data-path pass and the PR 19 copy-only data plane: steady-state
+// measurements of how many Go heap allocations — and how many heap
+// bytes — one request costs on the host, after the per-object scratch
+// (encode buffers, part freelists, slot-staged requests) and the
+// process-wide pools (page frames, NIC payload buffers) have warmed up.
+// bench_test.go reports them as metrics and alloc_gate_test.go pins
+// ceilings on them, so a regression that reintroduces per-request
+// garbage fails CI rather than silently eroding simulation throughput.
+// The count alone cannot see a 64 KB staging buffer (one allocation);
+// the bytes can.
 
 import (
 	"fmt"
@@ -16,6 +19,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/kernel"
 	"repro/internal/mem"
+	"repro/internal/orfs"
 	"repro/internal/rfsrv"
 	"repro/internal/rig"
 	"repro/internal/sim"
@@ -26,25 +30,35 @@ import (
 // steady-state capacity.
 const rpaWarmup = 32
 
+// HostCost is what one operation costs the host's allocator in steady
+// state.
+type HostCost struct {
+	Allocs float64 // heap objects per operation
+	Bytes  float64 // heap bytes per operation
+}
+
 // steadyAllocs runs op rpaWarmup times, then ops more times between
-// two runtime.MemStats readings, and returns the mallocs per counted
-// operation. The simulation is single-threaded on the host, so the
-// delta is exact.
-func steadyAllocs(ops int, op func(i int) error) (float64, error) {
+// two runtime.MemStats readings, and returns the mallocs and heap bytes
+// per counted operation. The simulation is single-threaded on the host,
+// so the delta is exact.
+func steadyAllocs(ops int, op func(i int) error) (HostCost, error) {
 	for i := 0; i < rpaWarmup; i++ {
 		if err := op(i); err != nil {
-			return 0, err
+			return HostCost{}, err
 		}
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < ops; i++ {
 		if err := op(rpaWarmup + i); err != nil {
-			return 0, err
+			return HostCost{}, err
 		}
 	}
 	runtime.ReadMemStats(&after)
-	return float64(after.Mallocs-before.Mallocs) / float64(ops), nil
+	return HostCost{
+		Allocs: float64(after.Mallocs-before.Mallocs) / float64(ops),
+		Bytes:  float64(after.TotalAlloc-before.TotalAlloc) / float64(ops),
+	}, nil
 }
 
 // probe builds a rig of the given width and stripe with one client
@@ -71,17 +85,17 @@ func probeFile(p *sim.Proc, cl *rfsrv.Cluster) (kernel.InodeID, error) {
 	return attr.Attr.Ino, err
 }
 
-// SizePublishAllocs measures the steady-state host allocations per
+// SizePublishAllocs measures the steady-state host cost of one
 // extending one-page write through a 3-server striped cluster with the
 // batched size-publish queue on (DESIGN.md §11): the write itself plus
 // the amortized share of the combined flush that drains every
 // DefaultSizePublishBatch writes. The PR 7 gate pins this so the
 // coalescing path cannot quietly regrow per-write garbage.
-func SizePublishAllocs(ops int) (float64, error) {
+func SizePublishAllocs(ops int) (HostCost, error) {
 	if ops <= 0 {
-		return 0, fmt.Errorf("figures: SizePublishAllocs needs ops > 0")
+		return HostCost{}, fmt.Errorf("figures: SizePublishAllocs needs ops > 0")
 	}
-	var allocs float64
+	var allocs HostCost
 	err := probe(3, mem.PageSize, func(p *sim.Proc, cl *rfsrv.Cluster) error {
 		if err := cl.SetSizePublishBatch(rfsrv.DefaultSizePublishBatch); err != nil {
 			return err
@@ -105,15 +119,15 @@ func SizePublishAllocs(ops int) (float64, error) {
 	return allocs, err
 }
 
-// RequestPathAllocs measures the steady-state host allocations per
+// RequestPathAllocs measures the steady-state host cost of one
 // synchronous 64 KB operation (alternating write and read) through one
 // Session to one MX server — the whole request path: encode, slot
 // staging, transfer, server dispatch/worker, decode.
-func RequestPathAllocs(ops int) (float64, error) {
+func RequestPathAllocs(ops int) (HostCost, error) {
 	if ops <= 0 {
-		return 0, fmt.Errorf("figures: RequestPathAllocs needs ops > 0")
+		return HostCost{}, fmt.Errorf("figures: RequestPathAllocs needs ops > 0")
 	}
-	var allocs float64
+	var allocs HostCost
 	err := probe(1, msStripe, func(p *sim.Proc, cl *rfsrv.Cluster) error {
 		const chunk = 64 * 1024
 		ino, err := probeFile(p, cl)
@@ -138,4 +152,58 @@ func RequestPathAllocs(ops int) (float64, error) {
 		return err
 	})
 	return allocs, err
+}
+
+// ORFSFileAllocs measures the steady-state host cost of one 64 KB read
+// syscall on an ORFS mount over one Session to one MX server, both
+// ways the paper's file path goes: buffered and served entirely from
+// the page cache (sixteen frame → user-page copies, no wire operation,
+// so nothing to allocate), and O_DIRECT (orfs → Session → wire → server
+// worker → memfs and back into the user's pages).
+func ORFSFileAllocs(ops int) (hit, direct HostCost, err error) {
+	if ops <= 0 {
+		return hit, direct, fmt.Errorf("figures: ORFSFileAllocs needs ops > 0")
+	}
+	err = probe(1, msStripe, func(p *sim.Proc, cl *rfsrv.Cluster) error {
+		const chunk, chunks = 64 * 1024, 8
+		node := cl.Node()
+		osys := kernel.NewOS(node, 0)
+		osys.Mount("/mnt", orfs.New("orfs", cl.Sessions()[0]))
+		as := node.NewUserSpace("probe-app")
+		va, err := as.Mmap(chunk, "probe-buf")
+		if err != nil {
+			return err
+		}
+		buffered, err := osys.Open(p, "/mnt/probe", kernel.OCreate)
+		if err != nil {
+			return err
+		}
+		for i := 0; i < chunks; i++ { // whole-page writes: every page stays cached
+			if _, err := buffered.Write(p, as, va, chunk); err != nil {
+				return err
+			}
+		}
+		if err := buffered.Fsync(p); err != nil {
+			return err
+		}
+		odirect, err := osys.Open(p, "/mnt/probe", kernel.ODirect)
+		if err != nil {
+			return err
+		}
+		read := func(f *kernel.File) func(i int) error {
+			return func(i int) error {
+				n, err := f.ReadAt(p, as, va, chunk, int64(i%chunks)*chunk)
+				if err == nil && n != chunk {
+					err = fmt.Errorf("figures: ORFS probe read %d of %d bytes", n, chunk)
+				}
+				return err
+			}
+		}
+		if hit, err = steadyAllocs(ops, read(buffered)); err != nil {
+			return err
+		}
+		direct, err = steadyAllocs(ops, read(odirect))
+		return err
+	})
+	return hit, direct, err
 }

@@ -84,7 +84,7 @@ type Port struct {
 	tokens *sim.Resource
 
 	posted     map[uint64][]*postedRecv // tag → FIFO
-	unexpected []*hw.Message
+	unexpected []arrival
 	regions    []*Region // live registrations (directed-send targets)
 
 	// Stats
@@ -92,6 +92,15 @@ type Port struct {
 	// DirectedDrops counts directed sends that targeted unregistered
 	// remote memory (silently discarded, as real GM does).
 	DirectedDrops sim.Counter
+}
+
+// arrival is what matching and delivery need of a received message.
+// For a message matched on arrival, data is the NIC's pooled payload,
+// valid only while the handler runs; the unexpected queue holds a copy.
+type arrival struct {
+	tag  uint64 // application tag
+	src  hw.NodeID
+	data []byte
 }
 
 type postedRecv struct {
@@ -457,11 +466,11 @@ func (pt *Port) post(tag uint64, pr *postedRecv) {
 	// token flow control; we stage them NIC-side and charge a host
 	// copy on the late match, which is kinder but does not change any
 	// measured path (the benchmarks always pre-post).
-	for i, m := range pt.unexpected {
-		if m.Tag>>portBits == tag {
+	for i, a := range pt.unexpected {
+		if a.tag == tag {
 			pt.unexpected = append(pt.unexpected[:i], pt.unexpected[i+1:]...)
-			pt.gm.node.CPU.CopyStats.Add(len(m.Payload))
-			pt.deliver(m, pr, pt.gm.p.CopyTime(len(m.Payload)))
+			pt.gm.node.CPU.CopyStats.Add(len(a.data))
+			pt.deliver(a, pr, pt.gm.p.CopyTime(len(a.data)))
 			return
 		}
 	}
@@ -483,7 +492,9 @@ func (g *GM) receive(p *sim.Proc, m *hw.Message) {
 	tag := m.Tag >> portBits
 	q := pt.posted[tag]
 	if len(q) == 0 {
-		pt.unexpected = append(pt.unexpected, m)
+		// The payload buffer returns to the NIC's pool when this
+		// handler does (hw.Message): stage a copy.
+		pt.unexpected = append(pt.unexpected, arrival{tag: tag, src: m.Src, data: append([]byte(nil), m.Payload...)})
 		return
 	}
 	pr := q[0]
@@ -502,18 +513,18 @@ func (g *GM) receive(p *sim.Proc, m *hw.Message) {
 		// table: the lookup cost physical addressing avoids.
 		g.node.NIC.Firmware.Use(p, g.p.GMLookup)
 	}
-	pt.deliver(m, pr, 0)
+	pt.deliver(arrival{tag: tag, src: m.Src, data: m.Payload}, pr, 0)
 }
 
-func (pt *Port) deliver(m *hw.Message, pr *postedRecv, extra sim.Time) {
-	n := len(m.Payload)
-	ev := Event{Type: RecvComplete, Tag: m.Tag >> portBits, Len: n, Src: m.Src}
+func (pt *Port) deliver(a arrival, pr *postedRecv, extra sim.Time) {
+	n := len(a.data)
+	ev := Event{Type: RecvComplete, Tag: a.tag, Len: n, Src: a.src}
 	if n > pr.length {
 		n = pr.length
 		ev.Len = n
 		ev.Err = fmt.Errorf("gm: message truncated to %d bytes", pr.length)
 	}
-	pt.gm.node.Mem.Scatter(mem.Clip(pr.extents, n), m.Payload[:n])
+	pt.gm.node.Mem.Scatter(mem.Clip(pr.extents, n), a.data[:n])
 	pt.Recvs.Add(n)
 	if extra > 0 {
 		env := pt.gm.node.Cluster.Env

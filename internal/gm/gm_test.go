@@ -2,6 +2,7 @@ package gm
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 	"time"
 
@@ -38,6 +39,12 @@ func waitRecv(p *sim.Proc, pt *Port) Event {
 		if ev.Type == RecvComplete {
 			return ev
 		}
+	}
+}
+
+// waitSend consumes events until a send completion.
+func waitSend(p *sim.Proc, pt *Port) {
+	for pt.PollEvent(p).Type != SendComplete {
 	}
 }
 
@@ -456,23 +463,45 @@ func TestTruncationReported(t *testing.T) {
 	r.env.Run(0)
 }
 
+// An unexpected message waits in the port's queue while later messages
+// of the same size class arrive, match and are delivered — through the
+// very pool buffer the first one arrived in (hw.Message: a payload is
+// the NIC's once the handler returns). The queue must hold its own
+// copy.
 func TestUnexpectedMessageMatchedLater(t *testing.T) {
 	r := newRig()
 	asA := r.a.NewUserSpace("a")
 	asB := r.b.NewUserSpace("b")
 	vaA, _ := asA.Mmap(mem.PageSize, "src")
-	vaB, _ := asB.Mmap(mem.PageSize, "dst")
-	asA.WriteBytes(vaA, []byte("early bird"))
+	vaB, _ := asB.Mmap(2*mem.PageSize, "dst")
+	const later = 4
 	var got []byte
 	r.env.Spawn("a", func(p *sim.Proc) {
 		pa, _ := r.ga.OpenPort(1, false)
 		pa.RegisterMemory(p, asA, vaA, mem.PageSize)
+		asA.WriteBytes(vaA, []byte("early bird"))
 		pa.Send(p, r.b.ID, 1, 5, asA, vaA, 10)
+		for i := 0; i < later; i++ {
+			waitSend(p, pa) // the source buffer is free again
+			asA.WriteBytes(vaA, []byte(fmt.Sprintf("late no. %d", i)))
+			pa.Send(p, r.b.ID, 1, 6, asA, vaA, 10)
+		}
 	})
 	r.env.Spawn("b", func(p *sim.Proc) {
 		pb, _ := r.gb.OpenPort(1, false)
-		pb.RegisterMemory(p, asB, vaB, mem.PageSize)
-		p.Sleep(100 * us) // message arrives before the post
+		pb.RegisterMemory(p, asB, vaB, 2*mem.PageSize)
+		for i := 0; i < later; i++ {
+			pb.PostRecv(p, 6, asB, vaB+mem.PageSize, 10)
+		}
+		for i := 0; i < later; i++ {
+			if ev := waitRecv(p, pb); ev.Tag != 6 || ev.Len != 10 {
+				t.Errorf("pre-posted receive %d: event %+v", i, ev)
+			}
+			if b, _ := asB.ReadBytes(vaB+mem.PageSize, 10); string(b) != fmt.Sprintf("late no. %d", i) {
+				t.Errorf("pre-posted receive %d delivered %q", i, b)
+			}
+		}
+		p.Sleep(100 * us) // tag 5 arrived long before its post
 		pb.PostRecv(p, 5, asB, vaB, mem.PageSize)
 		ev := waitRecv(p, pb)
 		if ev.Len != 10 {

@@ -13,6 +13,12 @@ import (
 // Message is one message on the Myrinet fabric. Payload carries real
 // bytes; WireLen (envelope + header + payload) governs timing. Fields
 // Proto/Kind/Tag/Header are interpreted by the drivers (GM, MX).
+//
+// Payload is set by the sending NIC and lives in a pooled buffer that
+// belongs to the NIC: it is valid only until the receiving driver's
+// Handler returns, at which point the buffer goes back to the pool and
+// the next message may overwrite it. A handler that keeps bytes — an
+// unexpected-message queue, say — copies them.
 type Message struct {
 	Src, Dst NodeID
 	Proto    uint8  // registered driver (protocol) on the destination
@@ -20,12 +26,13 @@ type Message struct {
 	Tag      uint64 // driver-defined (GM port / MX match bits)
 	Seq      uint64 // assigned by the sending NIC
 	Header   []byte // small control payload
-	Payload  []byte // bulk data (gathered at send DMA time)
+	Payload  []byte // bulk data (gathered at send DMA time); see above
 
 	// TxDone fires when the last fragment has left the sender's DMA
 	// engine (local send completion — the buffer may be reused).
 	TxDone *sim.Signal
 
+	staged  *Staged // the pooled buffer behind Payload, nil when there is none
 	wireLen int
 	frags   int
 	arrived int
@@ -42,11 +49,14 @@ func (m *Message) PayloadLen() int { return len(m.Header) + len(m.Payload) }
 // host physical memory (bytes are read at DMA time, so late stores —
 // the hazard registration/pinning exists to prevent — are faithfully
 // visible); Inline is data already pushed into NIC memory by the host
-// (PIO, or a bounce-buffer copy the driver charged separately).
+// (PIO, or a bounce-buffer copy the driver charged separately), staged
+// with NIC.Stage. An Inline buffer belongs to the NIC from Send on —
+// the sender must not touch it again — and becomes the message's
+// Payload, under the ownership rule stated on Message.
 type TxJob struct {
 	Msg     *Message
 	Gather  []mem.Extent // host memory to DMA from (nil for inline)
-	Inline  []byte       // payload already in NIC SRAM
+	Inline  *Staged      // payload already in NIC SRAM
 	FwExtra sim.Time     // extra firmware work (e.g. GM translation lookup)
 	PIO     bool         // no DMA stage (payload arrived by PIO)
 }
@@ -244,7 +254,7 @@ func (n *NIC) Send(j *TxJob) {
 	if j.Inline != nil && j.Gather != nil {
 		panic("hw: TxJob with both Inline and Gather")
 	}
-	payload := len(j.Inline) + mem.TotalLen(j.Gather)
+	payload := j.Inline.Len() + mem.TotalLen(j.Gather)
 	m.wireLen = n.p.WireEnvelope + len(m.Header) + payload
 	m.frags = n.p.Frags(m.wireLen)
 	n.TxMsgs.Add(payload)
@@ -254,6 +264,8 @@ func (n *NIC) Send(j *TxJob) {
 // txPump is the firmware send loop: per message, charge firmware
 // processing; per fragment, run the send DMA engine; hand fragments to
 // the link pump.
+//
+// allocfree
 func (n *NIC) txPump(p *sim.Proc) {
 	for {
 		j := n.txq.Recv(p)
@@ -269,25 +281,29 @@ func (n *NIC) txPump(p *sim.Proc) {
 		}
 		n.Firmware.Use(p, n.p.FwSendTime(n.isMX(m.Proto), m.frags)+j.FwExtra)
 		gather := j.Gather != nil
-		total := mem.TotalLen(j.Gather) + len(j.Inline)
+		total := mem.TotalLen(j.Gather) + j.Inline.Len()
 		if !gather {
 			// Inline payload (PIO or bounce copy): the application
 			// buffer is already free.
-			m.Payload = j.Inline
+			if m.staged = j.Inline; m.staged != nil {
+				m.Payload = m.staged.b
+			}
 			m.TxDone.Fire()
 		} else {
-			// One payload buffer per message, gathered into fragment by
-			// fragment below (a per-fragment Gather would allocate a
-			// slice per 4 KB of every zero-copy send).
-			m.Payload = make([]byte, 0, total)
+			// One pooled payload buffer per message, gathered into
+			// fragment by fragment below.
+			m.staged = getPayload(total)
+			m.Payload = m.staged.b[:0]
 		}
-		cursor := gatherCursor{xs: j.Gather}
+		cursor := n.node.Mem.Cursor(j.Gather)
 		got := 0
 		for f := 0; f < m.frags; f++ {
 			if n.dead {
 				// The card died mid-message: the remaining fragments
 				// never leave, and the receiver's partial message can
 				// never complete. The local buffer is free regardless.
+				// (The payload buffer is not: fragments already sent
+				// reference it, so it is left to the GC, never pooled.)
 				for g := f; g < m.frags; g++ {
 					n.Dropped.Add(n.fragBytes(m, g))
 				}
@@ -317,7 +333,8 @@ func (n *NIC) txPump(p *sim.Proc) {
 				// Bytes leave host memory now: stores after this point
 				// are not part of the message (the hazard pinning and
 				// registration exist to prevent).
-				m.Payload = cursor.appendTo(n.node.Mem, m.Payload, want)
+				m.Payload = m.staged.b[:got+want]
+				cursor.Read(m.Payload[got:])
 			}
 			got += want
 			n.linkq.Send(n.getFrag(m, f, fb))
@@ -338,61 +355,6 @@ func (n *NIC) fragBytes(m *Message, f int) int {
 		last = m.wireLen
 	}
 	return last
-}
-
-// gatherCursor walks a gather list front to back without reslicing
-// it: the zero-allocation replacement for splitting the list per
-// fragment (takeExtents) and per-fragment Gather buffers.
-type gatherCursor struct {
-	xs  []mem.Extent
-	idx int // current extent
-	off int // bytes consumed of xs[idx]
-}
-
-// appendTo reads the next want bytes of the gather list into dst
-// (whose capacity the caller sized for the whole payload).
-func (g *gatherCursor) appendTo(m *mem.Memory, dst []byte, want int) []byte {
-	for want > 0 {
-		if g.idx >= len(g.xs) {
-			panic(fmt.Sprintf("hw: gather short by %d bytes", want))
-		}
-		x := g.xs[g.idx]
-		take := x.Len - g.off
-		if take > want {
-			take = want
-		}
-		pos := len(dst)
-		dst = dst[:pos+take]
-		m.ReadAt(x.Addr+mem.PhysAddr(g.off), dst[pos:])
-		g.off += take
-		if g.off == x.Len {
-			g.idx++
-			g.off = 0
-		}
-		want -= take
-	}
-	return dst
-}
-
-// takeExtents splits want bytes off the front of xs.
-func takeExtents(xs []mem.Extent, want int) (head, tail []mem.Extent) {
-	for i, x := range xs {
-		if want == 0 {
-			return head, xs[i:]
-		}
-		if x.Len <= want {
-			head = append(head, x)
-			want -= x.Len
-			continue
-		}
-		head = append(head, mem.Extent{Addr: x.Addr, Len: want})
-		tail = append([]mem.Extent{{Addr: x.Addr + mem.PhysAddr(want), Len: x.Len - want}}, xs[i+1:]...)
-		return head, tail
-	}
-	if want != 0 {
-		panic(fmt.Sprintf("hw: takeExtents short by %d bytes", want))
-	}
-	return head, nil
 }
 
 // linkPump serializes fragments onto the wire and delivers them to the
@@ -443,6 +405,14 @@ func (n *NIC) rxPump(p *sim.Proc) {
 			panic(fmt.Sprintf("hw: node %s received proto %d with no handler", n.node.Name, m.Proto))
 		}
 		h(p, m)
+		// The handler has scattered (or copied) what it wanted: the
+		// payload buffer goes back to the pool. Only a message that
+		// arrived whole gets here, so a buffer whose message lost
+		// frames to a fault never re-enters the pool.
+		if st := m.staged; st != nil {
+			m.staged, m.Payload = nil, nil
+			putPayload(st)
+		}
 	}
 }
 

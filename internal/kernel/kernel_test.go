@@ -425,3 +425,207 @@ func TestFileOpsMatchReferenceProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// noise returns n seeded pseudo-random bytes.
+func noise(n int, seed int64) []byte {
+	out := make([]byte, n)
+	rand.New(rand.NewSource(seed)).Read(out)
+	return out
+}
+
+// faultingBuf maps two user pages and unmaps the second: a buffer whose
+// tail faults.
+func faultingBuf(t *testing.T, r *rig) vm.VirtAddr {
+	t.Helper()
+	va, err := r.as.Mmap(2*mem.PageSize, "half")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.as.Munmap(va+mem.PageSize, mem.PageSize); err != nil {
+		t.Fatal(err)
+	}
+	return va
+}
+
+// A buffered read copies page-cache frames straight into user pages,
+// one file page at a time; a chunk that would touch an unmapped page
+// fails whole — nothing of it is written — and the count covers the
+// chunks before it.
+func TestBufferedReadIntoFaultingBuffer(t *testing.T) {
+	run(t, func(r *rig, p *sim.Proc) {
+		data := noise(3*mem.PageSize, 11)
+		r.writeFile(t, p, "/mnt/f", data)
+		f, err := r.os.Open(p, "/mnt/f", kernel.ORDWR)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close(p)
+		va := faultingBuf(t, r)
+		marks := bytes.Repeat([]byte{0xEE}, mem.PageSize)
+
+		// Aligned: the first page lands, the second chunk faults.
+		r.as.WriteBytes(va, marks)
+		n, err := f.ReadAt(p, r.as, va, 2*mem.PageSize, 0)
+		if n != mem.PageSize || err == nil {
+			t.Fatalf("aligned read = %d, %v; want one page and a fault", n, err)
+		}
+		if got, _ := r.as.ReadBytes(va, mem.PageSize); !bytes.Equal(got, data[:mem.PageSize]) {
+			t.Error("the page before the fault was not delivered")
+		}
+
+		// Unaligned: the very first chunk straddles into the unmapped
+		// page, so not one byte of it may land.
+		r.as.WriteBytes(va, marks)
+		n, err = f.ReadAt(p, r.as, va+100, 2*mem.PageSize, 0)
+		if n != 0 || err == nil {
+			t.Fatalf("straddling read = %d, %v; want 0 and a fault", n, err)
+		}
+		if got, _ := r.as.ReadBytes(va, mem.PageSize); !bytes.Equal(got, marks) {
+			t.Error("a faulting chunk was partly written")
+		}
+	})
+}
+
+// A buffered write copies user pages straight into page-cache frames; a
+// chunk whose source faults leaves the cached page as it was, so the
+// file never shows a partial chunk.
+func TestBufferedWriteFromFaultingBuffer(t *testing.T) {
+	run(t, func(r *rig, p *sim.Proc) {
+		old := noise(2*mem.PageSize, 12)
+		r.writeFile(t, p, "/mnt/f", old)
+		f, err := r.os.Open(p, "/mnt/f", kernel.ORDWR)
+		if err != nil {
+			t.Fatal(err)
+		}
+		va := faultingBuf(t, r)
+		src := noise(mem.PageSize, 13)
+		r.as.WriteBytes(va, src)
+
+		// Read-modify-write chunks (file offset 10) whose first source
+		// range straddles into the unmapped page: nothing changes.
+		n, err := f.WriteAt(p, r.as, va+200, mem.PageSize, 10)
+		if n != 0 || err == nil {
+			t.Fatalf("straddling write = %d, %v; want 0 and a fault", n, err)
+		}
+		// Aligned whole-page chunks: the first lands, the second faults.
+		n, err = f.WriteAt(p, r.as, va, 2*mem.PageSize, mem.PageSize)
+		if n != mem.PageSize || err == nil {
+			t.Fatalf("aligned write = %d, %v; want one page and a fault", n, err)
+		}
+		if err := f.Close(p); err != nil {
+			t.Fatal(err)
+		}
+		got := r.readFile(t, p, "/mnt/f", kernel.ORDWR)
+		want := append(append([]byte(nil), old[:mem.PageSize]...), src...)
+		if !bytes.Equal(got[:2*mem.PageSize], want) {
+			t.Error("file differs: want the old first page and the new second page, no partial chunk")
+		}
+	})
+}
+
+// InvalidateInode hands the file's frames back to the allocator in
+// ascending page order, whatever order they were cached in: the PFN
+// recycle list decides the physical contiguity of every later
+// allocation, so Go's map order must not reach it.
+func TestInvalidateInodeFreesInPageOrder(t *testing.T) {
+	run(t, func(r *rig, p *sim.Proc) {
+		const pages = 64
+		r.writeFile(t, p, "/mnt/f", noise(pages*mem.PageSize, 14))
+		a := mustStat(t, r, p, "/mnt/f")
+		r.os.PC.InvalidateInode(r.fs, a.Ino)
+		// Cache the pages in a scrambled order, noting each page's frame.
+		pfnOf := make(map[int64]uint64)
+		for _, i := range rand.New(rand.NewSource(15)).Perm(pages) {
+			pg, err := r.os.PC.Fill(p, r.fs, a.Ino, int64(i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			pfnOf[int64(i)] = pg.Frame.PFN()
+			r.os.PC.Unbusy(pg)
+		}
+		r.os.PC.InvalidateInode(r.fs, a.Ino)
+		if r.os.PC.Resident() != 0 {
+			t.Fatalf("%d pages still resident", r.os.PC.Resident())
+		}
+		// The recycle list is LIFO: allocation now returns the frames of
+		// pages 63, 62, … 0.
+		for i := int64(pages - 1); i >= 0; i-- {
+			f, err := r.node.Mem.AllocFrame()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if f.PFN() != pfnOf[i] {
+				t.Fatalf("allocation %d returned frame %d, want page %d's frame %d: frames were not freed in page order",
+					pages-1-i, f.PFN(), i, pfnOf[i])
+			}
+		}
+	})
+}
+
+// A flush or invalidate of a file with nothing cached, or nothing
+// dirty, must not look at other files' pages: the dirty count keeps
+// track across write, writeback, eviction and invalidation.
+func TestDirtyCountFollowsThePages(t *testing.T) {
+	run(t, func(r *rig, p *sim.Proc) {
+		f, err := r.os.Open(p, "/mnt/f", kernel.OCreate)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.as.WriteBytes(r.buf, noise(5*mem.PageSize, 16))
+		if _, err := f.Write(p, r.as, r.buf, 5*mem.PageSize); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.WriteAt(p, r.as, r.buf, 100, 10); err != nil { // re-dirty a dirty page
+			t.Fatal(err)
+		}
+		if got := r.os.PC.DirtyCount(); got != 5 {
+			t.Fatalf("dirty after writes = %d, want 5", got)
+		}
+		if err := f.Fsync(p); err != nil {
+			t.Fatal(err)
+		}
+		if got := r.os.PC.DirtyCount(); got != 0 {
+			t.Fatalf("dirty after fsync = %d, want 0", got)
+		}
+		if _, err := f.WriteAt(p, r.as, r.buf, 2*mem.PageSize, 0); err != nil {
+			t.Fatal(err)
+		}
+		a := mustStat(t, r, p, "/mnt/f")
+		r.os.PC.InvalidateInode(r.fs, a.Ino) // discards the two dirty pages
+		if d, res := r.os.PC.DirtyCount(), r.os.PC.Resident(); d != 0 || res != 0 {
+			t.Fatalf("after invalidate: dirty %d resident %d, want 0 0", d, res)
+		}
+	})
+}
+
+// BenchmarkBufferedReadAt64K is a 64 KB buffered read served from the
+// page cache: sixteen frame → user-page copies and nothing else.
+func BenchmarkBufferedReadAt64K(b *testing.B) {
+	const size = 64 * 1024
+	env := sim.NewEngine()
+	node := hw.NewCluster(env, hw.DefaultParams(), hw.PCIXD).AddNode("n")
+	osys := kernel.NewOS(node, 0)
+	osys.Mount("/mnt", memfs.New("memfs", node, 0))
+	as := node.NewUserSpace("app")
+	buf, _ := as.Mmap(size, "buf")
+	b.ReportAllocs()
+	env.Spawn("bench", func(p *sim.Proc) {
+		f, err := osys.Open(p, "/mnt/f", kernel.OCreate)
+		if err != nil {
+			b.Error(err)
+			return
+		}
+		if _, err := f.Write(p, as, buf, size); err != nil { // leaves all 16 pages cached
+			b.Error(err)
+			return
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if n, err := f.ReadAt(p, as, buf, size, 0); n != size || err != nil {
+				b.Errorf("ReadAt = %d, %v", n, err)
+				return
+			}
+		}
+	})
+	env.Run(0)
+}

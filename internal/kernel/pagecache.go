@@ -4,8 +4,10 @@ package kernel
 // with LRU eviction, busy pinning, dirty tracking and writeback, plus
 // the chunked fill path that models Linux 2.6-style read combining.
 import (
+	"cmp"
 	"container/list"
 	"fmt"
+	"slices"
 
 	"repro/internal/hw"
 	"repro/internal/mem"
@@ -21,7 +23,8 @@ import (
 type PageCache struct {
 	node     *hw.Node
 	maxPages int
-	entries  map[pcKey]*CachedPage
+	inodes   map[inodeKey]*inodePages // resident pages, by file then page
+	resident int
 	lru      *list.List
 
 	// Stats
@@ -29,9 +32,16 @@ type PageCache struct {
 }
 
 type pcKey struct {
-	fs  FileSystem
-	ino InodeID
+	inodeKey
 	idx int64
+}
+
+// inodePages is one file's resident pages and how many of them are
+// dirty, so flushing or invalidating a file touches only its own pages
+// and a clean or absent file costs one lookup.
+type inodePages struct {
+	pages map[int64]*CachedPage
+	dirty int
 }
 
 // CachedPage is one resident page.
@@ -42,6 +52,7 @@ type CachedPage struct {
 	Dirty bool
 	busy  bool // pinned by an in-progress operation (not evictable)
 	lruEl *list.Element
+	ip    *inodePages // the file's index while resident, nil once removed
 }
 
 // NewPageCache creates a cache bounded to maxPages resident pages
@@ -50,29 +61,66 @@ func NewPageCache(node *hw.Node, maxPages int) *PageCache {
 	return &PageCache{
 		node:     node,
 		maxPages: maxPages,
-		entries:  make(map[pcKey]*CachedPage),
+		inodes:   make(map[inodeKey]*inodePages),
 		lru:      list.New(),
 	}
 }
 
 // Resident returns the number of cached pages.
-func (pc *PageCache) Resident() int { return len(pc.entries) }
+func (pc *PageCache) Resident() int { return pc.resident }
 
 // DirtyCount returns the number of dirty pages.
 func (pc *PageCache) DirtyCount() int {
 	n := 0
-	for _, pg := range pc.entries {
-		if pg.Dirty {
-			n++
-		}
+	for _, ip := range pc.inodes {
+		n += ip.dirty
 	}
 	return n
+}
+
+// page returns the resident page, or nil, without touching LRU or
+// statistics.
+func (pc *PageCache) page(fs FileSystem, ino InodeID, idx int64) *CachedPage {
+	if ip := pc.inodes[inodeKey{fs, ino}]; ip != nil {
+		return ip.pages[idx]
+	}
+	return nil
+}
+
+// insert makes pg resident and most recently used.
+func (pc *PageCache) insert(pg *CachedPage) {
+	ip := pc.inodes[pg.key.inodeKey]
+	if ip == nil {
+		ip = &inodePages{pages: make(map[int64]*CachedPage)}
+		pc.inodes[pg.key.inodeKey] = ip
+	}
+	ip.pages[pg.key.idx] = pg
+	pg.ip = ip
+	pc.resident++
+	pg.lruEl = pc.lru.PushFront(pg)
+}
+
+// setDirty records whether pg differs from the backing store, keeping
+// its file's dirty count (a page already dropped has none to keep).
+func (pc *PageCache) setDirty(pg *CachedPage, dirty bool) {
+	if pg.Dirty == dirty {
+		return
+	}
+	pg.Dirty = dirty
+	if pg.ip == nil {
+		return
+	}
+	if dirty {
+		pg.ip.dirty++
+	} else {
+		pg.ip.dirty--
+	}
 }
 
 // Lookup returns the cached page, or nil on miss, updating LRU and
 // statistics.
 func (pc *PageCache) Lookup(fs FileSystem, ino InodeID, idx int64) *CachedPage {
-	pg := pc.entries[pcKey{fs, ino, idx}]
+	pg := pc.page(fs, ino, idx)
 	if pg == nil {
 		pc.MissCount.Add(mem.PageSize)
 		return nil
@@ -105,7 +153,7 @@ func (pc *PageCache) FillChunk(p *sim.Proc, fs FileSystem, ino InodeID, idx int6
 	// Extend the run over consecutive uncached pages only.
 	run := 1
 	for run < chunk {
-		if pc.entries[pcKey{fs, ino, idx + int64(run)}] != nil {
+		if pc.page(fs, ino, idx+int64(run)) != nil {
 			break
 		}
 		run++
@@ -147,9 +195,8 @@ func (pc *PageCache) FillChunk(p *sim.Proc, fs FileSystem, ino InodeID, idx int6
 		if n > mem.PageSize {
 			n = mem.PageSize
 		}
-		pg := &CachedPage{key: pcKey{fs, ino, idx + int64(i)}, Frame: f, N: n}
-		pg.lruEl = pc.lru.PushFront(pg)
-		pc.entries[pg.key] = pg
+		pg := &CachedPage{key: pcKey{inodeKey{fs, ino}, idx + int64(i)}, Frame: f, N: n}
+		pc.insert(pg)
 		if i == 0 {
 			pg.busy = true
 			first = pg
@@ -169,9 +216,8 @@ func (pc *PageCache) Add(p *sim.Proc, fs FileSystem, ino InodeID, idx int64) (*C
 	if err != nil {
 		return nil, err
 	}
-	pg := &CachedPage{key: pcKey{fs, ino, idx}, Frame: frame, busy: true}
-	pg.lruEl = pc.lru.PushFront(pg)
-	pc.entries[pg.key] = pg
+	pg := &CachedPage{key: pcKey{inodeKey{fs, ino}, idx}, Frame: frame, busy: true}
+	pc.insert(pg)
 	return pg, nil
 }
 
@@ -182,7 +228,7 @@ func (pc *PageCache) makeRoom(p *sim.Proc) error {
 	if pc.maxPages <= 0 {
 		return nil
 	}
-	for len(pc.entries) >= pc.maxPages {
+	for pc.resident >= pc.maxPages {
 		evicted := false
 		for el := pc.lru.Back(); el != nil; el = el.Prev() {
 			pg := el.Value.(*CachedPage)
@@ -199,14 +245,20 @@ func (pc *PageCache) makeRoom(p *sim.Proc) error {
 			break
 		}
 		if !evicted {
-			return fmt.Errorf("kernel: page cache wedged (all %d pages busy)", len(pc.entries))
+			return fmt.Errorf("kernel: page cache wedged (all %d pages busy)", pc.resident)
 		}
 	}
 	return nil
 }
 
 func (pc *PageCache) remove(pg *CachedPage) {
-	delete(pc.entries, pg.key)
+	pc.setDirty(pg, false)
+	delete(pg.ip.pages, pg.key.idx)
+	if len(pg.ip.pages) == 0 {
+		delete(pc.inodes, pg.key.inodeKey)
+	}
+	pg.ip = nil
+	pc.resident--
 	pc.lru.Remove(pg.lruEl)
 	pc.node.Mem.Put(pg.Frame)
 }
@@ -216,21 +268,33 @@ func (pc *PageCache) writeback(p *sim.Proc, pg *CachedPage) error {
 	if err := pg.key.fs.WritePage(p, pg.key.ino, pg.key.idx, pg.Frame, pg.N); err != nil {
 		return err
 	}
-	pg.Dirty = false
+	pc.setDirty(pg, false)
 	return nil
+}
+
+// sorted returns the file's resident pages (only the dirty ones if
+// dirtyOnly) in ascending page order: map order must reach neither the
+// wire (writeback) nor the frame allocator (the PFN recycle list decides
+// the physical contiguity of every later allocation).
+func (ip *inodePages) sorted(dirtyOnly bool) []*CachedPage {
+	var pages []*CachedPage
+	for _, pg := range ip.pages {
+		if pg.Dirty || !dirtyOnly {
+			pages = append(pages, pg)
+		}
+	}
+	slices.SortFunc(pages, func(a, b *CachedPage) int { return cmp.Compare(a.key.idx, b.key.idx) })
+	return pages
 }
 
 // FlushInode writes back all dirty pages of (fs, ino) in page order
 // (fsync / close semantics).
 func (pc *PageCache) FlushInode(p *sim.Proc, fs FileSystem, ino InodeID) error {
-	var dirty []*CachedPage
-	for _, pg := range pc.entries {
-		if pg.key.fs == fs && pg.key.ino == ino && pg.Dirty {
-			dirty = append(dirty, pg)
-		}
+	ip := pc.inodes[inodeKey{fs, ino}]
+	if ip == nil || ip.dirty == 0 {
+		return nil
 	}
-	sortPages(dirty)
-	for _, pg := range dirty {
+	for _, pg := range ip.sorted(true) {
 		if err := pc.writeback(p, pg); err != nil {
 			return err
 		}
@@ -239,23 +303,14 @@ func (pc *PageCache) FlushInode(p *sim.Proc, fs FileSystem, ino InodeID) error {
 }
 
 // InvalidateInode drops all pages of (fs, ino), discarding dirty data
-// (used by truncate/unlink and O_DIRECT coherence).
+// (used by truncate/unlink and O_DIRECT coherence). Frames are freed in
+// page order.
 func (pc *PageCache) InvalidateInode(fs FileSystem, ino InodeID) {
-	var doomed []*CachedPage
-	for _, pg := range pc.entries {
-		if pg.key.fs == fs && pg.key.ino == ino {
-			doomed = append(doomed, pg)
-		}
+	ip := pc.inodes[inodeKey{fs, ino}]
+	if ip == nil {
+		return
 	}
-	for _, pg := range doomed {
+	for _, pg := range ip.sorted(false) {
 		pc.remove(pg)
-	}
-}
-
-func sortPages(ps []*CachedPage) {
-	for i := 1; i < len(ps); i++ {
-		for j := i; j > 0 && ps[j].key.idx < ps[j-1].key.idx; j-- {
-			ps[j], ps[j-1] = ps[j-1], ps[j]
-		}
 	}
 }

@@ -378,13 +378,11 @@ func (f *File) ReadAt(p *sim.Proc, as *vm.AddressSpace, va vm.VirtAddr, n int, o
 			chunk = mem.PageSize - pgOff
 		}
 		o.Node.CPU.Copy(p, chunk) // page cache → application copy
-		buf := make([]byte, chunk)
-		copy(buf, pg.Frame.Data()[pgOff:pgOff+chunk])
-		if err := as.WriteBytes(va+vm.VirtAddr(read), buf); err != nil {
-			o.PC.Unbusy(pg)
+		err = as.WriteBytes(va+vm.VirtAddr(read), pg.Frame.Data()[pgOff:pgOff+chunk])
+		o.PC.Unbusy(pg)
+		if err != nil {
 			return read, err
 		}
-		o.PC.Unbusy(pg)
 		read += chunk
 	}
 	return read, nil
@@ -443,16 +441,15 @@ func (f *File) WriteAt(p *sim.Proc, as *vm.AddressSpace, va vm.VirtAddr, n int, 
 			return written, err
 		}
 		o.Node.CPU.Copy(p, chunk) // application → page cache copy
-		buf, err := as.ReadBytes(va+vm.VirtAddr(written), chunk)
-		if err != nil {
+		// A fault in the user range leaves the cached page untouched.
+		if err := as.ReadBytesInto(va+vm.VirtAddr(written), pg.Frame.Data()[pgOff:pgOff+chunk]); err != nil {
 			o.PC.Unbusy(pg)
 			return written, err
 		}
-		copy(pg.Frame.Data()[pgOff:], buf)
 		if end := pgOff + chunk; end > pg.N {
 			pg.N = end
 		}
-		pg.Dirty = true
+		o.PC.setDirty(pg, true)
 		o.PC.Unbusy(pg)
 		written += chunk
 	}

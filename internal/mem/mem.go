@@ -13,10 +13,18 @@
 // while) and explicitly contiguous allocations (like kernel bounce
 // buffers): the paper's copy-removal optimization only applies to
 // physically contiguous runs, so contiguity must be controllable.
+//
+// Frames are recycled: the Go object behind a freed frame goes to a
+// process-wide pool and the next allocation on any node reuses it,
+// contents re-zeroed, PFNs assigned as before (the PFN recycle list and
+// the fresh-PFN counter — hence physical contiguity and every simulated
+// number — do not know the pool exists). A *Frame is therefore valid
+// only while its holder owns a reference.
 package mem
 
 import (
 	"fmt"
+	"sync"
 )
 
 // PageSize is the page size of the simulated IA32 hosts (paper §3.3).
@@ -53,8 +61,16 @@ func (f *Frame) Addr() PhysAddr { return PhysAddr(f.pfn << PageShift) }
 // Data returns the frame's backing bytes.
 func (f *Frame) Data() []byte { return f.data[:] }
 
-// Get increments the frame's reference count.
-func (f *Frame) Get() { f.ref++ }
+// Get increments the frame's reference count. The caller must already
+// hold a reference: a frame whose count reached zero has gone back to
+// the pool and may be another node's page by now, so taking a reference
+// on it is a use after free and panics.
+func (f *Frame) Get() {
+	if f.ref <= 0 {
+		panic(fmt.Sprintf("mem: Get on free frame %d (ref %d)", f.pfn, f.ref))
+	}
+	f.ref++
+}
 
 // RefCount returns the current reference count.
 func (f *Frame) RefCount() int { return f.ref }
@@ -101,11 +117,37 @@ func New(numPages int) *Memory {
 // Allocated returns the number of live frames.
 func (m *Memory) Allocated() int { return m.allocked }
 
+// framePool holds the Go objects of freed frames. It is process-wide
+// and emptied by the garbage collector, not a field of Memory: a
+// finished rig stays reachable through its parked daemon goroutines, so
+// a per-Memory free list would retain every frame the rig ever freed
+// (DESIGN.md §14).
+var framePool sync.Pool
+
+// newFrame returns a zero-filled frame with the given PFN and reference
+// count 1, reusing a pooled object when there is one.
+//
+// allocfree
+func newFrame(pfn uint64) *Frame {
+	f, _ := framePool.Get().(*Frame)
+	if f == nil {
+		//analyze:allow allocfree pool-miss arm: the object recycles from here on
+		f = new(Frame)
+	} else {
+		clear(f.data[:])
+	}
+	f.pfn, f.ref = pfn, 1
+	return f
+}
+
 // AllocFrame allocates one frame with reference count 1. Recycled frames
 // are preferred (LIFO), which naturally fragments long-lived address
 // spaces the way real systems do.
+//
+// allocfree
 func (m *Memory) AllocFrame() (*Frame, error) {
 	if m.numPages > 0 && m.allocked >= m.numPages {
+		//analyze:allow allocfree out-of-memory error path
 		return nil, fmt.Errorf("mem: out of physical memory (%d frames)", m.numPages)
 	}
 	var pfn uint64
@@ -116,7 +158,7 @@ func (m *Memory) AllocFrame() (*Frame, error) {
 		pfn = m.nextPFN
 		m.nextPFN++
 	}
-	f := &Frame{pfn: pfn, ref: 1}
+	f := newFrame(pfn)
 	m.frames[pfn] = f
 	m.allocked++
 	return f, nil
@@ -134,7 +176,7 @@ func (m *Memory) AllocContig(n int) ([]*Frame, error) {
 	}
 	out := make([]*Frame, n)
 	for i := range out {
-		f := &Frame{pfn: m.nextPFN, ref: 1}
+		f := newFrame(m.nextPFN)
 		m.nextPFN++
 		m.frames[f.pfn] = f
 		m.allocked++
@@ -144,9 +186,13 @@ func (m *Memory) AllocContig(n int) ([]*Frame, error) {
 }
 
 // Put decrements a frame's reference count, freeing it when it reaches
-// zero. Freed PFNs go to the recycle list.
+// zero. Freed PFNs go to the recycle list and the frame object to the
+// process-wide pool: the caller's pointer is dead from here on.
+//
+// allocfree
 func (m *Memory) Put(f *Frame) {
 	if f.ref <= 0 {
+		//analyze:allow allocfree double-free panic path
 		panic(fmt.Sprintf("mem: Put on frame %d with ref %d", f.pfn, f.ref))
 	}
 	f.ref--
@@ -154,6 +200,7 @@ func (m *Memory) Put(f *Frame) {
 		delete(m.frames, f.pfn)
 		m.freeList = append(m.freeList, f.pfn)
 		m.allocked--
+		framePool.Put(f)
 	}
 }
 
@@ -203,7 +250,11 @@ func (m *Memory) WriteAt(addr PhysAddr, buf []byte) {
 	}
 }
 
-// Gather reads the bytes described by extents into a single slice.
+// Gather reads the bytes described by extents into a single fresh
+// slice. The data plane does not use it (it copies through a Cursor,
+// which allocates nothing); Gather stays for callers that want an owned
+// copy — tests, the NBD bounce path, the stock-GM staging ablation —
+// and as the reference the cursor's property test compares against.
 func (m *Memory) Gather(xs []Extent) []byte {
 	out := make([]byte, TotalLen(xs))
 	pos := 0
@@ -230,6 +281,65 @@ func (m *Memory) Scatter(xs []Extent, data []byte) {
 	}
 	if len(data) > 0 {
 		panic(fmt.Sprintf("mem: Scatter overflow, %d bytes left", len(data)))
+	}
+}
+
+// Cursor streams bytes between an extent list and caller-supplied
+// slices, front to back, without reslicing the list or allocating: the
+// one copy primitive of the data plane. The NIC reads a gather list
+// through it fragment by fragment, MX stages bounce and PIO payloads
+// with it, and memfs moves file blocks to and from a request's extents
+// with it — in each case the bytes go from where they are to where
+// they belong with no staging slice in between.
+type Cursor struct {
+	m   *Memory
+	xs  []Extent
+	idx int // current extent
+	off int // bytes consumed of xs[idx]
+}
+
+// Cursor returns a cursor at the first byte of xs.
+func (m *Memory) Cursor(xs []Extent) Cursor { return Cursor{m: m, xs: xs} }
+
+// next returns the physically contiguous run at the cursor, at most
+// want bytes long, and advances past it. It panics when the extents
+// are exhausted.
+//
+// allocfree
+func (c *Cursor) next(want int) Extent {
+	if c.idx >= len(c.xs) {
+		//analyze:allow allocfree overrun panic path
+		panic(fmt.Sprintf("mem: cursor past the end of its extents, %d bytes short", want))
+	}
+	x := c.xs[c.idx]
+	run := Extent{Addr: x.Addr + PhysAddr(c.off), Len: min(x.Len-c.off, want)}
+	c.off += run.Len
+	if c.off == x.Len {
+		c.idx++
+		c.off = 0
+	}
+	return run
+}
+
+// Read fills dst with the next len(dst) bytes the extents describe.
+//
+// allocfree
+func (c *Cursor) Read(dst []byte) {
+	for len(dst) > 0 {
+		run := c.next(len(dst))
+		c.m.ReadAt(run.Addr, dst[:run.Len])
+		dst = dst[run.Len:]
+	}
+}
+
+// Write stores src into the next len(src) bytes the extents describe.
+//
+// allocfree
+func (c *Cursor) Write(src []byte) {
+	for len(src) > 0 {
+		run := c.next(len(src))
+		c.m.WriteAt(run.Addr, src[:run.Len])
+		src = src[run.Len:]
 	}
 }
 

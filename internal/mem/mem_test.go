@@ -2,7 +2,10 @@ package mem
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
+	"sort"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -256,5 +259,195 @@ func TestPhysAddrHelpers(t *testing.T) {
 	a := PhysAddr(5*PageSize + 17)
 	if a.PFN() != 5 || a.Offset() != 17 {
 		t.Errorf("PFN/Offset = %d/%d, want 5/17", a.PFN(), a.Offset())
+	}
+}
+
+// Property: streaming through a Cursor at arbitrary split points moves
+// exactly the bytes Gather and Scatter move in one go.
+func TestCursorMatchesGatherScatter(t *testing.T) {
+	m, ref := New(0), New(0)
+	frames, _ := m.AllocContig(64)
+	ref.AllocContig(64) // same PFNs: one extent list addresses both
+	base := frames[0].Addr()
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		var xs []Extent
+		pos := 0
+		for i, cnt := 0, rng.Intn(12)+1; i < cnt; i++ {
+			pos += rng.Intn(3) * 700
+			l := rng.Intn(3*PageSize + 1) // zero-length extents included
+			if pos+l > 60*PageSize {
+				break
+			}
+			xs = append(xs, Extent{Addr: base + PhysAddr(pos), Len: l})
+			pos += l
+		}
+		total := TotalLen(xs)
+		data := make([]byte, total)
+		rng.Read(data)
+		// splits cuts [0, total) at random points, empty pieces included.
+		splits := func() []int {
+			cuts := []int{0, total}
+			for i, cnt := 0, rng.Intn(6); i < cnt; i++ {
+				cuts = append(cuts, rng.Intn(total+1))
+			}
+			sort.Ints(cuts)
+			return cuts
+		}
+
+		ref.Scatter(xs, data)
+		w := m.Cursor(xs)
+		for cuts, i := splits(), 1; i < len(cuts); i++ {
+			w.Write(data[cuts[i-1]:cuts[i]])
+		}
+		if !bytes.Equal(m.Gather(xs), ref.Gather(xs)) {
+			return false
+		}
+
+		got := make([]byte, total)
+		r := m.Cursor(xs)
+		for cuts, i := splits(), 1; i < len(cuts); i++ {
+			r.Read(got[cuts[i-1]:cuts[i]])
+		}
+		return bytes.Equal(got, ref.Gather(xs)) && bytes.Equal(got, data)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(19))}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestCursorOverrunPanics(t *testing.T) {
+	m := New(0)
+	f, _ := m.AllocFrame()
+	c := m.Cursor([]Extent{{Addr: f.Addr(), Len: 10}})
+	c.Read(make([]byte, 10))
+	defer func() {
+		if recover() == nil {
+			t.Error("reading past the extents should panic")
+		}
+	}()
+	c.Read(make([]byte, 1))
+}
+
+// A recycled frame object is indistinguishable from a fresh one: zero
+// bytes, reference count 1, and the PFN the allocator would have
+// assigned without the pool. The expected PFNs were recorded from this
+// script on the allocator before frames were pooled.
+func TestRecycledFramesAreZeroAndKeepThePFNSequence(t *testing.T) {
+	m := New(0)
+	var pfns []uint64
+	alloc := func() *Frame {
+		t.Helper()
+		f, err := m.AllocFrame()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.RefCount() != 1 {
+			t.Fatalf("frame %d allocated with ref %d", f.PFN(), f.RefCount())
+		}
+		for i, b := range f.Data() {
+			if b != 0 {
+				t.Fatalf("frame %d byte %d = %#x on allocation, want zero", f.PFN(), i, b)
+			}
+		}
+		pfns = append(pfns, f.PFN())
+		for i := range f.Data() {
+			f.Data()[i] = 0xA5 // dirty it for whoever gets the object next
+		}
+		return f
+	}
+	var live []*Frame
+	for i := 0; i < 6; i++ {
+		live = append(live, alloc())
+	}
+	for _, i := range []int{2, 4, 0} {
+		m.Put(live[i])
+	}
+	alloc()
+	alloc()
+	contig, err := m.AllocContig(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range contig {
+		for i, b := range f.Data() {
+			if b != 0 {
+				t.Fatalf("contiguous frame %d byte %d = %#x, want zero", f.PFN(), i, b)
+			}
+		}
+		pfns = append(pfns, f.PFN())
+	}
+	m.Put(live[5])
+	m.Put(contig[1])
+	for i := 0; i < 4; i++ {
+		alloc()
+	}
+	want := []uint64{1, 2, 3, 4, 5, 6, 1, 5, 7, 8, 9, 8, 6, 3, 10}
+	if fmt.Sprint(pfns) != fmt.Sprint(want) {
+		t.Fatalf("PFN sequence %v, want %v", pfns, want)
+	}
+}
+
+// The pool is the one piece of mem that several goroutines reach at
+// once (parallel tests each run their own rigs): frames freed by one
+// goroutine's Memory are handed, zeroed, to another's. Run under -race.
+func TestFramePoolAcrossGoroutines(t *testing.T) {
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			m := New(0)
+			var held []*Frame
+			for i := 0; i < 2000; i++ {
+				f, err := m.AllocFrame()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if f.Data()[0] != 0 || f.Data()[PageSize-1] != 0 || f.RefCount() != 1 {
+					t.Errorf("goroutine %d: frame %d not fresh", g, f.PFN())
+					return
+				}
+				f.Data()[0], f.Data()[PageSize-1] = byte(g+1), byte(g+1)
+				if held = append(held, f); len(held) == 16 {
+					for _, h := range held {
+						m.Put(h)
+					}
+					held = held[:0]
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+func TestGetOnFreeFramePanics(t *testing.T) {
+	m := New(0)
+	f, _ := m.AllocFrame()
+	m.Put(f)
+	defer func() {
+		if recover() == nil {
+			t.Error("Get on a freed frame should panic, not resurrect it")
+		}
+	}()
+	f.Get()
+}
+
+// BenchmarkFrameChurn is the page-cache steady state: a bounded working
+// set of frames allocated and freed over and over. The frame objects
+// come from the pool, so it allocates nothing.
+func BenchmarkFrameChurn(b *testing.B) {
+	m := New(0)
+	var ring [64]*Frame
+	for i := range ring { // the working set exists before the clock starts
+		ring[i], _ = m.AllocFrame()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		slot := &ring[i%len(ring)]
+		m.Put(*slot)
+		*slot, _ = m.AllocFrame()
 	}
 }

@@ -403,7 +403,10 @@ func (fs *FS) WritePage(p *sim.Proc, id kernel.InodeID, idx int64, frame *mem.Fr
 	return nil
 }
 
-// ReadDirect implements kernel.FileSystem: local O_DIRECT.
+// ReadDirect implements kernel.FileSystem: local O_DIRECT. The blocks
+// go straight into the destination extents — sampled at the call
+// instant, before the transfer is charged, so a write racing the charge
+// is not seen; the destination is the caller's for the whole call.
 func (fs *FS) ReadDirect(p *sim.Proc, id kernel.InodeID, off int64, v core.Vector) (int, error) {
 	ino, err := fs.get(id)
 	if err != nil {
@@ -416,20 +419,24 @@ func (fs *FS) ReadDirect(p *sim.Proc, id kernel.InodeID, off int64, v core.Vecto
 	if int64(n) > ino.attr.Size-off {
 		n = int(ino.attr.Size - off)
 	}
-	data := fs.readBytes(ino, off, n)
+	xs, err := v.Extents()
+	if err == nil {
+		dst := fs.node.Mem.Cursor(xs)
+		fs.load(ino, off, n, dst.Write)
+	}
 	if fs.pageCost > 0 {
 		p.Sleep(fs.pageCost * sim.Time((n+mem.PageSize-1)/mem.PageSize))
 	}
 	fs.node.CPU.Copy(p, n)
-	xs, err := v.Extents()
 	if err != nil {
 		return 0, err
 	}
-	fs.node.Mem.Scatter(mem.Clip(xs, n), data)
 	return n, nil
 }
 
-// WriteDirect implements kernel.FileSystem.
+// WriteDirect implements kernel.FileSystem. The source extents are the
+// caller's for the whole call; their bytes go straight into the blocks
+// once the transfer has been charged.
 func (fs *FS) WriteDirect(p *sim.Proc, id kernel.InodeID, off int64, v core.Vector) (int, error) {
 	ino, err := fs.get(id)
 	if err != nil {
@@ -439,55 +446,69 @@ func (fs *FS) WriteDirect(p *sim.Proc, id kernel.InodeID, off int64, v core.Vect
 	if err != nil {
 		return 0, err
 	}
-	data := fs.node.Mem.Gather(xs)
+	n := mem.TotalLen(xs)
 	if fs.pageCost > 0 {
-		p.Sleep(fs.pageCost * sim.Time((len(data)+mem.PageSize-1)/mem.PageSize))
+		p.Sleep(fs.pageCost * sim.Time((n+mem.PageSize-1)/mem.PageSize))
 	}
-	fs.node.CPU.Copy(p, len(data))
-	fs.writeBytes(ino, off, data)
-	return len(data), nil
+	fs.node.CPU.Copy(p, n)
+	src := fs.node.Mem.Cursor(xs)
+	fs.store(ino, off, n, src.Read)
+	return n, nil
 }
 
-// readBytes copies [off, off+n) out of the block store.
-func (fs *FS) readBytes(ino *inode, off int64, n int) []byte {
-	out := make([]byte, n)
-	pos := 0
-	for pos < n {
-		idx := (off + int64(pos)) / mem.PageSize
-		pgOff := int((off + int64(pos)) % mem.PageSize)
-		chunk := mem.PageSize - pgOff
-		if chunk > n-pos {
-			chunk = n - pos
+// zeroPage is what a hole reads as.
+var zeroPage [mem.PageSize]byte
+
+// load walks [off, off+n) of the block store front to back and hands
+// each page's share to emit (a hole as zeros). The slices alias the
+// blocks: emit copies what it keeps.
+func (fs *FS) load(ino *inode, off int64, n int, emit func(src []byte)) {
+	for end := off + int64(n); off < end; {
+		pgOff := int(off % mem.PageSize)
+		chunk := int(min(int64(mem.PageSize-pgOff), end-off))
+		if blk := ino.blocks[off/mem.PageSize]; blk != nil {
+			emit(blk.Data()[pgOff : pgOff+chunk])
+		} else {
+			emit(zeroPage[:chunk])
 		}
-		if blk := ino.blocks[idx]; blk != nil {
-			copy(out[pos:pos+chunk], blk.Data()[pgOff:])
-		}
-		pos += chunk
+		off += int64(chunk)
 	}
+}
+
+// store walks [off, off+n) of the block store front to back, allocating
+// blocks as needed, and has fill supply each page's share; then it
+// extends the file to cover the range.
+func (fs *FS) store(ino *inode, off int64, n int, fill func(dst []byte)) {
+	end := off + int64(n)
+	for off < end {
+		pgOff := int(off % mem.PageSize)
+		chunk := int(min(int64(mem.PageSize-pgOff), end-off))
+		blk, err := fs.ensureBlock(ino, off/mem.PageSize)
+		if err != nil {
+			panic(err) // test memories are unbounded
+		}
+		fill(blk.Data()[pgOff : pgOff+chunk])
+		off += int64(chunk)
+	}
+	if end > ino.attr.Size {
+		ino.attr.Size = end
+	}
+	ino.attr.Version++
+}
+
+// readBytes copies [off, off+n) out of the block store into a fresh
+// slice. The data path (ReadDirect) does not use it; it stays for the
+// host-level readers that return an owned copy — ContentOf and
+// ReadRange, the replay and migration bulk channel.
+func (fs *FS) readBytes(ino *inode, off int64, n int) []byte {
+	out := make([]byte, 0, n)
+	fs.load(ino, off, n, func(src []byte) { out = append(out, src...) })
 	return out
 }
 
 // writeBytes stores data at off, extending the file as needed.
 func (fs *FS) writeBytes(ino *inode, off int64, data []byte) {
-	pos := 0
-	for pos < len(data) {
-		idx := (off + int64(pos)) / mem.PageSize
-		pgOff := int((off + int64(pos)) % mem.PageSize)
-		chunk := mem.PageSize - pgOff
-		if chunk > len(data)-pos {
-			chunk = len(data) - pos
-		}
-		blk, err := fs.ensureBlock(ino, idx)
-		if err != nil {
-			panic(err) // test memories are unbounded
-		}
-		copy(blk.Data()[pgOff:], data[pos:pos+chunk])
-		pos += chunk
-	}
-	if end := off + int64(len(data)); end > ino.attr.Size {
-		ino.attr.Size = end
-	}
-	ino.attr.Version++
+	fs.store(ino, off, len(data), func(dst []byte) { data = data[copy(dst, data):] })
 }
 
 var _ kernel.FileSystem = (*FS)(nil)

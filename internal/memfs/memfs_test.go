@@ -255,3 +255,121 @@ func TestDirectIOProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// directRig is a file with data on pages 0 and 2, a hole at page 1 and
+// EOF 777 bytes into page 3, plus its byte model.
+func directRig(t *testing.T, r *rig, p *sim.Proc) (kernel.InodeID, []byte) {
+	t.Helper()
+	a, err := r.fs.Create(p, r.fs.Root(), "f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	model := make([]byte, 3*mem.PageSize+777)
+	rng := rand.New(rand.NewSource(5))
+	rng.Read(model[:mem.PageSize])
+	rng.Read(model[2*mem.PageSize:])
+	if err := r.fs.WriteAt(a.Ino, 0, model[:mem.PageSize]); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.fs.WriteAt(a.Ino, 2*mem.PageSize, model[2*mem.PageSize:]); err != nil {
+		t.Fatal(err)
+	}
+	if r.fs.FrameAt(a.Ino, 1) != nil {
+		t.Fatal("page 1 is not a hole")
+	}
+	return a.Ino, model
+}
+
+// ReadDirect copies blocks straight into the destination extents: over
+// data, a hole (zeros, even into a dirty buffer) and a short EOF page,
+// into a scattered two-segment user vector, clipped at EOF with the
+// rest of the buffer untouched — and it samples the blocks before the
+// transfer is charged, so a store landing mid-charge is not seen.
+func TestReadDirectHolesShortEOFAndSamplingInstant(t *testing.T) {
+	const pageCost = 10 * time.Microsecond
+	r := newRig(t, pageCost)
+	as := r.node.NewUserSpace("app")
+	r.run(t, func(p *sim.Proc) {
+		ino, model := directRig(t, r, p)
+		const off = 50
+		want := len(model) - off
+		va1, _ := as.Mmap(2*mem.PageSize, "d1")
+		va2, _ := as.Mmap(3*mem.PageSize, "d2")
+		seg1, seg2 := mem.PageSize+301, 3*mem.PageSize-100 // together longer than the file
+		dirty := bytes.Repeat([]byte{0xEE}, 3*mem.PageSize)
+		as.WriteBytes(va1+17, dirty[:seg1])
+		as.WriteBytes(va2+9, dirty[:seg2])
+		charge := pageCost*sim.Time((want+mem.PageSize-1)/mem.PageSize) + r.node.Cluster.Params.CopyTime(want)
+		r.env.Spawn("racing-store", func(q *sim.Proc) {
+			q.Sleep(charge / 2)
+			if err := r.fs.WriteAt(ino, 0, bytes.Repeat([]byte{0x11}, 2*mem.PageSize)); err != nil {
+				t.Error(err)
+			}
+		})
+		start := p.Now()
+		n, err := r.fs.ReadDirect(p, ino, off, core.Vector{core.UserSeg(as, va1+17, seg1), core.UserSeg(as, va2+9, seg2)})
+		if err != nil || n != want {
+			t.Fatalf("ReadDirect = %d, %v; want %d", n, err, want)
+		}
+		if took := p.Now() - start; took != charge {
+			t.Errorf("charged %v, want %v", took, charge)
+		}
+		got1, _ := as.ReadBytes(va1+17, seg1)
+		got2, _ := as.ReadBytes(va2+9, seg2)
+		got := append(got1, got2...)
+		if !bytes.Equal(got[:want], model[off:]) {
+			t.Error("bytes differ from the file as it was when the read was issued")
+		}
+		if !bytes.Equal(got[want:], dirty[:len(got)-want]) {
+			t.Error("destination written past EOF")
+		}
+	})
+}
+
+// WriteDirect copies a scattered three-segment user vector straight
+// into the blocks at an unaligned offset spanning three pages, and
+// stores only once the transfer has been charged: a reader mid-charge
+// still sees the old file.
+func TestWriteDirectUnalignedAcrossExtents(t *testing.T) {
+	const pageCost = 10 * time.Microsecond
+	r := newRig(t, pageCost)
+	as := r.node.NewUserSpace("app")
+	r.run(t, func(p *sim.Proc) {
+		ino, model := directRig(t, r, p)
+		segs := []int{1500, mem.PageSize + 33, 2900}
+		data := make([]byte, segs[0]+segs[1]+segs[2])
+		rand.New(rand.NewSource(6)).Read(data)
+		var v core.Vector
+		pos := 0
+		for i, n := range segs {
+			va, _ := as.Mmap(3*mem.PageSize, "src")
+			va += vm.VirtAddr(100*i + 7)
+			as.WriteBytes(va, data[pos:pos+n])
+			v = append(v, core.UserSeg(as, va, n))
+			pos += n
+		}
+		const off = mem.PageSize - 123 // through page 0's tail, the hole and into page 2
+		charge := pageCost*sim.Time((len(data)+mem.PageSize-1)/mem.PageSize) + r.node.Cluster.Params.CopyTime(len(data))
+		r.env.Spawn("racing-load", func(q *sim.Proc) {
+			q.Sleep(charge / 2)
+			if mid, _ := r.fs.ContentOf(ino); !bytes.Equal(mid, model) {
+				t.Error("bytes reached the blocks before the transfer was charged")
+			}
+		})
+		start := p.Now()
+		n, err := r.fs.WriteDirect(p, ino, off, v)
+		if err != nil || n != len(data) {
+			t.Fatalf("WriteDirect = %d, %v; want %d", n, err, len(data))
+		}
+		if took := p.Now() - start; took != charge {
+			t.Errorf("charged %v, want %v", took, charge)
+		}
+		copy(model[off:], data)
+		if got, _ := r.fs.ContentOf(ino); !bytes.Equal(got, model) {
+			t.Error("file differs from the model after the unaligned write")
+		}
+		if r.fs.FrameAt(ino, 1) == nil {
+			t.Error("the hole was written through but has no block")
+		}
+	})
+}

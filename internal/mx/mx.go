@@ -293,8 +293,8 @@ func (ep *Endpoint) sendSmall(p *sim.Proc, req *Request, dst hw.NodeID, dstEp ui
 	if err != nil {
 		return nil, err
 	}
-	data := m.node.Mem.Gather(xs)
-	m.node.CPU.PIO(p, len(data)+16) // payload + descriptor
+	data := m.node.NIC.Stage(xs)
+	m.node.CPU.PIO(p, data.Len()+16) // payload + descriptor
 	msg := &hw.Message{
 		Dst: dst, Proto: hw.ProtoMX, Kind: kindEager, Tag: info,
 		Header: []byte{dstEp, ep.id},
@@ -340,8 +340,8 @@ func (ep *Endpoint) sendMedium(p *sim.Proc, req *Request, dst hw.NodeID, dstEp u
 	if err != nil {
 		return nil, err
 	}
-	data := m.node.Mem.Gather(xs)
-	m.node.CPU.Copy(p, len(data)) // the send-side bounce copy
+	data := m.node.NIC.Stage(xs)
+	m.node.CPU.Copy(p, data.Len()) // the send-side bounce copy
 	m.node.NIC.Send(&hw.TxJob{Msg: msg, Inline: data})
 	req.done.Fire() // buffer reusable after the copy
 	return req, nil
@@ -393,7 +393,7 @@ func (ep *Endpoint) sendLarge(p *sim.Proc, req *Request, dst hw.NodeID, dstEp ui
 	put64(hdr[2:], id)
 	put32(hdr[10:], uint32(v.TotalLen()))
 	msg := &hw.Message{Dst: dst, Proto: hw.ProtoMX, Kind: kindRTS, Tag: info, Header: hdr}
-	m.node.NIC.Send(&hw.TxJob{Msg: msg, PIO: true, Inline: nil})
+	m.node.NIC.Send(&hw.TxJob{Msg: msg, PIO: true})
 	return req, nil
 }
 
@@ -463,11 +463,13 @@ func (ep *Endpoint) CancelRecv(p *sim.Proc, req *Request) bool {
 			continue
 		}
 		delete(ep.rndvIn, id)
+		//analyze:allow simdeterminism the loop returns after its single match, so map order never reaches the schedule
 		ep.mx.node.CPU.Compute(p, ep.mx.p.MXHostSend/2) // descriptor removal
 		// The buffer was pinned when the CTS went out; undo it here —
 		// the completion path that normally unpins will never run.
 		if req.unpin != nil {
 			if pages := req.vector.UserPages(); pages > 0 {
+				//analyze:allow simdeterminism as above: at most one iteration does work
 				ep.mx.node.CPU.Unpin(p, pages)
 			}
 			req.unpin()

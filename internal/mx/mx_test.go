@@ -224,6 +224,67 @@ func TestUnexpectedEagerAndRendezvous(t *testing.T) {
 	}
 }
 
+// An unexpected eager message sits in the endpoint's queue while later
+// messages of its size class arrive matched and are delivered through
+// the pool buffer it came in (hw.Message: a payload is the NIC's once
+// the handler returns); the queued copy must be the endpoint's own.
+func TestUnexpectedEagerSurvivesBufferReuse(t *testing.T) {
+	for _, n := range []int{64, 8192} { // PIO-sized and bounce-copied
+		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
+			r := newRig()
+			asA := r.a.NewUserSpace("appA")
+			asB := r.b.NewUserSpace("appB")
+			vaA, _ := asA.Mmap(n, "src")
+			vaB, _ := asB.Mmap(2*n+mem.PageSize, "dst")
+			fill := func(seed int) []byte {
+				b := make([]byte, n)
+				for i := range b {
+					b[i] = byte(i*3 + seed*41)
+				}
+				return b
+			}
+			const later = 4
+			r.env.Spawn("a", func(p *sim.Proc) {
+				ea, _ := r.ma.OpenEndpoint(1, false)
+				for i := 0; i <= later; i++ {
+					// Message 0 (info 7) finds no receive; 1..later (info 8) do.
+					// An eager send completes once the bytes are staged, so
+					// the source is free to refill.
+					asA.WriteBytes(vaA, fill(i))
+					req, err := ea.Send(p, r.b.ID, 1, uint64(7+min(i, 1)), core.Of(core.UserSeg(asA, vaA, n)))
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					req.Wait(p)
+				}
+			})
+			r.env.Spawn("b", func(p *sim.Proc) {
+				eb, _ := r.mb.OpenEndpoint(1, false)
+				dst := vaB + vm.VirtAddr(n+mem.PageSize)
+				for i := 1; i <= later; i++ {
+					req, _ := eb.Recv(p, core.Exact(8), core.Of(core.UserSeg(asB, dst, n)))
+					if st := req.Wait(p); st.Len != n || st.Err != nil {
+						t.Errorf("matched receive %d: status %+v", i, st)
+					}
+					if got, _ := asB.ReadBytes(dst, n); !bytes.Equal(got, fill(i)) {
+						t.Errorf("matched receive %d delivered the wrong bytes", i)
+					}
+				}
+				p.Sleep(200 * us)
+				req, _ := eb.Recv(p, core.Exact(7), core.Of(core.UserSeg(asB, vaB, n)))
+				if st := req.Wait(p); st.Len != n || st.Err != nil {
+					t.Errorf("late-posted receive: status %+v", st)
+				}
+				if got, _ := asB.ReadBytes(vaB, n); !bytes.Equal(got, fill(0)) {
+					t.Error("the unexpected message's bytes did not survive the reuse of its buffer")
+				}
+			})
+			r.env.Run(0)
+		})
+	}
+}
+
 func TestWaitAny(t *testing.T) {
 	r := newRig()
 	asA := r.a.NewUserSpace("appA")

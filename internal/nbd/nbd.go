@@ -696,6 +696,8 @@ func (d *Device) WriteDirect(p *sim.Proc, ino kernel.InodeID, off int64, v core.
 				return done, err
 			}
 		}
+		// Sampled before the copy is charged, into an owned slice (at
+		// most one block): Gather, not a Cursor, on purpose.
 		data := d.node.Mem.Gather(slice(xs, done, chunk))
 		d.node.CPU.Copy(p, chunk)
 		copy(bounce.Data()[bOff:], data)

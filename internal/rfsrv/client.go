@@ -407,6 +407,8 @@ func (c *FabricClient) sendData(p *sim.Proc, seq uint64, src core.Vector) (func(
 				return nil, fmt.Errorf("rfsrv: staged send of %d bytes exceeds staging buffer", n)
 			}
 			node := c.t.Node()
+			// The ablation keeps its owned staging copy (Gather), sampled
+			// before the charge; only the default path is copy-only.
 			data := node.Mem.Gather(xs)
 			node.CPU.Copy(p, n)
 			if err := c.as.WriteBytes(c.stagingVA, data); err != nil {

@@ -3,11 +3,14 @@ package rig_test
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/hw"
+	"repro/internal/kernel"
 	"repro/internal/mem"
 	"repro/internal/rfsrv"
 	"repro/internal/rig"
@@ -193,5 +196,76 @@ func TestClusterOnBareRig(t *testing.T) {
 	}, nil)
 	if err == nil {
 		t.Fatal("Cluster on a bare rig succeeded")
+	}
+}
+
+// A finished rig stays reachable for ever — its daemon processes are
+// goroutines parked on it — so whatever a rig keeps of the frames and
+// payload buffers it freed is kept for the life of the process. The
+// pools are therefore process-wide and GC-emptied: building, loading
+// and tearing down the same rig over and over must leave the heap
+// flat, each cycle's frames feeding the next, where rig-owned free
+// lists would grow it by one rig's worth per cycle.
+func TestHeapStaysFlatAcrossRigs(t *testing.T) {
+	const (
+		fileBytes = 16 << 20 // "one rig's worth": the frames a cycle allocates and frees
+		chunk     = 64 * 1024
+		cycles    = 20
+	)
+	cycle := func() {
+		r := mustRig(t, rig.Desc{Servers: 1, Replicas: 1, Stripe: chunk, Window: 4})
+		var ino kernel.InodeID
+		_, err := r.Run("load", 0, func(p *sim.Proc) error {
+			cl, err := r.Cluster(p, r.HW.AddNode("client"), 10)
+			if err != nil {
+				return err
+			}
+			resp, err := cl.Meta(p, &rfsrv.Req{Op: rfsrv.OpCreate, Name: "f"})
+			if err != nil {
+				return err
+			}
+			ino = resp.Attr.Ino
+			kern := cl.Node().Kernel
+			va, err := kern.Mmap(chunk, "buf")
+			if err != nil {
+				return err
+			}
+			vec := core.Of(core.KernelSeg(kern, va, chunk))
+			for off := int64(0); off < fileBytes; off += chunk {
+				if _, err := cl.Write(p, ino, off, vec); err != nil {
+					return err
+				}
+			}
+			return nil
+		}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Tear down as bench/ does: the store's blocks and every kernel
+		// mapping go back to the allocator.
+		if err := r.Stores[0].Resize(ino, 0); err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range r.HW.Nodes() {
+			n.Kernel.Destroy()
+		}
+	}
+	inUse := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapInuse
+	}
+	cycle() // warm the pools
+	before := inUse()
+	for i := 0; i < cycles; i++ {
+		cycle()
+	}
+	after := inUse()
+	t.Logf("HeapInuse %d KB -> %d KB over %d build/load/tear-down cycles of %d KB each",
+		before>>10, after>>10, cycles, fileBytes>>10)
+	if after > before+fileBytes {
+		t.Errorf("heap grew by %d KB over %d cycles: freed frames or payload buffers are being retained per rig",
+			(after-before)>>10, cycles)
 	}
 }

@@ -432,34 +432,53 @@ func (as *AddressSpace) ReadBytes(va VirtAddr, n int) ([]byte, error) {
 	return out, nil
 }
 
-// ReadBytesInto copies len(dst) bytes at va into dst via translation —
-// ReadBytes without the slice allocation, for hot paths that stage
-// replies through a reusable scratch buffer. It walks the page table
-// directly instead of materializing an extent list.
-func (as *AddressSpace) ReadBytesInto(va VirtAddr, dst []byte) error {
-	for len(dst) > 0 {
-		pa, err := as.Translate(va)
-		if err != nil {
+// checkMapped reports the first fault in [va, va+n), if any.
+//
+// allocfree
+func (as *AddressSpace) checkMapped(va VirtAddr, n int) error {
+	for n > 0 {
+		if _, err := as.Translate(va); err != nil {
 			return err
 		}
-		chunk := PageSize - va.Offset()
-		if chunk > len(dst) {
-			chunk = len(dst)
-		}
-		as.mem.ReadAt(pa, dst[:chunk])
-		dst = dst[chunk:]
+		chunk := min(PageSize-va.Offset(), n)
 		va += VirtAddr(chunk)
+		n -= chunk
 	}
 	return nil
 }
 
-// WriteBytes copies data into memory at va via translation.
-func (as *AddressSpace) WriteBytes(va VirtAddr, data []byte) error {
-	xs, err := as.Resolve(va, len(data))
-	if err != nil {
+// ReadBytesInto copies len(dst) bytes at va into dst via translation —
+// ReadBytes without the slice allocation, for hot paths that stage
+// replies through a reusable scratch buffer. It walks the page table
+// directly instead of materializing an extent list, validating the
+// whole range first: on a fault dst is untouched.
+//
+// allocfree
+func (as *AddressSpace) ReadBytesInto(va VirtAddr, dst []byte) error {
+	if err := as.checkMapped(va, len(dst)); err != nil {
 		return err
 	}
-	as.mem.Scatter(xs, data)
+	for len(dst) > 0 {
+		n := copy(dst, as.pt[va.VPN()].Data()[va.Offset():])
+		dst = dst[n:]
+		va += VirtAddr(n)
+	}
+	return nil
+}
+
+// WriteBytes copies data into memory at va via translation, walking
+// the page table like ReadBytesInto: on a fault nothing is written.
+//
+// allocfree
+func (as *AddressSpace) WriteBytes(va VirtAddr, data []byte) error {
+	if err := as.checkMapped(va, len(data)); err != nil {
+		return err
+	}
+	for len(data) > 0 {
+		n := copy(as.pt[va.VPN()].Data()[va.Offset():], data)
+		data = data[n:]
+		va += VirtAddr(n)
+	}
 	return nil
 }
 

@@ -32,6 +32,8 @@ var simPackages = map[string]bool{
 	"sim": true, "hw": true, "fabric": true,
 	"rfsrv": true, "torture": true, "memfs": true,
 	"orfs": true, "orfa": true, "nbd": true,
+	"kernel": true, "vm": true, "mem": true,
+	"gm": true, "mx": true,
 }
 
 // forbiddenTimeFuncs are the package time functions that read the
