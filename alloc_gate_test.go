@@ -9,7 +9,8 @@
 // rotting the benchmarks. A count cannot see a 64 KB staging buffer —
 // it is one allocation — so since PR 19's copy-only data plane every
 // per-op gate carries a bytes ceiling beside its count, and the ORFS
-// file path (buffered hit, O_DIRECT) is gated too. Excluded under the
+// file path (buffered hit, O_DIRECT) and the raw fabric (a 4 KB round
+// trip on GM-physical and MX-kernel) are gated too. Excluded under the
 // race detector, whose instrumentation changes allocation counts (and
 // whose sync.Pool drops a quarter of what is put back).
 package knapi
@@ -21,23 +22,30 @@ import (
 	"repro/internal/figures"
 )
 
-// Measured with go1.24 on linux/amd64 at PR 19. The two figure
-// ceilings are the measurements plus ~25% for toolchain drift, the
-// per-op count ceilings plus ~12%, the per-op bytes ceilings plus ~15%
-// (a garbage collection that empties the pools mid-measurement adds
-// back a few hundred B/op, which the margin covers; one reintroduced
-// 64 KB buffer per request adds 65 536). Lower them when a future pass
-// cuts allocations further.
+// Measured with go1.24 on linux/amd64 at PR 20 (event-driven NIC
+// pipeline; one record per send, no boxed trace arguments, no
+// extent-list temporaries). The two figure ceilings are the
+// measurements plus ~25% for toolchain drift, the per-op count ceilings
+// plus ~12%, the per-op bytes ceilings plus ~15% (a garbage collection
+// that empties the pools mid-measurement adds back a few hundred B/op,
+// which the margin covers; one reintroduced 64 KB buffer per request
+// adds 65 536). Lower them when a future pass cuts allocations further.
 const (
-	maxRequestPathAllocsPerOp = 88    // measured 78.5
-	maxFig5aAllocs            = 19200 // measured 15377
-	maxFig5bAllocs            = 47800 // measured 38216
-	maxSizePublishAllocsPerOp = 70    // measured 61.9
+	maxRequestPathAllocsPerOp = 39    // measured 34.3 (PR 19: 78.5)
+	maxFig5aAllocs            = 9000  // measured 7179 (PR 19: 15377)
+	maxFig5bAllocs            = 25500 // measured 20354 (PR 19: 38216)
+	maxSizePublishAllocsPerOp = 33    // measured 29.4 (PR 19: 61.9)
 
-	maxRequestPathBytesPerOp = 8400  // measured 7314 (64 KB ops)
-	maxSizePublishBytesPerOp = 11400 // measured 9940
-	maxORFSDirectAllocsPerOp = 111   // measured 99.1
-	maxORFSDirectBytesPerOp  = 8300  // measured 7183
+	maxRequestPathBytesPerOp = 7450  // measured 6460 (64 KB ops; PR 19: 7314)
+	maxSizePublishBytesPerOp = 10700 // measured 9267 (PR 19: 9940)
+	maxORFSDirectAllocsPerOp = 64    // measured 57.0 (PR 19: 99.1)
+	maxORFSDirectBytesPerOp  = 7150  // measured 6192 (PR 19: 7183)
+
+	// One 4 KB ping-pong round trip on the raw fabric: two messages.
+	maxGMRoundTripAllocsPerOp = 23   // measured 20.0
+	maxGMRoundTripBytesPerOp  = 1470 // measured 1272
+	maxMXRoundTripAllocsPerOp = 16   // measured 14.0
+	maxMXRoundTripBytesPerOp  = 1920 // measured 1664
 )
 
 // figAllocs generates the figure twice — once to warm lazy caches and
@@ -109,6 +117,20 @@ func TestAllocGateORFSFile(t *testing.T) {
 	}
 	gate(t, "ORFS buffered-hit 64 KB read", hit, 0, 0)
 	gate(t, "ORFS O_DIRECT 64 KB read", direct, maxORFSDirectAllocsPerOp, maxORFSDirectBytesPerOp)
+}
+
+// TestAllocGateFabricRoundTrip gates the raw fabric, with nothing above
+// it: one 4 KB ping-pong round trip — two messages, two posted
+// receives, their completions — on GM's physical-address primitives and
+// on an MX kernel endpoint. This is where a per-message object in sim,
+// hw, gm, mx or a fabric adapter shows undiluted.
+func TestAllocGateFabricRoundTrip(t *testing.T) {
+	gmPhys, mxKernel, err := figures.FabricRoundTripAllocs(512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gate(t, "GM-physical 4 KB round trip", gmPhys, maxGMRoundTripAllocsPerOp, maxGMRoundTripBytesPerOp)
+	gate(t, "MX-kernel 4 KB round trip", mxKernel, maxMXRoundTripAllocsPerOp, maxMXRoundTripBytesPerOp)
 }
 
 // TestAllocGateFig5a gates the latency figure's simulation hot path.

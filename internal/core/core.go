@@ -224,27 +224,53 @@ func (v Vector) AllPhysical() bool {
 	return len(v) > 0
 }
 
-// Extents resolves the whole vector into merged physical extents.
+// Extents resolves the whole vector into merged physical extents, in a
+// list the caller owns.
 func (v Vector) Extents() ([]mem.Extent, error) {
-	if len(v) == 1 {
+	if len(v) == 1 && v[0].Type != Physical {
 		// The data path sends single-segment vectors almost
-		// exclusively; Segment.Extents already merges, so skip the
-		// re-merge (and its allocation).
+		// exclusively, and Resolve's list is merged already.
 		xs, err := v[0].Extents()
 		if err != nil {
 			return nil, fmt.Errorf("segment 0: %w", err)
 		}
 		return xs, nil
 	}
+	// One list for the whole vector, sized for the worst case (an
+	// extent per physical segment, one per page of a virtual one),
+	// filled segment by segment and merged where it lies: a physical
+	// segment — a page-cache page, a server block — costs no list of
+	// its own.
+	n := 0
+	for _, s := range v {
+		if s.Type == Physical {
+			n++
+		} else {
+			n += s.Pages()
+		}
+	}
 	var out []mem.Extent
 	for i, s := range v {
-		xs, err := s.Extents()
+		if err := s.Validate(); err != nil {
+			return nil, fmt.Errorf("segment %d: %w", i, err)
+		}
+		if s.Len == 0 {
+			continue
+		}
+		if out == nil {
+			out = make([]mem.Extent, 0, n)
+		}
+		if s.Type == Physical {
+			out = append(out, mem.Extent{Addr: s.PA, Len: s.Len})
+			continue
+		}
+		xs, err := s.AS.Resolve(s.VA, s.Len)
 		if err != nil {
 			return nil, fmt.Errorf("segment %d: %w", i, err)
 		}
 		out = append(out, xs...)
 	}
-	return mem.MergeExtents(out), nil
+	return mem.MergeInPlace(out), nil
 }
 
 // PhysicallyContiguous reports whether the vector resolves to a single

@@ -303,3 +303,63 @@ func TestAddrTypeString(t *testing.T) {
 		t.Error("unknown AddrType should still stringify")
 	}
 }
+
+// Property: Vector.Extents — one presized list, merged in place — equals
+// the segment-by-segment resolution it replaced (each segment's own
+// list, concatenated, then merged), for vectors mixing physical
+// segments, virtual segments, empty segments and adjacent runs.
+func TestVectorExtentsMatchesPerSegmentResolution(t *testing.T) {
+	m, user, kern := spaces(t)
+	uva, _ := user.Mmap(8*vm.PageSize, "u")
+	kva, _ := kern.MmapContig(8*vm.PageSize, "k")
+	frames, _ := m.AllocContig(8)
+	base := frames[0].Addr()
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		var v Vector
+		for i, n := 0, rng.Intn(6); i < n; i++ {
+			off := rng.Intn(6 * vm.PageSize)
+			l := rng.Intn(2*vm.PageSize) * rng.Intn(2) // half are empty
+			switch rng.Intn(3) {
+			case 0:
+				v = append(v, UserSeg(user, uva+vm.VirtAddr(off), l))
+			case 1:
+				v = append(v, KernelSeg(kern, kva+vm.VirtAddr(off), l))
+			default:
+				v = append(v, PhysSeg(base+mem.PhysAddr(off), l))
+			}
+			if l > 0 && rng.Intn(2) == 0 { // and a physical neighbour that touches it
+				if last := v[len(v)-1]; last.Type == Physical {
+					v = append(v, PhysSeg(last.PA+mem.PhysAddr(last.Len), 100))
+				}
+			}
+		}
+		var concat []mem.Extent
+		for _, s := range v {
+			xs, err := s.Extents()
+			if err != nil {
+				return false
+			}
+			concat = append(concat, xs...)
+		}
+		want := mem.MergeExtents(concat)
+		got, err := v.Extents()
+		if err != nil || len(got) != len(want) || (len(want) == 0 && got != nil) {
+			t.Logf("%v: got %v (%v), want %v", v, got, err, want)
+			return false
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Logf("%v: got %v, want %v", v, got, want)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 1000, Rand: rand.New(rand.NewSource(20))}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := (Vector{PhysSeg(base, 8), {Type: Physical, AS: kern, Len: 8}}).Extents(); err == nil || err.Error()[:9] != "segment 1" {
+		t.Errorf("invalid second segment: err = %v, want it blamed on segment 1", err)
+	}
+}

@@ -17,8 +17,12 @@ import (
 	"runtime"
 
 	"repro/internal/core"
+	"repro/internal/gm"
+	"repro/internal/hw"
 	"repro/internal/kernel"
 	"repro/internal/mem"
+	"repro/internal/mx"
+	"repro/internal/netpipe"
 	"repro/internal/orfs"
 	"repro/internal/rfsrv"
 	"repro/internal/rig"
@@ -206,4 +210,63 @@ func ORFSFileAllocs(ops int) (hit, direct HostCost, err error) {
 		return err
 	})
 	return hit, direct, err
+}
+
+// FabricRoundTripAllocs measures the steady-state host cost of one
+// 4 KB ping-pong round trip over the raw fabric, nothing above it: on
+// a GM kernel port pair with physically addressed buffers (the §3.3
+// primitives) and on an MX kernel endpoint pair with kernel-virtual
+// buffers. What is left per round trip is the drivers' and the fabric
+// adapters' small per-message records — no buffer, no extent-list
+// temporary, no boxed trace argument.
+func FabricRoundTripAllocs(ops int) (gmPhysical, mxKernel HostCost, err error) {
+	if ops <= 0 {
+		return gmPhysical, mxKernel, fmt.Errorf("figures: FabricRoundTripAllocs needs ops > 0")
+	}
+	const size = 4096
+	env := sim.NewEngine()
+	cl := hw.NewCluster(env, hw.DefaultParams(), hw.PCIXD)
+	a, b := cl.AddNode("a"), cl.AddNode("b")
+	finished := false
+	env.Spawn("initiator", func(p *sim.Proc) {
+		pingPong := func(near, far *netpipe.End) (HostCost, error) {
+			env.Spawn("responder", func(rp *sim.Proc) {
+				for i := 0; i < rpaWarmup+ops; i++ {
+					if _, err := far.Pong(rp, size); err != nil || far.Ping(rp, size) != nil {
+						return // the initiator's next Pong strands: reported as a deadlock
+					}
+				}
+			})
+			return steadyAllocs(ops, func(int) error {
+				if err := near.Ping(p, size); err != nil {
+					return err
+				}
+				_, err := near.Pong(p, size)
+				return err
+			})
+		}
+		var near, far *netpipe.End
+		if near, err = netpipe.NewGMEnd(p, gm.Attach(a), 1, netpipe.PhysBuf, b.ID, 1, size); err != nil {
+			return
+		}
+		if far, err = netpipe.NewGMEnd(p, gm.Attach(b), 1, netpipe.PhysBuf, a.ID, 1, size); err != nil {
+			return
+		}
+		if gmPhysical, err = pingPong(near, far); err != nil {
+			return
+		}
+		if near, err = netpipe.NewMXEnd(mx.Attach(a), 2, netpipe.KernelBuf, b.ID, 2, size, false); err != nil {
+			return
+		}
+		if far, err = netpipe.NewMXEnd(mx.Attach(b), 2, netpipe.KernelBuf, a.ID, 2, size, false); err != nil {
+			return
+		}
+		mxKernel, err = pingPong(near, far)
+		finished = true
+	})
+	env.Run(0)
+	if err == nil && !finished {
+		err = fmt.Errorf("figures: fabric round-trip probe deadlocked")
+	}
+	return gmPhysical, mxKernel, err
 }

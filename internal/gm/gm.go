@@ -278,7 +278,7 @@ func (pt *Port) registered(as *vm.AddressSpace, va vm.VirtAddr, n int) ([]mem.Ex
 		addr += vm.VirtAddr(chunk)
 		left -= chunk
 	}
-	return mem.MergeExtents(xs), nil
+	return mem.MergeInPlace(xs), nil
 }
 
 // wireTag packs (application tag, destination port).
@@ -312,22 +312,24 @@ func (pt *Port) SendPhysical(p *sim.Proc, dst hw.NodeID, dstPort uint8, tag uint
 // receiving NIC acknowledges the message, not merely until the data
 // has left host memory. This end-to-end completion is what gates
 // bounce-buffer reuse in layers like SOCKETS-GM.
+//
+// allocfree
 func (pt *Port) sendExtents(p *sim.Proc, dst hw.NodeID, dstPort uint8, tag uint64, xs []mem.Extent, lookup sim.Time) error {
 	g := pt.gm
 	n := mem.TotalLen(xs)
 	pt.hostOp(p, g.p.GMHostSend)
 	pt.tokens.Acquire(p)
-	msg := &hw.Message{
-		Dst:    dst,
-		Proto:  hw.ProtoGM,
-		Tag:    wireTag(tag, dstPort),
-		Header: []byte{pt.id}, // source port, for the ACK path
-		TxDone: sim.NewSignal(g.node.Cluster.Env),
-	}
-	g.node.NIC.Send(&hw.TxJob{Msg: msg, Gather: xs, FwExtra: lookup})
+	j := hw.NewTxJob(1)
+	j.Gather, j.FwExtra = xs, lookup
+	m := j.Msg
+	m.Dst, m.Proto, m.Tag = dst, hw.ProtoGM, wireTag(tag, dstPort)
+	m.Header[0] = pt.id // source port, for the ACK path
+	g.node.NIC.Send(j)
 	pt.Sends.Add(n)
-	g.node.Cluster.Env.Tracef("gm[%s:%d] send %dB tag=%#x -> node %d port %d",
-		g.node.Name, pt.id, n, tag, dst, dstPort)
+	if env := g.node.Cluster.Env; env.Tracing() {
+		//analyze:allow allocfree tracing is on: the arguments are boxed only when somebody reads them
+		env.Tracef("gm[%s:%d] send %dB tag=%#x -> node %d port %d", g.node.Name, pt.id, n, tag, dst, dstPort)
+	}
 	return nil
 }
 
@@ -371,23 +373,19 @@ func (pt *Port) DirectedSend(p *sim.Proc, dst hw.NodeID, dstPort uint8, tag uint
 	g := pt.gm
 	pt.hostOp(p, g.p.GMHostSend)
 	pt.tokens.Acquire(p)
-	hdr := make([]byte, 9)
-	hdr[0] = pt.id
+	j := hw.NewTxJob(9)
+	j.Gather, j.FwExtra = xs, g.p.GMLookup
+	m := j.Msg
+	m.Dst, m.Proto, m.Kind, m.Tag = dst, hw.ProtoGM, kindDirected, wireTag(tag, dstPort)
+	m.Header[0] = pt.id
 	for i := 0; i < 8; i++ {
-		hdr[1+i] = byte(uint64(remoteVA) >> (8 * i))
+		m.Header[1+i] = byte(uint64(remoteVA) >> (8 * i))
 	}
-	msg := &hw.Message{
-		Dst:    dst,
-		Proto:  hw.ProtoGM,
-		Kind:   kindDirected,
-		Tag:    wireTag(tag, dstPort),
-		Header: hdr,
-		TxDone: sim.NewSignal(g.node.Cluster.Env),
-	}
-	g.node.NIC.Send(&hw.TxJob{Msg: msg, Gather: xs, FwExtra: g.p.GMLookup})
+	g.node.NIC.Send(j)
 	pt.Sends.Add(n)
-	g.node.Cluster.Env.Tracef("gm[%s:%d] directed-send %dB -> node %d port %d va=%#x",
-		g.node.Name, pt.id, n, dst, dstPort, remoteVA)
+	if env := g.node.Cluster.Env; env.Tracing() {
+		env.Tracef("gm[%s:%d] directed-send %dB -> node %d port %d va=%#x", g.node.Name, pt.id, n, dst, dstPort, remoteVA)
+	}
 	return nil
 }
 
@@ -413,8 +411,9 @@ func (pt *Port) deliverDirected(p *sim.Proc, m *hw.Message) {
 	}
 	pt.gm.node.Mem.Scatter(xs, m.Payload)
 	pt.Recvs.Add(n)
-	pt.gm.node.Cluster.Env.Tracef("gm[%s:%d] directed-recv %dB at va=%#x",
-		pt.gm.node.Name, pt.id, n, remoteVA)
+	if env := pt.gm.node.Cluster.Env; env.Tracing() {
+		env.Tracef("gm[%s:%d] directed-recv %dB at va=%#x", pt.gm.node.Name, pt.id, n, remoteVA)
+	}
 }
 
 // PostRecv posts a receive buffer (registered virtual range) for the
@@ -477,7 +476,9 @@ func (pt *Port) post(tag uint64, pr *postedRecv) {
 	pt.posted[tag] = append(pt.posted[tag], pr)
 }
 
-// receive runs in the NIC rx-pump process.
+// receive runs in the NIC's receive process.
+//
+// allocfree
 func (g *GM) receive(p *sim.Proc, m *hw.Message) {
 	g.ack(m) // NIC-level acknowledgement, regardless of matching
 	pt := g.ports[uint8(m.Tag&(1<<portBits-1))]
@@ -506,8 +507,10 @@ func (g *GM) receive(p *sim.Proc, m *hw.Message) {
 	} else {
 		pt.posted[tag] = q[1:]
 	}
-	g.node.Cluster.Env.Tracef("gm[%s:%d] recv %dB tag=%#x from node %d",
-		g.node.Name, pt.id, len(m.Payload), tag, m.Src)
+	if env := g.node.Cluster.Env; env.Tracing() {
+		//analyze:allow allocfree tracing is on: the arguments are boxed only when somebody reads them
+		env.Tracef("gm[%s:%d] recv %dB tag=%#x from node %d", g.node.Name, pt.id, len(m.Payload), tag, m.Src)
+	}
 	if pr.virtual {
 		// The NIC resolves the posted buffer through its translation
 		// table: the lookup cost physical addressing avoids.
@@ -524,7 +527,7 @@ func (pt *Port) deliver(a arrival, pr *postedRecv, extra sim.Time) {
 		ev.Len = n
 		ev.Err = fmt.Errorf("gm: message truncated to %d bytes", pr.length)
 	}
-	pt.gm.node.Mem.Scatter(mem.Clip(pr.extents, n), a.data[:n])
+	pt.gm.node.Mem.Scatter(pr.extents, a.data[:n])
 	pt.Recvs.Add(n)
 	if extra > 0 {
 		env := pt.gm.node.Cluster.Env

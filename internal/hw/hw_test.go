@@ -440,27 +440,3 @@ func TestFaultsNeverAliasPayloadBuffers(t *testing.T) {
 		t.Error("the last message, sent after both revivals, was not delivered")
 	}
 }
-
-// BenchmarkGatherSend64K is one 64 KB zero-copy send from gather DMA to
-// delivery. The payload buffer comes from the pool, so what is left per
-// message is small control objects: well under 1 KB.
-func BenchmarkGatherSend64K(b *testing.B) {
-	r := newRig(PCIXD)
-	const size = 64 * 1024
-	as := r.a.NewUserSpace("app")
-	va, _ := as.Mmap(size, "buf")
-	xs, _ := as.Resolve(va, size)
-	arrived := sim.NewChan[int](r.env)
-	r.b.NIC.handlers[protoTest] = func(p *sim.Proc, m *Message) { arrived.Send(len(m.Payload)) }
-	b.ReportAllocs()
-	r.env.Spawn("send", func(p *sim.Proc) {
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			r.a.NIC.Send(&TxJob{Msg: &Message{Dst: r.b.ID, Proto: protoTest}, Gather: xs})
-			if got := arrived.Recv(p); got != size {
-				b.Errorf("delivered %d bytes, want %d", got, size)
-			}
-		}
-	})
-	r.env.Run(0)
-}

@@ -29,10 +29,13 @@ type Message struct {
 	Payload  []byte // bulk data (gathered at send DMA time); see above
 
 	// TxDone fires when the last fragment has left the sender's DMA
-	// engine (local send completion — the buffer may be reused).
+	// engine (local send completion — the buffer may be reused). A
+	// driver that supplies none gets one from Send, backed by the
+	// message itself.
 	TxDone *sim.Signal
 
-	staged  *Staged // the pooled buffer behind Payload, nil when there is none
+	txDone  sim.Signal // what Send points TxDone at when the driver left it nil
+	staged  *Staged    // the pooled buffer behind Payload, nil when there is none
 	wireLen int
 	frags   int
 	arrived int
@@ -61,18 +64,51 @@ type TxJob struct {
 	PIO     bool         // no DMA stage (payload arrived by PIO)
 }
 
+// txRecord is everything one send needs on the heap — the job, its
+// message and the message's header bytes — in a single object.
+type txRecord struct {
+	job TxJob
+	msg Message
+	hdr [16]byte // the drivers' headers are 1 to 14 bytes
+}
+
+// NewTxJob returns a zero job whose Msg is set and has a zeroed Header
+// of the given length, all in one allocation (headers longer than the
+// record's inline array get their own). The driver fills in the rest
+// and hands the job to Send.
+func NewTxJob(header int) *TxJob {
+	r := &txRecord{}
+	r.job.Msg = &r.msg
+	if header <= len(r.hdr) {
+		r.msg.Header = r.hdr[:header:header]
+	} else {
+		r.msg.Header = make([]byte, header)
+	}
+	return &r.job
+}
+
 // Handler is a driver's receive entry point. It runs in the NIC's
-// receive-pump process after all fragment timing has been charged; it
+// receive process after all fragment timing has been charged; it
 // must scatter/deliver data and fire events quickly (host-side heavy
 // work belongs in host processes, not here).
 type Handler func(p *sim.Proc, m *Message)
 
 // NIC models one Myrinet interface: a firmware processor (LANai), send
 // and receive DMA engines, a transmit link, and a translation table for
-// registered memory. Stages are separate resources connected by pump
-// processes, so fragments of a large message pipeline through
-// DMA→link→DMA exactly like cut-through hardware, and distinct messages
-// queue against each other realistically.
+// registered memory. Stages are separate resources connected by queues,
+// so fragments of a large message pipeline through DMA→link→DMA exactly
+// like cut-through hardware, and distinct messages queue against each
+// other realistically.
+//
+// The transmit and link stages only forward, so they are not processes
+// but chains of event callbacks (txStage, linkStage) that run on
+// whichever goroutine holds the engine's baton: a message crosses the
+// fabric on its sender's stack, with no goroutine switch per fragment.
+// Each callback waiter takes the event slot a process's wake-up would
+// take (sim.Chan.RecvFunc, sim.Resource.AcquireFunc), so the stages
+// contend for the firmware, the DMA engine and the link in the same
+// order as processes would. The receive stage stays a process (rxPump)
+// because the drivers' handlers block.
 type NIC struct {
 	node  *Node
 	p     *Params
@@ -88,12 +124,14 @@ type NIC struct {
 	txq      *sim.Chan[*TxJob]
 	linkq    *sim.Chan[*frag]
 	rxq      *sim.Chan[*frag]
+	tx       txStage
+	link     linkStage
 	handlers map[uint8]Handler
 	seq      uint64
 	fragFree []*frag // recycled fragment records (see getFrag)
 
-	// Fault state (see Kill, StallUntil): a dead NIC drops every frame
-	// it would transmit or deliver; a stalled one delays its pumps.
+	// Fault state (see Kill, StallFor): a dead NIC drops every frame
+	// it would transmit or deliver; a stalled one delays its stages.
 	dead       bool
 	stallUntil sim.Time
 
@@ -103,6 +141,12 @@ type NIC struct {
 	// Dropped counts frames discarded by fault injection (this NIC dead
 	// at transmit or delivery time).
 	Dropped sim.Counter
+
+	// probe, when a test sets it, hears of every pipeline step as it
+	// completes: the stage, the message, and the fragment (-1 for the
+	// per-message firmware work). The golden-schedule test reads the
+	// pipeline's event order through it.
+	probe func(stage string, m *Message, frag int)
 }
 
 type frag struct {
@@ -110,7 +154,7 @@ type frag struct {
 	idx  int
 	size int  // wire bytes of this fragment
 	src  *NIC // owner; the record recycles to src's pool when done
-	dst  *NIC // destination NIC, set by linkPump at transmit time
+	dst  *NIC // destination NIC, set by the link stage at transmit time
 	// deliver hands the fragment to dst after the wire delay. Built
 	// once per record and reused across recycles, so the per-fragment
 	// delivery path allocates neither a closure nor a frag in steady
@@ -171,8 +215,22 @@ func newNIC(node *Node, model LinkModel) *NIC {
 		rxq:      sim.NewChan[*frag](env),
 		handlers: make(map[uint8]Handler),
 	}
-	env.Spawn(node.Name+"-nic-tx", n.txPump)
-	env.Spawn(node.Name+"-nic-link", n.linkPump)
+	// A stage's continuations are method values built here, once: a
+	// method value is a closure, and the stages must not allocate one
+	// per fragment.
+	n.tx = txStage{
+		start: n.txStart, begin: n.txBegin,
+		fwHeld: n.txFwHeld, fwDone: n.txFwDone,
+		dmaHeld: n.txDMAHeld, dmaDone: n.txDMADone,
+	}
+	n.link = linkStage{
+		start: n.linkStart, begin: n.linkBegin,
+		held: n.linkHeld, done: n.linkDone,
+	}
+	// Each stage starts from an event, in the slots (and the order) the
+	// three stage processes used to start in.
+	env.AfterDetached(0, n.txNext)
+	env.AfterDetached(0, n.linkNext)
 	env.Spawn(node.Name+"-nic-rx", n.rxPump)
 	return n
 }
@@ -213,8 +271,8 @@ func (n *NIC) KillAfter(d sim.Time) {
 // sides is whatever survived the outage).
 func (n *NIC) Revive() { n.dead = false }
 
-// StallFor freezes the NIC's transmit and receive pumps until now+d
-// (extending any stall already in effect): frames queue and are
+// StallFor freezes the NIC's transmit, link and receive stages until
+// now+d (extending any stall already in effect): frames queue and are
 // delivered late rather than dropped — the transient-fault analogue of
 // Kill.
 func (n *NIC) StallFor(d sim.Time) {
@@ -224,11 +282,34 @@ func (n *NIC) StallFor(d sim.Time) {
 	}
 }
 
-// stall parks the pump process until any stall in effect has passed.
+// step reports a completed pipeline step to the test probe, if any.
+//
+// allocfree
+func (n *NIC) step(stage string, m *Message, frag int) {
+	if n.probe != nil {
+		n.probe(stage, m, frag)
+	}
+}
+
+// stall parks the receive process until any stall in effect has passed.
 func (n *NIC) stall(p *sim.Proc) {
 	for n.stallUntil > p.Now() {
 		p.Sleep(n.stallUntil - p.Now())
 	}
+}
+
+// stalled is stall for a callback stage: when a stall is in effect it
+// schedules resume — which checks again — for the stall's end and
+// reports true.
+//
+// allocfree
+func (n *NIC) stalled(resume func()) bool {
+	env := n.node.Cluster.Env
+	if d := n.stallUntil - env.Now(); d > 0 {
+		env.AfterDetached(d, resume)
+		return true
+	}
+	return false
 }
 
 // Handle registers the receive handler for a protocol number. Drivers
@@ -249,7 +330,8 @@ func (n *NIC) Send(j *TxJob) {
 	m.Seq = n.seq
 	n.seq++
 	if m.TxDone == nil {
-		m.TxDone = sim.NewSignal(n.node.Cluster.Env)
+		m.txDone.Init(n.node.Cluster.Env)
+		m.TxDone = &m.txDone
 	}
 	if j.Inline != nil && j.Gather != nil {
 		panic("hw: TxJob with both Inline and Gather")
@@ -261,88 +343,183 @@ func (n *NIC) Send(j *TxJob) {
 	n.txq.Send(j)
 }
 
-// txPump is the firmware send loop: per message, charge firmware
-// processing; per fragment, run the send DMA engine; hand fragments to
-// the link pump.
+// txStage is the firmware send loop: per message, charge firmware
+// processing; per fragment, run the send DMA engine and hand the
+// fragment to the link stage. It handles one job at a time, so its loop
+// state lives here rather than on a process's stack.
+type txStage struct {
+	job    *TxJob
+	gather bool
+	total  int        // payload bytes of the message
+	got    int        // payload bytes that have left host memory
+	frag   int        // index of the fragment in hand
+	size   int        // its wire bytes
+	want   int        // its payload bytes
+	cursor mem.Cursor // read position in job.Gather
+
+	// Continuations (see newNIC).
+	start                            func(*TxJob)
+	begin                            func()
+	fwHeld, fwDone, dmaHeld, dmaDone func()
+}
+
+// txNext waits for the next transmit job.
 //
 // allocfree
-func (n *NIC) txPump(p *sim.Proc) {
-	for {
-		j := n.txq.Recv(p)
-		m := j.Msg
-		n.stall(p)
-		if n.dead {
-			// The payload never leaves, but the local buffer is free —
-			// senders must not strand on TxDone for a frame the dead
-			// card silently ate.
-			n.Dropped.Add(m.wireLen)
-			m.TxDone.Fire()
-			continue
-		}
-		n.Firmware.Use(p, n.p.FwSendTime(n.isMX(m.Proto), m.frags)+j.FwExtra)
-		gather := j.Gather != nil
-		total := mem.TotalLen(j.Gather) + j.Inline.Len()
-		if !gather {
-			// Inline payload (PIO or bounce copy): the application
-			// buffer is already free.
-			if m.staged = j.Inline; m.staged != nil {
-				m.Payload = m.staged.b
-			}
-			m.TxDone.Fire()
-		} else {
-			// One pooled payload buffer per message, gathered into
-			// fragment by fragment below.
-			m.staged = getPayload(total)
-			m.Payload = m.staged.b[:0]
-		}
-		cursor := n.node.Mem.Cursor(j.Gather)
-		got := 0
-		for f := 0; f < m.frags; f++ {
-			if n.dead {
-				// The card died mid-message: the remaining fragments
-				// never leave, and the receiver's partial message can
-				// never complete. The local buffer is free regardless.
-				// (The payload buffer is not: fragments already sent
-				// reference it, so it is left to the GC, never pooled.)
-				for g := f; g < m.frags; g++ {
-					n.Dropped.Add(n.fragBytes(m, g))
-				}
-				m.TxDone.Fire()
-				break
-			}
-			fb := n.fragBytes(m, f)
-			// Payload bytes carried by this fragment (the envelope and
-			// header occupy the front of fragment 0).
-			want := fb
-			if f == 0 {
-				want -= n.p.WireEnvelope + len(m.Header)
-				if want < 0 {
-					want = 0
-				}
-			}
-			if want > total-got {
-				want = total - got
-			}
-			if !j.PIO {
-				// Both zero-copy (gather) and bounce (inline) payloads
-				// cross the PCI bus fragment by fragment, pipelining
-				// with the link stage like the real cut-through MCP.
-				n.TxDMA.Use(p, n.p.DMATime(n.model, want))
-			}
-			if gather && want > 0 {
-				// Bytes leave host memory now: stores after this point
-				// are not part of the message (the hazard pinning and
-				// registration exist to prevent).
-				m.Payload = m.staged.b[:got+want]
-				cursor.Read(m.Payload[got:])
-			}
-			got += want
-			n.linkq.Send(n.getFrag(m, f, fb))
-			if gather && f == m.frags-1 {
-				m.TxDone.Fire()
-			}
-		}
+func (n *NIC) txNext() {
+	n.tx.job = nil
+	n.txq.RecvFunc(n.tx.start)
+}
+
+// txStart takes a job off the transmit queue.
+//
+// allocfree
+func (n *NIC) txStart(j *TxJob) {
+	n.tx.job = j
+	n.txBegin()
+}
+
+// txBegin starts the job in hand once no stall is in effect: firmware
+// send processing, or nothing at all on a dead card.
+//
+// allocfree
+func (n *NIC) txBegin() {
+	if n.stalled(n.tx.begin) {
+		return
 	}
+	if m := n.tx.job.Msg; n.dead {
+		// The payload never leaves, but the local buffer is free —
+		// senders must not strand on TxDone for a frame the dead
+		// card silently ate.
+		n.Dropped.Add(m.wireLen)
+		m.TxDone.Fire()
+		n.txNext()
+		return
+	}
+	n.Firmware.AcquireFunc(n.tx.fwHeld)
+}
+
+// txFwHeld runs with the firmware processor held for the job's send
+// processing.
+//
+// allocfree
+func (n *NIC) txFwHeld() {
+	j := n.tx.job
+	n.node.Cluster.Env.AfterDetached(n.p.FwSendTime(n.isMX(j.Msg.Proto), j.Msg.frags)+j.FwExtra, n.tx.fwDone)
+}
+
+// txFwDone ends firmware processing and sets the message's payload
+// buffer up for its fragments.
+//
+// allocfree
+func (n *NIC) txFwDone() {
+	n.Firmware.Release()
+	t := &n.tx
+	j, m := t.job, t.job.Msg
+	n.step("fw-send", m, -1)
+	t.gather = j.Gather != nil
+	t.total = mem.TotalLen(j.Gather) + j.Inline.Len()
+	if !t.gather {
+		// Inline payload (PIO or bounce copy): the application
+		// buffer is already free.
+		if m.staged = j.Inline; m.staged != nil {
+			m.Payload = m.staged.b
+		}
+		m.TxDone.Fire()
+	} else {
+		// One pooled payload buffer per message, gathered into
+		// fragment by fragment below.
+		m.staged = getPayload(t.total)
+		m.Payload = m.staged.b[:0]
+	}
+	t.cursor = n.node.Mem.Cursor(j.Gather)
+	t.got, t.frag = 0, 0
+	n.txFrags()
+}
+
+// txFrags sends the message's remaining fragments: it returns as soon
+// as one has to cross the PCI bus (txDMADone comes back here), loops
+// without an event over fragments that arrived by PIO, and moves on to
+// the next job after the last.
+//
+// allocfree
+func (n *NIC) txFrags() {
+	t := &n.tx
+	j, m := t.job, t.job.Msg
+	for t.frag < m.frags {
+		if n.dead {
+			// The card died mid-message: the remaining fragments
+			// never leave, and the receiver's partial message can
+			// never complete. The local buffer is free regardless.
+			// (The payload buffer is not: fragments already sent
+			// reference it, so it is left to the GC, never pooled.)
+			for g := t.frag; g < m.frags; g++ {
+				n.Dropped.Add(n.fragBytes(m, g))
+			}
+			m.TxDone.Fire()
+			break
+		}
+		t.size = n.fragBytes(m, t.frag)
+		// Payload bytes carried by this fragment (the envelope and
+		// header occupy the front of fragment 0).
+		t.want = t.size
+		if t.frag == 0 {
+			t.want -= n.p.WireEnvelope + len(m.Header)
+			if t.want < 0 {
+				t.want = 0
+			}
+		}
+		if t.want > t.total-t.got {
+			t.want = t.total - t.got
+		}
+		if !j.PIO {
+			// Both zero-copy (gather) and bounce (inline) payloads
+			// cross the PCI bus fragment by fragment, pipelining
+			// with the link stage like the real cut-through MCP.
+			n.TxDMA.AcquireFunc(t.dmaHeld)
+			return
+		}
+		n.txEmit()
+	}
+	n.txNext()
+}
+
+// txDMAHeld runs with the send DMA engine held for the fragment in hand.
+//
+// allocfree
+func (n *NIC) txDMAHeld() {
+	n.node.Cluster.Env.AfterDetached(n.p.DMATime(n.model, n.tx.want), n.tx.dmaDone)
+}
+
+// txDMADone ends the fragment's DMA and goes on with the message.
+//
+// allocfree
+func (n *NIC) txDMADone() {
+	n.TxDMA.Release()
+	n.step("txdma", n.tx.job.Msg, n.tx.frag)
+	n.txEmit()
+	n.txFrags()
+}
+
+// txEmit hands the fragment in hand to the link stage.
+//
+// allocfree
+func (n *NIC) txEmit() {
+	t := &n.tx
+	m := t.job.Msg
+	if t.gather && t.want > 0 {
+		// Bytes leave host memory now: stores after this point
+		// are not part of the message (the hazard pinning and
+		// registration exist to prevent).
+		m.Payload = m.staged.b[:t.got+t.want]
+		t.cursor.Read(m.Payload[t.got:])
+	}
+	t.got += t.want
+	n.linkq.Send(n.getFrag(m, t.frag, t.size))
+	if t.gather && t.frag == m.frags-1 {
+		m.TxDone.Fire()
+	}
+	t.frag++
 }
 
 // fragBytes returns the wire size of fragment f of m.
@@ -357,23 +534,68 @@ func (n *NIC) fragBytes(m *Message, f int) int {
 	return last
 }
 
-// linkPump serializes fragments onto the wire and delivers them to the
-// destination NIC after the propagation delay.
-func (n *NIC) linkPump(p *sim.Proc) {
-	env := n.node.Cluster.Env
-	for {
-		f := n.linkq.Recv(p)
-		n.stall(p)
-		if n.dead {
-			// Frames still queued for the wire when the card died.
-			n.Dropped.Add(f.size)
-			n.putFrag(f)
-			continue
-		}
-		n.Link.Use(p, n.p.LinkTime(n.model, f.size))
-		f.dst = n.node.Cluster.Node(f.msg.Dst).NIC
-		env.AfterDetached(n.p.WireProp, f.deliver)
+// linkStage serializes fragments onto the wire and delivers them to the
+// destination NIC after the propagation delay, one fragment at a time.
+type linkStage struct {
+	frag *frag // the fragment in hand
+
+	// Continuations (see newNIC).
+	start             func(*frag)
+	begin, held, done func()
+}
+
+// linkNext waits for the next fragment.
+//
+// allocfree
+func (n *NIC) linkNext() {
+	n.link.frag = nil
+	n.linkq.RecvFunc(n.link.start)
+}
+
+// linkStart takes a fragment off the link queue.
+//
+// allocfree
+func (n *NIC) linkStart(f *frag) {
+	n.link.frag = f
+	n.linkBegin()
+}
+
+// linkBegin puts the fragment in hand on the wire once no stall is in
+// effect, or drops it on a dead card.
+//
+// allocfree
+func (n *NIC) linkBegin() {
+	if n.stalled(n.link.begin) {
+		return
 	}
+	if f := n.link.frag; n.dead {
+		// Frames still queued for the wire when the card died.
+		n.Dropped.Add(f.size)
+		n.putFrag(f)
+		n.linkNext()
+		return
+	}
+	n.Link.AcquireFunc(n.link.held)
+}
+
+// linkHeld runs with the transmitter held for the fragment in hand.
+//
+// allocfree
+func (n *NIC) linkHeld() {
+	n.node.Cluster.Env.AfterDetached(n.p.LinkTime(n.model, n.link.frag.size), n.link.done)
+}
+
+// linkDone ends the fragment's transmission: it reaches the destination
+// NIC one propagation delay later.
+//
+// allocfree
+func (n *NIC) linkDone() {
+	n.Link.Release()
+	f := n.link.frag
+	n.step("link", f.msg, f.idx)
+	f.dst = n.node.Cluster.Node(f.msg.Dst).NIC
+	n.node.Cluster.Env.AfterDetached(n.p.WireProp, f.deliver)
+	n.linkNext()
 }
 
 // rxPump drains arriving fragments: per fragment, run the receive DMA
@@ -395,10 +617,12 @@ func (n *NIC) rxPump(p *sim.Proc) {
 		f.src.putFrag(f)
 		n.RxDMA.Use(p, n.p.DMATime(n.model, size))
 		m.arrived++
+		n.step("rxdma", m, m.arrived-1)
 		if m.arrived < m.frags {
 			continue
 		}
 		n.Firmware.Use(p, n.p.FwRecvTime(n.isMX(m.Proto), m.frags))
+		n.step("fw-recv", m, -1)
 		n.RxMsgs.Add(m.PayloadLen())
 		h := n.handlers[m.Proto]
 		if h == nil {

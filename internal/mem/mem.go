@@ -362,25 +362,45 @@ func Clip(xs []Extent, n int) []Extent {
 }
 
 // MergeExtents coalesces adjacent extents (x.End == next.Addr) into
-// maximal physically contiguous runs, preserving order.
+// maximal physically contiguous runs, preserving order, and drops
+// zero-length extents after the first. A list that is already merged —
+// what Vector.Extents and AddressSpace.Resolve produce — is returned as
+// it is, not copied: the result may alias xs, which is never written.
+//
+// allocfree
 func MergeExtents(xs []Extent) []Extent {
 	if len(xs) == 0 {
 		return nil
 	}
-	out := make([]Extent, 0, len(xs))
-	cur := xs[0]
-	for _, x := range xs[1:] {
-		if x.Len == 0 {
-			continue
+	for i := 1; i < len(xs); i++ {
+		if xs[i].Len == 0 || xs[i-1].End() == xs[i].Addr {
+			//analyze:allow allocfree only a list that needs merging is copied
+			return MergeInPlace(append(make([]Extent, 0, len(xs)), xs...))
 		}
-		if cur.End() == x.Addr {
-			cur.Len += x.Len
-			continue
-		}
-		out = append(out, cur)
-		cur = x
 	}
-	return append(out, cur)
+	return xs
+}
+
+// MergeInPlace is MergeExtents for a caller that owns xs: the merged
+// list is built in xs's own backing array and nothing is allocated.
+//
+// allocfree
+func MergeInPlace(xs []Extent) []Extent {
+	if len(xs) == 0 {
+		return nil
+	}
+	last := 0 // xs[:last+1] is merged
+	for _, x := range xs[1:] {
+		switch {
+		case x.Len == 0:
+		case xs[last].End() == x.Addr:
+			xs[last].Len += x.Len
+		default:
+			last++
+			xs[last] = x
+		}
+	}
+	return xs[:last+1]
 }
 
 // PagesIn returns the number of page frames an address range of length n

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -449,5 +450,102 @@ func BenchmarkFrameChurn(b *testing.B) {
 		slot := &ring[i%len(ring)]
 		m.Put(*slot)
 		*slot, _ = m.AllocFrame()
+	}
+}
+
+// mergeExtentsCopying is MergeExtents as it was before it learned to
+// return an already merged list as it is: always a fresh list. The
+// reference the property test below compares the two variants against.
+func mergeExtentsCopying(xs []Extent) []Extent {
+	if len(xs) == 0 {
+		return nil
+	}
+	out := make([]Extent, 0, len(xs))
+	cur := xs[0]
+	for _, x := range xs[1:] {
+		if x.Len == 0 {
+			continue
+		}
+		if cur.End() == x.Addr {
+			cur.Len += x.Len
+			continue
+		}
+		out = append(out, cur)
+		cur = x
+	}
+	return append(out, cur)
+}
+
+// Property: on random lists — zero-length entries, a zero-length head,
+// runs of adjacent extents, lists with nothing to merge — MergeExtents
+// and MergeInPlace return what the copying reference returns;
+// MergeExtents leaves its input untouched, copies nothing when nothing
+// merges, and MergeInPlace builds its result in the input's array.
+func TestMergeVariantsMatchTheCopyingReference(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		xs := make([]Extent, rng.Intn(12))
+		addr := PhysAddr(PageSize)
+		for i := range xs {
+			if rng.Intn(3) > 0 { // two in three touch their predecessor
+				addr += PhysAddr(rng.Intn(3)+1) * 512
+			}
+			l := rng.Intn(3) * 700 // one in three is empty
+			if i == 0 && rng.Intn(2) == 0 {
+				l = 0
+			}
+			xs[i] = Extent{Addr: addr, Len: l}
+			addr += PhysAddr(l)
+		}
+		if rng.Intn(4) == 0 { // nothing to merge: gaps everywhere, no empties
+			for i := range xs {
+				xs[i] = Extent{Addr: PhysAddr(i+1) * 2 * PageSize, Len: 100 + i}
+			}
+		}
+		input := slices.Clone(xs)
+		want := mergeExtentsCopying(xs)
+
+		got := MergeExtents(xs)
+		if !slices.Equal(got, want) || !slices.Equal(xs, input) {
+			t.Logf("MergeExtents(%v) = %v (input now %v), want %v", input, got, xs, want)
+			return false
+		}
+		if len(want) == len(xs) && len(xs) > 0 && &got[0] != &xs[0] {
+			t.Logf("MergeExtents(%v) copied a list that needed no merging", input)
+			return false
+		}
+		if len(xs) == 0 && got != nil {
+			return false // an empty gather list must stay nil: the NIC tells "no payload" by it
+		}
+
+		own := slices.Clone(xs)
+		inPlace := MergeInPlace(own)
+		if !slices.Equal(inPlace, want) {
+			t.Logf("MergeInPlace(%v) = %v, want %v", input, inPlace, want)
+			return false
+		}
+		return len(inPlace) == 0 || &inPlace[0] == &own[0]
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000, Rand: rand.New(rand.NewSource(20))}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Scatter stops when the data is exhausted, so callers pass the posted
+// extents whole rather than clipping them to the data first.
+func TestScatterNeedsNoClip(t *testing.T) {
+	m := New(0)
+	frames, _ := m.AllocContig(3)
+	xs := []Extent{{Addr: frames[0].Addr() + 100, Len: 50}, {Addr: frames[1].Addr(), Len: PageSize}, {Addr: frames[2].Addr(), Len: 10}}
+	data := make([]byte, 50+1000)
+	for i := range data {
+		data[i] = byte(i%251 + 1)
+	}
+	m.Scatter(xs, data)
+	if got := m.Gather(Clip(xs, len(data))); !bytes.Equal(got, data) {
+		t.Error("Scatter(xs, data) did not land where Scatter(Clip(xs, len(data)), data) would")
+	}
+	if m.Gather(xs[1:2])[1000] != 0 || m.Gather(xs[2:])[0] != 0 {
+		t.Error("Scatter wrote past the end of its data")
 	}
 }

@@ -10,6 +10,7 @@
 package memfs
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/core"
@@ -256,9 +257,7 @@ func (fs *FS) removeNode(dir kernel.InodeID, name string, kind kernel.FileKind) 
 	} else if victim.attr.Kind == kernel.Directory {
 		return kernel.ErrIsDir
 	}
-	for _, f := range victim.blocks {
-		fs.node.Mem.Put(f)
-	}
+	fs.freeBlocks(victim, 0)
 	delete(fs.inodes, id)
 	delete(d.dir, name)
 	d.attr.Version++
@@ -283,17 +282,29 @@ func (fs *FS) Truncate(p *sim.Proc, id kernel.InodeID, size int64) error {
 // shrinkTo releases whole pages past the new end and zeroes the tail
 // of the boundary page (no-op when growing — new pages are holes).
 func (fs *FS) shrinkTo(ino *inode, size int64) {
-	lastPage := (size + mem.PageSize - 1) / mem.PageSize
-	for idx, f := range ino.blocks {
-		if idx >= lastPage {
-			fs.node.Mem.Put(f)
-			delete(ino.blocks, idx)
-		}
-	}
+	fs.freeBlocks(ino, (size+mem.PageSize-1)/mem.PageSize)
 	if tail := size % mem.PageSize; tail > 0 {
 		if f := ino.blocks[size/mem.PageSize]; f != nil {
 			zero(f.Data()[tail:])
 		}
+	}
+}
+
+// freeBlocks releases ino's blocks from page index from on, in
+// ascending page order: the order frames are freed in is the order
+// their PFNs are recycled in, so Go's map order would make the physical
+// layout of every later allocation differ from run to run.
+func (fs *FS) freeBlocks(ino *inode, from int64) {
+	var idxs []int64
+	for idx := range ino.blocks {
+		if idx >= from {
+			idxs = append(idxs, idx)
+		}
+	}
+	slices.Sort(idxs)
+	for _, idx := range idxs {
+		fs.node.Mem.Put(ino.blocks[idx])
+		delete(ino.blocks, idx)
 	}
 }
 

@@ -3,6 +3,7 @@ package memfs
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -372,4 +373,52 @@ func TestWriteDirectUnalignedAcrossExtents(t *testing.T) {
 			t.Error("the hole was written through but has no block")
 		}
 	})
+}
+
+// TestFreedBlockOrderIsDeterministic: truncate, unlink and scrub free a
+// file's blocks, and the order decides which PFN each later allocation
+// gets (frees recycle LIFO), so it must be page order, not Go's map
+// order: the same script yields one PFN sequence however often it runs.
+func TestFreedBlockOrderIsDeterministic(t *testing.T) {
+	const pages = 40
+	script := func() (pfns []uint64) {
+		r := newRig(t, 0)
+		r.run(t, func(p *sim.Proc) {
+			va, _ := r.node.Kernel.Mmap(pages*mem.PageSize, "buf")
+			for _, name := range []string{"truncated", "unlinked", "scrubbed"} {
+				a, err := r.fs.Create(p, r.fs.Root(), name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := r.fs.WriteDirect(p, a.Ino, 0, kseg(r, va, pages*mem.PageSize)); err != nil {
+					t.Fatal(err)
+				}
+				switch name {
+				case "truncated":
+					err = r.fs.Truncate(p, a.Ino, 3*mem.PageSize+100)
+				case "unlinked":
+					err = r.fs.Unlink(p, r.fs.Root(), name)
+				case "scrubbed":
+					err = r.fs.Scrub(p, a.Ino)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < 3*pages; i++ { // what the three left on the recycle list, newest first
+				f, err := r.node.Mem.AllocFrame()
+				if err != nil {
+					t.Fatal(err)
+				}
+				pfns = append(pfns, f.PFN())
+			}
+		})
+		return pfns
+	}
+	want := script()
+	for run := 1; run < 20; run++ {
+		if got := script(); !slices.Equal(got, want) {
+			t.Fatalf("run %d: PFN sequence differs from run 0:\n got %v\nwant %v", run, got, want)
+		}
+	}
 }

@@ -109,9 +109,7 @@ func (fs *FS) Scrub(p *sim.Proc, id kernel.InodeID) error {
 	if ino == nil {
 		return nil
 	}
-	for _, f := range ino.blocks {
-		fs.node.Mem.Put(f)
-	}
+	fs.freeBlocks(ino, 0)
 	delete(fs.inodes, id)
 	return nil
 }

@@ -8,6 +8,9 @@
 package memfs
 
 import (
+	"maps"
+	"slices"
+
 	"repro/internal/kernel"
 	"repro/internal/mem"
 )
@@ -98,13 +101,11 @@ func (fs *FS) ImportSlice(s *Slice, owns func(kernel.InodeID) bool, exact bool) 
 			}
 		}
 	}
-	for id, ino := range fs.inodes {
+	for _, id := range slices.Sorted(maps.Keys(fs.inodes)) { // frames are freed: not in map order
 		if id == 1 || named[id] || (owns != nil && !owns(id)) {
 			continue
 		}
-		for _, f := range ino.blocks {
-			fs.node.Mem.Put(f)
-		}
+		fs.freeBlocks(fs.inodes[id], 0)
 		delete(fs.inodes, id)
 	}
 	if s.Next > fs.next {

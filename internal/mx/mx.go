@@ -143,7 +143,7 @@ type Status struct {
 type Request struct {
 	ep     *Endpoint
 	isRecv bool
-	done   *sim.Signal
+	done   sim.Signal
 	status Status
 
 	// receive state
@@ -262,18 +262,42 @@ func (ep *Endpoint) resolve(p *sim.Proc, v core.Vector) ([]mem.Extent, func(), e
 	return xs, unpin, nil
 }
 
+// newRequest returns a request of this endpoint, its completion signal
+// (held by value: a request is one object) bound to the engine.
+func (ep *Endpoint) newRequest() *Request {
+	req := &Request{ep: ep}
+	req.done.Init(ep.mx.node.Cluster.Env)
+	return req
+}
+
+// newTxJob returns a transmit job for a message of the given kind and
+// match information to endpoint (dst, dstEp), with a header of hdr
+// bytes whose first two — destination and source endpoint — are set.
+func (ep *Endpoint) newTxJob(dst hw.NodeID, dstEp uint8, kind uint8, info uint64, hdr int) *hw.TxJob {
+	j := hw.NewTxJob(hdr)
+	m := j.Msg
+	m.Dst, m.Proto, m.Kind, m.Tag = dst, hw.ProtoMX, kind, info
+	m.Header[0], m.Header[1] = dstEp, ep.id
+	return j
+}
+
 // Send posts a send of vector v with match information info to
 // endpoint (dst, dstEp). The returned request completes when the
 // application buffer is reusable.
+//
+// allocfree
 func (ep *Endpoint) Send(p *sim.Proc, dst hw.NodeID, dstEp uint8, info uint64, v core.Vector) (*Request, error) {
 	m := ep.mx
 	n := v.TotalLen()
-	req := &Request{ep: ep, done: sim.NewSignal(m.node.Cluster.Env), sendVec: v}
+	req := ep.newRequest()
+	req.sendVec = v
 	req.status = Status{Info: info, Len: n}
 	m.node.CPU.Compute(p, m.p.MXHostSend)
 	ep.Sends.Add(n)
-	m.node.Cluster.Env.Tracef("mx[%s:%d] send %dB info=%#x -> node %d ep %d",
-		m.node.Name, ep.id, n, info, dst, dstEp)
+	if env := m.node.Cluster.Env; env.Tracing() {
+		//analyze:allow allocfree tracing is on: the arguments are boxed only when somebody reads them
+		env.Tracef("mx[%s:%d] send %dB info=%#x -> node %d ep %d", m.node.Name, ep.id, n, info, dst, dstEp)
+	}
 
 	switch {
 	case n <= m.p.MXSmallMax:
@@ -287,6 +311,8 @@ func (ep *Endpoint) Send(p *sim.Proc, dst hw.NodeID, dstEp uint8, info uint64, v
 
 // sendSmall: the host reads the (tiny) payload and pushes it to the
 // NIC by programmed I/O; no pinning, no DMA on the send side.
+//
+// allocfree
 func (ep *Endpoint) sendSmall(p *sim.Proc, req *Request, dst hw.NodeID, dstEp uint8, info uint64, v core.Vector) (*Request, error) {
 	m := ep.mx
 	xs, err := v.Extents()
@@ -295,11 +321,9 @@ func (ep *Endpoint) sendSmall(p *sim.Proc, req *Request, dst hw.NodeID, dstEp ui
 	}
 	data := m.node.NIC.Stage(xs)
 	m.node.CPU.PIO(p, data.Len()+16) // payload + descriptor
-	msg := &hw.Message{
-		Dst: dst, Proto: hw.ProtoMX, Kind: kindEager, Tag: info,
-		Header: []byte{dstEp, ep.id},
-	}
-	m.node.NIC.Send(&hw.TxJob{Msg: msg, Inline: data, PIO: true})
+	j := ep.newTxJob(dst, dstEp, kindEager, info, 2)
+	j.Inline, j.PIO = data, true
+	m.node.NIC.Send(j)
 	req.done.Fire() // buffer reusable: bytes are in NIC SRAM
 	return req, nil
 }
@@ -317,18 +341,16 @@ func (ep *Endpoint) sendSmall(p *sim.Proc, req *Request, dst hw.NodeID, dstEp ui
 //     +17 % at 32 KB).
 func (ep *Endpoint) sendMedium(p *sim.Proc, req *Request, dst hw.NodeID, dstEp uint8, info uint64, v core.Vector) (*Request, error) {
 	m := ep.mx
-	msg := &hw.Message{
-		Dst: dst, Proto: hw.ProtoMX, Kind: kindEager, Tag: info,
-		Header: []byte{dstEp, ep.id},
-	}
+	j := ep.newTxJob(dst, dstEp, kindEager, info, 2)
 	if ep.kernel && ep.zeroCopySend(v) {
 		xs, unpin, err := ep.resolve(p, v)
 		if err != nil {
 			return nil, err
 		}
-		m.node.NIC.Send(&hw.TxJob{Msg: msg, Gather: xs})
+		j.Gather = xs
+		m.node.NIC.Send(j)
 		m.node.Cluster.Env.Spawn("mx-zsend", func(w *sim.Proc) {
-			msg.TxDone.Wait(w)
+			j.Msg.TxDone.Wait(w)
 			if unpin != nil {
 				unpin()
 			}
@@ -342,7 +364,8 @@ func (ep *Endpoint) sendMedium(p *sim.Proc, req *Request, dst hw.NodeID, dstEp u
 	}
 	data := m.node.NIC.Stage(xs)
 	m.node.CPU.Copy(p, data.Len()) // the send-side bounce copy
-	m.node.NIC.Send(&hw.TxJob{Msg: msg, Inline: data})
+	j.Inline = data
+	m.node.NIC.Send(j)
 	req.done.Fire() // buffer reusable after the copy
 	return req, nil
 }
@@ -388,12 +411,11 @@ func (ep *Endpoint) sendLarge(p *sim.Proc, req *Request, dst hw.NodeID, dstEp ui
 		}
 	}
 	ep.rndvOut[id] = req
-	hdr := make([]byte, 2+8+4)
-	hdr[0], hdr[1] = dstEp, ep.id
-	put64(hdr[2:], id)
-	put32(hdr[10:], uint32(v.TotalLen()))
-	msg := &hw.Message{Dst: dst, Proto: hw.ProtoMX, Kind: kindRTS, Tag: info, Header: hdr}
-	m.node.NIC.Send(&hw.TxJob{Msg: msg, PIO: true})
+	j := ep.newTxJob(dst, dstEp, kindRTS, info, 2+8+4)
+	put64(j.Msg.Header[2:], id)
+	put32(j.Msg.Header[10:], uint32(v.TotalLen()))
+	j.PIO = true
+	m.node.NIC.Send(j)
 	return req, nil
 }
 
@@ -415,10 +437,8 @@ func (ep *Endpoint) Recv(p *sim.Proc, match core.Match, v core.Vector) (*Request
 		return nil, err
 	}
 	m.node.CPU.Compute(p, m.p.MXHostSend/2) // post descriptor
-	req := &Request{
-		ep: ep, isRecv: true, done: sim.NewSignal(m.node.Cluster.Env),
-		match: match, vector: v, extents: xs,
-	}
+	req := ep.newRequest()
+	req.isRecv, req.match, req.vector, req.extents = true, match, v, xs
 	// Unexpected queue first (in arrival order).
 	for i, u := range ep.unexpected {
 		if !match.Accepts(u.info) {
@@ -543,25 +563,27 @@ func (ep *Endpoint) sendCTS(p *sim.Proc, dst hw.NodeID, dstEp uint8, id uint64, 
 	if recvLen < sendLen {
 		req.truncated = true
 	}
-	hdr := make([]byte, 2+8+4)
-	hdr[0], hdr[1] = dstEp, ep.id
-	put64(hdr[2:], id)
-	put32(hdr[10:], uint32(min(recvLen, sendLen)))
-	msg := &hw.Message{Dst: dst, Proto: hw.ProtoMX, Kind: kindCTS, Header: hdr}
-	m.node.NIC.Send(&hw.TxJob{Msg: msg, PIO: true})
+	j := ep.newTxJob(dst, dstEp, kindCTS, 0, 2+8+4)
+	put64(j.Msg.Header[2:], id)
+	put32(j.Msg.Header[10:], uint32(min(recvLen, sendLen)))
+	j.PIO = true
+	m.node.NIC.Send(j)
 }
 
 // completeEager finishes a receive whose payload is at hand (either
 // just delivered or staged in the unexpected queue).
+//
+// allocfree
 func (ep *Endpoint) completeEager(req *Request, src hw.NodeID, info uint64, data []byte) {
 	n := len(data)
 	req.status = Status{Src: src, Info: info, Len: n}
 	if n > req.vector.TotalLen() {
 		n = req.vector.TotalLen()
 		req.status.Len = n
+		//analyze:allow allocfree truncation error arm
 		req.status.Err = fmt.Errorf("mx: message truncated to %d bytes", n)
 	}
-	ep.mx.node.Mem.Scatter(mem.Clip(req.extents, n), data[:n])
+	ep.mx.node.Mem.Scatter(req.extents, data[:n])
 	// Receive-side bounce copy, charged at Wait time. It is skipped
 	// when the message was small (PIO-sized), or when the NIC could
 	// place the data directly: physically addressed kernel receives
@@ -572,8 +594,10 @@ func (ep *Endpoint) completeEager(req *Request, src hw.NodeID, info uint64, data
 		req.recvCopy = n
 	}
 	ep.Recvs.Add(n)
-	ep.mx.node.Cluster.Env.Tracef("mx[%s:%d] recv %dB info=%#x from node %d",
-		ep.mx.node.Name, ep.id, n, info, src)
+	if env := ep.mx.node.Cluster.Env; env.Tracing() {
+		//analyze:allow allocfree tracing is on: the arguments are boxed only when somebody reads them
+		env.Tracef("mx[%s:%d] recv %dB info=%#x from node %d", ep.mx.node.Name, ep.id, n, info, src)
+	}
 	req.done.Fire()
 	ep.completions.Send(req)
 }
@@ -590,7 +614,7 @@ func (ep *Endpoint) zeroCopyRecv(req *Request) bool {
 	return ep.noRecvCopy && !hasUser(req.vector) && len(req.extents) <= 1
 }
 
-// receive runs in the NIC rx-pump process.
+// receive runs in the NIC's receive process.
 func (m *MX) receive(p *sim.Proc, msg *hw.Message) {
 	if len(msg.Header) < 2 {
 		panic("mx: short header")
@@ -639,7 +663,7 @@ func (m *MX) receive(p *sim.Proc, msg *hw.Message) {
 		}
 		delete(ep.rndvIn, id)
 		n := len(msg.Payload)
-		ep.mx.node.Mem.Scatter(mem.Clip(req.extents, n), msg.Payload[:n])
+		ep.mx.node.Mem.Scatter(req.extents, msg.Payload)
 		req.status.Len = n
 		if req.truncated {
 			req.status.Err = fmt.Errorf("mx: rendezvous truncated to %d bytes", n)
@@ -654,18 +678,14 @@ func (m *MX) receive(p *sim.Proc, msg *hw.Message) {
 // receive pump of the *sender's* NIC, where the CTS arrived).
 func (ep *Endpoint) startData(req *Request, dst hw.NodeID, dstEp uint8, id uint64, length int) {
 	m := ep.mx
-	hdr := make([]byte, 2+8)
-	hdr[0], hdr[1] = dstEp, ep.id
-	put64(hdr[2:], id)
-	msg := &hw.Message{
-		Dst: dst, Proto: hw.ProtoMX, Kind: kindData, Tag: req.status.Info, Header: hdr,
-	}
-	xs := mem.Clip(req.extents, length)
+	j := ep.newTxJob(dst, dstEp, kindData, req.status.Info, 2+8)
+	put64(j.Msg.Header[2:], id)
 	// The flat large-message penalty (immature large-message path,
 	// §5.1) rides on the data message's firmware processing.
-	m.node.NIC.Send(&hw.TxJob{Msg: msg, Gather: xs, FwExtra: m.p.MXLargeOverhead})
+	j.Gather, j.FwExtra = mem.Clip(req.extents, length), m.p.MXLargeOverhead
+	m.node.NIC.Send(j)
 	m.node.Cluster.Env.Spawn("mx-rndv-done", func(w *sim.Proc) {
-		msg.TxDone.Wait(w)
+		j.Msg.TxDone.Wait(w)
 		if req.unpin != nil {
 			pages := req.sendVec.UserPages()
 			if pages > 0 {

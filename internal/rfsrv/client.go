@@ -363,7 +363,7 @@ func (c *FabricClient) postData(p *sim.Proc, seq uint64, dst core.Vector) (op fa
 					panic(err)
 				}
 				node.CPU.Copy(p, got)
-				node.Mem.Scatter(mem.Clip(xs, got), raw)
+				node.Mem.Scatter(xs, raw)
 			}
 			return op, func() {}, fixup, nil
 		}

@@ -423,7 +423,7 @@ func (s *Server) readExtents(p *sim.Proc, req *Req) (*Resp, []mem.Extent) {
 	}
 	resp.N = uint32(n)
 	resp.Attr = attr
-	return resp, mem.MergeExtents(xs)
+	return resp, mem.MergeInPlace(xs)
 }
 
 // handleWrite applies inline write data (already landed in the

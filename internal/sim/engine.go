@@ -22,6 +22,28 @@
 // Virtual time is a time.Duration measured from the start of the run.
 // Nothing in the package reads wall-clock time.
 //
+// # Callback waiters
+//
+// A Proc→Proc wake-up costs a goroutine switch on the host; an event
+// callback costs none, because it runs on the stack of whichever
+// goroutine holds the baton. A process that only forwards — take a
+// value from a Chan, hold a Resource for a while, pass the value on —
+// can therefore be written as a chain of callbacks instead: a Chan
+// accepts a callback receiver (RecvFunc) and a Resource a callback
+// holder (AcquireFunc), each queued in the one waiter list in arrival
+// order with blocked Procs. One rule makes the rewrite exact: a callback
+// waiter takes the event slot the Proc's wake-up took. Where the Proc
+// would have gone on without blocking (a buffered value, a free unit)
+// the callback runs inline; where the Proc would have parked, Send or
+// Release schedules the callback at the current instant exactly where
+// it would have scheduled the wake-up, and a Sleep becomes an
+// AfterDetached of the same duration. Every event keeps its (time,
+// sequence) position, so the event order, the event count and every
+// simulated number are those of the process version — only who runs
+// the events moves. The NIC's transmit and link stages (package hw) are
+// such chains; its receive stage stays a Proc because the drivers'
+// handlers block.
+//
 // The package is the substrate for the hardware and protocol models in
 // this repository: CPUs, NIC firmware processors, DMA engines and links
 // are all Resources; completion notification queues are Chans; request
@@ -119,6 +141,12 @@ func (e *Engine) Now() Time { return e.now }
 // SetTrace installs a trace function invoked by Tracef. A nil function
 // disables tracing (the default).
 func (e *Engine) SetTrace(fn func(t Time, format string, args ...any)) { e.trace = fn }
+
+// Tracing reports whether a trace function is installed. Tracef's
+// variadic arguments are boxed by its caller before Tracef can look, so
+// a per-message call site guards itself — if env.Tracing() {
+// env.Tracef(...) } — and costs nothing while tracing is off.
+func (e *Engine) Tracing() bool { return e.trace != nil }
 
 // Tracef emits a trace record at the current virtual time if tracing is
 // enabled.
@@ -341,3 +369,9 @@ func (e *Engine) Stranded() int { return e.parked }
 // Live returns the number of Procs that have been spawned and have not
 // yet finished.
 func (e *Engine) Live() int { return e.procs }
+
+// Switches returns how many times the baton has passed from one
+// goroutine to another since the engine was created: the host cost a
+// callback waiter (Chan.RecvFunc, Resource.AcquireFunc) avoids and a
+// Proc wake-up pays. Tests pin a path's switch cost with it.
+func (e *Engine) Switches() uint64 { return e.switches }

@@ -8,34 +8,61 @@ package sim
 // All primitives follow the same discipline: a waker always removes a
 // proc from the waiter list before scheduling its wake-up, so a parked
 // proc is referenced by at most one waiter list at a time.
+//
+// A Chan and a Resource also take callback waiters (RecvFunc,
+// AcquireFunc), in the same list as Procs and under the rule the
+// package comment states: a callback waiter takes the event slot the
+// Proc's wake-up took.
 
 // Signal is a one-shot completion event. Once fired it stays fired; any
 // number of procs may wait on it before or after firing. The zero value
-// is unusable; create with NewSignal.
+// is unusable; create with NewSignal, or Init one held by value.
 type Signal struct {
-	e       *Engine
-	fired   bool
-	waiters []*Proc
+	e     *Engine
+	fired bool
+	// Waiters in arrival order: the oldest inline, because nearly every
+	// signal is waited on by exactly one proc, and the rest in more.
+	// first is nil only when nobody waits.
+	first *Proc
+	more  []*Proc
 }
 
 // NewSignal returns an unfired signal bound to e.
 func NewSignal(e *Engine) *Signal { return &Signal{e: e} }
 
+// Init binds a zero Signal to e, for one embedded by value in the
+// record it completes. It must run before any other method, and the
+// enclosing record must not be copied afterwards.
+func (s *Signal) Init(e *Engine) { s.e = e }
+
 // Fired reports whether the signal has fired.
 func (s *Signal) Fired() bool { return s.fired }
 
-// Fire fires the signal and wakes all waiters. Firing twice is a no-op.
-// Fire may be called from a Proc or from a callback.
+// Fire fires the signal and wakes all waiters in arrival order. Firing
+// twice is a no-op. Fire may be called from a Proc or from a callback.
 func (s *Signal) Fire() {
 	if s.fired {
 		return
 	}
 	s.fired = true
-	w := s.waiters
-	s.waiters = nil
-	for _, p := range w {
+	if s.first == nil {
+		return
+	}
+	first, more := s.first, s.more
+	s.first, s.more = nil, nil
+	s.e.wake(first)
+	for _, p := range more {
 		s.e.wake(p)
 	}
+}
+
+// enroll appends p to the waiters.
+func (s *Signal) enroll(p *Proc) {
+	if s.first == nil {
+		s.first = p
+		return
+	}
+	s.more = append(s.more, p)
 }
 
 // Wait blocks p until the signal fires. Returns immediately if it
@@ -44,7 +71,7 @@ func (s *Signal) Wait(p *Proc) {
 	if s.fired {
 		return
 	}
-	s.waiters = append(s.waiters, p)
+	s.enroll(p)
 	p.park()
 }
 
@@ -54,7 +81,7 @@ func (s *Signal) WaitTimeout(p *Proc, d Time) bool {
 	if s.fired {
 		return true
 	}
-	s.waiters = append(s.waiters, p)
+	s.enroll(p)
 	timer := s.e.wakeAt(s.e.now+d, p)
 	p.park()
 	if s.fired {
@@ -68,10 +95,20 @@ func (s *Signal) WaitTimeout(p *Proc, d Time) bool {
 	return false
 }
 
+// remove withdraws p from the waiters, keeping the others in arrival
+// order: when the inline waiter leaves, the next oldest moves up.
 func (s *Signal) remove(p *Proc) {
-	for i, w := range s.waiters {
+	if s.first == p {
+		s.first = nil
+		if len(s.more) > 0 {
+			s.first = s.more[0]
+			s.more = append(s.more[:0], s.more[1:]...)
+		}
+		return
+	}
+	for i, w := range s.more {
 		if w == p {
-			s.waiters = append(s.waiters[:i], s.waiters[i+1:]...)
+			s.more = append(s.more[:i], s.more[i+1:]...)
 			return
 		}
 	}
@@ -96,14 +133,23 @@ type Chan[T any] struct {
 	free []*chanWaiter[T]
 }
 
+// chanWaiter is one entry of a Chan's waiter list: a blocked Proc
+// (p), or a callback receiver (fn) registered with RecvFunc.
 type chanWaiter[T any] struct {
 	p     *Proc
+	fn    func(T)
 	val   T
 	valid bool
+	// run hands val to fn. Built once per record, the first time it
+	// carries a callback, and reused across recycles, so RecvFunc
+	// allocates nothing in steady state.
+	run func()
 }
 
 // getWaiter takes a waiter from the freelist (or allocates one) and
-// arms it for p.
+// arms it for p (nil for a callback receiver).
+//
+// allocfree
 func (c *Chan[T]) getWaiter(p *Proc) *chanWaiter[T] {
 	var w *chanWaiter[T]
 	if n := len(c.free); n > 0 {
@@ -111,6 +157,7 @@ func (c *Chan[T]) getWaiter(p *Proc) *chanWaiter[T] {
 		c.free = c.free[:n-1]
 		w.valid = false
 	} else {
+		//analyze:allow allocfree pool-miss arm: the record recycles from here on
 		w = &chanWaiter[T]{}
 	}
 	w.p = p
@@ -118,9 +165,11 @@ func (c *Chan[T]) getWaiter(p *Proc) *chanWaiter[T] {
 }
 
 // putWaiter recycles a waiter that is off the waiter list.
+//
+// allocfree
 func (c *Chan[T]) putWaiter(w *chanWaiter[T]) {
 	var zero T
-	w.val, w.p = zero, nil
+	w.val, w.p, w.fn = zero, nil, nil
 	c.free = append(c.free, w)
 }
 
@@ -142,8 +191,12 @@ func (c *Chan[T]) popBuf() T {
 	return v
 }
 
-// Send enqueues v, waking the oldest waiting receiver if any. Send may
-// be called from a Proc or from a callback and never blocks.
+// Send enqueues v, handing it to the oldest waiting receiver if any: a
+// Proc is woken, a callback scheduled at the current instant in the
+// slot that wake-up would take. Send may be called from a Proc or from
+// a callback and never blocks.
+//
+// allocfree
 func (c *Chan[T]) Send(v T) {
 	for c.wHead < len(c.waiters) {
 		w := c.waiters[c.wHead]
@@ -152,15 +205,44 @@ func (c *Chan[T]) Send(v T) {
 		if c.wHead == len(c.waiters) {
 			c.waiters, c.wHead = c.waiters[:0], 0
 		}
+		if w.fn != nil {
+			w.val = v
+			c.e.AfterDetached(0, w.run)
+			return
+		}
 		if w.p.killed {
 			continue // it will never take the value: the next receiver gets it
 		}
-		w.val = v
-		w.valid = true
+		w.val, w.valid = v, true
 		c.e.wake(w.p)
 		return
 	}
 	c.buf = append(c.buf, v)
+}
+
+// RecvFunc is Recv for a receiver that is not a process: fn gets the
+// oldest value, inline if one is buffered — as Recv would return at
+// once — and otherwise from an event Send schedules when it hands a
+// value over. The receiver queues in arrival order with blocked Procs.
+// fn runs on whichever goroutine holds the baton and must not block.
+//
+// allocfree
+func (c *Chan[T]) RecvFunc(fn func(T)) {
+	if c.Len() > 0 {
+		fn(c.popBuf())
+		return
+	}
+	w := c.getWaiter(nil)
+	w.fn = fn
+	if w.run == nil {
+		//analyze:allow allocfree built once per record, reused across recycles
+		w.run = func() {
+			fn, v := w.fn, w.val
+			c.putWaiter(w)
+			fn(v)
+		}
+	}
+	c.waiters = append(c.waiters, w)
 }
 
 // Recv dequeues the oldest value, blocking p until one is available.
@@ -234,7 +316,7 @@ type Resource struct {
 	name     string
 	capacity int
 	inUse    int
-	queue    []*Proc // pops from the front by advancing head, like Chan
+	queue    []resWaiter // pops from the front by advancing head, like Chan
 	head     int
 
 	// Busy accumulates total occupancy (capacity-weighted virtual time)
@@ -243,8 +325,15 @@ type Resource struct {
 	lastStamp Time
 }
 
+// resWaiter is one entry of a Resource's wait queue: a Proc blocked in
+// Acquire (p), or a callback holder registered with AcquireFunc (fn).
+type resWaiter struct {
+	p  *Proc
+	fn func()
+}
+
 // NewResource returns a resource with the given capacity (number of
-// procs that can hold it simultaneously).
+// holders that can have a unit simultaneously).
 func NewResource(e *Engine, name string, capacity int) *Resource {
 	if capacity < 1 {
 		panic("sim: resource capacity must be >= 1")
@@ -264,28 +353,56 @@ func (r *Resource) Acquire(p *Proc) {
 		r.inUse++
 		return
 	}
-	r.queue = append(r.queue, p)
+	r.queue = append(r.queue, resWaiter{p: p})
 	p.park()
 	// The releaser transferred its unit to us directly (inUse unchanged).
 }
 
-// Release frees a unit, handing it to the oldest queued proc if any.
+// AcquireFunc is Acquire for a holder that is not a process: held runs
+// once a unit is the caller's — inline if one is free, as Acquire would
+// return at once, and otherwise from an event Release schedules when it
+// hands its unit over. The holder queues in the same FIFO as Procs and
+// occupancy is stamped exactly as for them. held runs on whichever
+// goroutine holds the baton and must not block; the unit is held until
+// a matching Release.
+//
+// allocfree
+func (r *Resource) AcquireFunc(held func()) {
+	if r.inUse < r.capacity && r.QueueLen() == 0 {
+		r.stamp()
+		r.inUse++
+		held()
+		return
+	}
+	r.queue = append(r.queue, resWaiter{fn: held})
+}
+
+// Release frees a unit, handing it to the oldest queued waiter if any:
+// a Proc is woken, a callback holder scheduled at the current instant
+// in the slot that wake-up would take.
+//
+// allocfree
 func (r *Resource) Release() {
 	if r.inUse <= 0 {
+		//analyze:allow allocfree release-without-acquire panic path
 		panic("sim: Release of idle resource " + r.name)
 	}
 	for r.head < len(r.queue) {
 		next := r.queue[r.head]
-		r.queue[r.head] = nil
+		r.queue[r.head] = resWaiter{}
 		r.head++
 		if r.head == len(r.queue) {
 			r.queue, r.head = r.queue[:0], 0
 		}
-		if next.killed {
+		// Ownership passes directly; inUse is unchanged.
+		if next.fn != nil {
+			r.e.AfterDetached(0, next.fn)
+			return
+		}
+		if next.p.killed {
 			continue // the unit would be lost with it
 		}
-		// Ownership passes directly; inUse is unchanged.
-		r.e.wake(next)
+		r.e.wake(next.p)
 		return
 	}
 	r.stamp()
@@ -304,7 +421,7 @@ func (r *Resource) Use(p *Proc, d Time) {
 // InUse returns the number of units currently held.
 func (r *Resource) InUse() int { return r.inUse }
 
-// QueueLen returns the number of procs waiting.
+// QueueLen returns the number of waiters, Procs and callbacks.
 func (r *Resource) QueueLen() int { return len(r.queue) - r.head }
 
 // BusyTime returns accumulated occupancy (unit-weighted virtual time) up

@@ -14,6 +14,8 @@ package vm
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 
 	"repro/internal/mem"
@@ -482,6 +484,15 @@ func (as *AddressSpace) WriteBytes(va VirtAddr, data []byte) error {
 	return nil
 }
 
+// mappedPages returns the mapped virtual page numbers in ascending
+// order. Whatever allocates or frees a frame per page walks this, never
+// the page table itself: the order frames are freed in is the order
+// their PFNs are recycled in, so Go's map order would make the physical
+// layout of every later allocation differ from run to run.
+func (as *AddressSpace) mappedPages() []uint64 {
+	return slices.Sorted(maps.Keys(as.pt))
+}
+
 // Fork creates a copy of the address space with the same virtual layout
 // but freshly allocated frames holding copies of the data, then notifies
 // spies. This mirrors the hazard the paper's GMKRC must handle: after
@@ -493,13 +504,13 @@ func (as *AddressSpace) Fork(name string) (*AddressSpace, error) {
 	for _, v := range as.vmas {
 		child.vmas = append(child.vmas, &VMA{Start: v.Start, End: v.End, Label: v.Label})
 	}
-	for vpn, f := range as.pt {
+	for _, vpn := range as.mappedPages() {
 		nf, err := as.mem.AllocFrame()
 		if err != nil {
 			child.Destroy()
 			return nil, err
 		}
-		copy(nf.Data(), f.Data())
+		copy(nf.Data(), as.pt[vpn].Data())
 		child.pt[vpn] = nf
 	}
 	as.spyGen++
@@ -517,8 +528,8 @@ func (as *AddressSpace) Destroy() {
 	for _, s := range as.spies {
 		s.Exited(as)
 	}
-	for vpn, f := range as.pt {
-		as.mem.Put(f)
+	for _, vpn := range as.mappedPages() {
+		as.mem.Put(as.pt[vpn])
 		delete(as.pt, vpn)
 	}
 	// Pin references remain held by the pinner (a NIC or driver), which

@@ -3,6 +3,7 @@ package vm
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -442,5 +443,50 @@ func TestMapUnmapConsistencyProperty(t *testing.T) {
 	// (Go >= 1.20 auto-seeds the global source otherwise).
 	if err := quick.Check(f, &quick.Config{MaxCount: 50, Rand: rand.New(rand.NewSource(15))}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFrameOrderIsDeterministic: Fork allocates, and Destroy frees, a
+// frame per mapped page. The order decides which PFN each later
+// allocation gets (frees recycle LIFO), so it must be page order, not
+// Go's map order: the same fork-destroy-allocate script yields one PFN
+// sequence however often it runs.
+func TestFrameOrderIsDeterministic(t *testing.T) {
+	const pages = 48
+	script := func() []uint64 {
+		m, as := newSpace(t, User)
+		va, err := as.Mmap(pages*PageSize, "buf")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := as.Munmap(va+5*PageSize, 7*PageSize); err != nil { // a hole, so the table is not one run
+			t.Fatal(err)
+		}
+		child, err := as.Fork("child")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var pfns []uint64
+		for off := 0; off < pages*PageSize; off += PageSize {
+			if f := child.FrameAt(va + VirtAddr(off)); f != nil {
+				pfns = append(pfns, f.PFN()) // where Fork put each page
+			}
+		}
+		as.Destroy()
+		child.Destroy()
+		for i := 0; i < 2*pages; i++ { // what the two Destroys left on the recycle list
+			f, err := m.AllocFrame()
+			if err != nil {
+				t.Fatal(err)
+			}
+			pfns = append(pfns, f.PFN())
+		}
+		return pfns
+	}
+	want := script()
+	for run := 1; run < 20; run++ {
+		if got := script(); !slices.Equal(got, want) {
+			t.Fatalf("run %d: PFN sequence differs from run 0:\n got %v\nwant %v", run, got, want)
+		}
 	}
 }

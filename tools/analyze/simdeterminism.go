@@ -17,8 +17,12 @@ package main
 // The map rule is necessarily heuristic; it flags a map-range body
 // that (a) performs simulated work (calls anything taking *sim.Proc —
 // the repo's marker for schedule-relevant activity), (b) sends on a
-// channel, or (c) appends to a slice declared outside the loop that
-// is never passed to sort/slices sorting in the same function.
+// channel, (c) allocates or frees page frames (mem.Memory's Put,
+// AllocFrame and AllocContig take no *sim.Proc, yet the order of
+// frees is the order PFNs are recycled in, and with it the physical
+// contiguity of every later allocation), or (d) appends to a slice
+// declared outside the loop that is never passed to sort/slices
+// sorting in the same function.
 
 import (
 	"go/ast"
@@ -153,6 +157,10 @@ func (p *Pass) checkMapRangeBody(fd *ast.FuncDecl, rng *ast.RangeStmt, sorted ma
 				p.report(n.Pos(), "channel send inside map iteration: receiver observes randomized map order; iterate sorted keys instead")
 				return true
 			}
+			if name, ok := p.isFrameSink(n); ok {
+				p.report(n.Pos(), "mem.Memory.%s inside map iteration: frames are freed and recycled in randomized map order, so the physical layout of later allocations differs between runs; iterate sorted keys instead", name)
+				return true
+			}
 			if p.doesSimWork(n) {
 				p.report(n.Pos(), "simulated work inside map iteration: the event schedule absorbs randomized map order and seed replay diverges; iterate sorted keys instead")
 				return true
@@ -173,6 +181,21 @@ func (p *Pass) isChanSend(call *ast.CallExpr) bool {
 	}
 	tv, ok := p.Info.Types[sel.X]
 	return ok && typeIs(tv.Type, "sim", "Chan")
+}
+
+// frameSinks are the mem.Memory methods whose call order is simulated
+// state although they take no *sim.Proc.
+var frameSinks = map[string]bool{"Put": true, "AllocFrame": true, "AllocContig": true}
+
+// isFrameSink reports whether call is one of frameSinks on a
+// mem.Memory, returning the method name.
+func (p *Pass) isFrameSink(call *ast.CallExpr) (string, bool) {
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok || !frameSinks[sel.Sel.Name] {
+		return "", false
+	}
+	tv, ok := p.Info.Types[sel.X]
+	return sel.Sel.Name, ok && typeIs(tv.Type, "mem", "Memory")
 }
 
 // doesSimWork reports whether call passes a *sim.Proc — the

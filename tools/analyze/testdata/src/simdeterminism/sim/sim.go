@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"sort"
 	"time"
+
+	"fixture/mem"
 )
 
 // Proc marks simulated work when passed to a call.
@@ -61,6 +63,33 @@ func mapAppendSorted(m map[int]int) []int {
 func mapDeleteOnly(m map[int]int) {
 	for k := range m {
 		delete(m, k)
+	}
+}
+
+func mapFreeFrames(m *mem.Memory, pt map[uint64]*mem.Frame) {
+	for vpn, f := range pt {
+		m.Put(f) // want "mem.Memory.Put inside map iteration"
+		delete(pt, vpn)
+	}
+}
+
+func mapForkFrames(m *mem.Memory, pt map[uint64]*mem.Frame) {
+	for vpn := range pt {
+		pt[vpn], _ = m.AllocFrame() // want "mem.Memory.AllocFrame inside map iteration"
+		m.AllocContig(2)            // want "mem.Memory.AllocContig inside map iteration"
+		_ = m.Frame(vpn)            // a lookup: fine
+	}
+}
+
+func sortedFreeFrames(m *mem.Memory, pt map[uint64]*mem.Frame) {
+	var vpns []uint64
+	for vpn := range pt {
+		vpns = append(vpns, vpn)
+	}
+	sort.Slice(vpns, func(i, j int) bool { return vpns[i] < vpns[j] })
+	for _, vpn := range vpns {
+		m.Put(pt[vpn])
+		delete(pt, vpn)
 	}
 }
 
