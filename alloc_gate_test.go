@@ -119,6 +119,24 @@ func TestAllocGateORFSFile(t *testing.T) {
 	gate(t, "ORFS O_DIRECT 64 KB read", direct, maxORFSDirectAllocsPerOp, maxORFSDirectBytesPerOp)
 }
 
+// TestAllocGatePipelinedReadBounces gates what a queued request pins on
+// the server: a pipelined read through an MX server takes no bounce
+// buffer from the pool in steady state. A read (like every request but
+// a write) is copied out of the bounce it landed in when it is
+// received, so the receiver posts the same bounce again; taking a fresh
+// 272 KB bounce per request, as the server did while it handed every
+// bounce to a worker, reads 1.0 here.
+func TestAllocGatePipelinedReadBounces(t *testing.T) {
+	got, err := figures.PipelinedReadBounces(256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("pipelined 16 KB reads: %.3f bounce buffers from the server's pool per request (want 0)", got)
+	if got != 0 {
+		t.Errorf("a pipelined read takes %.3f bounce buffers from the server's pool, want 0 — queued reads pin bounces again", got)
+	}
+}
+
 // TestAllocGateFabricRoundTrip gates the raw fabric, with nothing above
 // it: one 4 KB ping-pong round trip — two messages, two posted
 // receives, their completions — on GM's physical-address primitives and

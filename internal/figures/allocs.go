@@ -17,6 +17,7 @@ import (
 	"runtime"
 
 	"repro/internal/core"
+	"repro/internal/fabric"
 	"repro/internal/gm"
 	"repro/internal/hw"
 	"repro/internal/kernel"
@@ -27,6 +28,7 @@ import (
 	"repro/internal/rfsrv"
 	"repro/internal/rig"
 	"repro/internal/sim"
+	"repro/internal/vm"
 )
 
 // rpaWarmup is how many operations run before counting: enough to
@@ -156,6 +158,72 @@ func RequestPathAllocs(ops int) (HostCost, error) {
 		return err
 	})
 	return allocs, err
+}
+
+// PipelinedReadBounces reports how many request bounce buffers (the
+// MaxWriteChunk + HdrBufSize class, 68 contiguous frames each) one MX
+// server's pool hands out per request while a client keeps a window of
+// eight 16 KB reads in flight, in steady state — after the warm-up has
+// shown the server concurrency, so every receiver is posted. A read is
+// copied out of its bounce whole when it is received, so the receivers
+// keep theirs and the answer is zero; the reply headers' staging
+// buffers, which the same pool hands out one per reply, are told apart
+// by size class.
+func PipelinedReadBounces(ops int) (float64, error) {
+	const chunk, window = 16 * 1024, 8
+	const hdrClass, bounceClass = rfsrv.HdrBufSize, rfsrv.MaxWriteChunk + rfsrv.HdrBufSize
+	r, err := rig.New(rig.Desc{Servers: 1, Replicas: 1, Stripe: msStripe, Window: window})
+	if err != nil {
+		return 0, err
+	}
+	var bounces float64
+	_, err = r.Run("probe", 0, func(p *sim.Proc) error {
+		node := r.HW.AddNode("client")
+		cl, err := r.Cluster(p, node, 10)
+		if err != nil {
+			return err
+		}
+		ino, err := probeFile(p, cl)
+		if err != nil {
+			return err
+		}
+		va, err := node.Kernel.Mmap(window*chunk, "probe-buf")
+		if err != nil {
+			return err
+		}
+		slot := func(i int) core.Vector {
+			return core.Of(core.KernelSeg(node.Kernel, va+vm.VirtAddr(i%window*chunk), chunk))
+		}
+		if _, err := cl.Write(p, ino, 0, core.Of(core.KernelSeg(node.Kernel, va, window*chunk))); err != nil {
+			return err
+		}
+		sess, pool := cl.Sessions()[0], fabric.PoolOf(r.Nodes[0])
+		pds := make([]rfsrv.PendingOp, window)
+		var gets, bytes int64
+		for i := 0; i < rpaWarmup+ops+window; i++ {
+			if i >= window {
+				if _, err := pds[i%window].Wait(p); err != nil {
+					return err
+				}
+			}
+			switch i {
+			case rpaWarmup:
+				gets, bytes = pool.Gets.N, pool.Gets.Bytes
+			case rpaWarmup + ops:
+				gets, bytes = pool.Gets.N-gets, pool.Gets.Bytes-bytes
+			}
+			if i < rpaWarmup+ops {
+				if pds[i%window], err = sess.StartRead(p, ino, int64(i%window*chunk), slot(i)); err != nil {
+					return err
+				}
+			}
+		}
+		// gets = headers + bounces and bytes = headers x hdrClass +
+		// bounces x bounceClass: two size classes, two equations.
+		bounces = float64(bytes-gets*hdrClass) / float64(bounceClass-hdrClass) / float64(ops)
+		return nil
+	}, nil)
+	return bounces, err
 }
 
 // ORFSFileAllocs measures the steady-state host cost of one 64 KB read

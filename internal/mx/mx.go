@@ -88,11 +88,21 @@ type Endpoint struct {
 
 	completions *sim.Chan[*Request] // completed receives not yet consumed, for WaitAny
 
-	rndvOut map[uint64]*Request // our RTSes awaiting CTS
-	rndvIn  map[uint64]*Request // matched RTSes awaiting data
+	rndvOut map[uint64]*Request  // our RTSes awaiting CTS
+	rndvIn  map[rndvKey]*Request // matched RTSes awaiting data
 
 	// Stats
 	Sends, Recvs sim.Counter
+}
+
+// rndvKey names an incoming rendezvous: the id is the sending node's
+// own counter, so it is unique only together with that node — two
+// senders' ids coincide as soon as both have sent equally many large
+// messages, and an endpoint with two receives matched at once would
+// hand one sender's data to the other's receive.
+type rndvKey struct {
+	src hw.NodeID
+	id  uint64
 }
 
 type unexp struct {
@@ -116,7 +126,7 @@ func (m *MX) OpenEndpoint(id uint8, kernel bool, opts ...Option) (*Endpoint, err
 		kernel:      kernel,
 		completions: sim.NewChan[*Request](m.node.Cluster.Env),
 		rndvOut:     make(map[uint64]*Request),
-		rndvIn:      make(map[uint64]*Request),
+		rndvIn:      make(map[rndvKey]*Request),
 	}
 	for _, o := range opts {
 		o(ep)
@@ -155,7 +165,8 @@ type Request struct {
 	charged   bool
 	truncated bool
 
-	// send state (rendezvous)
+	// rendezvous state: a send's source and its id; a matched receive's
+	// id (the sender's, see rndvKey)
 	sendVec core.Vector
 	rndvID  uint64
 }
@@ -349,8 +360,9 @@ func (ep *Endpoint) sendMedium(p *sim.Proc, req *Request, dst hw.NodeID, dstEp u
 		}
 		j.Gather = xs
 		m.node.NIC.Send(j)
-		m.node.Cluster.Env.Spawn("mx-zsend", func(w *sim.Proc) {
-			j.Msg.TxDone.Wait(w)
+		// The buffer is reusable once the NIC has read it: no process is
+		// needed to wait for that, the completion rides TxDone's event.
+		j.Msg.TxDone.WaitFunc(func() {
 			if unpin != nil {
 				unpin()
 			}
@@ -448,8 +460,7 @@ func (ep *Endpoint) Recv(p *sim.Proc, match core.Match, v core.Vector) (*Request
 		if u.eager != nil {
 			ep.completeEager(req, u.src, u.info, u.eager)
 		} else {
-			ep.rndvIn[u.rndvID] = req
-			req.status = Status{Src: u.src, Info: u.info}
+			ep.awaitData(req, u.src, u.rndvID, u.info)
 			ep.sendCTS(p, u.src, u.srcEp, u.rndvID, v.TotalLen(), u.rndvLen, req)
 		}
 		return req, nil
@@ -478,28 +489,24 @@ func (ep *Endpoint) CancelRecv(p *sim.Proc, req *Request) bool {
 			return true
 		}
 	}
-	for id, r := range ep.rndvIn {
-		if r != req {
-			continue
-		}
-		delete(ep.rndvIn, id)
-		//analyze:allow simdeterminism the loop returns after its single match, so map order never reaches the schedule
-		ep.mx.node.CPU.Compute(p, ep.mx.p.MXHostSend/2) // descriptor removal
-		// The buffer was pinned when the CTS went out; undo it here —
-		// the completion path that normally unpins will never run.
-		if req.unpin != nil {
-			if pages := req.vector.UserPages(); pages > 0 {
-				//analyze:allow simdeterminism as above: at most one iteration does work
-				ep.mx.node.CPU.Unpin(p, pages)
-			}
-			req.unpin()
-			req.unpin = nil
-		}
-		req.status.Err = ErrCancelled
-		req.done.Fire()
-		return true
+	key := rndvKey{req.status.Src, req.rndvID}
+	if ep.rndvIn[key] != req {
+		return false
 	}
-	return false
+	delete(ep.rndvIn, key)
+	ep.mx.node.CPU.Compute(p, ep.mx.p.MXHostSend/2) // descriptor removal
+	// The buffer was pinned when the CTS went out; undo it here — the
+	// completion path that normally unpins will never run.
+	if req.unpin != nil {
+		if pages := req.vector.UserPages(); pages > 0 {
+			ep.mx.node.CPU.Unpin(p, pages)
+		}
+		req.unpin()
+		req.unpin = nil
+	}
+	req.status.Err = ErrCancelled
+	req.done.Fire()
+	return true
 }
 
 // Cancel withdraws r, a posted receive, from its endpoint (see
@@ -522,6 +529,14 @@ func (ep *Endpoint) WaitAny(p *sim.Proc) *Request {
 		r.charge(p)
 		return r
 	}
+}
+
+// awaitData records that receive req has matched rendezvous id of node
+// src and now waits for its payload.
+func (ep *Endpoint) awaitData(req *Request, src hw.NodeID, id, info uint64) {
+	ep.rndvIn[rndvKey{src, id}] = req
+	req.rndvID = id
+	req.status = Status{Src: src, Info: info}
 }
 
 // pinForRendezvous pins a matched rendezvous receive buffer, charging
@@ -638,8 +653,7 @@ func (m *MX) receive(p *sim.Proc, msg *hw.Message) {
 		id := get64(msg.Header[2:])
 		length := int(get32(msg.Header[10:]))
 		if req := ep.takePosted(msg.Tag); req != nil {
-			ep.rndvIn[id] = req
-			req.status = Status{Src: msg.Src, Info: msg.Tag}
+			ep.awaitData(req, msg.Src, id, msg.Tag)
 			ep.sendCTS(p, msg.Src, srcEp, id, req.vector.TotalLen(), length, req)
 			return
 		}
@@ -656,12 +670,12 @@ func (m *MX) receive(p *sim.Proc, msg *hw.Message) {
 		delete(ep.rndvOut, id)
 		ep.startData(req, msg.Src, srcEp, id, length)
 	case kindData:
-		id := get64(msg.Header[2:])
-		req := ep.rndvIn[id]
+		key := rndvKey{msg.Src, get64(msg.Header[2:])}
+		req := ep.rndvIn[key]
 		if req == nil {
 			return
 		}
-		delete(ep.rndvIn, id)
+		delete(ep.rndvIn, key)
 		n := len(msg.Payload)
 		ep.mx.node.Mem.Scatter(req.extents, msg.Payload)
 		req.status.Len = n
@@ -684,18 +698,26 @@ func (ep *Endpoint) startData(req *Request, dst hw.NodeID, dstEp uint8, id uint6
 	// §5.1) rides on the data message's firmware processing.
 	j.Gather, j.FwExtra = mem.Clip(req.extents, length), m.p.MXLargeOverhead
 	m.node.NIC.Send(j)
-	m.node.Cluster.Env.Spawn("mx-rndv-done", func(w *sim.Proc) {
-		j.Msg.TxDone.Wait(w)
+	// Completion waits for the NIC to have read the source. Only user
+	// pages cost CPU time to unpin, which takes a process to charge;
+	// every other send completes from TxDone's own event.
+	pages := req.sendVec.UserPages()
+	done := func() {
 		if req.unpin != nil {
-			pages := req.sendVec.UserPages()
-			if pages > 0 {
-				m.node.CPU.Unpin(w, pages)
-			}
 			req.unpin()
 			req.unpin = nil
 		}
 		req.status.Len = length
 		req.done.Fire()
+	}
+	if pages == 0 {
+		j.Msg.TxDone.WaitFunc(done)
+		return
+	}
+	m.node.Cluster.Env.Spawn("mx-rndv-done", func(w *sim.Proc) {
+		j.Msg.TxDone.Wait(w)
+		m.node.CPU.Unpin(w, pages)
+		done()
 	})
 }
 

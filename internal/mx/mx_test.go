@@ -640,3 +640,79 @@ func TestNoRegistrationAPIExists(t *testing.T) {
 	// a fresh endpoint sends immediately with no setup calls.
 	sendRecvOnce(t, 1000)
 }
+
+// Rendezvous ids are the sending node's own counter, so two senders'
+// ids coincide as soon as both have sent equally many large messages.
+// An endpoint holding two matched receives at once (a server with more
+// than one request receive posted) must tell them apart by sender: each
+// receive completes, with its own sender's bytes. Keyed by id alone the
+// second RTS took over the first's receive and one of the two never
+// completed. The same script runs with both RTSes arriving unexpected.
+func TestCollidingRendezvousIDsFromTwoSenders(t *testing.T) {
+	for _, posted := range []bool{true, false} {
+		t.Run(fmt.Sprintf("posted=%v", posted), func(t *testing.T) {
+			env := sim.NewEngine()
+			c := hw.NewCluster(env, hw.DefaultParams(), hw.PCIXD)
+			senders := []*hw.Node{c.AddNode("a"), c.AddNode("b")}
+			dst := c.AddNode("c")
+			const n = 96 * 1024
+			payload := func(i int) []byte { return bytes.Repeat([]byte{byte(0xA0 + i)}, n) }
+			var sends []*Request
+			for i, node := range senders {
+				i, node, m := i, node, Attach(node)
+				env.Spawn(node.Name, func(p *sim.Proc) {
+					p.Sleep(sim.Time(1+i) * us)
+					ep, _ := m.OpenEndpoint(1, true)
+					va, _ := node.Kernel.Mmap(n, "src")
+					node.Kernel.WriteBytes(va, payload(i))
+					req, err := ep.Send(p, dst.ID, 1, 7, core.Of(core.KernelSeg(node.Kernel, va, n)))
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if req.rndvID != 0 {
+						t.Errorf("%s: rendezvous id %d, the test wants both senders' first (0)", node.Name, req.rndvID)
+					}
+					sends = append(sends, req)
+				})
+			}
+			md := Attach(dst)
+			var recvs [2]*Request
+			var vas [2]vm.VirtAddr
+			env.Spawn("c", func(p *sim.Proc) {
+				ep, _ := md.OpenEndpoint(1, true)
+				if !posted {
+					p.Sleep(200 * us) // both RTSes wait in the unexpected queue
+				}
+				for i := range recvs {
+					vas[i], _ = dst.Kernel.Mmap(n, "dst")
+					var err error
+					if recvs[i], err = ep.Recv(p, core.Exact(7), core.Of(core.KernelSeg(dst.Kernel, vas[i], n))); err != nil {
+						t.Error(err)
+					}
+				}
+			})
+			env.Run(0)
+			for _, req := range sends {
+				if !req.Done() {
+					t.Error("a send never completed")
+				}
+			}
+			seen := make(map[hw.NodeID]bool)
+			for i, req := range recvs {
+				st, done := req.Test()
+				if !done || st.Err != nil || st.Len != n {
+					t.Fatalf("receive %d: done %v, status %+v", i, done, st)
+				}
+				seen[st.Src] = true
+				got, _ := dst.Kernel.ReadBytes(vas[i], n)
+				if want := payload(int(st.Src - senders[0].ID)); !bytes.Equal(got, want) {
+					t.Errorf("receive %d completed for node %d but holds bytes %#x…, want %#x…", i, st.Src, got[0], want[0])
+				}
+			}
+			if len(seen) != 2 {
+				t.Errorf("both receives report the same sender: %v", seen)
+			}
+		})
+	}
+}

@@ -35,7 +35,10 @@ type rig struct {
 	mxC            *mx.MX
 }
 
-func newRig(t *testing.T) *rig {
+func newRig(t *testing.T) *rig { return newRigWorkers(t, 1) }
+
+// newRigWorkers is newRig with the MX server given `workers` workers.
+func newRigWorkers(t *testing.T, workers int) *rig {
 	t.Helper()
 	env := sim.NewEngine()
 	params := hw.DefaultParams()
@@ -48,13 +51,22 @@ func newRig(t *testing.T) *rig {
 	mxS := mx.Attach(r.server)
 	r.serverFS = memfs.New("backing", r.server, 0)
 	r.srv = rfsrv.NewServer(r.server, r.serverFS)
-	if _, err := r.srv.ServeMX(mxS, 1, 1); err != nil {
+	if _, err := r.srv.ServeMX(mxS, 1, workers); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := r.srv.ServeGM(gmS, 1); err != nil {
 		t.Fatal(err)
 	}
 	return r
+}
+
+// onNode returns a copy of the rig whose client is a fresh node, for
+// tests that drive the one server from several clients.
+func (r *rig) onNode(name string) *rig {
+	nr := *r
+	nr.client = r.client.Cluster.AddNode(name)
+	nr.gmC, nr.mxC = gm.Attach(nr.client), mx.Attach(nr.client)
+	return &nr
 }
 
 // run executes body in a proc and fails the test on deadlock.

@@ -59,9 +59,13 @@ type Server struct {
 
 	// workFree recycles work records (and their header-scratch slices)
 	// between receiving and serving — one simulated host, so a plain
-	// freelist needs no locking. staged and enc belong to reply.
+	// freelist needs no locking. inside counts the requests received and
+	// not yet served (the sum of every ClientSession's Outstanding).
+	// staged is everything a reply sent that the NIC may still be
+	// reading (see sweepStaged); enc belongs to reply.
 	workFree []*work
-	staged   []stagedReply
+	inside   int
+	staged   []stagedSend
 	enc      []byte
 	vec      core.Vector // bufVec's scratch
 
@@ -376,7 +380,12 @@ func (s *Server) handleSetSize(p *sim.Proc, ino kernel.InodeID, req *Req, resp *
 
 // readExtents builds the zero-copy reply extents for a read: physical
 // runs of the file's block frames (the zero page for holes), clipped to
-// EOF. It returns the response and the extents to transmit.
+// EOF. It returns the response and the extents to transmit, holding a
+// reference on the frame under every page of them: the NIC reads the
+// frames when the send reaches the head of its queue, and a truncate,
+// unlink or overwrite served before then must not hand them back to the
+// allocator. The caller gives the references back with putFrames once
+// the send is done.
 func (s *Server) readExtents(p *sim.Proc, req *Req) (*Resp, []mem.Extent) {
 	resp := &Resp{Seq: req.Seq}
 	// A negative or overflowing range is a protocol violation, not a
@@ -417,6 +426,7 @@ func (s *Server) readExtents(p *sim.Proc, req *Req) (*Resp, []mem.Extent) {
 		if f == nil {
 			f = s.zero // hole
 		}
+		f.Get()
 		xs = append(xs, mem.Extent{Addr: f.Addr() + mem.PhysAddr(pgOff), Len: int(chunk)})
 		off += chunk
 		left -= chunk
@@ -424,6 +434,20 @@ func (s *Server) readExtents(p *sim.Proc, req *Req) (*Resp, []mem.Extent) {
 	resp.N = uint32(n)
 	resp.Attr = attr
 	return resp, mem.MergeInPlace(xs)
+}
+
+// putFrames drops the reference readExtents took on the frame under
+// each page of xs. Merging kept the extents page for page what
+// readExtents walked — every chunk but the first starts a frame, every
+// chunk but the last ends one — so walking their frames again visits
+// each held frame exactly as often as it was held.
+func (s *Server) putFrames(xs []mem.Extent) {
+	m := s.node.Mem
+	for _, x := range xs {
+		for pfn := x.Addr.PFN(); pfn <= (x.End() - 1).PFN(); pfn++ {
+			m.Put(m.Frame(pfn))
+		}
+	}
 }
 
 // handleWrite applies inline write data (already landed in the
@@ -456,13 +480,14 @@ func (s *Server) handleWrite(p *sim.Proc, req *Req, src core.Vector) *Resp {
 // kernel-virtual on a vectorial transport and physically otherwise
 // (ctlVec, shared with the client); and a transport whose completions
 // come from a single queue is served by one process in arrival order
-// instead of a receive dispatcher feeding workers (Serve).
+// instead of posted receives feeding workers (Serve).
 
 // work is one received request message on its way to being served: the
 // decoded leading request, the head of the raw message (which may carry
 // further packed metadata requests), and the pooled bounce buffer the
-// message landed in (inline write payload stays there), released once
-// the request is served.
+// message landed in when the request is a write (the payload stays
+// there and is consumed in place), released once the request is served;
+// any other request leaves the bounce with its receiver (recvReq).
 type work struct {
 	req      *Req
 	src      hw.NodeID
@@ -495,15 +520,27 @@ func (s *Server) ServeGM(g *gm.GM, portID uint8) (*gm.Port, error) {
 }
 
 // Serve serves the protocol on any message transport with physical
-// addressing. On a vectorial transport, whose waits are per request,
-// one receive dispatcher keeps a request receive posted and feeds a
-// queue that `workers` processes drain: it can accept a pipelined
-// client's next request while every worker is still busy — the server
-// half of the protocol's sliding window. A non-vectorial transport
-// delivers every completion through one event queue that a single
-// consumer must drain (§5.2, §5.3), so one process receives and serves
-// in arrival order (pipelined clients still overlap their requests'
-// transfers with its work) and workers must be 1.
+// addressing. On a vectorial transport, whose waits are per request
+// (§4.2, §5.2: "wait on a single or any pending request"), `workers`
+// receivers each keep a request receive posted and feed a queue that
+// `workers` serving processes drain. One posted receive accepts a
+// pipelined client's next request while every worker is still busy —
+// the server half of the protocol's sliding window — but a receive
+// matched by a write larger than the eager limit stays matched for the
+// whole rendezvous, its clear-to-send queued behind read data in the
+// NIC's transmit stage, and with a single receive every other client's
+// request waits in the unexpected queue meanwhile: the server's
+// transmit and receive halves alternate instead of overlapping. So the
+// server posts as many receives as it has workers — but only once it
+// has seen concurrency. Receivers 2…N start parked on a signal that a
+// receiver fires the first time the request it has just received finds
+// another still inside the server; a server that never holds two
+// requests at once (a synchronous client) runs exactly the one-receive
+// schedule and keeps one bounce buffer, not N. A non-vectorial
+// transport delivers every completion through one event queue that a
+// single consumer must drain (§5.2, §5.3), so one process receives and
+// serves in arrival order (pipelined clients still overlap their
+// requests' transfers with its work) and workers must be 1.
 func (s *Server) Serve(t fabric.Transport, workers int) error {
 	caps := t.Caps()
 	if caps.Stream || !caps.Physical {
@@ -515,18 +552,30 @@ func (s *Server) Serve(t fabric.Transport, workers int) error {
 			return fmt.Errorf("rfsrv: %d workers on a transport with a single completion queue (want 1)", workers)
 		}
 		env.Spawn(name+"-rfsrv-gm", func(p *sim.Proc) {
+			var bounce *fabric.Buffer
 			for {
-				s.serve(p, t, s.recvReq(p, t))
+				s.serve(p, t, s.recvReq(p, t, &bounce))
 			}
 		})
 		return nil
 	}
 	queue := sim.NewChan[*work](env)
-	env.Spawn(name+"-rfsrv-mx-rx", func(p *sim.Proc) {
-		for {
-			queue.Send(s.recvReq(p, t))
-		}
-	})
+	concurrent := sim.NewSignal(env)
+	for r := 0; r < workers; r++ {
+		env.Spawn(fmt.Sprintf("%s-rfsrv-mx-rx%d", name, r), func(p *sim.Proc) {
+			if r > 0 {
+				concurrent.Wait(p)
+			}
+			var bounce *fabric.Buffer
+			for {
+				w := s.recvReq(p, t, &bounce)
+				if s.inside > 1 {
+					concurrent.Fire()
+				}
+				queue.Send(w)
+			}
+		})
+	}
 	for w := 0; w < workers; w++ {
 		env.Spawn(fmt.Sprintf("%s-rfsrv-mx-%d", name, w), func(p *sim.Proc) {
 			for {
@@ -550,18 +599,26 @@ func (s *Server) bufVec(t fabric.Transport, buf *fabric.Buffer, n int) core.Vect
 	return s.vec
 }
 
-// recvReq receives the next well-formed request message into a pooled
-// bounce buffer. Each outstanding request holds its own buffer
-// (returned to the pool when it has been served), so the queue depth
-// is bounded only by the clients' aggregate window.
-func (s *Server) recvReq(p *sim.Proc, t fabric.Transport) *work {
+// recvReq receives the next well-formed request message into *held, the
+// calling receiver's pooled bounce buffer (nil: one is taken from the
+// pool). Only a write needs its bounce after this point — the payload
+// is consumed in place — so only a write takes it along (released when
+// it has been served) and leaves *held nil; every other request was
+// copied out whole and leaves the bounce with the receiver, which posts
+// it again. Queued reads and metadata therefore pin no bounce at all,
+// and the queue depth is bounded only by the clients' aggregate window.
+func (s *Server) recvReq(p *sim.Proc, t fabric.Transport, held **fabric.Buffer) *work {
 	const bounceLen = MaxWriteChunk + HdrBufSize
 	for {
-		buf, err := fabric.PoolOf(s.node).Get(bounceLen)
-		if err != nil {
-			panic(err)
+		if *held == nil {
+			buf, err := fabric.PoolOf(s.node).Get(bounceLen)
+			if err != nil {
+				panic(err)
+			}
+			*held = buf
 		}
-		op, err := t.PostRecv(p, core.Exact(reqTag), s.bufVec(t, buf, bounceLen))
+		bounce := *held
+		op, err := t.PostRecv(p, core.Exact(reqTag), s.bufVec(t, bounce, bounceLen))
 		if err != nil {
 			panic(err)
 		}
@@ -573,20 +630,23 @@ func (s *Server) recvReq(p *sim.Proc, t fabric.Transport) *work {
 		// would drag up to MaxWriteChunk through the kernel for nothing.
 		w := s.getWork()
 		raw := w.rawBuf[:min(st.Len, 4096)]
-		if err := s.node.Kernel.ReadBytesInto(buf.VA(), raw); err != nil {
+		if err := s.node.Kernel.ReadBytesInto(bounce.VA(), raw); err != nil {
 			panic(err)
 		}
 		req, consumed, err := DecodeReq(raw)
 		if err != nil {
-			buf.Release()
 			s.putWork(w)
-			continue // malformed: drop
+			continue // malformed: drop, and post the same bounce again
 		}
 		s.Requests.Add(st.Len)
 		sess := s.session(st.Src, req.EP)
 		sess.Outstanding++
 		sess.MaxOutstanding = max(sess.MaxOutstanding, sess.Outstanding)
-		w.req, w.src, w.raw, w.n, w.consumed, w.buf, w.sess = req, st.Src, raw, st.Len, consumed, buf, sess
+		s.inside++
+		w.req, w.src, w.raw, w.n, w.consumed, w.sess = req, st.Src, raw, st.Len, consumed, sess
+		if req.Op == OpWrite {
+			w.buf, *held = bounce, nil
+		}
 		return w
 	}
 }
@@ -606,8 +666,14 @@ func (s *Server) serve(p *sim.Proc, t fabric.Transport, w *work) {
 		if len(data) == 0 {
 			data = core.Of(core.PhysSeg(s.zero.Addr(), 0))
 		}
-		if _, err := t.Send(p, w.src, req.EP, tag(req.Seq, req.EP, kindData), data); err != nil && !fabric.IsFault(err) {
-			panic(err)
+		op, err := t.Send(p, w.src, req.EP, tag(req.Seq, req.EP, kindData), data)
+		if err != nil {
+			if !fabric.IsFault(err) {
+				panic(err)
+			}
+			s.putFrames(xs)
+		} else if len(xs) > 0 {
+			s.staged = append(s.staged, stagedSend{op: op, frames: xs})
 		}
 		s.reply(p, t, w.src, req, resp)
 	case OpWrite:
@@ -628,7 +694,10 @@ func (s *Server) serve(p *sim.Proc, t fabric.Transport, w *work) {
 	}
 	w.sess.Served.Add(1)
 	w.sess.Outstanding--
-	w.buf.Release()
+	s.inside--
+	if w.buf != nil {
+		w.buf.Release()
+	}
 	s.putWork(w)
 }
 
@@ -674,11 +743,30 @@ func (s *Server) unpack(raw []byte) []*Req {
 	return out
 }
 
-// stagedReply is one reply header on its way out: the send and the
-// pooled buffer the NIC reads it from.
-type stagedReply struct {
-	op  fabric.Op
-	buf *fabric.Buffer
+// stagedSend is one reply message on its way out and the memory the NIC
+// reads it from: a header's pooled buffer, or the block-store frames
+// under a read's data.
+type stagedSend struct {
+	op     fabric.Op
+	buf    *fabric.Buffer // header staging, released when op is done
+	frames []mem.Extent   // held by readExtents, put back when op is done
+}
+
+// sweepStaged gives back what completed sends were holding.
+func (s *Server) sweepStaged() {
+	live := s.staged[:0]
+	for _, ss := range s.staged {
+		if !ss.op.Done() {
+			live = append(live, ss)
+			continue
+		}
+		if ss.buf != nil {
+			ss.buf.Release()
+		}
+		s.putFrames(ss.frames)
+	}
+	clear(s.staged[len(live):])
+	s.staged = live
 }
 
 // reply stamps resp and sends its header to the requester. It is the
@@ -689,14 +777,19 @@ type stagedReply struct {
 // placement, and the server's membership epoch, which poisons a client
 // routing under a retired view (DESIGN.md §13).
 //
-// The one staging rule: every header stages in its own pooled buffer,
-// released once its send Op reports Done. No transport lets the buffer
-// be reused sooner — a non-vectorial NIC gathers the extents at DMA
-// time and completes only when the peer has acknowledged, a vectorial
-// one completes a rendezvous-sized listing only after the payload left
-// — so back-to-back replies to a pipelined client never share staging.
-// A send that reports a transport fault (the client's NIC is dead) is
-// dropped and its staging released: a peer's death is not the server's.
+// The one staging rule: whatever a reply message is sent from stays the
+// message's own until its send Op reports Done — a header its own
+// pooled buffer, a read's data the references readExtents took on the
+// block-store frames — and every reply sweeps what has completed since
+// the last. No transport lets the memory go sooner — a non-vectorial
+// NIC gathers the extents at DMA time and completes only when the peer
+// has acknowledged, a vectorial one reads them when the message reaches
+// the head of its transmit queue and completes a rendezvous only after
+// the payload left — so back-to-back replies to a pipelined client
+// never share staging, and a truncate served while a read's data is
+// still queued frees nothing the NIC has yet to read. A send that
+// reports a transport fault (the client's NIC is dead) is dropped and
+// what it held released: a peer's death is not the server's.
 func (s *Server) reply(p *sim.Proc, t fabric.Transport, dst hw.NodeID, req *Req, resp *Resp) {
 	ino := resp.Attr.Ino
 	if ino == 0 {
@@ -711,16 +804,7 @@ func (s *Server) reply(p *sim.Proc, t fabric.Transport, dst hw.NodeID, req *Req,
 		hdr, _ = EncodeRespInto(s.enc[:0], resp)
 	}
 	s.enc = hdr // scratch: the bytes are copied into staging before anything can yield
-	live := s.staged[:0]
-	for _, sr := range s.staged {
-		if sr.op.Done() {
-			sr.buf.Release()
-		} else {
-			live = append(live, sr)
-		}
-	}
-	clear(s.staged[len(live):])
-	s.staged = live
+	s.sweepStaged()
 	buf, err := fabric.PoolOf(s.node).Get(HdrBufSize)
 	if err != nil {
 		panic(err)
@@ -736,5 +820,5 @@ func (s *Server) reply(p *sim.Proc, t fabric.Transport, dst hw.NodeID, req *Req,
 		buf.Release()
 		return
 	}
-	s.staged = append(s.staged, stagedReply{op, buf})
+	s.staged = append(s.staged, stagedSend{op: op, buf: buf})
 }

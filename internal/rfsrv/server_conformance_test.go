@@ -14,10 +14,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fabric"
-	"repro/internal/gm"
 	"repro/internal/hw"
 	"repro/internal/kernel"
-	"repro/internal/mx"
 	"repro/internal/rfsrv"
 	"repro/internal/sim"
 	"repro/internal/vm"
@@ -202,7 +200,7 @@ func TestServeWindowAccounting(t *testing.T) {
 			if cs.Served.N != count || cs.Outstanding != 0 {
 				t.Errorf("served %d (want %d), outstanding %d", cs.Served.N, count, cs.Outstanding)
 			}
-			// A dispatcher (vectorial transport) accepts a pipelined
+			// A posted receive (vectorial transport) accepts a pipelined
 			// client's next request while its worker is busy; the single
 			// arrival-order process accounts requests one at a time.
 			if deep := cs.MaxOutstanding > 1; deep != (transport == "mx") {
@@ -259,13 +257,12 @@ func TestServeSurvivesDeadClient(t *testing.T) {
 		t.Run(transport, func(t *testing.T) {
 			r := newRig(t)
 			const chunk, count = 4096, 16
-			victim := r.client.Cluster.AddNode("victim")
+			vr := r.onNode("victim")
+			victim := vr.client
 			finished := false
 			r.env.Spawn("seed", func(p *sim.Proc) {
 				ino := r.seed(t, p, "f", pattern(chunk*count))
 				r.env.Spawn("victim", func(p *sim.Proc) {
-					vr := *r
-					vr.client, vr.gmC, vr.mxC = victim, gm.Attach(victim), mx.Attach(victim)
 					sess := vr.sessionOver(t, p, transport, 3, 4)
 					va, _ := victim.Kernel.Mmap(4*chunk, "v")
 					for i := 0; i < 4; i++ {

@@ -141,8 +141,8 @@ func TestServerWorkerScaling(t *testing.T) {
 	}
 	one := run(1)
 	four := run(4)
-	// Allow scheduling jitter at the nanosecond level (the dispatcher
-	// and extra worker procs reorder same-instant events); anything
+	// Allow scheduling jitter at the nanosecond level (the extra
+	// receiver and worker procs reorder same-instant events); anything
 	// beyond 0.1% is a real slowdown.
 	if four > one+one/1000 {
 		t.Errorf("4 workers slower than 1: %v vs %v", four, one)

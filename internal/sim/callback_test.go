@@ -196,6 +196,11 @@ func TestCallbackWaiterPanicSurfacesFromRun(t *testing.T) {
 			c.RecvFunc(func(int) { panic("boom") })
 			e.After(5*us, func() { c.Send(1) })
 		},
+		"WaitFunc": func(e *Engine) {
+			s := NewSignal(e)
+			s.WaitFunc(func() { panic("boom") })
+			e.After(5*us, s.Fire)
+		},
 		"AcquireFunc": func(e *Engine) {
 			r := NewResource(e, "unit", 1)
 			e.Spawn("holder", func(p *Proc) { r.Use(p, 5*us) }) // dispatches the hand-over as it exits
@@ -239,8 +244,68 @@ func TestSignalWakesInArrivalOrderWithFirstWaiterInline(t *testing.T) {
 	if !reflect.DeepEqual(woke, want) {
 		t.Errorf("woke %v, want %v", woke, want)
 	}
-	if s.first != nil || len(s.more) != 0 || e.Stranded() != 0 {
-		t.Errorf("after Fire: first %v, more %d, stranded %d; want nil, 0, 0", s.first, len(s.more), e.Stranded())
+	if s.waiting() || len(s.more) != 0 || e.Stranded() != 0 {
+		t.Errorf("after Fire: waiting %v, more %d, stranded %d; want false, 0, 0", s.waiting(), len(s.more), e.Stranded())
+	}
+}
+
+func TestWaitFuncTakesTheWokenWaitersSlot(t *testing.T) {
+	// The same script against a Proc waiter and a callback waiter: a
+	// same-instant callback scheduled before the Fire runs before the
+	// waiter, one scheduled after it runs after.
+	script := func(waiter func(e *Engine, s *Signal, woke func())) []string {
+		e := NewEngine()
+		s := NewSignal(e)
+		var order []string
+		waiter(e, s, func() { order = append(order, fmt.Sprintf("woke at %v", e.Now())) })
+		e.After(5*us, func() {
+			e.After(0, func() { order = append(order, "scheduled before the fire") })
+			s.Fire()
+			e.After(0, func() { order = append(order, "scheduled after the fire") })
+			order = append(order, "firer returns")
+		})
+		e.Run(0)
+		return order
+	}
+	asProc := script(func(e *Engine, s *Signal, woke func()) {
+		e.Spawn("waiter", func(p *Proc) { s.Wait(p); woke() })
+	})
+	asCallback := script(func(e *Engine, s *Signal, woke func()) {
+		e.After(0, func() { s.WaitFunc(woke) })
+	})
+	want := []string{"firer returns", "scheduled before the fire", "woke at 5µs", "scheduled after the fire"}
+	if !reflect.DeepEqual(asCallback, want) || !reflect.DeepEqual(asProc, want) {
+		t.Errorf("order with a callback waiter %v,\n with a Proc waiter %v,\n want both %v", asCallback, asProc, want)
+	}
+
+	// Procs and callbacks share one list, in arrival order, and a Proc
+	// that timed out of the inline slot hands it to the callback behind.
+	e := NewEngine()
+	s := NewSignal(e)
+	var woke []string
+	note := func(name string) func() { return func() { woke = append(woke, name) } }
+	e.Spawn("impatient", func(p *Proc) {
+		if s.WaitTimeout(p, 3*us) {
+			t.Error("WaitTimeout reported a fire at its deadline")
+		}
+	})
+	e.After(1*us, func() { s.WaitFunc(note("cb1")) })
+	e.SpawnAfter(2*us, "proc2", func(p *Proc) { s.Wait(p); note("proc2")() })
+	e.After(4*us, func() { s.WaitFunc(note("cb3")) })
+	e.After(10*us, s.Fire)
+	e.Run(0)
+	if want := []string{"cb1", "proc2", "cb3"}; !reflect.DeepEqual(woke, want) {
+		t.Errorf("woke %v, want %v", woke, want)
+	}
+	if s.waiting() || e.Stranded() != 0 {
+		t.Errorf("after Fire: waiting %v, stranded %d; want false, 0", s.waiting(), e.Stranded())
+	}
+
+	// A fired signal runs the callback at once, as Wait returns at once.
+	ran := false
+	s.WaitFunc(func() { ran = true })
+	if !ran {
+		t.Error("WaitFunc on a fired signal did not run its callback inline")
 	}
 }
 
@@ -304,25 +369,48 @@ func recvChurn(e *Engine, n int) {
 	e.AfterDetached(0, send)
 }
 
-// churn runs both on an engine with no Proc at all.
+// signalChurn sets up n one-shot signals, each waited on by a callback
+// and fired a microsecond later (the record a signal completes is
+// recycled, as the drivers' requests are: one Signal, re-armed).
+func signalChurn(e *Engine, n int) {
+	var s Signal
+	left := n
+	var arm, woke func()
+	fire := func() { s.Fire() } // built once: a method value would allocate per use
+	arm = func() {
+		s = Signal{}
+		s.Init(e)
+		s.WaitFunc(woke)
+		e.AfterDetached(1*us, fire)
+	}
+	woke = func() {
+		if left--; left > 0 {
+			arm()
+		}
+	}
+	e.AfterDetached(0, arm)
+}
+
+// churn runs all three on an engine with no Proc at all.
 func churn(n int) *Engine {
 	e := NewEngine()
 	handoffChurn(e, n)
 	recvChurn(e, n)
+	signalChurn(e, n)
 	e.Run(0)
 	return e
 }
 
 func TestCallbackWaitersCostNoSwitchAndNoAllocation(t *testing.T) {
 	if e := churn(1000); e.Switches() != 0 {
-		t.Errorf("1000 callback hand-overs and 1000 callback receives cost %d goroutine switches, want 0", e.Switches())
+		t.Errorf("1000 callback hand-overs, receives and signal waits cost %d goroutine switches, want 0", e.Switches())
 	}
 	// Set-up (engine, closures, the first queue and free-list growth) is
 	// the same whatever n is: the difference is the steady state.
 	small := testing.AllocsPerRun(5, func() { churn(100) })
 	large := testing.AllocsPerRun(5, func() { churn(2100) })
 	if large != small {
-		t.Errorf("2000 more hand-overs and receives allocated %.0f more objects, want 0", large-small)
+		t.Errorf("2000 more hand-overs, receives and signal waits allocated %.0f more objects, want 0", large-small)
 	}
 }
 
@@ -342,3 +430,5 @@ func benchChurn(b *testing.B, setup func(e *Engine, n int)) {
 func BenchmarkResourceCallbackHandoff(b *testing.B) { benchChurn(b, handoffChurn) }
 
 func BenchmarkChanRecvFunc(b *testing.B) { benchChurn(b, recvChurn) }
+
+func BenchmarkSignalWaitFunc(b *testing.B) { benchChurn(b, signalChurn) }

@@ -29,20 +29,23 @@
 // goroutine holds the baton. A process that only forwards — take a
 // value from a Chan, hold a Resource for a while, pass the value on —
 // can therefore be written as a chain of callbacks instead: a Chan
-// accepts a callback receiver (RecvFunc) and a Resource a callback
-// holder (AcquireFunc), each queued in the one waiter list in arrival
-// order with blocked Procs. One rule makes the rewrite exact: a callback
-// waiter takes the event slot the Proc's wake-up took. Where the Proc
-// would have gone on without blocking (a buffered value, a free unit)
-// the callback runs inline; where the Proc would have parked, Send or
-// Release schedules the callback at the current instant exactly where
-// it would have scheduled the wake-up, and a Sleep becomes an
-// AfterDetached of the same duration. Every event keeps its (time,
-// sequence) position, so the event order, the event count and every
-// simulated number are those of the process version — only who runs
-// the events moves. The NIC's transmit and link stages (package hw) are
-// such chains; its receive stage stays a Proc because the drivers'
-// handlers block.
+// accepts a callback receiver (RecvFunc), a Resource a callback holder
+// (AcquireFunc) and a Signal a callback waiter (WaitFunc), each queued
+// in the one waiter list in arrival order with blocked Procs. One rule
+// makes the rewrite exact: a callback waiter takes the event slot the
+// Proc's wake-up took. Where the Proc would have gone on without
+// blocking (a buffered value, a free unit, a fired signal) the callback
+// runs inline; where the Proc would have parked, Send, Release or Fire
+// schedules the callback at the current instant exactly where it would
+// have scheduled the wake-up, and a Sleep becomes an AfterDetached of
+// the same duration. Every event keeps its (time, sequence) position,
+// so the event order and every simulated number are those of the
+// process version — only who runs the events moves (a process spawned
+// per message just to wait also gives up its start event, which did
+// nothing but enrol it). The NIC's transmit and link stages (package
+// hw) are such chains, and MX's send completions wait on the NIC's
+// TxDone that way; the NIC's receive stage stays a Proc because the
+// drivers' handlers block.
 //
 // The package is the substrate for the hardware and protocol models in
 // this repository: CPUs, NIC firmware processors, DMA engines and links
@@ -370,8 +373,15 @@ func (e *Engine) Stranded() int { return e.parked }
 // yet finished.
 func (e *Engine) Live() int { return e.procs }
 
+// Events returns how many events have been scheduled since the engine
+// was created, cancelled ones included: the simulator's own unit of
+// work. Tests pin a path's event cost with it — two designs that
+// schedule the same events in the same order simulate the same thing.
+func (e *Engine) Events() uint64 { return e.seq }
+
 // Switches returns how many times the baton has passed from one
 // goroutine to another since the engine was created: the host cost a
-// callback waiter (Chan.RecvFunc, Resource.AcquireFunc) avoids and a
-// Proc wake-up pays. Tests pin a path's switch cost with it.
+// callback waiter (Chan.RecvFunc, Resource.AcquireFunc,
+// Signal.WaitFunc) avoids and a Proc wake-up pays. Tests pin a path's
+// switch cost with it.
 func (e *Engine) Switches() uint64 { return e.switches }

@@ -9,10 +9,10 @@ package sim
 // proc from the waiter list before scheduling its wake-up, so a parked
 // proc is referenced by at most one waiter list at a time.
 //
-// A Chan and a Resource also take callback waiters (RecvFunc,
-// AcquireFunc), in the same list as Procs and under the rule the
-// package comment states: a callback waiter takes the event slot the
-// Proc's wake-up took.
+// Each primitive also takes callback waiters (Signal.WaitFunc,
+// Chan.RecvFunc, Resource.AcquireFunc), in the same list as Procs and
+// under the rule the package comment states: a callback waiter takes
+// the event slot the Proc's wake-up took.
 
 // Signal is a one-shot completion event. Once fired it stays fired; any
 // number of procs may wait on it before or after firing. The zero value
@@ -22,9 +22,16 @@ type Signal struct {
 	fired bool
 	// Waiters in arrival order: the oldest inline, because nearly every
 	// signal is waited on by exactly one proc, and the rest in more.
-	// first is nil only when nobody waits.
-	first *Proc
-	more  []*Proc
+	// first is zero only when nobody waits.
+	first sigWaiter
+	more  []sigWaiter
+}
+
+// sigWaiter is one entry of a Signal's waiter list: a blocked Proc (p),
+// or a callback registered with WaitFunc (fn).
+type sigWaiter struct {
+	p  *Proc
+	fn func()
 }
 
 // NewSignal returns an unfired signal bound to e.
@@ -38,31 +45,51 @@ func (s *Signal) Init(e *Engine) { s.e = e }
 // Fired reports whether the signal has fired.
 func (s *Signal) Fired() bool { return s.fired }
 
-// Fire fires the signal and wakes all waiters in arrival order. Firing
-// twice is a no-op. Fire may be called from a Proc or from a callback.
+// waiting reports whether anybody waits on the signal.
+func (s *Signal) waiting() bool { return s.first.p != nil || s.first.fn != nil }
+
+// Fire fires the signal and wakes all waiters in arrival order: a Proc
+// is woken, a callback scheduled at the current instant in the slot
+// that wake-up would take. Firing twice is a no-op. Fire may be called
+// from a Proc or from a callback.
+//
+// allocfree
 func (s *Signal) Fire() {
 	if s.fired {
 		return
 	}
 	s.fired = true
-	if s.first == nil {
+	if !s.waiting() {
 		return
 	}
 	first, more := s.first, s.more
-	s.first, s.more = nil, nil
-	s.e.wake(first)
-	for _, p := range more {
-		s.e.wake(p)
+	s.first, s.more = sigWaiter{}, nil
+	s.rouse(first)
+	for _, w := range more {
+		s.rouse(w)
 	}
 }
 
-// enroll appends p to the waiters.
-func (s *Signal) enroll(p *Proc) {
-	if s.first == nil {
-		s.first = p
+// rouse schedules a waiter of the fired signal at the current instant.
+//
+// allocfree
+func (s *Signal) rouse(w sigWaiter) {
+	if w.fn != nil {
+		s.e.AfterDetached(0, w.fn)
 		return
 	}
-	s.more = append(s.more, p)
+	s.e.wake(w.p)
+}
+
+// enroll appends w to the waiters.
+//
+// allocfree
+func (s *Signal) enroll(w sigWaiter) {
+	if !s.waiting() {
+		s.first = w
+		return
+	}
+	s.more = append(s.more, w)
 }
 
 // Wait blocks p until the signal fires. Returns immediately if it
@@ -71,8 +98,24 @@ func (s *Signal) Wait(p *Proc) {
 	if s.fired {
 		return
 	}
-	s.enroll(p)
+	s.enroll(sigWaiter{p: p})
 	p.park()
+}
+
+// WaitFunc is Wait for a waiter that is not a process: fn runs once the
+// signal has fired — inline if it already has, as Wait would return at
+// once, and otherwise from an event Fire schedules in the slot the
+// Proc's wake-up would take. The waiter queues in arrival order with
+// blocked Procs. fn runs on whichever goroutine holds the baton and
+// must not block.
+//
+// allocfree
+func (s *Signal) WaitFunc(fn func()) {
+	if s.fired {
+		fn()
+		return
+	}
+	s.enroll(sigWaiter{fn: fn})
 }
 
 // WaitTimeout blocks p until the signal fires or d elapses. It reports
@@ -81,7 +124,7 @@ func (s *Signal) WaitTimeout(p *Proc, d Time) bool {
 	if s.fired {
 		return true
 	}
-	s.enroll(p)
+	s.enroll(sigWaiter{p: p})
 	timer := s.e.wakeAt(s.e.now+d, p)
 	p.park()
 	if s.fired {
@@ -98,8 +141,8 @@ func (s *Signal) WaitTimeout(p *Proc, d Time) bool {
 // remove withdraws p from the waiters, keeping the others in arrival
 // order: when the inline waiter leaves, the next oldest moves up.
 func (s *Signal) remove(p *Proc) {
-	if s.first == p {
-		s.first = nil
+	if s.first.p == p {
+		s.first = sigWaiter{}
 		if len(s.more) > 0 {
 			s.first = s.more[0]
 			s.more = append(s.more[:0], s.more[1:]...)
@@ -107,7 +150,7 @@ func (s *Signal) remove(p *Proc) {
 		return
 	}
 	for i, w := range s.more {
-		if w == p {
+		if w.p == p {
 			s.more = append(s.more[:i], s.more[i+1:]...)
 			return
 		}

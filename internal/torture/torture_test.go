@@ -1,6 +1,6 @@
 package torture
 
-// Tier-1 entry points: the fixed 20-seed corpus (seconds, runs under
+// Tier-1 entry points: the fixed seed corpus (seconds, runs under
 // -race in CI), the flag-gated single-seed replay that Failure.Repro
 // prints, and a byte-for-byte determinism check.
 
@@ -22,7 +22,7 @@ var (
 	flagElastic  = flag.Bool("torture.elastic", false, "add membership bounces to the replay's schedule")
 )
 
-// shortCorpus is the fixed tier-1 seed set: the same 20 runs every
+// shortCorpus is the fixed tier-1 seed set: the same runs every
 // time, mixing both modes and a few geometries. Failures found by the
 // soak binary graduate into this list by seed.
 var shortCorpus = []Config{
@@ -37,6 +37,11 @@ var shortCorpus = []Config{
 	{Seed: 21, Elastic: true}, {Seed: 22, Elastic: true, Clients: 2},
 	{Seed: 23, Mode: ModeNS, Elastic: true, Ops: 240},
 	{Seed: 24, Mode: ModeNS, Elastic: true, Servers: 6, Ops: 240},
+	// A read whose data is still queued in a stalled server NIC when a
+	// truncate of the same file is served: panicked with "mem: read from
+	// unallocated frame" as soon as the server kept two receives posted,
+	// until read replies held their frames (rfsrv.Server.readExtents).
+	{Seed: 1116},
 }
 
 func TestTortureShort(t *testing.T) {

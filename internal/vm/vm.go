@@ -344,19 +344,30 @@ func (as *AddressSpace) Resolve(va VirtAddr, n int) ([]mem.Extent, error) {
 	if n == 0 {
 		return nil, nil
 	}
-	// Pre-size for the worst case (one extent per page) and merge
-	// adjacent pages as they are appended: one allocation per call, on
-	// a path every request resolves through.
-	xs := make([]mem.Extent, 0, mem.PagesIn(va.Offset(), n))
-	for n > 0 {
-		pa, err := as.Translate(va)
+	// Two passes over the page table: the first counts the runs, so the
+	// result is sized by what it holds and not by the page count — a
+	// physically contiguous 272 KB bounce buffer is one extent, not room
+	// for 68 — and the second fills it. One exact allocation per call,
+	// on a path every request resolves through.
+	runs := 0
+	var end mem.PhysAddr
+	for v, left := va, n; left > 0; {
+		pa, err := as.Translate(v)
 		if err != nil {
 			return nil, err
 		}
-		chunk := PageSize - va.Offset()
-		if chunk > n {
-			chunk = n
+		chunk := min(PageSize-v.Offset(), left)
+		if runs == 0 || pa != end {
+			runs++
 		}
+		end = pa + mem.PhysAddr(chunk)
+		v += VirtAddr(chunk)
+		left -= chunk
+	}
+	xs := make([]mem.Extent, 0, runs)
+	for n > 0 {
+		pa, _ := as.Translate(va) // every page was found mapped above
+		chunk := min(PageSize-va.Offset(), n)
 		if last := len(xs) - 1; last >= 0 && xs[last].End() == pa {
 			xs[last].Len += chunk
 		} else {

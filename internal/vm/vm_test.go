@@ -63,6 +63,9 @@ func TestMmapFramesScattered(t *testing.T) {
 	if len(xs) < 2 {
 		t.Fatalf("expected scattered frames after recycling, got %d extents", len(xs))
 	}
+	if cap(xs) != len(xs) {
+		t.Errorf("%d extents in a slice of capacity %d: Resolve sizes its result exactly", len(xs), cap(xs))
+	}
 	_ = m
 }
 
@@ -78,6 +81,11 @@ func TestMmapContigResolvesToOneExtent(t *testing.T) {
 	}
 	if len(xs) != 1 || xs[0].Len != 8*PageSize {
 		t.Fatalf("contiguous mapping resolved to %v", xs)
+	}
+	// The result is sized by its runs, not by the page count: posting a
+	// contiguous bounce buffer must not allocate room for a page list.
+	if cap(xs) != 1 {
+		t.Errorf("one-extent result has capacity %d, want 1", cap(xs))
 	}
 }
 

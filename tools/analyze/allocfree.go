@@ -11,6 +11,10 @@ package main
 //
 //   - function literals (closures capture their environment on the
 //     heap once anything escapes — hot paths use prebuilt closures);
+//   - method values (x.method handed over uncalled, the natural way to
+//     give Signal.WaitFunc, Chan.RecvFunc, Resource.AcquireFunc or
+//     Engine.AfterDetached their callback: each evaluation allocates
+//     the closure that binds x — build it once and keep it);
 //   - calls into package fmt (every verb boxes and allocates);
 //   - concrete-to-interface conversions in calls, assignments and
 //     returns (boxing);
@@ -66,6 +70,7 @@ func isAllocFree(fd *ast.FuncDecl) bool {
 
 // checkAllocFree walks one annotated function body.
 func (p *Pass) checkAllocFree(fd *ast.FuncDecl) {
+	called := map[*ast.SelectorExpr]bool{}
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.FuncLit:
@@ -73,6 +78,15 @@ func (p *Pass) checkAllocFree(fd *ast.FuncDecl) {
 			return false // its body runs under its own budget
 		case *ast.CallExpr:
 			p.checkAllocCall(n)
+			// A method that is called binds nothing (the walk reaches a
+			// call before the selector it calls).
+			if sel, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr); ok {
+				called[sel] = true
+			}
+		case *ast.SelectorExpr:
+			if s := p.Info.Selections[n]; s != nil && s.Kind() == types.MethodVal && !called[n] {
+				p.report(n.Pos(), "method value in //allocfree function: binding the receiver allocates a closure per evaluation; build it once (a func field set up beforehand) and pass that")
+			}
 		case *ast.UnaryExpr:
 			if n.Op.String() == "&" {
 				if _, ok := ast.Unparen(n.X).(*ast.CompositeLit); ok {

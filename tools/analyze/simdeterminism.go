@@ -17,12 +17,15 @@ package main
 // The map rule is necessarily heuristic; it flags a map-range body
 // that (a) performs simulated work (calls anything taking *sim.Proc —
 // the repo's marker for schedule-relevant activity), (b) sends on a
-// channel, (c) allocates or frees page frames (mem.Memory's Put,
-// AllocFrame and AllocContig take no *sim.Proc, yet the order of
-// frees is the order PFNs are recycled in, and with it the physical
-// contiguity of every later allocation), or (d) appends to a slice
-// declared outside the loop that is never passed to sort/slices
-// sorting in the same function.
+// channel or hands the engine anything else to put in its order
+// without a *sim.Proc in sight — a callback waiter (Signal.WaitFunc,
+// Chan.RecvFunc, Resource.AcquireFunc), the Send, Fire or Release that
+// wakes one, an After callback, a Spawn — (c) allocates or frees page
+// frames (mem.Memory's Put, AllocFrame and AllocContig take no
+// *sim.Proc, yet the order of frees is the order PFNs are recycled in,
+// and with it the physical contiguity of every later allocation), or
+// (d) appends to a slice declared outside the loop that is never passed
+// to sort/slices sorting in the same function.
 
 import (
 	"go/ast"
@@ -153,8 +156,8 @@ func (p *Pass) checkMapRangeBody(fd *ast.FuncDecl, rng *ast.RangeStmt, sorted ma
 		case *ast.SendStmt:
 			p.report(n.Pos(), "channel send inside map iteration: receiver observes randomized map order; iterate sorted keys instead")
 		case *ast.CallExpr:
-			if p.isChanSend(n) {
-				p.report(n.Pos(), "channel send inside map iteration: receiver observes randomized map order; iterate sorted keys instead")
+			if name, ok := p.isScheduleSink(n); ok {
+				p.report(n.Pos(), "sim.%s inside map iteration: the engine queues waiters and events in randomized map order and seed replay diverges; iterate sorted keys instead", name)
 				return true
 			}
 			if name, ok := p.isFrameSink(n); ok {
@@ -172,15 +175,35 @@ func (p *Pass) checkMapRangeBody(fd *ast.FuncDecl, rng *ast.RangeStmt, sorted ma
 	})
 }
 
-// isChanSend reports whether call is a Send method call on a
-// sim.Chan (the repo's cooperative channel).
-func (p *Pass) isChanSend(call *ast.CallExpr) bool {
+// scheduleSinks are the sim methods, by receiver type, that put a
+// waiter or an event into the engine's order without taking a
+// *sim.Proc: sending on the cooperative channel, registering a callback
+// waiter, waking whatever waits, scheduling a callback, starting a
+// process.
+var scheduleSinks = map[string]map[string]bool{
+	"Signal":   {"WaitFunc": true, "Fire": true},
+	"Chan":     {"Send": true, "RecvFunc": true},
+	"Resource": {"AcquireFunc": true, "Release": true},
+	"Engine":   {"After": true, "AfterDetached": true, "Spawn": true, "SpawnAfter": true},
+}
+
+// isScheduleSink reports whether call is one of scheduleSinks,
+// returning it as Type.Method.
+func (p *Pass) isScheduleSink(call *ast.CallExpr) (string, bool) {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "Send" {
-		return false
+	if !ok {
+		return "", false
 	}
 	tv, ok := p.Info.Types[sel.X]
-	return ok && typeIs(tv.Type, "sim", "Chan")
+	if !ok {
+		return "", false
+	}
+	for recv, methods := range scheduleSinks {
+		if methods[sel.Sel.Name] && typeIs(tv.Type, "sim", recv) {
+			return recv + "." + sel.Sel.Name, true
+		}
+	}
+	return "", false
 }
 
 // frameSinks are the mem.Memory methods whose call order is simulated

@@ -32,6 +32,21 @@ func badClosure() func() {
 	return func() {} // want "closure in //allocfree function"
 }
 
+func (r *rec) bump() { r.n++ }
+
+func later(fn func()) {}
+
+// allocfree
+func badMethodValue(r *rec) {
+	later(r.bump) // want "method value in //allocfree function"
+}
+
+// allocfree
+func methodCallOK(r *rec, prebuilt func()) {
+	r.bump()        // called, not bound
+	later(prebuilt) // built once elsewhere
+}
+
 // allocfree
 func badComposite() *rec {
 	return &rec{} // want "composite literal in //allocfree function allocates"

@@ -19,6 +19,32 @@ type Chan struct{}
 // Send stands in for the cooperative send.
 func (c *Chan) Send(v int) {}
 
+// Signal, Resource and Engine stand in for the types that take callback
+// waiters and schedule events.
+type Signal struct{}
+
+// WaitFunc stands in for the callback wait.
+func (s *Signal) WaitFunc(fn func()) {}
+
+// Fire stands in for the wake-up.
+func (s *Signal) Fire() {}
+
+// Fired is a query: nothing is scheduled.
+func (s *Signal) Fired() bool { return false }
+
+// RecvFunc stands in for the callback receive.
+func (c *Chan) RecvFunc(fn func(int)) {}
+
+type Resource struct{}
+
+// AcquireFunc stands in for the callback acquire.
+func (r *Resource) AcquireFunc(fn func()) {}
+
+type Engine struct{}
+
+// AfterDetached stands in for the fire-and-forget callback.
+func (e *Engine) AfterDetached(d int, fn func()) {}
+
 func work(p *Proc, k int) {}
 
 func clocks() {
@@ -39,7 +65,18 @@ func mapWork(p *Proc, m map[int]int) {
 
 func mapSend(ch *Chan, m map[int]int) {
 	for k := range m {
-		ch.Send(k) // want "channel send inside map iteration"
+		ch.Send(k) // want "sim.Chan.Send inside map iteration"
+	}
+}
+
+func mapCallbackWaiters(e *Engine, ch *Chan, r *Resource, done map[int]*Signal, fn func()) {
+	for _, s := range done {
+		s.WaitFunc(fn)            // want "sim.Signal.WaitFunc inside map iteration"
+		s.Fire()                  // want "sim.Signal.Fire inside map iteration"
+		ch.RecvFunc(func(int) {}) // want "sim.Chan.RecvFunc inside map iteration"
+		r.AcquireFunc(fn)         // want "sim.Resource.AcquireFunc inside map iteration"
+		e.AfterDetached(0, fn)    // want "sim.Engine.AfterDetached inside map iteration"
+		_ = s.Fired()             // a query: fine
 	}
 }
 
