@@ -17,6 +17,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 	"strings"
 
 	"repro/internal/figures"
@@ -122,6 +123,9 @@ func selectExperiments(only string) (map[string]bool, error) {
 }
 
 func main() {
+	// One simulated process is runnable at any instant: extra Ps only
+	// add futex wake-ups between threads (bench/runner.go has numbers).
+	runtime.GOMAXPROCS(1)
 	iters := flag.Int("iters", 10, "ping-pong iterations per message size")
 	only := flag.String("only", "", "run only these comma-separated experiment ids (fig1b…fig8b, table1, scalability, multiserver, degraded, elastic, sharedfile, smallfile, metadata, torture)")
 	jsonPath := flag.String("json", "", "also write a machine-readable snapshot (figures + hot-path allocs/op) to this file")

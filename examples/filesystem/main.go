@@ -29,8 +29,13 @@ func main() {
 
 	mxC := knapi.AttachMX(client)
 	s.Spawn("app", func(p *knapi.Proc) {
-		// Client transport + mount.
-		cl, err := knapi.NewMXClient(mxC, 2, true, client.Kernel, server.ID, 1)
+		// Client endpoint, the synchronous protocol over it (a session
+		// at window 1), and the mount.
+		ep, err := knapi.NewMXClient(mxC, 2, true, client.Kernel, server.ID, 1)
+		if err != nil {
+			log.Fatal(err)
+		}
+		cl, err := knapi.NewFSSession(p, ep, 1)
 		if err != nil {
 			log.Fatal(err)
 		}

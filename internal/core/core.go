@@ -237,10 +237,9 @@ func (v Vector) Extents() ([]mem.Extent, error) {
 		return xs, nil
 	}
 	// One list for the whole vector, sized for the worst case (an
-	// extent per physical segment, one per page of a virtual one),
-	// filled segment by segment and merged where it lies: a physical
-	// segment — a page-cache page, a server block — costs no list of
-	// its own.
+	// extent per physical segment, one per page of a virtual one) and
+	// merged as it is filled segment by segment: a physical segment — a
+	// page-cache page, a server block — costs no list of its own.
 	n := 0
 	for _, s := range v {
 		if s.Type == Physical {
@@ -261,16 +260,18 @@ func (v Vector) Extents() ([]mem.Extent, error) {
 			out = make([]mem.Extent, 0, n)
 		}
 		if s.Type == Physical {
-			out = append(out, mem.Extent{Addr: s.PA, Len: s.Len})
+			out = mem.AppendExtent(out, s.PA, s.Len)
 			continue
 		}
 		xs, err := s.AS.Resolve(s.VA, s.Len)
 		if err != nil {
 			return nil, fmt.Errorf("segment %d: %w", i, err)
 		}
-		out = append(out, xs...)
+		for _, x := range xs {
+			out = mem.AppendExtent(out, x.Addr, x.Len)
+		}
 	}
-	return mem.MergeInPlace(out), nil
+	return out, nil
 }
 
 // PhysicallyContiguous reports whether the vector resolves to a single

@@ -85,14 +85,7 @@ func builders() []builder {
 				return pair{}, err
 			}
 			accepted.Wait(p)
-			switch family {
-			case "gm":
-				return pair{a: fabric.NewSocketsGM(na, nb.ID, client), b: fabric.NewSocketsGM(nb, na.ID, server)}, nil
-			case "mx":
-				return pair{a: fabric.NewSocketsMX(na, nb.ID, client), b: fabric.NewSocketsMX(nb, na.ID, server)}, nil
-			default:
-				return pair{a: fabric.NewTCP(na, nb.ID, client), b: fabric.NewTCP(nb, na.ID, server)}, nil
-			}
+			return pair{a: fabric.NewStream(na, nb.ID, client), b: fabric.NewStream(nb, na.ID, server)}, nil
 		}
 	}
 	return []builder{

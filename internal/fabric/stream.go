@@ -22,90 +22,62 @@ type StreamConn interface {
 	Close(p *sim.Proc) error
 }
 
-// streamTransport adapts one side of an established stream connection
-// to the fabric. Streams have no tags and no boundaries, so matching is
-// ignored and receives complete synchronously (the blocking socket call
-// has returned by the time the Op exists); PostRecv loops until the
-// posted vector is full or EOF, the way stream consumers must.
-type streamTransport struct {
-	node  *hw.Node
-	peer  hw.NodeID
-	conn  StreamConn
-	label string
+// StreamTransport adapts one side of an established stream connection
+// of any family (SOCKETS-GM, SOCKETS-MX, TCP) to the fabric. Streams
+// have no tags and no boundaries, so matching is ignored and receives
+// complete synchronously (the blocking socket call has returned by the
+// time the Op exists); PostRecv loops until the posted vector is full
+// or EOF, the way stream consumers must.
+type StreamTransport struct {
+	node *hw.Node
+	peer hw.NodeID
+	conn StreamConn
 }
 
-// SockGMTransport is the fabric adapter for a SOCKETS-GM connection.
-type SockGMTransport struct{ streamTransport }
-
-// SockMXTransport is the fabric adapter for a SOCKETS-MX connection.
-type SockMXTransport struct{ streamTransport }
-
-// TCPTransport is the fabric adapter for the TCP/GigE baseline.
-type TCPTransport struct{ streamTransport }
-
-// StreamTransport is the generic adapter for any established stream
-// connection whose family the caller does not care about.
-type StreamTransport struct{ streamTransport }
-
-// NewStream wraps an established stream connection of any family.
+// NewStream wraps an established stream connection on node (peer is
+// the remote node, reported in receive Statuses).
 func NewStream(node *hw.Node, peer hw.NodeID, conn StreamConn) *StreamTransport {
-	return &StreamTransport{streamTransport{node: node, peer: peer, conn: conn, label: "stream"}}
-}
-
-// NewSocketsGM wraps an established SOCKETS-GM connection on node
-// (peer is the remote node, reported in receive Statuses).
-func NewSocketsGM(node *hw.Node, peer hw.NodeID, conn StreamConn) *SockGMTransport {
-	return &SockGMTransport{streamTransport{node: node, peer: peer, conn: conn, label: "sockets-gm"}}
-}
-
-// NewSocketsMX wraps an established SOCKETS-MX connection.
-func NewSocketsMX(node *hw.Node, peer hw.NodeID, conn StreamConn) *SockMXTransport {
-	return &SockMXTransport{streamTransport{node: node, peer: peer, conn: conn, label: "sockets-mx"}}
-}
-
-// NewTCP wraps an established TCP/GigE baseline connection.
-func NewTCP(node *hw.Node, peer hw.NodeID, conn StreamConn) *TCPTransport {
-	return &TCPTransport{streamTransport{node: node, peer: peer, conn: conn, label: "tcp"}}
+	return &StreamTransport{node: node, peer: peer, conn: conn}
 }
 
 // Node implements Transport.
-func (t *streamTransport) Node() *hw.Node { return t.node }
+func (t *StreamTransport) Node() *hw.Node { return t.node }
 
 // LocalEP implements Transport: streams are connection-oriented and
 // need no endpoint number.
-func (t *streamTransport) LocalEP() uint8 { return 0 }
+func (t *StreamTransport) LocalEP() uint8 { return 0 }
 
 // Caps implements Transport.
-func (t *streamTransport) Caps() Caps {
+func (t *StreamTransport) Caps() Caps {
 	return Caps{Stream: true, EagerSend: true}
 }
 
 // Register implements Transport: streams take plain virtual buffers.
-func (t *streamTransport) Register(p *sim.Proc, as *vm.AddressSpace, va vm.VirtAddr, n int) error {
+func (t *StreamTransport) Register(p *sim.Proc, as *vm.AddressSpace, va vm.VirtAddr, n int) error {
 	return nil
 }
 
 // Deregister implements Transport.
-func (t *streamTransport) Deregister(p *sim.Proc, as *vm.AddressSpace, va vm.VirtAddr) error {
+func (t *StreamTransport) Deregister(p *sim.Proc, as *vm.AddressSpace, va vm.VirtAddr) error {
 	return nil
 }
 
 // Acquire implements Transport.
-func (t *streamTransport) Acquire(p *sim.Proc, v core.Vector) (func(), error) {
+func (t *StreamTransport) Acquire(p *sim.Proc, v core.Vector) (func(), error) {
 	return func() {}, nil
 }
 
 // seg extracts the single virtual segment streams can address.
-func (t *streamTransport) seg(v core.Vector) (core.Segment, error) {
+func (t *StreamTransport) seg(v core.Vector) (core.Segment, error) {
 	if len(v) != 1 || v[0].Type == core.Physical {
-		return core.Segment{}, fmt.Errorf("fabric: %s sockets address one virtual buffer per call", t.label)
+		return core.Segment{}, fmt.Errorf("fabric: stream sockets address one virtual buffer per call")
 	}
 	return v[0], nil
 }
 
 // Send implements Transport: a blocking socket write of the whole
 // segment; the returned Op is already complete.
-func (t *streamTransport) Send(p *sim.Proc, dst hw.NodeID, dstEP uint8, info uint64, v core.Vector) (Op, error) {
+func (t *StreamTransport) Send(p *sim.Proc, dst hw.NodeID, dstEP uint8, info uint64, v core.Vector) (Op, error) {
 	s, err := t.seg(v)
 	if err != nil {
 		return nil, err
@@ -115,7 +87,7 @@ func (t *streamTransport) Send(p *sim.Proc, dst hw.NodeID, dstEP uint8, info uin
 		return nil, err
 	}
 	if sent != s.Len {
-		return nil, fmt.Errorf("fabric: short %s send %d/%d", t.label, sent, s.Len)
+		return nil, fmt.Errorf("fabric: short stream send %d/%d", sent, s.Len)
 	}
 	return completedOp{Status{Src: t.peer, Len: sent}}, nil
 }
@@ -123,7 +95,7 @@ func (t *streamTransport) Send(p *sim.Proc, dst hw.NodeID, dstEP uint8, info uin
 // PostRecv implements Transport: loop the blocking socket read until
 // the buffer is full or the peer closed; the returned Op is already
 // complete. A zero-length read before any data means EOF.
-func (t *streamTransport) PostRecv(p *sim.Proc, match core.Match, v core.Vector) (Op, error) {
+func (t *StreamTransport) PostRecv(p *sim.Proc, match core.Match, v core.Vector) (Op, error) {
 	s, err := t.seg(v)
 	if err != nil {
 		return nil, err
@@ -145,10 +117,6 @@ func (t *streamTransport) PostRecv(p *sim.Proc, match core.Match, v core.Vector)
 }
 
 // Close implements Transport.
-func (t *streamTransport) Close(p *sim.Proc) error { return t.conn.Close(p) }
+func (t *StreamTransport) Close(p *sim.Proc) error { return t.conn.Close(p) }
 
-var (
-	_ Transport = (*SockGMTransport)(nil)
-	_ Transport = (*SockMXTransport)(nil)
-	_ Transport = (*TCPTransport)(nil)
-)
+var _ Transport = (*StreamTransport)(nil)

@@ -5,8 +5,6 @@ package figures
 // user/kernel space and direct/buffered mode, feeding Fig 3(b),
 // Fig 4(b) and Fig 7(a)/7(b).
 import (
-	"fmt"
-
 	"repro/internal/core"
 	"repro/internal/gm"
 	"repro/internal/hw"
@@ -132,30 +130,26 @@ func (c Config) fileAccessOnce(p *sim.Proc, o faOpts, client, server *hw.Node, s
 		return 0, err
 	}
 
-	// Client transport.
-	var clTr rfsrv.Client
+	// Client transport: the synchronous protocol, a session at window 1.
+	kernSide := !userSpace
+	bufAS := client.Kernel
+	if userSpace {
+		bufAS = client.NewUserSpace("orfa")
+	}
+	var fc *rfsrv.FabricClient
 	switch tr {
 	case fsMX:
-		kernSide := !userSpace
-		bufAS := client.Kernel
-		if userSpace {
-			bufAS = client.NewUserSpace("orfa")
-		}
-		clTr, err = rfsrv.NewMXClient(mx.Attach(client), 2, kernSide, bufAS, server.ID, 1)
+		fc, err = rfsrv.NewMXClient(mx.Attach(client), 2, kernSide, bufAS, server.ID, 1)
 	case fsGM, fsGMNoCache:
-		kernSide := !userSpace
-		bufAS := client.Kernel
-		if userSpace {
-			bufAS = client.NewUserSpace("orfa")
-		}
-		cachePages := 8192
-		var gmCl *rfsrv.FabricClient
-		gmCl, err = rfsrv.NewGMClient(p, gm.Attach(client), 2, kernSide, bufAS, server.ID, 1, cachePages)
+		fc, err = rfsrv.NewGMClient(p, gm.Attach(client), 2, kernSide, bufAS, server.ID, 1, 8192)
 		if err == nil && o.noPhys {
-			err = gmCl.DisablePhysicalAPI(p)
+			err = fc.DisablePhysicalAPI(p)
 		}
-		clTr = gmCl
 	}
+	if err != nil {
+		return 0, err
+	}
+	clTr, err := rfsrv.NewSession(p, fc, 1)
 	if err != nil {
 		return 0, err
 	}
@@ -242,42 +236,6 @@ func maxInt(a, b int) int {
 
 func vecKernel(as *vm.AddressSpace, va vm.VirtAddr, n int) core.Vector {
 	return core.Of(core.KernelSeg(as, va, n))
-}
-
-// RunFileBench is the generic entry point behind cmd/orfsbench: file
-// read throughput over a named transport and access type.
-func RunFileBench(transport, access string, sizes []int, cfg Config) ([]netpipe.Point, error) {
-	return RunFileBenchOpt(transport, access, 1, sizes, cfg)
-}
-
-// RunFileBenchOpt is RunFileBench with the ablation knobs exposed:
-// combine sets the buffered-read combining factor, and the transport
-// "gm-nophys" runs GM without the paper's physical-address extension.
-func RunFileBenchOpt(transport, access string, combine int, sizes []int, cfg Config) ([]netpipe.Point, error) {
-	o := faOpts{combine: combine}
-	switch transport {
-	case "gm":
-		o.tr = fsGM
-	case "gm-nocache":
-		o.tr = fsGMNoCache
-	case "gm-nophys":
-		o.tr = fsGM
-		o.noPhys = true
-	case "mx":
-		o.tr = fsMX
-	default:
-		return nil, fmt.Errorf("figures: unknown transport %q", transport)
-	}
-	switch access {
-	case "buffered":
-	case "direct":
-		o.direct = true
-	case "orfa":
-		o.userSpace, o.direct = true, true
-	default:
-		return nil, fmt.Errorf("figures: unknown access type %q", access)
-	}
-	return cfg.fileAccessOpt(o, sizes)
 }
 
 // Fig3b reproduces Figure 3(b): direct remote file access on GM, with

@@ -1,12 +1,21 @@
 package figures
 
 import (
+	"os"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/netpipe"
 )
+
+// TestMain pins the package's tests to one P, as cmd/figures pins
+// itself: each test is one simulation with one runnable process.
+func TestMain(m *testing.M) {
+	runtime.GOMAXPROCS(1)
+	os.Exit(m.Run())
+}
 
 // quick is a low-iteration config: the simulation is deterministic, so
 // few round trips per point are exact enough for shape assertions.
@@ -301,19 +310,5 @@ func TestRunPingPongNames(t *testing.T) {
 	pts, err := RunPingPong("mx", netpipe.UserBuf, 0, []int{1, 2}, quick())
 	if err != nil || len(pts) != 2 {
 		t.Errorf("RunPingPong: %v %v", pts, err)
-	}
-}
-
-func TestRunFileBenchNames(t *testing.T) {
-	t.Parallel()
-	if _, err := RunFileBench("bogus", "direct", []int{4096}, quick()); err == nil {
-		t.Error("unknown transport accepted")
-	}
-	if _, err := RunFileBench("mx", "bogus", []int{4096}, quick()); err == nil {
-		t.Error("unknown access accepted")
-	}
-	pts, err := RunFileBench("mx", "direct", []int{4096}, quick())
-	if err != nil || len(pts) != 1 {
-		t.Errorf("RunFileBench: %v %v", pts, err)
 	}
 }

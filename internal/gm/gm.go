@@ -274,11 +274,11 @@ func (pt *Port) registered(as *vm.AddressSpace, va vm.VirtAddr, n int) ([]mem.Ex
 		if chunk > left {
 			chunk = left
 		}
-		xs = append(xs, mem.Extent{Addr: pa + mem.PhysAddr(addr.Offset()), Len: chunk})
+		xs = mem.AppendExtent(xs, pa+mem.PhysAddr(addr.Offset()), chunk)
 		addr += vm.VirtAddr(chunk)
 		left -= chunk
 	}
-	return mem.MergeInPlace(xs), nil
+	return xs, nil
 }
 
 // wireTag packs (application tag, destination port).

@@ -361,11 +361,32 @@ func Clip(xs []Extent, n int) []Extent {
 	return out
 }
 
-// MergeExtents coalesces adjacent extents (x.End == next.Addr) into
-// maximal physically contiguous runs, preserving order, and drops
-// zero-length extents after the first. A list that is already merged —
-// what Vector.Extents and AddressSpace.Resolve produce — is returned as
-// it is, not copied: the result may alias xs, which is never written.
+// AppendExtent appends n bytes at addr to a list its caller is
+// building, keeping it merged: a run that starts where the last extent
+// ends (End == addr) extends that extent, and a zero-length run after
+// the first is dropped. Whoever walks memory page by page builds its
+// list with this and has nothing left to merge.
+//
+// allocfree
+func AppendExtent(xs []Extent, addr PhysAddr, n int) []Extent {
+	if last := len(xs) - 1; last >= 0 {
+		if n == 0 {
+			return xs
+		}
+		if xs[last].End() == addr {
+			xs[last].Len += n
+			return xs
+		}
+	}
+	return append(xs, Extent{Addr: addr, Len: n})
+}
+
+// MergeExtents coalesces adjacent extents (x.End == next.Addr) of a
+// list somebody else built into maximal physically contiguous runs,
+// preserving order, and drops zero-length extents after the first. A
+// list that is already merged — what Vector.Extents and
+// AddressSpace.Resolve produce — is returned as it is, not copied: the
+// result may alias xs, which is never written.
 //
 // allocfree
 func MergeExtents(xs []Extent) []Extent {
@@ -375,32 +396,14 @@ func MergeExtents(xs []Extent) []Extent {
 	for i := 1; i < len(xs); i++ {
 		if xs[i].Len == 0 || xs[i-1].End() == xs[i].Addr {
 			//analyze:allow allocfree only a list that needs merging is copied
-			return MergeInPlace(append(make([]Extent, 0, len(xs)), xs...))
+			out := make([]Extent, 0, len(xs))
+			for _, x := range xs {
+				out = AppendExtent(out, x.Addr, x.Len)
+			}
+			return out
 		}
 	}
 	return xs
-}
-
-// MergeInPlace is MergeExtents for a caller that owns xs: the merged
-// list is built in xs's own backing array and nothing is allocated.
-//
-// allocfree
-func MergeInPlace(xs []Extent) []Extent {
-	if len(xs) == 0 {
-		return nil
-	}
-	last := 0 // xs[:last+1] is merged
-	for _, x := range xs[1:] {
-		switch {
-		case x.Len == 0:
-		case xs[last].End() == x.Addr:
-			xs[last].Len += x.Len
-		default:
-			last++
-			xs[last] = x
-		}
-	}
-	return xs[:last+1]
 }
 
 // PagesIn returns the number of page frames an address range of length n

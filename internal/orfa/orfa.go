@@ -33,11 +33,11 @@ import (
 // request message (the "ls -l" pattern, a full round trip per entry
 // on the synchronous protocol).
 type Lib struct {
-	cl   rfsrv.Client
-	sess rfsrv.Async // non-nil when cl pipelines with window > 1
-	as   *vm.AddressSpace
-	fds  map[int]*file
-	next int
+	cl    rfsrv.Async
+	piped bool // cl.Window() > 1: large reads and ReaddirAttrs pipeline
+	as    *vm.AddressSpace
+	fds   map[int]*file
+	next  int
 
 	// MetaRPCs counts metadata round-trips (every walk component —
 	// ORFA has no dentry cache).
@@ -54,12 +54,8 @@ type file struct {
 }
 
 // New creates the library for a process with address space as.
-func New(cl rfsrv.Client, as *vm.AddressSpace) *Lib {
-	l := &Lib{cl: cl, as: as, fds: make(map[int]*file), next: 3}
-	if s, ok := cl.(rfsrv.Async); ok && s.Window() > 1 {
-		l.sess = s
-	}
-	return l
+func New(cl rfsrv.Async, as *vm.AddressSpace) *Lib {
+	return &Lib{cl: cl, piped: cl.Window() > 1, as: as, fds: make(map[int]*file), next: 3}
 }
 
 // walk resolves path (always from the root — no caching) to attributes.
@@ -158,7 +154,7 @@ func (l *Lib) Read(p *sim.Proc, fd int, va vm.VirtAddr, n int) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	if l.sess != nil && n > readChunk {
+	if l.piped && n > readChunk {
 		got, err := l.readPipelined(p, f, va, n)
 		if err != nil {
 			return 0, err
@@ -199,10 +195,10 @@ func (l *Lib) readPipelined(p *sim.Proc, f *file, va vm.VirtAddr, n int) (int, e
 		// room — over a striped cluster one chunk may span several
 		// servers, and blocking inside StartRead with retired slots in
 		// our own hands would deadlock the pipeline.
-		if pl.Room(p, func() bool { return pl.Len() < l.sess.Window() && l.sess.CanStart(f.ino, off, want) }) != nil {
+		if pl.Room(p, func() bool { return pl.Len() < l.cl.Window() && l.cl.CanStart(f.ino, off, want) }) != nil {
 			break
 		}
-		pd, err := l.sess.StartRead(p, f.ino, off, core.Of(core.UserSeg(l.as, va+vm.VirtAddr(issued), want)))
+		pd, err := l.cl.StartRead(p, f.ino, off, core.Of(core.UserSeg(l.as, va+vm.VirtAddr(issued), want)))
 		if err != nil {
 			pl.Fail(err)
 			break
@@ -289,13 +285,13 @@ func (l *Lib) ReaddirAttrs(p *sim.Proc, path string) ([]kernel.DirEntry, []kerne
 		return nil, nil, err
 	}
 	attrs := make([]kernel.Attr, len(ents))
-	if l.sess != nil {
+	if l.piped {
 		reqs := make([]*rfsrv.Req, len(ents))
 		for i, e := range ents {
 			reqs[i] = &rfsrv.Req{Op: rfsrv.OpGetattr, Ino: e.Ino}
 		}
 		l.MetaRPCs.Add(len(reqs))
-		resps, err := l.sess.MetaBatch(p, reqs)
+		resps, err := l.cl.MetaBatch(p, reqs)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -338,15 +334,11 @@ func (l *Lib) Unlink(p *sim.Proc, path string) error {
 
 // Rename moves srcPath to dstPath. Both parents are walked (ORFA has
 // no caches), then the protocol client's native rename runs
-// (rfsrv.Renamer: one local rename on a single server, the
+// (rfsrv.Client.Rename: one local rename on a single server, the
 // cross-owner multi-phase protocol on a sharded cluster). An
 // interrupted cross-owner run surfaces as rfsrv.ErrRenameInDoubt;
 // re-driving the same rename resolves it.
 func (l *Lib) Rename(p *sim.Proc, srcPath, dstPath string) error {
-	rn, ok := l.cl.(rfsrv.Renamer)
-	if !ok {
-		return fmt.Errorf("orfa: client %T does not support rename", l.cl)
-	}
 	srcDirPath, srcName := splitDir(srcPath)
 	srcDir, err := l.walk(p, srcDirPath)
 	if err != nil {
@@ -358,7 +350,7 @@ func (l *Lib) Rename(p *sim.Proc, srcPath, dstPath string) error {
 		return err
 	}
 	l.MetaRPCs.Add(1)
-	_, err = rn.Rename(p, srcDir.Ino, srcName, dstDir.Ino, dstName)
+	_, err = l.cl.Rename(p, srcDir.Ino, srcName, dstDir.Ino, dstName)
 	return err
 }
 

@@ -36,7 +36,12 @@ func run(t *testing.T, body func(r *rig, p *sim.Proc)) {
 	done := false
 	env.Spawn("t", func(p *sim.Proc) {
 		as := client.NewUserSpace("app")
-		cl, err := rfsrv.NewMXClient(mxC, 2, false, as, server.ID, 1)
+		ep, err := rfsrv.NewMXClient(mxC, 2, false, as, server.ID, 1)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		cl, err := rfsrv.NewSession(p, ep, 1)
 		if err != nil {
 			t.Error(err)
 			return

@@ -18,7 +18,6 @@
 package orfs
 
 import (
-	"fmt"
 	"slices"
 
 	"repro/internal/core"
@@ -44,13 +43,12 @@ import (
 //     pipeline drains at the next read/metadata operation or at
 //     Sync (wired to Fsync/Close through kernel.Syncer).
 //
-// With a plain synchronous client (or window 1) every path is
-// identical to the paper's prototype.
+// At window 1 every path is identical to the paper's prototype.
 type FS struct {
-	name string
-	cl   rfsrv.Client
-	sess rfsrv.Async // non-nil only when cl pipelines with window > 1
-	node *hw.Node    // the client node (shadow frames, copy charges)
+	name  string
+	cl    rfsrv.Async
+	piped bool     // cl.Window() > 1: readahead and write-behind are on
+	node  *hw.Node // the client node (shadow frames, copy charges)
 
 	// readahead state: prefetches for the inode being streamed cover
 	// page indices [raNext, raHigh).
@@ -71,7 +69,7 @@ type FS struct {
 	// the size-coherence protocol. wbFailed marks inodes whose drain
 	// errored: their tracked EOF is discarded, never published — a
 	// failed page write must not grow servers over data that never
-	// landed. Both are allocated only over a size-reconciling client.
+	// landed.
 	wbEnd    map[kernel.InodeID]int64
 	wbFailed map[kernel.InodeID]bool
 
@@ -93,49 +91,31 @@ type wbWrite struct {
 	ino    kernel.InodeID
 }
 
-// New creates an ORFS client over an rfsrv transport. When cl is a
-// pipelined client (a *rfsrv.Session or a striped *rfsrv.Cluster) with
-// a window above 1, the mount pipelines buffered reads (readahead) and
-// writes (write-behind) through the window.
-func New(name string, cl rfsrv.Client) *FS {
-	f := &FS{name: name, cl: cl}
+// New creates an ORFS client over a protocol client (a *rfsrv.Session
+// or a striped *rfsrv.Cluster). With a window above 1 the mount
+// pipelines buffered reads (readahead) and writes (write-behind)
+// through it.
+func New(name string, cl rfsrv.Async) *FS {
+	f := &FS{name: name, cl: cl, piped: cl.Window() > 1, node: cl.Node()}
 	f.wb = fabric.NewPipeline(f.retireWrite)
-	if s, ok := cl.(rfsrv.Async); ok && s.Window() > 1 {
-		f.sess = s
-		f.node = s.Node()
+	if f.piped {
 		f.ra = make(map[int64]*prefetch)
-		if _, ok := cl.(sizeReconciler); ok {
-			// Track write-behind EOF only when the client can publish
-			// it; a single-server session's size is always current.
-			f.wbEnd = make(map[kernel.InodeID]int64)
-			f.wbFailed = make(map[kernel.InodeID]bool)
-		}
+		f.wbEnd = make(map[kernel.InodeID]int64)
+		f.wbFailed = make(map[kernel.InodeID]bool)
 	}
 	return f
 }
 
-// sizeReconciler is the optional client surface for publishing an
-// externally tracked end-of-file (rfsrv.Cluster.SetFileSize): striped
-// clusters reconcile every server's local size to it. Single-server
-// clients do not implement it — one server's size is always current.
-type sizeReconciler interface {
-	SetFileSize(p *sim.Proc, ino kernel.InodeID, size int64) error
-}
-
-// Client returns the underlying transport (stats).
-func (f *FS) Client() rfsrv.Client { return f.cl }
-
 // Sync implements kernel.Syncer: drain the write-behind pipeline,
 // surfacing the first deferred write error, then publish the drained
-// pages' end-of-file through the client's size reconciliation (striped
-// clusters only), so homed getattr and striped-read EOF clipping agree
-// with the write-behind data on every server.
+// pages' end-of-file through the client's size reconciliation, so homed
+// getattr and striped-read EOF clipping agree with the write-behind
+// data on every server (a single server's size is already current).
 func (f *FS) Sync(p *sim.Proc) error {
 	f.wb.Drain(p) // never fails: retireWrite defers the errors to wbErr
 	first := f.wbErr
 	f.wbErr = nil
 	if len(f.wbEnd) > 0 {
-		sr := f.cl.(sizeReconciler) // wbEnd is only allocated alongside one
 		// Deterministic publication order (map iteration is not). An
 		// inode whose drain errored is discarded unpublished (its data
 		// never fully landed); one whose publication fails keeps its
@@ -152,7 +132,7 @@ func (f *FS) Sync(p *sim.Proc) error {
 				delete(f.wbEnd, ino)
 				continue
 			}
-			if err := sr.SetFileSize(p, ino, f.wbEnd[ino]); err != nil {
+			if err := f.cl.SetFileSize(p, ino, f.wbEnd[ino]); err != nil {
 				if first == nil {
 					first = err
 				}
@@ -176,9 +156,7 @@ func (f *FS) retireWrite(p *sim.Proc, w wbWrite, _ bool) error {
 		if f.wbErr == nil {
 			f.wbErr = err
 		}
-		if f.wbFailed != nil {
-			f.wbFailed[w.ino] = true
-		}
+		f.wbFailed[w.ino] = true
 	}
 	f.node.Mem.Put(w.shadow)
 	return nil
@@ -207,7 +185,7 @@ func (f *FS) dropReadahead(p *sim.Proc) {
 // drain (so reads and metadata see them) and, when the operation can
 // invalidate file contents, prefetches are discarded too.
 func (f *FS) barrier(p *sim.Proc, invalidate bool) error {
-	if f.sess == nil {
+	if !f.piped {
 		return nil
 	}
 	err := f.Sync(p)
@@ -293,22 +271,18 @@ func (f *FS) Rmdir(p *sim.Proc, dir kernel.InodeID, name string) error {
 }
 
 // Rename moves (srcName in srcDir) to (dstName in dstDir). The
-// protocol client carries it natively (rfsrv.Renamer: a single server
-// applies one local rename; a sharded cluster runs the cross-owner
-// multi-phase protocol, whose interrupted runs surface as
+// protocol client carries it natively (rfsrv.Client.Rename: a single
+// server applies one local rename; a sharded cluster runs the
+// cross-owner multi-phase protocol, whose interrupted runs surface as
 // rfsrv.ErrRenameInDoubt — re-drive the same rename to resolve).
 // Ordered behind the write-behind pipeline like any metadata
 // operation.
 func (f *FS) Rename(p *sim.Proc, srcDir kernel.InodeID, srcName string, dstDir kernel.InodeID, dstName string) error {
-	rn, ok := f.cl.(rfsrv.Renamer)
-	if !ok {
-		return fmt.Errorf("orfs: client %T does not support rename", f.cl)
-	}
 	if err := f.barrier(p, false); err != nil {
 		return err
 	}
 	f.MetaOps.Add(1)
-	_, err := rn.Rename(p, srcDir, srcName, dstDir, dstName)
+	_, err := f.cl.Rename(p, srcDir, srcName, dstDir, dstName)
 	return err
 }
 
@@ -324,7 +298,7 @@ func (f *FS) Truncate(p *sim.Proc, ino kernel.InodeID, size int64) error {
 // prefetch the following pages through the window (readahead), so the
 // next ReadPage usually finds its data already in flight or landed.
 func (f *FS) ReadPage(p *sim.Proc, ino kernel.InodeID, idx int64, frame *mem.Frame) (int, error) {
-	if f.sess == nil {
+	if !f.piped {
 		f.ReadOps.Add(mem.PageSize)
 		resp, err := f.cl.Read(p, ino, idx*mem.PageSize, core.Of(core.PhysSeg(frame.Addr(), mem.PageSize)))
 		if err != nil {
@@ -369,12 +343,12 @@ func (f *FS) ReadPage(p *sim.Proc, ino kernel.InodeID, idx int64, frame *mem.Fra
 	// page's server has no free slot (possible over a striped cluster,
 	// whose aggregate window the readahead cap is measured against),
 	// retire the readahead we hold instead of deadlocking on it.
-	if !f.sess.CanStart(ino, idx*mem.PageSize, mem.PageSize) {
+	if !f.cl.CanStart(ino, idx*mem.PageSize, mem.PageSize) {
 		f.dropReadahead(p)
 		f.raIno, f.raNext, f.raHigh = ino, idx, idx+1
 	}
 	f.ReadOps.Add(mem.PageSize)
-	pd, err := f.sess.StartRead(p, ino, idx*mem.PageSize, core.Of(core.PhysSeg(frame.Addr(), mem.PageSize)))
+	pd, err := f.cl.StartRead(p, ino, idx*mem.PageSize, core.Of(core.PhysSeg(frame.Addr(), mem.PageSize)))
 	if err != nil {
 		return 0, err
 	}
@@ -400,12 +374,12 @@ func (f *FS) ReadPage(p *sim.Proc, ino kernel.InodeID, idx int64, frame *mem.Fra
 // exactly the server that would receive the next prefetch, so striped
 // clusters fill per-server windows without stalling the caller).
 func (f *FS) topUp(p *sim.Proc, ino kernel.InodeID) {
-	for len(f.ra) < f.sess.Window()-1 && f.sess.CanStart(ino, f.raHigh*mem.PageSize, mem.PageSize) {
+	for len(f.ra) < f.cl.Window()-1 && f.cl.CanStart(ino, f.raHigh*mem.PageSize, mem.PageSize) {
 		fr, err := f.node.Mem.AllocFrame()
 		if err != nil {
 			return
 		}
-		pd, err := f.sess.StartRead(p, ino, f.raHigh*mem.PageSize, core.Of(core.PhysSeg(fr.Addr(), mem.PageSize)))
+		pd, err := f.cl.StartRead(p, ino, f.raHigh*mem.PageSize, core.Of(core.PhysSeg(fr.Addr(), mem.PageSize)))
 		if err != nil {
 			f.node.Mem.Put(fr)
 			return
@@ -424,7 +398,7 @@ func (f *FS) topUp(p *sim.Proc, ino kernel.InodeID) {
 // it is not split across the window; it just orders behind the
 // pipeline.
 func (f *FS) ReadPages(p *sim.Proc, ino kernel.InodeID, idx int64, frames []*mem.Frame) (int, error) {
-	if f.sess != nil {
+	if f.piped {
 		if err := f.barrier(p, false); err != nil {
 			return 0, err
 		}
@@ -451,7 +425,7 @@ func (f *FS) ReadPages(p *sim.Proc, ino kernel.InodeID, idx int64, frames []*mem
 // Deferred errors surface at the next barrier or Sync.
 func (f *FS) WritePage(p *sim.Proc, ino kernel.InodeID, idx int64, frame *mem.Frame, n int) error {
 	f.WriteOps.Add(n)
-	if f.sess == nil {
+	if !f.piped {
 		_, err := f.cl.Write(p, ino, idx*mem.PageSize, core.Of(core.PhysSeg(frame.Addr(), n)))
 		return err
 	}
@@ -460,11 +434,11 @@ func (f *FS) WritePage(p *sim.Proc, ino kernel.InodeID, idx int64, frame *mem.Fr
 	}
 	// Retire the oldest writes first when the target's window is full,
 	// so the StartWrite below cannot block with nobody left to drain it.
-	f.wb.Room(p, func() bool { return f.sess.CanStart(ino, idx*mem.PageSize, n) })
+	f.wb.Room(p, func() bool { return f.cl.CanStart(ino, idx*mem.PageSize, n) })
 	// Over a striped cluster the blocking slots may be prefetches
 	// rather than writes (another inode's stream can fill one server's
 	// window); they are ours too — retire them rather than deadlock.
-	if !f.sess.CanStart(ino, idx*mem.PageSize, n) {
+	if !f.cl.CanStart(ino, idx*mem.PageSize, n) {
 		f.dropReadahead(p)
 	}
 	shadow, err := f.node.Mem.AllocFrame()
@@ -475,16 +449,14 @@ func (f *FS) WritePage(p *sim.Proc, ino kernel.InodeID, idx int64, frame *mem.Fr
 	}
 	f.node.CPU.Copy(p, n)
 	copy(shadow.Data()[:n], frame.Data()[:n])
-	pd, err := f.sess.StartWrite(p, ino, idx*mem.PageSize, core.Of(core.PhysSeg(shadow.Addr(), n)))
+	pd, err := f.cl.StartWrite(p, ino, idx*mem.PageSize, core.Of(core.PhysSeg(shadow.Addr(), n)))
 	if err != nil {
 		f.node.Mem.Put(shadow)
 		return err
 	}
 	f.wb.Push(wbWrite{pd: pd, shadow: shadow, ino: ino})
-	if f.wbEnd != nil {
-		if end := idx*mem.PageSize + int64(n); end > f.wbEnd[ino] {
-			f.wbEnd[ino] = end
-		}
+	if end := idx*mem.PageSize + int64(n); end > f.wbEnd[ino] {
+		f.wbEnd[ino] = end
 	}
 	return nil
 }

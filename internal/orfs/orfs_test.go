@@ -22,18 +22,19 @@ type rig struct {
 	env            *sim.Engine
 	client, server *hw.Node
 	backing        *memfs.FS
+	sess           *rfsrv.Session
 	fs             *orfs.FS
 }
 
 func run(t *testing.T, body func(r *rig, p *sim.Proc)) {
 	t.Helper()
-	runOver(t, func(p *sim.Proc, cl *rfsrv.FabricClient) (rfsrv.Client, error) { return cl, nil }, body)
+	runOver(t, 1, body)
 }
 
-// runOver is run with the mount's client built by wrap over the rig's
-// kernel-side MX client (a windowed session makes the mount
+// runOver is run with the mount's session at the given window over the
+// rig's kernel-side MX endpoint (a window above 1 makes the mount
 // asynchronous).
-func runOver(t *testing.T, wrap func(p *sim.Proc, cl *rfsrv.FabricClient) (rfsrv.Client, error), body func(r *rig, p *sim.Proc)) {
+func runOver(t *testing.T, window int, body func(r *rig, p *sim.Proc)) {
 	t.Helper()
 	env := sim.NewEngine()
 	c := hw.NewCluster(env, hw.DefaultParams(), hw.PCIXD)
@@ -52,12 +53,11 @@ func runOver(t *testing.T, wrap func(p *sim.Proc, cl *rfsrv.FabricClient) (rfsrv
 			t.Error(err)
 			return
 		}
-		mount, err := wrap(p, cl)
-		if err != nil {
+		if r.sess, err = rfsrv.NewSession(p, cl, window); err != nil {
 			t.Error(err)
 			return
 		}
-		r.fs = orfs.New("orfs", mount)
+		r.fs = orfs.New("orfs", r.sess)
 		body(r, p)
 		done = true
 	})
@@ -207,12 +207,9 @@ var _ = vm.PageSize
 // idle and every shadow frame is back.
 func TestWriteBehindDrainsAfterServerDeath(t *testing.T) {
 	const window = 4
-	var sess *rfsrv.Session
-	runOver(t, func(p *sim.Proc, cl *rfsrv.FabricClient) (_ rfsrv.Client, err error) {
-		cl.SetRequestTimeout(2 * time.Millisecond)
-		sess, err = rfsrv.NewSession(p, cl, window)
-		return sess, err
-	}, func(r *rig, p *sim.Proc) {
+	runOver(t, window, func(r *rig, p *sim.Proc) {
+		sess := r.sess
+		sess.SetRequestTimeout(2 * time.Millisecond)
 		f, err := r.fs.Create(p, r.fs.Root(), "f")
 		if err != nil {
 			t.Fatal(err)

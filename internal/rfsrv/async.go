@@ -1,11 +1,11 @@
 package rfsrv
 
-// This file defines the asynchronous client surface shared by the two
-// pipelined clients — *Session (one server) and *Cluster (data striped
-// across several servers). Consumers that overlap requests (ORFS
-// readahead/write-behind, ORFA chunked reads, the figures harness)
-// program against Async and work unchanged over either, so adding the
-// striping layer did not fork the in-kernel applications.
+// This file defines the client surface shared by the only two protocol
+// clients — *Session (one server) and *Cluster (data striped across
+// several servers). The in-kernel applications (ORFS, ORFA) and the
+// figures harness program against Async and work unchanged over
+// either; whether they overlap requests follows from Window() alone —
+// window 1 is the paper's synchronous protocol.
 
 import (
 	"repro/internal/core"
@@ -67,26 +67,15 @@ type Async interface {
 	// Node returns the client node (consumers allocate frames and
 	// charge copies against it).
 	Node() *hw.Node
+	// SetFileSize publishes an end-of-file the caller tracked itself:
+	// StartWrite extends only the servers its bytes land on, so an
+	// asynchronous writer calls this at its sync barrier (see
+	// Cluster.SetFileSize). A negative size is ErrInval.
+	SetFileSize(p *sim.Proc, ino kernel.InodeID, size int64) error
 }
 
-// Renamer is the optional rename capability of a protocol client:
-// move (srcName in srcDir) to (dstName in dstDir). On a single server
-// it is one OpRenameLocal; on a sharded cluster it is the two-phase
-// cross-owner protocol, whose interrupted runs surface as
-// ErrRenameInDoubt (re-drive the same rename to resolve). Consumers
-// (orfs, orfa) type-assert for it so clients without rename keep
-// working.
-type Renamer interface {
-	Rename(p *sim.Proc, srcDir kernel.InodeID, srcName string, dstDir kernel.InodeID, dstName string) (*Resp, error)
-}
-
-// Compile-time checks: both pipelined clients satisfy Async, and all
-// three clients rename.
+// Compile-time checks: the two clients.
 var (
 	_ Async = (*Session)(nil)
 	_ Async = (*Cluster)(nil)
-
-	_ Renamer = (*FabricClient)(nil)
-	_ Renamer = (*Session)(nil)
-	_ Renamer = (*Cluster)(nil)
 )

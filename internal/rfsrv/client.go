@@ -14,11 +14,15 @@ import (
 	"repro/internal/vm"
 )
 
-// FabricClient is the one protocol client, written once against the
-// unified fabric: what the paper describes as two parallel
-// implementations (one over MX, one over GM) is a handful of
-// capability branches here, and the asymmetry the paper measures reads
-// off the Caps directly —
+// FabricClient is the protocol's transport endpoint, written once
+// against the unified fabric: it puts one request on the wire from a
+// slot of staging buffers (issue) and completes it (retire). It is not
+// a client — Session is, over one endpoint, and Cluster over several —
+// but it owns one slot of its own, the control path, which the cluster
+// uses for metadata and repair traffic that must not wait for a window
+// slot. What the paper describes as two parallel implementations (one
+// over MX, one over GM) is a handful of capability branches here, and
+// the asymmetry the paper measures reads off the Caps directly —
 //
 //   - On a vectorial transport (MX) the request and its write data ride
 //     in one message, read data lands straight in the caller's vector
@@ -42,7 +46,7 @@ type FabricClient struct {
 	serverEP uint8
 	myEP     uint8
 
-	ctl  ctlBufs // the sync path's request/reply control buffers
+	ctl  ctlBufs // the control path's request/reply buffers (under lock)
 	seq  uint64
 	lock *sim.Resource
 
@@ -68,20 +72,22 @@ type FabricClient struct {
 }
 
 // ctlBufs is one set of request/reply-header staging buffers. The
-// synchronous client owns a single set; a Session owns one per window
-// slot, so several requests can be on the wire without sharing
-// staging memory. The embedded req is the slot's request-struct
+// endpoint owns a single set for the control path; a Session owns one
+// per window slot, so several requests can be on the wire without
+// sharing staging memory. The embedded req is the slot's request-struct
 // staging: issue paths build their request in place instead of
 // allocating one per operation (it is fully encoded before the issue
-// call returns, so slot reuse cannot alias an in-flight request).
+// call returns, so slot reuse cannot alias an in-flight request). pd is
+// the Pending of a synchronous Session verb (Session.launch).
 type ctlBufs struct {
 	reqVA, hdrVA vm.VirtAddr
 	reqXS, hdrXS []mem.Extent // kernel side, physical transports: resolved once
 	req          Req
+	pd           Pending
 }
 
-// NewFabricClient prepares a protocol client over any fabric
-// transport. The client's internal request/reply buffers live in
+// NewFabricClient prepares a protocol endpoint over any fabric
+// transport. The endpoint's internal request/reply buffers live in
 // bufAS: the kernel space for ORFS-style kernel clients, the process
 // space for ORFA. p may be nil when the transport needs no
 // registration work at setup.
@@ -105,7 +111,7 @@ func NewFabricClient(p *sim.Proc, t fabric.Transport, kernelSide bool, bufAS *vm
 
 // newCtlBufs allocates (and, per the transport's capabilities,
 // resolves or registers) one set of control buffers. Called once for
-// the sync path and once per Session window slot.
+// the control path and once per Session window slot.
 func (c *FabricClient) newCtlBufs(p *sim.Proc, b *ctlBufs) error {
 	alloc := c.as.Mmap
 	if c.kernSide {
@@ -225,7 +231,8 @@ func (c *FabricClient) physCtl() bool {
 // §3.3 physical-address primitives: internal buffers are registered
 // instead, and all non-user data bounces through a registered staging
 // buffer with a host copy on each transfer. Kernel-side clients on
-// non-vectorial transports only.
+// non-vectorial transports only, before NewSession (whose slots are
+// then registered too) and at window 1 (one staging buffer).
 func (c *FabricClient) DisablePhysicalAPI(p *sim.Proc) error {
 	if !c.kernSide {
 		return fmt.Errorf("rfsrv: DisablePhysicalAPI applies to kernel-side clients")
@@ -477,14 +484,14 @@ func (c *FabricClient) finish(p *sim.Proc, b *ctlBufs, hdrOp fabric.Op, seq uint
 //
 // The paper's kernel API has one primitive: post a request, then wait
 // on it (§4, §5.2). Everything the client does is issue + retire on
-// some ctlBufs slot — the client's own ctl slot under c.lock
-// (Meta/Read/Write and the cluster's control path) or a Session window
-// slot — and a synchronous call is nothing but the two back to back.
+// some ctlBufs slot — a Session window slot, or the endpoint's own ctl
+// slot under c.lock (the cluster's control path) — and a synchronous
+// call is nothing but the two back to back.
 
 // flight is one request on the wire from one slot: what retire needs
 // to complete it and leave the slot quiescent. It is a plain value:
-// the synchronous paths keep it on the stack, a Session stores it in
-// its Pending.
+// the control path keeps it on the stack, a Session stores it in its
+// Pending.
 type flight struct {
 	bufs    *ctlBufs
 	seq     uint64
@@ -608,78 +615,30 @@ func (c *FabricClient) waitCtl(p *sim.Proc, fl *flight) (*Resp, error) {
 	return c.retire(p, fl)
 }
 
-// Meta implements Client.
-func (c *FabricClient) Meta(p *sim.Proc, req *Req) (*Resp, error) {
-	if err := ValidateReq(req); err != nil {
-		return &Resp{Status: StatusOf(err)}, err
-	}
-	fl, err := c.startCtl(p, req)
-	if err != nil {
-		return nil, err
-	}
-	return c.waitCtl(p, &fl)
+// ctlRead is one synchronous read on the control path: the cluster's
+// fail-over, promotion, resync and migration copies run inside some
+// other operation's Wait, while the caller's unretired pendings may hold
+// every window slot of this server.
+func (c *FabricClient) ctlRead(p *sim.Proc, ino kernel.InodeID, off int64, dst core.Vector) (*Resp, error) {
+	return c.ctlData(p, OpRead, ino, off, dst)
 }
 
-// Rename implements Renamer over one server: a single OpRenameLocal.
-func (c *FabricClient) Rename(p *sim.Proc, srcDir kernel.InodeID, srcName string, dstDir kernel.InodeID, dstName string) (*Resp, error) {
-	return c.Meta(p, &Req{
-		Op: OpRenameLocal, Ino: srcDir, Off: int64(dstDir),
-		Name: PackRenameNames(srcName, dstName),
-	})
+// ctlWrite is ctlRead's counterpart: ONE write request, so src is at
+// most MaxWriteChunk (every caller moves a stripe fragment or a staged
+// chunk, both bounded by it) and a short count is the caller's error.
+func (c *FabricClient) ctlWrite(p *sim.Proc, ino kernel.InodeID, off int64, src core.Vector) (*Resp, error) {
+	return c.ctlData(p, OpWrite, ino, off, src)
 }
 
-// Read implements Client: data lands directly in dst wherever the
-// transport allows it.
-func (c *FabricClient) Read(p *sim.Proc, ino kernel.InodeID, off int64, dst core.Vector) (*Resp, error) {
-	if off < 0 {
-		return &Resp{Status: StInval}, ErrInval
-	}
+func (c *FabricClient) ctlData(p *sim.Proc, op Op, ino kernel.InodeID, off int64, data core.Vector) (*Resp, error) {
 	c.lock.Acquire(p)
 	defer c.lock.Release()
-	c.ctl.req = Req{Op: OpRead, Ino: ino, Off: off, Len: uint32(dst.TotalLen())}
-	fl, err := c.issue(p, &c.ctl, &c.ctl.req, dst)
+	c.ctl.req = Req{Op: op, Ino: ino, Off: off, Len: uint32(data.TotalLen())}
+	fl, err := c.issue(p, &c.ctl, &c.ctl.req, data)
 	if err != nil {
 		return nil, err
 	}
 	return c.retire(p, &fl)
-}
-
-// Write implements Client, chunked at MaxWriteChunk with one round
-// trip per chunk. It keeps its own loop rather than Session.Write's
-// pipeline because its short-write semantics differ: each chunk's
-// offset is recomputed from the cumulative count the server reported,
-// so a short chunk is a prefix to continue from, not a hole.
-func (c *FabricClient) Write(p *sim.Proc, ino kernel.InodeID, off int64, src core.Vector) (*Resp, error) {
-	if off < 0 {
-		return &Resp{Status: StInval}, ErrInval
-	}
-	c.lock.Acquire(p)
-	defer c.lock.Release()
-	total := src.TotalLen()
-	written := 0
-	var last *Resp
-	for written < total || total == 0 {
-		chunk := min(total-written, MaxWriteChunk)
-		c.ctl.req = Req{Op: OpWrite, Ino: ino, Off: off + int64(written), Len: uint32(chunk)}
-		fl, err := c.issue(p, &c.ctl, &c.ctl.req, src.Slice(written, chunk))
-		if err != nil {
-			return nil, err
-		}
-		resp, err := c.retire(p, &fl)
-		if err != nil {
-			return resp, err
-		}
-		written += int(resp.N)
-		last = resp
-		if total == 0 {
-			break
-		}
-		if resp.N == 0 {
-			return last, fmt.Errorf("rfsrv: short write at %d", written)
-		}
-	}
-	last.N = uint32(written)
-	return last, nil
 }
 
 func hasUserSeg(v core.Vector) bool {
@@ -698,5 +657,3 @@ func physVec(xs []mem.Extent) core.Vector {
 	}
 	return out
 }
-
-var _ Client = (*FabricClient)(nil)

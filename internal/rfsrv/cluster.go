@@ -327,7 +327,7 @@ func NewReplicatedCluster(p *sim.Proc, sessions []*Session, stripe, replicas int
 		if s.Node() != node {
 			return nil, fmt.Errorf("rfsrv: cluster sessions must share one client node")
 		}
-		ep := s.Client().myEP
+		ep := s.c.myEP
 		if eps[ep] {
 			return nil, fmt.Errorf("rfsrv: cluster sessions share local endpoint %d", ep)
 		}
@@ -388,16 +388,6 @@ func (cl *Cluster) SetLayoutPolicy(pol LayoutPolicy) error {
 	return nil
 }
 
-// LayoutPolicy returns the active policy and whether the layout
-// machinery is engaged (false for policy-free and one-server clusters).
-func (cl *Cluster) LayoutPolicy() (LayoutPolicy, bool) { return cl.policy, cl.policyOn }
-
-// LayoutOf reports the layout class this client would use for the
-// inode right now: the cached class, or LayoutStandard when the
-// machinery is off or the inode has not been resolved yet (tests,
-// stats; the data path uses layoutFor, which fetches unknown inodes).
-func (cl *Cluster) LayoutOf(ino kernel.InodeID) LayoutClass { return cl.layoutCached(ino) }
-
 // observeResp feeds one server reply into the validated caches: the
 // size epoch it carries for the inode it resolves goes to the size book
 // (sizeBook.observe — it confirms the cached entry or proves a foreign
@@ -425,15 +415,6 @@ func (cl *Cluster) observeResp(resp *Resp) {
 		cl.layouts[resp.Attr.Ino] = resp.Layout
 	}
 }
-
-// Replicas returns the replication factor R.
-func (cl *Cluster) Replicas() int { return cl.pl.replicas }
-
-// StripeSize returns the standard-layout stripe width in bytes. The
-// return type matches the internal int64 arithmetic (offsets and
-// stripe indices are 64-bit); LayoutWide files stripe at
-// WideStripeSize and LayoutWhole files do not stripe at all.
-func (cl *Cluster) StripeSize() int64 { return cl.pl.stripe }
 
 // DownServers returns the indices of servers currently excluded after
 // an observed fault, in server order.
@@ -789,7 +770,7 @@ func (cl *Cluster) issueRead(p *sim.Proc, lay LayoutClass, ino kernel.InodeID, r
 	return withReplica(cl, lay, ino, r.off, r.n, func(idx int) (*part, error) {
 		s := cl.sessions[idx]
 		makeRoom(p, s, parts)
-		pd, err := s.startData(p, OpRead, ino, r.off, vec)
+		pd, err := s.startData(p, OpRead, ino, r.off, vec, true)
 		if err != nil {
 			return nil, err
 		}
@@ -819,7 +800,7 @@ func (cl *Cluster) failoverReads(p *sim.Proc, lay LayoutClass, ino kernel.InodeI
 			}
 			cl.Failovers.Add(pt.r.n)
 			pt.target = idx
-			pt.resp, pt.err = cl.sessions[idx].Client().Read(p, ino, pt.r.off, pt.vec)
+			pt.resp, pt.err = cl.sessions[idx].c.ctlRead(p, ino, pt.r.off, pt.vec)
 			if pt.err == nil {
 				cl.StripeReads.Add(pt.r.n)
 			}
@@ -1212,7 +1193,7 @@ func (cl *Cluster) promote(p *sim.Proc, ino kernel.InodeID) error {
 			return err
 		}
 		rresp, err := withReplica(cl, LayoutWhole, ino, off, n, func(idx int) (*Resp, error) {
-			return cl.sessions[idx].Client().Read(p, ino, off, vec)
+			return cl.sessions[idx].c.ctlRead(p, ino, off, vec)
 		})
 		if err != nil {
 			return err
@@ -1234,7 +1215,7 @@ func (cl *Cluster) promote(p *sim.Proc, ino kernel.InodeID) error {
 					okReplicas++ // the home already holds these bytes
 					continue
 				}
-				wresp, werr := cl.sessions[idx].Client().Write(p, ino, r.off, vec.Slice(int(r.off-off), r.n))
+				wresp, werr := cl.sessions[idx].c.ctlWrite(p, ino, r.off, vec.Slice(int(r.off-off), r.n))
 				if werr != nil {
 					if fabric.IsFault(werr) {
 						cl.markDown(idx)
@@ -1387,7 +1368,7 @@ func (cl *Cluster) issueWrites(p *sim.Proc, cp *clusterPending, off int64, src c
 				chunk := min(r.n-done, MaxWriteChunk)
 				at := r.off + int64(done)
 				makeRoom(p, s, cp.parts)
-				pd, err := s.startData(p, OpWrite, cp.ino, at, src.Slice(int(at-off), chunk))
+				pd, err := s.startData(p, OpWrite, cp.ino, at, src.Slice(int(at-off), chunk), true)
 				if err != nil {
 					if !fabric.IsFault(err) {
 						return cp.abandon(p, err)
@@ -1448,7 +1429,7 @@ func (cl *Cluster) StartRead(p *sim.Proc, ino kernel.InodeID, off int64, dst cor
 // attributes match the Session's) as cp's only part.
 func (cl *Cluster) issueZero(p *sim.Proc, cp *clusterPending, r run, op Op, vec core.Vector) error {
 	pt, err := withReplica(cl, cp.lay, cp.ino, r.off, 0, func(idx int) (*part, error) {
-		pd, err := cl.sessions[idx].startData(p, op, cp.ino, r.off, vec)
+		pd, err := cl.sessions[idx].startData(p, op, cp.ino, r.off, vec, true)
 		if err != nil {
 			return nil, err
 		}

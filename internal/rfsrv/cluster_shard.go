@@ -70,10 +70,6 @@ func (cl *Cluster) EnableShardedNamespace() error {
 	return nil
 }
 
-// ShardedNamespace reports whether namespace mutations route to owner
-// groups (EnableShardedNamespace) instead of fanning to every server.
-func (cl *Cluster) ShardedNamespace() bool { return cl.sharded }
-
 // SetSizePublishBatch defers the write path's grow-only size
 // reconciliation: instead of fanning an OpSetSize to every server
 // after each extending write, the cluster records the highest pending
@@ -408,7 +404,7 @@ func (cl *Cluster) shardRmdir(p *sim.Proc, dir kernel.InodeID, name string) (*Re
 	return resp, nil
 }
 
-// Rename implements Renamer. Unsharded, it fans one OpRenameLocal to
+// Rename implements Client. Unsharded, it fans one OpRenameLocal to
 // every alive server (each applies it locally — the namespace is
 // replicated). Sharded, a rename within one owner group is the same
 // OpRenameLocal fanned to that group; across groups it is the

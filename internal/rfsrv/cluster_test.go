@@ -327,18 +327,14 @@ func TestClusterOneServerMatchesSession(t *testing.T) {
 	}
 }
 
-// clientLayers lists the three client layers whose synchronous calls
-// are all issue + retire on one slot — the FabricClient's own control
-// slot, a window-1 Session's only slot, and a one-server Cluster over
-// such a session — each built over a fresh kernel-side client of the
-// given transport.
+// clientLayers lists the two client layers whose synchronous calls are
+// both issue + retire on one slot — a window-1 Session's only slot and
+// a one-server Cluster over such a session — each built over a fresh
+// kernel-side endpoint of the given transport.
 var clientLayers = []struct {
 	name  string
 	build func(t *testing.T, p *sim.Proc, r *rig, transport string) rfsrv.Client
 }{
-	{"FabricClient", func(t *testing.T, p *sim.Proc, r *rig, transport string) rfsrv.Client {
-		return r.sessionOver(t, p, transport, 10, 1).Client()
-	}},
 	{"Session(1)", func(t *testing.T, p *sim.Proc, r *rig, transport string) rfsrv.Client {
 		return r.sessionOver(t, p, transport, 10, 1)
 	}},
@@ -351,15 +347,19 @@ var clientLayers = []struct {
 	}},
 }
 
-// TestClientLayersIdentical is the window-1 identity across all three
-// client layers on both transports: the same Meta/Read/Write workload
+// TestClientLayersIdentical is the window-1 identity across the client
+// layers on both transports: the same Meta/Read/Write workload
 // completes at the same virtual instant, reads the same bytes and
-// costs the server the same requests whichever layer issues it.
+// costs the server the same requests whichever layer issues it — the
+// instant and the 18 requests the bare synchronous client took before
+// the window-1 Session replaced it.
 func TestClientLayersIdentical(t *testing.T) {
-	for _, transport := range []string{"mx", "gm"} {
-		var baseEnd sim.Time
+	for _, pin := range []struct {
+		transport string
+		end       sim.Time
+	}{{"mx", 7455493}, {"gm", 6824253}} {
+		transport, wantEnd := pin.transport, pin.end
 		var baseSum []byte
-		var baseReqs sim.Counter
 		for i, layer := range clientLayers {
 			r := newRig(t)
 			var end sim.Time
@@ -368,17 +368,16 @@ func TestClientLayersIdentical(t *testing.T) {
 				end, sum = oneServerWorkload(t, p, r.client.Kernel, layer.build(t, p, r, transport))
 			})
 			if i == 0 {
-				baseEnd, baseSum, baseReqs = end, sum, r.srv.Requests
-				continue
+				baseSum = sum
 			}
-			if end != baseEnd {
-				t.Errorf("%s: %s finished at %v, %s at %v", transport, layer.name, end, clientLayers[0].name, baseEnd)
+			if end != wantEnd {
+				t.Errorf("%s: %s finished at %d ns, the synchronous client at %d", transport, layer.name, end, wantEnd)
 			}
 			if !bytes.Equal(sum, baseSum) {
 				t.Errorf("%s: %s read different bytes than %s", transport, layer.name, clientLayers[0].name)
 			}
-			if r.srv.Requests != baseReqs {
-				t.Errorf("%s: %s cost the server %+v, %s %+v", transport, layer.name, r.srv.Requests, clientLayers[0].name, baseReqs)
+			if r.srv.Requests.N != 18 {
+				t.Errorf("%s: %s cost the server %d requests, the synchronous client 18", transport, layer.name, r.srv.Requests.N)
 			}
 		}
 	}
@@ -408,8 +407,6 @@ func readUnderKill(t *testing.T, layer int, timeout, killAt time.Duration) (elap
 			t.Fatal(err)
 		}
 		switch c := cl.(type) {
-		case *rfsrv.FabricClient:
-			c.SetRequestTimeout(timeout)
 		case *rfsrv.Session:
 			c.SetRequestTimeout(timeout)
 		case *rfsrv.Cluster:

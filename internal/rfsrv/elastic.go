@@ -473,7 +473,7 @@ func (cl *Cluster) replayRange(p *sim.Proc, i int, ino kernel.InodeID, r dirtyRa
 		if got <= 0 {
 			return nil // past the file's current end
 		}
-		wresp, err := cl.sessions[i].Client().Write(p, ino, off, vec.Slice(0, got))
+		wresp, err := cl.sessions[i].c.ctlWrite(p, ino, off, vec.Slice(0, got))
 		if err != nil {
 			return err
 		}
@@ -1166,7 +1166,7 @@ func (cl *Cluster) migrateRange(p *sim.Proc, ino kernel.InodeID, off, n int64, o
 			continue
 		}
 		for _, slot := range mv.to {
-			wresp, err := cl.sessions[slot].Client().Write(p, ino, mv.off, vec.Slice(0, got))
+			wresp, err := cl.sessions[slot].c.ctlWrite(p, ino, mv.off, vec.Slice(0, got))
 			if err != nil {
 				return err
 			}

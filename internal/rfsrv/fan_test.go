@@ -237,7 +237,7 @@ func TestClusterFanClassification(t *testing.T) {
 		// window showing through, reported as busy.
 		{name: "groupFan/StBusy in-doubt window", sharded: true, metaFanout: 1,
 			scenario: viaGroupFan(func(t *testing.T, p *sim.Proc, r *clusterRig, _ *rfsrv.Cluster, dir kernel.InodeID) {
-				fc, err := rfsrv.NewMXClient(r.clientMX, 50, true, r.client.Kernel, r.servers[0].ID, 1)
+				fc, err := window1(p)(rfsrv.NewMXClient(r.clientMX, 50, true, r.client.Kernel, r.servers[0].ID, 1))
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -3,9 +3,11 @@
 // ORFA library or in-kernel ORFS filesystem) and a file server backed
 // by memfs.
 //
-// The protocol is transport-neutral and there is one protocol client,
-// FabricClient (NewMXClient and NewGMClient only pick its transport);
-// its capability branches embody the paper's comparison:
+// The protocol is transport-neutral and there is one protocol endpoint,
+// FabricClient (NewMXClient and NewGMClient only pick its transport),
+// which puts a request on the wire and retires it; the clients are the
+// Session over one endpoint and the Cluster over several. The
+// endpoint's capability branches embody the paper's comparison:
 //
 //   - Over MX it uses the kernel interface directly: vectorial,
 //     address-typed requests; write data rides in the request message;
@@ -644,11 +646,11 @@ func DecodeResp(b []byte) (*Resp, error) {
 	return r, nil
 }
 
-// Client is the transport-specific RPC engine used by ORFA and ORFS.
-// FabricClient is the paper-faithful synchronous implementation (one
-// outstanding request, like the prototypes); Session layers a sliding
-// window of in-flight requests on top of it and satisfies the same
-// interface, so consumers pick their concurrency by construction.
+// Client is the synchronous protocol: post a request and wait on it.
+// A Session at window 1 is the paper-faithful implementation (one
+// outstanding request, like the prototypes); a wider Session and a
+// Cluster satisfy the same interface, so consumers pick their
+// concurrency by construction.
 type Client interface {
 	// Meta performs a metadata operation (no bulk data).
 	Meta(p *sim.Proc, req *Req) (*Resp, error)
@@ -656,6 +658,11 @@ type Client interface {
 	Read(p *sim.Proc, ino kernel.InodeID, off int64, dst core.Vector) (*Resp, error)
 	// Write writes src at off.
 	Write(p *sim.Proc, ino kernel.InodeID, off int64, src core.Vector) (*Resp, error)
+	// Rename moves (srcName in srcDir) to (dstName in dstDir). On a
+	// single server it is one OpRenameLocal; on a sharded cluster it is
+	// the two-phase cross-owner protocol, whose interrupted runs surface
+	// as ErrRenameInDoubt (re-drive the same rename to resolve).
+	Rename(p *sim.Proc, srcDir kernel.InodeID, srcName string, dstDir kernel.InodeID, dstName string) (*Resp, error)
 }
 
 // Match/tag layout shared by the transports: kind in the low 4 bits,

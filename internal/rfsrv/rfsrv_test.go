@@ -83,19 +83,31 @@ func (r *rig) run(t *testing.T, body func(p *sim.Proc)) {
 	}
 }
 
-// mxKernelClient builds an ORFS-style transport.
-func (r *rig) mxKernelClient(t *testing.T) *rfsrv.FabricClient {
+// window1 wraps a fresh endpoint in the synchronous protocol: a
+// session at window 1.
+func window1(p *sim.Proc) func(*rfsrv.FabricClient, error) (*rfsrv.Session, error) {
+	return func(fc *rfsrv.FabricClient, err error) (*rfsrv.Session, error) {
+		if err != nil {
+			return nil, err
+		}
+		return rfsrv.NewSession(p, fc, 1)
+	}
+}
+
+// mxKernelClient builds an ORFS-style synchronous client (MX needs no
+// process to set a session up).
+func (r *rig) mxKernelClient(t *testing.T) *rfsrv.Session {
 	t.Helper()
-	cl, err := rfsrv.NewMXClient(r.mxC, 2, true, r.client.Kernel, r.server.ID, 1)
+	cl, err := window1(nil)(rfsrv.NewMXClient(r.mxC, 2, true, r.client.Kernel, r.server.ID, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	return cl
 }
 
-func (r *rig) gmKernelClient(t *testing.T, p *sim.Proc, cachePages int) *rfsrv.FabricClient {
+func (r *rig) gmKernelClient(t *testing.T, p *sim.Proc, cachePages int) *rfsrv.Session {
 	t.Helper()
-	cl, err := rfsrv.NewGMClient(p, r.gmC, 2, true, r.client.Kernel, r.server.ID, 1, cachePages)
+	cl, err := window1(p)(rfsrv.NewGMClient(p, r.gmC, 2, true, r.client.Kernel, r.server.ID, 1, cachePages))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,188 +144,6 @@ func (r *rig) seed(t *testing.T, p *sim.Proc, name string, data []byte) kernel.I
 	return attr.Ino
 }
 
-func TestMetaOpsOverBothTransports(t *testing.T) {
-	for _, transport := range []string{"mx", "gm"} {
-		t.Run(transport, func(t *testing.T) {
-			r := newRig(t)
-			r.run(t, func(p *sim.Proc) {
-				var cl rfsrv.Client
-				if transport == "mx" {
-					cl = r.mxKernelClient(t)
-				} else {
-					cl = r.gmKernelClient(t, p, 1024)
-				}
-				root, err := cl.Meta(p, &rfsrv.Req{Op: rfsrv.OpGetattr, Ino: 0})
-				if err != nil || root.Attr.Kind != kernel.Directory {
-					t.Fatalf("root getattr: %+v %v", root, err)
-				}
-				mk, err := cl.Meta(p, &rfsrv.Req{Op: rfsrv.OpMkdir, Ino: root.Attr.Ino, Name: "d"})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if _, err := cl.Meta(p, &rfsrv.Req{Op: rfsrv.OpCreate, Ino: mk.Attr.Ino, Name: "f"}); err != nil {
-					t.Fatal(err)
-				}
-				lk, err := cl.Meta(p, &rfsrv.Req{Op: rfsrv.OpLookup, Ino: mk.Attr.Ino, Name: "f"})
-				if err != nil || lk.Attr.Kind != kernel.RegularFile {
-					t.Fatalf("lookup: %+v %v", lk, err)
-				}
-				rd, err := cl.Meta(p, &rfsrv.Req{Op: rfsrv.OpReaddir, Ino: mk.Attr.Ino})
-				if err != nil || len(rd.Entries) != 1 || rd.Entries[0].Name != "f" {
-					t.Fatalf("readdir: %+v %v", rd, err)
-				}
-				if _, err := cl.Meta(p, &rfsrv.Req{Op: rfsrv.OpLookup, Ino: root.Attr.Ino, Name: "nope"}); err != kernel.ErrNotFound {
-					t.Fatalf("missing lookup: %v", err)
-				}
-			})
-		})
-	}
-}
-
-func TestReadIntoPhysicalFrames(t *testing.T) {
-	// The buffered-access core: read file pages straight into
-	// page-cache-like frames over both transports.
-	for _, transport := range []string{"mx", "gm"} {
-		t.Run(transport, func(t *testing.T) {
-			r := newRig(t)
-			data := pattern(3*mem.PageSize + 100)
-			r.run(t, func(p *sim.Proc) {
-				ino := r.seed(t, p, "f", data)
-				var cl rfsrv.Client
-				if transport == "mx" {
-					cl = r.mxKernelClient(t)
-				} else {
-					cl = r.gmKernelClient(t, p, 1024)
-				}
-				for idx := int64(0); idx < 4; idx++ {
-					frame, _ := r.client.Mem.AllocFrame()
-					resp, err := cl.Read(p, ino, idx*mem.PageSize, core.Of(core.PhysSeg(frame.Addr(), mem.PageSize)))
-					if err != nil {
-						t.Fatal(err)
-					}
-					want := data[idx*mem.PageSize:]
-					if len(want) > mem.PageSize {
-						want = want[:mem.PageSize]
-					}
-					if int(resp.N) != len(want) {
-						t.Fatalf("page %d: n=%d want %d", idx, resp.N, len(want))
-					}
-					if !bytes.Equal(frame.Data()[:resp.N], want) {
-						t.Fatalf("page %d corrupted", idx)
-					}
-				}
-				// Past EOF: zero-length read must not hang.
-				frame, _ := r.client.Mem.AllocFrame()
-				resp, err := cl.Read(p, ino, 100*mem.PageSize, core.Of(core.PhysSeg(frame.Addr(), mem.PageSize)))
-				if err != nil || resp.N != 0 {
-					t.Fatalf("EOF read: n=%d err=%v", resp.N, err)
-				}
-			})
-		})
-	}
-}
-
-func TestReadIntoUserBuffer(t *testing.T) {
-	// The direct-access core: arbitrary-size reads into user memory,
-	// including a rendezvous-sized one.
-	for _, transport := range []string{"mx", "gm"} {
-		for _, n := range []int{777, 4096, 60000, 300000} {
-			t.Run(fmt.Sprintf("%s-%d", transport, n), func(t *testing.T) {
-				r := newRig(t)
-				data := pattern(n)
-				r.run(t, func(p *sim.Proc) {
-					ino := r.seed(t, p, "f", data)
-					var cl rfsrv.Client
-					if transport == "mx" {
-						cl = r.mxKernelClient(t)
-					} else {
-						cl = r.gmKernelClient(t, p, 1024)
-					}
-					as := r.client.NewUserSpace("app")
-					va, _ := as.Mmap(n+mem.PageSize, "buf")
-					resp, err := cl.Read(p, ino, 0, core.Of(core.UserSeg(as, va, n)))
-					if err != nil || int(resp.N) != n {
-						t.Fatalf("read: n=%d err=%v", resp.N, err)
-					}
-					got, _ := as.ReadBytes(va, n)
-					if !bytes.Equal(got, data) {
-						t.Fatal("user-buffer read corrupted")
-					}
-				})
-			})
-		}
-	}
-}
-
-func TestWriteFromUserBuffer(t *testing.T) {
-	for _, transport := range []string{"mx", "gm"} {
-		for _, n := range []int{100, 5000, 300000} { // includes chunked write
-			t.Run(fmt.Sprintf("%s-%d", transport, n), func(t *testing.T) {
-				r := newRig(t)
-				data := pattern(n)
-				r.run(t, func(p *sim.Proc) {
-					var cl rfsrv.Client
-					if transport == "mx" {
-						cl = r.mxKernelClient(t)
-					} else {
-						cl = r.gmKernelClient(t, p, 1024)
-					}
-					created, err := cl.Meta(p, &rfsrv.Req{Op: rfsrv.OpCreate, Ino: 0, Name: "w"})
-					if err != nil {
-						t.Fatal(err)
-					}
-					as := r.client.NewUserSpace("app")
-					va, _ := as.Mmap(n+mem.PageSize, "buf")
-					as.WriteBytes(va, data)
-					resp, err := cl.Write(p, created.Attr.Ino, 0, core.Of(core.UserSeg(as, va, n)))
-					if err != nil || int(resp.N) != n {
-						t.Fatalf("write: n=%d err=%v", resp.N, err)
-					}
-					// Verify server-side content.
-					got := make([]byte, n)
-					kva, _ := r.server.Kernel.Mmap(n+mem.PageSize, "check")
-					rn, err := r.serverFS.ReadDirect(p, created.Attr.Ino, 0, core.Of(core.KernelSeg(r.server.Kernel, kva, n)))
-					if err != nil || rn != n {
-						t.Fatalf("server readback: %d %v", rn, err)
-					}
-					chunk, _ := r.server.Kernel.ReadBytes(kva, n)
-					copy(got, chunk)
-					if !bytes.Equal(got, data) {
-						t.Fatal("written data corrupted")
-					}
-				})
-			})
-		}
-	}
-}
-
-func TestZeroLengthWrite(t *testing.T) {
-	// A zero-byte write must complete the protocol handshake (not hang
-	// or error) on both transports — the empty-vector path through the
-	// fabric.
-	for _, transport := range []string{"mx", "gm"} {
-		t.Run(transport, func(t *testing.T) {
-			r := newRig(t)
-			r.run(t, func(p *sim.Proc) {
-				var cl rfsrv.Client
-				if transport == "mx" {
-					cl = r.mxKernelClient(t)
-				} else {
-					cl = r.gmKernelClient(t, p, 1024)
-				}
-				created, err := cl.Meta(p, &rfsrv.Req{Op: rfsrv.OpCreate, Ino: 0, Name: "empty"})
-				if err != nil {
-					t.Fatal(err)
-				}
-				resp, err := cl.Write(p, created.Attr.Ino, 0, nil)
-				if err != nil || resp.N != 0 {
-					t.Fatalf("zero-length write: n=%d err=%v", resp.N, err)
-				}
-			})
-		})
-	}
-}
-
 func TestORFSMountedEndToEnd(t *testing.T) {
 	// Full stack: application → VFS → page cache → ORFS → transport →
 	// server → memfs, both transports, buffered and direct.
@@ -321,7 +151,7 @@ func TestORFSMountedEndToEnd(t *testing.T) {
 		t.Run(transport, func(t *testing.T) {
 			r := newRig(t)
 			r.run(t, func(p *sim.Proc) {
-				var cl rfsrv.Client
+				var cl rfsrv.Async
 				if transport == "mx" {
 					cl = r.mxKernelClient(t)
 				} else {
@@ -385,15 +215,15 @@ func TestORFAEndToEnd(t *testing.T) {
 			r := newRig(t)
 			r.run(t, func(p *sim.Proc) {
 				as := r.client.NewUserSpace("app")
-				var cl rfsrv.Client
+				var cl rfsrv.Async
 				if transport == "mx" {
-					c, err := rfsrv.NewMXClient(r.mxC, 3, false, as, r.server.ID, 1)
+					c, err := window1(p)(rfsrv.NewMXClient(r.mxC, 3, false, as, r.server.ID, 1))
 					if err != nil {
 						t.Fatal(err)
 					}
 					cl = c
 				} else {
-					c, err := rfsrv.NewGMClient(p, r.gmC, 3, false, as, r.server.ID, 1, 4096)
+					c, err := window1(p)(rfsrv.NewGMClient(p, r.gmC, 3, false, as, r.server.ID, 1, 4096))
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -458,7 +288,7 @@ func TestORFSMetadataBenefitsFromVFSCache(t *testing.T) {
 
 		// ORFA: every stat walks remotely.
 		as := r.client.NewUserSpace("app")
-		acl, err := rfsrv.NewMXClient(r.mxC, 5, false, as, r.server.ID, 1)
+		acl, err := window1(p)(rfsrv.NewMXClient(r.mxC, 5, false, as, r.server.ID, 1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -494,7 +324,7 @@ func TestGMRegistrationCacheEffect(t *testing.T) {
 		}
 		withCache = p.Now() - t0
 
-		uncached, err := rfsrv.NewGMClient(p, r.gmC, 4, true, r.client.Kernel, r.server.ID, 1, 0)
+		uncached, err := window1(p)(rfsrv.NewGMClient(p, r.gmC, 4, true, r.client.Kernel, r.server.ID, 1, 0))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -531,7 +361,7 @@ func TestConcurrentClientsDistinctTags(t *testing.T) {
 		} {
 			cfg := cfg
 			r.env.Spawn(fmt.Sprintf("cl%d", i), func(p *sim.Proc) {
-				cl, err := rfsrv.NewMXClient(r.mxC, cfg.ep, true, r.client.Kernel, r.server.ID, 1)
+				cl, err := window1(p)(rfsrv.NewMXClient(r.mxC, cfg.ep, true, r.client.Kernel, r.server.ID, 1))
 				if err != nil {
 					t.Error(err)
 					return
@@ -566,7 +396,7 @@ func TestORFSMatchesLocalReferenceProperty(t *testing.T) {
 		ok := true
 		r := newRigQuiet()
 		r.env.Spawn("t", func(p *sim.Proc) {
-			cl, err := rfsrv.NewMXClient(r.mxC, 2, true, r.client.Kernel, r.server.ID, 1)
+			cl, err := window1(p)(rfsrv.NewMXClient(r.mxC, 2, true, r.client.Kernel, r.server.ID, 1))
 			if err != nil {
 				ok = false
 				return

@@ -427,18 +427,18 @@ func (s *Server) readExtents(p *sim.Proc, req *Req) (*Resp, []mem.Extent) {
 			f = s.zero // hole
 		}
 		f.Get()
-		xs = append(xs, mem.Extent{Addr: f.Addr() + mem.PhysAddr(pgOff), Len: int(chunk)})
+		xs = mem.AppendExtent(xs, f.Addr()+mem.PhysAddr(pgOff), int(chunk))
 		off += chunk
 		left -= chunk
 	}
 	resp.N = uint32(n)
 	resp.Attr = attr
-	return resp, mem.MergeInPlace(xs)
+	return resp, xs
 }
 
 // putFrames drops the reference readExtents took on the frame under
-// each page of xs. Merging kept the extents page for page what
-// readExtents walked — every chunk but the first starts a frame, every
+// each page of xs. Merging as they were appended kept the extents page
+// for page what readExtents walked — every chunk but the first starts a frame, every
 // chunk but the last ends one — so walking their frames again visits
 // each held frame exactly as often as it was held.
 func (s *Server) putFrames(xs []mem.Extent) {

@@ -10,9 +10,9 @@ import (
 	"repro/internal/sim"
 )
 
-// Session layers a sliding window of in-flight requests over a
-// FabricClient, turning the paper's synchronous one-outstanding
-// protocol into a pipelined one.
+// Session is the protocol client over one FabricClient endpoint: a
+// sliding window of in-flight requests. At window 1 it is the paper's
+// synchronous one-outstanding protocol; a wider window pipelines it.
 //
 // Each window slot owns its own request/reply staging buffers, so up
 // to Window requests can be on the wire at once. Completion matching
@@ -26,7 +26,7 @@ import (
 // too (they find their completion already delivered).
 //
 // A Session is used from one simulated process at a time, like the
-// underlying client.
+// endpoint under it.
 type Session struct {
 	c   *FabricClient
 	win *fabric.Window[*ctlBufs]
@@ -47,18 +47,18 @@ type Session struct {
 
 // NewSession prepares a window of in-flight request slots over c.
 // window is the number of requests that may be outstanding at once;
-// window = 1 degenerates to the synchronous protocol with unchanged
-// timing. p may be nil when the transport needs no registration work
-// (each slot's buffers are registered like the client's own).
+// window = 1 is the synchronous protocol. p may be nil when the
+// transport needs no registration work (each slot's buffers are
+// registered like the endpoint's own).
 func NewSession(p *sim.Proc, c *FabricClient, window int) (*Session, error) {
 	if window < 1 {
 		return nil, fmt.Errorf("rfsrv: session window %d < 1", window)
 	}
-	if c.noPhys {
+	if c.noPhys && window > 1 {
 		// The stock-GM ablation stages all non-user data through the
 		// client's single registered staging buffer; pipelining over it
 		// would interleave stagings.
-		return nil, fmt.Errorf("rfsrv: sessions need the physical API (DisablePhysicalAPI client)")
+		return nil, fmt.Errorf("rfsrv: a window of %d needs the physical API (DisablePhysicalAPI client)", window)
 	}
 	s := &Session{c: c, win: fabric.NewWindow[*ctlBufs](c.t.Node().Cluster.Env)}
 	for i := 0; i < window; i++ {
@@ -80,9 +80,6 @@ func (s *Session) Window() int { return s.win.Size() }
 // dead server, releasing their window slot with the posted receives
 // withdrawn. 0 (the default) disables timeouts entirely.
 func (s *Session) SetRequestTimeout(d sim.Time) { s.c.SetRequestTimeout(d) }
-
-// Client returns the underlying synchronous client.
-func (s *Session) Client() *FabricClient { return s.c }
 
 // Node implements Async: the client node.
 func (s *Session) Node() *hw.Node { return s.c.t.Node() }
@@ -115,38 +112,46 @@ type Pending struct {
 func (pd *Pending) Issued() sim.Time { return pd.fl.issued }
 
 // launch issues req through window slot b (FabricClient.issue), giving
-// the slot back when the request never left.
-func (s *Session) launch(p *sim.Proc, b *ctlBufs, req *Req, data core.Vector) (*Pending, error) {
+// the slot back when the request never left. A Start* caller keeps the
+// Pending (memoized result, Issued) past Wait, so it gets a fresh one;
+// a synchronous verb's dies inside the call, before the slot can be
+// handed out again, so it lives in the slot.
+func (s *Session) launch(p *sim.Proc, b *ctlBufs, req *Req, data core.Vector, kept bool) (*Pending, error) {
 	fl, err := s.c.issue(p, b, req, data)
 	if err != nil {
 		s.win.Release(b)
 		return nil, err
 	}
 	s.Issued.Add(1)
-	return &Pending{s: s, fl: fl}, nil
+	pd := &b.pd
+	if kept {
+		pd = new(Pending)
+	}
+	*pd = Pending{s: s, fl: fl}
+	return pd, nil
 }
 
 // StartMeta issues a metadata request through the window, blocking
 // only while the window is full.
 func (s *Session) StartMeta(p *sim.Proc, req *Req) (PendingOp, error) {
-	pd, err := s.startMeta(p, req)
+	pd, err := s.startMeta(p, req, true)
 	if err != nil {
 		return nil, err
 	}
 	return pd, nil
 }
 
-func (s *Session) startMeta(p *sim.Proc, req *Req) (*Pending, error) {
+func (s *Session) startMeta(p *sim.Proc, req *Req, kept bool) (*Pending, error) {
 	if err := ValidateReq(req); err != nil {
 		return nil, err
 	}
-	return s.launch(p, s.win.Acquire(p), req, nil)
+	return s.launch(p, s.win.Acquire(p), req, nil, kept)
 }
 
 // StartRead issues a read through the window; data lands directly in
-// dst when the transport allows it, exactly like the sync client.
+// dst wherever the transport allows it.
 func (s *Session) StartRead(p *sim.Proc, ino kernel.InodeID, off int64, dst core.Vector) (PendingOp, error) {
-	pd, err := s.startData(p, OpRead, ino, off, dst)
+	pd, err := s.startData(p, OpRead, ino, off, dst, true)
 	if err != nil {
 		return nil, err
 	}
@@ -157,7 +162,7 @@ func (s *Session) StartRead(p *sim.Proc, ino kernel.InodeID, off int64, dst core
 // exceed MaxWriteChunk (one protocol request); Write chunks larger
 // transfers across the window.
 func (s *Session) StartWrite(p *sim.Proc, ino kernel.InodeID, off int64, src core.Vector) (PendingOp, error) {
-	pd, err := s.startData(p, OpWrite, ino, off, src)
+	pd, err := s.startData(p, OpWrite, ino, off, src, true)
 	if err != nil {
 		return nil, err
 	}
@@ -166,8 +171,8 @@ func (s *Session) StartWrite(p *sim.Proc, ino kernel.InodeID, off int64, src cor
 
 // startData issues one read or write of data's length at off. The
 // request struct stages in the slot (encoded before this call
-// returns), so the issue path allocates nothing but the Pending.
-func (s *Session) startData(p *sim.Proc, op Op, ino kernel.InodeID, off int64, data core.Vector) (*Pending, error) {
+// returns), so the issue path allocates nothing but a kept Pending.
+func (s *Session) startData(p *sim.Proc, op Op, ino kernel.InodeID, off int64, data core.Vector, kept bool) (*Pending, error) {
 	if off < 0 {
 		return nil, ErrInval
 	}
@@ -177,7 +182,7 @@ func (s *Session) startData(p *sim.Proc, op Op, ino kernel.InodeID, off int64, d
 	}
 	b := s.win.Acquire(p)
 	b.req = Req{Op: op, Ino: ino, Off: off, Len: uint32(n)}
-	return s.launch(p, b, &b.req, data)
+	return s.launch(p, b, &b.req, data, kept)
 }
 
 // Wait retires the request (FabricClient.retire) and returns its slot
@@ -188,46 +193,61 @@ func (pd *Pending) Wait(p *sim.Proc) (*Resp, error) {
 	if pd.done {
 		return pd.resp, pd.err
 	}
-	pd.resp, pd.err = pd.s.c.retire(p, &pd.fl)
-	pd.done = true
+	resp, err := pd.s.c.retire(p, &pd.fl)
+	pd.resp, pd.err, pd.done = resp, err, true
 	pd.s.Completed.Add(1)
 	pd.s.win.Release(pd.fl.bufs)
-	return pd.resp, pd.err
+	return resp, err
 }
 
-// ---- the synchronous Client interface over the window ----
+// ---- the synchronous Client interface: issue and wait, back to back ----
+//
+// At window 1 this is the paper's synchronous protocol (§4.2, §5.2),
+// and the only implementation of it.
 
 // Meta implements Client.
+//
+// allocfree
 func (s *Session) Meta(p *sim.Proc, req *Req) (*Resp, error) {
-	pd, err := s.startMeta(p, req)
+	pd, err := s.startMeta(p, req, false)
 	if err != nil {
+		//analyze:allow allocfree error path
 		return &Resp{Status: StatusOf(err)}, err
 	}
 	return pd.Wait(p)
 }
 
-// Read implements Client: one request, issue-and-wait (identical
-// timing to the sync client at any window).
+// Read implements Client: one request, whatever its length.
+//
+// allocfree
 func (s *Session) Read(p *sim.Proc, ino kernel.InodeID, off int64, dst core.Vector) (*Resp, error) {
-	pd, err := s.startData(p, OpRead, ino, off, dst)
+	return s.syncData(p, OpRead, ino, off, dst)
+}
+
+// Write implements Client: one request up to MaxWriteChunk, per-chunk
+// requests pipelined through the window above it (at window 1: one
+// round trip per chunk).
+//
+// allocfree
+func (s *Session) Write(p *sim.Proc, ino kernel.InodeID, off int64, src core.Vector) (*Resp, error) {
+	if src.TotalLen() > MaxWriteChunk {
+		return s.writeChunked(p, ino, off, src)
+	}
+	return s.syncData(p, OpWrite, ino, off, src)
+}
+
+// allocfree
+func (s *Session) syncData(p *sim.Proc, op Op, ino kernel.InodeID, off int64, data core.Vector) (*Resp, error) {
+	pd, err := s.startData(p, op, ino, off, data, false)
 	if err != nil {
+		//analyze:allow allocfree error path
 		return &Resp{Status: StatusOf(err)}, err
 	}
 	return pd.Wait(p)
 }
 
-// Write implements Client: transfers larger than MaxWriteChunk are
-// split into per-chunk requests pipelined through the window (the
-// sync client serializes them — one round trip per chunk).
-func (s *Session) Write(p *sim.Proc, ino kernel.InodeID, off int64, src core.Vector) (*Resp, error) {
+func (s *Session) writeChunked(p *sim.Proc, ino kernel.InodeID, off int64, src core.Vector) (*Resp, error) {
 	total := src.TotalLen()
-	if total <= MaxWriteChunk {
-		pd, err := s.startData(p, OpWrite, ino, off, src)
-		if err != nil {
-			return &Resp{Status: StatusOf(err)}, err
-		}
-		return pd.Wait(p)
-	}
 	type chunk struct {
 		pd   *Pending
 		want int
@@ -241,8 +261,7 @@ func (s *Session) Write(p *sim.Proc, ino kernel.InodeID, off int64, src core.Vec
 		}
 		// Chunks were issued at fixed offsets, so a partial chunk
 		// leaves a hole before the chunks already sent after it:
-		// anything short is an error here, unlike the sync client,
-		// which recomputes each offset from the cumulative count.
+		// anything short is an error.
 		if int(resp.N) != c.want {
 			return fmt.Errorf("rfsrv: short write (%d of %d) at %d", resp.N, c.want, written)
 		}
@@ -253,7 +272,7 @@ func (s *Session) Write(p *sim.Proc, ino kernel.InodeID, off int64, src core.Vec
 	room := func() bool { return pl.Len() < s.win.Size() }
 	for issued := 0; issued < total && pl.Room(p, room) == nil; {
 		n := min(total-issued, MaxWriteChunk)
-		pd, err := s.startData(p, OpWrite, ino, off+int64(issued), src.Slice(issued, n))
+		pd, err := s.startData(p, OpWrite, ino, off+int64(issued), src.Slice(issued, n), true)
 		if err != nil {
 			pl.Fail(err)
 			break
@@ -263,9 +282,6 @@ func (s *Session) Write(p *sim.Proc, ino kernel.InodeID, off int64, src core.Vec
 	}
 	if err := pl.Drain(p); err != nil {
 		return last, err
-	}
-	if last == nil {
-		last = &Resp{}
 	}
 	last.N = uint32(written)
 	return last, nil
@@ -416,7 +432,7 @@ func (fl *batchFlight) wait(p *sim.Proc, out []*Resp) ([]*Resp, error) {
 	return out, firstErr
 }
 
-// Rename implements Renamer over one server: a single OpRenameLocal
+// Rename implements Client over one server: a single OpRenameLocal
 // applied by the backing store (both directories are local by
 // definition).
 func (s *Session) Rename(p *sim.Proc, srcDir kernel.InodeID, srcName string, dstDir kernel.InodeID, dstName string) (*Resp, error) {
@@ -426,4 +442,11 @@ func (s *Session) Rename(p *sim.Proc, srcDir kernel.InodeID, srcName string, dst
 	})
 }
 
-var _ Client = (*Session)(nil)
+// SetFileSize implements Async: one server's size is always current,
+// so there is nothing to reconcile.
+func (s *Session) SetFileSize(p *sim.Proc, ino kernel.InodeID, size int64) error {
+	if size < 0 {
+		return ErrInval
+	}
+	return nil
+}

@@ -334,27 +334,6 @@ func TestNameTooLongStatus(t *testing.T) {
 	})
 }
 
-// TestClientRejectsNegativeOffsets: negative offsets must be refused
-// at the client API boundary with StInval.
-func TestClientRejectsNegativeOffsets(t *testing.T) {
-	r := newRig(t)
-	r.run(t, func(p *sim.Proc) {
-		cl := r.mxKernelClient(t)
-		ino := r.seed(t, p, "f", pattern(100))
-		kva, _ := r.client.Kernel.Mmap(4096, "buf")
-		v := core.Of(core.KernelSeg(r.client.Kernel, kva, 100))
-		if _, err := cl.Read(p, ino, -1, v); err != rfsrv.ErrInval {
-			t.Fatalf("read err = %v, want ErrInval", err)
-		}
-		if _, err := cl.Write(p, ino, -1, v); err != rfsrv.ErrInval {
-			t.Fatalf("write err = %v, want ErrInval", err)
-		}
-		if _, err := cl.Meta(p, &rfsrv.Req{Op: rfsrv.OpTruncate, Ino: ino, Off: -1}); err != rfsrv.ErrInval {
-			t.Fatalf("truncate err = %v, want ErrInval", err)
-		}
-	})
-}
-
 // TestORFSSessionEndToEnd drives the full VFS stack over a windowed
 // session: buffered writes pipeline (write-behind), sequential
 // buffered reads prefetch (readahead), and the bytes survive.

@@ -54,7 +54,7 @@ func TestManyClientsOneServer(t *testing.T) {
 			node := c.AddNode(fmt.Sprintf("client%d", i))
 			mxC := mx.Attach(node)
 			env.Spawn(fmt.Sprintf("cl%d", i), func(p *sim.Proc) {
-				cl, err := rfsrv.NewMXClient(mxC, uint8(10+i), true, node.Kernel, server.ID, 1)
+				cl, err := window1(p)(rfsrv.NewMXClient(mxC, uint8(10+i), true, node.Kernel, server.ID, 1))
 				if err != nil {
 					t.Error(err)
 					return
@@ -114,7 +114,7 @@ func TestServerWorkerScaling(t *testing.T) {
 				node := c.AddNode(fmt.Sprintf("c%d", i))
 				mxC := mx.Attach(node)
 				env.Spawn("cl", func(p *sim.Proc) {
-					cl, err := rfsrv.NewMXClient(mxC, uint8(10+i), true, node.Kernel, server.ID, 1)
+					cl, err := window1(p)(rfsrv.NewMXClient(mxC, uint8(10+i), true, node.Kernel, server.ID, 1))
 					if err != nil {
 						t.Error(err)
 						return
@@ -177,7 +177,7 @@ func TestLinkSaturationFairness(t *testing.T) {
 		for i := 0; i < 2; i++ {
 			i := i
 			env.Spawn("stream", func(pp *sim.Proc) {
-				cl, err := rfsrv.NewMXClient(mxC, uint8(10+i), true, client.Kernel, server.ID, 1)
+				cl, err := window1(pp)(rfsrv.NewMXClient(mxC, uint8(10+i), true, client.Kernel, server.ID, 1))
 				if err != nil {
 					t.Error(err)
 					return
@@ -250,7 +250,7 @@ func TestGMServerInterleavedClients(t *testing.T) {
 			node := c.AddNode(fmt.Sprintf("c%d", i))
 			gmC := gm.Attach(node)
 			env.Spawn("cl", func(p *sim.Proc) {
-				cl, err := rfsrv.NewGMClient(p, gmC, uint8(10+i), true, node.Kernel, server.ID, 1, 1024)
+				cl, err := window1(p)(rfsrv.NewGMClient(p, gmC, uint8(10+i), true, node.Kernel, server.ID, 1, 1024))
 				if err != nil {
 					t.Error(err)
 					return

@@ -139,9 +139,6 @@ func TestShardedRigAgrees(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		if !cl.ShardedNamespace() {
-			t.Error("client of a sharded rig fans its namespace out")
-		}
 		seen := make([]bool, n)
 		for k := 0; k < 64; k++ {
 			dir, err := cl.Meta(p, &rfsrv.Req{Op: rfsrv.OpMkdir, Ino: 0, Name: fmt.Sprintf("d%d", k)})

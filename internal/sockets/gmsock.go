@@ -3,9 +3,6 @@ package sockets
 // This file is SOCKETS-GM: the stream stack over GM ports, paying
 // GM's registration and event-queue costs on every transfer.
 import (
-	"encoding/binary"
-	"fmt"
-
 	"repro/internal/fabric"
 	"repro/internal/gm"
 	"repro/internal/hw"
@@ -13,10 +10,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/vm"
 )
-
-// SOCKETS-GM wire tags reuse the (conn, channel) layout of the MX
-// stack; GM's extra port byte is added by the driver.
-func gmTag(conn uint32, ch uint64) uint64 { return uint64(conn)<<8 | ch }
 
 // gmChunk is the staging-buffer granularity of SOCKETS-GM: every send
 // is copied into a registered kernel bounce buffer of this size and
@@ -29,21 +22,15 @@ const gmChunk = 32 * 1024
 
 // GMStack is the SOCKETS-GM provider for one node.
 type GMStack struct {
-	node *hw.Node
+	*mux
 	p    *hw.Params
 	port *gm.Port
-
-	conns     map[uint32]*gmConn
-	nextConn  uint32
-	listeners map[Port]*gmListener
-	dials     map[uint32]*gmConn
 
 	// The dispatching kernel thread (§5.3): all completions funnel
 	// through it, adding a context switch to every blocking wait.
 	waiters map[uint64]*sim.Chan[gm.Event]
 
 	ctl   *fabric.Buffer // owned for the stack's lifetime
-	ctlVA vm.VirtAddr
 	ctlXS []mem.Extent
 }
 
@@ -54,21 +41,13 @@ func NewGMStack(g *gm.GM, portID uint8) (*GMStack, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &GMStack{
-		node:      g.Node(),
-		p:         g.Node().Cluster.Params,
-		port:      port,
-		conns:     make(map[uint32]*gmConn),
-		nextConn:  1,
-		listeners: make(map[Port]*gmListener),
-		dials:     make(map[uint32]*gmConn),
-		waiters:   make(map[uint64]*sim.Chan[gm.Event]),
-	}
+	s := &GMStack{p: g.Node().Cluster.Params, port: port, waiters: make(map[uint64]*sim.Chan[gm.Event])}
+	s.mux = newMux(g.Node(), s)
 	ctl, err := fabric.PoolOf(s.node).Get(256)
 	if err != nil {
 		return nil, err
 	}
-	s.ctl, s.ctlVA, s.ctlXS = ctl, ctl.VA(), ctl.Extents(256)
+	s.ctl, s.ctlXS = ctl, ctl.Extents(256)
 	s.node.Cluster.Env.Spawn(s.node.Name+"-sockgm-dispatch", s.dispatcher)
 	s.node.Cluster.Env.Spawn(s.node.Name+"-sockgm-ctl", s.ctlPump)
 	return s, nil
@@ -111,57 +90,20 @@ func (s *GMStack) reserve(key uint64) *sim.Chan[gm.Event] {
 	return ch
 }
 
-type gmListener struct {
-	stack   *GMStack
-	port    Port
-	backlog *sim.Chan[*gmConn]
-}
-
-// Accept implements Listener.
-func (l *gmListener) Accept(p *sim.Proc) (Conn, error) {
-	return l.backlog.Recv(p), nil
-}
-
 // gmConn is one SOCKETS-GM connection endpoint.
 type gmConn struct {
-	stack    *GMStack
-	localID  uint32
-	peerID   uint32
-	peerNode hw.NodeID
+	*stream
+	stack      *GMStack
+	seq        uint64 // per-conn data sequence (tags successive chunks)
+	rseq       uint64
+	pendingTag uint64 // tag of an in-flight Recv (for FIN unblocking)
 
-	established *sim.Signal
-	buffered    []byte
-	eof         bool
-	closed      bool
-	seq         uint64 // per-conn data sequence (tags successive chunks)
-	rseq        uint64
-	pendingTag  uint64 // tag of an in-flight Recv (for FIN unblocking)
-
-	txVA, rxVA   vm.VirtAddr
 	txXS, rxXS   []mem.Extent
 	txBuf, rxBuf *fabric.Buffer
-
-	Tx, Rx sim.Counter
 }
 
-// Listen implements Stack.
-func (s *GMStack) Listen(port Port) (Listener, error) {
-	if _, dup := s.listeners[port]; dup {
-		return nil, fmt.Errorf("sockets: port %d already listening", port)
-	}
-	l := &gmListener{stack: s, port: port, backlog: sim.NewChan[*gmConn](s.node.Cluster.Env)}
-	s.listeners[port] = l
-	return l, nil
-}
-
-func (s *GMStack) newConn(peerNode hw.NodeID) (*gmConn, error) {
-	c := &gmConn{
-		stack:       s,
-		localID:     s.nextConn,
-		peerNode:    peerNode,
-		established: sim.NewSignal(s.node.Cluster.Env),
-	}
-	s.nextConn++
+// open implements myrinet.
+func (s *GMStack) open(st *stream) (Conn, error) {
 	// Per-connection bounce buffers come from the node's shared fabric
 	// pool: closed connections' buffers are recycled across every
 	// consumer on the node instead of leaking one mapping per dial.
@@ -175,39 +117,18 @@ func (s *GMStack) newConn(peerNode hw.NodeID) (*gmConn, error) {
 		tx.Release()
 		return nil, err
 	}
-	c.txBuf, c.rxBuf = tx, rx
-	c.txVA, c.txXS = tx.VA(), tx.Extents(gmChunk)
-	c.rxVA, c.rxXS = rx.VA(), rx.Extents(gmChunk)
-	s.conns[c.localID] = c
+	c := &gmConn{stream: st, stack: s, txBuf: tx, rxBuf: rx,
+		txXS: tx.Extents(gmChunk), rxXS: rx.Extents(gmChunk)}
+	st.onFIN = c.unblockRecv
 	return c, nil
 }
 
-// Dial implements Stack.
-func (s *GMStack) Dial(p *sim.Proc, peerNode int, port Port) (Conn, error) {
-	s.node.CPU.Syscall(p)
-	c, err := s.newConn(hw.NodeID(peerNode))
-	if err != nil {
-		return nil, err
-	}
-	s.dials[c.localID] = c
-	s.sendCtl(p, hw.NodeID(peerNode), ctlSYN, c.localID, uint32(port))
-	if !c.established.WaitTimeout(p, 10*sim.Time(1e6)) {
-		return nil, ErrRefused
-	}
-	return c, nil
-}
-
-// sendCtl transmits a control message. All control traffic shares one
-// GM tag (GM matches by exact tag, so per-connection control tags
-// would need per-connection posted receives); the target connection
-// rides in the payload.
-func (s *GMStack) sendCtl(p *sim.Proc, dst hw.NodeID, kind uint8, a, b uint32) {
-	buf := make([]byte, 9)
-	buf[0] = kind
-	binary.LittleEndian.PutUint32(buf[1:], a)
-	binary.LittleEndian.PutUint32(buf[5:], b)
-	s.node.Kernel.WriteBytes(s.ctlVA, buf)
-	xs := []mem.Extent{{Addr: s.ctlXS[0].Addr, Len: len(buf)}}
+// sendCtl implements myrinet (GM matches by exact tag, so
+// per-connection control tags would need per-connection posted
+// receives).
+func (s *GMStack) sendCtl(p *sim.Proc, dst hw.NodeID, m ctlMsg) {
+	s.node.Kernel.WriteBytes(s.ctl.VA(), m.encode())
+	xs := []mem.Extent{{Addr: s.ctlXS[0].Addr, Len: ctlLen}}
 	if err := s.port.SendPhysical(p, dst, s.port.ID(), chCtl, xs); err != nil {
 		panic(err)
 	}
@@ -229,44 +150,17 @@ func (s *GMStack) ctlPump(p *sim.Proc) {
 		}
 		ev := ch.Recv(p)
 		raw, _ := kern.ReadBytes(bufVA, ev.Len)
-		if len(raw) < 9 {
-			continue
-		}
-		kind := raw[0]
-		a := binary.LittleEndian.Uint32(raw[1:])
-		b := binary.LittleEndian.Uint32(raw[5:])
-		switch kind {
-		case ctlSYN:
-			l := s.listeners[Port(b)]
-			if l == nil {
-				continue
-			}
-			c, err := s.newConn(ev.Src)
-			if err != nil {
-				continue
-			}
-			c.peerID = a
-			c.established.Fire()
-			s.sendCtl(p, ev.Src, ctlSYNACK, c.localID, a)
-			l.backlog.Send(c)
-		case ctlSYNACK: // a = acceptor conn, b = our dialing conn
-			c := s.dials[b]
-			if c == nil {
-				continue
-			}
-			delete(s.dials, b)
-			c.peerID = a
-			c.established.Fire()
-		case ctlFIN: // a = target conn on our side
-			if c := s.conns[a]; c != nil {
-				c.eof = true
-				if w := s.waiters[c.pendingTag]; c.pendingTag != 0 && w != nil {
-					// Unblock a pending Recv with a zero-length event.
-					delete(s.waiters, c.pendingTag)
-					w.Send(gm.Event{Type: gm.RecvComplete, Len: 0})
-				}
-			}
-		}
+		s.handle(p, ev.Src, raw)
+	}
+}
+
+// unblockRecv wakes a Recv parked on the dispatcher when the peer's
+// FIN arrives, with a zero-length event.
+func (c *gmConn) unblockRecv() {
+	s := c.stack
+	if w := s.waiters[c.pendingTag]; c.pendingTag != 0 && w != nil {
+		delete(s.waiters, c.pendingTag)
+		w.Send(gm.Event{Type: gm.RecvComplete, Len: 0})
 	}
 }
 
@@ -297,12 +191,12 @@ func (c *gmConn) Send(p *sim.Proc, as *vm.AddressSpace, va vm.VirtAddr, n int) (
 			return sent, err
 		}
 		s.node.CPU.Copy(p, chunk)
-		if err := s.node.Kernel.WriteBytes(c.txVA, data); err != nil {
+		if err := s.node.Kernel.WriteBytes(c.txBuf.VA(), data); err != nil {
 			return sent, err
 		}
 		xs := mem.Clip(c.txXS, chunk)
 		c.seq++
-		stag := gmTag(c.peerID, chData) + c.seq<<40
+		stag := dataTag(c.peerID) + c.seq<<40
 		done := s.reserve(stag | sendKey)
 		if err := s.port.SendPhysical(p, c.peerNode, s.port.ID(), stag, xs); err != nil {
 			delete(s.waiters, stag|sendKey)
@@ -315,7 +209,6 @@ func (c *gmConn) Send(p *sim.Proc, as *vm.AddressSpace, va vm.VirtAddr, n int) (
 		// real SOCKETS-GM bandwidth limiter.
 		done.Recv(p)
 	}
-	c.Tx.Add(n)
 	return sent, nil
 }
 
@@ -333,23 +226,13 @@ func (c *gmConn) Recv(p *sim.Proc, as *vm.AddressSpace, va vm.VirtAddr, n int) (
 	s.node.CPU.Syscall(p)
 	s.node.CPU.Compute(p, s.p.SockGMOverhead)
 	if len(c.buffered) > 0 {
-		take := n
-		if take > len(c.buffered) {
-			take = len(c.buffered)
-		}
-		s.node.CPU.Copy(p, take)
-		if err := as.WriteBytes(va, c.buffered[:take]); err != nil {
-			return 0, err
-		}
-		c.buffered = c.buffered[take:]
-		c.Rx.Add(take)
-		return take, nil
+		return drain(p, s.node, &c.buffered, as, va, n)
 	}
 	if c.eof {
 		return 0, nil
 	}
 	c.rseq++
-	tag := gmTag(c.localID, chData) + c.rseq<<40
+	tag := dataTag(c.localID) + c.rseq<<40
 	ch := s.reserve(tag)
 	c.pendingTag = tag
 	if err := s.port.PostRecvPhysical(p, tag, c.rxXS); err != nil {
@@ -371,7 +254,7 @@ func (c *gmConn) Recv(p *sim.Proc, as *vm.AddressSpace, va vm.VirtAddr, n int) (
 	}
 	// Copy bounce → user.
 	got := ev.Len
-	raw, err := s.node.Kernel.ReadBytes(c.rxVA, got)
+	raw, err := s.node.Kernel.ReadBytes(c.rxBuf.VA(), got)
 	if err != nil {
 		return 0, err
 	}
@@ -384,19 +267,14 @@ func (c *gmConn) Recv(p *sim.Proc, as *vm.AddressSpace, va vm.VirtAddr, n int) (
 	if err := as.WriteBytes(va, raw[:take]); err != nil {
 		return 0, err
 	}
-	c.Rx.Add(take)
 	return take, nil
 }
 
 // Close implements Conn.
 func (c *gmConn) Close(p *sim.Proc) error {
-	if c.closed {
+	if !c.stack.close(p, c.stream) {
 		return nil
 	}
-	c.closed = true
-	c.stack.node.CPU.Syscall(p)
-	c.stack.sendCtl(p, c.peerNode, ctlFIN, c.peerID, 0)
-	delete(c.stack.conns, c.localID)
 	// Hand both bounces back; the pool defers actual recycling until
 	// in-flight operations unpin. FIN-stale posted receives were
 	// withdrawn (Port.CancelRecv) when the race was detected, so both

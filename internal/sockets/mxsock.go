@@ -3,9 +3,6 @@ package sockets
 // This file is SOCKETS-MX: the stream stack over MX endpoints, whose
 // rendezvous transfers lift large-message bandwidth (Fig 8(b)).
 import (
-	"encoding/binary"
-	"fmt"
-
 	"repro/internal/core"
 	"repro/internal/fabric"
 	"repro/internal/hw"
@@ -14,40 +11,19 @@ import (
 	"repro/internal/vm"
 )
 
-// Match-information layout for the MX stack: channel in the low 8
-// bits, destination connection ID above.
-const (
-	chCtl  uint64 = 1 // SYN / SYN-ACK / FIN
-	chData uint64 = 2
-)
-
-func mxMatch(conn uint32, ch uint64) uint64 { return uint64(conn)<<8 | ch }
-
-// control message kinds.
-const (
-	ctlSYN uint8 = iota + 1
-	ctlSYNACK
-	ctlFIN
-)
-
 // overflowSize bounds how much a single inbound message may exceed the
 // posted user buffer; the excess lands in a kernel overflow buffer and
 // is drained by later Recv calls.
 const overflowSize = 1 << 20
 
-// MXStack is the SOCKETS-MX provider for one node.
+// MXStack is the SOCKETS-MX provider for one node. Deployments use one
+// endpoint number on every node, so a peer's endpoint equals ours.
 type MXStack struct {
-	node *hw.Node
-	p    *hw.Params
-	ep   *mx.Endpoint
+	*mux
+	p  *hw.Params
+	ep *mx.Endpoint
 
-	conns     map[uint32]*mxConn
-	nextConn  uint32
-	listeners map[Port]*mxListener
-	dials     map[uint32]*mxConn // awaiting SYN-ACK
-
-	ctl   *fabric.Buffer // control send buffer, owned for the stack's lifetime
-	ctlVA vm.VirtAddr
+	ctl *fabric.Buffer // control send buffer, owned for the stack's lifetime
 }
 
 // NewMXStack attaches a SOCKETS-MX stack to a node, using MX kernel
@@ -57,121 +33,48 @@ func NewMXStack(m *mx.MX, epID uint8) (*MXStack, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &MXStack{
-		node:      m.Node(),
-		p:         m.Node().Cluster.Params,
-		ep:        ep,
-		conns:     make(map[uint32]*mxConn),
-		nextConn:  1,
-		listeners: make(map[Port]*mxListener),
-		dials:     make(map[uint32]*mxConn),
-	}
+	s := &MXStack{p: m.Node().Cluster.Params, ep: ep}
+	s.mux = newMux(m.Node(), s)
 	ctl, err := fabric.PoolOf(s.node).Get(256)
 	if err != nil {
 		return nil, err
 	}
-	s.ctl, s.ctlVA = ctl, ctl.VA()
+	s.ctl = ctl
 	s.node.Cluster.Env.Spawn(s.node.Name+"-sockmx-ctl", s.ctlPump)
 	return s, nil
 }
 
-type mxListener struct {
-	stack   *MXStack
-	port    Port
-	backlog *sim.Chan[*mxConn]
-}
-
-// Accept implements Listener.
-func (l *mxListener) Accept(p *sim.Proc) (Conn, error) {
-	return l.backlog.Recv(p), nil
-}
-
 // mxConn is one SOCKETS-MX connection endpoint.
 type mxConn struct {
-	stack    *MXStack
-	localID  uint32
-	peerID   uint32
-	peerNode hw.NodeID
-	peerEP   uint8
-
-	established *sim.Signal
-	buffered    []byte // overflow bytes awaiting Recv
-	eof         bool
-	eofNotify   *sim.Signal // fires on FIN so blocked Recv can return
-	closed      bool
-
-	overflowVA  vm.VirtAddr
+	*stream
+	stack       *MXStack
 	overflowBuf *fabric.Buffer
-
-	// pendingRecv, when non-nil, is the in-flight posted receive (one
-	// at a time: blocking stream semantics).
-	Tx, Rx sim.Counter
 }
 
-// Listen implements Stack.
-func (s *MXStack) Listen(port Port) (Listener, error) {
-	if _, dup := s.listeners[port]; dup {
-		return nil, fmt.Errorf("sockets: port %d already listening", port)
-	}
-	l := &mxListener{stack: s, port: port, backlog: sim.NewChan[*mxConn](s.node.Cluster.Env)}
-	s.listeners[port] = l
-	return l, nil
-}
-
-func (s *MXStack) newConn(peerNode hw.NodeID, peerEP uint8) (*mxConn, error) {
-	c := &mxConn{
-		stack:       s,
-		localID:     s.nextConn,
-		peerNode:    peerNode,
-		peerEP:      peerEP,
-		established: sim.NewSignal(s.node.Cluster.Env),
-		eofNotify:   sim.NewSignal(s.node.Cluster.Env),
-	}
-	s.nextConn++
-	// The per-connection overflow buffer (1 MB) is the expensive part
-	// of a SOCKETS-MX connection; pooling it makes dial/close cycles
-	// cheap.
+// open implements myrinet. The per-connection overflow buffer (1 MB)
+// is the expensive part of a SOCKETS-MX connection; pooling it makes
+// dial/close cycles cheap.
+func (s *MXStack) open(st *stream) (Conn, error) {
 	overflow, err := fabric.PoolOf(s.node).Get(overflowSize)
 	if err != nil {
 		return nil, err
 	}
-	c.overflowBuf = overflow
-	c.overflowVA = overflow.VA()
-	s.conns[c.localID] = c
-	return c, nil
+	return &mxConn{stream: st, stack: s, overflowBuf: overflow}, nil
 }
 
-// Dial implements Stack.
-func (s *MXStack) Dial(p *sim.Proc, peerNode int, port Port) (Conn, error) {
-	s.node.CPU.Syscall(p)
-	c, err := s.newConn(hw.NodeID(peerNode), s.ep.ID())
-	if err != nil {
-		return nil, err
-	}
-	s.dials[c.localID] = c
-	s.sendCtl(p, hw.NodeID(peerNode), s.ep.ID(), 0, ctlSYN, c.localID, uint32(port))
-	if !c.established.WaitTimeout(p, 10*sim.Time(1e6)) {
-		return nil, ErrRefused
-	}
-	return c, nil
-}
-
-// sendCtl transmits a small control message.
-func (s *MXStack) sendCtl(p *sim.Proc, dst hw.NodeID, dstEP uint8, dstConn uint32, kind uint8, a, b uint32) {
-	buf := make([]byte, 9)
-	buf[0] = kind
-	binary.LittleEndian.PutUint32(buf[1:], a)
-	binary.LittleEndian.PutUint32(buf[5:], b)
-	s.node.Kernel.WriteBytes(s.ctlVA, buf)
-	req, err := s.ep.Send(p, dst, dstEP, mxMatch(dstConn, chCtl),
-		core.Of(core.KernelSeg(s.node.Kernel, s.ctlVA, len(buf))))
+// sendCtl implements myrinet.
+func (s *MXStack) sendCtl(p *sim.Proc, dst hw.NodeID, m ctlMsg) {
+	s.node.Kernel.WriteBytes(s.ctl.VA(), m.encode())
+	req, err := s.ep.Send(p, dst, s.ep.ID(), chCtl,
+		core.Of(core.KernelSeg(s.node.Kernel, s.ctl.VA(), ctlLen)))
 	if err != nil {
 		panic(err)
 	}
 	req.Wait(p)
 }
 
-// ctlPump handles SYN/SYN-ACK/FIN for the whole stack.
+// ctlPump handles SYN/SYN-ACK/FIN for the whole stack. A FIN only
+// marks the connection: a Recv blocked in MX polls for it.
 func (s *MXStack) ctlPump(p *sim.Proc) {
 	kern := s.node.Kernel
 	buf, err := fabric.PoolOf(s.node).Get(256)
@@ -179,59 +82,16 @@ func (s *MXStack) ctlPump(p *sim.Proc) {
 		panic(err)
 	}
 	bufVA := buf.VA()
-	anyCtl := core.Match{Bits: chCtl, Mask: 0xff}
 	for {
-		req, err := s.ep.Recv(p, anyCtl, core.Of(core.KernelSeg(kern, bufVA, 256)))
+		req, err := s.ep.Recv(p, core.Exact(chCtl), core.Of(core.KernelSeg(kern, bufVA, 256)))
 		if err != nil {
 			panic(err)
 		}
 		st := req.Wait(p)
 		raw, _ := kern.ReadBytes(bufVA, st.Len)
-		if len(raw) < 9 {
-			continue
-		}
-		kind := raw[0]
-		a := binary.LittleEndian.Uint32(raw[1:])
-		b := binary.LittleEndian.Uint32(raw[5:])
-		switch kind {
-		case ctlSYN: // a = dialer's conn ID, b = port
-			l := s.listeners[Port(b)]
-			if l == nil {
-				continue // refused: dialer times out
-			}
-			c, err := s.newConn(st.Src, 0 /* set below */)
-			if err != nil {
-				continue
-			}
-			c.peerEP = s.peerEPOf(st)
-			c.peerID = a
-			c.established.Fire()
-			s.sendCtl(p, st.Src, c.peerEP, a, ctlSYNACK, c.localID, 0)
-			l.backlog.Send(c)
-		case ctlSYNACK: // addressed conn = dials entry; a = acceptor's conn ID
-			conn := uint32(st.Info >> 8)
-			c := s.dials[conn]
-			if c == nil {
-				continue
-			}
-			delete(s.dials, conn)
-			c.peerID = a
-			c.peerEP = s.peerEPOf(st)
-			c.established.Fire()
-		case ctlFIN:
-			conn := uint32(st.Info >> 8)
-			if c := s.conns[conn]; c != nil {
-				c.eof = true
-				c.eofNotify.Fire()
-			}
-		}
+		s.handle(p, st.Src, raw)
 	}
 }
-
-// peerEPOf recovers the sender's endpoint id. Both stacks use the same
-// endpoint number convention; SOCKETS-MX deployments use one endpoint
-// per node, so the peer's endpoint equals ours.
-func (s *MXStack) peerEPOf(st mx.Status) uint8 { return s.ep.ID() }
 
 // Send implements Conn: a system call, the thin SOCKETS-MX protocol
 // layer, then a native MX send of the user buffer itself.
@@ -242,13 +102,12 @@ func (c *mxConn) Send(p *sim.Proc, as *vm.AddressSpace, va vm.VirtAddr, n int) (
 	s := c.stack
 	s.node.CPU.Syscall(p)
 	s.node.CPU.Compute(p, s.p.SockMXOverhead)
-	req, err := s.ep.Send(p, c.peerNode, c.peerEP, mxMatch(c.peerID, chData),
+	req, err := s.ep.Send(p, c.peerNode, s.ep.ID(), dataTag(c.peerID),
 		core.Of(core.UserSeg(as, va, n)))
 	if err != nil {
 		return 0, err
 	}
 	st := req.Wait(p)
-	c.Tx.Add(n)
 	return st.Len, st.Err
 }
 
@@ -269,24 +128,14 @@ func (c *mxConn) Recv(p *sim.Proc, as *vm.AddressSpace, va vm.VirtAddr, n int) (
 	s.node.CPU.Syscall(p)
 	s.node.CPU.Compute(p, s.p.SockMXOverhead)
 	if len(c.buffered) > 0 {
-		take := n
-		if take > len(c.buffered) {
-			take = len(c.buffered)
-		}
-		s.node.CPU.Copy(p, take)
-		if err := as.WriteBytes(va, c.buffered[:take]); err != nil {
-			return 0, err
-		}
-		c.buffered = c.buffered[take:]
-		c.Rx.Add(take)
-		return take, nil
+		return drain(p, s.node, &c.buffered, as, va, n)
 	}
 	if c.eof {
 		return 0, nil
 	}
-	req, err := s.ep.Recv(p, core.Exact(mxMatch(c.localID, chData)), core.Vector{
+	req, err := s.ep.Recv(p, core.Exact(dataTag(c.localID)), core.Vector{
 		core.UserSeg(as, va, n),
-		core.KernelSeg(s.node.Kernel, c.overflowVA, overflowSize),
+		core.KernelSeg(s.node.Kernel, c.overflowBuf.VA(), overflowSize),
 	})
 	if err != nil {
 		return 0, err
@@ -322,26 +171,21 @@ func (c *mxConn) finishRecv(p *sim.Proc, st mx.Status, n int) (int, error) {
 	if got > n {
 		// Overflow bytes went to the kernel buffer; stage them.
 		extra := got - n
-		raw, err := c.stack.node.Kernel.ReadBytes(c.overflowVA, extra)
+		raw, err := c.stack.node.Kernel.ReadBytes(c.overflowBuf.VA(), extra)
 		if err != nil {
 			return 0, err
 		}
 		c.buffered = append(c.buffered, raw...)
 		got = n
 	}
-	c.Rx.Add(got)
 	return got, nil
 }
 
 // Close implements Conn.
 func (c *mxConn) Close(p *sim.Proc) error {
-	if c.closed {
+	if !c.stack.close(p, c.stream) {
 		return nil
 	}
-	c.closed = true
-	c.stack.node.CPU.Syscall(p)
-	c.stack.sendCtl(p, c.peerNode, c.peerEP, c.peerID, ctlFIN, 0, 0)
-	delete(c.stack.conns, c.localID)
 	// Hand the 1 MB overflow buffer back; the pool defers recycling
 	// until an in-flight Recv unpins, and an EOF-raced posted receive
 	// has poisoned it for good (connection IDs are never reused, so it

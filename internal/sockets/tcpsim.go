@@ -3,8 +3,6 @@ package sockets
 // This file is the TCP/GigE stack: the commodity baseline the paper
 // compares the Myrinet stacks against.
 import (
-	"fmt"
-
 	"repro/internal/hw"
 	"repro/internal/sim"
 	"repro/internal/vm"
@@ -18,10 +16,10 @@ import (
 // ("TCP/IP is known to use 50 % of the overall transaction cost",
 // §5.3 citing [Sum00]), a copy on each side, and 125 MB/s of wire.
 type TCPStack struct {
+	ports
 	node *hw.Node
 	p    *hw.Params
 
-	listeners map[Port]*tcpListener
 	// ethernet transmit link of this node (shared by all connections).
 	link *sim.Resource
 }
@@ -36,10 +34,10 @@ var tcpNets = map[*sim.Engine]*tcpRegistry{}
 // NewTCPStack attaches the TCP/GigE baseline stack to a node.
 func NewTCPStack(node *hw.Node) *TCPStack {
 	s := &TCPStack{
-		node:      node,
-		p:         node.Cluster.Params,
-		listeners: make(map[Port]*tcpListener),
-		link:      sim.NewResource(node.Cluster.Env, node.Name+"-eth", 1),
+		ports: newPorts(node.Cluster.Env),
+		node:  node,
+		p:     node.Cluster.Params,
+		link:  sim.NewResource(node.Cluster.Env, node.Name+"-eth", 1),
 	}
 	reg := tcpNets[node.Cluster.Env]
 	if reg == nil {
@@ -48,16 +46,6 @@ func NewTCPStack(node *hw.Node) *TCPStack {
 	}
 	reg.stacks[node.ID] = s
 	return s
-}
-
-type tcpListener struct {
-	stack   *TCPStack
-	backlog *sim.Chan[*tcpConn]
-}
-
-// Accept implements Listener.
-func (l *tcpListener) Accept(p *sim.Proc) (Conn, error) {
-	return l.backlog.Recv(p), nil
 }
 
 // tcpConn is one connection endpoint; peers hold pointers to each
@@ -69,16 +57,6 @@ type tcpConn struct {
 	buf    []byte
 	eof    bool
 	closed bool
-}
-
-// Listen implements Stack.
-func (s *TCPStack) Listen(port Port) (Listener, error) {
-	if _, dup := s.listeners[port]; dup {
-		return nil, fmt.Errorf("sockets: port %d already listening", port)
-	}
-	l := &tcpListener{stack: s, backlog: sim.NewChan[*tcpConn](s.node.Cluster.Env)}
-	s.listeners[port] = l
-	return l, nil
 }
 
 // Dial implements Stack.
@@ -143,18 +121,9 @@ func (c *tcpConn) Recv(p *sim.Proc, as *vm.AddressSpace, va vm.VirtAddr, n int) 
 		}
 		c.buf = append(c.buf, seg...)
 	}
-	take := n
-	if take > len(c.buf) {
-		take = len(c.buf)
-	}
 	// Receive-side checksum + copy out to the application.
-	s.node.CPU.Compute(p, btime(take, s.p.TCPChecksum))
-	s.node.CPU.Copy(p, take)
-	if err := as.WriteBytes(va, c.buf[:take]); err != nil {
-		return 0, err
-	}
-	c.buf = c.buf[take:]
-	return take, nil
+	s.node.CPU.Compute(p, btime(min(n, len(c.buf)), s.p.TCPChecksum))
+	return drain(p, s.node, &c.buf, as, va, n)
 }
 
 // Close implements Conn.

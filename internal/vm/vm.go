@@ -368,11 +368,7 @@ func (as *AddressSpace) Resolve(va VirtAddr, n int) ([]mem.Extent, error) {
 	for n > 0 {
 		pa, _ := as.Translate(va) // every page was found mapped above
 		chunk := min(PageSize-va.Offset(), n)
-		if last := len(xs) - 1; last >= 0 && xs[last].End() == pa {
-			xs[last].Len += chunk
-		} else {
-			xs = append(xs, mem.Extent{Addr: pa, Len: chunk})
-		}
+		xs = mem.AppendExtent(xs, pa, chunk)
 		va += VirtAddr(chunk)
 		n -= chunk
 	}

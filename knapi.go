@@ -105,20 +105,23 @@ type (
 
 	// Remote file access.
 	FileServer = rfsrv.Server
-	FSClient   = rfsrv.Client
-	// FSFabricClient is the one protocol client; NewMXClient and
-	// NewGMClient build it over either transport.
+	// FSClient is the synchronous protocol (Meta, Read, Write, Rename);
+	// FSAsync adds the windowed verbs and is what ORFS and ORFA take.
+	// FSSession (one server) and FSCluster (several) implement both.
+	FSClient = rfsrv.Client
+	FSAsync  = rfsrv.Async
+	// FSFabricClient is the protocol's transport endpoint, built by
+	// NewMXClient or NewGMClient over either transport. It is not a
+	// client: wrap it in NewFSSession.
 	FSFabricClient = rfsrv.FabricClient
 	ORFS           = orfs.FS
 	ORFA           = orfa.Lib
 
-	// Pipelined sessions: a sliding window of in-flight requests over
-	// a protocol client (Session satisfies FSClient; window 1 is the
-	// paper's synchronous protocol).
+	// Sessions: a sliding window of in-flight requests over one
+	// endpoint (window 1 is the paper's synchronous protocol).
 	FSSession       = rfsrv.Session
 	FSPending       = rfsrv.Pending
 	FSPendingOp     = rfsrv.PendingOp
-	FSAsync         = rfsrv.Async
 	ServerSession   = rfsrv.ClientSession
 	NBDPendingBlock = nbd.PendingBlock
 
@@ -138,10 +141,9 @@ type (
 	FSLayoutClass  = rfsrv.LayoutClass
 	FSLayoutPolicy = rfsrv.LayoutPolicy
 
-	// Rename capability (DESIGN.md §11): every protocol client renames;
-	// on a sharded cluster a cross-owner rename is the multi-phase
-	// protocol whose interrupted runs surface as *FSRenameInDoubtError.
-	FSRenamer            = rfsrv.Renamer
+	// Rename (DESIGN.md §11): on a sharded cluster a cross-owner rename
+	// is the multi-phase protocol whose interrupted runs surface as
+	// *FSRenameInDoubtError.
 	FSRenameInDoubtError = rfsrv.RenameInDoubtError
 
 	// Elastic membership (DESIGN.md §13): the shared epoch-stamped
@@ -263,12 +265,6 @@ var (
 	NewFabricGM = fabric.NewGM
 	// NewFabricMX wraps a raw MX endpoint as a fabric transport.
 	NewFabricMX = fabric.NewMX
-	// NewFabricSocketsGM wraps an established SOCKETS-GM connection.
-	NewFabricSocketsGM = fabric.NewSocketsGM
-	// NewFabricSocketsMX wraps an established SOCKETS-MX connection.
-	NewFabricSocketsMX = fabric.NewSocketsMX
-	// NewFabricTCP wraps an established TCP/GigE connection.
-	NewFabricTCP = fabric.NewTCP
 	// FabricPoolOf returns a node's shared registered-buffer pool.
 	FabricPoolOf = fabric.PoolOf
 	// WithGMPolling makes GM completion waits spin (raw benchmarks).
@@ -288,23 +284,23 @@ func NewMemFS(name string, node *Node, pageCost Time) *MemFS { return memfs.New(
 func NewFileServer(node *Node, fs rfsrv.BackingFS) *FileServer { return rfsrv.NewServer(node, fs) }
 
 // NewORFS creates the in-kernel remote filesystem client over a
-// transport (mount it with OS.Mount).
-func NewORFS(name string, cl FSClient) *ORFS { return orfs.New(name, cl) }
+// session or cluster (mount it with OS.Mount).
+func NewORFS(name string, cl FSAsync) *ORFS { return orfs.New(name, cl) }
 
 // NewORFA creates the user-space remote file-access library.
-func NewORFA(cl FSClient, as *AddressSpace) *ORFA { return orfa.New(cl, as) }
+func NewORFA(cl FSAsync, as *AddressSpace) *ORFA { return orfa.New(cl, as) }
 
-// NewMXClient creates the MX transport for ORFS (kernel) or ORFA (user).
+// NewMXClient opens the MX endpoint under an ORFS (kernel) or ORFA
+// (user) session.
 var NewMXClient = rfsrv.NewMXClient
 
-// NewGMClient creates the GM transport (with its GMKRC registration
-// cache) for ORFS or ORFA.
+// NewGMClient opens the GM endpoint (with its GMKRC registration
+// cache) under an ORFS or ORFA session.
 var NewGMClient = rfsrv.NewGMClient
 
-// NewFSSession layers a sliding window of in-flight requests over a
-// protocol client: readahead, write-behind and combined metadata
-// requests for ORFS/ORFA, ablations beyond the paper's synchronous
-// prototypes.
+// NewFSSession is the protocol client over one endpoint. Window 1 is
+// the paper's synchronous prototype; a wider window adds readahead,
+// write-behind and combined metadata requests for ORFS/ORFA.
 var NewFSSession = rfsrv.NewSession
 
 // NewFSCluster stripes file data across several servers, one session

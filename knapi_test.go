@@ -23,7 +23,12 @@ func TestFacadeEndToEnd(t *testing.T) {
 
 	okFS := false
 	s.Spawn("fs-user", func(p *Proc) {
-		cl, err := NewMXClient(mxC, 2, true, client.Kernel, server.ID, 1)
+		ep, err := NewMXClient(mxC, 2, true, client.Kernel, server.ID, 1)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		cl, err := NewFSSession(p, ep, 1)
 		if err != nil {
 			t.Error(err)
 			return
@@ -130,16 +135,21 @@ func TestZeroCopySavesCPU(t *testing.T) {
 		gmC := AttachGM(client)
 		var copied int64 = -1
 		s.Spawn("app", func(p *Proc) {
-			cl, err := NewGMClient(p, gmC, 2, true, client.Kernel, server.ID, 1, 4096)
+			ep, err := NewGMClient(p, gmC, 2, true, client.Kernel, server.ID, 1, 4096)
 			if err != nil {
 				t.Error(err)
 				return
 			}
 			if noPhys {
-				if err := cl.DisablePhysicalAPI(p); err != nil {
+				if err := ep.DisablePhysicalAPI(p); err != nil {
 					t.Error(err)
 					return
 				}
+			}
+			cl, err := NewFSSession(p, ep, 1)
+			if err != nil {
+				t.Error(err)
+				return
 			}
 			osys := NewOS(client, 0)
 			osys.Mount("/mnt", NewORFS("orfs", cl))
@@ -211,7 +221,11 @@ func TestFacadeSurface(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := srv.ServeMX(AttachMX(peer), 1, 1); err != nil {
+	mxPeer, mxNode := AttachMX(peer), AttachMX(node)
+	if err := srv.ServeMX(mxPeer, 1, 1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewFileServer(peer, NewMemFS("backing", peer, 0)).ServeMX(mxPeer, 3, 1); err != nil {
 		t.Fatal(err)
 	}
 	ran := false
@@ -227,7 +241,7 @@ func TestFacadeSurface(t *testing.T) {
 		if hit, err := cache.Acquire(p, as, va, PageSize); hit || err != nil {
 			t.Errorf("acquire: %v %v", hit, err)
 		}
-		ncl, err := NewNBDClient(AttachMX(node), 2, peer.ID, 1, 8)
+		ncl, err := NewNBDClient(mxNode, 2, peer.ID, 1, 8)
 		if err != nil {
 			t.Error(err)
 			return
@@ -240,10 +254,20 @@ func TestFacadeSurface(t *testing.T) {
 		if err := ncl.ReadBlock(p, 0, fr); err != nil {
 			t.Error(err)
 		}
-		// ORFA facade over a local... needs a server; just construct.
-		lib := NewORFA(nil, as)
-		if lib == nil {
-			t.Error("orfa nil")
+		// ORFA facade: a user-space endpoint, the synchronous protocol
+		// over it, the library over that.
+		ep, err := NewMXClient(mxNode, 4, false, as, peer.ID, 3)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		sess, err := NewFSSession(p, ep, 1)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if err := NewORFA(sess, as).Mkdir(p, "/d"); err != nil {
+			t.Errorf("orfa mkdir: %v", err)
 		}
 		ran = true
 	})
