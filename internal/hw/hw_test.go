@@ -2,6 +2,7 @@ package hw
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 	"time"
 
@@ -142,6 +143,42 @@ func TestInOrderDeliveryPerSender(t *testing.T) {
 			t.Fatalf("out of order: position %d has tag %d", i, m.Tag)
 		}
 	}
+	t.Run("interleaved destinations", func(t *testing.T) {
+		// One sender, three receivers, a mix of one-fragment and bulk
+		// messages in bursts and trickles: small messages pass other
+		// nodes' bulk data all the time, and every receiver must still
+		// see its own messages in the order they were sent.
+		r := newFanRig()
+		d := r.a.Cluster.AddNode("d")
+		d.NIC.Handle(protoTest, func(p *sim.Proc, m *Message) { r.got[d.ID] = append(r.got[d.ID], m.Tag) })
+		to := []*Node{r.b, r.c, d}
+		sizes := []int{small, bulk, 3000, 9000, small, 20000, 1}
+		for i := 0; i < 60; i++ {
+			at := sim.Time(i/6) * 40 * us // bursts of six
+			r.send(t, to[(i*i+i/4)%3], uint64(i), sizes[i%len(sizes)], at)
+		}
+		r.env.Run(0)
+		total := 0
+		for _, n := range to {
+			got := r.got[n.ID]
+			total += len(got)
+			for k := 1; k < len(got); k++ {
+				if got[k] < got[k-1] {
+					t.Fatalf("%s got %v: out of order at position %d", n.Name, got, k)
+				}
+			}
+		}
+		if total != 60 {
+			t.Fatalf("delivered %d, want 60", total)
+		}
+		passed, links := false, r.stage("link")
+		for i := 1; i < len(links); i++ {
+			passed = passed || links[i].tag < links[i-1].tag
+		}
+		if !passed {
+			t.Fatal("no message ever left before an older one: the scenario missed its point")
+		}
+	})
 }
 
 // One-way time for a minimal message should be a few microseconds —
@@ -376,67 +413,100 @@ func TestFragCounts(t *testing.T) {
 // multi-fragment messages runs across a kill of the destination and a
 // kill of the source, each mid-message, and every message that does
 // arrive carries exactly its own bytes — checked while the handler
-// runs, which is when the buffer is the message's.
+// runs, which is when the buffer is the message's. The second case
+// sends to two nodes, every third message a one-fragment one to the
+// node the bulk message before it does not go to, so the faults also
+// land while small messages pass bulk ones.
 func TestFaultsNeverAliasPayloadBuffers(t *testing.T) {
-	r := newRig(PCIXD)
+	t.Run("one destination", func(t *testing.T) { aliasStream(t, 1) })
+	t.Run("two destinations", func(t *testing.T) { aliasStream(t, 2) })
+}
+
+// aliasStream is TestFaultsNeverAliasPayloadBuffers over dests
+// receivers.
+func aliasStream(t *testing.T, dests int) {
+	env := sim.NewEngine()
+	p := DefaultParams()
+	c := NewCluster(env, p, PCIXD)
+	a := c.AddNode("a")
+	var to []*Node
+	for i := 0; i < dests; i++ {
+		to = append(to, c.AddNode(fmt.Sprint("r", i)))
+	}
 	const (
-		n    = 48
-		size = 5 * mem.PageSize // several fragments, one size class
+		n   = 48
+		big = 5 * mem.PageSize // several fragments, one size class
 	)
-	pattern := func(tag uint64) []byte {
-		b := make([]byte, size)
+	size := func(i int) int {
+		if dests > 1 && i%3 == 2 {
+			return 1000 // one fragment
+		}
+		return big
+	}
+	dst := func(i int) *Node {
+		if dests > 1 && i%3 == 2 {
+			return to[(i+1)%dests]
+		}
+		return to[i%dests]
+	}
+	pattern := func(tag uint64, n int) []byte {
+		b := make([]byte, n)
 		for i := range b {
 			b[i] = byte(uint64(i)*7 + tag*131)
 		}
 		return b
 	}
 	delivered := map[uint64]bool{}
-	r.b.NIC.handlers[protoTest] = func(p *sim.Proc, m *Message) {
-		if !bytes.Equal(m.Payload, pattern(m.Tag)) {
-			t.Errorf("message %d delivered with another message's bytes", m.Tag)
-		}
-		if delivered[m.Tag] {
-			t.Errorf("message %d delivered twice", m.Tag)
-		}
-		delivered[m.Tag] = true
+	for _, r := range to {
+		r.NIC.Handle(protoTest, func(_ *sim.Proc, m *Message) {
+			if !bytes.Equal(m.Payload, pattern(m.Tag, size(int(m.Tag)))) {
+				t.Errorf("message %d delivered with another message's bytes", m.Tag)
+			}
+			if delivered[m.Tag] {
+				t.Errorf("message %d delivered twice", m.Tag)
+			}
+			delivered[m.Tag] = true
+		})
 	}
-	as := r.a.NewUserSpace("app")
+	as := a.NewUserSpace("app")
 	srcs := make([][]mem.Extent, n)
 	for i := range srcs {
-		va, err := as.Mmap(size, "buf")
+		va, err := as.Mmap(size(i), "buf")
 		if err != nil {
 			t.Fatal(err)
 		}
-		as.WriteBytes(va, pattern(uint64(i)))
-		srcs[i], _ = as.Resolve(va, size)
+		as.WriteBytes(va, pattern(uint64(i), size(i)))
+		srcs[i], _ = as.Resolve(va, size(i))
 	}
-	one := r.p.LinkTime(PCIXD, size) // ≈ one message's occupancy of the wire
-	r.env.Spawn("send", func(p *sim.Proc) {
+	one := p.LinkTime(PCIXD, big) // ≈ one message's occupancy of the wire
+	env.Spawn("send", func(proc *sim.Proc) {
 		for i, xs := range srcs {
 			// Bursts of eight, back to back: several messages are in the
 			// pipeline at once, each holding its own pooled buffer.
-			r.a.NIC.Send(&TxJob{Msg: &Message{Dst: r.b.ID, Proto: protoTest, Tag: uint64(i)}, Gather: xs})
+			a.NIC.Send(&TxJob{Msg: &Message{Dst: dst(i).ID, Proto: protoTest, Tag: uint64(i)}, Gather: xs})
 			if i%8 == 7 {
-				p.Sleep(8 * one)
+				proc.Sleep(8 * one)
 			}
 		}
 	})
-	r.env.Spawn("faults", func(p *sim.Proc) {
-		p.Sleep(3*one + one/2) // inside the first burst, mid-message
-		r.b.NIC.Kill()
-		p.Sleep(2 * one)
-		r.b.NIC.Revive()
-		p.Sleep(14 * one) // inside the third burst
-		r.a.NIC.Kill()
-		p.Sleep(2 * one)
-		r.a.NIC.Revive()
+	env.Spawn("faults", func(proc *sim.Proc) {
+		proc.Sleep(3*one + one/2) // inside the first burst, mid-message
+		to[0].NIC.Kill()
+		proc.Sleep(2 * one)
+		to[0].NIC.Revive()
+		proc.Sleep(14 * one) // inside the third burst
+		a.NIC.Kill()
+		proc.Sleep(2 * one)
+		a.NIC.Revive()
 	})
-	r.env.Run(0)
-	lost := r.a.NIC.Dropped.N + r.b.NIC.Dropped.N
+	env.Run(0)
+	lost := a.NIC.Dropped.N + to[0].NIC.Dropped.N
 	if lost == 0 || len(delivered) == 0 || len(delivered) == n {
 		t.Fatalf("%d of %d delivered, %d frames dropped: the faults missed the stream", len(delivered), n, lost)
 	}
-	if !delivered[n-1] {
-		t.Error("the last message, sent after both revivals, was not delivered")
+	for i := n - dests; i < n; i++ {
+		if !delivered[uint64(i)] {
+			t.Errorf("message %d, sent after both revivals, was not delivered", i)
+		}
 	}
 }

@@ -100,6 +100,16 @@ type Handler func(p *sim.Proc, m *Message)
 // like cut-through hardware, and distinct messages queue against each
 // other realistically.
 //
+// The transmit and link stages each take their input from one FIFO per
+// destination node (sendQueue) under one rule, applied at every
+// fragment boundary: the waiting single-fragment message with the
+// lowest Seq goes first, else the oldest head. So a clear-to-send or a
+// request for one node passes another node's 64 KB train after the
+// fragment on the wire, as a real MCP's packet scheduler lets it, while
+// the order between a pair of nodes is kept, multi-fragment messages
+// still go one at a time oldest first, and traffic to a single
+// destination is served FIFO.
+//
 // The transmit and link stages only forward, so they are not processes
 // but chains of event callbacks (txStage, linkStage) that run on
 // whichever goroutine holds the engine's baton: a message crosses the
@@ -121,8 +131,8 @@ type NIC struct {
 
 	Table *TransTable
 
-	txq      *sim.Chan[*TxJob]
-	linkq    *sim.Chan[*frag]
+	txq      sendQueue[*TxJob]
+	linkq    sendQueue[*frag]
 	rxq      *sim.Chan[*frag]
 	tx       txStage
 	link     linkStage
@@ -210,8 +220,8 @@ func newNIC(node *Node, model LinkModel) *NIC {
 		RxDMA:    sim.NewResource(env, node.Name+"-rxdma", 1),
 		Link:     sim.NewResource(env, node.Name+"-txlink", 1),
 		Table:    NewTransTable(p.TransTableCap),
-		txq:      sim.NewChan[*TxJob](env),
-		linkq:    sim.NewChan[*frag](env),
+		txq:      sendQueue[*TxJob]{env: env},
+		linkq:    sendQueue[*frag]{env: env},
 		rxq:      sim.NewChan[*frag](env),
 		handlers: make(map[uint8]Handler),
 	}
@@ -219,13 +229,12 @@ func newNIC(node *Node, model LinkModel) *NIC {
 	// method value is a closure, and the stages must not allocate one
 	// per fragment.
 	n.tx = txStage{
-		start: n.txStart, begin: n.txBegin,
+		begin:  n.txBegin,
 		fwHeld: n.txFwHeld, fwDone: n.txFwDone,
 		dmaHeld: n.txDMAHeld, dmaDone: n.txDMADone,
 	}
 	n.link = linkStage{
-		start: n.linkStart, begin: n.linkBegin,
-		held: n.linkHeld, done: n.linkDone,
+		begin: n.linkBegin, held: n.linkHeld, done: n.linkDone,
 	}
 	// Each stage starts from an event, in the slots (and the order) the
 	// three stage processes used to start in.
@@ -340,15 +349,33 @@ func (n *NIC) Send(j *TxJob) {
 	m.wireLen = n.p.WireEnvelope + len(m.Header) + payload
 	m.frags = n.p.Frags(m.wireLen)
 	n.TxMsgs.Add(payload)
-	n.txq.Send(j)
+	n.txq.push(m, j)
 }
 
 // txStage is the firmware send loop: per message, charge firmware
 // processing; per fragment, run the send DMA engine and hand the
-// fragment to the link stage. It handles one job at a time, so its loop
-// state lives here rather than on a process's stack.
+// fragment to the link stage. It works on one job at a time, which
+// stays at the head of its FIFO in txq until its last fragment is out,
+// so its loop state lives here rather than on a process's stack.
+//
+// At each fragment boundary the stage asks txq's rule again. When the
+// answer is another FIFO — a single-fragment message to another node —
+// the job's loop is set aside in held, the small message goes through
+// firmware and DMA, and the rule then returns to the held job: it was
+// the oldest head when it started, and every head since is younger.
 type txStage struct {
+	txLoop        // the job in hand
+	held   txLoop // a multi-fragment job overtaken at a fragment boundary; job nil when none
+
+	// Continuations (see newNIC).
+	begin                            func()
+	fwHeld, fwDone, dmaHeld, dmaDone func()
+}
+
+// txLoop is one job's progress through the transmit stage.
+type txLoop struct {
 	job    *TxJob
+	q      int // its FIFO in txq
 	gather bool
 	total  int        // payload bytes of the message
 	got    int        // payload bytes that have left host memory
@@ -356,44 +383,54 @@ type txStage struct {
 	size   int        // its wire bytes
 	want   int        // its payload bytes
 	cursor mem.Cursor // read position in job.Gather
-
-	// Continuations (see newNIC).
-	start                            func(*TxJob)
-	begin                            func()
-	fwHeld, fwDone, dmaHeld, dmaDone func()
 }
 
 // txNext waits for the next transmit job.
 //
 // allocfree
 func (n *NIC) txNext() {
-	n.tx.job = nil
-	n.txq.RecvFunc(n.tx.start)
-}
-
-// txStart takes a job off the transmit queue.
-//
-// allocfree
-func (n *NIC) txStart(j *TxJob) {
-	n.tx.job = j
+	if n.txq.empty() {
+		n.txq.wait(n.tx.begin)
+		return
+	}
 	n.txBegin()
 }
 
-// txBegin starts the job in hand once no stall is in effect: firmware
-// send processing, or nothing at all on a dead card.
+// txRetire takes the finished job in hand off its FIFO and goes on to
+// the next.
+//
+// allocfree
+func (n *NIC) txRetire() {
+	n.txq.pop(n.tx.q)
+	n.tx.job = nil
+	n.txNext()
+}
+
+// txBegin takes the job the rule picks once no stall is in effect: a
+// held job resumes its fragments, any other gets firmware send
+// processing, or nothing at all on a dead card.
 //
 // allocfree
 func (n *NIC) txBegin() {
 	if n.stalled(n.tx.begin) {
 		return
 	}
-	if m := n.tx.job.Msg; n.dead {
+	t := &n.tx
+	q := n.txq.pick()
+	j := n.txq.head(q)
+	if j == t.held.job {
+		t.txLoop, t.held = t.held, txLoop{}
+		n.txFrags()
+		return
+	}
+	t.job, t.q = j, q
+	if m := t.job.Msg; n.dead {
 		// The payload never leaves, but the local buffer is free —
 		// senders must not strand on TxDone for a frame the dead
 		// card silently ate.
 		n.Dropped.Add(m.wireLen)
 		m.TxDone.Fire()
-		n.txNext()
+		n.txRetire()
 		return
 	}
 	n.Firmware.AcquireFunc(n.tx.fwHeld)
@@ -439,8 +476,9 @@ func (n *NIC) txFwDone() {
 
 // txFrags sends the message's remaining fragments: it returns as soon
 // as one has to cross the PCI bus (txDMADone comes back here), loops
-// without an event over fragments that arrived by PIO, and moves on to
-// the next job after the last.
+// without an event over fragments that arrived by PIO, yields to a
+// single-fragment message the rule puts first at a fragment boundary,
+// and retires the job after the last.
 //
 // allocfree
 func (n *NIC) txFrags() {
@@ -458,6 +496,11 @@ func (n *NIC) txFrags() {
 			}
 			m.TxDone.Fire()
 			break
+		}
+		if t.frag > 0 && n.txq.pick() != t.q {
+			t.held = t.txLoop
+			n.txBegin()
+			return
 		}
 		t.size = n.fragBytes(m, t.frag)
 		// Payload bytes carried by this fragment (the envelope and
@@ -481,7 +524,7 @@ func (n *NIC) txFrags() {
 		}
 		n.txEmit()
 	}
-	n.txNext()
+	n.txRetire()
 }
 
 // txDMAHeld runs with the send DMA engine held for the fragment in hand.
@@ -515,7 +558,7 @@ func (n *NIC) txEmit() {
 		t.cursor.Read(m.Payload[t.got:])
 	}
 	t.got += t.want
-	n.linkq.Send(n.getFrag(m, t.frag, t.size))
+	n.linkq.push(m, n.getFrag(m, t.frag, t.size))
 	if t.gather && t.frag == m.frags-1 {
 		m.TxDone.Fire()
 	}
@@ -535,12 +578,14 @@ func (n *NIC) fragBytes(m *Message, f int) int {
 }
 
 // linkStage serializes fragments onto the wire and delivers them to the
-// destination NIC after the propagation delay, one fragment at a time.
+// destination NIC after the propagation delay, one fragment at a time,
+// taking each from linkq under the rule (see NIC): a single-fragment
+// message goes out after the fragment on the wire, ahead of other
+// nodes' queued bulk fragments.
 type linkStage struct {
 	frag *frag // the fragment in hand
 
 	// Continuations (see newNIC).
-	start             func(*frag)
 	begin, held, done func()
 }
 
@@ -549,32 +594,30 @@ type linkStage struct {
 // allocfree
 func (n *NIC) linkNext() {
 	n.link.frag = nil
-	n.linkq.RecvFunc(n.link.start)
-}
-
-// linkStart takes a fragment off the link queue.
-//
-// allocfree
-func (n *NIC) linkStart(f *frag) {
-	n.link.frag = f
+	if n.linkq.empty() {
+		n.linkq.wait(n.link.begin)
+		return
+	}
 	n.linkBegin()
 }
 
-// linkBegin puts the fragment in hand on the wire once no stall is in
-// effect, or drops it on a dead card.
+// linkBegin takes the fragment the rule picks once no stall is in
+// effect and puts it on the wire, or drops it on a dead card.
 //
 // allocfree
 func (n *NIC) linkBegin() {
 	if n.stalled(n.link.begin) {
 		return
 	}
-	if f := n.link.frag; n.dead {
+	f := n.linkq.pop(n.linkq.pick())
+	if n.dead {
 		// Frames still queued for the wire when the card died.
 		n.Dropped.Add(f.size)
 		n.putFrag(f)
 		n.linkNext()
 		return
 	}
+	n.link.frag = f
 	n.Link.AcquireFunc(n.link.held)
 }
 

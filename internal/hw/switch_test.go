@@ -83,3 +83,44 @@ func BenchmarkMessage4K(b *testing.B) { benchMessage(b, 4<<10) }
 // The payload buffer comes from the pool, so what is left per message
 // is the send's one record: well under 1 KB.
 func BenchmarkGatherSend64K(b *testing.B) { benchMessage(b, 64<<10) }
+
+// BenchmarkInterleavedSend is the send queues under the mix they exist
+// for: per iteration one node sends four 64 KB messages and four
+// header-only one-fragment messages (a clear-to-send's shape) to four
+// nodes, each small one to a node other than the bulk message before
+// it, so every small message passes another node's bulk data. The eight
+// job records are built once and re-armed, so what is left per
+// iteration is the stages themselves: 0 allocs/op.
+func BenchmarkInterleavedSend(b *testing.B) {
+	env := sim.NewEngine()
+	c := NewCluster(env, DefaultParams(), PCIXD)
+	src := c.AddNode("src")
+	arrived := sim.NewChan[int](env)
+	var jobs []*TxJob
+	for i := 0; i < 4; i++ {
+		c.AddNode(fmt.Sprint("dst", i)).NIC.Handle(protoTest, func(p *sim.Proc, m *Message) { arrived.Send(len(m.Payload)) })
+	}
+	xs := gatherBuf(b, src, 64<<10)
+	for i := 0; i < 4; i++ {
+		bulk := NewTxJob(0)
+		bulk.Msg.Dst, bulk.Msg.Proto, bulk.Gather = NodeID(1+i), protoTest, xs
+		cts := NewTxJob(14)
+		cts.Msg.Dst, cts.Msg.Proto, cts.PIO = NodeID(1+(i+1)%4), protoTest, true
+		jobs = append(jobs, bulk, cts)
+	}
+	b.ReportAllocs()
+	env.Spawn("send", func(p *sim.Proc) {
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for _, j := range jobs {
+				m := j.Msg
+				m.TxDone, m.txDone, m.arrived = nil, sim.Signal{}, 0
+				src.NIC.Send(j)
+			}
+			for range jobs {
+				arrived.Recv(p)
+			}
+		}
+	})
+	env.Run(0)
+}
