@@ -37,6 +37,8 @@ const (
 	maxSizePublishAllocsPerOp = 33    // measured 29.4 (PR 19: 61.9)
 
 	maxRequestPathBytesPerOp = 7450  // measured 6460 (64 KB ops; PR 19: 7314)
+	maxWriteAllocsPerOp      = 31    // measured 27.1 (a 64 KB write whose payload travels alone)
+	maxWriteBytesPerOp       = 4200  // measured 3635
 	maxSizePublishBytesPerOp = 10700 // measured 9267 (PR 19: 9940)
 	maxORFSDirectAllocsPerOp = 64    // measured 57.0 (PR 19: 99.1)
 	maxORFSDirectBytesPerOp  = 7150  // measured 6192 (PR 19: 7183)
@@ -92,6 +94,20 @@ func TestAllocGateRequestPath(t *testing.T) {
 	gate(t, "request path", got, maxRequestPathAllocsPerOp, maxRequestPathBytesPerOp)
 }
 
+// TestAllocGateWrite gates a 64 KB MX write on its own: its payload
+// travels as its own message into fresh server frames that the block
+// store installs by page flip, and the frame list and receive vector of
+// that path live in the server's reused work records — so a write costs
+// less than the request path's ceilings, which bound it from above, and
+// its own ceilings sit the usual margin over what it measures.
+func TestAllocGateWrite(t *testing.T) {
+	got, err := figures.WriteAllocs(256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gate(t, "64 KB MX write", got, maxWriteAllocsPerOp, maxWriteBytesPerOp)
+}
+
 // TestAllocGateSizePublish gates heap allocations per extending write
 // on the batched size-publish path (PR 7): the write plus the amortized
 // share of the coalesced flush must stay below the plain request path,
@@ -104,8 +120,8 @@ func TestAllocGateSizePublish(t *testing.T) {
 	gate(t, "batched size publish", got, maxSizePublishAllocsPerOp, maxSizePublishBytesPerOp)
 }
 
-// TestAllocGateORFSFile gates the paper's headline path (ROADMAP item
-// 3(b)): a 64 KB read syscall on an ORFS mount. Served from the page
+// TestAllocGateORFSFile gates the paper's headline path (the orfs_file
+// workload's): a 64 KB read syscall on an ORFS mount. Served from the page
 // cache it is sixteen frame → user-page copies and allocates nothing
 // at all; O_DIRECT it is one request through orfs, Session, the wire
 // and the server's memfs, and allocates the request path's small

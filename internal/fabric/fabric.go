@@ -96,6 +96,12 @@ type Caps struct {
 	// boundaries are not preserved, receives complete synchronously
 	// (the socket adapters).
 	Stream bool
+	// EagerMax is the longest message a vectorial transport delivers
+	// eagerly — straight into the receive the peer posted, with no
+	// rendezvous, so the receiver pins nothing and answers no
+	// clear-to-send (MX: Params.MXMediumMax). Zero on transports
+	// without vectors, where one message never carries two buffers.
+	EagerMax int
 }
 
 // Status is the outcome of a completed operation.

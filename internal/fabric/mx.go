@@ -43,9 +43,10 @@ func (t *MXTransport) LocalEP() uint8 { return t.ep.ID() }
 
 // Caps implements Transport: vectorial, no registration, physical
 // addressing on kernel endpoints; sends must be waited before buffer
-// reuse (rendezvous).
+// reuse (rendezvous), and a message longer than the medium limit is
+// one.
 func (t *MXTransport) Caps() Caps {
-	return Caps{Vectors: true, Physical: t.ep.Kernel()}
+	return Caps{Vectors: true, Physical: t.ep.Kernel(), EagerMax: t.node.Cluster.Params.MXMediumMax}
 }
 
 // Register implements Transport: nothing to do, MX has no

@@ -130,8 +130,25 @@ func SizePublishAllocs(ops int) (HostCost, error) {
 // Session to one MX server — the whole request path: encode, slot
 // staging, transfer, server dispatch/worker, decode.
 func RequestPathAllocs(ops int) (HostCost, error) {
+	return sessionAllocs("RequestPathAllocs", ops, func(i int) bool { return i%2 == 0 })
+}
+
+// WriteAllocs measures the steady-state host cost of one synchronous
+// 64 KB write through one Session to one MX server, over the file's
+// existing blocks. Its payload travels as its own message into fresh
+// server frames that the block store installs by page flip; the frame
+// list and the receive vector live in the server's work record, so the
+// write costs the request path's small control objects and no buffer.
+func WriteAllocs(ops int) (HostCost, error) {
+	return sessionAllocs("WriteAllocs", ops, func(int) bool { return true })
+}
+
+// sessionAllocs measures synchronous 64 KB operations through one
+// Session to one MX server, operation i a write when write(i) says so
+// and a read otherwise, cycling over the first 512 KB of one file.
+func sessionAllocs(name string, ops int, write func(i int) bool) (HostCost, error) {
 	if ops <= 0 {
-		return HostCost{}, fmt.Errorf("figures: RequestPathAllocs needs ops > 0")
+		return HostCost{}, fmt.Errorf("figures: %s needs ops > 0", name)
 	}
 	var allocs HostCost
 	err := probe(1, msStripe, func(p *sim.Proc, cl *rfsrv.Cluster) error {
@@ -148,7 +165,7 @@ func RequestPathAllocs(ops int) (HostCost, error) {
 		vec := core.Of(core.KernelSeg(node.Kernel, va, chunk))
 		allocs, err = steadyAllocs(ops, func(i int) error {
 			off := int64(i%8) * chunk
-			if i%2 == 0 {
+			if write(i) {
 				_, err := sess.Write(p, ino, off, vec)
 				return err
 			}
@@ -160,9 +177,9 @@ func RequestPathAllocs(ops int) (HostCost, error) {
 	return allocs, err
 }
 
-// PipelinedReadBounces reports how many request bounce buffers (the
-// MaxWriteChunk + HdrBufSize class, 68 contiguous frames each) one MX
-// server's pool hands out per request while a client keeps a window of
+// PipelinedReadBounces reports how many request bounce buffers (sized
+// for an inline write filling MX's eager limit, 8 contiguous frames
+// each) one MX server's pool hands out per request while a client keeps a window of
 // eight 16 KB reads in flight, in steady state — after the warm-up has
 // shown the server concurrency, so every receiver is posted. A read is
 // copied out of its bounce whole when it is received, so the receivers
@@ -171,11 +188,11 @@ func RequestPathAllocs(ops int) (HostCost, error) {
 // by size class.
 func PipelinedReadBounces(ops int) (float64, error) {
 	const chunk, window = 16 * 1024, 8
-	const hdrClass, bounceClass = rfsrv.HdrBufSize, rfsrv.MaxWriteChunk + rfsrv.HdrBufSize
 	r, err := rig.New(rig.Desc{Servers: 1, Replicas: 1, Stripe: msStripe, Window: window})
 	if err != nil {
 		return 0, err
 	}
+	hdrClass, bounceClass := int64(rfsrv.HdrBufSize), int64(r.HW.Params.MXMediumMax)
 	var bounces float64
 	_, err = r.Run("probe", 0, func(p *sim.Proc) error {
 		node := r.HW.AddNode("client")

@@ -467,6 +467,62 @@ func (fs *FS) WriteDirect(p *sim.Proc, id kernel.InodeID, off int64, v core.Vect
 	return n, nil
 }
 
+// InstallPages stores the n bytes at off that a write's payload carried
+// into frames: fresh frames, frames[i] standing for page off/PageSize+i
+// of the range and holding its share of the bytes at their in-page
+// position, zeros elsewhere. It installs them by page flip — a page the
+// range covers whole, or a hole, takes its frame as the block and the
+// block it had is Put, so a reader still holding that block (a queued
+// read reply) keeps the bytes it was served — and copies only into a
+// block the range covers in part, charging the copy for those bytes
+// alone. The store takes over the caller's reference on every frame,
+// whatever it returns; size and version move here, as WriteDirect's do.
+//
+// allocfree
+func (fs *FS) InstallPages(p *sim.Proc, id kernel.InodeID, off int64, n int, frames []*mem.Frame) (int, error) {
+	ino, err := fs.get(id)
+	if err == nil && (off < 0 || len(frames) != mem.PagesIn(int(off%mem.PageSize), n)) {
+		err = kernel.ErrBadOffset
+	}
+	if err != nil {
+		for _, f := range frames {
+			fs.node.Mem.Put(f)
+		}
+		return 0, err
+	}
+	// The install is one instant; its costs are charged after it, so no
+	// other process can free or replace a block between deciding what to
+	// flip and flipping it.
+	end, copied := off+int64(n), 0
+	for i, f := range frames {
+		idx := off/mem.PageSize + int64(i)
+		lo := int(max(off-idx*mem.PageSize, 0))
+		hi := int(min(end-idx*mem.PageSize, mem.PageSize))
+		old := ino.blocks[idx]
+		if old != nil && hi-lo < mem.PageSize {
+			copy(old.Data()[lo:hi], f.Data()[lo:hi])
+			copied += hi - lo
+			fs.node.Mem.Put(f)
+			continue
+		}
+		if old != nil {
+			fs.node.Mem.Put(old)
+		}
+		ino.blocks[idx] = f
+	}
+	if end > ino.attr.Size {
+		ino.attr.Size = end
+	}
+	ino.attr.Version++
+	if fs.pageCost > 0 {
+		p.Sleep(fs.pageCost * sim.Time(len(frames)))
+	}
+	if copied > 0 {
+		fs.node.CPU.Copy(p, copied)
+	}
+	return n, nil
+}
+
 // zeroPage is what a hole reads as.
 var zeroPage [mem.PageSize]byte
 

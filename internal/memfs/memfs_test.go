@@ -422,3 +422,218 @@ func TestFreedBlockOrderIsDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// payload allocates the fresh frames a write of data at off is received
+// into, as a file server does: one per page the range covers, each
+// page's share of data at its in-page position.
+func payload(t testing.TB, m *mem.Memory, off int64, data []byte) []*mem.Frame {
+	t.Helper()
+	var frames []*mem.Frame
+	for pos := off; pos < off+int64(len(data)); {
+		pg := int(pos % mem.PageSize)
+		chunk := min(mem.PageSize-pg, int(off+int64(len(data))-pos))
+		f, err := m.AllocFrame()
+		if err != nil {
+			t.Fatal(err)
+		}
+		copy(f.Data()[pg:pg+chunk], data[pos-off:])
+		frames = append(frames, f)
+		pos += int64(chunk)
+	}
+	return frames
+}
+
+// seeded creates a file holding data, written the copying way.
+func (r *rig) seeded(t *testing.T, p *sim.Proc, name string, data []byte) kernel.InodeID {
+	t.Helper()
+	a, err := r.fs.Create(p, r.fs.Root(), name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	va, _ := r.node.Kernel.Mmap(max(len(data), 1), "seed")
+	r.node.Kernel.WriteBytes(va, data)
+	if _, err := r.fs.WriteDirect(p, a.Ino, 0, kseg(r, va, len(data))); err != nil {
+		t.Fatal(err)
+	}
+	return a.Ino
+}
+
+// TestInstallPagesFlipsWholePages: an aligned overwrite copies nothing —
+// each payload frame becomes its page's block — and the block it
+// replaces is Put, not overwritten, so a holder of that block (a read
+// reply still queued at the NIC) keeps the bytes it was served; the
+// block goes back to the allocator when the holder lets go.
+func TestInstallPagesFlipsWholePages(t *testing.T) {
+	const pages = 4
+	old := bytes.Repeat([]byte{0xAA}, pages*mem.PageSize)
+	neu := bytes.Repeat([]byte{0xBB}, pages*mem.PageSize)
+	r := newRig(t, 0)
+	r.run(t, func(p *sim.Proc) {
+		ino := r.seeded(t, p, "f", old)
+		reply := r.fs.FrameAt(ino, 1)
+		reply.Get() // what readExtents takes for a queued read reply
+		before, copied := r.node.Mem.Allocated(), r.node.CPU.CopyStats.Bytes
+		attr, _ := r.fs.Getattr(p, ino)
+		frames := payload(t, r.node.Mem, 0, neu)
+		start := p.Now()
+		if n, err := r.fs.InstallPages(p, ino, 0, len(neu), frames); err != nil || n != len(neu) {
+			t.Fatalf("install: %d %v", n, err)
+		}
+		if p.Now() != start || r.node.CPU.CopyStats.Bytes != copied {
+			t.Errorf("an aligned install charged %v and copied %d bytes, want neither", p.Now()-start, r.node.CPU.CopyStats.Bytes-copied)
+		}
+		for i, f := range frames {
+			if r.fs.FrameAt(ino, int64(i)) != f {
+				t.Errorf("page %d is not the payload's frame", i)
+			}
+		}
+		if !bytes.Equal(reply.Data(), old[:mem.PageSize]) || reply.RefCount() != 1 {
+			t.Errorf("the replaced block held by a reader: ref %d, bytes changed %v", reply.RefCount(), !bytes.Equal(reply.Data(), old[:mem.PageSize]))
+		}
+		// The payload's frames replaced the old blocks one for one; the
+		// held block is the only one still allocated beside them.
+		if got := r.node.Mem.Allocated(); got != before+1 {
+			t.Errorf("%d frames allocated, want %d (the blocks plus the held one)", got, before+1)
+		}
+		r.node.Mem.Put(reply)
+		if got := r.node.Mem.Allocated(); got != before {
+			t.Errorf("%d frames allocated after the reader let go, want %d", got, before)
+		}
+		if got, _ := r.fs.ContentOf(ino); !bytes.Equal(got, neu) {
+			t.Error("the file does not hold the installed bytes")
+		}
+		if a, _ := r.fs.Getattr(p, ino); a.Size != attr.Size || a.Version != attr.Version+1 {
+			t.Errorf("after install: size %d version %d, want %d and %d", a.Size, a.Version, attr.Size, attr.Version+1)
+		}
+	})
+}
+
+// TestInstallPagesCopiesOnlyPartialPages: an unaligned write's head and
+// tail pages cover part of a block the file already has, so just the
+// covered bytes are copied in — and charged — while the pages between
+// are flipped; over a hole even the partial pages are flipped, because
+// a fresh frame is zero outside the bytes it received, which is what a
+// hole and the tail past EOF read as.
+func TestInstallPagesCopiesOnlyPartialPages(t *testing.T) {
+	const off, n = 1000, 3 * mem.PageSize
+	data := bytes.Repeat([]byte{0xBB}, n)
+	for _, existing := range []bool{true, false} {
+		r := newRig(t, 0)
+		r.run(t, func(p *sim.Proc) {
+			model := bytes.Repeat([]byte{0xAA}, 4*mem.PageSize)
+			if !existing {
+				model = nil
+			}
+			ino := r.seeded(t, p, "f", model)
+			var kept [4]*mem.Frame
+			for i := range kept {
+				kept[i] = r.fs.FrameAt(ino, int64(i))
+			}
+			copied := r.node.CPU.CopyStats.Bytes
+			frames := payload(t, r.node.Mem, off, data)
+			start := p.Now()
+			if _, err := r.fs.InstallPages(p, ino, off, n, frames); err != nil {
+				t.Fatal(err)
+			}
+			partial := int64(0)
+			if existing {
+				partial = (mem.PageSize - off) + (off + n - 3*mem.PageSize)
+			}
+			if got := r.node.CPU.CopyStats.Bytes - copied; got != partial {
+				t.Errorf("existing blocks %v: %d bytes copied, want %d", existing, got, partial)
+			}
+			if took, want := p.Now()-start, r.node.Cluster.Params.CopyTime(int(partial)); partial > 0 && took != want {
+				t.Errorf("existing blocks %v: charged %v for the partial pages, want %v", existing, took, want)
+			}
+			for i := range kept {
+				got := r.fs.FrameAt(ino, int64(i))
+				if flipped := existing && (i == 1 || i == 2) || !existing; flipped != (got == frames[i]) {
+					t.Errorf("existing blocks %v: page %d flipped %v, want %v", existing, i, got == frames[i], flipped)
+				}
+			}
+			model = append(model, make([]byte, max(0, off+n-len(model)))...)
+			copy(model[off:], data)
+			if got, _ := r.fs.ContentOf(ino); !bytes.Equal(got, model) {
+				t.Errorf("existing blocks %v: the file differs from the model", existing)
+			}
+		})
+	}
+}
+
+// TestInstallPagesRefusesAndFrees: an install the store cannot apply —
+// an unknown inode, a negative offset, frames that do not cover the
+// range — changes nothing and still gives back every frame it was
+// handed.
+func TestInstallPagesRefusesAndFrees(t *testing.T) {
+	r := newRig(t, 0)
+	r.run(t, func(p *sim.Proc) {
+		ino := r.seeded(t, p, "f", bytes.Repeat([]byte{0xAA}, mem.PageSize))
+		before := r.node.Mem.Allocated()
+		data := bytes.Repeat([]byte{0xBB}, 2*mem.PageSize)
+		for _, tc := range []struct {
+			name   string
+			ino    kernel.InodeID
+			off    int64
+			frames []*mem.Frame
+			want   error
+		}{
+			{"unknown inode", 999, 0, payload(t, r.node.Mem, 0, data), kernel.ErrNotFound},
+			{"negative offset", ino, -mem.PageSize, payload(t, r.node.Mem, 0, data), kernel.ErrBadOffset},
+			{"short frame list", ino, 0, payload(t, r.node.Mem, 0, data)[:1], kernel.ErrBadOffset},
+		} {
+			if _, err := r.fs.InstallPages(p, tc.ino, tc.off, len(data), tc.frames); err != tc.want {
+				t.Errorf("%s: %v, want %v", tc.name, err, tc.want)
+			}
+		}
+		// The short list's second frame was never handed over.
+		if got := r.node.Mem.Allocated(); got != before+1 {
+			t.Errorf("%d frames allocated, want %d", got, before+1)
+		}
+		if got, _ := r.fs.ContentOf(ino); !bytes.Equal(got, bytes.Repeat([]byte{0xAA}, mem.PageSize)) {
+			t.Error("a refused install changed the file")
+		}
+	})
+}
+
+// BenchmarkInstall64K: the server half of a 64 KB write whose payload
+// traveled as its own message — sixteen fresh frames installed over a
+// file's blocks by page flip — copies nothing and allocates nothing.
+func BenchmarkInstall64K(b *testing.B) {
+	const size = 64 * 1024
+	r := &rig{env: sim.NewEngine()}
+	r.node = hw.NewCluster(r.env, hw.DefaultParams(), hw.PCIXD).AddNode("n")
+	r.fs = New("test", r.node, 0)
+	frames := make([]*mem.Frame, size/mem.PageSize)
+	b.ReportAllocs()
+	r.env.Spawn("bench", func(p *sim.Proc) {
+		a, err := r.fs.Create(p, r.fs.Root(), "f")
+		if err != nil {
+			b.Error(err)
+			return
+		}
+		install := func() error {
+			for i := range frames {
+				if frames[i], err = r.node.Mem.AllocFrame(); err != nil {
+					return err
+				}
+			}
+			_, err := r.fs.InstallPages(p, a.Ino, 0, size, frames)
+			return err
+		}
+		if err := install(); err != nil { // the blocks the loop replaces
+			b.Error(err)
+			return
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := install(); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
+	r.env.Run(0)
+	if r.node.CPU.CopyStats.Bytes != 0 {
+		b.Errorf("an aligned install copied %d bytes", r.node.CPU.CopyStats.Bytes)
+	}
+}

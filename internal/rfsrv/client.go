@@ -25,7 +25,8 @@ import (
 // the asymmetry the paper measures reads off the Caps directly —
 //
 //   - On a vectorial transport (MX) the request and its write data ride
-//     in one message, read data lands straight in the caller's vector
+//     in one message while it stays eager (a larger payload follows as
+//     its own message), read data lands straight in the caller's vector
 //     (physical page-cache frames, kernel buffers or pinned user
 //     memory), and waits are per-request.
 //   - On a non-vectorial registering transport (GM) header and data
@@ -78,12 +79,16 @@ type FabricClient struct {
 // staging: issue paths build their request in place instead of
 // allocating one per operation (it is fully encoded before the issue
 // call returns, so slot reuse cannot alias an in-flight request). pd is
-// the Pending of a synchronous Session verb (Session.launch).
+// the Pending of a synchronous Session verb (Session.launch). reqVec
+// and hdrVec are the slot's descriptions of its two buffers as last
+// sent and posted, rebuilt in place each time: a slot is reused only
+// once its request is retired, when neither is still in use.
 type ctlBufs struct {
-	reqVA, hdrVA vm.VirtAddr
-	reqXS, hdrXS []mem.Extent // kernel side, physical transports: resolved once
-	req          Req
-	pd           Pending
+	reqVA, hdrVA   vm.VirtAddr
+	reqXS, hdrXS   []mem.Extent // kernel side, physical transports: resolved once
+	reqVec, hdrVec core.Vector
+	req            Req
+	pd             Pending
 }
 
 // NewFabricClient prepares a protocol endpoint over any fabric
@@ -118,7 +123,7 @@ func (c *FabricClient) newCtlBufs(p *sim.Proc, b *ctlBufs) error {
 		alloc = c.as.MmapContig
 	}
 	var err error
-	if b.reqVA, err = alloc(4096, "rfsrv-req"); err != nil {
+	if b.reqVA, err = alloc(reqBufSize, "rfsrv-req"); err != nil {
 		return err
 	}
 	if b.hdrVA, err = alloc(HdrBufSize, "rfsrv-hdr"); err != nil {
@@ -129,13 +134,13 @@ func (c *FabricClient) newCtlBufs(p *sim.Proc, b *ctlBufs) error {
 		// Kernel side on a physical-capable non-vectorial transport:
 		// address the internal buffers physically, no registration at
 		// all (the §3.3 extension at work).
-		b.reqXS, _ = c.as.Resolve(b.reqVA, 4096)
+		b.reqXS, _ = c.as.Resolve(b.reqVA, reqBufSize)
 		b.hdrXS, _ = c.as.Resolve(b.hdrVA, HdrBufSize)
 	} else if caps.NeedsReg {
 		// User side of a registering transport: the library registers
 		// its own buffers once at startup (the amortized case
 		// registration is designed for).
-		if err := c.t.Register(p, c.as, b.reqVA, 4096); err != nil {
+		if err := c.t.Register(p, c.as, b.reqVA, reqBufSize); err != nil {
 			return err
 		}
 		if err := c.t.Register(p, c.as, b.hdrVA, HdrBufSize); err != nil {
@@ -251,7 +256,7 @@ func (c *FabricClient) DisablePhysicalAPI(p *sim.Proc) error {
 	if err := c.t.Register(p, c.as, c.stagingVA, MaxWriteChunk); err != nil {
 		return err
 	}
-	if err := c.t.Register(p, c.as, c.ctl.reqVA, 4096); err != nil {
+	if err := c.t.Register(p, c.as, c.ctl.reqVA, reqBufSize); err != nil {
 		return err
 	}
 	if err := c.t.Register(p, c.as, c.ctl.hdrVA, HdrBufSize); err != nil {
@@ -268,12 +273,6 @@ func (c *FabricClient) seg(va vm.VirtAddr, n int) core.Segment {
 		return core.KernelSeg(c.as, va, n)
 	}
 	return core.UserSeg(c.as, va, n)
-}
-
-// ctlVec describes n bytes at one of the client's internal buffers the
-// way the transport wants them addressed.
-func (c *FabricClient) ctlVec(va vm.VirtAddr, xs []mem.Extent, n int) core.Vector {
-	return ctlVec(nil, c.physCtl(), c.seg(va, n), xs, n)
 }
 
 // ctlVec is the one addressing rule for internal (request, reply and
@@ -296,20 +295,18 @@ func ctlVec(dst core.Vector, phys bool, seg core.Segment, xs []mem.Extent, n int
 // postHdr posts the reply-header receive for seq into b's header
 // buffer.
 func (c *FabricClient) postHdr(p *sim.Proc, b *ctlBufs, seq uint64) (fabric.Op, error) {
-	return c.t.PostRecv(p, core.Exact(tag(seq, c.myEP, kindHdr)), c.ctlVec(b.hdrVA, b.hdrXS, HdrBufSize))
+	b.hdrVec = ctlVec(b.hdrVec[:0], c.physCtl(), c.seg(b.hdrVA, HdrBufSize), b.hdrXS, HdrBufSize)
+	return c.t.PostRecv(p, core.Exact(tag(seq, c.myEP, kindHdr)), b.hdrVec)
 }
 
-// sendReq transmits pre-encoded request bytes from b's request buffer.
-// On vectorial transports extra data segments ride in the same message.
+// sendEnc transmits pre-encoded request bytes from b's request buffer,
+// an inline payload's segments (extra) riding behind them.
 func (c *FabricClient) sendEnc(p *sim.Proc, b *ctlBufs, enc []byte, extra core.Vector) error {
 	if err := c.as.WriteBytes(b.reqVA, enc); err != nil {
 		return err
 	}
-	v := c.ctlVec(b.reqVA, b.reqXS, len(enc))
-	if len(extra) > 0 {
-		v = append(v, extra...)
-	}
-	_, err := c.t.Send(p, c.server, c.serverEP, reqTag, v)
+	b.reqVec = append(ctlVec(b.reqVec[:0], c.physCtl(), c.seg(b.reqVA, len(enc)), b.reqXS, len(enc)), extra...)
+	_, err := c.t.Send(p, c.server, c.serverEP, reqTag, b.reqVec)
 	return err
 }
 
@@ -395,10 +392,17 @@ func (c *FabricClient) postData(p *sim.Proc, seq uint64, dst core.Vector) (op fa
 	return op, release, nil, nil
 }
 
-// sendData transmits write data as its own message (non-vectorial
-// transports only).
+// sendData transmits a write's payload as its own message, tagged with
+// this node (payloadTag), when inlinePayload says it does not ride in
+// the request. A vectorial transport sends src as it is; a
+// non-vectorial one can send physical extents or a single registered
+// user segment, nothing else.
 func (c *FabricClient) sendData(p *sim.Proc, seq uint64, src core.Vector) (func(), error) {
-	dataTag := tag(seq, c.myEP, kindData)
+	dataTag := payloadTag(c.t.Node().ID, seq, c.myEP)
+	if c.t.Caps().Vectors {
+		_, err := c.t.Send(p, c.server, c.serverEP, dataTag, src)
+		return nil, err
+	}
 	if !hasUserSeg(src) {
 		if !c.kernSide {
 			return nil, fmt.Errorf("rfsrv: user port cannot address kernel/physical memory on this transport")
@@ -507,9 +511,10 @@ type flight struct {
 // posted before the request leaves (replies are matched by sequence
 // number); a read also posts its data receive into data first, so the
 // bytes land wherever the transport allows; a write's data rides in
-// the request message on vectorial transports and follows as its own
-// message otherwise. req may be b.req — it is fully encoded before
-// issue returns, so the slot's request staging is free again. On error
+// the request message while that message stays eager and follows as
+// its own message otherwise (inlinePayload). req may be b.req — it is
+// fully encoded before issue returns, so the slot's request staging is
+// free again. On error
 // the request never left and nothing stays posted: the header buffer
 // and, crucially, the caller's data vector are quiescent, not parked
 // under stale seq tags (failover retries reach this path against
@@ -529,12 +534,12 @@ func (c *FabricClient) issue(p *sim.Proc, b *ctlBufs, req *Req, data core.Vector
 				fabric.Cancel(p, fl.dataOp)
 			}
 		}
-	case req.Op == OpWrite && !c.t.Caps().Vectors:
+	case req.Op == OpWrite && !inlinePayload(c.t.Caps().EagerMax, reqFixed+len(req.Name), int(req.Len)):
 		if err = c.sendReq(p, b, req, nil); err == nil {
 			fl.release, err = c.sendData(p, req.Seq, data)
 		}
 	default:
-		err = c.sendReq(p, b, req, data) // metadata carries no data
+		err = c.sendReq(p, b, req, data) // an inline payload, if any: metadata carries none
 	}
 	if err != nil {
 		fabric.Cancel(p, fl.hdrOp)

@@ -85,6 +85,9 @@ func FuzzServeBytes(f *testing.F) {
 		f.Add(EncodeReqInto(nil, &Req{Op: OpRead, Ino: 3, Off: 4000, Len: 1 << 16}), sharded)
 		f.Add(EncodeReqInto(nil, &Req{Op: OpRead, Ino: 77, Off: -1, Len: 1}), sharded)
 		f.Add(EncodeReqInto(nil, &Req{Op: OpWrite, Ino: 3, Off: 1 << 40, Len: 512}), sharded)
+		f.Add(EncodeReqInto(nil, &Req{Op: OpWrite, Ino: 3, Off: 1000, Len: 3 * 4096}), sharded)
+		f.Add(EncodeReqInto(nil, &Req{Op: OpWrite, Ino: 77, Off: 8192, Len: 64 << 10}), sharded)
+		f.Add(EncodeReqInto(nil, &Req{Op: OpWrite, Ino: 1, Off: 0, Len: MaxWriteChunk + 1}), sharded)
 		f.Add(EncodeReqInto(nil, &Req{Op: OpSetSize, Ino: 3, Off: 1 << 50, Len: PackSetSize(true, 0)}), sharded)
 		f.Add(EncodeReqInto(nil, &Req{Op: OpMember, Ino: 100, Off: 3, Len: PackMember(1, 2, 1, true)}), sharded)
 		f.Add(EncodeReqInto(nil, &Req{Op: OpRenameLocal, Ino: 1, Off: 1, Name: PackRenameNames("f", "g")}), sharded)
@@ -126,10 +129,36 @@ func FuzzServeBytes(f *testing.F) {
 					t.Fatalf("read %+v: N=%d over %d extent bytes", req, resp.N, mem.TotalLen(xs))
 				}
 			case OpWrite:
-				// serve admits only a payload of exactly req.Len bytes.
+				// serve admits only a payload of exactly req.Len bytes, in
+				// fresh frames the receiver allocated for it or inline in
+				// the bounce; drive both arms. The install arm first, on a
+				// store that holds no block yet: every frame it allocated
+				// is afterwards a block of the written range, or freed.
+				before := node.Mem.Allocated()
+				w := s.getWork()
+				w.req = req
+				resp := &Resp{Seq: req.Seq, Status: StInval}
+				if s.payloadFrames(w) {
+					resp = s.handleWrite(p, req, nil, w.frames)
+				} else if got := node.Mem.Allocated(); got != before {
+					t.Fatalf("refused header %+v allocated %d frames", req, got-before)
+				}
+				check(req, resp)
+				held := 0
+				if validWrite(req) {
+					for idx := req.Off / mem.PageSize; idx*mem.PageSize < req.Off+int64(req.Len); idx++ {
+						if fs.FrameAt(req.Ino, idx) != nil {
+							held++
+						}
+					}
+				}
+				if leaked := node.Mem.Allocated() - before - held; leaked != 0 {
+					t.Fatalf("install of %+v: %d frames neither installed nor freed", req, leaked)
+				}
+				s.putWork(w)
 				if n := int(req.Len); n <= MaxWriteChunk {
 					va, _ := node.Kernel.Mmap(max(n, 1), "payload")
-					check(req, s.handleWrite(p, req, core.Of(core.KernelSeg(node.Kernel, va, n))))
+					check(req, s.handleWrite(p, req, core.Of(core.KernelSeg(node.Kernel, va, n)), nil))
 				}
 			default:
 				check(req, s.handleMeta(p, req))

@@ -10,7 +10,9 @@
 // endpoint's capability branches embody the paper's comparison:
 //
 //   - Over MX it uses the kernel interface directly: vectorial,
-//     address-typed requests; write data rides in the request message;
+//     address-typed requests; write data rides in the request message
+//     while that message stays eager, and follows as its own message,
+//     received into fresh server frames, above that;
 //     read data lands zero-copy in physically-addressed page-cache
 //     frames or in (pinned) user buffers via rendezvous; waits are
 //     per-request.
@@ -30,6 +32,7 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/hw"
 	"repro/internal/kernel"
 	"repro/internal/sim"
 
@@ -290,7 +293,7 @@ const reqFixed = 1 + 8 + 1 + 8 + 8 + 4 + 2
 // must fit the 4 KB request buffer alongside the fixed header. Clients
 // validate at the API boundary (ValidateReq) so an oversized name
 // surfaces as StNameTooLong instead of a panic deep in Encode.
-const MaxNameLen = 4096 - reqFixed
+const MaxNameLen = reqBufSize - reqFixed
 
 // Client-boundary validation errors (each maps to a wire status).
 var (
@@ -674,6 +677,7 @@ const (
 	kindReq uint64 = iota
 	kindHdr
 	kindData
+	kindPayload
 )
 
 const reqTag = kindReq
@@ -683,6 +687,37 @@ func tag(seq uint64, ep uint8, kind uint64) uint64 {
 	return seq<<12 | uint64(ep)<<4 | kind
 }
 
-// MaxWriteChunk bounds the data carried by one write RPC (the server's
-// bounce capacity); clients loop over larger writes.
+// payloadTag tags a write payload that travels as its own message. A
+// reply tag needs no sender — it goes to the one client endpoint that
+// issued seq — but a payload goes to the server, whose clients on
+// different nodes share endpoint numbers (every cluster client uses
+// endpoint 10+j toward server j) and count sequence numbers from 1, so
+// the sending node rides in 16 bits between endpoint and sequence: two
+// clients' payloads can never match each other's receive. That leaves
+// the sequence 36 bits (28 under GM's port byte), far beyond any run.
+//
+// allocfree
+func payloadTag(src hw.NodeID, seq uint64, ep uint8) uint64 {
+	return tag(seq<<16|uint64(src)&0xffff, ep, kindPayload)
+}
+
+// inlinePayload is the one write-payload rule, applied alike by the
+// client that sends a write and the server that receives it: the n
+// payload bytes ride behind the head-byte request encoding when the
+// whole message stays within the transport's eager limit (so it lands
+// in the server's request bounce with no rendezvous), and otherwise
+// follow as their own payloadTag message, which the server receives
+// into fresh frames of its block store. A transport without vectors
+// has no eager limit to fit, so every one of its payloads travels
+// alone.
+//
+// allocfree
+func inlinePayload(eagerMax, head, n int) bool { return head+n <= eagerMax }
+
+// reqBufSize bounds a request message other than an inline write: a
+// header and name, or a packed metadata batch.
+const reqBufSize = 4096
+
+// MaxWriteChunk bounds the data carried by one write RPC; clients loop
+// over larger writes.
 const MaxWriteChunk = 256 * 1024

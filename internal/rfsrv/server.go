@@ -16,12 +16,15 @@ import (
 )
 
 // BackingFS is what the server serves: a filesystem whose data blocks
-// have physical addresses (so read replies can be sent zero-copy,
-// straight from the block store — the server-side analogue of the
-// paper's physical-address primitives).
+// are physical frames — so read replies are sent zero-copy, straight
+// from the block store (FrameAt), and a write payload received into
+// fresh frames becomes the blocks by page flip (InstallPages, see
+// memfs.FS.InstallPages) — the server-side analogue of the paper's
+// physical-address primitives, on both halves of the data path.
 type BackingFS interface {
 	kernel.FileSystem
 	FrameAt(ino kernel.InodeID, idx int64) *mem.Frame
+	InstallPages(p *sim.Proc, ino kernel.InodeID, off int64, n int, frames []*mem.Frame) (int, error)
 }
 
 // Server is the ORFA/ORFS file server.
@@ -103,12 +106,15 @@ func (s *Server) getWork() *work {
 		s.workFree = s.workFree[:k-1]
 		return w
 	}
-	return &work{rawBuf: make([]byte, 4096)}
+	return &work{rawBuf: make([]byte, reqBufSize)}
 }
 
-// putWork recycles a finished work record.
+// putWork recycles a finished work record, keeping the backing of its
+// payload scratch.
 func (s *Server) putWork(w *work) {
 	w.req, w.raw, w.buf, w.sess = nil, nil, nil, nil
+	clear(w.frames)
+	w.frames, w.vec = w.frames[:0], w.vec[:0]
 	s.workFree = append(s.workFree, w)
 }
 
@@ -450,16 +456,33 @@ func (s *Server) putFrames(xs []mem.Extent) {
 	}
 }
 
-// handleWrite applies inline write data (already landed in the
-// transport's bounce buffer, described by src).
-func (s *Server) handleWrite(p *sim.Proc, req *Req, src core.Vector) *Resp {
+// validWrite reports whether a write header's range is well formed: a
+// non-negative offset, no overflow, at most MaxWriteChunk bytes.
+//
+// allocfree
+func validWrite(req *Req) bool {
+	return req.Off >= 0 && req.Off+int64(req.Len) >= req.Off && req.Len <= MaxWriteChunk
+}
+
+// handleWrite applies a write whose payload has landed: inline in the
+// request's bounce buffer (src, copied into the blocks), or else in the
+// fresh frames the receiver posted for it (frames, installed by page
+// flip; the store takes them over whatever happens, and there are none
+// unless the range is valid — payloadFrames).
+func (s *Server) handleWrite(p *sim.Proc, req *Req, src core.Vector, frames []*mem.Frame) *Resp {
 	resp := &Resp{Seq: req.Seq}
-	if req.Off < 0 || req.Off+int64(req.Len) < req.Off {
+	if !validWrite(req) {
 		resp.Status = StInval
 		return resp
 	}
 	s.materializeOnDemand(p, req.Ino, kernel.RegularFile)
-	n, err := s.fs.WriteDirect(p, req.Ino, req.Off, src)
+	var n int
+	var err error
+	if src != nil {
+		n, err = s.fs.WriteDirect(p, req.Ino, req.Off, src)
+	} else {
+		n, err = s.fs.InstallPages(p, req.Ino, req.Off, int(req.Len), frames)
+	}
 	resp.Status = StatusOf(err)
 	resp.N = uint32(n)
 	if err == nil {
@@ -475,27 +498,33 @@ func (s *Server) handleWrite(p *sim.Proc, req *Req, src core.Vector) *Resp {
 // The server is written once against fabric.Transport; like
 // FabricClient it branches on the transport's capabilities only where
 // the paper's asymmetry lives (§5.2): a write's payload rides inline
-// behind the request on a vectorial transport and follows as a second
-// tagged message otherwise (writeSrc); internal buffers are addressed
-// kernel-virtual on a vectorial transport and physically otherwise
-// (ctlVec, shared with the client); and a transport whose completions
-// come from a single queue is served by one process in arrival order
-// instead of posted receives feeding workers (Serve).
+// behind the request while the message fits the transport's eager limit
+// and follows as its own tagged message otherwise (inlinePayload, which
+// sends every payload of a transport without vectors alone); internal
+// buffers are addressed kernel-virtual on a vectorial transport and
+// physically otherwise (ctlVec, shared with the client); and a
+// transport whose completions come from a single queue is served by one
+// process in arrival order instead of posted receives feeding workers
+// (Serve).
 
 // work is one received request message on its way to being served: the
 // decoded leading request, the head of the raw message (which may carry
-// further packed metadata requests), and the pooled bounce buffer the
-// message landed in when the request is a write (the payload stays
-// there and is consumed in place), released once the request is served;
-// any other request leaves the bounce with its receiver (recvReq).
+// further packed metadata requests) and, for a write, where its payload
+// landed — behind the head in the pooled bounce the message arrived in
+// (an inline payload, consumed in place; the bounce is released once
+// the request is served), or in the fresh frames the receiver posted
+// for it (a separate payload, which the install takes over). Any other
+// request leaves the bounce with its receiver (recvReq).
 type work struct {
 	req      *Req
 	src      hw.NodeID
-	raw      []byte // leading <=4096 bytes (header+name, or a packed batch)
+	raw      []byte // leading <= reqBufSize bytes (header+name, or a packed batch)
 	rawBuf   []byte // backing storage for raw, reused across recycles
-	n        int    // full message length (write payload stays in buf)
 	consumed int
 	buf      *fabric.Buffer
+	frames   []*mem.Frame // a separate payload's frames, one per page (backing reused)
+	vec      core.Vector  // their receive vector (backing reused)
+	ok       bool         // a write's payload is exactly the req.Len bytes announced
 	sess     *ClientSession
 }
 
@@ -525,11 +554,12 @@ func (s *Server) ServeGM(g *gm.GM, portID uint8) (*gm.Port, error) {
 // receivers each keep a request receive posted and feed a queue that
 // `workers` serving processes drain. One posted receive accepts a
 // pipelined client's next request while every worker is still busy —
-// the server half of the protocol's sliding window — but a receive
-// matched by a write larger than the eager limit stays matched for the
-// whole rendezvous, its clear-to-send queued behind read data in the
-// NIC's transmit stage, and with a single receive every other client's
-// request waits in the unexpected queue meanwhile: the server's
+// the server half of the protocol's sliding window — but a receiver
+// that took a write whose payload follows as its own message holds that
+// payload's receive for the whole transfer (a rendezvous, its
+// clear-to-send queued behind read data in the NIC's transmit stage),
+// and with a single receiver every other client's request waits in the
+// unexpected queue meanwhile: the server's
 // transmit and receive halves alternate instead of overlapping. So the
 // server posts as many receives as it has workers — but only once it
 // has seen concurrency. Receivers 2…N start parked on a signal that a
@@ -601,14 +631,20 @@ func (s *Server) bufVec(t fabric.Transport, buf *fabric.Buffer, n int) core.Vect
 
 // recvReq receives the next well-formed request message into *held, the
 // calling receiver's pooled bounce buffer (nil: one is taken from the
-// pool). Only a write needs its bounce after this point — the payload
-// is consumed in place — so only a write takes it along (released when
+// pool), sized for the longest request that can arrive in one: a
+// reqBufSize head, or an inline write filling the eager limit. Only an
+// inline write needs its bounce after this point — the payload is
+// consumed in place — so only it takes the bounce along (released when
 // it has been served) and leaves *held nil; every other request was
 // copied out whole and leaves the bounce with the receiver, which posts
 // it again. Queued reads and metadata therefore pin no bounce at all,
 // and the queue depth is bounded only by the clients' aggregate window.
+// A write whose payload follows as its own message has it received
+// here, by the receiver that decoded the header (recvPayload), so the
+// work it returns is complete.
 func (s *Server) recvReq(p *sim.Proc, t fabric.Transport, held **fabric.Buffer) *work {
-	const bounceLen = MaxWriteChunk + HdrBufSize
+	eagerMax := t.Caps().EagerMax
+	bounceLen := max(reqBufSize, eagerMax)
 	for {
 		if *held == nil {
 			buf, err := fabric.PoolOf(s.node).Get(bounceLen)
@@ -624,12 +660,11 @@ func (s *Server) recvReq(p *sim.Proc, t fabric.Transport, held **fabric.Buffer) 
 		}
 		st := op.Wait(p)
 		// Only the header (plus a possible packed batch) is decoded on
-		// the host: requests are capped at 4096 bytes by the client, so
-		// a longer message is a write whose payload stays in the bounce
-		// buffer and is consumed in place. Copying all of st.Len here
-		// would drag up to MaxWriteChunk through the kernel for nothing.
+		// the host: requests are capped at reqBufSize bytes by the
+		// client, so a longer message is an inline write whose payload
+		// stays in the bounce buffer and is consumed in place.
 		w := s.getWork()
-		raw := w.rawBuf[:min(st.Len, 4096)]
+		raw := w.rawBuf[:min(st.Len, reqBufSize)]
 		if err := s.node.Kernel.ReadBytesInto(bounce.VA(), raw); err != nil {
 			panic(err)
 		}
@@ -643,12 +678,92 @@ func (s *Server) recvReq(p *sim.Proc, t fabric.Transport, held **fabric.Buffer) 
 		sess.Outstanding++
 		sess.MaxOutstanding = max(sess.MaxOutstanding, sess.Outstanding)
 		s.inside++
-		w.req, w.src, w.raw, w.n, w.consumed, w.sess = req, st.Src, raw, st.Len, consumed, sess
+		w.req, w.src, w.raw, w.consumed, w.sess = req, st.Src, raw, consumed, sess
 		if req.Op == OpWrite {
-			w.buf, *held = bounce, nil
+			// The one length rule: the payload is exactly req.Len bytes,
+			// inline behind the head or alone in its own message — never
+			// both, never truncated (st.Err: a message longer than the
+			// bounce).
+			whole := st.Err == nil
+			if inlinePayload(eagerMax, consumed, int(req.Len)) {
+				w.buf, *held = bounce, nil
+				w.ok = whole && st.Len-consumed == int(req.Len)
+			} else {
+				w.ok = s.recvPayload(p, t, w, whole && st.Len == consumed)
+			}
 		}
 		return w
 	}
+}
+
+// recvPayload receives the payload w's write header announced as its
+// own message (payloadTag names the sender): into fresh frames, one per
+// page of the write's range (payloadFrames), when the header is well
+// formed (ok), and into nothing otherwise. The payload is consumed
+// either way, so it can never strand in the transport's unexpected
+// queue or be taken for a later request's. It reports whether exactly
+// req.Len bytes landed; when it reports false w holds no frames. The
+// frames are physical, so nothing is pinned for a rendezvous into them.
+func (s *Server) recvPayload(p *sim.Proc, t fabric.Transport, w *work, ok bool) bool {
+	ok = ok && s.payloadFrames(w)
+	op, err := t.PostRecv(p, core.Exact(payloadTag(w.src, w.req.Seq, w.req.EP)), w.vec)
+	if err != nil {
+		panic(err)
+	}
+	if st := op.Wait(p); ok && st.Err == nil && st.Len == int(w.req.Len) {
+		return true
+	}
+	for _, f := range w.frames {
+		s.node.Mem.Put(f)
+	}
+	clear(w.frames)
+	w.frames = w.frames[:0]
+	return false
+}
+
+// payloadFrames allocates, when w's write range is valid (validWrite),
+// a fresh frame for every page the range covers and describes them in
+// w.vec as the payload's physical receive vector, each page's share at
+// its in-page position — where InstallPages expects it. An invalid
+// range is refused before anything is allocated, leaving w.vec empty: a
+// receive into nothing. The frames go to the pages in ascending PFN
+// order: the allocator recycles the blocks an install freed last in
+// first out, and sorting puts a run of them back in the order that
+// keeps the file's blocks physically contiguous — one extent, not one
+// per page, when the file is read.
+//
+// allocfree
+func (s *Server) payloadFrames(w *work) bool {
+	w.vec = w.vec[:0]
+	if !validWrite(w.req) {
+		return false
+	}
+	off, end := w.req.Off, w.req.Off+int64(w.req.Len)
+	for range mem.PagesIn(int(off%mem.PageSize), int(w.req.Len)) {
+		f, err := s.node.Mem.AllocFrame()
+		if err != nil {
+			panic(err) // like the block store's own allocations
+		}
+		w.frames = append(w.frames, f)
+	}
+	fs := w.frames // at most MaxWriteChunk/PageSize+1: an insertion sort
+	for i := 1; i < len(fs); i++ {
+		for j := i; j > 0 && fs[j].PFN() < fs[j-1].PFN(); j-- {
+			fs[j], fs[j-1] = fs[j-1], fs[j]
+		}
+	}
+	for _, f := range fs {
+		pg := off % mem.PageSize
+		chunk := int(min(mem.PageSize-pg, end-off))
+		pa := f.Addr() + mem.PhysAddr(pg)
+		if k := len(w.vec) - 1; k >= 0 && w.vec[k].PA+mem.PhysAddr(w.vec[k].Len) == pa {
+			w.vec[k].Len += chunk // physically contiguous with the page before
+		} else {
+			w.vec = append(w.vec, core.PhysSeg(pa, chunk))
+		}
+		off += int64(chunk)
+	}
+	return true
 }
 
 // serve executes one received request and answers it.
@@ -678,8 +793,13 @@ func (s *Server) serve(p *sim.Proc, t fabric.Transport, w *work) {
 		s.reply(p, t, w.src, req, resp)
 	case OpWrite:
 		resp := &Resp{Seq: req.Seq, Status: StInval}
-		if src, ok := s.writeSrc(p, t, w); ok {
-			resp = s.handleWrite(p, req, src)
+		if w.ok {
+			var src core.Vector // a separate payload is in w.frames
+			if w.buf != nil {
+				w.vec = append(w.vec[:0], core.KernelSeg(s.node.Kernel, w.buf.VA()+vm.VirtAddr(w.consumed), int(req.Len)))
+				src = w.vec
+			}
+			resp = s.handleWrite(p, req, src, w.frames)
 		}
 		s.reply(p, t, w.src, req, resp)
 	default:
@@ -699,32 +819,6 @@ func (s *Server) serve(p *sim.Proc, t fabric.Transport, w *work) {
 		w.buf.Release()
 	}
 	s.putWork(w)
-}
-
-// writeSrc locates a write's payload in w's bounce buffer — inline
-// behind the request on a vectorial transport, received here as the
-// request's second tagged message otherwise (it has usually already
-// arrived and sits in the unexpected queue) — and applies the one
-// length rule: the payload is exactly req.Len bytes and at most
-// MaxWriteChunk. (That also refuses a request message truncated into
-// the bounce, whose HdrBufSize of slack over MaxWriteChunk exceeds any
-// request head: what is left of such a payload is still too long.) ok
-// is false on a violation, which the caller answers StInval; the
-// announced data message is consumed either way, so it can never
-// strand in the transport's unexpected queue or be taken for a later
-// request's.
-func (s *Server) writeSrc(p *sim.Proc, t fabric.Transport, w *work) (src core.Vector, ok bool) {
-	off, n, ok := w.consumed, w.n-w.consumed, true
-	if !t.Caps().Vectors {
-		op, err := t.PostRecv(p, core.Exact(tag(w.req.Seq, w.req.EP, kindData)), s.bufVec(t, w.buf, MaxWriteChunk))
-		if err != nil {
-			panic(err)
-		}
-		st := op.Wait(p)
-		off, n, ok = 0, st.Len, st.Err == nil
-	}
-	ok = ok && n == int(w.req.Len) && n <= MaxWriteChunk
-	return core.Of(core.KernelSeg(s.node.Kernel, w.buf.VA()+vm.VirtAddr(off), n)), ok
 }
 
 // unpack decodes the metadata requests packed behind the first one in

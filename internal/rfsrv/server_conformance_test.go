@@ -301,12 +301,18 @@ func TestServeSurvivesDeadClient(t *testing.T) {
 // BEFORE the server moved onto the fabric (two hand-written servers on
 // the raw drivers). The single server must reproduce them to the
 // nanosecond: on both transports, synchronously (window 1) and with a
-// full window of eight in flight.
+// full window of eight in flight. The write phase and the read phase
+// behind it were re-pinned when a payload above the eager limit started
+// to travel as its own message into fresh server frames: gm/1 2 370 087
+// → 1 977 671 and 5 092 887 → 4 700 471 ns, gm/8 1 854 062 → 1 723 390
+// and 3 481 901 → 3 351 229, mx/1 2 337 879 → 1 925 411 and 4 998 639
+// → 4 586 171, mx/8 2 001 254 → 1 851 202 and 3 627 108 → 3 477 056
+// (the reads themselves take exactly as long as before).
 var pinnedInstants = map[string][]sim.Time{
-	"gm/1": {254991, 2370087, 5092887},
-	"gm/8": {75354, 1854062, 3481901},
-	"mx/1": {94183, 2337879, 4998639},
-	"mx/8": {38057, 2001254, 3627108},
+	"gm/1": {254991, 1977671, 4700471},
+	"gm/8": {75354, 1723390, 3351229},
+	"mx/1": {94183, 1925411, 4586171},
+	"mx/8": {38057, 1851202, 3477056},
 }
 
 func TestServeVirtualInstantsPinned(t *testing.T) {

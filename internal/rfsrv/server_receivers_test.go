@@ -33,12 +33,14 @@ func (r *rig) kvecOn(t *testing.T, node *hw.Node, n int) core.Vector {
 }
 
 // TestServeAnswersAReadDuringAnotherClientsRendezvous: client A's 64 KB
-// write is a rendezvous, and the server's receive that matched it stays
-// matched until the payload has landed. Client B's 4 KB read, issued
-// once A's request-to-send has reached the server, is taken by a second
-// posted receive and answered while A's payload is still on the wire.
-// With a single posted receive B's request waited in the unexpected
-// queue for A's whole transfer and was answered after it.
+// write payload is a rendezvous of its own, and the receiver that
+// decoded A's header holds the payload's receive until it has landed.
+// Client B's 4 KB read, issued once A's request-to-send has reached the
+// server, is taken by a second posted receive and answered while A's
+// payload is still on the wire. With a single posted receive B's
+// request waited in the unexpected queue for A's whole transfer and was
+// answered after it. (The write's instant was re-pinned 445 688 →
+// 370 526 ns when its payload stopped landing in the request bounce.)
 func TestServeAnswersAReadDuringAnotherClientsRendezvous(t *testing.T) {
 	const big, small = 64 * 1024, 4096
 	r := newRigWorkers(t, 4)
@@ -84,8 +86,9 @@ func TestServeAnswersAReadDuringAnotherClientsRendezvous(t *testing.T) {
 		t.Fatal("a client never finished")
 	}
 	// The single-receive server finished the write at the same instant
-	// and the read only at 418 170 ns, once the write's payload was in.
-	if want := [2]sim.Time{445688, 67925}; [2]sim.Time{aDone, bDone} != want || bDone >= aDone {
+	// and the read only once the write's payload was in (418 170 ns
+	// while payloads landed in the request bounce).
+	if want := [2]sim.Time{370526, 67925}; [2]sim.Time{aDone, bDone} != want || bDone >= aDone {
 		t.Errorf("write and read finished %d and %d ns after the write was issued, pinned at %d and %d (the read first)",
 			aDone, bDone, want[0], want[1])
 	}
@@ -95,12 +98,11 @@ func TestServeAnswersAReadDuringAnotherClientsRendezvous(t *testing.T) {
 // TestSynchronousClientNeverWakesTheOtherReceivers: a server with four
 // workers that never holds two requests at once runs the single-receive
 // schedule. The pinned script's instants are the one-worker server's;
-// the engine schedules the events the single-receive server scheduled
-// plus the start events of the three receivers that park (less those of
-// the per-message processes MX no longer spawns to wait on TxDone, which
-// go with the same change); and the server's pool has handed out one
-// bounce to the one receiver that posts and one per write request, none
-// to the other three.
+// the engine schedules the events the one-worker server schedules plus
+// the start events of the three receivers and three workers that park;
+// and the server's pool has handed out one bounce to the one receiver
+// that posts, none to the other three — and none to the two write
+// requests, whose payloads land in fresh frames.
 func TestSynchronousClientNeverWakesTheOtherReceivers(t *testing.T) {
 	r := newRigWorkers(t, 4)
 	var got []sim.Time
@@ -109,20 +111,18 @@ func TestSynchronousClientNeverWakesTheOtherReceivers(t *testing.T) {
 		t.Errorf("virtual instants %v, pinned %v", got, pinnedInstants["mx/1"])
 	}
 	const (
-		singleReceive = 2261 // this rig and script on the single-receive server
-		parked        = 3    // receivers 2-4 start, and park
-		waiters       = 26   // mx-zsend under 24 reads' data, mx-rndv-done under 2 write chunks: callbacks now
+		oneWorker = 2254 // this rig and script on the one-worker server
+		parked    = 6    // receivers and workers 2-4 start, and park
 	)
-	if got := r.env.Events(); got != singleReceive+parked-waiters {
-		t.Errorf("%d events scheduled, want %d: the single-receive server's %d, +%d, -%d",
-			got, singleReceive+parked-waiters, singleReceive, parked, waiters)
+	if got := r.env.Events(); got != oneWorker+parked {
+		t.Errorf("%d events scheduled, want %d: the one-worker server's %d, +%d", got, oneWorker+parked, oneWorker, parked)
 	}
-	// 35 reply headers, a bounce each for the MX and the GM receiver and
-	// one for each of the 2 write requests; the single-receive server
-	// took a fresh bounce per request message (72 in all). What is out
-	// at the end: the two receivers' bounces and the last header.
-	if pool := fabric.PoolOf(r.server); pool.Gets.N != 39 || pool.Outstanding() != 3 {
-		t.Errorf("server pool handed out %d buffers and %d are out, want 39 and 3", pool.Gets.N, pool.Outstanding())
+	// 35 reply headers and a bounce each for the MX and the GM receiver
+	// (while write payloads landed in the request bounce, each of the 2
+	// write requests took one more: 39). What is out at the end: the two
+	// receivers' bounces and the last header.
+	if pool := fabric.PoolOf(r.server); pool.Gets.N != 37 || pool.Outstanding() != 3 {
+		t.Errorf("server pool handed out %d buffers and %d are out, want 37 and 3", pool.Gets.N, pool.Outstanding())
 	}
 }
 

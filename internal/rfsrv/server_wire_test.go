@@ -3,11 +3,15 @@ package rfsrv
 // White-box wire tests of the one server: a raw fabric endpoint plays a
 // misbehaving client below the validating client API, on both
 // transports, to pin the write-payload length rule and the membership
-// stamp on error replies.
+// stamp on error replies — and, sending a write's header and its
+// separate payload at instants of its own choosing, where in time a
+// write takes effect and what a client that dies between the two costs
+// the server.
 
 import (
 	"bytes"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/fabric"
@@ -26,30 +30,49 @@ type wireRig struct {
 	server, client *hw.Node
 	fs             *memfs.FS
 	srv            *Server
+	transport      string // "mx" or "gm"
 	t              fabric.Transport
 }
 
-func newWireRig(t *testing.T, transport string) *wireRig {
+func newWireRig(t *testing.T, transport string) *wireRig { return newWireRigWorkers(t, transport, 2) }
+
+// newWireRigWorkers is newWireRig with the MX server given `workers`
+// workers.
+func newWireRigWorkers(t *testing.T, transport string, workers int) *wireRig {
 	t.Helper()
 	env := sim.NewEngine()
 	c := hw.NewCluster(env, hw.DefaultParams(), hw.PCIXD)
-	r := &wireRig{env: env, server: c.AddNode("server"), client: c.AddNode("client")}
+	r := &wireRig{env: env, server: c.AddNode("server"), transport: transport}
 	r.fs = memfs.New("backing", r.server, 0)
 	r.srv = NewServer(r.server, r.fs)
 	var err error
 	if transport == "mx" {
-		if _, err = r.srv.ServeMX(mx.Attach(r.server), 1, 2); err == nil {
-			r.t, err = fabric.NewMX(mx.Attach(r.client), 2, true)
-		}
+		_, err = r.srv.ServeMX(mx.Attach(r.server), 1, workers)
 	} else {
-		if _, err = r.srv.ServeGM(gm.Attach(r.server), 1); err == nil {
-			r.t, err = fabric.NewGM(gm.Attach(r.client), 2, true)
-		}
+		_, err = r.srv.ServeGM(gm.Attach(r.server), 1)
 	}
 	if err != nil {
 		t.Fatal(err)
 	}
-	return r
+	return r.peer(t, "client")
+}
+
+// peer returns the rig with a raw client of its own on a fresh node,
+// speaking the server's transport.
+func (r *wireRig) peer(t *testing.T, name string) *wireRig {
+	t.Helper()
+	nr := *r
+	nr.client = r.server.Cluster.AddNode(name)
+	var err error
+	if r.transport == "mx" {
+		nr.t, err = fabric.NewMX(mx.Attach(nr.client), 2, true)
+	} else {
+		nr.t, err = fabric.NewGM(gm.Attach(nr.client), 2, true)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &nr
 }
 
 // run executes body in a process and fails the test on deadlock.
@@ -80,53 +103,99 @@ func (r *wireRig) vec(t *testing.T, data []byte, n int) (core.Vector, *fabric.Bu
 	return ctlVec(nil, !r.t.Caps().Vectors, core.KernelSeg(r.client.Kernel, buf.VA(), n), buf.Extents(buf.Size()), n), buf
 }
 
-// call puts req on the wire exactly as given — seq as the caller set
-// it, payload whatever length the caller chose, inline behind the
-// request on a vectorial transport and as the second tagged message
-// otherwise — and returns the decoded reply.
-func (r *wireRig) call(t *testing.T, p *sim.Proc, req *Req, payload []byte) *Resp {
+// wireCall is one request on the wire from the raw client: its posted
+// reply receive and every staging buffer it sent from.
+type wireCall struct {
+	r      *wireRig
+	req    *Req
+	hdrOp  fabric.Op
+	hdr    *fabric.Buffer
+	dataOp fabric.Op // a read's data receive, into data
+	data   *fabric.Buffer
+	ops    []fabric.Op
+	bufs   []*fabric.Buffer
+}
+
+// start puts req on the wire exactly as given — seq as the caller set
+// it, inline bytes behind the request head whatever the header's Len
+// says — with its reply receives (a read's data, the header) posted
+// first.
+func (r *wireRig) start(t *testing.T, p *sim.Proc, req *Req, inline []byte) *wireCall {
 	t.Helper()
 	req.EP = r.t.LocalEP()
-	hdrVec, hdrBuf := r.vec(t, nil, HdrBufSize)
-	defer hdrBuf.Release()
-	hdrOp, err := r.t.PostRecv(p, core.Exact(tag(req.Seq, req.EP, kindHdr)), hdrVec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	enc := EncodeReqInto(nil, req)
-	if r.t.Caps().Vectors {
-		enc = append(enc, payload...)
-		payload = nil
-	}
-	reqVec, reqBuf := r.vec(t, enc, len(enc))
-	defer reqBuf.Release()
-	reqOp, err := r.t.Send(p, r.server.ID, 1, reqTag, reqVec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ops := []fabric.Op{reqOp}
-	if req.Op == OpWrite && !r.t.Caps().Vectors {
-		dataVec, dataBuf := r.vec(t, payload, len(payload))
-		defer dataBuf.Release()
-		dataOp, err := r.t.Send(p, r.server.ID, 1, tag(req.Seq, req.EP, kindData), dataVec)
-		if err != nil {
+	c := &wireCall{r: r, req: req}
+	var err error
+	if req.Op == OpRead {
+		var dataVec core.Vector
+		dataVec, c.data = r.vec(t, nil, int(req.Len))
+		if c.dataOp, err = r.t.PostRecv(p, core.Exact(tag(req.Seq, req.EP, kindData)), dataVec); err != nil {
 			t.Fatal(err)
 		}
-		ops = append(ops, dataOp)
 	}
-	st := hdrOp.Wait(p)
-	for _, op := range ops {
+	var hdrVec core.Vector
+	hdrVec, c.hdr = r.vec(t, nil, HdrBufSize)
+	if c.hdrOp, err = r.t.PostRecv(p, core.Exact(tag(req.Seq, req.EP, kindHdr)), hdrVec); err != nil {
+		t.Fatal(err)
+	}
+	c.send(t, p, reqTag, append(EncodeReqInto(nil, req), inline...))
+	return c
+}
+
+// send sends data as one message tagged info from fresh staging.
+func (c *wireCall) send(t *testing.T, p *sim.Proc, info uint64, data []byte) {
+	t.Helper()
+	v, buf := c.r.vec(t, data, len(data))
+	op, err := c.r.t.Send(p, c.r.server.ID, 1, info, v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.ops, c.bufs = append(c.ops, op), append(c.bufs, buf)
+}
+
+// payload sends data as the write's separate payload message.
+func (c *wireCall) payload(t *testing.T, p *sim.Proc, data []byte) {
+	t.Helper()
+	c.send(t, p, payloadTag(c.r.client.ID, c.req.Seq, c.req.EP), data)
+}
+
+// wait returns the decoded reply once every send has completed and a
+// read's data has landed.
+func (c *wireCall) wait(t *testing.T, p *sim.Proc) *Resp {
+	t.Helper()
+	if c.dataOp != nil {
+		c.dataOp.Wait(p)
+		defer c.data.Release()
+	}
+	st := c.hdrOp.Wait(p)
+	for _, op := range c.ops {
 		op.Wait(p) // staging must be quiescent before it is released
 	}
+	for _, buf := range append(c.bufs, c.hdr) {
+		defer buf.Release()
+	}
 	raw := make([]byte, st.Len)
-	if err := r.client.Kernel.ReadBytesInto(hdrBuf.VA(), raw); err != nil {
+	if err := c.r.client.Kernel.ReadBytesInto(c.hdr.VA(), raw); err != nil {
 		t.Fatal(err)
 	}
 	resp, err := DecodeResp(raw)
-	if err != nil || resp.Seq != req.Seq {
-		t.Fatalf("reply to seq %d: %+v %v", req.Seq, resp, err)
+	if err != nil || resp.Seq != c.req.Seq {
+		t.Fatalf("reply to seq %d: %+v %v", c.req.Seq, resp, err)
 	}
 	return resp
+}
+
+// call puts req on the wire with its payload where the one payload rule
+// puts a payload of the header's Len — inline behind the head, or as
+// its own message — whatever length the payload really has, and returns
+// the decoded reply.
+func (r *wireRig) call(t *testing.T, p *sim.Proc, req *Req, payload []byte) *Resp {
+	t.Helper()
+	if req.Op != OpWrite || inlinePayload(r.t.Caps().EagerMax, reqFixed+len(req.Name), int(req.Len)) {
+		return r.start(t, p, req, payload).wait(t, p)
+	}
+	c := r.start(t, p, req, nil)
+	c.payload(t, p, payload)
+	return c.wait(t, p)
 }
 
 // fileBytes reads a file straight from the server's backing store.
@@ -144,27 +213,36 @@ func (r *wireRig) fileBytes(t *testing.T, p *sim.Proc, ino kernel.InodeID, n int
 }
 
 // TestWritePayloadLengthRule: a write whose payload is not exactly the
-// req.Len bytes the header announces — short, long, oversize, or
-// truncated into the bounce — is answered StInval on both transports,
-// leaves the file untouched, and leaves nothing behind that a later
-// request could trip over.
+// req.Len bytes the header announces — short, long, missing, oversize,
+// truncated into the bounce, or sent both inline and alone — is
+// answered StInval on both transports, leaves the file untouched, holds
+// on to no frame, and leaves nothing behind that a later request could
+// trip over.
 func TestWritePayloadLengthRule(t *testing.T) {
-	const size = 8192
+	const size, big = 8192, 64 * 1024
 	good := bytes.Repeat([]byte{0x11}, size)
-	evil := bytes.Repeat([]byte{0xEE}, size)
+	evil := bytes.Repeat([]byte{0xEE}, big+size)
+	// The longest payload that still rides inline on MX: the message
+	// then fills the bounce exactly, so one byte more is truncated into
+	// it with the announced length still intact behind the head.
+	fill := hw.DefaultParams().MXMediumMax - reqFixed
 	cases := []struct {
-		name    string
-		len     uint32
-		payload []byte
-		mxOnly  bool
+		name            string
+		len             uint32
+		inline, payload []byte // inline: sent behind the head as given
+		mxOnly          bool
 	}{
-		{"short payload", size, evil[:100], false},
-		{"long payload", 100, evil, false},
-		{"no payload", size, nil, false},
-		{"oversize", MaxWriteChunk + 1, evil[:16], false},
-		// Only a vectorial transport carries the payload in the request
-		// message, where it can overflow the server's bounce buffer.
-		{"truncated into the bounce", MaxWriteChunk, bytes.Repeat([]byte{0xEE}, MaxWriteChunk+HdrBufSize), true},
+		{"short payload", size, nil, evil[:100], false},
+		{"long payload", 100, nil, evil[:size], false},
+		{"no payload", size, nil, nil, false},
+		{"oversize", MaxWriteChunk + 1, nil, evil[:16], false},
+		{"short separate payload", big, nil, evil[:100], false},
+		{"long separate payload", big, nil, evil, false},
+		// Only a vectorial transport carries a payload in the request
+		// message, where it can overflow the server's bounce or come
+		// twice.
+		{"truncated into the bounce", uint32(fill), evil[:fill+1], nil, true},
+		{"inline and alone", big, evil[:100], evil[:big], true},
 	}
 	for _, transport := range []string{"gm", "mx"} {
 		t.Run(transport, func(t *testing.T) {
@@ -178,17 +256,32 @@ func TestWritePayloadLengthRule(t *testing.T) {
 				if resp := r.call(t, p, &Req{Op: OpWrite, Seq: seq, Ino: attr.Ino, Len: size}, good); resp.Status != StOK || resp.N != size {
 					t.Fatalf("well-formed write: %+v", resp)
 				}
+				frames := r.server.Mem.Allocated()
 				for _, tc := range cases {
 					if tc.mxOnly && transport != "mx" {
 						continue
 					}
 					// Each bad write is followed by a well-formed one under
-					// the SAME seq: a data message the server failed to
+					// the SAME seq: a payload message the server failed to
 					// consume would still sit in the transport's unexpected
 					// queue under that tag and be taken for this payload.
 					seq++
-					if resp := r.call(t, p, &Req{Op: OpWrite, Seq: seq, Ino: attr.Ino, Len: tc.len}, tc.payload); resp.Status != StInval {
+					req := &Req{Op: OpWrite, Seq: seq, Ino: attr.Ino, Len: tc.len}
+					var resp *Resp
+					if tc.inline != nil {
+						c := r.start(t, p, req, tc.inline)
+						if tc.payload != nil {
+							c.payload(t, p, tc.payload)
+						}
+						resp = c.wait(t, p)
+					} else {
+						resp = r.call(t, p, req, tc.payload)
+					}
+					if resp.Status != StInval {
 						t.Errorf("%s: status %d, want StInval", tc.name, resp.Status)
+					}
+					if now := r.server.Mem.Allocated(); now != frames {
+						t.Errorf("%s: the server holds %d frames, %d before", tc.name, now, frames)
 					}
 					if got := r.fileBytes(t, p, attr.Ino, size); !bytes.Equal(got, good) {
 						t.Errorf("%s: file bytes changed (first byte %#x)", tc.name, got[0])
@@ -199,6 +292,7 @@ func TestWritePayloadLengthRule(t *testing.T) {
 					if got := r.fileBytes(t, p, attr.Ino, size); !bytes.Equal(got, good) {
 						t.Errorf("%s: the follow-up write stored someone else's payload (first byte %#x)", tc.name, got[0])
 					}
+					frames = r.server.Mem.Allocated() // fileBytes maps its own
 				}
 				if resp := r.call(t, p, &Req{Op: OpGetattr, Seq: seq + 1, Ino: attr.Ino}, nil); resp.Status != StOK || resp.Attr.Size != size {
 					t.Errorf("getattr after the bad writes: %+v", resp)
@@ -259,5 +353,126 @@ func TestErrorRepliesCarryMembership(t *testing.T) {
 				}
 			})
 		})
+	}
+}
+
+// warmUp shows the MX server concurrency — a getattr arriving while an
+// inline 16 KB write is still being copied in — so that every receiver
+// posts (Serve parks receivers 2…N until a request finds another inside
+// the server).
+func (r *wireRig) warmUp(t *testing.T, p *sim.Proc, seq uint64) {
+	t.Helper()
+	const n = 16 * 1024
+	attr, err := r.fs.Create(p, r.fs.Root(), "warm-up")
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := r.start(t, p, &Req{Op: OpWrite, Seq: seq, Ino: attr.Ino, Len: n}, make([]byte, n))
+	b := r.start(t, p, &Req{Op: OpGetattr, Seq: seq + 1, Ino: attr.Ino}, nil)
+	a.wait(t, p)
+	b.wait(t, p)
+	if cs := r.srv.session(r.client.ID, r.t.LocalEP()); cs.MaxOutstanding < 2 {
+		t.Fatalf("warm-up reached a server depth of %d, want 2", cs.MaxOutstanding)
+	}
+	p.Sleep(100 * time.Microsecond) // the woken receivers post
+}
+
+// TestInstallIsTheWritesInstant: a write whose payload travels alone
+// takes effect when it is installed, not when its header is received.
+// Between the two, a read of the range a 64 KB extending write covers
+// clips at the file's old size, and a truncate to 0 is served and
+// answered; the install then lays the write's bytes down and moves the
+// size to the write's end, over the truncate. MX only: a GM server's one
+// process receives the payload before it serves anything else.
+func TestInstallIsTheWritesInstant(t *testing.T) {
+	const old, size = 8192, 64 * 1024
+	r := newWireRig(t, "mx")
+	payload := bytes.Repeat([]byte{0x5A, 0xC3, 0x17, 0x88}, size/4)
+	var attr kernel.Attr
+	r.run(t, func(p *sim.Proc) {
+		var err error
+		if attr, err = r.fs.Create(p, r.fs.Root(), "f"); err != nil {
+			t.Fatal(err)
+		}
+		if resp := r.call(t, p, &Req{Op: OpWrite, Seq: 1, Ino: attr.Ino, Len: old}, bytes.Repeat([]byte{0x11}, old)); resp.Status != StOK {
+			t.Fatalf("seed write: %+v", resp)
+		}
+		r.warmUp(t, p, 2)
+		write := r.start(t, p, &Req{Op: OpWrite, Seq: 4, Ino: attr.Ino, Off: old, Len: size}, nil)
+		for r.srv.inside == 0 { // the header is in; its payload is not sent yet
+			p.Sleep(100 * time.Nanosecond)
+		}
+		if resp := r.start(t, p, &Req{Op: OpRead, Seq: 5, Ino: attr.Ino, Len: old + size}, nil).wait(t, p); resp.Status != StOK || resp.N != old {
+			t.Errorf("read before the install: %+v, want %d bytes (the old size)", resp, old)
+		}
+		if resp := r.call(t, p, &Req{Op: OpTruncate, Seq: 6, Ino: attr.Ino, Off: 0}, nil); resp.Status != StOK || resp.Attr.Size != 0 {
+			t.Errorf("truncate before the install: %+v", resp)
+		}
+		write.payload(t, p, payload)
+		if resp := write.wait(t, p); resp.Status != StOK || resp.N != size || resp.Attr.Size != old+size {
+			t.Errorf("write: %+v, want %d bytes and size %d", resp, size, old+size)
+		}
+	})
+	want := append(make([]byte, old), payload...) // the truncate zeroed what the write does not cover
+	if got, _ := r.fs.ContentOf(attr.Ino); !bytes.Equal(got, want) {
+		t.Errorf("file holds %d bytes, not the truncate's zeros and then the write's bytes", len(got))
+	}
+}
+
+// TestDeadClientBetweenHeaderAndPayload answers, for a write whose
+// payload travels alone, what ROADMAP item 2 left unverified: a client
+// whose NIC dies after the server received the write's header and
+// before its payload parks exactly one of the MX server's receivers —
+// the one that decoded the header, waiting for a payload that will
+// never come — and the server keeps answering other clients, at depth,
+// on the rest. (It has no deadline of its own yet, so that receiver
+// stays parked; a GM server's single process would be wedged whole.)
+func TestDeadClientBetweenHeaderAndPayload(t *testing.T) {
+	const size = 64 * 1024
+	r := newWireRigWorkers(t, "mx", 4)
+	other := r.peer(t, "other")
+	finished := 0
+	r.run(t, func(p *sim.Proc) {
+		attr, err := r.fs.Create(p, r.fs.Root(), "f")
+		if err != nil {
+			t.Fatal(err)
+		}
+		other.warmUp(t, p, 1)
+		r.start(t, p, &Req{Op: OpWrite, Seq: 1, Ino: attr.Ino, Len: size}, nil)
+		for r.srv.inside == 0 {
+			p.Sleep(100 * time.Nanosecond)
+		}
+		r.client.NIC.Kill()
+		// The other client keeps three requests in the server at once,
+		// writes that travel alone among them.
+		for w := 0; w < 3; w++ {
+			r.env.Spawn("other", func(p *sim.Proc) {
+				for i := 0; i < 4; i++ {
+					seq := uint64(10 + 4*w + i)
+					var resp *Resp
+					if i%2 == 0 {
+						resp = other.call(t, p, &Req{Op: OpWrite, Seq: seq, Ino: attr.Ino, Off: int64(w * size), Len: size}, bytes.Repeat([]byte{byte(w)}, size))
+					} else {
+						resp = other.call(t, p, &Req{Op: OpRead, Seq: seq, Ino: attr.Ino, Off: int64(w * size), Len: size}, nil)
+					}
+					if resp.Status != StOK || resp.N != size {
+						t.Errorf("other client, seq %d: %+v", seq, resp)
+					}
+				}
+				finished++
+			})
+		}
+	})
+	if finished != 3 {
+		t.Fatalf("%d of the other client's 3 streams finished", finished)
+	}
+	if r.srv.inside != 1 {
+		t.Errorf("%d requests inside the server, want 1 (the dead client's write)", r.srv.inside)
+	}
+	if cs := r.srv.session(other.client.ID, other.t.LocalEP()); cs.Outstanding != 0 || cs.MaxOutstanding < 3 {
+		t.Errorf("other client: %d outstanding, depth %d; want 0 and at least 3", cs.Outstanding, cs.MaxOutstanding)
+	}
+	if cs := r.srv.session(r.client.ID, r.t.LocalEP()); cs.Outstanding != 1 {
+		t.Errorf("dead client: %d requests outstanding, want its 1 write", cs.Outstanding)
 	}
 }

@@ -375,7 +375,7 @@ func (s *Session) startBatchFlight(p *sim.Proc, reqs []*Req, start int) (*batchF
 		r.Seq, r.EP = s.c.seq, s.c.myEP
 		pre := len(packed)
 		packed = EncodeReqInto(packed, r)
-		if len(packed) > 4096 && end > start {
+		if len(packed) > reqBufSize && end > start {
 			packed = packed[:pre]
 			s.c.seq-- // undo; goes in the next flight
 			break

@@ -435,7 +435,9 @@ func TestSessionWriteDrainsOnFault(t *testing.T) {
 
 // TestSessionWriteVirtualTime pins the chunked write's virtual time
 // (recorded before Session.Write moved onto fabric.Pipeline): 1 MiB at
-// window 4 over MX.
+// window 4 over MX. Re-pinned 4 983 815 → 4 683 071 ns when each
+// chunk's payload started to travel as its own message into fresh
+// server frames (no pin, no copy out of the request bounce).
 func TestSessionWriteVirtualTime(t *testing.T) {
 	const size = 1 << 20
 	r := newRig(t)
@@ -453,7 +455,7 @@ func TestSessionWriteVirtualTime(t *testing.T) {
 		if err != nil || resp.N != size {
 			t.Fatalf("write: %v %v", resp, err)
 		}
-		const pin = 4983815 * time.Nanosecond
+		const pin = 4683071 * time.Nanosecond
 		if got := p.Now() - t0; got != pin {
 			t.Errorf("1 MiB write at window 4 took %v (%d ns), pinned at %v", got, got.Nanoseconds(), pin)
 		}
