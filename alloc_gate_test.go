@@ -31,17 +31,17 @@ import (
 // which the margin covers; one reintroduced 64 KB buffer per request
 // adds 65 536). Lower them when a future pass cuts allocations further.
 const (
-	maxRequestPathAllocsPerOp = 39    // measured 34.3 (PR 19: 78.5)
-	maxFig5aAllocs            = 9000  // measured 7179 (PR 19: 15377)
-	maxFig5bAllocs            = 25500 // measured 20354 (PR 19: 38216)
-	maxSizePublishAllocsPerOp = 33    // measured 29.4 (PR 19: 61.9)
+	maxRequestPathAllocsPerOp    = 39    // measured 34.3 (PR 19: 78.5)
+	maxFig5aAllocs               = 9000  // measured 7179 (PR 19: 15377)
+	maxFig5bAllocs               = 25500 // measured 20354 (PR 19: 38216)
+	maxExtendingWriteAllocsPerOp = 76    // measured 67.3 (a one-page write + a 3-server size fan)
 
-	maxRequestPathBytesPerOp = 7450  // measured 6460 (64 KB ops; PR 19: 7314)
-	maxWriteAllocsPerOp      = 31    // measured 27.1 (a 64 KB write whose payload travels alone)
-	maxWriteBytesPerOp       = 4200  // measured 3635
-	maxSizePublishBytesPerOp = 10700 // measured 9267 (PR 19: 9940)
-	maxORFSDirectAllocsPerOp = 64    // measured 57.0 (PR 19: 99.1)
-	maxORFSDirectBytesPerOp  = 7150  // measured 6192 (PR 19: 7183)
+	maxRequestPathBytesPerOp    = 7450  // measured 6460 (64 KB ops; PR 19: 7314)
+	maxWriteAllocsPerOp         = 31    // measured 27.1 (a 64 KB write whose payload travels alone)
+	maxWriteBytesPerOp          = 4200  // measured 3635
+	maxExtendingWriteBytesPerOp = 15000 // measured 13044
+	maxORFSDirectAllocsPerOp    = 64    // measured 57.0 (PR 19: 99.1)
+	maxORFSDirectBytesPerOp     = 7150  // measured 6192 (PR 19: 7183)
 
 	// One 4 KB ping-pong round trip on the raw fabric: two messages.
 	maxGMRoundTripAllocsPerOp = 23   // measured 20.0
@@ -108,16 +108,17 @@ func TestAllocGateWrite(t *testing.T) {
 	gate(t, "64 KB MX write", got, maxWriteAllocsPerOp, maxWriteBytesPerOp)
 }
 
-// TestAllocGateSizePublish gates heap allocations per extending write
-// on the batched size-publish path (PR 7): the write plus the amortized
-// share of the coalesced flush must stay below the plain request path,
-// not regrow per-write reconciliation garbage.
-func TestAllocGateSizePublish(t *testing.T) {
-	got, err := figures.SizePublishAllocs(256)
+// TestAllocGateExtendingWrite gates heap allocations per extending
+// one-page write over four servers: the data leg plus the grow-OpSetSize
+// fan that publishes the new end to the other three before the write
+// returns. The fan reuses one request and the cluster's flight scratch,
+// so it must not regrow per-write reconciliation garbage.
+func TestAllocGateExtendingWrite(t *testing.T) {
+	got, err := figures.ExtendingWriteAllocs(256)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gate(t, "batched size publish", got, maxSizePublishAllocsPerOp, maxSizePublishBytesPerOp)
+	gate(t, "extending write + size fan", got, maxExtendingWriteAllocsPerOp, maxExtendingWriteBytesPerOp)
 }
 
 // TestAllocGateORFSFile gates the paper's headline path (the orfs_file

@@ -235,21 +235,6 @@ func BenchmarkMetadataStorm(b *testing.B) {
 	}
 }
 
-// BenchmarkSizePublishAllocs — heap allocations per extending write on
-// the batched size-publish path (alloc_gate_test.go pins its ceiling).
-func BenchmarkSizePublishAllocs(b *testing.B) {
-	var perOp figures.HostCost
-	var err error
-	for i := 0; i < b.N; i++ {
-		perOp, err = figures.SizePublishAllocs(256)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(perOp.Allocs, "pub-allocs/op")
-	b.ReportMetric(perOp.Bytes, "pub-bytes/op")
-}
-
 // BenchmarkRequestPathAllocs — heap allocations per client-observed
 // cluster operation on the MX request path (the PR6 zero-alloc pass's
 // headline number; alloc_gate_test.go pins its ceiling).

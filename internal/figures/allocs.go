@@ -91,21 +91,17 @@ func probeFile(p *sim.Proc, cl *rfsrv.Cluster) (kernel.InodeID, error) {
 	return attr.Attr.Ino, err
 }
 
-// SizePublishAllocs measures the steady-state host cost of one
-// extending one-page write through a 3-server striped cluster with the
-// batched size-publish queue on (DESIGN.md §11): the write itself plus
-// the amortized share of the combined flush that drains every
-// DefaultSizePublishBatch writes. The PR 7 gate pins this so the
-// coalescing path cannot quietly regrow per-write garbage.
-func SizePublishAllocs(ops int) (HostCost, error) {
+// ExtendingWriteAllocs measures the steady-state host cost of one
+// extending one-page write through a 4-server striped cluster: the
+// data leg to the page's stripe owner plus the grow-OpSetSize fan that
+// publishes the new end to the other three servers before the write
+// returns (Cluster.setSizeTo, DESIGN.md §9).
+func ExtendingWriteAllocs(ops int) (HostCost, error) {
 	if ops <= 0 {
-		return HostCost{}, fmt.Errorf("figures: SizePublishAllocs needs ops > 0")
+		return HostCost{}, fmt.Errorf("figures: ExtendingWriteAllocs needs ops > 0")
 	}
 	var allocs HostCost
-	err := probe(3, mem.PageSize, func(p *sim.Proc, cl *rfsrv.Cluster) error {
-		if err := cl.SetSizePublishBatch(rfsrv.DefaultSizePublishBatch); err != nil {
-			return err
-		}
+	err := probe(4, mem.PageSize, func(p *sim.Proc, cl *rfsrv.Cluster) error {
 		ino, err := probeFile(p, cl)
 		if err != nil {
 			return err

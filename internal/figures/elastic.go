@@ -296,38 +296,19 @@ func elPhases(res *elResult, timeout sim.Time) (pre, degraded, post float64) {
 	return
 }
 
-// ElasticStats carries the elastic suite's raw numbers: per-phase
-// throughput (kill -> heal -> replayed re-admission -> live Join) plus
-// the recovery/migration accounting. It is the "elastic" section of
-// the machine-readable snapshot (cmd/figures -json) as is.
-type ElasticStats struct {
-	PreMBps       float64 `json:"pre_mbps"`
-	DegradedMBps  float64 `json:"degraded_mbps"`
-	PostMBps      float64 `json:"post_expansion_mbps"`
-	Reinstates    int64   `json:"reinstates"`
-	Refusals      int64   `json:"reinstate_refusals"`
-	Spills        int64   `json:"resync_spills"`
-	ResyncOps     int64   `json:"resync_ops"`
-	ResyncBytes   int64   `json:"resync_bytes"`
-	MigratedBytes int64   `json:"migrated_bytes"`
-	Epoch         uint64  `json:"epoch"`
-	Members       []int   `json:"members"`
-}
-
 // Elastic runs the elastic-membership lifecycle and returns its two
 // tables — per-phase aggregate throughput across kill, heal,
 // journaled-replay re-admission and live N->N+1 expansion, and the
-// recovery/migration accounting behind it — plus the raw stats for
-// the benchmark snapshot.
-func (c Config) Elastic() ([]*Table, *ElasticStats, error) {
+// recovery/migration accounting behind it.
+func (c Config) Elastic() ([]*Table, error) {
 	base, err := c.elRun(0)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	timeout := base.maxLat * 5 / 2
 	res, err := c.elRun(timeout)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	pre, degraded, post := elPhases(res, timeout)
 	baseline := base.window(base.started, base.finished)
@@ -374,13 +355,7 @@ func (c Config) Elastic() ([]*Table, *ElasticStats, error) {
 			"no spills, resync bytes > 0 from the overwrites the victim missed), " +
 			"and the Join migrates every stripe the joiner now owns",
 	}
-	stats := &ElasticStats{
-		PreMBps: pre, DegradedMBps: degraded, PostMBps: post,
-		Reinstates: res.reinstates, Refusals: res.refusals, Spills: res.spills,
-		ResyncOps: res.resyncOps, ResyncBytes: res.resyncBytes,
-		MigratedBytes: res.migratedBytes, Epoch: res.epoch, Members: res.members,
-	}
-	return []*Table{phases, accounting}, stats, nil
+	return []*Table{phases, accounting}, nil
 }
 
 // ms renders a virtual duration in milliseconds.

@@ -75,12 +75,9 @@ type sfResult struct {
 // sfWriters clients interleave synchronous chunk appends to one
 // striped file while sfReaders clients tail it to the end, each client
 // on its own node with its own cluster. chunksPerWriter scales the run
-// (the short-mode smoke uses a small value). With batched set, the
-// writers defer their reconciliation through the coalescing publish
-// queue (Cluster.SetSizePublishBatch) and drain it before finishing —
-// the amortized mode DESIGN.md §11 adds. The run fails if the final
+// (the short-mode smoke uses a small value). The run fails if the final
 // size is not coherent on every server and through a homed getattr.
-func (c Config) sfRun(servers, chunksPerWriter int, batched bool) (sfResult, error) {
+func (c Config) sfRun(servers, chunksPerWriter int) (sfResult, error) {
 	r, err := rig.New(rig.Desc{Servers: servers, Replicas: 1, Stripe: msStripe, Window: sfWindow, Trace: c.Trace})
 	if err != nil {
 		return sfResult{}, err
@@ -125,7 +122,7 @@ func (c Config) sfRun(servers, chunksPerWriter int, batched bool) (sfResult, err
 			bytesMoved += moved
 			return err
 		}
-		lat, moved, err := sfWriter(p, cluster, ino, i, chunksPerWriter, batched)
+		lat, moved, err := sfWriter(p, cluster, ino, i, chunksPerWriter)
 		writeSamples = append(writeSamples, lat...)
 		bytesMoved += moved
 		setSizeRPCs += int(cluster.SetSizes.N)
@@ -175,18 +172,10 @@ func sfAudit(p *sim.Proc, r *rig.Rig, ino kernel.InodeID, total int64) error {
 
 // sfWriter appends writer w's interleaved chunks (w, w+K, w+2K, ...)
 // to the shared file through its own cluster, synchronously, and
-// returns chunk latencies and bytes written. Per-write mode pays the reconciliation fan on every
-// size-extending write; batched mode coalesces the ends through the
-// publish queue — one combined batch round per window drain — and
-// drains the queue before the writer finishes, so the end-of-run
-// audit still sees every server agreeing on the final size.
-func sfWriter(p *sim.Proc, cluster *rfsrv.Cluster, ino kernel.InodeID, w, chunksPerWriter int, batched bool) ([]sim.Time, int, error) {
+// returns chunk latencies and bytes written. Every size-extending
+// write pays the reconciliation fan before it returns.
+func sfWriter(p *sim.Proc, cluster *rfsrv.Cluster, ino kernel.InodeID, w, chunksPerWriter int) ([]sim.Time, int, error) {
 	node := cluster.Node()
-	if batched {
-		if err := cluster.SetSizePublishBatch(rfsrv.DefaultSizePublishBatch); err != nil {
-			return nil, 0, err
-		}
-	}
 	va, err := node.Kernel.Mmap(sfChunk, "sf-wbuf")
 	if err != nil {
 		return nil, 0, err
@@ -206,11 +195,6 @@ func sfWriter(p *sim.Proc, cluster *rfsrv.Cluster, ino kernel.InodeID, w, chunks
 		}
 		samples = append(samples, p.Now()-t0)
 		moved += sfChunk
-	}
-	if batched {
-		if err := cluster.FlushSizes(p); err != nil {
-			return nil, 0, err
-		}
 	}
 	return samples, moved, nil
 }
@@ -259,14 +243,13 @@ poll:
 // overhead (OpSetSize reconciliation RPCs per 100 data writes), each
 // against the server count.
 func (c Config) SharedFile() ([]*Figure, error) {
-	var bw, bwBatched, coh, cohBatched netpipe.Series
-	bw.Label, bwBatched.Label = "per-write", "batched publish"
-	coh.Label, cohBatched.Label = "per-write", "batched publish"
+	var bw, coh netpipe.Series
+	bw.Label, coh.Label = "per-write", "per-write"
 	var wp50, wp99, rp50, rp99 netpipe.Series
 	wp50.Label, wp99.Label = "write p50", "write p99"
 	rp50.Label, rp99.Label = "read p50", "read p99"
 	for _, s := range sfServersAxis {
-		r, err := c.sfRun(s, sfChunksPerWriter, false)
+		r, err := c.sfRun(s, sfChunksPerWriter)
 		if err != nil {
 			return nil, err
 		}
@@ -276,23 +259,17 @@ func (c Config) SharedFile() ([]*Figure, error) {
 		wp99.Points = append(wp99.Points, netpipe.Point{Size: s, OneWay: r.writeP99})
 		rp50.Points = append(rp50.Points, netpipe.Point{Size: s, OneWay: r.readP50})
 		rp99.Points = append(rp99.Points, netpipe.Point{Size: s, OneWay: r.readP99})
-		b, err := c.sfRun(s, sfChunksPerWriter, true)
-		if err != nil {
-			return nil, err
-		}
-		bwBatched.Points = append(bwBatched.Points, netpipe.Point{Size: s, MBps: b.mbps})
-		cohBatched.Points = append(cohBatched.Points, netpipe.Point{Size: s, MBps: b.coherencePct})
 	}
 	bwFig := &Figure{
 		ID: "sharedfile",
 		Title: fmt.Sprintf("Shared-file multi-writer throughput vs server count (%d writers + %d readers, window %d, %d KB chunks)",
 			sfWriters, sfReaders, sfWindow, sfChunk/1024),
 		XLabel: "servers (one file striped across)", YLabel: "aggregate throughput (MB/s)",
-		Series: []netpipe.Series{bw, bwBatched},
+		Series: []netpipe.Series{bw},
 		Expected: "beyond the paper: its per-mount attribute caches had no cross-client " +
 			"invalidation, so a shared-file workload could not be served coherently at " +
 			"all; with the size-epoch protocol the workload runs coherent and still " +
-			"scales with the server count, and batched publishes recover the fan's cost",
+			"scales with the server count",
 	}
 	latFig := &Figure{
 		ID:     "sharedfile-lat",
@@ -307,12 +284,10 @@ func (c Config) SharedFile() ([]*Figure, error) {
 		ID:     "sharedfile-coh",
 		Title:  "Size-coherence overhead vs server count",
 		XLabel: "servers (one file striped across)", YLabel: "OpSetSize RPCs per 100 data writes",
-		Series: []netpipe.Series{coh, cohBatched},
+		Series: []netpipe.Series{coh},
 		Unit:   "RPCs",
 		Expected: "per-write reconciliation approaches (N-1) RPCs per extending write as " +
-			"the cluster widens and vanishes on one server; the batched publish queue " +
-			"coalesces a window of ends into one combined round, dropping the amortized " +
-			"cost below one OpSetSize per write at every width",
+			"the cluster widens and vanishes on one server",
 	}
 	return []*Figure{bwFig, latFig, cohFig}, nil
 }

@@ -22,48 +22,12 @@ func TestSharedFileCoherent(t *testing.T) {
 		axis = append(axis, 8)
 	}
 	for _, s := range axis {
-		r, err := c.sfRun(s, chunks, false)
+		r, err := c.sfRun(s, chunks)
 		if err != nil {
 			t.Fatalf("%d servers: %v", s, err)
 		}
 		t.Logf("%d servers: %.1f MB/s, %d OpSetSize RPCs for %d writes (%.0f%%)",
 			s, r.mbps, r.setSizeRPCs, r.writeChunks, r.coherencePct)
-	}
-}
-
-// TestSharedFileBatchedPublishAmortizes is the batched-mode acceptance
-// bar: writers draining their size publishes through the coalescing
-// queue must end the run just as coherent (sfRun's built-in audit) at
-// an amortized cost below one OpSetSize per extending write — against
-// the N-1 the per-write fan pays. Short mode checks 4 servers only.
-func TestSharedFileBatchedPublishAmortizes(t *testing.T) {
-	c := DefaultConfig()
-	axis := []int{4, 8}
-	if testing.Short() {
-		axis = []int{4}
-	}
-	for _, s := range axis {
-		perWrite, err := c.sfRun(s, sfChunksPerWriter, false)
-		if err != nil {
-			t.Fatalf("%d servers per-write: %v", s, err)
-		}
-		batched, err := c.sfRun(s, sfChunksPerWriter, true)
-		if err != nil {
-			t.Fatalf("%d servers batched: %v", s, err)
-		}
-		perOp := float64(batched.setSizeRPCs) / float64(batched.writeChunks)
-		if perOp >= 1 {
-			t.Errorf("%d servers: batched publishes cost %.2f OpSetSize/write, want < 1", s, perOp)
-		}
-		if batched.setSizeRPCs == 0 {
-			t.Errorf("%d servers: batched run issued no publishes — the queue never drained through the wire", s)
-		}
-		if batched.setSizeRPCs >= perWrite.setSizeRPCs {
-			t.Errorf("%d servers: batched %d RPCs, want < per-write %d", s, batched.setSizeRPCs, perWrite.setSizeRPCs)
-		}
-		t.Logf("%d servers: per-write %d RPCs (%.2f/write), batched %d (%.2f/write)",
-			s, perWrite.setSizeRPCs, float64(perWrite.setSizeRPCs)/float64(perWrite.writeChunks),
-			batched.setSizeRPCs, perOp)
 	}
 }
 
@@ -73,14 +37,14 @@ func TestSharedFileBatchedPublishAmortizes(t *testing.T) {
 // size-extending write.
 func TestSharedFileCoherenceOverheadShape(t *testing.T) {
 	c := DefaultConfig()
-	one, err := c.sfRun(1, 4, false)
+	one, err := c.sfRun(1, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if one.setSizeRPCs != 0 {
 		t.Errorf("1 server issued %d OpSetSize RPCs, want 0", one.setSizeRPCs)
 	}
-	two, err := c.sfRun(2, 4, false)
+	two, err := c.sfRun(2, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,7 +22,7 @@
 // every one of them on every exit. The wire stays the block protocol's
 // own (one reply message per block, where an rfsrv read takes two), and
 // a request has no reply deadline yet: a server that dies with a
-// request in flight parks its waiter (ROADMAP item 4).
+// request in flight parks its waiter (ROADMAP item 7).
 package nbd
 
 import (

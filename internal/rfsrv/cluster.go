@@ -179,10 +179,8 @@ type Cluster struct {
 	sharded bool
 
 	// sz is the size coherence book (sizebook.go): the validated
-	// (size, epoch) cache every reply feeds and, with
-	// SetSizePublishBatch, the queue of deferred grow-only publishes.
-	// The cluster runs the fans; the book keeps every rule about what a
-	// cached size means.
+	// (size, epoch) cache every reply feeds. The cluster runs the fans;
+	// the book keeps every rule about what a cached size means.
 	sz sizeBook
 
 	// policy is the layout policy (SetLayoutPolicy); policyOn gates the
@@ -938,28 +936,10 @@ func (cl *Cluster) Write(p *sim.Proc, ino kernel.InodeID, off int64, src core.Ve
 	if v := cl.view; v != nil && v.migrating {
 		v.logWrite(ino, off, total)
 	}
-	if err := cl.publishEnd(p, lay, ino, off+int64(total), tail, false); err != nil {
+	if err := cl.setSizeTo(p, lay, ino, off+int64(total), tail); err != nil {
 		return &Resp{Status: StatusOf(err)}, err
 	}
 	return resp, nil
-}
-
-// publishEnd makes a new end of file known to every alive server: the
-// immediate grow-only fan (setSizeTo), or — in batched publish mode
-// (SetSizePublishBatch; whole-on-home files and one-server clusters
-// have nothing to reconcile either way) — an enqueue, the coalesced
-// batch flushing when the publish window fills, at the next metadata
-// operation, or right now when the caller's publish is a barrier.
-// Every part of a write has retired by the time it publishes, so a
-// window-triggered flush never contends with the write's own slots.
-func (cl *Cluster) publishEnd(p *sim.Proc, lay LayoutClass, ino kernel.InodeID, end int64, tail []int, barrier bool) error {
-	if cl.sz.batching() && lay != LayoutWhole && len(cl.pl.members) > 1 {
-		if cl.sz.enqueue(ino, end) || barrier {
-			return cl.FlushSizes(p)
-		}
-		return nil
-	}
-	return cl.setSizeTo(p, lay, ino, end, tail)
 }
 
 // finishWriteParts is the shared epilogue of the two replicated write
@@ -1063,15 +1043,8 @@ func (cl *Cluster) checkRunCoverage(runs []run, parts []*part) error {
 // asks about the file already holds the authoritative size — and with
 // replication, every write landed on the same replica set a re-homed
 // getattr walks. That class sidesteps the fan by placement (DESIGN.md
-// §10); every other layout now has a second way out, batched size
-// publishes (SetSizePublishBatch, DESIGN.md §11): instead of fanning
-// after every extending write, the cluster coalesces the highest
-// pending end per inode and flushes one combined OpSetSize batch per
-// server at the publish window, taking the per-write cost from N−1
-// round trips to an amortized fraction of one. This function is the
-// immediate (unbatched) path; publishEnd diverts to the book's queue
-// when a publish window is configured. figures.SmallFile audits the
-// whole-on-home zero and figures.SharedFile the amortized fraction.
+// §10); figures.SmallFile audits its zero and figures.SharedFile the
+// fan's cost on every other layout.
 func (cl *Cluster) setSizeTo(p *sim.Proc, lay LayoutClass, ino kernel.InodeID, end int64, skip []int) error {
 	if lay == LayoutWhole {
 		return nil
@@ -1121,10 +1094,7 @@ func (cl *Cluster) SetFileSize(p *sim.Proc, ino kernel.InodeID, size int64) erro
 	if lay, err = cl.maybePromote(p, ino, lay, size); err != nil {
 		return err
 	}
-	// A size publish IS a barrier: in batched mode everything pending
-	// flushes with it, so the caller's EOF is on every alive server when
-	// this returns (what ORFS write-behind's sync point needs).
-	return cl.publishEnd(p, lay, ino, size, nil, true)
+	return cl.setSizeTo(p, lay, ino, size, nil)
 }
 
 // ---- adaptive promotion ----
@@ -1657,14 +1627,6 @@ func (cl *Cluster) Meta(p *sim.Proc, req *Req) (*Resp, error) {
 		return &Resp{Status: StatusOf(err)}, err
 	}
 	defer cl.exitOp()
-	// Pending size publishes flush before any metadata operation, so a
-	// getattr after a batched write observes the written size and a
-	// namespace mutation never reorders ahead of the publishes that
-	// preceded it. (Data reads don't flush: an unpublished size only
-	// makes reads short, never wrong.)
-	if err := cl.FlushSizes(p); err != nil {
-		return &Resp{Status: StatusOf(err)}, err
-	}
 	if cl.sharded {
 		return cl.shardMeta(p, req)
 	}
@@ -1847,7 +1809,7 @@ func (cl *Cluster) noteMutation(req *Req, resp *Resp, err error) {
 type share struct {
 	slot int
 	reqs []*Req
-	idx  []int // each request's position in the caller's batch; empty when every share carries the whole list (a flush)
+	idx  []int // each request's position in the caller's batch
 	done int   // requests answered, or given up on
 	end  int   // where the flight on the wire ends
 	fl   *batchFlight
@@ -1883,21 +1845,14 @@ func (cl *Cluster) newShares() []share {
 // observed size epoch from BEHIND the book excludes its server like a
 // fault (sizeBook.behind: no retry can satisfy it).
 //
-// Two callers, two policies. A caller's batch (out non-nil) merges the
-// replies into out by position — replicated requests must agree on
-// (status, inode) — and does not retry: the first error, a fault and a
-// stale refusal included, ends the run with the round it surfaced in,
-// and the caller re-issues around whoever was excluded. A size flush
-// (out nil; the first npub requests of every share are the book's grow
-// publishes, tallied on SetSizes per flight) stands on the survivors:
-// faults are not errors, a refusal from ahead of the book reports stale
-// for the flush to revalidate and retry, a publish answered StNotFound
-// is moot rather than failed (sizeBook.settle), and an application
-// error is reported once every share has run out.
+// The replies merge into out by the caller's positions — replicated
+// requests must agree on (status, inode) — and nothing retries: the
+// first error, a fault and a stale refusal included, ends the run with
+// the round it surfaced in, and the caller re-issues around whoever
+// was excluded.
 //
 // allocfree
-func (cl *Cluster) runShares(p *sim.Proc, shares []share, out []*Resp, npub int) (stale bool, err error) {
-	strict := out != nil
+func (cl *Cluster) runShares(p *sim.Proc, shares []share, out []*Resp) (err error) {
 	for {
 		started := false
 		for k := range shares {
@@ -1908,22 +1863,18 @@ func (cl *Cluster) runShares(p *sim.Proc, shares []share, out []*Resp, npub int)
 			fl, end, serr := cl.sessions[sh.slot].startBatchFlight(p, sh.reqs, sh.done)
 			if serr != nil {
 				sh.done = len(sh.reqs)
-				fault := fabric.IsFault(serr)
-				if fault {
+				if fabric.IsFault(serr) {
 					cl.markDown(sh.slot)
 				}
-				if err == nil && (strict || !fault) {
+				if err == nil {
 					err = serr
 				}
 				continue
 			}
-			if pubs := min(end, npub) - min(sh.done, npub); pubs > 0 {
-				cl.SetSizes.Add(pubs)
-			}
 			sh.fl, sh.end, started = fl, end, true
 		}
 		if !started {
-			return stale, err
+			return err
 		}
 		for k := range shares {
 			sh := &shares[k]
@@ -1935,34 +1886,24 @@ func (cl *Cluster) runShares(p *sim.Proc, shares []share, out []*Resp, npub int)
 			for _, r := range resps {
 				cl.observeResp(r)
 			}
-			// rerr is the flight's first error once the refusals and moot
-			// answers a flush absorbs are set aside.
+			// rerr is the flight's first error.
 			var rerr error
 			lagging := false
 			for ri, r := range resps {
-				pos := sh.done + ri
-				if len(sh.idx) > 0 {
-					pos = sh.idx[pos]
-				}
+				pos := sh.idx[sh.done+ri]
 				var e error
 				switch {
 				case r == nil:
 					e = werr // never arrived: the flight's transport error
 				case r.Status == StStale && cl.sz.behind(r.Attr.Ino, r.Epoch):
 					lagging, e = true, ErrStaleEpoch
-				case r.Status == StStale && !strict:
-					stale = true
-				case !strict:
-					if !cl.sz.answered(pos, r.Status) {
-						e = ErrOf(r.Status)
-					}
 				case out[pos] != nil && r.Status != StStale && out[pos].Status != StStale &&
 					(r.Status != out[pos].Status || r.Attr.Ino != out[pos].Attr.Ino):
 					e = errDiverged
 				default:
 					e = ErrOf(r.Status)
 				}
-				if strict && out[pos] == nil {
+				if out[pos] == nil {
 					out[pos] = r
 				}
 				if e != nil && rerr == nil {
@@ -1970,17 +1911,16 @@ func (cl *Cluster) runShares(p *sim.Proc, shares []share, out []*Resp, npub int)
 				}
 			}
 			sh.done = sh.end
-			fault := lagging || werr != nil && fabric.IsFault(werr)
-			if fault {
+			if lagging || werr != nil && fabric.IsFault(werr) {
 				cl.markDown(sh.slot)
 				sh.done = len(sh.reqs)
 			}
-			if err == nil && (strict || !fault) {
+			if err == nil {
 				err = rerr
 			}
 		}
-		if strict && err != nil {
-			return stale, err
+		if err != nil {
+			return err
 		}
 	}
 }
@@ -2007,9 +1947,6 @@ func (cl *Cluster) MetaBatch(p *sim.Proc, reqs []*Req) ([]*Resp, error) {
 		return nil, err
 	}
 	defer cl.exitOp()
-	if err := cl.FlushSizes(p); err != nil {
-		return nil, err
-	}
 	if len(cl.aliveTargets(0, len(cl.pl.members), nil)) == 0 {
 		return nil, fmt.Errorf("rfsrv: MetaBatch: every server excluded: %w", fabric.ErrPeerDead)
 	}
@@ -2071,7 +2008,7 @@ func (cl *Cluster) MetaBatch(p *sim.Proc, reqs []*Req) ([]*Resp, error) {
 		// One share at a time (the documented order); a faulting server
 		// is excluded like on every other path, so the caller's
 		// re-issued batch routes around it.
-		if _, err := cl.runShares(p, shares[s:s+1], out, 0); err != nil {
+		if err := cl.runShares(p, shares[s:s+1], out); err != nil {
 			return out, err
 		}
 	}

@@ -1,9 +1,6 @@
 package rfsrv
 
-// Client half of the sharded namespace (DESIGN.md §11), plus the
-// flush of the batched size publishes both it and the replicated
-// cluster can use (the queue itself is the size book's, sizebook.go;
-// the per-server batches run through Cluster.runShares, cluster.go).
+// Client half of the sharded namespace (DESIGN.md §11).
 //
 // Ownership. Every directory — and every inode minted under it — has
 // a routing residue (placement.residue), which names the directory's
@@ -16,14 +13,14 @@ package rfsrv
 // create/unlink throughput scale with N instead of paying an N-way
 // fan per mutation.
 //
-// What still fans to everyone: exact size sets (truncate) and the
-// grow-only size publishes. File DATA is striped across all servers
-// regardless of namespace ownership, so every server's local size
-// matters to EOF clipping — a per-inode size authority would buy
-// nothing here, and keeping the fan preserves PR 5's size-coherence
-// machinery unchanged. Sharding therefore trades the O(N) namespace
-// fan away while leaving size coherence global; the batched publish
-// path amortizes the latter.
+// What still fans to everyone: exact size sets (truncate), the
+// grow-only size publishes and the scrub of an unlinked file's data.
+// File DATA is striped across all servers regardless of namespace
+// ownership, so every server's local size matters to EOF clipping — a
+// per-inode size authority would buy nothing here, and keeping the fan
+// preserves PR 5's size-coherence machinery unchanged. Sharding
+// therefore trades the O(N) namespace fan away while leaving size
+// coherence global.
 //
 // Rename. A rename within one owner group is a single fanned
 // OpRenameLocal. Across groups it is a three-phase protocol — prepare
@@ -44,11 +41,6 @@ import (
 	"repro/internal/sim"
 )
 
-// DefaultSizePublishBatch is the publish window EnableShardedNamespace
-// installs when none was configured: flush coalesced size publishes
-// every 16 enqueues.
-const DefaultSizePublishBatch = 16
-
 // EnableShardedNamespace switches the cluster from replicating every
 // namespace mutation to all N servers to directing each at its
 // directory's owner group. Call it once, right after construction and
@@ -64,85 +56,14 @@ func (cl *Cluster) EnableShardedNamespace() error {
 		return fmt.Errorf("%w: SetLayoutPolicy is already on", ErrShardLayoutConflict)
 	}
 	cl.sharded = true
-	if !cl.sz.batching() {
-		return cl.SetSizePublishBatch(DefaultSizePublishBatch)
-	}
 	return nil
 }
 
-// SetSizePublishBatch defers the write path's grow-only size
-// reconciliation: instead of fanning an OpSetSize to every server
-// after each extending write, the cluster records the highest pending
-// end-of-file per inode and flushes the coalesced set — one combined
-// request batch per server — every k enqueues, or at the next
-// metadata operation, SetFileSize or Rename, whichever comes first.
-// Between flushes other servers' local sizes lag (reads clip a little
-// early; getattr via this client is safe because metadata operations
-// flush first) — the trade every write-behind scheme makes, here
-// bounded by k. k must be positive; call before traffic. Mutually
-// exclusive with SetLayoutPolicy (whole-on-home files have no
-// reconciliation to batch, and the policy machinery predates the
-// publish queue).
-func (cl *Cluster) SetSizePublishBatch(k int) error {
-	if k < 1 {
-		return fmt.Errorf("rfsrv: size publish batch %d is not positive", k)
-	}
-	if cl.policyOn {
-		return fmt.Errorf("%w: batched size publishes require a policy-free cluster", ErrShardLayoutConflict)
-	}
-	cl.sz.setBatch(k)
-	return nil
-}
-
-// FlushSizes drains the publish queue: every pending grow-only
-// OpSetSize (in enqueue order, highest pending end per inode) and
-// every pending OpScrub — publishes first, so a scrubbed inode is
-// never re-grown by a publish queued before its unlink — packed into
-// one combined request batch per alive server, the per-server batches
-// in flight in parallel (runShares). A server that faults is excluded
-// (the grow mode is replayable; the alive servers are consistent,
-// which is all the cache records). StStale refusals — a foreign exact
-// size set raced the queue — refresh the cached epoch and the flush
-// retries under it; a publish for an inode someone else unlinked since
-// is moot, not an error (sizeBook.settle). Every metadata operation
-// starts with a flush, so a getattr after a batched write observes the
-// written size and a namespace mutation never reorders ahead of the
-// publishes that preceded it (data reads don't flush: an unpublished
-// size only makes reads short, never wrong). Exported for callers with
-// their own barriers (the figures harness audits sizes after a storm);
-// a no-op when nothing is pending.
-func (cl *Cluster) FlushSizes(p *sim.Proc) error {
-	if cl.sz.pending() {
-		if err := publish("batched size publish", func() (bool, error) { return cl.publishRound(p) }); err != nil {
-			return err
-		}
-	}
-	cl.sz.settle()
-	return nil
-}
-
-// publishRound runs one round of the flush: each alive member receives
-// the book's request list as combined batches through its window (a
-// list larger than the window or the 4 KB request buffer spans several
-// flights). stale reports whether any publish was refused under a
-// stale epoch.
-func (cl *Cluster) publishRound(p *sim.Proc) (stale bool, err error) {
-	reqs, npub := cl.sz.requests()
-	shares := cl.newShares()
-	for _, i := range cl.pl.members {
-		if cl.down[i] {
-			// The excluded member misses the scrubs in this flush (the
-			// grow publishes are replayable and are not journaled); record
-			// them so Reinstate reclaims the dead inodes there too.
-			for _, r := range reqs[npub:] {
-				cl.journalMut(i, *r, r.Ino, 0)
-			}
-			continue
-		}
-		shares[i].reqs = append(shares[i].reqs, reqs...)
-	}
-	return cl.runShares(p, shares, nil, npub)
-}
+// FlushSizes does nothing: every extending write publishes its end
+// before it returns, so there is never a size publish to drain. It
+// remains only because the meta_storm workload in bench/ still calls
+// it.
+func (cl *Cluster) FlushSizes(p *sim.Proc) error { return nil }
 
 // ---- sharded routing ----
 
@@ -326,9 +247,8 @@ func (cl *Cluster) shardMkdir(p *sim.Proc, dir kernel.InodeID, name string) (*Re
 
 // shardUnlink removes a dentry at its owner group. The group's answer
 // carries the victim's attributes; its object — and its data stripes,
-// which live on EVERY server — are reclaimed by a lazy OpScrub fan
-// that rides the next size-publish flush instead of costing this
-// unlink an N-way round.
+// which live on EVERY server — are reclaimed by an OpScrub fan
+// (scrubVictim).
 func (cl *Cluster) shardUnlink(p *sim.Proc, dir kernel.InodeID, name string) (*Resp, error) {
 	owner := cl.pl.residue(dir)
 	resp, err := cl.groupFan(p, owner, &Req{Op: OpUnlink, Ino: dir, Name: name})
@@ -337,40 +257,35 @@ func (cl *Cluster) shardUnlink(p *sim.Proc, dir kernel.InodeID, name string) (*R
 	}
 	cl.bumpGroupNs(owner)
 	cl.journalGroup(owner, Req{Op: OpUnlink, Ino: dir, Name: name}, resp.Attr.Ino, 0)
-	if err := cl.noteUnlinkVictim(p, resp.Attr.Ino, resp.Attr.Size); err != nil {
+	if err := cl.scrubVictim(p, resp.Attr.Ino, resp.Attr.Size); err != nil {
 		return &Resp{Status: StatusOf(err)}, err
 	}
 	return resp, nil
 }
 
-// noteUnlinkVictim queues the lazy cluster-wide scrub of a dead inode
-// and drops everything the book held for it — a queued size publish
-// must never resurrect an unlinked file's object on servers that
-// already scrubbed it, so the victim leaves the queue before the scrub
-// is queued (the flush also orders publishes before scrubs for the
-// same reason). ownerSize is the victim's size as the owner group
-// reported it with the unlink.
-func (cl *Cluster) noteUnlinkVictim(p *sim.Proc, victim kernel.InodeID, ownerSize int64) error {
+// scrubVictim reclaims a dead inode cluster-wide: one OpScrub fanned
+// to every alive member, and journaled for every excluded one so
+// Reinstate reclaims it there too. ownerSize is the victim's size as
+// the owner group reported it with the unlink.
+func (cl *Cluster) scrubVictim(p *sim.Proc, victim kernel.InodeID, ownerSize int64) error {
 	if victim == 0 {
 		return nil
 	}
 	if known := cl.sz.drop(victim); !known && ownerSize == 0 {
 		// The owner group never heard a size for the victim and this
-		// client has nothing cached or queued for it: non-owner servers
-		// only acquire foreign-owned state through data writes and size
-		// sets (see materializeOnDemand), and every flushed publish or
-		// exact truncate grows the owner too — so nothing remote exists
-		// and the owner-side unlink already reclaimed everything.
-		// Skipping the fan here is what keeps empty-file churn O(R), not
-		// O(N). (A foreign client's not-yet-flushed writes are invisible;
-		// the frames such a race strands are reclaimed only by that
-		// client's own churn — the lazy-reconciliation trade.)
+		// client has nothing cached for it: non-owner servers only
+		// acquire foreign-owned state through data writes and size sets
+		// (see materializeOnDemand), and every publish or exact truncate
+		// grows the owner too — so nothing remote exists and the
+		// owner-side unlink already reclaimed everything. Skipping the
+		// fan here is what keeps empty-file churn O(R), not O(N).
 		return nil
 	}
-	if cl.sz.scrub(victim) {
-		return cl.FlushSizes(p)
-	}
-	return nil
+	scrub := Req{Op: OpScrub, Ino: victim}
+	f := cl.fan(p, cl.aliveTargets(0, len(cl.pl.members), nil), &scrub)
+	// After the fan, so a member it excluded journals the scrub too.
+	cl.journalMutationAll(scrub, victim, 0)
+	return f.err
 }
 
 // shardRmdir removes a directory: resolve the victim at the parent's
@@ -422,9 +337,6 @@ func (cl *Cluster) Rename(p *sim.Proc, srcDir kernel.InodeID, srcName string, ds
 		return &Resp{Status: StatusOf(err)}, err
 	}
 	defer cl.exitOp()
-	if err := cl.FlushSizes(p); err != nil {
-		return &Resp{Status: StatusOf(err)}, err
-	}
 	local := &Req{Op: OpRenameLocal, Ino: srcDir, Off: int64(dstDir), Name: PackRenameNames(srcName, dstName)}
 	if err := ValidateReq(local); err != nil {
 		return &Resp{Status: StatusOf(err)}, err
@@ -620,12 +532,12 @@ func (cl *Cluster) shardMetaBatch(p *sim.Proc, reqs []*Req) ([]*Resp, error) {
 	}
 	// Every share runs in parallel rounds; on any error the caller
 	// re-issues.
-	if _, err := cl.runShares(p, shares, out, 0); err != nil {
+	if err := cl.runShares(p, shares, out); err != nil {
 		return out, err
 	}
 	// Post-batch rounds and bookkeeping, in request order: replicate
-	// fresh dentries (R > 1), bump the mutated groups, queue unlink
-	// victims for the lazy scrub.
+	// fresh dentries (R > 1), bump the mutated groups, scrub unlink
+	// victims.
 	for i, r := range reqs {
 		m := muts[i]
 		if m.owner < 0 || out[i] == nil || out[i].Status != StOK {
@@ -646,7 +558,7 @@ func (cl *Cluster) shardMetaBatch(p *sim.Proc, reqs []*Req) ([]*Resp, error) {
 		case OpUnlink:
 			cl.bumpGroupNs(m.owner)
 			cl.journalGroup(m.owner, *r, out[i].Attr.Ino, 0)
-			if err := cl.noteUnlinkVictim(p, out[i].Attr.Ino, out[i].Attr.Size); err != nil {
+			if err := cl.scrubVictim(p, out[i].Attr.Ino, out[i].Attr.Size); err != nil {
 				return out, err
 			}
 		}

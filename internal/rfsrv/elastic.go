@@ -494,7 +494,7 @@ func (cl *Cluster) replayRange(p *sim.Proc, i int, ino kernel.InodeID, r dirtyRa
 // This section is the only code that reaches into the servers directly
 // (SetResyncPeers) instead of over the wire — the simulation's stand-in
 // for an out-of-band bulk transfer, costing no simulated time and out
-// of reach of injected faults, and the one seam ROADMAP item 4 replaces
+// of reach of injected faults, and the one seam ROADMAP item 2 replaces
 // with wire ops. Its three callers (fullResync, Join's namespace seed,
 // memberStopWorld) compose the same pieces: one snapshot of the live
 // members, the store image and soft state of one ring position

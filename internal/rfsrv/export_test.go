@@ -41,3 +41,13 @@ func (cl *Cluster) StripeSize() int64 { return cl.pl.stripe }
 // ShardedNamespace reports whether namespace mutations route to owner
 // groups (EnableShardedNamespace) instead of fanning to every server.
 func (cl *Cluster) ShardedNamespace() bool { return cl.sharded }
+
+// JournaledReqs returns the requests server slot i's resync journal
+// holds, in order — what Reinstate will replay there.
+func (cl *Cluster) JournaledReqs(i int) []Req {
+	var out []Req
+	for _, op := range cl.jn.slot(i).ops {
+		out = append(out, op.req)
+	}
+	return out
+}

@@ -300,8 +300,7 @@ func TestShardRenameInDoubtReaddirWalk(t *testing.T) {
 
 // TestShardLayoutPolicyConflict pins the composition rule: the sharded
 // namespace and the per-file layout policy (§10) are mutually
-// exclusive in EITHER order — and so is the batched size publish,
-// which rides the sharded plumbing. The refusals must match
+// exclusive in EITHER order. The refusals must match
 // ErrShardLayoutConflict through errors.Is, including via the public
 // knapi alias.
 func TestShardLayoutPolicyConflict(t *testing.T) {
@@ -320,9 +319,7 @@ func TestShardLayoutPolicyConflict(t *testing.T) {
 			t.Fatal("refused policy engaged anyway")
 		}
 
-		// Order 2: policy first, then sharding (and then the batched
-		// publish, which needs a policy-free cluster for the same
-		// reason).
+		// Order 2: policy first, then sharding.
 		obs := r.observerRep(t, p, 1)
 		if err := obs.SetLayoutPolicy(rfsrv.LayoutPolicy{Adaptive: true}); err != nil {
 			t.Fatalf("SetLayoutPolicy on a plain cluster: %v", err)
@@ -333,10 +330,6 @@ func TestShardLayoutPolicyConflict(t *testing.T) {
 		}
 		if obs.ShardedNamespace() {
 			t.Fatal("refused sharding engaged anyway")
-		}
-		err = obs.SetSizePublishBatch(4)
-		if !errors.Is(err, rfsrv.ErrShardLayoutConflict) {
-			t.Fatalf("SetSizePublishBatch under a policy = %v, want ErrShardLayoutConflict", err)
 		}
 	})
 }

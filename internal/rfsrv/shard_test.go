@@ -6,9 +6,10 @@ package rfsrv_test
 // two legal states, and that Reinstate replays what the victim missed
 // before re-admitting it), owner-group failover to a replica member,
 // the ownership-scoped Reinstate contract (a foreign slice churning
-// journals nothing; an owned slice churning replays), and the batched
-// size-publish flush across a kill — all with window-idle and
-// pool-leak assertions on the new paths.
+// journals nothing; an owned slice churning replays), and the scrub
+// and size publish a sharded unlink and an extending write fan to
+// every server — all with window-idle and pool-leak assertions on the
+// new paths.
 
 import (
 	"errors"
@@ -336,61 +337,106 @@ func TestShardReinstateScopedToOwnedSlice(t *testing.T) {
 	})
 }
 
-// TestShardBatchedPublishFlush drives the coalescing size-publish
-// queue directly: extending writes below the batch threshold leave the
-// non-extreme servers' local sizes lagging, FlushSizes converges every
-// server on the global end in one combined round, and a flush across a
-// killed server excludes it and still converges the survivors.
-func TestShardBatchedPublishFlush(t *testing.T) {
-	r := newClusterRig(t, 3)
+// TestShardUnlinkScrubsEveryServer: a sharded unlink of a written file
+// fans the scrub of its data before it returns, so no alive server
+// holds the victim's object afterwards. A member the scrub fan finds
+// dead is excluded and journals the OpScrub, and Reinstate replays it
+// there.
+func TestShardUnlinkScrubsEveryServer(t *testing.T) {
+	r := newShardRig(t, 4, 1)
 	r.run(t, func(p *sim.Proc) {
-		cl := r.clusterRep(t, p, 4, testStripe, 1)
-		if err := cl.SetSizePublishBatch(4); err != nil {
-			t.Fatal(err)
-		}
-		ino := clusterCreate(t, p, cl, "f")
-		writeStripe := func(k int) {
-			va, vec := r.kbuf(t, testStripe)
-			if err := r.client.Kernel.WriteBytes(va, pattern(testStripe)); err != nil {
+		cl := r.shardClient(t, p, 1)
+		dir := mkdirRes(t, p, cl, 4, 0, "d")
+		written := func(name string) kernel.InodeID {
+			resp, err := cl.Meta(p, &rfsrv.Req{Op: rfsrv.OpCreate, Ino: dir, Name: name})
+			if err != nil {
 				t.Fatal(err)
 			}
-			if resp, err := cl.Write(p, ino, int64(k)*int64(testStripe), vec); err != nil || int(resp.N) != testStripe {
-				t.Fatalf("write stripe %d: n=%d err=%v", k, resp.N, err)
+			_, vec := r.kbuf(t, 4*testStripe) // one stripe on every server
+			if _, err := cl.Write(p, resp.Attr.Ino, 0, vec); err != nil {
+				t.Fatalf("write %s: %v", name, err)
+			}
+			return resp.Attr.Ino
+		}
+		holders := func(ino kernel.InodeID) (out []int) {
+			for i, fs := range r.serverFS {
+				if _, err := fs.Getattr(p, ino); err == nil {
+					out = append(out, i)
+				}
+			}
+			return out
+		}
+		unlink := func(name string) {
+			if _, err := cl.Meta(p, &rfsrv.Req{Op: rfsrv.OpUnlink, Ino: dir, Name: name}); err != nil {
+				t.Fatalf("unlink %s: %v", name, err)
 			}
 		}
-		for k := 0; k < 3; k++ {
-			writeStripe(k)
+		a, b := written("a"), written("b")
+		if h := holders(a); len(h) != 4 {
+			t.Fatalf("written file held by servers %v, want all four", h)
 		}
-		// Below the batch threshold nothing published: server 0 only
-		// saw its own stripe and must lag the global end.
-		if cl.SetSizes.N != 0 {
-			t.Fatalf("%d OpSetSize RPCs before the batch filled, want 0", cl.SetSizes.N)
-		}
-		if a, err := r.serverFS[0].Getattr(p, ino); err != nil || a.Size >= 3*int64(testStripe) {
-			t.Fatalf("server 0 size = %d, %v; want a lagging local size", a.Size, err)
-		}
-		if err := cl.FlushSizes(p); err != nil {
-			t.Fatalf("flush: %v", err)
-		}
-		if cl.SetSizes.N == 0 {
-			t.Fatal("flush issued no publishes")
-		}
-		for i, fs := range r.serverFS {
-			if a, err := fs.Getattr(p, ino); err != nil || a.Size != 3*int64(testStripe) {
-				t.Fatalf("server %d size after flush = %d, %v; want %d", i, a.Size, err, 3*testStripe)
-			}
+		unlink("a")
+		if h := holders(a); len(h) != 0 {
+			t.Fatalf("servers %v still hold the unlinked file", h)
 		}
 
-		// A flush across a kill: the dead server is excluded, the
-		// survivors still converge.
-		r.servers[2].NIC.Kill()
-		writeStripe(3) // stripe 3 lands on server 0
-		if err := cl.FlushSizes(p); err != nil {
-			t.Fatalf("flush across the kill: %v", err)
+		// Server 3 is not in the directory's owner group: only the scrub
+		// fan reaches it, finds it dead, and journals what it missed.
+		r.servers[3].NIC.Kill()
+		unlink("b")
+		if down := cl.DownServers(); len(down) != 1 || down[0] != 3 {
+			t.Fatalf("down servers = %v, want [3]", down)
 		}
-		for i := 0; i < 2; i++ {
-			if a, err := r.serverFS[i].Getattr(p, ino); err != nil || a.Size != 4*int64(testStripe) {
-				t.Fatalf("server %d size after degraded flush = %d, %v; want %d", i, a.Size, err, 4*testStripe)
+		if h := holders(b); len(h) != 1 || h[0] != 3 {
+			t.Fatalf("servers %v hold the unlinked file, want only the dead [3]", h)
+		}
+		if j := cl.JournaledReqs(3); len(j) != 1 || j[0].Op != rfsrv.OpScrub || j[0].Ino != b {
+			t.Fatalf("server 3's journal = %+v, want one OpScrub of inode %d", j, b)
+		}
+		r.servers[3].NIC.Revive()
+		p.Sleep(2 * faultTimeout)
+		if err := cl.Reinstate(p, 3); err != nil {
+			t.Fatalf("reinstate: %v", err)
+		}
+		if cl.ResyncOps.N != 1 {
+			t.Errorf("ResyncOps = %d, want the one replayed scrub", cl.ResyncOps.N)
+		}
+		if h := holders(b); len(h) != 0 {
+			t.Fatalf("servers %v hold the unlinked file after the replay", h)
+		}
+		assertWindowsIdle(t, cl)
+		r.checkNoLeaks(t)
+	})
+}
+
+// TestShardExtendingWritePublishesEnd: under sharding, an extending
+// Write publishes its end to every alive server before it returns —
+// each one's local size covers it — including after a member is
+// excluded mid-sequence.
+func TestShardExtendingWritePublishesEnd(t *testing.T) {
+	r := newShardRig(t, 4, 2)
+	r.run(t, func(p *sim.Proc) {
+		cl := r.shardClient(t, p, 2)
+		dir := mkdirRes(t, p, cl, 4, 1, "d")
+		resp, err := cl.Meta(p, &rfsrv.Req{Op: rfsrv.OpCreate, Ino: dir, Name: "f"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ino := resp.Attr.Ino
+		var end int64
+		for k, n := range []int{testStripe / 2, testStripe, 3*testStripe + 7, 100, 2 * testStripe} {
+			if k == 3 {
+				r.servers[2].NIC.Kill()
+			}
+			_, vec := r.kbuf(t, n)
+			if _, err := cl.Write(p, ino, end, vec); err != nil {
+				t.Fatalf("write %d [%d,+%d): %v", k, end, n, err)
+			}
+			end += int64(n)
+			for _, i := range aliveServers(cl, len(r.servers)) {
+				if a, err := r.serverFS[i].Getattr(p, ino); err != nil || a.Size < end {
+					t.Errorf("after write %d: server %d local size %d (err %v), want >= %d", k, i, a.Size, err, end)
+				}
 			}
 		}
 		if down := cl.DownServers(); len(down) != 1 || down[0] != 2 {

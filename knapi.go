@@ -358,12 +358,6 @@ const (
 	DefaultFSJournalBytes = rfsrv.DefaultJournalBytes
 )
 
-// DefaultFSSizePublishBatch is the publish window a sharded cluster
-// installs when none was configured (Cluster.SetSizePublishBatch
-// picks a different one): flush the coalesced grow-only size
-// publishes every 16 enqueues.
-const DefaultFSSizePublishBatch = rfsrv.DefaultSizePublishBatch
-
 // Layout classes a cluster file can carry (DESIGN.md §10): standard
 // round-robin striping (the default, bit-identical to the pre-layout
 // protocol), whole-on-home for small files (all bytes on the inode's

@@ -1,7 +1,7 @@
 package main
 
 // opexhaustive: protocol op and status tables must stay fully wired.
-// A new Op* constant (lease callbacks are coming, ROADMAP item 3)
+// A new Op* constant (lease callbacks, say, which are deferred)
 // must appear in the opNames table, the server dispatch, and the
 // resync replay engine before it ships; a new St* status must map to
 // a typed error. Half-wired ops historically surface as StIO at soak
