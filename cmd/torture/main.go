@@ -55,7 +55,7 @@ func main() {
 	fmt.Printf("torture soak: start seed %d, modes %v, elastic %v, budget %v\n", seed, modes, *elastic, *duration)
 
 	deadline := time.Now().Add(*duration)
-	runs, failures := 0, 0
+	first, runs, failures := seed, 0, 0
 	for time.Now().Before(deadline) {
 		for _, m := range modes {
 			cfg := torture.Config{Seed: seed, Mode: m, Elastic: *elastic}
@@ -75,7 +75,7 @@ func main() {
 		}
 		seed++
 	}
-	fmt.Printf("torture soak: %d runs, %d failures\n", runs, failures)
+	fmt.Printf("torture soak: %d seeds, %d runs, %d failures\n", seed-first, runs, failures)
 	if failures > 0 {
 		os.Exit(1)
 	}

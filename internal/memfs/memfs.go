@@ -566,7 +566,7 @@ func (fs *FS) store(ino *inode, off int64, n int, fill func(dst []byte)) {
 // readBytes copies [off, off+n) out of the block store into a fresh
 // slice. The data path (ReadDirect) does not use it; it stays for the
 // host-level readers that return an owned copy — ContentOf and
-// ReadRange, the replay and migration bulk channel.
+// ReadRange, the audits' view of one server's bytes.
 func (fs *FS) readBytes(ino *inode, off int64, n int) []byte {
 	out := make([]byte, 0, n)
 	fs.load(ino, off, n, func(src []byte) { out = append(out, src...) })

@@ -3,8 +3,9 @@
 // the namespace metadata a server holds — inode attributes, directory
 // entries, and the mint cursor — without data blocks; migration and
 // full-slice resync move it between servers directly (the simulation's
-// stand-in for an out-of-band bulk transfer), then re-copy data
-// stripes separately.
+// stand-in for an out-of-band bulk transfer of namespace images). Data
+// stripes never travel this way: the cluster re-copies them over the
+// wire with ordinary reads and writes.
 package memfs
 
 import (
@@ -159,8 +160,8 @@ func (fs *FS) SetInodePartitionFloor(index, count int, floor kernel.InodeID) {
 
 // ReadRange copies [off, off+n) of a file's bytes out of the block
 // store (holes and bytes past the last block read as zero), clipped to
-// the local size. Host-level: no simulated time, no CPU cost — the
-// migration bulk channel again.
+// the local size. Host-level: no simulated time, no CPU cost — an
+// audit's view of what one server holds.
 func (fs *FS) ReadRange(id kernel.InodeID, off int64, n int) []byte {
 	ino := fs.inodes[id]
 	if ino == nil || off >= ino.attr.Size {
@@ -170,26 +171,6 @@ func (fs *FS) ReadRange(id kernel.InodeID, off int64, n int) []byte {
 		n = int(ino.attr.Size - off)
 	}
 	return fs.readBytes(ino, off, n)
-}
-
-// WriteRange stores data at off, extending the file's local size, as
-// a host-level copy. An absent inode is created as a bare file stub —
-// data stripes land on servers that never saw the file's metadata,
-// exactly like the lazy materialization of the sharded write path.
-func (fs *FS) WriteRange(id kernel.InodeID, off int64, data []byte) error {
-	ino, err := fs.get(id)
-	if err != nil {
-		if err != kernel.ErrNotFound || id <= 1 {
-			return err
-		}
-		ino = &inode{
-			attr:   kernel.Attr{Ino: id, Kind: kernel.RegularFile},
-			blocks: make(map[int64]*mem.Frame),
-		}
-		fs.inodes[id] = ino
-	}
-	fs.writeBytes(ino, off, data)
-	return nil
 }
 
 // LocalSize returns the store's local size for an inode (0 when

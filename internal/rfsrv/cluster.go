@@ -78,12 +78,13 @@ package rfsrv
 // succeed as long as every run keeps one clean replica, and namespace
 // mutations simply skip it instead of reporting divergence. Exclusion
 // is one-way — an operator who knows the server recovered calls
-// Reinstate, which refuses to re-admit a server that missed namespace
-// mutations (the caller must resync its backing store out of band
-// first) and drops exactly the size-cache entries established during
-// the server's exclusion (sizeBook.readmit) — the ones whose
-// reconciliation fans skipped it — so the next write to an affected
-// file replays the grow-only OpSetSize reconciliation.
+// Reinstate (elastic.go, DESIGN.md §13), which first brings the server
+// up to date — replaying the resync journal of the mutations and data
+// writes it missed, or, when that journal spilled its bounds, a
+// full-slice resync — and then drops exactly the size-cache entries
+// established during the server's exclusion (sizeBook.readmit) — the
+// ones whose reconciliation fans skipped it — so the next write to an
+// affected file replays the grow-only OpSetSize reconciliation.
 // Application-level errors (EEXIST, EOF clipping, short writes) are
 // never treated as faults and fail the operation exactly as before.
 // With R=1 and no faults every path below is bit-identical to the
@@ -1316,7 +1317,7 @@ func (cl *Cluster) issueReads(p *sim.Proc, cp *clusterPending, off int64, dst co
 // replica → chunk order: each run goes to its primary and, with
 // replication, to the next R-1 alive servers, pipelined across the
 // per-server windows; a run longer than one request (a merged
-// single-server range or a wide stripe — synchronous writes only,
+// single-server range or a whole-on-home file — synchronous writes only,
 // StartWrite caps the whole operation at one request) is chunked at
 // MaxWriteChunk exactly like Session.Write. A replica whose transport
 // faults at issue is excluded and the others carry the run; a run no
@@ -1655,10 +1656,10 @@ func (cl *Cluster) Meta(p *sim.Proc, req *Req) (*Resp, error) {
 
 // hintCreate injects the adaptive policy's default layout class into an
 // unhinted create: new files start whole-on-home and are promoted when
-// they outgrow PromoteThreshold. Explicit hints (a caller that knows
-// the file will be huge asks for LayoutWide up front) pass through
-// untouched, as does everything when the policy is off — the request
-// is then byte-identical to the pre-layout protocol.
+// they outgrow PromoteThreshold. An explicit hint passes through
+// untouched (the server refuses a class it does not know with
+// StInval), as does everything when the policy is off — the request is
+// then byte-identical to the pre-layout protocol.
 func (cl *Cluster) hintCreate(req *Req) *Req {
 	if !cl.policyOn || !cl.policy.Adaptive || req.Len != 0 {
 		return req

@@ -17,14 +17,15 @@
 // epoch. Changes fail closed: an excluded member of either geometry
 // fails the change rather than being skipped (membersUp).
 //
-// Journals and the bulk channel (one section below: snapshot, rebuild,
-// copyStripes — the only code that touches servers other than over the
-// wire) are host-level bookkeeping: they cost no simulated time and
-// allocate nothing on the fault-free path, so a static-membership
-// cluster stays bit-identical. Everything a *returning or joining
-// server* is sent during replay and online migration, by contrast, is
-// real simulated traffic through the ordinary request path, competing
-// with live load.
+// Journals and the bulk channel (one section below: snapshot and
+// rebuild, the namespace image — the only code that touches servers
+// other than over the wire) are host-level bookkeeping: they cost no
+// simulated time and allocate nothing on the fault-free path, so a
+// static-membership cluster stays bit-identical. Every data byte a
+// returning, joining or re-placed server is sent — journal replay,
+// online and stop-world migration, full-slice resync — travels one
+// wire copier (copyRange): real simulated traffic through the ordinary
+// request path, competing with live load and within reach of faults.
 package rfsrv
 
 import (
@@ -56,9 +57,10 @@ func (cl *Cluster) SetJournalLimits(ops int, bytes int64) { cl.jn.limit(ops, byt
 
 // SetResyncPeers hands the cluster direct handles to its servers, in
 // session-slot order, modeling the out-of-band bulk channel a real
-// deployment would use for full-slice resync and membership-change
-// store rebuilds. Without peers, a spilled journal makes Reinstate
-// refuse (legacy behavior), and Join/Retire are unavailable.
+// deployment would use to move namespace images for full-slice resync
+// and membership changes (their data stripes copy over the wire).
+// Without peers, a spilled journal makes Reinstate refuse (legacy
+// behavior), and Join/Retire are unavailable.
 func (cl *Cluster) SetResyncPeers(servers []*Server) error {
 	if len(servers) != len(cl.sessions) {
 		return fmt.Errorf("rfsrv: %d resync peers for %d sessions", len(servers), len(cl.sessions))
@@ -144,14 +146,16 @@ func (cl *Cluster) journalRunDirty(ino kernel.InodeID, runs []run) {
 // against the returning server (namespace mutations in order with
 // size epochs aligned via OpSyncEpoch, then missed data stripes
 // re-read from live replicas and re-written — all real simulated
-// traffic); an unbounded amount (spilled journal) → full-slice resync
-// through the peers wired with SetResyncPeers, counted in
-// ReinstateRefusals. A replay that fails (transport fault mid-replay,
-// or a divergence the idempotent verbs cannot reconcile) leaves the
-// server excluded with the journal intact, so the caller can heal the
-// fault and call Reinstate again; replay is idempotent, so the retry
-// re-runs the whole journal safely. On success the size-cache entries
-// established during the exclusion are dropped, exactly as before.
+// traffic); an unbounded amount (spilled journal) → full-slice resync,
+// counted in ReinstateRefusals: the namespace image through the peers
+// wired with SetResyncPeers, then every stripe the server holds
+// re-copied over the wire. A replay or resync that fails (transport
+// fault mid-copy, or a divergence the idempotent verbs cannot
+// reconcile) leaves the server excluded with the journal intact (or
+// still spilled), so the caller can heal the fault and call Reinstate
+// again; both are idempotent, so the retry re-runs the whole journal or
+// resync safely. On success the size-cache entries established during
+// the exclusion are dropped, exactly as before.
 func (cl *Cluster) Reinstate(p *sim.Proc, i int) error {
 	if i < 0 || i >= len(cl.sessions) {
 		return fmt.Errorf("rfsrv: reinstate server %d: no such server", i)
@@ -166,7 +170,7 @@ func (cl *Cluster) Reinstate(p *sim.Proc, i int) error {
 		if cl.peers == nil {
 			return fmt.Errorf("rfsrv: reinstate server %d: resync journal spilled its bounds and no resync peers are wired; resync its backing store out of band first", i)
 		}
-		if err := cl.fullResync(i); err != nil {
+		if err := cl.fullResync(p, i); err != nil {
 			return fmt.Errorf("rfsrv: reinstate server %d: full-slice resync: %w", i, err)
 		}
 	case j.empty() && cl.downNs[i] != cl.nsEpochs[i]:
@@ -194,7 +198,9 @@ func (cl *Cluster) replayJournal(p *sim.Proc, i int, j *resyncJournal) error {
 	}
 	for _, ino := range j.order {
 		for _, r := range j.dirty[ino] {
-			if err := cl.replayRange(p, i, ino, r); err != nil {
+			// The journaled ops already gave i the authoritative size, so
+			// a range the file has since shrunk out of is simply not copied.
+			if err := cl.copyRange(p, ino, r.off, r.n, []int{i}, &cl.ResyncBytes); err != nil {
 				return fmt.Errorf("replay data %d@[%d,%d): %w", ino, r.off, r.off+int64(r.n), err)
 			}
 		}
@@ -445,43 +451,47 @@ func (cl *Cluster) verifyEntry(p *sim.Proc, i int, dir kernel.InodeID, name stri
 	return nil
 }
 
-// replayRange re-copies one dirty byte range to the returning server:
-// read through the cluster's live placement (real striped reads, with
-// failover), written straight to server i at the same global offsets.
-// A short or empty read means the file shrank or vanished since the
-// write — the journaled ops already gave i the authoritative size, so
-// the tail is simply not copied.
-func (cl *Cluster) replayRange(p *sim.Proc, i int, ino kernel.InodeID, r dirtyRange) error {
-	off, end := r.off, r.off+int64(r.n)
-	for off < end {
-		n := int(end - off)
-		if n > MaxWriteChunk {
-			n = MaxWriteChunk
-		}
-		vec, err := cl.stagingVec(n)
+// copyRange is the one stripe copier (DESIGN.md §7): it reads
+// [off, off+n) of a file through the cluster's live placement — real
+// striped reads with failover, one MaxWriteChunk at a time into the
+// staging buffer — and writes what it got straight to every slot of to
+// at the same global offsets, adding each write's bytes to moved. A
+// short or empty read means the file ends there, and an unlinked file
+// has nothing left to copy; whoever calls has already settled the
+// targets' sizes or will. A target whose transport faults is excluded
+// and fails the copy.
+func (cl *Cluster) copyRange(p *sim.Proc, ino kernel.InodeID, off int64, n int, to []int, moved *sim.Counter) error {
+	for end := off + int64(n); off < end; {
+		want := int(min(end-off, MaxWriteChunk))
+		vec, err := cl.stagingVec(want)
 		if err != nil {
 			return err
 		}
 		rresp, err := cl.Read(p, ino, off, vec)
+		if errors.Is(err, kernel.ErrNotFound) {
+			return nil
+		}
 		if err != nil {
-			if errors.Is(err, kernel.ErrNotFound) {
-				return nil // unlinked since the write
-			}
 			return err
 		}
 		got := int(rresp.N)
-		if got <= 0 {
-			return nil // past the file's current end
+		if got == 0 {
+			return nil
 		}
-		wresp, err := cl.sessions[i].c.ctlWrite(p, ino, off, vec.Slice(0, got))
-		if err != nil {
-			return err
+		for _, slot := range to {
+			wresp, err := cl.sessions[slot].c.ctlWrite(p, ino, off, vec.Slice(0, got))
+			if err != nil {
+				if fabric.IsFault(err) {
+					cl.markDown(slot)
+				}
+				return fmt.Errorf("copy to server %d: %w", slot, err)
+			}
+			if int(wresp.N) != got {
+				return fmt.Errorf("short copy to server %d: %d of %d bytes", slot, wresp.N, got)
+			}
+			moved.Add(got)
 		}
-		if int(wresp.N) != got {
-			return fmt.Errorf("short resync write: %d of %d bytes", wresp.N, got)
-		}
-		cl.ResyncBytes.Add(got)
-		if got < n {
+		if got < want {
 			return nil
 		}
 		off += int64(got)
@@ -493,12 +503,13 @@ func (cl *Cluster) replayRange(p *sim.Proc, i int, ino kernel.InodeID, r dirtyRa
 //
 // This section is the only code that reaches into the servers directly
 // (SetResyncPeers) instead of over the wire — the simulation's stand-in
-// for an out-of-band bulk transfer, costing no simulated time and out
-// of reach of injected faults, and the one seam ROADMAP item 2 replaces
-// with wire ops. Its three callers (fullResync, Join's namespace seed,
-// memberStopWorld) compose the same pieces: one snapshot of the live
-// members, the store image and soft state of one ring position
-// (rebuild), and a stripe copier driven by placement.delta.
+// for an out-of-band bulk transfer of namespace images, costing no
+// simulated time and out of reach of injected faults, and the one seam
+// ROADMAP item 2 replaces with wire ops. It moves metadata only; data
+// stripes follow over the wire (copyRange). Its three callers
+// (fullResync, Join's namespace seed, memberStopWorld) compose the same
+// two pieces: one snapshot of the live members, and the store image and
+// soft state of one ring position (rebuild).
 
 // snapshot is the cluster's authoritative state read from its live
 // members, plus the opened channel itself: every peer's server and
@@ -632,28 +643,17 @@ func (snap *snapshot) rebuild(pl placement, pos int, fresh bool) {
 	}
 }
 
-// copyStripes copies every stripe fragment some slot holds under next
-// but not under old (old.delta) from its longest live old-geometry
-// replica to those slots, counting the bytes on moved.
-func (cl *Cluster) copyStripes(snap *snapshot, old, next placement, moved *sim.Counter) error {
+// copyFiles copies, over the wire, every stripe fragment of the
+// snapshot's files that some slot holds under next but not under old
+// (old.delta) to those slots, counting the bytes on moved. It checks no
+// exclusion itself: a target already excluded still answers or faults,
+// and what decides whether the copy counts comes after it — the
+// cutover's membersUp, the resync target's readmission.
+func (cl *Cluster) copyFiles(p *sim.Proc, snap *snapshot, old, next placement, moved *sim.Counter) error {
 	for _, ino := range snap.files {
 		for _, mv := range old.delta(next, 0, snap.nodes[ino].Attr.Size) {
-			var data []byte
-			for j, was := 0, old.owner(LayoutStandard, ino, mv.off); j < old.replicas; j++ {
-				if src := old.slot(was, j); src >= 0 && !cl.down[src] {
-					if d := snap.store[src].ReadRange(ino, mv.off, mv.n); len(d) > len(data) {
-						data = d
-					}
-				}
-			}
-			if len(data) == 0 {
-				continue
-			}
-			for _, slot := range mv.to {
-				if err := snap.store[slot].WriteRange(ino, mv.off, data); err != nil {
-					return err
-				}
-				moved.Add(len(data))
+			if err := cl.copyRange(p, ino, mv.off, mv.n, mv.to, moved); err != nil {
+				return err
 			}
 		}
 	}
@@ -663,8 +663,11 @@ func (cl *Cluster) copyStripes(snap *snapshot, old, next placement, moved *sim.C
 // fullResync rebuilds excluded member slot i from the live members —
 // the fallback when its resync journal spilled: store and soft state
 // from the snapshot, then the stripes it holds under the current
-// placement re-copied from their live replicas.
-func (cl *Cluster) fullResync(i int) error {
+// placement re-copied over the wire. The image goes first because the
+// slot stays excluded until the copy succeeds: no client reads it in
+// between, and a copy that faults leaves it excluded and spilled for
+// the next Reinstate to redo both.
+func (cl *Cluster) fullResync(p *sim.Proc, i int) error {
 	if cl.policyOn {
 		return errors.New("full-slice resync under an adaptive layout policy is not supported")
 	}
@@ -677,7 +680,7 @@ func (cl *Cluster) fullResync(i int) error {
 		return err
 	}
 	snap.rebuild(cl.pl, pos, true)
-	return cl.copyStripes(snap, cl.pl.vacate(pos), cl.pl, &cl.ResyncBytes)
+	return cl.copyFiles(p, snap, cl.pl.vacate(pos), cl.pl, &cl.ResyncBytes)
 }
 
 // --- Membership view and operation gates ---
@@ -1143,37 +1146,18 @@ func (cl *Cluster) memberOnline(p *sim.Proc, members []int) error {
 }
 
 // migrateRange copies [off, off+n) of a file to the slots that hold it
-// under next but not under the authoritative old geometry (old.delta):
-// striped reads through the live cluster, direct writes to each target
-// — real simulated traffic competing with client load. An excluded
-// target fails the change (membersUp): skipping it would leave a hole
-// the cutover then commits.
+// under next but not under the authoritative old geometry (old.delta),
+// one stripe fragment at a time through the wire copier — real
+// simulated traffic competing with client load. An excluded target
+// fails the change before its fragment is read (membersUp): skipping it
+// would leave a hole the cutover then commits.
 func (cl *Cluster) migrateRange(p *sim.Proc, ino kernel.InodeID, off, n int64, old, next placement) error {
 	for _, mv := range old.delta(next, off, n) {
 		if err := cl.membersUp(mv.to); err != nil {
 			return err
 		}
-		vec, err := cl.stagingVec(mv.n)
-		if err != nil {
+		if err := cl.copyRange(p, ino, mv.off, mv.n, mv.to, &cl.Migrated); err != nil {
 			return err
-		}
-		rresp, err := cl.Read(p, ino, mv.off, vec)
-		if err != nil {
-			return err
-		}
-		got := int(rresp.N)
-		if got == 0 {
-			continue
-		}
-		for _, slot := range mv.to {
-			wresp, err := cl.sessions[slot].c.ctlWrite(p, ino, mv.off, vec.Slice(0, got))
-			if err != nil {
-				return err
-			}
-			if int(wresp.N) != got {
-				return fmt.Errorf("short migration write to server %d: %d of %d bytes", slot, wresp.N, got)
-			}
-			cl.Migrated.Add(got)
 		}
 	}
 	return nil
@@ -1217,13 +1201,13 @@ func (cl *Cluster) publishGrow(p *sim.Proc, slot int, ino kernel.InodeID, size i
 
 // memberStopWorld is the sharded membership change: every client
 // fences, in-flight operations drain, and the operator rebuilds the
-// world under the new geometry — OpMember re-partitions every server's
-// ownership map and minting floor, every new member is rebuilt from
-// the authoritative old-geometry snapshot, and stripes copy to their
-// new replica sets, all through the bulk channel. Re-sharding the
-// directory slices of a live namespace incrementally is follow-up
-// work; the stop-world window makes the geometry swap atomic for every
-// client attached to the view.
+// world under the new geometry — stripes copy to their new replica sets
+// over the wire, OpMember re-partitions every server's ownership map
+// and minting floor, and every new member is rebuilt from the
+// authoritative old-geometry snapshot through the bulk channel.
+// Re-sharding the directory slices of a live namespace incrementally is
+// follow-up work; the stop-world window makes the geometry swap atomic
+// for every client attached to the view.
 func (cl *Cluster) memberStopWorld(p *sim.Proc, members []int) error {
 	v := cl.view
 	v.fenceMut, v.fenceAll = true, true
@@ -1243,7 +1227,15 @@ func (cl *Cluster) memberStopWorld(p *sim.Proc, members []int) error {
 		floor = max(floor, snap.store[slot].MaxIno())
 	}
 
-	// Commit the new geometry first: servers swap ownership maps and
+	// Copy before anything commits: nothing a copy writes changes what a
+	// client sees — every write is additive below the file's size, and
+	// the exact-size rebuild keeps those blocks — so a copy that faults
+	// fails the change with every server's member epoch and the view as
+	// they were.
+	if err := cl.copyFiles(p, snap, old, next, &cl.Migrated); err != nil {
+		return err
+	}
+	// Then commit the new geometry: servers swap ownership maps and
 	// minting partitions while the world is stopped, so the rebuild
 	// below lands on servers that already route by the new residues.
 	epoch := v.epoch + 1
@@ -1252,9 +1244,6 @@ func (cl *Cluster) memberStopWorld(p *sim.Proc, members []int) error {
 	}
 	for pos, slot := range next.members {
 		snap.rebuild(next, pos, old.pos(slot) < 0)
-	}
-	if err := cl.copyStripes(snap, old, next, &cl.Migrated); err != nil {
-		return err
 	}
 	cl.flipView(next, epoch)
 	return nil

@@ -7,9 +7,12 @@ package rfsrv_test
 // refusing without peers), live Join/Retire with online stripe
 // migration, a kill mid-Join leaving committed state clean and
 // retryable, an old member excluded mid-Join failing the change closed,
-// the sharded stop-world Bounce, and the stale-membership latch on
-// viewless clients. Every store rebuild ends on assertPlacementHeld. Every fault path ends on the usual bars:
-// window slots idle, pooled staging leak-free.
+// the sharded stop-world Bounce, a fault in the wire copy of a Bounce
+// or of a spilled journal's full resync committing nothing, the
+// Bounce's copy costing wire time, and the stale-membership latch on
+// viewless clients. Every store rebuild ends on assertPlacementHeld.
+// Every fault path ends on the usual bars: window slots idle, pooled
+// staging leak-free.
 
 import (
 	"bytes"
@@ -17,6 +20,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/fabric"
 	"repro/internal/kernel"
 	"repro/internal/mem"
 	"repro/internal/rfsrv"
@@ -540,21 +544,8 @@ func TestElasticJoinOldMemberExcludedMidMigration(t *testing.T) {
 func TestElasticBounceStopWorldSharded(t *testing.T) {
 	r := newShardRig(t, 4, 2)
 	r.run(t, func(p *sim.Proc) {
-		cl := r.shardClient(t, p, 2)
-		if err := cl.SetResyncPeers(r.rsrv); err != nil {
-			t.Fatal(err)
-		}
-		view := cl.ShareView()
 		const size = 6 * testStripe
-		dir := mkdirRes(t, p, cl, 4, 1, "dir")
-		resp, err := cl.Meta(p, &rfsrv.Req{Op: rfsrv.OpCreate, Ino: dir, Name: "f"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ino := resp.Attr.Ino
-		expect := pattern(size)
-		elasticWrite(t, p, r, cl, ino, 0, expect)
-
+		cl, view, dir, ino, expect := shardedFile(t, p, r, size)
 		members := view.Members()
 		if err := cl.Bounce(p, 1); err != nil {
 			t.Fatalf("bounce: %v", err)
@@ -564,6 +555,194 @@ func TestElasticBounceStopWorldSharded(t *testing.T) {
 		}
 		if a, err := cl.Meta(p, &rfsrv.Req{Op: rfsrv.OpLookup, Ino: dir, Name: "f"}); err != nil || a.Attr.Ino != ino {
 			t.Fatalf("lookup after bounce: ino=%d err=%v, want %d", a.Attr.Ino, err, ino)
+		}
+		if got := elasticReadBack(t, p, r, cl, ino, size); !bytes.Equal(got, expect) {
+			t.Fatal("read after bounce returned wrong bytes")
+		}
+		assertPlacementHeld(t, p, r, cl, view, ino, expect)
+		assertWindowsIdle(t, cl)
+		r.checkNoLeaks(t)
+	})
+}
+
+// shardedFile builds the sharded R=2 operator of a Bounce over the rig
+// (resync peers wired, view shared) and writes one file of size bytes
+// into a directory owned by server 1's group. It returns the cluster,
+// its view, the directory, the file and the file's bytes.
+func shardedFile(t *testing.T, p *sim.Proc, r *clusterRig, size int) (*rfsrv.Cluster, *rfsrv.MemberView, kernel.InodeID, kernel.InodeID, []byte) {
+	t.Helper()
+	cl := r.shardClient(t, p, 2)
+	if err := cl.SetResyncPeers(r.rsrv); err != nil {
+		t.Fatal(err)
+	}
+	view := cl.ShareView()
+	dir := mkdirRes(t, p, cl, len(r.servers), 1, "dir")
+	resp, err := cl.Meta(p, &rfsrv.Req{Op: rfsrv.OpCreate, Ino: dir, Name: "f"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	expect := pattern(size)
+	elasticWrite(t, p, r, cl, resp.Attr.Ino, 0, expect)
+	return cl, view, dir, resp.Attr.Ino, expect
+}
+
+// killWhen spawns a proc that cuts node's NIC the first instant cond
+// holds, polling every microsecond; the returned func stops it.
+func killWhen(r *clusterRig, node int, cond func() bool) (stop func()) {
+	done := false
+	r.env.Spawn("killer", func(kp *sim.Proc) {
+		for !done {
+			if cond() {
+				r.servers[node].NIC.Kill()
+				return
+			}
+			kp.Sleep(time.Microsecond)
+		}
+	})
+	return func() { done = true }
+}
+
+// TestElasticBounceFaultMidCopyCommitsNothing cuts a receiving
+// server's NIC while a sharded Bounce copies stripes over the wire.
+// The copy runs before anything commits, so the Bounce must fail with
+// a fault and leave every server's member epoch, the shared view and
+// every byte as they were; after Revive + Reinstate a retried Bounce
+// completes with every byte intact.
+func TestElasticBounceFaultMidCopyCommitsNothing(t *testing.T) {
+	r := newShardRig(t, 4, 2)
+	r.run(t, func(p *sim.Proc) {
+		const size = 48 * testStripe
+		cl, view, _, ino, expect := shardedFile(t, p, r, size)
+		members := view.Members()
+
+		// Bouncing 1 first retires it, and servers 0, 2 and 3 receive the
+		// stripes it held: cut 3 once that copy is under way.
+		stop := killWhen(r, 3, func() bool { return cl.Migrated.Bytes > 0 })
+		err := cl.Bounce(p, 1)
+		stop()
+		if !fabric.IsFault(err) {
+			t.Fatalf("bounce with a receiver cut mid-copy: err = %v, want a fault", err)
+		}
+		if m := view.Members(); !equalInts(m, members) || view.Epoch() != 0 {
+			t.Fatalf("failed bounce moved the view: members %v epoch %d", m, view.Epoch())
+		}
+		for i, srv := range r.rsrv {
+			if e := srv.MemberEpoch(); e != 0 {
+				t.Errorf("server %d committed member epoch %d during a bounce that failed", i, e)
+			}
+		}
+		if got := elasticReadBack(t, p, r, cl, ino, size); !bytes.Equal(got, expect) {
+			t.Fatal("read after the failed bounce returned wrong bytes")
+		}
+		assertWindowsIdle(t, cl)
+		r.checkNoLeaks(t)
+
+		r.servers[3].NIC.Revive()
+		for _, s := range cl.DownServers() {
+			if err := cl.Reinstate(p, s); err != nil {
+				t.Fatalf("reinstate slot %d before retry: %v", s, err)
+			}
+		}
+		if err := cl.Bounce(p, 1); err != nil {
+			t.Fatalf("bounce retry: %v", err)
+		}
+		if m := view.Members(); !equalInts(m, members) || view.Epoch() != 2 {
+			t.Fatalf("after retried bounce: members %v epoch %d, want %v epoch 2", m, view.Epoch(), members)
+		}
+		if got := elasticReadBack(t, p, r, cl, ino, size); !bytes.Equal(got, expect) {
+			t.Fatal("read after the retried bounce returned wrong bytes")
+		}
+		assertPlacementHeld(t, p, r, cl, view, ino, expect)
+		assertWindowsIdle(t, cl)
+		r.checkNoLeaks(t)
+	})
+}
+
+// TestElasticSpillResyncFaultMidCopy cuts the returning server's NIC
+// while the full-slice resync of its spilled journal copies stripes
+// back over the wire: Reinstate must fail with the slot still excluded
+// and its journal still spilled, and succeed — byte-exact through the
+// returning server — once the NIC is revived.
+func TestElasticSpillResyncFaultMidCopy(t *testing.T) {
+	r := newClusterRig(t, 3)
+	r.run(t, func(p *sim.Proc) {
+		cl := r.clusterRep(t, p, 4, testStripe, 2)
+		if err := cl.SetResyncPeers(r.rsrv); err != nil {
+			t.Fatal(err)
+		}
+		cl.SetJournalLimits(1, 0)
+		const size = 12 * testStripe
+		ino := clusterCreate(t, p, cl, "f")
+		expect := pattern(size)
+		elasticWrite(t, p, r, cl, ino, 0, expect)
+
+		r.servers[1].NIC.Kill()
+		for _, name := range []string{"d1", "d2"} {
+			if _, err := cl.Meta(p, &rfsrv.Req{Op: rfsrv.OpMkdir, Ino: 0, Name: name}); err != nil {
+				t.Fatalf("mkdir %s: %v", name, err)
+			}
+		}
+		for i, b := range expect {
+			expect[i] = b ^ 0x42
+		}
+		elasticWrite(t, p, r, cl, ino, 0, expect)
+		if !cl.JournalSpilled(1) {
+			t.Fatal("two mutations under a one-op cap did not spill the journal")
+		}
+
+		r.servers[1].NIC.Revive()
+		stop := killWhen(r, 1, func() bool { return cl.ResyncBytes.Bytes > 0 })
+		err := cl.Reinstate(p, 1)
+		stop()
+		if err == nil {
+			t.Fatal("reinstate with the target cut mid-copy: want error")
+		}
+		if down := cl.DownServers(); !equalInts(down, []int{1}) {
+			t.Fatalf("down = %v after the failed resync, want [1]", down)
+		}
+		if !cl.JournalSpilled(1) {
+			t.Fatal("the failed resync unspilled the journal; the retry would replay nothing")
+		}
+		assertWindowsIdle(t, cl)
+		r.checkNoLeaks(t)
+
+		r.servers[1].NIC.Revive()
+		if err := cl.Reinstate(p, 1); err != nil {
+			t.Fatalf("reinstate retry: %v", err)
+		}
+		if down := cl.DownServers(); len(down) != 0 {
+			t.Fatalf("down = %v after the retry, want none", down)
+		}
+		assertPlacementHeld(t, p, r, cl, nil, ino, expect)
+		r.servers[0].NIC.Kill()
+		if got := elasticReadBack(t, p, r, cl, ino, size); !bytes.Equal(got, expect) {
+			t.Error("read through the resynced server returned wrong bytes")
+		}
+		assertWindowsIdle(t, cl)
+		r.checkNoLeaks(t)
+	})
+}
+
+// TestElasticBounceCopyTakesWireTime pins that a stop-world Bounce's
+// stripe copy is real traffic: every migrated byte leaves the
+// operator's node through its one link, so a Bounce that moves several
+// MB takes at least Migrated.Bytes ÷ link bandwidth of virtual time.
+func TestElasticBounceCopyTakesWireTime(t *testing.T) {
+	r := newShardRig(t, 4, 2)
+	r.run(t, func(p *sim.Proc) {
+		const size = 4 << 20
+		cl, view, _, ino, expect := shardedFile(t, p, r, size)
+		start, before := p.Now(), cl.Migrated.Bytes
+		if err := cl.Bounce(p, 1); err != nil {
+			t.Fatalf("bounce: %v", err)
+		}
+		took, moved := p.Now()-start, cl.Migrated.Bytes-before
+		if moved < size {
+			t.Fatalf("bounce of a %d-byte file moved %d bytes, want several MB", size, moved)
+		}
+		hwc := r.rig.HW
+		if floor := hwc.Params.LinkTime(hwc.Model, int(moved)); took < floor {
+			t.Errorf("bounce moved %d bytes in %v, less than their %v on one link", moved, took, floor)
 		}
 		if got := elasticReadBack(t, p, r, cl, ino, size); !bytes.Equal(got, expect) {
 			t.Fatal("read after bounce returned wrong bytes")

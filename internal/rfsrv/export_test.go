@@ -20,6 +20,10 @@ func (s *Server) RepliesInFlight() int {
 // done).
 func (s *Server) ZeroFrameRefs() int { return s.zero.RefCount() }
 
+// MemberEpoch returns the membership epoch this server last committed
+// (OpMember) — the one its replies stamp.
+func (s *Server) MemberEpoch() uint64 { return s.member }
+
 // Read-only views of a cluster's configuration, for the tests that
 // rebuild or audit one.
 

@@ -46,7 +46,7 @@ func FuzzDecodeReq(f *testing.F) {
 func FuzzDecodeResp(f *testing.F) {
 	for _, resp := range []*Resp{
 		{Seq: 3, Status: StNotFound},
-		{Seq: 1 << 50, Attr: kernel.Attr{Ino: 5, Kind: kernel.RegularFile, Size: 1 << 40}, Epoch: 9, MemberEpoch: 5, Layout: LayoutWide, N: 4096},
+		{Seq: 1 << 50, Attr: kernel.Attr{Ino: 5, Kind: kernel.RegularFile, Size: 1 << 40}, Epoch: 9, MemberEpoch: 5, Layout: LayoutWhole, N: 4096},
 		{Seq: 4, Attr: kernel.Attr{Ino: 1, Kind: kernel.Directory}, Entries: []kernel.DirEntry{{Ino: 2, Kind: kernel.RegularFile, Name: "f"}, {Ino: 3, Kind: kernel.Directory, Name: ""}}},
 	} {
 		enc, err := EncodeResp(resp)

@@ -2,13 +2,14 @@ package rfsrv_test
 
 // Layout-policy edge-case tests (DESIGN.md §10): adaptive promotion of
 // a whole-on-home file mid-write (with byte-exact migration of the
-// pre-promotion bytes), EOF landing exactly on / one byte either side
-// of a wide-stripe boundary, replica placement and failover of a
-// replicated whole-on-home file, and the guarantee that every layout
-// policy is inert on a one-server cluster.
+// pre-promotion bytes), the refusal of a create hinting an unknown
+// class, replica placement and failover of a replicated whole-on-home
+// file, and the guarantee that every layout policy is inert on a
+// one-server cluster.
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"repro/internal/kernel"
@@ -16,17 +17,6 @@ import (
 	"repro/internal/rfsrv"
 	"repro/internal/sim"
 )
-
-// layoutCreate creates a file with an explicit layout hint and returns
-// its inode.
-func layoutCreate(t *testing.T, p *sim.Proc, cl *rfsrv.Cluster, name string, hint rfsrv.LayoutClass) kernel.InodeID {
-	t.Helper()
-	resp, err := cl.Meta(p, &rfsrv.Req{Op: rfsrv.OpCreate, Ino: 0, Name: name, Len: uint32(hint)})
-	if err != nil {
-		t.Fatalf("create %s (hint %v): %v", name, hint, err)
-	}
-	return resp.Attr.Ino
-}
 
 // writeAt writes data at off through the cluster, failing the test on
 // any error or short write.
@@ -134,67 +124,24 @@ func TestClusterWholePromotedMidWrite(t *testing.T) {
 	})
 }
 
-// TestClusterWideEOFAtStripeBoundary creates explicitly-hinted
-// LayoutWide files whose EOF lands one byte before, exactly on, and
-// one byte after a wide-stripe boundary, and verifies read-back
-// clipping, byte-exact contents, a boundary-crossing read, and
-// physical placement at WideStripeSize granularity.
-func TestClusterWideEOFAtStripeBoundary(t *testing.T) {
-	if testing.Short() {
-		t.Skip("wide-stripe files are MiB-scale; skipping in short mode")
-	}
+// TestClusterUnknownLayoutHintRefused pins the classes the protocol
+// knows: a create hinting class 2 (no class has that number) is
+// answered StInval by every server, and none of them creates the file.
+func TestClusterUnknownLayoutHintRefused(t *testing.T) {
 	r := newClusterRig(t, 3)
 	r.run(t, func(p *sim.Proc) {
 		cl := r.cluster(t, p, 4, testStripe)
-		// Non-adaptive policy: unhinted files keep standard striping, but
-		// explicit create hints are honored.
+		// Non-adaptive policy: explicit create hints go out as given.
 		if err := cl.SetLayoutPolicy(rfsrv.LayoutPolicy{}); err != nil {
 			t.Fatal(err)
 		}
-
-		wide := int(rfsrv.WideStripeSize)
-		for i, size := range []int{wide - 1, wide, wide + 1} {
-			name := []string{"minus", "exact", "plus"}[i]
-			data := pattern(size)
-			ino := layoutCreate(t, p, cl, name, rfsrv.LayoutWide)
-			if lc := cl.LayoutOf(ino); lc != rfsrv.LayoutWide {
-				t.Fatalf("%s: hinted create classified %v, want LayoutWide", name, lc)
-			}
-			writeAt(t, p, r, cl, ino, 0, data)
-
-			// Oversized read: EOF must clip exactly at size, even when the
-			// extra range belongs to the next wide stripe's owner.
-			got, n := readBack(t, p, r, cl, ino, 0, size+mem.PageSize)
-			if n != size {
-				t.Fatalf("%s: oversized read returned %d bytes, want %d", name, n, size)
-			}
-			if !bytes.Equal(got, data) {
-				t.Fatalf("%s: contents differ", name)
-			}
-
-			// A 2-byte read straddling the boundary: both bytes for the
-			// file that has them, a 1-byte clip for the one ending exactly
-			// on the boundary.
-			if size >= wide {
-				want := size - (wide - 1)
-				if want > 2 {
-					want = 2
-				}
-				got, n = readBack(t, p, r, cl, ino, int64(wide-1), 2)
-				if n != want || !bytes.Equal(got, data[wide-1:wide-1+want]) {
-					t.Fatalf("%s: boundary-straddling read n=%d, want %d", name, n, want)
-				}
-			}
-
-			// Placement: stripe 0 belongs to server 0, stripe 1 (only the
-			// "plus" file reaches it) to server 1.
-			if r.serverFS[0].FrameAt(ino, 0) == nil {
-				t.Fatalf("%s: wide stripe 0 missing on server 0", name)
-			}
-			pagesPerWide := int64(wide / mem.PageSize)
-			wantSecond := size > wide
-			if have := r.serverFS[1].FrameAt(ino, pagesPerWide) != nil; have != wantSecond {
-				t.Fatalf("%s: wide stripe 1 present on server 1 = %v, want %v", name, have, wantSecond)
+		resp, err := cl.Meta(p, &rfsrv.Req{Op: rfsrv.OpCreate, Ino: 0, Name: "f", Len: 2})
+		if resp.Status != rfsrv.StInval || !errors.Is(err, rfsrv.ErrInval) {
+			t.Fatalf("create hinting class 2: status %d err %v, want StInval", resp.Status, err)
+		}
+		for i, fs := range r.serverFS {
+			if _, err := fs.Lookup(p, fs.Root(), "f"); err == nil {
+				t.Errorf("server %d created the file a refused hint named", i)
 			}
 		}
 	})

@@ -110,11 +110,8 @@ func (pl placement) pathHome(dir kernel.InodeID, name string) int {
 //
 // allocfree
 func (pl placement) width(lay LayoutClass) int64 {
-	switch lay {
-	case LayoutWhole:
+	if lay == LayoutWhole {
 		return 0
-	case LayoutWide:
-		return WideStripeSize
 	}
 	return pl.stripe
 }

@@ -239,7 +239,7 @@ func TestPlacementServerAgreesWithClient(t *testing.T) {
 // retire at a fuzzed position).
 func FuzzPlacement(f *testing.F) {
 	f.Add(uint64(0), uint8(2), uint8(1), uint8(1), uint8(0), uint64(2), int64(0), uint32(3*mem.PageSize), uint8(3))
-	f.Add(uint64(7), uint8(3), uint8(1), uint8(15), uint8(2), uint64(9), int64(WideStripeSize-1), uint32(2*WideStripeSize+2), uint8(0))
+	f.Add(uint64(7), uint8(3), uint8(1), uint8(15), uint8(2), uint64(9), int64(1<<20-1), uint32(2<<20+2), uint8(0))
 	f.Add(uint64(1<<40), uint8(7), uint8(7), uint8(0), uint8(1), uint64(1<<33), int64(1<<39), uint32(1), uint8(12))
 	f.Fuzz(func(t *testing.T, seed uint64, members, replicas, stripePages, layout uint8, ino uint64, off int64, length uint32, change uint8) {
 		n := 1 + int(members%8)

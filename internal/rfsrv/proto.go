@@ -194,14 +194,11 @@ const (
 	// (the home is the size authority AND the only data server), one
 	// server answering both metadata and data for the file.
 	LayoutWhole
-	// LayoutWide stripes at WideStripeSize for deep per-server
-	// pipelining of huge files.
-	LayoutWide
 
-	layoutMax = LayoutWide
+	layoutMax = LayoutWhole
 )
 
-var layoutNames = [...]string{"standard", "whole", "wide"}
+var layoutNames = [...]string{"standard", "whole"}
 
 // String returns the layout's protocol name.
 func (lc LayoutClass) String() string {
@@ -215,11 +212,6 @@ func (lc LayoutClass) String() string {
 // reject create hints and OpSetLayout requests outside the range with
 // StInval instead of recording garbage).
 func ValidLayout(lc LayoutClass) bool { return lc <= layoutMax }
-
-// WideStripeSize is the stripe width of LayoutWide files: 1 MiB, deep
-// enough that one wide file keeps several requests in flight per
-// server without metadata-home hotspots.
-const WideStripeSize = 1 << 20
 
 // PromoteThreshold is the adaptive-policy promotion point: a
 // whole-on-home file whose write reaches past this offset is migrated

@@ -311,9 +311,9 @@ var NewFSCluster = rfsrv.NewCluster
 // every stripe is written to R consecutive servers, reads fail over
 // to a replica when a server faults, and faulting servers are
 // excluded rather than reported as namespace divergence. Reinstate
-// re-admits a recovered server — refusing, with an error, one that
-// missed namespace or exact-size mutations while excluded (resync it
-// out of band first).
+// re-admits a recovered server by replaying the resync journal of what
+// it missed while excluded, or — when that journal spilled its bounds
+// — by a full-slice resync (DESIGN.md §13).
 var NewFSReplicatedCluster = rfsrv.NewReplicatedCluster
 
 // ErrFSStaleEpoch is the size-coherence refusal (wire status StStale):
@@ -360,21 +360,18 @@ const (
 
 // Layout classes a cluster file can carry (DESIGN.md §10): standard
 // round-robin striping (the default, bit-identical to the pre-layout
-// protocol), whole-on-home for small files (all bytes on the inode's
-// hash home: no fan-out, no size-reconciliation RPCs), and wide
-// striping for very large files.
+// protocol) and whole-on-home for small files (all bytes on the
+// inode's hash home: no fan-out, no size-reconciliation RPCs).
 const (
 	FSLayoutStandard = rfsrv.LayoutStandard
 	FSLayoutWhole    = rfsrv.LayoutWhole
-	FSLayoutWide     = rfsrv.LayoutWide
 )
 
-// Stripe geometry: the default and wide stripe widths, and the size at
-// which the adaptive policy promotes a whole-on-home file to standard
+// Stripe geometry: the default stripe width, and the size at which
+// the adaptive policy promotes a whole-on-home file to standard
 // striping.
 const (
 	FSDefaultStripeSize = rfsrv.DefaultStripeSize
-	FSWideStripeSize    = rfsrv.WideStripeSize
 	FSPromoteThreshold  = rfsrv.PromoteThreshold
 )
 
