@@ -32,7 +32,7 @@ func main() {
 	duration := flag.Duration("torture.duration", 10*time.Minute, "wall-clock soak budget")
 	startSeed := flag.Int64("torture.seed", 0, "first seed (0: derive from the wall clock, printed for replay)")
 	mode := flag.String("torture.mode", "both", "mode(s) to soak: data, ns or both")
-	elastic := flag.Bool("torture.elastic", false, "add membership bounces (stop-world retire+rejoin) to every run's schedule")
+	elastic := flag.Bool("torture.elastic", false, "add membership bounces (retire+rejoin under one full fence) to every run's schedule")
 	outDir := flag.String("torture.out", "torture-failures", "directory for per-failure repro files")
 	flag.Parse()
 

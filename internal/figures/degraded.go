@@ -147,7 +147,7 @@ func dgClient(p *sim.Proc, cluster *rfsrv.Cluster, ino kernel.InodeID) ([]dgSamp
 // deadline). timeout arms per-request deadlines; 0 leaves them off.
 func (c Config) dgRun(servers int, killAt, timeout sim.Time) (*dgResult, error) {
 	r, err := rig.New(rig.Desc{Servers: servers, Replicas: dgReplicas, Stripe: msStripe,
-		Window: dgWindow, Timeout: timeout, Trace: c.Trace})
+		Window: dgWindow, Timeout: timeout})
 	if err != nil {
 		return nil, err
 	}

@@ -168,7 +168,7 @@ func elClient(p *sim.Proc, cl *rfsrv.Cluster, ino kernel.InodeID, ctl *elCtl, re
 // throughput and worst latency.
 func (c Config) elRun(timeout sim.Time) (*elResult, error) {
 	r, err := rig.New(rig.Desc{Servers: elServers, Replicas: elReplicas, Stripe: msStripe,
-		Window: elWindow, Timeout: timeout, Trace: c.Trace})
+		Window: elWindow, Timeout: timeout})
 	if err != nil {
 		return nil, err
 	}

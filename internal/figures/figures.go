@@ -22,8 +22,8 @@ type Config struct {
 	Iters int
 	// Warmup exchanges per size (default 2).
 	Warmup int
-	// Trace, if set, receives per-message driver trace records
-	// (virtual time plus a formatted event line).
+	// Trace, if set, receives the ping-pong runs' per-message GM/MX
+	// trace records (virtual time plus a formatted event line).
 	Trace func(t sim.Time, format string, args ...any)
 }
 

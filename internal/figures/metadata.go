@@ -69,7 +69,7 @@ var mdModes = []string{"fan-out", "sharded"}
 // fresh simulated cluster and returns aggregate namespace ops/s.
 func (c Config) mdRun(scenario string, sharded bool, servers int) (float64, error) {
 	r, err := rig.New(rig.Desc{Servers: servers, Replicas: 1, Stripe: msStripe, Window: msWindow,
-		Sharded: sharded, Trace: c.Trace})
+		Sharded: sharded})
 	if err != nil {
 		return 0, err
 	}

@@ -110,7 +110,7 @@ func msSeedStriped(p *sim.Proc, r *rig.Rig, n, clients, filePerCli int) ([]kerne
 // (the cluster code path over one session is bit-identical to the
 // plain session — rfsrv.TestClusterOneServerMatchesSession).
 func (c Config) msRun(scenario string, servers, clients, window int) (scalResult, error) {
-	d := rig.Desc{Servers: servers, Replicas: 1, Stripe: msStripe, Window: window, Trace: c.Trace}
+	d := rig.Desc{Servers: servers, Replicas: 1, Stripe: msStripe, Window: window}
 	totalBlocks := clients * scalFilePerCli / nbd.BlockSize
 	var r *rig.Rig
 	var err error

@@ -78,7 +78,7 @@ type sfResult struct {
 // (the short-mode smoke uses a small value). The run fails if the final
 // size is not coherent on every server and through a homed getattr.
 func (c Config) sfRun(servers, chunksPerWriter int) (sfResult, error) {
-	r, err := rig.New(rig.Desc{Servers: servers, Replicas: 1, Stripe: msStripe, Window: sfWindow, Trace: c.Trace})
+	r, err := rig.New(rig.Desc{Servers: servers, Replicas: 1, Stripe: msStripe, Window: sfWindow})
 	if err != nil {
 		return sfResult{}, err
 	}

@@ -74,7 +74,7 @@ type sfcResult struct {
 // namespace's inode assignment. The write/read storm then runs fully
 // concurrently — that is where the two policies differ.
 func (c Config) sfcRun(adaptive bool, servers int) (sfcResult, error) {
-	r, err := rig.New(rig.Desc{Servers: servers, Replicas: 1, Stripe: msStripe, Window: msWindow, Trace: c.Trace})
+	r, err := rig.New(rig.Desc{Servers: servers, Replicas: 1, Stripe: msStripe, Window: msWindow})
 	if err != nil {
 		return sfcResult{}, err
 	}

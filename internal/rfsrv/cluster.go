@@ -842,7 +842,7 @@ func (cl *Cluster) Read(p *sim.Proc, ino kernel.InodeID, off int64, dst core.Vec
 			return cl.sessions[idx].Read(p, ino, off, dst)
 		})
 	}
-	cp := cl.newPending(&cl.syncOp, ino, lay, -1)
+	cp := cl.newPending(&cl.syncOp, ino, lay, off, -1)
 	if err := cl.issueReads(p, cp, off, dst); err != nil {
 		return &Resp{Status: StatusOf(err)}, err
 	}
@@ -885,8 +885,7 @@ func drainParts(p *sim.Proc, parts []*part) {
 
 // Write implements Client: the striped issue loop and the pending's
 // Wait shared with StartWrite, plus what only a synchronous write does
-// — runs longer than one request are chunked (inside issueWrites), a
-// write under way during a migration is logged once it succeeded, and
+// — runs longer than one request are chunked (inside issueWrites), and
 // after a write that extends the file, grow-only OpSetSize requests
 // reconcile every other server's local size (see the package comment
 // on size reconciliation). A replica that faults mid-write is
@@ -911,7 +910,7 @@ func (cl *Cluster) Write(p *sim.Proc, ino kernel.InodeID, off int64, src core.Ve
 	if lay, err = cl.maybePromote(p, ino, lay, off+int64(total)); err != nil {
 		return &Resp{Status: StatusOf(err)}, err
 	}
-	cp := cl.newPending(&cl.syncOp, ino, lay, total)
+	cp := cl.newPending(&cl.syncOp, ino, lay, off, total)
 	if err := cl.issueWrites(p, cp, off, src); err != nil {
 		return &Resp{Status: StatusOf(err)}, err
 	}
@@ -933,9 +932,6 @@ func (cl *Cluster) Write(p *sim.Proc, ino kernel.InodeID, off int64, src core.Ve
 	resp, err := cp.Wait(p)
 	if err != nil {
 		return resp, err
-	}
-	if v := cl.view; v != nil && v.migrating {
-		v.logWrite(ino, off, total)
 	}
 	if err := cl.setSizeTo(p, lay, ino, off+int64(total), tail); err != nil {
 		return &Resp{Status: StatusOf(err)}, err
@@ -1222,6 +1218,7 @@ type clusterPending struct {
 	cl     *Cluster
 	ino    kernel.InodeID
 	lay    LayoutClass
+	off    int64 // the operation's file offset (writes: the migration dirty log)
 	parts  []*part
 	runs   []run // the logical runs (writes: replica coverage check)
 	want   int   // expected total (writes; -1 for reads)
@@ -1234,10 +1231,10 @@ type clusterPending struct {
 	gated bool // counted in the view's pending until Wait
 }
 
-// newPending resets cp for a new striped operation on ino, keeping its
-// parts/runs backing arrays (want < 0 marks a read).
-func (cl *Cluster) newPending(cp *clusterPending, ino kernel.InodeID, lay LayoutClass, want int) *clusterPending {
-	*cp = clusterPending{cl: cl, ino: ino, lay: lay, want: want, parts: cp.parts[:0], runs: cp.runs[:0]}
+// newPending resets cp for a new striped operation on ino at off,
+// keeping its parts/runs backing arrays (want < 0 marks a read).
+func (cl *Cluster) newPending(cp *clusterPending, ino kernel.InodeID, lay LayoutClass, off int64, want int) *clusterPending {
+	*cp = clusterPending{cl: cl, ino: ino, lay: lay, off: off, want: want, parts: cp.parts[:0], runs: cp.runs[:0]}
 	return cp
 }
 
@@ -1261,8 +1258,12 @@ func (cp *clusterPending) abandon(p *sim.Proc, err error) error {
 // read parts fail over to their stripe's next alive replica before the
 // merge; faulted write parts exclude their server and are tolerated as
 // long as every run kept a clean replica. Every reply feeds the
-// validated caches. The parts return to the cluster's freelist once
-// merged — the memoized (resp, err) is all a second Wait needs.
+// validated caches. A write that succeeded while a membership change
+// is copying stripes is logged here, once its bytes have landed, for
+// the operator to re-copy — whenever it was issued: one started before
+// the copy began can land after the copy read its range. The parts
+// return to the cluster's freelist once merged — the memoized
+// (resp, err) is all a second Wait needs.
 func (cp *clusterPending) Wait(p *sim.Proc) (*Resp, error) {
 	if cp.done {
 		return cp.resp, cp.err
@@ -1285,6 +1286,8 @@ func (cp *clusterPending) Wait(p *sim.Proc) (*Resp, error) {
 		} else {
 			cp.resp = mergeRead(cp.parts)
 		}
+	} else if v := cp.cl.view; cp.err == nil && v != nil && v.migrating {
+		v.logWrite(cp.ino, cp.off, cp.want)
 	}
 	cp.cl.notePendingDone(cp)
 	cp.cl.putParts(cp.parts)
@@ -1377,7 +1380,7 @@ func (cl *Cluster) StartRead(p *sim.Proc, ino kernel.InodeID, off int64, dst cor
 	if err != nil {
 		return nil, err
 	}
-	cp := cl.newPending(new(clusterPending), ino, lay, -1)
+	cp := cl.newPending(new(clusterPending), ino, lay, off, -1)
 	if dst.TotalLen() == 0 {
 		// Zero-length read: one attr-only request to the offset's
 		// preferred replica, like the synchronous Read path — with the
@@ -1438,7 +1441,7 @@ func (cl *Cluster) StartWrite(p *sim.Proc, ino kernel.InodeID, off int64, src co
 	if total > MaxWriteChunk {
 		return nil, fmt.Errorf("rfsrv: StartWrite of %d bytes exceeds one %d-byte request", total, MaxWriteChunk)
 	}
-	cp := cl.newPending(new(clusterPending), ino, lay, total)
+	cp := cl.newPending(new(clusterPending), ino, lay, off, total)
 	if total == 0 {
 		// Zero-length write: one real request, like the synchronous
 		// degenerate path. The synthetic run makes finishWriteParts'
@@ -1454,9 +1457,6 @@ func (cl *Cluster) StartWrite(p *sim.Proc, ino kernel.InodeID, off int64, src co
 		return nil, err
 	}
 	cl.notePendingStart(cp)
-	if v := cl.view; v != nil && v.migrating {
-		v.logWrite(ino, off, total)
-	}
 	// The size cache is deliberately NOT updated here: sizes[ino]
 	// records "every server reconciled to this size", and an async
 	// write extends only the servers its runs touch. The next

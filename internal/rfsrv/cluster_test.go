@@ -67,10 +67,16 @@ func newClusterRig(t *testing.T, nServers int) *clusterRig {
 // cluster's own geometry: the rig is shared, the description is not.
 func (r *clusterRig) clusterOf(t *testing.T, p *sim.Proc, epBase int, d platform.Desc) *rfsrv.Cluster {
 	t.Helper()
+	return r.clusterOn(t, p, r.client, epBase, d)
+}
+
+// clusterOn is clusterOf from another client node than the rig's one.
+func (r *clusterRig) clusterOn(t *testing.T, p *sim.Proc, node *hw.Node, epBase int, d platform.Desc) *rfsrv.Cluster {
+	t.Helper()
 	view := *r.rig
 	d.Servers = view.Desc.Servers
 	view.Desc = d
-	cl, err := view.Cluster(p, r.client, epBase)
+	cl, err := view.Cluster(p, node, epBase)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,14 +8,16 @@
 // ones); Reinstate replays the journal — idempotently, on the
 // grow-only/exact OpSetSize and fan-out semantics the protocol already
 // has — instead of refusing, and spills to a full-slice resync when
-// the journal outgrows its bounds. (2) Live join/leave: Join/Retire
-// replace the placement's member ring under a shared MemberView,
-// migrating placement.delta — the stripes the new ring assigns to
-// slots that lack them — online under load in the unsharded cluster,
-// stop-world in the sharded one, and committing the new geometry on
+// the journal outgrows its bounds. (2) Live join/leave: Join, Retire
+// and Bounce replace the placement's member ring under a shared
+// MemberView through one change (change), the same in both namespaces:
+// placement.delta — the stripes the new ring assigns to slots that
+// lack them — migrates online under load, the new geometry commits on
 // every server with OpMember so replies stamp the new membership
-// epoch. Changes fail closed: an excluded member of either geometry
-// fails the change rather than being skipped (membersUp).
+// epoch, and every member of the new ring is re-imaged from a snapshot
+// taken at the cutover. Changes fail closed: an excluded member of
+// either geometry fails the change rather than being skipped
+// (membersUp).
 //
 // Journals and the bulk channel (one section below: snapshot and
 // rebuild, the namespace image — the only code that touches servers
@@ -23,9 +25,9 @@
 // simulated time and allocate nothing on the fault-free path, so a
 // static-membership cluster stays bit-identical. Every data byte a
 // returning, joining or re-placed server is sent — journal replay,
-// online and stop-world migration, full-slice resync — travels one
-// wire copier (copyRange): real simulated traffic through the ordinary
-// request path, competing with live load and within reach of faults.
+// membership migration, full-slice resync — travels one wire copier
+// (copyRange): real simulated traffic through the ordinary request
+// path, competing with live load and within reach of faults.
 package rfsrv
 
 import (
@@ -506,10 +508,10 @@ func (cl *Cluster) copyRange(p *sim.Proc, ino kernel.InodeID, off int64, n int, 
 // for an out-of-band bulk transfer of namespace images, costing no
 // simulated time and out of reach of injected faults, and the one seam
 // ROADMAP item 2 replaces with wire ops. It moves metadata only; data
-// stripes follow over the wire (copyRange). Its three callers
-// (fullResync, Join's namespace seed, memberStopWorld) compose the same
-// two pieces: one snapshot of the live members, and the store image and
-// soft state of one ring position (rebuild).
+// stripes follow over the wire (copyRange). Its two callers
+// (fullResync, and change's joiner seed and cutover re-image) compose
+// the same two pieces: one snapshot of the live members, and the store
+// image and soft state of one ring position (rebuild).
 
 // snapshot is the cluster's authoritative state read from its live
 // members, plus the opened channel itself: every peer's server and
@@ -643,30 +645,14 @@ func (snap *snapshot) rebuild(pl placement, pos int, fresh bool) {
 	}
 }
 
-// copyFiles copies, over the wire, every stripe fragment of the
-// snapshot's files that some slot holds under next but not under old
-// (old.delta) to those slots, counting the bytes on moved. It checks no
-// exclusion itself: a target already excluded still answers or faults,
-// and what decides whether the copy counts comes after it — the
-// cutover's membersUp, the resync target's readmission.
-func (cl *Cluster) copyFiles(p *sim.Proc, snap *snapshot, old, next placement, moved *sim.Counter) error {
-	for _, ino := range snap.files {
-		for _, mv := range old.delta(next, 0, snap.nodes[ino].Attr.Size) {
-			if err := cl.copyRange(p, ino, mv.off, mv.n, mv.to, moved); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
 // fullResync rebuilds excluded member slot i from the live members —
 // the fallback when its resync journal spilled: store and soft state
 // from the snapshot, then the stripes it holds under the current
-// placement re-copied over the wire. The image goes first because the
-// slot stays excluded until the copy succeeds: no client reads it in
-// between, and a copy that faults leaves it excluded and spilled for
-// the next Reinstate to redo both.
+// placement re-copied over the wire (the delta from the placement with
+// its position vacated). The image goes first because the slot stays
+// excluded until the copy succeeds: no client reads it in between, and
+// a copy that faults leaves it excluded and spilled for the next
+// Reinstate to redo both.
 func (cl *Cluster) fullResync(p *sim.Proc, i int) error {
 	if cl.policyOn {
 		return errors.New("full-slice resync under an adaptive layout policy is not supported")
@@ -680,7 +666,15 @@ func (cl *Cluster) fullResync(p *sim.Proc, i int) error {
 		return err
 	}
 	snap.rebuild(cl.pl, pos, true)
-	return cl.copyFiles(p, snap, cl.pl.vacate(pos), cl.pl, &cl.ResyncBytes)
+	vacated := cl.pl.vacate(pos)
+	for _, ino := range snap.files {
+		for _, mv := range vacated.delta(cl.pl, 0, snap.nodes[ino].Attr.Size) {
+			if err := cl.copyRange(p, ino, mv.off, mv.n, mv.to, &cl.ResyncBytes); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // --- Membership view and operation gates ---
@@ -710,9 +704,9 @@ type MemberView struct {
 	activeMut  int
 	pending    int
 
-	// dirty logs data writes issued while a migration is copying
-	// stripes, so the operator can re-copy ranges the bulk pass
-	// missed.
+	// dirty logs data writes that completed while a migration is
+	// copying stripes (clusterPending.Wait), so the operator can re-copy
+	// ranges the bulk pass missed.
 	dirty []viewWrite
 }
 
@@ -940,12 +934,10 @@ func (cl *Cluster) beginChange(lists ...[]int) (func(), error) {
 }
 
 // Join admits session slot into the membership at the end of the
-// placement order, migrating data to its new replica sets before the
-// epoch cutover: online under load in the unsharded cluster (reads
-// and writes keep flowing through the old placement while stripes
-// copy, with a dirty log catching racing writes and a brief full
-// fence at cutover), stop-world in the sharded one (every client
-// fences while owner groups, directory slices, and stripes rebuild).
+// placement order, migrating data to its new replica sets under load
+// before the epoch cutover (change): reads and writes keep flowing
+// through the old placement while stripes copy, a dirty log catches
+// racing writes, and only the cutover briefly fences everything.
 // Requires a shared view (ShareView/AttachView) and resync peers. A
 // member found excluded during the change fails it with the old
 // geometry intact (membersUp); Reinstate it and retry.
@@ -958,8 +950,8 @@ func (cl *Cluster) Join(p *sim.Proc, slot int) error {
 
 // Retire removes session slot from the membership, re-placing the
 // stripes and directory slices it held onto the remaining members
-// before the epoch cutover (same online/stop-world split as Join).
-// The retiree must be alive: its data is a migration source.
+// before the epoch cutover (the same online change as Join). The
+// retiree must be alive: its data is a migration source.
 func (cl *Cluster) Retire(p *sim.Proc, slot int) error {
 	pos := cl.pl.pos(slot)
 	if pos < 0 {
@@ -969,49 +961,55 @@ func (cl *Cluster) Retire(p *sim.Proc, slot int) error {
 }
 
 // Bounce retires and immediately re-admits member slot inside one
-// stop-world fence window: the membership epoch advances twice, every
-// stripe and directory slice leaves the slot and comes back, and no
-// client ever issues an operation against the interim geometry. The
-// torture harness uses it as the membership-change event whose final
-// placement the oracle can still predict.
+// full fence window: the membership epoch advances twice, every stripe
+// and directory slice leaves the slot and comes back, and no client
+// ever issues an operation against the interim geometry. The torture
+// harness uses it as the membership-change event whose final placement
+// the oracle can still predict.
 func (cl *Cluster) Bounce(p *sim.Proc, slot int) error {
 	pos := cl.pl.pos(slot)
 	if pos < 0 {
 		return fmt.Errorf("rfsrv: bounce: slot %d is not a member", slot)
 	}
-	if !cl.sharded {
-		return errors.New("rfsrv: bounce: stop-world path is sharded-only; use Retire then Join")
-	}
-	with, without := cl.Members(), slices.Delete(cl.Members(), pos, pos+1)
-	done, err := cl.beginChange(without, with)
-	if err != nil {
-		return err
-	}
-	defer done()
-	if err := cl.memberStopWorld(p, without); err != nil {
-		return err
-	}
-	return cl.memberStopWorld(p, with)
+	return cl.changeMembers(p, slices.Delete(cl.Members(), pos, pos+1), cl.Members())
 }
 
-func (cl *Cluster) changeMembers(p *sim.Proc, next []int) error {
-	done, err := cl.beginChange(next)
+// changeMembers claims the view for the member lists and changes the
+// membership to each in turn. More than one list fences everything
+// for the whole walk, so no client sees an interim geometry.
+func (cl *Cluster) changeMembers(p *sim.Proc, lists ...[]int) error {
+	done, err := cl.beginChange(lists...)
 	if err != nil {
 		return err
 	}
 	defer done()
-	if cl.sharded {
-		return cl.memberStopWorld(p, next)
+	if v := cl.view; len(lists) > 1 {
+		v.fenceAll = true
+		v.quiesce(p)
 	}
-	return cl.memberOnline(p, next)
+	for _, members := range lists {
+		if err := cl.change(p, members); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// quiesce waits until no fenced operation is in flight: active, or
+// started and not yet waited for.
+func (v *MemberView) quiesce(p *sim.Proc) {
+	for v.activeData+v.activeMut+v.pending > 0 {
+		p.Sleep(memberFencePoll)
+	}
 }
 
 // commitMember is the cutover's wire half: once membersUp confirms
 // that nobody of either geometry was excluded along the way, it fans
 // OpMember to every slot of next (in position order) and an epoch-only
 // stamp to retirees, so every server's replies carry the new
-// membership epoch.
-func (cl *Cluster) commitMember(p *sim.Proc, old, next placement, epoch uint64, floor kernel.InodeID, sharded bool) error {
+// membership epoch — and, sharded, the new ownership geometry and a
+// minting partition past floor.
+func (cl *Cluster) commitMember(p *sim.Proc, old, next placement, epoch uint64, floor kernel.InodeID) error {
 	if err := cl.membersUp(old.members, next.members); err != nil {
 		return err
 	}
@@ -1027,7 +1025,7 @@ func (cl *Cluster) commitMember(p *sim.Proc, old, next placement, epoch uint64, 
 	}
 	n := len(next.members)
 	for pos, slot := range next.members {
-		if err := send("commit membership on", slot, PackMember(pos, n, next.replicas, sharded)); err != nil {
+		if err := send("commit membership on", slot, PackMember(pos, n, next.replicas, cl.sharded)); err != nil {
 			return err
 		}
 	}
@@ -1049,52 +1047,61 @@ func (cl *Cluster) flipView(next placement, epoch uint64) {
 	cl.adoptView()
 }
 
-// memberOnline is the unsharded membership change: mutations fence
-// for the duration (the namespace and file set freeze), but the data
-// path stays live — stripes copy to their new replica sets through
+// change is the one membership change, the same for both namespaces:
+// it moves the cluster from its current geometry to members. Mutations
+// fence for the duration (the namespace and file set freeze), but the
+// data path stays live — stripes copy to their new replica sets through
 // ordinary striped reads and direct writes while client reads and
-// writes keep flowing through the old placement, a dirty log
-// re-copies ranges written mid-migration, and only the final cutover
-// briefly fences everything.
-func (cl *Cluster) memberOnline(p *sim.Proc, members []int) error {
+// writes keep flowing through the old placement, a dirty log re-copies
+// ranges written mid-migration, and only the cutover briefly fences
+// everything. Nothing commits before the copy is complete, and every
+// copy is additive below its file's size, so a fault anywhere before
+// the cutover fails the change with every server's member epoch, the
+// view and every byte a client reads as they were.
+func (cl *Cluster) change(p *sim.Proc, members []int) error {
 	v := cl.view
 	old, next := cl.pl, cl.pl.withMembers(members)
 
-	// Phase 1: freeze the namespace.
+	// 1. Freeze the namespace.
 	v.fenceMut = true
 	for v.activeMut > 0 {
 		p.Sleep(memberFencePoll)
 	}
 
-	// Phase 2: seed joiners with the frozen namespace (bulk channel):
-	// exact sizes (trimming any stale local state a re-joining slot
-	// kept from an earlier tenure), size epochs, layouts.
+	// 2. Snapshot the frozen namespace and seed the joiners with it
+	// (bulk channel), trimming any stale state a re-joining slot kept
+	// from an earlier tenure: an unsharded store needs the namespace
+	// before stripes land, a sharded one would materialize it on demand.
+	// The mint floor is read first — past anything any affected store
+	// ever assigned, that stale state included — and stays valid: nothing
+	// mints while mutations are fenced.
 	snap, err := cl.takeSnapshot(-1)
 	if err != nil {
 		return err
 	}
-	var joiners []int
+	floor := snap.next - 1
+	for _, slot := range slices.Concat(old.members, next.members) {
+		floor = max(floor, snap.store[slot].MaxIno())
+	}
 	for pos, slot := range next.members {
 		if old.pos(slot) < 0 {
-			joiners = append(joiners, slot)
 			snap.rebuild(next, pos, true)
 		}
 	}
 
-	// Phase 3: migrate stripes to their new replica sets under load.
+	// 3. Copy the delta under load, then chase the dirty log while the
+	// data path is still live. Each batch is deduplicated first:
+	// migrateRange copies the file's CURRENT content, so one copy per
+	// distinct range per batch lands the same bytes as one per write —
+	// under heavy load the same hot stripe is redirtied thousands of
+	// times per pass, and re-copying every entry would multiply
+	// migration traffic by that factor.
 	v.migrating = true
 	for _, ino := range snap.files {
 		if err := cl.migrateRange(p, ino, 0, snap.nodes[ino].Attr.Size, old, next); err != nil {
 			return err
 		}
 	}
-
-	// Phase 4: drain the dirty log while the data path is still live.
-	// Each batch is deduplicated first: migrateRange copies the file's
-	// CURRENT content, so one copy per distinct range per batch lands
-	// the same bytes as one per write — under heavy load the same hot
-	// stripe is redirtied thousands of times per pass, and re-copying
-	// every entry would multiply migration traffic by that factor.
 	drain := func() error {
 		batch := dedupeWrites(v.dirty)
 		v.dirty = nil
@@ -1111,35 +1118,32 @@ func (cl *Cluster) memberOnline(p *sim.Proc, members []int) error {
 		}
 	}
 
-	// Phase 5: full fence, quiesce, final dirty delta.
+	// 4. Fence everything, quiesce, drain the final delta.
 	v.fenceAll = true
-	for v.activeData+v.activeMut+v.pending > 0 {
-		p.Sleep(memberFencePoll)
-	}
+	v.quiesce(p)
 	for len(v.dirty) > 0 {
 		if err := drain(); err != nil {
 			return err
 		}
 	}
 
-	// Phase 6: publish authoritative sizes to joiners. Old members saw
-	// every size fan during migration; joiners saw none, and a joiner
-	// can be an inode's metadata home after cutover, so its local size
-	// must be the global one.
-	for _, ino := range snap.files {
-		size := snap.sizeOf(ino)
-		for _, j := range joiners {
-			if err := cl.publishGrow(p, j, ino, size); err != nil {
-				return err
-			}
-		}
+	// 5. Snapshot again — sizes grew under load since step 2 — and
+	// commit the new geometry on every affected server.
+	if snap, err = cl.takeSnapshot(-1); err != nil {
+		return err
+	}
+	epoch := v.epoch + 1
+	if err := cl.commitMember(p, old, next, epoch, floor); err != nil {
+		return err
 	}
 
-	// Phase 7: commit the new geometry on every affected server, flip
-	// the view, and adopt it.
-	epoch := v.epoch + 1
-	if err := cl.commitMember(p, old, next, epoch, 0, false); err != nil {
-		return err
+	// 6. Re-image every member of next from the cutover snapshot: a
+	// joiner, which saw none of the size publishes during the copy and
+	// can be an inode's metadata home now, takes exact global sizes;
+	// sharded, every member takes the namespace its new owner groups
+	// cover. Then flip the view.
+	for pos, slot := range next.members {
+		snap.rebuild(next, pos, old.pos(slot) < 0)
 	}
 	cl.flipView(next, epoch)
 	return nil
@@ -1160,91 +1164,5 @@ func (cl *Cluster) migrateRange(p *sim.Proc, ino kernel.InodeID, off, n int64, o
 			return err
 		}
 	}
-	return nil
-}
-
-// publishGrow raises server slot's local size for ino to size through
-// the ordinary grow-mode OpSetSize, reading the server's own size
-// epoch first (bounded stale retries, like every size publish).
-func (cl *Cluster) publishGrow(p *sim.Proc, slot int, ino kernel.InodeID, size int64) error {
-	for try := 0; try < 4; try++ {
-		get := Req{Op: OpGetattr, Ino: ino}
-		resp, err := cl.replayRT(p, slot, &get)
-		if err != nil {
-			return err
-		}
-		if resp.Status == StNotFound {
-			return nil
-		}
-		if resp.Status != StOK {
-			return ErrOf(resp.Status)
-		}
-		if resp.Attr.Size >= size {
-			return nil
-		}
-		set := Req{Op: OpSetSize, Ino: ino, Off: size, Len: PackSetSize(false, resp.Epoch)}
-		resp, err = cl.replayRT(p, slot, &set)
-		if err != nil {
-			return err
-		}
-		switch resp.Status {
-		case StOK:
-			return nil
-		case StStale:
-			continue
-		default:
-			return ErrOf(resp.Status)
-		}
-	}
-	return ErrStaleEpoch
-}
-
-// memberStopWorld is the sharded membership change: every client
-// fences, in-flight operations drain, and the operator rebuilds the
-// world under the new geometry — stripes copy to their new replica sets
-// over the wire, OpMember re-partitions every server's ownership map
-// and minting floor, and every new member is rebuilt from the
-// authoritative old-geometry snapshot through the bulk channel.
-// Re-sharding the directory slices of a live namespace incrementally is
-// follow-up work; the stop-world window makes the geometry swap atomic
-// for every client attached to the view.
-func (cl *Cluster) memberStopWorld(p *sim.Proc, members []int) error {
-	v := cl.view
-	v.fenceMut, v.fenceAll = true, true
-	for v.activeData+v.activeMut+v.pending > 0 {
-		p.Sleep(memberFencePoll)
-	}
-	old, next := cl.pl, cl.pl.withMembers(members)
-	snap, err := cl.takeSnapshot(-1)
-	if err != nil {
-		return err
-	}
-
-	// Mint floor: past anything any affected store ever assigned —
-	// including stale state on re-joining slots.
-	floor := snap.next - 1
-	for _, slot := range slices.Concat(old.members, next.members) {
-		floor = max(floor, snap.store[slot].MaxIno())
-	}
-
-	// Copy before anything commits: nothing a copy writes changes what a
-	// client sees — every write is additive below the file's size, and
-	// the exact-size rebuild keeps those blocks — so a copy that faults
-	// fails the change with every server's member epoch and the view as
-	// they were.
-	if err := cl.copyFiles(p, snap, old, next, &cl.Migrated); err != nil {
-		return err
-	}
-	// Then commit the new geometry: servers swap ownership maps and
-	// minting partitions while the world is stopped, so the rebuild
-	// below lands on servers that already route by the new residues.
-	epoch := v.epoch + 1
-	if err := cl.commitMember(p, old, next, epoch, floor, true); err != nil {
-		return err
-	}
-	for pos, slot := range next.members {
-		snap.rebuild(next, pos, old.pos(slot) < 0)
-	}
-	cl.flipView(next, epoch)
 	return nil
 }

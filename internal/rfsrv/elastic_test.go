@@ -5,10 +5,11 @@ package rfsrv_test
 // applied), overlapping extending writes coalesced in the journal and
 // replayed, journal spill falling back to full-slice resync (and
 // refusing without peers), live Join/Retire with online stripe
-// migration, a kill mid-Join leaving committed state clean and
-// retryable, an old member excluded mid-Join failing the change closed,
-// the sharded stop-world Bounce, a fault in the wire copy of a Bounce
-// or of a spilled journal's full resync committing nothing, the
+// migration in both namespaces, a kill mid-Join leaving committed state
+// clean and retryable, an old member excluded mid-Join failing the
+// change closed, a write in flight when a migration starts reaching the
+// joiner, the Bounce in both namespaces, a fault in the wire copy of a
+// Bounce or of a spilled journal's full resync committing nothing, the
 // Bounce's copy costing wire time, and the stale-membership latch on
 // viewless clients. Every store rebuild ends on assertPlacementHeld.
 // Every fault path ends on the usual bars: window slots idle, pooled
@@ -20,10 +21,12 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/fabric"
 	"repro/internal/kernel"
 	"repro/internal/mem"
 	"repro/internal/rfsrv"
+	platform "repro/internal/rig"
 	"repro/internal/sim"
 )
 
@@ -536,6 +539,74 @@ func TestElasticJoinOldMemberExcludedMidMigration(t *testing.T) {
 	})
 }
 
+// TestElasticJoinRecopiesWriteInFlightAtStart starts an asynchronous
+// write from a second client node just before a Join, and stalls that
+// node's NIC so the payload lands after the Join's bulk copy has read
+// the stripe from its old holders. The write was issued before the
+// migration began, yet it must still reach the joiner: the dirty log
+// records a write when it completes, not when it is issued. With the
+// stripe's other holder killed, the read is served by the joiner.
+func TestElasticJoinRecopiesWriteInFlightAtStart(t *testing.T) {
+	r := newClusterRig(t, 4)
+	writer := r.rig.HW.AddNode("writer")
+	r.run(t, func(p *sim.Proc) {
+		cl := r.clusterRep(t, p, 4, testStripe, 2)
+		if err := cl.SetMembers(3); err != nil {
+			t.Fatal(err)
+		}
+		view := cl.ShareView()
+		const size = 8 * testStripe
+		ino := clusterCreate(t, p, cl, "f")
+		expect := pattern(size)
+		elasticWrite(t, p, r, cl, ino, 0, expect)
+		w := r.clusterOn(t, p, writer, 10, platform.Desc{Replicas: 2, Stripe: testStripe, Window: 4, Timeout: faultTimeout})
+		w.AttachView(view)
+
+		// Stripe 3 lives on slots 0, 1 under members [0 1 2] and on the
+		// joiner 3 and slot 0 under [0 1 2 3].
+		const off = 3 * testStripe
+		data := bytes.Repeat([]byte{0xa5}, testStripe)
+		copy(expect[off:], data)
+		va, err := writer.Kernel.Mmap(testStripe, "writer-buf")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := writer.Kernel.WriteBytes(va, data); err != nil {
+			t.Fatal(err)
+		}
+		pd, err := w.StartWrite(p, ino, off, core.Of(core.KernelSeg(writer.Kernel, va, testStripe)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		writer.NIC.StallFor(faultTimeout / 2)
+		waited := false
+		r.env.Spawn("waiter", func(wp *sim.Proc) {
+			if _, err := pd.Wait(wp); err != nil {
+				t.Errorf("stalled write: %v", err)
+			}
+			waited = true
+		})
+		if err := cl.Join(p, 3); err != nil {
+			t.Fatalf("join: %v", err)
+		}
+		if !waited {
+			t.Fatal("the join cut over with the stalled write still in flight")
+		}
+		r.servers[0].NIC.Kill()
+		if got := elasticReadBack(t, p, r, cl, ino, size); !bytes.Equal(got[off:off+testStripe], data) {
+			t.Error("the joiner holds stripe 3 as it was before the in-flight write landed")
+		} else if !bytes.Equal(got, expect) {
+			t.Error("read after the join returned wrong bytes")
+		}
+		assertWindowsIdle(t, cl)
+		assertWindowsIdle(t, w)
+		r.checkNoLeaks(t)
+		if err := fabric.PoolOf(writer).CheckLeaks(); err != nil {
+			t.Errorf("writer pool: %v", err)
+		}
+	})
+}
+
 // TestElasticBounceStopWorldSharded bounces a member of a sharded
 // cluster — retire and re-admit inside one stop-world window — and
 // requires the epoch to advance twice with the member set unchanged,
@@ -561,6 +632,147 @@ func TestElasticBounceStopWorldSharded(t *testing.T) {
 		}
 		assertPlacementHeld(t, p, r, cl, view, ino, expect)
 		assertWindowsIdle(t, cl)
+		r.checkNoLeaks(t)
+	})
+}
+
+// TestElasticBounceUnsharded bounces a member of the replicated
+// namespace through the same change the sharded one runs: the epoch
+// advances twice with the member set unchanged, the slot's stripes
+// leave and come back over the wire, and every byte reads back exact
+// through the committed placement.
+func TestElasticBounceUnsharded(t *testing.T) {
+	r := newClusterRig(t, 4)
+	r.run(t, func(p *sim.Proc) {
+		cl := r.clusterRep(t, p, 4, testStripe, 2)
+		view := cl.ShareView()
+		const size = 8 * testStripe
+		ino := clusterCreate(t, p, cl, "f")
+		expect := pattern(size)
+		elasticWrite(t, p, r, cl, ino, 0, expect)
+		members := view.Members()
+		if err := cl.Bounce(p, 1); err != nil {
+			t.Fatalf("bounce: %v", err)
+		}
+		if m := view.Members(); !equalInts(m, members) || view.Epoch() != 2 {
+			t.Fatalf("after bounce: members %v epoch %d, want %v epoch 2", m, view.Epoch(), members)
+		}
+		if cl.Migrated.Bytes == 0 {
+			t.Error("bounce migrated no bytes")
+		}
+		if got := elasticReadBack(t, p, r, cl, ino, size); !bytes.Equal(got, expect) {
+			t.Fatal("read after bounce returned wrong bytes")
+		}
+		assertPlacementHeld(t, p, r, cl, view, ino, expect)
+		assertWindowsIdle(t, cl)
+		r.checkNoLeaks(t)
+	})
+}
+
+// TestElasticShardedRetireJoinUnderLoad retires a member of a sharded
+// cluster and joins it back while a second client keeps extending and
+// overwriting a file: both changes run online, and every byte the
+// writer wrote reads back exact through the committed placement. Once
+// the Join is copying, the writer also extends a second file g onto a
+// stripe the joiner will not hold: the joiner sees neither that write
+// nor its size publish, so only the cutover's re-image gives it the
+// file's global size — which a joiner must hold, since it can be an
+// inode's metadata home after the cutover.
+func TestElasticShardedRetireJoinUnderLoad(t *testing.T) {
+	r := newShardRig(t, 4, 2)
+	r.run(t, func(p *sim.Proc) {
+		cl, view, dir, ino, expect := shardedFile(t, p, r, 16*testStripe)
+		resp, err := cl.Meta(p, &rfsrv.Req{Op: rfsrv.OpCreate, Ino: dir, Name: "g"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := resp.Attr.Ino
+		elasticWrite(t, p, r, cl, g, 0, pattern(testStripe))
+		w := r.clusterOf(t, p, 20, platform.Desc{Replicas: 2, Stripe: testStripe, Window: 4, Timeout: faultTimeout, Sharded: true})
+		w.AttachView(view)
+
+		// The writer alternates an append to f with an overwrite further
+		// back, half a stripe each, a fresh fill byte per write, paced so
+		// the migration's copy outruns it. Stripe 1 of g lives on slots 2
+		// and 3 under members [0 2 3] and [0 2 3 1] alike.
+		va, vec := r.kbuf(t, testStripe)
+		var joinCopying func() bool
+		stop, exited, grewG := false, false, false
+		r.env.Spawn("writer", func(wp *sim.Proc) {
+			defer func() { exited = true }()
+			write := func(ino kernel.InodeID, off int, data []byte) bool {
+				if err := r.client.Kernel.WriteBytes(va, data); err != nil {
+					t.Error(err)
+					return false
+				}
+				if resp, err := w.Write(wp, ino, int64(off), vec.Slice(0, len(data))); err != nil || int(resp.N) != len(data) {
+					t.Errorf("writer: write inode %d [%d,%d): n=%d err=%v", ino, off, off+len(data), resp.N, err)
+					return false
+				}
+				return true
+			}
+			for k := 0; !stop; k++ {
+				if !grewG && joinCopying != nil && joinCopying() {
+					if !write(g, testStripe, pattern(testStripe)) {
+						return
+					}
+					grewG = true
+				}
+				data := bytes.Repeat([]byte{byte(k + 1)}, testStripe/2)
+				off := len(expect)
+				if k%2 == 1 {
+					off = (k * 3 * testStripe / 2) % (len(expect) - len(data))
+				}
+				if !write(ino, off, data) {
+					return
+				}
+				if off == len(expect) {
+					expect = append(expect, data...)
+				} else {
+					copy(expect[off:], data)
+				}
+				wp.Sleep(50 * time.Microsecond)
+			}
+		})
+		defer func() { stop = true }() // a failing check must not leave the writer running forever
+
+		p.Sleep(200 * time.Microsecond)
+		before := len(expect)
+		if err := cl.Retire(p, 1); err != nil {
+			t.Fatalf("retire: %v", err)
+		}
+		retired := cl.Migrated.Bytes
+		joinCopying = func() bool { return cl.Migrated.Bytes > retired }
+		if err := cl.Join(p, 1); err != nil {
+			t.Fatalf("join: %v", err)
+		}
+		if len(expect) <= before || !grewG {
+			t.Fatalf("the writer did not write during the changes (f: %d bytes before, %d after; g extended: %v)", before, len(expect), grewG)
+		}
+		// Still the cutover instant: the writer is parked at the fence
+		// with its last write, size publish included, complete.
+		for _, f := range []struct {
+			ino  kernel.InodeID
+			size int
+		}{{ino, len(expect)}, {g, 2 * testStripe}} {
+			if got := r.serverFS[1].LocalSize(f.ino); got != int64(f.size) {
+				t.Errorf("joiner's local size of inode %d is %d at the cutover, want the global %d", f.ino, got, f.size)
+			}
+		}
+		p.Sleep(200 * time.Microsecond)
+		stop = true
+		for !exited {
+			p.Sleep(10 * time.Microsecond)
+		}
+		if m := view.Members(); !equalInts(m, []int{0, 2, 3, 1}) || view.Epoch() != 2 {
+			t.Fatalf("after retire+join: members %v epoch %d, want [0 2 3 1] epoch 2", m, view.Epoch())
+		}
+		if got := elasticReadBack(t, p, r, cl, ino, len(expect)); !bytes.Equal(got, expect) {
+			t.Fatal("read after retire+join under load returned wrong bytes")
+		}
+		assertPlacementHeld(t, p, r, cl, view, ino, expect)
+		assertWindowsIdle(t, cl)
+		assertWindowsIdle(t, w)
 		r.checkNoLeaks(t)
 	})
 }

@@ -43,8 +43,6 @@ type Desc struct {
 	// Sharded selects the directory-owned namespace on servers, stores
 	// and clients alike, instead of the replicated fan-out one.
 	Sharded bool
-	// Trace receives the engine's trace records; nil disables tracing.
-	Trace func(t sim.Time, format string, args ...any)
 }
 
 func (d Desc) validate() error {
@@ -110,7 +108,6 @@ func NewBare(d Desc, start func(r *Rig, n *hw.Node) error) (*Rig, error) {
 		return nil, err
 	}
 	env := sim.NewEngine()
-	env.SetTrace(d.Trace)
 	r := &Rig{Desc: d, Env: env, HW: hw.NewCluster(env, hw.DefaultParams(), hw.PCIXD),
 		mx: make(map[*hw.Node]*mx.MX)}
 	for j := 0; j < d.Servers; j++ {

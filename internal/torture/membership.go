@@ -2,7 +2,8 @@ package torture
 
 // Membership events (Config.Elastic): an operator cluster shares a
 // MemberView with every client view, and this proc bounces random
-// servers through the stop-world retire+rejoin path while the op storm
+// servers (Cluster.Bounce: a retire and a rejoin inside one full fence,
+// the same membership change Join and Retire run) while the op storm
 // runs. Bounces and fault injections are mutually exclusive — a bounce
 // only starts in a quiet window (no dark NICs, no client-side
 // exclusions, residual timeouts drained) and the schedule skips
@@ -65,8 +66,8 @@ func (st *runState) membership(p *sim.Proc) {
 // quietForMembership reports whether a bounce may start: the last
 // injection window closed long enough ago that residual timeouts
 // drained, no NIC is dark, and no client view holds an exclusion — so
-// no resync journal is pending anywhere, and the stop-world rebuild
-// never interleaves with journal replay.
+// no resync journal is pending anywhere, and a bounce's re-image never
+// interleaves with journal replay.
 func (st *runState) quietForMembership() bool {
 	if st.now()-st.lastFaultClear < 2*st.cfg.Timeout {
 		return false

@@ -81,8 +81,8 @@ type Config struct {
 	// Elastic adds membership changes to the schedule: an operator
 	// cluster shares a membership view with every client and, in quiet
 	// windows (no dark NICs, no client-side exclusions), bounces a
-	// random server through the stop-world retire+rejoin path while the
-	// op storm runs. Membership events and fault injections are
+	// random server (a retire and a rejoin inside one full fence) while
+	// the op storm runs. Membership events and fault injections are
 	// mutually exclusive; the model expects bounces to preserve every
 	// byte and entry exactly.
 	Elastic bool
@@ -148,7 +148,7 @@ type Result struct {
 	// entries the cluster refused ErrBusy (the StBusy split: stray
 	// prepare marks showing through, not divergence).
 	BusyRefusals int
-	// Bounces counts stop-world membership bounces (Config.Elastic);
+	// Bounces counts membership bounces (Config.Elastic);
 	// MigratedBytes is the data the bounces re-placed.
 	Bounces       int
 	MigratedBytes int64
