@@ -1,11 +1,10 @@
-// Slice export/import: the bulk-resync channel of the elastic
-// membership layer (DESIGN.md §13). A Slice is a point-in-time copy of
-// the namespace metadata a server holds — inode attributes, directory
-// entries, and the mint cursor — without data blocks; migration and
-// full-slice resync move it between servers directly (the simulation's
-// stand-in for an out-of-band bulk transfer of namespace images). Data
-// stripes never travel this way: the cluster re-copies them over the
-// wire with ordinary reads and writes.
+// Slice export/import: the namespace image of a store (DESIGN.md §13).
+// A Slice is a point-in-time copy of the namespace metadata a server
+// holds — inode attributes, directory entries, and the mint cursor —
+// without data blocks. The file server ships it over the wire (rfsrv's
+// OpExport and OpImport) for full-slice resync and membership changes;
+// data stripes never travel this way: the cluster re-copies them with
+// ordinary reads and writes.
 package memfs
 
 import (
@@ -23,87 +22,62 @@ type SliceNode struct {
 	Entries map[string]kernel.InodeID
 }
 
-// Slice is a point-in-time export of (part of) a filesystem's
-// metadata, plus the mint cursor so an importer can keep minting
-// without colliding with inodes the exporter already assigned.
+// Slice is a point-in-time export of a filesystem's metadata, plus the
+// mint cursor so an importer can keep minting without colliding with
+// inodes the exporter already assigned.
 type Slice struct {
 	Next  kernel.InodeID
-	Seq   uint64
 	Nodes []SliceNode
 }
 
-// ExportSlice copies the metadata of every inode owns admits (the
-// whole store with owns nil): attributes and directory entries, no
-// data blocks. The export is a host-level memory copy — it costs no
-// simulated time, modeling a bulk channel outside the request path.
-func (fs *FS) ExportSlice(owns func(kernel.InodeID) bool) *Slice {
-	s := &Slice{Next: fs.next, Seq: fs.seq}
-	for id, ino := range fs.inodes {
-		if owns != nil && !owns(id) {
-			continue
-		}
+// ExportSlice copies the metadata of every inode: attributes and
+// directory entries, no data blocks. The export is a host-level memory
+// copy; whoever ships it charges the cost.
+func (fs *FS) ExportSlice() *Slice {
+	s := &Slice{Next: fs.next}
+	for _, ino := range fs.inodes {
 		n := SliceNode{Attr: ino.attr}
 		if ino.dir != nil {
-			n.Entries = make(map[string]kernel.InodeID, len(ino.dir))
-			for name, child := range ino.dir {
-				n.Entries[name] = child
-			}
+			n.Entries = maps.Clone(ino.dir)
 		}
 		s.Nodes = append(s.Nodes, n)
 	}
 	return s
 }
 
-// ImportSlice makes the local metadata of every inode owns admits
-// exactly match the slice: present nodes are adopted (attributes
-// replaced — by default a file's size keeps the local value if larger,
-// since a sparse local copy may hold a tail stripe the exporter never
-// saw — and directory entry maps replaced wholesale), missing nodes
-// are created empty, and local inodes owns admits that the slice does
-// not name are deleted with their blocks. Inodes outside owns (foreign
-// data stripes, stale stubs) are left untouched, as is the root when
-// the slice does not carry it. The mint cursor advances to at least
-// the exporter's so future sequential mints cannot collide.
-//
-// With exact set, the slice's sizes are authoritative rather than a
-// lower bound: a file's local size is adopted verbatim and any local
-// blocks past it are released, so a returning server cannot serve
-// stale tail bytes a shrink removed while it was away. Rebuilds from
-// an authoritative snapshot (full-slice resync, membership changes)
-// use exact; incremental merges keep the max rule.
-func (fs *FS) ImportSlice(s *Slice, owns func(kernel.InodeID) bool, exact bool) {
+// ImportSlice makes the local metadata exactly match the slice: present
+// nodes are adopted (attributes replaced and directory entry maps
+// replaced wholesale), missing nodes are created empty, and local
+// inodes the slice does not name are deleted with their blocks — all
+// but the root, which stays when the slice does not carry it. A file's
+// size is authoritative: it is adopted verbatim and any local blocks
+// past it are released, so a returning server cannot serve stale tail
+// bytes a shrink removed while it was away. The mint cursor advances to
+// at least the exporter's so future sequential mints cannot collide.
+func (fs *FS) ImportSlice(s *Slice) {
 	named := make(map[kernel.InodeID]bool, len(s.Nodes))
 	for _, n := range s.Nodes {
 		named[n.Attr.Ino] = true
 		ino := fs.inodes[n.Attr.Ino]
 		if ino == nil {
-			ino = &inode{attr: n.Attr}
+			ino = &inode{}
 			fs.inodes[n.Attr.Ino] = ino
-		} else if n.Attr.Kind == kernel.RegularFile && exact {
-			attr := n.Attr
-			fs.shrinkTo(ino, attr.Size)
-			ino.attr = attr
-		} else {
-			if n.Attr.Kind == kernel.RegularFile && ino.attr.Size > n.Attr.Size {
-				local := ino.attr.Size
-				ino.attr = n.Attr
-				ino.attr.Size = local
-			} else {
-				ino.attr = n.Attr
-			}
+		} else if n.Attr.Kind == kernel.RegularFile {
+			fs.shrinkTo(ino, n.Attr.Size)
 		}
 		if ino.blocks == nil {
 			ino.blocks = make(map[int64]*mem.Frame)
 		}
+		ino.attr, ino.dir = n.Attr, nil
 		if n.Attr.Kind == kernel.Directory {
-			ino.dir = make(map[string]kernel.InodeID, len(n.Entries))
-			for name, child := range n.Entries {
-				ino.dir[name] = child
+			ino.dir = maps.Clone(n.Entries)
+			if ino.dir == nil {
+				ino.dir = make(map[string]kernel.InodeID)
 			}
 		}
 	}
 	for _, id := range slices.Sorted(maps.Keys(fs.inodes)) { // frames are freed: not in map order
-		if id == 1 || named[id] || (owns != nil && !owns(id)) {
+		if id == 1 || named[id] {
 			continue
 		}
 		fs.freeBlocks(fs.inodes[id], 0)
@@ -112,22 +86,6 @@ func (fs *FS) ImportSlice(s *Slice, owns func(kernel.InodeID) bool, exact bool) 
 	if s.Next > fs.next {
 		fs.next = s.Next
 	}
-	if s.Seq > fs.seq {
-		fs.seq = s.Seq
-	}
-}
-
-// MaxIno returns the highest inode number the store holds (at least
-// the root). Membership changes use it to raise every server's mint
-// floor past anything any geometry ever assigned.
-func (fs *FS) MaxIno() kernel.InodeID {
-	max := kernel.InodeID(1)
-	for id := range fs.inodes {
-		if id > max {
-			max = id
-		}
-	}
-	return max
 }
 
 // SetInodePartitionFloor re-partitions the minter to (index, count)

@@ -509,10 +509,11 @@ type flight struct {
 // issue stamps req with the next sequence number and puts it on the
 // wire from slot b, which the caller owns. The reply-header receive is
 // posted before the request leaves (replies are matched by sequence
-// number); a read also posts its data receive into data first, so the
-// bytes land wherever the transport allows; a write's data rides in
-// the request message while that message stays eager and follows as
-// its own message otherwise (inlinePayload). req may be b.req — it is
+// number); a read-shaped request (readShaped) also posts its data
+// receive into data first, so the bytes land wherever the transport
+// allows; a write-shaped one's data rides in the request message while
+// that message stays eager and follows as its own message otherwise
+// (inlinePayload). req may be b.req — it is
 // fully encoded before issue returns, so the slot's request staging is
 // free again. On error
 // the request never left and nothing stays posted: the header buffer
@@ -528,13 +529,13 @@ func (c *FabricClient) issue(p *sim.Proc, b *ctlBufs, req *Req, data core.Vector
 		return flight{}, err
 	}
 	switch {
-	case req.Op == OpRead:
+	case readShaped(req.Op):
 		if fl.dataOp, fl.release, fl.fixup, err = c.postData(p, req.Seq, data); err == nil {
 			if err = c.sendReq(p, b, req, nil); err != nil {
 				fabric.Cancel(p, fl.dataOp)
 			}
 		}
-	case req.Op == OpWrite && !inlinePayload(c.t.Caps().EagerMax, reqFixed+len(req.Name), int(req.Len)):
+	case writeShaped(req.Op) && !inlinePayload(c.t.Caps().EagerMax, reqFixed+len(req.Name), int(req.Len)):
 		if err = c.sendReq(p, b, req, nil); err == nil {
 			fl.release, err = c.sendData(p, req.Seq, data)
 		}
@@ -635,6 +636,9 @@ func (c *FabricClient) ctlWrite(p *sim.Proc, ino kernel.InodeID, off int64, src 
 	return c.ctlData(p, OpWrite, ino, off, src)
 }
 
+// ctlData is one synchronous data-shaped request on the control path:
+// a read or write, or a namespace image's export (into data) or import
+// (from data).
 func (c *FabricClient) ctlData(p *sim.Proc, op Op, ino kernel.InodeID, off int64, data core.Vector) (*Resp, error) {
 	c.lock.Acquire(p)
 	defer c.lock.Release()

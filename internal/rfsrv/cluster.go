@@ -235,8 +235,8 @@ type Cluster struct {
 
 	// Reinstates counts servers readmitted by Reinstate;
 	// ReinstateRefusals counts readmissions that could not replay the
-	// resync journal and fell back to a full-slice resync (or, with no
-	// resync peers wired, were refused outright); RenameInDoubts
+	// resync journal and fell back to a full-slice resync (or were
+	// refused outright, when mutations ran unjournaled); RenameInDoubts
 	// counts sharded cross-owner renames that surfaced
 	// ErrRenameInDoubt. The torture harness (internal/torture)
 	// consumes all three to cross-check its fault schedule against
@@ -265,10 +265,8 @@ type Cluster struct {
 	// empty while a server is up, reset at exclusion, recording the
 	// mutations and data-stripe writes an excluded server misses so
 	// Reinstate can replay them — or, once a journal spills its caps
-	// (SetJournalLimits), rebuild the slice in full through peers
-	// (SetResyncPeers).
-	jn    journal
-	peers []*Server
+	// (SetJournalLimits), rebuild the slice in full over the wire.
+	jn journal
 
 	// renameDoubt parks unresolved in-doubt renames, keyed by each
 	// directory involved, so the next lookup/getattr/readdir walking

@@ -39,7 +39,7 @@ type clusterRig struct {
 	clientMX *mx.MX
 	servers  []*hw.Node
 	serverFS []*memfs.FS
-	rsrv     []*rfsrv.Server // handles for SetResyncPeers
+	rsrv     []*rfsrv.Server // the servers themselves, for assertions only
 	audits   int             // assertPlacementHeld calls so far
 }
 

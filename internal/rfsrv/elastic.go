@@ -19,15 +19,14 @@
 // either geometry fails the change rather than being skipped
 // (membersUp).
 //
-// Journals and the bulk channel (one section below: snapshot and
-// rebuild, the namespace image — the only code that touches servers
-// other than over the wire) are host-level bookkeeping: they cost no
-// simulated time and allocate nothing on the fault-free path, so a
-// static-membership cluster stays bit-identical. Every data byte a
-// returning, joining or re-placed server is sent — journal replay,
-// membership migration, full-slice resync — travels one wire copier
-// (copyRange): real simulated traffic through the ordinary request
-// path, competing with live load and within reach of faults.
+// Journals are host-level bookkeeping: they cost no simulated time and
+// allocate nothing on the fault-free path, so a static-membership
+// cluster stays bit-identical. Every piece of state a returning,
+// joining or re-placed server is sent travels the wire, through the
+// ordinary request path, competing with live load and within reach of
+// faults: data bytes through one copier (copyRange), namespace images
+// through OpExport and OpImport (image.go). The cluster holds no handle
+// on any server.
 package rfsrv
 
 import (
@@ -37,9 +36,9 @@ import (
 	"slices"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/fabric"
 	"repro/internal/kernel"
-	"repro/internal/memfs"
 	"repro/internal/sim"
 )
 
@@ -53,27 +52,12 @@ const memberFencePoll = 5 * time.Microsecond
 // most ops mutations and bytes dirty data bytes (0 keeps the current
 // value; the defaults are DefaultJournalOps/DefaultJournalBytes).
 // Past either bound the journal spills: recording stops and the next
-// Reinstate performs a full-slice resync through the peers wired with
-// SetResyncPeers.
+// Reinstate performs a full-slice resync.
 func (cl *Cluster) SetJournalLimits(ops int, bytes int64) { cl.jn.limit(ops, bytes) }
-
-// SetResyncPeers hands the cluster direct handles to its servers, in
-// session-slot order, modeling the out-of-band bulk channel a real
-// deployment would use to move namespace images for full-slice resync
-// and membership changes (their data stripes copy over the wire).
-// Without peers, a spilled journal makes Reinstate refuse (legacy
-// behavior), and Join/Retire are unavailable.
-func (cl *Cluster) SetResyncPeers(servers []*Server) error {
-	if len(servers) != len(cl.sessions) {
-		return fmt.Errorf("rfsrv: %d resync peers for %d sessions", len(servers), len(cl.sessions))
-	}
-	cl.peers = servers
-	return nil
-}
 
 // JournalSpilled reports whether server slot i's resync journal
 // overflowed its bounds, so the next Reinstate will need the
-// full-slice resync path (and will refuse without resync peers).
+// full-slice resync path.
 func (cl *Cluster) JournalSpilled(i int) bool { return cl.jn.slot(i).spilled }
 
 // JournalOps returns how many mutations server slot i's resync
@@ -149,12 +133,11 @@ func (cl *Cluster) journalRunDirty(ino kernel.InodeID, runs []run) {
 // size epochs aligned via OpSyncEpoch, then missed data stripes
 // re-read from live replicas and re-written — all real simulated
 // traffic); an unbounded amount (spilled journal) → full-slice resync,
-// counted in ReinstateRefusals: the namespace image through the peers
-// wired with SetResyncPeers, then every stripe the server holds
-// re-copied over the wire. A replay or resync that fails (transport
-// fault mid-copy, or a divergence the idempotent verbs cannot
-// reconcile) leaves the server excluded with the journal intact (or
-// still spilled), so the caller can heal the fault and call Reinstate
+// counted in ReinstateRefusals: the namespace image and then every
+// stripe the server holds, both over the wire. A replay or resync that
+// fails (transport fault mid-copy, or a divergence the idempotent verbs
+// cannot reconcile) leaves the server excluded with the journal intact
+// (or still spilled), so the caller can heal the fault and call Reinstate
 // again; both are idempotent, so the retry re-runs the whole journal or
 // resync safely. On success the size-cache entries established during
 // the exclusion are dropped, exactly as before.
@@ -169,9 +152,6 @@ func (cl *Cluster) Reinstate(p *sim.Proc, i int) error {
 	switch {
 	case j.spilled:
 		cl.ReinstateRefusals.Add(0)
-		if cl.peers == nil {
-			return fmt.Errorf("rfsrv: reinstate server %d: resync journal spilled its bounds and no resync peers are wired; resync its backing store out of band first", i)
-		}
 		if err := cl.fullResync(p, i); err != nil {
 			return fmt.Errorf("rfsrv: reinstate server %d: full-slice resync: %w", i, err)
 		}
@@ -335,10 +315,11 @@ type entryCheck struct {
 // the serial one, which performs the lookup in journal order. Reads
 // and lookups are never journaled; writes resync through dirty
 // ranges; RenamePrepare is always resolved to Finalize or Abort before
-// it is journaled; SyncEpoch is what replay itself emits.
+// it is journaled; SyncEpoch is what replay itself emits; images move
+// only in full-slice resyncs and membership changes.
 func replayVerdict(op *journalOp, resp *Resp) (verify *entryCheck, err error) {
 	req := &op.req
-	//analyze:dispatch ops -OpLookup -OpGetattr -OpReaddir -OpRead -OpWrite -OpRenamePrepare -OpSyncEpoch
+	//analyze:dispatch ops -OpLookup -OpGetattr -OpReaddir -OpRead -OpWrite -OpRenamePrepare -OpSyncEpoch -OpExport -OpImport
 	switch req.Op {
 	case OpMember:
 		return nil, ErrOf(resp.Status)
@@ -501,71 +482,67 @@ func (cl *Cluster) copyRange(p *sim.Proc, ino kernel.InodeID, off int64, n int, 
 	return nil
 }
 
-// --- The bulk channel ---
+// --- Namespace images ---
 //
-// This section is the only code that reaches into the servers directly
-// (SetResyncPeers) instead of over the wire — the simulation's stand-in
-// for an out-of-band bulk transfer of namespace images, costing no
-// simulated time and out of reach of injected faults, and the one seam
-// ROADMAP item 2 replaces with wire ops. It moves metadata only; data
-// stripes follow over the wire (copyRange). Its two callers
-// (fullResync, and change's joiner seed and cutover re-image) compose
-// the same two pieces: one snapshot of the live members, and the store
-// image and soft state of one ring position (rebuild).
+// A full-slice resync and a membership change move namespace metadata
+// the same way: one snapshot of the live members, each read with
+// OpExport, and from it the exact image of every ring position to
+// rebuild (snapshot.image), shipped with OpImport. Data stripes follow
+// through copyRange. Both ride the wire's data legs, so they cost
+// simulated time and a fault anywhere in them fails the operation.
 
-// snapshot is the cluster's authoritative state read from its live
-// members, plus the opened channel itself: every peer's server and
-// store by slot, resolved up front so a rebuild cannot fail on a
-// missing peer after it started modifying servers.
+// snapshot is the cluster's authoritative namespace state, read from
+// its live members.
 type snapshot struct {
-	srv     []*Server
-	store   []*memfs.FS
-	live    []int // the member slots the snapshot was read from
-	sharded bool  // the namespace is sharded: a member holds only what its owner groups cover
+	sharded bool // the namespace is sharded: a member holds only what its owner groups cover
 
 	// nodes holds the owning copy of every inode, regular files already
 	// at their global size; files lists those, ascending (copy order
 	// must not depend on map order); next is the highest
-	// sequential-mint cursor; marks is every in-flight rename mark.
-	nodes map[kernel.InodeID]memfs.SliceNode
+	// sequential-mint cursor and top the highest inode any live member
+	// holds; marks is every in-flight rename mark; soft is the first live
+	// member's image, whose size epochs, layouts and membership epoch a
+	// fresh server takes.
+	nodes map[kernel.InodeID]imageNode
 	files []kernel.InodeID
 	next  kernel.InodeID
+	top   kernel.InodeID
 	marks map[renameKey]renameMark
+	soft  *image
 }
 
 // takeSnapshot reads the authoritative metadata of the cluster from
-// its live members (all but slot skip and the excluded): for each inode
-// the owning copy — sharded, the lowest-ranked live replica of its
-// owner group; replicated, the first live member's, whose namespace is
-// everyone's — and each regular file's global size.
-func (cl *Cluster) takeSnapshot(skip int) (*snapshot, error) {
-	snap := &snapshot{srv: cl.peers, store: make([]*memfs.FS, len(cl.peers)), sharded: cl.sharded,
-		nodes: make(map[kernel.InodeID]memfs.SliceNode), marks: make(map[renameKey]renameMark)}
-	for slot, srv := range cl.peers {
-		if srv == nil {
-			return nil, fmt.Errorf("no resync peer for server %d (SetResyncPeers)", slot)
-		}
-		st, ok := srv.fs.(*memfs.FS)
-		if !ok {
-			return nil, fmt.Errorf("server %d's backing store is not a memfs.FS; slice resync unsupported", slot)
-		}
-		snap.store[slot] = st
-	}
+// its live members (all but slot skip and the excluded), one OpExport
+// each: for each inode the owning copy — sharded, the lowest-ranked
+// live replica of its owner group; replicated, the first live
+// member's, whose namespace is everyone's — and each regular file's
+// global size, the largest local size any live member holds (size
+// publishes fan everywhere, but an individual store may lag).
+func (cl *Cluster) takeSnapshot(p *sim.Proc, skip int) (*snapshot, error) {
+	snap := &snapshot{sharded: cl.sharded, nodes: make(map[kernel.InodeID]imageNode), marks: make(map[renameKey]renameMark)}
 	rank := make(map[kernel.InodeID]int)
+	size := make(map[kernel.InodeID]int64)
 	for _, slot := range cl.pl.members {
 		if slot == skip || cl.down[slot] {
 			continue
 		}
-		snap.live = append(snap.live, slot)
-		for key, mark := range snap.srv[slot].renames {
-			snap.marks[key] = mark
+		img, err := cl.exportImage(p, slot)
+		if err != nil {
+			return nil, err
 		}
-		sl := snap.store[slot].ExportSlice(nil)
-		snap.next = max(snap.next, sl.Next)
-		if !cl.sharded && len(snap.live) > 1 {
+		first := snap.soft == nil
+		if first {
+			snap.soft = img
+		}
+		maps.Copy(snap.marks, img.marks)
+		snap.next, snap.top = max(snap.next, img.Next), max(snap.top, img.maxIno())
+		for _, nd := range img.Nodes {
+			size[nd.Attr.Ino] = max(size[nd.Attr.Ino], nd.Attr.Size)
+		}
+		if !cl.sharded && !first {
 			continue
 		}
-		for _, nd := range sl.Nodes {
+		for _, nd := range img.Nodes {
 			d := 0
 			if cl.sharded {
 				// A non-owner stub (lazy data materialization) is not
@@ -585,7 +562,7 @@ func (cl *Cluster) takeSnapshot(skip int) (*snapshot, error) {
 	}
 	for ino, nd := range snap.nodes {
 		if nd.Attr.Kind == kernel.RegularFile {
-			nd.Attr.Size = snap.sizeOf(ino)
+			nd.Attr.Size = size[ino]
 			snap.nodes[ino] = nd
 			snap.files = append(snap.files, ino)
 		}
@@ -594,65 +571,103 @@ func (cl *Cluster) takeSnapshot(skip int) (*snapshot, error) {
 	return snap, nil
 }
 
-// sizeOf returns a file's global size as of now: the max local size
-// across the live members, since size publishes fan everywhere but an
-// individual store may lag.
-func (snap *snapshot) sizeOf(ino kernel.InodeID) int64 {
-	var size int64
-	for _, slot := range snap.live {
-		size = max(size, snap.store[slot].LocalSize(ino))
-	}
-	return size
-}
-
-// rebuild makes the server at ring position pos of pl hold exactly what
-// that position holds according to the snapshot. Its store takes, in a
+// image returns what the server at ring position pos of pl must hold
+// according to the snapshot, to be applied when served (stage 0) or
+// at the commit of membership epoch stage. Its store takes, in a
 // sharded namespace, the inodes its owner groups cover in full and
-// every other regular file as an exact-size stub (data stripes and size
-// publishes need somewhere to land, like the lazy materialization of
-// the sharded write path), and in a replicated one everything; sizes
-// are exact, unknown inodes purged. The image carries no mint-sequence
-// cursor — per-server partitions are disjoint, so a server's retained
-// cursor stays correct. Rename marks follow directory ownership. A
-// fresh server — one the snapshot was not read from — also takes the
-// size epochs, layouts and membership epoch of a live member: they are
-// replicated-identical (exact sets always fan), so any one is
-// authoritative.
-func (snap *snapshot) rebuild(pl placement, pos int, fresh bool) {
+// every other regular file as an exact-size stub (data stripes and
+// size publishes need somewhere to land, like the lazy materialization
+// of the sharded write path), and in a replicated one everything;
+// sizes are exact, unknown inodes purged. The mint cursor only ever
+// advances — per-server partitions are disjoint, so a server's
+// retained cursor stays correct. Rename marks follow directory
+// ownership. A fresh server — one the snapshot was not read from —
+// also takes the size epochs, layouts and membership epoch of a live
+// member: they are replicated-identical (exact sets always fan), so
+// any one is authoritative.
+func (snap *snapshot) image(pl placement, pos int, fresh bool, stage uint64) *image {
 	slot := pl.members[pos]
-	sl := &memfs.Slice{Next: snap.next}
+	img := &image{stage: stage, marks: make(map[renameKey]renameMark)}
+	img.Next = snap.next
 	for ino, nd := range snap.nodes {
 		switch {
 		case !snap.sharded || pl.holds(slot, pl.residue(ino)):
-			sl.Nodes = append(sl.Nodes, nd)
+			img.Nodes = append(img.Nodes, nd)
 		case nd.Attr.Kind == kernel.RegularFile:
-			sl.Nodes = append(sl.Nodes, memfs.SliceNode{Attr: nd.Attr})
+			img.Nodes = append(img.Nodes, imageNode{Attr: nd.Attr})
 		}
 	}
-	snap.store[slot].ImportSlice(sl, nil, true)
-	srv := snap.srv[slot]
+	for key, mark := range snap.marks {
+		if !snap.sharded || pl.holds(slot, pl.residue(key.dir)) {
+			img.marks[key] = mark
+		}
+	}
 	if fresh {
-		src := snap.srv[snap.live[0]]
-		srv.epochs, srv.layouts, srv.member = maps.Clone(src.epochs), maps.Clone(src.layouts), src.member
+		src := snap.soft
+		img.soft, img.epochs, img.layouts, img.member = true, src.epochs, src.layouts, src.member
 	}
-	if snap.sharded {
-		srv.renames = make(map[renameKey]renameMark)
-		for key, mark := range snap.marks {
-			if pl.holds(slot, pl.residue(key.dir)) {
-				srv.renames[key] = mark
-			}
+	return img
+}
+
+// exportImage reads server slot's namespace image with OpExport, a
+// control-path read whose data is the image, into the staging buffer.
+// A server whose transport faults is excluded.
+func (cl *Cluster) exportImage(p *sim.Proc, slot int) (*image, error) {
+	vec, err := cl.stagingVec(MaxWriteChunk)
+	if err != nil {
+		return nil, err
+	}
+	resp, err := cl.sessions[slot].c.ctlData(p, OpExport, 0, 0, vec)
+	var img *image
+	if err == nil {
+		var raw []byte
+		if raw, err = cl.sessions[0].c.as.ReadBytes(cl.migVA, int(min(resp.N, MaxWriteChunk))); err == nil {
+			cl.node.CPU.Copy(p, len(raw))
+			img, err = decodeImage(raw)
 		}
 	}
+	if err != nil {
+		if fabric.IsFault(err) {
+			cl.markDown(slot)
+		}
+		return nil, fmt.Errorf("export from server %d: %w", slot, err)
+	}
+	return img, nil
+}
+
+// importImage ships img to server slot with OpImport, a control-path
+// write whose payload is the encoded image, from the staging buffer. A
+// server whose transport faults is excluded.
+func (cl *Cluster) importImage(p *sim.Proc, slot int, img *image) error {
+	raw, err := img.encode()
+	var vec core.Vector
+	if err == nil {
+		vec, err = cl.stagingVec(len(raw))
+	}
+	if err == nil {
+		cl.node.CPU.Copy(p, len(raw))
+		err = cl.sessions[0].c.as.WriteBytes(cl.migVA, raw)
+	}
+	if err == nil {
+		_, err = cl.sessions[slot].c.ctlData(p, OpImport, 0, 0, vec)
+	}
+	if err != nil {
+		if fabric.IsFault(err) {
+			cl.markDown(slot)
+		}
+		return fmt.Errorf("import to server %d: %w", slot, err)
+	}
+	return nil
 }
 
 // fullResync rebuilds excluded member slot i from the live members —
-// the fallback when its resync journal spilled: store and soft state
-// from the snapshot, then the stripes it holds under the current
-// placement re-copied over the wire (the delta from the placement with
-// its position vacated). The image goes first because the slot stays
-// excluded until the copy succeeds: no client reads it in between, and
-// a copy that faults leaves it excluded and spilled for the next
-// Reinstate to redo both.
+// the fallback when its resync journal spilled: its image from the
+// snapshot, applied when served, then the stripes it holds under the
+// current placement re-copied over the wire (the delta from the
+// placement with its position vacated). The image goes first because
+// the slot stays excluded until the copy succeeds: no client reads it
+// in between, and a fault in either leaves it excluded and spilled for
+// the next Reinstate to redo both.
 func (cl *Cluster) fullResync(p *sim.Proc, i int) error {
 	if cl.policyOn {
 		return errors.New("full-slice resync under an adaptive layout policy is not supported")
@@ -661,11 +676,13 @@ func (cl *Cluster) fullResync(p *sim.Proc, i int) error {
 	if pos < 0 {
 		return fmt.Errorf("server %d is not a member", i)
 	}
-	snap, err := cl.takeSnapshot(i)
+	snap, err := cl.takeSnapshot(p, i)
 	if err != nil {
 		return err
 	}
-	snap.rebuild(cl.pl, pos, true)
+	if err := cl.importImage(p, i, snap.image(cl.pl, pos, true, 0)); err != nil {
+		return err
+	}
 	vacated := cl.pl.vacate(pos)
 	for _, ino := range snap.files {
 		for _, mv := range vacated.delta(cl.pl, 0, snap.nodes[ino].Attr.Size) {
@@ -898,9 +915,6 @@ func (cl *Cluster) beginChange(lists ...[]int) (func(), error) {
 	if v == nil {
 		return nil, errors.New("rfsrv: membership change: no shared view (ShareView first)")
 	}
-	if cl.peers == nil {
-		return nil, errors.New("rfsrv: membership change: no resync peers (SetResyncPeers first)")
-	}
 	if cl.policyOn {
 		return nil, errors.New("rfsrv: membership change under an adaptive layout policy is not supported")
 	}
@@ -938,9 +952,9 @@ func (cl *Cluster) beginChange(lists ...[]int) (func(), error) {
 // before the epoch cutover (change): reads and writes keep flowing
 // through the old placement while stripes copy, a dirty log catches
 // racing writes, and only the cutover briefly fences everything.
-// Requires a shared view (ShareView/AttachView) and resync peers. A
-// member found excluded during the change fails it with the old
-// geometry intact (membersUp); Reinstate it and retry.
+// Requires a shared view (ShareView/AttachView). A member found
+// excluded during the change fails it with the old geometry intact
+// (membersUp); Reinstate it and retry.
 func (cl *Cluster) Join(p *sim.Proc, slot int) error {
 	if cl.pl.pos(slot) >= 0 {
 		return fmt.Errorf("rfsrv: join: slot %d is already a member", slot)
@@ -1005,10 +1019,11 @@ func (v *MemberView) quiesce(p *sim.Proc) {
 
 // commitMember is the cutover's wire half: once membersUp confirms
 // that nobody of either geometry was excluded along the way, it fans
-// OpMember to every slot of next (in position order) and an epoch-only
-// stamp to retirees, so every server's replies carry the new
-// membership epoch — and, sharded, the new ownership geometry and a
-// minting partition past floor.
+// OpMember to every slot of next (in position order), which applies the
+// image staged there for epoch, and an epoch-only stamp to retirees
+// (position n of n: a stamp applies no image), so every server's
+// replies carry the new membership epoch — and, sharded, the new
+// ownership geometry and a minting partition past floor.
 func (cl *Cluster) commitMember(p *sim.Proc, old, next placement, epoch uint64, floor kernel.InodeID) error {
 	if err := cl.membersUp(old.members, next.members); err != nil {
 		return err
@@ -1031,7 +1046,7 @@ func (cl *Cluster) commitMember(p *sim.Proc, old, next placement, epoch uint64, 
 	}
 	for _, slot := range old.members {
 		if next.pos(slot) < 0 {
-			if err := send("stamp retiring", slot, PackMember(0, n, next.replicas, false)); err != nil {
+			if err := send("stamp retiring", slot, PackMember(n, n, next.replicas, false)); err != nil {
 				return err
 			}
 		}
@@ -1054,10 +1069,11 @@ func (cl *Cluster) flipView(next placement, epoch uint64) {
 // ordinary striped reads and direct writes while client reads and
 // writes keep flowing through the old placement, a dirty log re-copies
 // ranges written mid-migration, and only the cutover briefly fences
-// everything. Nothing commits before the copy is complete, and every
-// copy is additive below its file's size, so a fault anywhere before
-// the cutover fails the change with every server's member epoch, the
-// view and every byte a client reads as they were.
+// everything. Nothing commits before the copy is complete and every
+// member's cutover image is staged, and every copy is additive below
+// its file's size, so a fault anywhere before the commit fails the
+// change with every server's member epoch, the view and every byte a
+// client reads as they were.
 func (cl *Cluster) change(p *sim.Proc, members []int) error {
 	v := cl.view
 	old, next := cl.pl, cl.pl.withMembers(members)
@@ -1068,24 +1084,29 @@ func (cl *Cluster) change(p *sim.Proc, members []int) error {
 		p.Sleep(memberFencePoll)
 	}
 
-	// 2. Snapshot the frozen namespace and seed the joiners with it
-	// (bulk channel), trimming any stale state a re-joining slot kept
-	// from an earlier tenure: an unsharded store needs the namespace
-	// before stripes land, a sharded one would materialize it on demand.
-	// The mint floor is read first — past anything any affected store
-	// ever assigned, that stale state included — and stays valid: nothing
-	// mints while mutations are fenced.
-	snap, err := cl.takeSnapshot(-1)
+	// 2. Snapshot the frozen namespace and seed the joiners with it,
+	// trimming any stale state a re-joining slot kept from an earlier
+	// tenure: an unsharded store needs the namespace before stripes
+	// land, a sharded one would materialize it on demand. The mint floor
+	// is read first — past anything any affected store ever assigned, a
+	// joiner's stale state included — and stays valid: nothing mints
+	// while mutations are fenced.
+	snap, err := cl.takeSnapshot(p, -1)
 	if err != nil {
 		return err
 	}
-	floor := snap.next - 1
-	for _, slot := range slices.Concat(old.members, next.members) {
-		floor = max(floor, snap.store[slot].MaxIno())
-	}
+	floor := max(snap.next-1, snap.top)
 	for pos, slot := range next.members {
-		if old.pos(slot) < 0 {
-			snap.rebuild(next, pos, true)
+		if old.pos(slot) >= 0 {
+			continue
+		}
+		stale, err := cl.exportImage(p, slot)
+		if err != nil {
+			return err
+		}
+		floor = max(floor, stale.maxIno())
+		if err := cl.importImage(p, slot, snap.image(next, pos, true, 0)); err != nil {
+			return err
 		}
 	}
 
@@ -1128,22 +1149,24 @@ func (cl *Cluster) change(p *sim.Proc, members []int) error {
 	}
 
 	// 5. Snapshot again — sizes grew under load since step 2 — and
-	// commit the new geometry on every affected server.
-	if snap, err = cl.takeSnapshot(-1); err != nil {
+	// stage every member of next's re-image from it: a joiner, which saw
+	// none of the size publishes during the copy and can be an inode's
+	// metadata home now, takes exact global sizes; sharded, every member
+	// takes the namespace its new owner groups cover.
+	if snap, err = cl.takeSnapshot(p, -1); err != nil {
 		return err
 	}
 	epoch := v.epoch + 1
-	if err := cl.commitMember(p, old, next, epoch, floor); err != nil {
-		return err
+	for pos, slot := range next.members {
+		if err := cl.importImage(p, slot, snap.image(next, pos, old.pos(slot) < 0, epoch)); err != nil {
+			return err
+		}
 	}
 
-	// 6. Re-image every member of next from the cutover snapshot: a
-	// joiner, which saw none of the size publishes during the copy and
-	// can be an inode's metadata home now, takes exact global sizes;
-	// sharded, every member takes the namespace its new owner groups
-	// cover. Then flip the view.
-	for pos, slot := range next.members {
-		snap.rebuild(next, pos, old.pos(slot) < 0)
+	// 6. Commit the new geometry on every affected server, which applies
+	// the staged images, and flip the view.
+	if err := cl.commitMember(p, old, next, epoch, floor); err != nil {
+		return err
 	}
 	cl.flipView(next, epoch)
 	return nil

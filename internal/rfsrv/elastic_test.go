@@ -3,17 +3,17 @@ package rfsrv_test
 // Elastic-membership tests (DESIGN.md §13): journaled resync under
 // partial replay failure (idempotent retry with the prefix already
 // applied), overlapping extending writes coalesced in the journal and
-// replayed, journal spill falling back to full-slice resync (and
-// refusing without peers), live Join/Retire with online stripe
+// replayed, journal spill falling back to full-slice resync — from any
+// cluster, rig-built or not — live Join/Retire with online stripe
 // migration in both namespaces, a kill mid-Join leaving committed state
 // clean and retryable, an old member excluded mid-Join failing the
 // change closed, a write in flight when a migration starts reaching the
-// joiner, the Bounce in both namespaces, a fault in the wire copy of a
-// Bounce or of a spilled journal's full resync committing nothing, the
-// Bounce's copy costing wire time, and the stale-membership latch on
-// viewless clients. Every store rebuild ends on assertPlacementHeld.
-// Every fault path ends on the usual bars: window slots idle, pooled
-// staging leak-free.
+// joiner, the Bounce in both namespaces, a fault in the wire copy or in
+// the namespace-image transfer of a Bounce or of a spilled journal's
+// full resync committing nothing, the Bounce's copy costing wire time,
+// and the stale-membership latch on viewless clients. Every store
+// rebuild ends on assertPlacementHeld. Every fault path ends on the
+// usual bars: window slots idle, pooled staging leak-free.
 
 import (
 	"bytes"
@@ -237,16 +237,13 @@ func TestElasticReplayOverlappingExtendingWrites(t *testing.T) {
 
 // TestElasticSpillFallsBackToFullResync caps the journal at one op so
 // two missed mutations spill it, and requires Reinstate to fall back
-// to a full-slice resync through the wired peers: the fallback is
+// to a full-slice resync over the wire: the fallback is
 // counted as a refusal and a spill, and the victim still converges to
 // the same namespace and bytes a replay would have produced.
 func TestElasticSpillFallsBackToFullResync(t *testing.T) {
 	r := newClusterRig(t, 3)
 	r.run(t, func(p *sim.Proc) {
 		cl := r.clusterRep(t, p, 4, testStripe, 2)
-		if err := cl.SetResyncPeers(r.rsrv); err != nil {
-			t.Fatal(err)
-		}
 		cl.SetJournalLimits(1, 0)
 		const size = 3 * testStripe
 		ino := clusterCreate(t, p, cl, "f")
@@ -293,9 +290,8 @@ func TestElasticSpillFallsBackToFullResync(t *testing.T) {
 }
 
 // handBuilt assembles a replicated client (window 4, testStripe,
-// fault deadline) on endpoints epBase+i WITHOUT the rig: no resync
-// peers wired and no shared view attached — the two things Rig.Cluster
-// always supplies and these tests need absent.
+// fault deadline) on endpoints epBase+i WITHOUT the rig and with no
+// shared view attached: nothing but its own sessions to the servers.
 func (r *clusterRig) handBuilt(t *testing.T, p *sim.Proc, epBase, replicas int) *rfsrv.Cluster {
 	t.Helper()
 	sessions := make([]*rfsrv.Session, len(r.servers))
@@ -316,31 +312,56 @@ func (r *clusterRig) handBuilt(t *testing.T, p *sim.Proc, epBase, replicas int) 
 	return cl
 }
 
-// TestElasticSpillWithoutPeersRefuses is the last refusal left: a
-// spilled journal with no resync peers wired has no replay and no
-// fallback, so Reinstate must refuse and keep the server excluded.
-func TestElasticSpillWithoutPeersRefuses(t *testing.T) {
+// TestElasticHandBuiltSpillResyncs spills the journal of a cluster
+// built by hand, outside the rig: a full-slice resync needs nothing but
+// the cluster's sessions, so Reinstate rebuilds the returning server
+// over the wire — namespace and bytes — instead of refusing.
+func TestElasticHandBuiltSpillResyncs(t *testing.T) {
 	r := newClusterRig(t, 3)
 	r.run(t, func(p *sim.Proc) {
 		cl := r.handBuilt(t, p, 10, 2)
 		cl.SetJournalLimits(1, 0)
-		clusterCreate(t, p, cl, "f")
+		const size = 3 * testStripe
+		ino := clusterCreate(t, p, cl, "f")
+		expect := pattern(size)
+		elasticWrite(t, p, r, cl, ino, 0, expect)
 		r.servers[1].NIC.Kill()
 		for _, name := range []string{"d1", "d2"} {
 			if _, err := cl.Meta(p, &rfsrv.Req{Op: rfsrv.OpMkdir, Ino: 0, Name: name}); err != nil {
 				t.Fatalf("mkdir %s: %v", name, err)
 			}
 		}
+		for i, b := range expect {
+			expect[i] = b ^ 0x6d
+		}
+		elasticWrite(t, p, r, cl, ino, 0, expect)
+		if !cl.JournalSpilled(1) {
+			t.Fatal("two mutations under a one-op cap did not spill the journal")
+		}
 		r.servers[1].NIC.Revive()
-		if err := cl.Reinstate(p, 1); err == nil {
-			t.Fatal("reinstate of a spilled journal without peers: want refusal")
+		if err := cl.Reinstate(p, 1); err != nil {
+			t.Fatalf("reinstate of a spilled journal from a hand-built cluster: %v", err)
 		}
-		if cl.ReinstateRefusals.N != 1 {
-			t.Fatalf("refusals = %d, want 1", cl.ReinstateRefusals.N)
+		if cl.ReinstateRefusals.N != 1 || cl.ResyncBytes.Bytes == 0 {
+			t.Fatalf("refusals=%d resyncBytes=%d, want the full-resync fallback with its stripes", cl.ReinstateRefusals.N, cl.ResyncBytes.Bytes)
 		}
-		if down := cl.DownServers(); len(down) != 1 || down[0] != 1 {
-			t.Fatalf("down = %v, want [1]", down)
+		if down := cl.DownServers(); len(down) != 0 {
+			t.Fatalf("down = %v, want none", down)
 		}
+		for _, name := range []string{"f", "d1", "d2"} {
+			a0, err0 := r.serverFS[0].Lookup(p, r.serverFS[0].Root(), name)
+			a1, err1 := r.serverFS[1].Lookup(p, r.serverFS[1].Root(), name)
+			if err0 != nil || err1 != nil || a0.Ino != a1.Ino || a0.Kind != a1.Kind || a0.Size != a1.Size {
+				t.Errorf("%q on the resynced server: %v (%v), on a live one: %v (%v)", name, a1, err1, a0, err0)
+			}
+		}
+		assertPlacementHeld(t, p, r, cl, nil, ino, expect)
+		r.servers[0].NIC.Kill()
+		if got := elasticReadBack(t, p, r, cl, ino, size); !bytes.Equal(got, expect) {
+			t.Error("read through the resynced server returned wrong bytes")
+		}
+		assertWindowsIdle(t, cl)
+		r.checkNoLeaks(t)
 	})
 }
 
@@ -354,9 +375,6 @@ func TestElasticJoinRetireOnline(t *testing.T) {
 	r.run(t, func(p *sim.Proc) {
 		cl := r.clusterRep(t, p, 4, testStripe, 2)
 		if err := cl.SetMembers(3); err != nil {
-			t.Fatal(err)
-		}
-		if err := cl.SetResyncPeers(r.rsrv); err != nil {
 			t.Fatal(err)
 		}
 		view := cl.ShareView()
@@ -412,9 +430,6 @@ func TestElasticJoinKillPointRetries(t *testing.T) {
 	r.run(t, func(p *sim.Proc) {
 		cl := r.clusterRep(t, p, 4, testStripe, 2)
 		if err := cl.SetMembers(3); err != nil {
-			t.Fatal(err)
-		}
-		if err := cl.SetResyncPeers(r.rsrv); err != nil {
 			t.Fatal(err)
 		}
 		view := cl.ShareView()
@@ -484,9 +499,6 @@ func TestElasticJoinOldMemberExcludedMidMigration(t *testing.T) {
 	r.run(t, func(p *sim.Proc) {
 		cl := r.clusterRep(t, p, 4, testStripe, 2)
 		if err := cl.SetMembers(3); err != nil {
-			t.Fatal(err)
-		}
-		if err := cl.SetResyncPeers(r.rsrv); err != nil {
 			t.Fatal(err)
 		}
 		view := cl.ShareView()
@@ -778,15 +790,12 @@ func TestElasticShardedRetireJoinUnderLoad(t *testing.T) {
 }
 
 // shardedFile builds the sharded R=2 operator of a Bounce over the rig
-// (resync peers wired, view shared) and writes one file of size bytes
+// (view shared) and writes one file of size bytes
 // into a directory owned by server 1's group. It returns the cluster,
 // its view, the directory, the file and the file's bytes.
 func shardedFile(t *testing.T, p *sim.Proc, r *clusterRig, size int) (*rfsrv.Cluster, *rfsrv.MemberView, kernel.InodeID, kernel.InodeID, []byte) {
 	t.Helper()
 	cl := r.shardClient(t, p, 2)
-	if err := cl.SetResyncPeers(r.rsrv); err != nil {
-		t.Fatal(err)
-	}
 	view := cl.ShareView()
 	dir := mkdirRes(t, p, cl, len(r.servers), 1, "dir")
 	resp, err := cl.Meta(p, &rfsrv.Req{Op: rfsrv.OpCreate, Ino: dir, Name: "f"})
@@ -879,9 +888,6 @@ func TestElasticSpillResyncFaultMidCopy(t *testing.T) {
 	r := newClusterRig(t, 3)
 	r.run(t, func(p *sim.Proc) {
 		cl := r.clusterRep(t, p, 4, testStripe, 2)
-		if err := cl.SetResyncPeers(r.rsrv); err != nil {
-			t.Fatal(err)
-		}
 		cl.SetJournalLimits(1, 0)
 		const size = 12 * testStripe
 		ino := clusterCreate(t, p, cl, "f")
@@ -935,6 +941,131 @@ func TestElasticSpillResyncFaultMidCopy(t *testing.T) {
 	})
 }
 
+// TestElasticSpillResyncFaultMidImport cuts the returning server's NIC
+// the instant the namespace image of its full-slice resync reaches it:
+// Reinstate must fail before a single stripe is copied, with the slot
+// still excluded and its journal still spilled, and succeed — namespace
+// and bytes exact — once the NIC is revived.
+func TestElasticSpillResyncFaultMidImport(t *testing.T) {
+	r := newClusterRig(t, 3)
+	r.run(t, func(p *sim.Proc) {
+		cl := r.clusterRep(t, p, 4, testStripe, 2)
+		cl.SetJournalLimits(1, 0)
+		const size = 6 * testStripe
+		ino := clusterCreate(t, p, cl, "f")
+		expect := pattern(size)
+		elasticWrite(t, p, r, cl, ino, 0, expect)
+
+		r.servers[1].NIC.Kill()
+		for _, name := range []string{"d1", "d2"} {
+			if _, err := cl.Meta(p, &rfsrv.Req{Op: rfsrv.OpMkdir, Ino: 0, Name: name}); err != nil {
+				t.Fatalf("mkdir %s: %v", name, err)
+			}
+		}
+		if !cl.JournalSpilled(1) {
+			t.Fatal("two mutations under a one-op cap did not spill the journal")
+		}
+
+		// The excluded server hears nothing until the resync's import
+		// arrives: cut it then.
+		r.servers[1].NIC.Revive()
+		nic := r.servers[1].NIC
+		heard := nic.RxMsgs.N
+		stop := killWhen(r, 1, func() bool { return nic.RxMsgs.N > heard })
+		err := cl.Reinstate(p, 1)
+		stop()
+		if !fabric.IsFault(err) {
+			t.Fatalf("reinstate with the target cut mid-import: err = %v, want a fault", err)
+		}
+		if cl.ResyncBytes.Bytes != 0 {
+			t.Fatalf("the resync copied %d bytes after its image transfer failed", cl.ResyncBytes.Bytes)
+		}
+		if down := cl.DownServers(); !equalInts(down, []int{1}) || !cl.JournalSpilled(1) {
+			t.Fatalf("down = %v, spilled = %v after the failed import, want [1] and spilled", down, cl.JournalSpilled(1))
+		}
+		assertWindowsIdle(t, cl)
+		r.checkNoLeaks(t)
+
+		r.servers[1].NIC.Revive()
+		if err := cl.Reinstate(p, 1); err != nil {
+			t.Fatalf("reinstate retry: %v", err)
+		}
+		for _, name := range []string{"d1", "d2"} {
+			if _, err := r.serverFS[1].Lookup(p, r.serverFS[1].Root(), name); err != nil {
+				t.Errorf("resynced server missing %q: %v", name, err)
+			}
+		}
+		assertPlacementHeld(t, p, r, cl, nil, ino, expect)
+		r.servers[0].NIC.Kill()
+		if got := elasticReadBack(t, p, r, cl, ino, size); !bytes.Equal(got, expect) {
+			t.Error("read through the resynced server returned wrong bytes")
+		}
+		assertWindowsIdle(t, cl)
+		r.checkNoLeaks(t)
+	})
+}
+
+// TestElasticBounceFaultMidStageCommitsNothing cuts a member's NIC while
+// a sharded Bounce stages its cutover images: the first member already
+// holds its staged image, the cut one never receives its own. Staged
+// images apply only at the commit, so nothing commits: every server's
+// member epoch stays 0, the view is unchanged and every byte reads back;
+// after Revive + Reinstate a retried Bounce completes.
+func TestElasticBounceFaultMidStageCommitsNothing(t *testing.T) {
+	r := newShardRig(t, 4, 2)
+	r.run(t, func(p *sim.Proc) {
+		const size = 8 * testStripe
+		cl, view, dir, ino, expect := shardedFile(t, p, r, size)
+		members := view.Members()
+
+		// Bouncing 1 first retires it: its cutover stages images on 0, 2
+		// and 3, in that order. Cut 3 once 0 holds its image.
+		stop := killWhen(r, 3, r.rsrv[0].StagedImage)
+		err := cl.Bounce(p, 1)
+		stop()
+		if !fabric.IsFault(err) {
+			t.Fatalf("bounce with a member cut mid-stage: err = %v, want a fault", err)
+		}
+		if m := view.Members(); !equalInts(m, members) || view.Epoch() != 0 {
+			t.Fatalf("failed bounce moved the view: members %v epoch %d", m, view.Epoch())
+		}
+		for i, srv := range r.rsrv {
+			if e := srv.MemberEpoch(); e != 0 {
+				t.Errorf("server %d committed member epoch %d during a bounce that failed", i, e)
+			}
+		}
+		if a, err := cl.Meta(p, &rfsrv.Req{Op: rfsrv.OpLookup, Ino: dir, Name: "f"}); err != nil || a.Attr.Ino != ino {
+			t.Fatalf("lookup after the failed bounce: ino=%d err=%v, want %d", a.Attr.Ino, err, ino)
+		}
+		if got := elasticReadBack(t, p, r, cl, ino, size); !bytes.Equal(got, expect) {
+			t.Fatal("read after the failed bounce returned wrong bytes")
+		}
+		assertWindowsIdle(t, cl)
+		r.checkNoLeaks(t)
+
+		r.servers[3].NIC.Revive()
+		for _, s := range cl.DownServers() {
+			if err := cl.Reinstate(p, s); err != nil {
+				t.Fatalf("reinstate slot %d before retry: %v", s, err)
+			}
+		}
+		if err := cl.Bounce(p, 1); err != nil {
+			t.Fatalf("bounce retry: %v", err)
+		}
+		if m := view.Members(); !equalInts(m, members) || view.Epoch() != 2 {
+			t.Fatalf("after retried bounce: members %v epoch %d, want %v epoch 2", m, view.Epoch(), members)
+		}
+		for i, srv := range r.rsrv {
+			if srv.StagedImage() {
+				t.Errorf("server %d still holds a staged image after the commit", i)
+			}
+		}
+		assertPlacementHeld(t, p, r, cl, view, ino, expect)
+		assertWindowsIdle(t, cl)
+		r.checkNoLeaks(t)
+	})
+}
+
 // TestElasticBounceCopyTakesWireTime pins that a stop-world Bounce's
 // stripe copy is real traffic: every migrated byte leaves the
 // operator's node through its one link, so a Bounce that moves several
@@ -976,9 +1107,6 @@ func TestElasticViewlessClientGoesStale(t *testing.T) {
 	r.run(t, func(p *sim.Proc) {
 		op := r.clusterRep(t, p, 4, testStripe, 2)
 		if err := op.SetMembers(3); err != nil {
-			t.Fatal(err)
-		}
-		if err := op.SetResyncPeers(r.rsrv); err != nil {
 			t.Fatal(err)
 		}
 		op.ShareView()

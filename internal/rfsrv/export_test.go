@@ -24,6 +24,10 @@ func (s *Server) ZeroFrameRefs() int { return s.zero.RefCount() }
 // (OpMember) — the one its replies stamp.
 func (s *Server) MemberEpoch() uint64 { return s.member }
 
+// StagedImage reports whether the server holds a namespace image an
+// OpImport staged for a membership cutover.
+func (s *Server) StagedImage() bool { return s.stage != nil }
+
 // Read-only views of a cluster's configuration, for the tests that
 // rebuild or audit one.
 

@@ -75,7 +75,9 @@ func FuzzDecodeResp(f *testing.F) {
 // over a small partitioned memfs, unsharded and sharded, exactly as
 // serve does after the receive — DecodeReq, then the data handlers or
 // handleMeta plus everything unpack finds behind a metadata request —
-// and checks every reply is well formed and the store stays sane.
+// and checks every reply is well formed and the store stays sane. An
+// OpImport's payload is whatever follows its head; an OpExport's image
+// must decode.
 func FuzzServeBytes(f *testing.F) {
 	batch := EncodeReqInto(nil, &Req{Op: OpCreate, Ino: 1, Name: "new"})
 	batch = EncodeReqInto(batch, &Req{Op: OpTruncate, Ino: 3, Off: -5})
@@ -94,6 +96,13 @@ func FuzzServeBytes(f *testing.F) {
 		f.Add(EncodeReqInto(nil, &Req{Op: OpRenamePrepare, Ino: 1, Off: 4, Name: PackRenameNames("f", "g")}), sharded)
 		f.Add(EncodeReqInto(nil, &Req{Op: OpLink, Ino: 1, Off: 3, Len: 99, Name: "again"}), sharded)
 		f.Add(EncodeReqInto(nil, &Req{Op: Op(200), Ino: 1}), sharded)
+	}
+	for _, sharded := range []bool{false, true} {
+		f.Add(EncodeReqInto(nil, &Req{Op: OpExport, Len: MaxWriteChunk}), sharded)
+		f.Add(EncodeReqInto(nil, &Req{Op: OpExport, Len: 40}), sharded)
+		for _, img := range append(malformedImages(sampleImage(0)), sampleImage(0), sampleImage(3)) {
+			f.Add(append(EncodeReqInto(nil, &Req{Op: OpImport}), img...), sharded)
+		}
 	}
 	f.Fuzz(func(t *testing.T, raw []byte, sharded bool) {
 		raw = raw[:min(len(raw), 4096)] // the head serve decodes
@@ -117,11 +126,43 @@ func FuzzServeBytes(f *testing.F) {
 			fs.Truncate(p, file.Ino, 10000)
 			fs.Mkdir(p, fs.Root(), "d")
 			check := func(req *Req, resp *Resp) {
-				if resp.Seq != req.Seq || resp.Status < StOK || resp.Status > StNotOwner {
+				if resp.Seq != req.Seq || resp.Status < StOK || resp.Status > StTooLarge {
 					t.Fatalf("%+v answered %+v", req, resp)
 				}
 			}
+			state := func() []byte {
+				raw, err := s.exportImage(MaxWriteChunk)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return raw
+			}
 			switch req.Op {
+			case OpExport:
+				raw, err := s.exportImage(int(req.Len))
+				if err != nil {
+					if err != ErrImageTooLarge {
+						t.Fatalf("export into %d bytes: %v", req.Len, err)
+					}
+					break
+				}
+				if img, err := decodeImage(raw); err != nil {
+					t.Fatalf("exported image does not decode: %v", err)
+				} else if again, _ := img.encode(); !bytes.Equal(again, raw) {
+					t.Fatal("exported image is not canonical")
+				}
+			case OpImport:
+				payload := raw[consumed:]
+				req.Len = uint32(len(payload))
+				before, was, staged := node.Mem.Allocated(), state(), s.stage
+				resp := importBytes(p, s, req, payload)
+				check(req, resp)
+				if got := node.Mem.Allocated(); got > before || resp.Status != StOK && got != before {
+					t.Fatalf("import of %x: %d frames allocated before, %d after", payload, before, got)
+				}
+				if resp.Status != StOK && (!bytes.Equal(state(), was) || s.stage != staged) {
+					t.Fatalf("refused import of %x changed the server", payload)
+				}
 			case OpRead:
 				resp, xs := s.readExtents(p, req)
 				check(req, resp)

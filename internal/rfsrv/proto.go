@@ -125,6 +125,15 @@ const (
 	// at exactly the epoch the rest of the cluster recorded for it.
 	// Only Reinstate's replay engine issues it.
 	OpSyncEpoch
+	// OpExport reads the server's namespace image (image.go): shaped
+	// like a read, the image is the data message — at most Len bytes,
+	// the room the client posted — and the reply's N its length.
+	OpExport
+	// OpImport writes a namespace image to the server: shaped like a
+	// write, the Len-byte image is the payload. The server decodes it
+	// whole, then applies it, or stages it for the OpMember of the epoch
+	// the image names.
+	OpImport
 )
 
 //analyze:dispatch ops
@@ -137,10 +146,23 @@ var opNames = map[Op]string{
 	OpRenamePrepare: "renameprepare", OpRenameFinalize: "renamefinalize",
 	OpRenameAbort: "renameabort", OpRenameLocal: "renamelocal",
 	OpMember: "member", OpSyncEpoch: "syncepoch",
+	OpExport: "export", OpImport: "import",
 }
 
+// readShaped reports whether op's reply carries data as its own message
+// ahead of the header (OpRead, OpExport); writeShaped whether a payload
+// follows its head, inline or alone (OpWrite, OpImport). Neither kind
+// is ever packed behind another request.
+//
+// allocfree
+func readShaped(op Op) bool { return op == OpRead || op == OpExport }
+
+// allocfree
+func writeShaped(op Op) bool { return op == OpWrite || op == OpImport }
+
 // PackMember builds the Len field of an OpMember request: the server's
-// position in the new placement order (7 bits), the new member count
+// position in the new placement order (7 bits; the count itself for a
+// retiree, which holds no position), the new member count
 // (7 bits), the replication factor (7 bits), and a sharded-geometry
 // flag telling the server to swap its §11 ownership map and minting
 // partition along with the epoch.
@@ -446,6 +468,9 @@ const (
 	// that does not own the directory's slice of the namespace — a
 	// routing bug on the client, never a retryable condition.
 	StNotOwner
+	// StTooLarge refuses a namespace image that does not fit one message
+	// (ErrImageTooLarge).
+	StTooLarge
 )
 
 // StatusOf maps a filesystem error to a wire status.
@@ -475,6 +500,8 @@ func StatusOf(err error) int32 {
 		return StBusy
 	case ErrNotOwner:
 		return StNotOwner
+	case ErrImageTooLarge:
+		return StTooLarge
 	default:
 		return StIO
 	}
@@ -508,6 +535,8 @@ func ErrOf(st int32) error {
 		return ErrBusy
 	case StNotOwner:
 		return ErrNotOwner
+	case StTooLarge:
+		return ErrImageTooLarge
 	case StIO:
 		return fmt.Errorf("rfsrv: remote I/O error (status %d)", st)
 	default:

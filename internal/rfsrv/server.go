@@ -93,6 +93,11 @@ type Server struct {
 	// builds.
 	member uint64
 
+	// stage is the namespace image an OpImport staged for a membership
+	// cutover (image.go), nil when none is: the OpMember committing its
+	// epoch applies it, any other OpMember discards it.
+	stage *image
+
 	// Requests counts served operations; Batched counts requests that
 	// arrived packed behind another in one message (§3.3-style
 	// combining, client side).
@@ -316,22 +321,27 @@ func (s *Server) handleMeta(p *sim.Proc, req *Req) *Resp {
 }
 
 // handleMember commits a new membership view on this server
-// (DESIGN.md §13): it adopts the epoch for reply stamping and, in
-// sharded mode, swaps the §11 ownership geometry and re-bases the
-// backing store's minting partition past the mint floor so inodes
-// minted under the new geometry route by (ino−2) mod N and never
-// collide with old ones.
+// (DESIGN.md §13): it applies the image staged for the epoch when the
+// commit names the server a member (position < count; a retiree's
+// stamp is position count) and discards any other, adopts the epoch
+// for reply stamping and, in sharded mode, swaps the §11 ownership
+// geometry and re-bases the backing store's minting partition past the
+// mint floor so inodes minted under the new geometry route by
+// (ino−2) mod N and never collide with old ones.
 func (s *Server) handleMember(p *sim.Proc, req *Req) error {
 	pos, n, r, sharded := UnpackMember(req.Len)
-	if req.Off < 0 || n <= 0 || r <= 0 || r > n || pos >= n {
-		return ErrInval
+	if req.Off < 0 || n <= 0 || r <= 0 || r > n || pos > n || sharded && (pos == n || s.sfs == nil) {
+		return ErrInval // a sharded commit needs a position and a shard-capable backing store
+	}
+	if img := s.stage; img != nil {
+		s.stage = nil
+		if img.stage == uint64(req.Off) && pos < n {
+			s.applyImage(img)
+		}
 	}
 	s.member = uint64(req.Off)
 	if !sharded {
 		return nil
-	}
-	if s.sfs == nil {
-		return ErrInval // sharded commit needs a shard-capable backing store
 	}
 	s.shard, s.shardIdx, s.geo = true, pos, ringPlacement(n, r)
 	if pf, ok := s.fs.(interface {
@@ -679,7 +689,7 @@ func (s *Server) recvReq(p *sim.Proc, t fabric.Transport, held **fabric.Buffer) 
 		sess.MaxOutstanding = max(sess.MaxOutstanding, sess.Outstanding)
 		s.inside++
 		w.req, w.src, w.raw, w.consumed, w.sess = req, st.Src, raw, consumed, sess
-		if req.Op == OpWrite {
+		if writeShaped(req.Op) {
 			// The one length rule: the payload is exactly req.Len bytes,
 			// inline behind the head or alone in its own message — never
 			// both, never truncated (st.Err: a message longer than the
@@ -713,12 +723,18 @@ func (s *Server) recvPayload(p *sim.Proc, t fabric.Transport, w *work, ok bool) 
 	if st := op.Wait(p); ok && st.Err == nil && st.Len == int(w.req.Len) {
 		return true
 	}
+	s.dropFrames(w)
+	return false
+}
+
+// dropFrames gives back the frames a separate payload landed in, for a
+// payload that is refused or consumed instead of installed.
+func (s *Server) dropFrames(w *work) {
 	for _, f := range w.frames {
 		s.node.Mem.Put(f)
 	}
 	clear(w.frames)
 	w.frames = w.frames[:0]
-	return false
 }
 
 // payloadFrames allocates, when w's write range is valid (validWrite),
@@ -775,22 +791,12 @@ func (s *Server) serve(p *sim.Proc, t fabric.Transport, w *work) {
 	case OpRead:
 		resp, xs := s.readExtents(p, req)
 		// Data first (zero-copy from the block store), then the header.
-		// A zero-length data message is still sent so the client's
-		// posted receive always completes.
-		data := physVec(xs)
-		if len(data) == 0 {
-			data = core.Of(core.PhysSeg(s.zero.Addr(), 0))
-		}
-		op, err := t.Send(p, w.src, req.EP, tag(req.Seq, req.EP, kindData), data)
-		if err != nil {
-			if !fabric.IsFault(err) {
-				panic(err)
-			}
-			s.putFrames(xs)
-		} else if len(xs) > 0 {
-			s.staged = append(s.staged, stagedSend{op: op, frames: xs})
-		}
+		s.sendData(p, t, w.src, req, physVec(xs), stagedSend{frames: xs})
 		s.reply(p, t, w.src, req, resp)
+	case OpExport:
+		s.serveExport(p, t, w)
+	case OpImport:
+		s.reply(p, t, w.src, req, s.serveImport(p, w))
 	case OpWrite:
 		resp := &Resp{Seq: req.Seq, Status: StInval}
 		if w.ok {
@@ -821,6 +827,28 @@ func (s *Server) serve(p *sim.Proc, t fabric.Transport, w *work) {
 	s.putWork(w)
 }
 
+// sendData sends a read-shaped reply's data message from data, which
+// held keeps alive until the send is done (sweepStaged) — or, when the
+// client is dead, gives back at once. Empty data is still sent, so the
+// client's posted receive always completes.
+func (s *Server) sendData(p *sim.Proc, t fabric.Transport, dst hw.NodeID, req *Req, data core.Vector, held stagedSend) {
+	if len(data) == 0 {
+		data = core.Of(core.PhysSeg(s.zero.Addr(), 0))
+	}
+	op, err := t.Send(p, dst, req.EP, tag(req.Seq, req.EP, kindData), data)
+	switch {
+	case err == nil:
+		if held.buf != nil || len(held.frames) > 0 {
+			held.op = op
+			s.staged = append(s.staged, held)
+		}
+	case fabric.IsFault(err):
+		s.release(held)
+	default:
+		panic(err)
+	}
+}
+
 // unpack decodes the metadata requests packed behind the first one in
 // a combined message. A decode error drops the remainder (malformed
 // trailing bytes), like any other malformed request.
@@ -828,7 +856,7 @@ func (s *Server) unpack(raw []byte) []*Req {
 	var out []*Req
 	for len(raw) >= reqFixed {
 		req, consumed, err := DecodeReq(raw)
-		if err != nil || req.Op == OpRead || req.Op == OpWrite {
+		if err != nil || readShaped(req.Op) || writeShaped(req.Op) {
 			break
 		}
 		out = append(out, req)
@@ -854,13 +882,18 @@ func (s *Server) sweepStaged() {
 			live = append(live, ss)
 			continue
 		}
-		if ss.buf != nil {
-			ss.buf.Release()
-		}
-		s.putFrames(ss.frames)
+		s.release(ss)
 	}
 	clear(s.staged[len(live):])
 	s.staged = live
+}
+
+// release gives back what a reply message was sent from.
+func (s *Server) release(ss stagedSend) {
+	if ss.buf != nil {
+		ss.buf.Release()
+	}
+	s.putFrames(ss.frames)
 }
 
 // reply stamps resp and sends its header to the requester. It is the

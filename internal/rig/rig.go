@@ -70,7 +70,7 @@ type Rig struct {
 	HW      *hw.Cluster
 	Nodes   []*hw.Node      // server nodes, in slot order
 	Stores  []*memfs.FS     // "backing<j>", the store behind Servers[j]
-	Servers []*rfsrv.Server // the bulk-channel handles (SetResyncPeers)
+	Servers []*rfsrv.Server // the server on each node, for tests to inspect; no client holds one
 	// View, once an operator cluster published it (View =
 	// op.ShareView()), is attached to every cluster built afterwards.
 	View *rfsrv.MemberView
@@ -134,11 +134,14 @@ func (r *Rig) MX(n *hw.Node) *mx.MX {
 // Cluster builds one client view of the rig's servers from node: a
 // kernel-side MX fabric client per server on local endpoint epBase+j
 // with the reply deadline armed, a session each, and the replicated
-// striped cluster over them — sharded when the rig is, holding the
-// servers as resync peers, attached to the shared view if one is
-// published. A second cluster on the same node needs its own epBase.
+// striped cluster over them — sharded when the rig is, attached to the
+// shared view if one is published. A second cluster on the same node
+// needs its own epBase.
 func (r *Rig) Cluster(p *sim.Proc, node *hw.Node, epBase int) (*rfsrv.Cluster, error) {
 	d := r.Desc
+	if len(r.Stores) == 0 {
+		return nil, fmt.Errorf("rig: a bare rig serves no files")
+	}
 	sessions := make([]*rfsrv.Session, len(r.Nodes))
 	for j, srv := range r.Nodes {
 		fc, err := rfsrv.NewMXClient(r.MX(node), uint8(epBase+j), true, node.Kernel, srv.ID, ServerEP)
@@ -158,9 +161,6 @@ func (r *Rig) Cluster(p *sim.Proc, node *hw.Node, epBase int) (*rfsrv.Cluster, e
 		if err := cl.EnableShardedNamespace(); err != nil {
 			return nil, err
 		}
-	}
-	if err := cl.SetResyncPeers(r.Servers); err != nil {
-		return nil, err
 	}
 	if r.View != nil {
 		cl.AttachView(r.View)
