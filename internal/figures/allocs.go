@@ -94,8 +94,8 @@ func probeFile(p *sim.Proc, cl *rfsrv.Cluster) (kernel.InodeID, error) {
 // ExtendingWriteAllocs measures the steady-state host cost of one
 // extending one-page write through a 4-server striped cluster: the
 // data leg to the page's stripe owner plus the grow-OpSetSize fan that
-// publishes the new end to the other three servers before the write
-// returns (Cluster.setSizeTo, DESIGN.md §9).
+// publishes the new end to the other three servers beside it, before
+// the write returns (Cluster.startPublish/finishPublish, DESIGN.md §9).
 func ExtendingWriteAllocs(ops int) (HostCost, error) {
 	if ops <= 0 {
 		return HostCost{}, fmt.Errorf("figures: ExtendingWriteAllocs needs ops > 0")

@@ -61,14 +61,22 @@ const (
 	elWriteEvery = 6
 )
 
-// Phase durations (virtual). The schedule is time-driven: traffic
-// runs elPreDur healthy, the victim is dark elDwellDur, clients heal
-// two deadlines after the revive, the Join runs once every client is
-// clean, and the run samples elTailDur of post-expansion steady state.
+// The schedule. The two steady-state phases are counted in reads:
+// traffic runs healthy for elPhaseReads reads, the victim is dark
+// elDwellDur, clients heal two deadlines after the revive, the Join
+// runs once every client is clean, and the run ends elPhaseReads reads
+// after the cutover. The pre-kill and post-expansion rows measure
+// exactly those reads, however long they take — a fixed window of a
+// few milliseconds holds only ≈ 20 reads, so its row moved with where
+// the window's edges fell among them rather than with the geometry.
 const (
-	elPreDur   = 2 * sim.Time(1e6) // 2ms
-	elDwellDur = 1 * sim.Time(1e6) // 1ms
-	elTailDur  = 2 * sim.Time(1e6) // 2ms
+	elPhaseReads = 200
+	elDwellDur   = 1 * sim.Time(1e6) // 1ms
+	// elPoll is how often the controller checks the read count.
+	elPoll = 10 * sim.Time(1e3) // 10µs
+	// elPhaseCap bounds a counted phase: clients that stopped reading
+	// fail the run instead of parking the controller forever.
+	elPhaseCap = 500 * sim.Time(1e6) // 500ms
 )
 
 // elCtl is the shared phase state between the controller proc and the
@@ -85,7 +93,8 @@ type elResult struct {
 	started, finished sim.Time
 	killAt, healAt    sim.Time
 	joinStart, cutAt  sim.Time
-	samples           []dgSample
+	samples           []dgSample // in completion order
+	cutReads          int        // len(samples) at the cutover
 	maxLat            sim.Time
 
 	failovers, reinstates, refusals int64
@@ -104,6 +113,31 @@ func (r *elResult) window(from, to sim.Time) float64 {
 		}
 	}
 	return mbps(b, to-from)
+}
+
+// phase returns the aggregate read throughput of the elPhaseReads
+// reads completed from sample index first on, measured from start to
+// the last one's completion, and that span.
+func (r *elResult) phase(first int, start sim.Time) (float64, sim.Time) {
+	reads := r.samples[first : first+elPhaseReads]
+	var b int
+	for _, s := range reads {
+		b += s.bytes
+	}
+	span := reads[len(reads)-1].at - start
+	return mbps(b, span), span
+}
+
+// elAwait parks the controller until elPhaseReads reads have completed
+// beyond the first `first` samples.
+func elAwait(p *sim.Proc, res *elResult, first int) error {
+	for waited := sim.Time(0); len(res.samples) < first+elPhaseReads; waited += elPoll {
+		if waited > elPhaseCap {
+			return fmt.Errorf("figures: elastic: %d of %d reads in %v", len(res.samples)-first, elPhaseReads, elPhaseCap)
+		}
+		p.Sleep(elPoll)
+	}
+	return nil
 }
 
 // elClient streams synchronous stripe reads (with periodic stripe
@@ -164,8 +198,8 @@ func elClient(p *sim.Proc, cl *rfsrv.Cluster, ino kernel.InodeID, ctl *elCtl, re
 
 // elRun executes one elastic lifecycle on a fresh simulated cluster.
 // timeout == 0 runs the fault-free calibration baseline: no kill, no
-// join, just elPreDur+elTailDur of healthy traffic measuring makespan
-// throughput and worst latency.
+// join, just the two phases' reads of healthy traffic, measuring
+// makespan throughput and worst latency.
 func (c Config) elRun(timeout sim.Time) (*elResult, error) {
 	r, err := rig.New(rig.Desc{Servers: elServers, Replicas: elReplicas, Stripe: msStripe,
 		Window: elWindow, Timeout: timeout})
@@ -234,10 +268,11 @@ func (c Config) elRun(timeout sim.Time) (*elResult, error) {
 // baseline: healthy traffic only.
 func elController(p *sim.Proc, r *rig.Rig, op *rfsrv.Cluster, clusters []*rfsrv.Cluster,
 	timeout sim.Time, ctl *elCtl, res *elResult) error {
-	p.Sleep(elPreDur)
+	if err := elAwait(p, res, 0); err != nil {
+		return err
+	}
 	if timeout == 0 {
-		p.Sleep(elTailDur)
-		return nil
+		return elAwait(p, res, len(res.samples))
 	}
 	victim := r.Nodes[elVictim].NIC
 	res.killAt = p.Now()
@@ -278,21 +313,22 @@ func elController(p *sim.Proc, r *rig.Rig, op *rfsrv.Cluster, clusters []*rfsrv.
 	if err := op.Join(p, elJoiner); err != nil {
 		return fmt.Errorf("join of standby slot %d: %w", elJoiner, err)
 	}
-	res.cutAt = p.Now()
+	res.cutAt, res.cutReads = p.Now(), len(res.samples)
 	res.epoch = r.View.Epoch()
 	res.members = r.View.Members()
 	res.migratedBytes = op.Migrated.Bytes
-	p.Sleep(elTailDur)
-	return nil
+	return elAwait(p, res, res.cutReads)
 }
 
-// elPhases derives the per-phase throughput rows of a faulted run:
-// pre-kill, degraded (post-settle, victim dark or excluded), and
-// post-expansion steady state.
-func elPhases(res *elResult, timeout sim.Time) (pre, degraded, post float64) {
-	pre = res.window(res.started, res.killAt)
+// elPhases derives the per-phase throughput rows of a faulted run —
+// pre-kill (the first elPhaseReads reads), degraded (post-settle,
+// victim dark or excluded) and post-expansion steady state (the first
+// elPhaseReads reads after the cutover) — and the two counted phases'
+// spans.
+func elPhases(res *elResult, timeout sim.Time) (pre, degraded, post float64, preSpan, postSpan sim.Time) {
+	pre, preSpan = res.phase(0, res.started)
 	degraded = res.window(res.killAt+timeout, res.healAt)
-	post = res.window(res.cutAt, res.finished)
+	post, postSpan = res.phase(res.cutReads, res.cutAt)
 	return
 }
 
@@ -310,7 +346,7 @@ func (c Config) Elastic() ([]*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	pre, degraded, post := elPhases(res, timeout)
+	pre, degraded, post, preSpan, postSpan := elPhases(res, timeout)
 	baseline := base.window(base.started, base.finished)
 	phases := &Table{
 		ID: "elastic",
@@ -322,13 +358,13 @@ func (c Config) Elastic() ([]*Table, error) {
 				fmt.Sprintf("%.1f", ms(base.finished-base.started)),
 				fmt.Sprintf("%.1f", baseline), "-"},
 			{"pre-kill", fmt.Sprintf("%d", elActive),
-				fmt.Sprintf("%.1f", ms(res.killAt-res.started)),
+				fmt.Sprintf("%.1f", ms(preSpan)),
 				fmt.Sprintf("%.1f", pre), "1.00"},
 			{"degraded (victim excluded)", fmt.Sprintf("%d", elActive-1),
 				fmt.Sprintf("%.1f", ms(res.healAt-res.killAt-timeout)),
 				fmt.Sprintf("%.1f", degraded), fmt.Sprintf("%.2f", degraded/pre)},
 			{"post-expansion", fmt.Sprintf("%d", elActive+1),
-				fmt.Sprintf("%.1f", ms(res.finished-res.cutAt)),
+				fmt.Sprintf("%.1f", ms(postSpan)),
 				fmt.Sprintf("%.1f", post), fmt.Sprintf("%.2f", post/pre)},
 		},
 		Expected: "beyond the paper (its platform is static): the kill degrades " +

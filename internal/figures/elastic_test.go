@@ -44,7 +44,7 @@ func TestElasticLifecycle(t *testing.T) {
 	if len(res.members) != elActive+1 {
 		t.Errorf("members = %v after join, want %d slots", res.members, elActive+1)
 	}
-	pre, degraded, post := elPhases(res, timeout)
+	pre, degraded, post, _, _ := elPhases(res, timeout)
 	if degraded <= 0 {
 		t.Error("degraded phase moved no data; the surviving members should keep serving")
 	}

@@ -14,7 +14,7 @@ package figures
 // layout policy, which classifies these files whole-on-home — data on
 // the file's metadata home, spread across servers by the inode hash,
 // with NO reconciliation fan (the home is the size authority, see
-// Cluster.setSizeTo). The interesting numbers are aggregate small-file
+// Cluster.startPublish). The interesting numbers are aggregate small-file
 // ops/s against the server count for both policies, and the
 // reconciliation RPCs each policy paid per data write.
 //

@@ -28,9 +28,10 @@ package rfsrv
 //
 // Size coherence (DESIGN.md §9). A write's tail may land away from a
 // file's metadata home, leaving the home's (and other data servers')
-// local size short of the true end of file. After each synchronous
-// Write that extends a file, the cluster replays a grow-only OpSetSize
-// to every other server, so any server's local size — and thus any
+// local size short of the true end of file. Beside each synchronous
+// Write that extends a file — issued with its data, collected before
+// it returns — the cluster sends a grow-only OpSetSize to every other
+// server, so any server's local size — and thus any
 // homed getattr, and the EOF clipping of any striped read — reflects
 // the true size. The inode's path-hashed home server is the size
 // authority, and the caching that elides repeat reconciliations is
@@ -884,9 +885,13 @@ func drainParts(p *sim.Proc, parts []*part) {
 // Write implements Client: the striped issue loop and the pending's
 // Wait shared with StartWrite, plus what only a synchronous write does
 // — runs longer than one request are chunked (inside issueWrites), and
-// after a write that extends the file, grow-only OpSetSize requests
-// reconcile every other server's local size (see the package comment
-// on size reconciliation). A replica that faults mid-write is
+// a write that extends the file publishes its end: grow-only OpSetSize
+// requests reconcile every other server's local size (see the package
+// comment on size reconciliation). The publish rides beside the data,
+// not after it: its first round leaves right behind the data
+// (startPublish) and is collected once the data replied
+// (finishPublish), so both legs are on the wire together and both have
+// completed when Write returns. A replica that faults mid-write is
 // excluded; the write succeeds as long as every run kept at least one
 // clean replica.
 func (cl *Cluster) Write(p *sim.Proc, ino kernel.InodeID, off int64, src core.Vector) (*Resp, error) {
@@ -912,9 +917,8 @@ func (cl *Cluster) Write(p *sim.Proc, ino kernel.InodeID, off int64, src core.Ve
 	if err := cl.issueWrites(p, cp, off, src); err != nil {
 		return &Resp{Status: StatusOf(err)}, err
 	}
-	// The tail run's own targets already reach the new end of file;
-	// the reconciliation below skips them. Collected before Wait
-	// recycles the parts.
+	// The tail run's own targets reach the new end of file with the
+	// data; the publish's first round skips them.
 	tail := cl.tailScratch[:0]
 	for _, pt := range cp.parts {
 		if pt.ridx == len(cp.runs)-1 && !slices.Contains(tail, pt.target) {
@@ -922,16 +926,17 @@ func (cl *Cluster) Write(p *sim.Proc, ino kernel.InodeID, off int64, src core.Ve
 		}
 	}
 	cl.tailScratch = tail
+	pub := cl.startPublish(p, lay, ino, off+int64(total), tail)
 	// Wait feeds the data replies' size epochs into the validated cache
-	// BEFORE the reconciliation decision: a foreign truncate since this
-	// client's last reconciliation resets the cached floor there, which
-	// is exactly what forces setSizeTo to re-run for an overwrite below
-	// the stale cached size.
+	// BEFORE finishPublish judges the first round: a foreign truncate
+	// the data replies reveal voids it, and the cached floor reset there
+	// is what re-runs the publish for an overwrite below a stale cached
+	// size.
 	resp, err := cp.Wait(p)
 	if err != nil {
-		return resp, err
+		return resp, cl.finishPublish(p, pub, err)
 	}
-	if err := cl.setSizeTo(p, lay, ino, off+int64(total), tail); err != nil {
+	if err := cl.finishPublish(p, pub, nil); err != nil {
 		return &Resp{Status: StatusOf(err)}, err
 	}
 	return resp, nil
@@ -1019,19 +1024,27 @@ func (cl *Cluster) checkRunCoverage(runs []run, parts []*part) error {
 	return nil
 }
 
-// setSizeTo reconciles file size after a write ending at end: every
-// server except the tail run's own targets (whose local sizes already
-// reach end) and the excluded ones gets a grow-only OpSetSize carrying
-// this client's observed size epoch. Skipped entirely when this client
-// holds a validated size >= end, and always a no-op on a one-server
-// cluster. A server that faults during reconciliation is excluded —
-// not an error: the alive servers are consistent, which is all the
-// cache records. Because the grow mode is idempotent, a retry after a
-// transient fault (write re-run, or Reinstate then write) replays it
-// safely in any order. Servers refuse a stale observed epoch
-// (a foreign exact size set ran since): their StStale replies carry
-// the authoritative epoch, the cache entry resets, and the fan
-// retries under the fresh epoch.
+// sizePublish is one grow publish of an end of file, between its two
+// halves: startPublish puts its first round on the wire, finishPublish
+// collects and judges it and runs whatever rounds remain.
+type sizePublish struct {
+	ino   kernel.InodeID
+	end   int64
+	whole bool   // a whole-on-home file: never publishes
+	on    bool   // a round was started and is not judged yet
+	epoch uint64 // the observed size epoch the round carried
+	round fanned
+}
+
+// startPublish begins reconciling file size to end: every server
+// except skip (a write's tail run targets, whose local sizes reach end
+// with the data) and the excluded ones gets a grow-only OpSetSize
+// carrying this client's observed size epoch. Nothing goes out when
+// this client holds a validated size >= end, and never on a one-server
+// cluster. The round's flights hold each target's control path until
+// finishPublish collects them, so every startPublish must reach its
+// finishPublish — on the error paths too — and no other fan may run in
+// between.
 //
 // A whole-on-home file never reconciles: its single data owner is its
 // metadata home (the same hash picks both), so the only server anyone
@@ -1040,29 +1053,64 @@ func (cl *Cluster) checkRunCoverage(runs []run, parts []*part) error {
 // getattr walks. That class sidesteps the fan by placement (DESIGN.md
 // §10); figures.SmallFile audits its zero and figures.SharedFile the
 // fan's cost on every other layout.
-func (cl *Cluster) setSizeTo(p *sim.Proc, lay LayoutClass, ino kernel.InodeID, end int64, skip []int) error {
-	if lay == LayoutWhole {
-		return nil
+func (cl *Cluster) startPublish(p *sim.Proc, lay LayoutClass, ino kernel.InodeID, end int64, skip []int) sizePublish {
+	sp := sizePublish{ino: ino, end: end, whole: lay == LayoutWhole}
+	cl.publishRound(p, &sp, skip)
+	return sp
+}
+
+// publishRound starts one round of sp under the cached epoch, unless
+// the file is whole-on-home or the validated floor covers its end.
+func (cl *Cluster) publishRound(p *sim.Proc, sp *sizePublish, skip []int) {
+	size, epoch := cl.sz.floor(sp.ino)
+	if sp.on = !sp.whole && size < sp.end; !sp.on {
+		return
+	}
+	sp.epoch = epoch
+	req := Req{Op: OpSetSize, Ino: sp.ino, Off: sp.end, Len: PackSetSize(false, epoch)}
+	sp.round = cl.fanStart(p, cl.aliveTargets(0, len(cl.pl.members), skip), &req)
+	addN(&cl.SetSizes, sp.round.tried)
+}
+
+// finishPublish collects sp's first round and settles the publish.
+// dataErr is the outcome of the write the round rode beside: a failed
+// write records nothing and returns dataErr (the round's flights are
+// still waited, so the control paths go idle). Otherwise a round
+// counts only if no target refused it as stale and the cached epoch is
+// still the one it carried — a data reply that revealed a foreign
+// truncate voids it. Every other case re-runs the decision, up to
+// publish's cap, against every alive server: a foreign exact set that
+// raced the write may have shrunk the tail targets after the data
+// landed on them. A server that faults during reconciliation is
+// excluded — not an error: the alive servers are consistent, which is
+// all the cache records. The grow mode is idempotent, so a retry after
+// a transient fault (write re-run, or Reinstate then write) replays it
+// safely in any order. Servers refuse a stale observed epoch (a foreign
+// exact size set ran since): their StStale replies carry the
+// authoritative epoch, the cache entry resets, and the next round
+// carries the fresh one.
+func (cl *Cluster) finishPublish(p *sim.Proc, sp sizePublish, dataErr error) error {
+	if sp.on {
+		cl.fanWait(p, &sp.round)
+	}
+	if dataErr != nil {
+		return dataErr
 	}
 	return publish("size reconciliation", func() (bool, error) {
-		size, epoch := cl.sz.floor(ino)
-		if size >= end {
+		if !sp.on {
+			if cl.publishRound(p, &sp, nil); !sp.on {
+				return false, nil
+			}
+			cl.fanWait(p, &sp.round)
+		}
+		sp.on = false
+		f := sp.round
+		if _, epoch := cl.sz.floor(sp.ino); f.err == nil && !f.stale && epoch == sp.epoch {
+			cl.sz.establish(sp.ino, sp.end, sp.epoch)
 			return false, nil
 		}
-		// One round: OpSetSize to every alive server not in skip (see
-		// fan). Faulting servers are excluded — not an error; other
-		// application errors win over staleness.
-		req := Req{Op: OpSetSize, Ino: ino, Off: end, Len: PackSetSize(false, epoch)}
-		f := cl.fan(p, cl.aliveTargets(0, len(cl.pl.members), skip), &req)
-		addN(&cl.SetSizes, f.tried)
-		if f.err == nil && !f.stale {
-			cl.sz.establish(ino, end, epoch)
-		}
-		// A foreign exact set that raced us may have shrunk the tail
-		// targets after our data landed on them, so retries stop
-		// skipping anyone.
-		skip = nil
-		return f.stale, f.err
+		// Stale or voided: retry. Application errors win over staleness.
+		return f.err == nil, f.err
 	})
 }
 
@@ -1089,7 +1137,8 @@ func (cl *Cluster) SetFileSize(p *sim.Proc, ino kernel.InodeID, size int64) erro
 	if lay, err = cl.maybePromote(p, ino, lay, size); err != nil {
 		return err
 	}
-	return cl.setSizeTo(p, lay, ino, size, nil)
+	pub := cl.startPublish(p, lay, ino, size, nil)
+	return cl.finishPublish(p, pub, nil)
 }
 
 // ---- adaptive promotion ----
@@ -1458,7 +1507,7 @@ func (cl *Cluster) StartWrite(p *sim.Proc, ino kernel.InodeID, off int64, src co
 	// The size cache is deliberately NOT updated here: sizes[ino]
 	// records "every server reconciled to this size", and an async
 	// write extends only the servers its runs touch. The next
-	// synchronous Write past this end runs setSizeTo as usual; callers
+	// synchronous Write past this end publishes as usual; callers
 	// with their own EOF tracking publish it through SetFileSize.
 	return cp, nil
 }
@@ -1484,6 +1533,9 @@ type fanFlight struct {
 
 // fanned is what one control-path fan produced.
 type fanned struct {
+	// flights are the requests on the wire between fanStart and
+	// fanWait, in cluster scratch.
+	flights []fanFlight
 	// resps holds the answer of every target that gave one — application
 	// statuses included; faulted targets and stale refusals are not in
 	// it — in target order. It is cluster scratch, valid until the next
@@ -1501,29 +1553,41 @@ type fanned struct {
 	err error
 }
 
-// fan is the one control-path fan: req goes out on the control path of
-// every target in order, all in flight together (each server's own
-// ctl slot — see FabricClient.startCtl — so a fan never waits on the
-// data windows), then each is waited in order. A target whose
-// transport faults, at issue or at wait, is excluded — a degraded-mode
-// fact, never an error or divergence. Every answer feeds the validated
-// caches. An ErrStaleEpoch refusal is classified by sizeBook.behind: a
-// refuser BEHIND the cache missed an exact size set while dead in
-// another client's view, no retry epoch can satisfy it and the
-// coherent members at once, so it is excluded like a fault; one ahead
-// of the cache reports stale. What the answers mean — agreement,
-// in-doubt windows, which counter a request bumps — is the caller's
-// verdict. One reusable request serves the whole fan: startCtl stamps
-// and encodes it into the target's control buffer before returning,
-// so the next target may overwrite it (per-server clones would only
-// feed the garbage collector); results live in cluster scratch (fans
-// never nest — each runs to completion before returning).
+// fan is the one control-path fan: fanStart and fanWait back to back.
+// req goes out on the control path of every target in order, all in
+// flight together (each server's own ctl slot — see
+// FabricClient.startCtl — so a fan never waits on the data windows),
+// then each is waited in order. A target whose transport faults, at
+// issue or at wait, is excluded — a degraded-mode fact, never an error
+// or divergence. Every answer feeds the validated caches. An
+// ErrStaleEpoch refusal is classified by sizeBook.behind: a refuser
+// BEHIND the cache missed an exact size set while dead in another
+// client's view, no retry epoch can satisfy it and the coherent
+// members at once, so it is excluded like a fault; one ahead of the
+// cache reports stale. What the answers mean — agreement, in-doubt
+// windows, which counter a request bumps — is the caller's verdict.
+// Results live in cluster scratch: fans never nest, and the one fan
+// split across other work — a write's size publish, started beside
+// its data — runs no other fan between its halves.
 func (cl *Cluster) fan(p *sim.Proc, targets []int, req *Req) fanned {
-	var f fanned
-	flights := cl.fanFlights[:0]
+	f := cl.fanStart(p, targets, req)
+	cl.fanWait(p, &f)
+	return f
+}
+
+// fanStart issues the fan: req on every target's control path, in
+// order. A target whose transport faults at issue is excluded; any
+// other issue error stops the fan there (f.err), and the flights
+// already out are still fanWait's to collect. Each flight holds its
+// target's control path until fanWait. One reusable request serves the
+// whole fan: startCtl stamps and encodes it into the target's control
+// buffer before returning, so the next target may overwrite it
+// (per-server clones would only feed the garbage collector).
+func (cl *Cluster) fanStart(p *sim.Proc, targets []int, req *Req) fanned {
+	f := fanned{flights: cl.fanFlights[:0]}
 	for _, i := range targets {
 		f.tried++
-		if len(flights) > 0 {
+		if len(f.flights) > 0 {
 			f.extra++
 		}
 		cl.fanReq = *req
@@ -1536,8 +1600,15 @@ func (cl *Cluster) fan(p *sim.Proc, targets []int, req *Req) fanned {
 			f.err = err
 			break
 		}
-		flights = append(flights, fanFlight{target: i, fl: fl})
+		f.flights = append(f.flights, fanFlight{target: i, fl: fl})
 	}
+	return f
+}
+
+// fanWait collects a started fan: every flight is waited in order,
+// releasing its control path, and classified (see fan).
+func (cl *Cluster) fanWait(p *sim.Proc, f *fanned) {
+	flights := f.flights
 	resps := cl.respScratch[:0]
 	for k := range flights {
 		i := flights[k].target
@@ -1563,8 +1634,7 @@ func (cl *Cluster) fan(p *sim.Proc, targets []int, req *Req) fanned {
 		}
 	}
 	cl.fanFlights, cl.respScratch = flights[:0], resps[:0]
-	f.resps = resps
-	return f
+	f.flights, f.resps = nil, resps
 }
 
 // aliveTargets collects, in cluster scratch, the session slots of the
@@ -1636,7 +1706,7 @@ func (cl *Cluster) Meta(p *sim.Proc, req *Req) (*Resp, error) {
 		// reconciled to this size", and a single server's view (e.g.
 		// the home after an async StartWrite that extended only its own
 		// stripes) cannot establish that — caching it would silently
-		// disable the next write's setSizeTo.
+		// disable the next write's size publish.
 		return cl.homedMeta(p, req, func() int { return cl.pathHomeIdx(req.Ino, req.Name) })
 	case OpGetattr, OpReaddir:
 		return cl.homedMeta(p, req, func() int { return cl.homeIdx(req.Ino) })

@@ -304,7 +304,7 @@ func TestClusterSetSizeRetryAfterTransientFault(t *testing.T) {
 		}
 
 		// Let the stall clear (and its late deliveries drain), then
-		// reinstate and re-run the same write: setSizeTo must replay.
+		// reinstate and re-run the same write: its size publish must replay.
 		p.Sleep(20 * faultTimeout)
 		if err := cl.Reinstate(p, 1); err != nil {
 			t.Fatalf("reinstate after mutation-free exclusion: %v", err)

@@ -40,6 +40,19 @@ func (cl *Cluster) LayoutPolicy() (LayoutPolicy, bool) { return cl.policy, cl.po
 // machinery is off or the inode has not been resolved yet.
 func (cl *Cluster) LayoutOf(ino kernel.InodeID) LayoutClass { return cl.layoutCached(ino) }
 
+// CtlBusy lists the servers whose control path (the endpoint's ctl
+// slot, FabricClient.startCtl) is still held — empty whenever no
+// cluster operation is running.
+func (cl *Cluster) CtlBusy() []int {
+	var out []int
+	for i, s := range cl.sessions {
+		if s.c.lock.InUse() > 0 {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
 // Replicas returns the replication factor R.
 func (cl *Cluster) Replicas() int { return cl.pl.replicas }
 

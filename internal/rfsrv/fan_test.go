@@ -83,8 +83,9 @@ func sizesAre(t *testing.T, p *sim.Proc, r *clusterRig, cl *rfsrv.Cluster, ino k
 	}
 }
 
-// viaSetSizeTo drives setSizeTo's fan to every server: SetFileSize
-// publishes an end of file past anything a server holds.
+// viaSetSizeTo drives the size publish's fan (startPublish and
+// finishPublish) to every server: SetFileSize publishes an end of file
+// past anything a server holds.
 func viaSetSizeTo(prep fanPrep) fanScenario {
 	return func(t *testing.T, p *sim.Proc, r *clusterRig, cl *rfsrv.Cluster) func() error {
 		ino := clusterCreate(t, p, cl, "f")

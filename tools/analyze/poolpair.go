@@ -8,9 +8,15 @@ package main
 // Tracked pairs (matched by package and type NAME so fixtures can
 // stand in for the real packages):
 //
-//	fabric.Pool.Get       -> Buffer.Release() (or defer)
-//	hw.NIC.getFrag        -> NIC.putFrag(f)
-//	rfsrv.Server.getWork  -> Server.putWork(w)
+//	fabric.Pool.Get              -> Buffer.Release() (or defer)
+//	hw.NIC.getFrag               -> NIC.putFrag(f)
+//	rfsrv.Server.getWork         -> Server.putWork(w)
+//	rfsrv.Cluster.startPublish   -> Cluster.finishPublish(p, pub, err)
+//
+// The last pair holds no pooled memory but a control slot: a started
+// size publish keeps every target's control path until its finish
+// collects the round, so a path that skips the finish wedges the next
+// fan on those servers.
 //
 // Ownership transfer counts as a release: storing the value into a
 // field, slice, map or channel, passing it to any function, or
@@ -62,11 +68,16 @@ var poolAcqs = []poolAcq{
 		releaseFuncs: map[string]bool{"putWork": true},
 		what:         "Server.getWork",
 	},
+	{
+		pkg: "rfsrv", typ: "Cluster", method: "startPublish", resultIdx: 0,
+		releaseFuncs: map[string]bool{"finishPublish": true},
+		what:         "Cluster.startPublish",
+	},
 }
 
 var poolPair = &Analyzer{
 	Name: "poolpair",
-	Doc:  "pooled acquisitions (fabric.Pool.Get, NIC fragments, server work records) must release on all paths",
+	Doc:  "pooled acquisitions (fabric.Pool.Get, NIC fragments, server work records, started size publishes) must release on all paths",
 	Run:  runPoolPair,
 }
 
@@ -192,11 +203,14 @@ type pstate struct {
 
 // merge combines two branch outcomes: the merged path still owns the
 // value if either branch does, and is defer-covered only if every
-// branch that still owns the value is.
+// branch that still owns the value is. Where neither branch owns it
+// (before the acquisition, say) nothing is covered: a defer flag
+// carried out of such a merge would excuse every later leak.
 func merge(a, b pstate) pstate {
+	live := a.live || b.live
 	return pstate{
-		live:     a.live || b.live,
-		deferred: (!a.live || a.deferred) && (!b.live || b.deferred),
+		live:     live,
+		deferred: live && (!a.live || a.deferred) && (!b.live || b.deferred),
 		errOK:    a.errOK && b.errOK,
 	}
 }

@@ -1,9 +1,11 @@
 #!/bin/sh
 # Analyzer regression smoke: prove the gate actually catches the
 # regressions it exists for, not just that it exits zero today.
-# Injects two defects into the working tree — a deleted pool Release
-# (a buffer leak on an error path) and an unwired protocol opcode —
-# and requires the analyzer to fail on each, then restores the tree
+# Injects three defects into the working tree — a deleted pool Release
+# (a buffer leak on an error path), an unwired protocol opcode, and a
+# write whose failed-data path skips finishing its size publish (the
+# round's control slots stay held and wedge the next fan) — and
+# requires the analyzer to fail on each, then restores the tree
 # byte-for-byte from backups (no git operations, safe on a dirty
 # tree).
 set -eu
@@ -12,16 +14,19 @@ root="$(cd "$(dirname "$0")/../.." && pwd)"
 cd "$root"
 
 victim=internal/sockets/gmsock.go
+publisher=internal/rfsrv/cluster.go
 injected=internal/rfsrv/zz_smoke_injected.go
 
 tmp="$(mktemp -d)"
 restore() {
 	cp "$tmp/gmsock.go.bak" "$victim"
+	cp "$tmp/cluster.go.bak" "$publisher"
 	rm -f "$injected"
 	rm -rf "$tmp"
 }
 trap restore EXIT
 cp "$victim" "$tmp/gmsock.go.bak"
+cp "$publisher" "$tmp/cluster.go.bak"
 
 run_analyzer() { go run ./tools/analyze ./... 2>&1; }
 
@@ -68,5 +73,22 @@ if ! echo "$out" | grep -q '\[opexhaustive\]'; then
 	exit 1
 fi
 rm -f "$injected"
+
+echo "smoke: unfinished size publish must fail poolpair"
+sed -i 's/^\t\treturn resp, cl\.finishPublish(p, pub, err)$/\t\treturn resp, err/' "$publisher"
+if cmp -s "$publisher" "$tmp/cluster.go.bak"; then
+	echo "smoke: FAIL — injection did not change $publisher (site moved?)"
+	exit 1
+fi
+if out="$(run_analyzer)"; then
+	echo "smoke: FAIL — analyzer passed with an unfinished size publish"
+	exit 1
+fi
+if ! echo "$out" | grep -q '\[poolpair\].*startPublish'; then
+	echo "$out"
+	echo "smoke: FAIL — analyzer failed but reported no poolpair finding on startPublish"
+	exit 1
+fi
+cp "$tmp/cluster.go.bak" "$publisher"
 
 echo "smoke: PASS"
