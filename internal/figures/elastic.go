@@ -222,16 +222,15 @@ func (c Config) elRun(timeout sim.Time) (*elResult, error) {
 		if inos, err = msSeedStriped(p, r, elActive, elClients, elStripes*msStripe); err != nil {
 			return err
 		}
-		// The operator cluster publishes the shared membership view
-		// (members = the first elActive slots) and holds the bulk
-		// resync channel for the Join's store rebuild.
+		// The operator cluster is the rig's first, so the rig's view is
+		// its own; restricting it restricts the view (members = the
+		// first elActive slots).
 		if op, err = r.Cluster(p, opNode, 10); err != nil {
 			return err
 		}
 		if err := op.SetMembers(elActive); err != nil {
 			return err
 		}
-		r.View = op.ShareView()
 		res.started = p.Now()
 		return nil
 	}, func(p *sim.Proc, i int) error {
@@ -280,7 +279,7 @@ func elController(p *sim.Proc, r *rig.Rig, op *rfsrv.Cluster, clusters []*rfsrv.
 	p.Sleep(elDwellDur)
 	victim.Revive()
 	// Two deadlines: every flight lost to the kill has expired and late
-	// frames have drained; then clients re-admit via journal replay.
+	// frames have drained; then clients re-admit (Reinstate).
 	p.Sleep(2 * timeout)
 	res.healAt = p.Now()
 	ctl.heal = true

@@ -80,12 +80,11 @@ package rfsrv
 // mutations simply skip it instead of reporting divergence. Exclusion
 // is one-way — an operator who knows the server recovered calls
 // Reinstate (elastic.go, DESIGN.md §13), which first brings the server
-// up to date — replaying the resync journal of the mutations and data
-// writes it missed, or, when that journal spilled its bounds, a
-// full-slice resync — and then drops exactly the size-cache entries
-// established during the server's exclusion (sizeBook.readmit) — the
-// ones whose reconciliation fans skipped it — so the next write to an
-// affected file replays the grow-only OpSetSize reconciliation.
+// up to date — replaying the resync journal of the namespace mutations
+// it missed, re-imaging its file sizes at the newest merged state and
+// re-copying the data it missed, or, when that journal spilled its
+// bounds, a full-slice resync — so every size-cache entry stays valid
+// for it.
 // Application-level errors (EEXIST, EOF clipping, short writes) are
 // never treated as faults and fail the operation exactly as before.
 // With R=1 and no faults every path below is bit-identical to the
@@ -161,20 +160,6 @@ type Cluster struct {
 	// excluded servers are skipped by every path until Reinstate.
 	down []bool
 
-	// nsEpochs counts, PER SERVER, the namespace-and-size mutations
-	// this client directed at it (create/mkdir/unlink/rmdir, renames
-	// and exact size sets) — mutations an excluded server misses
-	// unrecoverably. A replicated cluster bumps every server's count on
-	// each mutation (including excluded ones: a down server that missed
-	// a fanned mutation must be refused Reinstate, so the bump may
-	// never skip it); a sharded cluster bumps only the mutated
-	// directory's owner group, which is what lets a server whose owned
-	// slice stayed quiet reinstate while foreign slices churned. downNs
-	// snapshots a server's count at exclusion time, so Reinstate can
-	// tell whether the server's slice diverged while it was out.
-	nsEpochs []uint64
-	downNs   []uint64
-
 	// sharded routes namespace mutations to per-directory owner groups
 	// instead of fanning them to every server (EnableShardedNamespace;
 	// DESIGN.md §11). Data striping and size coherence are unchanged.
@@ -222,6 +207,7 @@ type Cluster struct {
 	respScratch   []*Resp // reply scratch of fan and of runShares' waits (neither runs inside the other)
 	fanReq        Req
 	shares        []share // runShares' per-slot scratch (newShares)
+	mintTried     []int   // groupMint's members asked
 
 	// StripeReads and StripeWrites count data bytes issued per
 	// direction; MetaFanout counts replicated metadata requests beyond
@@ -236,8 +222,7 @@ type Cluster struct {
 
 	// Reinstates counts servers readmitted by Reinstate;
 	// ReinstateRefusals counts readmissions that could not replay the
-	// resync journal and fell back to a full-slice resync (or were
-	// refused outright, when mutations ran unjournaled); RenameInDoubts
+	// resync journal and fell back to a full-slice resync; RenameInDoubts
 	// counts sharded cross-owner renames that surfaced
 	// ErrRenameInDoubt. The torture harness (internal/torture)
 	// consumes all three to cross-check its fault schedule against
@@ -338,9 +323,7 @@ func NewReplicatedCluster(p *sim.Proc, sessions []*Session, stripe, replicas int
 		node:     node,
 		pl:       pl,
 		down:     make([]bool, len(sessions)),
-		nsEpochs: make([]uint64, len(sessions)),
-		downNs:   make([]uint64, len(sessions)),
-		sz:       newSizeBook(len(sessions)),
+		sz:       newSizeBook(),
 		jn:       newJournal(len(sessions)),
 	}, nil
 }
@@ -427,21 +410,17 @@ func (cl *Cluster) DownServers() []int {
 }
 
 // Reinstate lives in elastic.go (DESIGN.md §13): it replays the
-// resync journal recorded during the exclusion — or rebuilds the
-// server's slice in full when the journal spilled — before clearing
-// the exclusion and dropping the size-cache entries established
-// while the server was out.
+// resync journal recorded during the exclusion and re-images the
+// server's sizes — or rebuilds the server's slice in full when the
+// journal spilled — before clearing the exclusion.
 
-// markDown records a server as excluded after an observed fault,
-// snapshotting the mutation epoch, resetting the slot's resync journal
-// — everything the server misses from here on is recorded for
-// Reinstate to replay — and ticking the size book's exclusion stamp.
+// markDown records a server as excluded after an observed fault and
+// resets the slot's resync journal: everything the server misses from
+// here on is recorded for Reinstate to replay.
 func (cl *Cluster) markDown(i int) {
 	if !cl.down[i] {
 		cl.down[i] = true
-		cl.downNs[i] = cl.nsEpochs[i]
 		cl.jn.reset(i)
-		cl.sz.excluded(i)
 		cl.Excluded.Add(0)
 	}
 }
@@ -1802,72 +1781,29 @@ func (cl *Cluster) fanout(p *sim.Proc, req *Req) (*Resp, error) {
 	return base, f.err
 }
 
-// bumpAllNs records a mutation every server was (or should have been)
-// told about: every per-server mutation count advances, INCLUDING the
-// excluded servers' — a down server missed the fan, which is exactly
-// why its Reinstate must be refused. Used by the replicated (unsharded)
-// fan-out and by the global operations that still fan under sharding
-// (exact size sets, truncate, layout flips).
-func (cl *Cluster) bumpAllNs() {
-	for _, i := range cl.pl.members {
-		cl.nsEpochs[i]++
-	}
-}
-
-// bumpGroupNs records a mutation of the namespace slice owned by the
-// given residue: the R servers of its owner group advance, including
-// excluded members (they missed it and must resync before Reinstate);
-// everyone else's slice is untouched and their counts stay put.
-func (cl *Cluster) bumpGroupNs(owner int) {
-	for j := 0; j < cl.pl.replicas; j++ {
-		cl.nsEpochs[cl.pl.slot(owner, j)]++
-	}
-}
-
-// noteMutation updates the size cache and the per-server mutation
-// counts after a replicated mutation succeeded on every alive server.
-// Exact size sets and namespace mutations advance the counts — they
-// are exactly the operations an excluded server misses unrecoverably
-// (Reinstate refuses when any ran); grow-only reconciliation is
-// replayable and advances nothing.
+// noteMutation updates the size cache and the resync journals after a
+// replicated mutation succeeded on every alive server. Namespace
+// mutations are journaled for the excluded servers; size verbs (exact
+// and grow-only sets, layout flips) are not: Reinstate re-images
+// sizes, epochs and layouts as state.
 func (cl *Cluster) noteMutation(req *Req, resp *Resp, err error) {
 	if err != nil || resp == nil {
 		return
 	}
 	switch req.Op {
 	case OpCreate:
-		cl.bumpAllNs()
 		cl.sz.establish(resp.Attr.Ino, resp.Attr.Size, resp.Epoch)
-		cl.journalMutationAll(*req, resp.Attr.Ino, resp.Epoch)
+		cl.journalMutationAll(*req, resp.Attr.Ino)
 	case OpMkdir, OpUnlink, OpRmdir, OpRenameLocal:
-		cl.bumpAllNs()
-		cl.journalMutationAll(*req, resp.Attr.Ino, resp.Epoch)
-	case OpSetLayout:
-		// A layout flip bumps the size epoch on every server (that is
-		// what revalidates other clients' placement); a server that
-		// missed it is desynchronized like any missed exact size set.
-		cl.bumpAllNs()
-		cl.journalMutationAll(*req, req.Ino, resp.Epoch)
-	case OpTruncate:
-		// Defensive: Meta translates truncates to exact OpSetSize, but a
-		// raw fan-out (MetaBatch carrying one) records the same facts.
-		cl.bumpAllNs()
-		cl.sz.establish(req.Ino, req.Off, resp.Epoch)
-		cl.journalMutationAll(Req{Op: OpSetSize, Ino: req.Ino, Off: req.Off, Len: PackSetSize(true, 0)}, req.Ino, resp.Epoch)
+		cl.journalMutationAll(*req, resp.Attr.Ino)
 	case OpSetSize:
 		if exact, _ := UnpackSetSize(req.Len); exact {
-			cl.bumpAllNs()
 			cl.sz.establish(req.Ino, req.Off, resp.Epoch)
-			cl.journalMutationAll(*req, req.Ino, resp.Epoch)
 		} else if size, epoch := cl.sz.floor(req.Ino); epoch == resp.Epoch && req.Off > size {
 			// (The reply was observed on its way here, so the book holds
 			// an entry under an epoch at least as new as the reply's.)
 			cl.sz.establish(req.Ino, req.Off, resp.Epoch)
 		}
-		// Grow-mode publishes are deliberately NOT journaled: they are
-		// idempotent lower-bound facts the replayed data re-establishes,
-		// and journaling every publish would spill constantly under
-		// streaming writes.
 	}
 }
 

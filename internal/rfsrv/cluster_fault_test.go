@@ -5,8 +5,9 @@ package rfsrv_test
 // staging recovery (with fabric.Pool.CheckLeaks asserting nothing can
 // ever recycle), OpSetSize reconciliation retry after a transient
 // fault, cross-client truncate-then-overwrite coherence, and the
-// Reinstate contract (mutation-epoch refusal, targeted size-cache
-// invalidation, reconciliation replay across an excluded home).
+// Reinstate contract (a missed mutation replayed, every size-cache
+// entry kept across a readmission, reconciliation across an excluded
+// home).
 
 import (
 	"bytes"
@@ -650,21 +651,18 @@ func TestClusterReinstateReplaysMissedMutation(t *testing.T) {
 	})
 }
 
-// TestClusterReinstateTargetedInvalidation pins the satellite-3
-// narrowing: Reinstate drops only the size-cache entries established
-// while the reinstated server was excluded — the ones whose
-// reconciliation fans skipped it. A file reconciled before the
-// exclusion keeps its entry (its next overwrite issues no
-// reconciliation RPCs: the reinstated server already holds its size),
-// while a file written during the exclusion loses its entry (its next
-// overwrite replays OpSetSize, repairing the reinstated server's
-// local size).
-func TestClusterReinstateTargetedInvalidation(t *testing.T) {
+// TestClusterReinstateKeepsEveryFloor: readmission drops no size-cache
+// entry, because Reinstate re-images the returning server at the
+// newest merged sizes. A file reconciled before the exclusion and a
+// file written during it — whose reconciliation fan skipped the
+// excluded server — both keep their entries: the returning server
+// already holds both sizes when Reinstate returns, and neither file's
+// next overwrite issues a reconciliation RPC.
+func TestClusterReinstateKeepsEveryFloor(t *testing.T) {
 	r := newClusterRig(t, 3)
 	r.run(t, func(p *sim.Proc) {
 		cl := r.clusterRep(t, p, 2, testStripe, 1)
-		// Both files exist before the exclusion (creates are namespace
-		// mutations, which Reinstate refuses to have missed).
+		// Both files exist before the exclusion.
 		pre := clusterCreate(t, p, cl, "pre")
 		dur := clusterCreate(t, p, cl, "dur")
 		vaP, vecP := r.kbuf(t, 3*testStripe)
@@ -716,27 +714,25 @@ func TestClusterReinstateTargetedInvalidation(t *testing.T) {
 			t.Fatalf("reinstate: %v", err)
 		}
 
-		// pre's entry survived: an overwrite below its size issues no
+		if a, _ := r.serverFS[2].Getattr(p, dur); a.Size != testStripe {
+			t.Fatalf("reinstated server's size for dur = %d, want %d (re-imaged)", a.Size, testStripe)
+		}
+
+		// Both entries survived: an overwrite below either size issues no
 		// reconciliation RPCs.
 		before := cl.SetSizes.N
 		if _, err := cl.Write(p, pre, 0, vecP); err != nil {
 			t.Fatal(err)
 		}
-		if cl.SetSizes.N != before {
-			t.Fatalf("overwrite of pre-exclusion file issued %d reconciliation RPC(s); its cache entry should have survived", cl.SetSizes.N-before)
-		}
-		// dur's entry was dropped: the same overwrite replays the
-		// reconciliation, repairing the reinstated server.
-		before = cl.SetSizes.N
 		if _, err := cl.Write(p, dur, 0, vecD); err != nil {
 			t.Fatal(err)
 		}
-		if cl.SetSizes.N == before {
-			t.Fatal("overwrite of a file written during the exclusion issued no reconciliation; its cache entry should have been dropped")
+		if cl.SetSizes.N != before {
+			t.Fatalf("overwrites below the cached sizes issued %d reconciliation RPC(s); both entries should have survived the readmission", cl.SetSizes.N-before)
 		}
 		for s, fs := range r.serverFS {
 			if a, _ := fs.Getattr(p, dur); a.Size != testStripe {
-				t.Fatalf("server %d size = %d for dur after replay, want %d", s, a.Size, testStripe)
+				t.Fatalf("server %d size = %d for dur, want %d", s, a.Size, testStripe)
 			}
 			if a, _ := fs.Getattr(p, pre); a.Size != 3*testStripe {
 				t.Fatalf("server %d size = %d for pre, want %d", s, a.Size, 3*testStripe)

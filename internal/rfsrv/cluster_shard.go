@@ -142,11 +142,26 @@ func (cl *Cluster) groupFanFrom(p *sim.Proc, owner, except int, req *Req) error 
 // groupMint runs a minting mutation (create, mkdir) at the owner
 // group's primary — failing over within the group when the primary's
 // transport faults — then replicates the fresh dentry to the rest of
-// the group with OpLink.
+// the group with OpLink. A member passed over may have been stalled,
+// not dead, and apply the mint late under an inode of its own: its
+// journal removes whatever the name holds there before the caller
+// journals the link.
 func (cl *Cluster) groupMint(p *sim.Proc, owner int, req *Req) (*Resp, error) {
-	resp, idx, err := cl.groupFirst(p, owner, req)
+	tried := cl.mintTried[:0] // every member asked, in order; all but the last faulted
+	resp, idx, err := cl.metaFirstAlive(p, req, func() int {
+		tried = append(tried, cl.firstUp(owner, cl.pl.replicas))
+		return tried[len(tried)-1]
+	}, func() error { return cl.groupDead(req.Op, owner) })
+	cl.mintTried = tried
 	if err != nil {
 		return resp, err
+	}
+	undo := Req{Op: OpUnlink, Ino: req.Ino, Name: req.Name}
+	if req.Op == OpMkdir {
+		undo.Op = OpRmdir
+	}
+	for _, slot := range tried[:len(tried)-1] {
+		cl.journalMut(slot, undo, 0)
 	}
 	if cl.pl.replicas > 1 {
 		link := Req{Op: OpLink, Ino: req.Ino, Name: req.Name,
@@ -211,12 +226,11 @@ func (cl *Cluster) shardCreate(p *sim.Proc, dir kernel.InodeID, name string) (*R
 	if err != nil {
 		return resp, err
 	}
-	cl.bumpGroupNs(owner)
 	cl.sz.establish(resp.Attr.Ino, resp.Attr.Size, resp.Epoch)
 	// Excluded group members missed the dentry: journal the
 	// idempotent replication verb (OpLink), not the minting create.
 	cl.journalGroup(owner, Req{Op: OpLink, Ino: dir, Name: name,
-		Off: int64(resp.Attr.Ino), Len: uint32(resp.Attr.Kind)}, resp.Attr.Ino, resp.Epoch)
+		Off: int64(resp.Attr.Ino), Len: uint32(resp.Attr.Kind)}, resp.Attr.Ino)
 	return resp, nil
 }
 
@@ -234,14 +248,12 @@ func (cl *Cluster) shardMkdir(p *sim.Proc, dir kernel.InodeID, name string) (*Re
 	if err != nil {
 		return resp, err
 	}
-	cl.bumpGroupNs(owner)
 	cl.journalGroup(owner, Req{Op: OpLink, Ino: dir, Name: name,
-		Off: int64(resp.Attr.Ino), Len: uint32(kernel.Directory)}, resp.Attr.Ino, resp.Epoch)
+		Off: int64(resp.Attr.Ino), Len: uint32(kernel.Directory)}, resp.Attr.Ino)
 	if _, err := cl.groupFan(p, res, &Req{Op: OpMaterialize, Ino: resp.Attr.Ino, Len: uint32(kernel.Directory)}); err != nil {
 		return &Resp{Status: StatusOf(err)}, err
 	}
-	cl.bumpGroupNs(res)
-	cl.journalGroup(res, Req{Op: OpMaterialize, Ino: resp.Attr.Ino, Len: uint32(kernel.Directory)}, resp.Attr.Ino, 0)
+	cl.journalGroup(res, Req{Op: OpMaterialize, Ino: resp.Attr.Ino, Len: uint32(kernel.Directory)}, resp.Attr.Ino)
 	return resp, nil
 }
 
@@ -255,8 +267,7 @@ func (cl *Cluster) shardUnlink(p *sim.Proc, dir kernel.InodeID, name string) (*R
 	if err != nil {
 		return resp, err
 	}
-	cl.bumpGroupNs(owner)
-	cl.journalGroup(owner, Req{Op: OpUnlink, Ino: dir, Name: name}, resp.Attr.Ino, 0)
+	cl.journalGroup(owner, Req{Op: OpUnlink, Ino: dir, Name: name}, resp.Attr.Ino)
 	if err := cl.scrubVictim(p, resp.Attr.Ino, resp.Attr.Size); err != nil {
 		return &Resp{Status: StatusOf(err)}, err
 	}
@@ -284,7 +295,7 @@ func (cl *Cluster) scrubVictim(p *sim.Proc, victim kernel.InodeID, ownerSize int
 	scrub := Req{Op: OpScrub, Ino: victim}
 	f := cl.fan(p, cl.aliveTargets(0, len(cl.pl.members), nil), &scrub)
 	// After the fan, so a member it excluded journals the scrub too.
-	cl.journalMutationAll(scrub, victim, 0)
+	cl.journalMutationAll(scrub, victim)
 	return f.err
 }
 
@@ -307,15 +318,13 @@ func (cl *Cluster) shardRmdir(p *sim.Proc, dir kernel.InodeID, name string) (*Re
 	if sresp, err := cl.groupFan(p, cres, &Req{Op: OpScrub, Ino: child, Len: ScrubRequireEmptyDir}); err != nil {
 		return sresp, err
 	}
-	cl.bumpGroupNs(cres)
-	cl.journalGroup(cres, Req{Op: OpScrub, Ino: child, Len: ScrubRequireEmptyDir}, child, 0)
+	cl.journalGroup(cres, Req{Op: OpScrub, Ino: child, Len: ScrubRequireEmptyDir}, child)
 	resp, err := cl.groupFan(p, owner, &Req{Op: OpRmdir, Ino: dir, Name: name})
 	if err != nil {
 		return resp, err
 	}
-	cl.bumpGroupNs(owner)
-	cl.journalGroup(owner, Req{Op: OpRmdir, Ino: dir, Name: name}, child, 0)
-	cl.sz.forget(child)
+	cl.journalGroup(owner, Req{Op: OpRmdir, Ino: dir, Name: name}, child)
+	cl.sz.drop(child)
 	return resp, nil
 }
 
@@ -348,8 +357,7 @@ func (cl *Cluster) Rename(p *sim.Proc, srcDir kernel.InodeID, srcName string, ds
 	if so == do {
 		resp, err := cl.groupFan(p, so, local)
 		if err == nil {
-			cl.bumpGroupNs(so)
-			cl.journalGroup(so, *local, resp.Attr.Ino, 0)
+			cl.journalGroup(so, *local, resp.Attr.Ino)
 		}
 		return resp, err
 	}
@@ -380,34 +388,25 @@ func (cl *Cluster) Rename(p *sim.Proc, srcDir kernel.InodeID, srcName string, ds
 		// may hold the prepare mark with nobody left to clear it. Journal
 		// the abort so replay lifts the mark (idempotently a no-op on
 		// members that never saw the prepare).
-		cl.journalGroup(so, Req{Op: OpRenameAbort, Ino: srcDir, Name: srcName}, 0, 0)
+		cl.journalGroup(so, Req{Op: OpRenameAbort, Ino: srcDir, Name: srcName}, 0)
 		cl.clearRenameDoubt(srcDir, srcName, dstDir, dstName)
 		return cresp, err
 	}
-	// The rename is committed. Record the mutation on BOTH groups
-	// before attempting the source-side cleanup: a source server that
-	// dies between prepare and finalize holds a marked entry the
-	// committed rename orphaned, and must be refused Reinstate even
-	// though the finalize below never reached it.
-	cl.bumpGroupNs(do)
-	cl.bumpGroupNs(so)
-	cl.journalGroup(do, Req{Op: OpLink, Ino: dstDir, Off: int64(child.Ino), Len: uint32(child.Kind), Name: dstName}, child.Ino, cresp.Epoch)
+	// The rename is committed: journal the link for the destination
+	// group's excluded members.
+	cl.journalGroup(do, Req{Op: OpLink, Ino: dstDir, Off: int64(child.Ino), Len: uint32(child.Kind), Name: dstName}, child.Ino)
 	// Phase 3 — finalize at the source group: detach the old entry and
 	// clear the mark.
 	if _, ferr := cl.groupFan(p, so, &Req{Op: OpRenameFinalize, Ino: srcDir, Off: int64(child.Ino), Name: srcName}); ferr != nil {
 		// A member that missed the finalize still holds the orphaned
-		// marked entry. If its death was only discovered by the fan
-		// above, its exclusion snapshot postdates the bumps — bump the
-		// group again so it is refused Reinstate until resynced, and
-		// journal the finalize it missed (the journal hook below runs
-		// after the fan precisely so newly-excluded members are seen).
-		cl.bumpGroupNs(so)
-		cl.journalGroup(so, Req{Op: OpRenameFinalize, Ino: srcDir, Off: int64(child.Ino), Name: srcName}, child.Ino, 0)
+		// marked entry: journal the finalize it missed (after the fan,
+		// precisely so members it newly excluded are seen).
+		cl.journalGroup(so, Req{Op: OpRenameFinalize, Ino: srcDir, Off: int64(child.Ino), Name: srcName}, child.Ino)
 		cl.RenameInDoubts.Add(1)
 		cl.noteRenameDoubt(srcDir, srcName, dstDir, dstName)
 		return cresp, &RenameInDoubtError{SrcDir: srcDir, SrcName: srcName, DstDir: dstDir, DstName: dstName, Err: ferr}
 	}
-	cl.journalGroup(so, Req{Op: OpRenameFinalize, Ino: srcDir, Off: int64(child.Ino), Name: srcName}, child.Ino, 0)
+	cl.journalGroup(so, Req{Op: OpRenameFinalize, Ino: srcDir, Off: int64(child.Ino), Name: srcName}, child.Ino)
 	cl.clearRenameDoubt(srcDir, srcName, dstDir, dstName)
 	return cresp, nil
 }
@@ -552,12 +551,10 @@ func (cl *Cluster) shardMetaBatch(p *sim.Proc, reqs []*Req) ([]*Resp, error) {
 					return out, err
 				}
 			}
-			cl.bumpGroupNs(m.owner)
-			cl.journalGroup(m.owner, link, out[i].Attr.Ino, out[i].Epoch)
+			cl.journalGroup(m.owner, link, out[i].Attr.Ino)
 			cl.sz.establish(out[i].Attr.Ino, out[i].Attr.Size, out[i].Epoch)
 		case OpUnlink:
-			cl.bumpGroupNs(m.owner)
-			cl.journalGroup(m.owner, *r, out[i].Attr.Ino, 0)
+			cl.journalGroup(m.owner, *r, out[i].Attr.Ino)
 			if err := cl.scrubVictim(p, out[i].Attr.Ino, out[i].Attr.Size); err != nil {
 				return out, err
 			}

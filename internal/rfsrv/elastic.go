@@ -1,14 +1,16 @@
 // Elastic membership (DESIGN.md §13): the layer that turns the
 // cluster's construction-time server set into a mutable, epoch-stamped
-// membership view. Two mechanisms live here. (1) Journaled resync:
-// while a server is excluded, the cluster records the namespace
-// mutations, exact size sets, layout changes, and data-stripe writes
-// the server misses in a per-slot journal (placement says which slots
-// a mutation was meant for; the hooks record it against the excluded
-// ones); Reinstate replays the journal — idempotently, on the
-// grow-only/exact OpSetSize and fan-out semantics the protocol already
-// has — instead of refusing, and spills to a full-slice resync when
-// the journal outgrows its bounds. (2) Live join/leave: Join, Retire
+// membership view. Two mechanisms live here. (1) Readmission: while a
+// server is excluded, the cluster records the namespace mutations and
+// data-stripe writes the server misses in a per-slot journal
+// (placement says which slots a mutation was meant for; the hooks
+// record it against the excluded ones). Reinstate, under the view's
+// full fence, replays the namespace verbs idempotently, re-images the
+// server's file sizes, size epochs and layouts from the newest-epoch
+// merge of the live members' state and its own (sizes are state, not
+// verbs), re-copies its runs of every file whose epoch moved, then the
+// journaled dirty ranges; a journal that outgrew its bounds spills to
+// a full-slice resync instead. (2) Live join/leave: Join, Retire
 // and Bounce replace the placement's member ring under a shared
 // MemberView through one change (change), the same in both namespaces:
 // placement.delta — the stripes the new ring assigns to slots that
@@ -60,19 +62,9 @@ func (cl *Cluster) SetJournalLimits(ops int, bytes int64) { cl.jn.limit(ops, byt
 // full-slice resync path.
 func (cl *Cluster) JournalSpilled(i int) bool { return cl.jn.slot(i).spilled }
 
-// JournalOps returns how many mutations server slot i's resync
-// journal currently holds (0 when the server is up or nothing was
-// missed).
-func (cl *Cluster) JournalOps(i int) int { return len(cl.jn.slot(i).ops) }
-
-// JournalBytes returns how many dirty data bytes server slot i's
-// resync journal currently holds (0 when the server is up, nothing
-// was missed, or the journal spilled).
-func (cl *Cluster) JournalBytes(i int) int64 { return cl.jn.slot(i).bytes }
-
 // journalMut records one missed mutation in excluded slot i's journal.
-func (cl *Cluster) journalMut(i int, req Req, wantIno kernel.InodeID, wantEpoch uint64) {
-	if cl.jn.record(i, req, wantIno, wantEpoch) {
+func (cl *Cluster) journalMut(i int, req Req, wantIno kernel.InodeID) {
+	if cl.jn.record(i, req, wantIno) {
 		cl.ResyncSpills.Add(0)
 	}
 }
@@ -82,26 +74,26 @@ func (cl *Cluster) journalMut(i int, req Req, wantIno kernel.InodeID, wantEpoch 
 // Call sites invoke the hooks unconditionally: the request travels by
 // value, so with nobody excluded the walk finds nothing and allocates
 // nothing.
-func (cl *Cluster) journalSpan(pos, span int, req Req, wantIno kernel.InodeID, wantEpoch uint64) {
+func (cl *Cluster) journalSpan(pos, span int, req Req, wantIno kernel.InodeID) {
 	for j := 0; j < span; j++ {
 		if i := cl.pl.slot(pos, j); cl.down[i] {
-			cl.journalMut(i, req, wantIno, wantEpoch)
+			cl.journalMut(i, req, wantIno)
 		}
 	}
 }
 
 // journalMutationAll records a mutation fanned to every member (the
 // unsharded hook).
-func (cl *Cluster) journalMutationAll(req Req, wantIno kernel.InodeID, wantEpoch uint64) {
-	cl.journalSpan(0, len(cl.pl.members), req, wantIno, wantEpoch)
+func (cl *Cluster) journalMutationAll(req Req, wantIno kernel.InodeID) {
+	cl.journalSpan(0, len(cl.pl.members), req, wantIno)
 }
 
 // journalGroup records a mutation fanned to owner position's replica
 // group (the sharded hook). The request must be the idempotent
 // per-server verb the fan actually delivered (OpLink, OpUnlink,
 // OpScrub, ...), not the client-facing operation.
-func (cl *Cluster) journalGroup(owner int, req Req, wantIno kernel.InodeID, wantEpoch uint64) {
-	cl.journalSpan(owner, cl.pl.replicas, req, wantIno, wantEpoch)
+func (cl *Cluster) journalGroup(owner int, req Req, wantIno kernel.InodeID) {
+	cl.journalSpan(owner, cl.pl.replicas, req, wantIno)
 }
 
 // journalDirty records that [off, off+n) of ino was written while
@@ -126,21 +118,25 @@ func (cl *Cluster) journalRunDirty(ino kernel.InodeID, runs []run) {
 	}
 }
 
-// Reinstate re-admits server slot i after its transport heals. What
-// ran during the exclusion decides the path: nothing → plain
-// re-admission; a bounded amount → the resync journal is replayed
-// against the returning server (namespace mutations in order with
-// size epochs aligned via OpSyncEpoch, then missed data stripes
-// re-read from live replicas and re-written — all real simulated
-// traffic); an unbounded amount (spilled journal) → full-slice resync,
-// counted in ReinstateRefusals: the namespace image and then every
-// stripe the server holds, both over the wire. A replay or resync that
-// fails (transport fault mid-copy, or a divergence the idempotent verbs
-// cannot reconcile) leaves the server excluded with the journal intact
-// (or still spilled), so the caller can heal the fault and call Reinstate
-// again; both are idempotent, so the retry re-runs the whole journal or
-// resync safely. On success the size-cache entries established during
-// the exclusion are dropped, exactly as before.
+// Reinstate re-admits server slot i after its transport heals, under
+// the view's full fence (a viewless cluster takes none: it must be the
+// only writer of its files' sizes while it reinstates). The fence
+// drains every started operation, so the caller waits its own pending
+// ones first, as for a membership change. A bounded
+// journal readmits in one order (replayJournal): the namespace verbs
+// replay, the server's regular files are re-imaged at the newest-epoch
+// merge of the live members' sizes and its own, its runs of every file
+// whose epoch moved are re-copied, then the journaled dirty ranges —
+// all real simulated traffic. A spilled journal takes a
+// full-slice resync instead, counted in ReinstateRefusals: the
+// namespace image and then every stripe the server holds, both over the
+// wire. A readmission that fails (transport fault mid-copy, or a
+// divergence the idempotent verbs cannot reconcile) leaves the server
+// excluded with the journal intact (or still spilled), so the caller can
+// heal the fault and call Reinstate again; every step is idempotent, so
+// the retry re-runs it all safely. The size book keeps every entry: a
+// readmitted server holds the newest sizes, so every floor set while it
+// was out holds for it too.
 func (cl *Cluster) Reinstate(p *sim.Proc, i int) error {
 	if i < 0 || i >= len(cl.sessions) {
 		return fmt.Errorf("rfsrv: reinstate server %d: no such server", i)
@@ -148,29 +144,21 @@ func (cl *Cluster) Reinstate(p *sim.Proc, i int) error {
 	if !cl.down[i] {
 		return nil
 	}
-	j := cl.jn.slot(i)
-	switch {
-	case j.spilled:
+	if v := cl.view; v != nil {
+		v.fence(p, cl)
+		defer v.release()
+	}
+	if j := cl.jn.slot(i); j.spilled {
 		cl.ReinstateRefusals.Add(0)
 		if err := cl.fullResync(p, i); err != nil {
 			return fmt.Errorf("rfsrv: reinstate server %d: full-slice resync: %w", i, err)
 		}
-	case j.empty() && cl.downNs[i] != cl.nsEpochs[i]:
-		// Mutations ran but nothing was journaled — only possible if a
-		// hook was bypassed. Refuse rather than readmit a diverged
-		// server.
-		cl.ReinstateRefusals.Add(0)
-		return fmt.Errorf("rfsrv: reinstate server %d: %d namespace/size mutation(s) ran against its slice during its exclusion but were not journaled; resync its backing store out of band first", i, cl.nsEpochs[i]-cl.downNs[i])
-	default:
-		if err := cl.replayJournal(p, i, j); err != nil {
-			return fmt.Errorf("rfsrv: reinstate server %d: %w", i, err)
-		}
+	} else if err := cl.replayJournal(p, i, j); err != nil {
+		return fmt.Errorf("rfsrv: reinstate server %d: %w", i, err)
 	}
 	cl.Reinstates.Add(0)
 	cl.down[i] = false
-	cl.downNs[i] = cl.nsEpochs[i]
 	cl.jn.reset(i)
-	cl.sz.readmit(i)
 	return nil
 }
 
@@ -178,10 +166,32 @@ func (cl *Cluster) replayJournal(p *sim.Proc, i int, j *resyncJournal) error {
 	if err := cl.replayOps(p, i, j); err != nil {
 		return err
 	}
+	// Re-image i's regular files — the state replay does not carry —
+	// from the newest-epoch merge over the live members and i itself
+	// (snapshot.reimage), then re-copy i's runs of every file whose size
+	// epoch moved while it was out, or that it lacked: an exact size set
+	// it missed may have cut bytes a later write re-grew as a hole.
+	own, err := cl.exportImage(p, i)
+	if err != nil {
+		return err
+	}
+	snap, err := cl.takeSnapshot(p, own)
+	if err != nil {
+		return err
+	}
+	moved := snap.reimage(own)
+	if err := cl.importImage(p, i, own); err != nil {
+		return err
+	}
+	for _, ino := range moved {
+		if err := cl.copyHeld(p, i, ino, snap.state[ino]); err != nil {
+			return err
+		}
+	}
 	for _, ino := range j.order {
 		for _, r := range j.dirty[ino] {
-			// The journaled ops already gave i the authoritative size, so
-			// a range the file has since shrunk out of is simply not copied.
+			// The re-image already gave i the authoritative size, so a
+			// range the file has since shrunk out of is simply not copied.
 			if err := cl.copyRange(p, ino, r.off, r.n, []int{i}, &cl.ResyncBytes); err != nil {
 				return fmt.Errorf("replay data %d@[%d,%d): %w", ino, r.off, r.off+int64(r.n), err)
 			}
@@ -190,10 +200,24 @@ func (cl *Cluster) replayJournal(p *sim.Proc, i int, j *resyncJournal) error {
 	return nil
 }
 
-// replayOps replays the journaled metadata mutations in order. The
-// fast path packs the whole journal — OpSyncEpoch epoch-rewind
-// preludes included — into combined MetaBatch flights, so a long
-// exclusion replays in a handful of wire rounds instead of one
+// copyHeld re-copies to slot i, through copyRange, every run of a file
+// that i holds under the file's layout — the per-file copy of a
+// full-slice resync and of a re-image whose epoch moved.
+func (cl *Cluster) copyHeld(p *sim.Proc, i int, ino kernel.InodeID, st fileState) error {
+	for _, r := range cl.pl.runs(st.layout, ino, 0, int(st.size), nil) {
+		if !cl.pl.holds(i, r.owner) {
+			continue
+		}
+		if err := cl.copyRange(p, ino, r.off, r.n, []int{i}, &cl.ResyncBytes); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// replayOps replays the journaled namespace mutations in order. The
+// fast path packs the whole journal into combined MetaBatch flights, so
+// a long exclusion replays in a handful of wire rounds instead of one
 // serial round trip per op (the server applies a combined flight on
 // one worker, strictly in order, so journal order is preserved).
 // Statuses are interpreted with the serial path's tolerance rules; a
@@ -216,35 +240,12 @@ func (cl *Cluster) replayOps(p *sim.Proc, i int, j *resyncJournal) error {
 	cl.ResyncFallbacks.Add(0)
 	for k := range j.ops {
 		op := &j.ops[k]
-		if err := cl.replayOp(p, i, op); err != nil {
+		if err := cl.replayOp(p, i, op, j.ops[k+1:]); err != nil {
 			return fmt.Errorf("replay op %d/%d (%s): %w", k+1, len(j.ops), opNames[op.req.Op], err)
 		}
 		cl.ResyncOps.Add(0)
 	}
 	return nil
-}
-
-// replayReq builds the request that replays op. Epoch-bumping ops get
-// an OpSyncEpoch prelude rewinding the returning server's size epoch
-// to wantEpoch−1, so the replayed bump lands exactly at wantEpoch —
-// idempotent even when the server already applied the op (the rewind
-// makes re-application converge, not double-bump) — and a replayed
-// OpSetSize observes that rewound epoch.
-func replayReq(op *journalOp) (req, prelude Req, hasPrelude bool) {
-	req = op.req // copy: issuing stamps Seq/EP into the request
-	switch req.Op {
-	case OpSetSize, OpSetLayout, OpTruncate:
-		var obs uint64
-		if op.wantEpoch > 0 {
-			obs = op.wantEpoch - 1
-			prelude, hasPrelude = Req{Op: OpSyncEpoch, Ino: req.Ino, Off: int64(obs)}, true
-		}
-		if req.Op == OpSetSize {
-			exact, _ := UnpackSetSize(req.Len)
-			req.Len = PackSetSize(exact, obs)
-		}
-	}
-	return req, prelude, hasPrelude
 }
 
 // replayOpsBatched issues the whole journal as combined metadata
@@ -254,49 +255,34 @@ func replayReq(op *journalOp) (req, prelude Req, hasPrelude bool) {
 // failures and non-tolerated statuses are errors exactly as on the
 // serial path — the journal stays intact for a Reinstate retry.
 func (cl *Cluster) replayOpsBatched(p *sim.Proc, i int, j *resyncJournal) (fallback bool, err error) {
-	reqs := make([]*Req, 0, len(j.ops)+len(j.ops)/2)
-	idx := make([]int, 0, cap(reqs)) // journal index +1 per request; 0 marks an epoch prelude
+	reqs := make([]*Req, len(j.ops))
 	for k := range j.ops {
-		req, prelude, hasPrelude := replayReq(&j.ops[k])
-		if hasPrelude {
-			reqs = append(reqs, &prelude)
-			idx = append(idx, 0)
-		}
-		reqs = append(reqs, &req)
-		idx = append(idx, k+1)
+		req := j.ops[k].req // copy: issuing stamps Seq/EP into the request
+		reqs[k] = &req
 	}
 	// Like replayRT, transport-level failures (fault, timeout, decode)
 	// abort the replay; application statuses ride in the responses for
 	// the verdicts below to interpret.
 	resps, err := cl.sessions[i].MetaBatch(p, reqs)
-	if err != nil {
-		if fabric.IsFault(err) || len(resps) != len(reqs) {
+	if err != nil && fabric.IsFault(err) {
+		return false, err
+	}
+	for k, resp := range resps {
+		if resp == nil {
 			return false, err
 		}
-		for _, resp := range resps {
-			if resp == nil {
-				return false, err
-			}
-		}
-	}
-	for n, resp := range resps {
-		k := idx[n]
-		if k == 0 {
-			if resp.Status != StOK {
-				return false, fmt.Errorf("replay epoch sync: %w", ErrOf(resp.Status))
-			}
-			continue
-		}
-		op := &j.ops[k-1]
+		op := &j.ops[k]
 		verify, err := replayVerdict(op, resp)
 		if err != nil {
-			return false, fmt.Errorf("replay op %d/%d (%s): %w", k, len(j.ops), opNames[op.req.Op], err)
+			return false, fmt.Errorf("replay op %d/%d (%s): %w", k+1, len(j.ops), opNames[op.req.Op], err)
 		}
 		if verify != nil {
 			return true, nil
 		}
 	}
-	return false, nil
+	// A tolerated status in one flight ends MetaBatch before the later
+	// flights leave: the serial path replays them.
+	return len(resps) != len(reqs), nil
 }
 
 // entryCheck is the verification a replay verdict can ask for: (dir,
@@ -314,24 +300,15 @@ type entryCheck struct {
 // in a way only a lookup can confirm — the batched path falls back to
 // the serial one, which performs the lookup in journal order. Reads
 // and lookups are never journaled; writes resync through dirty
-// ranges; RenamePrepare is always resolved to Finalize or Abort before
-// it is journaled; SyncEpoch is what replay itself emits; images move
-// only in full-slice resyncs and membership changes.
+// ranges; size verbs (SetSize, Truncate, SetLayout) through the
+// re-image, which carries sizes, epochs and layouts as state;
+// RenamePrepare is always resolved to Finalize or Abort before it is
+// journaled; membership commits and images move only in membership
+// changes and full-slice resyncs.
 func replayVerdict(op *journalOp, resp *Resp) (verify *entryCheck, err error) {
 	req := &op.req
-	//analyze:dispatch ops -OpLookup -OpGetattr -OpReaddir -OpRead -OpWrite -OpRenamePrepare -OpSyncEpoch -OpExport -OpImport
+	//analyze:dispatch ops -OpLookup -OpGetattr -OpReaddir -OpRead -OpWrite -OpSetSize -OpTruncate -OpSetLayout -OpRenamePrepare -OpMember -OpExport -OpImport
 	switch req.Op {
-	case OpMember:
-		return nil, ErrOf(resp.Status)
-
-	case OpSetSize, OpSetLayout, OpTruncate:
-		if resp.Status == StNotFound {
-			// The inode was unlinked later in the journal; the size
-			// set is moot.
-			return nil, nil
-		}
-		return nil, ErrOf(resp.Status)
-
 	case OpCreate, OpMkdir:
 		switch resp.Status {
 		case StOK:
@@ -390,27 +367,36 @@ func (cl *Cluster) replayRT(p *sim.Proc, i int, req *Req) (*Resp, error) {
 
 // replayOp is the serial replay of one journaled op: the same requests
 // and the same verdict as the batched path, with the verification
-// lookup a verdict asks for performed in place.
-func (cl *Cluster) replayOp(p *sim.Proc, i int, op *journalOp) error {
-	req, prelude, hasPrelude := replayReq(op)
-	if hasPrelude {
-		resp, err := cl.replayRT(p, i, &prelude)
-		if err != nil {
-			return err
-		}
-		if resp.Status != StOK {
-			return ErrOf(resp.Status)
-		}
-	}
+// lookup a verdict asks for performed in place — unless an op later in
+// the journal rebinds the entry: a server that already applied it
+// proves nothing about this one.
+func (cl *Cluster) replayOp(p *sim.Proc, i int, op *journalOp, later []journalOp) error {
+	req := op.req // copy: issuing stamps Seq/EP into the request
 	resp, err := cl.replayRT(p, i, &req)
 	if err != nil {
 		return err
 	}
 	verify, err := replayVerdict(op, resp)
-	if err != nil || verify == nil {
+	if err != nil || verify == nil || verify.rebound(later) {
 		return err
 	}
 	return cl.verifyEntry(p, i, verify.dir, verify.name, verify.want)
+}
+
+// rebound reports whether one of the later journaled ops binds, unbinds
+// or renames the checked entry.
+func (c *entryCheck) rebound(later []journalOp) bool {
+	for k := range later {
+		r := &later[k].req
+		src, dst, renamed := SplitRenameNames(r.Name)
+		if !renamed {
+			src = r.Name
+		}
+		if r.Ino == c.dir && src == c.name || renamed && kernel.InodeID(r.Off) == c.dir && dst == c.name {
+			return true
+		}
+	}
+	return false
 }
 
 // verifyEntry checks that (dir, name) resolves to want on server i —
@@ -484,12 +470,22 @@ func (cl *Cluster) copyRange(p *sim.Proc, ino kernel.InodeID, off int64, n int, 
 
 // --- Namespace images ---
 //
-// A full-slice resync and a membership change move namespace metadata
-// the same way: one snapshot of the live members, each read with
-// OpExport, and from it the exact image of every ring position to
-// rebuild (snapshot.image), shipped with OpImport. Data stripes follow
-// through copyRange. Both ride the wire's data legs, so they cost
-// simulated time and a fault anywhere in them fails the operation.
+// A full-slice resync, a readmission's re-image and a membership change
+// move namespace metadata the same way: one snapshot of the live
+// members, each read with OpExport, and from it the exact image of
+// every ring position to rebuild (snapshot.image, snapshot.reimage),
+// shipped with OpImport. Data stripes follow through copyRange. All
+// ride the wire's data legs, so they cost simulated time and a fault
+// anywhere in them fails the operation.
+
+// fileState is a regular file's size state as the snapshot merged it:
+// the newest size epoch any image holds, the largest size held at that
+// epoch, and that epoch's layout class.
+type fileState struct {
+	size   int64
+	epoch  uint64
+	layout LayoutClass
+}
 
 // snapshot is the cluster's authoritative namespace state, read from
 // its live members.
@@ -497,50 +493,63 @@ type snapshot struct {
 	sharded bool // the namespace is sharded: a member holds only what its owner groups cover
 
 	// nodes holds the owning copy of every inode, regular files already
-	// at their global size; files lists those, ascending (copy order
+	// at their merged size; files lists those, ascending (copy order
 	// must not depend on map order); next is the highest
 	// sequential-mint cursor and top the highest inode any live member
-	// holds; marks is every in-flight rename mark; soft is the first live
-	// member's image, whose size epochs, layouts and membership epoch a
-	// fresh server takes.
-	nodes map[kernel.InodeID]imageNode
-	files []kernel.InodeID
-	next  kernel.InodeID
-	top   kernel.InodeID
-	marks map[renameKey]renameMark
-	soft  *image
+	// holds; marks is every in-flight rename mark; state is the merged
+	// size state of every regular file any image read holds; member is
+	// the membership epoch the members committed.
+	nodes  map[kernel.InodeID]imageNode
+	files  []kernel.InodeID
+	next   kernel.InodeID
+	top    kernel.InodeID
+	marks  map[renameKey]renameMark
+	state  map[kernel.InodeID]fileState
+	member uint64
+}
+
+// merge folds one image's regular files into the snapshot's size state:
+// a newer epoch replaces what was merged, the same epoch keeps the
+// larger size, an older one is ignored — a store that missed an exact
+// size set cannot resurrect the size it cut.
+func (snap *snapshot) merge(img *image) {
+	for _, nd := range img.Nodes {
+		ino, epoch := nd.Attr.Ino, img.epochs[nd.Attr.Ino]
+		st, ok := snap.state[ino]
+		if nd.Attr.Kind == kernel.RegularFile && (!ok || epoch > st.epoch || epoch == st.epoch && nd.Attr.Size > st.size) {
+			snap.state[ino] = fileState{size: nd.Attr.Size, epoch: epoch, layout: img.layouts[ino]}
+		}
+	}
 }
 
 // takeSnapshot reads the authoritative metadata of the cluster from
-// its live members (all but slot skip and the excluded), one OpExport
-// each: for each inode the owning copy — sharded, the lowest-ranked
-// live replica of its owner group; replicated, the first live
-// member's, whose namespace is everyone's — and each regular file's
-// global size, the largest local size any live member holds (size
-// publishes fan everywhere, but an individual store may lag).
-func (cl *Cluster) takeSnapshot(p *sim.Proc, skip int) (*snapshot, error) {
-	snap := &snapshot{sharded: cl.sharded, nodes: make(map[kernel.InodeID]imageNode), marks: make(map[renameKey]renameMark)}
+// its live members, one OpExport each: for each inode the owning copy —
+// sharded, the lowest-ranked live replica of its owner group;
+// replicated, the first live member's, whose namespace is everyone's —
+// and each regular file's merged size state (merge; size publishes fan
+// everywhere, but an individual store may lag). own, when not nil, is a
+// returning server's image: its files join the merge, not the nodes,
+// and it may be all there is to merge.
+func (cl *Cluster) takeSnapshot(p *sim.Proc, own *image) (*snapshot, error) {
+	snap := &snapshot{sharded: cl.sharded, nodes: make(map[kernel.InodeID]imageNode),
+		marks: make(map[renameKey]renameMark), state: make(map[kernel.InodeID]fileState)}
+	if own != nil {
+		snap.merge(own)
+	}
 	rank := make(map[kernel.InodeID]int)
-	size := make(map[kernel.InodeID]int64)
 	for _, slot := range cl.pl.members {
-		if slot == skip || cl.down[slot] {
+		if cl.down[slot] {
 			continue
 		}
 		img, err := cl.exportImage(p, slot)
 		if err != nil {
 			return nil, err
 		}
-		first := snap.soft == nil
-		if first {
-			snap.soft = img
-		}
 		maps.Copy(snap.marks, img.marks)
-		snap.next, snap.top = max(snap.next, img.Next), max(snap.top, img.maxIno())
-		for _, nd := range img.Nodes {
-			size[nd.Attr.Ino] = max(size[nd.Attr.Ino], nd.Attr.Size)
-		}
-		if !cl.sharded && !first {
-			continue
+		snap.next, snap.top, snap.member = max(snap.next, img.Next), max(snap.top, img.maxIno()), img.member
+		snap.merge(img)
+		if !cl.sharded && len(snap.nodes) > 0 {
+			continue // replicated: the first live member's namespace is everyone's
 		}
 		for _, nd := range img.Nodes {
 			d := 0
@@ -557,18 +566,34 @@ func (cl *Cluster) takeSnapshot(p *sim.Proc, skip int) (*snapshot, error) {
 			}
 		}
 	}
-	if len(snap.nodes) == 0 {
+	if len(snap.nodes) == 0 && own == nil {
 		return nil, errors.New("no live member to resync from")
 	}
 	for ino, nd := range snap.nodes {
 		if nd.Attr.Kind == kernel.RegularFile {
-			nd.Attr.Size = size[ino]
+			nd.Attr.Size = snap.state[ino].size
 			snap.nodes[ino] = nd
 			snap.files = append(snap.files, ino)
 		}
 	}
 	slices.Sort(snap.files)
 	return snap, nil
+}
+
+// carry gives img the snapshot's size epochs and layouts for every
+// regular file it holds, so an import replaces the server's own.
+func (snap *snapshot) carry(img *image) {
+	img.soft = true
+	img.epochs, img.layouts = make(map[kernel.InodeID]uint64), make(map[kernel.InodeID]LayoutClass)
+	for _, nd := range img.Nodes {
+		st := snap.state[nd.Attr.Ino] // zero for a directory
+		if st.epoch != 0 {
+			img.epochs[nd.Attr.Ino] = st.epoch
+		}
+		if st.layout != LayoutStandard {
+			img.layouts[nd.Attr.Ino] = st.layout
+		}
+	}
 }
 
 // image returns what the server at ring position pos of pl must hold
@@ -582,9 +607,8 @@ func (cl *Cluster) takeSnapshot(p *sim.Proc, skip int) (*snapshot, error) {
 // advances — per-server partitions are disjoint, so a server's
 // retained cursor stays correct. Rename marks follow directory
 // ownership. A fresh server — one the snapshot was not read from —
-// also takes the size epochs, layouts and membership epoch of a live
-// member: they are replicated-identical (exact sets always fan), so
-// any one is authoritative.
+// also takes the merged size epochs and layouts (carry) and the
+// members' membership epoch.
 func (snap *snapshot) image(pl placement, pos int, fresh bool, stage uint64) *image {
 	slot := pl.members[pos]
 	img := &image{stage: stage, marks: make(map[renameKey]renameMark)}
@@ -603,10 +627,40 @@ func (snap *snapshot) image(pl placement, pos int, fresh bool, stage uint64) *im
 		}
 	}
 	if fresh {
-		src := snap.soft
-		img.soft, img.epochs, img.layouts, img.member = true, src.epochs, src.layouts, src.member
+		snap.carry(img)
+		img.member = snap.member
 	}
 	return img
+}
+
+// reimage turns own — a returning server's image, the namespace its
+// journal replay left — into what it must hold: every regular file at
+// the merged size, carrying the merged epochs and layouts; sharded,
+// every regular file the snapshot holds that own lacks joins as a stub
+// at its size, as in image. It returns, ascending, the files whose
+// epoch moved past own's and the ones own lacked: the runs the server
+// holds of them are stale or missing.
+func (snap *snapshot) reimage(own *image) (moved []kernel.InodeID) {
+	held := make(map[kernel.InodeID]bool, len(own.Nodes))
+	for k := range own.Nodes {
+		nd := &own.Nodes[k]
+		held[nd.Attr.Ino] = true
+		if st := snap.state[nd.Attr.Ino]; nd.Attr.Kind == kernel.RegularFile {
+			nd.Attr.Size = st.size
+			if own.epochs[nd.Attr.Ino] < st.epoch {
+				moved = append(moved, nd.Attr.Ino)
+			}
+		}
+	}
+	for _, ino := range snap.files {
+		if snap.sharded && !held[ino] {
+			own.Nodes = append(own.Nodes, imageNode{Attr: snap.nodes[ino].Attr})
+			moved = append(moved, ino)
+		}
+	}
+	snap.carry(own)
+	slices.Sort(moved)
+	return moved
 }
 
 // exportImage reads server slot's namespace image with OpExport, a
@@ -662,33 +716,26 @@ func (cl *Cluster) importImage(p *sim.Proc, slot int, img *image) error {
 
 // fullResync rebuilds excluded member slot i from the live members —
 // the fallback when its resync journal spilled: its image from the
-// snapshot, applied when served, then the stripes it holds under the
-// current placement re-copied over the wire (the delta from the
-// placement with its position vacated). The image goes first because
-// the slot stays excluded until the copy succeeds: no client reads it
-// in between, and a fault in either leaves it excluded and spilled for
-// the next Reinstate to redo both.
+// snapshot, applied when served, then every run it holds of every file,
+// under the file's layout, re-copied over the wire (copyHeld). The image
+// goes first because the slot stays excluded until the copy succeeds:
+// no client reads it in between, and a fault in either leaves it
+// excluded and spilled for the next Reinstate to redo both.
 func (cl *Cluster) fullResync(p *sim.Proc, i int) error {
-	if cl.policyOn {
-		return errors.New("full-slice resync under an adaptive layout policy is not supported")
-	}
 	pos := cl.pl.pos(i)
 	if pos < 0 {
 		return fmt.Errorf("server %d is not a member", i)
 	}
-	snap, err := cl.takeSnapshot(p, i)
+	snap, err := cl.takeSnapshot(p, nil)
 	if err != nil {
 		return err
 	}
 	if err := cl.importImage(p, i, snap.image(cl.pl, pos, true, 0)); err != nil {
 		return err
 	}
-	vacated := cl.pl.vacate(pos)
 	for _, ino := range snap.files {
-		for _, mv := range vacated.delta(cl.pl, 0, snap.nodes[ino].Attr.Size) {
-			if err := cl.copyRange(p, ino, mv.off, mv.n, mv.to, &cl.ResyncBytes); err != nil {
-				return err
-			}
+		if err := cl.copyHeld(p, i, ino, snap.state[ino]); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -710,8 +757,8 @@ type MemberView struct {
 	epoch   uint64
 	members []int
 
-	// operator is the cluster currently driving a membership change
-	// (nil otherwise); its own traffic bypasses the fences.
+	// operator is the cluster currently driving a membership change or
+	// a readmission (nil otherwise); its own traffic bypasses the fences.
 	operator  *Cluster
 	fenceMut  bool
 	fenceAll  bool
@@ -791,7 +838,8 @@ func (cl *Cluster) AttachView(v *MemberView) {
 
 // SetMembers restricts the cluster's initial active membership to the
 // first active session slots; the rest stand by for later Join. Call
-// before any traffic and before ShareView. The sharded namespace maps
+// before any traffic and before any other cluster attaches to this
+// one's view: the view restricts with it. The sharded namespace maps
 // residues over all construction-time servers, so standby slots are
 // only supported unsharded.
 func (cl *Cluster) SetMembers(active int) error {
@@ -802,6 +850,9 @@ func (cl *Cluster) SetMembers(active int) error {
 		return fmt.Errorf("rfsrv: SetMembers: %d outside %d..%d", active, cl.pl.replicas, len(cl.sessions))
 	}
 	cl.pl.members = cl.pl.members[:active]
+	if v := cl.view; v != nil {
+		v.members = cl.Members()
+	}
 	return nil
 }
 
@@ -908,9 +959,8 @@ func (cl *Cluster) membersUp(lists ...[]int) error {
 }
 
 // beginChange validates one or more prospective member lists and
-// claims the view for this cluster as operator. The returned func
-// releases the operator claim and every fence.
-func (cl *Cluster) beginChange(lists ...[]int) (func(), error) {
+// claims the view for this cluster as operator; release gives it back.
+func (cl *Cluster) beginChange(lists ...[]int) (*MemberView, error) {
 	v := cl.view
 	if v == nil {
 		return nil, errors.New("rfsrv: membership change: no shared view (ShareView first)")
@@ -940,11 +990,14 @@ func (cl *Cluster) beginChange(lists ...[]int) (func(), error) {
 		return nil, errors.New("rfsrv: membership change already in progress")
 	}
 	v.operator = cl
-	return func() {
-		v.operator = nil
-		v.fenceMut, v.fenceAll, v.migrating = false, false, false
-		v.dirty = nil
-	}, nil
+	return v, nil
+}
+
+// release ends the operator's claim and lifts every fence.
+func (v *MemberView) release() {
+	v.operator = nil
+	v.fenceMut, v.fenceAll, v.migrating = false, false, false
+	v.dirty = nil
 }
 
 // Join admits session slot into the membership at the end of the
@@ -992,26 +1045,31 @@ func (cl *Cluster) Bounce(p *sim.Proc, slot int) error {
 // membership to each in turn. More than one list fences everything
 // for the whole walk, so no client sees an interim geometry.
 func (cl *Cluster) changeMembers(p *sim.Proc, lists ...[]int) error {
-	done, err := cl.beginChange(lists...)
+	v, err := cl.beginChange(lists...)
 	if err != nil {
 		return err
 	}
-	defer done()
-	if v := cl.view; len(lists) > 1 {
-		v.fenceAll = true
-		v.quiesce(p)
+	defer v.release()
+	if len(lists) > 1 {
+		v.fence(p, cl)
 	}
 	for _, members := range lists {
-		if err := cl.change(p, members); err != nil {
+		if err := cl.change(p, v, members); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// quiesce waits until no fenced operation is in flight: active, or
-// started and not yet waited for.
-func (v *MemberView) quiesce(p *sim.Proc) {
+// fence is the view's full fence: op becomes the operator — once
+// another cluster's change or readmission is over — every other
+// client's new operations block, and fence waits until none is in
+// flight: active, or started and not yet waited for.
+func (v *MemberView) fence(p *sim.Proc, op *Cluster) {
+	for v.operator != nil && v.operator != op {
+		p.Sleep(memberFencePoll)
+	}
+	v.operator, v.fenceAll = op, true
 	for v.activeData+v.activeMut+v.pending > 0 {
 		p.Sleep(memberFencePoll)
 	}
@@ -1074,8 +1132,7 @@ func (cl *Cluster) flipView(next placement, epoch uint64) {
 // its file's size, so a fault anywhere before the commit fails the
 // change with every server's member epoch, the view and every byte a
 // client reads as they were.
-func (cl *Cluster) change(p *sim.Proc, members []int) error {
-	v := cl.view
+func (cl *Cluster) change(p *sim.Proc, v *MemberView, members []int) error {
 	old, next := cl.pl, cl.pl.withMembers(members)
 
 	// 1. Freeze the namespace.
@@ -1091,7 +1148,7 @@ func (cl *Cluster) change(p *sim.Proc, members []int) error {
 	// is read first — past anything any affected store ever assigned, a
 	// joiner's stale state included — and stays valid: nothing mints
 	// while mutations are fenced.
-	snap, err := cl.takeSnapshot(p, -1)
+	snap, err := cl.takeSnapshot(p, nil)
 	if err != nil {
 		return err
 	}
@@ -1140,8 +1197,7 @@ func (cl *Cluster) change(p *sim.Proc, members []int) error {
 	}
 
 	// 4. Fence everything, quiesce, drain the final delta.
-	v.fenceAll = true
-	v.quiesce(p)
+	v.fence(p, cl)
 	for len(v.dirty) > 0 {
 		if err := drain(); err != nil {
 			return err
@@ -1153,7 +1209,7 @@ func (cl *Cluster) change(p *sim.Proc, members []int) error {
 	// none of the size publishes during the copy and can be an inode's
 	// metadata home now, takes exact global sizes; sharded, every member
 	// takes the namespace its new owner groups cover.
-	if snap, err = cl.takeSnapshot(p, -1); err != nil {
+	if snap, err = cl.takeSnapshot(p, nil); err != nil {
 		return err
 	}
 	epoch := v.epoch + 1

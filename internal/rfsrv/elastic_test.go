@@ -1159,11 +1159,12 @@ func equalInts(a, b []int) bool {
 
 // TestElasticReplayBatchedEquivalence builds a journal that exercises
 // every batched-replay verdict class — a mkdir, creates, an
-// idempotent unlink, a local rename, an epoch-bumping truncate (with
-// its OpSyncEpoch prelude in the batch), and dirty data — and
-// requires a clean Reinstate to land it through the combined-batch
-// fast path (no serial fallback), with the victim's resulting state
-// equal to a server that applied the same mutations live.
+// idempotent unlink, a local rename — beside an epoch-bumping truncate
+// and dirty data, and requires the journal to hold namespace verbs only
+// (the truncate is state the re-image carries), a clean Reinstate to
+// land it through the combined-batch fast path (no serial fallback),
+// and the victim's resulting state — names, size and bytes — to equal
+// a server that applied the same mutations live.
 func TestElasticReplayBatchedEquivalence(t *testing.T) {
 	r := newClusterRig(t, 3)
 	r.run(t, func(p *sim.Proc) {
@@ -1199,6 +1200,12 @@ func TestElasticReplayBatchedEquivalence(t *testing.T) {
 		ops := cl.JournalOps(1)
 		if ops == 0 {
 			t.Fatal("no journaled ops for the dark server")
+		}
+		for _, req := range cl.JournaledReqs(1) {
+			switch req.Op {
+			case rfsrv.OpSetSize, rfsrv.OpTruncate, rfsrv.OpSetLayout:
+				t.Errorf("the journal holds a size verb (op %d): sizes are re-imaged, not replayed", req.Op)
+			}
 		}
 
 		r.servers[1].NIC.Revive()

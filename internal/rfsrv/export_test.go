@@ -63,6 +63,16 @@ func (cl *Cluster) StripeSize() int64 { return cl.pl.stripe }
 // groups (EnableShardedNamespace) instead of fanning to every server.
 func (cl *Cluster) ShardedNamespace() bool { return cl.sharded }
 
+// JournalOps returns how many namespace mutations server slot i's
+// resync journal currently holds (0 when the server is up or nothing
+// was missed).
+func (cl *Cluster) JournalOps(i int) int { return len(cl.jn.slot(i).ops) }
+
+// JournalBytes returns how many dirty data bytes server slot i's
+// resync journal currently holds (0 when the server is up, nothing
+// was missed, or the journal spilled).
+func (cl *Cluster) JournalBytes(i int) int64 { return cl.jn.slot(i).bytes }
+
 // JournaledReqs returns the requests server slot i's resync journal
 // holds, in order — what Reinstate will replay there.
 func (cl *Cluster) JournaledReqs(i int) []Req {

@@ -1,7 +1,8 @@
 package rfsrv
 
-// The resync journal (DESIGN.md §13): what each excluded server slot
-// missed, bounded, for Reinstate to replay. The Cluster decides WHO
+// The resync journal (DESIGN.md §13): the namespace verbs and dirty
+// data ranges each excluded server slot missed, bounded, for Reinstate
+// to replay. Sizes are not journaled: Reinstate re-images them. The Cluster decides WHO
 // missed a mutation (placement says which slots it was meant for, the
 // exclusion state which of them are out — the journal* hooks in
 // elastic.go); the journal type here owns the records and the one rule
@@ -23,16 +24,12 @@ const (
 )
 
 // journalOp is one namespace mutation an excluded server missed: the
-// request to replay, plus what the cluster observed the fan produce —
-// the minted inode for creates (verified after replay, since an
-// idempotent re-execution must converge on the same number) and the
-// resulting size epoch for epoch-bumping ops (replay aligns the
-// returning server to wantEpoch−1 with OpSyncEpoch first, so the
-// replayed bump lands exactly at wantEpoch).
+// request to replay, plus the inode the cluster observed the fan mint
+// for creates (verified after replay, since an idempotent re-execution
+// must converge on the same number).
 type journalOp struct {
-	req       Req
-	wantIno   kernel.InodeID
-	wantEpoch uint64
+	req     Req
+	wantIno kernel.InodeID
 }
 
 // dirtyRange is a byte range of one file written while a server that
@@ -55,9 +52,6 @@ type resyncJournal struct {
 	bytes   int64
 	spilled bool
 }
-
-// empty reports that the slot missed nothing (and did not spill).
-func (j *resyncJournal) empty() bool { return !j.spilled && len(j.ops) == 0 && len(j.order) == 0 }
 
 // journal holds one resyncJournal per session slot — empty while the
 // server is up, reset at exclusion and at readmission — and the caps
@@ -90,7 +84,7 @@ func (jn *journal) reset(i int) { jn.slots[i] = resyncJournal{} }
 
 // record appends one missed mutation to slot i's journal; it reports
 // whether this record spilled it (the op cap was already reached).
-func (jn *journal) record(i int, req Req, wantIno kernel.InodeID, wantEpoch uint64) (spilled bool) {
+func (jn *journal) record(i int, req Req, wantIno kernel.InodeID) (spilled bool) {
 	j := &jn.slots[i]
 	if j.spilled {
 		return false
@@ -99,7 +93,7 @@ func (jn *journal) record(i int, req Req, wantIno kernel.InodeID, wantEpoch uint
 		*j = resyncJournal{spilled: true}
 		return true
 	}
-	j.ops = append(j.ops, journalOp{req: req, wantIno: wantIno, wantEpoch: wantEpoch})
+	j.ops = append(j.ops, journalOp{req: req, wantIno: wantIno})
 	return false
 }
 

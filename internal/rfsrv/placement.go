@@ -16,8 +16,7 @@ package rfsrv
 import "repro/internal/kernel"
 
 type placement struct {
-	// members maps ring position → session slot. A vacated position
-	// (vacate) holds -1: nobody stores what that position would.
+	// members maps ring position → session slot.
 	members  []int
 	stripe   int64
 	replicas int
@@ -164,14 +163,6 @@ func (pl placement) withMembers(members []int) placement {
 	return pl
 }
 
-// vacate returns the placement with ring position pos emptied: the
-// geometry as it stands for a member whose store is being rebuilt.
-func (pl placement) vacate(pos int) placement {
-	pl.members = append([]int(nil), pl.members...)
-	pl.members[pos] = -1
-	return pl
-}
-
 // move is one standard-layout stripe fragment and the slots a geometry
 // change must copy it to.
 type move struct {
@@ -191,7 +182,7 @@ func (pl placement) delta(next placement, off, n int64) []move {
 		was, now := pl.owner(LayoutStandard, 0, off), next.owner(LayoutStandard, 0, off)
 		var to []int
 		for j := 0; j < next.replicas; j++ {
-			if s := next.slot(now, j); s >= 0 && !pl.holds(s, was) {
+			if s := next.slot(now, j); !pl.holds(s, was) {
 				to = append(to, s)
 			}
 		}

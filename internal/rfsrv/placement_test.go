@@ -199,9 +199,6 @@ func TestPlacementDelta(t *testing.T) {
 					checkDelta(t, old, next, off, span)
 				}
 			}
-			for pos := 0; pos < n; pos++ { // a vacated position is what its member's rebuild copies back
-				checkDelta(t, old.vacate(pos), old, 0, span)
-			}
 		}
 	}
 }

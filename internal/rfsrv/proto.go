@@ -119,12 +119,6 @@ const (
 	// raise its inode cursor past so inodes minted under the new
 	// geometry can never collide with ones minted under the old.
 	OpMember
-	// OpSyncEpoch is the resync-only epoch alignment op: it sets the
-	// server's size epoch for Ino to Off so a journal replay can land an
-	// epoch-bumping mutation (exact OpSetSize, OpTruncate, OpSetLayout)
-	// at exactly the epoch the rest of the cluster recorded for it.
-	// Only Reinstate's replay engine issues it.
-	OpSyncEpoch
 	// OpExport reads the server's namespace image (image.go): shaped
 	// like a read, the image is the data message — at most Len bytes,
 	// the room the client posted — and the reply's N its length.
@@ -145,7 +139,7 @@ var opNames = map[Op]string{
 	OpLink: "link", OpMaterialize: "materialize", OpScrub: "scrub",
 	OpRenamePrepare: "renameprepare", OpRenameFinalize: "renamefinalize",
 	OpRenameAbort: "renameabort", OpRenameLocal: "renamelocal",
-	OpMember: "member", OpSyncEpoch: "syncepoch",
+	OpMember: "member",
 	OpExport: "export", OpImport: "import",
 }
 

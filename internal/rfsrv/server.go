@@ -298,21 +298,6 @@ func (s *Server) handleMeta(p *sim.Proc, req *Req) *Resp {
 		resp.Attr, err = s.handleRenameLocal(p, ino, req)
 	case OpMember:
 		err = s.handleMember(p, req)
-	case OpSyncEpoch:
-		// Resync-only epoch alignment (see the opcode): set the inode's
-		// size epoch so the replayed mutation that follows lands at the
-		// epoch the rest of the cluster recorded.
-		if req.Off < 0 {
-			err = ErrInval
-			break
-		}
-		s.materializeOnDemand(p, ino, kernel.RegularFile)
-		if req.Off == 0 {
-			delete(s.epochs, ino)
-		} else {
-			s.epochs[ino] = uint64(req.Off)
-		}
-		resp.Attr, err = s.fs.Getattr(p, ino)
 	default:
 		err = fmt.Errorf("rfsrv: bad op %v", req.Op)
 	}

@@ -46,8 +46,8 @@ func (r *clusterRig) shardObserver(t *testing.T, p *sim.Proc, replicas int) *rfs
 // the client cannot learn the commit's fate OR settle the source, so
 // it must surface ErrRenameInDoubt. The true state is state A (the
 // commit never applied): both source members still hold the marked
-// entry, neither destination member holds the link. Every slice is
-// bump-free on this path, so all four servers readmit cleanly, and
+// entry, neither destination member holds the link. No slice mutated
+// on this path, so all four servers readmit cleanly, and
 // re-driving the SAME rename from the SAME client rides the
 // idempotent prepare marks to completion (state B everywhere).
 func TestShardRenameInDoubtAbortFaultStateA(t *testing.T) {
@@ -96,9 +96,9 @@ func TestShardRenameInDoubtAbortFaultStateA(t *testing.T) {
 			}
 		}
 
-		// No slice mutated (prepare marks bump nothing), so every
+		// No slice mutated (prepare marks journal nothing), so every
 		// server — including the two that missed the abort — readmits
-		// without a resync.
+		// with nothing to replay.
 		for _, n := range r.servers {
 			n.NIC.Revive()
 		}

@@ -15,15 +15,10 @@ package rfsrv
 // the next overwrite re-reconciles. An OLDER one proves the replying
 // server, not the cache, is stale (behind).
 //
-// Exclusion stamps. An entry is only as good as the fan that
-// established it, and that fan skipped the servers excluded at the
-// time — so when one of them is readmitted, exactly the entries
-// established during its exclusion must go. tick counts exclusions,
-// downSince[slot] is the tick at which slot was excluded, and every
-// entry carries the tick it was (last) established under: readmit(slot)
-// drops the entries with stamp >= downSince[slot]. One comparison per
-// entry, nothing per write, and no bound on the number of servers (the
-// bitmask of excluded servers this replaces capped clusters at 64).
+// Readmission drops nothing. An entry's fan skipped the servers
+// excluded at the time, but Reinstate re-images a returning server at
+// the newest merged sizes, so every floor set while it was out holds
+// for it too.
 
 import (
 	"fmt"
@@ -35,18 +30,14 @@ import (
 type sizeEntry struct {
 	size  int64
 	epoch uint64
-	stamp uint64 // the book's exclusion tick at establishment
 }
 
 type sizeBook struct {
 	sizes map[kernel.InodeID]sizeEntry
-
-	tick      uint64
-	downSince []uint64 // per session slot
 }
 
-func newSizeBook(slots int) sizeBook {
-	return sizeBook{sizes: make(map[kernel.InodeID]sizeEntry), downSince: make([]uint64, slots)}
+func newSizeBook() sizeBook {
+	return sizeBook{sizes: make(map[kernel.InodeID]sizeEntry)}
 }
 
 // observe feeds the size epoch a reply carried for ino into the cache.
@@ -89,32 +80,11 @@ func (b *sizeBook) floor(ino kernel.InodeID) (int64, uint64) {
 }
 
 // establish records that every alive server now holds at least size
-// bytes of ino under epoch, stamped with the current exclusion tick.
+// bytes of ino under epoch.
 //
 // allocfree
 func (b *sizeBook) establish(ino kernel.InodeID, size int64, epoch uint64) {
-	b.sizes[ino] = sizeEntry{size: size, epoch: epoch, stamp: b.tick}
-}
-
-// forget drops everything cached about ino.
-func (b *sizeBook) forget(ino kernel.InodeID) { delete(b.sizes, ino) }
-
-// excluded notes that slot was just marked down: entries established
-// from here on were reconciled without it.
-func (b *sizeBook) excluded(slot int) {
-	b.tick++
-	b.downSince[slot] = b.tick
-}
-
-// readmit drops the entries established while slot was excluded — the
-// ones whose reconciliation fans skipped it — so the next write to an
-// affected file replays the grow-only reconciliation.
-func (b *sizeBook) readmit(slot int) {
-	for ino, e := range b.sizes {
-		if e.stamp >= b.downSince[slot] {
-			delete(b.sizes, ino)
-		}
-	}
+	b.sizes[ino] = sizeEntry{size: size, epoch: epoch}
 }
 
 // drop removes everything the book holds for an unlinked inode and

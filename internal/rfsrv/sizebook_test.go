@@ -33,7 +33,7 @@ func TestSizeBookEpochAdoption(t *testing.T) {
 		{"an older epoch is ignored: the sender is behind", &sizeEntry{size: 100, epoch: 3}, 2, 100, 3, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			b := newSizeBook(2)
+			b := newSizeBook()
 			if tc.cached != nil {
 				b.establish(ino, tc.cached.size, tc.cached.epoch)
 			}
@@ -43,72 +43,6 @@ func TestSizeBookEpochAdoption(t *testing.T) {
 			b.observe(ino, tc.observed)
 			if size, epoch := b.floor(ino); size != tc.wantSize || epoch != tc.wantEpoch {
 				t.Errorf("floor = (%d, %d), want (%d, %d)", size, epoch, tc.wantSize, tc.wantEpoch)
-			}
-		})
-	}
-}
-
-// TestSizeBookExclusionStamps pins readmit to the semantics of the
-// bitmask it replaced: an entry goes exactly when the readmitted slot
-// was excluded at the entry's (last) establishment — across exclude →
-// establish → reinstate → re-exclude, with overlapping exclusions, and
-// for a slot index no 64-bit mask could hold.
-func TestSizeBookExclusionStamps(t *testing.T) {
-	const slots, far = 80, 70
-	type step struct {
-		op   string // "down", "up" (readmit), "est" (establish), "see" (observe)
-		slot int
-		ino  kernel.InodeID
-	}
-	for _, tc := range []struct {
-		name  string
-		steps []step
-		kept  []kernel.InodeID // entries that must survive, ascending
-	}{
-		{"an entry established before the exclusion survives the readmission",
-			[]step{{op: "est", ino: 1}, {op: "down", slot: 2}, {op: "up", slot: 2}}, []kernel.InodeID{1}},
-		{"an entry established during the exclusion goes",
-			[]step{{op: "down", slot: 2}, {op: "est", ino: 1}, {op: "up", slot: 2}}, nil},
-		{"an entry merely observed during the exclusion goes too",
-			[]step{{op: "down", slot: 2}, {op: "see", ino: 1}, {op: "up", slot: 2}}, nil},
-		{"re-establishing during the exclusion re-stamps an old entry",
-			[]step{{op: "est", ino: 1}, {op: "down", slot: 2}, {op: "est", ino: 1}, {op: "up", slot: 2}}, nil},
-		{"another slot's readmission leaves the entry alone",
-			[]step{{op: "down", slot: 2}, {op: "est", ino: 1}, {op: "down", slot: 3}, {op: "up", slot: 3}}, []kernel.InodeID{1}},
-		{"overlapping exclusions: the entry goes with the slot that was down at establishment",
-			[]step{{op: "down", slot: 2}, {op: "est", ino: 1}, {op: "down", slot: 3}, {op: "est", ino: 2},
-				{op: "up", slot: 3}}, []kernel.InodeID{1}},
-		{"overlapping exclusions: the earlier slot takes both",
-			[]step{{op: "down", slot: 2}, {op: "est", ino: 1}, {op: "down", slot: 3}, {op: "est", ino: 2},
-				{op: "up", slot: 2}}, nil},
-		{"exclude → establish → reinstate → re-exclude: what was established in between survives the second readmission",
-			[]step{{op: "down", slot: 2}, {op: "est", ino: 1}, {op: "up", slot: 2}, {op: "est", ino: 2},
-				{op: "down", slot: 2}, {op: "est", ino: 3}, {op: "up", slot: 2}}, []kernel.InodeID{2}},
-		{"a slot index past 64",
-			[]step{{op: "est", ino: 1}, {op: "down", slot: far}, {op: "est", ino: 2}, {op: "down", slot: 5},
-				{op: "est", ino: 3}, {op: "up", slot: far}}, []kernel.InodeID{1}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			b := newSizeBook(slots)
-			for _, s := range tc.steps {
-				switch s.op {
-				case "down":
-					b.excluded(s.slot)
-				case "up":
-					b.readmit(s.slot)
-				case "est":
-					b.establish(s.ino, 4096, 1)
-				case "see":
-					b.observe(s.ino, 1)
-				}
-			}
-			var kept []kernel.InodeID
-			for ino := range b.sizes {
-				kept = append(kept, ino)
-			}
-			slices.Sort(kept)
-			if !slices.Equal(kept, tc.kept) {
-				t.Errorf("entries left: %v, want %v", kept, tc.kept)
 			}
 		})
 	}
@@ -162,30 +96,32 @@ func TestJournalCaps(t *testing.T) {
 	if jn.opCap != 2 || jn.byteCap != 100 {
 		t.Fatalf("caps after limit = (%d, %d), want (2, 100)", jn.opCap, jn.byteCap)
 	}
+	// empty: the slot missed nothing and did not spill.
+	empty := func(j *resyncJournal) bool { return !j.spilled && len(j.ops) == 0 && len(j.order) == 0 }
 	j := jn.slot(1)
-	if !j.empty() {
+	if !empty(j) {
 		t.Fatal("a fresh journal is not empty")
 	}
 
 	// The op cap: two records fit, the third spills, the fourth is a no-op.
 	for k, want := range []bool{false, false, true, false} {
-		if got := jn.record(1, Req{Op: OpUnlink, Name: "f"}, kernel.InodeID(k), 0); got != want {
+		if got := jn.record(1, Req{Op: OpUnlink, Name: "f"}, kernel.InodeID(k)); got != want {
 			t.Errorf("record %d: spilled-now %v, want %v", k, got, want)
 		}
 	}
-	if !j.spilled || len(j.ops) != 0 || j.empty() {
-		t.Errorf("after the op spill: spilled %v, %d ops, empty %v", j.spilled, len(j.ops), j.empty())
+	if !j.spilled || len(j.ops) != 0 || empty(j) {
+		t.Errorf("after the op spill: spilled %v, %d ops, empty %v", j.spilled, len(j.ops), empty(j))
 	}
 	if jn.dirty(1, 5, 0, 10) || j.bytes != 0 {
 		t.Error("a spilled journal recorded a dirty range")
 	}
-	if !jn.slot(0).empty() || !jn.slot(2).empty() {
+	if !empty(jn.slot(0)) || !empty(jn.slot(2)) {
 		t.Error("slot 1's spill touched its neighbours")
 	}
 
 	// Reset (what markDown does at the next exclusion) starts over.
 	jn.reset(1)
-	if !j.empty() || j.spilled {
+	if !empty(j) || j.spilled {
 		t.Fatal("reset left the journal spilled or non-empty")
 	}
 
@@ -215,7 +151,7 @@ func TestJournalCaps(t *testing.T) {
 	if !j.spilled || j.bytes != 0 || len(j.order) != 0 {
 		t.Errorf("after the byte spill: spilled %v, %d bytes, order %v", j.spilled, j.bytes, j.order)
 	}
-	if jn.record(1, Req{Op: OpUnlink}, 0, 0) || len(j.ops) != 0 {
+	if jn.record(1, Req{Op: OpUnlink}, 0) || len(j.ops) != 0 {
 		t.Error("a spilled journal recorded a mutation")
 	}
 }

@@ -71,8 +71,9 @@ type Rig struct {
 	Nodes   []*hw.Node      // server nodes, in slot order
 	Stores  []*memfs.FS     // "backing<j>", the store behind Servers[j]
 	Servers []*rfsrv.Server // the server on each node, for tests to inspect; no client holds one
-	// View, once an operator cluster published it (View =
-	// op.ShareView()), is attached to every cluster built afterwards.
+	// View is the shared membership view: the first cluster built
+	// publishes it, and every cluster built afterwards attaches to it, so
+	// every readmission and membership change on the rig is fenced.
 	View *rfsrv.MemberView
 
 	mx map[*hw.Node]*mx.MX
@@ -134,9 +135,9 @@ func (r *Rig) MX(n *hw.Node) *mx.MX {
 // Cluster builds one client view of the rig's servers from node: a
 // kernel-side MX fabric client per server on local endpoint epBase+j
 // with the reply deadline armed, a session each, and the replicated
-// striped cluster over them — sharded when the rig is, attached to the
-// shared view if one is published. A second cluster on the same node
-// needs its own epBase.
+// striped cluster over them — sharded when the rig is, publishing the
+// rig's shared view if it is the first, attached to it otherwise. A
+// second cluster on the same node needs its own epBase.
 func (r *Rig) Cluster(p *sim.Proc, node *hw.Node, epBase int) (*rfsrv.Cluster, error) {
 	d := r.Desc
 	if len(r.Stores) == 0 {
@@ -162,7 +163,9 @@ func (r *Rig) Cluster(p *sim.Proc, node *hw.Node, epBase int) (*rfsrv.Cluster, e
 			return nil, err
 		}
 	}
-	if r.View != nil {
+	if r.View == nil {
+		r.View = cl.ShareView()
+	} else {
 		cl.AttachView(r.View)
 	}
 	return cl, nil

@@ -180,6 +180,46 @@ func TestShardedRigAgrees(t *testing.T) {
 	}
 }
 
+// TestClustersShareOneView: the first cluster a rig builds publishes
+// the rig's membership view, restricting its members restricts the
+// view, and a later cluster attaches to it and follows a membership
+// change the first one drives.
+func TestClustersShareOneView(t *testing.T) {
+	r := mustRig(t, desc(3, 1))
+	_, err := r.Run("c", 0, func(p *sim.Proc) error {
+		op, err := r.Cluster(p, r.HW.AddNode("operator"), 10)
+		if err != nil {
+			return err
+		}
+		if r.View == nil {
+			return errors.New("the first cluster published no view")
+		}
+		if err := op.SetMembers(2); err != nil {
+			return err
+		}
+		cl, err := r.Cluster(p, r.HW.AddNode("client"), 10)
+		if err != nil {
+			return err
+		}
+		if got := fmt.Sprint(r.View.Members(), cl.Members()); got != "[0 1] [0 1]" {
+			return fmt.Errorf("view and attached members %s, want [0 1] [0 1]", got)
+		}
+		if err := op.Join(p, 2); err != nil {
+			return err
+		}
+		if _, err := cl.Meta(p, &rfsrv.Req{Op: rfsrv.OpGetattr, Ino: 0}); err != nil {
+			return err
+		}
+		if got := fmt.Sprint(cl.Members()); got != "[0 1 2]" {
+			return fmt.Errorf("attached cluster's members after the join %s, want [0 1 2]", got)
+		}
+		return nil
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestClusterOnBareRig: a bare rig has no file servers to be a client
 // of.
 func TestClusterOnBareRig(t *testing.T) {

@@ -36,7 +36,6 @@ func (c *tClient) endData(p *sim.Proc) {
 		// Exact size re-sync: an explicit set reconciles every still
 		// admissible server to the model size (a no-op for the data and
 		// the oracle, so it is not logged).
-		c.mutCount++
 		if _, err := c.cl.Meta(p, &rfsrv.Req{Op: rfsrv.OpTruncate, Ino: f.ino, Off: f.size()}); err != nil {
 			st.failf(f.handle, f.dir.handle, f.name, "c%d: end size sync f%d: %v", c.idx, f.handle, err)
 			return

@@ -41,13 +41,8 @@ type tClient struct {
 	files   []*fileModel
 	inDoubt []*inDoubtRename
 
-	// downSeen mirrors which exclusions were already accounted;
-	// exclMut[s] is the client's mutation count just before the
-	// operation that discovered s's fault — a Reinstate refusal is only
-	// legal if mutations happened past that point.
+	// downSeen mirrors which exclusions were already accounted.
 	downSeen []bool
-	exclMut  map[int]int
-	mutCount int
 
 	ops, reads, writes, creates, unlinks, renames, readdirs, truncates, getattrs, seeks int
 	maybeEntries, staleSkips, busyRefusals                                              int
@@ -71,13 +66,12 @@ func (c *tClient) run(p *sim.Proc) {
 		if i%8 == 0 {
 			c.tryReinstates(p)
 		}
-		pre := c.mutCount
 		if st.cfg.Mode == ModeData {
 			c.opData(p, i)
 		} else {
 			c.opNS(p)
 		}
-		c.noteExclusions(pre)
+		c.noteExclusions()
 	}
 	st.stormLive--
 	for !st.reviveDone && !st.failed() {
@@ -103,8 +97,7 @@ func (c *tClient) setup(p *sim.Proc) bool {
 		return false
 	}
 	// One setup draw that no longer selects anything: it keeps every
-	// corpus seed on the schedule it was chosen under (other schedules
-	// reach the un-journaled grow-publish failure, ROADMAP item 8).
+	// corpus seed on the schedule it was chosen under.
 	c.rng.Intn(4)
 	c.bufCap = maxFileStripes * cfg.Stripe
 	if c.wva, err = c.node.Kernel.Mmap(c.bufCap, fmt.Sprintf("torture-w%d", c.idx)); err == nil {
@@ -116,7 +109,6 @@ func (c *tClient) setup(p *sim.Proc) bool {
 	}
 	c.scratch = make([]byte, c.bufCap)
 	c.downSeen = make([]bool, cfg.Servers)
-	c.exclMut = make(map[int]int)
 
 	for k := 0; k < dirsPerClient; k++ {
 		name := fmt.Sprintf("c%dd%d", c.idx, k)
@@ -213,18 +205,15 @@ func (c *tClient) servingMember(res int) int {
 }
 
 // noteExclusions diffs DownServers against the seen set after an
-// operation: a newly-observed exclusion records the pre-operation
-// mutation count (the server-side epoch snapshot happens before the
-// discovering operation's own bumps) and samples recovery latency
+// operation: a newly-observed exclusion samples recovery latency
 // against the youngest unsampled fault event covering the server.
-func (c *tClient) noteExclusions(preMut int) {
+func (c *tClient) noteExclusions() {
 	st := c.st
 	for _, s := range c.cl.DownServers() {
 		if c.downSeen[s] {
 			continue
 		}
 		c.downSeen[s] = true
-		c.exclMut[s] = preMut
 		for i := len(st.faults) - 1; i >= 0; i-- {
 			f := st.faults[i]
 			if f.sampled[c.idx] {
@@ -247,39 +236,37 @@ func (c *tClient) noteExclusions(preMut int) {
 }
 
 // tryReinstates offers every excluded server whose NIC is healthy back
-// to the cluster. An admission means the resync journal replayed (or a
-// spilled journal full-resynced through the peers) and the server is
-// exact again, so the model drops every stale-member allowance it held
-// for the slot. A refusal is only legal when there was something to
-// resync — a model mutation since the exclusion snapshot, or a
-// non-empty journal (replay aborts on concurrent transport faults and
-// is retried later): refusing a clean re-admission is a bug.
+// to the cluster. An admission means the namespace journal replayed,
+// the sizes re-imaged and the missed data re-copied (or a spilled
+// journal full-resynced) and the server is exact again, so the model
+// drops every stale-member allowance it held for the slot. A refusal is
+// legal if and only if it wraps a transport fault (a concurrent fault
+// interrupted the readmission, which is retried later): any other
+// refusal is a bug.
 func (c *tClient) tryReinstates(p *sim.Proc) {
 	for _, s := range c.cl.DownServers() {
 		if c.st.nicDown[s] {
 			continue
 		}
 		if err := c.cl.Reinstate(p, s); err != nil {
-			if c.mutCount == c.exclMut[s] && c.cl.JournalOps(s) == 0 &&
-				c.cl.JournalBytes(s) == 0 && !c.cl.JournalSpilled(s) {
-				c.st.failf(-1, -1, "", "c%d: reinstate of %d refused (%v) with nothing to resync", c.idx, s, err)
+			if !fabric.IsFault(err) {
+				c.st.failf(-1, -1, "", "c%d: reinstate of %d refused without a transport fault: %v", c.idx, s, err)
 				return
 			}
 			continue
 		}
 		c.downSeen[s] = false
-		delete(c.exclMut, s)
 		c.admitExact(s)
 	}
 }
 
 // admitExact drops every stale-member allowance the model held for a
-// readmitted slot: Reinstate's journal replay re-applied the namespace
-// mutations and re-copied the dirty data stripes the server missed, so
-// from here on the member must answer exactly — lagged transitions
-// clear. This is the harness's end-to-end assertion that replay
-// actually converged the server: any byte or entry it still gets wrong
-// is caught by the very next check that routes to it.
+// readmitted slot: Reinstate re-applied the namespace mutations, re-imaged
+// the sizes and re-copied the data the server missed, so from here on
+// the member must answer exactly — lagged transitions clear. This is
+// the harness's end-to-end assertion that readmission actually
+// converged the server: any byte or entry it still gets wrong is
+// caught by the very next check that routes to it.
 func (c *tClient) admitExact(s int) {
 	bit := uint64(1) << uint(s)
 	for _, d := range c.dirs {
@@ -438,7 +425,6 @@ func (c *tClient) createFile(p *sim.Proc, d *dirModel) *fileModel {
 	st := c.st
 	h := st.handle()
 	name := fmt.Sprintf("f%d", h)
-	c.mutCount++
 	resp, err := c.cl.Meta(p, &rfsrv.Req{Op: rfsrv.OpCreate, Ino: d.ino, Name: name})
 	c.creates++
 	c.ops++
@@ -467,7 +453,6 @@ func (c *tClient) opUnlink(p *sim.Proc) {
 	}
 	i := c.rng.Intn(len(c.files))
 	f := c.files[i]
-	c.mutCount++
 	_, err := c.cl.Meta(p, &rfsrv.Req{Op: rfsrv.OpUnlink, Ino: f.dir.ino, Name: f.name})
 	c.unlinks++
 	c.ops++
@@ -490,7 +475,6 @@ func (c *tClient) opRename(p *sim.Proc) {
 	src := f.dir
 	dst := c.dirs[c.rng.Intn(len(c.dirs))]
 	newName := fmt.Sprintf("r%d", c.st.handle())
-	c.mutCount++
 	_, err := c.cl.Rename(p, src.ino, f.name, dst.ino, newName)
 	c.renames++
 	c.ops++
@@ -518,7 +502,6 @@ func (c *tClient) opTruncate(p *sim.Proc) {
 		return
 	}
 	newSize := c.rng.Int63n(f.size() + 1) // shrink-only: growth would punch holes
-	c.mutCount++
 	_, err := c.cl.Meta(p, &rfsrv.Req{Op: rfsrv.OpTruncate, Ino: f.ino, Off: newSize})
 	c.truncates++
 	c.ops++
@@ -745,7 +728,6 @@ func (c *tClient) opSharedRead(p *sim.Proc) {
 func (c *tClient) eraTruncate(p *sim.Proc, sf *sharedFile) {
 	sf.eraLock = true
 	defer func() { sf.eraLock = false }()
-	c.mutCount++
 	_, err := c.cl.Meta(p, &rfsrv.Req{Op: rfsrv.OpTruncate, Ino: sf.ino, Off: 0})
 	c.truncates++
 	c.ops++
@@ -807,7 +789,6 @@ func (c *tClient) nsCreate(p *sim.Proc) {
 	h := st.handle()
 	name := fmt.Sprintf("n%d", h)
 	preDead := c.groupDeadView(d.res)
-	c.mutCount++
 	resp, err := c.cl.Meta(p, &rfsrv.Req{Op: rfsrv.OpCreate, Ino: d.ino, Name: name})
 	c.creates++
 	c.ops++
@@ -837,7 +818,6 @@ func (c *tClient) nsUnlink(p *sim.Proc) {
 		return
 	}
 	preDead := c.groupDeadView(d.res)
-	c.mutCount++
 	_, err := c.cl.Meta(p, &rfsrv.Req{Op: rfsrv.OpUnlink, Ino: d.ino, Name: e.name})
 	c.unlinks++
 	c.ops++
@@ -878,7 +858,6 @@ func (c *tClient) nsRename(p *sim.Proc) {
 	newName := fmt.Sprintf("r%d", st.handle())
 	preDead := c.groupDeadView(src.res) || c.groupDeadView(dst.res)
 	crossOwner := src.res != dst.res
-	c.mutCount++
 	_, err := c.cl.Rename(p, src.ino, e.name, dst.ino, newName)
 	c.renames++
 	c.ops++

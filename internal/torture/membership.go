@@ -1,7 +1,8 @@
 package torture
 
-// Membership events (Config.Elastic): an operator cluster shares a
-// MemberView with every client view, and this proc bounces random
+// Membership events (Config.Elastic): the operator cluster is the rig's
+// first, so the MemberView every client attaches is its own, and this
+// proc bounces random
 // servers (Cluster.Bounce: a retire and a rejoin inside one full fence,
 // the same membership change Join and Retire run) while the op storm
 // runs. Bounces and fault injections are mutually exclusive — a bounce
@@ -19,16 +20,15 @@ import (
 	"repro/internal/sim"
 )
 
-// membership is the operator proc: build the operator cluster, publish
-// the shared view (clients wait for it before traffic), then bounce
-// until the storm drains.
+// membership is the operator proc: build the operator cluster, which
+// publishes the rig's view (clients wait for it before traffic), then
+// bounce until the storm drains.
 func (st *runState) membership(p *sim.Proc) {
 	var err error
 	if st.operator, err = st.rig.Cluster(p, st.opNode, 10); err != nil {
 		st.failf(-1, -1, "", "membership: operator setup: %v", err)
 		return
 	}
-	st.rig.View = st.operator.ShareView()
 	rng := rand.New(rand.NewSource(st.cfg.ScheduleSeed ^ 0x626F756E636573))
 	for !st.stormOn && !st.failed() {
 		p.Sleep(tick)
@@ -40,8 +40,8 @@ func (st *runState) membership(p *sim.Proc) {
 		}
 		// Claim first: the schedule stops injecting, so the quiet window
 		// is guaranteed to open — any in-flight dwell finishes, residual
-		// timeouts drain, and the clients replay their journals (no new
-		// fault can interrupt them while the claim is held).
+		// timeouts drain, and the clients reinstate what they excluded
+		// (no new fault can interrupt them while the claim is held).
 		st.memberBusy = true
 		for !st.quietForMembership() {
 			p.Sleep(tick)
@@ -67,7 +67,7 @@ func (st *runState) membership(p *sim.Proc) {
 // injection window closed long enough ago that residual timeouts
 // drained, no NIC is dark, and no client view holds an exclusion — so
 // no resync journal is pending anywhere, and a bounce's re-image never
-// interleaves with journal replay.
+// interleaves with a readmission.
 func (st *runState) quietForMembership() bool {
 	if st.now()-st.lastFaultClear < 2*st.cfg.Timeout {
 		return false

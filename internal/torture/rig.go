@@ -42,8 +42,8 @@ type faultEvent struct {
 type runState struct {
 	cfg Config
 	// rig is the platform: the sharded replicated servers, their
-	// stores, and (Config.Elastic) the shared membership view every
-	// client attaches before traffic.
+	// stores, and the shared membership view its first cluster
+	// publishes and every later one attaches.
 	rig    *rig.Rig
 	oracle *memfs.FS
 
@@ -73,11 +73,11 @@ type runState struct {
 	// clients' reinstate decisions (hw exposes Dead() but not stalls).
 	nicDown []bool
 
-	// Membership machinery (Config.Elastic): the operator cluster,
-	// which publishes rig.View. memberBusy excludes fault injection
-	// while a bounce runs; lastFaultClear is when the schedule last
-	// finished an injection window, so the membership proc only strikes
-	// after residual timeouts drained.
+	// Membership machinery (Config.Elastic): the operator cluster, the
+	// rig's first, which publishes rig.View. memberBusy excludes fault
+	// injection while a bounce runs; lastFaultClear is when the schedule
+	// last finished an injection window, so the membership proc only
+	// strikes after residual timeouts drained.
 	opNode         *hw.Node
 	operator       *rfsrv.Cluster
 	memberBusy     bool

@@ -42,6 +42,13 @@ var shortCorpus = []Config{
 	// unallocated frame" as soon as the server kept two receives posted,
 	// until read replies held their frames (rfsrv.Server.readExtents).
 	{Seed: 1116},
+	// Short or zero-filled shared reads: a readmitted server came back
+	// at a replayed exact size — truncating again the new era other
+	// clients had written to it, or missing the grow publishes — until
+	// Reinstate re-imaged sizes as state (DESIGN.md §13).
+	{Seed: 1000}, {Seed: 1009}, {Seed: 1215},
+	{Seed: 9000094, Elastic: true}, {Seed: 9000222, Elastic: true},
+	{Seed: 9020015, Elastic: true}, {Seed: 9030017, Elastic: true},
 }
 
 func TestTortureShort(t *testing.T) {
