@@ -182,6 +182,22 @@ type CancelableOp interface {
 	Cancel(p *sim.Proc) bool
 }
 
+// NotifyOp is implemented by Ops that complete on their own, without a
+// process waiting on them (MX: a request's completion is an event of
+// the NIC's receive path), so a consumer can hand the completion to a
+// callback and keep going: "wait on a single or any pending request"
+// (§4.2) without parking a process per request. GM does not implement
+// it — its Ops only complete inside a Wait that drains the port's one
+// event queue.
+type NotifyOp interface {
+	Op
+	// OnDone runs fn exactly once, at the instant the operation
+	// completes — inline if it already has. It charges nothing: the
+	// completion is still consumed, and charged once, by a later Wait.
+	// fn runs outside any process and must not block.
+	OnDone(fn func())
+}
+
 // WaitTimeout waits op for at most d (d <= 0 means forever). On
 // transports whose Ops do not support deadlines it degrades to a plain
 // Wait. ok is false only on expiry, with Status{Err: ErrTimeout}.
@@ -214,3 +230,8 @@ func (o completedOp) Done() bool { return true }
 
 // Wait implements Op: the stored outcome, no blocking, no charge.
 func (o completedOp) Wait(p *sim.Proc) Status { return o.st }
+
+// OnDone implements NotifyOp: the operation is done, so fn runs now.
+func (o completedOp) OnDone(fn func()) { fn() }
+
+var _ NotifyOp = completedOp{}

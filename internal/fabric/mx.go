@@ -119,6 +119,10 @@ func (o mxOp) Cancel(p *sim.Proc) bool {
 	return o.req.Cancel(p)
 }
 
+// OnDone implements NotifyOp via the request's completion callback.
+func (o mxOp) OnDone(fn func()) { o.req.OnDone(fn) }
+
 var _ Transport = (*MXTransport)(nil)
 var _ TimedOp = mxOp{}
 var _ CancelableOp = mxOp{}
+var _ NotifyOp = mxOp{}

@@ -194,6 +194,14 @@ func (r *Request) WaitTimeout(p *sim.Proc, d sim.Time) (Status, bool) {
 	return r.status, true
 }
 
+// OnDone runs fn once the request completes — inline if it has, and
+// otherwise in the slot the completion's wake-up of a waiting process
+// would take (sim.Signal.WaitFunc). It charges nothing: a later Wait
+// consumes the completion and charges it, exactly once.
+//
+// allocfree
+func (r *Request) OnDone(fn func()) { r.done.WaitFunc(fn) }
+
 // Test polls for completion without blocking or charging.
 func (r *Request) Test() (Status, bool) {
 	if !r.done.Fired() {

@@ -111,13 +111,15 @@ func (s *Server) getWork() *work {
 		s.workFree = s.workFree[:k-1]
 		return w
 	}
-	return &work{rawBuf: make([]byte, reqBufSize)}
+	w := &work{rawBuf: make([]byte, reqBufSize)}
+	w.enqueue = func() { w.queue.Send(w) }
+	return w
 }
 
 // putWork recycles a finished work record, keeping the backing of its
-// payload scratch.
+// payload scratch and its hand-off callback.
 func (s *Server) putWork(w *work) {
-	w.req, w.raw, w.buf, w.sess = nil, nil, nil, nil
+	w.req, w.raw, w.buf, w.sess, w.queue = nil, nil, nil, nil, nil
 	clear(w.frames)
 	w.frames, w.vec = w.frames[:0], w.vec[:0]
 	s.workFree = append(s.workFree, w)
@@ -519,8 +521,15 @@ type work struct {
 	buf      *fabric.Buffer
 	frames   []*mem.Frame // a separate payload's frames, one per page (backing reused)
 	vec      core.Vector  // their receive vector (backing reused)
+	pay      fabric.Op    // a separate payload's posted receive, until landPayload collects it
 	ok       bool         // a write's payload is exactly the req.Len bytes announced
 	sess     *ClientSession
+	// enqueue sends the record to queue — the worker queue of the
+	// receiver that took its header — from its payload's completion
+	// (Serve). Built once per record and kept across recycles, so the
+	// hand-off allocates nothing.
+	queue   *sim.Chan[*work]
+	enqueue func()
 }
 
 // ServeMX serves the protocol on MX kernel endpoint epID with `workers`
@@ -549,23 +558,28 @@ func (s *Server) ServeGM(g *gm.GM, portID uint8) (*gm.Port, error) {
 // receivers each keep a request receive posted and feed a queue that
 // `workers` serving processes drain. One posted receive accepts a
 // pipelined client's next request while every worker is still busy —
-// the server half of the protocol's sliding window — but a receiver
-// that took a write whose payload follows as its own message holds that
-// payload's receive for the whole transfer (a rendezvous, its
-// clear-to-send queued behind read data in the NIC's transmit stage),
-// and with a single receiver every other client's request waits in the
-// unexpected queue meanwhile: the server's
+// the server half of the protocol's sliding window. A write whose
+// payload follows as its own message does not hold its receiver: the
+// receiver posts the payload's receive (postPayload), leaves the hand-off
+// to the worker queue to that receive's completion (fabric.NotifyOp) and
+// goes straight back to posting its request receive, so no receiver
+// parks on a payload and every worker takes only complete work (serve
+// lands the payload first, landPayload). Receivers still take turns
+// with the transmit half of the NIC — a rendezvous's clear-to-send is
+// queued behind read data — so with a single receiver the server's
 // transmit and receive halves alternate instead of overlapping. So the
 // server posts as many receives as it has workers — but only once it
 // has seen concurrency. Receivers 2…N start parked on a signal that a
 // receiver fires the first time the request it has just received finds
-// another still inside the server; a server that never holds two
-// requests at once (a synchronous client) runs exactly the one-receive
-// schedule and keeps one bounce buffer, not N. A non-vectorial
-// transport delivers every completion through one event queue that a
-// single consumer must drain (§5.2, §5.3), so one process receives and
-// serves in arrival order (pipelined clients still overlap their
-// requests' transfers with its work) and workers must be 1.
+// another still inside the server (a write whose payload is in flight
+// counts); a server that never holds two requests at once (a synchronous
+// client) runs exactly the one-receive schedule and keeps one bounce
+// buffer, not N. A non-vectorial transport delivers every completion
+// through one event queue that a single consumer must drain (§5.2,
+// §5.3), so one process receives and serves in arrival order — it
+// posts a payload's receive and lands it back to back — (pipelined
+// clients still overlap their requests' transfers with its work) and
+// workers must be 1.
 func (s *Server) Serve(t fabric.Transport, workers int) error {
 	caps := t.Caps()
 	if caps.Stream || !caps.Physical {
@@ -597,7 +611,12 @@ func (s *Server) Serve(t fabric.Transport, workers int) error {
 				if s.inside > 1 {
 					concurrent.Fire()
 				}
-				queue.Send(w)
+				if w.pay == nil {
+					queue.Send(w)
+					continue
+				}
+				w.queue = queue
+				w.pay.(fabric.NotifyOp).OnDone(w.enqueue)
 			}
 		})
 	}
@@ -634,9 +653,9 @@ func (s *Server) bufVec(t fabric.Transport, buf *fabric.Buffer, n int) core.Vect
 // copied out whole and leaves the bounce with the receiver, which posts
 // it again. Queued reads and metadata therefore pin no bounce at all,
 // and the queue depth is bounded only by the clients' aggregate window.
-// A write whose payload follows as its own message has it received
-// here, by the receiver that decoded the header (recvPayload), so the
-// work it returns is complete.
+// A write whose payload follows as its own message has that payload's
+// receive posted here (postPayload) but not waited: the work it returns
+// is complete once w.pay is, and serve lands it (landPayload).
 func (s *Server) recvReq(p *sim.Proc, t fabric.Transport, held **fabric.Buffer) *work {
 	eagerMax := t.Caps().EagerMax
 	bounceLen := max(reqBufSize, eagerMax)
@@ -684,32 +703,48 @@ func (s *Server) recvReq(p *sim.Proc, t fabric.Transport, held **fabric.Buffer) 
 				w.buf, *held = bounce, nil
 				w.ok = whole && st.Len-consumed == int(req.Len)
 			} else {
-				w.ok = s.recvPayload(p, t, w, whole && st.Len == consumed)
+				s.postPayload(p, t, w, whole && st.Len == consumed)
 			}
 		}
 		return w
 	}
 }
 
-// recvPayload receives the payload w's write header announced as its
-// own message (payloadTag names the sender): into fresh frames, one per
-// page of the write's range (payloadFrames), when the header is well
-// formed (ok), and into nothing otherwise. The payload is consumed
-// either way, so it can never strand in the transport's unexpected
-// queue or be taken for a later request's. It reports whether exactly
-// req.Len bytes landed; when it reports false w holds no frames. The
-// frames are physical, so nothing is pinned for a rendezvous into them.
-func (s *Server) recvPayload(p *sim.Proc, t fabric.Transport, w *work, ok bool) bool {
-	ok = ok && s.payloadFrames(w)
+// postPayload posts the receive of the payload w's write header
+// announced as its own message (payloadTag names the sender): into
+// fresh frames, one per page of the write's range (payloadFrames), when
+// the header is well formed (ok), and into nothing otherwise. The
+// payload is consumed either way, so it can never strand in the
+// transport's unexpected queue or be taken for a later request's. No
+// process waits for it here: w.pay is the posted receive, which
+// landPayload collects. The frames are physical, so nothing is pinned
+// for a rendezvous into them.
+//
+// allocfree
+func (s *Server) postPayload(p *sim.Proc, t fabric.Transport, w *work, ok bool) {
+	w.ok = ok && s.payloadFrames(w)
 	op, err := t.PostRecv(p, core.Exact(payloadTag(w.src, w.req.Seq, w.req.EP)), w.vec)
 	if err != nil {
 		panic(err)
 	}
-	if st := op.Wait(p); ok && st.Err == nil && st.Len == int(w.req.Len) {
-		return true
+	w.pay = op
+}
+
+// landPayload collects the payload postPayload posted for w, if any: it
+// waits the receive — already complete on a vectorial transport, whose
+// receiver hands w on from the receive's completion — which charges the
+// completion once, and applies the one length rule: w.ok stays true
+// only if exactly req.Len bytes landed for a well-formed header, and
+// otherwise w holds no frames.
+func (s *Server) landPayload(p *sim.Proc, w *work) {
+	if w.pay == nil {
+		return
 	}
-	s.dropFrames(w)
-	return false
+	st := w.pay.Wait(p)
+	w.pay = nil
+	if w.ok = w.ok && st.Err == nil && st.Len == int(w.req.Len); !w.ok {
+		s.dropFrames(w)
+	}
 }
 
 // dropFrames gives back the frames a separate payload landed in, for a
@@ -767,8 +802,10 @@ func (s *Server) payloadFrames(w *work) bool {
 	return true
 }
 
-// serve executes one received request and answers it.
+// serve executes one received request and answers it, landing a
+// separate payload first.
 func (s *Server) serve(p *sim.Proc, t fabric.Transport, w *work) {
+	s.landPayload(p, w)
 	req := w.req
 	s.node.CPU.VFS(p) // request dispatch
 	//analyze:dispatch ops group=serve

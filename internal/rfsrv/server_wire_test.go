@@ -419,17 +419,20 @@ func TestInstallIsTheWritesInstant(t *testing.T) {
 	}
 }
 
-// TestDeadClientBetweenHeaderAndPayload answers, for a write whose
-// payload travels alone, what ROADMAP item 2 left unverified: a client
-// whose NIC dies after the server received the write's header and
-// before its payload parks exactly one of the MX server's receivers —
-// the one that decoded the header, waiting for a payload that will
-// never come — and the server keeps answering other clients, at depth,
-// on the rest. (It has no deadline of its own yet, so that receiver
-// stays parked; a GM server's single process would be wedged whole.)
+// TestDeadClientBetweenHeaderAndPayload: a client whose NIC dies after
+// the server received a write's header and before its payload strands
+// that write — its payload receive stays posted into its fresh frames,
+// and the write counts as inside the server — but parks no receiver:
+// the receiver that decoded the header posted the payload's receive and
+// went straight back to receiving requests. workers + 1 such writes
+// (enough to wedge a server whose receivers each waited for the payload
+// of the header they took) leave the MX server answering another
+// client, at depth, on every receiver. (The server has no deadline of
+// its own yet, so the stranded writes keep their frames; a GM server's
+// single process would be wedged whole.)
 func TestDeadClientBetweenHeaderAndPayload(t *testing.T) {
-	const size = 64 * 1024
-	r := newWireRigWorkers(t, "mx", 4)
+	const size, workers = 64 * 1024, 4
+	r := newWireRigWorkers(t, "mx", workers)
 	other := r.peer(t, "other")
 	finished := 0
 	r.run(t, func(p *sim.Proc) {
@@ -438,9 +441,14 @@ func TestDeadClientBetweenHeaderAndPayload(t *testing.T) {
 			t.Fatal(err)
 		}
 		other.warmUp(t, p, 1)
-		r.start(t, p, &Req{Op: OpWrite, Seq: 1, Ino: attr.Ino, Len: size}, nil)
-		for r.srv.inside == 0 {
-			p.Sleep(100 * time.Nanosecond)
+		for i := 0; i <= workers; i++ {
+			r.start(t, p, &Req{Op: OpWrite, Seq: uint64(1 + i), Ino: attr.Ino, Off: int64(i * size), Len: size}, nil)
+		}
+		for t0 := p.Now(); r.srv.inside < workers+1; p.Sleep(100 * time.Nanosecond) { // no payload is sent
+			if p.Now()-t0 > time.Millisecond {
+				t.Errorf("%d of the dead client's %d headers received: the receivers are parked", r.srv.inside, workers+1)
+				return
+			}
 		}
 		r.client.NIC.Kill()
 		// The other client keeps three requests in the server at once,
@@ -466,13 +474,148 @@ func TestDeadClientBetweenHeaderAndPayload(t *testing.T) {
 	if finished != 3 {
 		t.Fatalf("%d of the other client's 3 streams finished", finished)
 	}
-	if r.srv.inside != 1 {
-		t.Errorf("%d requests inside the server, want 1 (the dead client's write)", r.srv.inside)
+	if r.srv.inside != workers+1 {
+		t.Errorf("%d requests inside the server, want %d (the dead client's stranded writes)", r.srv.inside, workers+1)
 	}
 	if cs := r.srv.session(other.client.ID, other.t.LocalEP()); cs.Outstanding != 0 || cs.MaxOutstanding < 3 {
 		t.Errorf("other client: %d outstanding, depth %d; want 0 and at least 3", cs.Outstanding, cs.MaxOutstanding)
 	}
-	if cs := r.srv.session(r.client.ID, r.t.LocalEP()); cs.Outstanding != 1 {
-		t.Errorf("dead client: %d requests outstanding, want its 1 write", cs.Outstanding)
+	if cs := r.srv.session(r.client.ID, r.t.LocalEP()); cs.Outstanding != workers+1 {
+		t.Errorf("dead client: %d requests outstanding, want its %d writes", cs.Outstanding, workers+1)
+	}
+}
+
+// payloadWatch is a server's MX transport that notes every payload
+// receive the server posts (any receive but a request's), so a test can
+// tell which payloads are still in flight.
+type payloadWatch struct {
+	*fabric.MXTransport
+	posted []fabric.Op
+}
+
+func (w *payloadWatch) PostRecv(p *sim.Proc, m core.Match, v core.Vector) (fabric.Op, error) {
+	op, err := w.MXTransport.PostRecv(p, m, v)
+	if err == nil && m != core.Exact(reqTag) {
+		w.posted = append(w.posted, op)
+	}
+	return op, err
+}
+
+// inFlight returns the posted payload receives that have not completed.
+func (w *payloadWatch) inFlight() []fabric.Op {
+	var out []fabric.Op
+	for _, op := range w.posted {
+		if !op.Done() {
+			out = append(out, op)
+		}
+	}
+	return out
+}
+
+// TestControlRequestsPassPayloadsInFlight: a 4-worker MX server takes a
+// client streaming 256 KB writes at window 4, each payload a rendezvous
+// of its own. Another client's OpGetattr and grow OpSetSize, each
+// issued mid-stream while a write's payload is in flight, must be
+// received and answered before any payload in flight at its issue has
+// landed: the receiver that took a write's header is back at its
+// request receive at once. (While a receiver waited for its write's
+// payload, a single writer never had two requests received at once, so
+// the one posted receive spent the stream parked on payloads and the
+// control request waited unexpected until one landed.)
+func TestControlRequestsPassPayloadsInFlight(t *testing.T) {
+	const chunk, window, workers, writes = MaxWriteChunk, 4, 4, 16
+	env := sim.NewEngine()
+	c := hw.NewCluster(env, hw.DefaultParams(), hw.PCIXD)
+	server := c.AddNode("server")
+	fs := memfs.New("backing", server, 0)
+	srv := NewServer(server, fs)
+	mt, err := fabric.NewMX(mx.Attach(server), 1, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	watch := &payloadWatch{MXTransport: mt}
+	if err := srv.Serve(watch, workers); err != nil {
+		t.Fatal(err)
+	}
+	session := func(p *sim.Proc, name string, window int) (*Session, *hw.Node, error) {
+		node := c.AddNode(name)
+		fc, err := NewMXClient(mx.Attach(node), 2, true, node.Kernel, server.ID, 1)
+		if err != nil {
+			return nil, nil, err
+		}
+		sess, err := NewSession(p, fc, window)
+		return sess, node, err
+	}
+	streamed, checked := 0, 0
+	env.Spawn("test", func(p *sim.Proc) {
+		attr, err := fs.Create(p, fs.Root(), "f")
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		writer, wnode, err := session(p, "writer", window)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		meta, _, err := session(p, "meta", 1)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		va, err := wnode.Kernel.Mmap(chunk, "src")
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		src := core.Of(core.KernelSeg(wnode.Kernel, va, chunk))
+		env.Spawn("writer", func(p *sim.Proc) {
+			var ring [window]PendingOp
+			for i := 0; i < writes+window; i++ {
+				if pd := ring[i%window]; pd != nil {
+					if resp, err := pd.Wait(p); err != nil || resp.Status != StOK || resp.N != chunk {
+						t.Errorf("streamed write %d: %+v %v", i-window, resp, err)
+					}
+					streamed++
+				}
+				if ring[i%window] = nil; i < writes {
+					pd, err := writer.StartWrite(p, attr.Ino, int64(i)*chunk, src)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					ring[i%window] = pd
+				}
+			}
+		})
+		for i, req := range []*Req{
+			{Op: OpGetattr, Ino: attr.Ino},
+			{Op: OpSetSize, Ino: attr.Ino, Off: writes * chunk, Len: PackSetSize(false, 0)},
+		} {
+			// Mid-stream: a few writes done, a payload on the wire.
+			for streamed < 4*(i+1) || len(watch.inFlight()) == 0 {
+				if streamed == writes {
+					t.Errorf("the stream ended before %v could be issued", req.Op)
+					return
+				}
+				p.Sleep(time.Microsecond)
+			}
+			pending := watch.inFlight()
+			resp, err := meta.Meta(p, req)
+			if err != nil || resp.Status != StOK {
+				t.Errorf("%v mid-stream: %+v %v", req.Op, resp, err)
+			}
+			for _, op := range pending {
+				if op.Done() {
+					t.Errorf("%v was answered only after a payload in flight at its issue had landed", req.Op)
+					break
+				}
+			}
+			checked++
+		}
+	})
+	env.Run(0)
+	if streamed != writes || checked != 2 {
+		t.Fatalf("streamed %d of %d writes, checked %d of 2 control requests", streamed, writes, checked)
 	}
 }

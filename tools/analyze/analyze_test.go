@@ -41,7 +41,7 @@ func runFixture(t *testing.T, a *Analyzer, pkgs ...string) {
 
 func TestSimDeterminism(t *testing.T) { runFixture(t, simDeterminism, "sim") }
 
-func TestPoolPair(t *testing.T) { runFixture(t, poolPair, "a", "hw", "rfsrv") }
+func TestPoolPair(t *testing.T) { runFixture(t, poolPair, "a", "hw", "rfsrv", "serveskip") }
 
 func TestOpExhaustive(t *testing.T) { runFixture(t, opExhaustive, "a", "rfsrv") }
 

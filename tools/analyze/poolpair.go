@@ -12,11 +12,21 @@ package main
 //	hw.NIC.getFrag               -> NIC.putFrag(f)
 //	rfsrv.Server.getWork         -> Server.putWork(w)
 //	rfsrv.Cluster.startPublish   -> Cluster.finishPublish(p, pub, err)
+//	rfsrv.Server.postPayload(w)  -> Server.landPayload(p, w)
 //
-// The last pair holds no pooled memory but a control slot: a started
+// The publish pair holds no pooled memory but a control slot: a started
 // size publish keeps every target's control path until its finish
 // collects the round, so a path that skips the finish wedges the next
 // fan on those servers.
+//
+// The payload pair parks a posted receive (and the fresh frames under
+// it) on a work record the caller already holds, so it tracks the
+// argument, not a result, and it crosses processes: the receiver that
+// posts it hands the record on, and serve — the taker, which is given
+// the record as its parameter w — must land it on every path before the
+// record is recycled. A record is passed to nearly every serving
+// helper, so for this pair passing it along is no hand-off (strict):
+// only the release, a store, a channel send, a closure or a return is.
 //
 // Ownership transfer counts as a release: storing the value into a
 // field, slice, map or channel, passing it to any function, or
@@ -50,6 +60,16 @@ type poolAcq struct {
 	// passed as an argument.
 	releaseFuncs map[string]bool
 	what         string
+	// fromArg, when > 0, tracks argument fromArg-1 instead of a result:
+	// the acquisition parks its resource on a record the caller holds.
+	fromArg int
+	// takers maps the methods of the acquiring type that are handed a
+	// record holding the resource to the parameter it arrives in: each
+	// owns it from entry, the far side of a hand-off no one function's
+	// path walk sees whole.
+	takers map[string]string
+	// strict: passing the value to a function hands nothing off.
+	strict bool
 }
 
 var poolAcqs = []poolAcq{
@@ -73,11 +93,18 @@ var poolAcqs = []poolAcq{
 		releaseFuncs: map[string]bool{"finishPublish": true},
 		what:         "Cluster.startPublish",
 	},
+	{
+		pkg: "rfsrv", typ: "Server", method: "postPayload", fromArg: 3,
+		releaseFuncs: map[string]bool{"landPayload": true},
+		takers:       map[string]string{"serve": "w"},
+		strict:       true,
+		what:         "Server.postPayload",
+	},
 }
 
 var poolPair = &Analyzer{
 	Name: "poolpair",
-	Doc:  "pooled acquisitions (fabric.Pool.Get, NIC fragments, server work records, started size publishes) must release on all paths",
+	Doc:  "pooled acquisitions (fabric.Pool.Get, NIC fragments, server work records, started size publishes, posted payload receives) must release on all paths",
 	Run:  runPoolPair,
 }
 
@@ -105,10 +132,16 @@ func hasGoto(body *ast.BlockStmt) bool {
 	return found
 }
 
-// checkPoolFunc finds every tracked acquisition in fd and walks the
+// checkPoolFunc finds every tracked acquisition in fd — and, when fd
+// is a taker, the value its parameter arrives holding — and walks the
 // function once per acquisition.
 func (p *Pass) checkPoolFunc(fd *ast.FuncDecl) {
+	p.checkTaker(fd)
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
+		if es, ok := n.(*ast.ExprStmt); ok {
+			p.checkArgAcq(fd, es)
+			return true
+		}
 		as, ok := n.(*ast.AssignStmt)
 		if !ok || len(as.Rhs) != 1 {
 			return true
@@ -118,7 +151,7 @@ func (p *Pass) checkPoolFunc(fd *ast.FuncDecl) {
 			return true
 		}
 		acq := p.matchAcq(call)
-		if acq == nil {
+		if acq == nil || acq.fromArg > 0 {
 			return true
 		}
 		if acq.resultIdx >= len(as.Lhs) {
@@ -138,7 +171,7 @@ func (p *Pass) checkPoolFunc(fd *ast.FuncDecl) {
 		if obj == nil {
 			return true
 		}
-		c := &poolChecker{p: p, fd: fd, acq: acq, acqStmt: as, obj: obj}
+		c := &poolChecker{p: p, fd: fd, acq: acq, acqStmt: as, at: as.Pos(), obj: obj}
 		// If the acquisition also assigns an error variable, remember
 		// it: on the `err != nil` branch of the guard directly tied to
 		// this acquisition, the pooled value is nil and cannot leak.
@@ -161,6 +194,50 @@ func (p *Pass) checkPoolFunc(fd *ast.FuncDecl) {
 		c.run()
 		return true
 	})
+}
+
+// checkArgAcq walks fd for an acquisition that tracks its argument,
+// made as the expression statement es.
+func (p *Pass) checkArgAcq(fd *ast.FuncDecl, es *ast.ExprStmt) {
+	call, ok := ast.Unparen(es.X).(*ast.CallExpr)
+	if !ok {
+		return
+	}
+	acq := p.matchAcq(call)
+	if acq == nil || acq.fromArg == 0 || acq.fromArg > len(call.Args) {
+		return
+	}
+	id, ok := ast.Unparen(call.Args[acq.fromArg-1]).(*ast.Ident)
+	if !ok {
+		return
+	}
+	if obj := p.Info.Uses[id]; obj != nil {
+		(&poolChecker{p: p, fd: fd, acq: acq, acqStmt: es, at: es.Pos(), obj: obj}).run()
+	}
+}
+
+// checkTaker walks fd from entry when it is a taker of an acquisition
+// table entry: a method of the acquiring type whose named parameter
+// arrives owning the resource.
+func (p *Pass) checkTaker(fd *ast.FuncDecl) {
+	if fd.Recv == nil || len(fd.Recv.List) != 1 {
+		return
+	}
+	recv := p.Info.TypeOf(fd.Recv.List[0].Type)
+	for i := range poolAcqs {
+		a := &poolAcqs[i]
+		param, ok := a.takers[fd.Name.Name]
+		if !ok || recv == nil || !typeIs(recv, a.pkg, a.typ) {
+			continue
+		}
+		for _, field := range fd.Type.Params.List {
+			for _, name := range field.Names {
+				if name.Name == param && p.Info.Defs[name] != nil {
+					(&poolChecker{p: p, fd: fd, acq: a, at: name.Pos(), obj: p.Info.Defs[name]}).run()
+				}
+			}
+		}
+	}
 }
 
 // matchAcq resolves call against the acquisition table.
@@ -187,7 +264,8 @@ type poolChecker struct {
 	p       *Pass
 	fd      *ast.FuncDecl
 	acq     *poolAcq
-	acqStmt ast.Stmt
+	acqStmt ast.Stmt  // nil for a taker, which owns the value from entry
+	at      token.Pos // where findings are reported
 	obj     types.Object
 	errObj  types.Object // error result of the acquisition, if any
 
@@ -216,18 +294,21 @@ func merge(a, b pstate) pstate {
 }
 
 func (c *poolChecker) run() {
-	c.evalBlock(c.fd.Body.List, pstate{})
+	st, term := c.evalBlock(c.fd.Body.List, pstate{live: c.acqStmt == nil})
+	if !term && st.live && !st.deferred {
+		c.leak(c.fd.Body.Rbrace, "leaks when the function ends")
+	}
 }
 
 // leak reports one leaking path (at most one finding per
 // acquisition — the first path found).
-func (c *poolChecker) leak(pos ast.Node, how string) {
+func (c *poolChecker) leak(pos token.Pos, how string) {
 	if c.reported {
 		return
 	}
 	c.reported = true
-	c.p.report(c.acqStmt.Pos(), "%s is not released on every path: %s at %s",
-		c.acq.what, how, c.p.Fset.Position(pos.Pos()))
+	c.p.report(c.at, "%s is not released on every path: %s at %s",
+		c.acq.what, how, c.p.Fset.Position(pos))
 }
 
 // evalBlock runs a statement list, returning the fall-through state
@@ -266,6 +347,10 @@ func (c *poolChecker) evalStmt(s ast.Stmt, st pstate) (pstate, bool) {
 		// any appearance as ownership transfer.
 		return c.scanExprs(s, st), false
 	case *ast.ExprStmt:
+		if s == c.acqStmt {
+			st.live = true
+			return st, false
+		}
 		return c.evalExpr(s.X, st), false
 	case *ast.DeferStmt:
 		if st.live && c.isRelease(s.Call) {
@@ -280,7 +365,7 @@ func (c *poolChecker) evalStmt(s ast.Stmt, st pstate) (pstate, bool) {
 			}
 		}
 		if st.live && !st.deferred {
-			c.leak(s, "leaks at this return")
+			c.leak(s.Pos(), "leaks at this return")
 		}
 		return st, true
 	case *ast.IfStmt:
@@ -327,7 +412,7 @@ func (c *poolChecker) evalStmt(s ast.Stmt, st pstate) (pstate, bool) {
 		switch s.Tok.String() {
 		case "continue":
 			if st.live && !st.deferred && c.inStmt(c.enclosingLoopBody(s)) {
-				c.leak(s, "leaks when the loop continues")
+				c.leak(s.Pos(), "leaks when the loop continues")
 			}
 			return st, true
 		case "break":
@@ -360,14 +445,43 @@ func (c *poolChecker) evalLoop(loop ast.Stmt, body *ast.BlockStmt, st pstate, in
 	acqInside := c.inRange(loop.Pos(), loop.End())
 	bodySt, bodyTerm := c.evalBlock(body.List, st)
 	if acqInside && bodySt.live && !bodySt.deferred && !bodyTerm {
-		c.leak(body, "still unreleased at the end of a loop iteration that re-acquires")
+		c.leak(body.Pos(), "still unreleased at the end of a loop iteration that re-acquires")
 	}
-	if infinite {
-		// for{}: fall-through only via break; assume the breaker's
-		// state (approximated by the body state).
-		return merge(st, bodySt), false
+	if infinite && !breaksOut(body) {
+		return st, true // for{} that nothing breaks: control never falls out
 	}
+	// A for{} falls through only via break; assume the breaker's state
+	// (approximated by the body state).
 	return merge(st, bodySt), false
+}
+
+// breaksOut reports whether body holds a break that can leave the loop
+// it belongs to: an unlabeled break outside any nested loop, switch or
+// select, or any labeled break (conservatively).
+func breaksOut(body *ast.BlockStmt) bool {
+	found := false
+	var walk func(n ast.Node, nested bool)
+	walk = func(n ast.Node, nested bool) {
+		ast.Inspect(n, func(x ast.Node) bool {
+			if found || x == nil {
+				return false
+			}
+			switch x := x.(type) {
+			case *ast.FuncLit:
+				return false
+			case *ast.ForStmt, *ast.RangeStmt, *ast.SwitchStmt, *ast.TypeSwitchStmt, *ast.SelectStmt:
+				if x != n {
+					walk(x, true)
+					return false
+				}
+			case *ast.BranchStmt:
+				found = x.Tok == token.BREAK && (x.Label != nil || !nested)
+			}
+			return true
+		})
+	}
+	walk(body, false)
+	return found
 }
 
 // evalSwitch merges all case bodies of a switch/select.
@@ -493,7 +607,7 @@ func (c *poolChecker) scanNode(n ast.Node, st pstate) pstate {
 				return false
 			}
 			for _, arg := range x.Args {
-				if c.mentionsDirect(arg) {
+				if (!c.acq.strict || c.isAppend(x)) && c.mentionsDirect(arg) {
 					escaped = true
 					return false
 				}
@@ -534,6 +648,17 @@ func (c *poolChecker) scanNode(n ast.Node, st pstate) pstate {
 		st.live = false
 	}
 	return st
+}
+
+// isAppend reports whether call is the builtin append, which stores its
+// arguments — a hand-off even under the strict rule.
+func (c *poolChecker) isAppend(call *ast.CallExpr) bool {
+	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
+	if !ok {
+		return false
+	}
+	b, ok := c.p.Info.Uses[id].(*types.Builtin)
+	return ok && b.Name() == "append"
 }
 
 // mentionsDirect reports whether e IS the tracked identifier (after
@@ -617,9 +742,10 @@ func (c *poolChecker) inStmt(s ast.Stmt) bool {
 	return c.inRange(s.Pos(), s.End())
 }
 
-// inRange reports whether the acquisition lies inside [pos, end].
+// inRange reports whether the acquisition lies inside [pos, end] (a
+// taker's never does).
 func (c *poolChecker) inRange(pos, end token.Pos) bool {
-	return pos <= c.acqStmt.Pos() && c.acqStmt.End() <= end
+	return c.acqStmt != nil && pos <= c.acqStmt.Pos() && c.acqStmt.End() <= end
 }
 
 // enclosingLoopBody finds the innermost for/range statement

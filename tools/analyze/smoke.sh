@@ -1,10 +1,12 @@
 #!/bin/sh
 # Analyzer regression smoke: prove the gate actually catches the
 # regressions it exists for, not just that it exits zero today.
-# Injects three defects into the working tree — a deleted pool Release
-# (a buffer leak on an error path), an unwired protocol opcode, and a
-# write whose failed-data path skips finishing its size publish (the
-# round's control slots stay held and wedge the next fan) — and
+# Injects four defects into the working tree — a deleted pool Release
+# (a buffer leak on an error path), an unwired protocol opcode, a write
+# whose failed-data path skips finishing its size publish (the round's
+# control slots stay held and wedge the next fan), and a serve path
+# that skips landing a write's separate payload (its receive is never
+# collected and its frames are installed unchecked or leak) — and
 # requires the analyzer to fail on each, then restores the tree
 # byte-for-byte from backups (no git operations, safe on a dirty
 # tree).
@@ -15,18 +17,21 @@ cd "$root"
 
 victim=internal/sockets/gmsock.go
 publisher=internal/rfsrv/cluster.go
+server=internal/rfsrv/server.go
 injected=internal/rfsrv/zz_smoke_injected.go
 
 tmp="$(mktemp -d)"
 restore() {
 	cp "$tmp/gmsock.go.bak" "$victim"
 	cp "$tmp/cluster.go.bak" "$publisher"
+	cp "$tmp/server.go.bak" "$server"
 	rm -f "$injected"
 	rm -rf "$tmp"
 }
 trap restore EXIT
 cp "$victim" "$tmp/gmsock.go.bak"
 cp "$publisher" "$tmp/cluster.go.bak"
+cp "$server" "$tmp/server.go.bak"
 
 run_analyzer() { go run ./tools/analyze ./... 2>&1; }
 
@@ -90,5 +95,22 @@ if ! echo "$out" | grep -q '\[poolpair\].*startPublish'; then
 	exit 1
 fi
 cp "$tmp/cluster.go.bak" "$publisher"
+
+echo "smoke: serve skipping landPayload must fail poolpair"
+sed -i '/^\ts\.landPayload(p, w)$/d' "$server"
+if cmp -s "$server" "$tmp/server.go.bak"; then
+	echo "smoke: FAIL — injection did not change $server (site moved?)"
+	exit 1
+fi
+if out="$(run_analyzer)"; then
+	echo "smoke: FAIL — analyzer passed with a serve path that skips landPayload"
+	exit 1
+fi
+if ! echo "$out" | grep -q '\[poolpair\].*postPayload'; then
+	echo "$out"
+	echo "smoke: FAIL — analyzer failed but reported no poolpair finding on postPayload"
+	exit 1
+fi
+cp "$tmp/server.go.bak" "$server"
 
 echo "smoke: PASS"
