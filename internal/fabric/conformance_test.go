@@ -10,6 +10,7 @@ import (
 	"bytes"
 	"fmt"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/fabric"
@@ -450,6 +451,87 @@ func TestConformanceZeroLength(t *testing.T) {
 				})
 				p.Yield()
 				if _, err := pr.a.Send(p, nb.ID, pr.bEP, 4, core.Vector{}); err != nil {
+					t.Fatal(err)
+				}
+				recvd.Wait(p)
+			})
+		})
+	}
+}
+
+// TestConformanceNotifyOp: a receive Op that implements
+// fabric.NotifyOp — MX's, and a stream's, which is complete when
+// PostRecv returns — runs its OnDone function exactly once, at the
+// instant the receive completes and inline when it already has, charges
+// nothing for it, and leaves the completion's charge to the Wait that
+// consumes it, once. GM's Ops complete only inside a Wait and do not
+// implement it.
+func TestConformanceNotifyOp(t *testing.T) {
+	const n, poll = 4096, 10 * time.Nanosecond
+	for _, b := range builders() {
+		t.Run(b.name, func(t *testing.T) {
+			run(t, b, func(p *sim.Proc, na, nb *hw.Node, pr pair) {
+				asA, vaA := buf(t, p, pr.a, n)
+				asB, vaB := buf(t, p, pr.b, n)
+				asA.WriteBytes(vaA, pattern(n, 3))
+				env := p.Engine()
+				recvd := sim.NewSignal(env)
+				env.Spawn("receiver", func(rp *sim.Proc) {
+					defer recvd.Fire()
+					op, err := pr.b.PostRecv(rp, core.Exact(5), core.Of(core.UserSeg(asB, vaB, n)))
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					nop, ok := op.(fabric.NotifyOp)
+					if want := b.name != "gm"; ok != want {
+						t.Errorf("receive Op implements NotifyOp: %v, want %v", ok, want)
+					}
+					if !ok {
+						op.Wait(rp)
+						return
+					}
+					cpu := nb.CPU.Resource()
+					calls, at := 0, sim.Time(-1)
+					busy, posted := cpu.BusyTime(), rp.Now()
+					nop.OnDone(func() { calls, at = calls+1, env.Now() })
+					if cpu.BusyTime() != busy || rp.Now() != posted {
+						t.Error("OnDone charged the host")
+					}
+					// Poll the completion in steps of poll: the function must
+					// have run inside the step in which the Op became done.
+					pending := sim.Time(-1)
+					for !op.Done() {
+						pending = rp.Now()
+						rp.Sleep(poll)
+					}
+					if done := rp.Now(); calls != 1 || at <= pending || at > done {
+						t.Errorf("OnDone ran %d times, at %v; the receive completed after %v, by %v", calls, at, pending, done)
+					}
+					inline := false
+					nop.OnDone(func() { inline = true })
+					if !inline {
+						t.Error("OnDone on a completed Op did not run its function inline")
+					}
+					t0 := rp.Now()
+					st := op.Wait(rp)
+					t1 := rp.Now()
+					op.Wait(rp)
+					if t2 := rp.Now(); t2 != t1 || (t1 > t0) != !pr.b.Caps().Stream {
+						t.Errorf("Waits after the completion took %v, then %v: want the completion charged once (nothing on a stream)", t1-t0, t2-t1)
+					}
+					if st.Err != nil || st.Len != n {
+						t.Errorf("recv: len=%d err=%v", st.Len, st.Err)
+					}
+					if got, _ := asB.ReadBytes(vaB, n); !bytes.Equal(got, pattern(n, 3)) {
+						t.Error("payload corrupted in transit")
+					}
+					if calls != 1 {
+						t.Errorf("OnDone's function ran %d times", calls)
+					}
+				})
+				p.Yield() // let the receiver post first
+				if _, err := pr.a.Send(p, nb.ID, pr.bEP, 5, core.Of(core.UserSeg(asA, vaA, n))); err != nil {
 					t.Fatal(err)
 				}
 				recvd.Wait(p)

@@ -4,7 +4,7 @@ package rfsrv
 // namespace state travels in. OpExport reads a server's image as a
 // read's data — encoded whole at one instant — and OpImport writes one
 // as a write's payload, under the one write-receive rule
-// (inlinePayload, recvPayload). An image is one message: a larger one
+// (inlinePayload, postPayload/landPayload). An image is one message: a larger one
 // is refused with ErrImageTooLarge. The encoding is canonical (every
 // list strictly ascending), so whatever decodes re-encodes to the same
 // bytes, and the server decodes an import whole before it touches

@@ -68,7 +68,7 @@ func FuzzDecodeImage(f *testing.F) {
 }
 
 // importBytes serves payload as an OpImport's payload the way serve
-// does once recvPayload has landed it in fresh frames (none when the
+// does once landPayload has collected it in fresh frames (none when the
 // header is refused).
 func importBytes(p *sim.Proc, s *Server, req *Req, payload []byte) *Resp {
 	w := s.getWork()

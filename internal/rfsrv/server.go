@@ -559,26 +559,24 @@ func (s *Server) ServeGM(g *gm.GM, portID uint8) (*gm.Port, error) {
 // `workers` serving processes drain. One posted receive accepts a
 // pipelined client's next request while every worker is still busy —
 // the server half of the protocol's sliding window. A write whose
-// payload follows as its own message does not hold its receiver: the
-// receiver posts the payload's receive (postPayload), leaves the hand-off
-// to the worker queue to that receive's completion (fabric.NotifyOp) and
-// goes straight back to posting its request receive, so no receiver
-// parks on a payload and every worker takes only complete work (serve
-// lands the payload first, landPayload). Receivers still take turns
-// with the transmit half of the NIC — a rendezvous's clear-to-send is
-// queued behind read data — so with a single receiver the server's
-// transmit and receive halves alternate instead of overlapping. So the
+// payload follows as its own message holds no receiver: its receiver
+// posts the payload's receive (recvReq, postPayload), hands the write
+// to the queue from that receive's completion (fabric.NotifyOp) and
+// goes straight back to its request receive, so no process parks on a
+// payload and the queue only ever holds complete work (serve lands the
+// payload first, landPayload). A request that finds no receive posted
+// still waits in the unexpected queue until a receiver is back, so the
 // server posts as many receives as it has workers — but only once it
 // has seen concurrency. Receivers 2…N start parked on a signal that a
 // receiver fires the first time the request it has just received finds
 // another still inside the server (a write whose payload is in flight
-// counts); a server that never holds two requests at once (a synchronous
-// client) runs exactly the one-receive schedule and keeps one bounce
-// buffer, not N. A non-vectorial transport delivers every completion
-// through one event queue that a single consumer must drain (§5.2,
-// §5.3), so one process receives and serves in arrival order — it
-// posts a payload's receive and lands it back to back — (pipelined
-// clients still overlap their requests' transfers with its work) and
+// counts); a server that never holds two requests at once (a
+// synchronous client) runs exactly the one-receive schedule and keeps
+// one bounce buffer, not N. A non-vectorial transport delivers every
+// completion through one event queue that a single consumer must drain
+// (§5.2, §5.3), so one process receives and serves in arrival order,
+// posting a payload's receive and landing it back to back (pipelined
+// clients still overlap their requests' transfers with its work), and
 // workers must be 1.
 func (s *Server) Serve(t fabric.Transport, workers int) error {
 	caps := t.Caps()

@@ -439,9 +439,9 @@ func TestSessionWriteDrainsOnFault(t *testing.T) {
 // chunk's payload started to travel as its own message into fresh
 // server frames (no pin, no copy out of the request bounce), and
 // 4 683 071 → 4 450 793 ns when the server's receiver stopped waiting
-// for a payload: the next chunk's header is received while the last
-// one's payload is in flight, which is the concurrency that posts the
-// server's other receives.
+// for a payload: the one receiver takes the next chunk's header, and
+// posts that chunk's payload receive, while the last chunk's payload is
+// still in flight instead of after it has landed.
 func TestSessionWriteVirtualTime(t *testing.T) {
 	const size = 1 << 20
 	r := newRig(t)
