@@ -111,9 +111,7 @@ func (s *Server) getWork() *work {
 		s.workFree = s.workFree[:k-1]
 		return w
 	}
-	w := &work{rawBuf: make([]byte, reqBufSize)}
-	w.enqueue = func() { w.queue.Send(w) }
-	return w
+	return &work{rawBuf: make([]byte, reqBufSize)}
 }
 
 // putWork recycles a finished work record, keeping the backing of its
@@ -526,8 +524,9 @@ type work struct {
 	sess     *ClientSession
 	// enqueue sends the record to queue — the worker queue of the
 	// receiver that took its header — from its payload's completion
-	// (Serve). Built once per record and kept across recycles, so the
-	// hand-off allocates nothing.
+	// (Serve). Built the first time the record carries such a payload
+	// and kept across recycles, so the hand-off allocates nothing and a
+	// server that never sees one builds none.
 	queue   *sim.Chan[*work]
 	enqueue func()
 }
@@ -614,6 +613,9 @@ func (s *Server) Serve(t fabric.Transport, workers int) error {
 					continue
 				}
 				w.queue = queue
+				if w.enqueue == nil {
+					w.enqueue = func() { w.queue.Send(w) }
+				}
 				w.pay.(fabric.NotifyOp).OnDone(w.enqueue)
 			}
 		})

@@ -33,13 +33,13 @@ func (r *rig) kvecOn(t *testing.T, node *hw.Node, n int) core.Vector {
 }
 
 // TestServeAnswersAReadDuringAnotherClientsRendezvous: client A's 64 KB
-// write payload is a rendezvous of its own, and the receiver that
-// decoded A's header holds the payload's receive until it has landed.
-// Client B's 4 KB read, issued once A's request-to-send has reached the
-// server, is taken by a second posted receive and answered while A's
-// payload is still on the wire. With a single posted receive B's
-// request waited in the unexpected queue for A's whole transfer and was
-// answered after it. (The write's instant was re-pinned 445 688 →
+// write payload is a rendezvous of its own, whose receive the receiver
+// that decoded A's header posts without waiting for it. Client B's 4 KB
+// read, issued once A's request-to-send has reached the server, is
+// received and answered while A's payload is still on the wire. With a
+// single posted receive held across the payload, B's request waited in
+// the unexpected queue for A's whole transfer and was answered after
+// it. (The write's instant was re-pinned 445 688 →
 // 370 526 ns when its payload stopped landing in the request bounce.)
 func TestServeAnswersAReadDuringAnotherClientsRendezvous(t *testing.T) {
 	const big, small = 64 * 1024, 4096
