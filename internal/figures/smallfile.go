@@ -1,7 +1,7 @@
 package figures
 
-// This file holds the small-file suite: the workload the per-file
-// layout policy (DESIGN.md §10) exists for. The multiserver and
+// This file holds the small-file suite: the workload the whole-on-home
+// layout class (DESIGN.md §10) exists for. The multiserver and
 // shared-file suites move megabytes through 64 KB stripes; here K
 // clients storm the cluster with files of 1–16 KB — create, one
 // write, one read-back each — where striping is pure overhead: every
@@ -9,20 +9,18 @@ package figures
 // all data), and every size-extending write fans an OpSetSize
 // reconciliation to the N−1 servers the data did not touch.
 //
-// The suite runs each server count twice: once with the default
-// (policy-free, everything striped) client and once under the adaptive
-// layout policy, which classifies these files whole-on-home — data on
-// the file's metadata home, spread across servers by the inode hash,
-// with NO reconciliation fan (the home is the size authority, see
-// Cluster.startPublish). The interesting numbers are aggregate small-file
-// ops/s against the server count for both policies, and the
-// reconciliation RPCs each policy paid per data write.
+// The suite runs each server count twice: once with unhinted creates
+// (everything striped) and once with every create hinting the
+// whole-on-home class — data on the file's home, spread across servers
+// by the inode hash, with NO reconciliation fan (the home is the size
+// authority, see Cluster.startPublish). The interesting numbers are
+// aggregate small-file ops/s against the server count for both classes,
+// and the reconciliation RPCs each class paid per data write.
 //
-// Every adaptive run finishes with an in-simulation audit: the
-// whole-on-home clients must have issued ZERO OpSetSize
-// reconciliation requests, or the run fails — small-file extends
-// riding the reconciliation fan would mean the layout machinery
-// silently degraded to striping's coherence cost.
+// Every whole-on-home run finishes with an in-simulation audit: its
+// clients must have issued ZERO OpSetSize reconciliation requests, or
+// the run fails — small-file extends riding the reconciliation fan
+// would mean the class silently degraded to striping's coherence cost.
 
 import (
 	"fmt"
@@ -37,7 +35,7 @@ import (
 
 const (
 	// sfcClients is the storming client count (enough concurrency that
-	// the stripe-0 owner becomes the striped policy's bottleneck).
+	// the stripe-0 owner becomes the striped class's bottleneck).
 	sfcClients = 4
 	// sfcFilesPerCli is how many files each client creates, writes and
 	// reads back (a multiple of len(sfcSizes) so the size mix is even).
@@ -49,15 +47,13 @@ const (
 // sfcServersAxis is the swept server count.
 var sfcServersAxis = []int{1, 4, 8}
 
-// sfcSizes is the file-size mix, cycled per file: all well under
-// PromoteThreshold, so the adaptive policy keeps every file
-// whole-on-home.
+// sfcSizes is the file-size mix, cycled per file.
 var sfcSizes = []int{1 << 10, 2 << 10, 4 << 10, 8 << 10, 16 << 10}
 
-// sfcPolicies names the two client configurations.
+// sfcPolicies names the two create hints.
 var sfcPolicies = []string{"striped", "whole-on-home"}
 
-// sfcResult is one (policy, servers) point.
+// sfcResult is one (class, servers) point.
 type sfcResult struct {
 	opsPerSec float64
 	// setSizePerWrite is the OpSetSize reconciliation RPCs issued per
@@ -66,14 +62,14 @@ type sfcResult struct {
 	setSizePerWrite float64
 }
 
-// sfcRun executes the storm at one (adaptive?, servers) point on a
-// fresh simulated cluster. Files are created through each client's own
-// cluster (so create hints classify them) but serialized across
-// clients by the setup process: concurrent creates could fan to the
-// servers in different interleavings and diverge the replicated
-// namespace's inode assignment. The write/read storm then runs fully
-// concurrently — that is where the two policies differ.
-func (c Config) sfcRun(adaptive bool, servers int) (sfcResult, error) {
+// sfcRun executes the storm at one (whole?, servers) point on a fresh
+// simulated cluster. Files are created through each client's own
+// cluster (so each learns the class from its create's reply) but
+// serialized across clients by the setup process: concurrent creates
+// could fan to the servers in different interleavings and diverge the
+// replicated namespace's inode assignment. The write/read storm then
+// runs fully concurrently — that is where the two classes differ.
+func (c Config) sfcRun(whole bool, servers int) (sfcResult, error) {
 	r, err := rig.New(rig.Desc{Servers: servers, Replicas: 1, Stripe: msStripe, Window: msWindow})
 	if err != nil {
 		return sfcResult{}, err
@@ -84,21 +80,20 @@ func (c Config) sfcRun(adaptive bool, servers int) (sfcResult, error) {
 		created  sim.Time // the serialized creates' span (they start at time zero)
 		setSizes int64
 	)
+	var hint uint32
+	if whole {
+		hint = uint32(rfsrv.LayoutWhole)
+	}
 	storm, err := r.Run("storm", sfcClients, func(p *sim.Proc) error {
 		for i := range clusters {
 			cluster, err := r.Cluster(p, r.HW.AddNode(fmt.Sprintf("client%d", i)), 10)
 			if err != nil {
 				return err
 			}
-			if adaptive {
-				if err := cluster.SetLayoutPolicy(rfsrv.LayoutPolicy{Adaptive: true}); err != nil {
-					return err
-				}
-			}
 			clusters[i] = cluster
 			for f := 0; f < sfcFilesPerCli; f++ {
 				resp, err := cluster.Meta(p, &rfsrv.Req{
-					Op: rfsrv.OpCreate, Ino: 0, Name: fmt.Sprintf("c%d-f%d", i, f),
+					Op: rfsrv.OpCreate, Ino: 0, Name: fmt.Sprintf("c%d-f%d", i, f), Len: hint,
 				})
 				if err != nil {
 					return err
@@ -114,9 +109,9 @@ func (c Config) sfcRun(adaptive bool, servers int) (sfcResult, error) {
 		return err
 	})
 	if err != nil {
-		return sfcResult{}, fmt.Errorf("smallfile adaptive=%v s=%d: %w", adaptive, servers, err)
+		return sfcResult{}, fmt.Errorf("smallfile whole=%v s=%d: %w", whole, servers, err)
 	}
-	if adaptive && setSizes != 0 {
+	if whole && setSizes != 0 {
 		return sfcResult{}, fmt.Errorf("figures: whole-on-home storm issued %d OpSetSize reconciliations, want 0 (s=%d)", setSizes, servers)
 	}
 	ops := sfcClients * sfcFilesPerCli * sfcOpsPerFile
@@ -154,7 +149,7 @@ func sfcStorm(p *sim.Proc, cluster *rfsrv.Cluster, inos []kernel.InodeID) error 
 
 // SmallFile runs the whole suite and returns two figures: aggregate
 // small-file operation throughput and the OpSetSize reconciliation
-// fan per write, both against the server count for both policies.
+// fan per write, both against the server count for both classes.
 func (c Config) SmallFile() ([]*Figure, error) {
 	var opsSeries, fanSeries []netpipe.Series
 	for _, pol := range sfcPolicies {

@@ -1,14 +1,14 @@
 package figures
 
-// Tests for the small-file suite: the layout-policy acceptance bar
+// Tests for the small-file suite: the layout-class acceptance bar
 // (whole-on-home must beat striping once there is more than one
 // server) and the zero-reconciliation audit built into sfcRun.
 
 import "testing"
 
 // TestSmallFileWholeBeatsStriped is the acceptance bar: at 4 and 8
-// servers, the adaptive whole-on-home policy must deliver more
-// small-file ops/s than the default striped client on the identical
+// servers, whole-on-home creates must deliver more small-file ops/s
+// than unhinted (striped) ones on the identical
 // storm — and (audited inside sfcRun) with zero OpSetSize
 // reconciliations. Short mode checks the 4-server point only.
 func TestSmallFileWholeBeatsStriped(t *testing.T) {
@@ -42,8 +42,8 @@ func TestSmallFileWholeBeatsStriped(t *testing.T) {
 	}
 }
 
-// TestSmallFileOneServerPoliciesAgree: on a one-server cluster the
-// policy is inert (SetLayoutPolicy documents why), so both runs must
+// TestSmallFileOneServerPoliciesAgree: on a one-server cluster both
+// classes place every byte on the one server, so both runs must
 // produce identical throughput — the suite-level half of the
 // bit-identity guarantee.
 func TestSmallFileOneServerPoliciesAgree(t *testing.T) {
@@ -57,7 +57,7 @@ func TestSmallFileOneServerPoliciesAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 	if striped.opsPerSec != whole.opsPerSec {
-		t.Errorf("1-server runs diverge: striped %.6f ops/s, adaptive %.6f ops/s",
+		t.Errorf("1-server runs diverge: striped %.6f ops/s, whole-on-home %.6f ops/s",
 			striped.opsPerSec, whole.opsPerSec)
 	}
 }

@@ -122,23 +122,6 @@ const DefaultStripeSize = 64 * 1024
 // identifies the class.
 var ErrBadStripe = errors.New("rfsrv: invalid stripe width")
 
-// LayoutPolicy selects how a cluster client classifies files into
-// stripe-layout classes (DESIGN.md §10). The zero value (and a cluster
-// that never calls SetLayoutPolicy) treats every file as
-// LayoutStandard and issues exactly the pre-layout RPC sequence —
-// the bit-identity guarantee every existing figure rests on.
-//
-// All clients of one namespace must run the same policy, like mount
-// options: placement is client-computed, so a policy-free client
-// reading a whole-on-home file another client created would look for
-// stripes on servers that never saw the data.
-type LayoutPolicy struct {
-	// Adaptive classifies unhinted creates as LayoutWhole and promotes
-	// a whole file to LayoutStandard (migrating its bytes) when a write
-	// or published size reaches past PromoteThreshold.
-	Adaptive bool
-}
-
 // Cluster stripes file data across several rfsrv servers, one Session
 // per server, and replicates the namespace to all of them. It
 // implements Client and Async, so every consumer of a Session — ORFS
@@ -160,37 +143,21 @@ type Cluster struct {
 	// excluded servers are skipped by every path until Reinstate.
 	down []bool
 
-	// sharded routes namespace mutations to per-directory owner groups
-	// instead of fanning them to every server (EnableShardedNamespace;
-	// DESIGN.md §11). Data striping and size coherence are unchanged.
-	sharded bool
-
 	// sz is the size coherence book (sizebook.go): the validated
 	// (size, epoch) cache every reply feeds. The cluster runs the fans;
 	// the book keeps every rule about what a cached size means.
 	sz sizeBook
 
-	// policy is the layout policy (SetLayoutPolicy); policyOn gates the
-	// whole per-file layout machinery, so a policy-free cluster never
-	// consults or populates the layout cache and stays bit-identical to
-	// the pre-layout client.
-	policy   LayoutPolicy
-	policyOn bool
-
-	// layouts caches each inode's layout class as learned from create
-	// hints, OpSetLayout fans and reply nibbles (observeResp). Only
-	// populated under an enabled policy. Entries ride the same
-	// validated-cache discipline as sizes: a layout change bumps the
-	// size epoch, so stale placement is caught by the epoch check.
+	// layouts caches each inode's layout class as learned from reply
+	// nibbles (observeResp) — a create's, a lookup's, a getattr's, a
+	// data reply's. A class never changes once the file exists, so an
+	// entry needs no validation.
 	layouts map[kernel.InodeID]LayoutClass
 
-	// migVA is the lazily mapped staging buffer promotions copy through
-	// (one MaxWriteChunk region in sessions[0]'s buffer space).
-	migVA vm.VirtAddr
-
-	// Promotions counts whole-on-home files migrated to standard
-	// striping (Bytes carries the migrated volume).
-	Promotions sim.Counter
+	// stageVA is the lazily mapped staging buffer copies and namespace
+	// images travel through (one MaxWriteChunk region in sessions[0]'s
+	// buffer space; elastic.go's stage).
+	stageVA vm.VirtAddr
 
 	// reusable per-operation scratch (a Cluster is used from one
 	// simulated process at a time, and no data-path operation re-enters
@@ -324,6 +291,7 @@ func NewReplicatedCluster(p *sim.Proc, sessions []*Session, stripe, replicas int
 		pl:       pl,
 		down:     make([]bool, len(sessions)),
 		sz:       newSizeBook(),
+		layouts:  make(map[kernel.InodeID]LayoutClass),
 		jn:       newJournal(len(sessions)),
 	}, nil
 }
@@ -342,38 +310,12 @@ func ValidateStripe(stripe int64) error {
 	return nil
 }
 
-// SetLayoutPolicy enables per-file layout classification (DESIGN.md
-// §10). Call it once, right after construction and before any traffic:
-// placement decisions are cached per inode, so flipping the policy on
-// a cluster that already served files would strand their data. Every
-// client of the namespace must run the same policy (see LayoutPolicy).
-//
-// On a one-server cluster the policy is accepted but inert: every
-// class degenerates to the same single run on server 0, and keeping
-// the machinery off preserves the bit-identity-with-a-plain-Session
-// guarantee under every policy.
-//
-// Mutually exclusive with the sharded namespace: a cluster running
-// EnableShardedNamespace returns ErrShardLayoutConflict (sharding
-// reuses the create request's Len field, which is where layout hints
-// travel — see DESIGN.md §11 and the ROADMAP composition follow-up).
-func (cl *Cluster) SetLayoutPolicy(pol LayoutPolicy) error {
-	if cl.sharded {
-		return fmt.Errorf("%w: EnableShardedNamespace is already on", ErrShardLayoutConflict)
-	}
-	cl.policy = pol
-	cl.policyOn = len(cl.sessions) > 1
-	if cl.policyOn && cl.layouts == nil {
-		cl.layouts = make(map[kernel.InodeID]LayoutClass)
-	}
-	return nil
-}
-
 // observeResp feeds one server reply into the validated caches: the
 // size epoch it carries for the inode it resolves goes to the size book
 // (sizeBook.observe — it confirms the cached entry or proves a foreign
-// exact size set ran), the layout nibble to the layout cache. Replies
-// that resolve no inode are ignored.
+// exact size set ran), the layout nibble to the layout cache unless the
+// replying server does not home the inode (layoutUnknown). Replies that
+// resolve no inode are ignored.
 func (cl *Cluster) observeResp(resp *Resp) {
 	if resp == nil {
 		return
@@ -389,10 +331,7 @@ func (cl *Cluster) observeResp(resp *Resp) {
 		return
 	}
 	cl.sz.observe(resp.Attr.Ino, resp.Epoch)
-	if cl.policyOn {
-		// Every reply teaches the layout cache alongside the size cache;
-		// with the policy off the nibble is ignored and the map stays
-		// empty (no per-reply map cost on the default path).
+	if resp.Layout != layoutUnknown {
 		cl.layouts[resp.Attr.Ino] = resp.Layout
 	}
 }
@@ -473,7 +412,7 @@ func (cl *Cluster) CanStart(ino kernel.InodeID, off int64, n int) bool {
 	for i := range need {
 		need[i] = 0
 	}
-	for _, r := range cl.runs(cl.layoutCached(ino), ino, off, n) {
+	for _, r := range cl.runs(cl.layouts[ino], ino, off, n) {
 		for j := 0; j < cl.pl.replicas; j++ {
 			if idx := cl.pl.slot(r.owner, j); !cl.down[idx] {
 				need[idx]++
@@ -519,39 +458,36 @@ func (cl *Cluster) readIdx(lay LayoutClass, ino kernel.InodeID, off int64) int {
 	return cl.firstUp(cl.pl.owner(lay, ino, off), cl.pl.replicas)
 }
 
-// layoutCached returns the inode's cached layout class without
-// traffic: LayoutStandard when the policy machinery is off or the
-// inode has not been resolved yet.
-func (cl *Cluster) layoutCached(ino kernel.InodeID) LayoutClass {
-	if !cl.policyOn {
-		return LayoutStandard
-	}
-	return cl.layouts[ino]
-}
-
-// layoutFor resolves the layout class a data operation must use. With
-// the policy on, an inode this client has never resolved costs one
-// homed getattr on the control path (the reply teaches both caches);
-// every create, lookup or prior data reply already populated the cache
-// for the normal open-then-read lifecycle, so the fetch is rare.
+// layoutFor resolves the layout class a data operation must use: the
+// class this client learned from a reply or, for an inode it never
+// resolved, one getattr on the namespace's own route — the hashed home
+// replicated, the residue's owner group sharded — whose reply teaches
+// both caches. Every create, lookup or earlier data reply already
+// taught it for the normal open-then-read lifecycle, so the fetch is
+// rare. A one-member ring resolves nothing: both classes place every
+// byte on its one member.
 func (cl *Cluster) layoutFor(p *sim.Proc, ino kernel.InodeID) (LayoutClass, error) {
-	if !cl.policyOn {
-		return LayoutStandard, nil
-	}
-	if lc, ok := cl.layouts[ino]; ok {
+	if lc, ok := cl.layouts[ino]; ok || len(cl.pl.members) == 1 {
 		return lc, nil
 	}
-	resp, err := cl.homedMeta(p, &Req{Op: OpGetattr, Ino: ino}, func() int { return cl.homeIdx(ino) })
+	req := &Req{Op: OpGetattr, Ino: ino}
+	var resp *Resp
+	var err error
+	if cl.pl.sharded {
+		resp, err = cl.groupRead(p, cl.pl.residue(ino), req)
+	} else {
+		resp, err = cl.homedMeta(p, req, func() int { return cl.homeIdx(ino) })
+	}
 	if err != nil {
 		return LayoutStandard, err
 	}
 	return resp.Layout, nil
 }
 
-// homeIdx returns the metadata home of an inode: the hashed server, or
-// the next alive one when the hashed home is excluded.
+// homeIdx returns the home of an inode (placement.home), or the next
+// alive server when the home is excluded.
 func (cl *Cluster) homeIdx(ino kernel.InodeID) int {
-	return cl.firstUp(cl.pl.inodeHome(ino), len(cl.pl.members))
+	return cl.firstUp(cl.pl.home(ino), len(cl.pl.members))
 }
 
 // pathHomeIdx returns the metadata home of a path component, so
@@ -889,9 +825,6 @@ func (cl *Cluster) Write(p *sim.Proc, ino kernel.InodeID, off int64, src core.Ve
 			return cl.sessions[idx].Write(p, ino, off, src)
 		})
 	}
-	if lay, err = cl.maybePromote(p, ino, lay, off+int64(total)); err != nil {
-		return &Resp{Status: StatusOf(err)}, err
-	}
 	cp := cl.newPending(&cl.syncOp, ino, lay, off, total)
 	if err := cl.issueWrites(p, cp, off, src); err != nil {
 		return &Resp{Status: StatusOf(err)}, err
@@ -1026,8 +959,8 @@ type sizePublish struct {
 // between.
 //
 // A whole-on-home file never reconciles: its single data owner is its
-// metadata home (the same hash picks both), so the only server anyone
-// asks about the file already holds the authoritative size — and with
+// home (placement.home picks both), so the only group anyone asks
+// about the file already holds the authoritative size — and with
 // replication, every write landed on the same replica set a re-homed
 // getattr walks. That class sidesteps the fan by placement (DESIGN.md
 // §10); figures.SmallFile audits its zero and figures.SharedFile the
@@ -1100,11 +1033,6 @@ func (cl *Cluster) finishPublish(p *sim.Proc, sp sizePublish, dataErr error) err
 // writers need — ORFS write-behind extends only the servers its dirty
 // pages land on, then calls SetFileSize at its sync barrier so homed
 // getattr and striped-read EOF clipping agree with the bytes it wrote.
-// Under an adaptive layout policy, publishing a size past
-// PromoteThreshold is also the async writer's promotion point: the
-// caller has retired its pipeline by the time it publishes (that is
-// what a sync barrier is), so this is the one safe moment to migrate
-// a whole-on-home file that grew past the threshold via StartWrite.
 func (cl *Cluster) SetFileSize(p *sim.Proc, ino kernel.InodeID, size int64) error {
 	if size < 0 {
 		return ErrInval
@@ -1113,127 +1041,8 @@ func (cl *Cluster) SetFileSize(p *sim.Proc, ino kernel.InodeID, size int64) erro
 	if err != nil {
 		return err
 	}
-	if lay, err = cl.maybePromote(p, ino, lay, size); err != nil {
-		return err
-	}
 	pub := cl.startPublish(p, lay, ino, size, nil)
 	return cl.finishPublish(p, pub, nil)
-}
-
-// ---- adaptive promotion ----
-
-// maybePromote is the adaptive-policy trigger: a whole-on-home file
-// about to reach past PromoteThreshold (end is the prospective EOF) is
-// migrated to standard striping first, and the caller proceeds under
-// the returned class. Promotion runs only from synchronous call sites
-// (Write, SetFileSize) — never mid-async-stream, where the caller's
-// own unretired pendings could still be landing bytes the migration
-// would miss; an async writer's promotion point is the SetFileSize at
-// its sync barrier.
-func (cl *Cluster) maybePromote(p *sim.Proc, ino kernel.InodeID, lay LayoutClass, end int64) (LayoutClass, error) {
-	if !cl.policyOn || !cl.policy.Adaptive || lay != LayoutWhole || end <= PromoteThreshold {
-		return lay, nil
-	}
-	if err := cl.promote(p, ino); err != nil {
-		return lay, err
-	}
-	return LayoutStandard, nil
-}
-
-// stagingVec returns an n-byte vector over the cluster's migration
-// staging buffer, mapping it on first use (promotion is rare; clusters
-// that never promote never pay the mapping).
-func (cl *Cluster) stagingVec(n int) (core.Vector, error) {
-	c := cl.sessions[0].c
-	if cl.migVA == 0 {
-		alloc := c.as.Mmap
-		if c.kernSide {
-			alloc = c.as.MmapContig
-		}
-		va, err := alloc(MaxWriteChunk, "rfsrv-promote")
-		if err != nil {
-			return nil, err
-		}
-		cl.migVA = va
-	}
-	return core.Of(c.seg(cl.migVA, n)), nil
-}
-
-// promote migrates a whole-on-home file to standard striping: its
-// bytes are copied from the home to every standard-placement replica
-// they belong on, then an OpSetLayout fans the class flip to every
-// alive server (epoch-bumping, so every client's validated size cache
-// revalidates under the new placement). The copy travels the
-// synchronous control paths — never window slots, so promotion cannot
-// deadlock against a caller's pipeline. Fragments whose standard
-// placement includes the home are not rewritten: whole-on-home stores
-// bytes at their global offsets, which is exactly where standard
-// striping expects them.
-func (cl *Cluster) promote(p *sim.Proc, ino kernel.InodeID) error {
-	src := cl.pl.slot(cl.pl.inodeHome(ino), 0)
-	resp, err := cl.homedMeta(p, &Req{Op: OpGetattr, Ino: ino}, func() int { return cl.homeIdx(ino) })
-	if err != nil {
-		return err
-	}
-	size := resp.Attr.Size
-	for off := int64(0); off < size; {
-		n := int(size - off)
-		if n > MaxWriteChunk {
-			n = MaxWriteChunk
-		}
-		vec, err := cl.stagingVec(n)
-		if err != nil {
-			return err
-		}
-		rresp, err := withReplica(cl, LayoutWhole, ino, off, n, func(idx int) (*Resp, error) {
-			return cl.sessions[idx].c.ctlRead(p, ino, off, vec)
-		})
-		if err != nil {
-			return err
-		}
-		if int(rresp.N) != n {
-			return fmt.Errorf("rfsrv: promote inode %d: short read (%d of %d) at %d", ino, rresp.N, n, off)
-		}
-		// Scatter the chunk to its standard-placement replicas, one
-		// stripe fragment at a time.
-		for _, r := range cl.runs(LayoutStandard, ino, off, n) {
-			okReplicas := 0
-			for j := 0; j < cl.pl.replicas; j++ {
-				idx := cl.pl.slot(r.owner, j)
-				if cl.down[idx] {
-					cl.journalDirty(idx, ino, r.off, r.n)
-					continue
-				}
-				if idx == src {
-					okReplicas++ // the home already holds these bytes
-					continue
-				}
-				wresp, werr := cl.sessions[idx].c.ctlWrite(p, ino, r.off, vec.Slice(int(r.off-off), r.n))
-				if werr != nil {
-					if fabric.IsFault(werr) {
-						cl.markDown(idx)
-						cl.journalDirty(idx, ino, r.off, r.n)
-						continue
-					}
-					return werr
-				}
-				if int(wresp.N) != r.n {
-					return fmt.Errorf("rfsrv: promote inode %d: short copy (%d of %d) at %d", ino, wresp.N, r.n, r.off)
-				}
-				okReplicas++
-			}
-			if okReplicas == 0 {
-				return cl.allReplicasDown(r.off)
-			}
-		}
-		off += int64(n)
-	}
-	if _, err := cl.fanout(p, &Req{Op: OpSetLayout, Ino: ino, Len: uint32(LayoutStandard)}); err != nil {
-		return err
-	}
-	cl.layouts[ino] = LayoutStandard
-	cl.Promotions.Add(int(size))
-	return nil
 }
 
 // ---- pipelined data path (Async) ----
@@ -1449,11 +1258,7 @@ func (cl *Cluster) issueZero(p *sim.Proc, cp *clusterPending, r run, op Op, vec 
 // MaxWriteChunk, issued without waiting. Unlike the synchronous Write
 // it does not reconcile sizes across servers — asynchronous writers
 // (ORFS write-behind) track EOF themselves and their dirty data is
-// re-readable from the servers that own it. For the same reason it
-// never promotes a whole-on-home file mid-stream: the caller's
-// unretired pendings could still be landing bytes a migration would
-// miss, so adaptive promotion waits for the SetFileSize at the
-// writer's sync barrier.
+// re-readable from the servers that own it.
 func (cl *Cluster) StartWrite(p *sim.Proc, ino kernel.InodeID, off int64, src core.Vector) (PendingOp, error) {
 	if err := cl.enterOp(p, false); err != nil {
 		return nil, err
@@ -1675,7 +1480,7 @@ func (cl *Cluster) Meta(p *sim.Proc, req *Req) (*Resp, error) {
 		return &Resp{Status: StatusOf(err)}, err
 	}
 	defer cl.exitOp()
-	if cl.sharded {
+	if cl.pl.sharded {
 		return cl.shardMeta(p, req)
 	}
 	switch req.Op {
@@ -1694,26 +1499,9 @@ func (cl *Cluster) Meta(p *sim.Proc, req *Req) (*Resp, error) {
 	case OpSetSize:
 		exact, _ := UnpackSetSize(req.Len)
 		return cl.setSizeMeta(p, req.Ino, req.Off, exact)
-	case OpCreate:
-		return cl.fanout(p, cl.hintCreate(req))
 	default:
 		return cl.fanout(p, req)
 	}
-}
-
-// hintCreate injects the adaptive policy's default layout class into an
-// unhinted create: new files start whole-on-home and are promoted when
-// they outgrow PromoteThreshold. An explicit hint passes through
-// untouched (the server refuses a class it does not know with
-// StInval), as does everything when the policy is off — the request is
-// then byte-identical to the pre-layout protocol.
-func (cl *Cluster) hintCreate(req *Req) *Req {
-	if !cl.policyOn || !cl.policy.Adaptive || req.Len != 0 {
-		return req
-	}
-	r := *req
-	r.Len = uint32(LayoutWhole)
-	return &r
 }
 
 // setSizeMeta fans an OpSetSize to every alive server — exact mode
@@ -1784,8 +1572,8 @@ func (cl *Cluster) fanout(p *sim.Proc, req *Req) (*Resp, error) {
 // noteMutation updates the size cache and the resync journals after a
 // replicated mutation succeeded on every alive server. Namespace
 // mutations are journaled for the excluded servers; size verbs (exact
-// and grow-only sets, layout flips) are not: Reinstate re-images
-// sizes, epochs and layouts as state.
+// and grow-only sets) are not: Reinstate re-images sizes, epochs and
+// layouts as state.
 func (cl *Cluster) noteMutation(req *Req, resp *Resp, err error) {
 	if err != nil || resp == nil {
 		return
@@ -1955,7 +1743,7 @@ func (cl *Cluster) MetaBatch(p *sim.Proc, reqs []*Req) ([]*Resp, error) {
 	if len(cl.aliveTargets(0, len(cl.pl.members), nil)) == 0 {
 		return nil, fmt.Errorf("rfsrv: MetaBatch: every server excluded: %w", fabric.ErrPeerDead)
 	}
-	if cl.sharded {
+	if cl.pl.sharded {
 		return cl.shardMetaBatch(p, reqs)
 	}
 	if len(cl.pl.members) == 1 {
@@ -1983,8 +1771,6 @@ func (cl *Cluster) MetaBatch(p *sim.Proc, reqs []*Req) ([]*Resp, error) {
 			// re-issues with the cache already revalidated).
 			w := r
 			switch r.Op {
-			case OpCreate:
-				w = cl.hintCreate(r)
 			case OpTruncate, OpSetSize:
 				exact := r.Op == OpTruncate
 				if !exact {

@@ -48,14 +48,10 @@ import (
 // running EnableSharding under matching geometry (index i, count N,
 // replicas R) and backing stores partitioned with
 // memfs.SetInodePartition — residue routing only works when server i
-// mints inodes of residue i. Mutually exclusive with SetLayoutPolicy:
-// sharding reuses the create request's Len field for the routing
-// residue, which is the field layout hints travel in.
+// mints inodes of residue i. A file's home moves with it: a
+// whole-on-home file's bytes live on its residue's owner group.
 func (cl *Cluster) EnableShardedNamespace() error {
-	if cl.policyOn {
-		return fmt.Errorf("%w: SetLayoutPolicy is already on", ErrShardLayoutConflict)
-	}
-	cl.sharded = true
+	cl.pl.sharded = true
 	return nil
 }
 
@@ -164,8 +160,8 @@ func (cl *Cluster) groupMint(p *sim.Proc, owner int, req *Req) (*Resp, error) {
 		cl.journalMut(slot, undo, 0)
 	}
 	if cl.pl.replicas > 1 {
-		link := Req{Op: OpLink, Ino: req.Ino, Name: req.Name,
-			Off: int64(resp.Attr.Ino), Len: uint32(resp.Attr.Kind)}
+		_, lc := UnpackNode(req.Len)
+		link := mintLink(req.Ino, req.Name, resp, lc)
 		if lerr := cl.groupFanFrom(p, owner, idx, &link); lerr != nil {
 			return &Resp{Status: StatusOf(lerr)}, lerr
 		}
@@ -190,7 +186,7 @@ func (cl *Cluster) shardMeta(p *sim.Proc, req *Req) (*Resp, error) {
 		}
 		return cl.groupRead(p, cl.pl.residue(req.Ino), req)
 	case OpCreate:
-		return cl.shardCreate(p, req.Ino, req.Name)
+		return cl.shardCreate(p, req.Ino, req.Name, req.Len)
 	case OpMkdir:
 		return cl.shardMkdir(p, req.Ino, req.Name)
 	case OpUnlink:
@@ -209,29 +205,36 @@ func (cl *Cluster) shardMeta(p *sim.Proc, req *Req) (*Resp, error) {
 		}
 		return cl.Rename(p, req.Ino, src, kernel.InodeID(req.Off), dst)
 	default:
-		// OpSetLayout (the layout policy is off under sharding — see
-		// EnableShardedNamespace) and the internal sharding verbs are
-		// not client-facing operations here.
+		// The internal sharding verbs are not client-facing operations.
 		return &Resp{Status: StInval}, ErrInval
 	}
 }
 
 // shardCreate creates a file under its parent directory's owner
 // group: files inherit the parent's residue, so the group that owns
-// the dentry also owns the child's attributes and ONE group — not the
-// whole cluster — serves the create.
-func (cl *Cluster) shardCreate(p *sim.Proc, dir kernel.InodeID, name string) (*Resp, error) {
+// the dentry also owns the child's attributes — and, whole-on-home, its
+// bytes — and ONE group, not the whole cluster, serves the create.
+// hint is the creator's layout class, packed with the residue.
+func (cl *Cluster) shardCreate(p *sim.Proc, dir kernel.InodeID, name string, hint uint32) (*Resp, error) {
+	if hint > uint32(layoutMax) {
+		return &Resp{Status: StInval}, ErrInval
+	}
 	owner := cl.pl.residue(dir)
-	resp, err := cl.groupMint(p, owner, &Req{Op: OpCreate, Ino: dir, Name: name, Len: uint32(owner + 1)})
+	resp, err := cl.groupMint(p, owner, &Req{Op: OpCreate, Ino: dir, Name: name, Len: PackNode(owner+1, LayoutClass(hint))})
 	if err != nil {
 		return resp, err
 	}
 	cl.sz.establish(resp.Attr.Ino, resp.Attr.Size, resp.Epoch)
 	// Excluded group members missed the dentry: journal the
 	// idempotent replication verb (OpLink), not the minting create.
-	cl.journalGroup(owner, Req{Op: OpLink, Ino: dir, Name: name,
-		Off: int64(resp.Attr.Ino), Len: uint32(resp.Attr.Kind)}, resp.Attr.Ino)
+	cl.journalGroup(owner, mintLink(dir, name, resp, LayoutClass(hint)), resp.Attr.Ino)
 	return resp, nil
+}
+
+// mintLink is the OpLink that replicates a freshly minted dentry to the
+// rest of its owner group, carrying the child's kind and layout class.
+func mintLink(dir kernel.InodeID, name string, resp *Resp, lc LayoutClass) Req {
+	return Req{Op: OpLink, Ino: dir, Name: name, Off: int64(resp.Attr.Ino), Len: PackNode(int(resp.Attr.Kind), lc)}
 }
 
 // shardMkdir creates a directory: the dentry is minted at the
@@ -244,12 +247,11 @@ func (cl *Cluster) shardCreate(p *sim.Proc, dir kernel.InodeID, name string) (*R
 func (cl *Cluster) shardMkdir(p *sim.Proc, dir kernel.InodeID, name string) (*Resp, error) {
 	owner := cl.pl.residue(dir)
 	res := cl.pl.pathHome(dir, name)
-	resp, err := cl.groupMint(p, owner, &Req{Op: OpMkdir, Ino: dir, Name: name, Len: uint32(res + 1)})
+	resp, err := cl.groupMint(p, owner, &Req{Op: OpMkdir, Ino: dir, Name: name, Len: PackNode(res+1, LayoutStandard)})
 	if err != nil {
 		return resp, err
 	}
-	cl.journalGroup(owner, Req{Op: OpLink, Ino: dir, Name: name,
-		Off: int64(resp.Attr.Ino), Len: uint32(kernel.Directory)}, resp.Attr.Ino)
+	cl.journalGroup(owner, mintLink(dir, name, resp, LayoutStandard), resp.Attr.Ino)
 	if _, err := cl.groupFan(p, res, &Req{Op: OpMaterialize, Ino: resp.Attr.Ino, Len: uint32(kernel.Directory)}); err != nil {
 		return &Resp{Status: StatusOf(err)}, err
 	}
@@ -282,14 +284,16 @@ func (cl *Cluster) scrubVictim(p *sim.Proc, victim kernel.InodeID, ownerSize int
 	if victim == 0 {
 		return nil
 	}
-	if known := cl.sz.drop(victim); !known && ownerSize == 0 {
+	if known := cl.sz.drop(victim); !known && ownerSize == 0 && cl.layouts[victim] != LayoutWhole {
 		// The owner group never heard a size for the victim and this
 		// client has nothing cached for it: non-owner servers only
 		// acquire foreign-owned state through data writes and size sets
 		// (see materializeOnDemand), and every publish or exact truncate
 		// grows the owner too — so nothing remote exists and the
 		// owner-side unlink already reclaimed everything. Skipping the
-		// fan here is what keeps empty-file churn O(R), not O(N).
+		// fan here is what keeps empty-file churn O(R), not O(N). A
+		// whole-on-home file publishes no size, and a rename may have
+		// left its home away from the group that answered the unlink.
 		return nil
 	}
 	scrub := Req{Op: OpScrub, Ino: victim}
@@ -350,7 +354,7 @@ func (cl *Cluster) Rename(p *sim.Proc, srcDir kernel.InodeID, srcName string, ds
 	if err := ValidateReq(local); err != nil {
 		return &Resp{Status: StatusOf(err)}, err
 	}
-	if !cl.sharded {
+	if !cl.pl.sharded {
 		return cl.fanout(p, local) // noteMutation bumps every server
 	}
 	so, do := cl.pl.residue(srcDir), cl.pl.residue(dstDir)
@@ -371,7 +375,10 @@ func (cl *Cluster) Rename(p *sim.Proc, srcDir kernel.InodeID, srcName string, ds
 	child := presp.Attr
 	// Phase 2 — commit at the destination group: link the child under
 	// its new name. This is the switch point.
-	cresp, err := cl.groupFan(p, do, &Req{Op: OpLink, Ino: dstDir, Off: int64(child.Ino), Len: uint32(child.Kind), Name: dstName})
+	// The link carries no class: unless the destination group is the
+	// child's home, which already records it, it answers layoutUnknown.
+	link := Req{Op: OpLink, Ino: dstDir, Off: int64(child.Ino), Len: PackNode(int(child.Kind), LayoutStandard), Name: dstName}
+	cresp, err := cl.groupFan(p, do, &link)
 	if err != nil {
 		// The destination never (observably) switched: abort the
 		// source marks so the namespace settles in its original state.
@@ -394,7 +401,7 @@ func (cl *Cluster) Rename(p *sim.Proc, srcDir kernel.InodeID, srcName string, ds
 	}
 	// The rename is committed: journal the link for the destination
 	// group's excluded members.
-	cl.journalGroup(do, Req{Op: OpLink, Ino: dstDir, Off: int64(child.Ino), Len: uint32(child.Kind), Name: dstName}, child.Ino)
+	cl.journalGroup(do, link, child.Ino)
 	// Phase 3 — finalize at the source group: detach the old entry and
 	// clear the mark.
 	if _, ferr := cl.groupFan(p, so, &Req{Op: OpRenameFinalize, Ino: srcDir, Off: int64(child.Ino), Name: srcName}); ferr != nil {
@@ -514,9 +521,12 @@ func (cl *Cluster) shardMetaBatch(p *sim.Proc, reqs []*Req) ([]*Resp, error) {
 			muts[i].owner = -1
 			shares[idx].add(i, r)
 		case OpCreate:
-			// Sharded servers read Len as the routing residue (files
-			// inherit the parent's); layout hints do not exist here.
-			shares[idx].add(i, &Req{Op: OpCreate, Ino: r.Ino, Name: r.Name, Len: uint32(owner + 1)})
+			// The routing residue (files inherit the parent's) packs
+			// with the creator's layout class.
+			if r.Len > uint32(layoutMax) {
+				return nil, ErrInval
+			}
+			shares[idx].add(i, &Req{Op: OpCreate, Ino: r.Ino, Name: r.Name, Len: PackNode(owner+1, LayoutClass(r.Len))})
 		case OpUnlink:
 			// The whole owner group applies the unlink; each member's
 			// share carries the same *Req (flights start sequentially
@@ -544,8 +554,7 @@ func (cl *Cluster) shardMetaBatch(p *sim.Proc, reqs []*Req) ([]*Resp, error) {
 		}
 		switch r.Op {
 		case OpCreate:
-			link := Req{Op: OpLink, Ino: r.Ino, Name: r.Name,
-				Off: int64(out[i].Attr.Ino), Len: uint32(out[i].Attr.Kind)}
+			link := mintLink(r.Ino, r.Name, out[i], LayoutClass(r.Len))
 			if cl.pl.replicas > 1 {
 				if err := cl.groupFanFrom(p, m.owner, m.primary, &link); err != nil {
 					return out, err

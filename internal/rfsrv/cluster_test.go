@@ -40,7 +40,7 @@ type clusterRig struct {
 	servers  []*hw.Node
 	serverFS []*memfs.FS
 	rsrv     []*rfsrv.Server // the servers themselves, for assertions only
-	audits   int             // assertPlacementHeld calls so far
+	audits   int             // fresh clients built so far (freshClient)
 }
 
 // newRigOf builds the fixture. The description's client-side geometry

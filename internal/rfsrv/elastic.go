@@ -300,14 +300,14 @@ type entryCheck struct {
 // in a way only a lookup can confirm — the batched path falls back to
 // the serial one, which performs the lookup in journal order. Reads
 // and lookups are never journaled; writes resync through dirty
-// ranges; size verbs (SetSize, Truncate, SetLayout) through the
-// re-image, which carries sizes, epochs and layouts as state;
+// ranges; size verbs (SetSize, Truncate) through the re-image, which
+// carries sizes, epochs and layouts as state;
 // RenamePrepare is always resolved to Finalize or Abort before it is
 // journaled; membership commits and images move only in membership
 // changes and full-slice resyncs.
 func replayVerdict(op *journalOp, resp *Resp) (verify *entryCheck, err error) {
 	req := &op.req
-	//analyze:dispatch ops -OpLookup -OpGetattr -OpReaddir -OpRead -OpWrite -OpSetSize -OpTruncate -OpSetLayout -OpRenamePrepare -OpMember -OpExport -OpImport
+	//analyze:dispatch ops -OpLookup -OpGetattr -OpReaddir -OpRead -OpWrite -OpSetSize -OpTruncate -OpRenamePrepare -OpMember -OpExport -OpImport
 	switch req.Op {
 	case OpCreate, OpMkdir:
 		switch resp.Status {
@@ -420,6 +420,25 @@ func (cl *Cluster) verifyEntry(p *sim.Proc, i int, dir kernel.InodeID, name stri
 	return nil
 }
 
+// stage returns an n-byte vector over the cluster's staging buffer —
+// what copies and namespace images travel through — mapping it on first
+// use (clusters that never copy never pay the mapping).
+func (cl *Cluster) stage(n int) (core.Vector, error) {
+	c := cl.sessions[0].c
+	if cl.stageVA == 0 {
+		alloc := c.as.Mmap
+		if c.kernSide {
+			alloc = c.as.MmapContig
+		}
+		va, err := alloc(MaxWriteChunk, "rfsrv-stage")
+		if err != nil {
+			return nil, err
+		}
+		cl.stageVA = va
+	}
+	return core.Of(c.seg(cl.stageVA, n)), nil
+}
+
 // copyRange is the one stripe copier (DESIGN.md §7): it reads
 // [off, off+n) of a file through the cluster's live placement — real
 // striped reads with failover, one MaxWriteChunk at a time into the
@@ -432,7 +451,7 @@ func (cl *Cluster) verifyEntry(p *sim.Proc, i int, dir kernel.InodeID, name stri
 func (cl *Cluster) copyRange(p *sim.Proc, ino kernel.InodeID, off int64, n int, to []int, moved *sim.Counter) error {
 	for end := off + int64(n); off < end; {
 		want := int(min(end-off, MaxWriteChunk))
-		vec, err := cl.stagingVec(want)
+		vec, err := cl.stage(want)
 		if err != nil {
 			return err
 		}
@@ -480,7 +499,7 @@ func (cl *Cluster) copyRange(p *sim.Proc, ino kernel.InodeID, off int64, n int, 
 
 // fileState is a regular file's size state as the snapshot merged it:
 // the newest size epoch any image holds, the largest size held at that
-// epoch, and that epoch's layout class.
+// epoch, and the file's layout class.
 type fileState struct {
 	size   int64
 	epoch  uint64
@@ -511,14 +530,22 @@ type snapshot struct {
 // merge folds one image's regular files into the snapshot's size state:
 // a newer epoch replaces what was merged, the same epoch keeps the
 // larger size, an older one is ignored — a store that missed an exact
-// size set cannot resurrect the size it cut.
+// size set cannot resurrect the size it cut. A class never changes, so
+// any image that records one other than standard is right: a stub
+// (what a copy or a size fan leaves on a server outside the file's
+// home) knows none.
 func (snap *snapshot) merge(img *image) {
 	for _, nd := range img.Nodes {
+		if nd.Attr.Kind != kernel.RegularFile {
+			continue
+		}
 		ino, epoch := nd.Attr.Ino, img.epochs[nd.Attr.Ino]
 		st, ok := snap.state[ino]
-		if nd.Attr.Kind == kernel.RegularFile && (!ok || epoch > st.epoch || epoch == st.epoch && nd.Attr.Size > st.size) {
-			snap.state[ino] = fileState{size: nd.Attr.Size, epoch: epoch, layout: img.layouts[ino]}
+		if !ok || epoch > st.epoch || epoch == st.epoch && nd.Attr.Size > st.size {
+			st.size, st.epoch = nd.Attr.Size, epoch
 		}
+		st.layout = max(st.layout, img.layouts[ino])
+		snap.state[ino] = st
 	}
 }
 
@@ -531,7 +558,7 @@ func (snap *snapshot) merge(img *image) {
 // returning server's image: its files join the merge, not the nodes,
 // and it may be all there is to merge.
 func (cl *Cluster) takeSnapshot(p *sim.Proc, own *image) (*snapshot, error) {
-	snap := &snapshot{sharded: cl.sharded, nodes: make(map[kernel.InodeID]imageNode),
+	snap := &snapshot{sharded: cl.pl.sharded, nodes: make(map[kernel.InodeID]imageNode),
 		marks: make(map[renameKey]renameMark), state: make(map[kernel.InodeID]fileState)}
 	if own != nil {
 		snap.merge(own)
@@ -548,12 +575,12 @@ func (cl *Cluster) takeSnapshot(p *sim.Proc, own *image) (*snapshot, error) {
 		maps.Copy(snap.marks, img.marks)
 		snap.next, snap.top, snap.member = max(snap.next, img.Next), max(snap.top, img.maxIno()), img.member
 		snap.merge(img)
-		if !cl.sharded && len(snap.nodes) > 0 {
+		if !cl.pl.sharded && len(snap.nodes) > 0 {
 			continue // replicated: the first live member's namespace is everyone's
 		}
 		for _, nd := range img.Nodes {
 			d := 0
-			if cl.sharded {
+			if cl.pl.sharded {
 				// A non-owner stub (lazy data materialization) is not
 				// authoritative: trusting one could resurrect an inode
 				// its owner group already unlinked.
@@ -606,10 +633,10 @@ func (snap *snapshot) carry(img *image) {
 // sizes are exact, unknown inodes purged. The mint cursor only ever
 // advances — per-server partitions are disjoint, so a server's
 // retained cursor stays correct. Rename marks follow directory
-// ownership. A fresh server — one the snapshot was not read from —
-// also takes the merged size epochs and layouts (carry) and the
-// members' membership epoch.
-func (snap *snapshot) image(pl placement, pos int, fresh bool, stage uint64) *image {
+// ownership. Every server also takes the merged size epochs and layouts
+// (carry) — a member the new ring makes an inode's home learns its
+// class — and the members' membership epoch.
+func (snap *snapshot) image(pl placement, pos int, stage uint64) *image {
 	slot := pl.members[pos]
 	img := &image{stage: stage, marks: make(map[renameKey]renameMark)}
 	img.Next = snap.next
@@ -626,10 +653,8 @@ func (snap *snapshot) image(pl placement, pos int, fresh bool, stage uint64) *im
 			img.marks[key] = mark
 		}
 	}
-	if fresh {
-		snap.carry(img)
-		img.member = snap.member
-	}
+	snap.carry(img)
+	img.member = snap.member
 	return img
 }
 
@@ -667,7 +692,7 @@ func (snap *snapshot) reimage(own *image) (moved []kernel.InodeID) {
 // control-path read whose data is the image, into the staging buffer.
 // A server whose transport faults is excluded.
 func (cl *Cluster) exportImage(p *sim.Proc, slot int) (*image, error) {
-	vec, err := cl.stagingVec(MaxWriteChunk)
+	vec, err := cl.stage(MaxWriteChunk)
 	if err != nil {
 		return nil, err
 	}
@@ -675,7 +700,7 @@ func (cl *Cluster) exportImage(p *sim.Proc, slot int) (*image, error) {
 	var img *image
 	if err == nil {
 		var raw []byte
-		if raw, err = cl.sessions[0].c.as.ReadBytes(cl.migVA, int(min(resp.N, MaxWriteChunk))); err == nil {
+		if raw, err = cl.sessions[0].c.as.ReadBytes(cl.stageVA, int(min(resp.N, MaxWriteChunk))); err == nil {
 			cl.node.CPU.Copy(p, len(raw))
 			img, err = decodeImage(raw)
 		}
@@ -696,11 +721,11 @@ func (cl *Cluster) importImage(p *sim.Proc, slot int, img *image) error {
 	raw, err := img.encode()
 	var vec core.Vector
 	if err == nil {
-		vec, err = cl.stagingVec(len(raw))
+		vec, err = cl.stage(len(raw))
 	}
 	if err == nil {
 		cl.node.CPU.Copy(p, len(raw))
-		err = cl.sessions[0].c.as.WriteBytes(cl.migVA, raw)
+		err = cl.sessions[0].c.as.WriteBytes(cl.stageVA, raw)
 	}
 	if err == nil {
 		_, err = cl.sessions[slot].c.ctlData(p, OpImport, 0, 0, vec)
@@ -730,7 +755,7 @@ func (cl *Cluster) fullResync(p *sim.Proc, i int) error {
 	if err != nil {
 		return err
 	}
-	if err := cl.importImage(p, i, snap.image(cl.pl, pos, true, 0)); err != nil {
+	if err := cl.importImage(p, i, snap.image(cl.pl, pos, 0)); err != nil {
 		return err
 	}
 	for _, ino := range snap.files {
@@ -843,7 +868,7 @@ func (cl *Cluster) AttachView(v *MemberView) {
 // residues over all construction-time servers, so standby slots are
 // only supported unsharded.
 func (cl *Cluster) SetMembers(active int) error {
-	if cl.sharded {
+	if cl.pl.sharded {
 		return errors.New("rfsrv: SetMembers: sharded clusters enumerate all sessions as members")
 	}
 	if active < cl.pl.replicas || active > len(cl.sessions) {
@@ -964,9 +989,6 @@ func (cl *Cluster) beginChange(lists ...[]int) (*MemberView, error) {
 	v := cl.view
 	if v == nil {
 		return nil, errors.New("rfsrv: membership change: no shared view (ShareView first)")
-	}
-	if cl.policyOn {
-		return nil, errors.New("rfsrv: membership change under an adaptive layout policy is not supported")
 	}
 	for _, next := range lists {
 		if len(next) < cl.pl.replicas {
@@ -1098,7 +1120,7 @@ func (cl *Cluster) commitMember(p *sim.Proc, old, next placement, epoch uint64, 
 	}
 	n := len(next.members)
 	for pos, slot := range next.members {
-		if err := send("commit membership on", slot, PackMember(pos, n, next.replicas, cl.sharded)); err != nil {
+		if err := send("commit membership on", slot, PackMember(pos, n, next.replicas, next.sharded)); err != nil {
 			return err
 		}
 	}
@@ -1162,7 +1184,7 @@ func (cl *Cluster) change(p *sim.Proc, v *MemberView, members []int) error {
 			return err
 		}
 		floor = max(floor, stale.maxIno())
-		if err := cl.importImage(p, slot, snap.image(next, pos, true, 0)); err != nil {
+		if err := cl.importImage(p, slot, snap.image(next, pos, 0)); err != nil {
 			return err
 		}
 	}
@@ -1175,8 +1197,12 @@ func (cl *Cluster) change(p *sim.Proc, v *MemberView, members []int) error {
 	// times per pass, and re-copying every entry would multiply
 	// migration traffic by that factor.
 	v.migrating = true
+	// A file's class never changes and nothing is created while
+	// mutations are fenced, so the first snapshot's classes hold for
+	// every file the migration and the dirty log can name.
+	lays := snap.state
 	for _, ino := range snap.files {
-		if err := cl.migrateRange(p, ino, 0, snap.nodes[ino].Attr.Size, old, next); err != nil {
+		if err := cl.migrateRange(p, ino, lays[ino].layout, 0, snap.nodes[ino].Attr.Size, old, next); err != nil {
 			return err
 		}
 	}
@@ -1184,7 +1210,7 @@ func (cl *Cluster) change(p *sim.Proc, v *MemberView, members []int) error {
 		batch := dedupeWrites(v.dirty)
 		v.dirty = nil
 		for _, w := range batch {
-			if err := cl.migrateRange(p, w.ino, w.off, int64(w.n), old, next); err != nil {
+			if err := cl.migrateRange(p, w.ino, lays[w.ino].layout, w.off, int64(w.n), old, next); err != nil {
 				return err
 			}
 		}
@@ -1214,7 +1240,7 @@ func (cl *Cluster) change(p *sim.Proc, v *MemberView, members []int) error {
 	}
 	epoch := v.epoch + 1
 	for pos, slot := range next.members {
-		if err := cl.importImage(p, slot, snap.image(next, pos, old.pos(slot) < 0, epoch)); err != nil {
+		if err := cl.importImage(p, slot, snap.image(next, pos, epoch)); err != nil {
 			return err
 		}
 	}
@@ -1228,14 +1254,14 @@ func (cl *Cluster) change(p *sim.Proc, v *MemberView, members []int) error {
 	return nil
 }
 
-// migrateRange copies [off, off+n) of a file to the slots that hold it
-// under next but not under the authoritative old geometry (old.delta),
-// one stripe fragment at a time through the wire copier — real
+// migrateRange copies [off, off+n) of a file of class lay to the slots
+// that hold it under next but not under the authoritative old geometry
+// (old.delta), one fragment at a time through the wire copier — real
 // simulated traffic competing with client load. An excluded target
 // fails the change before its fragment is read (membersUp): skipping it
 // would leave a hole the cutover then commits.
-func (cl *Cluster) migrateRange(p *sim.Proc, ino kernel.InodeID, off, n int64, old, next placement) error {
-	for _, mv := range old.delta(next, off, n) {
+func (cl *Cluster) migrateRange(p *sim.Proc, ino kernel.InodeID, lay LayoutClass, off, n int64, old, next placement) error {
+	for _, mv := range old.delta(next, lay, ino, off, n) {
 		if err := cl.membersUp(mv.to); err != nil {
 			return err
 		}

@@ -77,7 +77,21 @@ func assertPlacementHeld(t *testing.T, p *sim.Proc, r *clusterRig, cl *rfsrv.Clu
 			}
 		}
 	}
-	fresh := r.clusterRepAt(t, p, 40+r.audits*len(r.servers), 4, stripe, cl.Replicas())
+	fresh := r.freshClient(t, p, cl, view)
+	if got := elasticReadBack(t, p, r, fresh, ino, len(expect)); !bytes.Equal(got, expect) {
+		t.Error("a fresh client of the committed membership read wrong bytes")
+	}
+	if down := fresh.DownServers(); len(down) != 0 {
+		t.Errorf("the fresh client had to exclude %v to read the file", down)
+	}
+}
+
+// freshClient builds a client of cl's geometry that has seen nothing —
+// no inode, no exclusion — on endpoints of its own, attached to view
+// (nil: the construction-time membership).
+func (r *clusterRig) freshClient(t *testing.T, p *sim.Proc, cl *rfsrv.Cluster, view *rfsrv.MemberView) *rfsrv.Cluster {
+	t.Helper()
+	fresh := r.clusterRepAt(t, p, 40+r.audits*len(r.servers), 4, int(cl.StripeSize()), cl.Replicas())
 	r.audits++
 	if cl.ShardedNamespace() {
 		if err := fresh.EnableShardedNamespace(); err != nil {
@@ -87,12 +101,7 @@ func assertPlacementHeld(t *testing.T, p *sim.Proc, r *clusterRig, cl *rfsrv.Clu
 	if view != nil {
 		fresh.AttachView(view)
 	}
-	if got := elasticReadBack(t, p, r, fresh, ino, len(expect)); !bytes.Equal(got, expect) {
-		t.Error("a fresh client of the committed membership read wrong bytes")
-	}
-	if down := fresh.DownServers(); len(down) != 0 {
-		t.Errorf("the fresh client had to exclude %v to read the file", down)
-	}
+	return fresh
 }
 
 // TestElasticReplayRetryIdempotent interrupts a journal replay midway
@@ -1203,7 +1212,7 @@ func TestElasticReplayBatchedEquivalence(t *testing.T) {
 		}
 		for _, req := range cl.JournaledReqs(1) {
 			switch req.Op {
-			case rfsrv.OpSetSize, rfsrv.OpTruncate, rfsrv.OpSetLayout:
+			case rfsrv.OpSetSize, rfsrv.OpTruncate:
 				t.Errorf("the journal holds a size verb (op %d): sizes are re-imaged, not replayed", req.Op)
 			}
 		}

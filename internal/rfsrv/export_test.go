@@ -31,14 +31,9 @@ func (s *Server) StagedImage() bool { return s.stage != nil }
 // Read-only views of a cluster's configuration, for the tests that
 // rebuild or audit one.
 
-// LayoutPolicy returns the active policy and whether the layout
-// machinery is engaged (false for policy-free and one-server clusters).
-func (cl *Cluster) LayoutPolicy() (LayoutPolicy, bool) { return cl.policy, cl.policyOn }
-
-// LayoutOf reports the layout class this client would use for the
-// inode right now: the cached class, or LayoutStandard when the
-// machinery is off or the inode has not been resolved yet.
-func (cl *Cluster) LayoutOf(ino kernel.InodeID) LayoutClass { return cl.layoutCached(ino) }
+// LayoutOf reports the layout class this client has learned for the
+// inode: LayoutStandard until a reply taught it one.
+func (cl *Cluster) LayoutOf(ino kernel.InodeID) LayoutClass { return cl.layouts[ino] }
 
 // CtlBusy lists the servers whose control path (the endpoint's ctl
 // slot, FabricClient.startCtl) is still held — empty whenever no
@@ -61,7 +56,7 @@ func (cl *Cluster) StripeSize() int64 { return cl.pl.stripe }
 
 // ShardedNamespace reports whether namespace mutations route to owner
 // groups (EnableShardedNamespace) instead of fanning to every server.
-func (cl *Cluster) ShardedNamespace() bool { return cl.sharded }
+func (cl *Cluster) ShardedNamespace() bool { return cl.pl.sharded }
 
 // JournalOps returns how many namespace mutations server slot i's
 // resync journal currently holds (0 when the server is up or nothing

@@ -18,12 +18,49 @@ import (
 	"repro/internal/sim"
 )
 
+// retiredOp is the opcode after OpSetSize, which no operation holds
+// any more: servers answer it as an unknown op.
+const retiredOp = OpSetSize + 1
+
+// packedCreates are sharded creates whose Len packs a routing residue
+// with a layout class (PackNode) on a two-server partition: valid, an
+// undefined class, and a residue past the server count.
+func packedCreates() []*Req {
+	return []*Req{
+		{Op: OpCreate, Ino: 1, Name: "w", Len: PackNode(1, LayoutWhole)},
+		{Op: OpCreate, Ino: 1, Name: "c", Len: PackNode(1, layoutMax+1)},
+		{Op: OpCreate, Ino: 1, Name: "r", Len: PackNode(3, LayoutWhole)},
+	}
+}
+
+// TestRetiredOpIsUnknown: the retired opcode has no name and no
+// handler — a server answers it exactly like an opcode never assigned.
+func TestRetiredOpIsUnknown(t *testing.T) {
+	if name, ok := opNames[retiredOp]; ok || retiredOp+1 != OpLink {
+		t.Fatalf("opcode %d is named %q or misplaced", retiredOp, name)
+	}
+	env := sim.NewEngine()
+	node := hw.NewCluster(env, hw.DefaultParams(), hw.PCIXD).AddNode("server")
+	s := NewServer(node, memfs.New("backing", node, 0))
+	env.Spawn("probe", func(p *sim.Proc) {
+		got, want := s.handleMeta(p, &Req{Op: retiredOp, Ino: 1}), s.handleMeta(p, &Req{Op: Op(200), Ino: 1})
+		if got.Status != want.Status || got.Status == StOK {
+			t.Errorf("retired opcode answered status %d, an unknown one %d", got.Status, want.Status)
+		}
+	})
+	env.Run(0)
+}
+
 // FuzzDecodeReq: arbitrary bytes never panic DecodeReq, and
 // encode∘decode is the identity on whatever decodes.
 func FuzzDecodeReq(f *testing.F) {
 	f.Add(EncodeReqInto(nil, &Req{Op: OpLookup, Seq: 7, EP: 2, Ino: 1, Name: "f"}))
 	f.Add(EncodeReqInto(nil, &Req{Op: OpWrite, Seq: 1 << 40, EP: 255, Ino: 9, Off: -1, Len: MaxWriteChunk}))
 	f.Add(EncodeReqInto(nil, &Req{Op: OpRenameLocal, Ino: 3, Off: 4, Name: PackRenameNames("a", "b")}))
+	for _, req := range packedCreates() {
+		f.Add(EncodeReqInto(nil, req))
+	}
+	f.Add(EncodeReqInto(nil, &Req{Op: retiredOp, Ino: 3, Len: uint32(LayoutStandard)}))
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		req, consumed, err := DecodeReq(raw)
 		if err != nil {
@@ -96,6 +133,10 @@ func FuzzServeBytes(f *testing.F) {
 		f.Add(EncodeReqInto(nil, &Req{Op: OpRenamePrepare, Ino: 1, Off: 4, Name: PackRenameNames("f", "g")}), sharded)
 		f.Add(EncodeReqInto(nil, &Req{Op: OpLink, Ino: 1, Off: 3, Len: 99, Name: "again"}), sharded)
 		f.Add(EncodeReqInto(nil, &Req{Op: Op(200), Ino: 1}), sharded)
+		f.Add(EncodeReqInto(nil, &Req{Op: retiredOp, Ino: 3, Len: uint32(LayoutStandard)}), sharded)
+		for _, req := range packedCreates() {
+			f.Add(EncodeReqInto(nil, req), sharded)
+		}
 	}
 	for _, sharded := range []bool{false, true} {
 		f.Add(EncodeReqInto(nil, &Req{Op: OpExport, Len: MaxWriteChunk}), sharded)

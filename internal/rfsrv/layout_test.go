@@ -1,20 +1,23 @@
 package rfsrv_test
 
-// Layout-policy edge-case tests (DESIGN.md §10): adaptive promotion of
-// a whole-on-home file mid-write (with byte-exact migration of the
-// pre-promotion bytes), the refusal of a create hinting an unknown
-// class, replica placement and failover of a replicated whole-on-home
-// file, and the guarantee that every layout policy is inert on a
-// one-server cluster.
+// Layout-class tests (DESIGN.md §10): the refusal of a create hinting
+// an unknown class, replica placement and failover of a replicated
+// whole-on-home file, the guarantee that the class is inert on a
+// one-member ring, and the whole-on-home file's life in both namespaces
+// — created, written, read by a client that never saw it, renamed
+// across owner groups, moved by every membership change and unlinked.
 
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/kernel"
 	"repro/internal/mem"
 	"repro/internal/rfsrv"
+	platform "repro/internal/rig"
 	"repro/internal/sim"
 )
 
@@ -49,81 +52,6 @@ func readBack(t *testing.T, p *sim.Proc, r *clusterRig, cl *rfsrv.Cluster, ino k
 	return got, int(resp.N)
 }
 
-// TestClusterWholePromotedMidWrite drives the adaptive policy through
-// its promotion edge: a file written below PromoteThreshold stays
-// whole-on-home with zero OpSetSize reconciliations, and the write
-// that would push EOF past the threshold first migrates the existing
-// bytes to standard placement, then lands striped — with the full
-// contents byte-exact afterwards.
-func TestClusterWholePromotedMidWrite(t *testing.T) {
-	r := newClusterRig(t, 3)
-	r.run(t, func(p *sim.Proc) {
-		cl := r.cluster(t, p, 4, testStripe)
-		if err := cl.SetLayoutPolicy(rfsrv.LayoutPolicy{Adaptive: true}); err != nil {
-			t.Fatal(err)
-		}
-
-		const head = 200 * 1024 // below PromoteThreshold (256 KiB)
-		const tail = 100 * 1024 // pushes EOF to 300 KiB, past it
-		data := pattern(head + tail)
-		ino := clusterCreate(t, p, cl, "f")
-		if lc := cl.LayoutOf(ino); lc != rfsrv.LayoutWhole {
-			t.Fatalf("adaptive unhinted create classified %v, want LayoutWhole", lc)
-		}
-		home := cl.HomeServer(ino)
-
-		writeAt(t, p, r, cl, ino, 0, data[:head])
-		if n := cl.SetSizes.N; n != 0 {
-			t.Errorf("whole-on-home write issued %d OpSetSize reconciliations, want 0", n)
-		}
-		if n := cl.Promotions.N; n != 0 {
-			t.Fatalf("premature promotion (%d) below threshold", n)
-		}
-		// Every byte of the whole-phase file lives on the home server and
-		// nowhere else.
-		headPages := head / mem.PageSize
-		for s := range r.servers {
-			for pg := 0; pg < headPages; pg++ {
-				have := r.serverFS[s].FrameAt(ino, int64(pg)) != nil
-				if want := s == home; have != want {
-					t.Fatalf("whole phase: server %d page %d present=%v, want %v (home %d)",
-						s, pg, have, want, home)
-				}
-			}
-		}
-
-		// The append crosses PromoteThreshold: promotion must migrate the
-		// head before the tail is written striped.
-		writeAt(t, p, r, cl, ino, head, data[head:])
-		if n := cl.Promotions.N; n != 1 {
-			t.Errorf("promotions = %d, want exactly 1", n)
-		}
-		if lc := cl.LayoutOf(ino); lc != rfsrv.LayoutStandard {
-			t.Errorf("post-promotion layout %v, want LayoutStandard", lc)
-		}
-		if n := cl.SetSizes.N; n == 0 {
-			t.Error("standard-layout write reconciled no sizes; expected OpSetSize fan-out")
-		}
-
-		got, n := readBack(t, p, r, cl, ino, 0, len(data)+mem.PageSize)
-		if n != len(data) {
-			t.Fatalf("post-promotion read clipped to %d, want %d", n, len(data))
-		}
-		if !bytes.Equal(got, data) {
-			t.Fatal("post-promotion contents differ from what was written")
-		}
-		// Standard placement after migration: every stripe's primary owner
-		// holds its frames.
-		pagesPerStripe := testStripe / mem.PageSize
-		for k := 0; k*testStripe < len(data); k++ {
-			owner := cl.OwnerServer(int64(k) * testStripe)
-			if r.serverFS[owner].FrameAt(ino, int64(k*pagesPerStripe)) == nil {
-				t.Fatalf("stripe %d missing on its standard owner (server %d) after promotion", k, owner)
-			}
-		}
-	})
-}
-
 // TestClusterUnknownLayoutHintRefused pins the classes the protocol
 // knows: a create hinting class 2 (no class has that number) is
 // answered StInval by every server, and none of them creates the file.
@@ -131,10 +59,6 @@ func TestClusterUnknownLayoutHintRefused(t *testing.T) {
 	r := newClusterRig(t, 3)
 	r.run(t, func(p *sim.Proc) {
 		cl := r.cluster(t, p, 4, testStripe)
-		// Non-adaptive policy: explicit create hints go out as given.
-		if err := cl.SetLayoutPolicy(rfsrv.LayoutPolicy{}); err != nil {
-			t.Fatal(err)
-		}
 		resp, err := cl.Meta(p, &rfsrv.Req{Op: rfsrv.OpCreate, Ino: 0, Name: "f", Len: 2})
 		if resp.Status != rfsrv.StInval || !errors.Is(err, rfsrv.ErrInval) {
 			t.Fatalf("create hinting class 2: status %d err %v, want StInval", resp.Status, err)
@@ -156,13 +80,9 @@ func TestClusterWholeReplicatedFailover(t *testing.T) {
 	r := newClusterRig(t, 3)
 	r.run(t, func(p *sim.Proc) {
 		cl := r.clusterRep(t, p, 4, testStripe, 2)
-		if err := cl.SetLayoutPolicy(rfsrv.LayoutPolicy{Adaptive: true}); err != nil {
-			t.Fatal(err)
-		}
-
 		const size = 16 * 1024
 		data := pattern(size)
-		ino := clusterCreate(t, p, cl, "f")
+		ino := wholeCreate(t, p, cl, 0, "f")
 		if lc := cl.LayoutOf(ino); lc != rfsrv.LayoutWhole {
 			t.Fatalf("layout %v, want LayoutWhole", lc)
 		}
@@ -199,41 +119,241 @@ func TestClusterWholeReplicatedFailover(t *testing.T) {
 	})
 }
 
-// TestClusterOneServerPolicyInert extends the degeneracy guarantee to
-// the layout machinery: on a one-server cluster every policy — off,
-// non-adaptive, adaptive — produces the identical virtual-time finish
-// and identical bytes, because classification is inert without a
-// second server to place data on.
-func TestClusterOneServerPolicyInert(t *testing.T) {
-	runOnce := func(set bool, pol rfsrv.LayoutPolicy) (sim.Time, []byte) {
+// wholeCreate creates name in dir with the whole-on-home hint and
+// requires the creator to have learned the class from the reply.
+func wholeCreate(t *testing.T, p *sim.Proc, cl *rfsrv.Cluster, dir kernel.InodeID, name string) kernel.InodeID {
+	t.Helper()
+	resp, err := cl.Meta(p, &rfsrv.Req{Op: rfsrv.OpCreate, Ino: dir, Name: name, Len: uint32(rfsrv.LayoutWhole)})
+	if err != nil {
+		t.Fatalf("create %s whole-on-home: %v", name, err)
+	}
+	if lc := cl.LayoutOf(resp.Attr.Ino); lc != rfsrv.LayoutWhole {
+		t.Fatalf("create %s: the creator learned %v, want LayoutWhole", name, lc)
+	}
+	return resp.Attr.Ino
+}
+
+// homeGroup returns the slots of an inode's home group under cl's
+// committed membership: sharded, its residue's replica group, computed
+// here from the inode number; replicated, the group of the hashed home
+// cl reports (nobody may be excluded).
+func homeGroup(cl *rfsrv.Cluster, ino kernel.InodeID) []int {
+	members := cl.Members()
+	pos := int((ino - 2) % kernel.InodeID(len(members)))
+	if !cl.ShardedNamespace() {
+		pos = slices.Index(members, cl.HomeServer(ino))
+	}
+	var out []int
+	for j := 0; j < cl.Replicas(); j++ {
+		out = append(out, members[(pos+j)%len(members)])
+	}
+	return out
+}
+
+// assertWholeHeld requires every page of a whole-on-home file to sit on
+// each slot of its home group — only there when exclusive — and a
+// fresh client of view (nil: the construction-time membership) to read
+// it back exact without excluding anyone.
+func assertWholeHeld(t *testing.T, p *sim.Proc, r *clusterRig, cl *rfsrv.Cluster, view *rfsrv.MemberView, ino kernel.InodeID, data []byte, exclusive bool) {
+	t.Helper()
+	group := homeGroup(cl, ino)
+	for s := range r.servers {
+		in := slices.Contains(group, s)
+		if !in && !exclusive {
+			continue
+		}
+		for pg := 0; pg < (len(data)+mem.PageSize-1)/mem.PageSize; pg++ {
+			if have := r.serverFS[s].FrameAt(ino, int64(pg)) != nil; have != in {
+				t.Fatalf("server %d page %d present=%v, want %v (home group %v)", s, pg, have, in, group)
+			}
+		}
+	}
+	fresh := r.freshClient(t, p, cl, view)
+	if got := elasticReadBack(t, p, r, fresh, ino, len(data)); !bytes.Equal(got, data) {
+		t.Fatal("a fresh client read wrong bytes")
+	}
+	if lc := fresh.LayoutOf(ino); lc != rfsrv.LayoutWhole {
+		t.Errorf("the fresh client learned %v, want LayoutWhole", lc)
+	}
+	if down := fresh.DownServers(); len(down) != 0 {
+		t.Errorf("the fresh client had to exclude %v to read the file", down)
+	}
+}
+
+// hinted is a client whose creates all carry one layout hint.
+type hinted struct {
+	rfsrv.Client
+	hint rfsrv.LayoutClass
+}
+
+func (h hinted) Meta(p *sim.Proc, req *rfsrv.Req) (*rfsrv.Resp, error) {
+	if req.Op == rfsrv.OpCreate {
+		r := *req
+		r.Len = uint32(h.hint)
+		req = &r
+	}
+	return h.Client.Meta(p, req)
+}
+
+// TestClusterOneServerHintInert: on a one-member ring both classes
+// place every byte on the one server, so the cluster resolves nothing —
+// a whole-on-home create's workload and an unhinted one's send the
+// server the same requests, finish at the same instant and read the
+// same bytes as a plain Session's.
+func TestClusterOneServerHintInert(t *testing.T) {
+	runOnce := func(wrap bool, hint rfsrv.LayoutClass) (sim.Time, []byte, int64) {
 		r := newClusterRig(t, 1)
 		var end sim.Time
 		var sum []byte
 		r.run(t, func(p *sim.Proc) {
-			cl := r.cluster(t, p, 4, 0)
-			if set {
-				if err := cl.SetLayoutPolicy(pol); err != nil {
+			fc, err := rfsrv.NewMXClient(r.clientMX, 10, true, r.client.Kernel, r.servers[0].ID, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sess, err := rfsrv.NewSession(p, fc, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var cl rfsrv.Client = sess
+			if wrap {
+				if cl, err = rfsrv.NewCluster(p, []*rfsrv.Session{sess}, 0); err != nil {
 					t.Fatal(err)
 				}
 			}
-			end, sum = oneServerWorkload(t, p, r.client.Kernel, cl)
+			end, sum = oneServerWorkload(t, p, r.client.Kernel, hinted{cl, hint})
 		})
-		return end, sum
+		return end, sum, r.rsrv[0].Requests.N
 	}
-	baseEnd, baseSum := runOnce(false, rfsrv.LayoutPolicy{})
-	for _, tc := range []struct {
-		name string
-		pol  rfsrv.LayoutPolicy
-	}{
-		{"non-adaptive", rfsrv.LayoutPolicy{}},
-		{"adaptive", rfsrv.LayoutPolicy{Adaptive: true}},
-	} {
-		end, sum := runOnce(true, tc.pol)
-		if end != baseEnd {
-			t.Errorf("%s policy finished at %v, policy-off at %v — not bit-identical", tc.name, end, baseEnd)
+	sessEnd, sessSum, sessReqs := runOnce(false, rfsrv.LayoutStandard)
+	for _, hint := range []rfsrv.LayoutClass{rfsrv.LayoutStandard, rfsrv.LayoutWhole} {
+		end, sum, reqs := runOnce(true, hint)
+		if end != sessEnd || reqs != sessReqs {
+			t.Errorf("%v create: one-server cluster finished at %v after %d requests, plain session at %v after %d", hint, end, reqs, sessEnd, sessReqs)
 		}
-		if !bytes.Equal(sum, baseSum) {
-			t.Errorf("%s policy read different bytes than policy-off", tc.name)
+		if !bytes.Equal(sum, sessSum) {
+			t.Errorf("%v create: one-server cluster read different bytes than the plain session", hint)
 		}
+	}
+}
+
+// TestShardWholeFileLifecycle runs a whole-on-home file through its
+// life in the sharded namespace: created with the hint, written past
+// one stripe, read back, renamed across owner groups and unlinked. Its
+// bytes sit on its owner group and nowhere else — no size fan, a
+// stranger reads it through the group after the rename — and the
+// unlink's scrub leaves it on no server.
+func TestShardWholeFileLifecycle(t *testing.T) {
+	r := newShardRig(t, 4, 2)
+	r.run(t, func(p *sim.Proc) {
+		cl := r.shardClient(t, p, 2)
+		src := mkdirRes(t, p, cl, 4, 1, "src")
+		dst := mkdirRes(t, p, cl, 4, 3, "dst")
+		ino := wholeCreate(t, p, cl, src, "f")
+		data := pattern(3 * testStripe)
+		writeAt(t, p, r, cl, ino, 0, data)
+		if n := cl.SetSizes.N; n != 0 {
+			t.Errorf("whole-on-home write issued %d OpSetSize reconciliations, want 0", n)
+		}
+		if g := homeGroup(cl, ino); !slices.Equal(g, []int{1, 2}) {
+			t.Fatalf("home group %v, want the source directory's owner group [1 2]", g)
+		}
+		if got, n := readBack(t, p, r, cl, ino, 0, len(data)+mem.PageSize); n != len(data) || !bytes.Equal(got, data) {
+			t.Fatalf("read back n=%d, contents match=%v", n, bytes.Equal(got, data))
+		}
+		assertWholeHeld(t, p, r, cl, nil, ino, data, true)
+
+		if _, err := cl.Rename(p, src, "f", dst, "g"); err != nil {
+			t.Fatalf("cross-owner rename: %v", err)
+		}
+		if look, err := cl.Meta(p, &rfsrv.Req{Op: rfsrv.OpLookup, Ino: dst, Name: "g"}); err != nil || look.Attr.Ino != ino {
+			t.Fatalf("lookup after rename: ino=%d err=%v, want %d", look.Attr.Ino, err, ino)
+		}
+		assertWholeHeld(t, p, r, cl, nil, ino, data, true)
+
+		if _, err := cl.Meta(p, &rfsrv.Req{Op: rfsrv.OpUnlink, Ino: dst, Name: "g"}); err != nil {
+			t.Fatalf("unlink: %v", err)
+		}
+		for i, fs := range r.serverFS {
+			if _, err := fs.Getattr(p, ino); err == nil {
+				t.Errorf("server %d still holds the unlinked file", i)
+			}
+		}
+		assertWindowsIdle(t, cl)
+		r.checkNoLeaks(t)
+	})
+}
+
+// TestClusterWholeReadByStranger: a client that never looked a
+// whole-on-home file up reads it — one getattr on the namespace's own
+// route teaches it the class — in both namespaces, for a file homed
+// away from position 0, where a striped read would look first.
+func TestClusterWholeReadByStranger(t *testing.T) {
+	for _, sharded := range []bool{false, true} {
+		t.Run(fmt.Sprintf("sharded=%v", sharded), func(t *testing.T) {
+			r := newRigOf(t, 4, 1, sharded)
+			r.run(t, func(p *sim.Proc) {
+				cl := r.clusterOf(t, p, 10, platform.Desc{Replicas: 1, Stripe: testStripe, Window: 4, Timeout: faultTimeout, Sharded: sharded})
+				var dir kernel.InodeID
+				if sharded {
+					dir = mkdirRes(t, p, cl, 4, 2, "d")
+				}
+				var ino kernel.InodeID
+				for k := 0; ino == 0 || homeGroup(cl, ino)[0] == 0; k++ {
+					ino = wholeCreate(t, p, cl, dir, fmt.Sprintf("f%d", k))
+				}
+				data := pattern(3 * testStripe)
+				writeAt(t, p, r, cl, ino, 0, data)
+				assertWholeHeld(t, p, r, cl, nil, ino, data, true)
+				assertWindowsIdle(t, cl)
+				r.checkNoLeaks(t)
+			})
+		})
+	}
+}
+
+// TestElasticWholeFileMoves retires a member of a whole-on-home file's
+// home group, joins it back and bounces it, in both namespaces: after
+// every change the file's bytes sit on its home group under the new
+// membership and a fresh client of the view reads them back exact.
+func TestElasticWholeFileMoves(t *testing.T) {
+	for _, sharded := range []bool{false, true} {
+		t.Run(fmt.Sprintf("sharded=%v", sharded), func(t *testing.T) {
+			r := newRigOf(t, 4, 2, sharded)
+			r.run(t, func(p *sim.Proc) {
+				cl := r.clusterOf(t, p, 10, platform.Desc{Replicas: 2, Stripe: testStripe, Window: 4, Timeout: faultTimeout, Sharded: sharded})
+				view := cl.ShareView()
+				var dir kernel.InodeID
+				if sharded {
+					dir = mkdirRes(t, p, cl, 4, 1, "d")
+				}
+				ino := wholeCreate(t, p, cl, dir, "f")
+				data := pattern(3 * testStripe)
+				writeAt(t, p, r, cl, ino, 0, data)
+				assertWholeHeld(t, p, r, cl, view, ino, data, false)
+				slot := homeGroup(cl, ino)[0]
+				for _, step := range []struct {
+					name   string
+					change func() error
+				}{
+					{"retire", func() error { return cl.Retire(p, slot) }},
+					{"join", func() error { return cl.Join(p, slot) }},
+					{"bounce", func() error { return cl.Bounce(p, slot) }},
+				} {
+					before := cl.Migrated.Bytes
+					if err := step.change(); err != nil {
+						t.Fatalf("%s %d: %v", step.name, slot, err)
+					}
+					if step.name == "retire" && cl.Migrated.Bytes == before {
+						t.Errorf("retiring a home-group member migrated nothing")
+					}
+					assertWholeHeld(t, p, r, cl, view, ino, data, false)
+					if got := elasticReadBack(t, p, r, cl, ino, len(data)); !bytes.Equal(got, data) {
+						t.Fatalf("after %s: the operator read wrong bytes", step.name)
+					}
+				}
+				assertWindowsIdle(t, cl)
+				r.checkNoLeaks(t)
+			})
+		})
 	}
 }

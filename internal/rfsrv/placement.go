@@ -1,11 +1,12 @@
 package rfsrv
 
 // placement is where bytes and dentries live (DESIGN.md "Placement"):
-// a pure value — the member ring, the stripe width and the replication
-// factor — that answers the three placement questions for every
-// consumer: which ring position owns a byte (owner, runs), which R
-// slots form a position's replica group (slot, rank, holds), and which
-// position a name hashes to (residue, inodeHome, pathHome). It knows
+// a pure value — the member ring, the stripe width, the replication
+// factor and whether the namespace is sharded — that answers the three
+// placement questions for every consumer: which ring position owns a
+// byte (owner, runs), which R slots form a position's replica group
+// (slot, rank, holds), and which position a name hashes to (residue,
+// inodeHome, pathHome, home). It knows
 // nothing of exclusion, sessions or the wire; fault state stays with
 // the Cluster, which walks a group with slot and skips what is down.
 // The ring arithmetic lives here and nowhere else: the client data
@@ -20,6 +21,9 @@ type placement struct {
 	members  []int
 	stripe   int64
 	replicas int
+	// sharded: the namespace is sharded, so an inode's home is its
+	// residue's owner group rather than its hash (home).
+	sharded bool
 }
 
 // ringPlacement is the geometry of n servers whose slots are their ring
@@ -84,13 +88,25 @@ func (pl placement) residue(ino kernel.InodeID) int {
 	return int((uint64(ino) - 2) % uint64(len(pl.members)))
 }
 
-// inodeHome returns the hashed position of an inode: its metadata home
-// in the replicated namespace and the data owner of a whole-on-home
-// file, so one server answers both.
+// inodeHome returns the hashed position of an inode: its home in the
+// replicated namespace.
 //
 // allocfree
 func (pl placement) inodeHome(ino kernel.InodeID) int {
 	return int(mix(uint64(ino)) % uint64(len(pl.members)))
+}
+
+// home returns the position of an inode's home — where its getattr is
+// answered and, so one group answers both, where a whole-on-home file's
+// bytes live: the hashed inodeHome in the replicated namespace, the
+// residue in the sharded one.
+//
+// allocfree
+func (pl placement) home(ino kernel.InodeID) int {
+	if pl.sharded {
+		return pl.residue(ino)
+	}
+	return pl.inodeHome(ino)
 }
 
 // pathHome returns the hashed position of a path component (FNV-1a over
@@ -123,7 +139,7 @@ func (pl placement) width(lay LayoutClass) int64 {
 func (pl placement) owner(lay LayoutClass, ino kernel.InodeID, off int64) int {
 	w := pl.width(lay)
 	if w == 0 {
-		return pl.inodeHome(ino)
+		return pl.home(ino)
 	}
 	return int((off / w) % int64(len(pl.members)))
 }
@@ -144,7 +160,7 @@ type run struct {
 func (pl placement) runs(lay LayoutClass, ino kernel.InodeID, off int64, n int, out []run) []run {
 	w := pl.width(lay)
 	if w == 0 {
-		return append(out, run{owner: pl.inodeHome(ino), off: off, n: n})
+		return append(out, run{owner: pl.home(ino), off: off, n: n})
 	}
 	for end := off + int64(n); off < end; {
 		cut := end
@@ -163,23 +179,27 @@ func (pl placement) withMembers(members []int) placement {
 	return pl
 }
 
-// move is one standard-layout stripe fragment and the slots a geometry
-// change must copy it to.
+// move is one fragment of a file and the slots a geometry change must
+// copy it to.
 type move struct {
 	off int64
 	n   int
 	to  []int
 }
 
-// delta lists, per stripe fragment of [off, off+n), the slots that hold
-// the fragment under next but not under pl — exactly what a change from
-// pl to next has to copy, whoever copies it. Fragments no new slot
-// holds are omitted.
-func (pl placement) delta(next placement, off, n int64) []move {
+// delta lists, per fragment of [off, off+n) of a file of class lay —
+// one per stripe for a striped file, the whole range for a whole-on-home
+// one — the slots that hold the fragment under next but not under pl:
+// exactly what a change from pl to next has to copy, whoever copies it.
+// Fragments no new slot holds are omitted.
+func (pl placement) delta(next placement, lay LayoutClass, ino kernel.InodeID, off, n int64) []move {
 	var out []move
 	for end := off + n; off < end; {
-		cut := min((off/pl.stripe+1)*pl.stripe, end)
-		was, now := pl.owner(LayoutStandard, 0, off), next.owner(LayoutStandard, 0, off)
+		cut := end
+		if w := pl.width(lay); w > 0 {
+			cut = min((off/w+1)*w, end)
+		}
+		was, now := pl.owner(lay, ino, off), next.owner(lay, ino, off)
 		var to []int
 		for j := 0; j < next.replicas; j++ {
 			if s := next.slot(now, j); !pl.holds(s, was) {

@@ -61,9 +61,9 @@ func (pl placement) group(pos int) []int {
 	return out
 }
 
-// holders collects the slots holding the standard-layout stripe at off.
-func (pl placement) holders(off int64) []int {
-	return pl.group(pl.owner(LayoutStandard, 0, off))
+// holders collects the slots holding byte off of an inode of class lay.
+func (pl placement) holders(lay LayoutClass, ino kernel.InodeID, off int64) []int {
+	return pl.group(pl.owner(lay, ino, off))
 }
 
 // checkGroups: every position's group is R distinct member slots that
@@ -115,26 +115,34 @@ func checkRuns(t *testing.T, pl placement, lay LayoutClass, ino kernel.InodeID, 
 	}
 }
 
-// checkDelta: over [off, off+n), delta's fragments are in order and
-// disjoint, and at every stripe old.delta(next) ∪ (old holders ∩ next
-// holders) = next holders, with delta disjoint from the old holders.
-func checkDelta(t *testing.T, old, next placement, off, n int64) {
+// checkDelta: over [off, off+n) of a file of class lay, delta's
+// fragments are in order and disjoint — one per stripe, or the whole
+// range for a whole-on-home file — and at every fragment
+// old.delta(next) ∪ (old holders ∩ next holders) = next holders, with
+// delta disjoint from the old holders: a whole file's new home-group
+// slots that did not hold it take the whole range, and nothing moves
+// when its group is unchanged.
+func checkDelta(t *testing.T, old, next placement, lay LayoutClass, ino kernel.InodeID, off, n int64) {
 	t.Helper()
-	moves := old.delta(next, off, n)
-	for cur := off; cur < off+n; cur = (cur/old.stripe + 1) * old.stripe {
+	moves := old.delta(next, lay, ino, off, n)
+	for cur := off; cur < off+n; {
+		end := off + n
+		if w := old.width(lay); w > 0 {
+			end = min((cur/w+1)*w, end)
+		}
 		var to []int
 		if len(moves) > 0 && moves[0].off == cur {
 			to = moves[0].to
-			if want := min((cur/old.stripe+1)*old.stripe, off+n) - cur; int64(moves[0].n) != want {
-				t.Fatalf("%v -> %v: fragment at %d is %d bytes, want %d", old, next, cur, moves[0].n, want)
+			if int64(moves[0].n) != end-cur {
+				t.Fatalf("%v -> %v lay %d: fragment at %d is %d bytes, want %d", old, next, lay, cur, moves[0].n, end-cur)
 			}
 			moves = moves[1:]
 		}
-		was, now := old.holders(cur), next.holders(cur)
+		was, now := old.holders(lay, ino, cur), next.holders(lay, ino, cur)
 		got := slices.Clone(to)
 		for _, s := range to {
 			if slices.Contains(was, s) {
-				t.Fatalf("%v -> %v: delta at %d copies to %d, which already holds it (%v)", old, next, cur, s, was)
+				t.Fatalf("%v -> %v lay %d: delta at %d copies to %d, which already holds it (%v)", old, next, lay, cur, s, was)
 			}
 		}
 		for _, s := range now {
@@ -145,11 +153,12 @@ func checkDelta(t *testing.T, old, next placement, off, n int64) {
 		slices.Sort(got)
 		slices.Sort(now)
 		if !slices.Equal(got, now) {
-			t.Fatalf("%v -> %v: stripe at %d: delta %v ∪ kept = %v, want the new holders %v (old %v)", old, next, cur, to, got, now, was)
+			t.Fatalf("%v -> %v lay %d: fragment at %d: delta %v ∪ kept = %v, want the new holders %v (old %v)", old, next, lay, cur, to, got, now, was)
 		}
+		cur = end
 	}
 	if len(moves) != 0 {
-		t.Fatalf("%v -> %v: delta has fragments outside [%d,+%d) or out of order: %+v", old, next, off, n, moves)
+		t.Fatalf("%v -> %v lay %d: delta has fragments outside [%d,+%d) or out of order: %+v", old, next, lay, off, n, moves)
 	}
 }
 
@@ -182,21 +191,28 @@ func TestPlacementDelta(t *testing.T) {
 	const stripe = 2 * mem.PageSize
 	for n := 1; n <= 8; n++ {
 		for r := 1; r <= n; r++ {
-			old := placement{members: permuted(n, 0, uint64(n*8+r)), stripe: stripe, replicas: r}
-			span := int64(3*n+2) * stripe
-			if m := old.delta(old, 0, span); len(m) != 0 {
-				t.Fatalf("%v: delta with itself = %+v, want nothing", old, m)
-			}
-			for pos := 0; pos <= n; pos++ { // join a new slot at every position
-				next := old.withMembers(slices.Insert(slices.Clone(old.members), pos, n))
-				for _, off := range offsets(stripe) {
-					checkDelta(t, old, next, off, span)
+			for _, sharded := range []bool{false, true} {
+				old := placement{members: permuted(n, 0, uint64(n*8+r)), stripe: stripe, replicas: r, sharded: sharded}
+				span := int64(3*n+2) * stripe
+				for lay := LayoutStandard; lay <= layoutMax; lay++ {
+					if m := old.delta(old, lay, 7, 0, span); len(m) != 0 {
+						t.Fatalf("%v: delta with itself = %+v, want nothing", old, m)
+					}
 				}
-			}
-			for pos := 0; pos < n && n > r; pos++ { // retire every position
-				next := old.withMembers(slices.Delete(slices.Clone(old.members), pos, pos+1))
-				for _, off := range offsets(stripe) {
-					checkDelta(t, old, next, off, span)
+				var nexts []placement
+				for pos := 0; pos <= n; pos++ { // join a new slot at every position
+					nexts = append(nexts, old.withMembers(slices.Insert(slices.Clone(old.members), pos, n)))
+				}
+				for pos := 0; pos < n && n > r; pos++ { // retire every position
+					nexts = append(nexts, old.withMembers(slices.Delete(slices.Clone(old.members), pos, pos+1)))
+				}
+				for _, next := range nexts {
+					for _, off := range offsets(stripe) {
+						checkDelta(t, old, next, LayoutStandard, 0, off, span)
+						for _, ino := range []kernel.InodeID{2, 7, 1 << 33} {
+							checkDelta(t, old, next, LayoutWhole, ino, off, span)
+						}
+					}
 				}
 			}
 		}
@@ -232,8 +248,10 @@ func TestPlacementServerAgreesWithClient(t *testing.T) {
 
 // FuzzPlacement runs the table tests' invariants over arbitrary
 // geometries: a permuted ring of 1..8 members, any R, stripe width,
-// layout class and byte range, and one membership change (a join or a
-// retire at a fuzzed position).
+// layout class (bit 0 of layout) and namespace (bit 1: sharded homes a
+// whole file on its residue), byte range, and one membership change (a
+// join or a retire at a fuzzed position) — delta checked for the fuzzed
+// class and, always, for a whole-on-home file.
 func FuzzPlacement(f *testing.F) {
 	f.Add(uint64(0), uint8(2), uint8(1), uint8(1), uint8(0), uint64(2), int64(0), uint32(3*mem.PageSize), uint8(3))
 	f.Add(uint64(7), uint8(3), uint8(1), uint8(15), uint8(2), uint64(9), int64(1<<20-1), uint32(2<<20+2), uint8(0))
@@ -244,6 +262,7 @@ func FuzzPlacement(f *testing.F) {
 			members:  permuted(n, 0, seed),
 			stripe:   int64(1+stripePages%16) * mem.PageSize,
 			replicas: 1 + int(replicas)%n,
+			sharded:  layout&2 != 0,
 		}
 		if off < 0 {
 			off = -(off + 1)
@@ -251,7 +270,8 @@ func FuzzPlacement(f *testing.F) {
 		off %= 1 << 40
 		ln := int(length % (4 << 20))
 		checkGroups(t, pl)
-		checkRuns(t, pl, LayoutClass(layout%uint8(layoutMax+1)), kernel.InodeID(ino), off, ln)
+		lay := LayoutClass(layout & 1)
+		checkRuns(t, pl, lay, kernel.InodeID(ino), off, ln)
 		if pl.residue(kernel.InodeID(ino)) != refResidue(kernel.InodeID(ino), n) {
 			t.Fatalf("%v: residue(%d) = %d, oracle says %d", pl, ino, pl.residue(kernel.InodeID(ino)), refResidue(kernel.InodeID(ino), n))
 		}
@@ -260,12 +280,14 @@ func FuzzPlacement(f *testing.F) {
 			pos := int(change) % n
 			next = pl.withMembers(slices.Delete(slices.Clone(pl.members), pos, pos+1))
 		}
-		checkDelta(t, pl, next, off, int64(ln))
-		checkDelta(t, pl, pl, off, int64(ln))
+		for _, lc := range []LayoutClass{lay, LayoutWhole} {
+			checkDelta(t, pl, next, lc, kernel.InodeID(ino), off, int64(ln))
+			checkDelta(t, pl, pl, lc, kernel.InodeID(ino), off, int64(ln))
+		}
 	})
 }
 
 // String makes failing geometries readable.
 func (pl placement) String() string {
-	return fmt.Sprintf("{members %v stripe %d R=%d}", pl.members, pl.stripe, pl.replicas)
+	return fmt.Sprintf("{members %v stripe %d R=%d sharded=%v}", pl.members, pl.stripe, pl.replicas, pl.sharded)
 }

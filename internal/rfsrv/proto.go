@@ -68,20 +68,17 @@ const (
 	// reply carrying the authoritative (size, epoch) so one round trip
 	// revalidates the caller (see Cluster).
 	OpSetSize
-	// OpSetLayout records a file's stripe-layout class (DESIGN.md §10)
-	// in the serving inode: Len carries the LayoutClass. Changing the
-	// layout relocates data, so the server bumps the inode's size epoch —
-	// every cached (size, layout) view elsewhere is invalidated through
-	// the same validated-cache machinery truncate uses, and a cluster
-	// client counts the fan-out as a namespace mutation (an excluded
-	// server that missed it must resync before Reinstate).
-	OpSetLayout
+	// The opcode after OpSetSize is retired (it flipped a file's layout
+	// class, which is now fixed at create): a request carrying it is an
+	// unknown op.
+	_
 	// OpLink enters an existing inode into a directory under a new name
 	// without minting anything: Off carries the child inode, Len its
-	// FileKind. It is the replication verb of the sharded namespace
-	// (copying a fresh dentry to the owner group's replicas) and the
-	// commit half of the two-phase rename. Linking the same child under
-	// the same name twice is an idempotent success.
+	// FileKind and layout class (PackNode). It is the replication verb
+	// of the sharded namespace (copying a fresh dentry to the owner
+	// group's replicas) and the commit half of the two-phase rename.
+	// Linking the same child under the same name twice is an idempotent
+	// success.
 	OpLink
 	// OpMaterialize ensures the server holds an object for the inode
 	// (Len carries the FileKind of the stub to create if it does not).
@@ -135,8 +132,8 @@ var opNames = map[Op]string{
 	OpLookup: "lookup", OpGetattr: "getattr", OpReaddir: "readdir",
 	OpCreate: "create", OpMkdir: "mkdir", OpUnlink: "unlink",
 	OpRmdir: "rmdir", OpTruncate: "truncate", OpRead: "read", OpWrite: "write",
-	OpSetSize: "setsize", OpSetLayout: "setlayout",
-	OpLink: "link", OpMaterialize: "materialize", OpScrub: "scrub",
+	OpSetSize: "setsize", OpLink: "link",
+	OpMaterialize: "materialize", OpScrub: "scrub",
 	OpRenamePrepare: "renameprepare", OpRenameFinalize: "renamefinalize",
 	OpRenameAbort: "renameabort", OpRenameLocal: "renamelocal",
 	OpMember: "member",
@@ -193,25 +190,31 @@ func SplitRenameNames(packed string) (src, dst string, ok bool) {
 	return "", "", false
 }
 
-// LayoutClass is a file's stripe-layout policy, recorded per inode at
-// create time (or changed by OpSetLayout). It rides the wire in bytes
-// that were previously always zero — the high nibble of the reply's
-// kind byte and an OpCreate request's unused Len field — so the
-// layout machinery changed no message length and no fault-free timing.
+// LayoutClass is a file's stripe-layout class (DESIGN.md §10), fixed
+// when the file is created by the creator's hint in OpCreate's Len and
+// recorded by the servers that home the inode. It rides the wire in
+// bytes that were previously always zero — the high nibble of the
+// reply's kind byte and the low byte of a create's Len — so the class
+// changed no message length and no fault-free timing.
 type LayoutClass uint8
 
 const (
 	// LayoutStandard stripes at the cluster's configured width (64 KiB
-	// by default), round-robin — bit-identical to the pre-layout
-	// cluster, and what every unhinted create gets.
+	// by default), round-robin — what every unhinted create gets.
 	LayoutStandard LayoutClass = iota
-	// LayoutWhole places all of a small file's data on its metadata
-	// home server: no fan-out, no grow-only OpSetSize reconciliation
-	// (the home is the size authority AND the only data server), one
-	// server answering both metadata and data for the file.
+	// LayoutWhole places all of a small file's data on its home, the
+	// group that also answers its getattr: no fan-out, no grow-only
+	// OpSetSize reconciliation (the home is the size authority AND the
+	// only data server).
 	LayoutWhole
 
 	layoutMax = LayoutWhole
+
+	// layoutUnknown is the reply nibble of a sharded server that does
+	// not home the inode: the stub it may hold (size fans materialize
+	// one everywhere) knows no class, and a client learns nothing from
+	// it.
+	layoutUnknown LayoutClass = 0xf
 )
 
 var layoutNames = [...]string{"standard", "whole"}
@@ -225,14 +228,20 @@ func (lc LayoutClass) String() string {
 }
 
 // ValidLayout reports whether lc is a defined layout class (servers
-// reject create hints and OpSetLayout requests outside the range with
-// StInval instead of recording garbage).
+// refuse a create hinting a class outside the range with StInval
+// instead of recording garbage).
 func ValidLayout(lc LayoutClass) bool { return lc <= layoutMax }
 
-// PromoteThreshold is the adaptive-policy promotion point: a
-// whole-on-home file whose write reaches past this offset is migrated
-// to standard striping (see Cluster.SetLayoutPolicy).
-const PromoteThreshold = 256 * 1024
+// PackNode builds the Len of a request that makes or links a node: the
+// layout class in the low byte, the verb's argument above it — the
+// routing residue + 1 of a sharded create or mkdir (0: the minter's
+// default, all an unsharded create carries), the FileKind of an
+// OpLink.
+func PackNode(arg int, lc LayoutClass) uint32 { return uint32(arg)<<8 | uint32(lc) }
+
+// UnpackNode splits a node request's Len into its argument and layout
+// class (see PackNode).
+func UnpackNode(l uint32) (arg int, lc LayoutClass) { return int(l >> 8), LayoutClass(l) }
 
 // String returns the protocol name of the operation.
 func (o Op) String() string {
@@ -250,9 +259,9 @@ type Req struct {
 	Ino kernel.InodeID
 	Off int64 // offset (read/write) or new size (truncate/setsize)
 	// Len is the read/write byte count; OpSetSize packs mode+epoch here
-	// (PackSetSize); OpCreate and OpSetLayout carry a LayoutClass (the
-	// field was always zero for creates before, so an unhinted create is
-	// wire-identical to a LayoutStandard one).
+	// (PackSetSize); OpCreate, OpMkdir and OpLink pack a LayoutClass with
+	// their argument (PackNode; an unhinted, unsharded create's Len is
+	// zero, as it always was).
 	Len  uint32
 	Name string // lookup/create/mkdir/unlink/rmdir
 }
@@ -324,14 +333,6 @@ var (
 	// Re-driving the same rename once the groups are reachable resolves
 	// it — every phase is idempotent.
 	ErrRenameInDoubt = errors.New("rfsrv: rename in doubt")
-	// ErrShardLayoutConflict rejects combining the sharded namespace
-	// (EnableShardedNamespace, DESIGN.md §11) with the per-file layout
-	// policy (SetLayoutPolicy, §10) in either order: sharding routes
-	// the create request's Len field as a residue, which is the field
-	// layout hints travel in. Composing the two is a ROADMAP follow-up;
-	// until it lands the conflict is a typed refusal, not silent
-	// misbehavior. errors.Is(err, ErrShardLayoutConflict) matches.
-	ErrShardLayoutConflict = errors.New("rfsrv: sharded namespace and per-file layout policy are mutually exclusive")
 	// ErrStaleMembership reports that a reply carried a membership-view
 	// epoch newer than the client's and the client has no shared
 	// MemberView to adopt the new placement from: its routing is wrong
@@ -565,7 +566,8 @@ type Resp struct {
 	// (DESIGN.md §10). On the wire it rides in the high nibble of the
 	// kind byte — file kinds never exceeded the low nibble — so, like
 	// Epoch, introducing it changed no message length and no fault-free
-	// timing; pre-layout replies decode as LayoutStandard.
+	// timing; pre-layout replies decode as LayoutStandard. A sharded
+	// server that does not home the inode answers layoutUnknown.
 	Layout  LayoutClass
 	N       uint32 // data bytes in the companion data transfer
 	Entries []kernel.DirEntry
@@ -598,7 +600,7 @@ func EncodeRespInto(dst []byte, r *Resp) ([]byte, error) {
 		//analyze:allow allocfree error path, never taken per-request
 		return nil, fmt.Errorf("rfsrv: directory listing (%d bytes) exceeds reply buffer", size)
 	}
-	if r.Attr.Kind < 0 || r.Attr.Kind > 0xf || !ValidLayout(r.Layout) {
+	if r.Attr.Kind < 0 || r.Attr.Kind > 0xf || !ValidLayout(r.Layout) && r.Layout != layoutUnknown {
 		// Kind and Layout share one wire byte (low/high nibble).
 		//analyze:allow allocfree error path, never taken per-request
 		return nil, fmt.Errorf("rfsrv: kind %d / layout %d overflow the kind byte", r.Attr.Kind, r.Layout)

@@ -9,7 +9,7 @@ package rfsrv_test
 // grown after a missed truncate reads as zeros at the exact size; a
 // re-image never shrinks past another client's extending writes that
 // were in flight when it began; and a spilled journal full-resyncs a
-// slot under the adaptive layout policy.
+// slot holding a whole-on-home file and part of a striped one.
 
 import (
 	"bytes"
@@ -204,33 +204,30 @@ func TestReinstateFencesForeignExtends(t *testing.T) {
 	})
 }
 
-// TestReinstateAdaptiveFullResync spills the journal of a slot that
-// holds a whole-on-home file and part of a promoted one under the
-// adaptive layout policy: the full-slice resync walks every file's runs
-// under its own layout and restores both on the slot.
-func TestReinstateAdaptiveFullResync(t *testing.T) {
+// TestReinstateWholeFullResync spills the journal of a slot that holds
+// a whole-on-home file and part of a striped one: the full-slice resync
+// walks every file's runs under its own class and restores both on the
+// slot.
+func TestReinstateWholeFullResync(t *testing.T) {
 	r := newClusterRig(t, 3)
 	r.run(t, func(p *sim.Proc) {
 		cl := r.clusterRep(t, p, 4, testStripe, 2)
-		if err := cl.SetLayoutPolicy(rfsrv.LayoutPolicy{Adaptive: true}); err != nil {
-			t.Fatal(err)
-		}
 		cl.SetJournalLimits(1, 0)
-		whole := clusterCreate(t, p, cl, "whole")
-		promoted := clusterCreate(t, p, cl, "promoted")
-		const wholeSize, promotedSize = 3 * testStripe, rfsrv.PromoteThreshold + 2*testStripe
+		whole := wholeCreate(t, p, cl, 0, "whole")
+		striped := clusterCreate(t, p, cl, "striped")
+		const wholeSize, stripedSize = 3 * testStripe, 34 * testStripe
 		writeAt(t, p, r, cl, whole, 0, pattern(wholeSize))
-		writeAt(t, p, r, cl, promoted, 0, pattern(promotedSize))
-		if cl.LayoutOf(whole) != rfsrv.LayoutWhole || cl.LayoutOf(promoted) != rfsrv.LayoutStandard {
-			t.Fatalf("layouts %v and %v, want whole and standard", cl.LayoutOf(whole), cl.LayoutOf(promoted))
+		writeAt(t, p, r, cl, striped, 0, pattern(stripedSize))
+		if cl.LayoutOf(whole) != rfsrv.LayoutWhole || cl.LayoutOf(striped) != rfsrv.LayoutStandard {
+			t.Fatalf("layouts %v and %v, want whole and standard", cl.LayoutOf(whole), cl.LayoutOf(striped))
 		}
 		victim := cl.HomeServer(whole)
 
 		r.servers[victim].NIC.Kill()
-		wholeData, promotedData := bytes.Repeat([]byte{0x3e}, wholeSize), pattern(promotedSize)
-		copy(promotedData, bytes.Repeat([]byte{0xc1}, 4*testStripe))
+		wholeData, stripedData := bytes.Repeat([]byte{0x3e}, wholeSize), pattern(stripedSize)
+		copy(stripedData, bytes.Repeat([]byte{0xc1}, 4*testStripe))
 		writeAt(t, p, r, cl, whole, 0, wholeData)
-		writeAt(t, p, r, cl, promoted, 0, promotedData[:4*testStripe])
+		writeAt(t, p, r, cl, striped, 0, stripedData[:4*testStripe])
 		for _, name := range []string{"d1", "d2"} {
 			if _, err := cl.Meta(p, &rfsrv.Req{Op: rfsrv.OpMkdir, Ino: 0, Name: name}); err != nil {
 				t.Fatalf("mkdir %s: %v", name, err)
@@ -243,7 +240,7 @@ func TestReinstateAdaptiveFullResync(t *testing.T) {
 		r.servers[victim].NIC.Revive()
 		p.Sleep(2 * faultTimeout)
 		if err := cl.Reinstate(p, victim); err != nil {
-			t.Fatalf("full-slice resync under the adaptive policy: %v", err)
+			t.Fatalf("full-slice resync with a whole-on-home file: %v", err)
 		}
 		if cl.ReinstateRefusals.N != 1 {
 			t.Fatalf("ReinstateRefusals = %d, want 1 (the full-resync fallback)", cl.ReinstateRefusals.N)
@@ -252,12 +249,12 @@ func TestReinstateAdaptiveFullResync(t *testing.T) {
 			t.Errorf("whole-on-home file: size %d on its home, want %d", n, wholeSize)
 		}
 		assertHolds(t, r, victim, whole, 0, wholeData, "the whole-on-home file")
-		if n := r.serverFS[victim].LocalSize(promoted); n != promotedSize {
-			t.Errorf("promoted file: size %d on the resynced server, want %d", n, promotedSize)
+		if n := r.serverFS[victim].LocalSize(striped); n != stripedSize {
+			t.Errorf("striped file: size %d on the resynced server, want %d", n, stripedSize)
 		}
-		for _, k := range heldStripes(victim, 3, 2, (promotedSize+testStripe-1)/testStripe) {
+		for _, k := range heldStripes(victim, 3, 2, (stripedSize+testStripe-1)/testStripe) {
 			off := k * testStripe
-			assertHolds(t, r, victim, promoted, int64(off), promotedData[off:min(off+testStripe, promotedSize)], "the promoted file")
+			assertHolds(t, r, victim, striped, int64(off), stripedData[off:min(off+testStripe, stripedSize)], "the striped file")
 		}
 		assertWindowsIdle(t, cl)
 		r.checkNoLeaks(t)

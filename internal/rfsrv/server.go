@@ -46,9 +46,10 @@ type Server struct {
 	epochs map[kernel.InodeID]uint64
 
 	// layouts records each regular file's stripe-layout class
-	// (DESIGN.md §10), set by a create hint or OpSetLayout. Absence
-	// means LayoutStandard — unhinted creates never populate the map,
-	// so a policy-free cluster costs no entries. The server itself
+	// (DESIGN.md §10), set by the create hint (or, on an owner group's
+	// other members, the OpLink replicating the fresh dentry) and never
+	// changed. Absence means LayoutStandard — unhinted creates never
+	// populate the map. The server itself
 	// serves whatever byte ranges it is asked for regardless of class;
 	// the class is authoritative placement metadata FOR CLIENTS, carried
 	// in every reply that resolves the inode (Resp.Layout) so any round
@@ -199,31 +200,29 @@ func (s *Server) handleMeta(p *sim.Proc, req *Req) *Resp {
 		resp.Attr, err = s.fs.Getattr(p, ino)
 	case OpReaddir:
 		resp.Entries, err = s.fs.Readdir(p, ino)
-	case OpCreate:
-		// Sharded servers interpret Len as the client's routing-residue
-		// hint instead (shard mode forbids layout hints, which is what
-		// frees the field — see Cluster.EnableShardedNamespace).
-		if s.shard {
-			resp.Attr, err = s.shardMakeNode(p, ino, req, kernel.RegularFile)
-			break
+	case OpCreate, OpMkdir:
+		// Len packs the creator's layout class with, sharded, the routing
+		// residue of the mint (PackNode). A class no file can have, one on
+		// a directory, or a residue sent to an unsharded server is a
+		// protocol violation.
+		arg, lc := UnpackNode(req.Len)
+		kind := kernel.RegularFile
+		if req.Op == OpMkdir {
+			kind = kernel.Directory
 		}
-		// Len carries the creator's layout-class hint (zero — the wire
-		// default — is LayoutStandard, so pre-layout clients are
-		// unchanged). Out-of-range hints are protocol violations.
-		if !ValidLayout(LayoutClass(req.Len)) {
+		switch {
+		case !ValidLayout(lc) || kind == kernel.Directory && lc != LayoutStandard || arg != 0 && !s.shard:
 			err = ErrInval
-			break
+		case s.shard:
+			resp.Attr, err = s.shardMakeNode(p, ino, req.Name, kind, arg-1)
+		case kind == kernel.Directory:
+			resp.Attr, err = s.fs.Mkdir(p, ino, req.Name)
+		default:
+			resp.Attr, err = s.fs.Create(p, ino, req.Name)
 		}
-		resp.Attr, err = s.fs.Create(p, ino, req.Name)
-		if err == nil && LayoutClass(req.Len) != LayoutStandard {
-			s.layouts[resp.Attr.Ino] = LayoutClass(req.Len)
+		if err == nil && lc != LayoutStandard {
+			s.layouts[resp.Attr.Ino] = lc
 		}
-	case OpMkdir:
-		if s.shard {
-			resp.Attr, err = s.shardMakeNode(p, ino, req, kernel.Directory)
-			break
-		}
-		resp.Attr, err = s.fs.Mkdir(p, ino, req.Name)
 	case OpUnlink:
 		if s.shard {
 			// The sharded unlink replies with the victim's attributes:
@@ -263,25 +262,6 @@ func (s *Server) handleMeta(p *sim.Proc, req *Req) *Resp {
 		}
 	case OpSetSize:
 		err = s.handleSetSize(p, ino, req, resp)
-	case OpSetLayout:
-		lc := LayoutClass(req.Len)
-		if !ValidLayout(lc) {
-			err = ErrInval
-			break
-		}
-		if resp.Attr, err = s.fs.Getattr(p, ino); err != nil {
-			break
-		}
-		if lc == LayoutStandard {
-			delete(s.layouts, ino)
-		} else {
-			s.layouts[ino] = lc
-		}
-		// A layout change relocates data, so every cached (size, layout)
-		// view of the file elsewhere is now wrong: bump the size epoch
-		// and let the validated cache invalidate them, exactly like a
-		// truncate (see Server.epochs).
-		s.epochs[ino]++
 	case OpLink:
 		resp.Attr, err = s.handleLink(p, ino, req)
 	case OpMaterialize:
@@ -923,7 +903,8 @@ func (s *Server) release(ss stagedSend) {
 // — advertises the size epoch and layout class of the inode it
 // resolved (the looked-up child when the operation returned one), which
 // revalidates a cluster client's size cache and teaches it the file's
-// placement, and the server's membership epoch, which poisons a client
+// placement (a sharded server outside the inode's home group answers
+// layoutUnknown), and the server's membership epoch, which poisons a client
 // routing under a retired view (DESIGN.md §13).
 //
 // The one staging rule: whatever a reply message is sent from stays the
@@ -947,6 +928,10 @@ func (s *Server) reply(p *sim.Proc, t fabric.Transport, dst hw.NodeID, req *Req,
 		}
 	}
 	resp.Epoch, resp.Layout, resp.MemberEpoch = s.epochs[ino], s.layouts[ino], s.member
+	if s.shard && !s.ownsDir(ino) {
+		// Not the inode's home: a stub here knows no class.
+		resp.Layout = layoutUnknown
+	}
 	hdr, err := EncodeRespInto(s.enc[:0], resp)
 	if err != nil {
 		resp.Status, resp.Attr, resp.N, resp.Entries = StIO, kernel.Attr{}, 0, nil

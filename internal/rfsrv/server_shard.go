@@ -80,7 +80,8 @@ func (s *Server) EnableSharding(index, count, replicas int) error {
 // ownsDir reports whether this server's owner slice covers the
 // directory: it is one of the R servers of the directory's residue —
 // the same placement question, asked of the same value, as the client's
-// owner-group routing.
+// owner-group routing. Asked of any inode, it says whether this server
+// is in the inode's home group.
 func (s *Server) ownsDir(dir kernel.InodeID) bool {
 	return s.geo.holds(s.shardIdx, s.geo.residue(dir))
 }
@@ -110,11 +111,10 @@ func (s *Server) materializeOnDemand(p *sim.Proc, ino kernel.InodeID, kind kerne
 
 // shardMakeNode is the sharded create/mkdir: authority check, lazy
 // parent materialization, then a mint whose residue the client chose
-// (req.Len carries residue+1; 0 means "minter's default"). Files
-// inherit the parent's residue so their owner group serves both; the
-// cluster spreads directories by hashing, which is what makes
-// metadata throughput scale with N.
-func (s *Server) shardMakeNode(p *sim.Proc, dir kernel.InodeID, req *Req, kind kernel.FileKind) (kernel.Attr, error) {
+// (< 0: the minter's default). Files inherit the parent's residue so
+// their owner group serves both; the cluster spreads directories by
+// hashing, which is what makes metadata throughput scale with N.
+func (s *Server) shardMakeNode(p *sim.Proc, dir kernel.InodeID, name string, kind kernel.FileKind, residue int) (kernel.Attr, error) {
 	if !s.ownsDir(dir) {
 		return kernel.Attr{}, ErrNotOwner
 	}
@@ -123,11 +123,10 @@ func (s *Server) shardMakeNode(p *sim.Proc, dir kernel.InodeID, req *Req, kind k
 			return kernel.Attr{}, err
 		}
 	}
-	residue := int(req.Len) - 1
 	if residue >= len(s.geo.members) {
 		return kernel.Attr{}, ErrInval
 	}
-	return s.sfs.MakeNode(p, dir, req.Name, kind, residue)
+	return s.sfs.MakeNode(p, dir, name, kind, residue)
 }
 
 // shardUnlink is the sharded unlink: authority check, rename-mark
@@ -152,11 +151,12 @@ func (s *Server) shardUnlink(p *sim.Proc, dir kernel.InodeID, req *Req) (kernel.
 	return victim, nil
 }
 
-// handleLink is OpLink: enter child (Off) of the given kind (Len)
-// into dir under req.Name. Requires shard mode and dentry authority —
-// it is the replication verb for fresh dentries and the commit half
-// of the two-phase rename, both of which only ever target the owner
-// group of the directory.
+// handleLink is OpLink: enter child (Off) of the kind and layout class
+// Len packs (PackNode) into dir under req.Name, recording a class other
+// than standard (never clearing one). Requires shard mode and dentry
+// authority — it is the replication verb for fresh dentries and the
+// commit half of the two-phase rename, both of which only ever target
+// the owner group of the directory.
 func (s *Server) handleLink(p *sim.Proc, dir kernel.InodeID, req *Req) (kernel.Attr, error) {
 	if !s.shard {
 		return kernel.Attr{}, ErrInval
@@ -169,7 +169,15 @@ func (s *Server) handleLink(p *sim.Proc, dir kernel.InodeID, req *Req) (kernel.A
 			return kernel.Attr{}, err
 		}
 	}
-	return s.sfs.Link(p, dir, req.Name, kernel.InodeID(req.Off), kernel.FileKind(req.Len))
+	kind, lc := UnpackNode(req.Len)
+	if !ValidLayout(lc) {
+		return kernel.Attr{}, ErrInval
+	}
+	a, err := s.sfs.Link(p, dir, req.Name, kernel.InodeID(req.Off), kernel.FileKind(kind))
+	if err == nil && lc != LayoutStandard {
+		s.layouts[a.Ino] = lc
+	}
+	return a, err
 }
 
 // handleMaterialize is OpMaterialize: idempotent stub creation, no

@@ -7,16 +7,13 @@ package rfsrv_test
 // — by re-driving the SAME rename, or by Reinstate replaying the
 // journaled finalize the lagging members missed. Plus the §11 walk
 // transient (one inode visible under both names while the source
-// cleanup lags, with the marked entry refusing mutation), and the
-// sharding/layout-policy composition pin (ErrShardLayoutConflict in
-// both orders, through the knapi alias too).
+// cleanup lags, with the marked entry refusing mutation).
 
 import (
 	"errors"
 	"testing"
 	"time"
 
-	knapi "repro"
 	"repro/internal/kernel"
 	"repro/internal/rfsrv"
 	platform "repro/internal/rig"
@@ -295,41 +292,5 @@ func TestShardRenameInDoubtReaddirWalk(t *testing.T) {
 		}
 		assertWindowsIdle(t, obs)
 		r.checkNoLeaks(t)
-	})
-}
-
-// TestShardLayoutPolicyConflict pins the composition rule: the sharded
-// namespace and the per-file layout policy (§10) are mutually
-// exclusive in EITHER order. The refusals must match
-// ErrShardLayoutConflict through errors.Is, including via the public
-// knapi alias.
-func TestShardLayoutPolicyConflict(t *testing.T) {
-	r := newShardRig(t, 2, 1)
-	r.run(t, func(p *sim.Proc) {
-		// Order 1: sharding first, then the policy.
-		cl := r.shardClient(t, p, 1)
-		err := cl.SetLayoutPolicy(rfsrv.LayoutPolicy{Adaptive: true})
-		if !errors.Is(err, rfsrv.ErrShardLayoutConflict) {
-			t.Fatalf("SetLayoutPolicy on a sharded cluster = %v, want ErrShardLayoutConflict", err)
-		}
-		if !errors.Is(err, knapi.ErrFSShardLayoutConflict) {
-			t.Fatalf("conflict error does not match the knapi alias: %v", err)
-		}
-		if _, on := cl.LayoutPolicy(); on {
-			t.Fatal("refused policy engaged anyway")
-		}
-
-		// Order 2: policy first, then sharding.
-		obs := r.observerRep(t, p, 1)
-		if err := obs.SetLayoutPolicy(rfsrv.LayoutPolicy{Adaptive: true}); err != nil {
-			t.Fatalf("SetLayoutPolicy on a plain cluster: %v", err)
-		}
-		err = obs.EnableShardedNamespace()
-		if !errors.Is(err, rfsrv.ErrShardLayoutConflict) {
-			t.Fatalf("EnableShardedNamespace under a policy = %v, want ErrShardLayoutConflict", err)
-		}
-		if obs.ShardedNamespace() {
-			t.Fatal("refused sharding engaged anyway")
-		}
 	})
 }

@@ -30,6 +30,9 @@ type tClient struct {
 	idx  int
 	node *hw.Node
 	rng  *rand.Rand
+	// lay rolls each private file's layout class at create: a stream of
+	// its own, so adding the roll moved no other draw.
+	lay *rand.Rand
 
 	cl *rfsrv.Cluster
 
@@ -420,12 +423,17 @@ func firstDiff(a, b []byte) int {
 	return 0
 }
 
-// createFile is the must-succeed create (setup and ModeData storm).
+// createFile is the must-succeed create (setup and ModeData storm); a
+// roll of the lay die makes a share of the files whole-on-home.
 func (c *tClient) createFile(p *sim.Proc, d *dirModel) *fileModel {
 	st := c.st
 	h := st.handle()
 	name := fmt.Sprintf("f%d", h)
-	resp, err := c.cl.Meta(p, &rfsrv.Req{Op: rfsrv.OpCreate, Ino: d.ino, Name: name})
+	var hint uint32
+	if c.lay.Intn(100) < wholeShare {
+		hint = uint32(rfsrv.LayoutWhole)
+	}
+	resp, err := c.cl.Meta(p, &rfsrv.Req{Op: rfsrv.OpCreate, Ino: d.ino, Name: name, Len: hint})
 	c.creates++
 	c.ops++
 	if err != nil {

@@ -17,9 +17,10 @@ const (
 	dirsPerClient  = 2
 	maxFiles       = 4 // private files per client, ModeData
 	sharedFiles    = 2
-	regionStripes  = 4 // per-client slice of a shared file
-	maxFileStripes = 8 // private file size cap
-	maxIOStripes   = 3 // single read/write cap
+	regionStripes  = 4  // per-client slice of a shared file
+	maxFileStripes = 8  // private file size cap
+	maxIOStripes   = 3  // single read/write cap
+	wholeShare     = 25 // percent of private files created whole-on-home, ModeData
 )
 
 // fileModel is a private (single-writer) file's model.

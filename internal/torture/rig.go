@@ -122,7 +122,9 @@ func newRunState(cfg Config) (*runState, error) {
 	st.root = &dirModel{handle: rootHandle, name: "/", entries: map[string]*entryModel{}}
 
 	// One rand stream per client plus the schedule's, all split from
-	// the master seed so a (Seed, ScheduleSeed) pair replays exactly.
+	// the master seed so a (Seed, ScheduleSeed) pair replays exactly;
+	// each client's lay die is seeded beside the master, not from it,
+	// so it shifts none of them.
 	master := rand.New(rand.NewSource(cfg.Seed))
 	for i := 0; i < cfg.Clients; i++ {
 		st.clients = append(st.clients, &tClient{
@@ -130,6 +132,7 @@ func newRunState(cfg Config) (*runState, error) {
 			idx:  i,
 			node: r.HW.AddNode(fmt.Sprintf("client%d", i)),
 			rng:  rand.New(rand.NewSource(master.Int63())),
+			lay:  rand.New(rand.NewSource(cfg.Seed ^ 0x77686f6c65<<8 ^ int64(i))),
 		})
 	}
 	if cfg.Mode == ModeData {

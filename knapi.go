@@ -136,10 +136,10 @@ type (
 	FSCluster = rfsrv.Cluster
 
 	// Per-file layout classes (DESIGN.md §10): how a cluster places a
-	// file's bytes. SetLayoutPolicy on the cluster turns the machinery
-	// on; it is inert on a one-server cluster.
-	FSLayoutClass  = rfsrv.LayoutClass
-	FSLayoutPolicy = rfsrv.LayoutPolicy
+	// file's bytes. The class is chosen per create — the hint in the
+	// create request's Len — and fixed for the file's life; on a
+	// one-server cluster both classes place the same.
+	FSLayoutClass = rfsrv.LayoutClass
 
 	// Rename (DESIGN.md §11): on a sharded cluster a cross-owner rename
 	// is the multi-phase protocol whose interrupted runs surface as
@@ -333,12 +333,6 @@ var ErrFSStaleEpoch = rfsrv.ErrStaleEpoch
 // *FSRenameInDoubtError recovers the rename's coordinates.
 var ErrFSRenameInDoubt = rfsrv.ErrRenameInDoubt
 
-// ErrFSShardLayoutConflict rejects combining the sharded namespace
-// with the per-file layout policy in either order (DESIGN.md §10/§11):
-// the composition is a ROADMAP follow-up, so until it lands the
-// conflict is a typed refusal instead of silent misbehavior.
-var ErrFSShardLayoutConflict = rfsrv.ErrShardLayoutConflict
-
 // ErrFSStaleMembership fails an operation on a cluster whose
 // membership view fell behind: a reply carried a higher member epoch
 // than the view the cluster holds, and the cluster is not attached to
@@ -361,19 +355,14 @@ const (
 // Layout classes a cluster file can carry (DESIGN.md §10): standard
 // round-robin striping (the default, bit-identical to the pre-layout
 // protocol) and whole-on-home for small files (all bytes on the
-// inode's hash home: no fan-out, no size-reconciliation RPCs).
+// inode's home: no fan-out, no size-reconciliation RPCs).
 const (
 	FSLayoutStandard = rfsrv.LayoutStandard
 	FSLayoutWhole    = rfsrv.LayoutWhole
 )
 
-// Stripe geometry: the default stripe width, and the size at which
-// the adaptive policy promotes a whole-on-home file to standard
-// striping.
-const (
-	FSDefaultStripeSize = rfsrv.DefaultStripeSize
-	FSPromoteThreshold  = rfsrv.PromoteThreshold
-)
+// FSDefaultStripeSize is the default stripe width.
+const FSDefaultStripeSize = rfsrv.DefaultStripeSize
 
 // ErrFSBadStripe rejects a stripe width that is not a positive
 // page-aligned multiple no larger than the write chunk; ValidateFSStripe

@@ -19,7 +19,9 @@ package main
 // whole universe minus its explicit -Exclusions; surfaces sharing a
 // group=<name> are unioned first (the server's meta dispatch plus
 // serve's one read/write/metadata switch together cover every op). An
-// exclusion that IS covered is reported too — stale exclusions rot.
+// exclusion that IS covered is reported too, and so is one that names
+// no constant of the family (its constant was deleted) — stale
+// exclusions rot.
 //
 // The rfsrv package itself must declare at least one "ops" and one
 // "statuses" surface: deleting the annotations cannot silently
@@ -297,5 +299,15 @@ func (p *Pass) checkOne(s *surface, covered, excluded map[string]bool) {
 			p.report(s.pos, "%s does not handle %s (declared at %s): wire it or exclude it explicitly with -%s",
 				s.desc, name, p.Fset.Position(s.universe[name]), name)
 		}
+	}
+	var ghosts []string
+	for name := range excluded {
+		if _, ok := s.universe[name]; !ok {
+			ghosts = append(ghosts, name)
+		}
+	}
+	sort.Strings(ghosts)
+	for _, name := range ghosts {
+		p.report(s.pos, "%s excludes -%s, which is no %s constant: remove the stale exclusion", s.desc, name, s.class.name)
 	}
 }

@@ -31,6 +31,11 @@ var stale = map[Op]string{ // want "excludes -OpWrite but covers it" "does not h
 	OpRead: "read", OpWrite: "write",
 }
 
+//analyze:dispatch ops -OpSync -OpGone
+var ghost = map[Op]string{ // want "excludes -OpGone, which is no ops constant"
+	OpRead: "read", OpWrite: "write",
+}
+
 func serveMeta(op Op) {
 	//analyze:dispatch ops group=serve
 	switch op {
