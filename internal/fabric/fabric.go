@@ -90,7 +90,8 @@ type Caps struct {
 	// buffer reusable when Send returns: GM hands the extents to the
 	// NIC, which gathers them at DMA time. On every transport a sent
 	// buffer is reusable once its Op is Done, no sooner; the rule is
-	// stated where it is applied, at rfsrv.Server.reply.
+	// stated where it is applied, at rfsrv.Server.reply and its client
+	// half, rfsrv.FabricClient.settle.
 	EagerSend bool
 	// Stream: byte-stream semantics — matching is ignored, message
 	// boundaries are not preserved, receives complete synchronously

@@ -98,6 +98,7 @@ type Buffer struct {
 	va   vm.VirtAddr
 	size int
 	xs   []mem.Extent
+	phys core.Vector // PhysVec's description, rebuilt in place
 	regs map[Transport]bool
 
 	// Quiescence tracking: a buffer goes back to the free list only
@@ -133,6 +134,32 @@ func (b *Buffer) Extents(n int) []mem.Extent {
 // vector.
 func (b *Buffer) KernelVec(n int) core.Vector {
 	return core.Of(core.KernelSeg(b.pool.node.Kernel, b.va, n))
+}
+
+// PhysVec returns the buffer's first n bytes as a physical vector — the
+// way a kernel consumer on a physical-capable transport addresses its
+// staging, with no translation and no registration. The vector is the
+// buffer's own, rebuilt in place: it describes the buffer for whoever
+// holds it, and is valid until the next PhysVec call, which only the
+// next holder makes once the operations over it are done.
+//
+// allocfree
+func (b *Buffer) PhysVec(n int) core.Vector {
+	if n > b.size {
+		//analyze:allow allocfree a misuse panics
+		panic(fmt.Sprintf("fabric: buffer vector %d > %d", n, b.size))
+	}
+	b.phys = b.phys[:0]
+	for _, x := range b.xs {
+		if n == 0 {
+			break
+		}
+		l := min(x.Len, n)
+		//analyze:allow allocfree grows once per buffer, to its extent count
+		b.phys = append(b.phys, core.PhysSeg(x.Addr, l))
+		n -= l
+	}
+	return b.phys
 }
 
 // RegisterWith registers the whole buffer with t once; repeated calls

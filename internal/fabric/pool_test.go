@@ -1,6 +1,7 @@
 package fabric_test
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/fabric"
@@ -93,5 +94,30 @@ func TestPoolRegistrationTravels(t *testing.T) {
 	env.Run(0)
 	if !done {
 		t.Fatal("test body did not run")
+	}
+}
+
+// TestPoolPhysVec: a buffer's physical vector describes exactly the
+// leading bytes its extents do, and is rebuilt in place — describing a
+// buffer for each message allocates nothing once it has been described.
+func TestPoolPhysVec(t *testing.T) {
+	env := sim.NewEngine()
+	node := hw.NewCluster(env, hw.DefaultParams(), hw.PCIXD).AddNode("n")
+	b, err := fabric.PoolOf(node).Get(3 * mem.PageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{3 * mem.PageSize, 1, mem.PageSize + 7, 0} {
+		v := b.PhysVec(n)
+		xs, err := v.Extents()
+		if err != nil || v.TotalLen() != n || n > 0 && !v.AllPhysical() {
+			t.Fatalf("PhysVec(%d) = %v (%v)", n, v, err)
+		}
+		if want := mem.Clip(b.Extents(b.Size()), n); !reflect.DeepEqual(xs, want) && n > 0 {
+			t.Errorf("PhysVec(%d) covers %v, want %v", n, xs, want)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { b.PhysVec(2 * mem.PageSize) }); allocs != 0 {
+		t.Errorf("PhysVec allocated %.0f times per call", allocs)
 	}
 }

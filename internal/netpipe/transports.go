@@ -32,6 +32,7 @@ const (
 	PhysBuf
 )
 
+// String names the mode for report and figure labels.
 func (m AddrMode) String() string {
 	switch m {
 	case UserBuf:

@@ -22,19 +22,24 @@ import (
 // uses for metadata and repair traffic that must not wait for a window
 // slot. What the paper describes as two parallel implementations (one
 // over MX, one over GM) is a handful of capability branches here, and
-// the asymmetry the paper measures reads off the Caps directly —
+// the asymmetry the paper measures reads off the Caps directly. One
+// rule holds on both: a kernel-side client hands the transport kernel
+// memory by physical address — its internal buffers always, resolved
+// once, and the caller's kernel memory whenever one message carries it
+// eagerly (physData) — so the NIC moves it by DMA and MX's medium
+// messages pay no bounce copy on either side (§4.1, §5.1).
 //
 //   - On a vectorial transport (MX) the request and its write data ride
 //     in one message while it stays eager (a larger payload follows as
-//     its own message), read data lands straight in the caller's vector
-//     (physical page-cache frames, kernel buffers or pinned user
-//     memory), and waits are per-request.
+//     its own message, a rendezvous MX translates and pins itself), read
+//     data lands straight in the caller's vector (physical page-cache
+//     frames, kernel buffers or pinned user memory), and waits are
+//     per-request.
 //   - On a non-vectorial registering transport (GM) header and data
-//     travel as separate messages, internal buffers are physically
-//     addressed (kernel side) or registered once (user side), per-
-//     transfer user buffers go through the transport's registration
-//     cache, and completions funnel through the unique event queue
-//     inside the adapter.
+//     travel as separate messages, internal buffers are registered once
+//     on the user side, per-transfer user buffers go through the
+//     transport's registration cache, and completions funnel through
+//     the unique event queue inside the adapter.
 //
 // The DisablePhysicalAPI ablation (stock GM, no §3.3 physical
 // primitives) bounces non-user data through a registered staging
@@ -81,14 +86,16 @@ type FabricClient struct {
 // call returns, so slot reuse cannot alias an in-flight request). pd is
 // the Pending of a synchronous Session verb (Session.launch). reqVec
 // and hdrVec are the slot's descriptions of its two buffers as last
-// sent and posted, rebuilt in place each time: a slot is reused only
-// once its request is retired, when neither is still in use.
+// sent and posted, and dataVec of the caller's memory a read's data
+// lands in or a separate payload leaves from (physData), each rebuilt
+// in place: a slot is reused only once its request is retired, when
+// none is still in use (retire, settle).
 type ctlBufs struct {
-	reqVA, hdrVA   vm.VirtAddr
-	reqXS, hdrXS   []mem.Extent // kernel side, physical transports: resolved once
-	reqVec, hdrVec core.Vector
-	req            Req
-	pd             Pending
+	reqVA, hdrVA            vm.VirtAddr
+	reqXS, hdrXS            []mem.Extent // kernel side, physical transports: resolved once
+	reqVec, hdrVec, dataVec core.Vector
+	req                     Req
+	pd                      Pending
 }
 
 // NewFabricClient prepares a protocol endpoint over any fabric
@@ -129,14 +136,13 @@ func (c *FabricClient) newCtlBufs(p *sim.Proc, b *ctlBufs) error {
 	if b.hdrVA, err = alloc(HdrBufSize, "rfsrv-hdr"); err != nil {
 		return err
 	}
-	caps := c.t.Caps()
 	if c.physCtl() {
-		// Kernel side on a physical-capable non-vectorial transport:
-		// address the internal buffers physically, no registration at
-		// all (the §3.3 extension at work).
+		// Kernel side on a physical-capable transport: address the
+		// internal buffers physically, no registration at all (the §3.3
+		// extension at work).
 		b.reqXS, _ = c.as.Resolve(b.reqVA, reqBufSize)
 		b.hdrXS, _ = c.as.Resolve(b.hdrVA, HdrBufSize)
-	} else if caps.NeedsReg {
+	} else if c.t.Caps().NeedsReg {
 		// User side of a registering transport: the library registers
 		// its own buffers once at startup (the amortized case
 		// registration is designed for).
@@ -177,9 +183,10 @@ func (c *FabricClient) Transport() fabric.Transport { return c.t }
 // SetRequestTimeout arms a per-request reply deadline of d (0 disables,
 // the default): any wait for a reply header or read data gives up after
 // d, withdraws its posted receive so the staging buffer is quiescent,
-// and reports an error satisfying fabric.IsFault. Without a deadline a
-// request to a server that dies after accepting it would hang its
-// completion forever. Timeouts are strictly opt-in — an unarmed client
+// and reports an error satisfying fabric.IsFault; a send still reading
+// the slot or the caller's memory by then is waited for at most one more
+// d first (settle). Without a deadline a request to a server that dies
+// after accepting it would hang its completion forever. Timeouts are strictly opt-in — an unarmed client
 // schedules no timers, so fault-free runs stay bit-identical.
 func (c *FabricClient) SetRequestTimeout(d sim.Time) { c.timeout = d }
 
@@ -224,11 +231,11 @@ func (c *FabricClient) quiesceHdr(p *sim.Proc, b *ctlBufs, hdrOp fabric.Op, seq 
 	}
 }
 
-// physCtl reports whether the internal request/reply buffers are
-// physically addressed.
+// physCtl reports whether the client hands the transport kernel memory
+// by physical address: on the kernel side of every physical-capable
+// transport, unless DisablePhysicalAPI took the §3.3 primitives away.
 func (c *FabricClient) physCtl() bool {
-	caps := c.t.Caps()
-	return c.kernSide && caps.Physical && !caps.Vectors && !c.noPhys
+	return c.kernSide && c.t.Caps().Physical && !c.noPhys
 }
 
 // DisablePhysicalAPI switches the client to stock behaviour for
@@ -275,14 +282,13 @@ func (c *FabricClient) seg(va vm.VirtAddr, n int) core.Segment {
 	return core.UserSeg(c.as, va, n)
 }
 
-// ctlVec is the one addressing rule for internal (request, reply and
-// bounce) buffers, client and server side. It appends to dst the first
-// n bytes of a buffer: by its physical extents xs — resolved once, no
-// registration, the §3.3 extension at work — when phys, by its virtual
-// segment seg otherwise.
-func ctlVec(dst core.Vector, phys bool, seg core.Segment, xs []mem.Extent, n int) core.Vector {
-	if !phys {
-		return append(dst, seg)
+// bufVec appends to dst the first n bytes of one of the client's own
+// buffers (at va, its extents xs resolved once): by physical address
+// when physCtl — no registration, the §3.3 extension at work — and by
+// its virtual segment otherwise.
+func (c *FabricClient) bufVec(dst core.Vector, va vm.VirtAddr, xs []mem.Extent, n int) core.Vector {
+	if !c.physCtl() {
+		return append(dst, c.seg(va, n))
 	}
 	for i := 0; n > 0 && i < len(xs); i++ {
 		l := min(xs[i].Len, n)
@@ -292,28 +298,90 @@ func ctlVec(dst core.Vector, phys bool, seg core.Segment, xs []mem.Extent, n int
 	return dst
 }
 
+// physData appends the caller's memory v to dst — by physical address
+// (phys) when the client hands kernel memory over physically (physCtl),
+// v holds no user memory (that stays the transport's to pin) and one
+// eager message carries it (at most Caps.EagerMax bytes, when the
+// transport has an eager limit), and as it is otherwise. Kernel virtual
+// segments are translated page by page. Above its eager limit a
+// transport translates kernel memory itself — MX's rendezvous charges a
+// kernel pin per page (mx.resolve) — so below it the client charges the
+// same; GM, with no eager limit, has always been handed kernel memory
+// translated, at no charge.
+//
+// allocfree
+func (c *FabricClient) physData(p *sim.Proc, dst, v core.Vector) (out core.Vector, phys bool, err error) {
+	eagerMax := c.t.Caps().EagerMax
+	if !c.physCtl() || hasUserSeg(v) || eagerMax > 0 && v.TotalLen() > eagerMax {
+		return append(dst, v...), false, nil
+	}
+	if err := v.Validate(); err != nil {
+		return dst, false, err
+	}
+	out, pages := dst, 0
+	for _, s := range v {
+		if s.Type == core.Physical {
+			out = appendPhys(out, s.PA, s.Len)
+			continue
+		}
+		pages += s.Pages()
+		for va, left := s.VA, s.Len; left > 0; {
+			pa, err := s.AS.Translate(va)
+			if err != nil {
+				return dst, false, err
+			}
+			l := min(vm.PageSize-va.Offset(), left)
+			out = appendPhys(out, pa, l)
+			va, left = va+vm.VirtAddr(l), left-l
+		}
+	}
+	if pages > 0 && eagerMax > 0 {
+		c.t.Node().CPU.Pin(p, pages, true)
+	}
+	return out, true, nil
+}
+
+// appendPhys appends n bytes at pa to a physical vector, extending its
+// last segment when they continue it.
+//
+// allocfree
+func appendPhys(v core.Vector, pa mem.PhysAddr, n int) core.Vector {
+	if n == 0 {
+		return v
+	}
+	if k := len(v) - 1; k >= 0 && v[k].PA+mem.PhysAddr(v[k].Len) == pa {
+		v[k].Len += n
+		return v
+	}
+	return append(v, core.PhysSeg(pa, n))
+}
+
 // postHdr posts the reply-header receive for seq into b's header
 // buffer.
 func (c *FabricClient) postHdr(p *sim.Proc, b *ctlBufs, seq uint64) (fabric.Op, error) {
-	b.hdrVec = ctlVec(b.hdrVec[:0], c.physCtl(), c.seg(b.hdrVA, HdrBufSize), b.hdrXS, HdrBufSize)
+	b.hdrVec = c.bufVec(b.hdrVec[:0], b.hdrVA, b.hdrXS, HdrBufSize)
 	return c.t.PostRecv(p, core.Exact(tag(seq, c.myEP, kindHdr)), b.hdrVec)
 }
 
 // sendEnc transmits pre-encoded request bytes from b's request buffer,
-// an inline payload's segments (extra) riding behind them.
-func (c *FabricClient) sendEnc(p *sim.Proc, b *ctlBufs, enc []byte, extra core.Vector) error {
+// an inline payload's segments (extra) riding behind them, and returns
+// the send: the NIC may gather the message from b and extra until it is
+// Done (settle).
+func (c *FabricClient) sendEnc(p *sim.Proc, b *ctlBufs, enc []byte, extra core.Vector) (fabric.Op, error) {
 	if err := c.as.WriteBytes(b.reqVA, enc); err != nil {
-		return err
+		return nil, err
 	}
-	b.reqVec = append(ctlVec(b.reqVec[:0], c.physCtl(), c.seg(b.reqVA, len(enc)), b.reqXS, len(enc)), extra...)
-	_, err := c.t.Send(p, c.server, c.serverEP, reqTag, b.reqVec)
-	return err
+	var err error
+	if b.reqVec, _, err = c.physData(p, c.bufVec(b.reqVec[:0], b.reqVA, b.reqXS, len(enc)), extra); err != nil {
+		return nil, err
+	}
+	return c.t.Send(p, c.server, c.serverEP, reqTag, b.reqVec)
 }
 
 // sendReq encodes and transmits a request. The encoding stages through
 // the client's scratch slice: sendEnc copies it into the wire buffer
 // before anything can yield, so the scratch is free again on return.
-func (c *FabricClient) sendReq(p *sim.Proc, b *ctlBufs, req *Req, extra core.Vector) error {
+func (c *FabricClient) sendReq(p *sim.Proc, b *ctlBufs, req *Req, extra core.Vector) (fabric.Op, error) {
 	c.encScratch = EncodeReqInto(c.encScratch[:0], req)
 	return c.sendEnc(p, b, c.encScratch, extra)
 }
@@ -322,16 +390,21 @@ func (c *FabricClient) sendReq(p *sim.Proc, b *ctlBufs, req *Req, extra core.Vec
 // release closure for acquired (cache-managed) user memory, and — on
 // the staged (noPhys) path — a fixup to run once the data length is
 // known. The capability branches here are the paper's §5.2 comparison
-// in four lines: vectorial transports take dst as-is; non-vectorial
-// ones can receive into physical extents or a single registered user
-// segment, nothing else.
-func (c *FabricClient) postData(p *sim.Proc, seq uint64, dst core.Vector) (op fabric.Op, release func(), fixup func(p *sim.Proc, n int), err error) {
+// in a few lines: kernel memory goes physical wherever physData takes
+// it (its description kept in b); past that, vectorial transports take
+// dst as-is, and non-vectorial ones can receive into a single
+// registered user segment, nothing else.
+func (c *FabricClient) postData(p *sim.Proc, b *ctlBufs, seq uint64, dst core.Vector) (op fabric.Op, release func(), fixup func(p *sim.Proc, n int), err error) {
 	if err := dst.Validate(); err != nil {
 		return nil, nil, nil, err
 	}
 	dataMatch := core.Exact(tag(seq, c.myEP, kindData))
-	if c.t.Caps().Vectors {
-		op, err := c.t.PostRecv(p, dataMatch, dst)
+	v, phys, err := c.physData(p, b.dataVec[:0], dst)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	if b.dataVec = v; phys || c.t.Caps().Vectors {
+		op, err := c.t.PostRecv(p, dataMatch, v)
 		if err != nil {
 			return nil, nil, nil, err
 		}
@@ -341,41 +414,34 @@ func (c *FabricClient) postData(p *sim.Proc, seq uint64, dst core.Vector) (op fa
 		if !c.kernSide {
 			return nil, nil, nil, fmt.Errorf("rfsrv: user port cannot address kernel/physical memory on this transport")
 		}
+		// Stock GM (noPhys): receive into the registered staging buffer
+		// and copy to the real destination afterwards (the extra copy the
+		// physical primitives eliminate).
 		xs, err := dst.Extents()
 		if err != nil {
 			return nil, nil, nil, err
 		}
-		if c.noPhys {
-			// Stock GM: receive into the registered staging buffer and
-			// copy to the real destination afterwards (the extra copy
-			// the physical primitives eliminate).
-			n := dst.TotalLen()
-			if n > MaxWriteChunk {
-				return nil, nil, nil, fmt.Errorf("rfsrv: staged receive of %d bytes exceeds staging buffer", n)
-			}
-			op, err := c.t.PostRecv(p, dataMatch, core.Of(c.seg(c.stagingVA, max(n, 1))))
-			if err != nil {
-				return nil, nil, nil, err
-			}
-			node := c.t.Node()
-			fixup := func(p *sim.Proc, got int) {
-				if got == 0 {
-					return
-				}
-				raw, err := c.as.ReadBytes(c.stagingVA, got)
-				if err != nil {
-					panic(err)
-				}
-				node.CPU.Copy(p, got)
-				node.Mem.Scatter(xs, raw)
-			}
-			return op, func() {}, fixup, nil
+		n := dst.TotalLen()
+		if n > MaxWriteChunk {
+			return nil, nil, nil, fmt.Errorf("rfsrv: staged receive of %d bytes exceeds staging buffer", n)
 		}
-		op, err := c.t.PostRecv(p, dataMatch, physVec(xs))
+		op, err := c.t.PostRecv(p, dataMatch, core.Of(c.seg(c.stagingVA, max(n, 1))))
 		if err != nil {
 			return nil, nil, nil, err
 		}
-		return op, func() {}, nil, nil
+		node := c.t.Node()
+		fixup := func(p *sim.Proc, got int) {
+			if got == 0 {
+				return
+			}
+			raw, err := c.as.ReadBytes(c.stagingVA, got)
+			if err != nil {
+				panic(err)
+			}
+			node.CPU.Copy(p, got)
+			node.Mem.Scatter(xs, raw)
+		}
+		return op, func() {}, fixup, nil
 	}
 	if len(dst) != 1 {
 		return nil, nil, nil, fmt.Errorf("rfsrv: cannot receive into a %d-segment vector (no vectorial primitives)", len(dst))
@@ -394,55 +460,65 @@ func (c *FabricClient) postData(p *sim.Proc, seq uint64, dst core.Vector) (op fa
 
 // sendData transmits a write's payload as its own message, tagged with
 // this node (payloadTag), when inlinePayload says it does not ride in
-// the request. A vectorial transport sends src as it is; a
-// non-vectorial one can send physical extents or a single registered
-// user segment, nothing else.
-func (c *FabricClient) sendData(p *sim.Proc, seq uint64, src core.Vector) (func(), error) {
+// the request. Kernel memory goes physical wherever physData takes it
+// (described in b); past that, a vectorial transport sends src as it is
+// — a rendezvous, or user memory MX pins or copies itself — and a
+// non-vectorial one can send a single registered user segment, nothing
+// else. It returns a release closure for acquired user memory and the
+// send when it gathers from src at DMA time (settle), nil when it does
+// not: MX copies user memory, and a rendezvous's memory stays MX's to
+// translate and pin.
+func (c *FabricClient) sendData(p *sim.Proc, b *ctlBufs, seq uint64, src core.Vector) (func(), fabric.Op, error) {
 	dataTag := payloadTag(c.t.Node().ID, seq, c.myEP)
+	v, phys, err := c.physData(p, b.dataVec[:0], src)
+	if err != nil {
+		return nil, nil, err
+	}
+	if b.dataVec = v; phys {
+		op, err := c.t.Send(p, c.server, c.serverEP, dataTag, v)
+		return nil, op, err
+	}
 	if c.t.Caps().Vectors {
 		_, err := c.t.Send(p, c.server, c.serverEP, dataTag, src)
-		return nil, err
+		return nil, nil, err
 	}
 	if !hasUserSeg(src) {
 		if !c.kernSide {
-			return nil, fmt.Errorf("rfsrv: user port cannot address kernel/physical memory on this transport")
+			return nil, nil, fmt.Errorf("rfsrv: user port cannot address kernel/physical memory on this transport")
 		}
+		// Stock GM (noPhys): stage through the registered buffer. The
+		// ablation keeps its owned staging copy (Gather), sampled before
+		// the charge.
 		xs, err := src.Extents()
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		if c.noPhys {
-			// Stock GM: stage through the registered buffer.
-			n := mem.TotalLen(xs)
-			if n > MaxWriteChunk {
-				return nil, fmt.Errorf("rfsrv: staged send of %d bytes exceeds staging buffer", n)
-			}
-			node := c.t.Node()
-			// The ablation keeps its owned staging copy (Gather), sampled
-			// before the charge; only the default path is copy-only.
-			data := node.Mem.Gather(xs)
-			node.CPU.Copy(p, n)
-			if err := c.as.WriteBytes(c.stagingVA, data); err != nil {
-				return nil, err
-			}
-			_, err := c.t.Send(p, c.server, c.serverEP, dataTag, core.Of(c.seg(c.stagingVA, n)))
-			return func() {}, err
+		n := mem.TotalLen(xs)
+		if n > MaxWriteChunk {
+			return nil, nil, fmt.Errorf("rfsrv: staged send of %d bytes exceeds staging buffer", n)
 		}
-		_, err = c.t.Send(p, c.server, c.serverEP, dataTag, physVec(xs))
-		return func() {}, err
+		node := c.t.Node()
+		data := node.Mem.Gather(xs)
+		node.CPU.Copy(p, n)
+		if err := c.as.WriteBytes(c.stagingVA, data); err != nil {
+			return nil, nil, err
+		}
+		op, err := c.t.Send(p, c.server, c.serverEP, dataTag, core.Of(c.seg(c.stagingVA, n)))
+		return nil, op, err
 	}
 	if len(src) != 1 {
-		return nil, fmt.Errorf("rfsrv: cannot send a %d-segment vector (no vectorial primitives)", len(src))
+		return nil, nil, fmt.Errorf("rfsrv: cannot send a %d-segment vector (no vectorial primitives)", len(src))
 	}
 	release, err := c.t.Acquire(p, src)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	if _, err := c.t.Send(p, c.server, c.serverEP, dataTag, src); err != nil {
+	op, err := c.t.Send(p, c.server, c.serverEP, dataTag, src)
+	if err != nil {
 		release()
-		return nil, err
+		return nil, nil, err
 	}
-	return release, nil
+	return release, op, nil
 }
 
 // finish waits for the header reply (at most d; 0 = forever) and
@@ -501,6 +577,8 @@ type flight struct {
 	seq     uint64
 	hdrOp   fabric.Op
 	dataOp  fabric.Op                // reads: the posted data receive
+	sent    fabric.Op                // the request message's send (gathers from bufs, and an inline payload)
+	paid    fabric.Op                // a separate payload's send, when it gathers from the caller's memory
 	release func()                   // acquired (cache-managed) user memory, if any
 	fixup   func(p *sim.Proc, n int) // staged (noPhys) reads: copy-out once the length is known
 	issued  sim.Time                 // the reply deadline runs from here
@@ -530,17 +608,17 @@ func (c *FabricClient) issue(p *sim.Proc, b *ctlBufs, req *Req, data core.Vector
 	}
 	switch {
 	case readShaped(req.Op):
-		if fl.dataOp, fl.release, fl.fixup, err = c.postData(p, req.Seq, data); err == nil {
-			if err = c.sendReq(p, b, req, nil); err != nil {
+		if fl.dataOp, fl.release, fl.fixup, err = c.postData(p, b, req.Seq, data); err == nil {
+			if fl.sent, err = c.sendReq(p, b, req, nil); err != nil {
 				fabric.Cancel(p, fl.dataOp)
 			}
 		}
 	case writeShaped(req.Op) && !inlinePayload(c.t.Caps().EagerMax, reqFixed+len(req.Name), int(req.Len)):
-		if err = c.sendReq(p, b, req, nil); err == nil {
-			fl.release, err = c.sendData(p, req.Seq, data)
+		if fl.sent, err = c.sendReq(p, b, req, nil); err == nil {
+			fl.release, fl.paid, err = c.sendData(p, b, req.Seq, data)
 		}
 	default:
-		err = c.sendReq(p, b, req, data) // an inline payload, if any: metadata carries none
+		fl.sent, err = c.sendReq(p, b, req, data) // an inline payload, if any: metadata carries none
 	}
 	if err != nil {
 		fabric.Cancel(p, fl.hdrOp)
@@ -561,7 +639,9 @@ func (c *FabricClient) issue(p *sim.Proc, b *ctlBufs, req *Req, data core.Vector
 // the slot can be reused: after a data-phase transport fault the
 // header is presumed lost with the peer and is withdrawn instead of
 // waited a second time; after any other data error (truncation) the
-// reply is still coming and is consumed.
+// reply is still coming and is consumed. The slot and the caller's
+// memory go back only once the sends that gather from them are done
+// (settle).
 func (c *FabricClient) retire(p *sim.Proc, fl *flight) (*Resp, error) {
 	var dataErr error
 	if fl.dataOp != nil {
@@ -586,10 +666,30 @@ func (c *FabricClient) retire(p *sim.Proc, fl *flight) (*Resp, error) {
 			err = dataErr
 		}
 	}
+	if fabric.IsFault(err) {
+		c.settle(p, fl.sent)
+		c.settle(p, fl.paid)
+	}
 	if fl.release != nil {
 		fl.release()
 	}
 	return resp, err
+}
+
+// settle is the client half of the one staging rule (Server.reply
+// states it): memory a send gathers from — a slot's request buffer, the
+// caller's memory behind it — is the send's until its Op is Done, for
+// the NIC reads it at DMA time. A reply proves the send was done, since
+// the server answers only a request (and payload) it received whole;
+// only a fault leaves the question open, and settle then waits the send
+// for at most one more deadline. A send that completes locally (MX's)
+// is done within that unless its own NIC stays stalled; one whose
+// completion is the peer's acknowledgement (GM's) never completes toward
+// a peer that died, and is given up on like GM's own send timeout.
+func (c *FabricClient) settle(p *sim.Proc, op fabric.Op) {
+	if op != nil && !op.Done() {
+		fabric.WaitTimeout(p, op, c.timeout)
+	}
 }
 
 // The package's lock order: a window slot (Session.win.Acquire) may be

@@ -359,10 +359,14 @@ func TestClientRejectsNegativeOffsets(t *testing.T) {
 // into fresh server frames, installed by page flip instead of copied
 // out of the request bounce: MX 64 KB 445 688 → 370 526 ns and 4 x
 // 256 KB 5 839 712 → 4 752 632 ns; GM 382 988 → 317 852 and
-// 5 579 312 → 4 532 336 ns.
+// 5 579 312 → 4 532 336 ns. The MX 4 KB read was re-pinned 47 925 →
+// 45 493 ns when a kernel client started to hand MX an eager-sized
+// kernel buffer by physical address: its data lands by DMA instead of
+// being copied out of MX's receive bounce (the client pays a kernel
+// pin of the buffer's pages instead).
 func TestSyncInstantsMatchTheDeletedClient(t *testing.T) {
 	pins := map[string][5]sim.Time{
-		"mx": {10457, 47925, 369939, 370526, 4752632},
+		"mx": {10457, 45493, 369939, 370526, 4752632},
 		"gm": {28328, 62498, 317258, 317852, 4532336},
 	}
 	steps := [5]string{"getattr", "4 KB read", "64 KB read", "64 KB write", "4 x 256 KB write"}

@@ -1,0 +1,163 @@
+package rfsrv
+
+// White-box test of the client half of the one staging rule: a raw
+// fabric endpoint plays a server that never answers, so every request
+// times out, and records the bytes each request message carried.
+
+import (
+	"bytes"
+	"fmt"
+	"testing"
+	"time"
+
+	"repro/internal/core"
+	"repro/internal/fabric"
+	"repro/internal/gm"
+	"repro/internal/hw"
+	"repro/internal/mx"
+	"repro/internal/sim"
+)
+
+// TestTimedOutRequestKeepsItsStaging: a kernel client's NIC gathers a
+// medium request — an inline write, a metadata batch above MX's
+// small-message limit — from the slot's request buffer and the caller's
+// memory at DMA time, and on GM every request and payload. The client's
+// NIC is stalled past the reply deadline with such a request queued, so
+// the request times out; the slot and the caller's buffer are then
+// reused for a different request, and only after that does the stall
+// end. The silent server must receive the first request's bytes intact
+// or not at all: retire hands the memory back only once the send that
+// gathers from it is done (settle). Without that the first message left
+// with the second request's header and data in it.
+func TestTimedOutRequestKeepsItsStaging(t *testing.T) {
+	const (
+		timeout = 100 * time.Microsecond
+		stall   = 150 * time.Microsecond // past the deadline, within settle's one more
+		n       = 8 << 10                // an inline write on MX
+	)
+	for _, transport := range []string{"mx", "gm"} {
+		for _, shape := range []string{"write", "batch"} {
+			t.Run(transport+"/"+shape, func(t *testing.T) {
+				env := sim.NewEngine()
+				c := hw.NewCluster(env, hw.DefaultParams(), hw.PCIXD)
+				sink, client := c.AddNode("sink"), c.AddNode("client")
+				var srv fabric.Transport
+				var err error
+				if transport == "mx" {
+					srv, err = fabric.NewMX(mx.Attach(sink), 1, true)
+				} else {
+					srv, err = fabric.NewGM(gm.Attach(sink), 1, true)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				// The sink keeps what the first request message and the
+				// first request's separate payload (GM) carried.
+				var firstReq, firstPay []byte
+				record := func(match core.Match, into *[]byte) {
+					env.Spawn("sink", func(p *sim.Proc) {
+						buf, err := fabric.PoolOf(sink).Get(64 << 10)
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						op, err := srv.PostRecv(p, match, buf.PhysVec(buf.Size()))
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						st := op.Wait(p)
+						*into, _ = sink.Kernel.ReadBytes(buf.VA(), st.Len)
+					})
+				}
+				record(core.Exact(reqTag), &firstReq)
+				record(core.Exact(payloadTag(client.ID, 1, 2)), &firstPay)
+
+				done := false
+				env.Spawn("client", func(p *sim.Proc) {
+					var fc *FabricClient
+					if transport == "mx" {
+						fc, err = NewMXClient(mx.Attach(client), 2, true, client.Kernel, sink.ID, 1)
+					} else {
+						fc, err = NewGMClient(p, gm.Attach(client), 2, true, client.Kernel, sink.ID, 1, 1024)
+					}
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					// A batch packs a window's worth of requests into one
+					// message from its first slot, which the next batch,
+					// its slots handed back in order, opens with again.
+					window := 1
+					if shape == "batch" {
+						window = 8
+					}
+					sess, err := NewSession(p, fc, window)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					sess.SetRequestTimeout(timeout)
+					va, err := client.Kernel.Mmap(n, "caller")
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					src := core.Of(core.KernelSeg(client.Kernel, va, n))
+					names := func(prefix string) []*Req {
+						var reqs []*Req
+						for i := 0; i < 8; i++ {
+							reqs = append(reqs, &Req{Op: OpLookup, Ino: 1, Name: fmt.Sprintf("%s-%02d", prefix, i)})
+						}
+						return reqs
+					}
+					// issue sends the request of the given round and waits
+					// it out: it must time out, the server being silent.
+					issue := func(round int, fill byte) {
+						var err error
+						if shape == "write" {
+							client.Kernel.WriteBytes(va, bytes.Repeat([]byte{fill}, n))
+							_, err = sess.Write(p, 7, int64(round*n), src)
+						} else {
+							_, err = sess.MetaBatch(p, names(fmt.Sprintf("round%d-name", round)))
+						}
+						if !fabric.IsFault(err) {
+							t.Errorf("round %d against a silent server = %v, want a timeout", round, err)
+						}
+					}
+					client.NIC.StallFor(stall)
+					issue(0, 'A')
+					issue(1, 'B')
+					done = true
+				})
+				env.Run(0)
+				if !done {
+					t.Fatal("the client never finished")
+				}
+				if firstReq == nil {
+					return // nothing at all reached the server: allowed
+				}
+				req, consumed, err := DecodeReq(firstReq)
+				if err != nil {
+					t.Fatalf("the first request message does not decode: %v", err)
+				}
+				if req.Seq != 1 {
+					t.Errorf("the first request message carried request %d, want 1", req.Seq)
+				}
+				if shape == "batch" {
+					if want := "round0-name-00"; req.Name != want {
+						t.Errorf("the first batch opened with %q, want %q", req.Name, want)
+					}
+					return
+				}
+				payload := firstReq[consumed:]
+				if transport == "gm" {
+					payload = firstPay // a payload always travels alone on GM
+				}
+				if req.Off != 0 || len(payload) != n || !bytes.Equal(payload, bytes.Repeat([]byte{'A'}, n)) {
+					t.Errorf("the first write arrived at offset %d with a %d-byte payload that is not the one it was sent with", req.Off, len(payload))
+				}
+			})
+		}
+	}
+}

@@ -45,7 +45,7 @@ func TestServerRejectsBadRanges(t *testing.T) {
 			if err != nil {
 				return nil, err
 			}
-			if err := fc.sendReq(p, &fc.ctl, req, nil); err != nil {
+			if _, err := fc.sendReq(p, &fc.ctl, req, nil); err != nil {
 				return nil, err
 			}
 			return fc.finish(p, &fc.ctl, hdrOp, req.Seq, 0)

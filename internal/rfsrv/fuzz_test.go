@@ -11,11 +11,13 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/fabric"
 	"repro/internal/hw"
 	"repro/internal/kernel"
 	"repro/internal/mem"
 	"repro/internal/memfs"
 	"repro/internal/sim"
+	"repro/internal/vm"
 )
 
 // retiredOp is the opcode after OpSetSize, which no operation holds
@@ -114,13 +116,25 @@ func FuzzDecodeResp(f *testing.F) {
 // handleMeta plus everything unpack finds behind a metadata request —
 // and checks every reply is well formed and the store stays sane. An
 // OpImport's payload is whatever follows its head; an OpExport's image
-// must decode.
+// must decode; a write whose payload follows its head in one message,
+// exactly as long as announced, is an inline write, consumed in place
+// from the pooled bounce the message landed in.
 func FuzzServeBytes(f *testing.F) {
 	batch := EncodeReqInto(nil, &Req{Op: OpCreate, Ino: 1, Name: "new"})
 	batch = EncodeReqInto(batch, &Req{Op: OpTruncate, Ino: 3, Off: -5})
 	batch = EncodeReqInto(batch, &Req{Op: OpReaddir, Ino: 1})
+	// A batch above MX's small-message limit: a medium message, which
+	// lands in the bounce by DMA.
+	var lookups []byte
+	for _, name := range []string{"f", "d", "missing", "f", "a-longer-name", "d"} {
+		lookups = EncodeReqInto(lookups, &Req{Op: OpLookup, Ino: 1, Name: name})
+	}
+	// An inline write whose payload crosses the bounce's first page.
+	inline := append(EncodeReqInto(nil, &Req{Op: OpWrite, Ino: 3, Off: 1000, Len: 6000}), bytes.Repeat([]byte("0123456789"), 600)...)
 	for _, sharded := range []bool{false, true} {
 		f.Add(batch, sharded)
+		f.Add(lookups, sharded)
+		f.Add(inline, sharded)
 		f.Add(EncodeReqInto(nil, &Req{Op: OpRead, Ino: 3, Off: 4000, Len: 1 << 16}), sharded)
 		f.Add(EncodeReqInto(nil, &Req{Op: OpRead, Ino: 77, Off: -1, Len: 1}), sharded)
 		f.Add(EncodeReqInto(nil, &Req{Op: OpWrite, Ino: 3, Off: 1 << 40, Len: 512}), sharded)
@@ -145,8 +159,8 @@ func FuzzServeBytes(f *testing.F) {
 			f.Add(append(EncodeReqInto(nil, &Req{Op: OpImport}), img...), sharded)
 		}
 	}
-	f.Fuzz(func(t *testing.T, raw []byte, sharded bool) {
-		raw = raw[:min(len(raw), 4096)] // the head serve decodes
+	f.Fuzz(func(t *testing.T, msg []byte, sharded bool) {
+		raw := msg[:min(len(msg), reqBufSize)] // the head serve decodes
 		req, consumed, err := DecodeReq(raw)
 		if err != nil || req.Op == OpRead && req.Len > 1<<20 {
 			return // (a huge sparse read is legal, and only slow to fuzz)
@@ -238,10 +252,25 @@ func FuzzServeBytes(f *testing.F) {
 					t.Fatalf("install of %+v: %d frames neither installed nor freed", req, leaked)
 				}
 				s.putWork(w)
-				if n := int(req.Len); n <= MaxWriteChunk {
-					va, _ := node.Kernel.Mmap(max(n, 1), "payload")
-					check(req, s.handleWrite(p, req, core.Of(core.KernelSeg(node.Kernel, va, n)), nil))
+				n := int(req.Len)
+				if !inlinePayload(node.Cluster.Params.MXMediumMax, consumed, n) || len(msg) != consumed+n {
+					if n <= MaxWriteChunk {
+						va, _ := node.Kernel.Mmap(max(n, 1), "payload")
+						check(req, s.handleWrite(p, req, core.Of(core.KernelSeg(node.Kernel, va, n)), nil))
+					}
+					break
 				}
+				bounce, err := fabric.PoolOf(node).Get(max(reqBufSize, node.Cluster.Params.MXMediumMax))
+				if err != nil {
+					t.Fatal(err)
+				}
+				node.Kernel.WriteBytes(bounce.VA(), msg)
+				resp = s.handleWrite(p, req, core.Of(core.KernelSeg(node.Kernel, bounce.VA()+vm.VirtAddr(consumed), n)), nil)
+				check(req, resp)
+				if resp.Status == StOK && !bytes.Equal(fs.ReadRange(req.Ino, req.Off, n), msg[consumed:]) {
+					t.Fatalf("inline write %+v did not store its payload", req)
+				}
+				bounce.Release()
 			default:
 				check(req, s.handleMeta(p, req))
 				for _, extra := range s.unpack(raw[consumed:]) {

@@ -302,7 +302,7 @@ func (s *Server) serveExport(p *sim.Proc, t fabric.Transport, w *work) {
 		if err := s.node.Kernel.WriteBytes(buf.VA(), raw); err != nil {
 			panic(err)
 		}
-		held.buf, data = buf, s.bufVec(t, buf, len(raw))
+		held.buf, data = buf, buf.PhysVec(len(raw))
 	}
 	s.sendData(p, t, w.src, w.req, data, held)
 	s.reply(p, t, w.src, w.req, resp)

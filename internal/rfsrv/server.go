@@ -71,7 +71,6 @@ type Server struct {
 	inside   int
 	staged   []stagedSend
 	enc      []byte
-	vec      core.Vector // bufVec's scratch
 
 	// Sharded-namespace state (see EnableSharding): when shard is set
 	// this server is ring position shardIdx of the geometry geo, owns
@@ -475,12 +474,14 @@ func (s *Server) handleWrite(p *sim.Proc, req *Req, src core.Vector, frames []*m
 // the paper's asymmetry lives (§5.2): a write's payload rides inline
 // behind the request while the message fits the transport's eager limit
 // and follows as its own tagged message otherwise (inlinePayload, which
-// sends every payload of a transport without vectors alone); internal
-// buffers are addressed kernel-virtual on a vectorial transport and
-// physically otherwise (ctlVec, shared with the client); and a
+// sends every payload of a transport without vectors alone); and a
 // transport whose completions come from a single queue is served by one
 // process in arrival order instead of posted receives feeding workers
-// (Serve).
+// (Serve). Its internal buffers — the request bounce and the reply
+// staging — are addressed physically on every transport
+// (fabric.Buffer.PhysVec), the rule FabricClient's kernel side follows
+// too: the NIC moves them by DMA, and MX's medium messages pay no
+// bounce copy on either side.
 
 // work is one received request message on its way to being served: the
 // decoded leading request, the head of the raw message (which may carry
@@ -610,19 +611,6 @@ func (s *Server) Serve(t fabric.Transport, workers int) error {
 	return nil
 }
 
-// bufVec describes the first n bytes of a pooled buffer the way t wants
-// the server's internal buffers addressed. The physical description is
-// built in a scratch the server reuses: a non-vectorial transport has
-// one serving process, and its primitives take extents, which the
-// transport resolves from the vector before Send/PostRecv returns.
-func (s *Server) bufVec(t fabric.Transport, buf *fabric.Buffer, n int) core.Vector {
-	if t.Caps().Vectors {
-		return ctlVec(nil, false, core.KernelSeg(s.node.Kernel, buf.VA(), n), nil, n)
-	}
-	s.vec = ctlVec(s.vec[:0], true, core.Segment{}, buf.Extents(buf.Size()), n)
-	return s.vec
-}
-
 // recvReq receives the next well-formed request message into *held, the
 // calling receiver's pooled bounce buffer (nil: one is taken from the
 // pool), sized for the longest request that can arrive in one: a
@@ -648,7 +636,7 @@ func (s *Server) recvReq(p *sim.Proc, t fabric.Transport, held **fabric.Buffer) 
 			*held = buf
 		}
 		bounce := *held
-		op, err := t.PostRecv(p, core.Exact(reqTag), s.bufVec(t, bounce, bounceLen))
+		op, err := t.PostRecv(p, core.Exact(reqTag), bounce.PhysVec(bounceLen))
 		if err != nil {
 			panic(err)
 		}
@@ -771,12 +759,7 @@ func (s *Server) payloadFrames(w *work) bool {
 	for _, f := range fs {
 		pg := off % mem.PageSize
 		chunk := int(min(mem.PageSize-pg, end-off))
-		pa := f.Addr() + mem.PhysAddr(pg)
-		if k := len(w.vec) - 1; k >= 0 && w.vec[k].PA+mem.PhysAddr(w.vec[k].Len) == pa {
-			w.vec[k].Len += chunk // physically contiguous with the page before
-		} else {
-			w.vec = append(w.vec, core.PhysSeg(pa, chunk))
-		}
+		w.vec = appendPhys(w.vec, f.Addr()+mem.PhysAddr(pg), chunk)
 		off += int64(chunk)
 	}
 	return true
@@ -946,7 +929,7 @@ func (s *Server) reply(p *sim.Proc, t fabric.Transport, dst hw.NodeID, req *Req,
 	if err := s.node.Kernel.WriteBytes(buf.VA(), hdr); err != nil {
 		panic(err)
 	}
-	op, err := t.Send(p, dst, req.EP, tag(req.Seq, req.EP, kindHdr), s.bufVec(t, buf, len(hdr)))
+	op, err := t.Send(p, dst, req.EP, tag(req.Seq, req.EP, kindHdr), buf.PhysVec(len(hdr)))
 	if err != nil {
 		if !fabric.IsFault(err) {
 			panic(err)

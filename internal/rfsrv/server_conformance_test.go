@@ -307,12 +307,19 @@ func TestServeSurvivesDeadClient(t *testing.T) {
 // → 1 977 671 and 5 092 887 → 4 700 471 ns, gm/8 1 854 062 → 1 723 390
 // and 3 481 901 → 3 351 229, mx/1 2 337 879 → 1 925 411 and 4 998 639
 // → 4 586 171, mx/8 2 001 254 → 1 851 202 and 3 627 108 → 3 477 056
-// (the reads themselves take exactly as long as before).
+// (the reads themselves take exactly as long as before). MX moved again
+// when rfsrv's kernel memory started to reach MX by physical address —
+// the server's request bounce and reply staging, the client's request
+// and reply buffers, and eager-sized caller buffers — so a medium
+// message pays no bounce copy on either side: mx/1's read phase
+// 4 586 171 → 4 243 691 ns (its 16 KB reads land by DMA), mx/8 38 057 →
+// 37 345, 1 851 202 → 1 850 490 and 3 477 056 → 3 462 665 ns. GM,
+// which already moved all of it by physical address, did not move.
 var pinnedInstants = map[string][]sim.Time{
 	"gm/1": {254991, 1977671, 4700471},
 	"gm/8": {75354, 1723390, 3351229},
-	"mx/1": {94183, 1925411, 4586171},
-	"mx/8": {38057, 1851202, 3477056},
+	"mx/1": {94183, 1925411, 4243691},
+	"mx/8": {37345, 1850490, 3462665},
 }
 
 func TestServeVirtualInstantsPinned(t *testing.T) {

@@ -2,11 +2,12 @@ package rfsrv_test
 
 // The MX server's posted receives (Server.Serve): as many as it has
 // workers once it has seen two requests at once, exactly one before;
-// and the block-store frames a read reply is sent from, held until the
-// NIC has read them.
+// and the block-store frames a read reply is sent from, and the pooled
+// buffer a reply header is sent from, held until the NIC has read them.
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -87,8 +88,11 @@ func TestServeAnswersAReadDuringAnotherClientsRendezvous(t *testing.T) {
 	}
 	// The single-receive server finished the write at the same instant
 	// and the read only once the write's payload was in (418 170 ns
-	// while payloads landed in the request bounce).
-	if want := [2]sim.Time{370526, 67925}; [2]sim.Time{aDone, bDone} != want || bDone >= aDone {
+	// while payloads landed in the request bounce). The read was
+	// re-pinned 67 925 → 65 493 ns when its 4 KB kernel buffer started to
+	// reach MX by physical address: the data lands by DMA, not by a copy
+	// out of MX's receive bounce.
+	if want := [2]sim.Time{370526, 65493}; [2]sim.Time{aDone, bDone} != want || bDone >= aDone {
 		t.Errorf("write and read finished %d and %d ns after the write was issued, pinned at %d and %d (the read first)",
 			aDone, bDone, want[0], want[1])
 	}
@@ -111,8 +115,11 @@ func TestSynchronousClientNeverWakesTheOtherReceivers(t *testing.T) {
 		t.Errorf("virtual instants %v, pinned %v", got, pinnedInstants["mx/1"])
 	}
 	const (
-		oneWorker = 2254 // this rig and script on the one-worker server
-		parked    = 6    // receivers and workers 2-4 start, and park
+		// This rig and script on the one-worker server: 2 254 while MX
+		// copied medium messages, 2 278 since they go zero-copy (each
+		// completes from its transmit's own event).
+		oneWorker = 2278
+		parked    = 6 // receivers and workers 2-4 start, and park
 	)
 	if got := r.env.Events(); got != oneWorker+parked {
 		t.Errorf("%d events scheduled, want %d: the one-worker server's %d, +%d", got, oneWorker+parked, oneWorker, parked)
@@ -209,5 +216,66 @@ func TestReadDataOutlivesATruncate(t *testing.T) {
 				assertServerQuiet(t, r.srv, r.server)
 			})
 		}
+	}
+}
+
+// TestReplyHeaderOutlivesTheNextReply: a readdir listing longer than
+// MX's small-message limit goes out zero-copy from its pooled header
+// buffer, and the NIC reads it only when the message reaches the head of
+// its transmit queue. A batch carries the readdir and a getattr, so the
+// server sends the getattr's reply straight after the listing's, while
+// its NIC is stalled; the listing must still arrive as it was encoded.
+// Without the staging rule the getattr's header took the pooled buffer
+// the listing was still queued in, and the client read a getattr reply
+// under the readdir's sequence number.
+func TestReplyHeaderOutlivesTheNextReply(t *testing.T) {
+	for _, transport := range transports {
+		t.Run(transport, func(t *testing.T) {
+			r := newRigWorkers(t, 2)
+			var names []string
+			var resps []*rfsrv.Resp
+			var stallEnd, done sim.Time
+			r.run(t, func(p *sim.Proc) {
+				for i := 0; i < 8; i++ {
+					names = append(names, fmt.Sprintf("listed-file-%02d", i))
+					r.seed(t, p, names[i], nil)
+				}
+				sess := r.sessionOver(t, p, transport, 2, 2)
+				reqs := []*rfsrv.Req{{Op: rfsrv.OpReaddir}, {Op: rfsrv.OpGetattr}}
+				var err error
+				r.env.Spawn("batch", func(p *sim.Proc) {
+					resps, err = sess.MetaBatch(p, reqs)
+					done = p.Now()
+				})
+				for len(r.srv.Sessions()) == 0 || r.srv.Sessions()[0].Outstanding == 0 {
+					p.Sleep(100 * time.Nanosecond)
+				}
+				// The batch is inside the server and neither reply is out
+				// yet: both wait behind this stall.
+				r.server.NIC.StallFor(500 * us)
+				stallEnd = p.Now() + 500*us
+				for done == 0 {
+					p.Sleep(10 * us)
+				}
+				if err != nil {
+					t.Fatalf("batch: %v", err)
+				}
+			})
+			if done <= stallEnd {
+				t.Errorf("the batch completed at %v, inside the stall (until %v): its replies were not held back", done, stallEnd)
+			}
+			if len(resps) != 2 || len(resps[0].Entries) != len(names) {
+				t.Fatalf("readdir listed %+v, want %d entries", resps, len(names))
+			}
+			for i, e := range resps[0].Entries {
+				if e.Name != names[i] {
+					t.Errorf("entry %d is %q, want %q", i, e.Name, names[i])
+				}
+			}
+			if resps[1].Attr.Ino != r.serverFS.Root() {
+				t.Errorf("getattr answered inode %d, want the root", resps[1].Attr.Ino)
+			}
+			assertServerQuiet(t, r.srv, r.server)
+		})
 	}
 }

@@ -90,7 +90,8 @@ func (r *wireRig) run(t *testing.T, body func(p *sim.Proc)) {
 }
 
 // vec stages data in a fresh pooled client buffer and describes it the
-// way the transport wants internal buffers addressed.
+// way kernel code hands its internal buffers to either transport: by
+// physical address.
 func (r *wireRig) vec(t *testing.T, data []byte, n int) (core.Vector, *fabric.Buffer) {
 	t.Helper()
 	buf, err := fabric.PoolOf(r.client).Get(max(n, 1))
@@ -100,7 +101,7 @@ func (r *wireRig) vec(t *testing.T, data []byte, n int) (core.Vector, *fabric.Bu
 	if err := r.client.Kernel.WriteBytes(buf.VA(), data); err != nil {
 		t.Fatal(err)
 	}
-	return ctlVec(nil, !r.t.Caps().Vectors, core.KernelSeg(r.client.Kernel, buf.VA(), n), buf.Extents(buf.Size()), n), buf
+	return buf.PhysVec(n), buf
 }
 
 // wireCall is one request on the wire from the raw client: its posted

@@ -340,6 +340,7 @@ type batchFlight struct {
 	bufs   []*ctlBufs
 	hdrs   []fabric.Op
 	seqs   []uint64
+	sent   fabric.Op // the combined message's send, gathering from bufs[0]
 	issued sim.Time
 }
 
@@ -394,7 +395,8 @@ func (s *Session) startBatchFlight(p *sim.Proc, reqs []*Req, start int) (*batchF
 	}
 	// The packed message stages through the first slot's request
 	// buffer and is matched by the server like any other request.
-	if err := s.c.sendEnc(p, bufs[0], packed, nil); err != nil {
+	sent, err := s.c.sendEnc(p, bufs[0], packed, nil)
+	if err != nil {
 		abort()
 		return nil, start, err
 	}
@@ -404,14 +406,15 @@ func (s *Session) startBatchFlight(p *sim.Proc, reqs []*Req, start int) (*batchF
 	}
 	// Hand the (grown) scratch to the flight; wait resets it.
 	s.batchBufs, s.batchHdrs, s.batchSeqs, s.packScratch = bufs, hdrs, seqs, packed
-	s.flight = batchFlight{s: s, bufs: bufs, hdrs: hdrs, seqs: seqs, issued: p.Now()}
+	s.flight = batchFlight{s: s, bufs: bufs, hdrs: hdrs, seqs: seqs, sent: sent, issued: p.Now()}
 	return &s.flight, end, nil
 }
 
 // wait retires every request of the flight in order, appending the
 // replies to out (the first error is returned after ALL slots are
 // quiesced and returned to the window — a faulted batch must not leak
-// posted receives).
+// posted receives). The slot the message went from goes back once its
+// send is done (FabricClient.settle).
 func (fl *batchFlight) wait(p *sim.Proc, out []*Resp) ([]*Resp, error) {
 	s := fl.s
 	var firstErr error
@@ -420,6 +423,9 @@ func (fl *batchFlight) wait(p *sim.Proc, out []*Resp) ([]*Resp, error) {
 		// batch against a dead server must expire together, not
 		// serialize a fresh timeout each.
 		resp, err := s.c.finish(p, fl.bufs[i], fl.hdrs[i], fl.seqs[i], s.c.deadlineFrom(p, fl.issued))
+		if i == 0 && fabric.IsFault(err) {
+			s.c.settle(p, fl.sent)
+		}
 		if err != nil && firstErr == nil {
 			firstErr = err
 		}
