@@ -139,10 +139,10 @@ func TestAllocGateORFSFile(t *testing.T) {
 // TestAllocGatePipelinedReadBounces gates what a queued request pins on
 // the server: a pipelined read through an MX server takes no bounce
 // buffer from the pool in steady state. A read (like every request but
-// a write) is copied out of the bounce it landed in when it is
-// received, so the receiver posts the same bounce again; taking a fresh
-// 272 KB bounce per request, as the server did while it handed every
-// bounce to a worker, reads 1.0 here.
+// an inline write, whose payload's frames go with it) is copied out of
+// the receiver's inbox when it is received, so the receiver posts the
+// same inbox again; taking a fresh bounce per request, as the server
+// did while it handed every bounce to a worker, reads 1.0 here.
 func TestAllocGatePipelinedReadBounces(t *testing.T) {
 	got, err := figures.PipelinedReadBounces(256)
 	if err != nil {

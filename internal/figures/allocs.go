@@ -173,13 +173,13 @@ func sessionAllocs(name string, ops int, write func(i int) bool) (HostCost, erro
 	return allocs, err
 }
 
-// PipelinedReadBounces reports how many request bounce buffers (sized
-// for an inline write filling MX's eager limit, 8 contiguous frames
-// each) one MX server's pool hands out per request while a client keeps a window of
-// eight 16 KB reads in flight, in steady state — after the warm-up has
-// shown the server concurrency, so every receiver is posted. A read is
-// copied out of its bounce whole when it is received, so the receivers
-// keep theirs and the answer is zero; the reply headers' staging
+// PipelinedReadBounces reports how many request bounce buffers (the
+// page under a receiver's header segment) one MX server's pool hands out
+// per request while a client keeps a window of eight 16 KB reads in
+// flight, in steady state — after the warm-up has shown the server
+// concurrency, so every receiver is posted. A read is copied out of its
+// receiver's inbox whole when it is received, so the receivers keep
+// their bounces and the answer is zero; the reply headers' staging
 // buffers, which the same pool hands out one per reply, are told apart
 // by size class.
 func PipelinedReadBounces(ops int) (float64, error) {
@@ -188,7 +188,7 @@ func PipelinedReadBounces(ops int) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	hdrClass, bounceClass := int64(rfsrv.HdrBufSize), int64(r.HW.Params.MXMediumMax)
+	hdrClass, bounceClass := int64(rfsrv.HdrBufSize), int64(mem.PageSize)
 	var bounces float64
 	_, err = r.Run("probe", 0, func(p *sim.Proc) error {
 		node := r.HW.AddNode("client")
@@ -233,7 +233,7 @@ func PipelinedReadBounces(ops int) (float64, error) {
 		}
 		// gets = headers + bounces and bytes = headers x hdrClass +
 		// bounces x bounceClass: two size classes, two equations.
-		bounces = float64(bytes-gets*hdrClass) / float64(bounceClass-hdrClass) / float64(ops)
+		bounces = float64(gets*hdrClass-bytes) / float64(hdrClass-bounceClass) / float64(ops)
 		return nil
 	}, nil)
 	return bounces, err

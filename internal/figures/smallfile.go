@@ -173,10 +173,10 @@ func (c Config) SmallFile() ([]*Figure, error) {
 		XLabel: "servers", YLabel: "aggregate create+write+read ops/s",
 		Series: opsSeries,
 		Unit:   "ops/s",
-		Expected: "beyond the paper: striping gains nothing below one stripe — the adaptive " +
-			"whole-on-home layout spreads small files across servers by inode hash and skips " +
-			"the size-reconciliation fan, so it should pull ahead as servers are added while " +
-			"the striped policy stays pinned to the stripe-0 owner",
+		Expected: "beyond the paper: striping gains nothing below one stripe — files created " +
+			"with the whole-on-home layout class spread across servers by inode hash and skip " +
+			"the size-reconciliation fan, so they should pull ahead as servers are added while " +
+			"files of the standard (striped) class stay pinned to the stripe-0 owner",
 	}
 	fanFig := &Figure{
 		ID:     "smallfile-setsize",

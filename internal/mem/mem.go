@@ -164,6 +164,28 @@ func (m *Memory) AllocFrame() (*Frame, error) {
 	return f, nil
 }
 
+// AllocFrames appends n frames from AllocFrame to fs, the new ones in
+// ascending PFN order: the allocator recycles frames last in first out,
+// and handing a run of them to consecutive pages of a file in PFN order
+// keeps its blocks physically contiguous — one extent, not one per
+// page, when it is read.
+//
+// allocfree
+func (m *Memory) AllocFrames(fs []*Frame, n int) ([]*Frame, error) {
+	start := len(fs)
+	for range n {
+		f, err := m.AllocFrame()
+		if err != nil {
+			return fs, err
+		}
+		fs = append(fs, f)
+		for j := len(fs) - 1; j > start && fs[j].pfn < fs[j-1].pfn; j-- {
+			fs[j], fs[j-1] = fs[j-1], fs[j]
+		}
+	}
+	return fs, nil
+}
+
 // AllocContig allocates n physically contiguous frames (fresh PFNs, never
 // recycled ones), each with reference count 1. This models kernel
 // contiguous allocations (bounce buffers, DMA rings).
@@ -201,6 +223,15 @@ func (m *Memory) Put(f *Frame) {
 		m.freeList = append(m.freeList, f.pfn)
 		m.allocked--
 		framePool.Put(f)
+	}
+}
+
+// PutAll Puts every frame of fs.
+//
+// allocfree
+func (m *Memory) PutAll(fs []*Frame) {
+	for _, f := range fs {
+		m.Put(f)
 	}
 }
 
@@ -413,4 +444,29 @@ func PagesIn(offset, n int) int {
 		return 0
 	}
 	return (offset%PageSize + n + PageSize - 1) / PageSize
+}
+
+// ReadFrames fills dst from a run of frames read as one byte space,
+// starting at byte at of frames[0]: the layout a receive into whole
+// frames leaves a message in.
+//
+// allocfree
+func ReadFrames(frames []*Frame, at int, dst []byte) {
+	for len(dst) > 0 {
+		n := copy(dst, frames[at/PageSize].data[at%PageSize:])
+		dst, at = dst[n:], at+n
+	}
+}
+
+// ClearFrames zeroes bytes [lo, hi) of frames read as one byte space,
+// as ReadFrames reads them, and reports how many bytes that was.
+//
+// allocfree
+func ClearFrames(frames []*Frame, lo, hi int) int {
+	for i := lo; i < hi; {
+		n := min(hi-i, PageSize-i%PageSize)
+		clear(frames[i/PageSize].data[i%PageSize:][:n])
+		i += n
+	}
+	return max(hi-lo, 0)
 }

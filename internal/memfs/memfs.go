@@ -468,54 +468,66 @@ func (fs *FS) WriteDirect(p *sim.Proc, id kernel.InodeID, off int64, v core.Vect
 }
 
 // InstallPages stores the n bytes at off that a write's payload carried
-// into frames: fresh frames, frames[i] standing for page off/PageSize+i
-// of the range and holding its share of the bytes at their in-page
-// position, zeros elsewhere. It installs them by page flip — a page the
-// range covers whole, or a hole, takes its frame as the block and the
-// block it had is Put, so a reader still holding that block (a queued
-// read reply) keeps the bytes it was served — and copies only into a
-// block the range covers in part, charging the copy for those bytes
-// alone. The store takes over the caller's reference on every frame,
+// into frames: fresh frames read as one byte space, the payload running
+// from byte at of frames[0] (len(frames) == PagesIn(at, n)). A payload
+// at its in-page position (at == off%PageSize) has frames[i] standing
+// for page off/PageSize+i, holding its share of the bytes there and
+// zeros elsewhere, and is installed by page flip — a page the range
+// covers whole, or a hole, takes its frame as the block and the block it
+// had is Put, so a reader still holding that block (a queued read reply)
+// keeps the bytes it was served — with a copy only into a block the
+// range covers in part, charged for those bytes alone. A payload shifted
+// off its in-page position is copied into the blocks whole, charged as
+// such. The store takes over the caller's reference on every frame,
 // whatever it returns; size and version move here, as WriteDirect's do.
 //
 // allocfree
-func (fs *FS) InstallPages(p *sim.Proc, id kernel.InodeID, off int64, n int, frames []*mem.Frame) (int, error) {
+func (fs *FS) InstallPages(p *sim.Proc, id kernel.InodeID, off int64, n int, frames []*mem.Frame, at int) (int, error) {
 	ino, err := fs.get(id)
-	if err == nil && (off < 0 || len(frames) != mem.PagesIn(int(off%mem.PageSize), n)) {
+	if err == nil && (off < 0 || at < 0 || at >= mem.PageSize || len(frames) != mem.PagesIn(at, n)) {
 		err = kernel.ErrBadOffset
 	}
 	if err != nil {
-		for _, f := range frames {
-			fs.node.Mem.Put(f)
-		}
+		fs.node.Mem.PutAll(frames)
 		return 0, err
 	}
 	// The install is one instant; its costs are charged after it, so no
 	// other process can free or replace a block between deciding what to
 	// flip and flipping it.
 	end, copied := off+int64(n), 0
-	for i, f := range frames {
-		idx := off/mem.PageSize + int64(i)
-		lo := int(max(off-idx*mem.PageSize, 0))
+	flip := at == int(off%mem.PageSize)
+	for pos := off; pos < end; {
+		idx := pos / mem.PageSize
+		lo := int(pos - idx*mem.PageSize)
 		hi := int(min(end-idx*mem.PageSize, mem.PageSize))
+		src := at + int(pos-off) // where the page's share sits in frames
 		old := ino.blocks[idx]
-		if old != nil && hi-lo < mem.PageSize {
-			copy(old.Data()[lo:hi], f.Data()[lo:hi])
+		if flip && (old == nil || hi-lo == mem.PageSize) {
+			if old != nil {
+				fs.node.Mem.Put(old)
+			}
+			ino.blocks[idx] = frames[src/mem.PageSize]
+		} else {
+			blk, err := fs.ensureBlock(ino, idx)
+			if err != nil {
+				panic(err) // test memories are unbounded
+			}
+			mem.ReadFrames(frames, src, blk.Data()[lo:hi])
 			copied += hi - lo
-			fs.node.Mem.Put(f)
-			continue
 		}
-		if old != nil {
-			fs.node.Mem.Put(old)
+		pos += int64(hi - lo)
+	}
+	for i, f := range frames {
+		if !flip || ino.blocks[off/mem.PageSize+int64(i)] != f {
+			fs.node.Mem.Put(f) // copied from, not flipped in
 		}
-		ino.blocks[idx] = f
 	}
 	if end > ino.attr.Size {
 		ino.attr.Size = end
 	}
 	ino.attr.Version++
 	if fs.pageCost > 0 {
-		p.Sleep(fs.pageCost * sim.Time(len(frames)))
+		p.Sleep(fs.pageCost * sim.Time(mem.PagesIn(int(off%mem.PageSize), n)))
 	}
 	if copied > 0 {
 		fs.node.CPU.Copy(p, copied)

@@ -476,7 +476,7 @@ func TestInstallPagesFlipsWholePages(t *testing.T) {
 		attr, _ := r.fs.Getattr(p, ino)
 		frames := payload(t, r.node.Mem, 0, neu)
 		start := p.Now()
-		if n, err := r.fs.InstallPages(p, ino, 0, len(neu), frames); err != nil || n != len(neu) {
+		if n, err := r.fs.InstallPages(p, ino, 0, len(neu), frames, 0); err != nil || n != len(neu) {
 			t.Fatalf("install: %d %v", n, err)
 		}
 		if p.Now() != start || r.node.CPU.CopyStats.Bytes != copied {
@@ -532,7 +532,7 @@ func TestInstallPagesCopiesOnlyPartialPages(t *testing.T) {
 			copied := r.node.CPU.CopyStats.Bytes
 			frames := payload(t, r.node.Mem, off, data)
 			start := p.Now()
-			if _, err := r.fs.InstallPages(p, ino, off, n, frames); err != nil {
+			if _, err := r.fs.InstallPages(p, ino, off, n, frames, off); err != nil {
 				t.Fatal(err)
 			}
 			partial := int64(0)
@@ -550,6 +550,53 @@ func TestInstallPagesCopiesOnlyPartialPages(t *testing.T) {
 				if flipped := existing && (i == 1 || i == 2) || !existing; flipped != (got == frames[i]) {
 					t.Errorf("existing blocks %v: page %d flipped %v, want %v", existing, i, got == frames[i], flipped)
 				}
+			}
+			model = append(model, make([]byte, max(0, off+n-len(model)))...)
+			copy(model[off:], data)
+			if got, _ := r.fs.ContentOf(ino); !bytes.Equal(got, model) {
+				t.Errorf("existing blocks %v: the file differs from the model", existing)
+			}
+		})
+	}
+}
+
+// TestInstallPagesCopiesAShiftedPayload: a payload that sits in its
+// frames from an offset other than its in-page position (an inline write
+// received behind a request head) cannot be flipped in: every byte is
+// copied into the blocks, and charged, exactly as a WriteDirect of the
+// same range is; every frame goes back to the allocator.
+func TestInstallPagesCopiesAShiftedPayload(t *testing.T) {
+	const off, n = 1000, 3 * mem.PageSize
+	data := make([]byte, n)
+	for i := range data {
+		data[i] = byte(i % 251)
+	}
+	for _, existing := range []bool{true, false} {
+		r := newRig(t, 0)
+		r.run(t, func(p *sim.Proc) {
+			model := bytes.Repeat([]byte{0xAA}, 4*mem.PageSize)
+			if !existing {
+				model = nil
+			}
+			ino := r.seeded(t, p, "f", model)
+			before, copied := r.node.Mem.Allocated(), r.node.CPU.CopyStats.Bytes
+			frames := payload(t, r.node.Mem, 0, data)
+			start := p.Now()
+			if got, err := r.fs.InstallPages(p, ino, off, n, frames, 0); err != nil || got != n {
+				t.Fatalf("install: %d %v", got, err)
+			}
+			if got := r.node.CPU.CopyStats.Bytes - copied; got != n {
+				t.Errorf("existing blocks %v: %d bytes copied, want %d", existing, got, n)
+			}
+			if took, want := p.Now()-start, r.node.Cluster.Params.CopyTime(n); took != want {
+				t.Errorf("existing blocks %v: charged %v, want %v", existing, took, want)
+			}
+			blocks := 0
+			if !existing {
+				blocks = mem.PagesIn(off, n)
+			}
+			if got := r.node.Mem.Allocated(); got != before+blocks {
+				t.Errorf("existing blocks %v: %d frames allocated, want %d", existing, got, before+blocks)
 			}
 			model = append(model, make([]byte, max(0, off+n-len(model)))...)
 			copy(model[off:], data)
@@ -581,7 +628,7 @@ func TestInstallPagesRefusesAndFrees(t *testing.T) {
 			{"negative offset", ino, -mem.PageSize, payload(t, r.node.Mem, 0, data), kernel.ErrBadOffset},
 			{"short frame list", ino, 0, payload(t, r.node.Mem, 0, data)[:1], kernel.ErrBadOffset},
 		} {
-			if _, err := r.fs.InstallPages(p, tc.ino, tc.off, len(data), tc.frames); err != tc.want {
+			if _, err := r.fs.InstallPages(p, tc.ino, tc.off, len(data), tc.frames, 0); err != tc.want {
 				t.Errorf("%s: %v, want %v", tc.name, err, tc.want)
 			}
 		}
@@ -617,7 +664,7 @@ func BenchmarkInstall64K(b *testing.B) {
 					return err
 				}
 			}
-			_, err := r.fs.InstallPages(p, a.Ino, 0, size, frames)
+			_, err := r.fs.InstallPages(p, a.Ino, 0, size, frames, 0)
 			return err
 		}
 		if err := install(); err != nil { // the blocks the loop replaces

@@ -593,11 +593,11 @@ type flight struct {
 // that message stays eager and follows as its own message otherwise
 // (inlinePayload). req may be b.req — it is
 // fully encoded before issue returns, so the slot's request staging is
-// free again. On error
-// the request never left and nothing stays posted: the header buffer
-// and, crucially, the caller's data vector are quiescent, not parked
-// under stale seq tags (failover retries reach this path against
-// possibly-dead replicas).
+// free again. On error nothing stays posted and nothing is sent from
+// the slot any more: the header buffer and, crucially, the caller's
+// data vector are quiescent, not parked under stale seq tags (failover
+// retries reach this path against possibly-dead replicas), and a
+// request that left before its separate payload failed is settled.
 func (c *FabricClient) issue(p *sim.Proc, b *ctlBufs, req *Req, data core.Vector) (flight, error) {
 	c.seq++
 	req.Seq, req.EP = c.seq, c.myEP
@@ -622,6 +622,7 @@ func (c *FabricClient) issue(p *sim.Proc, b *ctlBufs, req *Req, data core.Vector
 	}
 	if err != nil {
 		fabric.Cancel(p, fl.hdrOp)
+		c.settle(p, fl.sent) // a separate payload failed after its request left
 		if fl.release != nil {
 			fl.release()
 		}

@@ -7,6 +7,7 @@ package rfsrv
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -159,5 +160,99 @@ func TestTimedOutRequestKeepsItsStaging(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestFailedPayloadSendKeepsTheRequestsStaging: a write whose payload
+// travels alone puts its request on the wire first; when the payload's
+// send then fails (here: the caller's memory is not mapped), issue
+// returns an error for a request that has already left. The client's
+// NIC is stalled, so that request is still queued — a medium message
+// on MX, any message on GM, which the NIC gathers from the slot's
+// request buffer at DMA time. The slot is reused at once for a
+// different request, and only then does the stall end. The silent
+// server must receive the first request's bytes intact: issue hands
+// the slot back only once the send that gathers from it is done
+// (settle). Without that the first message left with the second
+// request in it.
+func TestFailedPayloadSendKeepsTheRequestsStaging(t *testing.T) {
+	const (
+		timeout = 100 * time.Microsecond
+		stall   = 50 * time.Microsecond // within settle's deadline
+		n       = 64 << 10              // a separate payload on both transports
+	)
+	for _, transport := range []string{"mx", "gm"} {
+		t.Run(transport, func(t *testing.T) {
+			env := sim.NewEngine()
+			c := hw.NewCluster(env, hw.DefaultParams(), hw.PCIXD)
+			sink, client := c.AddNode("sink"), c.AddNode("client")
+			var srv fabric.Transport
+			var err error
+			if transport == "mx" {
+				srv, err = fabric.NewMX(mx.Attach(sink), 1, true)
+			} else {
+				srv, err = fabric.NewGM(gm.Attach(sink), 1, true)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			var firstReq []byte
+			env.Spawn("sink", func(p *sim.Proc) {
+				buf, err := fabric.PoolOf(sink).Get(reqBufSize)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				op, err := srv.PostRecv(p, core.Exact(reqTag), buf.PhysVec(buf.Size()))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				st := op.Wait(p)
+				firstReq, _ = sink.Kernel.ReadBytes(buf.VA(), st.Len)
+			})
+			// Names long enough that the request is a medium message on MX.
+			first, second := strings.Repeat("1", 200), strings.Repeat("2", 200)
+			done := false
+			env.Spawn("client", func(p *sim.Proc) {
+				var fc *FabricClient
+				if transport == "mx" {
+					fc, err = NewMXClient(mx.Attach(client), 2, true, client.Kernel, sink.ID, 1)
+				} else {
+					fc, err = NewGMClient(p, gm.Attach(client), 2, true, client.Kernel, sink.ID, 1, 1024)
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				fc.SetRequestTimeout(timeout)
+				unmapped := core.Of(core.KernelSeg(client.Kernel, 1<<40, n))
+				client.NIC.StallFor(stall)
+				req := &Req{Op: OpWrite, Ino: 7, Len: n, Name: first}
+				if _, err := fc.issue(p, &fc.ctl, req, unmapped); err == nil || fabric.IsFault(err) {
+					t.Errorf("a write from unmapped memory issued with %v, want a local error", err)
+				}
+				fl, err := fc.issue(p, &fc.ctl, &Req{Op: OpLookup, Ino: 1, Name: second}, nil)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if _, err := fc.retire(p, &fl); !fabric.IsFault(err) {
+					t.Errorf("a lookup against a silent server = %v, want a timeout", err)
+				}
+				done = true
+			})
+			env.Run(0)
+			if !done {
+				t.Fatal("the client never finished")
+			}
+			req, _, err := DecodeReq(firstReq)
+			if err != nil {
+				t.Fatalf("the first request message does not decode: %v", err)
+			}
+			if req.Seq != 1 || req.Op != OpWrite || req.Name != first {
+				t.Errorf("the first request message carried request %d (op %v), not the write that left first", req.Seq, req.Op)
+			}
+		})
 	}
 }

@@ -16,8 +16,10 @@ import (
 
 // TestMXSmallIOPaysNoMediumCopies counts CPU copy bytes on a 4-server
 // MX cluster. An 8 KB write rides inline in its request: the client
-// copies nothing and the server exactly the one copy out of its request
-// bounce into the block store. Its read-back into a 16 KB kernel buffer
+// copies nothing, and nor does the server, whose receiver landed the
+// page-aligned payload in frames the block store takes by page flip
+// (8 192 bytes while the payload was copied out of the request bounce).
+// Its read-back into a 16 KB kernel buffer
 // lands by DMA. A batch of 8 lookups and a readdir listing, both longer
 // than MX's small-message limit, copy nothing on either side. Nor do a
 // 64 KB write and read: a rendezvous into fresh frames installed by page
@@ -48,7 +50,7 @@ func TestMXSmallIOPaysNoMediumCopies(t *testing.T) {
 		ino := clusterCreate(t, p, cl, "f")
 		va, src := r.kbuf(t, big)
 		r.client.Kernel.WriteBytes(va, pattern(big))
-		charge("an 8 KB write", 0, small, func() error {
+		charge("an 8 KB write", 0, 0, func() error {
 			_, err := cl.Write(p, ino, 0, src.Slice(0, small))
 			return err
 		})

@@ -7,17 +7,17 @@ package rfsrv
 
 import (
 	"bytes"
+	"errors"
 	"reflect"
+	"strings"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/fabric"
 	"repro/internal/hw"
 	"repro/internal/kernel"
 	"repro/internal/mem"
 	"repro/internal/memfs"
 	"repro/internal/sim"
-	"repro/internal/vm"
 )
 
 // retiredOp is the opcode after OpSetSize, which no operation holds
@@ -110,31 +110,50 @@ func FuzzDecodeResp(f *testing.F) {
 	})
 }
 
-// FuzzServeBytes feeds arbitrary bytes as a request head to a server
+// FuzzServeBytes feeds arbitrary bytes as a request message to a server
 // over a small partitioned memfs, unsharded and sharded, exactly as
-// serve does after the receive — DecodeReq, then the data handlers or
-// handleMeta plus everything unpack finds behind a metadata request —
-// and checks every reply is well formed and the store stays sane. An
-// OpImport's payload is whatever follows its head; an OpExport's image
-// must decode; a write whose payload follows its head in one message,
-// exactly as long as announced, is an inline write, consumed in place
-// from the pooled bounce the message landed in.
+// serve does after the receive: the message lands in an MX receiver's
+// inbox — its header segment, then the frames behind it, over the bytes
+// an earlier message left there — and admit decodes its head out of
+// them; then come the data handlers, or handleMeta plus everything
+// unpack finds behind a metadata request. Every reply must be well
+// formed and the store stay sane. An OpImport's payload is whatever
+// follows its head; an OpExport's image must decode; a write whose
+// payload follows its head in one message, exactly as long as
+// announced, is an inline write, installed from the frames it landed in
+// — by page flip when it sits at its in-page position, and then every
+// flipped page must read as zeros outside the payload's share.
 func FuzzServeBytes(f *testing.F) {
 	batch := EncodeReqInto(nil, &Req{Op: OpCreate, Ino: 1, Name: "new"})
 	batch = EncodeReqInto(batch, &Req{Op: OpTruncate, Ino: 3, Off: -5})
 	batch = EncodeReqInto(batch, &Req{Op: OpReaddir, Ino: 1})
 	// A batch above MX's small-message limit: a medium message, which
-	// lands in the bounce by DMA.
+	// lands in the inbox by DMA.
 	var lookups []byte
 	for _, name := range []string{"f", "d", "missing", "f", "a-longer-name", "d"} {
 		lookups = EncodeReqInto(lookups, &Req{Op: OpLookup, Ino: 1, Name: name})
 	}
-	// An inline write whose payload crosses the bounce's first page.
+	// A packed batch that fills the head: it spills a page's worth past
+	// the header segment.
+	var spill []byte
+	for len(spill) < reqBufSize-100 {
+		spill = EncodeReqInto(spill, &Req{Op: OpLookup, Ino: 1, Name: strings.Repeat("s", 60)})
+	}
+	// Inline writes whose payloads cross the first frame's end: at an
+	// unaligned offset (shifted, copied in) and at an aligned one
+	// (flipped in, its last page partly covered, over the junk an
+	// earlier message left in the frames when the payload is short).
 	inline := append(EncodeReqInto(nil, &Req{Op: OpWrite, Ino: 3, Off: 1000, Len: 6000}), bytes.Repeat([]byte("0123456789"), 600)...)
+	aligned := append(EncodeReqInto(nil, &Req{Op: OpWrite, Ino: 3, Off: 8192, Len: 6000}), bytes.Repeat([]byte("9876543210"), 600)...)
+	short := append(EncodeReqInto(nil, &Req{Op: OpWrite, Ino: 3, Off: 4096, Len: 1000}), bytes.Repeat([]byte("ab"), 500)...)
 	for _, sharded := range []bool{false, true} {
 		f.Add(batch, sharded)
 		f.Add(lookups, sharded)
+		f.Add(spill, sharded)
 		f.Add(inline, sharded)
+		f.Add(aligned, sharded)
+		f.Add(short, sharded)
+		f.Add(EncodeReqInto(nil, &Req{Op: OpLookup, Ino: 1, Name: strings.Repeat("n", 3*reqFixed)}), sharded)
 		f.Add(EncodeReqInto(nil, &Req{Op: OpRead, Ino: 3, Off: 4000, Len: 1 << 16}), sharded)
 		f.Add(EncodeReqInto(nil, &Req{Op: OpRead, Ino: 77, Off: -1, Len: 1}), sharded)
 		f.Add(EncodeReqInto(nil, &Req{Op: OpWrite, Ino: 3, Off: 1 << 40, Len: 512}), sharded)
@@ -158,10 +177,12 @@ func FuzzServeBytes(f *testing.F) {
 		for _, img := range append(malformedImages(sampleImage(0)), sampleImage(0), sampleImage(3)) {
 			f.Add(append(EncodeReqInto(nil, &Req{Op: OpImport}), img...), sharded)
 		}
+		img := sampleImage(0) // inline, exactly as long as announced
+		f.Add(append(EncodeReqInto(nil, &Req{Op: OpImport, Len: uint32(len(img))}), img...), sharded)
 	}
 	f.Fuzz(func(t *testing.T, msg []byte, sharded bool) {
-		raw := msg[:min(len(msg), reqBufSize)] // the head serve decodes
-		req, consumed, err := DecodeReq(raw)
+		head := msg[:min(len(msg), reqBufSize)] // the head serve decodes
+		req, consumed, err := DecodeReq(head)
 		if err != nil || req.Op == OpRead && req.Len > 1<<20 {
 			return // (a huge sparse read is legal, and only slow to fuzz)
 		}
@@ -192,6 +213,19 @@ func FuzzServeBytes(f *testing.F) {
 				}
 				return raw
 			}
+			eager := node.Cluster.Params.MXMediumMax
+			var in inbox
+			s.refill(&in, eager)
+			dirt(&in, 5000) // a refused payload's bytes, say
+			idle := node.Mem.Allocated()
+			w := s.admit(&in, landMsg(node, &in, msg, eager), eager)
+			if w == nil {
+				t.Fatalf("the head %x decoded, but not out of the inbox", head[:consumed])
+			}
+			if !reflect.DeepEqual(w.req, req) || w.consumed != consumed {
+				t.Fatalf("the inbox decoded %+v (%d bytes), the message %+v (%d)", w.req, w.consumed, req, consumed)
+			}
+			req := w.req
 			switch req.Op {
 			case OpExport:
 				raw, err := s.exportImage(int(req.Len))
@@ -207,16 +241,21 @@ func FuzzServeBytes(f *testing.F) {
 					t.Fatal("exported image is not canonical")
 				}
 			case OpImport:
-				payload := raw[consumed:]
-				req.Len = uint32(len(payload))
 				before, was, staged := node.Mem.Allocated(), state(), s.stage
-				resp := importBytes(p, s, req, payload)
+				var resp *Resp
+				if w.ok {
+					resp = s.serveImport(p, w) // inline: out of the inbox's frames
+				} else {
+					payload := head[consumed:]
+					req.Len = uint32(len(payload))
+					resp = importBytes(p, s, req, payload)
+				}
 				check(req, resp)
 				if got := node.Mem.Allocated(); got > before || resp.Status != StOK && got != before {
-					t.Fatalf("import of %x: %d frames allocated before, %d after", payload, before, got)
+					t.Fatalf("import of %x: %d frames allocated before, %d after", msg[consumed:], before, got)
 				}
 				if resp.Status != StOK && (!bytes.Equal(state(), was) || s.stage != staged) {
-					t.Fatalf("refused import of %x changed the server", payload)
+					t.Fatalf("refused import of %x changed the server", msg[consumed:])
 				}
 			case OpRead:
 				resp, xs := s.readExtents(p, req)
@@ -225,21 +264,48 @@ func FuzzServeBytes(f *testing.F) {
 					t.Fatalf("read %+v: N=%d over %d extent bytes", req, resp.N, mem.TotalLen(xs))
 				}
 			case OpWrite:
-				// serve admits only a payload of exactly req.Len bytes, in
-				// fresh frames the receiver allocated for it or inline in
-				// the bounce; drive both arms. The install arm first, on a
-				// store that holds no block yet: every frame it allocated
-				// is afterwards a block of the written range, or freed.
+				// serve admits only a payload of exactly req.Len bytes,
+				// inline in the frames the receiver handed over or in
+				// fresh frames it allocated for a separate payload; drive
+				// both arms, the inline one first while the store holds
+				// no block of the file.
+				if w.ok {
+					resp := s.handleWrite(p, w)
+					check(req, resp)
+					n := int(req.Len)
+					if resp.Status == StOK {
+						if !bytes.Equal(fs.ReadRange(req.Ino, req.Off, n), msg[consumed:]) {
+							t.Fatalf("inline write %+v did not store its payload", req)
+						}
+						// Every block of the range was a hole: it reads as
+						// zeros outside the payload's share.
+						for pos := req.Off; pos < req.Off+int64(n); pos = (pos/mem.PageSize + 1) * mem.PageSize {
+							lo, hi := int(pos%mem.PageSize), int(min(req.Off+int64(n)-pos/mem.PageSize*mem.PageSize, mem.PageSize))
+							blk := fs.FrameAt(req.Ino, pos/mem.PageSize).Data()
+							if bytes.ContainsFunc(blk[:lo], notZero) || bytes.ContainsFunc(blk[hi:], notZero) {
+								t.Fatalf("inline write %+v installed page %d with stale bytes outside [%d, %d)", req, pos/mem.PageSize, lo, hi)
+							}
+						}
+					}
+					s.putWork(w)
+					s.refill(&in, eager)
+					if blocks := node.Mem.Allocated() - idle; resp.Status == StOK && blocks != mem.PagesIn(int(req.Off%mem.PageSize), n) || resp.Status != StOK && blocks != 0 {
+						t.Fatalf("inline write %+v: %d frames neither installed nor freed", req, blocks)
+					}
+					fs.Truncate(p, req.Ino, 0)
+					fs.Truncate(p, req.Ino, 10000)
+				} else {
+					s.putWork(w)
+				}
+				// The install arm: every frame it allocated is afterwards a
+				// block of the written range, or freed.
 				before := node.Mem.Allocated()
 				w := s.getWork()
 				w.req = req
-				resp := &Resp{Seq: req.Seq, Status: StInval}
-				if s.payloadFrames(w) {
-					resp = s.handleWrite(p, req, nil, w.frames)
-				} else if got := node.Mem.Allocated(); got != before {
-					t.Fatalf("refused header %+v allocated %d frames", req, got-before)
+				if w.ok = s.payloadFrames(w); !w.ok && node.Mem.Allocated() != before {
+					t.Fatalf("refused header %+v allocated %d frames", req, node.Mem.Allocated()-before)
 				}
-				check(req, resp)
+				check(req, s.handleWrite(p, w))
 				held := 0
 				if validWrite(req) {
 					for idx := req.Off / mem.PageSize; idx*mem.PageSize < req.Off+int64(req.Len); idx++ {
@@ -252,28 +318,9 @@ func FuzzServeBytes(f *testing.F) {
 					t.Fatalf("install of %+v: %d frames neither installed nor freed", req, leaked)
 				}
 				s.putWork(w)
-				n := int(req.Len)
-				if !inlinePayload(node.Cluster.Params.MXMediumMax, consumed, n) || len(msg) != consumed+n {
-					if n <= MaxWriteChunk {
-						va, _ := node.Kernel.Mmap(max(n, 1), "payload")
-						check(req, s.handleWrite(p, req, core.Of(core.KernelSeg(node.Kernel, va, n)), nil))
-					}
-					break
-				}
-				bounce, err := fabric.PoolOf(node).Get(max(reqBufSize, node.Cluster.Params.MXMediumMax))
-				if err != nil {
-					t.Fatal(err)
-				}
-				node.Kernel.WriteBytes(bounce.VA(), msg)
-				resp = s.handleWrite(p, req, core.Of(core.KernelSeg(node.Kernel, bounce.VA()+vm.VirtAddr(consumed), n)), nil)
-				check(req, resp)
-				if resp.Status == StOK && !bytes.Equal(fs.ReadRange(req.Ino, req.Off, n), msg[consumed:]) {
-					t.Fatalf("inline write %+v did not store its payload", req)
-				}
-				bounce.Release()
 			default:
 				check(req, s.handleMeta(p, req))
-				for _, extra := range s.unpack(raw[consumed:]) {
+				for _, extra := range s.unpack(w.raw[w.consumed:]) {
 					check(extra, s.handleMeta(p, extra))
 				}
 			}
@@ -285,6 +332,36 @@ func FuzzServeBytes(f *testing.F) {
 			t.Fatal("the handlers deadlocked")
 		}
 	})
+}
+
+// notZero reports a non-zero byte (bytes.ContainsFunc).
+func notZero(r rune) bool { return r != 0 }
+
+// dirt leaves n bytes of junk at the front of in's frames, as a message
+// that spilled past the header segment and was not installed does.
+func dirt(in *inbox, n int) {
+	for i := 0; i < n; i++ {
+		in.frames[i/mem.PageSize].Data()[i%mem.PageSize] = 0xEE
+	}
+	in.dirty = max(in.dirty, n)
+}
+
+// landMsg puts msg where a receive of at most size bytes into in puts
+// it — the header segment first, then the frames — and returns the
+// receive's status: cut to size, and then in error.
+func landMsg(node *hw.Node, in *inbox, msg []byte, size int) fabric.Status {
+	st := fabric.Status{Len: min(len(msg), size)}
+	if len(msg) > size {
+		st.Err = errors.New("truncated")
+	}
+	if err := node.Kernel.WriteBytes(in.hdr.VA(), msg[:min(st.Len, reqFixed)]); err != nil {
+		panic(err)
+	}
+	for i := reqFixed; i < st.Len; {
+		k := i - reqFixed
+		i += copy(in.frames[k/mem.PageSize].Data()[k%mem.PageSize:], msg[i:st.Len])
+	}
+	return st
 }
 
 // assertSizesSane walks the store from dir: no inode has a negative

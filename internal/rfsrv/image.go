@@ -27,9 +27,9 @@ import (
 	"repro/internal/core"
 	"repro/internal/fabric"
 	"repro/internal/kernel"
+	"repro/internal/mem"
 	"repro/internal/memfs"
 	"repro/internal/sim"
-	"repro/internal/vm"
 )
 
 // ErrImageTooLarge refuses a namespace image that does not fit one
@@ -309,13 +309,15 @@ func (s *Server) serveExport(p *sim.Proc, t fabric.Transport, w *work) {
 }
 
 // serveImport applies or stages the image w's OpImport carried (the
-// CPU copies it out of where it landed and decodes it first), then
-// gives back the frames a separate payload landed in.
+// CPU copies it out of the frames it landed in and decodes it first),
+// then gives the frames back.
 func (s *Server) serveImport(p *sim.Proc, w *work) *Resp {
 	resp := &Resp{Seq: w.req.Seq, Status: StInval}
 	if _, ok := s.fs.(imageFS); ok && w.ok {
 		s.node.CPU.Copy(p, int(w.req.Len))
-		if img, err := decodeImage(s.payloadBytes(w)); err == nil {
+		raw := make([]byte, w.req.Len)
+		mem.ReadFrames(w.frames, w.at, raw)
+		if img, err := decodeImage(raw); err == nil {
 			if resp.Status = StOK; img.stage != 0 {
 				s.stage = img
 			} else {
@@ -325,23 +327,6 @@ func (s *Server) serveImport(p *sim.Proc, w *work) *Resp {
 	}
 	s.dropFrames(w)
 	return resp
-}
-
-// payloadBytes copies an OpImport's payload out of where it landed:
-// behind the head in the bounce, or in its own fresh frames.
-func (s *Server) payloadBytes(w *work) []byte {
-	if w.buf != nil {
-		raw, err := s.node.Kernel.ReadBytes(w.buf.VA()+vm.VirtAddr(w.consumed), int(w.req.Len))
-		if err != nil {
-			panic(err)
-		}
-		return raw
-	}
-	xs, err := w.vec.Extents()
-	if err != nil {
-		panic(err)
-	}
-	return s.node.Mem.Gather(xs)
 }
 
 // applyImage makes the server hold exactly the image: its store, its

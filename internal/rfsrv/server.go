@@ -24,7 +24,7 @@ import (
 type BackingFS interface {
 	kernel.FileSystem
 	FrameAt(ino kernel.InodeID, idx int64) *mem.Frame
-	InstallPages(p *sim.Proc, ino kernel.InodeID, off int64, n int, frames []*mem.Frame) (int, error)
+	InstallPages(p *sim.Proc, ino kernel.InodeID, off int64, n int, frames []*mem.Frame, at int) (int, error)
 }
 
 // Server is the ORFA/ORFS file server.
@@ -117,9 +117,9 @@ func (s *Server) getWork() *work {
 // putWork recycles a finished work record, keeping the backing of its
 // payload scratch and its hand-off callback.
 func (s *Server) putWork(w *work) {
-	w.req, w.raw, w.buf, w.sess, w.queue = nil, nil, nil, nil, nil
+	w.req, w.raw, w.sess, w.queue = nil, nil, nil, nil
 	clear(w.frames)
-	w.frames, w.vec = w.frames[:0], w.vec[:0]
+	w.frames, w.vec, w.at, w.dirty, w.ok = w.frames[:0], w.vec[:0], 0, 0, false
 	s.workFree = append(s.workFree, w)
 }
 
@@ -438,31 +438,30 @@ func validWrite(req *Req) bool {
 	return req.Off >= 0 && req.Off+int64(req.Len) >= req.Off && req.Len <= MaxWriteChunk
 }
 
-// handleWrite applies a write whose payload has landed: inline in the
-// request's bounce buffer (src, copied into the blocks), or else in the
-// fresh frames the receiver posted for it (frames, installed by page
-// flip; the store takes them over whatever happens, and there are none
-// unless the range is valid — payloadFrames).
-func (s *Server) handleWrite(p *sim.Proc, req *Req, src core.Vector, frames []*mem.Frame) *Resp {
-	resp := &Resp{Seq: req.Seq}
-	if !validWrite(req) {
-		resp.Status = StInval
-		return resp
+// handleWrite applies w's write, whose payload (w.ok: exactly the
+// req.Len bytes announced, for a valid range) has landed in w.frames
+// from byte w.at of the first on: the receiver's own frames behind an
+// inline payload's head (admit), or the fresh ones it posted for a
+// separate payload (payloadFrames). The store installs them, by page
+// flip where the payload sits at its in-page position, and takes them
+// over whatever happens. A flipped frame must read as zeros outside the
+// payload's share, as a hole does, so what earlier messages left there
+// (w.dirty) is cleared first, and the clearing charged.
+func (s *Server) handleWrite(p *sim.Proc, w *work) *Resp {
+	req := w.req
+	if !w.ok {
+		return &Resp{Seq: req.Seq, Status: StInval}
+	}
+	if w.at == int(req.Off%mem.PageSize) {
+		if n := mem.ClearFrames(w.frames, 0, min(w.at, w.dirty)) + mem.ClearFrames(w.frames, w.at+int(req.Len), w.dirty); n > 0 {
+			s.node.CPU.Copy(p, n)
+		}
 	}
 	s.materializeOnDemand(p, req.Ino, kernel.RegularFile)
-	var n int
-	var err error
-	if src != nil {
-		n, err = s.fs.WriteDirect(p, req.Ino, req.Off, src)
-	} else {
-		n, err = s.fs.InstallPages(p, req.Ino, req.Off, int(req.Len), frames)
-	}
-	resp.Status = StatusOf(err)
-	resp.N = uint32(n)
+	n, err := s.fs.InstallPages(p, req.Ino, req.Off, int(req.Len), w.frames, w.at)
+	resp := &Resp{Seq: req.Seq, Status: StatusOf(err), N: uint32(n)}
 	if err == nil {
-		if a, err2 := s.fs.Getattr(p, req.Ino); err2 == nil {
-			resp.Attr = a
-		}
+		resp.Attr, _ = s.fs.Getattr(p, req.Ino) // the zero Attr on an error
 	}
 	return resp
 }
@@ -477,29 +476,32 @@ func (s *Server) handleWrite(p *sim.Proc, req *Req, src core.Vector, frames []*m
 // sends every payload of a transport without vectors alone); and a
 // transport whose completions come from a single queue is served by one
 // process in arrival order instead of posted receives feeding workers
-// (Serve). Its internal buffers — the request bounce and the reply
-// staging — are addressed physically on every transport
-// (fabric.Buffer.PhysVec), the rule FabricClient's kernel side follows
-// too: the NIC moves them by DMA, and MX's medium messages pay no
-// bounce copy on either side.
+// (Serve). Everything the NIC moves is addressed physically on every
+// transport, the rule FabricClient's kernel side follows too: a request
+// lands in a receiver's header segment and the frames behind it
+// (inbox), a separate payload in fresh frames, a reply header leaves
+// from pooled staging (fabric.Buffer.PhysVec) and a read's data from the
+// block store. So MX's medium messages pay no bounce copy on either
+// side, and a write's payload, inline or alone, lands in frames the
+// store takes as the file's blocks (handleWrite).
 
 // work is one received request message on its way to being served: the
 // decoded leading request, the head of the raw message (which may carry
-// further packed metadata requests) and, for a write, where its payload
-// landed — behind the head in the pooled bounce the message arrived in
-// (an inline payload, consumed in place; the bounce is released once
-// the request is served), or in the fresh frames the receiver posted
-// for it (a separate payload, which the install takes over). Any other
-// request leaves the bounce with its receiver (recvReq).
+// further packed metadata requests) and, for a write, the frames its
+// payload landed in — the receiver's own, handed over with an inline
+// payload (admit), or fresh ones the receiver posted for a separate
+// payload. The install takes them over; any other request leaves every
+// frame with its receiver.
 type work struct {
 	req      *Req
 	src      hw.NodeID
 	raw      []byte // leading <= reqBufSize bytes (header+name, or a packed batch)
 	rawBuf   []byte // backing storage for raw, reused across recycles
 	consumed int
-	buf      *fabric.Buffer
-	frames   []*mem.Frame // a separate payload's frames, one per page (backing reused)
-	vec      core.Vector  // their receive vector (backing reused)
+	frames   []*mem.Frame // a write's payload frames (backing reused)
+	at       int          // where the payload starts in frames[0]
+	dirty    int          // leading bytes of frames an earlier message may have left non-zero
+	vec      core.Vector  // a separate payload's receive vector (backing reused)
 	pay      fabric.Op    // a separate payload's posted receive, until landPayload collects it
 	ok       bool         // a write's payload is exactly the req.Len bytes announced
 	sess     *ClientSession
@@ -552,7 +554,7 @@ func (s *Server) ServeGM(g *gm.GM, portID uint8) (*gm.Port, error) {
 // another still inside the server (a write whose payload is in flight
 // counts); a server that never holds two requests at once (a
 // synchronous client) runs exactly the one-receive schedule and keeps
-// one bounce buffer, not N. A non-vectorial transport delivers every
+// one inbox, not N. A non-vectorial transport delivers every
 // completion through one event queue that a single consumer must drain
 // (§5.2, §5.3), so one process receives and serves in arrival order,
 // posting a payload's receive and landing it back to back (pipelined
@@ -569,9 +571,9 @@ func (s *Server) Serve(t fabric.Transport, workers int) error {
 			return fmt.Errorf("rfsrv: %d workers on a transport with a single completion queue (want 1)", workers)
 		}
 		env.Spawn(name+"-rfsrv-gm", func(p *sim.Proc) {
-			var bounce *fabric.Buffer
+			in := s.newInbox()
 			for {
-				s.serve(p, t, s.recvReq(p, t, &bounce))
+				s.serve(p, t, s.recvReq(p, t, in))
 			}
 		})
 		return nil
@@ -583,9 +585,9 @@ func (s *Server) Serve(t fabric.Transport, workers int) error {
 			if r > 0 {
 				concurrent.Wait(p)
 			}
-			var bounce *fabric.Buffer
+			in := s.newInbox()
 			for {
-				w := s.recvReq(p, t, &bounce)
+				w := s.recvReq(p, t, in)
 				if s.inside > 1 {
 					concurrent.Fire()
 				}
@@ -611,71 +613,134 @@ func (s *Server) Serve(t fabric.Transport, workers int) error {
 	return nil
 }
 
-// recvReq receives the next well-formed request message into *held, the
-// calling receiver's pooled bounce buffer (nil: one is taken from the
-// pool), sized for the longest request that can arrive in one: a
-// reqBufSize head, or an inline write filling the eager limit. Only an
-// inline write needs its bounce after this point — the payload is
-// consumed in place — so only it takes the bounce along (released when
-// it has been served) and leaves *held nil; every other request was
-// copied out whole and leaves the bounce with the receiver, which posts
-// it again. Queued reads and metadata therefore pin no bounce at all,
-// and the queue depth is bounded only by the clients' aggregate window.
-// A write whose payload follows as its own message has that payload's
-// receive posted here (postPayload) but not waited: the work it returns
-// is complete once w.pay is, and serve lands it (landPayload).
-func (s *Server) recvReq(p *sim.Proc, t fabric.Transport, held **fabric.Buffer) *work {
-	eagerMax := t.Caps().EagerMax
-	bounceLen := max(reqBufSize, eagerMax)
-	for {
-		if *held == nil {
-			buf, err := fabric.PoolOf(s.node).Get(bounceLen)
-			if err != nil {
-				panic(err)
-			}
-			*held = buf
+// inbox is one receiver's request receive, posted as a physical vector
+// of two parts: a header segment exactly a request header long
+// (reqFixed), in a pooled bounce buffer, and frames behind it, as many
+// as hold the longest request message that can arrive in one — a
+// reqBufSize head, or an inline write filling the eager limit — which
+// is as much memory as a bounce of that length. Whatever a message
+// carries past its header lands in the frames: a name or a packed
+// batch, copied out as the message's head (recvReq), or an inline
+// write's payload, at its in-page position when the write's offset is
+// page-aligned, so the frames it landed in become the file's blocks by
+// page flip (admit, handleWrite). The receiver keeps its bounce for good
+// and replaces frames a payload took before it posts again (refill).
+type inbox struct {
+	hdr    *fabric.Buffer
+	frames []*mem.Frame
+	// dirty counts the leading bytes of frames that messages have landed
+	// in since the frames were fresh: a page flipped in must read as
+	// zeros outside the payload's share, as a hole does, so what an
+	// earlier name, batch or refused payload left there is cleared
+	// before an install (handleWrite).
+	dirty int
+	vec   core.Vector // the receive vector, rebuilt for every post
+}
+
+// newInbox returns an empty inbox for a receiver. Its frames are the
+// node's kernel memory, given back when the node's kernel space is
+// destroyed: a finished rig's receivers stay parked for good, posted
+// into them.
+func (s *Server) newInbox() *inbox {
+	in := &inbox{}
+	s.node.Kernel.RegisterSpy(&vm.ExitSpy{Exit: func() {
+		s.node.Mem.PutAll(in.frames)
+		in.frames = nil
+	}})
+	return in
+}
+
+// refill readies in for its next receive of up to size bytes: it takes
+// the header segment's bounce from the pool the first time, tops the
+// frames up with fresh ones (mem.AllocFrames) and builds the receive
+// vector — the header segment, then the frames for the remaining
+// size-reqFixed bytes.
+//
+// allocfree
+func (s *Server) refill(in *inbox, size int) {
+	if in.hdr == nil {
+		buf, err := fabric.PoolOf(s.node).Get(reqFixed)
+		if err != nil {
+			panic(err)
 		}
-		bounce := *held
-		op, err := t.PostRecv(p, core.Exact(reqTag), bounce.PhysVec(bounceLen))
+		in.hdr = buf
+	}
+	var err error
+	if in.frames, err = s.node.Mem.AllocFrames(in.frames, (size-reqFixed+mem.PageSize-1)/mem.PageSize-len(in.frames)); err != nil {
+		panic(err) // like the block store's own allocations
+	}
+	in.vec = append(in.vec[:0], in.hdr.PhysVec(reqFixed)...)
+	for i, left := 0, size-reqFixed; left > 0; i, left = i+1, left-mem.PageSize {
+		in.vec = appendPhys(in.vec, in.frames[i].Addr(), min(left, mem.PageSize))
+	}
+}
+
+// recvReq receives the next well-formed request message into the
+// calling receiver's inbox (admit). A write whose payload follows as its
+// own message has that payload's receive posted here (postPayload) but
+// not waited: the work it returns is complete once w.pay is, and serve
+// lands it (landPayload).
+func (s *Server) recvReq(p *sim.Proc, t fabric.Transport, in *inbox) *work {
+	eagerMax := t.Caps().EagerMax
+	for {
+		s.refill(in, max(reqBufSize, eagerMax))
+		op, err := t.PostRecv(p, core.Exact(reqTag), in.vec)
 		if err != nil {
 			panic(err)
 		}
 		st := op.Wait(p)
-		// Only the header (plus a possible packed batch) is decoded on
-		// the host: requests are capped at reqBufSize bytes by the
-		// client, so a longer message is an inline write whose payload
-		// stays in the bounce buffer and is consumed in place.
-		w := s.getWork()
-		raw := w.rawBuf[:min(st.Len, reqBufSize)]
-		if err := s.node.Kernel.ReadBytesInto(bounce.VA(), raw); err != nil {
-			panic(err)
+		w := s.admit(in, st, eagerMax)
+		if w == nil {
+			continue // malformed: drop, and post the same inbox again
 		}
-		req, consumed, err := DecodeReq(raw)
-		if err != nil {
-			s.putWork(w)
-			continue // malformed: drop, and post the same bounce again
-		}
-		s.Requests.Add(st.Len)
-		sess := s.session(st.Src, req.EP)
-		sess.Outstanding++
-		sess.MaxOutstanding = max(sess.MaxOutstanding, sess.Outstanding)
-		s.inside++
-		w.req, w.src, w.raw, w.consumed, w.sess = req, st.Src, raw, consumed, sess
-		if writeShaped(req.Op) {
-			// The one length rule: the payload is exactly req.Len bytes,
-			// inline behind the head or alone in its own message — never
-			// both, never truncated (st.Err: a message longer than the
-			// bounce).
-			whole := st.Err == nil
-			if inlinePayload(eagerMax, consumed, int(req.Len)) {
-				w.buf, *held = bounce, nil
-				w.ok = whole && st.Len-consumed == int(req.Len)
-			} else {
-				s.postPayload(p, t, w, whole && st.Len == consumed)
-			}
+		if writeShaped(w.req.Op) && !inlinePayload(eagerMax, w.consumed, int(w.req.Len)) {
+			s.postPayload(p, t, w, st.Err == nil && st.Len == w.consumed)
 		}
 		return w
 	}
+}
+
+// admit decodes the request message st reports landed in in, and
+// accounts it to its client; a malformed one is dropped (nil). The
+// message's head — at most reqBufSize bytes, from the header segment and
+// then the frames — is copied out to decode. Under the one length rule
+// (the payload is exactly req.Len bytes, inline behind the head or alone
+// in its own message — never both, never truncated: st.Err, a message
+// longer than the inbox), an inline write that is well formed takes the
+// frames its payload landed in along — the inbox's leading frames, which
+// the install takes over; the rest move up front for fresh ones to
+// follow (refill). Every other request leaves the inbox whole, so queued
+// reads and metadata pin nothing of it and the queue depth is bounded
+// only by the clients' aggregate window.
+func (s *Server) admit(in *inbox, st fabric.Status, eagerMax int) *work {
+	in.dirty = max(in.dirty, st.Len-reqFixed)
+	w := s.getWork()
+	raw := w.rawBuf[:min(st.Len, reqBufSize)]
+	head := min(len(raw), reqFixed)
+	if err := s.node.Kernel.ReadBytesInto(in.hdr.VA(), raw[:head]); err != nil {
+		panic(err)
+	}
+	mem.ReadFrames(in.frames, 0, raw[head:])
+	req, consumed, err := DecodeReq(raw)
+	if err != nil {
+		s.putWork(w)
+		return nil
+	}
+	s.Requests.Add(st.Len)
+	sess := s.session(st.Src, req.EP)
+	sess.Outstanding++
+	sess.MaxOutstanding = max(sess.MaxOutstanding, sess.Outstanding)
+	s.inside++
+	w.req, w.src, w.raw, w.consumed, w.sess = req, st.Src, raw, consumed, sess
+	if writeShaped(req.Op) && inlinePayload(eagerMax, consumed, int(req.Len)) &&
+		st.Err == nil && st.Len-consumed == int(req.Len) && validWrite(req) {
+		k := mem.PagesIn(consumed-reqFixed, int(req.Len))
+		w.frames = append(w.frames, in.frames[:k]...)
+		w.at, w.dirty, w.ok = consumed-reqFixed, min(in.dirty, k*mem.PageSize), true
+		in.frames = append(in.frames[:0], in.frames[k:]...) // refill overwrites the tail
+		in.dirty = max(in.dirty-k*mem.PageSize, 0)
+	}
+	return w
 }
 
 // postPayload posts the receive of the payload w's write header
@@ -715,26 +780,20 @@ func (s *Server) landPayload(p *sim.Proc, w *work) {
 	}
 }
 
-// dropFrames gives back the frames a separate payload landed in, for a
-// payload that is refused or consumed instead of installed.
+// dropFrames gives back the frames a payload landed in, for a payload
+// that is refused or consumed instead of installed.
 func (s *Server) dropFrames(w *work) {
-	for _, f := range w.frames {
-		s.node.Mem.Put(f)
-	}
+	s.node.Mem.PutAll(w.frames)
 	clear(w.frames)
 	w.frames = w.frames[:0]
 }
 
 // payloadFrames allocates, when w's write range is valid (validWrite),
-// a fresh frame for every page the range covers and describes them in
-// w.vec as the payload's physical receive vector, each page's share at
-// its in-page position — where InstallPages expects it. An invalid
-// range is refused before anything is allocated, leaving w.vec empty: a
-// receive into nothing. The frames go to the pages in ascending PFN
-// order: the allocator recycles the blocks an install freed last in
-// first out, and sorting puts a run of them back in the order that
-// keeps the file's blocks physically contiguous — one extent, not one
-// per page, when the file is read.
+// a fresh frame for every page the range covers (mem.AllocFrames) and
+// describes them in w.vec as the payload's physical receive vector,
+// each page's share at its in-page position — where InstallPages flips
+// it in from. An invalid range is refused before anything is allocated,
+// leaving w.vec empty: a receive into nothing.
 //
 // allocfree
 func (s *Server) payloadFrames(w *work) bool {
@@ -743,20 +802,12 @@ func (s *Server) payloadFrames(w *work) bool {
 		return false
 	}
 	off, end := w.req.Off, w.req.Off+int64(w.req.Len)
-	for range mem.PagesIn(int(off%mem.PageSize), int(w.req.Len)) {
-		f, err := s.node.Mem.AllocFrame()
-		if err != nil {
-			panic(err) // like the block store's own allocations
-		}
-		w.frames = append(w.frames, f)
+	w.at = int(off % mem.PageSize)
+	var err error
+	if w.frames, err = s.node.Mem.AllocFrames(w.frames, mem.PagesIn(w.at, int(w.req.Len))); err != nil {
+		panic(err) // like the block store's own allocations
 	}
-	fs := w.frames // at most MaxWriteChunk/PageSize+1: an insertion sort
-	for i := 1; i < len(fs); i++ {
-		for j := i; j > 0 && fs[j].PFN() < fs[j-1].PFN(); j-- {
-			fs[j], fs[j-1] = fs[j-1], fs[j]
-		}
-	}
-	for _, f := range fs {
+	for _, f := range w.frames {
 		pg := off % mem.PageSize
 		chunk := int(min(mem.PageSize-pg, end-off))
 		w.vec = appendPhys(w.vec, f.Addr()+mem.PhysAddr(pg), chunk)
@@ -783,16 +834,7 @@ func (s *Server) serve(p *sim.Proc, t fabric.Transport, w *work) {
 	case OpImport:
 		s.reply(p, t, w.src, req, s.serveImport(p, w))
 	case OpWrite:
-		resp := &Resp{Seq: req.Seq, Status: StInval}
-		if w.ok {
-			var src core.Vector // a separate payload is in w.frames
-			if w.buf != nil {
-				w.vec = append(w.vec[:0], core.KernelSeg(s.node.Kernel, w.buf.VA()+vm.VirtAddr(w.consumed), int(req.Len)))
-				src = w.vec
-			}
-			resp = s.handleWrite(p, req, src, w.frames)
-		}
-		s.reply(p, t, w.src, req, resp)
+		s.reply(p, t, w.src, req, s.handleWrite(p, w))
 	default:
 		s.reply(p, t, w.src, req, s.handleMeta(p, req))
 		// Trailing bytes after a metadata request are further packed
@@ -806,9 +848,6 @@ func (s *Server) serve(p *sim.Proc, t fabric.Transport, w *work) {
 	w.sess.Served.Add(1)
 	w.sess.Outstanding--
 	s.inside--
-	if w.buf != nil {
-		w.buf.Release()
-	}
 	s.putWork(w)
 }
 

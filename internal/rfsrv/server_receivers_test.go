@@ -279,3 +279,37 @@ func TestReplyHeaderOutlivesTheNextReply(t *testing.T) {
 		})
 	}
 }
+
+// TestInboxFramesGoWithTheKernel: a receiver's inbox frames are the
+// server node's kernel memory. A finished rig's receivers stay parked
+// for good, posted into them, so they are given back when the node's
+// kernel space is destroyed — as the pooled buffers mapped in it are —
+// instead of living on with the parked process. Afterwards the server
+// node holds only its shared zero page.
+func TestInboxFramesGoWithTheKernel(t *testing.T) {
+	r := newRigWorkers(t, 4)
+	r.run(t, func(p *sim.Proc) {
+		ino := r.seed(t, p, "f", nil)
+		for _, transport := range transports {
+			sess := r.sessionOver(t, p, transport, 2, 4)
+			// Two requests at once, so more MX receivers post.
+			first, err1 := sess.StartMeta(p, &rfsrv.Req{Op: rfsrv.OpGetattr, Ino: ino})
+			second, err2 := sess.StartMeta(p, &rfsrv.Req{Op: rfsrv.OpGetattr, Ino: ino})
+			if err1 != nil || err2 != nil {
+				t.Fatal(err1, err2)
+			}
+			first.Wait(p)
+			second.Wait(p)
+		}
+		if err := r.serverFS.Unlink(p, r.serverFS.Root(), "f"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if r.server.Mem.Allocated() <= 1 {
+		t.Fatalf("the server holds %d frames while its receivers are posted", r.server.Mem.Allocated())
+	}
+	r.server.Kernel.Destroy()
+	if got := r.server.Mem.Allocated(); got != 1 {
+		t.Errorf("the server holds %d frames once its kernel space is destroyed, want 1 (the zero page)", got)
+	}
+}

@@ -358,7 +358,8 @@ func TestErrorRepliesCarryMembership(t *testing.T) {
 }
 
 // warmUp shows the MX server concurrency — a getattr arriving while an
-// inline 16 KB write is still being copied in — so that every receiver
+// inline 16 KB write is still being copied in (at an unaligned offset:
+// an aligned one would be flipped in at once) — so that every receiver
 // posts (Serve parks receivers 2…N until a request finds another inside
 // the server).
 func (r *wireRig) warmUp(t *testing.T, p *sim.Proc, seq uint64) {
@@ -368,7 +369,7 @@ func (r *wireRig) warmUp(t *testing.T, p *sim.Proc, seq uint64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := r.start(t, p, &Req{Op: OpWrite, Seq: seq, Ino: attr.Ino, Len: n}, make([]byte, n))
+	a := r.start(t, p, &Req{Op: OpWrite, Seq: seq, Ino: attr.Ino, Off: 1, Len: n}, make([]byte, n))
 	b := r.start(t, p, &Req{Op: OpGetattr, Seq: seq + 1, Ino: attr.Ino}, nil)
 	a.wait(t, p)
 	b.wait(t, p)

@@ -33,6 +33,10 @@ type tClient struct {
 	// lay rolls each private file's layout class at create: a stream of
 	// its own, so adding the roll moved no other draw.
 	lay *rand.Rand
+	// align rounds a private write's offset down to a page boundary one
+	// time in four, so page flips of inline payloads meet the faults; a
+	// stream of its own, like lay.
+	align *rand.Rand
 
 	cl *rfsrv.Cluster
 
@@ -334,6 +338,9 @@ func (c *tClient) opWrite(p *sim.Proc, opIdx int) {
 		if off > f.size() {
 			off = f.size() // never create a hole
 		}
+	}
+	if c.align.Intn(4) == 0 {
+		off -= off % vm.PageSize
 	}
 	n := 1 + c.rng.Intn(maxIOStripes*int(stripe))
 	if max := maxFileStripes * stripe; off+int64(n) > max {

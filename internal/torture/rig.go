@@ -123,16 +123,17 @@ func newRunState(cfg Config) (*runState, error) {
 
 	// One rand stream per client plus the schedule's, all split from
 	// the master seed so a (Seed, ScheduleSeed) pair replays exactly;
-	// each client's lay die is seeded beside the master, not from it,
-	// so it shifts none of them.
+	// each client's lay and align dice are seeded beside the master,
+	// not from it, so they shift none of them.
 	master := rand.New(rand.NewSource(cfg.Seed))
 	for i := 0; i < cfg.Clients; i++ {
 		st.clients = append(st.clients, &tClient{
-			st:   st,
-			idx:  i,
-			node: r.HW.AddNode(fmt.Sprintf("client%d", i)),
-			rng:  rand.New(rand.NewSource(master.Int63())),
-			lay:  rand.New(rand.NewSource(cfg.Seed ^ 0x77686f6c65<<8 ^ int64(i))),
+			st:    st,
+			idx:   i,
+			node:  r.HW.AddNode(fmt.Sprintf("client%d", i)),
+			rng:   rand.New(rand.NewSource(master.Int63())),
+			lay:   rand.New(rand.NewSource(cfg.Seed ^ 0x77686f6c65<<8 ^ int64(i))),
+			align: rand.New(rand.NewSource(cfg.Seed ^ 0x616c69676e<<8 ^ int64(i))),
 		})
 	}
 	if cfg.Mode == ModeData {

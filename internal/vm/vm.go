@@ -90,6 +90,20 @@ type Spy interface {
 	Exited(as *AddressSpace)
 }
 
+// ExitSpy is a Spy that only hears of its address space's destruction
+// and runs Exit then: a kernel consumer holding frames of the node's
+// kernel memory outside any mapping gives them back with the space.
+type ExitSpy struct{ Exit func() }
+
+// Invalidate implements Spy: unmaps do not concern an ExitSpy.
+func (s *ExitSpy) Invalidate(*AddressSpace, VirtAddr, int) {}
+
+// Forked implements Spy: forks do not concern an ExitSpy.
+func (s *ExitSpy) Forked(_, _ *AddressSpace) {}
+
+// Exited implements Spy.
+func (s *ExitSpy) Exited(*AddressSpace) { s.Exit() }
+
 // IDSource hands out address-space IDs (ASIDs). One per node.
 type IDSource struct{ next uint32 }
 

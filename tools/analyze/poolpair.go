@@ -30,12 +30,12 @@ package main
 //
 // Ownership transfer counts as a release: storing the value into a
 // field, slice, map or channel, passing it to any function, or
-// returning it hands responsibility to the new holder (recvReq storing
-// the bounce buffer on a work record is fine — serve releases it; so
-// is reply appending a posted header's staging to Server.staged — its
-// sweep releases it once the send is Done — while the failed-send arm
-// of the same function must, and does, release on the spot; the
-// fixture pins both arms). What the analyzer rejects is a path where
+// returning it hands responsibility to the new holder (refill storing
+// a receiver's bounce in its inbox is fine — the receiver keeps it for
+// good, and no request takes it along; so is reply appending a posted
+// header's staging to Server.staged — its sweep releases it once the
+// send is Done — while the failed-send arm of the same function must,
+// and does, release on the spot; the fixtures pin both). What the analyzer rejects is a path where
 // the value is still owned locally and control leaves the function (or
 // the acquiring loop iteration) without releasing it — exactly the
 // error-return leaks CheckLeaks only finds under fault injection.
