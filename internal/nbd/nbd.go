@@ -152,6 +152,7 @@ func (s *Server) worker(p *sim.Proc, t fabric.Transport) {
 		if err != nil {
 			panic(err)
 		}
+		//analyze:allow boundedwait the server idles here until some client sends a request; no peer owes it one
 		st := rr.Wait(p)
 		raw, _ := kern.ReadBytes(bounce, st.Len)
 		kind, seq, block, cep, err := decHdr(raw)
@@ -338,6 +339,7 @@ func (pb *PendingBlock) Wait(p *sim.Proc) error {
 	}
 	pb.done = true
 	defer pb.c.win.Release(pb.slot)
+	//analyze:allow boundedwait ROADMAP item 2(b): nbd has no reply deadline yet, so a dead server blocks this retire
 	st := pb.op.Wait(p)
 	if st.Err != nil {
 		pb.err = st.Err

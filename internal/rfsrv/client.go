@@ -208,16 +208,17 @@ func (c *FabricClient) deadlineFrom(p *sim.Proc, issued sim.Time) sim.Time {
 	return left
 }
 
-// waitData waits a data completion for at most d (0 = forever): on
-// expiry the posted receive is withdrawn — or, if it matched while the
-// timer ran, waited to completion normally. ok is false only when the
-// operation was withdrawn, i.e. the buffer is quiescent and no data
+// waitData waits a completion for at most d (0 = forever): on expiry
+// the posted receive is withdrawn — or, if it matched while the timer
+// ran, waited to completion normally. ok is false only when the
+// operation was withdrawn, i.e. the buffer is quiescent and nothing
 // ever landed.
 func (c *FabricClient) waitData(p *sim.Proc, op fabric.Op, d sim.Time) (st fabric.Status, ok bool) {
 	st, ok = fabric.WaitTimeout(p, op, d)
 	if ok || fabric.Cancel(p, op) {
 		return st, ok
 	}
+	//analyze:allow boundedwait the receive already matched (Cancel refused): its completion is under way
 	return op.Wait(p), true
 }
 
@@ -526,12 +527,7 @@ func (c *FabricClient) sendData(p *sim.Proc, b *ctlBufs, seq uint64, src core.Ve
 // withdrawn (so the slot's buffer can be reused) and the error
 // satisfies fabric.IsFault.
 func (c *FabricClient) finish(p *sim.Proc, b *ctlBufs, hdrOp fabric.Op, seq uint64, d sim.Time) (*Resp, error) {
-	st, ok := fabric.WaitTimeout(p, hdrOp, d)
-	if !ok {
-		if !fabric.Cancel(p, hdrOp) {
-			st, ok = hdrOp.Wait(p), true // matched during the race
-		}
-	}
+	st, ok := c.waitData(p, hdrOp, d)
 	if !ok {
 		return nil, fmt.Errorf("rfsrv: reply for request %d: %w", seq, fabric.ErrTimeout)
 	}
@@ -722,24 +718,14 @@ func (c *FabricClient) waitCtl(p *sim.Proc, fl *flight) (*Resp, error) {
 	return c.retire(p, fl)
 }
 
-// ctlRead is one synchronous read on the control path: the cluster's
-// fail-over, promotion, resync and migration copies run inside some
-// other operation's Wait, while the caller's unretired pendings may hold
-// every window slot of this server.
-func (c *FabricClient) ctlRead(p *sim.Proc, ino kernel.InodeID, off int64, dst core.Vector) (*Resp, error) {
-	return c.ctlData(p, OpRead, ino, off, dst)
-}
-
-// ctlWrite is ctlRead's counterpart: ONE write request, so src is at
-// most MaxWriteChunk (every caller moves a stripe fragment or a staged
-// chunk, both bounded by it) and a short count is the caller's error.
-func (c *FabricClient) ctlWrite(p *sim.Proc, ino kernel.InodeID, off int64, src core.Vector) (*Resp, error) {
-	return c.ctlData(p, OpWrite, ino, off, src)
-}
-
 // ctlData is one synchronous data-shaped request on the control path:
 // a read or write, or a namespace image's export (into data) or import
-// (from data).
+// (from data). The cluster's fail-over, resync and migration copies run
+// inside some other operation's Wait, while the caller's unretired
+// pendings may hold every window slot of this server. A write is ONE
+// request, so data is at most MaxWriteChunk (every caller moves a
+// stripe fragment or a staged chunk, both bounded by it) and a short
+// count is the caller's error.
 func (c *FabricClient) ctlData(p *sim.Proc, op Op, ino kernel.InodeID, off int64, data core.Vector) (*Resp, error) {
 	c.lock.Acquire(p)
 	defer c.lock.Release()

@@ -470,14 +470,7 @@ func (cl *Cluster) layoutFor(p *sim.Proc, ino kernel.InodeID) (LayoutClass, erro
 	if lc, ok := cl.layouts[ino]; ok || len(cl.pl.members) == 1 {
 		return lc, nil
 	}
-	req := &Req{Op: OpGetattr, Ino: ino}
-	var resp *Resp
-	var err error
-	if cl.pl.sharded {
-		resp, err = cl.groupRead(p, cl.pl.residue(ino), req)
-	} else {
-		resp, err = cl.homedMeta(p, req, func() int { return cl.homeIdx(ino) })
-	}
+	resp, err := cl.homedRead(p, &Req{Op: OpGetattr, Ino: ino})
 	if err != nil {
 		return LayoutStandard, err
 	}
@@ -549,17 +542,6 @@ func (cl *Cluster) metaFirstAlive(p *sim.Proc, req *Req, pick func() int, dead f
 	}
 	cl.observeResp(resp)
 	return resp, idx, err
-}
-
-// degenerate runs a zero-length data operation against the offset's
-// preferred replica, with the shared failover policy.
-func (cl *Cluster) degenerate(p *sim.Proc, lay LayoutClass, ino kernel.InodeID, off int64, op func(idx int) (*Resp, error)) (*Resp, error) {
-	resp, err := withReplica(cl, lay, ino, off, 0, op)
-	if resp == nil && err != nil {
-		resp = &Resp{Status: StatusOf(err)}
-	}
-	cl.observeResp(resp)
-	return resp, err
 }
 
 // OwnerServer returns the index of the server owning the stripe that
@@ -713,7 +695,7 @@ func (cl *Cluster) failoverReads(p *sim.Proc, lay LayoutClass, ino kernel.InodeI
 			}
 			cl.Failovers.Add(pt.r.n)
 			pt.target = idx
-			pt.resp, pt.err = cl.sessions[idx].c.ctlRead(p, ino, pt.r.off, pt.vec)
+			pt.resp, pt.err = cl.sessions[idx].c.ctlData(p, OpRead, ino, pt.r.off, pt.vec)
 			if pt.err == nil {
 				cl.StripeReads.Add(pt.r.n)
 			}
@@ -721,22 +703,12 @@ func (cl *Cluster) failoverReads(p *sim.Proc, lay LayoutClass, ino kernel.InodeI
 	}
 }
 
-// dataLayout is the shared front of the four data entry points: a
-// negative offset is invalid, and the inode's layout class decides
-// where its bytes live.
-func (cl *Cluster) dataLayout(p *sim.Proc, ino kernel.InodeID, off int64) (LayoutClass, error) {
-	if off < 0 {
-		return LayoutStandard, ErrInval
-	}
-	return cl.layoutFor(p, ino)
-}
-
-// Read implements Client: StartRead's issue and the pending's Wait,
-// back to back on the cluster's own pending (no per-operation
-// allocation). The range splits into per-server runs issued in
-// parallel through each server's window; data lands directly in the
-// caller's vector (each run scatters into its own slice of dst, so
-// striping adds no copies). The merged byte count is the contiguous
+// Read implements Client: StartRead's issue (startData) and the
+// pending's Wait, back to back on the cluster's own pending (no
+// per-operation allocation). The range splits into per-server runs
+// issued in parallel through each server's window; data lands directly
+// in the caller's vector (each run scatters into its own slice of dst,
+// so striping adds no copies). The merged byte count is the contiguous
 // prefix before the first server-clipped (EOF) run. A run whose target
 // faults is re-read from the stripe's next alive replica; only a run
 // with no replicas left fails the read.
@@ -745,22 +717,10 @@ func (cl *Cluster) Read(p *sim.Proc, ino kernel.InodeID, off int64, dst core.Vec
 		return &Resp{Status: StatusOf(err)}, err
 	}
 	defer cl.exitOp()
-	lay, err := cl.dataLayout(p, ino, off)
-	if err != nil {
+	if err := cl.startData(p, &cl.syncOp, OpRead, ino, off, dst); err != nil {
 		return &Resp{Status: StatusOf(err)}, err
 	}
-	if dst.TotalLen() == 0 {
-		// Degenerate read: one attr-only round trip to the offset's
-		// preferred replica, failing over like any other data path.
-		return cl.degenerate(p, lay, ino, off, func(idx int) (*Resp, error) {
-			return cl.sessions[idx].Read(p, ino, off, dst)
-		})
-	}
-	cp := cl.newPending(&cl.syncOp, ino, lay, off, -1)
-	if err := cl.issueReads(p, cp, off, dst); err != nil {
-		return &Resp{Status: StatusOf(err)}, err
-	}
-	return cp.Wait(p)
+	return cl.syncOp.Wait(p)
 }
 
 // mergeRead folds per-run read responses into one: byte count is the
@@ -814,20 +774,13 @@ func (cl *Cluster) Write(p *sim.Proc, ino kernel.InodeID, off int64, src core.Ve
 		return &Resp{Status: StatusOf(err)}, err
 	}
 	defer cl.exitOp()
-	lay, err := cl.dataLayout(p, ino, off)
-	if err != nil {
+	cp := &cl.syncOp
+	if err := cl.startData(p, cp, OpWrite, ino, off, src); err != nil {
 		return &Resp{Status: StatusOf(err)}, err
 	}
 	total := src.TotalLen()
 	if total == 0 {
-		// Degenerate write: like the degenerate read, with failover.
-		return cl.degenerate(p, lay, ino, off, func(idx int) (*Resp, error) {
-			return cl.sessions[idx].Write(p, ino, off, src)
-		})
-	}
-	cp := cl.newPending(&cl.syncOp, ino, lay, off, total)
-	if err := cl.issueWrites(p, cp, off, src); err != nil {
-		return &Resp{Status: StatusOf(err)}, err
+		return cp.Wait(p) // extends nothing: no size to publish
 	}
 	// The tail run's own targets reach the new end of file with the
 	// data; the publish's first round skips them.
@@ -838,7 +791,7 @@ func (cl *Cluster) Write(p *sim.Proc, ino kernel.InodeID, off int64, src core.Ve
 		}
 	}
 	cl.tailScratch = tail
-	pub := cl.startPublish(p, lay, ino, off+int64(total), tail)
+	pub := cl.startPublish(p, cp.lay, ino, off+int64(total), tail)
 	// Wait feeds the data replies' size epochs into the validated cache
 	// BEFORE finishPublish judges the first round: a foreign truncate
 	// the data replies reveal voids it, and the cached floor reset there
@@ -1211,32 +1164,55 @@ func (cl *Cluster) StartRead(p *sim.Proc, ino kernel.InodeID, off int64, dst cor
 		return nil, err
 	}
 	defer cl.exitOp()
-	lay, err := cl.dataLayout(p, ino, off)
-	if err != nil {
-		return nil, err
-	}
-	cp := cl.newPending(new(clusterPending), ino, lay, off, -1)
-	if dst.TotalLen() == 0 {
-		// Zero-length read: one attr-only request to the offset's
-		// preferred replica, like the synchronous Read path — with the
-		// same issue-time failover (Wait-time faults fail over through
-		// failoverReads like any other part).
-		r := run{owner: cl.pl.owner(lay, ino, off), off: off}
-		err = cl.issueZero(p, cp, r, OpRead, dst)
-	} else {
-		err = cl.issueReads(p, cp, off, dst)
-	}
-	if err != nil {
+	cp := new(clusterPending)
+	if err := cl.startData(p, cp, OpRead, ino, off, dst); err != nil {
 		return nil, err
 	}
 	cl.notePendingStart(cp)
 	return cp, nil
 }
 
-// issueZero starts a zero-length operation's single request on the
-// offset's preferred replica (so the RPC trace and the returned
-// attributes match the Session's) as cp's only part.
-func (cl *Cluster) issueZero(p *sim.Proc, cp *clusterPending, r run, op Op, vec core.Vector) error {
+// startData is the one issue path of the four data entry points — Read
+// and Write are StartRead and StartWrite plus Wait, on the cluster's own
+// pending: a negative offset is invalid, the inode's layout class
+// decides where its bytes live, and cp gets one part per run of
+// [off, off+len(data)) — or, for a zero-length operation, issueZero's
+// one.
+func (cl *Cluster) startData(p *sim.Proc, cp *clusterPending, op Op, ino kernel.InodeID, off int64, data core.Vector) error {
+	if off < 0 {
+		return ErrInval
+	}
+	lay, err := cl.layoutFor(p, ino)
+	if err != nil {
+		return err
+	}
+	n, want := data.TotalLen(), -1
+	if op == OpWrite {
+		want = n
+	}
+	cl.newPending(cp, ino, lay, off, want)
+	switch {
+	case n == 0:
+		return cl.issueZero(p, cp, data)
+	case op == OpRead:
+		return cl.issueReads(p, cp, off, data)
+	}
+	return cl.issueWrites(p, cp, off, data)
+}
+
+// issueZero starts a zero-length operation's single attr-only request
+// on the offset's preferred replica (so the RPC trace and the returned
+// attributes match the Session's) as cp's only part, with the data
+// path's issue-time failover. A Wait-time fault is judged like any
+// other part's: a read fails over, and a write's synthetic run makes
+// finishWriteParts' coverage check see it instead of vacuously
+// succeeding.
+func (cl *Cluster) issueZero(p *sim.Proc, cp *clusterPending, vec core.Vector) error {
+	op, r := OpRead, run{owner: cl.pl.owner(cp.lay, cp.ino, cp.off), off: cp.off}
+	if cp.want == 0 {
+		op = OpWrite
+		cp.runs = append(cp.runs, r)
+	}
 	pt, err := withReplica(cl, cp.lay, cp.ino, r.off, 0, func(idx int) (*part, error) {
 		pd, err := cl.sessions[idx].startData(p, op, cp.ino, r.off, vec, true)
 		if err != nil {
@@ -1264,27 +1240,11 @@ func (cl *Cluster) StartWrite(p *sim.Proc, ino kernel.InodeID, off int64, src co
 		return nil, err
 	}
 	defer cl.exitOp()
-	lay, err := cl.dataLayout(p, ino, off)
-	if err != nil {
-		return nil, err
-	}
-	total := src.TotalLen()
-	if total > MaxWriteChunk {
+	if total := src.TotalLen(); total > MaxWriteChunk {
 		return nil, fmt.Errorf("rfsrv: StartWrite of %d bytes exceeds one %d-byte request", total, MaxWriteChunk)
 	}
-	cp := cl.newPending(new(clusterPending), ino, lay, off, total)
-	if total == 0 {
-		// Zero-length write: one real request, like the synchronous
-		// degenerate path. The synthetic run makes finishWriteParts'
-		// coverage check see a Wait-time fault instead of vacuously
-		// succeeding.
-		r := run{owner: cl.pl.owner(lay, ino, off), off: off}
-		cp.runs = append(cp.runs, r)
-		err = cl.issueZero(p, cp, r, OpWrite, src)
-	} else {
-		err = cl.issueWrites(p, cp, off, src)
-	}
-	if err != nil {
+	cp := new(clusterPending)
+	if err := cl.startData(p, cp, OpWrite, ino, off, src); err != nil {
 		return nil, err
 	}
 	cl.notePendingStart(cp)
@@ -1454,22 +1414,20 @@ func disagree(resps []*Resp) *Resp {
 	return nil
 }
 
-// Meta implements Client. Read-only operations go to the home server
-// (re-homed past excluded servers, and failed over when the home
-// faults mid-request); mutations replicate to every alive server in
-// server order, and the per-server answers must agree (same status,
-// same inode) or the cluster reports namespace divergence — a faulting
-// server is excluded, never counted as divergent. OpTruncate is
-// translated to the exact mode of OpSetSize — same wire size, but it
+// Meta implements Client. Read-only operations go to their home
+// (homedRead); size sets fan to every alive server (setSizeMeta) in
+// either namespace; the sharded namespace routes every other mutation
+// to its owner group (shardMeta), the replicated one to every alive
+// server in server order, and the per-server answers must agree (same
+// status, same inode) or the cluster reports namespace divergence — a
+// faulting server is excluded, never counted as divergent. OpTruncate
+// is translated to the exact mode of OpSetSize — same wire size, but it
 // carries this client's observed size epoch, so servers refuse it when
 // the view is stale and the cluster revalidates and retries; OpSetSize
 // requests get their observed epoch stamped the same way.
 func (cl *Cluster) Meta(p *sim.Proc, req *Req) (*Resp, error) {
-	if err := ValidateReq(req); err != nil {
+	if err := validateMeta(req); err != nil {
 		return &Resp{Status: StatusOf(err)}, err
-	}
-	if req.Op == OpRead || req.Op == OpWrite {
-		return &Resp{Status: StInval}, ErrInval
 	}
 	mut := true
 	switch req.Op {
@@ -1480,28 +1438,25 @@ func (cl *Cluster) Meta(p *sim.Proc, req *Req) (*Resp, error) {
 		return &Resp{Status: StatusOf(err)}, err
 	}
 	defer cl.exitOp()
-	if cl.pl.sharded {
-		return cl.shardMeta(p, req)
-	}
 	switch req.Op {
-	case OpLookup:
-		// Read-only answers feed only the EPOCH side of the size cache
-		// (observeResp): sizes[ino].size means "every alive server
-		// reconciled to this size", and a single server's view (e.g.
-		// the home after an async StartWrite that extended only its own
-		// stripes) cannot establish that — caching it would silently
-		// disable the next write's size publish.
-		return cl.homedMeta(p, req, func() int { return cl.pathHomeIdx(req.Ino, req.Name) })
-	case OpGetattr, OpReaddir:
-		return cl.homedMeta(p, req, func() int { return cl.homeIdx(req.Ino) })
+	case OpLookup, OpGetattr, OpReaddir:
+		// A directory with an in-doubt rename parked on it (sharded
+		// only) gets the rename re-driven first, so walks observe a
+		// settled namespace instead of StBusy marks.
+		if len(cl.renameDoubt) > 0 {
+			cl.resolveRenameDoubt(p, req.Ino)
+		}
+		return cl.homedRead(p, req)
 	case OpTruncate:
 		return cl.setSizeMeta(p, req.Ino, req.Off, true)
 	case OpSetSize:
 		exact, _ := UnpackSetSize(req.Len)
 		return cl.setSizeMeta(p, req.Ino, req.Off, exact)
-	default:
-		return cl.fanout(p, req)
 	}
+	if cl.pl.sharded {
+		return cl.shardMeta(p, req)
+	}
+	return cl.fanout(p, ring, req)
 }
 
 // setSizeMeta fans an OpSetSize to every alive server — exact mode
@@ -1512,7 +1467,7 @@ func (cl *Cluster) Meta(p *sim.Proc, req *Req) (*Resp, error) {
 func (cl *Cluster) setSizeMeta(p *sim.Proc, ino kernel.InodeID, size int64, exact bool) (resp *Resp, err error) {
 	if rerr := publish("size set", func() (bool, error) {
 		_, epoch := cl.sz.floor(ino)
-		resp, err = cl.fanout(p, &Req{Op: OpSetSize, Ino: ino, Off: size, Len: PackSetSize(exact, epoch)})
+		resp, err = cl.fanout(p, ring, &Req{Op: OpSetSize, Ino: ino, Off: size, Len: PackSetSize(exact, epoch)})
 		// The refusals refreshed the cached epoch (observeResp in
 		// fanout); the next round carries the authoritative one.
 		return errors.Is(err, ErrStaleEpoch), nil
@@ -1522,29 +1477,58 @@ func (cl *Cluster) setSizeMeta(p *sim.Proc, ino kernel.InodeID, size int64, exac
 	return resp, err
 }
 
-// homedMeta runs a read-only metadata request against its home server,
-// excluding the home and re-homing (the hash walks to the next alive
-// server) whenever the transport faults.
-func (cl *Cluster) homedMeta(p *sim.Proc, req *Req, home func() int) (*Resp, error) {
-	resp, _, err := cl.metaFirstAlive(p, req, home, func() error {
-		return fmt.Errorf("rfsrv: %v: every server excluded: %w", req.Op, fabric.ErrPeerDead)
-	})
-	return resp, err
+// homedRead runs a read-only metadata request against the first alive
+// member of its home — the inode's owner group in the sharded
+// namespace; in the replicated one the path component's hashed home
+// (lookup) or the inode's (getattr, readdir), re-homing past excluded
+// servers — failing over whenever the transport faults. A member that
+// answers under an epoch behind the size cache missed an exact set and
+// its sizes are pre-truncate stale (sizeBook.behind): serving its reply
+// would hand the caller a resurrected size, so it is excluded too.
+// Read-only answers feed only the EPOCH side of the size cache
+// (observeResp): a cached size means "every alive server reconciled to
+// this size", and a single server's view (e.g. the home after an async
+// StartWrite that extended only its own stripes) cannot establish that
+// — caching it would silently disable the next write's size publish.
+func (cl *Cluster) homedRead(p *sim.Proc, req *Req) (*Resp, error) {
+	owner, pos, span := ring, cl.pl.home(req.Ino), len(cl.pl.members)
+	switch {
+	case cl.pl.sharded:
+		owner = cl.pl.residue(req.Ino)
+		pos, span = owner, cl.pl.replicas
+	case req.Op == OpLookup:
+		pos = cl.pl.pathHome(req.Ino, req.Name)
+	}
+	for {
+		resp, idx, err := cl.metaFirstAlive(p, req,
+			func() int { return cl.firstUp(pos, span) },
+			func() error { return cl.groupDead(req.Op, owner) })
+		if idx < 0 || !cl.sz.behind(resp.Attr.Ino, resp.Epoch) {
+			return resp, err
+		}
+		cl.markDown(idx)
+		cl.Failovers.Add(0)
+	}
 }
 
-// fanout replicates a namespace mutation to every alive server (fan)
-// and verifies the answers agree. With one server it is exactly one
-// synchronous metadata round trip. A server that faults mid-mutation
-// is excluded — its missing answer is a degraded-mode fact, not
-// namespace divergence; it must re-sync before Reinstate.
-func (cl *Cluster) fanout(p *sim.Proc, req *Req) (*Resp, error) {
-	if len(cl.pl.members) == 1 {
-		resp, err := cl.syncMeta(p, cl.pl.members[0], req)
-		cl.observeResp(resp)
-		cl.noteMutation(req, resp, err)
-		return resp, err
+// ring names the whole member ring where a fan or an exclusion error
+// takes an owner group.
+const ring = -1
+
+// fanout replicates a mutation to every alive member of an owner group
+// — or, owner == ring, of the whole ring (fan) — and verifies the
+// answers agree. A member that faults mid-mutation is excluded — its
+// missing answer is a degraded-mode fact, not divergence; it must
+// re-sync before Reinstate. An entirely excluded group is an error. A
+// whole-ring mutation that succeeded updates the size cache and the
+// resync journals (noteMutation); an owner group's callers journal
+// their own.
+func (cl *Cluster) fanout(p *sim.Proc, owner int, req *Req) (*Resp, error) {
+	from, n := 0, len(cl.pl.members)
+	if owner != ring {
+		from, n = owner, cl.pl.replicas
 	}
-	f := cl.fan(p, cl.aliveTargets(0, len(cl.pl.members), nil), req)
+	f := cl.fan(p, cl.aliveTargets(from, n, nil), req)
 	addN(&cl.MetaFanout, f.extra)
 	if f.stale {
 		// A foreign exact size set raced this OpSetSize: some servers
@@ -1555,18 +1539,42 @@ func (cl *Cluster) fanout(p *sim.Proc, req *Req) (*Resp, error) {
 	}
 	if len(f.resps) == 0 {
 		if f.err == nil {
-			f.err = fmt.Errorf("rfsrv: %v: every server excluded: %w", req.Op, fabric.ErrPeerDead)
+			f.err = cl.groupDead(req.Op, owner)
 		}
 		return &Resp{Status: StatusOf(f.err)}, f.err
 	}
 	base := f.resps[0]
 	if r := disagree(f.resps); r != nil {
-		err := fmt.Errorf("rfsrv: cluster namespace diverged on %v %q (status %d/ino %d vs %d/%d)",
-			req.Op, req.Name, base.Status, base.Attr.Ino, r.Status, r.Attr.Ino)
-		return &Resp{Status: StIO}, err
+		if r.Status == StBusy || base.Status == StBusy {
+			// A rename-tainted entry mid-resolution: members still
+			// holding the prepare mark refuse with StBusy while
+			// members that already saw the abort or finalize answer
+			// from the settled state. That is the in-doubt window
+			// showing through — report busy (the caller re-drives
+			// the rename), never divergence.
+			return &Resp{Status: StBusy}, ErrBusy
+		}
+		if owner == ring {
+			return &Resp{Status: StIO}, fmt.Errorf("rfsrv: cluster namespace diverged on %v %q (status %d/ino %d vs %d/%d)",
+				req.Op, req.Name, base.Status, base.Attr.Ino, r.Status, r.Attr.Ino)
+		}
+		return &Resp{Status: StIO}, fmt.Errorf("rfsrv: owner group %d diverged on %v %q (status %d/ino %d vs %d/%d)",
+			owner, req.Op, req.Name, base.Status, base.Attr.Ino, r.Status, r.Attr.Ino)
 	}
-	cl.noteMutation(req, base, f.err)
+	if owner == ring {
+		cl.noteMutation(req, base, f.err)
+	}
 	return base, f.err
+}
+
+// groupDead is the error for an owner group — or, owner == ring, the
+// whole ring — whose every member is excluded; it satisfies
+// fabric.IsFault.
+func (cl *Cluster) groupDead(op Op, owner int) error {
+	if owner == ring {
+		return fmt.Errorf("rfsrv: %v: every server excluded: %w", op, fabric.ErrPeerDead)
+	}
+	return fmt.Errorf("rfsrv: %v: every server of owner group %d excluded: %w", op, owner, fabric.ErrPeerDead)
 }
 
 // noteMutation updates the size cache and the resync journals after a
@@ -1602,10 +1610,10 @@ func (cl *Cluster) noteMutation(req *Req, resp *Resp, err error) {
 type share struct {
 	slot int
 	reqs []*Req
-	idx  []int // each request's position in the caller's batch
-	done int   // requests answered, or given up on
-	end  int   // where the flight on the wire ends
-	fl   *batchFlight
+	idx  []int    // each request's position in the caller's batch
+	done int      // requests answered, or given up on
+	end  int      // where the batch on the wire ends
+	fls  []flight // the batch on the wire, a flight per request (session scratch)
 }
 
 // add appends request r, position pos of the caller's batch.
@@ -1629,10 +1637,10 @@ func (cl *Cluster) newShares() []share {
 }
 
 // runShares is the one combined-batch driver: every share runs to
-// completion in parallel rounds — one combined flight per server per
-// round (startBatchFlight: up to a window of requests, one fabric
-// send), all in flight together, then all waited; a started flight is
-// always waited, so no path leaks a window slot. A server whose
+// completion in parallel rounds — one combined batch per server per
+// round (Session.startBatch: up to a window of requests, one fabric
+// send), all in flight together, then all retired; a started batch is
+// always retired, so no path leaks a window slot. A server whose
 // transport faults, at start or at wait, is excluded and its share
 // ends. Every reply feeds the validated caches; one that refuses an
 // observed size epoch from BEHIND the book excludes its server like a
@@ -1653,7 +1661,7 @@ func (cl *Cluster) runShares(p *sim.Proc, shares []share, out []*Resp) (err erro
 			if sh.done >= len(sh.reqs) || cl.down[sh.slot] {
 				continue
 			}
-			fl, end, serr := cl.sessions[sh.slot].startBatchFlight(p, sh.reqs, sh.done)
+			fls, end, serr := cl.sessions[sh.slot].startBatch(p, sh.reqs, sh.done)
 			if serr != nil {
 				sh.done = len(sh.reqs)
 				if fabric.IsFault(serr) {
@@ -1664,22 +1672,22 @@ func (cl *Cluster) runShares(p *sim.Proc, shares []share, out []*Resp) (err erro
 				}
 				continue
 			}
-			sh.fl, sh.end, started = fl, end, true
+			sh.fls, sh.end, started = fls, end, true
 		}
 		if !started {
 			return err
 		}
 		for k := range shares {
 			sh := &shares[k]
-			if sh.fl == nil {
+			if len(sh.fls) == 0 {
 				continue
 			}
-			resps, werr := sh.fl.wait(p, cl.respScratch[:0])
-			sh.fl, cl.respScratch = nil, resps[:0]
+			resps, werr := cl.sessions[sh.slot].retireBatch(p, sh.fls, cl.respScratch[:0])
+			sh.fls, cl.respScratch = nil, resps[:0]
 			for _, r := range resps {
 				cl.observeResp(r)
 			}
-			// rerr is the flight's first error.
+			// rerr is the batch's first error.
 			var rerr error
 			lagging := false
 			for ri, r := range resps {
@@ -1687,7 +1695,7 @@ func (cl *Cluster) runShares(p *sim.Proc, shares []share, out []*Resp) (err erro
 				var e error
 				switch {
 				case r == nil:
-					e = werr // never arrived: the flight's transport error
+					e = werr // never arrived: the batch's transport error
 				case r.Status == StStale && cl.sz.behind(r.Attr.Ino, r.Epoch):
 					lagging, e = true, ErrStaleEpoch
 				case out[pos] != nil && r.Status != StStale && out[pos].Status != StStale &&
@@ -1726,7 +1734,8 @@ var errDiverged = errors.New("rfsrv: cluster namespace diverged in batch")
 // their homes, mutations to every server) and each server's share is
 // issued as one combined batch in original order, so the §3.3-style
 // combining survives striping. Server batches run one server at a
-// time; with one server this is exactly Session.MetaBatch. Unlike
+// time; with one server they put on the wire what Session.MetaBatch
+// does (TestClusterOneServerMatchesSession). Unlike
 // Meta, batches flow through the per-server windows (that is what
 // combines them), so callers must not hold unretired data pendings
 // across a MetaBatch call. Batches route around already-excluded
@@ -1745,9 +1754,6 @@ func (cl *Cluster) MetaBatch(p *sim.Proc, reqs []*Req) ([]*Resp, error) {
 	}
 	if cl.pl.sharded {
 		return cl.shardMetaBatch(p, reqs)
-	}
-	if len(cl.pl.members) == 1 {
-		return cl.sessions[cl.pl.members[0]].MetaBatch(p, reqs)
 	}
 	shares := cl.newShares()
 	track := make([]*Req, len(reqs)) // mutations: the request actually fanned (post-translation)
@@ -1783,9 +1789,9 @@ func (cl *Cluster) MetaBatch(p *sim.Proc, reqs []*Req) ([]*Resp, error) {
 				}
 			}
 			track[i] = w
-			// Server batches run one at a time, and startBatchFlight
-			// stamps and encodes every request before returning, so the
-			// shares can share one *Req — no per-server clones.
+			// Server batches run one at a time, and startBatch stamps
+			// and encodes every request before returning, so the shares
+			// can share one *Req — no per-server clones.
 			for k, s := range cl.aliveTargets(0, len(cl.pl.members), nil) {
 				if k > 0 {
 					cl.MetaFanout.Add(1)

@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/fabric"
 	"repro/internal/kernel"
 	"repro/internal/mem"
@@ -449,6 +450,79 @@ func TestClusterCrossClientExtend(t *testing.T) {
 			if a, _ := fs.Getattr(p, ino); a.Size != full+testStripe {
 				t.Fatalf("server %d size = %d after extending write, want %d", s, a.Size, full+testStripe)
 			}
+		}
+	})
+}
+
+// TestClusterHomedGetattrExcludesStaleHome: a homed getattr in the
+// replicated namespace must not serve a size from a home that missed a
+// truncate this client has already observed. Client A excludes the
+// file's home (server 1) and truncates with only server 0 alive; B then
+// reads the file from server 0, whose reply carries the truncate's size
+// epoch, and its getattr reaches the stale home — whose answer is
+// behind that epoch, so B excludes it and asks server 0.
+func TestClusterHomedGetattrExcludesStaleHome(t *testing.T) {
+	r := newClusterRig(t, 2)
+	r.run(t, func(p *sim.Proc) {
+		clA := r.clusterRepAt(t, p, 10, 2, testStripe, 1)
+		clB := r.clusterRepAt(t, p, 20, 2, testStripe, 1)
+		var ino kernel.InodeID
+		for i := 0; i < 16 && ino == 0; i++ {
+			if cand := clusterCreate(t, p, clA, fmt.Sprintf("f%d", i)); clA.HomeServer(cand) == 1 {
+				ino = cand
+			}
+		}
+		if ino == 0 {
+			t.Fatal("no candidate file homed on server 1")
+		}
+		_, vec := r.kbuf(t, 2*testStripe)
+		if _, err := clA.Write(p, ino, 0, vec); err != nil {
+			t.Fatal(err)
+		}
+		r.servers[1].NIC.StallFor(10 * faultTimeout)
+		if _, err := clA.Meta(p, &rfsrv.Req{Op: rfsrv.OpGetattr, Ino: ino}); err != nil {
+			t.Fatalf("getattr failing over from the stalled home: %v", err)
+		}
+		if down := clA.DownServers(); len(down) != 1 || down[0] != 1 {
+			t.Fatalf("A's down servers = %v, want [1]", down)
+		}
+		if _, err := clA.Meta(p, &rfsrv.Req{Op: rfsrv.OpTruncate, Ino: ino, Off: testStripe / 2}); err != nil {
+			t.Fatal(err)
+		}
+		p.Sleep(20 * faultTimeout) // the stall clears; server 1 still holds 2 stripes
+
+		_, rvec := r.kbuf(t, testStripe)
+		if resp, err := clB.Read(p, ino, 0, rvec); err != nil || resp.N != testStripe/2 {
+			t.Fatalf("B's read from server 0: n=%d err=%v, want %d", resp.N, err, testStripe/2)
+		}
+		resp, err := clB.Meta(p, &rfsrv.Req{Op: rfsrv.OpGetattr, Ino: ino})
+		if err != nil || resp.Attr.Size != testStripe/2 {
+			t.Fatalf("B's homed getattr = %d (%v), want the truncated %d", resp.Attr.Size, err, testStripe/2)
+		}
+		if down := clB.DownServers(); len(down) != 1 || down[0] != 1 {
+			t.Errorf("B's down servers = %v, want the stale home [1]", down)
+		}
+	})
+}
+
+// TestClusterZeroLengthWritePublishesNoSize: a zero-length write is one
+// attr-only request to its offset's replica; it extends nothing, so it
+// publishes no size to the other servers.
+func TestClusterZeroLengthWritePublishesNoSize(t *testing.T) {
+	r := newClusterRig(t, 2)
+	r.run(t, func(p *sim.Proc) {
+		cl := r.cluster(t, p, 2, testStripe)
+		ino := clusterCreate(t, p, cl, "f")
+		va, _ := r.kbuf(t, mem.PageSize)
+		empty := core.Of(core.KernelSeg(r.client.Kernel, va, 0))
+		if resp, err := cl.Write(p, ino, 3*testStripe, empty); err != nil || resp.N != 0 {
+			t.Fatalf("zero-length write: n=%d err=%v", resp.N, err)
+		}
+		if cl.SetSizes.N != 0 {
+			t.Errorf("a zero-length write sent %d size publishes", cl.SetSizes.N)
+		}
+		if a, _ := r.serverFS[0].Getattr(p, ino); a.Size != 0 {
+			t.Errorf("server 0, which the write does not address, holds size %d", a.Size)
 		}
 	})
 }

@@ -34,9 +34,7 @@ package rfsrv
 
 import (
 	"errors"
-	"fmt"
 
-	"repro/internal/fabric"
 	"repro/internal/kernel"
 	"repro/internal/sim"
 )
@@ -62,68 +60,6 @@ func (cl *Cluster) EnableShardedNamespace() error {
 func (cl *Cluster) FlushSizes(p *sim.Proc) error { return nil }
 
 // ---- sharded routing ----
-
-// groupDead is the error for an owner group whose every member is
-// excluded; it satisfies fabric.IsFault.
-func (cl *Cluster) groupDead(op Op, owner int) error {
-	return fmt.Errorf("rfsrv: %v: every server of owner group %d excluded: %w", op, owner, fabric.ErrPeerDead)
-}
-
-// groupFirst runs req against an owner group's first alive member,
-// failing over within the group (metaFirstAlive).
-func (cl *Cluster) groupFirst(p *sim.Proc, owner int, req *Req) (*Resp, int, error) {
-	return cl.metaFirstAlive(p, req,
-		func() int { return cl.firstUp(owner, cl.pl.replicas) },
-		func() error { return cl.groupDead(req.Op, owner) })
-}
-
-// groupRead runs a read-only metadata request against its owner
-// group's first alive member — the sharded analogue of homedMeta.
-func (cl *Cluster) groupRead(p *sim.Proc, owner int, req *Req) (*Resp, error) {
-	for {
-		resp, idx, err := cl.groupFirst(p, owner, req)
-		if idx < 0 || !cl.sz.behind(resp.Attr.Ino, resp.Epoch) {
-			return resp, err
-		}
-		// The member answered under an epoch behind the cache: it
-		// missed an exact set and its sizes are pre-truncate stale
-		// (see sizeBook.behind). Serving this reply would hand the
-		// caller a resurrected size — exclude and fail over.
-		cl.markDown(idx)
-		cl.Failovers.Add(0)
-	}
-}
-
-// groupFan replicates a mutation to every alive member of an owner
-// group (fan) and verifies the answers agree. A faulting member is
-// excluded, never counted as divergent; an entirely excluded group is
-// an error.
-func (cl *Cluster) groupFan(p *sim.Proc, owner int, req *Req) (*Resp, error) {
-	f := cl.fan(p, cl.aliveTargets(owner, cl.pl.replicas, nil), req)
-	addN(&cl.MetaFanout, f.extra)
-	if len(f.resps) == 0 {
-		if f.err == nil {
-			f.err = cl.groupDead(req.Op, owner)
-		}
-		return &Resp{Status: StatusOf(f.err)}, f.err
-	}
-	base := f.resps[0]
-	if r := disagree(f.resps); r != nil {
-		if r.Status == StBusy || base.Status == StBusy {
-			// A rename-tainted entry mid-resolution: members still
-			// holding the prepare mark refuse with StBusy while
-			// members that already saw the abort or finalize answer
-			// from the settled state. That is the in-doubt window
-			// showing through — report busy (the caller re-drives
-			// the rename), never divergence.
-			return &Resp{Status: StBusy}, ErrBusy
-		}
-		derr := fmt.Errorf("rfsrv: owner group %d diverged on %v %q (status %d/ino %d vs %d/%d)",
-			owner, req.Op, req.Name, base.Status, base.Attr.Ino, r.Status, r.Attr.Ino)
-		return &Resp{Status: StIO}, derr
-	}
-	return base, f.err
-}
 
 // groupFanFrom fans a request to every alive member of an owner group
 // EXCEPT one (the primary that already applied the original) — the
@@ -169,22 +105,11 @@ func (cl *Cluster) groupMint(p *sim.Proc, owner int, req *Req) (*Resp, error) {
 	return resp, nil
 }
 
-// shardMeta is the sharded Meta dispatch: reads to the owner group's
-// primary, mutations to the owner group alone, size operations still
-// global (see the package comment on what fans).
+// shardMeta is the sharded Meta dispatch of namespace mutations: each
+// goes to its owner group alone (Meta itself routes reads and the size
+// operations, which still fan globally — see the package comment).
 func (cl *Cluster) shardMeta(p *sim.Proc, req *Req) (*Resp, error) {
 	switch req.Op {
-	case OpLookup, OpGetattr, OpReaddir:
-		// A lookup's Ino is the directory and a getattr/readdir's the
-		// object itself; both route by the inode's own residue (files
-		// inherit the parent's, so the dentry's owner group answers all
-		// three). A directory with an in-doubt rename parked on it gets
-		// the rename re-driven first, so walks observe a settled
-		// namespace instead of StBusy marks.
-		if len(cl.renameDoubt) > 0 {
-			cl.resolveRenameDoubt(p, req.Ino)
-		}
-		return cl.groupRead(p, cl.pl.residue(req.Ino), req)
 	case OpCreate:
 		return cl.shardCreate(p, req.Ino, req.Name, req.Len)
 	case OpMkdir:
@@ -193,11 +118,6 @@ func (cl *Cluster) shardMeta(p *sim.Proc, req *Req) (*Resp, error) {
 		return cl.shardUnlink(p, req.Ino, req.Name)
 	case OpRmdir:
 		return cl.shardRmdir(p, req.Ino, req.Name)
-	case OpTruncate:
-		return cl.setSizeMeta(p, req.Ino, req.Off, true)
-	case OpSetSize:
-		exact, _ := UnpackSetSize(req.Len)
-		return cl.setSizeMeta(p, req.Ino, req.Off, exact)
 	case OpRenameLocal:
 		src, dst, ok := SplitRenameNames(req.Name)
 		if !ok {
@@ -252,7 +172,7 @@ func (cl *Cluster) shardMkdir(p *sim.Proc, dir kernel.InodeID, name string) (*Re
 		return resp, err
 	}
 	cl.journalGroup(owner, mintLink(dir, name, resp, LayoutStandard), resp.Attr.Ino)
-	if _, err := cl.groupFan(p, res, &Req{Op: OpMaterialize, Ino: resp.Attr.Ino, Len: uint32(kernel.Directory)}); err != nil {
+	if _, err := cl.fanout(p, res, &Req{Op: OpMaterialize, Ino: resp.Attr.Ino, Len: uint32(kernel.Directory)}); err != nil {
 		return &Resp{Status: StatusOf(err)}, err
 	}
 	cl.journalGroup(res, Req{Op: OpMaterialize, Ino: resp.Attr.Ino, Len: uint32(kernel.Directory)}, resp.Attr.Ino)
@@ -265,7 +185,7 @@ func (cl *Cluster) shardMkdir(p *sim.Proc, dir kernel.InodeID, name string) (*Re
 // (scrubVictim).
 func (cl *Cluster) shardUnlink(p *sim.Proc, dir kernel.InodeID, name string) (*Resp, error) {
 	owner := cl.pl.residue(dir)
-	resp, err := cl.groupFan(p, owner, &Req{Op: OpUnlink, Ino: dir, Name: name})
+	resp, err := cl.fanout(p, owner, &Req{Op: OpUnlink, Ino: dir, Name: name})
 	if err != nil {
 		return resp, err
 	}
@@ -310,7 +230,7 @@ func (cl *Cluster) scrubVictim(p *sim.Proc, victim kernel.InodeID, ownerSize int
 // emptiness authority), then drop the dentry at the parent's group.
 func (cl *Cluster) shardRmdir(p *sim.Proc, dir kernel.InodeID, name string) (*Resp, error) {
 	owner := cl.pl.residue(dir)
-	lresp, err := cl.groupRead(p, owner, &Req{Op: OpLookup, Ino: dir, Name: name})
+	lresp, err := cl.homedRead(p, &Req{Op: OpLookup, Ino: dir, Name: name})
 	if err != nil {
 		return lresp, err
 	}
@@ -319,11 +239,11 @@ func (cl *Cluster) shardRmdir(p *sim.Proc, dir kernel.InodeID, name string) (*Re
 	}
 	child := lresp.Attr.Ino
 	cres := cl.pl.residue(child)
-	if sresp, err := cl.groupFan(p, cres, &Req{Op: OpScrub, Ino: child, Len: ScrubRequireEmptyDir}); err != nil {
+	if sresp, err := cl.fanout(p, cres, &Req{Op: OpScrub, Ino: child, Len: ScrubRequireEmptyDir}); err != nil {
 		return sresp, err
 	}
 	cl.journalGroup(cres, Req{Op: OpScrub, Ino: child, Len: ScrubRequireEmptyDir}, child)
-	resp, err := cl.groupFan(p, owner, &Req{Op: OpRmdir, Ino: dir, Name: name})
+	resp, err := cl.fanout(p, owner, &Req{Op: OpRmdir, Ino: dir, Name: name})
 	if err != nil {
 		return resp, err
 	}
@@ -355,11 +275,11 @@ func (cl *Cluster) Rename(p *sim.Proc, srcDir kernel.InodeID, srcName string, ds
 		return &Resp{Status: StatusOf(err)}, err
 	}
 	if !cl.pl.sharded {
-		return cl.fanout(p, local) // noteMutation bumps every server
+		return cl.fanout(p, ring, local) // noteMutation bumps every server
 	}
 	so, do := cl.pl.residue(srcDir), cl.pl.residue(dstDir)
 	if so == do {
-		resp, err := cl.groupFan(p, so, local)
+		resp, err := cl.fanout(p, so, local)
 		if err == nil {
 			cl.journalGroup(so, *local, resp.Attr.Ino)
 		}
@@ -368,7 +288,7 @@ func (cl *Cluster) Rename(p *sim.Proc, srcDir kernel.InodeID, srcName string, ds
 	// Phase 1 — prepare at the source group: marks (srcDir, srcName)
 	// as renaming toward dstDir and returns the child. Nothing durable
 	// changed; any failure here simply leaves the rename undone.
-	presp, err := cl.groupFan(p, so, &Req{Op: OpRenamePrepare, Ino: srcDir, Off: int64(dstDir), Name: srcName})
+	presp, err := cl.fanout(p, so, &Req{Op: OpRenamePrepare, Ino: srcDir, Off: int64(dstDir), Name: srcName})
 	if err != nil {
 		return presp, err
 	}
@@ -378,7 +298,7 @@ func (cl *Cluster) Rename(p *sim.Proc, srcDir kernel.InodeID, srcName string, ds
 	// The link carries no class: unless the destination group is the
 	// child's home, which already records it, it answers layoutUnknown.
 	link := Req{Op: OpLink, Ino: dstDir, Off: int64(child.Ino), Len: PackNode(int(child.Kind), LayoutStandard), Name: dstName}
-	cresp, err := cl.groupFan(p, do, &link)
+	cresp, err := cl.fanout(p, do, &link)
 	if err != nil {
 		// The destination never (observably) switched: abort the
 		// source marks so the namespace settles in its original state.
@@ -386,7 +306,7 @@ func (cl *Cluster) Rename(p *sim.Proc, srcDir kernel.InodeID, srcName string, ds
 		// destination server killed before the commit reinstates
 		// cleanly into that state. If the abort ALSO fails, the source
 		// entry stays marked and the outcome is in doubt.
-		if _, aerr := cl.groupFan(p, so, &Req{Op: OpRenameAbort, Ino: srcDir, Name: srcName}); aerr != nil {
+		if _, aerr := cl.fanout(p, so, &Req{Op: OpRenameAbort, Ino: srcDir, Name: srcName}); aerr != nil {
 			cl.RenameInDoubts.Add(1)
 			cl.noteRenameDoubt(srcDir, srcName, dstDir, dstName)
 			return cresp, &RenameInDoubtError{SrcDir: srcDir, SrcName: srcName, DstDir: dstDir, DstName: dstName, Err: err}
@@ -404,7 +324,7 @@ func (cl *Cluster) Rename(p *sim.Proc, srcDir kernel.InodeID, srcName string, ds
 	cl.journalGroup(do, link, child.Ino)
 	// Phase 3 — finalize at the source group: detach the old entry and
 	// clear the mark.
-	if _, ferr := cl.groupFan(p, so, &Req{Op: OpRenameFinalize, Ino: srcDir, Off: int64(child.Ino), Name: srcName}); ferr != nil {
+	if _, ferr := cl.fanout(p, so, &Req{Op: OpRenameFinalize, Ino: srcDir, Off: int64(child.Ino), Name: srcName}); ferr != nil {
 		// A member that missed the finalize still holds the orphaned
 		// marked entry: journal the finalize it missed (after the fan,
 		// precisely so members it newly excluded are seen).
@@ -530,7 +450,7 @@ func (cl *Cluster) shardMetaBatch(p *sim.Proc, reqs []*Req) ([]*Resp, error) {
 		case OpUnlink:
 			// The whole owner group applies the unlink; each member's
 			// share carries the same *Req (flights start sequentially
-			// and every start fully encodes — see startBatchFlight).
+			// and every start fully encodes — see Session.startBatch).
 			for _, k := range cl.aliveTargets(owner, cl.pl.replicas, nil) {
 				if k != idx {
 					cl.MetaFanout.Add(1)

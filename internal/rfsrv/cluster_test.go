@@ -245,9 +245,11 @@ func TestClusterUnevenFinalStripe(t *testing.T) {
 
 // oneServerWorkload drives one client workload — create, a chunked
 // write larger than MaxWriteChunk, sequential reads, and a metadata
-// mix — against any rfsrv.Client, returning the finish time and a
-// checksum of everything read.
-func oneServerWorkload(t *testing.T, p *sim.Proc, kern *vm.AddressSpace, cl rfsrv.Client) (sim.Time, []byte) {
+// mix — against any rfsrv.Async, returning the instant that part ends
+// (sync), the finish time and a checksum of everything read. After sync
+// come the calls a one-server cluster used to hand straight to its
+// session: a MetaBatch and a zero-length Read and Write.
+func oneServerWorkload(t *testing.T, p *sim.Proc, kern *vm.AddressSpace, cl rfsrv.Async) (sync, end sim.Time, sum []byte) {
 	t.Helper()
 	const fileSize = 640 * 1024 // > 2 write chunks, a whole number of read chunks
 	const chunk = 64 * 1024
@@ -267,7 +269,7 @@ func oneServerWorkload(t *testing.T, p *sim.Proc, kern *vm.AddressSpace, cl rfsr
 	if resp, err = cl.Write(p, ino, 0, core.Of(core.KernelSeg(kern, va, fileSize))); err != nil || int(resp.N) != fileSize {
 		t.Fatalf("write: n=%d err=%v", resp.N, err)
 	}
-	sum := make([]byte, 0, fileSize)
+	sum = make([]byte, 0, fileSize)
 	rva, err := kern.Mmap(chunk, "wl-read")
 	if err != nil {
 		t.Fatal(err)
@@ -290,7 +292,24 @@ func oneServerWorkload(t *testing.T, p *sim.Proc, kern *vm.AddressSpace, cl rfsr
 			t.Fatalf("%v: %v", req.Op, err)
 		}
 	}
-	return p.Now(), sum
+	sync = p.Now()
+	resps, err := cl.MetaBatch(p, []*rfsrv.Req{
+		{Op: rfsrv.OpGetattr, Ino: ino},
+		{Op: rfsrv.OpLookup, Ino: 0, Name: "f"},
+		{Op: rfsrv.OpCreate, Ino: 0, Name: "g"},
+		{Op: rfsrv.OpReaddir, Ino: 0},
+	})
+	if err != nil || len(resps) != 4 || resps[0].Attr.Size != fileSize/2 || resps[1].Attr.Ino != ino {
+		t.Fatalf("batch: %d replies, err %v", len(resps), err)
+	}
+	empty := core.Of(core.KernelSeg(kern, rva, 0))
+	if resp, err := cl.Read(p, ino, fileSize/4, empty); err != nil || resp.N != 0 {
+		t.Fatalf("zero-length read: n=%d err=%v", resp.N, err)
+	}
+	if resp, err := cl.Write(p, ino, fileSize/4, empty); err != nil || resp.N != 0 {
+		t.Fatalf("zero-length write: n=%d err=%v", resp.N, err)
+	}
+	return sync, p.Now(), sum
 }
 
 // TestClusterOneServerMatchesSession is the degeneracy guarantee: a
@@ -313,13 +332,13 @@ func TestClusterOneServerMatchesSession(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var cl rfsrv.Client = sess
+			var cl rfsrv.Async = sess
 			if wrap {
 				if cl, err = rfsrv.NewCluster(p, []*rfsrv.Session{sess}, 0); err != nil {
 					t.Fatal(err)
 				}
 			}
-			end, sum = oneServerWorkload(t, p, r.client.Kernel, cl)
+			_, end, sum = oneServerWorkload(t, p, r.client.Kernel, cl)
 		})
 		return end, sum
 	}
@@ -339,12 +358,12 @@ func TestClusterOneServerMatchesSession(t *testing.T) {
 // kernel-side endpoint of the given transport.
 var clientLayers = []struct {
 	name  string
-	build func(t *testing.T, p *sim.Proc, r *rig, transport string) rfsrv.Client
+	build func(t *testing.T, p *sim.Proc, r *rig, transport string) rfsrv.Async
 }{
-	{"Session(1)", func(t *testing.T, p *sim.Proc, r *rig, transport string) rfsrv.Client {
+	{"Session(1)", func(t *testing.T, p *sim.Proc, r *rig, transport string) rfsrv.Async {
 		return r.sessionOver(t, p, transport, 10, 1)
 	}},
-	{"Cluster(1 server)", func(t *testing.T, p *sim.Proc, r *rig, transport string) rfsrv.Client {
+	{"Cluster(1 server)", func(t *testing.T, p *sim.Proc, r *rig, transport string) rfsrv.Async {
 		cl, err := rfsrv.NewCluster(p, []*rfsrv.Session{r.sessionOver(t, p, transport, 10, 1)}, 0)
 		if err != nil {
 			t.Fatal(err)
@@ -354,39 +373,49 @@ var clientLayers = []struct {
 }
 
 // TestClientLayersIdentical is the window-1 identity across the client
-// layers on both transports: the same Meta/Read/Write workload
-// completes at the same virtual instant, reads the same bytes and
-// costs the server the same requests whichever layer issues it — the
-// 18 requests the bare synchronous client took before the window-1
-// Session replaced it, at the instant it took them re-pinned when a
-// payload above the eager limit started to travel as its own message
-// into fresh server frames (MX 7 455 493 → 6 771 255 ns, GM 6 824 253 →
-// 6 170 093 ns; a separate payload is not a request message).
+// layers on both transports: the same workload completes at the same
+// virtual instant, reads the same bytes and costs the server the same
+// requests whichever layer issues it. Its Meta/Read/Write part takes
+// the 18 requests the bare synchronous client took before the window-1
+// Session replaced it, ending at the instant it took them re-pinned
+// when a payload above the eager limit started to travel as its own
+// message into fresh server frames (MX 7 455 493 → 6 771 255 ns, GM
+// 6 824 253 → 6 170 093 ns; a separate payload is not a request
+// message). The batch and zero-length calls after it go through the
+// cluster's own issue paths, one-server shortcuts gone, and must still
+// match the session request for request.
 func TestClientLayersIdentical(t *testing.T) {
 	for _, pin := range []struct {
 		transport string
-		end       sim.Time
+		sync      sim.Time
 	}{{"mx", 6771255}, {"gm", 6170093}} {
-		transport, wantEnd := pin.transport, pin.end
+		transport, wantSync := pin.transport, pin.sync
+		var baseEnd sim.Time
 		var baseSum []byte
+		var baseReqs int64
 		for i, layer := range clientLayers {
 			r := newRig(t)
-			var end sim.Time
+			var sync, end sim.Time
 			var sum []byte
+			var reqs int64
 			r.run(t, func(p *sim.Proc) {
-				end, sum = oneServerWorkload(t, p, r.client.Kernel, layer.build(t, p, r, transport))
+				sync, end, sum = oneServerWorkload(t, p, r.client.Kernel, layer.build(t, p, r, transport))
+				reqs = r.srv.Requests.N
 			})
 			if i == 0 {
-				baseSum = sum
+				baseEnd, baseSum, baseReqs = end, sum, reqs
 			}
-			if end != wantEnd {
-				t.Errorf("%s: %s finished at %d ns, the synchronous client at %d", transport, layer.name, end, wantEnd)
+			if sync != wantSync {
+				t.Errorf("%s: %s finished its Meta/Read/Write part at %d ns, the synchronous client at %d", transport, layer.name, sync, wantSync)
+			}
+			if end != baseEnd {
+				t.Errorf("%s: %s finished at %d ns, %s at %d", transport, layer.name, end, clientLayers[0].name, baseEnd)
 			}
 			if !bytes.Equal(sum, baseSum) {
 				t.Errorf("%s: %s read different bytes than %s", transport, layer.name, clientLayers[0].name)
 			}
-			if r.srv.Requests.N != 18 {
-				t.Errorf("%s: %s cost the server %d requests, the synchronous client 18", transport, layer.name, r.srv.Requests.N)
+			if reqs != baseReqs || reqs != 18+6 {
+				t.Errorf("%s: %s cost the server %d requests, %s %d, want 18 + the 6 after them", transport, layer.name, reqs, clientLayers[0].name, baseReqs)
 			}
 		}
 	}

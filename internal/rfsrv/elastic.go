@@ -467,7 +467,7 @@ func (cl *Cluster) copyRange(p *sim.Proc, ino kernel.InodeID, off int64, n int, 
 			return nil
 		}
 		for _, slot := range to {
-			wresp, err := cl.sessions[slot].c.ctlWrite(p, ino, off, vec.Slice(0, got))
+			wresp, err := cl.sessions[slot].c.ctlData(p, OpWrite, ino, off, vec.Slice(0, got))
 			if err != nil {
 				if fabric.IsFault(err) {
 					cl.markDown(slot)

@@ -100,7 +100,8 @@ func viaSetSizeTo(prep fanPrep) fanScenario {
 	}
 }
 
-// viaFanoutCreate drives fanout with a namespace mutation.
+// viaFanoutCreate drives fanout over the whole ring with a namespace
+// mutation.
 func viaFanoutCreate(prep fanPrep) fanScenario {
 	return func(t *testing.T, p *sim.Proc, r *clusterRig, cl *rfsrv.Cluster) func() error {
 		prep(t, p, r, cl, 0)
@@ -127,8 +128,8 @@ func viaFanoutTruncate(prep fanPrep) fanScenario {
 	}
 }
 
-// viaGroupFan drives groupFan: an unlink of "f" in a directory owned
-// by group {0, 1}.
+// viaGroupFan drives fanout over one owner group: an unlink of "f" in
+// a directory owned by group {0, 1}.
 func viaGroupFan(prep fanPrep) fanScenario {
 	return func(t *testing.T, p *sim.Proc, r *clusterRig, cl *rfsrv.Cluster) func() error {
 		dir := mkdirRes(t, p, cl, 3, 0, "d")

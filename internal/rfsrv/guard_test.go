@@ -5,6 +5,7 @@ import (
 	"go/parser"
 	"go/token"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -73,4 +74,63 @@ func declaresClusterMethods(f *ast.File) bool {
 		}
 	}
 	return false
+}
+
+// TestOneCompletionPath keeps the client's one issue path and one
+// retire path (client.go): a reply header is decoded (finish) only
+// where a flight retires (retire) or is drained after a fault
+// (quiesceHdr), and a request leaves (postHdr, sendEnc) only from
+// issue, its encoder sendReq and the combined batch (startBatch). A
+// new caller is a second completion or issue path.
+func TestOneCompletionPath(t *testing.T) {
+	allowed := map[string][]string{
+		"finish":  {"retire", "quiesceHdr"},
+		"postHdr": {"issue", "startBatch"},
+		"sendEnc": {"sendReq", "startBatch"},
+	}
+	paths, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	calls := map[string]int{}
+	for _, path := range paths {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range f.Decls {
+			fn, ok := d.(*ast.FuncDecl)
+			if !ok || fn.Body == nil {
+				continue
+			}
+			ast.Inspect(fn.Body, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				sel, ok := call.Fun.(*ast.SelectorExpr)
+				if !ok {
+					return true
+				}
+				callers, guarded := allowed[sel.Sel.Name]
+				if !guarded {
+					return true
+				}
+				calls[sel.Sel.Name]++
+				if !slices.Contains(callers, fn.Name.Name) {
+					t.Errorf("%s: %s calls %s; only %v may", fset.Position(call.Pos()), fn.Name.Name, sel.Sel.Name, callers)
+				}
+				return true
+			})
+		}
+	}
+	for name := range allowed {
+		if calls[name] == 0 {
+			t.Errorf("no call of %s found: the guard checks nothing", name)
+		}
+	}
 }

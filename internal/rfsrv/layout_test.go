@@ -182,7 +182,7 @@ func assertWholeHeld(t *testing.T, p *sim.Proc, r *clusterRig, cl *rfsrv.Cluster
 
 // hinted is a client whose creates all carry one layout hint.
 type hinted struct {
-	rfsrv.Client
+	rfsrv.Async
 	hint rfsrv.LayoutClass
 }
 
@@ -192,7 +192,7 @@ func (h hinted) Meta(p *sim.Proc, req *rfsrv.Req) (*rfsrv.Resp, error) {
 		r.Len = uint32(h.hint)
 		req = &r
 	}
-	return h.Client.Meta(p, req)
+	return h.Async.Meta(p, req)
 }
 
 // TestClusterOneServerHintInert: on a one-member ring both classes
@@ -214,13 +214,13 @@ func TestClusterOneServerHintInert(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var cl rfsrv.Client = sess
+			var cl rfsrv.Async = sess
 			if wrap {
 				if cl, err = rfsrv.NewCluster(p, []*rfsrv.Session{sess}, 0); err != nil {
 					t.Fatal(err)
 				}
 			}
-			end, sum = oneServerWorkload(t, p, r.client.Kernel, hinted{cl, hint})
+			_, end, sum = oneServerWorkload(t, p, r.client.Kernel, hinted{cl, hint})
 		})
 		return end, sum, r.rsrv[0].Requests.N
 	}

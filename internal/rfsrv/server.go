@@ -688,6 +688,7 @@ func (s *Server) recvReq(p *sim.Proc, t fabric.Transport, in *inbox) *work {
 		if err != nil {
 			panic(err)
 		}
+		//analyze:allow boundedwait a receiver idles here until some client sends a request; no peer owes it one
 		st := op.Wait(p)
 		w := s.admit(in, st, eagerMax)
 		if w == nil {
@@ -773,6 +774,7 @@ func (s *Server) landPayload(p *sim.Proc, w *work) {
 	if w.pay == nil {
 		return
 	}
+	//analyze:allow boundedwait ROADMAP item 2(a): a client dead between header and payload strands this receive until the server has a deadline
 	st := w.pay.Wait(p)
 	w.pay = nil
 	if w.ok = w.ok && st.Err == nil && st.Len == int(w.req.Len); !w.ok {

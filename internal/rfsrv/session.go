@@ -32,13 +32,10 @@ type Session struct {
 	win *fabric.Window[*ctlBufs]
 
 	// Reusable MetaBatch staging (a session serves one simulated
-	// process, and every flight's contents are encoded and sent before
-	// the next flight starts, so one set per session suffices).
+	// process, and a batch's requests are encoded and sent before the
+	// next batch starts, so one set per session suffices).
 	packScratch []byte
-	batchBufs   []*ctlBufs
-	batchHdrs   []fabric.Op
-	batchSeqs   []uint64
-	flight      batchFlight // the session's single outstanding flight
+	batch       []flight
 
 	// Issued/Completed count requests through the window; Batched
 	// counts metadata requests that shared a fabric send (MetaBatch).
@@ -142,7 +139,7 @@ func (s *Session) StartMeta(p *sim.Proc, req *Req) (PendingOp, error) {
 }
 
 func (s *Session) startMeta(p *sim.Proc, req *Req, kept bool) (*Pending, error) {
-	if err := ValidateReq(req); err != nil {
+	if err := validateMeta(req); err != nil {
 		return nil, err
 	}
 	return s.launch(p, s.win.Acquire(p), req, nil, kept)
@@ -193,10 +190,17 @@ func (pd *Pending) Wait(p *sim.Proc) (*Resp, error) {
 	if pd.done {
 		return pd.resp, pd.err
 	}
-	resp, err := pd.s.c.retire(p, &pd.fl)
-	pd.resp, pd.err, pd.done = resp, err, true
-	pd.s.Completed.Add(1)
-	pd.s.win.Release(pd.fl.bufs)
+	pd.resp, pd.err = pd.s.retire(p, &pd.fl)
+	pd.done = true
+	return pd.resp, pd.err
+}
+
+// retire retires a flight on one of the window's slots and gives the
+// slot back.
+func (s *Session) retire(p *sim.Proc, fl *flight) (*Resp, error) {
+	resp, err := s.c.retire(p, fl)
+	s.Completed.Add(1)
+	s.win.Release(fl.bufs)
 	return resp, err
 }
 
@@ -293,7 +297,7 @@ func (s *Session) writeChunked(p *sim.Proc, ino kernel.InodeID, off int64, src c
 // unpacks and answers each under its own sequence number, and the
 // replies demux to per-request header receives posted up front.
 // Batches larger than the window (or the request buffer) are split
-// transparently. Read/write operations cannot be batched.
+// transparently. Read- and write-shaped operations cannot be batched.
 func (s *Session) MetaBatch(p *sim.Proc, reqs []*Req) ([]*Resp, error) {
 	// Validate everything before acquiring any window slot, so a bad
 	// request cannot abandon slots already holding posted receives.
@@ -302,11 +306,11 @@ func (s *Session) MetaBatch(p *sim.Proc, reqs []*Req) ([]*Resp, error) {
 	}
 	resps := make([]*Resp, 0, len(reqs))
 	for start := 0; start < len(reqs); {
-		fl, end, err := s.startBatchFlight(p, reqs, start)
+		fls, end, err := s.startBatch(p, reqs, start)
 		if err != nil {
 			return resps, err
 		}
-		resps, err = fl.wait(p, resps)
+		resps, err = s.retireBatch(p, fls, resps)
 		if err != nil {
 			return resps, err
 		}
@@ -315,59 +319,54 @@ func (s *Session) MetaBatch(p *sim.Proc, reqs []*Req) ([]*Resp, error) {
 	return resps, nil
 }
 
+// validateMeta is the check every metadata entry point makes before
+// anything is posted: a valid request, and not one whose data would
+// travel beside it — the server stops unpacking a batch at such an op,
+// so the requests behind it would never be answered.
+func validateMeta(r *Req) error {
+	if readShaped(r.Op) || writeShaped(r.Op) {
+		return ErrInval
+	}
+	return ValidateReq(r)
+}
+
 // validateBatch is MetaBatch's up-front request check, shared with the
 // cluster's cross-server batching.
 func validateBatch(reqs []*Req) error {
 	for _, r := range reqs {
-		if r.Op == OpRead || r.Op == OpWrite {
-			return fmt.Errorf("rfsrv: MetaBatch cannot carry %v", r.Op)
-		}
-		if err := ValidateReq(r); err != nil {
+		if err := validateMeta(r); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// batchFlight is one combined metadata send on the wire: the window
-// slots holding its posted reply receives and the issue time its
-// reply deadlines run from. A session has at most ONE flight
-// outstanding (its staging is session scratch); cross-server
-// parallelism comes from flights on different sessions — the cluster
-// starts one per server, then waits them all (Cluster.runShares).
-type batchFlight struct {
-	s      *Session
-	bufs   []*ctlBufs
-	hdrs   []fabric.Op
-	seqs   []uint64
-	sent   fabric.Op // the combined message's send, gathering from bufs[0]
-	issued sim.Time
-}
-
-// startBatchFlight packs reqs[start:] — up to window requests whose
-// encodings fit the 4 KB request buffer — into one combined fabric
-// send, with a reply receive posted per request before the message
-// leaves. It returns the flight and the index of the first request
+// startBatch packs reqs[start:] — up to window requests whose encodings
+// fit the 4 KB request buffer — into one combined fabric send. Each
+// request is a flight of its own, on its own window slot with its reply
+// receive posted before the message leaves; the first flight carries
+// the send. It returns the flights and the index of the first request
 // that did not fit (the caller loops). Requests must be pre-validated
 // (validateBatch); each req's Seq/EP is stamped and its bytes fully
-// encoded before return, so callers may reuse the same *Req values in
-// a later flight. The previous flight must be waited first.
-func (s *Session) startBatchFlight(p *sim.Proc, reqs []*Req, start int) (*batchFlight, int, error) {
-	bufs := s.batchBufs[:0]
-	hdrs := s.batchHdrs[:0]
-	seqs := s.batchSeqs[:0]
-	packed := s.packScratch[:0]
-	// abort returns every slot of the aborted flight, withdrawing
-	// its posted header receive first (each is tagged with a
-	// sequence number that was never sent, so cancellation cannot
-	// race a delivery).
-	abort := func() {
-		for i, b := range bufs {
-			fabric.Cancel(p, hdrs[i])
-			s.win.Release(b)
+// encoded before return, so callers may reuse the same *Req values in a
+// later batch. A session has at most ONE batch outstanding — its
+// flights and encoding are session scratch — so the previous batch must
+// be retired first; cross-server parallelism comes from batches on
+// different sessions (Cluster.runShares starts one per server, then
+// retires them all).
+func (s *Session) startBatch(p *sim.Proc, reqs []*Req, start int) ([]flight, int, error) {
+	fls, packed := s.batch[:0], s.packScratch[:0]
+	// abort returns every slot of the aborted batch, withdrawing its
+	// posted header receive first (each is tagged with a sequence
+	// number that was never sent, so cancellation cannot race a
+	// delivery).
+	abort := func(err error) ([]flight, int, error) {
+		for _, fl := range fls {
+			fabric.Cancel(p, fl.hdrOp)
+			s.win.Release(fl.bufs)
 		}
-		s.batchBufs, s.batchHdrs = bufs[:0], hdrs[:0]
-		s.batchSeqs, s.packScratch = seqs[:0], packed[:0]
+		s.batch, s.packScratch = fls[:0], packed[:0]
+		return nil, start, err
 	}
 	end := start
 	for end < len(reqs) && end-start < s.win.Size() {
@@ -378,63 +377,50 @@ func (s *Session) startBatchFlight(p *sim.Proc, reqs []*Req, start int) (*batchF
 		packed = EncodeReqInto(packed, r)
 		if len(packed) > reqBufSize && end > start {
 			packed = packed[:pre]
-			s.c.seq-- // undo; goes in the next flight
+			s.c.seq-- // undo; goes in the next batch
 			break
 		}
 		b := s.win.Acquire(p)
 		hdrOp, err := s.c.postHdr(p, b, r.Seq)
 		if err != nil {
 			s.win.Release(b)
-			abort()
-			return nil, start, err
+			return abort(err)
 		}
-		bufs = append(bufs, b)
-		hdrs = append(hdrs, hdrOp)
-		seqs = append(seqs, r.Seq)
+		fls = append(fls, flight{bufs: b, seq: r.Seq, hdrOp: hdrOp})
 		end++
 	}
 	// The packed message stages through the first slot's request
 	// buffer and is matched by the server like any other request.
-	sent, err := s.c.sendEnc(p, bufs[0], packed, nil)
+	sent, err := s.c.sendEnc(p, fls[0].bufs, packed, nil)
 	if err != nil {
-		abort()
-		return nil, start, err
+		return abort(err)
 	}
-	s.Issued.Add(len(seqs))
-	if len(seqs) > 1 {
-		s.Batched.Add(len(seqs) - 1)
+	s.batch, s.packScratch = fls, packed[:0]
+	fls[0].sent = sent
+	s.Issued.Add(len(fls))
+	if len(fls) > 1 {
+		s.Batched.Add(len(fls) - 1)
 	}
-	// Hand the (grown) scratch to the flight; wait resets it.
-	s.batchBufs, s.batchHdrs, s.batchSeqs, s.packScratch = bufs, hdrs, seqs, packed
-	s.flight = batchFlight{s: s, bufs: bufs, hdrs: hdrs, seqs: seqs, sent: sent, issued: p.Now()}
-	return &s.flight, end, nil
+	for i := range fls {
+		fls[i].issued = p.Now()
+	}
+	return fls, end, nil
 }
 
-// wait retires every request of the flight in order, appending the
-// replies to out (the first error is returned after ALL slots are
-// quiesced and returned to the window — a faulted batch must not leak
-// posted receives). The slot the message went from goes back once its
-// send is done (FabricClient.settle).
-func (fl *batchFlight) wait(p *sim.Proc, out []*Resp) ([]*Resp, error) {
-	s := fl.s
+// retireBatch retires every flight of a batch in order (retire: their
+// deadlines all run from the batch's one send, so the replies of a
+// batch against a dead server expire together), appending the replies
+// to out. The first error is returned after ALL slots are back in the
+// window — a faulted batch must not leak posted receives.
+func (s *Session) retireBatch(p *sim.Proc, fls []flight, out []*Resp) ([]*Resp, error) {
 	var firstErr error
-	for i := range fl.seqs {
-		// Deadlines run from the flight's issue: the replies of a
-		// batch against a dead server must expire together, not
-		// serialize a fresh timeout each.
-		resp, err := s.c.finish(p, fl.bufs[i], fl.hdrs[i], fl.seqs[i], s.c.deadlineFrom(p, fl.issued))
-		if i == 0 && fabric.IsFault(err) {
-			s.c.settle(p, fl.sent)
-		}
+	for i := range fls {
+		resp, err := s.retire(p, &fls[i])
 		if err != nil && firstErr == nil {
 			firstErr = err
 		}
 		out = append(out, resp)
-		s.Completed.Add(1)
-		s.win.Release(fl.bufs[i])
 	}
-	s.batchBufs, s.batchHdrs = s.batchBufs[:0], s.batchHdrs[:0]
-	s.batchSeqs, s.packScratch = s.batchSeqs[:0], s.packScratch[:0]
 	return out, firstErr
 }
 

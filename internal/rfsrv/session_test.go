@@ -2,6 +2,7 @@ package rfsrv_test
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -305,6 +306,47 @@ func TestMetaBatch(t *testing.T) {
 			})
 		})
 	}
+}
+
+// TestMetaRejectsDataShapedOps: the server stops unpacking a combined
+// batch at a read- or write-shaped op, so the requests from there on
+// would never be answered. Every metadata entry point refuses such an
+// op with ErrInval before anything is posted: no request reaches the
+// server, no time passes and no window slot stays held.
+func TestMetaRejectsDataShapedOps(t *testing.T) {
+	r := newRig(t)
+	r.run(t, func(p *sim.Proc) {
+		sess := r.sessionOver(t, p, "mx", 2, 4)
+		sess.SetRequestTimeout(2 * time.Millisecond)
+		cl, err := rfsrv.NewCluster(p, []*rfsrv.Session{r.sessionOver(t, p, "mx", 3, 1)}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		start := p.Now()
+		lookup := func() *rfsrv.Req { return &rfsrv.Req{Op: rfsrv.OpLookup, Ino: 0, Name: "f"} }
+		for _, op := range []rfsrv.Op{rfsrv.OpRead, rfsrv.OpWrite, rfsrv.OpExport, rfsrv.OpImport} {
+			batch := []*rfsrv.Req{lookup(), {Op: op}, lookup()}
+			if _, err := sess.MetaBatch(p, batch); !errors.Is(err, rfsrv.ErrInval) {
+				t.Errorf("Session.MetaBatch with %v: %v, want ErrInval", op, err)
+			}
+			if _, err := cl.MetaBatch(p, batch); !errors.Is(err, rfsrv.ErrInval) {
+				t.Errorf("Cluster.MetaBatch with %v: %v, want ErrInval", op, err)
+			}
+			if _, err := sess.Meta(p, &rfsrv.Req{Op: op}); !errors.Is(err, rfsrv.ErrInval) {
+				t.Errorf("Session.Meta(%v): %v, want ErrInval", op, err)
+			}
+			if _, err := sess.StartMeta(p, &rfsrv.Req{Op: op}); !errors.Is(err, rfsrv.ErrInval) {
+				t.Errorf("Session.StartMeta(%v): %v, want ErrInval", op, err)
+			}
+			if _, err := cl.Meta(p, &rfsrv.Req{Op: op}); !errors.Is(err, rfsrv.ErrInval) {
+				t.Errorf("Cluster.Meta(%v): %v, want ErrInval", op, err)
+			}
+		}
+		if p.Now() != start || r.srv.Requests.N != 0 || sess.InFlight() != 0 {
+			t.Errorf("refusals took %v, reached the server %d times and left %d slots held, want none",
+				p.Now()-start, r.srv.Requests.N, sess.InFlight())
+		}
+	})
 }
 
 // TestNameTooLongStatus: an oversized name must surface as a status at

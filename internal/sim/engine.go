@@ -190,9 +190,11 @@ func (e *Engine) newEvent() *event {
 // package-external callers (After) are pinned and never recycled, so
 // the documented "Cancel after firing is a no-op" contract holds for
 // them. Internal events are safe: wake/Sleep events are never exposed,
-// and the sync primitives (Signal.WaitTimeout, Chan.RecvTimeout)
-// cancel their timer only on the wake-up path, where the timer is
-// provably still scheduled.
+// a pending wake-up is cancelled only while still scheduled (next), and
+// the sync primitives (Signal.WaitTimeout, Chan.RecvTimeout) cancel
+// their timer only once resumed, before any new event is taken: the
+// timer is then still scheduled, or on the free list, where newEvent
+// clears the mark.
 func (e *Engine) recycle(ev *event) {
 	if !ev.pinned && len(e.free) < 1024 {
 		// Drop the closure/proc references now, not at reuse: a parked
@@ -283,7 +285,13 @@ func (e *Engine) next() (due *Proc) {
 			fn()
 			continue
 		}
-		p.wakePending = false
+		if p.woken != nil && p.woken != ev {
+			// Resumed by another event (a timeout's timer) in the instant
+			// a primitive also woke it: that wake-up must not end the
+			// Proc's next park early.
+			p.woken.cancelled = true
+		}
+		p.woken = nil
 		if p.done {
 			continue // finished, or killed, since this event was scheduled
 		}
@@ -316,15 +324,16 @@ func (e *Engine) pass(p *Proc) {
 // wake-ups for the same proc are coalesced: synchronization primitives
 // always remove a proc from their waiter list before calling wake, so a
 // parked proc has at most one pending wake-up (plus possibly a timer it
-// scheduled itself, which it is responsible for cancelling).
+// scheduled itself, which it is responsible for cancelling). Whichever
+// of the two resumes p first cancels the wake-up if it is still queued
+// (next), so neither can end a later park.
 func (e *Engine) wake(p *Proc) {
-	if p.wakePending {
+	if p.woken != nil {
 		return
 	}
-	p.wakePending = true
 	ev := e.newEvent()
 	ev.proc = p
-	e.schedule(e.now, ev)
+	p.woken = e.schedule(e.now, ev)
 }
 
 // wakeAt schedules a control transfer to p at absolute time at, returning

@@ -10,13 +10,13 @@ import (
 // Wait/Recv/Acquire methods on the synchronization types) must only be
 // called from within the Proc's own body.
 type Proc struct {
-	e           *Engine
-	name        string
-	resume      chan struct{} // buffered: the baton holder never waits for p to reach its receive
-	body        func(p *Proc) // non-nil until the goroutine is started
-	done        bool
-	killed      bool
-	wakePending bool
+	e      *Engine
+	name   string
+	resume chan struct{} // buffered: the baton holder never waits for p to reach its receive
+	body   func(p *Proc) // non-nil until the goroutine is started
+	done   bool
+	killed bool
+	woken  *event // the wake-up wake scheduled, until an event resumes p
 }
 
 // procKilled is the panic value used to unwind a killed Proc.

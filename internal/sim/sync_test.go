@@ -342,3 +342,52 @@ func BenchmarkChanPingPong(b *testing.B) {
 	b.ResetTimer()
 	pingPong(e, b.N/2)
 }
+
+// TestSignalWaitTimeoutRaceLeavesNoWakeup: a Fire in the instant the
+// waiter's timer expires, with the timer first in line, wakes a waiter
+// the timer already resumed. That wake-up must not end the waiter's
+// next park early.
+func TestSignalWaitTimeoutRaceLeavesNoWakeup(t *testing.T) {
+	e := NewEngine()
+	s := NewSignal(e)
+	var ok bool
+	var slept Time
+	e.Spawn("w", func(p *Proc) {
+		e.After(10*us, s.Fire)
+		ok = s.WaitTimeout(p, 10*us)
+		start := p.Now()
+		p.Sleep(5 * us)
+		slept = p.Now() - start
+	})
+	e.Run(0)
+	if !ok {
+		t.Error("WaitTimeout = false, want true: the signal fired within the timeout")
+	}
+	if slept != 5*us {
+		t.Errorf("Sleep(5µs) after the race returned after %v", slept)
+	}
+}
+
+// TestChanRecvTimeoutRaceLeavesNoWakeup is the same race on a Chan: a
+// Send in the instant the receiver's timer expires.
+func TestChanRecvTimeoutRaceLeavesNoWakeup(t *testing.T) {
+	e := NewEngine()
+	c := NewChan[int](e)
+	var v int
+	var ok bool
+	var slept Time
+	e.Spawn("r", func(p *Proc) {
+		e.After(10*us, func() { c.Send(7) })
+		v, ok = c.RecvTimeout(p, 10*us)
+		start := p.Now()
+		p.Sleep(5 * us)
+		slept = p.Now() - start
+	})
+	e.Run(0)
+	if !ok || v != 7 {
+		t.Errorf("RecvTimeout = %d,%v, want 7,true", v, ok)
+	}
+	if slept != 5*us {
+		t.Errorf("Sleep(5µs) after the race returned after %v", slept)
+	}
+}

@@ -49,6 +49,8 @@ func TestLockOrder(t *testing.T) { runFixture(t, lockOrder, "a", "b") }
 
 func TestAllocFree(t *testing.T) { runFixture(t, allocFree, "a") }
 
+func TestBoundedWait(t *testing.T) { runFixture(t, boundedWait, "rfsrv", "other") }
+
 // TestAllowRequiresReason: a bare //analyze:allow with no reason is
 // itself a finding, recorded when the package loads (no analyzer has
 // to run).

@@ -28,6 +28,7 @@ var analyzers = []*Analyzer{
 	opExhaustive,
 	lockOrder,
 	allocFree,
+	boundedWait,
 }
 
 // Finding is one reported invariant violation.

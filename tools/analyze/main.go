@@ -1,5 +1,5 @@
 // Command analyze is the repository's invariant analyzer suite: a
-// vet-style static-analysis driver (DESIGN.md §14) with five
+// vet-style static-analysis driver (DESIGN.md §14) with six
 // repo-specific analyzers, each guarding an invariant that is
 // otherwise only checked at runtime, after the bug has happened:
 //
@@ -19,6 +19,9 @@
 //   - allocfree: functions annotated //allocfree contain no
 //     allocating constructs, turning the alloc gate's count
 //     regression into a pinpointed diagnostic.
+//   - boundedwait: a Wait on a fabric operation in the networked
+//     packages (rfsrv, nbd, orfs, orfa) is timed, or carries the
+//     reason it ends — a dead peer must not block a process forever.
 //
 // Like tools/doccheck it is implemented with the standard library
 // only (go/parser + go/types, stdlib imports type-checked from

@@ -1,13 +1,14 @@
 #!/bin/sh
 # Analyzer regression smoke: prove the gate actually catches the
 # regressions it exists for, not just that it exits zero today.
-# Injects four defects into the working tree — a deleted pool Release
+# Injects five defects into the working tree — a deleted pool Release
 # (a buffer leak on an error path), an unwired protocol opcode, a write
 # whose failed-data path skips finishing its size publish (the round's
-# control slots stay held and wedge the next fan), and a serve path
-# that skips landing a write's separate payload (its receive is never
-# collected and its frames are installed unchecked or leak) — and
-# requires the analyzer to fail on each, then restores the tree
+# control slots stay held and wedge the next fan), a serve path that
+# skips landing a write's separate payload (its receive is never
+# collected and its frames are installed unchecked or leak), and a
+# client wait on a reply that drops its deadline (a dead server blocks
+# it forever) — and requires the analyzer to fail on each, then restores the tree
 # byte-for-byte from backups (no git operations, safe on a dirty
 # tree).
 set -eu
@@ -18,6 +19,7 @@ cd "$root"
 victim=internal/sockets/gmsock.go
 publisher=internal/rfsrv/cluster.go
 server=internal/rfsrv/server.go
+waiter=internal/rfsrv/client.go
 injected=internal/rfsrv/zz_smoke_injected.go
 
 tmp="$(mktemp -d)"
@@ -25,6 +27,7 @@ restore() {
 	cp "$tmp/gmsock.go.bak" "$victim"
 	cp "$tmp/cluster.go.bak" "$publisher"
 	cp "$tmp/server.go.bak" "$server"
+	cp "$tmp/client.go.bak" "$waiter"
 	rm -f "$injected"
 	rm -rf "$tmp"
 }
@@ -32,6 +35,7 @@ trap restore EXIT
 cp "$victim" "$tmp/gmsock.go.bak"
 cp "$publisher" "$tmp/cluster.go.bak"
 cp "$server" "$tmp/server.go.bak"
+cp "$waiter" "$tmp/client.go.bak"
 
 run_analyzer() { go run ./tools/analyze ./... 2>&1; }
 
@@ -112,5 +116,22 @@ if ! echo "$out" | grep -q '\[poolpair\].*postPayload'; then
 	exit 1
 fi
 cp "$tmp/server.go.bak" "$server"
+
+echo "smoke: untimed reply wait must fail boundedwait"
+sed -i 's/^\tst, ok = fabric\.WaitTimeout(p, op, d)$/\tst, ok = op.Wait(p), true/' "$waiter"
+if cmp -s "$waiter" "$tmp/client.go.bak"; then
+	echo "smoke: FAIL — injection did not change $waiter (site moved?)"
+	exit 1
+fi
+if out="$(run_analyzer)"; then
+	echo "smoke: FAIL — analyzer passed with an untimed reply wait"
+	exit 1
+fi
+if ! echo "$out" | grep -q '\[boundedwait\]'; then
+	echo "$out"
+	echo "smoke: FAIL — analyzer failed but reported no boundedwait finding"
+	exit 1
+fi
+cp "$tmp/client.go.bak" "$waiter"
 
 echo "smoke: PASS"
