@@ -16,6 +16,7 @@
 package knapi
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -42,6 +43,16 @@ const (
 	maxExtendingWriteBytesPerOp = 15000 // measured 13044
 	maxORFSDirectAllocsPerOp    = 64    // measured 57.0 (PR 19: 99.1)
 	maxORFSDirectBytesPerOp     = 7150  // measured 6192 (PR 19: 7183)
+
+	// A 64 KB MX Session read into kernel memory, synchronous and eight
+	// deep. The ceilings are the usual margins over what the read cost
+	// while its data came back in one rendezvous (26.06 and 27.07
+	// allocs/op, 3 327 and 3 452 B/op), so the eager pieces that replaced
+	// it can never allocate more.
+	maxKernelRead64KAllocsPerOp   = 29
+	maxKernelRead64KBytesPerOp    = 3830
+	maxKernelRead64KW8AllocsPerOp = 30
+	maxKernelRead64KW8BytesPerOp  = 3970
 
 	// One 4 KB ping-pong round trip on the raw fabric: two messages.
 	maxGMRoundTripAllocsPerOp = 23   // measured 20.0
@@ -119,6 +130,26 @@ func TestAllocGateExtendingWrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	gate(t, "extending write + size fan", got, maxExtendingWriteAllocsPerOp, maxExtendingWriteBytesPerOp)
+}
+
+// TestAllocGateKernelRead64K gates a 64 KB MX Session read into kernel
+// memory, at window 1 and at window 8: one eager message cannot carry
+// it, so its data comes back in two eager pieces, into receives posted
+// before the request left, where it once took MX's rendezvous.
+func TestAllocGateKernelRead64K(t *testing.T) {
+	for _, w := range []struct {
+		window              int
+		maxAllocs, maxBytes float64
+	}{
+		{1, maxKernelRead64KAllocsPerOp, maxKernelRead64KBytesPerOp},
+		{8, maxKernelRead64KW8AllocsPerOp, maxKernelRead64KW8BytesPerOp},
+	} {
+		got, err := figures.KernelReadAllocs(256, w.window)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gate(t, fmt.Sprintf("64 KB kernel read, window %d", w.window), got, w.maxAllocs, w.maxBytes)
+	}
 }
 
 // TestAllocGateORFSFile gates the paper's headline path (the orfs_file

@@ -100,8 +100,11 @@ type Caps struct {
 	// EagerMax is the longest message a vectorial transport delivers
 	// eagerly — straight into the receive the peer posted, with no
 	// rendezvous, so the receiver pins nothing and answers no
-	// clear-to-send (MX: Params.MXMediumMax). Zero on transports
-	// without vectors, where one message never carries two buffers.
+	// clear-to-send (MX: Params.MXMediumMax). A consumer that posts its
+	// receives before asking can have longer data sent as several
+	// messages of at most EagerMax bytes, none of them a rendezvous
+	// (rfsrv's kernel reads). Zero on transports without vectors,
+	// where one message never carries two buffers.
 	EagerMax int
 }
 

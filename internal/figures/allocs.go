@@ -173,6 +173,64 @@ func sessionAllocs(name string, ops int, write func(i int) bool) (HostCost, erro
 	return allocs, err
 }
 
+// KernelReadAllocs measures the steady-state host cost of one 64 KB
+// read into kernel memory through one Session to one MX server, with
+// window of them in flight (1: the synchronous Read). One eager message
+// cannot carry the read, so its data comes back in eager pieces, into
+// receives the client posted before it asked (rfsrv's read-piece rule),
+// where it once took MX's rendezvous.
+func KernelReadAllocs(ops, window int) (HostCost, error) {
+	if ops <= 0 || window < 1 {
+		return HostCost{}, fmt.Errorf("figures: KernelReadAllocs needs ops > 0 and window >= 1")
+	}
+	var allocs HostCost
+	err := probe(1, msStripe, func(p *sim.Proc, cl *rfsrv.Cluster) error {
+		const chunk, chunks = 64 * 1024, 8
+		ino, err := probeFile(p, cl)
+		if err != nil {
+			return err
+		}
+		node, sess := cl.Node(), cl.Sessions()[0]
+		va, err := node.Kernel.Mmap(window*chunk, "probe-buf")
+		if err != nil {
+			return err
+		}
+		slot := func(i int) core.Vector {
+			return core.Of(core.KernelSeg(node.Kernel, va+vm.VirtAddr(i%window*chunk), chunk))
+		}
+		for i := 0; i < chunks; i++ {
+			if _, err := cl.Write(p, ino, int64(i)*chunk, slot(0)); err != nil {
+				return err
+			}
+		}
+		pds := make([]rfsrv.PendingOp, window)
+		allocs, err = steadyAllocs(ops, func(i int) error {
+			off := int64(i%chunks) * chunk
+			if window == 1 {
+				_, err := sess.Read(p, ino, off, slot(i))
+				return err
+			}
+			if pd := pds[i%window]; pd != nil {
+				if _, err := pd.Wait(p); err != nil {
+					return err
+				}
+			}
+			var err error
+			pds[i%window], err = sess.StartRead(p, ino, off, slot(i))
+			return err
+		})
+		for _, pd := range pds {
+			if pd != nil {
+				if _, werr := pd.Wait(p); err == nil {
+					err = werr
+				}
+			}
+		}
+		return err
+	})
+	return allocs, err
+}
+
 // PipelinedReadBounces reports how many request bounce buffers (the
 // page under a receiver's header segment) one MX server's pool hands out
 // per request while a client keeps a window of eight 16 KB reads in

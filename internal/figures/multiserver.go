@@ -158,7 +158,7 @@ func msClient(p *sim.Proc, r *rig.Rig, scenario string, i int, inos []kernel.Ino
 			return nil, err
 		}
 		if scenario == "orfs-direct" {
-			return scalDirectReads(p, cluster, inos[i])
+			return scalDirectReads(p, cluster, inos[i], scalChunk)
 		}
 		osys := kernel.NewOS(node, 0)
 		osys.Mount("/mnt", orfs.New("orfs", cluster))

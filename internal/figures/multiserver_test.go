@@ -64,7 +64,7 @@ func TestMultiServerOneServerMatchesScalability(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		samples, err = scalDirectReads(p, sess, inos[0])
+		samples, err = scalDirectReads(p, sess, inos[0], scalChunk)
 		return err
 	})
 	if err != nil {
@@ -129,7 +129,7 @@ func TestDirectReadsDrainOnFault(t *testing.T) {
 			return err
 		}
 		r.Nodes[0].NIC.KillAfter(time.Millisecond)
-		_, err = scalDirectReads(p, sess, inos[0])
+		_, err = scalDirectReads(p, sess, inos[0], scalChunk)
 		return err
 	})
 	if !fabric.IsFault(err) {

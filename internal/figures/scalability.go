@@ -116,18 +116,19 @@ func (rs *readStream) read(p *sim.Proc, off int64) error {
 	return nil
 }
 
-// scalDirectReads streams the file's chunks through the client's
-// window (each 64 KB chunk is exactly one stripe, so over a cluster
-// chunks round-robin) and returns every request's latency.
-func scalDirectReads(p *sim.Proc, sess rfsrv.Async, ino kernel.InodeID) ([]sim.Time, error) {
+// scalDirectReads streams the file's chunk-byte pieces through the
+// client's window (the figures read scalChunk: each 64 KB chunk is
+// exactly one stripe, so over a cluster chunks round-robin) and returns
+// every request's latency.
+func scalDirectReads(p *sim.Proc, sess rfsrv.Async, ino kernel.InodeID, chunk int) ([]sim.Time, error) {
 	var samples []sim.Time
-	rs, err := newReadStream(sess, ino, scalChunk, "scal-buf", func(p *sim.Proc, pd rfsrv.PendingOp, _ *rfsrv.Resp) {
+	rs, err := newReadStream(sess, ino, chunk, "scal-buf", func(p *sim.Proc, pd rfsrv.PendingOp, _ *rfsrv.Resp) {
 		samples = append(samples, p.Now()-pd.Issued())
 	})
 	if err != nil {
 		return nil, err
 	}
-	for off := int64(0); off < scalFilePerCli; off += scalChunk {
+	for off := int64(0); off < scalFilePerCli; off += int64(chunk) {
 		if rs.read(p, off) != nil {
 			break
 		}

@@ -35,15 +35,28 @@ const (
 	maxPayloadShift = 22
 )
 
-// payloadPools holds free buffers by size class. Like mem's frame pool
-// it is process-wide and GC-emptied rather than a field of Cluster or
-// NIC: a finished rig stays reachable through its parked goroutines,
-// and a rig-owned free list would keep every buffer it ever used
-// (DESIGN.md §14).
-var payloadPools [maxPayloadShift - minPayloadShift + 1]sync.Pool
+// payloadFree holds free buffers by size class, process-wide rather
+// than a field of Cluster or NIC: a finished rig stays reachable
+// through its parked goroutines, and a rig-owned free list would keep
+// every buffer it ever used (DESIGN.md §14). Unlike mem's frame pool it
+// is not a sync.Pool, which every second collection empties: the
+// buffers in use at once follow the messages in flight at once, so a
+// refill after each collection would allocate a burst's worth of
+// buffers anew, a few times per run. It keeps at most maxFreePayload
+// bytes; a buffer returned past that is left to the GC.
+var payloadFree struct {
+	sync.Mutex
+	bytes int
+	class [maxPayloadShift - minPayloadShift + 1][]*Staged
+}
+
+// maxFreePayload bounds what payloadFree keeps: comfortably more than
+// a busy cluster's messages hold in flight at once (12 MB at the peak
+// of bench's cluster_stream), and small beside a rig's frames.
+const maxFreePayload = 32 << 20
 
 // payloadClass returns the index of the smallest class holding n bytes
-// (past the end of payloadPools when no class does).
+// (past the end of payloadFree.class when no class does).
 //
 // allocfree
 func payloadClass(n int) int {
@@ -59,11 +72,18 @@ func payloadClass(n int) int {
 // allocfree
 func getPayload(n int) *Staged {
 	c := payloadClass(n)
-	if c >= len(payloadPools) {
+	if c >= len(payloadFree.class) {
 		//analyze:allow allocfree larger than the largest class: not pooled
 		return &Staged{b: make([]byte, n)}
 	}
-	s, _ := payloadPools[c].Get().(*Staged)
+	f := &payloadFree
+	f.Lock()
+	var s *Staged
+	if free := f.class[c]; len(free) > 0 {
+		s, f.class[c] = free[len(free)-1], free[:len(free)-1]
+		f.bytes -= cap(s.b)
+	}
+	f.Unlock()
 	if s == nil {
 		//analyze:allow allocfree pool-miss arm: the buffer recycles from here on
 		s = &Staged{b: make([]byte, 1<<(c+minPayloadShift))}
@@ -77,10 +97,16 @@ func getPayload(n int) *Staged {
 // allocfree
 func putPayload(s *Staged) {
 	c := payloadClass(cap(s.b))
-	if c >= len(payloadPools) || cap(s.b) != 1<<(c+minPayloadShift) {
+	if c >= len(payloadFree.class) || cap(s.b) != 1<<(c+minPayloadShift) {
 		return
 	}
-	payloadPools[c].Put(s)
+	f := &payloadFree
+	f.Lock()
+	if f.bytes+cap(s.b) <= maxFreePayload {
+		f.class[c] = append(f.class[c], s)
+		f.bytes += cap(s.b)
+	}
+	f.Unlock()
 }
 
 // Stage copies the bytes xs describes out of this node's memory into a

@@ -20,14 +20,16 @@
 // loops — the combined page-cache fetch and the direct read — keep
 // their in-flight block requests in a fabric.Pipeline, which retires
 // every one of them on every exit. The wire stays the block protocol's
-// own (one reply message per block, where an rfsrv read takes two), and
-// a request has no reply deadline yet: a server that dies with a
-// request in flight parks its waiter (ROADMAP item 7).
+// own (one reply message per block, where an rfsrv read takes two). A
+// request's reply deadline is a protocol constant (replyDeadline), so a
+// server that dies with a request in flight fails its waiter instead of
+// parking it for good.
 package nbd
 
 import (
 	"encoding/binary"
 	"fmt"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/fabric"
@@ -42,6 +44,13 @@ import (
 // BlockSize is the device block size (one page, matching the
 // page-cache granularity the paper discusses).
 const BlockSize = mem.PageSize
+
+// replyDeadline is how long a block request waits for its reply,
+// counted from its issue. It is a protocol constant, not a knob: a
+// fault-free block round trip takes microseconds, and milliseconds
+// under the multiserver figure's load, so only a server that died
+// with the request in flight trips it.
+const replyDeadline = 100 * time.Millisecond
 
 // protocol kinds (hw.Message.Kind).
 const (
@@ -287,7 +296,9 @@ type PendingBlock struct {
 	seq      uint64
 	idx      int64
 	wantKind uint8
-	op       fabric.Op
+	op       fabric.Op // the reply receive
+	sent     fabric.Op // the request's send
+	issued   sim.Time  // the reply deadline runs from here
 	done     bool
 	err      error
 }
@@ -318,9 +329,10 @@ func (c *Client) start(p *sim.Proc, kind uint8, idx int64, frame *mem.Frame) (*P
 		c.win.Release(slot)
 		return nil, err
 	}
+	var sent fabric.Op
 	err = kern.WriteBytes(hdrOff, encHdr(kind, seq, idx, c.t.LocalEP()))
 	if err == nil {
-		_, err = c.t.Send(p, c.server, c.serverEP, seq<<1|1, send)
+		sent, err = c.t.Send(p, c.server, c.serverEP, seq<<1|1, send)
 	}
 	if err != nil {
 		// The receive is tagged with a sequence number that was never
@@ -329,18 +341,34 @@ func (c *Client) start(p *sim.Proc, kind uint8, idx int64, frame *mem.Frame) (*P
 		c.win.Release(slot)
 		return nil, err
 	}
-	return &PendingBlock{c: c, slot: slot, seq: seq, idx: idx, wantKind: wantKind, op: rr}, nil
+	return &PendingBlock{c: c, slot: slot, seq: seq, idx: idx, wantKind: wantKind, op: rr, sent: sent, issued: p.Now()}, nil
 }
 
-// Wait retires the request; requests may be waited in any order.
+// Wait retires the request; requests may be waited in any order. A
+// reply that has not come replyDeadline after the request's issue
+// fails it as a transport fault (fabric.IsFault): its receive is
+// withdrawn — or, if the reply matched meanwhile, waited — and its send
+// settled, waited for at most one more deadline, before the slot goes
+// back, for the NIC gathers the header slot, and a write's frame, at
+// DMA time.
 func (pb *PendingBlock) Wait(p *sim.Proc) error {
 	if pb.done {
 		return pb.err
 	}
 	pb.done = true
 	defer pb.c.win.Release(pb.slot)
-	//analyze:allow boundedwait ROADMAP item 2(b): nbd has no reply deadline yet, so a dead server blocks this retire
-	st := pb.op.Wait(p)
+	st, ok := fabric.WaitTimeout(p, pb.op, max(pb.issued+replyDeadline-p.Now(), 1))
+	if !ok && fabric.Cancel(p, pb.op) {
+		if !pb.sent.Done() {
+			fabric.WaitTimeout(p, pb.sent, replyDeadline)
+		}
+		pb.err = fmt.Errorf("nbd: block %d: %w", pb.idx, fabric.ErrTimeout)
+		return pb.err
+	}
+	if !ok {
+		//analyze:allow boundedwait the reply already matched (Cancel refused): its completion is under way
+		st = pb.op.Wait(p)
+	}
 	if st.Err != nil {
 		pb.err = st.Err
 		return pb.err

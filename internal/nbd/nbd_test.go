@@ -766,3 +766,51 @@ func TestFailedIssueLeavesNothingPosted(t *testing.T) {
 		t.Fatal("deadlock")
 	}
 }
+
+// TestRequestDeadline: a server whose NIC dies with a block request in
+// flight never answers it. ReadBlock and WriteBlock give up once the
+// protocol's reply deadline — 100 ms, running from the request's issue
+// — expires, with a transport fault and the window slot back, and the
+// client works again once the server's NIC revives. (The client needs
+// a vectorial transport, so there is no GM arm.)
+func TestRequestDeadline(t *testing.T) {
+	const timeout = 100 * time.Millisecond
+	r := newRig(t, 16)
+	r.run(t, func(p *sim.Proc) {
+		out, _ := r.client.Mem.AllocFrame()
+		in, _ := r.client.Mem.AllocFrame()
+		for i := range out.Data() {
+			out.Data()[i] = byte(i*7 + 1)
+		}
+		if err := r.cl.WriteBlock(p, 3, out); err != nil {
+			t.Fatal(err)
+		}
+		for _, op := range []struct {
+			verb string
+			do   func() error
+		}{
+			{"read", func() error { return r.cl.ReadBlock(p, 3, in) }},
+			{"write", func() error { return r.cl.WriteBlock(p, 3, out) }},
+		} {
+			r.server.NIC.KillAfter(2 * time.Microsecond)
+			t0 := p.Now()
+			err := op.do()
+			if !fabric.IsFault(err) {
+				t.Errorf("%s across a server kill = %v, want a transport fault", op.verb, err)
+			}
+			if got := p.Now() - t0; got < timeout || got > timeout+10*time.Microsecond {
+				t.Errorf("%s failed after %v, want its %v deadline", op.verb, got, timeout)
+			}
+			if r.cl.InFlight() != 0 {
+				t.Errorf("%s left %d window slots held", op.verb, r.cl.InFlight())
+			}
+			r.server.NIC.Revive()
+		}
+		if err := r.cl.ReadBlock(p, 3, in); err != nil {
+			t.Fatalf("read after revive: %v", err)
+		}
+		if !bytes.Equal(in.Data(), out.Data()) {
+			t.Error("read after revive returned the wrong block")
+		}
+	})
+}

@@ -25,16 +25,19 @@ import (
 // the asymmetry the paper measures reads off the Caps directly. One
 // rule holds on both: a kernel-side client hands the transport kernel
 // memory by physical address — its internal buffers always, resolved
-// once, and the caller's kernel memory whenever one message carries it
-// eagerly (physData) — so the NIC moves it by DMA and MX's medium
+// once, and the caller's kernel memory whenever eager messages carry it
+// (physData): one, or for a read one eager message cannot carry, one
+// per piece (readPieces) — so the NIC moves it by DMA and MX's medium
 // messages pay no bounce copy on either side (§4.1, §5.1).
 //
 //   - On a vectorial transport (MX) the request and its write data ride
 //     in one message while it stays eager (a larger payload follows as
 //     its own message, a rendezvous MX translates and pins itself), read
-//     data lands straight in the caller's vector (physical page-cache
-//     frames, kernel buffers or pinned user memory), and waits are
-//     per-request.
+//     data lands straight in the caller's vector — physical page-cache
+//     frames and kernel buffers, in eager pieces into receives posted
+//     before the request left when one message cannot carry it, and
+//     user memory MX pins for a rendezvous above the eager limit — and
+//     waits are per-request.
 //   - On a non-vectorial registering transport (GM) header and data
 //     travel as separate messages, internal buffers are registered once
 //     on the user side, per-transfer user buffers go through the
@@ -87,13 +90,18 @@ type FabricClient struct {
 // the Pending of a synchronous Session verb (Session.launch). reqVec
 // and hdrVec are the slot's descriptions of its two buffers as last
 // sent and posted, and dataVec of the caller's memory a read's data
-// lands in or a separate payload leaves from (physData), each rebuilt
-// in place: a slot is reused only once its request is retired, when
-// none is still in use (retire, settle).
+// lands in — followed, for a read answered in pieces, by each piece's
+// share of it — or a separate payload leaves from (physData); pieces
+// holds the data receives of the slot's request, one per piece of a
+// read (postData) and none for any other; retire, or an issue that
+// fails, empties it once they are inert. Each is rebuilt in place: a
+// slot is reused only once its request is retired, when none is still
+// in use (retire, settle).
 type ctlBufs struct {
 	reqVA, hdrVA            vm.VirtAddr
 	reqXS, hdrXS            []mem.Extent // kernel side, physical transports: resolved once
 	reqVec, hdrVec, dataVec core.Vector
+	pieces                  []fabric.Op
 	req                     Req
 	pd                      Pending
 }
@@ -301,9 +309,10 @@ func (c *FabricClient) bufVec(dst core.Vector, va vm.VirtAddr, xs []mem.Extent, 
 
 // physData appends the caller's memory v to dst — by physical address
 // (phys) when the client hands kernel memory over physically (physCtl),
-// v holds no user memory (that stays the transport's to pin) and one
-// eager message carries it (at most Caps.EagerMax bytes, when the
-// transport has an eager limit), and as it is otherwise. Kernel virtual
+// v holds no user memory (that stays the transport's to pin) and msgs
+// eager messages carry it (at most msgs × Caps.EagerMax bytes, when the
+// transport has an eager limit; msgs is 1 but for a read answered in
+// pieces, readPieces), and as it is otherwise. Kernel virtual
 // segments are translated page by page. Above its eager limit a
 // transport translates kernel memory itself — MX's rendezvous charges a
 // kernel pin per page (mx.resolve) — so below it the client charges the
@@ -311,9 +320,9 @@ func (c *FabricClient) bufVec(dst core.Vector, va vm.VirtAddr, xs []mem.Extent, 
 // translated, at no charge.
 //
 // allocfree
-func (c *FabricClient) physData(p *sim.Proc, dst, v core.Vector) (out core.Vector, phys bool, err error) {
+func (c *FabricClient) physData(p *sim.Proc, dst, v core.Vector, msgs int) (out core.Vector, phys bool, err error) {
 	eagerMax := c.t.Caps().EagerMax
-	if !c.physCtl() || hasUserSeg(v) || eagerMax > 0 && v.TotalLen() > eagerMax {
+	if !c.physCtl() || hasUserSeg(v) || eagerMax > 0 && v.TotalLen() > msgs*eagerMax {
 		return append(dst, v...), false, nil
 	}
 	if err := v.Validate(); err != nil {
@@ -373,7 +382,7 @@ func (c *FabricClient) sendEnc(p *sim.Proc, b *ctlBufs, enc []byte, extra core.V
 		return nil, err
 	}
 	var err error
-	if b.reqVec, _, err = c.physData(p, c.bufVec(b.reqVec[:0], b.reqVA, b.reqXS, len(enc)), extra); err != nil {
+	if b.reqVec, _, err = c.physData(p, c.bufVec(b.reqVec[:0], b.reqVA, b.reqXS, len(enc)), extra, 1); err != nil {
 		return nil, err
 	}
 	return c.t.Send(p, c.server, c.serverEP, reqTag, b.reqVec)
@@ -387,76 +396,103 @@ func (c *FabricClient) sendReq(p *sim.Proc, b *ctlBufs, req *Req, extra core.Vec
 	return c.sendEnc(p, b, c.encScratch, extra)
 }
 
-// postData posts the read-data receive for dst, returning the op, a
-// release closure for acquired (cache-managed) user memory, and — on
-// the staged (noPhys) path — a fixup to run once the data length is
-// known. The capability branches here are the paper's §5.2 comparison
-// in a few lines: kernel memory goes physical wherever physData takes
-// it (its description kept in b); past that, vectorial transports take
-// dst as-is, and non-vectorial ones can receive into a single
-// registered user segment, nothing else.
-func (c *FabricClient) postData(p *sim.Proc, b *ctlBufs, seq uint64, dst core.Vector) (op fabric.Op, release func(), fixup func(p *sim.Proc, n int), err error) {
+// postData posts the read-data receives for req's dst into b.pieces,
+// returning a release closure for acquired (cache-managed) user memory
+// and — on the staged (noPhys) path — a fixup to run once the data
+// length is known. The capability branches here are the paper's
+// §5.2 comparison in a few lines: kernel memory goes physical wherever
+// physData takes it (its description kept in b), and an OpRead of it
+// that readPieces splits asks for its data in that many eager messages
+// (readPiecesBit), each landing in its own receive, posted in order;
+// past that, vectorial transports take dst as-is, and non-vectorial
+// ones can receive into a single registered user segment, nothing
+// else.
+func (c *FabricClient) postData(p *sim.Proc, b *ctlBufs, req *Req, dst core.Vector) (release func(), fixup func(p *sim.Proc, n int), err error) {
 	if err := dst.Validate(); err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-	dataMatch := core.Exact(tag(seq, c.myEP, kindData))
-	v, phys, err := c.physData(p, b.dataVec[:0], dst)
+	dataMatch := core.Exact(tag(req.Seq, c.myEP, kindData))
+	eagerMax, k := c.t.Caps().EagerMax, 1
+	if c.physCtl() && !hasUserSeg(dst) { // what physData hands over physically
+		k = readPieces(req.Op, eagerMax, int(req.Len))
+	}
+	v, phys, err := c.physData(p, b.dataVec[:0], dst, k)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
+	}
+	if k > 1 {
+		req.Len |= readPiecesBit
 	}
 	if b.dataVec = v; phys || c.t.Caps().Vectors {
-		op, err := c.t.PostRecv(p, dataMatch, v)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		return op, func() {}, nil, nil
-	}
-	if !hasUserSeg(dst) {
-		if !c.kernSide {
-			return nil, nil, nil, fmt.Errorf("rfsrv: user port cannot address kernel/physical memory on this transport")
-		}
-		// Stock GM (noPhys): receive into the registered staging buffer
-		// and copy to the real destination afterwards (the extra copy the
-		// physical primitives eliminate).
-		xs, err := dst.Extents()
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		n := dst.TotalLen()
-		if n > MaxWriteChunk {
-			return nil, nil, nil, fmt.Errorf("rfsrv: staged receive of %d bytes exceeds staging buffer", n)
-		}
-		op, err := c.t.PostRecv(p, dataMatch, core.Of(c.seg(c.stagingVA, max(n, 1))))
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		node := c.t.Node()
-		fixup := func(p *sim.Proc, got int) {
-			if got == 0 {
-				return
+		for i := 0; i < k; i++ {
+			piece := v
+			if at := len(b.dataVec); k > 1 {
+				b.dataVec = slicePhys(b.dataVec, v, i*eagerMax, eagerMax)
+				piece = b.dataVec[at:]
 			}
-			raw, err := c.as.ReadBytes(c.stagingVA, got)
+			op, err := c.t.PostRecv(p, dataMatch, piece)
 			if err != nil {
-				panic(err)
+				return nil, nil, err // issue withdraws the pieces already posted
 			}
-			node.CPU.Copy(p, got)
-			node.Mem.Scatter(xs, raw)
+			b.pieces = append(b.pieces, op)
 		}
-		return op, func() {}, fixup, nil
+		return nil, nil, nil
 	}
-	if len(dst) != 1 {
-		return nil, nil, nil, fmt.Errorf("rfsrv: cannot receive into a %d-segment vector (no vectorial primitives)", len(dst))
-	}
-	release, err = c.t.Acquire(p, dst)
+	xs, release, err := c.stockData(p, dst)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-	op, err = c.t.PostRecv(p, dataMatch, dst)
+	if release != nil {
+		op, err := c.t.PostRecv(p, dataMatch, dst)
+		if err != nil {
+			release()
+			return nil, nil, err
+		}
+		b.pieces = append(b.pieces, op)
+		return release, nil, nil
+	}
+	// Stock GM (noPhys): receive into the registered staging buffer and
+	// copy to the real destination afterwards (the extra copy the
+	// physical primitives eliminate).
+	op, err := c.t.PostRecv(p, dataMatch, core.Of(c.seg(c.stagingVA, max(dst.TotalLen(), 1))))
 	if err != nil {
-		release()
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-	return op, release, nil, nil
+	b.pieces = append(b.pieces, op)
+	node := c.t.Node()
+	fixup = func(p *sim.Proc, got int) {
+		if got == 0 {
+			return
+		}
+		raw, err := c.as.ReadBytes(c.stagingVA, got)
+		if err != nil {
+			panic(err)
+		}
+		node.CPU.Copy(p, got)
+		node.Mem.Scatter(xs, raw)
+	}
+	return nil, fixup, nil
+}
+
+// stockData readies the caller's memory v for one transfer on a
+// non-vectorial transport: user memory as a single registered segment,
+// acquired through the transport's registration cache (release gives it
+// back), and anything else — the DisablePhysicalAPI ablation — as the
+// extents it is copied to or from through the registered staging buffer.
+func (c *FabricClient) stockData(p *sim.Proc, v core.Vector) (xs []mem.Extent, release func(), err error) {
+	switch {
+	case hasUserSeg(v) && len(v) != 1:
+		return nil, nil, fmt.Errorf("rfsrv: cannot move a %d-segment vector (no vectorial primitives)", len(v))
+	case hasUserSeg(v):
+		release, err = c.t.Acquire(p, v)
+		return nil, release, err
+	case !c.kernSide:
+		return nil, nil, fmt.Errorf("rfsrv: user port cannot address kernel/physical memory on this transport")
+	case v.TotalLen() > MaxWriteChunk:
+		return nil, nil, fmt.Errorf("rfsrv: staging %d bytes exceeds the staging buffer", v.TotalLen())
+	}
+	xs, err = v.Extents()
+	return xs, nil, err
 }
 
 // sendData transmits a write's payload as its own message, tagged with
@@ -471,7 +507,7 @@ func (c *FabricClient) postData(p *sim.Proc, b *ctlBufs, seq uint64, dst core.Ve
 // translate and pin.
 func (c *FabricClient) sendData(p *sim.Proc, b *ctlBufs, seq uint64, src core.Vector) (func(), fabric.Op, error) {
 	dataTag := payloadTag(c.t.Node().ID, seq, c.myEP)
-	v, phys, err := c.physData(p, b.dataVec[:0], src)
+	v, phys, err := c.physData(p, b.dataVec[:0], src, 1)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -483,43 +519,30 @@ func (c *FabricClient) sendData(p *sim.Proc, b *ctlBufs, seq uint64, src core.Ve
 		_, err := c.t.Send(p, c.server, c.serverEP, dataTag, src)
 		return nil, nil, err
 	}
-	if !hasUserSeg(src) {
-		if !c.kernSide {
-			return nil, nil, fmt.Errorf("rfsrv: user port cannot address kernel/physical memory on this transport")
-		}
-		// Stock GM (noPhys): stage through the registered buffer. The
-		// ablation keeps its owned staging copy (Gather), sampled before
-		// the charge.
-		xs, err := src.Extents()
+	xs, release, err := c.stockData(p, src)
+	if err != nil {
+		return nil, nil, err
+	}
+	if release != nil {
+		op, err := c.t.Send(p, c.server, c.serverEP, dataTag, src)
 		if err != nil {
+			release()
 			return nil, nil, err
 		}
-		n := mem.TotalLen(xs)
-		if n > MaxWriteChunk {
-			return nil, nil, fmt.Errorf("rfsrv: staged send of %d bytes exceeds staging buffer", n)
-		}
-		node := c.t.Node()
-		data := node.Mem.Gather(xs)
-		node.CPU.Copy(p, n)
-		if err := c.as.WriteBytes(c.stagingVA, data); err != nil {
-			return nil, nil, err
-		}
-		op, err := c.t.Send(p, c.server, c.serverEP, dataTag, core.Of(c.seg(c.stagingVA, n)))
-		return nil, op, err
+		return release, op, nil
 	}
-	if len(src) != 1 {
-		return nil, nil, fmt.Errorf("rfsrv: cannot send a %d-segment vector (no vectorial primitives)", len(src))
-	}
-	release, err := c.t.Acquire(p, src)
-	if err != nil {
+	// Stock GM (noPhys): stage through the registered buffer. The
+	// ablation keeps its owned staging copy (Gather), sampled before the
+	// charge.
+	n := mem.TotalLen(xs)
+	node := c.t.Node()
+	data := node.Mem.Gather(xs)
+	node.CPU.Copy(p, n)
+	if err := c.as.WriteBytes(c.stagingVA, data); err != nil {
 		return nil, nil, err
 	}
-	op, err := c.t.Send(p, c.server, c.serverEP, dataTag, src)
-	if err != nil {
-		release()
-		return nil, nil, err
-	}
-	return release, op, nil
+	op, err := c.t.Send(p, c.server, c.serverEP, dataTag, core.Of(c.seg(c.stagingVA, n)))
+	return nil, op, err
 }
 
 // finish waits for the header reply (at most d; 0 = forever) and
@@ -565,14 +588,14 @@ func (c *FabricClient) finish(p *sim.Proc, b *ctlBufs, hdrOp fabric.Op, seq uint
 // call is nothing but the two back to back.
 
 // flight is one request on the wire from one slot: what retire needs
-// to complete it and leave the slot quiescent. It is a plain value:
-// the control path keeps it on the stack, a Session stores it in its
-// Pending.
+// to complete it and leave the slot quiescent, beside a read's data
+// receives, which stay in the slot (ctlBufs.pieces). It is a plain
+// value: the control path keeps it on the stack, a Session stores it in
+// its Pending.
 type flight struct {
 	bufs    *ctlBufs
 	seq     uint64
 	hdrOp   fabric.Op
-	dataOp  fabric.Op                // reads: the posted data receive
 	sent    fabric.Op                // the request message's send (gathers from bufs, and an inline payload)
 	paid    fabric.Op                // a separate payload's send, when it gathers from the caller's memory
 	release func()                   // acquired (cache-managed) user memory, if any
@@ -584,10 +607,11 @@ type flight struct {
 // wire from slot b, which the caller owns. The reply-header receive is
 // posted before the request leaves (replies are matched by sequence
 // number); a read-shaped request (readShaped) also posts its data
-// receive into data first, so the bytes land wherever the transport
-// allows; a write-shaped one's data rides in the request message while
-// that message stays eager and follows as its own message otherwise
-// (inlinePayload). req may be b.req — it is
+// receives into data first — one, or one per piece of a read answered
+// in pieces (postData) — so the bytes land wherever the transport
+// allows and never arrive unexpected; a write-shaped one's data rides
+// in the request message while that message stays eager and follows as
+// its own message otherwise (inlinePayload). req may be b.req — it is
 // fully encoded before issue returns, so the slot's request staging is
 // free again. On error nothing stays posted and nothing is sent from
 // the slot any more: the header buffer and, crucially, the caller's
@@ -604,10 +628,8 @@ func (c *FabricClient) issue(p *sim.Proc, b *ctlBufs, req *Req, data core.Vector
 	}
 	switch {
 	case readShaped(req.Op):
-		if fl.dataOp, fl.release, fl.fixup, err = c.postData(p, b, req.Seq, data); err == nil {
-			if fl.sent, err = c.sendReq(p, b, req, nil); err != nil {
-				fabric.Cancel(p, fl.dataOp)
-			}
+		if fl.release, fl.fixup, err = c.postData(p, b, req, data); err == nil {
+			fl.sent, err = c.sendReq(p, b, req, nil)
 		}
 	case writeShaped(req.Op) && !inlinePayload(c.t.Caps().EagerMax, reqFixed+len(req.Name), int(req.Len)):
 		if fl.sent, err = c.sendReq(p, b, req, nil); err == nil {
@@ -617,7 +639,10 @@ func (c *FabricClient) issue(p *sim.Proc, b *ctlBufs, req *Req, data core.Vector
 		fl.sent, err = c.sendReq(p, b, req, data) // an inline payload, if any: metadata carries none
 	}
 	if err != nil {
-		fabric.Cancel(p, fl.hdrOp)
+		for _, op := range append(b.pieces, fl.hdrOp) { // no reply comes: the request or its payload never left
+			fabric.Cancel(p, op)
+		}
+		b.pieces = b.pieces[:0]
 		c.settle(p, fl.sent) // a separate payload failed after its request left
 		if fl.release != nil {
 			fl.release()
@@ -628,10 +653,12 @@ func (c *FabricClient) issue(p *sim.Proc, b *ctlBufs, req *Req, data core.Vector
 	return fl, nil
 }
 
-// retire completes a flight: data completion first (reads), then the
-// header reply. Both waits share one deadline running from the
-// flight's issue (deadlineFrom); whichever expires withdraws its
-// posted receive and surfaces an error satisfying fabric.IsFault. The
+// retire completes a flight: data completion first (reads: every
+// piece, in order), then the header reply. All waits share one
+// deadline running from the flight's issue (deadlineFrom); whichever
+// expires withdraws its posted receive and surfaces an error
+// satisfying fabric.IsFault, and the pieces after it, their deadline
+// past, are withdrawn too — or waited, if they matched (waitData). The
 // header receive is always made inert — even after a data error — so
 // the slot can be reused: after a data-phase transport fault the
 // header is presumed lost with the peer and is withdrawn instead of
@@ -641,17 +668,19 @@ func (c *FabricClient) issue(p *sim.Proc, b *ctlBufs, req *Req, data core.Vector
 // (settle).
 func (c *FabricClient) retire(p *sim.Proc, fl *flight) (*Resp, error) {
 	var dataErr error
-	if fl.dataOp != nil {
-		st, ok := c.waitData(p, fl.dataOp, c.deadlineFrom(p, fl.issued))
+	for _, op := range fl.bufs.pieces {
+		st, ok := c.waitData(p, op, c.deadlineFrom(p, fl.issued))
 		switch {
+		case dataErr != nil: // an earlier piece failed: this one is only made inert
 		case !ok:
 			dataErr = fmt.Errorf("rfsrv: read data for request %d: %w", fl.seq, fabric.ErrTimeout)
 		case st.Err != nil:
 			dataErr = st.Err
 		case fl.fixup != nil:
-			fl.fixup(p, st.Len)
+			fl.fixup(p, st.Len) // staged reads are never pieced
 		}
 	}
+	fl.bufs.pieces = fl.bufs.pieces[:0] // inert now: the slot's next request, a batch's too, starts with none
 	var resp *Resp
 	var err error
 	if dataErr != nil && fabric.IsFault(dataErr) {
@@ -746,10 +775,16 @@ func hasUserSeg(v core.Vector) bool {
 	return false
 }
 
-func physVec(xs []mem.Extent) core.Vector {
-	out := make(core.Vector, 0, len(xs))
-	for _, x := range xs {
-		out = append(out, core.PhysSeg(x.Addr, x.Len))
+// slicePhys appends bytes [off, off+n) of the physical vector v to dst:
+// core.Vector.Slice without its allocation.
+//
+// allocfree
+func slicePhys(dst, v core.Vector, off, n int) core.Vector {
+	for _, s := range v {
+		if l := min(s.Len-off, n); l > 0 {
+			dst, n = append(dst, core.PhysSeg(s.PA+mem.PhysAddr(off), l)), n-l
+		}
+		off = max(off-s.Len, 0)
 	}
-	return out
+	return dst
 }

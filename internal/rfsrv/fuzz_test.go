@@ -12,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/fabric"
 	"repro/internal/hw"
 	"repro/internal/kernel"
@@ -63,6 +64,7 @@ func FuzzDecodeReq(f *testing.F) {
 		f.Add(EncodeReqInto(nil, req))
 	}
 	f.Add(EncodeReqInto(nil, &Req{Op: retiredOp, Ino: 3, Len: uint32(LayoutStandard)}))
+	f.Add(EncodeReqInto(nil, &Req{Op: OpRead, Ino: 3, Off: 1000, Len: readPiecesBit | (1<<31 - 1)}))
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		req, consumed, err := DecodeReq(raw)
 		if err != nil {
@@ -122,7 +124,13 @@ func FuzzDecodeResp(f *testing.F) {
 // payload follows its head in one message, exactly as long as
 // announced, is an inline write, installed from the frames it landed in
 // — by page flip when it sits at its in-page position, and then every
-// flipped page must read as zeros outside the payload's share.
+// flipped page must read as zeros outside the payload's share. A read,
+// and an export asking for pieces, is served whole (serve) over a
+// transport that logs the messages: the data comes back in the number
+// of messages the read-piece rule grants (readPieces), each within the
+// eager limit when there are several, adding up to the reply's N — and
+// a request carrying the piece bit outside the rule is answered StInval
+// in exactly one empty data message.
 func FuzzServeBytes(f *testing.F) {
 	batch := EncodeReqInto(nil, &Req{Op: OpCreate, Ino: 1, Name: "new"})
 	batch = EncodeReqInto(batch, &Req{Op: OpTruncate, Ino: 3, Off: -5})
@@ -179,11 +187,18 @@ func FuzzServeBytes(f *testing.F) {
 		}
 		img := sampleImage(0) // inline, exactly as long as announced
 		f.Add(append(EncodeReqInto(nil, &Req{Op: OpImport, Len: uint32(len(img))}), img...), sharded)
+		// Reads asking for pieces: past EOF, at an offset off the piece
+		// grid (one short piece, then an empty one), one too long for
+		// the rule, and an export, which never may.
+		f.Add(EncodeReqInto(nil, &Req{Op: OpRead, Ino: 3, Off: 1 << 20, Len: readPiecesBit | 64<<10}), sharded)
+		f.Add(EncodeReqInto(nil, &Req{Op: OpRead, Ino: 3, Off: 1000, Len: readPiecesBit | 40000}), sharded)
+		f.Add(EncodeReqInto(nil, &Req{Op: OpRead, Ino: 3, Off: 0, Len: readPiecesBit | (1<<31 - 1)}), sharded)
+		f.Add(EncodeReqInto(nil, &Req{Op: OpExport, Len: readPiecesBit | MaxWriteChunk}), sharded)
 	}
 	f.Fuzz(func(t *testing.T, msg []byte, sharded bool) {
 		head := msg[:min(len(msg), reqBufSize)] // the head serve decodes
 		req, consumed, err := DecodeReq(head)
-		if err != nil || req.Op == OpRead && req.Len > 1<<20 {
+		if err != nil || req.Op == OpRead && req.Len&readPiecesBit == 0 && req.Len > 1<<20 {
 			return // (a huge sparse read is legal, and only slow to fuzz)
 		}
 		env := sim.NewEngine()
@@ -226,8 +241,10 @@ func FuzzServeBytes(f *testing.F) {
 				t.Fatalf("the inbox decoded %+v (%d bytes), the message %+v (%d)", w.req, w.consumed, req, consumed)
 			}
 			req := w.req
-			switch req.Op {
-			case OpExport:
+			switch {
+			case req.Op == OpRead || req.Op == OpExport && req.Len&readPiecesBit != 0:
+				checkPieces(t, p, s, w, eager)
+			case req.Op == OpExport:
 				raw, err := s.exportImage(int(req.Len))
 				if err != nil {
 					if err != ErrImageTooLarge {
@@ -240,7 +257,7 @@ func FuzzServeBytes(f *testing.F) {
 				} else if again, _ := img.encode(); !bytes.Equal(again, raw) {
 					t.Fatal("exported image is not canonical")
 				}
-			case OpImport:
+			case req.Op == OpImport:
 				before, was, staged := node.Mem.Allocated(), state(), s.stage
 				var resp *Resp
 				if w.ok {
@@ -257,13 +274,7 @@ func FuzzServeBytes(f *testing.F) {
 				if resp.Status != StOK && (!bytes.Equal(state(), was) || s.stage != staged) {
 					t.Fatalf("refused import of %x changed the server", msg[consumed:])
 				}
-			case OpRead:
-				resp, xs := s.readExtents(p, req)
-				check(req, resp)
-				if int(resp.N) != mem.TotalLen(xs) || resp.N > req.Len {
-					t.Fatalf("read %+v: N=%d over %d extent bytes", req, resp.N, mem.TotalLen(xs))
-				}
-			case OpWrite:
+			case req.Op == OpWrite:
 				// serve admits only a payload of exactly req.Len bytes,
 				// inline in the frames the receiver handed over or in
 				// fresh frames it allocated for a separate payload; drive
@@ -333,6 +344,79 @@ func FuzzServeBytes(f *testing.F) {
 		}
 	})
 }
+
+// checkPieces serves w's read-shaped request over a logging transport
+// and checks its answer against the read-piece rule: data messages
+// first, as many as the rule grants, adding up to the reply's N; then
+// one well-formed reply header, its Seq the request's and its Status a
+// defined one.
+func checkPieces(t *testing.T, p *sim.Proc, s *Server, w *work, eager int) {
+	t.Helper()
+	req := *w.req
+	n := int(req.Len &^ readPiecesBit)
+	pieced := req.Len&readPiecesBit != 0
+	wire := &wireLog{node: s.node, eager: eager}
+	s.serve(p, wire, w)
+	s.sweepStaged()
+	last := len(wire.msgs) - 1
+	resp, err := DecodeResp(wire.msgs[last])
+	if err != nil || resp.Seq != req.Seq || wire.tags[last]&0xf != kindHdr {
+		t.Fatalf("%+v: the last message is not its reply header (%v)", req, err)
+	}
+	if resp.Status < StOK || resp.Status > StTooLarge {
+		t.Fatalf("%+v answered status %d", req, resp.Status)
+	}
+	k, total := 1, 0
+	switch {
+	case pieced && readPieces(req.Op, eager, n) == 1:
+		if resp.Status != StInval {
+			t.Fatalf("%+v asks for pieces outside the rule, answered status %d", req, resp.Status)
+		}
+	case pieced:
+		k = readPieces(req.Op, eager, n)
+	}
+	if last != k {
+		t.Fatalf("%+v answered in %d data messages, want %d", req, last, k)
+	}
+	for i, m := range wire.msgs[:last] {
+		if wire.tags[i]&0xf != kindData || k > 1 && len(m) > eager || i > 0 && len(m) > 0 && len(wire.msgs[i-1]) < eager {
+			t.Fatalf("%+v: data message %d of %d holds %d bytes", req, i, k, len(m))
+		}
+		total += len(m)
+	}
+	if total != int(resp.N) || total > n || resp.Status == StInval && total != 0 {
+		t.Fatalf("%+v: %d data bytes for N=%d, status %d", req, total, resp.N, resp.Status)
+	}
+}
+
+// wireLog is a transport that keeps every message sent through it, its
+// bytes gathered at the send, and completes each send at once.
+type wireLog struct {
+	fabric.Transport
+	node  *hw.Node
+	eager int
+	tags  []uint64
+	msgs  [][]byte
+}
+
+func (l *wireLog) Caps() fabric.Caps {
+	return fabric.Caps{Vectors: true, Physical: true, EagerMax: l.eager}
+}
+
+func (l *wireLog) Send(p *sim.Proc, dst hw.NodeID, ep uint8, info uint64, v core.Vector) (fabric.Op, error) {
+	xs, err := v.Extents()
+	if err != nil {
+		return nil, err
+	}
+	l.tags, l.msgs = append(l.tags, info), append(l.msgs, l.node.Mem.Gather(xs))
+	return sentOp{}, nil
+}
+
+// sentOp is a send that completed when it was made.
+type sentOp struct{}
+
+func (sentOp) Done() bool                     { return true }
+func (sentOp) Wait(p *sim.Proc) fabric.Status { return fabric.Status{} }
 
 // notZero reports a non-zero byte (bytes.ContainsFunc).
 func notZero(r rune) bool { return r != 0 }

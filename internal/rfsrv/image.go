@@ -290,6 +290,9 @@ func (s *Server) exportImage(room int) ([]byte, error) {
 func (s *Server) serveExport(p *sim.Proc, t fabric.Transport, w *work) {
 	resp := &Resp{Seq: w.req.Seq}
 	raw, err := s.exportImage(int(w.req.Len))
+	if w.req.Len&readPiecesBit != 0 {
+		raw, err = nil, ErrInval // an export is never answered in pieces
+	}
 	resp.Status, resp.N = StatusOf(err), uint32(len(raw))
 	var data core.Vector
 	var held stagedSend
@@ -304,7 +307,7 @@ func (s *Server) serveExport(p *sim.Proc, t fabric.Transport, w *work) {
 		}
 		held.buf, data = buf, buf.PhysVec(len(raw))
 	}
-	s.sendData(p, t, w.src, w.req, data, held)
+	s.sendData(p, t, w, data, 1, held)
 	s.reply(p, t, w.src, w.req, resp)
 }
 

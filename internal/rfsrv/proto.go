@@ -13,9 +13,11 @@
 //     address-typed requests; write data rides in the request message
 //     while that message stays eager, and follows as its own message,
 //     received into fresh server frames, above that;
-//     read data lands zero-copy in physically-addressed page-cache
-//     frames or in (pinned) user buffers via rendezvous; waits are
-//     per-request.
+//     read data lands zero-copy in physically-addressed kernel memory
+//     (page-cache frames, kernel buffers), in eager pieces into
+//     receives posted before the request left when one message cannot
+//     carry it (readPieces), and in user buffers MX pins for a
+//     rendezvous above the eager limit; waits are per-request.
 //   - Over GM it has to assemble the same functionality out of GM's
 //     primitives: everything it touches must be registered (a GMKRC
 //     registration cache handles user buffers), there are no vectors
@@ -730,6 +732,34 @@ func payloadTag(src hw.NodeID, seq uint64, ep uint8) uint64 {
 //
 // allocfree
 func inlinePayload(eagerMax, head, n int) bool { return head+n <= eagerMax }
+
+// readPiecesBit marks an OpRead that asks for its data in readPieces'
+// pieces. It rides in Len's top bit, as an exact OpSetSize's mode does
+// (PackSetSize); a request may carry it only under the rule, and the
+// server answers any other use with StInval.
+const readPiecesBit = 1 << 31
+
+// readPieces is the one read-piece rule, applied alike by the client
+// that posts a read's data receives and the server that sends into
+// them: the n bytes of an OpRead whose destination the client hands
+// over physically (physData) come back in ⌈n/eagerMax⌉ eager messages of
+// eagerMax bytes each, the last shorter, when the transport has an eager
+// limit and eagerMax < n ≤ MaxWriteChunk — which bounds the count at
+// MaxWriteChunk/eagerMax (8 on MX). Every other read takes one message
+// (1): a larger one keeps MX's rendezvous. The client posts every piece's
+// receive before its request leaves, so no piece can arrive unexpected
+// and none pays the rendezvous's RTS/CTS exchange or large-message
+// overhead. The server sends exactly that many, empty past the data's
+// end, and in order: one NIC's messages to one peer arrive in the order
+// sent, and the receives match in the order posted.
+//
+// allocfree
+func readPieces(op Op, eagerMax, n int) int {
+	if op != OpRead || eagerMax <= 0 || n <= eagerMax || n > MaxWriteChunk {
+		return 1
+	}
+	return (n + eagerMax - 1) / eagerMax
+}
 
 // reqBufSize bounds a request message other than an inline write: a
 // header and name, or a packed metadata batch.

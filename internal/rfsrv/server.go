@@ -66,10 +66,13 @@ type Server struct {
 	// freelist needs no locking. inside counts the requests received and
 	// not yet served (the sum of every ClientSession's Outstanding).
 	// staged is everything a reply sent that the NIC may still be
-	// reading (see sweepStaged); enc belongs to reply.
+	// reading (see sweepStaged), and dataFree recycles the data vectors
+	// of the reads among them (readExtents, release); enc belongs to
+	// reply.
 	workFree []*work
 	inside   int
 	staged   []stagedSend
+	dataFree []core.Vector
 	enc      []byte
 
 	// Sharded-namespace state (see EnableSharding): when shard is set
@@ -358,22 +361,32 @@ func (s *Server) handleSetSize(p *sim.Proc, ino kernel.InodeID, req *Req, resp *
 	return err
 }
 
-// readExtents builds the zero-copy reply extents for a read: physical
-// runs of the file's block frames (the zero page for holes), clipped to
-// EOF. It returns the response and the extents to transmit, holding a
+// readExtents builds the zero-copy reply data for w's read: a physical
+// vector of the file's block frames (the zero page for holes), clipped
+// to EOF. It returns the response, the number of data messages that
+// carry it — readPieces' count for a read that asks for pieces under
+// the rule, one otherwise — and the data to transmit, holding a
 // reference on the frame under every page of them: the NIC reads the
 // frames when the send reaches the head of its queue, and a truncate,
 // unlink or overwrite served before then must not hand them back to the
 // allocator. The caller gives the references back with putFrames once
 // the send is done.
-func (s *Server) readExtents(p *sim.Proc, req *Req) (*Resp, []mem.Extent) {
-	resp := &Resp{Seq: req.Seq}
-	// A negative or overflowing range is a protocol violation, not a
-	// short read: reject it outright instead of clipping silently (the
+func (s *Server) readExtents(p *sim.Proc, w *work, eagerMax int) (*Resp, int, core.Vector) {
+	req, resp, k := w.req, &w.resp, 1
+	*resp = Resp{Seq: req.Seq}
+	if req.Len&readPiecesBit != 0 {
+		req.Len &^= readPiecesBit
+		if k = readPieces(req.Op, eagerMax, int(req.Len)); k == 1 {
+			k = 0 // pieces the rule does not grant
+		}
+	}
+	// A negative or overflowing range, or pieces the rule does not
+	// grant, is a protocol violation, not a short read: reject it
+	// outright, in one empty message, instead of clipping silently (the
 	// clip below assumes a well-formed [Off, Off+Len) window).
-	if req.Off < 0 || req.Off+int64(req.Len) < req.Off {
+	if k == 0 || req.Off < 0 || req.Off+int64(req.Len) < req.Off {
 		resp.Status = StInval
-		return resp, nil
+		return resp, 1, nil
 	}
 	attr, err := s.fs.Getattr(p, req.Ino)
 	if err != nil {
@@ -381,50 +394,41 @@ func (s *Server) readExtents(p *sim.Proc, req *Req) (*Resp, []mem.Extent) {
 			// Sharded data server that never saw this inode: nothing of
 			// it lives here yet, which reads as EOF, not as an error —
 			// the stripe layout is global but materialization is lazy.
-			return resp, nil
+			return resp, k, nil
 		}
 		resp.Status = StatusOf(err)
-		return resp, nil
+		return resp, k, nil
 	}
-	n := int64(req.Len)
-	if req.Off >= attr.Size {
-		n = 0
-	} else if req.Off+n > attr.Size {
-		n = attr.Size - req.Off
+	n := max(min(int64(req.Len), attr.Size-req.Off), 0)
+	var data core.Vector
+	if f := len(s.dataFree); f > 0 {
+		data, s.dataFree = s.dataFree[f-1], s.dataFree[:f-1]
 	}
-	var xs []mem.Extent
-	off := req.Off
-	left := n
-	for left > 0 {
-		idx := off / mem.PageSize
+	for off, left := req.Off, n; left > 0; {
 		pgOff := int(off % mem.PageSize)
-		chunk := int64(mem.PageSize - pgOff)
-		if chunk > left {
-			chunk = left
-		}
-		f := s.fs.FrameAt(req.Ino, idx)
+		chunk := min(int64(mem.PageSize-pgOff), left)
+		f := s.fs.FrameAt(req.Ino, off/mem.PageSize)
 		if f == nil {
 			f = s.zero // hole
 		}
 		f.Get()
-		xs = mem.AppendExtent(xs, f.Addr()+mem.PhysAddr(pgOff), int(chunk))
-		off += chunk
-		left -= chunk
+		data = appendPhys(data, f.Addr()+mem.PhysAddr(pgOff), int(chunk))
+		off, left = off+chunk, left-chunk
 	}
 	resp.N = uint32(n)
 	resp.Attr = attr
-	return resp, xs
+	return resp, k, data
 }
 
 // putFrames drops the reference readExtents took on the frame under
-// each page of xs. Merging as they were appended kept the extents page
-// for page what readExtents walked — every chunk but the first starts a frame, every
-// chunk but the last ends one — so walking their frames again visits
-// each held frame exactly as often as it was held.
-func (s *Server) putFrames(xs []mem.Extent) {
+// each page of data. Merging as they were appended kept the segments
+// page for page what readExtents walked — every chunk but the first
+// starts a frame, every chunk but the last ends one — so walking their
+// frames again visits each held frame exactly as often as it was held.
+func (s *Server) putFrames(data core.Vector) {
 	m := s.node.Mem
-	for _, x := range xs {
-		for pfn := x.Addr.PFN(); pfn <= (x.End() - 1).PFN(); pfn++ {
+	for _, x := range data {
+		for pfn := x.PA.PFN(); pfn <= (x.PA + mem.PhysAddr(x.Len) - 1).PFN(); pfn++ {
 			m.Put(m.Frame(pfn))
 		}
 	}
@@ -504,6 +508,7 @@ type work struct {
 	vec      core.Vector  // a separate payload's receive vector (backing reused)
 	pay      fabric.Op    // a separate payload's posted receive, until landPayload collects it
 	ok       bool         // a write's payload is exactly the req.Len bytes announced
+	resp     Resp         // a read's reply, built in place (readExtents)
 	sess     *ClientSession
 	// enqueue sends the record to queue — the worker queue of the
 	// receiver that took its header — from its payload's completion
@@ -827,9 +832,9 @@ func (s *Server) serve(p *sim.Proc, t fabric.Transport, w *work) {
 	//analyze:dispatch ops group=serve
 	switch req.Op {
 	case OpRead:
-		resp, xs := s.readExtents(p, req)
+		resp, k, data := s.readExtents(p, w, t.Caps().EagerMax)
 		// Data first (zero-copy from the block store), then the header.
-		s.sendData(p, t, w.src, req, physVec(xs), stagedSend{frames: xs})
+		s.sendData(p, t, w, data, k, stagedSend{frames: data})
 		s.reply(p, t, w.src, req, resp)
 	case OpExport:
 		s.serveExport(p, t, w)
@@ -853,25 +858,43 @@ func (s *Server) serve(p *sim.Proc, t fabric.Transport, w *work) {
 	s.putWork(w)
 }
 
-// sendData sends a read-shaped reply's data message from data, which
-// held keeps alive until the send is done (sweepStaged) — or, when the
-// client is dead, gives back at once. Empty data is still sent, so the
-// client's posted receive always completes.
-func (s *Server) sendData(p *sim.Proc, t fabric.Transport, dst hw.NodeID, req *Req, data core.Vector, held stagedSend) {
-	if len(data) == 0 {
-		data = core.Of(core.PhysSeg(s.zero.Addr(), 0))
-	}
-	op, err := t.Send(p, dst, req.EP, tag(req.Seq, req.EP, kindData), data)
-	switch {
-	case err == nil:
-		if held.buf != nil || len(held.frames) > 0 {
-			held.op = op
-			s.staged = append(s.staged, held)
+// sendData sends a read-shaped reply's data in k messages: one, from
+// data itself, or readPieces' pieces of the transport's eager limit
+// each, cut into w.vec without allocating (slicePhys) — an eager
+// message's vector is resolved before Send returns. Empty messages are
+// still sent, past the data's end too, so every receive the client
+// posted completes. held keeps data and the memory under it alive until
+// the last message's send is done (sweepStaged), which is after the
+// others': one NIC sends to one peer in order. When the client is dead,
+// sending stops, and what held keeps goes back once the last queued
+// send is done, or at once when none was queued.
+func (s *Server) sendData(p *sim.Proc, t fabric.Transport, w *work, data core.Vector, k int, held stagedSend) {
+	size := t.Caps().EagerMax
+	var sent fabric.Op
+	for i := 0; i < k; i++ {
+		piece := data
+		if k > 1 {
+			w.vec = slicePhys(w.vec[:0], data, i*size, size)
+			piece = w.vec
 		}
-	case fabric.IsFault(err):
+		if len(piece) == 0 {
+			piece = append(w.vec[:0], core.PhysSeg(s.zero.Addr(), 0))
+		}
+		op, err := t.Send(p, w.src, w.req.EP, tag(w.req.Seq, w.req.EP, kindData), piece)
+		if err != nil {
+			if !fabric.IsFault(err) {
+				panic(err)
+			}
+			break
+		}
+		sent = op
+	}
+	switch {
+	case sent == nil:
 		s.release(held)
-	default:
-		panic(err)
+	case held.buf != nil || held.frames != nil:
+		held.op = sent
+		s.staged = append(s.staged, held)
 	}
 }
 
@@ -897,7 +920,7 @@ func (s *Server) unpack(raw []byte) []*Req {
 type stagedSend struct {
 	op     fabric.Op
 	buf    *fabric.Buffer // header staging, released when op is done
-	frames []mem.Extent   // held by readExtents, put back when op is done
+	frames core.Vector    // held by readExtents, put back when op is done
 }
 
 // sweepStaged gives back what completed sends were holding.
@@ -919,7 +942,9 @@ func (s *Server) release(ss stagedSend) {
 	if ss.buf != nil {
 		ss.buf.Release()
 	}
-	s.putFrames(ss.frames)
+	if s.putFrames(ss.frames); ss.frames != nil {
+		s.dataFree = append(s.dataFree, ss.frames[:0])
+	}
 }
 
 // reply stamps resp and sends its header to the requester. It is the

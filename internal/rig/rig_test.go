@@ -239,10 +239,11 @@ func TestClusterOnBareRig(t *testing.T) {
 // A finished rig stays reachable for ever — its daemon processes are
 // goroutines parked on it — so whatever a rig keeps of the frames and
 // payload buffers it freed is kept for the life of the process. The
-// pools are therefore process-wide and GC-emptied: building, loading
-// and tearing down the same rig over and over must leave the heap
-// flat, each cycle's frames feeding the next, where rig-owned free
-// lists would grow it by one rig's worth per cycle.
+// pools are therefore process-wide — the frame pool GC-emptied, the
+// payload list bounded: building, loading and tearing down the same
+// rig over and over must leave the heap flat, each cycle's frames and
+// buffers feeding the next, where rig-owned free lists would grow it
+// by one rig's worth per cycle.
 func TestHeapStaysFlatAcrossRigs(t *testing.T) {
 	const (
 		fileBytes = 16 << 20 // "one rig's worth": the frames a cycle allocates and frees
