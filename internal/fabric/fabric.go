@@ -100,11 +100,13 @@ type Caps struct {
 	// EagerMax is the longest message a vectorial transport delivers
 	// eagerly — straight into the receive the peer posted, with no
 	// rendezvous, so the receiver pins nothing and answers no
-	// clear-to-send (MX: Params.MXMediumMax). A consumer that posts its
-	// receives before asking can have longer data sent as several
-	// messages of at most EagerMax bytes, none of them a rendezvous
-	// (rfsrv's kernel reads). Zero on transports without vectors,
-	// where one message never carries two buffers.
+	// clear-to-send (MX: Params.MXMediumMax). Longer data can travel as
+	// several messages of at most EagerMax bytes, none of them a
+	// rendezvous, to a receiver that posts their receives before they
+	// can arrive: rfsrv's kernel reads (the client posts before it asks)
+	// and kernel writes (the server posts as the header, sent first,
+	// arrives). Zero on transports without vectors, where one message
+	// never carries two buffers.
 	EagerMax int
 }
 

@@ -173,15 +173,17 @@ func sessionAllocs(name string, ops int, write func(i int) bool) (HostCost, erro
 	return allocs, err
 }
 
-// KernelReadAllocs measures the steady-state host cost of one 64 KB
-// read into kernel memory through one Session to one MX server, with
-// window of them in flight (1: the synchronous Read). One eager message
-// cannot carry the read, so its data comes back in eager pieces, into
-// receives the client posted before it asked (rfsrv's read-piece rule),
-// where it once took MX's rendezvous.
-func KernelReadAllocs(ops, window int) (HostCost, error) {
+// KernelDataAllocs measures the steady-state host cost of one 64 KB
+// read into kernel memory — or, with write, one write from it — through
+// one Session to one MX server, with window of them in flight (1: the
+// synchronous Read or Write). One eager message cannot carry the data,
+// so it travels in eager pieces (rfsrv's piece rule): a read's into
+// receives the client posted before it asked, a write's into receives
+// the server posts as it admits the header. Both once took MX's
+// rendezvous.
+func KernelDataAllocs(ops, window int, write bool) (HostCost, error) {
 	if ops <= 0 || window < 1 {
-		return HostCost{}, fmt.Errorf("figures: KernelReadAllocs needs ops > 0 and window >= 1")
+		return HostCost{}, fmt.Errorf("figures: KernelDataAllocs needs ops > 0 and window >= 1")
 	}
 	var allocs HostCost
 	err := probe(1, msStripe, func(p *sim.Proc, cl *rfsrv.Cluster) error {
@@ -203,11 +205,15 @@ func KernelReadAllocs(ops, window int) (HostCost, error) {
 				return err
 			}
 		}
+		sync, start := sess.Read, sess.StartRead
+		if write {
+			sync, start = sess.Write, sess.StartWrite
+		}
 		pds := make([]rfsrv.PendingOp, window)
 		allocs, err = steadyAllocs(ops, func(i int) error {
 			off := int64(i%chunks) * chunk
 			if window == 1 {
-				_, err := sess.Read(p, ino, off, slot(i))
+				_, err := sync(p, ino, off, slot(i))
 				return err
 			}
 			if pd := pds[i%window]; pd != nil {
@@ -216,7 +222,7 @@ func KernelReadAllocs(ops, window int) (HostCost, error) {
 				}
 			}
 			var err error
-			pds[i%window], err = sess.StartRead(p, ino, off, slot(i))
+			pds[i%window], err = start(p, ino, off, slot(i))
 			return err
 		})
 		for _, pd := range pds {

@@ -466,7 +466,7 @@ func (ep *Endpoint) Recv(p *sim.Proc, match core.Match, v core.Vector) (*Request
 		}
 		ep.unexpected = append(ep.unexpected[:i], ep.unexpected[i+1:]...)
 		if u.eager != nil {
-			ep.completeEager(req, u.src, u.info, u.eager)
+			ep.completeEager(req, u.src, u.info, u.eager, true)
 		} else {
 			ep.awaitData(req, u.src, u.rndvID, u.info)
 			ep.sendCTS(p, u.src, u.srcEp, u.rndvID, v.TotalLen(), u.rndvLen, req)
@@ -593,11 +593,12 @@ func (ep *Endpoint) sendCTS(p *sim.Proc, dst hw.NodeID, dstEp uint8, id uint64, 
 	m.node.NIC.Send(j)
 }
 
-// completeEager finishes a receive whose payload is at hand (either
-// just delivered or staged in the unexpected queue).
+// completeEager finishes a receive whose payload is at hand: just
+// delivered, or staged in the unexpected queue's host-side buffer
+// (staged).
 //
 // allocfree
-func (ep *Endpoint) completeEager(req *Request, src hw.NodeID, info uint64, data []byte) {
+func (ep *Endpoint) completeEager(req *Request, src hw.NodeID, info uint64, data []byte, staged bool) {
 	n := len(data)
 	req.status = Status{Src: src, Info: info, Len: n}
 	if n > req.vector.TotalLen() {
@@ -612,8 +613,11 @@ func (ep *Endpoint) completeEager(req *Request, src hw.NodeID, info uint64, data
 	// place the data directly: physically addressed kernel receives
 	// (the page-cache path, as with the GM physical extension), or —
 	// under the predicted WithNoRecvCopy mode — physically contiguous
-	// kernel-virtual destinations.
-	if n > ep.mx.p.MXSmallMax && !ep.zeroCopyRecv(req) {
+	// kernel-virtual destinations. A message that waited in the
+	// unexpected queue is already in host memory, and the host copies it
+	// out whatever the receive's addressing: the NIC placed it before
+	// there was anywhere to place it.
+	if n > ep.mx.p.MXSmallMax && (staged || !ep.zeroCopyRecv(req)) {
 		req.recvCopy = n
 	}
 	ep.Recvs.Add(n)
@@ -650,7 +654,7 @@ func (m *MX) receive(p *sim.Proc, msg *hw.Message) {
 	switch msg.Kind {
 	case kindEager:
 		if req := ep.takePosted(msg.Tag); req != nil {
-			ep.completeEager(req, msg.Src, msg.Tag, msg.Payload)
+			ep.completeEager(req, msg.Src, msg.Tag, msg.Payload, false)
 			return
 		}
 		ep.unexpected = append(ep.unexpected, &unexp{

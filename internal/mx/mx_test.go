@@ -716,3 +716,72 @@ func TestCollidingRendezvousIDsFromTwoSenders(t *testing.T) {
 		})
 	}
 }
+
+// TestUnexpectedEagerPaysTheDrainCopy: a 32 KB eager message sent from
+// physical memory on a kernel endpoint lands zero-copy in a physical
+// kernel receive posted before it arrives — its Wait costs the
+// completion event and nothing more — but one that arrives before the
+// receive is posted waits in the unexpected queue, in host memory, and
+// the host copies it out when the receive matches it: its Wait costs
+// CopyTime(32 KB) on top, whatever the receive's addressing.
+func TestUnexpectedEagerPaysTheDrainCopy(t *testing.T) {
+	const n = 32 << 10
+	for _, tc := range []struct {
+		name     string
+		postAt   time.Duration // when the receiver posts; the sender sends at 1 µs
+		wantCopy int64
+	}{
+		{"posted first", 0, 0},
+		{"arrived first", 500 * us, n},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newRig()
+			src, _ := r.a.Mem.AllocContig(n / mem.PageSize)
+			dst, _ := r.b.Mem.AllocContig(n / mem.PageSize)
+			want := make([]byte, n)
+			for i := range want {
+				want[i] = byte(i*7 + 3)
+			}
+			r.a.Mem.Scatter([]mem.Extent{{Addr: src[0].Addr(), Len: n}}, want)
+			var waited time.Duration
+			var copied int64
+			r.env.Spawn("b", func(p *sim.Proc) {
+				eb, _ := r.mb.OpenEndpoint(1, true)
+				p.Sleep(tc.postAt)
+				req, err := eb.Recv(p, core.Exact(5), core.Of(core.PhysSeg(dst[0].Addr(), n)))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if tc.postAt > 0 && !req.Done() {
+					t.Error("the message had not arrived before the receive was posted")
+				}
+				for !req.Done() {
+					p.Sleep(us)
+				}
+				copies0, t0 := r.b.CPU.CopyStats.Bytes, p.Now()
+				if st := req.Wait(p); st.Err != nil || st.Len != n {
+					t.Errorf("status %+v", st)
+				}
+				waited, copied = p.Now()-t0, r.b.CPU.CopyStats.Bytes-copies0
+			})
+			r.env.Spawn("a", func(p *sim.Proc) {
+				ea, _ := r.ma.OpenEndpoint(1, true)
+				p.Sleep(us)
+				if _, err := ea.Send(p, r.b.ID, 1, 5, core.Of(core.PhysSeg(src[0].Addr(), n))); err != nil {
+					t.Error(err)
+				}
+			})
+			r.env.Run(0)
+			if copied != tc.wantCopy {
+				t.Errorf("Wait copied %d bytes, want %d", copied, tc.wantCopy)
+			}
+			if want := r.p.MXHostEvent + time.Duration(tc.wantCopy/n)*r.p.CopyTime(n); waited != want {
+				t.Errorf("Wait took %v, want %v", waited, want)
+			}
+			if got := r.b.Mem.Gather([]mem.Extent{{Addr: dst[0].Addr(), Len: n}}); !bytes.Equal(got, want) {
+				t.Error("the payload landed corrupted")
+			}
+		})
+	}
+}

@@ -26,18 +26,17 @@ import (
 // rule holds on both: a kernel-side client hands the transport kernel
 // memory by physical address — its internal buffers always, resolved
 // once, and the caller's kernel memory whenever eager messages carry it
-// (physData): one, or for a read one eager message cannot carry, one
-// per piece (readPieces) — so the NIC moves it by DMA and MX's medium
-// messages pay no bounce copy on either side (§4.1, §5.1).
+// (physData): one, or for data one eager message cannot carry, one per
+// piece (pieces) — so the NIC moves it by DMA and MX's medium messages
+// pay no bounce copy on either side (§4.1, §5.1).
 //
 //   - On a vectorial transport (MX) the request and its write data ride
-//     in one message while it stays eager (a larger payload follows as
-//     its own message, a rendezvous MX translates and pins itself), read
-//     data lands straight in the caller's vector — physical page-cache
-//     frames and kernel buffers, in eager pieces into receives posted
-//     before the request left when one message cannot carry it, and
-//     user memory MX pins for a rendezvous above the eager limit — and
-//     waits are per-request.
+//     in one message while it stays eager, and a larger payload follows
+//     it; read data lands straight in the caller's vector. Kernel memory
+//     one eager message cannot carry travels in eager pieces — a read's
+//     into receives posted before the request left, a write's into
+//     receives the server posts as it admits the header — and user
+//     memory in one rendezvous MX pins itself; waits are per-request.
 //   - On a non-vectorial registering transport (GM) header and data
 //     travel as separate messages, internal buffers are registered once
 //     on the user side, per-transfer user buffers go through the
@@ -90,13 +89,13 @@ type FabricClient struct {
 // the Pending of a synchronous Session verb (Session.launch). reqVec
 // and hdrVec are the slot's descriptions of its two buffers as last
 // sent and posted, and dataVec of the caller's memory a read's data
-// lands in — followed, for a read answered in pieces, by each piece's
-// share of it — or a separate payload leaves from (physData); pieces
-// holds the data receives of the slot's request, one per piece of a
-// read (postData) and none for any other; retire, or an issue that
-// fails, empties it once they are inert. Each is rebuilt in place: a
-// slot is reused only once its request is retired, when none is still
-// in use (retire, settle).
+// lands in or a separate payload leaves from (physData) — followed,
+// for data that travels in pieces, by each piece's share of it
+// (pieceOps); pieces holds the data receives of the slot's request,
+// one per piece of a read (postData) and none for any other; retire,
+// or an issue that fails, empties it once they are inert. Each is
+// rebuilt in place: a slot is reused only once its request is retired,
+// when none is still in use (retire, settle).
 type ctlBufs struct {
 	reqVA, hdrVA            vm.VirtAddr
 	reqXS, hdrXS            []mem.Extent // kernel side, physical transports: resolved once
@@ -311,8 +310,8 @@ func (c *FabricClient) bufVec(dst core.Vector, va vm.VirtAddr, xs []mem.Extent, 
 // (phys) when the client hands kernel memory over physically (physCtl),
 // v holds no user memory (that stays the transport's to pin) and msgs
 // eager messages carry it (at most msgs × Caps.EagerMax bytes, when the
-// transport has an eager limit; msgs is 1 but for a read answered in
-// pieces, readPieces), and as it is otherwise. Kernel virtual
+// transport has an eager limit; msgs is 1 but for data that travels in
+// pieces, askPieces), and as it is otherwise. Kernel virtual
 // segments are translated page by page. Above its eager limit a
 // transport translates kernel memory itself — MX's rendezvous charges a
 // kernel pin per page (mx.resolve) — so below it the client charges the
@@ -396,54 +395,78 @@ func (c *FabricClient) sendReq(p *sim.Proc, b *ctlBufs, req *Req, extra core.Vec
 	return c.sendEnc(p, b, c.encScratch, extra)
 }
 
+// askPieces is the client half of the piece rule: the number of
+// messages req's data v travels in (pieces) — several only for memory
+// physData hands over physically — with req marked (piecesBit) when
+// there are several. issue strips the mark again once req is encoded,
+// so a request built anew from the same Req asks afresh.
+//
+// allocfree
+func (c *FabricClient) askPieces(req *Req, v core.Vector) int {
+	k := 1
+	if c.physCtl() && !hasUserSeg(v) {
+		if k = pieces(req.Op, c.t.Caps().EagerMax, int(req.Len)); k > 1 {
+			req.Len |= piecesBit
+		}
+	}
+	return k
+}
+
+// pieceOps puts the k pieces of v on the wire in order, each cut into
+// b.dataVec behind v (cutPiece): a receive posted into each (recv),
+// collected in b.pieces, or a send of each, tagged tg. It stops at the
+// first error and returns the last send made, which completes after the
+// others: one NIC sends to one peer in order.
+func (c *FabricClient) pieceOps(p *sim.Proc, b *ctlBufs, v core.Vector, k int, tg uint64, recv bool) (last fabric.Op, err error) {
+	for i := 0; i < k; i++ {
+		piece := cutPiece(&b.dataVec, v, i, k, c.t.Caps().EagerMax)
+		var op fabric.Op
+		if recv {
+			op, err = c.t.PostRecv(p, core.Exact(tg), piece)
+		} else {
+			op, err = c.t.Send(p, c.server, c.serverEP, tg, piece)
+		}
+		if err != nil {
+			return last, err
+		}
+		if last = op; recv {
+			b.pieces = append(b.pieces, op)
+		}
+	}
+	return last, nil
+}
+
 // postData posts the read-data receives for req's dst into b.pieces,
 // returning a release closure for acquired (cache-managed) user memory
 // and — on the staged (noPhys) path — a fixup to run once the data
 // length is known. The capability branches here are the paper's
 // §5.2 comparison in a few lines: kernel memory goes physical wherever
 // physData takes it (its description kept in b), and an OpRead of it
-// that readPieces splits asks for its data in that many eager messages
-// (readPiecesBit), each landing in its own receive, posted in order;
-// past that, vectorial transports take dst as-is, and non-vectorial
-// ones can receive into a single registered user segment, nothing
-// else.
+// that the piece rule splits asks for its data in that many eager
+// messages (askPieces), each landing in its own receive, posted in
+// order; past that, vectorial transports take dst as-is, and
+// non-vectorial ones can receive into a single registered user
+// segment, nothing else.
 func (c *FabricClient) postData(p *sim.Proc, b *ctlBufs, req *Req, dst core.Vector) (release func(), fixup func(p *sim.Proc, n int), err error) {
 	if err := dst.Validate(); err != nil {
 		return nil, nil, err
 	}
-	dataMatch := core.Exact(tag(req.Seq, c.myEP, kindData))
-	eagerMax, k := c.t.Caps().EagerMax, 1
-	if c.physCtl() && !hasUserSeg(dst) { // what physData hands over physically
-		k = readPieces(req.Op, eagerMax, int(req.Len))
-	}
+	dataTag := tag(req.Seq, c.myEP, kindData)
+	k := c.askPieces(req, dst)
 	v, phys, err := c.physData(p, b.dataVec[:0], dst, k)
 	if err != nil {
 		return nil, nil, err
 	}
-	if k > 1 {
-		req.Len |= readPiecesBit
-	}
 	if b.dataVec = v; phys || c.t.Caps().Vectors {
-		for i := 0; i < k; i++ {
-			piece := v
-			if at := len(b.dataVec); k > 1 {
-				b.dataVec = slicePhys(b.dataVec, v, i*eagerMax, eagerMax)
-				piece = b.dataVec[at:]
-			}
-			op, err := c.t.PostRecv(p, dataMatch, piece)
-			if err != nil {
-				return nil, nil, err // issue withdraws the pieces already posted
-			}
-			b.pieces = append(b.pieces, op)
-		}
-		return nil, nil, nil
+		_, err := c.pieceOps(p, b, v, k, dataTag, true)
+		return nil, nil, err // on error, issue withdraws the pieces already posted
 	}
 	xs, release, err := c.stockData(p, dst)
 	if err != nil {
 		return nil, nil, err
 	}
 	if release != nil {
-		op, err := c.t.PostRecv(p, dataMatch, dst)
+		op, err := c.t.PostRecv(p, core.Exact(dataTag), dst)
 		if err != nil {
 			release()
 			return nil, nil, err
@@ -454,7 +477,7 @@ func (c *FabricClient) postData(p *sim.Proc, b *ctlBufs, req *Req, dst core.Vect
 	// Stock GM (noPhys): receive into the registered staging buffer and
 	// copy to the real destination afterwards (the extra copy the
 	// physical primitives eliminate).
-	op, err := c.t.PostRecv(p, dataMatch, core.Of(c.seg(c.stagingVA, max(dst.TotalLen(), 1))))
+	op, err := c.t.PostRecv(p, core.Exact(dataTag), core.Of(c.seg(c.stagingVA, max(dst.TotalLen(), 1))))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -495,24 +518,26 @@ func (c *FabricClient) stockData(p *sim.Proc, v core.Vector) (xs []mem.Extent, r
 	return xs, nil, err
 }
 
-// sendData transmits a write's payload as its own message, tagged with
+// sendData transmits a write's payload after its request, tagged with
 // this node (payloadTag), when inlinePayload says it does not ride in
-// the request. Kernel memory goes physical wherever physData takes it
-// (described in b); past that, a vectorial transport sends src as it is
-// — a rendezvous, or user memory MX pins or copies itself — and a
-// non-vectorial one can send a single registered user segment, nothing
-// else. It returns a release closure for acquired user memory and the
-// send when it gathers from src at DMA time (settle), nil when it does
-// not: MX copies user memory, and a rendezvous's memory stays MX's to
-// translate and pin.
-func (c *FabricClient) sendData(p *sim.Proc, b *ctlBufs, seq uint64, src core.Vector) (func(), fabric.Op, error) {
+// the request: in the k messages askPieces granted. Kernel memory goes
+// physical wherever physData takes it (described in b), in eager
+// messages each zero-copy from the caller's memory; past that, a
+// vectorial transport sends src as it is — a rendezvous, or user memory
+// MX pins or copies itself — and a non-vectorial one can send a single
+// registered user segment, nothing else. It returns a release closure
+// for acquired user memory and the last send when the sends gather from
+// src at DMA time (settle) — on an error too, for the pieces that left
+// — and nil when they do not: MX copies user memory, and a rendezvous's
+// memory stays MX's to translate and pin.
+func (c *FabricClient) sendData(p *sim.Proc, b *ctlBufs, seq uint64, src core.Vector, k int) (func(), fabric.Op, error) {
 	dataTag := payloadTag(c.t.Node().ID, seq, c.myEP)
-	v, phys, err := c.physData(p, b.dataVec[:0], src, 1)
+	v, phys, err := c.physData(p, b.dataVec[:0], src, k)
 	if err != nil {
 		return nil, nil, err
 	}
 	if b.dataVec = v; phys {
-		op, err := c.t.Send(p, c.server, c.serverEP, dataTag, v)
+		op, err := c.pieceOps(p, b, v, k, dataTag, false)
 		return nil, op, err
 	}
 	if c.t.Caps().Vectors {
@@ -597,7 +622,7 @@ type flight struct {
 	seq     uint64
 	hdrOp   fabric.Op
 	sent    fabric.Op                // the request message's send (gathers from bufs, and an inline payload)
-	paid    fabric.Op                // a separate payload's send, when it gathers from the caller's memory
+	paid    fabric.Op                // a separate payload's last send, when it gathers from the caller's memory
 	release func()                   // acquired (cache-managed) user memory, if any
 	fixup   func(p *sim.Proc, n int) // staged (noPhys) reads: copy-out once the length is known
 	issued  sim.Time                 // the reply deadline runs from here
@@ -607,17 +632,20 @@ type flight struct {
 // wire from slot b, which the caller owns. The reply-header receive is
 // posted before the request leaves (replies are matched by sequence
 // number); a read-shaped request (readShaped) also posts its data
-// receives into data first — one, or one per piece of a read answered
-// in pieces (postData) — so the bytes land wherever the transport
-// allows and never arrive unexpected; a write-shaped one's data rides
-// in the request message while that message stays eager and follows as
-// its own message otherwise (inlinePayload). req may be b.req — it is
-// fully encoded before issue returns, so the slot's request staging is
-// free again. On error nothing stays posted and nothing is sent from
-// the slot any more: the header buffer and, crucially, the caller's
-// data vector are quiescent, not parked under stale seq tags (failover
-// retries reach this path against possibly-dead replicas), and a
-// request that left before its separate payload failed is settled.
+// receives into data first — one, or one per piece (askPieces,
+// postData) — so the bytes land wherever the transport allows and never
+// arrive unexpected; a write-shaped one's data rides in the request
+// message while that message stays eager and follows it otherwise
+// (inlinePayload), in one message or one per piece (sendData), into
+// receives the server posts as it admits the request. req may be b.req
+// — it is fully encoded before issue returns, its piece mark stripped
+// again, so the slot's request staging is free. On error nothing stays
+// posted and nothing is sent from the slot or the caller's memory any
+// more: the header buffer and, crucially, the caller's data vector are
+// quiescent, not parked under stale seq tags (failover retries reach
+// this path against possibly-dead replicas), and a request and the
+// pieces of its payload that left before a later send failed are
+// settled.
 func (c *FabricClient) issue(p *sim.Proc, b *ctlBufs, req *Req, data core.Vector) (flight, error) {
 	c.seq++
 	req.Seq, req.EP = c.seq, c.myEP
@@ -632,18 +660,21 @@ func (c *FabricClient) issue(p *sim.Proc, b *ctlBufs, req *Req, data core.Vector
 			fl.sent, err = c.sendReq(p, b, req, nil)
 		}
 	case writeShaped(req.Op) && !inlinePayload(c.t.Caps().EagerMax, reqFixed+len(req.Name), int(req.Len)):
+		k := c.askPieces(req, data)
 		if fl.sent, err = c.sendReq(p, b, req, nil); err == nil {
-			fl.release, fl.paid, err = c.sendData(p, b, req.Seq, data)
+			fl.release, fl.paid, err = c.sendData(p, b, req.Seq, data, k)
 		}
 	default:
 		fl.sent, err = c.sendReq(p, b, req, data) // an inline payload, if any: metadata carries none
 	}
+	req.Len &^= piecesBit
 	if err != nil {
 		for _, op := range append(b.pieces, fl.hdrOp) { // no reply comes: the request or its payload never left
 			fabric.Cancel(p, op)
 		}
 		b.pieces = b.pieces[:0]
-		c.settle(p, fl.sent) // a separate payload failed after its request left
+		c.settle(p, fl.sent) // a separate payload failed after its request left…
+		c.settle(p, fl.paid) // …and after the pieces of it before the one that failed
 		if fl.release != nil {
 			fl.release()
 		}
@@ -773,6 +804,22 @@ func hasUserSeg(v core.Vector) bool {
 		}
 	}
 	return false
+}
+
+// cutPiece returns piece i of the k pieces the piece rule cuts v into:
+// v whole when k is 1, and otherwise its size bytes from i×size on (the
+// last piece shorter, or empty past v's end), described in *scratch
+// behind what it holds (slicePhys), so a receive still posted into an
+// earlier piece keeps its description. Client and server cut alike.
+//
+// allocfree
+func cutPiece(scratch *core.Vector, v core.Vector, i, k, size int) core.Vector {
+	if k == 1 {
+		return v
+	}
+	at := len(*scratch)
+	*scratch = slicePhys(*scratch, v, i*size, size)
+	return (*scratch)[at:]
 }
 
 // slicePhys appends bytes [off, off+n) of the physical vector v to dst:

@@ -256,3 +256,113 @@ func TestFailedPayloadSendKeepsTheRequestsStaging(t *testing.T) {
 		})
 	}
 }
+
+// sendLog is a client transport that keeps every send made through it
+// and, when onSend is set, calls it before each with the number made.
+type sendLog struct {
+	fabric.Transport
+	sent   []fabric.Op
+	onSend func(i int)
+}
+
+func (l *sendLog) Send(p *sim.Proc, dst hw.NodeID, ep uint8, info uint64, v core.Vector) (fabric.Op, error) {
+	if l.onSend != nil {
+		l.onSend(len(l.sent))
+	}
+	op, err := l.Transport.Send(p, dst, ep, info, v)
+	if err == nil {
+		l.sent = append(l.sent, op)
+	}
+	return op, err
+}
+
+// TestFailedPieceSendSettlesThePiecesThatLeft: a 64 KB write from
+// kernel memory on MX sends its payload behind the request in two eager
+// pieces, which the NIC gathers from the caller's memory when it
+// reaches them. The client's NIC is stalled, so the request and the
+// first piece are still queued when the server's NIC dies and the
+// second piece's send fails: issue returns an error for a write whose
+// first piece has not left yet. The caller's memory goes back only once
+// every send that gathers from it is done (settle), so when issue
+// returns, each send it made is done — and the server, revived while
+// the stall lasts and the caller's buffer refilled at once, receives
+// the first piece as it was sent or not at all. Without that, the first
+// piece left with the refilled bytes.
+func TestFailedPieceSendSettlesThePiecesThatLeft(t *testing.T) {
+	const (
+		timeout = 500 * time.Microsecond // settle's deadline: the stall and a piece's send
+		stall   = 50 * time.Microsecond
+		n       = 64 << 10 // two eager pieces on MX
+	)
+	env := sim.NewEngine()
+	c := hw.NewCluster(env, hw.DefaultParams(), hw.PCIXD)
+	sink, client := c.AddNode("sink"), c.AddNode("client")
+	srv, err := fabric.NewMX(mx.Attach(sink), 1, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var firstPiece []byte
+	env.Spawn("sink", func(p *sim.Proc) {
+		buf, err := fabric.PoolOf(sink).Get(n)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		op, err := srv.PostRecv(p, core.Exact(payloadTag(client.ID, 1, 2)), buf.PhysVec(buf.Size()))
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		st := op.Wait(p)
+		firstPiece, _ = sink.Kernel.ReadBytes(buf.VA(), st.Len)
+	})
+	done := false
+	env.Spawn("client", func(p *sim.Proc) {
+		mt, err := fabric.NewMX(mx.Attach(client), 2, true)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		log := &sendLog{Transport: mt}
+		fc, err := NewFabricClient(nil, log, true, client.Kernel, sink.ID, 1, 2)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		fc.SetRequestTimeout(timeout)
+		va, err := client.Kernel.Mmap(n, "caller")
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		client.Kernel.WriteBytes(va, bytes.Repeat([]byte{'A'}, n))
+		log.onSend = func(i int) {
+			if i == 2 { // the request and the first piece are queued
+				sink.NIC.Kill()
+			}
+		}
+		client.NIC.StallFor(stall)
+		req := &Req{Op: OpWrite, Ino: 7, Len: n}
+		if _, err := fc.issue(p, &fc.ctl, req, core.Of(core.KernelSeg(client.Kernel, va, n))); !fabric.IsFault(err) {
+			t.Errorf("a write whose second piece's send failed = %v, want a transport fault", err)
+		}
+		if len(log.sent) != 2 {
+			t.Errorf("issue made %d sends, want 2 (the request, the first piece)", len(log.sent))
+		}
+		for i, op := range log.sent {
+			if !op.Done() {
+				t.Errorf("send %d still gathers from its memory after issue returned", i)
+			}
+		}
+		sink.NIC.Revive()
+		client.Kernel.WriteBytes(va, bytes.Repeat([]byte{'B'}, n))
+		done = true
+	})
+	env.Run(0)
+	if !done {
+		t.Fatal("the client never finished")
+	}
+	if firstPiece != nil && !bytes.Equal(firstPiece, bytes.Repeat([]byte{'A'}, n/2)) {
+		t.Errorf("the first piece arrived with %d bytes that are not the ones it was sent with", len(firstPiece))
+	}
+}

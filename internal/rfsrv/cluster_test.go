@@ -383,14 +383,16 @@ var clientLayers = []struct {
 // 6 824 253 → 6 170 093 ns; a separate payload is not a request
 // message), and on MX again when a kernel read above the eager limit
 // started to come back in eager pieces instead of one rendezvous
-// (6 771 255 → 6 045 115 ns). The batch and zero-length calls after it
+// (6 771 255 → 6 045 115 ns), and again when a kernel write's payload
+// started to follow its header in eager pieces (6 045 115 → 5 774 089
+// ns). The batch and zero-length calls after it
 // go through the cluster's own issue paths, one-server shortcuts gone,
 // and must still match the session request for request.
 func TestClientLayersIdentical(t *testing.T) {
 	for _, pin := range []struct {
 		transport string
 		sync      sim.Time
-	}{{"mx", 6045115}, {"gm", 6170093}} {
+	}{{"mx", 5774089}, {"gm", 6170093}} {
 		transport, wantSync := pin.transport, pin.sync
 		var baseEnd sim.Time
 		var baseSum []byte

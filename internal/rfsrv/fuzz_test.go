@@ -36,6 +36,21 @@ func packedCreates() []*Req {
 	}
 }
 
+// piecedWrites are write-shaped headers carrying the piece mark: a
+// pieced write at an offset off the page grid, one whose announced
+// length leaves its last piece short, and the mark where the rule does
+// not grant it — on an import, on a write one eager message carries,
+// and on one longer than MaxWriteChunk.
+func piecedWrites() []*Req {
+	return []*Req{
+		{Op: OpWrite, Ino: 3, Off: 1000, Len: piecesBit | 64<<10},
+		{Op: OpWrite, Ino: 3, Off: 8192, Len: piecesBit | 40000},
+		{Op: OpImport, Len: piecesBit | 64<<10},
+		{Op: OpWrite, Ino: 3, Off: 0, Len: piecesBit | 4096},
+		{Op: OpWrite, Ino: 3, Off: 0, Len: piecesBit | (MaxWriteChunk + 1)},
+	}
+}
+
 // TestRetiredOpIsUnknown: the retired opcode has no name and no
 // handler — a server answers it exactly like an opcode never assigned.
 func TestRetiredOpIsUnknown(t *testing.T) {
@@ -64,7 +79,10 @@ func FuzzDecodeReq(f *testing.F) {
 		f.Add(EncodeReqInto(nil, req))
 	}
 	f.Add(EncodeReqInto(nil, &Req{Op: retiredOp, Ino: 3, Len: uint32(LayoutStandard)}))
-	f.Add(EncodeReqInto(nil, &Req{Op: OpRead, Ino: 3, Off: 1000, Len: readPiecesBit | (1<<31 - 1)}))
+	f.Add(EncodeReqInto(nil, &Req{Op: OpRead, Ino: 3, Off: 1000, Len: piecesBit | (1<<31 - 1)}))
+	for _, req := range piecedWrites() {
+		f.Add(EncodeReqInto(nil, req))
+	}
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		req, consumed, err := DecodeReq(raw)
 		if err != nil {
@@ -124,13 +142,20 @@ func FuzzDecodeResp(f *testing.F) {
 // payload follows its head in one message, exactly as long as
 // announced, is an inline write, installed from the frames it landed in
 // — by page flip when it sits at its in-page position, and then every
-// flipped page must read as zeros outside the payload's share. A read,
-// and an export asking for pieces, is served whole (serve) over a
+// flipped page must read as zeros outside the payload's share. Every
+// write is also received as a separate payload, the way recvReq does
+// it: postPayload posts one receive per piece the piece rule grants
+// (pieces) — one for a write that does not ask, and one into nothing
+// for the mark outside the rule — the bytes behind the head are cut
+// into them as a client cuts them, and landPayload and the install must
+// then hold every frame allocated as a block of the range or free it,
+// answering StInval when the pieces do not add up to the length. A
+// read, and an export asking for pieces, is served whole (serve) over a
 // transport that logs the messages: the data comes back in the number
-// of messages the read-piece rule grants (readPieces), each within the
-// eager limit when there are several, adding up to the reply's N — and
-// a request carrying the piece bit outside the rule is answered StInval
-// in exactly one empty data message.
+// of messages the piece rule grants, each within the eager limit when
+// there are several, adding up to the reply's N — and a request
+// carrying the piece bit outside the rule is answered StInval in
+// exactly one empty data message.
 func FuzzServeBytes(f *testing.F) {
 	batch := EncodeReqInto(nil, &Req{Op: OpCreate, Ino: 1, Name: "new"})
 	batch = EncodeReqInto(batch, &Req{Op: OpTruncate, Ino: 3, Off: -5})
@@ -190,15 +215,23 @@ func FuzzServeBytes(f *testing.F) {
 		// Reads asking for pieces: past EOF, at an offset off the piece
 		// grid (one short piece, then an empty one), one too long for
 		// the rule, and an export, which never may.
-		f.Add(EncodeReqInto(nil, &Req{Op: OpRead, Ino: 3, Off: 1 << 20, Len: readPiecesBit | 64<<10}), sharded)
-		f.Add(EncodeReqInto(nil, &Req{Op: OpRead, Ino: 3, Off: 1000, Len: readPiecesBit | 40000}), sharded)
-		f.Add(EncodeReqInto(nil, &Req{Op: OpRead, Ino: 3, Off: 0, Len: readPiecesBit | (1<<31 - 1)}), sharded)
-		f.Add(EncodeReqInto(nil, &Req{Op: OpExport, Len: readPiecesBit | MaxWriteChunk}), sharded)
+		f.Add(EncodeReqInto(nil, &Req{Op: OpRead, Ino: 3, Off: 1 << 20, Len: piecesBit | 64<<10}), sharded)
+		f.Add(EncodeReqInto(nil, &Req{Op: OpRead, Ino: 3, Off: 1000, Len: piecesBit | 40000}), sharded)
+		f.Add(EncodeReqInto(nil, &Req{Op: OpRead, Ino: 3, Off: 0, Len: piecesBit | (1<<31 - 1)}), sharded)
+		f.Add(EncodeReqInto(nil, &Req{Op: OpExport, Len: piecesBit | MaxWriteChunk}), sharded)
+		// Writes asking for pieces, their payloads behind the head: at an
+		// offset off the page grid, with the last piece short, and the
+		// mark outside the rule.
+		for _, req := range piecedWrites() {
+			f.Add(EncodeReqInto(nil, req), sharded)
+		}
+		short := &Req{Op: OpWrite, Ino: 3, Off: 1000, Len: piecesBit | 64<<10}
+		f.Add(append(EncodeReqInto(nil, short), bytes.Repeat([]byte("ps"), 30000)...), sharded)
 	}
 	f.Fuzz(func(t *testing.T, msg []byte, sharded bool) {
 		head := msg[:min(len(msg), reqBufSize)] // the head serve decodes
 		req, consumed, err := DecodeReq(head)
-		if err != nil || req.Op == OpRead && req.Len&readPiecesBit == 0 && req.Len > 1<<20 {
+		if err != nil || req.Op == OpRead && req.Len&piecesBit == 0 && req.Len > 1<<20 {
 			return // (a huge sparse read is legal, and only slow to fuzz)
 		}
 		env := sim.NewEngine()
@@ -242,7 +275,7 @@ func FuzzServeBytes(f *testing.F) {
 			}
 			req := w.req
 			switch {
-			case req.Op == OpRead || req.Op == OpExport && req.Len&readPiecesBit != 0:
+			case req.Op == OpRead || req.Op == OpExport && req.Len&piecesBit != 0:
 				checkPieces(t, p, s, w, eager)
 			case req.Op == OpExport:
 				raw, err := s.exportImage(int(req.Len))
@@ -308,15 +341,34 @@ func FuzzServeBytes(f *testing.F) {
 				} else {
 					s.putWork(w)
 				}
-				// The install arm: every frame it allocated is afterwards a
+				// The separate arm: every frame it allocated is afterwards a
 				// block of the written range, or freed.
 				before := node.Mem.Allocated()
+				hdr := *req
 				w := s.getWork()
-				w.req = req
-				if w.ok = s.payloadFrames(w); !w.ok && node.Mem.Allocated() != before {
+				w.req = &hdr
+				wire := &wireLog{node: node, eager: eager}
+				s.postPayload(p, wire, w, true)
+				k := takePieces(req, eager)
+				if !w.ok && node.Mem.Allocated() != before {
 					t.Fatalf("refused header %+v allocated %d frames", req, node.Mem.Allocated()-before)
 				}
-				check(req, s.handleWrite(p, w))
+				payload := msg[consumed:]
+				if len(payload) == 0 && w.ok {
+					payload = bytes.Repeat([]byte{0xA5}, int(req.Len)) // a payload of the announced length
+				}
+				if got := deliverPieces(t, node, wire, payload, eager); len(wire.recvs) != max(k, 1) || w.ok && got != int(req.Len) {
+					t.Fatalf("%+v: %d receives posted for %d bytes, want %d for %d", req, len(wire.recvs), got, max(k, 1), req.Len)
+				}
+				s.landPayload(p, w)
+				resp := s.handleWrite(p, w)
+				check(req, resp)
+				if resp.Status == StOK && (len(payload) != int(req.Len) || !bytes.Equal(fs.ReadRange(req.Ino, req.Off, len(payload)), payload)) {
+					t.Fatalf("%+v installed, from a %d-byte payload it does not hold", req, len(payload))
+				}
+				if k == 0 && resp.Status != StInval {
+					t.Fatalf("%+v asks for pieces outside the rule, answered status %d", req, resp.Status)
+				}
 				held := 0
 				if validWrite(req) {
 					for idx := req.Off / mem.PageSize; idx*mem.PageSize < req.Off+int64(req.Len); idx++ {
@@ -346,15 +398,15 @@ func FuzzServeBytes(f *testing.F) {
 }
 
 // checkPieces serves w's read-shaped request over a logging transport
-// and checks its answer against the read-piece rule: data messages
+// and checks its answer against the piece rule: data messages
 // first, as many as the rule grants, adding up to the reply's N; then
 // one well-formed reply header, its Seq the request's and its Status a
 // defined one.
 func checkPieces(t *testing.T, p *sim.Proc, s *Server, w *work, eager int) {
 	t.Helper()
 	req := *w.req
-	n := int(req.Len &^ readPiecesBit)
-	pieced := req.Len&readPiecesBit != 0
+	n := int(req.Len &^ piecesBit)
+	pieced := req.Len&piecesBit != 0
 	wire := &wireLog{node: s.node, eager: eager}
 	s.serve(p, wire, w)
 	s.sweepStaged()
@@ -368,12 +420,12 @@ func checkPieces(t *testing.T, p *sim.Proc, s *Server, w *work, eager int) {
 	}
 	k, total := 1, 0
 	switch {
-	case pieced && readPieces(req.Op, eager, n) == 1:
+	case pieced && pieces(req.Op, eager, n) == 1:
 		if resp.Status != StInval {
 			t.Fatalf("%+v asks for pieces outside the rule, answered status %d", req, resp.Status)
 		}
 	case pieced:
-		k = readPieces(req.Op, eager, n)
+		k = pieces(req.Op, eager, n)
 	}
 	if last != k {
 		t.Fatalf("%+v answered in %d data messages, want %d", req, last, k)
@@ -390,13 +442,60 @@ func checkPieces(t *testing.T, p *sim.Proc, s *Server, w *work, eager int) {
 }
 
 // wireLog is a transport that keeps every message sent through it, its
-// bytes gathered at the send, and completes each send at once.
+// bytes gathered at the send, and completes each send at once; and every
+// receive posted through it, for deliverPieces to complete.
 type wireLog struct {
 	fabric.Transport
 	node  *hw.Node
 	eager int
 	tags  []uint64
 	msgs  [][]byte
+	recvs []*handOp
+}
+
+func (l *wireLog) PostRecv(p *sim.Proc, match core.Match, v core.Vector) (fabric.Op, error) {
+	op := &handOp{v: v}
+	l.recvs = append(l.recvs, op)
+	return op, nil
+}
+
+// handOp is a receive that deliverPieces completes by hand.
+type handOp struct {
+	v  core.Vector
+	st fabric.Status
+}
+
+func (o *handOp) Done() bool                     { return true }
+func (o *handOp) Wait(p *sim.Proc) fabric.Status { return o.st }
+
+// deliverPieces lands payload in the receives posted through l, in
+// order, cut as a client cuts a pieced payload: eager bytes each, the
+// rest in the last (one receive takes it whole) — truncated, in error,
+// where a receive is shorter than its piece. It returns the bytes the
+// receives were posted for, checking that several are each within the
+// eager limit.
+func deliverPieces(t *testing.T, node *hw.Node, l *wireLog, payload []byte, eager int) int {
+	t.Helper()
+	room := 0
+	for i, op := range l.recvs {
+		piece := payload[min(i*eager, len(payload)):]
+		if i < len(l.recvs)-1 {
+			piece = piece[:min(eager, len(piece))]
+		}
+		n := op.v.TotalLen()
+		if room += n; len(l.recvs) > 1 && n > eager {
+			t.Fatalf("piece receive %d of %d holds %d bytes", i, len(l.recvs), n)
+		}
+		if op.st.Len = min(len(piece), n); len(piece) > n {
+			op.st.Err = errors.New("truncated")
+		}
+		xs, err := op.v.Extents()
+		if err != nil {
+			t.Fatal(err)
+		}
+		node.Mem.Scatter(xs, piece[:op.st.Len])
+	}
+	return room
 }
 
 func (l *wireLog) Caps() fabric.Caps {

@@ -289,9 +289,9 @@ func (s *Server) exportImage(room int) ([]byte, error) {
 // the header follows with its length.
 func (s *Server) serveExport(p *sim.Proc, t fabric.Transport, w *work) {
 	resp := &Resp{Seq: w.req.Seq}
-	raw, err := s.exportImage(int(w.req.Len))
-	if w.req.Len&readPiecesBit != 0 {
-		raw, err = nil, ErrInval // an export is never answered in pieces
+	raw, err := []byte(nil), error(ErrInval) // an export is never answered in pieces
+	if takePieces(w.req, t.Caps().EagerMax) == 1 {
+		raw, err = s.exportImage(int(w.req.Len))
 	}
 	resp.Status, resp.N = StatusOf(err), uint32(len(raw))
 	var data core.Vector

@@ -11,12 +11,13 @@
 //
 //   - Over MX it uses the kernel interface directly: vectorial,
 //     address-typed requests; write data rides in the request message
-//     while that message stays eager, and follows as its own message,
-//     received into fresh server frames, above that;
-//     read data lands zero-copy in physically-addressed kernel memory
-//     (page-cache frames, kernel buffers), in eager pieces into
-//     receives posted before the request left when one message cannot
-//     carry it (readPieces), and in user buffers MX pins for a
+//     while that message stays eager, and follows it into fresh server
+//     frames above that; read data lands zero-copy in physically
+//     addressed kernel memory (page-cache frames, kernel buffers). Data
+//     of kernel memory that one eager message cannot carry travels in
+//     eager pieces (pieces) into receives posted before they can
+//     arrive — a read's by the client before it asks, a write's by the
+//     server as it admits the header — and user buffers MX pins for a
 //     rendezvous above the eager limit; waits are per-request.
 //   - Over GM it has to assemble the same functionality out of GM's
 //     primitives: everything it touches must be registered (a GMKRC
@@ -724,41 +725,61 @@ func payloadTag(src hw.NodeID, seq uint64, ep uint8) uint64 {
 // client that sends a write and the server that receives it: the n
 // payload bytes ride behind the head-byte request encoding when the
 // whole message stays within the transport's eager limit (so it lands
-// in the server's request bounce with no rendezvous), and otherwise
-// follow as their own payloadTag message, which the server receives
-// into fresh frames of its block store. A transport without vectors
-// has no eager limit to fit, so every one of its payloads travels
-// alone.
+// in the receiver's inbox with no rendezvous), and otherwise follow as
+// their own payloadTag message — or, under the piece rule, as eager
+// pieces of it (pieces) — which the server receives into fresh frames
+// of its block store. A transport without vectors has no eager limit to
+// fit, so every one of its payloads travels alone.
 //
 // allocfree
 func inlinePayload(eagerMax, head, n int) bool { return head+n <= eagerMax }
 
-// readPiecesBit marks an OpRead that asks for its data in readPieces'
-// pieces. It rides in Len's top bit, as an exact OpSetSize's mode does
+// piecesBit marks an OpRead or OpWrite whose data travels in pieces'
+// messages. It rides in Len's top bit, as an exact OpSetSize's mode does
 // (PackSetSize); a request may carry it only under the rule, and the
 // server answers any other use with StInval.
-const readPiecesBit = 1 << 31
+const piecesBit = 1 << 31
 
-// readPieces is the one read-piece rule, applied alike by the client
-// that posts a read's data receives and the server that sends into
-// them: the n bytes of an OpRead whose destination the client hands
-// over physically (physData) come back in ⌈n/eagerMax⌉ eager messages of
-// eagerMax bytes each, the last shorter, when the transport has an eager
-// limit and eagerMax < n ≤ MaxWriteChunk — which bounds the count at
-// MaxWriteChunk/eagerMax (8 on MX). Every other read takes one message
-// (1): a larger one keeps MX's rendezvous. The client posts every piece's
-// receive before its request leaves, so no piece can arrive unexpected
-// and none pays the rendezvous's RTS/CTS exchange or large-message
-// overhead. The server sends exactly that many, empty past the data's
-// end, and in order: one NIC's messages to one peer arrive in the order
-// sent, and the receives match in the order posted.
+// pieces is the one piece rule, applied alike in both directions by the
+// client and the server: the n bytes of an OpRead or OpWrite whose
+// memory on the client is handed over physically (physData) travel in
+// ⌈n/eagerMax⌉ eager messages of eagerMax bytes each, the last shorter,
+// when the transport has an eager limit and eagerMax < n ≤
+// MaxWriteChunk — which bounds the count at MaxWriteChunk/eagerMax (8 on
+// MX). Every other read or write takes one message (1): a larger one
+// keeps MX's rendezvous. Each piece lands in its own receive, posted
+// before the piece can arrive — a read's by the client before its
+// request leaves, a write's by the server's receiver as it admits the
+// header, which the pieces follow on the wire — so no piece waits in the
+// unexpected queue and none pays the rendezvous's RTS/CTS exchange or
+// large-message overhead. The sender sends exactly that many, a read's
+// empty past the data's end, and in order: one NIC's messages to one
+// peer arrive in the order sent, and the receives match in the order
+// posted.
 //
 // allocfree
-func readPieces(op Op, eagerMax, n int) int {
-	if op != OpRead || eagerMax <= 0 || n <= eagerMax || n > MaxWriteChunk {
+func pieces(op Op, eagerMax, n int) int {
+	if op != OpRead && op != OpWrite || eagerMax <= 0 || n <= eagerMax || n > MaxWriteChunk {
 		return 1
 	}
 	return (n + eagerMax - 1) / eagerMax
+}
+
+// takePieces is the server half of the rule: it strips piecesBit from
+// req and returns how many messages req's data travels in — pieces'
+// count when the bit asks for it under the rule, one without the bit,
+// and 0 for the bit outside the rule, a protocol violation.
+//
+// allocfree
+func takePieces(req *Req, eagerMax int) int {
+	if req.Len&piecesBit == 0 {
+		return 1
+	}
+	req.Len &^= piecesBit
+	if k := pieces(req.Op, eagerMax, int(req.Len)); k > 1 {
+		return k
+	}
+	return 0
 }
 
 // reqBufSize bounds a request message other than an inline write: a

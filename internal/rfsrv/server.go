@@ -118,11 +118,12 @@ func (s *Server) getWork() *work {
 }
 
 // putWork recycles a finished work record, keeping the backing of its
-// payload scratch and its hand-off callback.
+// payload scratch and receive list and its hand-off callback.
 func (s *Server) putWork(w *work) {
 	w.req, w.raw, w.sess, w.queue = nil, nil, nil, nil
 	clear(w.frames)
-	w.frames, w.vec, w.at, w.dirty, w.ok = w.frames[:0], w.vec[:0], 0, 0, false
+	clear(w.pay)
+	w.frames, w.vec, w.pay, w.at, w.dirty, w.ok = w.frames[:0], w.vec[:0], w.pay[:0], 0, 0, false
 	s.workFree = append(s.workFree, w)
 }
 
@@ -364,22 +365,17 @@ func (s *Server) handleSetSize(p *sim.Proc, ino kernel.InodeID, req *Req, resp *
 // readExtents builds the zero-copy reply data for w's read: a physical
 // vector of the file's block frames (the zero page for holes), clipped
 // to EOF. It returns the response, the number of data messages that
-// carry it — readPieces' count for a read that asks for pieces under
-// the rule, one otherwise — and the data to transmit, holding a
-// reference on the frame under every page of them: the NIC reads the
-// frames when the send reaches the head of its queue, and a truncate,
-// unlink or overwrite served before then must not hand them back to the
-// allocator. The caller gives the references back with putFrames once
-// the send is done.
+// carry it — the piece rule's count for a read that asks for pieces
+// under it, one otherwise (takePieces) — and the data to transmit,
+// holding a reference on the frame under every page of them: the NIC
+// reads the frames when the send reaches the head of its queue, and a
+// truncate, unlink or overwrite served before then must not hand them
+// back to the allocator. The caller gives the references back with
+// putFrames once the send is done.
 func (s *Server) readExtents(p *sim.Proc, w *work, eagerMax int) (*Resp, int, core.Vector) {
-	req, resp, k := w.req, &w.resp, 1
+	req, resp := w.req, &w.resp
 	*resp = Resp{Seq: req.Seq}
-	if req.Len&readPiecesBit != 0 {
-		req.Len &^= readPiecesBit
-		if k = readPieces(req.Op, eagerMax, int(req.Len)); k == 1 {
-			k = 0 // pieces the rule does not grant
-		}
-	}
+	k := takePieces(req, eagerMax)
 	// A negative or overflowing range, or pieces the rule does not
 	// grant, is a protocol violation, not a short read: reject it
 	// outright, in one empty message, instead of clipping silently (the
@@ -477,15 +473,16 @@ func (s *Server) handleWrite(p *sim.Proc, w *work) *Resp {
 // the paper's asymmetry lives (§5.2): a write's payload rides inline
 // behind the request while the message fits the transport's eager limit
 // and follows as its own tagged message otherwise (inlinePayload, which
-// sends every payload of a transport without vectors alone); and a
+// sends every payload of a transport without vectors alone), or as the
+// piece rule's eager pieces of it (pieces); and a
 // transport whose completions come from a single queue is served by one
 // process in arrival order instead of posted receives feeding workers
 // (Serve). Everything the NIC moves is addressed physically on every
 // transport, the rule FabricClient's kernel side follows too: a request
 // lands in a receiver's header segment and the frames behind it
-// (inbox), a separate payload in fresh frames, a reply header leaves
-// from pooled staging (fabric.Buffer.PhysVec) and a read's data from the
-// block store. So MX's medium messages pay no bounce copy on either
+// (inbox), a separate payload or its pieces in fresh frames, a reply
+// header leaves from pooled staging (fabric.Buffer.PhysVec) and a
+// read's data from the block store. So MX's medium messages pay no bounce copy on either
 // side, and a write's payload, inline or alone, lands in frames the
 // store takes as the file's blocks (handleWrite).
 
@@ -493,9 +490,9 @@ func (s *Server) handleWrite(p *sim.Proc, w *work) *Resp {
 // decoded leading request, the head of the raw message (which may carry
 // further packed metadata requests) and, for a write, the frames its
 // payload landed in — the receiver's own, handed over with an inline
-// payload (admit), or fresh ones the receiver posted for a separate
-// payload. The install takes them over; any other request leaves every
-// frame with its receiver.
+// payload (admit), or fresh ones the receiver posted the receives of a
+// separate payload into. The install takes them over; any other request
+// leaves every frame with its receiver.
 type work struct {
 	req      *Req
 	src      hw.NodeID
@@ -505,16 +502,16 @@ type work struct {
 	frames   []*mem.Frame // a write's payload frames (backing reused)
 	at       int          // where the payload starts in frames[0]
 	dirty    int          // leading bytes of frames an earlier message may have left non-zero
-	vec      core.Vector  // a separate payload's receive vector (backing reused)
-	pay      fabric.Op    // a separate payload's posted receive, until landPayload collects it
+	vec      core.Vector  // a separate payload's receive vector, then each piece's share (backing reused)
+	pay      []fabric.Op  // a separate payload's posted receives, one per piece, until landPayload collects them
 	ok       bool         // a write's payload is exactly the req.Len bytes announced
 	resp     Resp         // a read's reply, built in place (readExtents)
 	sess     *ClientSession
 	// enqueue sends the record to queue — the worker queue of the
-	// receiver that took its header — from its payload's completion
-	// (Serve). Built the first time the record carries such a payload
-	// and kept across recycles, so the hand-off allocates nothing and a
-	// server that never sees one builds none.
+	// receiver that took its header — from its payload's completion,
+	// the last piece's (Serve). Built the first time the record carries
+	// such a payload and kept across recycles, so the hand-off allocates
+	// nothing and a server that never sees one builds none.
 	queue   *sim.Chan[*work]
 	enqueue func()
 }
@@ -547,9 +544,11 @@ func (s *Server) ServeGM(g *gm.GM, portID uint8) (*gm.Port, error) {
 // pipelined client's next request while every worker is still busy —
 // the server half of the protocol's sliding window. A write whose
 // payload follows as its own message holds no receiver: its receiver
-// posts the payload's receive (recvReq, postPayload), hands the write
-// to the queue from that receive's completion (fabric.NotifyOp) and
-// goes straight back to its request receive, so no process parks on a
+// posts the payload's receives — one, or one per piece, before the
+// first piece can land, for the NIC hands a message over only once its
+// last fragment is in (recvReq, postPayload) — hands the write to the
+// queue from the last receive's completion (fabric.NotifyOp) and goes
+// straight back to its request receive, so no process parks on a
 // payload and the queue only ever holds complete work (serve lands the
 // payload first, landPayload). A request that finds no receive posted
 // still waits in the unexpected queue until a receiver is back, so the
@@ -596,7 +595,7 @@ func (s *Server) Serve(t fabric.Transport, workers int) error {
 				if s.inside > 1 {
 					concurrent.Fire()
 				}
-				if w.pay == nil {
+				if len(w.pay) == 0 {
 					queue.Send(w)
 					continue
 				}
@@ -604,7 +603,7 @@ func (s *Server) Serve(t fabric.Transport, workers int) error {
 				if w.enqueue == nil {
 					w.enqueue = func() { w.queue.Send(w) }
 				}
-				w.pay.(fabric.NotifyOp).OnDone(w.enqueue)
+				w.pay[len(w.pay)-1].(fabric.NotifyOp).OnDone(w.enqueue)
 			}
 		})
 	}
@@ -682,7 +681,7 @@ func (s *Server) refill(in *inbox, size int) {
 
 // recvReq receives the next well-formed request message into the
 // calling receiver's inbox (admit). A write whose payload follows as its
-// own message has that payload's receive posted here (postPayload) but
+// own message has that payload's receives posted here (postPayload) but
 // not waited: the work it returns is complete once w.pay is, and serve
 // lands it (landPayload).
 func (s *Server) recvReq(p *sim.Proc, t fabric.Transport, in *inbox) *work {
@@ -749,40 +748,40 @@ func (s *Server) admit(in *inbox, st fabric.Status, eagerMax int) *work {
 	return w
 }
 
-// postPayload posts the receive of the payload w's write header
-// announced as its own message (payloadTag names the sender): into
-// fresh frames, one per page of the write's range (payloadFrames), when
-// the header is well formed (ok), and into nothing otherwise. The
-// payload is consumed either way, so it can never strand in the
-// transport's unexpected queue or be taken for a later request's. No
-// process waits for it here: w.pay is the posted receive, which
-// landPayload collects. The frames are physical, so nothing is pinned
-// for a rendezvous into them.
+// postPayload posts the receives of the payload w's write header
+// announced as its own message, or as the pieces the header asks for
+// (takePieces), all tagged with the sender (payloadTag): into fresh
+// frames, one per page of the write's range (payloadFrames), each
+// piece's receive into its share of them, when the header is well
+// formed (ok), and into nothing otherwise — one receive for a piece
+// mark outside the rule. The payload is consumed either way, so it can
+// never strand in the transport's unexpected queue or be taken for a
+// later request's. No process waits for it here: w.pay holds the posted
+// receives, which landPayload collects. The frames are physical, so
+// nothing is pinned for a rendezvous into them.
 //
 // allocfree
 func (s *Server) postPayload(p *sim.Proc, t fabric.Transport, w *work, ok bool) {
-	w.ok = ok && s.payloadFrames(w)
-	op, err := t.PostRecv(p, core.Exact(payloadTag(w.src, w.req.Seq, w.req.EP)), w.vec)
-	if err != nil {
-		panic(err)
-	}
-	w.pay = op
+	k := takePieces(w.req, t.Caps().EagerMax)
+	w.ok = ok && k > 0 && s.payloadFrames(w)
+	s.pieceOps(p, t, w, w.vec, max(k, 1), true)
 }
 
 // landPayload collects the payload postPayload posted for w, if any: it
-// waits the receive — already complete on a vectorial transport, whose
-// receiver hands w on from the receive's completion — which charges the
-// completion once, and applies the one length rule: w.ok stays true
-// only if exactly req.Len bytes landed for a well-formed header, and
-// otherwise w holds no frames.
+// waits every receive — already complete on a vectorial transport,
+// whose receiver hands w on from the last one's completion — which
+// charges each completion once, and applies the one length rule to
+// their sum: w.ok stays true only if exactly req.Len bytes landed for a
+// well-formed header (or came inline, admit), and otherwise w holds no
+// frames.
 func (s *Server) landPayload(p *sim.Proc, w *work) {
-	if w.pay == nil {
-		return
+	n := 0
+	for _, op := range w.pay {
+		//analyze:allow boundedwait ROADMAP item 2(a): a client dead between header and payload strands this receive until the server has a deadline
+		st := op.Wait(p)
+		w.ok, n = w.ok && st.Err == nil, n+st.Len
 	}
-	//analyze:allow boundedwait ROADMAP item 2(a): a client dead between header and payload strands this receive until the server has a deadline
-	st := w.pay.Wait(p)
-	w.pay = nil
-	if w.ok = w.ok && st.Err == nil && st.Len == int(w.req.Len); !w.ok {
+	if w.ok = w.ok && (len(w.pay) == 0 || n == int(w.req.Len)); !w.ok {
 		s.dropFrames(w)
 	}
 }
@@ -859,26 +858,45 @@ func (s *Server) serve(p *sim.Proc, t fabric.Transport, w *work) {
 }
 
 // sendData sends a read-shaped reply's data in k messages: one, from
-// data itself, or readPieces' pieces of the transport's eager limit
-// each, cut into w.vec without allocating (slicePhys) — an eager
-// message's vector is resolved before Send returns. Empty messages are
-// still sent, past the data's end too, so every receive the client
-// posted completes. held keeps data and the memory under it alive until
-// the last message's send is done (sweepStaged), which is after the
-// others': one NIC sends to one peer in order. When the client is dead,
-// sending stops, and what held keeps goes back once the last queued
-// send is done, or at once when none was queued.
+// data itself, or the piece rule's pieces of it (pieceOps). Empty
+// messages are still sent, past the data's end too, so every receive
+// the client posted completes. held keeps data and the memory under it
+// alive until the last message's send is done (sweepStaged), which is
+// after the others'. When the client is dead, sending stops, and what
+// held keeps goes back once the last queued send is done, or at once
+// when none was queued.
 func (s *Server) sendData(p *sim.Proc, t fabric.Transport, w *work, data core.Vector, k int, held stagedSend) {
-	size := t.Caps().EagerMax
-	var sent fabric.Op
+	switch sent := s.pieceOps(p, t, w, data, k, false); {
+	case sent == nil:
+		s.release(held)
+	case held.buf != nil || held.frames != nil:
+		held.op = sent
+		s.staged = append(s.staged, held)
+	}
+}
+
+// pieceOps puts the k pieces of v on the wire for w's request, in
+// order, each cut into w.vec (cutPiece): the receives of w's payload
+// (recv), collected in w.pay, or the messages of w's read data, an
+// empty one past the data's end. It returns the last send made, which
+// completes after the others — one NIC sends to one peer in order — and
+// stops sending at a transport fault: the client is dead.
+//
+// allocfree
+func (s *Server) pieceOps(p *sim.Proc, t fabric.Transport, w *work, v core.Vector, k int, recv bool) (last fabric.Op) {
 	for i := 0; i < k; i++ {
-		piece := data
-		if k > 1 {
-			w.vec = slicePhys(w.vec[:0], data, i*size, size)
-			piece = w.vec
+		piece := cutPiece(&w.vec, v, i, k, t.Caps().EagerMax)
+		if recv {
+			op, err := t.PostRecv(p, core.Exact(payloadTag(w.src, w.req.Seq, w.req.EP)), piece)
+			if err != nil {
+				panic(err)
+			}
+			w.pay = append(w.pay, op)
+			continue
 		}
 		if len(piece) == 0 {
-			piece = append(w.vec[:0], core.PhysSeg(s.zero.Addr(), 0))
+			w.vec = append(w.vec, core.PhysSeg(s.zero.Addr(), 0))
+			piece = w.vec[len(w.vec)-1:]
 		}
 		op, err := t.Send(p, w.src, w.req.EP, tag(w.req.Seq, w.req.EP, kindData), piece)
 		if err != nil {
@@ -887,15 +905,9 @@ func (s *Server) sendData(p *sim.Proc, t fabric.Transport, w *work, data core.Ve
 			}
 			break
 		}
-		sent = op
+		last = op
 	}
-	switch {
-	case sent == nil:
-		s.release(held)
-	case held.buf != nil || held.frames != nil:
-		held.op = sent
-		s.staged = append(s.staged, held)
-	}
+	return last
 }
 
 // unpack decodes the metadata requests packed behind the first one in

@@ -314,12 +314,17 @@ func TestServeSurvivesDeadClient(t *testing.T) {
 // message pays no bounce copy on either side: mx/1's read phase
 // 4 586 171 → 4 243 691 ns (its 16 KB reads land by DMA), mx/8 38 057 →
 // 37 345, 1 851 202 → 1 850 490 and 3 477 056 → 3 462 665 ns. GM,
-// which already moved all of it by physical address, did not move.
+// which already moved all of it by physical address, did not move. MX's
+// write phase, and the read phase behind it, moved again when a kernel
+// write's payload above the eager limit started to follow its header in
+// eager pieces instead of one rendezvous: mx/1 1 925 411 → 1 749 431 and
+// 4 243 691 → 4 067 711 ns (the reads take exactly as long as before),
+// mx/8 1 850 490 → 1 653 633 and 3 462 665 → 3 265 808.
 var pinnedInstants = map[string][]sim.Time{
 	"gm/1": {254991, 1977671, 4700471},
 	"gm/8": {75354, 1723390, 3351229},
-	"mx/1": {94183, 1925411, 4243691},
-	"mx/8": {37345, 1850490, 3462665},
+	"mx/1": {94183, 1749431, 4067711},
+	"mx/8": {37345, 1653633, 3265808},
 }
 
 func TestServeVirtualInstantsPinned(t *testing.T) {

@@ -34,14 +34,14 @@ func (r *rig) kvecOn(t *testing.T, node *hw.Node, n int) core.Vector {
 }
 
 // TestServeAnswersAReadDuringAnotherClientsRendezvous: client A's 64 KB
-// write payload is a rendezvous of its own, whose receive the receiver
-// that decoded A's header posts without waiting for it. Client B's 4 KB
-// read, issued once A's request-to-send has reached the server, is
-// received and answered while A's payload is still on the wire. With a
-// single posted receive held across the payload, B's request waited in
-// the unexpected queue for A's whole transfer and was answered after
-// it. (The write's instant was re-pinned 445 688 →
-// 370 526 ns when its payload stopped landing in the request bounce.)
+// write from user memory — which MX pins for a rendezvous, where kernel
+// memory would follow the header in eager pieces — sends its payload
+// as a rendezvous of its own, whose receive the receiver that decoded
+// A's header posts without waiting for it. Client B's 4 KB read,
+// issued once A's request-to-send has reached the server, is received
+// and answered while A's payload is still on the wire. With a single
+// posted receive held across the payload, B's request waited in the
+// unexpected queue for A's whole transfer and was answered after it.
 func TestServeAnswersAReadDuringAnotherClientsRendezvous(t *testing.T) {
 	const big, small = 64 * 1024, 4096
 	r := newRigWorkers(t, 4)
@@ -67,8 +67,14 @@ func TestServeAnswersAReadDuringAnotherClientsRendezvous(t *testing.T) {
 		p.Sleep(100 * us) // the woken receivers post
 		t0 := p.Now()
 		r.env.Spawn("writer", func(p *sim.Proc) {
-			src := ra.kvec(t, big)
-			ra.client.Kernel.WriteBytes(src[0].VA, pattern(big))
+			as := ra.client.NewUserSpace("writer")
+			va, err := as.Mmap(big, "src")
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			as.WriteBytes(va, pattern(big))
+			src := core.Of(core.UserSeg(as, va, big))
 			if resp, err := a.Write(p, ino, 0, src); err != nil || resp.N != big {
 				t.Errorf("write: %+v %v", resp, err)
 			}
@@ -91,8 +97,10 @@ func TestServeAnswersAReadDuringAnotherClientsRendezvous(t *testing.T) {
 	// while payloads landed in the request bounce). The read was
 	// re-pinned 67 925 → 65 493 ns when its 4 KB kernel buffer started to
 	// reach MX by physical address: the data lands by DMA, not by a copy
-	// out of MX's receive bounce.
-	if want := [2]sim.Time{370526, 65493}; [2]sim.Time{aDone, bDone} != want || bDone >= aDone {
+	// out of MX's receive bounce. The write moved from kernel memory
+	// (370 526 ns) to user memory (372 926 ns: MX pins the pages) when a
+	// kernel write's payload stopped taking a rendezvous.
+	if want := [2]sim.Time{372926, 65493}; [2]sim.Time{aDone, bDone} != want || bDone >= aDone {
 		t.Errorf("write and read finished %d and %d ns after the write was issued, pinned at %d and %d (the read first)",
 			aDone, bDone, want[0], want[1])
 	}
@@ -117,8 +125,9 @@ func TestSynchronousClientNeverWakesTheOtherReceivers(t *testing.T) {
 	const (
 		// This rig and script on the one-worker server: 2 254 while MX
 		// copied medium messages, 2 278 since they go zero-copy (each
-		// completes from its transmit's own event).
-		oneWorker = 2278
+		// completes from its transmit's own event), 2 344 since a kernel
+		// write's payload follows its header in eager pieces.
+		oneWorker = 2344
 		parked    = 6 // receivers and workers 2-4 start, and park
 	)
 	if got := r.env.Events(); got != oneWorker+parked {

@@ -10,6 +10,7 @@ package rfsrv
 
 import (
 	"bytes"
+	"cmp"
 	"testing"
 	"time"
 
@@ -186,16 +187,23 @@ func (c *wireCall) wait(t *testing.T, p *sim.Proc) *Resp {
 }
 
 // call puts req on the wire with its payload where the one payload rule
-// puts a payload of the header's Len — inline behind the head, or as
-// its own message — whatever length the payload really has, and returns
-// the decoded reply.
+// puts a payload of the header's Len — inline behind the head, or
+// following it in one message, or in the pieces the header's mark asks
+// for under the piece rule: eager bytes each, whatever is left in the
+// last — whatever length the payload really has, and returns the
+// decoded reply.
 func (r *wireRig) call(t *testing.T, p *sim.Proc, req *Req, payload []byte) *Resp {
 	t.Helper()
-	if req.Op != OpWrite || inlinePayload(r.t.Caps().EagerMax, reqFixed+len(req.Name), int(req.Len)) {
+	if !writeShaped(req.Op) || inlinePayload(r.t.Caps().EagerMax, reqFixed+len(req.Name), int(req.Len)) {
 		return r.start(t, p, req, payload).wait(t, p)
 	}
 	c := r.start(t, p, req, nil)
-	c.payload(t, p, payload)
+	hdr, size := *req, r.t.Caps().EagerMax
+	k := max(takePieces(&hdr, size), 1)
+	for i := 0; i < k-1; i++ {
+		c.payload(t, p, payload[min(i*size, len(payload)):min((i+1)*size, len(payload))])
+	}
+	c.payload(t, p, payload[min((k-1)*size, len(payload)):])
 	return c.wait(t, p)
 }
 
@@ -215,10 +223,13 @@ func (r *wireRig) fileBytes(t *testing.T, p *sim.Proc, ino kernel.InodeID, n int
 
 // TestWritePayloadLengthRule: a write whose payload is not exactly the
 // req.Len bytes the header announces — short, long, missing, oversize,
-// truncated into the bounce, or sent both inline and alone — is
-// answered StInval on both transports, leaves the file untouched, holds
-// on to no frame, and leaves nothing behind that a later request could
-// trip over.
+// truncated into the bounce, sent both inline and alone, or in pieces
+// that do not add up — and a write-shaped request carrying the piece
+// mark where the rule does not grant it (on GM, on a write one eager
+// message carries or one past MaxWriteChunk, on an import) is answered
+// StInval on both transports, leaves the file untouched, holds on to no
+// frame, and leaves nothing behind that a later request could trip
+// over.
 func TestWritePayloadLengthRule(t *testing.T) {
 	const size, big = 8192, 64 * 1024
 	good := bytes.Repeat([]byte{0x11}, size)
@@ -229,21 +240,30 @@ func TestWritePayloadLengthRule(t *testing.T) {
 	fill := hw.DefaultParams().MXMediumMax - reqFixed
 	cases := []struct {
 		name            string
+		op              Op // OpWrite when unset
 		len             uint32
 		inline, payload []byte // inline: sent behind the head as given
 		mxOnly          bool
 	}{
-		{"short payload", size, nil, evil[:100], false},
-		{"long payload", 100, nil, evil[:size], false},
-		{"no payload", size, nil, nil, false},
-		{"oversize", MaxWriteChunk + 1, nil, evil[:16], false},
-		{"short separate payload", big, nil, evil[:100], false},
-		{"long separate payload", big, nil, evil, false},
+		{"short payload", 0, size, nil, evil[:100], false},
+		{"long payload", 0, 100, nil, evil[:size], false},
+		{"no payload", 0, size, nil, nil, false},
+		{"oversize", 0, MaxWriteChunk + 1, nil, evil[:16], false},
+		{"short separate payload", 0, big, nil, evil[:100], false},
+		{"long separate payload", 0, big, nil, evil, false},
 		// Only a vectorial transport carries a payload in the request
 		// message, where it can overflow the server's bounce or come
 		// twice.
-		{"truncated into the bounce", uint32(fill), evil[:fill+1], nil, true},
-		{"inline and alone", big, evil[:100], evil[:big], true},
+		{"truncated into the bounce", 0, uint32(fill), evil[:fill+1], nil, true},
+		{"inline and alone", 0, big, evil[:100], evil[:big], true},
+		// Pieces (the mark outside the rule on GM, which has no eager
+		// limit): the last one short, long, or the mark on requests the
+		// rule never splits.
+		{"last piece short", 0, piecesBit | big, nil, evil[:big-100], false},
+		{"last piece long", 0, piecesBit | big, nil, evil[:big+100], false},
+		{"pieces of an eager write", 0, piecesBit | size, nil, evil[:size], false},
+		{"pieces past the chunk", 0, piecesBit | (MaxWriteChunk + 1), nil, evil[:16], false},
+		{"pieces of an import", OpImport, piecesBit | big, nil, evil[:big], false},
 	}
 	for _, transport := range []string{"gm", "mx"} {
 		t.Run(transport, func(t *testing.T) {
@@ -267,7 +287,7 @@ func TestWritePayloadLengthRule(t *testing.T) {
 					// consume would still sit in the transport's unexpected
 					// queue under that tag and be taken for this payload.
 					seq++
-					req := &Req{Op: OpWrite, Seq: seq, Ino: attr.Ino, Len: tc.len}
+					req := &Req{Op: cmp.Or(tc.op, OpWrite), Seq: seq, Ino: attr.Ino, Len: tc.len}
 					var resp *Resp
 					if tc.inline != nil {
 						c := r.start(t, p, req, tc.inline)

@@ -8,9 +8,12 @@
 # skips landing a write's separate payload (its receive is never
 # collected and its frames are installed unchecked or leak), and a
 # client wait on a reply that drops its deadline (a dead server blocks
-# it forever) — and requires the analyzer to fail on each, then restores the tree
-# byte-for-byte from backups (no git operations, safe on a dirty
-# tree).
+# it forever) — and requires the analyzer to fail on each. A sixth,
+# which no analyzer can see, must fail a tier-1 test instead: a server
+# that posts one receive for a write whose payload follows in pieces
+# (it ignores the piece mark), so the write is refused and its later
+# pieces strand. Then it restores the tree byte-for-byte from backups
+# (no git operations, safe on a dirty tree).
 set -eu
 
 root="$(cd "$(dirname "$0")/../.." && pwd)"
@@ -113,6 +116,23 @@ fi
 if ! echo "$out" | grep -q '\[poolpair\].*postPayload'; then
 	echo "$out"
 	echo "smoke: FAIL — analyzer failed but reported no poolpair finding on postPayload"
+	exit 1
+fi
+cp "$tmp/server.go.bak" "$server"
+
+echo "smoke: a server ignoring the piece mark must fail a tier-1 test"
+sed -i 's/^\ts\.pieceOps(p, t, w, w\.vec, max(k, 1), true)$/\ts.pieceOps(p, t, w, w.vec, 1, true)/' "$server"
+if cmp -s "$server" "$tmp/server.go.bak"; then
+	echo "smoke: FAIL — injection did not change $server (site moved?)"
+	exit 1
+fi
+if out="$(go test -count=1 -run '^TestKernelWriteStaysEager$' ./internal/rfsrv 2>&1)"; then
+	echo "smoke: FAIL — tier-1 tests passed with a server that posts one receive for a pieced write"
+	exit 1
+fi
+if ! echo "$out" | grep -q -- '--- FAIL: TestKernelWriteStaysEager'; then
+	echo "$out"
+	echo "smoke: FAIL — the tests failed, but not TestKernelWriteStaysEager"
 	exit 1
 fi
 cp "$tmp/server.go.bak" "$server"
