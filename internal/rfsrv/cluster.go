@@ -477,19 +477,6 @@ func (cl *Cluster) layoutFor(p *sim.Proc, ino kernel.InodeID) (LayoutClass, erro
 	return resp.Layout, nil
 }
 
-// homeIdx returns the home of an inode (placement.home), or the next
-// alive server when the home is excluded.
-func (cl *Cluster) homeIdx(ino kernel.InodeID) int {
-	return cl.firstUp(cl.pl.home(ino), len(cl.pl.members))
-}
-
-// pathHomeIdx returns the metadata home of a path component, so
-// sibling entries spread across servers. Excluded homes re-route to the
-// next alive server, like homeIdx.
-func (cl *Cluster) pathHomeIdx(dir kernel.InodeID, name string) int {
-	return cl.firstUp(cl.pl.pathHome(dir, name), len(cl.pl.members))
-}
-
 // allReplicasDown is the error for a stripe whose every replica is
 // excluded; it satisfies fabric.IsFault.
 func (cl *Cluster) allReplicasDown(off int64) error {
@@ -553,7 +540,9 @@ func (cl *Cluster) OwnerServer(off int64) int { return cl.pl.owner(LayoutStandar
 // HomeServer returns the index of the metadata home of an inode. The
 // home shifts past excluded servers, so the answer changes as faults
 // are observed; it is -1 only when every server is excluded.
-func (cl *Cluster) HomeServer(ino kernel.InodeID) int { return cl.homeIdx(ino) }
+func (cl *Cluster) HomeServer(ino kernel.InodeID) int {
+	return cl.firstUp(cl.pl.home(ino), len(cl.pl.members))
+}
 
 // runs splits [off, off+n) of an inode into its per-owner runs
 // (placement.runs) in the cluster's per-operation scratch: valid until
@@ -1414,17 +1403,22 @@ func disagree(resps []*Resp) *Resp {
 	return nil
 }
 
-// Meta implements Client. Read-only operations go to their home
-// (homedRead); size sets fan to every alive server (setSizeMeta) in
-// either namespace; the sharded namespace routes every other mutation
-// to its owner group (shardMeta), the replicated one to every alive
-// server in server order, and the per-server answers must agree (same
-// status, same inode) or the cluster reports namespace divergence — a
-// faulting server is excluded, never counted as divergent. OpTruncate
-// is translated to the exact mode of OpSetSize — same wire size, but it
-// carries this client's observed size epoch, so servers refuse it when
-// the view is stale and the cluster revalidates and retries; OpSetSize
-// requests get their observed epoch stamped the same way.
+// Meta implements Client. It takes the client-facing operations only —
+// lookup, getattr, readdir, create, mkdir, unlink, rmdir, the packed
+// rename, truncate and setsize — and refuses the servers' internal
+// verbs (OpLink, OpScrub, OpMember, the rename phases, ...) with
+// ErrInval before anything is sent. Read-only operations go to their
+// home (homedRead); size sets fan to every alive server (setSizeMeta)
+// in either namespace; the sharded namespace routes every other
+// mutation to its owner group (shardMeta), the replicated one to every
+// alive server in server order, and the per-server answers must agree
+// (same status, same inode) or the cluster reports namespace
+// divergence — a faulting server is excluded, never counted as
+// divergent. OpTruncate is translated to the exact mode of OpSetSize —
+// same wire size, but it carries this client's observed size epoch, so
+// servers refuse it when the view is stale and the cluster revalidates
+// and retries; OpSetSize requests get their observed epoch stamped the
+// same way.
 func (cl *Cluster) Meta(p *sim.Proc, req *Req) (*Resp, error) {
 	if err := validateMeta(req); err != nil {
 		return &Resp{Status: StatusOf(err)}, err
@@ -1433,6 +1427,9 @@ func (cl *Cluster) Meta(p *sim.Proc, req *Req) (*Resp, error) {
 	switch req.Op {
 	case OpLookup, OpGetattr, OpReaddir:
 		mut = false
+	case OpCreate, OpMkdir, OpUnlink, OpRmdir, OpRenameLocal, OpTruncate, OpSetSize:
+	default:
+		return &Resp{Status: StInval}, ErrInval
 	}
 	if err := cl.enterOp(p, mut); err != nil {
 		return &Resp{Status: StatusOf(err)}, err
@@ -1491,14 +1488,7 @@ func (cl *Cluster) setSizeMeta(p *sim.Proc, ino kernel.InodeID, size int64, exac
 // StartWrite that extended only its own stripes) cannot establish that
 // — caching it would silently disable the next write's size publish.
 func (cl *Cluster) homedRead(p *sim.Proc, req *Req) (*Resp, error) {
-	owner, pos, span := ring, cl.pl.home(req.Ino), len(cl.pl.members)
-	switch {
-	case cl.pl.sharded:
-		owner = cl.pl.residue(req.Ino)
-		pos, span = owner, cl.pl.replicas
-	case req.Op == OpLookup:
-		pos = cl.pl.pathHome(req.Ino, req.Name)
-	}
+	owner, pos, span := cl.homeOf(req)
 	for {
 		resp, idx, err := cl.metaFirstAlive(p, req,
 			func() int { return cl.firstUp(pos, span) },
@@ -1514,6 +1504,37 @@ func (cl *Cluster) homedRead(p *sim.Proc, req *Req) (*Resp, error) {
 // ring names the whole member ring where a fan or an exclusion error
 // takes an owner group.
 const ring = -1
+
+// groupOf names the members that hold directory dir's dentries — where
+// its creates and unlinks go: the owner group of its residue in the
+// sharded namespace, the whole ring (owner ring) in the replicated
+// one; pos and span are the group's ring positions (placement.nsGroup).
+//
+// allocfree
+func (cl *Cluster) groupOf(dir kernel.InodeID) (owner, pos, span int) {
+	if pos, span = cl.pl.nsGroup(dir); cl.pl.sharded {
+		return pos, pos, span
+	}
+	return ring, pos, span
+}
+
+// homeOf is the one read router: the group a read-only request goes to
+// (owner, as groupDead takes it) and the span ring positions from pos
+// whose first alive member answers it. That is the inode's group —
+// and, when the whole ring holds the name, the hashed home on it: the
+// path component's for a lookup, the inode's otherwise, so reads
+// spread without a directory service.
+//
+// allocfree
+func (cl *Cluster) homeOf(req *Req) (owner, pos, span int) {
+	if owner, pos, span = cl.groupOf(req.Ino); owner == ring {
+		pos = cl.pl.home(req.Ino)
+		if req.Op == OpLookup {
+			pos = cl.pl.pathHome(req.Ino, req.Name)
+		}
+	}
+	return owner, pos, span
+}
 
 // fanout replicates a mutation to every alive member of an owner group
 // — or, owner == ring, of the whole ring (fan) — and verifies the
@@ -1726,21 +1747,32 @@ func (cl *Cluster) runShares(p *sim.Proc, shares []share, out []*Resp) (err erro
 	}
 }
 
+// combinedOps are the operations MetaBatch packs into combined batches;
+// a batch that carries any other runs as Meta calls.
+var combinedOps = []Op{OpLookup, OpGetattr, OpReaddir, OpCreate, OpUnlink}
+
 // errDiverged reports replicas of one batched request that answered
 // differently: the replicated namespace (or an owner group) diverged.
 var errDiverged = errors.New("rfsrv: cluster namespace diverged in batch")
 
-// MetaBatch implements Async: requests route like Meta (read-only to
-// their homes, mutations to every server) and each server's share is
-// issued as one combined batch in original order, so the §3.3-style
-// combining survives striping. Server batches run one server at a
-// time; with one server they put on the wire what Session.MetaBatch
-// does (TestClusterOneServerMatchesSession). Unlike
-// Meta, batches flow through the per-server windows (that is what
-// combines them), so callers must not hold unretired data pendings
-// across a MetaBatch call. Batches route around already-excluded
-// servers but do not retry mid-batch faults — a fault surfaces as the
-// batch's error and the caller re-issues (Meta retries per request).
+// MetaBatch implements Async: one driver for both namespaces. Lookups,
+// getattrs and readdirs go to their home (homeOf); creates and unlinks
+// to the group that holds the parent's dentries (groupOf) — every
+// alive member of the ring replicated; sharded, an unlink to every
+// alive member of the owner group and a create to the group's first
+// alive member, which mints it, with an OpLink round reaching the rest
+// after the batch. Each server's share is issued as combined batches in
+// original order, every share in flight at once (runShares), so the
+// §3.3-style combining survives striping; with one server it puts on
+// the wire what Session.MetaBatch does
+// (TestClusterOneServerMatchesSession). A batch that carries any other
+// operation — mkdir, rmdir, rename, the size operations — runs as Meta
+// calls in order instead, which also retry stale size epochs.
+// Batches flow through the per-server windows (that is what combines
+// them), so callers must not hold unretired data pendings across a
+// MetaBatch call. They route around already-excluded servers but do
+// not retry mid-batch faults — a fault surfaces as the batch's error
+// and the caller re-issues (Meta retries per request).
 func (cl *Cluster) MetaBatch(p *sim.Proc, reqs []*Req) ([]*Resp, error) {
 	if err := validateBatch(reqs); err != nil {
 		return nil, err
@@ -1752,69 +1784,81 @@ func (cl *Cluster) MetaBatch(p *sim.Proc, reqs []*Req) ([]*Resp, error) {
 	if len(cl.aliveTargets(0, len(cl.pl.members), nil)) == 0 {
 		return nil, fmt.Errorf("rfsrv: MetaBatch: every server excluded: %w", fabric.ErrPeerDead)
 	}
-	if cl.pl.sharded {
-		return cl.shardMetaBatch(p, reqs)
+	out := make([]*Resp, len(reqs))
+	if slices.ContainsFunc(reqs, func(r *Req) bool { return !slices.Contains(combinedOps, r.Op) }) {
+		for i, r := range reqs {
+			var err error
+			if out[i], err = cl.Meta(p, r); err != nil {
+				return out, err
+			}
+		}
+		return out, nil
 	}
 	shares := cl.newShares()
-	track := make([]*Req, len(reqs)) // mutations: the request actually fanned (post-translation)
-	// bumps counts the exact size sets already packed for each inode
-	// earlier in THIS batch: the servers apply the batch in order and
-	// bump the epoch after each exact set, so a later size mutation of
-	// the same inode must observe the epoch it will find, not the
-	// pre-batch one — otherwise a truncate-then-truncate batch would
-	// refuse itself with StStale forever.
-	bumps := make(map[kernel.InodeID]uint64)
+	var minter []int // an owner group's create: the member that mints it
 	for i, r := range reqs {
-		switch r.Op {
-		case OpLookup:
-			shares[cl.pathHomeIdx(r.Ino, r.Name)].add(i, r)
-		case OpGetattr, OpReaddir:
-			shares[cl.homeIdx(r.Ino)].add(i, r)
+		owner, pos, span := cl.homeOf(r)
+		if r.Op == OpCreate || r.Op == OpUnlink {
+			owner, pos, span = cl.groupOf(r.Ino)
+		}
+		targets := cl.aliveTargets(pos, span, nil)
+		if len(targets) == 0 {
+			return nil, cl.groupDead(r.Op, owner)
+		}
+		w := r
+		switch {
+		case r.Op == OpCreate:
+			// The routing residue (files inherit the parent's; none on
+			// the ring) packs with the creator's layout class.
+			if r.Len > uint32(layoutMax) {
+				return nil, ErrInval
+			}
+			w = &Req{Op: OpCreate, Ino: r.Ino, Name: r.Name, Len: PackNode(owner+1, LayoutClass(r.Len))}
+			if owner == ring {
+				break
+			}
+			// An owner group's first alive member mints; the link round
+			// after the batch reaches the rest.
+			if minter == nil {
+				minter = make([]int, len(reqs))
+			}
+			minter[i], targets = targets[0], targets[:1]
+		case r.Op != OpUnlink:
+			targets = targets[:1] // a read: the first alive member answers
+		}
+		// Every member's share carries the same *Req: flights start
+		// sequentially and every start fully encodes (Session.startBatch).
+		for k, s := range targets {
+			if k > 0 {
+				cl.MetaFanout.Add(1)
+			}
+			shares[s].add(i, w)
+		}
+	}
+	if err := cl.runShares(p, shares, out); err != nil {
+		return out, err
+	}
+	// Post-batch rounds and bookkeeping, in request order: the ring's
+	// mutations update the caches and journals like Meta's; an owner
+	// group's creates replicate their dentry and unlinks scrub their
+	// victim.
+	for i, r := range reqs {
+		owner, _, _ := cl.groupOf(r.Ino)
+		resp := out[i]
+		switch {
+		case r.Op != OpCreate && r.Op != OpUnlink:
+		case owner == ring:
+			cl.noteMutation(r, resp, nil)
+		case r.Op == OpUnlink:
+			cl.journalGroup(owner, *r, resp.Attr.Ino)
+			if err := cl.scrubVictim(p, resp.Attr.Ino, resp.Attr.Size); err != nil {
+				return out, err
+			}
 		default:
-			// Size mutations translate and get their observed epoch
-			// stamped like Meta's (batches do not retry staleness — a
-			// StStale reply surfaces as the batch error and the caller
-			// re-issues with the cache already revalidated).
-			w := r
-			switch r.Op {
-			case OpTruncate, OpSetSize:
-				exact := r.Op == OpTruncate
-				if !exact {
-					exact, _ = UnpackSetSize(r.Len)
-				}
-				_, epoch := cl.sz.floor(r.Ino)
-				w = &Req{Op: OpSetSize, Ino: r.Ino, Off: r.Off, Len: PackSetSize(exact, epoch+bumps[r.Ino])}
-				if exact {
-					bumps[r.Ino]++
-				}
+			if err := cl.linkMinted(p, owner, minter[i], r, resp); err != nil {
+				return out, err
 			}
-			track[i] = w
-			// Server batches run one at a time, and startBatch stamps
-			// and encodes every request before returning, so the shares
-			// can share one *Req — no per-server clones.
-			for k, s := range cl.aliveTargets(0, len(cl.pl.members), nil) {
-				if k > 0 {
-					cl.MetaFanout.Add(1)
-				}
-				shares[s].add(i, w)
-			}
-		}
-	}
-	out := make([]*Resp, len(reqs))
-	for s := range shares {
-		// One share at a time (the documented order); a faulting server
-		// is excluded like on every other path, so the caller's
-		// re-issued batch routes around it.
-		if err := cl.runShares(p, shares[s:s+1], out); err != nil {
-			return out, err
-		}
-	}
-	// Apply cache updates in request order: a batch may carry several
-	// mutations of one inode (grow then truncate), and the LAST one
-	// must win, exactly as the servers applied them.
-	for pos, r := range track {
-		if r != nil && out[pos] != nil && out[pos].Status == StOK {
-			cl.noteMutation(r, out[pos], nil)
+			cl.sz.establish(resp.Attr.Ino, resp.Attr.Size, resp.Epoch)
 		}
 	}
 	return out, nil

@@ -76,8 +76,8 @@ func (cl *Cluster) groupFanFrom(p *sim.Proc, owner, except int, req *Req) error 
 // transport faults — then replicates the fresh dentry to the rest of
 // the group with OpLink. A member passed over may have been stalled,
 // not dead, and apply the mint late under an inode of its own: its
-// journal removes whatever the name holds there before the caller
-// journals the link.
+// journal removes whatever the name holds there before the link is
+// journaled (linkMinted).
 func (cl *Cluster) groupMint(p *sim.Proc, owner int, req *Req) (*Resp, error) {
 	tried := cl.mintTried[:0] // every member asked, in order; all but the last faulted
 	resp, idx, err := cl.metaFirstAlive(p, req, func() int {
@@ -95,14 +95,27 @@ func (cl *Cluster) groupMint(p *sim.Proc, owner int, req *Req) (*Resp, error) {
 	for _, slot := range tried[:len(tried)-1] {
 		cl.journalMut(slot, undo, 0)
 	}
-	if cl.pl.replicas > 1 {
-		_, lc := UnpackNode(req.Len)
-		link := mintLink(req.Ino, req.Name, resp, lc)
-		if lerr := cl.groupFanFrom(p, owner, idx, &link); lerr != nil {
-			return &Resp{Status: StatusOf(lerr)}, lerr
-		}
+	if lerr := cl.linkMinted(p, owner, idx, req, resp); lerr != nil {
+		return &Resp{Status: StatusOf(lerr)}, lerr
 	}
 	return resp, nil
+}
+
+// linkMinted replicates a dentry that member minter of an owner group
+// minted for req to the rest of the group (OpLink, when R > 1),
+// carrying the child's kind and layout class, and journals the link
+// for the group's excluded members: they missed the dentry, so replay
+// owes them the idempotent replication verb, not the minting request.
+func (cl *Cluster) linkMinted(p *sim.Proc, owner, minter int, req *Req, resp *Resp) error {
+	_, lc := UnpackNode(req.Len)
+	link := Req{Op: OpLink, Ino: req.Ino, Name: req.Name, Off: int64(resp.Attr.Ino), Len: PackNode(int(resp.Attr.Kind), lc)}
+	if cl.pl.replicas > 1 {
+		if err := cl.groupFanFrom(p, owner, minter, &link); err != nil {
+			return err
+		}
+	}
+	cl.journalGroup(owner, link, resp.Attr.Ino)
+	return nil
 }
 
 // shardMeta is the sharded Meta dispatch of namespace mutations: each
@@ -118,16 +131,13 @@ func (cl *Cluster) shardMeta(p *sim.Proc, req *Req) (*Resp, error) {
 		return cl.shardUnlink(p, req.Ino, req.Name)
 	case OpRmdir:
 		return cl.shardRmdir(p, req.Ino, req.Name)
-	case OpRenameLocal:
-		src, dst, ok := SplitRenameNames(req.Name)
-		if !ok {
-			return &Resp{Status: StInval}, ErrInval
-		}
-		return cl.Rename(p, req.Ino, src, kernel.InodeID(req.Off), dst)
-	default:
-		// The internal sharding verbs are not client-facing operations.
+	}
+	// OpRenameLocal, the one operation left (Meta admits no other).
+	src, dst, ok := SplitRenameNames(req.Name)
+	if !ok {
 		return &Resp{Status: StInval}, ErrInval
 	}
+	return cl.Rename(p, req.Ino, src, kernel.InodeID(req.Off), dst)
 }
 
 // shardCreate creates a file under its parent directory's owner
@@ -145,16 +155,7 @@ func (cl *Cluster) shardCreate(p *sim.Proc, dir kernel.InodeID, name string, hin
 		return resp, err
 	}
 	cl.sz.establish(resp.Attr.Ino, resp.Attr.Size, resp.Epoch)
-	// Excluded group members missed the dentry: journal the
-	// idempotent replication verb (OpLink), not the minting create.
-	cl.journalGroup(owner, mintLink(dir, name, resp, LayoutClass(hint)), resp.Attr.Ino)
 	return resp, nil
-}
-
-// mintLink is the OpLink that replicates a freshly minted dentry to the
-// rest of its owner group, carrying the child's kind and layout class.
-func mintLink(dir kernel.InodeID, name string, resp *Resp, lc LayoutClass) Req {
-	return Req{Op: OpLink, Ino: dir, Name: name, Off: int64(resp.Attr.Ino), Len: PackNode(int(resp.Attr.Kind), lc)}
 }
 
 // shardMkdir creates a directory: the dentry is minted at the
@@ -171,7 +172,6 @@ func (cl *Cluster) shardMkdir(p *sim.Proc, dir kernel.InodeID, name string) (*Re
 	if err != nil {
 		return resp, err
 	}
-	cl.journalGroup(owner, mintLink(dir, name, resp, LayoutStandard), resp.Attr.Ino)
 	if _, err := cl.fanout(p, res, &Req{Op: OpMaterialize, Ino: resp.Attr.Ino, Len: uint32(kernel.Directory)}); err != nil {
 		return &Resp{Status: StatusOf(err)}, err
 	}
@@ -400,109 +400,4 @@ func (cl *Cluster) resolveRenameDoubt(p *sim.Proc, dir kernel.InodeID) {
 		cl.clearRenameDoubt(r.srcDir, r.srcName, r.dstDir, r.dstName)
 		cl.RenameAutoResolves.Add(0)
 	}
-}
-
-// ---- sharded batching ----
-
-// shardMetaBatch is MetaBatch under sharding: lookups, getattrs,
-// readdirs, creates and unlinks split into per-owner-group shares,
-// each share packed into combined batches through its primary's
-// window, the per-server batches in flight IN PARALLEL — which is
-// what lets a metadata storm scale with N instead of serializing
-// rounds. Anything else in the batch (mkdir, rmdir, size operations,
-// renames) needs multi-round protocols, so such a batch falls back to
-// per-request Meta calls in order.
-func (cl *Cluster) shardMetaBatch(p *sim.Proc, reqs []*Req) ([]*Resp, error) {
-	for _, r := range reqs {
-		switch r.Op {
-		case OpLookup, OpGetattr, OpReaddir, OpCreate, OpUnlink:
-		default:
-			return cl.metaBatchSequential(p, reqs)
-		}
-	}
-	shares := cl.newShares()
-	// muts remembers, per original position, the mutation's owner
-	// residue (-1 for reads) and primary, for the post-batch rounds.
-	type mut struct {
-		owner   int
-		primary int
-	}
-	muts := make([]mut, len(reqs))
-	out := make([]*Resp, len(reqs))
-	for i, r := range reqs {
-		owner := cl.pl.residue(r.Ino)
-		idx := cl.firstUp(owner, cl.pl.replicas)
-		if idx < 0 {
-			return nil, cl.groupDead(r.Op, owner)
-		}
-		muts[i] = mut{owner: owner, primary: idx}
-		switch r.Op {
-		case OpLookup, OpGetattr, OpReaddir:
-			muts[i].owner = -1
-			shares[idx].add(i, r)
-		case OpCreate:
-			// The routing residue (files inherit the parent's) packs
-			// with the creator's layout class.
-			if r.Len > uint32(layoutMax) {
-				return nil, ErrInval
-			}
-			shares[idx].add(i, &Req{Op: OpCreate, Ino: r.Ino, Name: r.Name, Len: PackNode(owner+1, LayoutClass(r.Len))})
-		case OpUnlink:
-			// The whole owner group applies the unlink; each member's
-			// share carries the same *Req (flights start sequentially
-			// and every start fully encodes — see Session.startBatch).
-			for _, k := range cl.aliveTargets(owner, cl.pl.replicas, nil) {
-				if k != idx {
-					cl.MetaFanout.Add(1)
-				}
-				shares[k].add(i, r)
-			}
-		}
-	}
-	// Every share runs in parallel rounds; on any error the caller
-	// re-issues.
-	if err := cl.runShares(p, shares, out); err != nil {
-		return out, err
-	}
-	// Post-batch rounds and bookkeeping, in request order: replicate
-	// fresh dentries (R > 1), bump the mutated groups, scrub unlink
-	// victims.
-	for i, r := range reqs {
-		m := muts[i]
-		if m.owner < 0 || out[i] == nil || out[i].Status != StOK {
-			continue
-		}
-		switch r.Op {
-		case OpCreate:
-			link := mintLink(r.Ino, r.Name, out[i], LayoutClass(r.Len))
-			if cl.pl.replicas > 1 {
-				if err := cl.groupFanFrom(p, m.owner, m.primary, &link); err != nil {
-					return out, err
-				}
-			}
-			cl.journalGroup(m.owner, link, out[i].Attr.Ino)
-			cl.sz.establish(out[i].Attr.Ino, out[i].Attr.Size, out[i].Epoch)
-		case OpUnlink:
-			cl.journalGroup(m.owner, *r, out[i].Attr.Ino)
-			if err := cl.scrubVictim(p, out[i].Attr.Ino, out[i].Attr.Size); err != nil {
-				return out, err
-			}
-		}
-	}
-	return out, nil
-}
-
-// metaBatchSequential is the sharded batch's fallback for requests
-// that need multi-round protocols: per-request Meta calls in original
-// order (correct, just not combined).
-func (cl *Cluster) metaBatchSequential(p *sim.Proc, reqs []*Req) ([]*Resp, error) {
-	out := make([]*Resp, len(reqs))
-	for i, r := range reqs {
-		resp, err := cl.Meta(p, r)
-		out[i] = resp
-		if err != nil {
-			return out, err
-		}
-	}
-	return out, nil
 }

@@ -7,6 +7,8 @@ package rfsrv_test
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -781,39 +783,107 @@ func TestClusterGetattrDoesNotPoisonSizeCache(t *testing.T) {
 }
 
 // TestClusterMetaBatchRepeatedSizeMutations pins the batched
-// self-race fix: a MetaBatch carrying several exact size sets of ONE
-// inode must succeed — the cluster stamps each with the epoch it will
-// find after the batch's earlier sets (servers bump per exact set) —
-// and the LAST mutation must win on every server, exactly as applied.
+// self-race fix in both namespaces: a MetaBatch carrying several exact
+// size sets of ONE inode must succeed — it runs as Meta calls in
+// order, each of which revalidates a stale epoch and retries — and the
+// LAST mutation must win on every server, exactly as applied.
 func TestClusterMetaBatchRepeatedSizeMutations(t *testing.T) {
-	r := newClusterRig(t, 2)
-	r.run(t, func(p *sim.Proc) {
-		cl := r.cluster(t, p, 4, testStripe)
-		ino := clusterCreate(t, p, cl, "f")
-		resps, err := cl.MetaBatch(p, []*rfsrv.Req{
-			{Op: rfsrv.OpTruncate, Ino: ino, Off: 3 * testStripe},
-			{Op: rfsrv.OpTruncate, Ino: ino, Off: testStripe},
-			{Op: rfsrv.OpGetattr, Ino: ino},
+	for _, sharded := range []bool{false, true} {
+		t.Run(fmt.Sprintf("sharded=%v", sharded), func(t *testing.T) {
+			r := newClusterRig(t, 2)
+			if sharded {
+				r = newShardRig(t, 2, 1)
+			}
+			r.run(t, func(p *sim.Proc) {
+				var cl *rfsrv.Cluster
+				if sharded {
+					cl = r.shardClient(t, p, 1)
+				} else {
+					cl = r.cluster(t, p, 4, testStripe)
+				}
+				ino := clusterCreate(t, p, cl, "f")
+				resps, err := cl.MetaBatch(p, []*rfsrv.Req{
+					{Op: rfsrv.OpTruncate, Ino: ino, Off: 3 * testStripe},
+					{Op: rfsrv.OpTruncate, Ino: ino, Off: testStripe},
+					{Op: rfsrv.OpGetattr, Ino: ino},
+				})
+				if err != nil {
+					t.Fatalf("batched truncate-then-truncate: %v", err)
+				}
+				if got := resps[2].Attr.Size; got != testStripe {
+					t.Fatalf("batched getattr after two truncates = %d, want %d", got, testStripe)
+				}
+				for s, fs := range r.serverFS {
+					if a, _ := fs.Getattr(p, ino); a.Size != testStripe {
+						t.Fatalf("server %d size = %d after batch, want %d (last mutation wins)", s, a.Size, testStripe)
+					}
+				}
+				// A follow-up synchronous truncate must not see a stale cache.
+				if _, err := cl.Meta(p, &rfsrv.Req{Op: rfsrv.OpTruncate, Ino: ino, Off: 2 * testStripe}); err != nil {
+					t.Fatalf("truncate after batch: %v", err)
+				}
+				for s, fs := range r.serverFS {
+					if a, _ := fs.Getattr(p, ino); a.Size != 2*testStripe {
+						t.Fatalf("server %d size = %d after follow-up truncate, want %d", s, a.Size, 2*testStripe)
+					}
+				}
+			})
 		})
-		if err != nil {
-			t.Fatalf("batched truncate-then-truncate: %v", err)
-		}
-		if got := resps[2].Attr.Size; got != testStripe {
-			t.Fatalf("batched getattr after two truncates = %d, want %d", got, testStripe)
-		}
-		for s, fs := range r.serverFS {
-			if a, _ := fs.Getattr(p, ino); a.Size != testStripe {
-				t.Fatalf("server %d size = %d after batch, want %d (last mutation wins)", s, a.Size, testStripe)
+	}
+}
+
+// TestClusterMetaRefusesInternalVerbs: Cluster.Meta is a client-facing
+// entry point in both namespaces. The servers' internal verbs — a
+// membership commit, a dentry link, a materialization, a scrub, the
+// phases of a cross-group rename — are refused with ErrInval before
+// anything is sent: no server counts a request, no time passes, and no
+// server commits a membership epoch nobody asked for.
+func TestClusterMetaRefusesInternalVerbs(t *testing.T) {
+	internal := []rfsrv.Req{
+		{Op: rfsrv.OpMember, Off: 7, Len: rfsrv.PackMember(0, 2, 1, false)},
+		{Op: rfsrv.OpLink, Ino: 0, Name: "l", Off: 2, Len: rfsrv.PackNode(int(kernel.RegularFile), rfsrv.LayoutStandard)},
+		{Op: rfsrv.OpMaterialize, Ino: 2, Len: uint32(kernel.RegularFile)},
+		{Op: rfsrv.OpScrub, Ino: 2},
+		{Op: rfsrv.OpRenamePrepare, Ino: 0, Off: 0, Name: "f"},
+		{Op: rfsrv.OpRenameFinalize, Ino: 0, Off: 2, Name: "f"},
+		{Op: rfsrv.OpRenameAbort, Ino: 0, Name: "f"},
+	}
+	for _, sharded := range []bool{false, true} {
+		t.Run(fmt.Sprintf("sharded=%v", sharded), func(t *testing.T) {
+			r := newClusterRig(t, 2)
+			if sharded {
+				r = newShardRig(t, 2, 1)
 			}
-		}
-		// A follow-up synchronous truncate must not see a stale cache.
-		if _, err := cl.Meta(p, &rfsrv.Req{Op: rfsrv.OpTruncate, Ino: ino, Off: 2 * testStripe}); err != nil {
-			t.Fatalf("truncate after batch: %v", err)
-		}
-		for s, fs := range r.serverFS {
-			if a, _ := fs.Getattr(p, ino); a.Size != 2*testStripe {
-				t.Fatalf("server %d size = %d after follow-up truncate, want %d", s, a.Size, 2*testStripe)
-			}
-		}
-	})
+			r.run(t, func(p *sim.Proc) {
+				var cl *rfsrv.Cluster
+				if sharded {
+					cl = r.shardClient(t, p, 1)
+				} else {
+					cl = r.cluster(t, p, 4, testStripe)
+				}
+				clusterCreate(t, p, cl, "f")
+				served := func() (n int64) {
+					for _, srv := range r.rsrv {
+						n += srv.Requests.N
+					}
+					return n
+				}
+				before, start := served(), p.Now()
+				for _, req := range internal {
+					resp, err := cl.Meta(p, &req)
+					if !errors.Is(err, rfsrv.ErrInval) || resp == nil || resp.Status != rfsrv.StInval {
+						t.Errorf("Meta(%v) = %+v, %v; want StInval, ErrInval", req.Op, resp, err)
+					}
+				}
+				if got := served(); got != before || p.Now() != start {
+					t.Errorf("refusals reached the servers %d times and took %v, want none", got-before, p.Now()-start)
+				}
+				for i, srv := range r.rsrv {
+					if e := srv.MemberEpoch(); e != 0 {
+						t.Errorf("server %d committed membership epoch %d", i, e)
+					}
+				}
+			})
+		})
+	}
 }

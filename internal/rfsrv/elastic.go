@@ -179,7 +179,7 @@ func (cl *Cluster) replayJournal(p *sim.Proc, i int, j *resyncJournal) error {
 	if err != nil {
 		return err
 	}
-	moved := snap.reimage(own)
+	moved := snap.reimage(own, cl.pl)
 	if err := cl.importImage(p, i, own); err != nil {
 		return err
 	}
@@ -509,8 +509,6 @@ type fileState struct {
 // snapshot is the cluster's authoritative namespace state, read from
 // its live members.
 type snapshot struct {
-	sharded bool // the namespace is sharded: a member holds only what its owner groups cover
-
 	// nodes holds the owning copy of every inode, regular files already
 	// at their merged size; files lists those, ascending (copy order
 	// must not depend on map order); next is the highest
@@ -550,15 +548,16 @@ func (snap *snapshot) merge(img *image) {
 }
 
 // takeSnapshot reads the authoritative metadata of the cluster from
-// its live members, one OpExport each: for each inode the owning copy —
-// sharded, the lowest-ranked live replica of its owner group;
-// replicated, the first live member's, whose namespace is everyone's —
-// and each regular file's merged size state (merge; size publishes fan
-// everywhere, but an individual store may lag). own, when not nil, is a
-// returning server's image: its files join the merge, not the nodes,
-// and it may be all there is to merge.
+// its live members, one OpExport each: for each inode the copy of the
+// lowest-ranked live member of its namespace group (placement.nsGroup —
+// sharded, the owner group; replicated, the ring, so the first live
+// member in ring order keeps it) — and each regular file's merged size
+// state (merge; size publishes fan everywhere, but an individual store
+// may lag). own, when not nil, is a returning server's image: its
+// files join the merge, not the nodes, and it may be all there is to
+// merge.
 func (cl *Cluster) takeSnapshot(p *sim.Proc, own *image) (*snapshot, error) {
-	snap := &snapshot{sharded: cl.pl.sharded, nodes: make(map[kernel.InodeID]imageNode),
+	snap := &snapshot{nodes: make(map[kernel.InodeID]imageNode),
 		marks: make(map[renameKey]renameMark), state: make(map[kernel.InodeID]fileState)}
 	if own != nil {
 		snap.merge(own)
@@ -575,18 +574,13 @@ func (cl *Cluster) takeSnapshot(p *sim.Proc, own *image) (*snapshot, error) {
 		maps.Copy(snap.marks, img.marks)
 		snap.next, snap.top, snap.member = max(snap.next, img.Next), max(snap.top, img.maxIno()), img.member
 		snap.merge(img)
-		if !cl.pl.sharded && len(snap.nodes) > 0 {
-			continue // replicated: the first live member's namespace is everyone's
-		}
 		for _, nd := range img.Nodes {
-			d := 0
-			if cl.pl.sharded {
-				// A non-owner stub (lazy data materialization) is not
-				// authoritative: trusting one could resurrect an inode
-				// its owner group already unlinked.
-				if d = cl.pl.rank(cl.pl.residue(nd.Attr.Ino), slot); d < 0 {
-					continue
-				}
+			// A stub (lazy data materialization outside the group) is
+			// not authoritative: trusting one could resurrect an inode
+			// its group already unlinked.
+			d := cl.pl.nsRank(nd.Attr.Ino, slot)
+			if d < 0 {
+				continue
 			}
 			if prev, ok := rank[nd.Attr.Ino]; !ok || d < prev {
 				snap.nodes[nd.Attr.Ino], rank[nd.Attr.Ino] = nd, d
@@ -625,11 +619,11 @@ func (snap *snapshot) carry(img *image) {
 
 // image returns what the server at ring position pos of pl must hold
 // according to the snapshot, to be applied when served (stage 0) or
-// at the commit of membership epoch stage. Its store takes, in a
-// sharded namespace, the inodes its owner groups cover in full and
-// every other regular file as an exact-size stub (data stripes and
-// size publishes need somewhere to land, like the lazy materialization
-// of the sharded write path), and in a replicated one everything;
+// at the commit of membership epoch stage. Its store takes in full
+// every inode whose namespace group includes it (placement.nsRank:
+// replicated, everything) and every other regular file as an
+// exact-size stub (data stripes and size publishes need somewhere to
+// land, like the lazy materialization of the sharded write path);
 // sizes are exact, unknown inodes purged. The mint cursor only ever
 // advances — per-server partitions are disjoint, so a server's
 // retained cursor stays correct. Rename marks follow directory
@@ -642,14 +636,14 @@ func (snap *snapshot) image(pl placement, pos int, stage uint64) *image {
 	img.Next = snap.next
 	for ino, nd := range snap.nodes {
 		switch {
-		case !snap.sharded || pl.holds(slot, pl.residue(ino)):
+		case pl.nsRank(ino, slot) >= 0:
 			img.Nodes = append(img.Nodes, nd)
 		case nd.Attr.Kind == kernel.RegularFile:
 			img.Nodes = append(img.Nodes, imageNode{Attr: nd.Attr})
 		}
 	}
 	for key, mark := range snap.marks {
-		if !snap.sharded || pl.holds(slot, pl.residue(key.dir)) {
+		if pl.nsRank(key.dir, slot) >= 0 {
 			img.marks[key] = mark
 		}
 	}
@@ -659,13 +653,14 @@ func (snap *snapshot) image(pl placement, pos int, stage uint64) *image {
 }
 
 // reimage turns own — a returning server's image, the namespace its
-// journal replay left — into what it must hold: every regular file at
-// the merged size, carrying the merged epochs and layouts; sharded,
-// every regular file the snapshot holds that own lacks joins as a stub
-// at its size, as in image. It returns, ascending, the files whose
-// epoch moved past own's and the ones own lacked: the runs the server
-// holds of them are stale or missing.
-func (snap *snapshot) reimage(own *image) (moved []kernel.InodeID) {
+// journal replay left — into what it must hold under placement pl:
+// every regular file at the merged size, carrying the merged epochs and
+// layouts; when pl shards the namespace (a store holds stubs of what
+// its groups do not cover), every regular file the snapshot holds that
+// own lacks joins as a stub at its size, as in image. It returns,
+// ascending, the files whose epoch moved past own's and the ones own
+// lacked: the runs the server holds of them are stale or missing.
+func (snap *snapshot) reimage(own *image, pl placement) (moved []kernel.InodeID) {
 	held := make(map[kernel.InodeID]bool, len(own.Nodes))
 	for k := range own.Nodes {
 		nd := &own.Nodes[k]
@@ -678,7 +673,7 @@ func (snap *snapshot) reimage(own *image) (moved []kernel.InodeID) {
 		}
 	}
 	for _, ino := range snap.files {
-		if snap.sharded && !held[ino] {
+		if pl.sharded && !held[ino] {
 			own.Nodes = append(own.Nodes, imageNode{Attr: snap.nodes[ino].Attr})
 			moved = append(moved, ino)
 		}
@@ -866,15 +861,13 @@ func (cl *Cluster) AttachView(v *MemberView) {
 // before any traffic and before any other cluster attaches to this
 // one's view: the view restricts with it. The sharded namespace maps
 // residues over all construction-time servers, so standby slots are
-// only supported unsharded.
+// only supported unsharded (placement.standby).
 func (cl *Cluster) SetMembers(active int) error {
-	if cl.pl.sharded {
-		return errors.New("rfsrv: SetMembers: sharded clusters enumerate all sessions as members")
+	pl, err := cl.pl.standby(active, len(cl.sessions))
+	if err != nil {
+		return err
 	}
-	if active < cl.pl.replicas || active > len(cl.sessions) {
-		return fmt.Errorf("rfsrv: SetMembers: %d outside %d..%d", active, cl.pl.replicas, len(cl.sessions))
-	}
-	cl.pl.members = cl.pl.members[:active]
+	cl.pl = pl
 	if v := cl.view; v != nil {
 		v.members = cl.Members()
 	}

@@ -134,3 +134,60 @@ func TestOneCompletionPath(t *testing.T) {
 		}
 	}
 }
+
+// TestOneBatchDriver keeps one combined-batch driver for both
+// namespaces: runShares has exactly one caller, MetaBatch (a second
+// caller is a second batch path), and elastic.go asks the placement
+// which members hold a name instead of branching on the cluster's
+// namespace mode (cl.pl.sharded).
+func TestOneBatchDriver(t *testing.T) {
+	paths, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	var callers []string
+	for _, path := range paths {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range f.Decls {
+			fn, ok := d.(*ast.FuncDecl)
+			if !ok || fn.Body == nil {
+				continue
+			}
+			ast.Inspect(fn.Body, func(n ast.Node) bool {
+				if call, ok := n.(*ast.CallExpr); ok {
+					if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "runShares" {
+						callers = append(callers, fn.Name.Name)
+					}
+				}
+				if path == "elastic.go" && isClusterModeRead(n) {
+					t.Errorf("%s: elastic.go reads cl.pl.sharded; ask the placement (nsGroup, nsRank)", fset.Position(n.Pos()))
+				}
+				return true
+			})
+		}
+	}
+	if !slices.Equal(callers, []string{"MetaBatch"}) {
+		t.Errorf("runShares callers = %v, want exactly [MetaBatch]", callers)
+	}
+}
+
+// isClusterModeRead reports whether n is the selector cl.pl.sharded.
+func isClusterModeRead(n ast.Node) bool {
+	sel, ok := n.(*ast.SelectorExpr)
+	if !ok || sel.Sel.Name != "sharded" {
+		return false
+	}
+	pl, ok := sel.X.(*ast.SelectorExpr)
+	if !ok || pl.Sel.Name != "pl" {
+		return false
+	}
+	cl, ok := pl.X.(*ast.Ident)
+	return ok && cl.Name == "cl"
+}

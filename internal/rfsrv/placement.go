@@ -2,11 +2,12 @@ package rfsrv
 
 // placement is where bytes and dentries live (DESIGN.md "Placement"):
 // a pure value — the member ring, the stripe width, the replication
-// factor and whether the namespace is sharded — that answers the three
+// factor and whether the namespace is sharded — that answers the four
 // placement questions for every consumer: which ring position owns a
 // byte (owner, runs), which R slots form a position's replica group
-// (slot, rank, holds), and which position a name hashes to (residue,
-// inodeHome, pathHome, home). It knows
+// (slot, rank, holds), which position a name hashes to (residue,
+// inodeHome, pathHome, home), and which members hold a name's
+// namespace entry (nsGroup, nsRank). It knows
 // nothing of exclusion, sessions or the wire; fault state stays with
 // the Cluster, which walks a group with slot and skips what is down.
 // The ring arithmetic lives here and nowhere else: the client data
@@ -14,7 +15,12 @@ package rfsrv
 // (delta) and the server's ownership check (a ringPlacement built from
 // OpMember's geometry) all ask this value.
 
-import "repro/internal/kernel"
+import (
+	"errors"
+	"fmt"
+
+	"repro/internal/kernel"
+)
 
 type placement struct {
 	// members maps ring position → session slot.
@@ -77,6 +83,33 @@ func (pl placement) rank(pos, slot int) int {
 // holds reports whether the slot stores what position pos owns — stripe
 // replicas and owned dentries alike.
 func (pl placement) holds(slot, pos int) bool { return pl.rank(pos, slot) >= 0 }
+
+// nsGroup returns the ring positions that hold an inode's namespace
+// entry — its attributes and, for a directory, its dentries: span
+// positions from pos. That is the residue's owner group in the sharded
+// namespace and the whole ring in the replicated one.
+//
+// allocfree
+func (pl placement) nsGroup(ino kernel.InodeID) (pos, span int) {
+	if pl.sharded {
+		return pl.residue(ino), pl.replicas
+	}
+	return 0, len(pl.members)
+}
+
+// nsRank returns the slot's rank in an inode's namespace group (0 =
+// the group's first position), or -1 when the slot holds at most a
+// stub of it (what a data write or size publish leaves outside the
+// group).
+func (pl placement) nsRank(ino kernel.InodeID, slot int) int {
+	pos, span := pl.nsGroup(ino)
+	for j := 0; j < span; j++ {
+		if pl.slot(pos, j) == slot {
+			return j
+		}
+	}
+	return -1
+}
 
 // residue returns the position owning an inode's namespace slice:
 // (ino-2) mod N, the root (and the pre-root 0 alias) on 0 — the mirror
@@ -177,6 +210,21 @@ func (pl placement) runs(lay LayoutClass, ino kernel.InodeID, off int64, n int, 
 func (pl placement) withMembers(members []int) placement {
 	pl.members = members
 	return pl
+}
+
+// standby returns the placement over the first active of the slots
+// session slots, the rest standing by for a later Join. A sharded ring
+// is the servers' inode partition — each construction-time server
+// mints its own residue — so only a replicated ring narrows without
+// committing the change on the servers.
+func (pl placement) standby(active, slots int) (placement, error) {
+	if pl.sharded {
+		return pl, errors.New("rfsrv: SetMembers: sharded clusters enumerate all sessions as members")
+	}
+	if active < pl.replicas || active > slots {
+		return pl, fmt.Errorf("rfsrv: SetMembers: %d outside %d..%d", active, pl.replicas, slots)
+	}
+	return pl.withMembers(pl.members[:active]), nil
 }
 
 // move is one fragment of a file and the slots a geometry change must

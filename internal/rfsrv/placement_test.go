@@ -275,6 +275,7 @@ func FuzzPlacement(f *testing.F) {
 		if pl.residue(kernel.InodeID(ino)) != refResidue(kernel.InodeID(ino), n) {
 			t.Fatalf("%v: residue(%d) = %d, oracle says %d", pl, ino, pl.residue(kernel.InodeID(ino)), refResidue(kernel.InodeID(ino), n))
 		}
+		checkNsGroup(t, pl, kernel.InodeID(ino))
 		next := pl.withMembers(slices.Insert(slices.Clone(pl.members), int(change)%(n+1), n))
 		if change&0x80 != 0 && n > pl.replicas {
 			pos := int(change) % n
@@ -285,6 +286,23 @@ func FuzzPlacement(f *testing.F) {
 			checkDelta(t, pl, pl, lc, kernel.InodeID(ino), off, int64(ln))
 		}
 	})
+}
+
+// checkNsGroup checks which members hold an inode's namespace entry
+// against the rule: sharded, its residue's replica group, ranked as
+// the group ranks them; replicated, every member, ranked by ring
+// position.
+func checkNsGroup(t *testing.T, pl placement, ino kernel.InodeID) {
+	t.Helper()
+	for _, slot := range pl.members {
+		want := pl.pos(slot)
+		if pl.sharded {
+			want = pl.rank(refResidue(ino, len(pl.members)), slot)
+		}
+		if got := pl.nsRank(ino, slot); got != want {
+			t.Fatalf("%v: nsRank(%d, slot %d) = %d, want %d", pl, ino, slot, got, want)
+		}
+	}
 }
 
 // String makes failing geometries readable.

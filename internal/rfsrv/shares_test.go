@@ -1,14 +1,15 @@
 package rfsrv_test
 
 // Tests of the cluster's one combined-batch driver (runShares) through
-// its callers — the sharded MetaBatch and the unsharded one — in the
-// style of fan_test.go: a single share is exactly Session.MetaBatch on
-// the wire; a transport fault mid-run, at issue or at wait, excludes
-// that server and nobody else, the other shares complete, and no
-// window slot or pooled buffer leaks.
+// its one caller, MetaBatch, in both namespaces, in the style of
+// fan_test.go: a single share is exactly Session.MetaBatch on the
+// wire; a transport fault mid-run, at issue or at wait, excludes that
+// server and nobody else, every other share completes, and no window
+// slot or pooled buffer leaks.
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/fabric"
@@ -136,6 +137,69 @@ func TestRunSharesFaultMidRun(t *testing.T) {
 			}
 		}
 	}
+	// replicated unlink batch: every unlink fans to the whole ring; the
+	// fault IS the batch's error, yet every unlink reached a surviving
+	// member, whose share completed.
+	ringUnlinkBatch := func(prep fanPrep) fanScenario {
+		return func(t *testing.T, p *sim.Proc, r *clusterRig, cl *rfsrv.Cluster) func() error {
+			var reqs []*rfsrv.Req
+			for k := 0; k < 3; k++ {
+				name := fmt.Sprintf("u%d", k)
+				clusterCreate(t, p, cl, name)
+				reqs = append(reqs, &rfsrv.Req{Op: rfsrv.OpUnlink, Ino: 0, Name: name})
+			}
+			prep(t, p, r, cl, 0)
+			return func() error {
+				resps, err := cl.MetaBatch(p, reqs)
+				for k, resp := range resps {
+					if resp == nil || resp.Status != rfsrv.StOK {
+						t.Errorf("unlink %d reached no surviving member: %+v", k, resp)
+					}
+				}
+				return err
+			}
+		}
+	}
+	// replicated lookup batch: each lookup goes to its name's hashed
+	// home; the fault IS the batch's error, every lookup homed on
+	// another server was answered, and the re-issued batch routes
+	// around the excluded server.
+	ringLookupBatch := func(prep fanPrep) fanScenario {
+		return func(t *testing.T, p *sim.Proc, r *clusterRig, cl *rfsrv.Cluster) func() error {
+			var reqs []*rfsrv.Req
+			var homes []int // the server each lookup homes on
+			for k := 0; k < 8; k++ {
+				name := fmt.Sprintf("l%d", k)
+				clusterCreate(t, p, cl, name)
+				req := &rfsrv.Req{Op: rfsrv.OpLookup, Ino: 0, Name: name}
+				homes = append(homes, servedBy(t, r, func() {
+					if _, err := cl.Meta(p, req); err != nil {
+						t.Fatalf("lookup %s: %v", name, err)
+					}
+				}))
+				reqs = append(reqs, req)
+			}
+			if !slices.Contains(homes, 1) || !slices.Contains(homes, 0) {
+				t.Fatalf("lookup homes %v: want some on server 1 and some elsewhere", homes)
+			}
+			prep(t, p, r, cl, 0)
+			return func() error {
+				resps, err := cl.MetaBatch(p, reqs)
+				if err == nil {
+					return nil
+				}
+				for k, resp := range resps {
+					if homes[k] != 1 && (resp == nil || resp.Status != rfsrv.StOK) {
+						t.Errorf("lookup %d, homed on server %d, was not answered: %+v", k, homes[k], resp)
+					}
+				}
+				if again, rerr := cl.MetaBatch(p, reqs); rerr != nil || len(again) != len(reqs) {
+					t.Errorf("re-issued batch: %v, %v; want it routed around the excluded server", again, rerr)
+				}
+				return err
+			}
+		}
+	}
 	plainBatch := func(prep fanPrep) fanScenario {
 		return func(t *testing.T, p *sim.Proc, r *clusterRig, cl *rfsrv.Cluster) func() error {
 			prep(t, p, r, cl, 0)
@@ -164,6 +228,10 @@ func TestRunSharesFaultMidRun(t *testing.T) {
 		{name: "sharded batch/fault at wait", sharded: true, scenario: shardBatch(swallowing(1))},
 		{name: "batch/fault at issue", scenario: plainBatch(killed(1))},
 		{name: "batch/fault at wait", scenario: plainBatch(swallowing(1))},
+		{name: "unlink batch/fault at issue", scenario: ringUnlinkBatch(killed(1))},
+		{name: "unlink batch/fault at wait", scenario: ringUnlinkBatch(swallowing(1))},
+		{name: "lookup batch/fault at issue", scenario: ringLookupBatch(killed(1))},
+		{name: "lookup batch/fault at wait", scenario: ringLookupBatch(swallowing(1))},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -190,4 +258,25 @@ func TestRunSharesFaultMidRun(t *testing.T) {
 			})
 		})
 	}
+}
+
+// servedBy runs do and returns the one server whose request counter it
+// moved (-1 when none or several did).
+func servedBy(t *testing.T, r *clusterRig, do func()) int {
+	t.Helper()
+	before := make([]int64, len(r.rsrv))
+	for i, srv := range r.rsrv {
+		before[i] = srv.Requests.N
+	}
+	do()
+	served := -1
+	for i, srv := range r.rsrv {
+		if srv.Requests.N != before[i] {
+			if served >= 0 {
+				return -1
+			}
+			served = i
+		}
+	}
+	return served
 }
