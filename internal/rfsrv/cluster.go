@@ -196,12 +196,12 @@ type Cluster struct {
 	// what the cluster actually observed.
 	Reinstates, ReinstateRefusals, RenameInDoubts sim.Counter
 
-	// view is the shared membership view this cluster follows (nil for
-	// a construction-time-fixed cluster; DESIGN.md §13); viewEpoch is
+	// view is the membership view this cluster follows — its own from
+	// construction, or one it attached to (DESIGN.md §13); viewEpoch is
 	// the epoch of the member ring currently adopted. staleMember
-	// latches when a reply's membership epoch proves a viewless
-	// cluster's fixed membership is outdated — every subsequent
-	// operation fails with ErrStaleMembership.
+	// latches when a reply's membership epoch is past viewEpoch: a
+	// change this cluster's view never saw re-placed the servers, and
+	// every subsequent operation fails with ErrStaleMembership.
 	view        *MemberView
 	viewEpoch   uint64
 	staleMember bool
@@ -232,9 +232,9 @@ type Cluster struct {
 	// (journal replay and full-slice resync both); ResyncSpills counts
 	// journals that overflowed their bounds and fell back to
 	// full-slice resync; ResyncFallbacks counts journal replays that
-	// abandoned the batched fast path for the serial one because a
-	// status needed a verification lookup (the server already held a
-	// prefix of the journal); Migrated counts data bytes re-placed by
+	// needed the verification batch after the journal because a status
+	// asked for a lookup (the server already held a prefix of the
+	// journal); Migrated counts data bytes re-placed by
 	// membership changes (Join/Retire/Bounce); RenameAutoResolves
 	// counts in-doubt renames resolved by a later walk over the marked
 	// entry rather than an explicit re-drive.
@@ -289,6 +289,7 @@ func NewReplicatedCluster(p *sim.Proc, sessions []*Session, stripe, replicas int
 		sessions: sessions,
 		node:     node,
 		pl:       pl,
+		view:     &MemberView{members: slices.Clone(pl.members)},
 		down:     make([]bool, len(sessions)),
 		sz:       newSizeBook(),
 		layouts:  make(map[kernel.InodeID]LayoutClass),
@@ -320,11 +321,13 @@ func (cl *Cluster) observeResp(resp *Resp) {
 	if resp == nil {
 		return
 	}
-	if resp.MemberEpoch > cl.viewEpoch && cl.view == nil {
+	if resp.MemberEpoch > cl.viewEpoch {
 		// The reply is stamped with a membership epoch this cluster has
-		// never seen and — with no attached view — can never adopt. It
-		// poisons itself (ErrStaleMembership from the next entry gate)
-		// rather than keep routing by a retired geometry.
+		// never seen and can never adopt: a change on a view it does not
+		// follow re-placed the servers (a change on its own view fences
+		// and drains it first). It poisons itself (ErrStaleMembership
+		// from the next entry gate) rather than keep routing by a
+		// retired geometry.
 		cl.staleMember = true
 	}
 	if resp.Attr.Ino == 0 || resp.Status != StOK && resp.Status != StStale {
@@ -1063,7 +1066,7 @@ func (cp *clusterPending) Wait(p *sim.Proc) (*Resp, error) {
 		} else {
 			cp.resp = mergeRead(cp.parts)
 		}
-	} else if v := cp.cl.view; cp.err == nil && v != nil && v.migrating {
+	} else if v := cp.cl.view; cp.err == nil && v.migrating {
 		v.logWrite(cp.ino, cp.off, cp.want)
 	}
 	cp.cl.notePendingDone(cp)
@@ -1405,20 +1408,19 @@ func disagree(resps []*Resp) *Resp {
 
 // Meta implements Client. It takes the client-facing operations only —
 // lookup, getattr, readdir, create, mkdir, unlink, rmdir, the packed
-// rename, truncate and setsize — and refuses the servers' internal
-// verbs (OpLink, OpScrub, OpMember, the rename phases, ...) with
-// ErrInval before anything is sent. Read-only operations go to their
-// home (homedRead); size sets fan to every alive server (setSizeMeta)
-// in either namespace; the sharded namespace routes every other
-// mutation to its owner group (shardMeta), the replicated one to every
-// alive server in server order, and the per-server answers must agree
-// (same status, same inode) or the cluster reports namespace
-// divergence — a faulting server is excluded, never counted as
-// divergent. OpTruncate is translated to the exact mode of OpSetSize —
-// same wire size, but it carries this client's observed size epoch, so
-// servers refuse it when the view is stale and the cluster revalidates
-// and retries; OpSetSize requests get their observed epoch stamped the
-// same way.
+// rename and truncate — and refuses the servers' internal verbs
+// (OpSetSize, OpLink, OpScrub, OpMember, the rename phases, ...) with
+// ErrInval before anything is sent: a grow publish is SetFileSize.
+// Read-only operations go to their home (homedRead); truncates fan to
+// every alive server (truncate) in either namespace; the sharded
+// namespace routes every other mutation to its owner group
+// (shardMeta), the replicated one to every alive server in server
+// order, and the per-server answers must agree (same status, same
+// inode) or the cluster reports namespace divergence — a faulting
+// server is excluded, never counted as divergent. OpTruncate is
+// translated to the exact mode of OpSetSize — same wire size, but it
+// carries this client's observed size epoch, so servers refuse it when
+// the view is stale and the cluster revalidates and retries.
 func (cl *Cluster) Meta(p *sim.Proc, req *Req) (*Resp, error) {
 	if err := validateMeta(req); err != nil {
 		return &Resp{Status: StatusOf(err)}, err
@@ -1427,7 +1429,7 @@ func (cl *Cluster) Meta(p *sim.Proc, req *Req) (*Resp, error) {
 	switch req.Op {
 	case OpLookup, OpGetattr, OpReaddir:
 		mut = false
-	case OpCreate, OpMkdir, OpUnlink, OpRmdir, OpRenameLocal, OpTruncate, OpSetSize:
+	case OpCreate, OpMkdir, OpUnlink, OpRmdir, OpRenameLocal, OpTruncate:
 	default:
 		return &Resp{Status: StInval}, ErrInval
 	}
@@ -1445,10 +1447,7 @@ func (cl *Cluster) Meta(p *sim.Proc, req *Req) (*Resp, error) {
 		}
 		return cl.homedRead(p, req)
 	case OpTruncate:
-		return cl.setSizeMeta(p, req.Ino, req.Off, true)
-	case OpSetSize:
-		exact, _ := UnpackSetSize(req.Len)
-		return cl.setSizeMeta(p, req.Ino, req.Off, exact)
+		return cl.truncate(p, req.Ino, req.Off)
 	}
 	if cl.pl.sharded {
 		return cl.shardMeta(p, req)
@@ -1456,15 +1455,14 @@ func (cl *Cluster) Meta(p *sim.Proc, req *Req) (*Resp, error) {
 	return cl.fanout(p, ring, req)
 }
 
-// setSizeMeta fans an OpSetSize to every alive server — exact mode
-// (shrink-capable, epoch-bumping: the cluster face of truncate) or
-// grow mode — revalidating and retrying when the observed epoch
-// proves stale, so callers never see a spurious ErrStaleEpoch from a
-// racing foreign size set.
-func (cl *Cluster) setSizeMeta(p *sim.Proc, ino kernel.InodeID, size int64, exact bool) (resp *Resp, err error) {
+// truncate fans an exact OpSetSize (shrink-capable, epoch-bumping) to
+// every alive server, revalidating and retrying when the observed
+// epoch proves stale, so callers never see a spurious ErrStaleEpoch
+// from a racing foreign size set.
+func (cl *Cluster) truncate(p *sim.Proc, ino kernel.InodeID, size int64) (resp *Resp, err error) {
 	if rerr := publish("size set", func() (bool, error) {
 		_, epoch := cl.sz.floor(ino)
-		resp, err = cl.fanout(p, ring, &Req{Op: OpSetSize, Ino: ino, Off: size, Len: PackSetSize(exact, epoch)})
+		resp, err = cl.fanout(p, ring, &Req{Op: OpSetSize, Ino: ino, Off: size, Len: PackSetSize(true, epoch)})
 		// The refusals refreshed the cached epoch (observeResp in
 		// fanout); the next round carries the authoritative one.
 		return errors.Is(err, ErrStaleEpoch), nil
@@ -1600,8 +1598,8 @@ func (cl *Cluster) groupDead(op Op, owner int) error {
 
 // noteMutation updates the size cache and the resync journals after a
 // replicated mutation succeeded on every alive server. Namespace
-// mutations are journaled for the excluded servers; size verbs (exact
-// and grow-only sets) are not: Reinstate re-images sizes, epochs and
+// mutations are journaled for the excluded servers; a truncate (the
+// exact OpSetSize) is not: Reinstate re-images sizes, epochs and
 // layouts as state.
 func (cl *Cluster) noteMutation(req *Req, resp *Resp, err error) {
 	if err != nil || resp == nil {
@@ -1614,13 +1612,7 @@ func (cl *Cluster) noteMutation(req *Req, resp *Resp, err error) {
 	case OpMkdir, OpUnlink, OpRmdir, OpRenameLocal:
 		cl.journalMutationAll(*req, resp.Attr.Ino)
 	case OpSetSize:
-		if exact, _ := UnpackSetSize(req.Len); exact {
-			cl.sz.establish(req.Ino, req.Off, resp.Epoch)
-		} else if size, epoch := cl.sz.floor(req.Ino); epoch == resp.Epoch && req.Off > size {
-			// (The reply was observed on its way here, so the book holds
-			// an entry under an epoch at least as new as the reply's.)
-			cl.sz.establish(req.Ino, req.Off, resp.Epoch)
-		}
+		cl.sz.establish(req.Ino, req.Off, resp.Epoch)
 	}
 }
 
@@ -1766,8 +1758,8 @@ var errDiverged = errors.New("rfsrv: cluster namespace diverged in batch")
 // §3.3-style combining survives striping; with one server it puts on
 // the wire what Session.MetaBatch does
 // (TestClusterOneServerMatchesSession). A batch that carries any other
-// operation — mkdir, rmdir, rename, the size operations — runs as Meta
-// calls in order instead, which also retry stale size epochs.
+// operation — mkdir, rmdir, rename, truncate — runs as Meta calls in
+// order instead, which also retry stale size epochs.
 // Batches flow through the per-server windows (that is what combines
 // them), so callers must not hold unretired data pendings across a
 // MetaBatch call. They route around already-excluded servers but do

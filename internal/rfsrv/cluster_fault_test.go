@@ -325,15 +325,23 @@ func TestClusterSetSizeRetryAfterTransientFault(t *testing.T) {
 		}
 
 		// Idempotence proper: replaying a grow-mode OpSetSize against
-		// already-extended servers changes nothing (the cluster stamps
-		// the observed epoch itself).
+		// already-extended servers changes nothing. The cluster refuses
+		// the internal verb, so the replay goes to each server through
+		// its own session, stamped with the epoch that server reports.
 		before := make([]int64, len(r.serverFS))
 		for s, fs := range r.serverFS {
 			a, _ := fs.Getattr(p, ino)
 			before[s] = a.Size
 		}
-		if _, err := cl.Meta(p, &rfsrv.Req{Op: rfsrv.OpSetSize, Ino: ino, Off: testStripe}); err != nil {
-			t.Fatalf("explicit OpSetSize replay: %v", err)
+		for s, sess := range cl.Sessions() {
+			attr, err := sess.Meta(p, &rfsrv.Req{Op: rfsrv.OpGetattr, Ino: ino})
+			if err != nil {
+				t.Fatalf("getattr on server %d: %v", s, err)
+			}
+			grow := rfsrv.Req{Op: rfsrv.OpSetSize, Ino: ino, Off: testStripe, Len: rfsrv.PackSetSize(false, attr.Epoch)}
+			if _, err := sess.Meta(p, &grow); err != nil {
+				t.Fatalf("explicit OpSetSize replay on server %d: %v", s, err)
+			}
 		}
 		for s, fs := range r.serverFS {
 			if a, _ := fs.Getattr(p, ino); a.Size != before[s] {

@@ -835,7 +835,8 @@ func TestClusterMetaBatchRepeatedSizeMutations(t *testing.T) {
 // TestClusterMetaRefusesInternalVerbs: Cluster.Meta is a client-facing
 // entry point in both namespaces. The servers' internal verbs — a
 // membership commit, a dentry link, a materialization, a scrub, the
-// phases of a cross-group rename — are refused with ErrInval before
+// phases of a cross-group rename, a raw size set (a truncate is
+// OpTruncate, a grow publish SetFileSize) — are refused with ErrInval before
 // anything is sent: no server counts a request, no time passes, and no
 // server commits a membership epoch nobody asked for.
 func TestClusterMetaRefusesInternalVerbs(t *testing.T) {
@@ -847,6 +848,7 @@ func TestClusterMetaRefusesInternalVerbs(t *testing.T) {
 		{Op: rfsrv.OpRenamePrepare, Ino: 0, Off: 0, Name: "f"},
 		{Op: rfsrv.OpRenameFinalize, Ino: 0, Off: 2, Name: "f"},
 		{Op: rfsrv.OpRenameAbort, Ino: 0, Name: "f"},
+		{Op: rfsrv.OpSetSize, Ino: 2, Off: 1, Len: rfsrv.PackSetSize(false, 0)},
 	}
 	for _, sharded := range []bool{false, true} {
 		t.Run(fmt.Sprintf("sharded=%v", sharded), func(t *testing.T) {

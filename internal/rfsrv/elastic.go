@@ -119,10 +119,10 @@ func (cl *Cluster) journalRunDirty(ino kernel.InodeID, runs []run) {
 }
 
 // Reinstate re-admits server slot i after its transport heals, under
-// the view's full fence (a viewless cluster takes none: it must be the
-// only writer of its files' sizes while it reinstates). The fence
-// drains every started operation, so the caller waits its own pending
-// ones first, as for a membership change. A bounded
+// the full fence of the cluster's view (a view nobody attached to
+// fences only this cluster). The fence drains every started operation,
+// so the caller waits its own pending ones first, as for a membership
+// change. A bounded
 // journal readmits in one order (replayJournal): the namespace verbs
 // replay, the server's regular files are re-imaged at the newest-epoch
 // merge of the live members' sizes and its own, its runs of every file
@@ -144,10 +144,8 @@ func (cl *Cluster) Reinstate(p *sim.Proc, i int) error {
 	if !cl.down[i] {
 		return nil
 	}
-	if v := cl.view; v != nil {
-		v.fence(p, cl)
-		defer v.release()
-	}
+	cl.view.fence(p, cl)
+	defer cl.view.release()
 	if j := cl.jn.slot(i); j.spilled {
 		cl.ReinstateRefusals.Add(0)
 		if err := cl.fullResync(p, i); err != nil {
@@ -215,74 +213,68 @@ func (cl *Cluster) copyHeld(p *sim.Proc, i int, ino kernel.InodeID, st fileState
 	return nil
 }
 
-// replayOps replays the journaled namespace mutations in order. The
-// fast path packs the whole journal into combined MetaBatch flights, so
-// a long exclusion replays in a handful of wire rounds instead of one
-// serial round trip per op (the server applies a combined flight on
-// one worker, strictly in order, so journal order is preserved).
-// Statuses are interpreted with the serial path's tolerance rules; a
-// status that needs a verification lookup (the server already held a
-// prefix of the journal) abandons the batch and re-runs the whole
-// journal serially — replay is idempotent, so the re-run is safe and
-// the lookups interleave exactly where they are needed.
+// replayOps replays the journaled namespace mutations in one pass of
+// combined MetaBatch flights (batchTo): the server applies a combined
+// flight on one worker, strictly in order, so journal order is
+// preserved, and a long exclusion replays in a handful of wire rounds.
+// A verdict that asks for a verification lookup (the server already
+// held a prefix of the journal) queues it, unless an op later in the
+// journal rebinds the entry: a server that already applied it proves
+// nothing about this one. An entry no later op touches resolves after
+// the whole journal as it did right after its own op, so the queued
+// lookups go out as one more batch after the journal (verifyEntries).
+// Transport failures and non-tolerated statuses fail the replay with
+// the journal intact for a Reinstate retry.
 func (cl *Cluster) replayOps(p *sim.Proc, i int, j *resyncJournal) error {
-	if len(j.ops) == 0 {
-		return nil
-	}
-	fallback, err := cl.replayOpsBatched(p, i, j)
-	if err != nil {
-		return err
-	}
-	if !fallback {
-		addN(&cl.ResyncOps, len(j.ops))
-		return nil
-	}
-	cl.ResyncFallbacks.Add(0)
-	for k := range j.ops {
-		op := &j.ops[k]
-		if err := cl.replayOp(p, i, op, j.ops[k+1:]); err != nil {
-			return fmt.Errorf("replay op %d/%d (%s): %w", k+1, len(j.ops), opNames[op.req.Op], err)
-		}
-		cl.ResyncOps.Add(0)
-	}
-	return nil
-}
-
-// replayOpsBatched issues the whole journal as combined metadata
-// batches against server i and interprets the per-op statuses
-// (replayVerdict). It returns fallback=true (and no error) when some
-// status requires the serial path's verification lookups; transport
-// failures and non-tolerated statuses are errors exactly as on the
-// serial path — the journal stays intact for a Reinstate retry.
-func (cl *Cluster) replayOpsBatched(p *sim.Proc, i int, j *resyncJournal) (fallback bool, err error) {
 	reqs := make([]*Req, len(j.ops))
 	for k := range j.ops {
 		req := j.ops[k].req // copy: issuing stamps Seq/EP into the request
 		reqs[k] = &req
 	}
-	// Like replayRT, transport-level failures (fault, timeout, decode)
-	// abort the replay; application statuses ride in the responses for
-	// the verdicts below to interpret.
-	resps, err := cl.sessions[i].MetaBatch(p, reqs)
-	if err != nil && fabric.IsFault(err) {
-		return false, err
-	}
-	for k, resp := range resps {
-		if resp == nil {
-			return false, err
-		}
+	var checks []entryCheck
+	err := cl.batchTo(p, i, reqs, func(k int, resp *Resp) error {
 		op := &j.ops[k]
 		verify, err := replayVerdict(op, resp)
 		if err != nil {
-			return false, fmt.Errorf("replay op %d/%d (%s): %w", k+1, len(j.ops), opNames[op.req.Op], err)
+			return fmt.Errorf("replay op %d/%d (%s): %w", k+1, len(j.ops), opNames[op.req.Op], err)
 		}
-		if verify != nil {
-			return true, nil
+		if verify != nil && verify.want != 0 && !verify.rebound(j.ops[k+1:]) {
+			checks = append(checks, *verify)
+		}
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	addN(&cl.ResyncOps, len(j.ops))
+	if len(checks) == 0 {
+		return nil
+	}
+	cl.ResyncFallbacks.Add(0)
+	return cl.verifyEntries(p, i, checks)
+}
+
+// batchTo sends reqs to server i as combined MetaBatch flights and
+// hands each answer, in order, to each. A status ends only its flight:
+// the next flight starts at the request after it. A transport failure
+// (fault, timeout, decode) or an error from each ends the pass.
+func (cl *Cluster) batchTo(p *sim.Proc, i int, reqs []*Req, each func(k int, resp *Resp) error) error {
+	for k := 0; k < len(reqs); {
+		resps, err := cl.sessions[i].MetaBatch(p, reqs[k:])
+		if err != nil && (len(resps) == 0 || fabric.IsFault(err)) {
+			return err
+		}
+		for _, resp := range resps {
+			if resp == nil {
+				return err
+			}
+			if err := each(k, resp); err != nil {
+				return err
+			}
+			k++
 		}
 	}
-	// A tolerated status in one flight ends MetaBatch before the later
-	// flights leave: the serial path replays them.
-	return len(resps) != len(reqs), nil
+	return nil
 }
 
 // entryCheck is the verification a replay verdict can ask for: (dir,
@@ -294,11 +286,10 @@ type entryCheck struct {
 }
 
 // replayVerdict is the one per-opcode status tolerance table of journal
-// replay, shared by the batched and the serial path: replay lives on
-// tolerating the statuses an already-applied prefix of the journal
-// produces. A non-nil verify means the status says "already applied"
-// in a way only a lookup can confirm — the batched path falls back to
-// the serial one, which performs the lookup in journal order. Reads
+// replay: replay lives on tolerating the statuses an already-applied
+// prefix of the journal produces. A non-nil verify means the status
+// says "already applied" in a way only a lookup can confirm (replayOps
+// queues it). Reads
 // and lookups are never journaled; writes resync through dirty
 // ranges; size verbs (SetSize, Truncate) through the re-image, which
 // carries sizes, epochs and layouts as state;
@@ -354,35 +345,6 @@ func replayVerdict(op *journalOp, resp *Resp) (verify *entryCheck, err error) {
 	return nil, fmt.Errorf("unreplayable op %s", opNames[req.Op])
 }
 
-// replayRT is one replay round trip to server i: transport-level
-// failures (fault, timeout, decode) abort the replay; application
-// statuses come back for the caller to interpret.
-func (cl *Cluster) replayRT(p *sim.Proc, i int, req *Req) (*Resp, error) {
-	resp, err := cl.syncMeta(p, i, req)
-	if err != nil && (resp == nil || fabric.IsFault(err)) {
-		return nil, err
-	}
-	return resp, nil
-}
-
-// replayOp is the serial replay of one journaled op: the same requests
-// and the same verdict as the batched path, with the verification
-// lookup a verdict asks for performed in place — unless an op later in
-// the journal rebinds the entry: a server that already applied it
-// proves nothing about this one.
-func (cl *Cluster) replayOp(p *sim.Proc, i int, op *journalOp, later []journalOp) error {
-	req := op.req // copy: issuing stamps Seq/EP into the request
-	resp, err := cl.replayRT(p, i, &req)
-	if err != nil {
-		return err
-	}
-	verify, err := replayVerdict(op, resp)
-	if err != nil || verify == nil || verify.rebound(later) {
-		return err
-	}
-	return cl.verifyEntry(p, i, verify.dir, verify.name, verify.want)
-}
-
 // rebound reports whether one of the later journaled ops binds, unbinds
 // or renames the checked entry.
 func (c *entryCheck) rebound(later []journalOp) bool {
@@ -399,25 +361,25 @@ func (c *entryCheck) rebound(later []journalOp) bool {
 	return false
 }
 
-// verifyEntry checks that (dir, name) resolves to want on server i —
-// the convergence check after a replayed mutation reports it was
+// verifyEntries checks, in one combined batch to server i, that every
+// queued entry resolves to the inode the cluster holds — the
+// convergence check after replayed mutations reported they were
 // already applied.
-func (cl *Cluster) verifyEntry(p *sim.Proc, i int, dir kernel.InodeID, name string, want kernel.InodeID) error {
-	if want == 0 {
+func (cl *Cluster) verifyEntries(p *sim.Proc, i int, checks []entryCheck) error {
+	looks := make([]*Req, len(checks))
+	for k, c := range checks {
+		looks[k] = &Req{Op: OpLookup, Ino: c.dir, Name: c.name}
+	}
+	return cl.batchTo(p, i, looks, func(k int, resp *Resp) error {
+		c := &checks[k]
+		if resp.Status != StOK {
+			return fmt.Errorf("verify %q after replay: %w", c.name, ErrOf(resp.Status))
+		}
+		if resp.Attr.Ino != c.want {
+			return fmt.Errorf("verify %q after replay: resolves to inode %d, cluster holds %d: server diverged", c.name, resp.Attr.Ino, c.want)
+		}
 		return nil
-	}
-	look := Req{Op: OpLookup, Ino: dir, Name: name}
-	resp, err := cl.replayRT(p, i, &look)
-	if err != nil {
-		return err
-	}
-	if resp.Status != StOK {
-		return fmt.Errorf("verify %q after replay: %w", name, ErrOf(resp.Status))
-	}
-	if resp.Attr.Ino != want {
-		return fmt.Errorf("verify %q after replay: resolves to inode %d, cluster holds %d: server diverged", name, resp.Attr.Ino, want)
-	}
-	return nil
+	})
 }
 
 // stage returns an n-byte vector over the cluster's staging buffer —
@@ -764,9 +726,10 @@ func (cl *Cluster) fullResync(p *sim.Proc, i int) error {
 // --- Membership view and operation gates ---
 
 // MemberView is the shared, epoch-stamped membership view of an
-// elastic cluster (DESIGN.md §13). One cluster publishes it
-// (ShareView) and every other client of the same servers subscribes
-// (AttachView); a membership change then coordinates all of them: the
+// elastic cluster (DESIGN.md §13). Every cluster owns one from
+// construction; one cluster publishes it (ShareView) and every other
+// client of the same servers subscribes (AttachView); a membership
+// change or a readmission then coordinates all of them: the
 // operator fences new operations, waits for in-flight ones to drain,
 // migrates data, commits the new geometry on the servers (OpMember),
 // and bumps the epoch — subscribers adopt the new members slice at
@@ -838,19 +801,15 @@ func (v *MemberView) logWrite(ino kernel.InodeID, off int64, n int) {
 	v.dirty = append(v.dirty, viewWrite{ino: ino, off: off, n: n})
 }
 
-// ShareView publishes this cluster's membership as a shared view for
-// other clients of the same servers to attach to, and subscribes this
-// cluster to it. Membership changes (Join/Retire/Bounce) require a
-// view even with a single client.
-func (cl *Cluster) ShareView() *MemberView {
-	v := &MemberView{epoch: cl.viewEpoch, members: cl.Members()}
-	cl.view = v
-	return v
-}
+// ShareView returns the membership view this cluster owns, for other
+// clients of the same servers to attach to.
+func (cl *Cluster) ShareView() *MemberView { return cl.view }
 
-// AttachView subscribes this cluster to a shared membership view: it
-// adopts the view's members immediately and follows every epoch bump,
-// and its operations participate in membership-change fencing.
+// AttachView subscribes this cluster to a shared membership view in
+// place of its own: it adopts the view's members immediately and
+// follows every epoch bump, and its operations take part in the
+// view's fences. Call before any traffic: the view holds the
+// cluster's in-flight counts.
 func (cl *Cluster) AttachView(v *MemberView) {
 	cl.view = v
 	cl.pl.members, cl.viewEpoch = v.Members(), v.epoch
@@ -868,9 +827,7 @@ func (cl *Cluster) SetMembers(active int) error {
 		return err
 	}
 	cl.pl = pl
-	if v := cl.view; v != nil {
-		v.members = cl.Members()
-	}
+	cl.view.members = cl.Members()
 	return nil
 }
 
@@ -883,31 +840,28 @@ func (cl *Cluster) Members() []int {
 // edited in place: a placement value handed out earlier stays what it
 // was.
 func (cl *Cluster) adoptView() {
-	if v := cl.view; v != nil && v.epoch != cl.viewEpoch {
+	if v := cl.view; v.epoch != cl.viewEpoch {
 		cl.pl.members, cl.viewEpoch = v.Members(), v.epoch
 	}
 }
 
-// enterOp is the membership gate at every cluster entry point. With
-// no view it only enforces staleness (a viewless cluster that saw a
-// newer membership epoch on a reply refuses further operations);
-// with one it blocks while the relevant fence is up, registers the
-// operation with the view, and adopts any new epoch. Nested entries
-// (Rename inside Meta) neither fence nor count — the outermost one
-// already did. Returns without exitOp owed on error.
+// enterOp is the membership gate at every cluster entry point. A
+// cluster that saw a membership epoch past its view's on a reply
+// refuses the operation (observeResp); otherwise the gate blocks while
+// the relevant fence is up, registers the operation with the view, and
+// adopts any new epoch. Nested entries (Rename inside Meta) neither
+// fence nor count — the outermost one already did. Returns without
+// exitOp owed on error.
 func (cl *Cluster) enterOp(p *sim.Proc, mut bool) error {
 	cl.gateDepth++
 	if cl.gateDepth > 1 {
 		return nil
 	}
-	v := cl.view
-	if v == nil {
-		if cl.staleMember {
-			cl.gateDepth--
-			return ErrStaleMembership
-		}
-		return nil
+	if cl.staleMember {
+		cl.gateDepth--
+		return ErrStaleMembership
 	}
+	v := cl.view
 	if v.operator != cl {
 		for v.fenceAll || (mut && v.fenceMut) {
 			p.Sleep(memberFencePoll)
@@ -944,7 +898,7 @@ func (cl *Cluster) exitOp() {
 // returns, but the operation stays in flight until its Wait, and a
 // membership change must drain it before cutting over.
 func (cl *Cluster) notePendingStart(cp *clusterPending) {
-	if v := cl.view; v != nil && v.operator != cl {
+	if v := cl.view; v.operator != cl {
 		v.pending++
 		cp.gated = true
 	}
@@ -980,9 +934,6 @@ func (cl *Cluster) membersUp(lists ...[]int) error {
 // claims the view for this cluster as operator; release gives it back.
 func (cl *Cluster) beginChange(lists ...[]int) (*MemberView, error) {
 	v := cl.view
-	if v == nil {
-		return nil, errors.New("rfsrv: membership change: no shared view (ShareView first)")
-	}
 	for _, next := range lists {
 		if len(next) < cl.pl.replicas {
 			return nil, fmt.Errorf("rfsrv: membership change: %d members < replication factor %d", len(next), cl.pl.replicas)
@@ -1019,10 +970,9 @@ func (v *MemberView) release() {
 // placement order, migrating data to its new replica sets under load
 // before the epoch cutover (change): reads and writes keep flowing
 // through the old placement while stripes copy, a dirty log catches
-// racing writes, and only the cutover briefly fences everything.
-// Requires a shared view (ShareView/AttachView). A member found
-// excluded during the change fails it with the old geometry intact
-// (membersUp); Reinstate it and retry.
+// racing writes, and only the cutover briefly fences everything. A
+// member found excluded during the change fails it with the old
+// geometry intact (membersUp); Reinstate it and retry.
 func (cl *Cluster) Join(p *sim.Proc, slot int) error {
 	if cl.pl.pos(slot) >= 0 {
 		return fmt.Errorf("rfsrv: join: slot %d is already a member", slot)

@@ -11,7 +11,9 @@ package rfsrv_test
 // joiner, the Bounce in both namespaces, a fault in the wire copy or in
 // the namespace-image transfer of a Bounce or of a spilled journal's
 // full resync committing nothing, the Bounce's copy costing wire time,
-// and the stale-membership latch on viewless clients. Every store
+// a single hand-built client changing membership on the view it owns,
+// and the stale-membership latch on a client whose own view missed a
+// change. Every store
 // rebuild ends on assertPlacementHeld. Every fault path ends on the
 // usual bars: window slots idle, pooled staging leak-free.
 
@@ -173,11 +175,10 @@ func TestElasticReplayRetryIdempotent(t *testing.T) {
 		if down := cl.DownServers(); len(down) != 0 {
 			t.Fatalf("down = %v after retry, want none", down)
 		}
-		// The victim held a prefix (the replayed mkdir), so the retry's
-		// batched fast path must have yielded to the serial one for its
-		// verification lookups.
+		// The victim held a prefix (the replayed mkdir), so the retry
+		// must have sent its verification lookups after the journal.
 		if cl.ResyncFallbacks.N == 0 {
-			t.Error("retry over an applied prefix did not fall back to serial replay")
+			t.Error("retry over an applied prefix sent no verification batch")
 		}
 		for _, name := range []string{"d", "x"} {
 			if _, err := r.serverFS[1].Lookup(p, r.serverFS[1].Root(), name); err != nil {
@@ -368,6 +369,49 @@ func TestElasticHandBuiltSpillResyncs(t *testing.T) {
 		r.servers[0].NIC.Kill()
 		if got := elasticReadBack(t, p, r, cl, ino, size); !bytes.Equal(got, expect) {
 			t.Error("read through the resynced server returned wrong bytes")
+		}
+		assertWindowsIdle(t, cl)
+		r.checkNoLeaks(t)
+	})
+}
+
+// TestElasticSingleClientJoinRetire changes the membership of a lone
+// hand-built cluster that never called ShareView: the view it owns from
+// construction is enough to Join a standby slot and Retire a member,
+// and its bytes read back across both cutovers.
+func TestElasticSingleClientJoinRetire(t *testing.T) {
+	r := newClusterRig(t, 4)
+	r.run(t, func(p *sim.Proc) {
+		cl := r.handBuilt(t, p, 10, 2)
+		if err := cl.SetMembers(3); err != nil {
+			t.Fatal(err)
+		}
+		const size = 6 * testStripe
+		ino := clusterCreate(t, p, cl, "f")
+		expect := pattern(size)
+		elasticWrite(t, p, r, cl, ino, 0, expect)
+
+		if err := cl.Join(p, 3); err != nil {
+			t.Fatalf("join without ShareView: %v", err)
+		}
+		if m := cl.Members(); !equalInts(m, []int{0, 1, 2, 3}) {
+			t.Fatalf("after join: members %v, want [0 1 2 3]", m)
+		}
+		if got := elasticReadBack(t, p, r, cl, ino, size); !bytes.Equal(got, expect) {
+			t.Fatal("read after join returned wrong bytes")
+		}
+		if err := cl.Retire(p, 0); err != nil {
+			t.Fatalf("retire without ShareView: %v", err)
+		}
+		if m := cl.Members(); !equalInts(m, []int{1, 2, 3}) || cl.ShareView().Epoch() != 2 {
+			t.Fatalf("after retire: members %v epoch %d, want [1 2 3] epoch 2", m, cl.ShareView().Epoch())
+		}
+		r.servers[0].NIC.Kill()
+		if got := elasticReadBack(t, p, r, cl, ino, size); !bytes.Equal(got, expect) {
+			t.Fatal("read after retire returned wrong bytes")
+		}
+		if down := cl.DownServers(); len(down) != 0 {
+			t.Errorf("the retired slot is still in the data path: down=%v", down)
 		}
 		assertWindowsIdle(t, cl)
 		r.checkNoLeaks(t)
@@ -1105,13 +1149,13 @@ func TestElasticBounceCopyTakesWireTime(t *testing.T) {
 	})
 }
 
-// TestElasticViewlessClientGoesStale runs a membership change behind
-// a client that never attached to the shared view, and requires that
-// client's next operation to fail with ErrStaleMembership (replies
-// carry the new epoch) and every later one to keep failing — the
-// latch that stops a stale client from reading re-placed data through
-// the old geometry.
-func TestElasticViewlessClientGoesStale(t *testing.T) {
+// TestElasticOwnViewClientGoesStale runs a membership change behind
+// a client that stayed on the view it owns instead of attaching to the
+// operator's, and requires that client's next operation to fail with
+// ErrStaleMembership (replies carry the new epoch) and every later one
+// to keep failing — the latch that stops a stale client from reading
+// re-placed data through the old geometry.
+func TestElasticOwnViewClientGoesStale(t *testing.T) {
 	r := newClusterRig(t, 4)
 	r.run(t, func(p *sim.Proc) {
 		op := r.clusterRep(t, p, 4, testStripe, 2)
@@ -1122,30 +1166,30 @@ func TestElasticViewlessClientGoesStale(t *testing.T) {
 
 		// A second cluster on the same client node needs its own local
 		// endpoints (clusterRep claims 10+i).
-		viewless := r.handBuilt(t, p, 20, 2)
-		if err := viewless.SetMembers(3); err != nil {
+		other := r.handBuilt(t, p, 20, 2)
+		if err := other.SetMembers(3); err != nil {
 			t.Fatal(err)
 		}
 		const size = 2 * testStripe
-		ino := clusterCreate(t, p, viewless, "f")
-		elasticWrite(t, p, r, viewless, ino, 0, pattern(size))
+		ino := clusterCreate(t, p, other, "f")
+		elasticWrite(t, p, r, other, ino, 0, pattern(size))
 
 		if err := op.Join(p, 3); err != nil {
 			t.Fatalf("join: %v", err)
 		}
 
-		// The first reply stamped with the new epoch poisons the
-		// viewless cluster (the op itself still completes — its routing
-		// was consistent); everything after fails at the entry gate.
+		// The first reply stamped with the new epoch poisons the other
+		// cluster (the op itself still completes — its routing was
+		// consistent); everything after fails at the entry gate.
 		_, rvec := r.kbuf(t, size)
-		if _, err := viewless.Read(p, ino, 0, rvec); err != nil {
+		if _, err := other.Read(p, ino, 0, rvec); err != nil {
 			t.Fatalf("poisoning read: %v", err)
 		}
-		if _, err := viewless.Meta(p, &rfsrv.Req{Op: rfsrv.OpGetattr, Ino: ino}); !errors.Is(err, rfsrv.ErrStaleMembership) {
-			t.Fatalf("viewless getattr after the latch: %v, want ErrStaleMembership", err)
+		if _, err := other.Meta(p, &rfsrv.Req{Op: rfsrv.OpGetattr, Ino: ino}); !errors.Is(err, rfsrv.ErrStaleMembership) {
+			t.Fatalf("getattr after the latch: %v, want ErrStaleMembership", err)
 		}
-		if _, err := viewless.Read(p, ino, 0, rvec); !errors.Is(err, rfsrv.ErrStaleMembership) {
-			t.Fatalf("viewless read after the latch: %v, want ErrStaleMembership", err)
+		if _, err := other.Read(p, ino, 0, rvec); !errors.Is(err, rfsrv.ErrStaleMembership) {
+			t.Fatalf("read after the latch: %v, want ErrStaleMembership", err)
 		}
 		// The attached operator keeps working across the same change.
 		if got := elasticReadBack(t, p, r, op, ino, size); !bytes.Equal(got, pattern(size)) {
@@ -1167,12 +1211,12 @@ func equalInts(a, b []int) bool {
 }
 
 // TestElasticReplayBatchedEquivalence builds a journal that exercises
-// every batched-replay verdict class — a mkdir, creates, an
-// idempotent unlink, a local rename — beside an epoch-bumping truncate
-// and dirty data, and requires the journal to hold namespace verbs only
-// (the truncate is state the re-image carries), a clean Reinstate to
-// land it through the combined-batch fast path (no serial fallback),
-// and the victim's resulting state — names, size and bytes — to equal
+// every replay verdict class — a mkdir, creates, an idempotent unlink,
+// a local rename — beside an epoch-bumping truncate and dirty data, and
+// requires the journal to hold namespace verbs only (the truncate is
+// state the re-image carries), a clean Reinstate to land it through
+// combined batches alone (no verification batch), and the victim's
+// resulting state — names, size and bytes — to equal
 // a server that applied the same mutations live.
 func TestElasticReplayBatchedEquivalence(t *testing.T) {
 	r := newClusterRig(t, 3)
@@ -1222,7 +1266,7 @@ func TestElasticReplayBatchedEquivalence(t *testing.T) {
 			t.Fatalf("reinstate: %v", err)
 		}
 		if n := cl.ResyncFallbacks.N; n != 0 {
-			t.Errorf("ResyncFallbacks = %d after a clean replay, want 0 (batched fast path)", n)
+			t.Errorf("ResyncFallbacks = %d after a clean replay, want 0 (no verification batch)", n)
 		}
 		if cl.ResyncOps.N != int64(ops) {
 			t.Errorf("ResyncOps = %d, want %d (every journaled op replayed once)", cl.ResyncOps.N, ops)

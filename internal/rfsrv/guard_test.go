@@ -178,6 +178,75 @@ func TestOneBatchDriver(t *testing.T) {
 	}
 }
 
+// TestOneReinstatePath keeps readmission on one path. Every cluster
+// owns a membership view from construction, so no code compares a
+// cluster's view with nil, directly or through a variable that holds
+// it. Journal replay is combined batches, so no function named replay*
+// makes a serial round trip (syncMeta).
+func TestOneReinstatePath(t *testing.T) {
+	paths, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	replays := 0
+	for _, path := range paths {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range f.Decls {
+			fn, ok := d.(*ast.FuncDecl)
+			if !ok || fn.Body == nil {
+				continue
+			}
+			replay := strings.HasPrefix(fn.Name.Name, "replay")
+			if replay {
+				replays++
+			}
+			held := make(map[string]bool) // locals assigned a view field
+			isView := func(e ast.Expr) bool {
+				if id, ok := e.(*ast.Ident); ok {
+					return held[id.Name]
+				}
+				sel, ok := e.(*ast.SelectorExpr)
+				return ok && sel.Sel.Name == "view"
+			}
+			ast.Inspect(fn.Body, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.AssignStmt:
+					for k, rhs := range n.Rhs {
+						if id, ok := n.Lhs[k].(*ast.Ident); ok && len(n.Lhs) == len(n.Rhs) && isView(rhs) {
+							held[id.Name] = true
+						}
+					}
+				case *ast.BinaryExpr:
+					if (n.Op == token.EQL || n.Op == token.NEQ) && (isNil(n.X) && isView(n.Y) || isNil(n.Y) && isView(n.X)) {
+						t.Errorf("%s: %s compares a cluster's view with nil; every cluster owns one", fset.Position(n.Pos()), fn.Name.Name)
+					}
+				case *ast.CallExpr:
+					if sel, ok := n.Fun.(*ast.SelectorExpr); ok && replay && sel.Sel.Name == "syncMeta" {
+						t.Errorf("%s: %s replays through syncMeta; replay is combined batches", fset.Position(n.Pos()), fn.Name.Name)
+					}
+				}
+				return true
+			})
+		}
+	}
+	if replays == 0 {
+		t.Error("no replay* function found: the guard checks nothing")
+	}
+}
+
+// isNil reports whether e is the identifier nil.
+func isNil(e ast.Expr) bool {
+	id, ok := e.(*ast.Ident)
+	return ok && id.Name == "nil"
+}
+
 // isClusterModeRead reports whether n is the selector cl.pl.sharded.
 func isClusterModeRead(n ast.Node) bool {
 	sel, ok := n.(*ast.SelectorExpr)

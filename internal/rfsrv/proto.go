@@ -337,10 +337,10 @@ var (
 	// it — every phase is idempotent.
 	ErrRenameInDoubt = errors.New("rfsrv: rename in doubt")
 	// ErrStaleMembership reports that a reply carried a membership-view
-	// epoch newer than the client's and the client has no shared
-	// MemberView to adopt the new placement from: its routing is wrong
-	// for the cluster's current geometry and every further operation is
-	// refused until it attaches a current view (DESIGN.md §13).
+	// epoch newer than the client adopted: a change ran on a MemberView
+	// the client does not follow, its routing is wrong for the
+	// cluster's current geometry, and every further operation is
+	// refused (DESIGN.md §13).
 	ErrStaleMembership = errors.New("rfsrv: membership view is stale")
 )
 

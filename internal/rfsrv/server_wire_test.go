@@ -334,7 +334,8 @@ func TestWritePayloadLengthRule(t *testing.T) {
 // TestErrorRepliesCarryMembership: a server committed to membership
 // epoch 5 stamps it on the replies wrong routing tends to draw — an
 // unknown-inode sharded read, a negative-offset read, a bad-range write
-// — and a viewless Cluster that observes any of them poisons itself.
+// — and a Cluster whose view is still at epoch 0 that observes any of
+// them poisons itself.
 func TestErrorRepliesCarryMembership(t *testing.T) {
 	for _, transport := range []string{"gm", "mx"} {
 		t.Run(transport, func(t *testing.T) {
@@ -366,10 +367,10 @@ func TestErrorRepliesCarryMembership(t *testing.T) {
 					if resp.Status != tc.status || resp.MemberEpoch != 5 {
 						t.Errorf("%s: status %d (want %d), member epoch %d (want 5)", tc.name, resp.Status, tc.status, resp.MemberEpoch)
 					}
-					cl := &Cluster{}
+					cl := &Cluster{view: &MemberView{}}
 					cl.observeResp(resp)
 					if err := cl.enterOp(p, false); err != ErrStaleMembership {
-						t.Errorf("%s: a viewless cluster that saw the reply enters with %v, want ErrStaleMembership", tc.name, err)
+						t.Errorf("%s: a cluster at epoch 0 that saw the reply enters with %v, want ErrStaleMembership", tc.name, err)
 					}
 				}
 			})

@@ -146,11 +146,11 @@ type (
 	// *FSRenameInDoubtError.
 	FSRenameInDoubtError = rfsrv.RenameInDoubtError
 
-	// Elastic membership (DESIGN.md §13): the shared epoch-stamped
-	// view that fences clusters during a live Join/Retire/Bounce.
-	// Cluster.ShareView publishes one; AttachView subscribes other
-	// clusters, which adopt the new members slice at their next
-	// operation.
+	// Elastic membership (DESIGN.md §13): the epoch-stamped view that
+	// fences clusters during a live Join/Retire/Bounce and a
+	// Reinstate. Every cluster owns one; Cluster.ShareView returns it,
+	// and AttachView subscribes other clusters to it, which adopt the
+	// new members slice at their next operation.
 	FSMemberView = rfsrv.MemberView
 
 	// Sockets.
@@ -335,10 +335,9 @@ var ErrFSRenameInDoubt = rfsrv.ErrRenameInDoubt
 
 // ErrFSStaleMembership fails an operation on a cluster whose
 // membership view fell behind: a reply carried a higher member epoch
-// than the view the cluster holds, and the cluster is not attached to
-// a shared FSMemberView it could adopt the new members from. The
-// caller must re-attach (AttachView) or rebuild the cluster against
-// the current membership (DESIGN.md §13).
+// than the cluster adopted, because a change ran on an FSMemberView
+// the cluster does not follow. The caller must rebuild the cluster
+// and attach it to the current view (AttachView) (DESIGN.md §13).
 var ErrFSStaleMembership = rfsrv.ErrStaleMembership
 
 // Resync-journal bounds a server installs when SetJournalLimits was

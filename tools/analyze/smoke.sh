@@ -12,8 +12,11 @@
 # which no analyzer can see, must fail a tier-1 test instead: a server
 # that posts one receive for a write whose payload follows in pieces
 # (it ignores the piece mark), so the write is refused and its later
-# pieces strand. Then it restores the tree byte-for-byte from backups
-# (no git operations, safe on a dirty tree).
+# pieces strand. A seventh must fail a tier-1 test too: a readmission
+# that skips its view's fence, so another client's extending writes
+# race the re-image and the returning server holds wrong bytes. Then
+# it restores the tree byte-for-byte from backups (no git operations,
+# safe on a dirty tree).
 set -eu
 
 root="$(cd "$(dirname "$0")/../.." && pwd)"
@@ -23,6 +26,7 @@ victim=internal/sockets/gmsock.go
 publisher=internal/rfsrv/cluster.go
 server=internal/rfsrv/server.go
 waiter=internal/rfsrv/client.go
+reinstater=internal/rfsrv/elastic.go
 injected=internal/rfsrv/zz_smoke_injected.go
 
 tmp="$(mktemp -d)"
@@ -31,6 +35,7 @@ restore() {
 	cp "$tmp/cluster.go.bak" "$publisher"
 	cp "$tmp/server.go.bak" "$server"
 	cp "$tmp/client.go.bak" "$waiter"
+	cp "$tmp/elastic.go.bak" "$reinstater"
 	rm -f "$injected"
 	rm -rf "$tmp"
 }
@@ -39,6 +44,7 @@ cp "$victim" "$tmp/gmsock.go.bak"
 cp "$publisher" "$tmp/cluster.go.bak"
 cp "$server" "$tmp/server.go.bak"
 cp "$waiter" "$tmp/client.go.bak"
+cp "$reinstater" "$tmp/elastic.go.bak"
 
 run_analyzer() { go run ./tools/analyze ./... 2>&1; }
 
@@ -136,6 +142,23 @@ if ! echo "$out" | grep -q -- '--- FAIL: TestKernelWriteStaysEager'; then
 	exit 1
 fi
 cp "$tmp/server.go.bak" "$server"
+
+echo "smoke: a readmission without its view's fence must fail a tier-1 test"
+sed -i '/^\tcl\.view\.fence(p, cl)$/d' "$reinstater"
+if cmp -s "$reinstater" "$tmp/elastic.go.bak"; then
+	echo "smoke: FAIL — injection did not change $reinstater (site moved?)"
+	exit 1
+fi
+if out="$(go test -count=1 -run '^TestReinstateFencesForeignExtends$' ./internal/rfsrv 2>&1)"; then
+	echo "smoke: FAIL — tier-1 tests passed with an unfenced readmission"
+	exit 1
+fi
+if ! echo "$out" | grep -q -- '--- FAIL: TestReinstateFencesForeignExtends'; then
+	echo "$out"
+	echo "smoke: FAIL — the tests failed, but not TestReinstateFencesForeignExtends"
+	exit 1
+fi
+cp "$tmp/elastic.go.bak" "$reinstater"
 
 echo "smoke: untimed reply wait must fail boundedwait"
 sed -i 's/^\tst, ok = fabric\.WaitTimeout(p, op, d)$/\tst, ok = op.Wait(p), true/' "$waiter"
