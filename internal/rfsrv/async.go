@@ -46,7 +46,8 @@ type Async interface {
 	// without waiting for completion.
 	StartWrite(p *sim.Proc, ino kernel.InodeID, off int64, src core.Vector) (PendingOp, error)
 	// MetaBatch issues several metadata requests combined into as few
-	// fabric sends as the window allows (§3.3-style request combining).
+	// fabric sends as the window allows, each answered by one reply
+	// message (§3.3-style request combining).
 	MetaBatch(p *sim.Proc, reqs []*Req) ([]*Resp, error)
 
 	// Window returns the total number of requests that may be

@@ -93,14 +93,17 @@ type FabricClient struct {
 // for data that travels in pieces, by each piece's share of it
 // (pieceOps); pieces holds the data receives of the slot's request,
 // one per piece of a read (postData) and none for any other; retire,
-// or an issue that fails, empties it once they are inert. Each is
-// rebuilt in place: a slot is reused only once its request is retired,
-// when none is still in use (retire, settle).
+// or an issue that fails, empties it once they are inert. batch holds
+// the requests of a combined message the slot sent (Session.startBatch),
+// whose one reply answers them all, until retire; nil for one request.
+// Each is rebuilt in place: a slot is reused only once its request is
+// retired, when none is still in use (retire, settle).
 type ctlBufs struct {
 	reqVA, hdrVA            vm.VirtAddr
 	reqXS, hdrXS            []mem.Extent // kernel side, physical transports: resolved once
 	reqVec, hdrVec, dataVec core.Vector
 	pieces                  []fabric.Op
+	batch                   []*Req
 	req                     Req
 	pd                      Pending
 }
@@ -229,13 +232,13 @@ func (c *FabricClient) waitData(p *sim.Proc, op fabric.Op, d sim.Time) (st fabri
 	return op.Wait(p), true
 }
 
-// quiesceHdr makes a reply-header receive inert without waiting a
+// quiesceHdr makes fl's reply-header receive inert without waiting a
 // timeout again: withdrawn if still unmatched, consumed if the reply
 // raced in. Used after a data-phase fault, when the header is presumed
 // lost with the peer.
-func (c *FabricClient) quiesceHdr(p *sim.Proc, b *ctlBufs, hdrOp fabric.Op, seq uint64) {
-	if !fabric.Cancel(p, hdrOp) {
-		c.finish(p, b, hdrOp, seq, 0) // matched: drain it (result discarded)
+func (c *FabricClient) quiesceHdr(p *sim.Proc, fl *flight) {
+	if !fabric.Cancel(p, fl.hdrOp) {
+		c.finish(p, fl, 0, nil) // matched: drain it (result discarded)
 	}
 }
 
@@ -570,38 +573,55 @@ func (c *FabricClient) sendData(p *sim.Proc, b *ctlBufs, seq uint64, src core.Ve
 	return nil, op, err
 }
 
-// finish waits for the header reply (at most d; 0 = forever) and
-// decodes it from b's header buffer. On expiry the posted receive is
-// withdrawn (so the slot's buffer can be reused) and the error
-// satisfies fabric.IsFault.
-func (c *FabricClient) finish(p *sim.Proc, b *ctlBufs, hdrOp fabric.Op, seq uint64, d sim.Time) (*Resp, error) {
-	st, ok := c.waitData(p, hdrOp, d)
+// finish waits for fl's reply (at most d; 0 = forever) and decodes its
+// answers from the header buffer, appending them to out: one per
+// request fl's message carried (ctlBufs.batch), in order, each under
+// its own sequence number (fl.seq, fl.seq+1, …). A combined reply may
+// end early only where the combined-reply rule lets the server stop
+// (endsEarly); a reply that carries no answer, more answers than
+// requests, or stops anywhere else, or an answer under the wrong
+// sequence number, is an error and appends nothing. The error otherwise
+// is the first answer's status that is not StOK. On expiry the posted
+// receive is withdrawn (so the slot's buffer can be reused) and the
+// error satisfies fabric.IsFault.
+func (c *FabricClient) finish(p *sim.Proc, fl *flight, d sim.Time, out []*Resp) ([]*Resp, error) {
+	st, ok := c.waitData(p, fl.hdrOp, d)
 	if !ok {
-		return nil, fmt.Errorf("rfsrv: reply for request %d: %w", seq, fabric.ErrTimeout)
+		return out, fmt.Errorf("rfsrv: reply for request %d: %w", fl.seq, fabric.ErrTimeout)
 	}
 	if st.Err != nil {
-		return nil, st.Err
+		return out, st.Err
 	}
 	if cap(c.hdrScratch) < st.Len {
 		c.hdrScratch = make([]byte, HdrBufSize)
 	}
 	raw := c.hdrScratch[:st.Len]
-	if err := c.as.ReadBytesInto(b.hdrVA, raw); err != nil {
-		return nil, err
+	if err := c.as.ReadBytesInto(fl.bufs.hdrVA, raw); err != nil {
+		return out, err
 	}
-	// DecodeResp copies everything it keeps (names become fresh
+	// DecodeResps copies everything it keeps (names become fresh
 	// strings), so the scratch is free for the next reply.
-	resp, err := DecodeResp(raw)
+	at := len(out)
+	out, err := DecodeResps(raw, out)
 	if err != nil {
-		return nil, err
+		return out[:at], err
 	}
-	if resp.Seq != seq {
-		return nil, fmt.Errorf("rfsrv: reply for seq %d, want %d", resp.Seq, seq)
+	batch := fl.bufs.batch
+	got, want := out[at:], max(len(batch), 1)
+	if len(got) == 0 || len(got) > want || len(got) < want && !endsEarly(batch[len(got)].Op, len(raw)) {
+		return out[:at], fmt.Errorf("rfsrv: reply for request %d carries %d answers for %d requests", fl.seq, len(got), want)
 	}
-	if err := ErrOf(resp.Status); err != nil {
-		return resp, err
+	for i, r := range got {
+		if r.Seq != fl.seq+uint64(i) {
+			return out[:at], fmt.Errorf("rfsrv: answer %d for seq %d, want %d", i, r.Seq, fl.seq+uint64(i))
+		}
 	}
-	return resp, nil
+	for _, r := range got {
+		if err := ErrOf(r.Status); err != nil {
+			return out, err
+		}
+	}
+	return out, nil
 }
 
 // ---- the one issue path and the one retire path ----
@@ -616,7 +636,10 @@ func (c *FabricClient) finish(p *sim.Proc, b *ctlBufs, hdrOp fabric.Op, seq uint
 // to complete it and leave the slot quiescent, beside a read's data
 // receives, which stay in the slot (ctlBufs.pieces). It is a plain
 // value: the control path keeps it on the stack, a Session stores it in
-// its Pending.
+// its Pending. A combined batch's requests are a flight each, one per
+// window slot; only the first waits for a reply, which answers them all
+// (ctlBufs.batch), and the others post and send nothing
+// (Session.startBatch).
 type flight struct {
 	bufs    *ctlBufs
 	seq     uint64
@@ -685,19 +708,19 @@ func (c *FabricClient) issue(p *sim.Proc, b *ctlBufs, req *Req, data core.Vector
 }
 
 // retire completes a flight: data completion first (reads: every
-// piece, in order), then the header reply. All waits share one
-// deadline running from the flight's issue (deadlineFrom); whichever
-// expires withdraws its posted receive and surfaces an error
-// satisfying fabric.IsFault, and the pieces after it, their deadline
-// past, are withdrawn too — or waited, if they matched (waitData). The
-// header receive is always made inert — even after a data error — so
-// the slot can be reused: after a data-phase transport fault the
-// header is presumed lost with the peer and is withdrawn instead of
-// waited a second time; after any other data error (truncation) the
-// reply is still coming and is consumed. The slot and the caller's
-// memory go back only once the sends that gather from them are done
-// (settle).
-func (c *FabricClient) retire(p *sim.Proc, fl *flight) (*Resp, error) {
+// piece, in order), then the reply, whose answers it appends to out
+// (finish). All waits share one deadline running from the flight's
+// issue (deadlineFrom); whichever expires withdraws its posted receive
+// and surfaces an error satisfying fabric.IsFault, and the pieces after
+// it, their deadline past, are withdrawn too — or waited, if they
+// matched (waitData). The header receive is always made inert — even
+// after a data error — so the slot can be reused: after a data-phase
+// transport fault the header is presumed lost with the peer and is
+// withdrawn instead of waited a second time; after any other data error
+// (truncation) the reply is still coming and is consumed. The slot and
+// the caller's memory go back only once the sends that gather from them
+// are done (settle).
+func (c *FabricClient) retire(p *sim.Proc, fl *flight, out []*Resp) ([]*Resp, error) {
 	var dataErr error
 	for _, op := range fl.bufs.pieces {
 		st, ok := c.waitData(p, op, c.deadlineFrom(p, fl.issued))
@@ -712,17 +735,17 @@ func (c *FabricClient) retire(p *sim.Proc, fl *flight) (*Resp, error) {
 		}
 	}
 	fl.bufs.pieces = fl.bufs.pieces[:0] // inert now: the slot's next request, a batch's too, starts with none
-	var resp *Resp
 	var err error
 	if dataErr != nil && fabric.IsFault(dataErr) {
-		c.quiesceHdr(p, fl.bufs, fl.hdrOp, fl.seq)
+		c.quiesceHdr(p, fl)
 		err = dataErr
 	} else {
-		resp, err = c.finish(p, fl.bufs, fl.hdrOp, fl.seq, c.deadlineFrom(p, fl.issued))
+		out, err = c.finish(p, fl, c.deadlineFrom(p, fl.issued), out)
 		if dataErr != nil {
 			err = dataErr
 		}
 	}
+	fl.bufs.batch = nil
 	if fabric.IsFault(err) {
 		c.settle(p, fl.sent)
 		c.settle(p, fl.paid)
@@ -730,7 +753,20 @@ func (c *FabricClient) retire(p *sim.Proc, fl *flight) (*Resp, error) {
 	if fl.release != nil {
 		fl.release()
 	}
-	return resp, err
+	return out, err
+}
+
+// retireOne retires a flight of one request and returns its answer, nil
+// when none came.
+//
+// allocfree
+func (c *FabricClient) retireOne(p *sim.Proc, fl *flight) (*Resp, error) {
+	var one [1]*Resp
+	out, err := c.retire(p, fl, one[:0])
+	if len(out) == 0 {
+		return nil, err
+	}
+	return out[0], err
 }
 
 // settle is the client half of the one staging rule (Server.reply
@@ -775,7 +811,7 @@ func (c *FabricClient) startCtl(p *sim.Proc, req *Req) (flight, error) {
 // waitCtl retires a startCtl flight and releases the control path.
 func (c *FabricClient) waitCtl(p *sim.Proc, fl *flight) (*Resp, error) {
 	defer c.lock.Release()
-	return c.retire(p, fl)
+	return c.retireOne(p, fl)
 }
 
 // ctlData is one synchronous data-shaped request on the control path:
@@ -794,7 +830,7 @@ func (c *FabricClient) ctlData(p *sim.Proc, op Op, ino kernel.InodeID, off int64
 	if err != nil {
 		return nil, err
 	}
-	return c.retire(p, &fl)
+	return c.retireOne(p, &fl)
 }
 
 func hasUserSeg(v core.Vector) bool {

@@ -1625,7 +1625,6 @@ type share struct {
 	reqs []*Req
 	idx  []int    // each request's position in the caller's batch
 	done int      // requests answered, or given up on
-	end  int      // where the batch on the wire ends
 	fls  []flight // the batch on the wire, a flight per request (session scratch)
 }
 
@@ -1652,8 +1651,10 @@ func (cl *Cluster) newShares() []share {
 // runShares is the one combined-batch driver: every share runs to
 // completion in parallel rounds — one combined batch per server per
 // round (Session.startBatch: up to a window of requests, one fabric
-// send), all in flight together, then all retired; a started batch is
-// always retired, so no path leaks a window slot. A server whose
+// send, one reply), all in flight together, then all retired; a started
+// batch is always retired, so no path leaks a window slot, and the next
+// round of a share starts at the first request its last reply left
+// unanswered (answerFits). A server whose
 // transport faults, at start or at wait, is excluded and its share
 // ends. Every reply feeds the validated caches; one that refuses an
 // observed size epoch from BEHIND the book excludes its server like a
@@ -1674,7 +1675,7 @@ func (cl *Cluster) runShares(p *sim.Proc, shares []share, out []*Resp) (err erro
 			if sh.done >= len(sh.reqs) || cl.down[sh.slot] {
 				continue
 			}
-			fls, end, serr := cl.sessions[sh.slot].startBatch(p, sh.reqs, sh.done)
+			fls, serr := cl.sessions[sh.slot].startBatch(p, sh.reqs, sh.done)
 			if serr != nil {
 				sh.done = len(sh.reqs)
 				if fabric.IsFault(serr) {
@@ -1685,7 +1686,7 @@ func (cl *Cluster) runShares(p *sim.Proc, shares []share, out []*Resp) (err erro
 				}
 				continue
 			}
-			sh.fls, sh.end, started = fls, end, true
+			sh.fls, started = fls, true
 		}
 		if !started {
 			return err
@@ -1700,15 +1701,17 @@ func (cl *Cluster) runShares(p *sim.Proc, shares []share, out []*Resp) (err erro
 			for _, r := range resps {
 				cl.observeResp(r)
 			}
-			// rerr is the batch's first error.
+			// rerr is the batch's first error: the reply's own failure
+			// when it answered nothing.
 			var rerr error
+			if len(resps) == 0 {
+				rerr = werr
+			}
 			lagging := false
 			for ri, r := range resps {
 				pos := sh.idx[sh.done+ri]
 				var e error
 				switch {
-				case r == nil:
-					e = werr // never arrived: the batch's transport error
 				case r.Status == StStale && cl.sz.behind(r.Attr.Ino, r.Epoch):
 					lagging, e = true, ErrStaleEpoch
 				case out[pos] != nil && r.Status != StStale && out[pos].Status != StStale &&
@@ -1724,7 +1727,7 @@ func (cl *Cluster) runShares(p *sim.Proc, shares []share, out []*Resp) (err erro
 					rerr = e
 				}
 			}
-			sh.done = sh.end
+			sh.done += len(resps)
 			if lagging || werr != nil && fabric.IsFault(werr) {
 				cl.markDown(sh.slot)
 				sh.done = len(sh.reqs)

@@ -41,14 +41,15 @@ func TestServerRejectsBadRanges(t *testing.T) {
 		send := func(req *Req) (*Resp, error) {
 			fc.seq++
 			req.Seq, req.EP = fc.seq, fc.myEP
-			hdrOp, err := fc.postHdr(p, &fc.ctl, req.Seq)
-			if err != nil {
+			fl := flight{bufs: &fc.ctl, seq: req.Seq}
+			var err error
+			if fl.hdrOp, err = fc.postHdr(p, &fc.ctl, req.Seq); err != nil {
 				return nil, err
 			}
 			if _, err := fc.sendReq(p, &fc.ctl, req, nil); err != nil {
 				return nil, err
 			}
-			return fc.finish(p, &fc.ctl, hdrOp, req.Seq, 0)
+			return fc.retireOne(p, &fl)
 		}
 		cases := []struct {
 			name string

@@ -99,10 +99,13 @@ func FuzzDecodeReq(f *testing.F) {
 	})
 }
 
-// FuzzDecodeResp: arbitrary bytes never panic DecodeResp, and whatever
-// decodes and re-encodes (a decoded listing may exceed what a server
-// would ever send) decodes to itself.
+// FuzzDecodeResp: arbitrary bytes never panic DecodeResps, and
+// whatever decodes as a whole reply — one answer, or a combined reply's
+// answers back to back — and re-encodes (a decoded listing may exceed
+// what a server would ever send) re-encodes, answer by answer, to
+// exactly the bytes it was decoded from.
 func FuzzDecodeResp(f *testing.F) {
+	var combined []byte
 	for _, resp := range []*Resp{
 		{Seq: 3, Status: StNotFound},
 		{Seq: 1 << 50, Attr: kernel.Attr{Ino: 5, Kind: kernel.RegularFile, Size: 1 << 40}, Epoch: 9, MemberEpoch: 5, Layout: LayoutWhole, N: 4096},
@@ -113,19 +116,25 @@ func FuzzDecodeResp(f *testing.F) {
 			f.Fatal(err)
 		}
 		f.Add(enc)
+		if combined, err = EncodeRespInto(combined, resp); err != nil {
+			f.Fatal(err)
+		}
 	}
+	f.Add(combined)
+	f.Add(combined[:len(combined)-3]) // its last answer cut short
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		resp, err := DecodeResp(raw)
+		resps, err := DecodeResps(raw, nil)
 		if err != nil {
 			return
 		}
-		enc, err := EncodeResp(resp)
-		if err != nil {
-			return
+		var enc []byte
+		for _, resp := range resps {
+			if enc, err = EncodeRespInto(enc, resp); err != nil {
+				return // a listing no reply could carry, or a kind past the nibble
+			}
 		}
-		again, err := DecodeResp(enc)
-		if err != nil || !reflect.DeepEqual(again, resp) {
-			t.Fatalf("decode(encode(%+v)) = %+v, %v", resp, again, err)
+		if !bytes.Equal(enc, raw) {
+			t.Fatalf("a reply of %d answers re-encodes to %x, decoded from %x", len(resps), enc, raw)
 		}
 	})
 }
@@ -382,9 +391,24 @@ func FuzzServeBytes(f *testing.F) {
 				}
 				s.putWork(w)
 			default:
-				check(req, s.handleMeta(p, req))
-				for _, extra := range s.unpack(w.raw[w.consumed:]) {
-					check(extra, s.handleMeta(p, extra))
+				// One reply answers the request and what is packed behind
+				// it, in order, up to where the combined-reply rule lets it
+				// end.
+				reqs := append([]*Req{req}, s.unpack(w.raw[w.consumed:])...)
+				wire := &wireLog{node: node, eager: eager}
+				s.serve(p, wire, w)
+				s.sweepStaged()
+				if len(wire.msgs) != 1 || wire.tags[0] != tag(req.Seq, req.EP, kindHdr) {
+					t.Fatalf("%+v answered in %d messages, want one reply header", req, len(wire.msgs))
+				}
+				raw := wire.msgs[0]
+				resps, err := DecodeResps(raw, nil)
+				if err != nil || len(resps) == 0 || len(resps) > len(reqs) || len(raw) > HdrBufSize ||
+					len(resps) < len(reqs) && !endsEarly(reqs[len(resps)].Op, len(raw)) {
+					t.Fatalf("%d requests answered by a %d-byte reply of %d answers (%v)", len(reqs), len(raw), len(resps), err)
+				}
+				for i, resp := range resps {
+					check(reqs[i], resp)
 				}
 			}
 			assertSizesSane(t, p, fs, fs.Root(), 0)
@@ -411,10 +435,11 @@ func checkPieces(t *testing.T, p *sim.Proc, s *Server, w *work, eager int) {
 	s.serve(p, wire, w)
 	s.sweepStaged()
 	last := len(wire.msgs) - 1
-	resp, err := DecodeResp(wire.msgs[last])
-	if err != nil || resp.Seq != req.Seq || wire.tags[last]&0xf != kindHdr {
+	resps, err := DecodeResps(wire.msgs[last], nil)
+	if err != nil || len(resps) != 1 || resps[0].Seq != req.Seq || wire.tags[last]&0xf != kindHdr {
 		t.Fatalf("%+v: the last message is not its reply header (%v)", req, err)
 	}
+	resp := resps[0]
 	if resp.Status < StOK || resp.Status > StTooLarge {
 		t.Fatalf("%+v answered status %d", req, resp.Status)
 	}

@@ -284,10 +284,10 @@ func (s *Server) exportImage(room int) ([]byte, error) {
 	return raw, err
 }
 
-// serveExport answers an OpExport like a read: the image goes out as
+// serveExport serves an OpExport like a read: the image goes out as
 // the data message, from a pooled buffer the CPU copies it into, and
-// the header follows with its length.
-func (s *Server) serveExport(p *sim.Proc, t fabric.Transport, w *work) {
+// the answer it returns, with the image's length, follows.
+func (s *Server) serveExport(p *sim.Proc, t fabric.Transport, w *work) *Resp {
 	resp := &Resp{Seq: w.req.Seq}
 	raw, err := []byte(nil), error(ErrInval) // an export is never answered in pieces
 	if takePieces(w.req, t.Caps().EagerMax) == 1 {
@@ -308,7 +308,7 @@ func (s *Server) serveExport(p *sim.Proc, t fabric.Transport, w *work) {
 		held.buf, data = buf, buf.PhysVec(len(raw))
 	}
 	s.sendData(p, t, w, data, 1, held)
-	s.reply(p, t, w.src, w.req, resp)
+	return resp
 }
 
 // serveImport applies or stages the image w's OpImport carried (the

@@ -580,8 +580,35 @@ type Resp struct {
 const respFixed = 8 + 4 + 8 + 1 + 8 + 8 + 4 + 2
 
 // HdrBufSize is the reply-header buffer size clients must post: fixed
-// part plus room for directory listings.
+// part plus room for directory listings. It bounds a whole reply
+// message, a combined one included (answerFits).
 const HdrBufSize = 16 * 1024
+
+// answerFits is the one combined-reply rule, applied alike by the
+// server that answers a request message and the client that retires
+// it: the answers to every request one message carried — the leading
+// request and those packed behind it (MetaBatch) — travel back in ONE
+// reply, back to back in request order, while the reply stays within
+// HdrBufSize: an answer of n bytes fits a reply of used bytes when
+// used+n ≤ HdrBufSize. Every answer but a readdir's is respFixed bytes,
+// so the server stops before a packed request once a fixed answer no
+// longer fits, and after a readdir whose listing does not — dropping
+// that answer, which is safe because a readdir changes nothing — and so
+// never executes a request whose answer it does not deliver. A reply may
+// therefore end early only before a readdir or with less than a fixed
+// answer's room left (endsEarly), and the client continues from the
+// first request it left unanswered. A single request's reply is its one
+// answer, as it always was.
+//
+// allocfree
+func answerFits(used, n int) bool { return used+n <= HdrBufSize }
+
+// endsEarly is the client half of the rule: whether a reply of used
+// bytes may stop short of the request next, the first it leaves
+// unanswered.
+//
+// allocfree
+func endsEarly(next Op, used int) bool { return next == OpReaddir || !answerFits(used, respFixed) }
 
 // EncodeResp serializes a response into a fresh slice. It fails only
 // if a directory listing overflows HdrBufSize.
@@ -589,9 +616,12 @@ func EncodeResp(r *Resp) ([]byte, error) {
 	return EncodeRespInto(nil, r)
 }
 
-// EncodeRespInto appends the encoding of r to dst and returns the
-// extended slice — server workers encode replies into per-worker
-// scratch buffers instead of allocating per reply.
+// EncodeRespInto appends the encoding of r to dst — the reply built so
+// far, empty for its first answer — and returns the extended slice;
+// server workers encode replies into per-request scratch buffers
+// instead of allocating per reply. It fails, leaving dst as it was, when
+// the answer does not fit the reply (answerFits): only a directory
+// listing can.
 //
 // allocfree
 func EncodeRespInto(dst []byte, r *Resp) ([]byte, error) {
@@ -599,14 +629,14 @@ func EncodeRespInto(dst []byte, r *Resp) ([]byte, error) {
 	for _, e := range r.Entries {
 		size += 8 + 1 + 2 + len(e.Name)
 	}
-	if size > HdrBufSize {
+	if !answerFits(len(dst), size) {
 		//analyze:allow allocfree error path, never taken per-request
-		return nil, fmt.Errorf("rfsrv: directory listing (%d bytes) exceeds reply buffer", size)
+		return dst, fmt.Errorf("rfsrv: directory listing (%d bytes) exceeds reply buffer", size)
 	}
 	if r.Attr.Kind < 0 || r.Attr.Kind > 0xf || !ValidLayout(r.Layout) && r.Layout != layoutUnknown {
 		// Kind and Layout share one wire byte (low/high nibble).
 		//analyze:allow allocfree error path, never taken per-request
-		return nil, fmt.Errorf("rfsrv: kind %d / layout %d overflow the kind byte", r.Attr.Kind, r.Layout)
+		return dst, fmt.Errorf("rfsrv: kind %d / layout %d overflow the kind byte", r.Attr.Kind, r.Layout)
 	}
 	pos := len(dst)
 	dst = append(dst, make([]byte, size)...)
@@ -630,10 +660,25 @@ func EncodeRespInto(dst []byte, r *Resp) ([]byte, error) {
 	return dst, nil
 }
 
-// DecodeResp parses a response.
-func DecodeResp(b []byte) (*Resp, error) {
+// DecodeResps parses a whole reply — one answer, or the answers of a
+// combined reply back to back (answerFits) — appending each to out. Every
+// byte must belong to an answer.
+func DecodeResps(b []byte, out []*Resp) ([]*Resp, error) {
+	for len(b) > 0 {
+		r, n, err := decodeAnswer(b)
+		if err != nil {
+			return out, err
+		}
+		out, b = append(out, r), b[n:]
+	}
+	return out, nil
+}
+
+// decodeAnswer parses the answer at the front of b and returns it with
+// its length.
+func decodeAnswer(b []byte) (*Resp, int, error) {
 	if len(b) < respFixed {
-		return nil, fmt.Errorf("rfsrv: short response (%d bytes)", len(b))
+		return nil, 0, fmt.Errorf("rfsrv: short response (%d bytes)", len(b))
 	}
 	r := &Resp{
 		Seq:    binary.LittleEndian.Uint64(b[0:]),
@@ -652,7 +697,7 @@ func DecodeResp(b []byte) (*Resp, error) {
 	pos := respFixed
 	for i := 0; i < count; i++ {
 		if len(b) < pos+11 {
-			return nil, fmt.Errorf("rfsrv: truncated dirent")
+			return nil, 0, fmt.Errorf("rfsrv: truncated dirent")
 		}
 		e := kernel.DirEntry{
 			Ino:  kernel.InodeID(binary.LittleEndian.Uint64(b[pos:])),
@@ -660,13 +705,13 @@ func DecodeResp(b []byte) (*Resp, error) {
 		}
 		nameLen := int(binary.LittleEndian.Uint16(b[pos+9:]))
 		if len(b) < pos+11+nameLen {
-			return nil, fmt.Errorf("rfsrv: truncated dirent name")
+			return nil, 0, fmt.Errorf("rfsrv: truncated dirent name")
 		}
 		e.Name = string(b[pos+11 : pos+11+nameLen])
 		r.Entries = append(r.Entries, e)
 		pos += 11 + nameLen
 	}
-	return r, nil
+	return r, pos, nil
 }
 
 // Client is the synchronous protocol: post a request and wait on it.

@@ -67,13 +67,11 @@ type Server struct {
 	// not yet served (the sum of every ClientSession's Outstanding).
 	// staged is everything a reply sent that the NIC may still be
 	// reading (see sweepStaged), and dataFree recycles the data vectors
-	// of the reads among them (readExtents, release); enc belongs to
-	// reply.
+	// of the reads among them (readExtents, release).
 	workFree []*work
 	inside   int
 	staged   []stagedSend
 	dataFree []core.Vector
-	enc      []byte
 
 	// Sharded-namespace state (see EnableSharding): when shard is set
 	// this server is ring position shardIdx of the geometry geo, owns
@@ -89,8 +87,8 @@ type Server struct {
 	renames  map[renameKey]renameMark
 
 	// member is the membership-view epoch this server last committed
-	// (OpMember, DESIGN.md §13), stamped into every reply's epoch slot
-	// (by reply, the one sender of reply headers) so clients routing
+	// (OpMember, DESIGN.md §13), stamped into every answer's epoch slot
+	// (by answer, the one encoder of answers) so clients routing
 	// under an older view find out on their next round trip. Zero for
 	// the fixed-membership clusters every pre-elastic test and figure
 	// builds.
@@ -103,7 +101,7 @@ type Server struct {
 
 	// Requests counts served operations; Batched counts requests that
 	// arrived packed behind another in one message (§3.3-style
-	// combining, client side).
+	// combining, client side) and were answered in its reply.
 	Requests, Batched sim.Counter
 }
 
@@ -118,12 +116,13 @@ func (s *Server) getWork() *work {
 }
 
 // putWork recycles a finished work record, keeping the backing of its
-// payload scratch and receive list and its hand-off callback.
+// payload scratch, receive list and reply encoding and its hand-off
+// callback.
 func (s *Server) putWork(w *work) {
 	w.req, w.raw, w.sess, w.queue = nil, nil, nil, nil
 	clear(w.frames)
 	clear(w.pay)
-	w.frames, w.vec, w.pay, w.at, w.dirty, w.ok = w.frames[:0], w.vec[:0], w.pay[:0], 0, 0, false
+	w.frames, w.vec, w.pay, w.enc, w.at, w.dirty, w.ok = w.frames[:0], w.vec[:0], w.pay[:0], w.enc[:0], 0, 0, false
 	s.workFree = append(s.workFree, w)
 }
 
@@ -488,11 +487,12 @@ func (s *Server) handleWrite(p *sim.Proc, w *work) *Resp {
 
 // work is one received request message on its way to being served: the
 // decoded leading request, the head of the raw message (which may carry
-// further packed metadata requests) and, for a write, the frames its
-// payload landed in — the receiver's own, handed over with an inline
-// payload (admit), or fresh ones the receiver posted the receives of a
-// separate payload into. The install takes them over; any other request
-// leaves every frame with its receiver.
+// further packed metadata requests), the reply it builds (the answer to
+// every request the message carried, answer) and, for a write, the
+// frames its payload landed in — the receiver's own, handed over with an
+// inline payload (admit), or fresh ones the receiver posted the receives
+// of a separate payload into. The install takes them over; any other
+// request leaves every frame with its receiver.
 type work struct {
 	req      *Req
 	src      hw.NodeID
@@ -506,6 +506,7 @@ type work struct {
 	pay      []fabric.Op  // a separate payload's posted receives, one per piece, until landPayload collects them
 	ok       bool         // a write's payload is exactly the req.Len bytes announced
 	resp     Resp         // a read's reply, built in place (readExtents)
+	enc      []byte       // the reply's answers, encoded (answer; backing reused)
 	sess     *ClientSession
 	// enqueue sends the record to queue — the worker queue of the
 	// receiver that took its header — from its payload's completion,
@@ -822,8 +823,8 @@ func (s *Server) payloadFrames(w *work) bool {
 	return true
 }
 
-// serve executes one received request and answers it, landing a
-// separate payload first.
+// serve executes one received request message and answers it in one
+// reply, landing a separate payload first.
 func (s *Server) serve(p *sim.Proc, t fabric.Transport, w *work) {
 	s.landPayload(p, w)
 	req := w.req
@@ -834,23 +835,29 @@ func (s *Server) serve(p *sim.Proc, t fabric.Transport, w *work) {
 		resp, k, data := s.readExtents(p, w, t.Caps().EagerMax)
 		// Data first (zero-copy from the block store), then the header.
 		s.sendData(p, t, w, data, k, stagedSend{frames: data})
-		s.reply(p, t, w.src, req, resp)
+		s.answer(w, req, resp)
 	case OpExport:
-		s.serveExport(p, t, w)
+		s.answer(w, req, s.serveExport(p, t, w))
 	case OpImport:
-		s.reply(p, t, w.src, req, s.serveImport(p, w))
+		s.answer(w, req, s.serveImport(p, w))
 	case OpWrite:
-		s.reply(p, t, w.src, req, s.handleWrite(p, w))
+		s.answer(w, req, s.handleWrite(p, w))
 	default:
-		s.reply(p, t, w.src, req, s.handleMeta(p, req))
+		s.answer(w, req, s.handleMeta(p, req))
 		// Trailing bytes after a metadata request are further packed
-		// requests (client-side combining): answer each.
+		// requests (client-side combining): each is served and answered in
+		// the same reply while its answer can fit (answerFits) — a fixed
+		// answer's room checked before the request runs, a readdir's
+		// listing after.
 		for _, extra := range s.unpack(w.raw[w.consumed:]) {
+			if !answerFits(len(w.enc), respFixed) || !s.answer(w, extra, s.handleMeta(p, extra)) {
+				break
+			}
 			s.Batched.Add(1)
 			w.sess.Served.Add(1)
-			s.reply(p, t, w.src, extra, s.handleMeta(p, extra))
 		}
 	}
+	s.reply(p, t, w)
 	w.sess.Served.Add(1)
 	w.sess.Outstanding--
 	s.inside--
@@ -959,14 +966,40 @@ func (s *Server) release(ss stagedSend) {
 	}
 }
 
-// reply stamps resp and sends its header to the requester. It is the
-// only sender of reply headers, so every reply — error replies included
-// — advertises the size epoch and layout class of the inode it
-// resolved (the looked-up child when the operation returned one), which
-// revalidates a cluster client's size cache and teaches it the file's
-// placement (a sharded server outside the inode's home group answers
-// layoutUnknown), and the server's membership epoch, which poisons a client
-// routing under a retired view (DESIGN.md §13).
+// answer stamps resp and appends its encoding to w's reply (w.enc),
+// reporting whether it fitted (answerFits). It is the only encoder of
+// answers, so every answer — error answers included — advertises the
+// size epoch and layout class of the inode it resolved (the looked-up
+// child when the operation returned one), which revalidates a cluster
+// client's size cache and teaches it the file's placement (a sharded
+// server outside the inode's home group answers layoutUnknown), and the
+// server's membership epoch, which poisons a client routing under a
+// retired view (DESIGN.md §13). The leading answer always goes in: one
+// whose listing no reply can hold is answered StIO instead.
+func (s *Server) answer(w *work, req *Req, resp *Resp) bool {
+	ino := resp.Attr.Ino
+	if ino == 0 {
+		if ino = req.Ino; ino == 0 {
+			ino = s.fs.Root()
+		}
+	}
+	resp.Epoch, resp.Layout, resp.MemberEpoch = s.epochs[ino], s.layouts[ino], s.member
+	if s.shard && !s.ownsDir(ino) {
+		// Not the inode's home: a stub here knows no class.
+		resp.Layout = layoutUnknown
+	}
+	enc, err := EncodeRespInto(w.enc, resp)
+	if err != nil && len(w.enc) == 0 {
+		resp.Status, resp.Attr, resp.N, resp.Entries = StIO, kernel.Attr{}, 0, nil
+		enc, err = EncodeRespInto(w.enc, resp)
+	}
+	w.enc = enc
+	return err == nil
+}
+
+// reply sends w's reply — the answers in w.enc, one message tagged with
+// the leading request's sequence number — to the requester. It is the
+// only sender of reply headers.
 //
 // The one staging rule: whatever a reply message is sent from stays the
 // message's own until its send Op reports Done — a header its own
@@ -981,33 +1014,16 @@ func (s *Server) release(ss stagedSend) {
 // still queued frees nothing the NIC has yet to read. A send that
 // reports a transport fault (the client's NIC is dead) is dropped and
 // what it held released: a peer's death is not the server's.
-func (s *Server) reply(p *sim.Proc, t fabric.Transport, dst hw.NodeID, req *Req, resp *Resp) {
-	ino := resp.Attr.Ino
-	if ino == 0 {
-		if ino = req.Ino; ino == 0 {
-			ino = s.fs.Root()
-		}
-	}
-	resp.Epoch, resp.Layout, resp.MemberEpoch = s.epochs[ino], s.layouts[ino], s.member
-	if s.shard && !s.ownsDir(ino) {
-		// Not the inode's home: a stub here knows no class.
-		resp.Layout = layoutUnknown
-	}
-	hdr, err := EncodeRespInto(s.enc[:0], resp)
-	if err != nil {
-		resp.Status, resp.Attr, resp.N, resp.Entries = StIO, kernel.Attr{}, 0, nil
-		hdr, _ = EncodeRespInto(s.enc[:0], resp)
-	}
-	s.enc = hdr // scratch: the bytes are copied into staging before anything can yield
+func (s *Server) reply(p *sim.Proc, t fabric.Transport, w *work) {
 	s.sweepStaged()
 	buf, err := fabric.PoolOf(s.node).Get(HdrBufSize)
 	if err != nil {
 		panic(err)
 	}
-	if err := s.node.Kernel.WriteBytes(buf.VA(), hdr); err != nil {
+	if err := s.node.Kernel.WriteBytes(buf.VA(), w.enc); err != nil {
 		panic(err)
 	}
-	op, err := t.Send(p, dst, req.EP, tag(req.Seq, req.EP, kindHdr), buf.PhysVec(len(hdr)))
+	op, err := t.Send(p, w.src, w.req.EP, tag(w.req.Seq, w.req.EP, kindHdr), buf.PhysVec(len(w.enc)))
 	if err != nil {
 		if !fabric.IsFault(err) {
 			panic(err)

@@ -319,12 +319,17 @@ func TestServeSurvivesDeadClient(t *testing.T) {
 // write's payload above the eager limit started to follow its header in
 // eager pieces instead of one rendezvous: mx/1 1 925 411 → 1 749 431 and
 // 4 243 691 → 4 067 711 ns (the reads take exactly as long as before),
-// mx/8 1 850 490 → 1 653 633 and 3 462 665 → 3 265 808.
+// mx/8 1 850 490 → 1 653 633 and 3 462 665 → 3 265 808. The window-8
+// rows' batch phase moved when the server started to answer a packed
+// batch of getattrs in one reply message, into the one header receive
+// the batch posts, instead of one reply per request: mx/8 37 345 →
+// 25 339 ns and gm/8 75 354 → 60 767, and the phases behind it by the
+// same 12 006 and 14 587 ns (window 1 packs nothing).
 var pinnedInstants = map[string][]sim.Time{
 	"gm/1": {254991, 1977671, 4700471},
-	"gm/8": {75354, 1723390, 3351229},
+	"gm/8": {60767, 1708803, 3336642},
 	"mx/1": {94183, 1749431, 4067711},
-	"mx/8": {37345, 1653633, 3265808},
+	"mx/8": {25339, 1641627, 3253802},
 }
 
 func TestServeVirtualInstantsPinned(t *testing.T) {

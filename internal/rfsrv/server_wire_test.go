@@ -179,11 +179,11 @@ func (c *wireCall) wait(t *testing.T, p *sim.Proc) *Resp {
 	if err := c.r.client.Kernel.ReadBytesInto(c.hdr.VA(), raw); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := DecodeResp(raw)
-	if err != nil || resp.Seq != c.req.Seq {
-		t.Fatalf("reply to seq %d: %+v %v", c.req.Seq, resp, err)
+	resps, err := DecodeResps(raw, nil)
+	if err != nil || len(resps) != 1 || resps[0].Seq != c.req.Seq {
+		t.Fatalf("reply to seq %d: %+v %v", c.req.Seq, resps, err)
 	}
-	return resp
+	return resps[0]
 }
 
 // call puts req on the wire with its payload where the one payload rule

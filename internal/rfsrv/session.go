@@ -16,9 +16,9 @@ import (
 //
 // Each window slot owns its own request/reply staging buffers, so up
 // to Window requests can be on the wire at once. Completion matching
-// is by sequence number: every request posts its reply-header receive
-// tagged (seq, endpoint) before the request leaves, so replies demux
-// to the right slot no matter the order they come back in. On MX the
+// is by sequence number: every request message posts its reply-header
+// receive tagged (seq, endpoint) before it leaves, so replies demux to
+// the right slot no matter the order they come back in. On MX the
 // per-request waits complete out of order; on GM every completion
 // funnels through the port's unique event queue, so waits effectively
 // drain in arrival order — the fabric adapter routes each drained
@@ -198,7 +198,7 @@ func (pd *Pending) Wait(p *sim.Proc) (*Resp, error) {
 // retire retires a flight on one of the window's slots and gives the
 // slot back.
 func (s *Session) retire(p *sim.Proc, fl *flight) (*Resp, error) {
-	resp, err := s.c.retire(p, fl)
+	resp, err := s.c.retireOne(p, fl)
 	s.Completed.Add(1)
 	s.win.Release(fl.bufs)
 	return resp, err
@@ -293,11 +293,14 @@ func (s *Session) writeChunked(p *sim.Proc, ino kernel.InodeID, off int64, src c
 
 // MetaBatch issues several metadata requests in ONE fabric send — the
 // client-side analogue of the paper's §3.3 request combining: the
-// encoded requests travel back to back in a single message, the server
-// unpacks and answers each under its own sequence number, and the
-// replies demux to per-request header receives posted up front.
-// Batches larger than the window (or the request buffer) are split
-// transparently. Read- and write-shaped operations cannot be batched.
+// encoded requests travel back to back in a single message, and the
+// server answers them all, each under its own sequence number, in a
+// single reply into the one header receive the batch posted up front
+// (answerFits). Batches larger than the window (or the request buffer)
+// are split transparently, and so is one whose reply ends early under
+// the combined-reply rule: the next batch starts at the first request
+// it left unanswered. Read- and write-shaped operations cannot be
+// batched.
 func (s *Session) MetaBatch(p *sim.Proc, reqs []*Req) ([]*Resp, error) {
 	// Validate everything before acquiring any window slot, so a bad
 	// request cannot abandon slots already holding posted receives.
@@ -306,15 +309,15 @@ func (s *Session) MetaBatch(p *sim.Proc, reqs []*Req) ([]*Resp, error) {
 	}
 	resps := make([]*Resp, 0, len(reqs))
 	for start := 0; start < len(reqs); {
-		fls, end, err := s.startBatch(p, reqs, start)
+		fls, err := s.startBatch(p, reqs, start)
 		if err != nil {
 			return resps, err
 		}
-		resps, err = s.retireBatch(p, fls, resps)
-		if err != nil {
+		at := len(resps)
+		if resps, err = s.retireBatch(p, fls, resps); err != nil {
 			return resps, err
 		}
-		start = end
+		start += len(resps) - at
 	}
 	return resps, nil
 }
@@ -343,33 +346,33 @@ func validateBatch(reqs []*Req) error {
 
 // startBatch packs reqs[start:] — up to window requests whose encodings
 // fit the 4 KB request buffer — into one combined fabric send. Each
-// request is a flight of its own, on its own window slot with its reply
-// receive posted before the message leaves; the first flight carries
-// the send. It returns the flights and the index of the first request
-// that did not fit (the caller loops). Requests must be pre-validated
-// (validateBatch); each req's Seq/EP is stamped and its bytes fully
-// encoded before return, so callers may reuse the same *Req values in a
-// later batch. A session has at most ONE batch outstanding — its
-// flights and encoding are session scratch — so the previous batch must
-// be retired first; cross-server parallelism comes from batches on
-// different sessions (Cluster.runShares starts one per server, then
-// retires them all).
-func (s *Session) startBatch(p *sim.Proc, reqs []*Req, start int) ([]flight, int, error) {
+// request holds a window slot of its own, as a flight; the first flight
+// carries the send and the batch's one reply-header receive, posted
+// before the message leaves, and the others post nothing. It returns the
+// flights, the first slot holding the batch's requests (ctlBufs.batch).
+// Requests must be pre-validated (validateBatch); each req's
+// Seq/EP is stamped and its bytes fully encoded before return, so
+// callers may reuse the same *Req values in a later batch. A session has
+// at most ONE batch outstanding — its flights and encoding are session
+// scratch — so the previous batch must be retired first; cross-server
+// parallelism comes from batches on different sessions
+// (Cluster.runShares starts one per server, then retires them all).
+func (s *Session) startBatch(p *sim.Proc, reqs []*Req, start int) ([]flight, error) {
 	fls, packed := s.batch[:0], s.packScratch[:0]
 	// abort returns every slot of the aborted batch, withdrawing its
-	// posted header receive first (each is tagged with a sequence
-	// number that was never sent, so cancellation cannot race a
-	// delivery).
-	abort := func(err error) ([]flight, int, error) {
+	// posted header receive first (tagged with a sequence number that
+	// was never sent, so cancellation cannot race a delivery).
+	abort := func(err error) ([]flight, error) {
+		if fls[0].hdrOp != nil {
+			fabric.Cancel(p, fls[0].hdrOp)
+		}
 		for _, fl := range fls {
-			fabric.Cancel(p, fl.hdrOp)
 			s.win.Release(fl.bufs)
 		}
 		s.batch, s.packScratch = fls[:0], packed[:0]
-		return nil, start, err
+		return nil, err
 	}
-	end := start
-	for end < len(reqs) && end-start < s.win.Size() {
+	for end := start; end < len(reqs) && end-start < s.win.Size(); end++ {
 		r := reqs[end]
 		s.c.seq++
 		r.Seq, r.EP = s.c.seq, s.c.myEP
@@ -380,23 +383,20 @@ func (s *Session) startBatch(p *sim.Proc, reqs []*Req, start int) ([]flight, int
 			s.c.seq-- // undo; goes in the next batch
 			break
 		}
-		b := s.win.Acquire(p)
-		hdrOp, err := s.c.postHdr(p, b, r.Seq)
-		if err != nil {
-			s.win.Release(b)
-			return abort(err)
-		}
-		fls = append(fls, flight{bufs: b, seq: r.Seq, hdrOp: hdrOp})
-		end++
+		fls = append(fls, flight{bufs: s.win.Acquire(p), seq: r.Seq})
+	}
+	lead := &fls[0]
+	var err error
+	if lead.hdrOp, err = s.c.postHdr(p, lead.bufs, lead.seq); err != nil {
+		return abort(err)
 	}
 	// The packed message stages through the first slot's request
 	// buffer and is matched by the server like any other request.
-	sent, err := s.c.sendEnc(p, fls[0].bufs, packed, nil)
-	if err != nil {
+	if lead.sent, err = s.c.sendEnc(p, lead.bufs, packed, nil); err != nil {
 		return abort(err)
 	}
+	lead.bufs.batch = reqs[start : start+len(fls)]
 	s.batch, s.packScratch = fls, packed[:0]
-	fls[0].sent = sent
 	s.Issued.Add(len(fls))
 	if len(fls) > 1 {
 		s.Batched.Add(len(fls) - 1)
@@ -404,24 +404,21 @@ func (s *Session) startBatch(p *sim.Proc, reqs []*Req, start int) ([]flight, int
 	for i := range fls {
 		fls[i].issued = p.Now()
 	}
-	return fls, end, nil
+	return fls, nil
 }
 
-// retireBatch retires every flight of a batch in order (retire: their
-// deadlines all run from the batch's one send, so the replies of a
-// batch against a dead server expire together), appending the replies
-// to out. The first error is returned after ALL slots are back in the
-// window — a faulted batch must not leak posted receives.
+// retireBatch retires a batch: its first flight's reply, whose answers
+// it appends to out (FabricClient.retire) — every request's, or a prefix
+// the combined-reply rule ended early — and then every slot, back to the
+// window. The error is the first answer's failing status, or the reply's
+// own failure, when no answer is appended.
 func (s *Session) retireBatch(p *sim.Proc, fls []flight, out []*Resp) ([]*Resp, error) {
-	var firstErr error
-	for i := range fls {
-		resp, err := s.retire(p, &fls[i])
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-		out = append(out, resp)
+	out, err := s.c.retire(p, &fls[0], out)
+	for _, fl := range fls {
+		s.win.Release(fl.bufs)
 	}
-	return out, firstErr
+	s.Completed.Add(len(fls))
+	return out, err
 }
 
 // Rename implements Client over one server: a single OpRenameLocal

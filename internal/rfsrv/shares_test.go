@@ -10,9 +10,12 @@ package rfsrv_test
 import (
 	"fmt"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/fabric"
+	"repro/internal/kernel"
+	"repro/internal/memfs"
 	"repro/internal/rfsrv"
 	"repro/internal/sim"
 )
@@ -279,4 +282,100 @@ func servedBy(t *testing.T, r *clusterRig, do func()) int {
 		}
 	}
 	return served
+}
+
+// TestCombinedReplyOverflow: a batch of readdirs whose listings fit a
+// reply one by one but not together, with a create packed behind them,
+// through a Session and through the cluster's driver. The reply ends
+// early under the combined-reply rule — after the readdir whose listing
+// does not fit, or, when the listings leave less room than a fixed
+// answer, before the create — and the next round trip continues from
+// the first request it left: every listing comes back whole, and the
+// create runs exactly once (run twice, it would answer StExists), in
+// whichever round trip answers it.
+func TestCombinedReplyOverflow(t *testing.T) {
+	cases := []struct {
+		name    string
+		listing []int // each directory's listing, in encoded bytes
+		// flights and requests the home's session issues, and the packed
+		// requests the server answers, over the batch's two round trips
+		flights, issued, batched int64
+	}{
+		// 6 043-byte answers: two fit, the third does not; it leads the
+		// second round trip, the create packed behind it.
+		{name: "listings exceed the reply together", listing: []int{6000, 6000, 6000}, flights: 2, issued: 6, batched: 2},
+		// Two 8 182-byte answers leave 20 bytes: no room for the create's
+		// fixed answer, so it waits, unexecuted, for a reply of its own.
+		{name: "no room left for a fixed answer", listing: []int{8139, 8139}, flights: 2, issued: 4, batched: 1},
+	}
+	for _, tc := range cases {
+		for _, via := range []string{"session", "cluster"} {
+			t.Run(tc.name+"/"+via, func(t *testing.T) {
+				r := newClusterRig(t, 1)
+				r.run(t, func(p *sim.Proc) {
+					fs := r.serverFS[0]
+					cl := r.cluster(t, p, 8, testStripe)
+					var reqs []*rfsrv.Req
+					var want [][]kernel.DirEntry
+					for i, n := range tc.listing {
+						dir, err := fs.Mkdir(p, fs.Root(), fmt.Sprintf("d%d", i))
+						if err != nil {
+							t.Fatal(err)
+						}
+						fillListing(t, p, fs, dir.Ino, n)
+						ents, err := fs.Readdir(p, dir.Ino)
+						if err != nil {
+							t.Fatal(err)
+						}
+						want = append(want, ents)
+						reqs = append(reqs, &rfsrv.Req{Op: rfsrv.OpReaddir, Ino: dir.Ino})
+					}
+					reqs = append(reqs, &rfsrv.Req{Op: rfsrv.OpCreate, Ino: 0, Name: "new"})
+					s := cl.Sessions()[0]
+					var batch rfsrv.Async = s
+					if via == "cluster" {
+						batch = cl
+					}
+					flights, issued, batched := s.Issued.N, s.Issued.Bytes, r.rsrv[0].Batched.N
+					resps, err := batch.MetaBatch(p, reqs)
+					if err != nil || len(resps) != len(reqs) {
+						t.Fatalf("batch: %d answers, %v", len(resps), err)
+					}
+					for i, ents := range want {
+						if !slices.EqualFunc(resps[i].Entries, ents, func(a, b kernel.DirEntry) bool { return a == b }) {
+							t.Errorf("listing %d: %d entries, want %d", i, len(resps[i].Entries), len(ents))
+						}
+					}
+					if last := resps[len(reqs)-1]; last.Status != rfsrv.StOK {
+						t.Errorf("create answered status %d, want StOK once", last.Status)
+					}
+					if _, err := fs.Lookup(p, fs.Root(), "new"); err != nil {
+						t.Errorf("created file: %v", err)
+					}
+					if got := [3]int64{s.Issued.N - flights, s.Issued.Bytes - issued, r.rsrv[0].Batched.N - batched}; got != [3]int64{tc.flights, tc.issued, tc.batched} {
+						t.Errorf("flights, issued, batched = %v, want %v", got, [3]int64{tc.flights, tc.issued, tc.batched})
+					}
+					assertWindowsIdle(t, cl)
+				})
+			})
+		}
+	}
+}
+
+// fillListing creates entries in dir whose readdir encodings (11 bytes
+// each plus the name) add up to exactly n bytes.
+func fillListing(t *testing.T, p *sim.Proc, fs *memfs.FS, dir kernel.InodeID, n int) {
+	t.Helper()
+	for i := 0; n > 0; i++ {
+		l := n
+		if n > 200 {
+			l = 100
+		}
+		name := fmt.Sprintf("%05d", i)
+		name += strings.Repeat("x", l-11-len(name))
+		if _, err := fs.Create(p, dir, name); err != nil {
+			t.Fatal(err)
+		}
+		n -= l
+	}
 }
