@@ -23,49 +23,54 @@ import (
 	"repro/internal/figures"
 )
 
-// Measured with go1.24 on linux/amd64 at PR 20 (event-driven NIC
-// pipeline; one record per send, no boxed trace arguments, no
-// extent-list temporaries). The two figure ceilings are the
-// measurements plus ~25% for toolchain drift, the per-op count ceilings
-// plus ~12%, the per-op bytes ceilings plus ~15% (a garbage collection
-// that empties the pools mid-measurement adds back a few hundred B/op,
-// which the margin covers; one reintroduced 64 KB buffer per request
-// adds 65 536). Lower them when a future pass cuts allocations further.
+// Measured with go1.24 on linux/amd64 once a send's NIC record, a
+// receive's extent list, a staged send's extents, a cluster part's
+// Pending and its destination slice were all recycled rather than
+// allocated per message (the "was" figures are from before). The two
+// figure ceilings are the measurements plus ~25% for toolchain drift,
+// the per-op count ceilings plus ~12%, the per-op bytes ceilings plus
+// ~15% and at least 300 B (a garbage collection that empties the pools
+// mid-measurement adds back a few hundred B/op, which the margin
+// covers; one reintroduced 64 KB buffer per request adds 65 536).
+// Lower them when a future pass cuts allocations further.
 const (
-	maxRequestPathAllocsPerOp    = 39    // measured 34.3 (PR 19: 78.5)
-	maxFig5aAllocs               = 9000  // measured 7179 (PR 19: 15377)
-	maxFig5bAllocs               = 25500 // measured 20354 (PR 19: 38216)
-	maxExtendingWriteAllocsPerOp = 76    // measured 67.3 (a one-page write + a 3-server size fan)
+	maxRequestPathAllocsPerOp    = 14    // measured 12.29 (was 24.04)
+	maxFig5aAllocs               = 7100  // measured 5666 (was 7111)
+	maxFig5bAllocs               = 21700 // measured 17297 (was 19203)
+	maxExtendingWriteAllocsPerOp = 37    // measured 32.30, a one-page write + a 3-server size fan (was 57.30)
 
-	maxRequestPathBytesPerOp    = 7450  // measured 6460 (64 KB ops; PR 19: 7314)
-	maxWriteAllocsPerOp         = 31    // measured 27.1 (a 64 KB write whose payload travels alone); 23.03 as one rendezvous, 25.03 as two eager pieces
-	maxWriteBytesPerOp          = 4200  // measured 3635; 3 209 as one rendezvous, 3 457 as two eager pieces
-	maxExtendingWriteBytesPerOp = 15000 // measured 13044
-	maxORFSDirectAllocsPerOp    = 64    // measured 57.0 (PR 19: 99.1)
-	maxORFSDirectBytesPerOp     = 7150  // measured 6192 (PR 19: 7183)
+	maxRequestPathBytesPerOp    = 2450  // measured 2128 (64 KB ops; was 3504)
+	maxWriteAllocsPerOp         = 15    // measured 13.02, a 64 KB write whose payload travels alone (was 25.08)
+	maxWriteBytesPerOp          = 2490  // measured 2161 (was 3465)
+	maxExtendingWriteBytesPerOp = 11420 // measured 9926 (was 12694)
+	maxORFSDirectAllocsPerOp    = 37    // measured 32.14 (was 42.14)
+	maxORFSDirectBytesPerOp     = 2310  // measured 2002 (was 3474)
 
 	// A 64 KB MX Session read into kernel memory, synchronous and eight
-	// deep. The ceilings are the usual margins over what the read cost
-	// while its data came back in one rendezvous (26.06 and 27.07
-	// allocs/op, 3 327 and 3 452 B/op), so the eager pieces that replaced
-	// it can never allocate more.
-	maxKernelRead64KAllocsPerOp   = 29
-	maxKernelRead64KBytesPerOp    = 3830
-	maxKernelRead64KW8AllocsPerOp = 30
-	maxKernelRead64KW8BytesPerOp  = 3970
+	// deep, in two eager pieces into receives posted before the request
+	// left, and a write from it eight deep, in two eager pieces into
+	// receives the server posts as it admits the header.
+	maxKernelRead64KAllocsPerOp    = 15   // measured 13.03 (was 25.02)
+	maxKernelRead64KBytesPerOp     = 2430 // measured 2113 (was 3409)
+	maxKernelRead64KW8AllocsPerOp  = 16   // measured 14.01 (was 26.01)
+	maxKernelRead64KW8BytesPerOp   = 2540 // measured 2208 (was 3504)
+	maxKernelWrite64KW8AllocsPerOp = 17   // measured 15.03 (was 27.03)
+	maxKernelWrite64KW8BytesPerOp  = 2660 // measured 2306 (was 3603)
 
-	// A 64 KB MX Session write from kernel memory, eight deep. The
-	// ceilings are the usual margins over what the write cost while its
-	// payload followed the header as one rendezvous (25.05 allocs/op,
-	// 3 389 B/op); as two eager pieces it measures 27.07 and 3 620.
-	maxKernelWrite64KW8AllocsPerOp = 28
-	maxKernelWrite64KW8BytesPerOp  = 3900
+	// One synchronous 64 KB read of a stripe that two of four servers
+	// hold: its two read slices are two requests, one to each replica.
+	// The ceilings are the usual margins over what the read cost while
+	// the primary served all of it in one request (27.02 allocs/op,
+	// 3 633 B/op), so the second request must not cost more than the
+	// per-message cuts saved; it measures 19.05 and 3 282.
+	maxReplicatedReadAllocsPerOp = 31
+	maxReplicatedReadBytesPerOp  = 4180
 
 	// One 4 KB ping-pong round trip on the raw fabric: two messages.
-	maxGMRoundTripAllocsPerOp = 23   // measured 20.0
-	maxGMRoundTripBytesPerOp  = 1470 // measured 1272
-	maxMXRoundTripAllocsPerOp = 16   // measured 14.0
-	maxMXRoundTripBytesPerOp  = 1920 // measured 1664
+	maxGMRoundTripAllocsPerOp = 21   // measured 17.99 (was 19.99)
+	maxGMRoundTripBytesPerOp  = 1060 // measured 752 (was 1264)
+	maxMXRoundTripAllocsPerOp = 9    // measured 8.00 (was 13.99)
+	maxMXRoundTripBytesPerOp  = 1390 // measured 1087 (was 1727)
 )
 
 // figAllocs generates the figure twice — once to warm lazy caches and
@@ -110,6 +115,18 @@ func TestAllocGateRequestPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	gate(t, "request path", got, maxRequestPathAllocsPerOp, maxRequestPathBytesPerOp)
+}
+
+// TestAllocGateReplicatedRead gates a 64 KB read from a cluster that
+// keeps two replicas of every stripe: each replica serves its read
+// slice, so the read costs two requests where it once cost one, and
+// the ceilings are the one request's.
+func TestAllocGateReplicatedRead(t *testing.T) {
+	got, err := figures.ReplicatedReadAllocs(256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gate(t, "64 KB R=2 cluster read", got, maxReplicatedReadAllocsPerOp, maxReplicatedReadBytesPerOp)
 }
 
 // TestAllocGateWrite gates a 64 KB MX write on its own: its payload

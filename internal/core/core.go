@@ -164,8 +164,13 @@ func (v Vector) Validate() error {
 
 // Slice returns the sub-vector covering [off, off+n) of the vector's
 // byte range, splitting segments as needed.
-func (v Vector) Slice(off, n int) Vector {
-	var out Vector
+func (v Vector) Slice(off, n int) Vector { return v.AppendSlice(nil, off, n) }
+
+// AppendSlice appends the segments of Slice(off, n) to out and returns
+// the longer vector: Slice for a caller that recycles its vector.
+//
+// allocfree
+func (v Vector) AppendSlice(out Vector, off, n int) Vector {
 	for _, s := range v {
 		if n == 0 {
 			break
@@ -242,33 +247,49 @@ func (v Vector) Extents() ([]mem.Extent, error) {
 	// page-cache page, a server block — costs no list of its own.
 	n := 0
 	for _, s := range v {
+		if s.Len == 0 {
+			continue
+		}
 		if s.Type == Physical {
 			n++
 		} else {
 			n += s.Pages()
 		}
 	}
-	var out []mem.Extent
+	if n == 0 {
+		return nil, v.Validate()
+	}
+	out, err := v.AppendExtents(make([]mem.Extent, 0, n))
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// AppendExtents appends the vector's physical extents to out, merged
+// across segment boundaries and onto out's last extent, and returns the
+// longer list: Extents for a caller that recycles its list. On error
+// the list is returned unchanged.
+//
+// allocfree
+func (v Vector) AppendExtents(out []mem.Extent) ([]mem.Extent, error) {
+	start := len(out)
 	for i, s := range v {
 		if err := s.Validate(); err != nil {
-			return nil, fmt.Errorf("segment %d: %w", i, err)
+			//analyze:allow allocfree error arm
+			return out[:start], fmt.Errorf("segment %d: %w", i, err)
 		}
 		if s.Len == 0 {
 			continue
-		}
-		if out == nil {
-			out = make([]mem.Extent, 0, n)
 		}
 		if s.Type == Physical {
 			out = mem.AppendExtent(out, s.PA, s.Len)
 			continue
 		}
-		xs, err := s.AS.Resolve(s.VA, s.Len)
-		if err != nil {
-			return nil, fmt.Errorf("segment %d: %w", i, err)
-		}
-		for _, x := range xs {
-			out = mem.AppendExtent(out, x.Addr, x.Len)
+		var err error
+		if out, err = s.AS.AppendResolve(out, s.VA, s.Len); err != nil {
+			//analyze:allow allocfree error arm
+			return out[:start], fmt.Errorf("segment %d: %w", i, err)
 		}
 	}
 	return out, nil

@@ -67,11 +67,11 @@ func steadyAllocs(ops int, op func(i int) error) (HostCost, error) {
 	}, nil
 }
 
-// probe builds a rig of the given width and stripe with one client
-// node (window 8) and hands its cluster to measure on a simulated
-// process.
-func probe(servers, stripe int, measure func(p *sim.Proc, cl *rfsrv.Cluster) error) error {
-	r, err := rig.New(rig.Desc{Servers: servers, Replicas: 1, Stripe: stripe, Window: 8})
+// probe builds a rig of the given width, replication and stripe with
+// one client node (window 8) and hands its cluster to measure on a
+// simulated process.
+func probe(servers, replicas, stripe int, measure func(p *sim.Proc, cl *rfsrv.Cluster) error) error {
+	r, err := rig.New(rig.Desc{Servers: servers, Replicas: replicas, Stripe: stripe, Window: 8})
 	if err != nil {
 		return err
 	}
@@ -101,7 +101,7 @@ func ExtendingWriteAllocs(ops int) (HostCost, error) {
 		return HostCost{}, fmt.Errorf("figures: ExtendingWriteAllocs needs ops > 0")
 	}
 	var allocs HostCost
-	err := probe(4, mem.PageSize, func(p *sim.Proc, cl *rfsrv.Cluster) error {
+	err := probe(4, 1, mem.PageSize, func(p *sim.Proc, cl *rfsrv.Cluster) error {
 		ino, err := probeFile(p, cl)
 		if err != nil {
 			return err
@@ -114,6 +114,42 @@ func ExtendingWriteAllocs(ops int) (HostCost, error) {
 		vec := core.Of(core.KernelSeg(node.Kernel, va, mem.PageSize))
 		allocs, err = steadyAllocs(ops, func(i int) error {
 			_, err := cl.Write(p, ino, int64(i)*mem.PageSize, vec)
+			return err
+		})
+		return err
+	})
+	return allocs, err
+}
+
+// ReplicatedReadAllocs measures the steady-state host cost of one
+// synchronous 64 KB read of one stripe, into kernel memory, through a
+// 4-server cluster that keeps two replicas of every stripe: each
+// replica serves its read slice, so the read is two requests.
+func ReplicatedReadAllocs(ops int) (HostCost, error) {
+	if ops <= 0 {
+		return HostCost{}, fmt.Errorf("figures: ReplicatedReadAllocs needs ops > 0")
+	}
+	const n = rfsrv.DefaultStripeSize
+	var allocs HostCost
+	err := probe(4, 2, n, func(p *sim.Proc, cl *rfsrv.Cluster) error {
+		ino, err := probeFile(p, cl)
+		if err != nil {
+			return err
+		}
+		node := cl.Node()
+		va, err := node.Kernel.Mmap(n, "probe-buf")
+		if err != nil {
+			return err
+		}
+		vec := core.Of(core.KernelSeg(node.Kernel, va, n))
+		if _, err := cl.Write(p, ino, 0, vec); err != nil {
+			return err
+		}
+		allocs, err = steadyAllocs(ops, func(int) error {
+			resp, err := cl.Read(p, ino, 0, vec)
+			if err == nil && int(resp.N) != n {
+				err = fmt.Errorf("figures: replicated read returned %d of %d bytes", resp.N, n)
+			}
 			return err
 		})
 		return err
@@ -147,7 +183,7 @@ func sessionAllocs(name string, ops int, write func(i int) bool) (HostCost, erro
 		return HostCost{}, fmt.Errorf("figures: %s needs ops > 0", name)
 	}
 	var allocs HostCost
-	err := probe(1, msStripe, func(p *sim.Proc, cl *rfsrv.Cluster) error {
+	err := probe(1, 1, msStripe, func(p *sim.Proc, cl *rfsrv.Cluster) error {
 		const chunk = 64 * 1024
 		ino, err := probeFile(p, cl)
 		if err != nil {
@@ -186,7 +222,7 @@ func KernelDataAllocs(ops, window int, write bool) (HostCost, error) {
 		return HostCost{}, fmt.Errorf("figures: KernelDataAllocs needs ops > 0 and window >= 1")
 	}
 	var allocs HostCost
-	err := probe(1, msStripe, func(p *sim.Proc, cl *rfsrv.Cluster) error {
+	err := probe(1, 1, msStripe, func(p *sim.Proc, cl *rfsrv.Cluster) error {
 		const chunk, chunks = 64 * 1024, 8
 		ino, err := probeFile(p, cl)
 		if err != nil {
@@ -313,7 +349,7 @@ func ORFSFileAllocs(ops int) (hit, direct HostCost, err error) {
 	if ops <= 0 {
 		return hit, direct, fmt.Errorf("figures: ORFSFileAllocs needs ops > 0")
 	}
-	err = probe(1, msStripe, func(p *sim.Proc, cl *rfsrv.Cluster) error {
+	err = probe(1, 1, msStripe, func(p *sim.Proc, cl *rfsrv.Cluster) error {
 		const chunk, chunks = 64 * 1024, 8
 		node := cl.Node()
 		osys := kernel.NewOS(node, 0)

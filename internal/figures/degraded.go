@@ -19,7 +19,8 @@ package figures
 // tail latency. A scheduled NIC kill (hw.NIC.KillAfter) then takes one
 // server off the fabric at a fixed fraction of the fault-free
 // makespan; clients time out or get dead-peer rejections, exclude the
-// victim, and fail their reads over to each stripe's replica.
+// victim, and fail the victim's read slices over to the rest of each
+// stripe's group.
 //
 // The interesting numbers are aggregate throughput before the kill,
 // the settle window (one deadline long: every request in flight to the

@@ -5,6 +5,7 @@ package hw
 // link, and the translation table backing registered virtual memory.
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/mem"
 	"repro/internal/sim"
@@ -36,6 +37,7 @@ type Message struct {
 
 	txDone  sim.Signal // what Send points TxDone at when the driver left it nil
 	staged  *Staged    // the pooled buffer behind Payload, nil when there is none
+	rec     *txRecord  // the record NewTxJob built the message in, nil for one built by hand
 	wireLen int
 	frags   int
 	arrived int
@@ -65,26 +67,90 @@ type TxJob struct {
 }
 
 // txRecord is everything one send needs on the heap — the job, its
-// message and the message's header bytes — in a single object.
+// message and the message's header bytes — in a single object, drawn
+// from recordFree and returned to it once the message is delivered.
 type txRecord struct {
-	job TxJob
-	msg Message
-	hdr [16]byte // the drivers' headers are 1 to 14 bytes
+	job    TxJob
+	msg    Message
+	hdr    [16]byte     // the drivers' headers are 1 to 14 bytes
+	gather []mem.Extent // the backing array GatherBuf hands out, kept across recycles
+	lent   bool         // GatherBuf was called: Gather was appended to gather
 }
 
+// recordFree holds delivered messages' records for the next sends,
+// process-wide for the reason payloadFree is: a record is made on the
+// sending node and freed on the receiving one, and a finished rig
+// stays reachable. It keeps at most maxFreeRecords.
+var recordFree struct {
+	sync.Mutex
+	recs []*txRecord
+}
+
+// maxFreeRecords bounds recordFree: far more messages than a busy
+// cluster holds in flight at once, at ≈ 300 bytes each.
+const maxFreeRecords = 4096
+
 // NewTxJob returns a zero job whose Msg is set and has a zeroed Header
-// of the given length, all in one allocation (headers longer than the
+// of the given length, all in one record (headers longer than the
 // record's inline array get their own). The driver fills in the rest
-// and hands the job to Send.
+// and hands the job to Send. The record is recycled once the receiving
+// driver's Handler returns, so neither the job nor its message may be
+// used after that: everything a driver does with them after Send must
+// happen by TxDone.
+//
+// allocfree
 func NewTxJob(header int) *TxJob {
-	r := &txRecord{}
-	r.job.Msg = &r.msg
+	f := &recordFree
+	f.Lock()
+	var r *txRecord
+	if k := len(f.recs); k > 0 {
+		r, f.recs = f.recs[k-1], f.recs[:k-1]
+	}
+	f.Unlock()
+	if r == nil {
+		//analyze:allow allocfree pool-miss arm: the record recycles from here on
+		r = &txRecord{}
+	}
+	r.job.Msg, r.msg.rec = &r.msg, r
 	if header <= len(r.hdr) {
 		r.msg.Header = r.hdr[:header:header]
 	} else {
+		//analyze:allow allocfree no driver header is this long
 		r.msg.Header = make([]byte, header)
 	}
 	return &r.job
+}
+
+// GatherBuf returns an empty extent list for the driver to build the
+// job's Gather in, by appending to it: the record's own, reused once
+// the message is delivered (nil for a job not made by NewTxJob).
+//
+// allocfree
+func (j *TxJob) GatherBuf() []mem.Extent {
+	r := j.Msg.rec
+	if r == nil {
+		return nil
+	}
+	r.lent = true
+	return r.gather[:0]
+}
+
+// putTxRecord returns a delivered message's record to recordFree,
+// zeroed but for the gather array.
+//
+// allocfree
+func putTxRecord(r *txRecord) {
+	gather := r.gather
+	if r.lent && cap(r.job.Gather) > cap(gather) {
+		gather = r.job.Gather // the list built in GatherBuf grew: keep the larger array
+	}
+	*r = txRecord{gather: gather[:0]}
+	f := &recordFree
+	f.Lock()
+	if len(f.recs) < maxFreeRecords {
+		f.recs = append(f.recs, r)
+	}
+	f.Unlock()
 }
 
 // Handler is a driver's receive entry point. It runs in the NIC's
@@ -679,6 +745,11 @@ func (n *NIC) rxPump(p *sim.Proc) {
 		if st := m.staged; st != nil {
 			m.staged, m.Payload = nil, nil
 			putPayload(st)
+		}
+		// And so does the message: its sender retired the job when the
+		// last fragment left, and TxDone fired then or earlier.
+		if m.rec != nil {
+			putTxRecord(m.rec)
 		}
 	}
 }

@@ -91,6 +91,13 @@ type Endpoint struct {
 	rndvOut map[uint64]*Request  // our RTSes awaiting CTS
 	rndvIn  map[rndvKey]*Request // matched RTSes awaiting data
 
+	// staged is the extent list of a send whose bytes the host moves
+	// (PIO, bounce copy) and so reads before Send returns; lists holds
+	// completed receives' extent lists for the next receives to build
+	// theirs in.
+	staged []mem.Extent
+	lists  [][]mem.Extent
+
 	// Stats
 	Sends, Recvs sim.Counter
 }
@@ -152,18 +159,19 @@ type Status struct {
 // Request is an in-flight send or receive.
 type Request struct {
 	ep     *Endpoint
-	isRecv bool
 	done   sim.Signal
 	status Status
-
-	// receive state
-	match     core.Match
-	vector    core.Vector
-	extents   []mem.Extent
-	recvCopy  int    // bytes of deferred receive-side bounce copy
-	unpin     func() // posted user pages to unpin at completion
+	// the flags, side by side so the three take one word
+	isRecv    bool
 	charged   bool
 	truncated bool
+
+	// receive state
+	match    core.Match
+	vector   core.Vector
+	extents  []mem.Extent
+	recvCopy int    // bytes of deferred receive-side bounce copy
+	unpin    func() // posted user pages to unpin at completion
 
 	// rendezvous state: a send's source and its id; a matched receive's
 	// id (the sender's, see rndvKey)
@@ -241,9 +249,10 @@ func (r *Request) charge(p *sim.Proc) {
 }
 
 // resolve translates and (for user segments) pins a vector, charging
-// the CPU costs. It returns the merged extents and an unpin closure
-// (nil if nothing was pinned).
-func (ep *Endpoint) resolve(p *sim.Proc, v core.Vector) ([]mem.Extent, func(), error) {
+// the CPU costs. It returns the merged extents — appended to out, or in
+// a list of their own when out is nil — and an unpin closure (nil if
+// nothing was pinned).
+func (ep *Endpoint) resolve(p *sim.Proc, v core.Vector, out []mem.Extent) ([]mem.Extent, func(), error) {
 	if err := v.Validate(); err != nil {
 		return nil, nil, err
 	}
@@ -271,7 +280,13 @@ func (ep *Endpoint) resolve(p *sim.Proc, v core.Vector) ([]mem.Extent, func(), e
 			ep.mx.node.CPU.Pin(p, kpages, true)
 		}
 	}
-	xs, err := v.Extents()
+	var xs []mem.Extent
+	var err error
+	if out == nil {
+		xs, err = v.Extents()
+	} else {
+		xs, err = v.AppendExtents(out)
+	}
 	if err != nil {
 		if unpin != nil {
 			unpin()
@@ -279,6 +294,45 @@ func (ep *Endpoint) resolve(p *sim.Proc, v core.Vector) ([]mem.Extent, func(), e
 		return nil, nil, err
 	}
 	return xs, unpin, nil
+}
+
+// stage copies v's bytes into a pooled NIC buffer — the data movement
+// of a PIO push or a bounce copy — resolving it in the endpoint's
+// reused list, which the copy leaves free again.
+//
+// allocfree
+func (ep *Endpoint) stage(v core.Vector) (*hw.Staged, error) {
+	xs, err := v.AppendExtents(ep.staged[:0])
+	if err != nil {
+		return nil, err
+	}
+	ep.staged = xs
+	return ep.mx.node.NIC.Stage(xs), nil
+}
+
+// takeList returns an empty extent list for a receive to resolve its
+// vector into: a completed receive's, or nil.
+//
+// allocfree
+func (ep *Endpoint) takeList() []mem.Extent {
+	k := len(ep.lists)
+	if k == 0 {
+		return nil
+	}
+	xs := ep.lists[k-1]
+	ep.lists = ep.lists[:k-1]
+	return xs
+}
+
+// giveList takes back a receive's extent list once its data has landed
+// or it was withdrawn: nothing reads it after that.
+//
+// allocfree
+func (ep *Endpoint) giveList(req *Request) {
+	if cap(req.extents) > 0 {
+		ep.lists = append(ep.lists, req.extents[:0])
+	}
+	req.extents = nil
 }
 
 // newRequest returns a request of this endpoint, its completion signal
@@ -334,11 +388,10 @@ func (ep *Endpoint) Send(p *sim.Proc, dst hw.NodeID, dstEp uint8, info uint64, v
 // allocfree
 func (ep *Endpoint) sendSmall(p *sim.Proc, req *Request, dst hw.NodeID, dstEp uint8, info uint64, v core.Vector) (*Request, error) {
 	m := ep.mx
-	xs, err := v.Extents()
+	data, err := ep.stage(v)
 	if err != nil {
 		return nil, err
 	}
-	data := m.node.NIC.Stage(xs)
 	m.node.CPU.PIO(p, data.Len()+16) // payload + descriptor
 	j := ep.newTxJob(dst, dstEp, kindEager, info, 2)
 	j.Inline, j.PIO = data, true
@@ -362,7 +415,7 @@ func (ep *Endpoint) sendMedium(p *sim.Proc, req *Request, dst hw.NodeID, dstEp u
 	m := ep.mx
 	j := ep.newTxJob(dst, dstEp, kindEager, info, 2)
 	if ep.kernel && ep.zeroCopySend(v) {
-		xs, unpin, err := ep.resolve(p, v)
+		xs, unpin, err := ep.resolve(p, v, j.GatherBuf())
 		if err != nil {
 			return nil, err
 		}
@@ -378,11 +431,10 @@ func (ep *Endpoint) sendMedium(p *sim.Proc, req *Request, dst hw.NodeID, dstEp u
 		})
 		return req, nil
 	}
-	xs, err := v.Extents()
+	data, err := ep.stage(v)
 	if err != nil {
 		return nil, err
 	}
-	data := m.node.NIC.Stage(xs)
 	m.node.CPU.Copy(p, data.Len()) // the send-side bounce copy
 	j.Inline = data
 	m.node.NIC.Send(j)
@@ -416,7 +468,7 @@ func hasUser(v core.Vector) bool {
 // (driven by the receive path), then DMA the payload zero-copy.
 func (ep *Endpoint) sendLarge(p *sim.Proc, req *Request, dst hw.NodeID, dstEp uint8, info uint64, v core.Vector) (*Request, error) {
 	m := ep.mx
-	xs, unpin, err := ep.resolve(p, v)
+	xs, unpin, err := ep.resolve(p, v, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -452,7 +504,7 @@ func (ep *Endpoint) Recv(p *sim.Proc, match core.Match, v core.Vector) (*Request
 	if err := v.Validate(); err != nil {
 		return nil, err
 	}
-	xs, err := v.Extents()
+	xs, err := v.AppendExtents(ep.takeList())
 	if err != nil {
 		return nil, err
 	}
@@ -492,6 +544,7 @@ func (ep *Endpoint) CancelRecv(p *sim.Proc, req *Request) bool {
 		if r == req {
 			ep.posted = append(ep.posted[:i], ep.posted[i+1:]...)
 			ep.mx.node.CPU.Compute(p, ep.mx.p.MXHostSend/2) // descriptor removal
+			ep.giveList(req)
 			req.status.Err = ErrCancelled
 			req.done.Fire()
 			return true
@@ -503,6 +556,7 @@ func (ep *Endpoint) CancelRecv(p *sim.Proc, req *Request) bool {
 	}
 	delete(ep.rndvIn, key)
 	ep.mx.node.CPU.Compute(p, ep.mx.p.MXHostSend/2) // descriptor removal
+	ep.giveList(req)
 	// The buffer was pinned when the CTS went out; undo it here — the
 	// completion path that normally unpins will never run.
 	if req.unpin != nil {
@@ -620,6 +674,7 @@ func (ep *Endpoint) completeEager(req *Request, src hw.NodeID, info uint64, data
 	if n > ep.mx.p.MXSmallMax && (staged || !ep.zeroCopyRecv(req)) {
 		req.recvCopy = n
 	}
+	ep.giveList(req)
 	ep.Recvs.Add(n)
 	if env := ep.mx.node.Cluster.Env; env.Tracing() {
 		//analyze:allow allocfree tracing is on: the arguments are boxed only when somebody reads them
@@ -690,6 +745,7 @@ func (m *MX) receive(p *sim.Proc, msg *hw.Message) {
 		delete(ep.rndvIn, key)
 		n := len(msg.Payload)
 		ep.mx.node.Mem.Scatter(req.extents, msg.Payload)
+		ep.giveList(req)
 		req.status.Len = n
 		if req.truncated {
 			req.status.Err = fmt.Errorf("mx: rendezvous truncated to %d bytes", n)

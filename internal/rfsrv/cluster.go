@@ -71,13 +71,16 @@ package rfsrv
 // Replication and faults. A cluster built with NewReplicatedCluster
 // writes every stripe to R consecutive servers (stripe k lands on
 // k mod N through (k mod N)+R-1, wrapping), so the loss of any single
-// server with R >= 2 loses no data. Faults are what the transport
-// reports as such (fabric.IsFault: a dead peer at send time, or — with
-// Session.SetRequestTimeout armed — a reply deadline expiring): the
-// faulting server is recorded as *excluded* and never addressed again,
-// reads of its stripes fail over to the next alive replica, writes
-// succeed as long as every run keeps one clean replica, and namespace
-// mutations simply skip it instead of reporting divergence. Exclusion
+// server with R >= 2 loses no data, and reads spread over the group:
+// each stripe is cut into R read slices, slice j served by the group's
+// j-th member (placement.reader), so a read is atomic per read slice.
+// Faults are what the transport reports as such (fabric.IsFault: a
+// dead peer at send time, or — with Session.SetRequestTimeout armed —
+// a reply deadline expiring): the faulting server is recorded as
+// *excluded* and never addressed again, reads of its slices fail over
+// to the group's next alive member, writes succeed as long as every
+// run keeps one clean replica, and namespace mutations simply skip it
+// instead of reporting divergence. Exclusion
 // is one-way — an operator who knows the server recovered calls
 // Reinstate (elastic.go, DESIGN.md §13), which first brings the server
 // up to date — replaying the resync journal of the namespace mutations
@@ -196,6 +199,12 @@ type Cluster struct {
 	// what the cluster actually observed.
 	Reinstates, ReinstateRefusals, RenameInDoubts sim.Counter
 
+	// ReinstateTime sums the virtual time of every readmission that
+	// Reinstates counts, from the call — its fence's drain included —
+	// to the return: ReinstateTime / Reinstates.N is the mean time a
+	// server takes to come back.
+	ReinstateTime sim.Time
+
 	// view is the membership view this cluster follows — its own from
 	// construction, or one it attached to (DESIGN.md §13); viewEpoch is
 	// the epoch of the member ring currently adopted. staleMember
@@ -254,10 +263,11 @@ func NewCluster(p *sim.Proc, sessions []*Session, stripe int) (*Cluster, error) 
 
 // NewReplicatedCluster is NewCluster with a replication factor: every
 // stripe is written to replicas consecutive servers (1 <= replicas <=
-// len(sessions)), reads prefer the stripe's primary and fail over to a
-// replica when the primary's transport reports a fault, and replicas=1
-// degenerates bit-identically to NewCluster. See the package comment
-// on replication and faults.
+// len(sessions)), each replica serves a fixed read slice of every
+// stripe it holds (placement.reader), a slice fails over to the
+// group's next alive member when its server's transport reports a
+// fault, and replicas=1 degenerates bit-identically to NewCluster. See
+// the package comment on replication and faults.
 func NewReplicatedCluster(p *sim.Proc, sessions []*Session, stripe, replicas int) (*Cluster, error) {
 	if len(sessions) == 0 {
 		return nil, fmt.Errorf("rfsrv: cluster needs at least one session")
@@ -395,41 +405,47 @@ func (cl *Cluster) InFlight() int {
 // CanStart implements Async: whether a data operation on ino covering
 // [off, off+n) could issue right now without blocking on window slots
 // held by OTHER operations. It checks, per server, that the window has
-// room for the range's runs — capped at the window size, because an
-// operation needing more same-server slots than the window exists
-// makes progress by retiring its own earlier runs (see StartRead), so
-// what it requires from the caller is only that everyone else's slots
-// are free. With replication the count covers every alive replica
-// target of each run (what a write needs; reads need only one, so the
-// answer is conservative — callers retire a little earlier, never
-// deadlock). Per-file layouts made slot demand inode-dependent — a
-// whole-on-home file needs one slot on its home where a striped file
-// spreads — which is why CanStart takes the inode; it consults only
-// the layout cache (never the wire), so an unresolved inode is paced
-// as standard and corrected by the first reply.
+// room for what the range needs there — capped at the window size,
+// because an operation needing more same-server slots than the window
+// exists makes progress by retiring its own earlier runs (see
+// StartRead), so what it requires from the caller is only that
+// everyone else's slots are free. A read needs one slot per read slice
+// on the member serving it (readIdx), a write one per run on every
+// alive replica; not knowing which is coming, CanStart asks each
+// server for the larger of the two — for a read of whole stripes, the
+// read's exact count. Per-file layouts made
+// slot demand inode-dependent — a whole-on-home file needs one slot on
+// its home where a striped file spreads — which is why CanStart takes
+// the inode; it consults only the layout cache (never the wire), so an
+// unresolved inode is paced as standard and corrected by the first
+// reply.
 func (cl *Cluster) CanStart(ino kernel.InodeID, off int64, n int) bool {
-	if cap(cl.needScratch) < len(cl.sessions) {
-		cl.needScratch = make([]int, len(cl.sessions))
+	if cap(cl.needScratch) < 2*len(cl.sessions) {
+		cl.needScratch = make([]int, 2*len(cl.sessions))
 	}
-	need := cl.needScratch[:len(cl.sessions)]
+	need := cl.needScratch[:2*len(cl.sessions)]
 	for i := range need {
 		need[i] = 0
 	}
-	for _, r := range cl.runs(cl.layouts[ino], ino, off, n) {
+	need, reads := need[:len(cl.sessions)], need[len(cl.sessions):]
+	lay := cl.layouts[ino]
+	for _, r := range cl.runs(lay, ino, off, n, false) {
 		for j := 0; j < cl.pl.replicas; j++ {
 			if idx := cl.pl.slot(r.owner, j); !cl.down[idx] {
 				need[idx]++
 			}
 		}
 	}
+	if cl.pl.replicas > 1 { // with one replica the two demands are the same
+		for _, r := range cl.runs(lay, ino, off, n, true) {
+			if idx := cl.readIdx(lay, ino, r.off); idx >= 0 {
+				reads[idx]++
+			}
+		}
+	}
 	for i, s := range cl.sessions {
-		if need[i] == 0 {
-			continue
-		}
-		if need[i] > s.Window() {
-			need[i] = s.Window()
-		}
-		if s.InFlight()+need[i] > s.Window() {
+		need[i] = min(max(need[i], reads[i]), s.Window())
+		if need[i] > 0 && s.InFlight()+need[i] > s.Window() {
 			return false
 		}
 	}
@@ -442,23 +458,25 @@ func (cl *Cluster) CanStart(ino kernel.InodeID, off int64, n int) bool {
 // the Cluster adds is the exclusion state placement knows nothing of.
 
 // firstUp returns the first non-excluded slot among the span ring
-// positions starting at pos, or -1: a replica group's preferred member
-// (span R) or a hashed home's stand-in (span N) — the one
-// first-alive-of-group loop.
-func (cl *Cluster) firstUp(pos, span int) int {
+// positions starting at pos, trying them from rank from on and
+// wrapping, or -1: a replica group's preferred member (span R) or a
+// hashed home's stand-in (span N) — the one first-alive-of-group loop.
+func (cl *Cluster) firstUp(pos, from, span int) int {
 	for j := 0; j < span; j++ {
-		if k := cl.pl.slot(pos, j); !cl.down[k] {
+		if k := cl.pl.slot(pos, (from+j)%span); !cl.down[k] {
 			return k
 		}
 	}
 	return -1
 }
 
-// readIdx returns the preferred read target for byte off of an inode
-// under its layout, as a session slot: the primary when alive, else
-// the first alive replica, else -1.
+// readIdx returns the read target for byte off of an inode under its
+// layout, as a session slot: the member serving the byte's read slice
+// (placement.reader) when alive, else the next alive member of the
+// group after it, wrapping, else -1.
 func (cl *Cluster) readIdx(lay LayoutClass, ino kernel.InodeID, off int64) int {
-	return cl.firstUp(cl.pl.owner(lay, ino, off), cl.pl.replicas)
+	rank, _ := cl.pl.reader(lay, off)
+	return cl.firstUp(cl.pl.owner(lay, ino, off), rank, cl.pl.replicas)
 }
 
 // layoutFor resolves the layout class a data operation must use: the
@@ -544,15 +562,15 @@ func (cl *Cluster) OwnerServer(off int64) int { return cl.pl.owner(LayoutStandar
 // home shifts past excluded servers, so the answer changes as faults
 // are observed; it is -1 only when every server is excluded.
 func (cl *Cluster) HomeServer(ino kernel.InodeID) int {
-	return cl.firstUp(cl.pl.home(ino), len(cl.pl.members))
+	return cl.firstUp(cl.pl.home(ino), 0, len(cl.pl.members))
 }
 
 // runs splits [off, off+n) of an inode into its per-owner runs
 // (placement.runs) in the cluster's per-operation scratch: valid until
 // the next runs call, so callers that outlive their own issue loop
 // (StartRead/StartWrite pendings) must copy it.
-func (cl *Cluster) runs(lay LayoutClass, ino kernel.InodeID, off int64, n int) []run {
-	cl.runScratch = cl.pl.runs(lay, ino, off, n, cl.runScratch[:0])
+func (cl *Cluster) runs(lay LayoutClass, ino kernel.InodeID, off int64, n int, sliced bool) []run {
+	cl.runScratch = cl.pl.runs(lay, ino, off, n, sliced, cl.runScratch[:0])
 	return cl.runScratch
 }
 
@@ -565,7 +583,7 @@ type part struct {
 	want   int         // expected byte count (writes)
 	ridx   int         // index of the run this part belongs to
 	target int         // server the request was issued to
-	vec    core.Vector // destination slice (reads: kept for failover reissue)
+	vec    core.Vector // destination slice (reads: kept for failover reissue), its array kept across recycles
 	resp   *Resp
 	err    error
 	done   bool
@@ -580,15 +598,16 @@ func (pt *part) retire(p *sim.Proc) {
 	pt.done = true
 }
 
-// getPart returns a recycled (zeroed) part from the freelist. Parts
-// never escape the cluster — synchronous operations recycle at return,
-// pendings at Wait — so the freelist turns the per-run allocation of
-// the striped hot path into a steady-state zero.
+// getPart returns a recycled part from the freelist, zeroed but for
+// its vector's array. Parts never escape the cluster — synchronous
+// operations recycle at return, pendings at Wait — so the freelist
+// turns the per-run allocations of the striped hot path, the part and
+// a read's destination slice, into a steady-state zero.
 func (cl *Cluster) getPart() *part {
 	if n := len(cl.partFree); n > 0 {
 		pt := cl.partFree[n-1]
 		cl.partFree = cl.partFree[:n-1]
-		*pt = part{}
+		*pt = part{vec: pt.vec[:0]}
 		return pt
 	}
 	return &part{}
@@ -649,23 +668,29 @@ func firstAppError(parts []*part) error {
 	return nil
 }
 
-// issueRead starts one run's read on the preferred replica under the
-// inode's layout, failing over synchronously when the transport
-// rejects the send (dead peer). parts are this operation's earlier
-// issues, retired by makeRoom when the target's window is full.
-func (cl *Cluster) issueRead(p *sim.Proc, lay LayoutClass, ino kernel.InodeID, r run, vec core.Vector, parts []*part) (*part, error) {
-	return withReplica(cl, lay, ino, r.off, r.n, func(idx int) (*part, error) {
+// issueRead starts one run's read into [at, at+r.n) of dst on the
+// member serving its read slice under the inode's layout, failing over
+// synchronously when the transport rejects the send (dead peer). parts
+// are this operation's earlier issues, retired by makeRoom when the
+// target's window is full.
+func (cl *Cluster) issueRead(p *sim.Proc, lay LayoutClass, ino kernel.InodeID, r run, dst core.Vector, at int, parts []*part) (*part, error) {
+	pt := cl.getPart()
+	pt.vec = dst.AppendSlice(pt.vec, at, r.n)
+	got, err := withReplica(cl, lay, ino, r.off, r.n, func(idx int) (*part, error) {
 		s := cl.sessions[idx]
 		makeRoom(p, s, parts)
-		pd, err := s.startData(p, OpRead, ino, r.off, vec, true)
+		pd, err := s.startData(p, OpRead, ino, r.off, pt.vec, false)
 		if err != nil {
 			return nil, err
 		}
 		cl.StripeReads.Add(r.n)
-		pt := cl.getPart()
-		pt.pd, pt.r, pt.target, pt.vec = pd, r, idx, vec
+		pt.pd, pt.r, pt.target = pd, r, idx
 		return pt, nil
 	})
+	if err != nil {
+		cl.partFree = append(cl.partFree, pt)
+	}
+	return got, err
 }
 
 // failoverReads retries, in offset order, every read part that failed
@@ -1018,12 +1043,17 @@ func (cl *Cluster) newPending(cp *clusterPending, ino kernel.InodeID, lay Layout
 	return cp
 }
 
-// seal records the issue time once every part is out: the first part's
-// window-entry instant — the same instant a Session would report,
-// keeping latency accounting bit-identical in the one-server
-// configuration — so Issued keeps answering after Wait recycles the
-// parts.
-func (cp *clusterPending) seal() { cp.issued = cp.parts[0].pd.fl.issued }
+// add appends an issued part. The first part's window-entry instant is
+// the operation's issue time — the same instant a Session would
+// report, keeping latency accounting bit-identical in the one-server
+// configuration — recorded now, because a part's Pending lives in its
+// window slot (Session.launch), which the part's retirement hands on.
+func (cp *clusterPending) add(pt *part) {
+	if len(cp.parts) == 0 {
+		cp.issued = pt.pd.fl.issued
+	}
+	cp.parts = append(cp.parts, pt)
+}
 
 // abandon is the issue loops' error path: every part already out is
 // retired (an early return would leak window slots) and recycled.
@@ -1076,23 +1106,23 @@ func (cp *clusterPending) Wait(p *sim.Proc) (*Resp, error) {
 }
 
 // Issued implements PendingOp: the time the first per-server request
-// entered its window (see seal).
+// entered its window (see add).
 func (cp *clusterPending) Issued() sim.Time { return cp.issued }
 
-// issueReads starts one read per run of [off, off+len(dst)) into cp.
+// issueReads starts one read per read slice run of [off, off+len(dst))
+// into cp, so every replica of a stripe serves its slice of it.
 // An operation spanning more same-server stripes than that server's
 // window retires its own earlier runs to make room (inside issueRead)
 // — it must never depend on the caller, who cannot retire a pending it
 // has not been handed yet.
 func (cl *Cluster) issueReads(p *sim.Proc, cp *clusterPending, off int64, dst core.Vector) error {
-	for _, r := range cl.runs(cp.lay, cp.ino, off, dst.TotalLen()) {
-		pt, err := cl.issueRead(p, cp.lay, cp.ino, r, dst.Slice(int(r.off-off), r.n), cp.parts)
+	for _, r := range cl.runs(cp.lay, cp.ino, off, dst.TotalLen(), true) {
+		pt, err := cl.issueRead(p, cp.lay, cp.ino, r, dst, int(r.off-off), cp.parts)
 		if err != nil {
 			return cp.abandon(p, err)
 		}
-		cp.parts = append(cp.parts, pt)
+		cp.add(pt)
 	}
-	cp.seal()
 	return nil
 }
 
@@ -1108,7 +1138,7 @@ func (cl *Cluster) issueReads(p *sim.Proc, cp *clusterPending, off int64, dst co
 func (cl *Cluster) issueWrites(p *sim.Proc, cp *clusterPending, off int64, src core.Vector) error {
 	// The pending outlives this call, so it gets its own copy of the
 	// runs (cl.runs returns per-operation scratch).
-	cp.runs = append(cp.runs, cl.runs(cp.lay, cp.ino, off, src.TotalLen())...)
+	cp.runs = append(cp.runs, cl.runs(cp.lay, cp.ino, off, src.TotalLen(), false)...)
 	for ri, r := range cp.runs {
 		live := 0
 		for j := 0; j < cl.pl.replicas; j++ {
@@ -1122,7 +1152,7 @@ func (cl *Cluster) issueWrites(p *sim.Proc, cp *clusterPending, off int64, src c
 				chunk := min(r.n-done, MaxWriteChunk)
 				at := r.off + int64(done)
 				makeRoom(p, s, cp.parts)
-				pd, err := s.startData(p, OpWrite, cp.ino, at, src.Slice(int(at-off), chunk), true)
+				pd, err := s.startData(p, OpWrite, cp.ino, at, src.Slice(int(at-off), chunk), false)
 				if err != nil {
 					if !fabric.IsFault(err) {
 						return cp.abandon(p, err)
@@ -1135,7 +1165,7 @@ func (cl *Cluster) issueWrites(p *sim.Proc, cp *clusterPending, off int64, src c
 				pt := cl.getPart()
 				pt.pd, pt.r = pd, run{owner: r.owner, off: at, n: chunk}
 				pt.want, pt.ridx, pt.target = chunk, ri, idx
-				cp.parts = append(cp.parts, pt)
+				cp.add(pt)
 				done += chunk
 			}
 		}
@@ -1143,7 +1173,6 @@ func (cl *Cluster) issueWrites(p *sim.Proc, cp *clusterPending, off int64, src c
 			return cp.abandon(p, cl.allReplicasDown(r.off))
 		}
 	}
-	cp.seal()
 	return nil
 }
 
@@ -1206,19 +1235,19 @@ func (cl *Cluster) issueZero(p *sim.Proc, cp *clusterPending, vec core.Vector) e
 		cp.runs = append(cp.runs, r)
 	}
 	pt, err := withReplica(cl, cp.lay, cp.ino, r.off, 0, func(idx int) (*part, error) {
-		pd, err := cl.sessions[idx].startData(p, op, cp.ino, r.off, vec, true)
+		pd, err := cl.sessions[idx].startData(p, op, cp.ino, r.off, vec, false)
 		if err != nil {
 			return nil, err
 		}
 		pt := cl.getPart()
-		pt.pd, pt.r, pt.target, pt.vec = pd, r, idx, vec
+		pt.pd, pt.r, pt.target = pd, r, idx
+		pt.vec = append(pt.vec, vec...) // the part's own array: it outlives the call
 		return pt, nil
 	})
 	if err != nil {
 		return err
 	}
-	cp.parts = append(cp.parts, pt)
-	cp.seal()
+	cp.add(pt)
 	return nil
 }
 
@@ -1489,7 +1518,7 @@ func (cl *Cluster) homedRead(p *sim.Proc, req *Req) (*Resp, error) {
 	owner, pos, span := cl.homeOf(req)
 	for {
 		resp, idx, err := cl.metaFirstAlive(p, req,
-			func() int { return cl.firstUp(pos, span) },
+			func() int { return cl.firstUp(pos, 0, span) },
 			func() error { return cl.groupDead(req.Op, owner) })
 		if idx < 0 || !cl.sz.behind(resp.Attr.Ino, resp.Epoch) {
 			return resp, err

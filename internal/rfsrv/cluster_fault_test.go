@@ -22,6 +22,7 @@ import (
 	"repro/internal/rfsrv"
 	platform "repro/internal/rig"
 	"repro/internal/sim"
+	"repro/internal/vm"
 )
 
 // faultTimeout is the per-request reply deadline used by the fault
@@ -121,12 +122,14 @@ func TestClusterReadFailoverAfterKill(t *testing.T) {
 	})
 }
 
-// TestClusterPipelinedFailoverReleasesSlots is the satellite-1 bar for
-// the async path: striped reads are mid-flight through the windows
-// when the victim dies, so some parts fault at Wait (timeout or
-// dead-peer) while siblings complete. Every drained part must release
-// its window slot and its pooled staging; the reads must still return
-// the right bytes via failover.
+// TestClusterPipelinedFailoverReleasesSlots is the bar for the async
+// path: striped reads are mid-flight through the windows when the
+// victim dies, so some parts fault at Wait (timeout or dead-peer)
+// while siblings complete. Every drained part must release its window
+// slot and its pooled staging; the reads must still return the right
+// bytes via failover. Each one-stripe read takes a slot on both
+// replicas (one per read slice), so three reads fill the windows of 2
+// on 3 servers, and the Async contract's CanStart says so.
 func TestClusterPipelinedFailoverReleasesSlots(t *testing.T) {
 	r := newClusterRig(t, 3)
 	r.run(t, func(p *sim.Proc) {
@@ -145,13 +148,21 @@ func TestClusterPipelinedFailoverReleasesSlots(t *testing.T) {
 		// Fill the windows with stripe reads, then kill the victim while
 		// they are in flight.
 		var pds []rfsrv.PendingOp
-		for k := 0; k < 6; k++ {
-			_, rvec := r.kbuf(t, testStripe)
+		var vas []vm.VirtAddr
+		for k := 0; k < 3; k++ {
+			if !cl.CanStart(ino, int64(k)*testStripe, testStripe) {
+				t.Fatalf("read %d: CanStart false with %d of %d slots in flight", k, cl.InFlight(), cl.Window())
+			}
+			rva, rvec := r.kbuf(t, testStripe)
 			pd, err := cl.StartRead(p, ino, int64(k)*testStripe, rvec)
 			if err != nil {
 				t.Fatal(err)
 			}
-			pds = append(pds, pd)
+			pds, vas = append(pds, pd), append(vas, rva)
+		}
+		if cl.InFlight() != cl.Window() || cl.CanStart(ino, 3*testStripe, testStripe) {
+			t.Fatalf("three stripe reads hold %d of %d slots, CanStart %v; want the windows full",
+				cl.InFlight(), cl.Window(), cl.CanStart(ino, 3*testStripe, testStripe))
 		}
 		r.servers[0].NIC.Kill()
 		for k, pd := range pds {
@@ -159,6 +170,13 @@ func TestClusterPipelinedFailoverReleasesSlots(t *testing.T) {
 			if err != nil || int(resp.N) != testStripe {
 				t.Fatalf("pipelined read %d across kill: n=%d err=%v", k, resp.N, err)
 			}
+			got, _ := r.client.Kernel.ReadBytes(vas[k], testStripe)
+			if want := data[k*testStripe : (k+1)*testStripe]; !bytes.Equal(got, want) {
+				t.Fatalf("pipelined read %d across kill returned wrong bytes", k)
+			}
+		}
+		if cl.Failovers.N == 0 {
+			t.Error("no failovers counted across a kill")
 		}
 		// And a second full pass after the exclusion settled.
 		rva, rvec := r.kbuf(t, size)

@@ -81,7 +81,7 @@ func (cl *Cluster) groupFanFrom(p *sim.Proc, owner, except int, req *Req) error 
 func (cl *Cluster) groupMint(p *sim.Proc, owner int, req *Req) (*Resp, error) {
 	tried := cl.mintTried[:0] // every member asked, in order; all but the last faulted
 	resp, idx, err := cl.metaFirstAlive(p, req, func() int {
-		tried = append(tried, cl.firstUp(owner, cl.pl.replicas))
+		tried = append(tried, cl.firstUp(owner, 0, cl.pl.replicas))
 		return tried[len(tried)-1]
 	}, func() error { return cl.groupDead(req.Op, owner) })
 	cl.mintTried = tried

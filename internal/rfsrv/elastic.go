@@ -136,7 +136,8 @@ func (cl *Cluster) journalRunDirty(ino kernel.InodeID, runs []run) {
 // heal the fault and call Reinstate again; every step is idempotent, so
 // the retry re-runs it all safely. The size book keeps every entry: a
 // readmitted server holds the newest sizes, so every floor set while it
-// was out holds for it too.
+// was out holds for it too. A readmission's virtual time goes to
+// ReinstateTime; a failed one's does not.
 func (cl *Cluster) Reinstate(p *sim.Proc, i int) error {
 	if i < 0 || i >= len(cl.sessions) {
 		return fmt.Errorf("rfsrv: reinstate server %d: no such server", i)
@@ -144,6 +145,7 @@ func (cl *Cluster) Reinstate(p *sim.Proc, i int) error {
 	if !cl.down[i] {
 		return nil
 	}
+	start := p.Now()
 	cl.view.fence(p, cl)
 	defer cl.view.release()
 	if j := cl.jn.slot(i); j.spilled {
@@ -155,6 +157,7 @@ func (cl *Cluster) Reinstate(p *sim.Proc, i int) error {
 		return fmt.Errorf("rfsrv: reinstate server %d: %w", i, err)
 	}
 	cl.Reinstates.Add(0)
+	cl.ReinstateTime += p.Now() - start
 	cl.down[i] = false
 	cl.jn.reset(i)
 	return nil
@@ -202,7 +205,7 @@ func (cl *Cluster) replayJournal(p *sim.Proc, i int, j *resyncJournal) error {
 // that i holds under the file's layout — the per-file copy of a
 // full-slice resync and of a re-image whose epoch moved.
 func (cl *Cluster) copyHeld(p *sim.Proc, i int, ino kernel.InodeID, st fileState) error {
-	for _, r := range cl.pl.runs(st.layout, ino, 0, int(st.size), nil) {
+	for _, r := range cl.pl.runs(st.layout, ino, 0, int(st.size), false, nil) {
 		if !cl.pl.holds(i, r.owner) {
 			continue
 		}

@@ -2,12 +2,13 @@ package rfsrv
 
 // placement is where bytes and dentries live (DESIGN.md "Placement"):
 // a pure value — the member ring, the stripe width, the replication
-// factor and whether the namespace is sharded — that answers the four
+// factor and whether the namespace is sharded — that answers the five
 // placement questions for every consumer: which ring position owns a
 // byte (owner, runs), which R slots form a position's replica group
 // (slot, rank, holds), which position a name hashes to (residue,
-// inodeHome, pathHome, home), and which members hold a name's
-// namespace entry (nsGroup, nsRank). It knows
+// inodeHome, pathHome, home), which members hold a name's namespace
+// entry (nsGroup, nsRank), and which replica serves a byte's reads
+// (reader). It knows
 // nothing of exclusion, sessions or the wire; fault state stays with
 // the Cluster, which walks a group with slot and skips what is down.
 // The ring arithmetic lives here and nowhere else: the client data
@@ -18,8 +19,10 @@ package rfsrv
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/kernel"
+	"repro/internal/mem"
 )
 
 type placement struct {
@@ -177,6 +180,29 @@ func (pl placement) owner(lay LayoutClass, ino kernel.InodeID, off int64) int {
 	return int((off / w) % int64(len(pl.members)))
 }
 
+// reader returns which replica of byte off's group serves its reads —
+// its rank, 0 being the primary — and the end of the read slice that
+// holds off. Each stripe of P pages is cut into R page-aligned read
+// slices, slice j starting at page ⌊j·P/R⌋, and slice j is read from
+// rank j: every member of a group serves a fixed share of the stripe's
+// reads (none is empty once P ≥ R), and every client reads a given
+// byte from the same replica. A class that does not stripe and a
+// placement of one replica have one slice, read from the primary, that
+// never ends.
+//
+// allocfree
+func (pl placement) reader(lay LayoutClass, off int64) (rank int, end int64) {
+	w := pl.width(lay)
+	if w == 0 || pl.replicas == 1 {
+		return 0, math.MaxInt64
+	}
+	pages, r := w/mem.PageSize, int64(pl.replicas)
+	base := off / w * w
+	page := (off - base) / mem.PageSize
+	j := ((page+1)*r - 1) / pages // the last slice starting at or before page
+	return int(j), base + (j+1)*pages/r*mem.PageSize
+}
+
 // run is one contiguous byte range owned by a single position.
 type run struct {
 	owner int
@@ -187,10 +213,12 @@ type run struct {
 // runs appends to out the maximal contiguous same-owner ranges of
 // [off, off+n) under the inode's layout class, in offset order: one run
 // for a whole-on-home file or a one-member ring, one per stripe
-// fragment otherwise.
+// fragment otherwise. sliced also cuts the runs at read slice
+// boundaries (reader), so one replica serves each: the runs a read
+// issues.
 //
 // allocfree
-func (pl placement) runs(lay LayoutClass, ino kernel.InodeID, off int64, n int, out []run) []run {
+func (pl placement) runs(lay LayoutClass, ino kernel.InodeID, off int64, n int, sliced bool, out []run) []run {
 	w := pl.width(lay)
 	if w == 0 {
 		return append(out, run{owner: pl.home(ino), off: off, n: n})
@@ -199,6 +227,11 @@ func (pl placement) runs(lay LayoutClass, ino kernel.InodeID, off int64, n int, 
 		cut := end
 		if len(pl.members) > 1 { // on a one-member ring every stripe has the same owner
 			cut = min((off/w+1)*w, end)
+		}
+		if sliced {
+			if _, e := pl.reader(lay, off); e < cut {
+				cut = e
+			}
 		}
 		out = append(out, run{owner: pl.owner(lay, ino, off), off: off, n: int(cut - off)})
 		off = cut

@@ -6,11 +6,13 @@ package rfsrv
 // server's ownership check is the client's owner group. Residues and
 // groups are cross-checked against refResidue/refGroup, the formulas of
 // the torture oracle's residueOf/groupOf (internal/torture/rig.go — an
-// in-package test cannot import it: torture imports rfsrv). The same
-// invariants run over arbitrary geometries in FuzzPlacement.
+// in-package test cannot import it: torture imports rfsrv), and every
+// stripe's read slices cover it in rank order. The same invariants run
+// over arbitrary geometries in FuzzPlacement.
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"testing"
 
@@ -93,7 +95,7 @@ func checkGroups(t *testing.T, pl placement) {
 // different owners.
 func checkRuns(t *testing.T, pl placement, lay LayoutClass, ino kernel.InodeID, off int64, n int) {
 	t.Helper()
-	rs := pl.runs(lay, ino, off, n, nil)
+	rs := pl.runs(lay, ino, off, n, false, nil)
 	at := off
 	for i, r := range rs {
 		if r.off != at || r.n <= 0 && n > 0 {
@@ -112,6 +114,98 @@ func checkRuns(t *testing.T, pl placement, lay LayoutClass, ino kernel.InodeID, 
 	}
 	if n > 0 && at != off+int64(n) || n == 0 && lay != LayoutWhole && len(rs) != 0 {
 		t.Fatalf("%v lay %d [%d,+%d): runs %+v end at %d", pl, lay, off, n, rs, at)
+	}
+}
+
+// checkReaders: the read slices of the stripe holding off cover it in
+// rank order — every byte has exactly one reading rank in [0, R),
+// constant over a page, each rank's bytes one page-aligned range that
+// reader's end closes, every rank a share once the stripe has R pages
+// — and the sliced runs of [off, off+n) partition it into pieces that
+// each lie in one slice of one stripe. With one replica, or a class
+// that does not stripe, the owner reads everything and the sliced runs
+// are the runs.
+func checkReaders(t *testing.T, pl placement, lay LayoutClass, ino kernel.InodeID, off int64, n int) {
+	t.Helper()
+	sliced := pl.runs(lay, ino, off, n, true, nil)
+	w := pl.width(lay)
+	if w == 0 || pl.replicas == 1 {
+		for _, probe := range []int64{off, off + int64(n)/2, off + int64(n)} {
+			if rank, end := pl.reader(lay, probe); rank != 0 || end != math.MaxInt64 {
+				t.Fatalf("%v lay %d: byte %d read by rank %d up to %d, want the owner, unsliced", pl, lay, probe, rank, end)
+			}
+		}
+		if want := pl.runs(lay, ino, off, n, false, nil); !slices.Equal(sliced, want) {
+			t.Fatalf("%v lay %d [%d,+%d): sliced runs %+v, runs %+v", pl, lay, off, n, sliced, want)
+		}
+		return
+	}
+	base := off / w * w
+	seen := -1
+	for at := base; at < base+w; at += mem.PageSize {
+		rank, end := pl.reader(lay, at)
+		if last, lastEnd := pl.reader(lay, at+mem.PageSize-1); last != rank || lastEnd != end {
+			t.Fatalf("%v: page at %d is read by ranks %d and %d", pl, at, rank, last)
+		}
+		if rank < 0 || rank >= pl.replicas || rank < seen {
+			t.Fatalf("%v: page at %d is read by rank %d after rank %d", pl, at, rank, seen)
+		}
+		if end%mem.PageSize != 0 || end <= at || end > base+w {
+			t.Fatalf("%v: slice of page at %d ends at %d, outside (%d, %d] or off a page", pl, at, end, at, base+w)
+		}
+		if next, _ := pl.reader(lay, end); end < base+w && next == rank {
+			t.Fatalf("%v: slice of rank %d ends at %d, where rank %d still reads", pl, rank, end, next)
+		}
+		if rank > seen+1 && w/mem.PageSize >= int64(pl.replicas) {
+			t.Fatalf("%v: stripe of %d pages skips rank %d", pl, w/mem.PageSize, seen+1)
+		}
+		seen = rank
+	}
+	if w/mem.PageSize >= int64(pl.replicas) && seen != pl.replicas-1 {
+		t.Fatalf("%v: stripe of %d pages is read by ranks up to %d only", pl, w/mem.PageSize, seen)
+	}
+	at := off
+	for _, r := range sliced {
+		rank, end := pl.reader(lay, r.off)
+		if r.off != at || r.n <= 0 || r.off+int64(r.n) > end || r.owner != pl.owner(lay, ino, r.off) ||
+			r.off/w != (r.off+int64(r.n)-1)/w {
+			t.Fatalf("%v lay %d [%d,+%d): sliced run %+v (rank %d, slice end %d) at %d", pl, lay, off, n, r, rank, end, at)
+		}
+		at += int64(r.n)
+	}
+	if at != off+int64(n) {
+		t.Fatalf("%v lay %d [%d,+%d): sliced runs %+v end at %d", pl, lay, off, n, sliced, at)
+	}
+}
+
+// TestPlacementReadSlices checks the read slice rule over every ring of
+// 1..6 members, every R and stripes of 1..17 pages.
+func TestPlacementReadSlices(t *testing.T) {
+	for n := 1; n <= 6; n++ {
+		for r := 1; r <= n; r++ {
+			for pages := int64(1); pages <= 17; pages++ {
+				pl := placement{members: permuted(n, 0, uint64(n*8+r)), stripe: pages * mem.PageSize, replicas: r}
+				for lay := LayoutStandard; lay <= layoutMax; lay++ {
+					w := max(pl.width(lay), pl.stripe)
+					for _, off := range offsets(w) {
+						for _, ln := range []int{0, 1, int(w) - 1, int(w), 3*int(w) + 5} {
+							checkReaders(t, pl, lay, 7, off, ln)
+						}
+					}
+				}
+			}
+		}
+	}
+	// The default stripe at R=2: a half each, the primary first.
+	pl := placement{members: []int{0, 1, 2, 3}, stripe: DefaultStripeSize, replicas: 2}
+	for _, c := range []struct {
+		off       int64
+		rank      int
+		sliceEnds int64
+	}{{0, 0, 32 << 10}, {32<<10 - 1, 0, 32 << 10}, {32 << 10, 1, 64 << 10}, {64<<10 + 5, 0, 96 << 10}} {
+		if rank, end := pl.reader(LayoutStandard, c.off); rank != c.rank || end != c.sliceEnds {
+			t.Fatalf("byte %d: rank %d slice end %d, want %d %d", c.off, rank, end, c.rank, c.sliceEnds)
+		}
 	}
 }
 
@@ -272,6 +366,7 @@ func FuzzPlacement(f *testing.F) {
 		checkGroups(t, pl)
 		lay := LayoutClass(layout & 1)
 		checkRuns(t, pl, lay, kernel.InodeID(ino), off, ln)
+		checkReaders(t, pl, lay, kernel.InodeID(ino), off, ln)
 		if pl.residue(kernel.InodeID(ino)) != refResidue(kernel.InodeID(ino), n) {
 			t.Fatalf("%v: residue(%d) = %d, oracle says %d", pl, ino, pl.residue(kernel.InodeID(ino)), refResidue(kernel.InodeID(ino), n))
 		}

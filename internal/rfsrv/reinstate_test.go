@@ -260,3 +260,41 @@ func TestReinstateWholeFullResync(t *testing.T) {
 		r.checkNoLeaks(t)
 	})
 }
+
+// TestReinstateTimesItsReadmission: ReinstateTime gains exactly the
+// virtual time of each readmission — from the call to its return —
+// and nothing for a call with nobody to readmit or one that fails.
+func TestReinstateTimesItsReadmission(t *testing.T) {
+	r := newClusterRig(t, 2)
+	r.run(t, func(p *sim.Proc) {
+		cl := r.clusterRep(t, p, 2, testStripe, 2)
+		ino := clusterCreate(t, p, cl, "f")
+		elasticWrite(t, p, r, cl, ino, 0, pattern(4*testStripe))
+		readmit := func(want bool) sim.Time {
+			t.Helper()
+			before, start := cl.ReinstateTime, p.Now()
+			err := cl.Reinstate(p, 1)
+			if (err == nil) != want {
+				t.Fatalf("reinstate: %v, want success %v", err, want)
+			}
+			if took := p.Now() - start; want && cl.ReinstateTime-before != took {
+				t.Fatalf("ReinstateTime grew %v over a %v readmission", cl.ReinstateTime-before, took)
+			}
+			return cl.ReinstateTime - before
+		}
+
+		r.servers[1].NIC.Kill()
+		elasticWrite(t, p, r, cl, ino, 0, pattern(4*testStripe)) // excludes server 1, journals the stripes
+		if got := readmit(false); got != 0 {
+			t.Fatalf("a failed readmission added %v", got)
+		}
+		r.servers[1].NIC.Revive()
+		p.Sleep(2 * faultTimeout)
+		if got := readmit(true); got <= 0 {
+			t.Fatalf("a readmission that copied %d bytes took %v", cl.ResyncBytes.Bytes, got)
+		}
+		if got := readmit(true); got != 0 || cl.Reinstates.N != 1 {
+			t.Fatalf("reinstating a healthy server added %v (%d readmissions)", got, cl.Reinstates.N)
+		}
+	})
+}

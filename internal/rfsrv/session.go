@@ -112,7 +112,8 @@ func (pd *Pending) Issued() sim.Time { return pd.fl.issued }
 // the slot back when the request never left. A Start* caller keeps the
 // Pending (memoized result, Issued) past Wait, so it gets a fresh one;
 // a synchronous verb's dies inside the call, before the slot can be
-// handed out again, so it lives in the slot.
+// handed out again, and a Cluster part waits its own once and keeps
+// what it needs, so theirs lives in the slot.
 func (s *Session) launch(p *sim.Proc, b *ctlBufs, req *Req, data core.Vector, kept bool) (*Pending, error) {
 	fl, err := s.c.issue(p, b, req, data)
 	if err != nil {

@@ -54,7 +54,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"runtime/debug"
 	"time"
@@ -73,47 +72,75 @@ type event struct {
 	proc      *Proc
 	cancelled bool
 	pinned    bool // exposed to external holders: never recycled (Cancel stays a no-op after firing)
-	index     int  // heap index, maintained by eventHeap
 }
 
-// eventHeap orders pending events by (time, sequence); it implements
-// heap.Interface.
+// before orders events by fire time, then by issue sequence for
+// determinism: a total order, so the pop order is the same whatever
+// shape the heap has.
+//
+// allocfree
+func (a *event) before(b *event) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	return a.seq < b.seq
+}
+
+// eventHeap is a binary min-heap of pending events under before, its
+// two operations written out over the concrete type rather than
+// through heap.Interface: the engine pushes and pops an event per
+// simulated step, and the interface calls cost a sixth of a cluster
+// run's host time.
 type eventHeap []*event
 
-// Len implements heap.Interface.
-func (h eventHeap) Len() int { return len(h) }
-
-// Less orders by fire time, then by issue sequence for determinism.
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// push adds ev, moving it up from the bottom past every later parent.
+//
+// allocfree
+func (h *eventHeap) push(ev *event) {
+	s := append(*h, ev)
+	i := len(s) - 1
+	for i > 0 {
+		up := (i - 1) / 2
+		if !ev.before(s[up]) {
+			break
+		}
+		s[i] = s[up]
+		i = up
 	}
-	return h[i].seq < h[j].seq
+	s[i] = ev
+	*h = s
 }
 
-// Swap implements heap.Interface, maintaining the per-event index.
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-
-// Push implements heap.Interface.
-func (h *eventHeap) Push(x any) {
-	e := x.(*event)
-	e.index = len(*h)
-	*h = append(*h, e)
-}
-
-// Pop implements heap.Interface.
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.index = -1
-	*h = old[:n-1]
-	return e
+// pop removes and returns the earliest event, moving the last one down
+// from the root past every earlier child.
+//
+// allocfree
+func (h *eventHeap) pop() *event {
+	s := *h
+	n := len(s) - 1
+	top, last := s[0], s[n]
+	s[n] = nil
+	s = s[:n]
+	if n > 0 {
+		i := 0
+		for {
+			c := 2*i + 1
+			if c >= n {
+				break
+			}
+			if r := c + 1; r < n && s[r].before(s[c]) {
+				c = r
+			}
+			if !s[c].before(last) {
+				break
+			}
+			s[i] = s[c]
+			i = c
+		}
+		s[i] = last
+	}
+	*h = s
+	return top
 }
 
 // Engine is a discrete-event scheduler. The zero value is not usable;
@@ -168,7 +195,7 @@ func (e *Engine) schedule(at Time, ev *event) *event {
 	ev.at = at
 	ev.seq = e.seq
 	e.seq++
-	heap.Push(&e.events, ev)
+	e.events.push(ev)
 	return ev
 }
 
@@ -274,7 +301,7 @@ func (e *Engine) next() (due *Proc) {
 			e.now = e.limit
 			return nil
 		}
-		heap.Pop(&e.events)
+		e.events.pop()
 		at, fn, p, cancelled := ev.at, ev.fn, ev.proc, ev.cancelled
 		e.recycle(ev)
 		if cancelled {

@@ -378,15 +378,27 @@ func (as *AddressSpace) Resolve(va VirtAddr, n int) ([]mem.Extent, error) {
 		v += VirtAddr(chunk)
 		left -= chunk
 	}
-	xs := make([]mem.Extent, 0, runs)
+	return as.AppendResolve(make([]mem.Extent, 0, runs), va, n)
+}
+
+// AppendResolve appends the extents of [va, va+n) to out, merged into
+// maximal runs (onto out's last extent too), and returns the longer
+// list: Resolve for a caller that recycles its list. On a fault the
+// list is returned as far as it got.
+//
+// allocfree
+func (as *AddressSpace) AppendResolve(out []mem.Extent, va VirtAddr, n int) ([]mem.Extent, error) {
 	for n > 0 {
-		pa, _ := as.Translate(va) // every page was found mapped above
+		pa, err := as.Translate(va)
+		if err != nil {
+			return out, err
+		}
 		chunk := min(PageSize-va.Offset(), n)
-		xs = mem.AppendExtent(xs, pa, chunk)
+		out = mem.AppendExtent(out, pa, chunk)
 		va += VirtAddr(chunk)
 		n -= chunk
 	}
-	return xs, nil
+	return out, nil
 }
 
 // Pin pins the pages covering [va, va+n) in physical memory, taking a

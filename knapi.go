@@ -308,8 +308,9 @@ var NewFSSession = rfsrv.NewSession
 var NewFSCluster = rfsrv.NewCluster
 
 // NewFSReplicatedCluster is NewFSCluster with a replication factor:
-// every stripe is written to R consecutive servers, reads fail over
-// to a replica when a server faults, and faulting servers are
+// every stripe is written to R consecutive servers, each of them
+// serves a fixed read slice of it, a slice fails over to the next
+// replica when its server faults, and faulting servers are
 // excluded rather than reported as namespace divergence. Reinstate
 // re-admits a recovered server by replaying the resync journal of what
 // it missed while excluded, or — when that journal spilled its bounds

@@ -14,8 +14,10 @@
 # (it ignores the piece mark), so the write is refused and its later
 # pieces strand. A seventh must fail a tier-1 test too: a readmission
 # that skips its view's fence, so another client's extending writes
-# race the re-image and the returning server holds wrong bytes. Then
-# it restores the tree byte-for-byte from backups (no git operations,
+# race the re-image and the returning server holds wrong bytes. An
+# eighth must fail a tier-1 test as well: a read target that ignores
+# the read slices, so the primary serves every slice of a stripe and
+# its other replica none. Then it restores the tree byte-for-byte from backups (no git operations,
 # safe on a dirty tree).
 set -eu
 
@@ -159,6 +161,23 @@ if ! echo "$out" | grep -q -- '--- FAIL: TestReinstateFencesForeignExtends'; the
 	exit 1
 fi
 cp "$tmp/elastic.go.bak" "$reinstater"
+
+echo "smoke: a read target ignoring the read slices must fail a tier-1 test"
+sed -i 's/^\trank, _ := cl\.pl\.reader(lay, off)$/\trank := 0/' "$publisher"
+if cmp -s "$publisher" "$tmp/cluster.go.bak"; then
+	echo "smoke: FAIL — injection did not change $publisher (site moved?)"
+	exit 1
+fi
+if out="$(go test -count=1 -run '^TestReadSlicesSpreadAStripe$' ./internal/rfsrv 2>&1)"; then
+	echo "smoke: FAIL — tier-1 tests passed with every slice read from the primary"
+	exit 1
+fi
+if ! echo "$out" | grep -q -- '--- FAIL: TestReadSlicesSpreadAStripe'; then
+	echo "$out"
+	echo "smoke: FAIL — the tests failed, but not TestReadSlicesSpreadAStripe"
+	exit 1
+fi
+cp "$tmp/cluster.go.bak" "$publisher"
 
 echo "smoke: untimed reply wait must fail boundedwait"
 sed -i 's/^\tst, ok = fabric\.WaitTimeout(p, op, d)$/\tst, ok = op.Wait(p), true/' "$waiter"
