@@ -85,9 +85,8 @@ package rfsrv
 // Reinstate (elastic.go, DESIGN.md §13), which first brings the server
 // up to date — replaying the resync journal of the namespace mutations
 // it missed, re-imaging its file sizes at the newest merged state and
-// re-copying the data it missed, or, when that journal spilled its
-// bounds, a full-slice resync — so every size-cache entry stays valid
-// for it.
+// re-copying the data it missed, each byte once — so every size-cache
+// entry stays valid for it.
 // Application-level errors (EEXIST, EOF clipping, short writes) are
 // never treated as faults and fail the operation exactly as before.
 // With R=1 and no faults every path below is bit-identical to the
@@ -190,13 +189,13 @@ type Cluster struct {
 	// marked down.
 	Failovers, Excluded sim.Counter
 
-	// Reinstates counts servers readmitted by Reinstate;
-	// ReinstateRefusals counts readmissions that could not replay the
-	// resync journal and fell back to a full-slice resync; RenameInDoubts
+	// Reinstates counts servers readmitted by Reinstate; RenameInDoubts
 	// counts sharded cross-owner renames that surfaced
-	// ErrRenameInDoubt. The torture harness (internal/torture)
-	// consumes all three to cross-check its fault schedule against
-	// what the cluster actually observed.
+	// ErrRenameInDoubt. The torture harness (internal/torture) consumes
+	// both to cross-check its fault schedule against what the cluster
+	// actually observed. ReinstateRefusals stays zero — every
+	// readmission replays its journal — and remains only because the
+	// bench/ workloads still read it.
 	Reinstates, ReinstateRefusals, RenameInDoubts sim.Counter
 
 	// ReinstateTime sums the virtual time of every readmission that
@@ -226,8 +225,7 @@ type Cluster struct {
 	// jn holds the resync journal of every server slot (journal.go):
 	// empty while a server is up, reset at exclusion, recording the
 	// mutations and data-stripe writes an excluded server misses so
-	// Reinstate can replay them — or, once a journal spills its caps
-	// (SetJournalLimits), rebuild the slice in full over the wire.
+	// Reinstate can replay them.
 	jn journal
 
 	// renameDoubt parks unresolved in-doubt renames, keyed by each
@@ -237,16 +235,17 @@ type Cluster struct {
 	renameDoubt map[kernel.InodeID]inDoubtRename
 
 	// ResyncOps counts journaled mutations replayed by Reinstate;
-	// ResyncBytes counts data bytes re-copied to a returning server
-	// (journal replay and full-slice resync both); ResyncSpills counts
-	// journals that overflowed their bounds and fell back to
-	// full-slice resync; ResyncFallbacks counts journal replays that
-	// needed the verification batch after the journal because a status
-	// asked for a lookup (the server already held a prefix of the
-	// journal); Migrated counts data bytes re-placed by
-	// membership changes (Join/Retire/Bounce); RenameAutoResolves
-	// counts in-doubt renames resolved by a later walk over the marked
-	// entry rather than an explicit re-drive.
+	// ResyncBytes counts data bytes re-copied to a returning server —
+	// the runs it holds of every file whose size epoch moved, and the
+	// merged dirty ranges of the rest, each byte once; ResyncSpills
+	// stays zero — a journal has no bounds to outgrow — and remains
+	// only because bench/ still reads it; ResyncFallbacks counts
+	// journal replays that needed the verification batch after the
+	// journal because a status asked for a lookup (the server already
+	// held a prefix of the journal); Migrated counts data bytes
+	// re-placed by membership changes (Join/Retire/Bounce);
+	// RenameAutoResolves counts in-doubt renames resolved by a later
+	// walk over the marked entry rather than an explicit re-drive.
 	ResyncOps, ResyncBytes, ResyncSpills, ResyncFallbacks, Migrated, RenameAutoResolves sim.Counter
 }
 
@@ -362,9 +361,9 @@ func (cl *Cluster) DownServers() []int {
 }
 
 // Reinstate lives in elastic.go (DESIGN.md §13): it replays the
-// resync journal recorded during the exclusion and re-images the
-// server's sizes — or rebuilds the server's slice in full when the
-// journal spilled — before clearing the exclusion.
+// resync journal recorded during the exclusion, re-images the server's
+// sizes and re-copies the data it missed before clearing the
+// exclusion.
 
 // markDown records a server as excluded after an observed fault and
 // resets the slot's resync journal: everything the server misses from

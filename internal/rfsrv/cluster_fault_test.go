@@ -733,9 +733,6 @@ func TestClusterReinstateReplaysMissedMutation(t *testing.T) {
 		if cl.ResyncOps.N == 0 {
 			t.Fatal("reinstate replayed nothing; the missed mkdir should be journaled")
 		}
-		if cl.ReinstateRefusals.N != 0 {
-			t.Fatalf("ReinstateRefusals = %d, want 0 (journaled replay, not refusal)", cl.ReinstateRefusals.N)
-		}
 		if down := cl.DownServers(); len(down) != 0 {
 			t.Fatalf("down servers = %v after replayed reinstate, want none", down)
 		}

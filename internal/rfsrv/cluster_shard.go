@@ -93,7 +93,7 @@ func (cl *Cluster) groupMint(p *sim.Proc, owner int, req *Req) (*Resp, error) {
 		undo.Op = OpRmdir
 	}
 	for _, slot := range tried[:len(tried)-1] {
-		cl.journalMut(slot, undo, 0)
+		cl.jn.record(slot, undo, 0)
 	}
 	if lerr := cl.linkMinted(p, owner, idx, req, resp); lerr != nil {
 		return &Resp{Status: StatusOf(lerr)}, lerr

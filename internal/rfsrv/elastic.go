@@ -9,16 +9,15 @@
 // server's file sizes, size epochs and layouts from the newest-epoch
 // merge of the live members' state and its own (sizes are state, not
 // verbs), re-copies its runs of every file whose epoch moved, then the
-// journaled dirty ranges; a journal that outgrew its bounds spills to
-// a full-slice resync instead. (2) Live join/leave: Join, Retire
-// and Bounce replace the placement's member ring under a shared
-// MemberView through one change (change), the same in both namespaces:
-// placement.delta — the stripes the new ring assigns to slots that
-// lack them — migrates online under load, the new geometry commits on
-// every server with OpMember so replies stamp the new membership
-// epoch, and every member of the new ring is re-imaged from a snapshot
-// taken at the cutover. Changes fail closed: an excluded member of
-// either geometry fails the change rather than being skipped
+// journaled dirty ranges of every other file. (2) Live join/leave:
+// Join, Retire and Bounce replace the placement's member ring under a
+// shared MemberView through one change (change), the same in both
+// namespaces: placement.delta — the stripes the new ring assigns to
+// slots that lack them — migrates online under load, the new geometry
+// commits on every server with OpMember so replies stamp the new
+// membership epoch, and every member of the new ring is re-imaged from
+// a snapshot taken at the cutover. Changes fail closed: an excluded
+// member of either geometry fails the change rather than being skipped
 // (membersUp).
 //
 // Journals are host-level bookkeeping: they cost no simulated time and
@@ -50,24 +49,15 @@ import (
 // fence latency is negligible next to a request round trip.
 const memberFencePoll = 5 * time.Microsecond
 
-// SetJournalLimits bounds the per-excluded-server resync journal: at
-// most ops mutations and bytes dirty data bytes (0 keeps the current
-// value; the defaults are DefaultJournalOps/DefaultJournalBytes).
-// Past either bound the journal spills: recording stops and the next
-// Reinstate performs a full-slice resync.
-func (cl *Cluster) SetJournalLimits(ops int, bytes int64) { cl.jn.limit(ops, bytes) }
+// SetJournalLimits does nothing: the resync journal has no bounds —
+// its dirty ranges merge, so they never exceed the bytes the server
+// holds — and Reinstate always replays it. It remains only because the
+// failover workload in bench/ still calls it.
+func (cl *Cluster) SetJournalLimits(ops int, bytes int64) {}
 
-// JournalSpilled reports whether server slot i's resync journal
-// overflowed its bounds, so the next Reinstate will need the
-// full-slice resync path.
-func (cl *Cluster) JournalSpilled(i int) bool { return cl.jn.slot(i).spilled }
-
-// journalMut records one missed mutation in excluded slot i's journal.
-func (cl *Cluster) journalMut(i int, req Req, wantIno kernel.InodeID) {
-	if cl.jn.record(i, req, wantIno) {
-		cl.ResyncSpills.Add(0)
-	}
-}
+// JournalSpilled reports false: a resync journal never spills. It
+// remains only because the failover workload in bench/ still calls it.
+func (cl *Cluster) JournalSpilled(i int) bool { return false }
 
 // journalSpan records a mutation fanned to the span ring positions
 // starting at pos in the journal of every excluded slot among them.
@@ -77,7 +67,7 @@ func (cl *Cluster) journalMut(i int, req Req, wantIno kernel.InodeID) {
 func (cl *Cluster) journalSpan(pos, span int, req Req, wantIno kernel.InodeID) {
 	for j := 0; j < span; j++ {
 		if i := cl.pl.slot(pos, j); cl.down[i] {
-			cl.journalMut(i, req, wantIno)
+			cl.jn.record(i, req, wantIno)
 		}
 	}
 }
@@ -96,14 +86,6 @@ func (cl *Cluster) journalGroup(owner int, req Req, wantIno kernel.InodeID) {
 	cl.journalSpan(owner, cl.pl.replicas, req, wantIno)
 }
 
-// journalDirty records that [off, off+n) of ino was written while
-// slot i was excluded.
-func (cl *Cluster) journalDirty(i int, ino kernel.InodeID, off int64, n int) {
-	if cl.jn.dirty(i, ino, off, n) {
-		cl.ResyncSpills.Add(0)
-	}
-}
-
 // journalRunDirty records a data write's byte ranges against every
 // excluded replica of its runs. Called once per write after the fan,
 // with the same run decomposition the write used, so the dirty map
@@ -112,7 +94,7 @@ func (cl *Cluster) journalRunDirty(ino kernel.InodeID, runs []run) {
 	for _, r := range runs {
 		for j := 0; j < cl.pl.replicas; j++ {
 			if i := cl.pl.slot(r.owner, j); cl.down[i] {
-				cl.journalDirty(i, ino, r.off, r.n)
+				cl.jn.dirty(i, ino, r.off, r.n)
 			}
 		}
 	}
@@ -122,22 +104,20 @@ func (cl *Cluster) journalRunDirty(ino kernel.InodeID, runs []run) {
 // the full fence of the cluster's view (a view nobody attached to
 // fences only this cluster). The fence drains every started operation,
 // so the caller waits its own pending ones first, as for a membership
-// change. A bounded
-// journal readmits in one order (replayJournal): the namespace verbs
-// replay, the server's regular files are re-imaged at the newest-epoch
-// merge of the live members' sizes and its own, its runs of every file
-// whose epoch moved are re-copied, then the journaled dirty ranges —
-// all real simulated traffic. A spilled journal takes a
-// full-slice resync instead, counted in ReinstateRefusals: the
-// namespace image and then every stripe the server holds, both over the
-// wire. A readmission that fails (transport fault mid-copy, or a
-// divergence the idempotent verbs cannot reconcile) leaves the server
-// excluded with the journal intact (or still spilled), so the caller can
-// heal the fault and call Reinstate again; every step is idempotent, so
-// the retry re-runs it all safely. The size book keeps every entry: a
-// readmitted server holds the newest sizes, so every floor set while it
-// was out holds for it too. A readmission's virtual time goes to
-// ReinstateTime; a failed one's does not.
+// change. Readmission is one path, journal replay (replayJournal): the
+// namespace verbs replay, the server's regular files are re-imaged at
+// the newest-epoch merge of the live members' sizes and its own, its
+// runs of every file whose epoch moved are re-copied, then the
+// journaled dirty ranges of every other file — all real simulated
+// traffic, each missed byte copied once. A readmission that fails
+// (transport fault mid-copy, or a divergence the idempotent verbs
+// cannot reconcile) leaves the server excluded with the journal
+// intact, so the caller can heal the fault and call Reinstate again;
+// every step is idempotent, so the retry re-runs it all safely. The
+// size book keeps every entry: a readmitted server holds the newest
+// sizes, so every floor set while it was out holds for it too. A
+// readmission's virtual time goes to ReinstateTime; a failed one's
+// does not.
 func (cl *Cluster) Reinstate(p *sim.Proc, i int) error {
 	if i < 0 || i >= len(cl.sessions) {
 		return fmt.Errorf("rfsrv: reinstate server %d: no such server", i)
@@ -148,12 +128,7 @@ func (cl *Cluster) Reinstate(p *sim.Proc, i int) error {
 	start := p.Now()
 	cl.view.fence(p, cl)
 	defer cl.view.release()
-	if j := cl.jn.slot(i); j.spilled {
-		cl.ReinstateRefusals.Add(0)
-		if err := cl.fullResync(p, i); err != nil {
-			return fmt.Errorf("rfsrv: reinstate server %d: full-slice resync: %w", i, err)
-		}
-	} else if err := cl.replayJournal(p, i, j); err != nil {
+	if err := cl.replayJournal(p, i, cl.jn.slot(i)); err != nil {
 		return fmt.Errorf("rfsrv: reinstate server %d: %w", i, err)
 	}
 	cl.Reinstates.Add(0)
@@ -190,11 +165,14 @@ func (cl *Cluster) replayJournal(p *sim.Proc, i int, j *resyncJournal) error {
 		}
 	}
 	for _, ino := range j.order {
+		if _, whole := slices.BinarySearch(moved, ino); whole {
+			continue // copyHeld just re-copied every run i holds
+		}
 		for _, r := range j.dirty[ino] {
 			// The re-image already gave i the authoritative size, so a
 			// range the file has since shrunk out of is simply not copied.
 			if err := cl.copyRange(p, ino, r.off, r.n, []int{i}, &cl.ResyncBytes); err != nil {
-				return fmt.Errorf("replay data %d@[%d,%d): %w", ino, r.off, r.off+int64(r.n), err)
+				return fmt.Errorf("replay data %d@[%d,%d): %w", ino, r.off, r.end(), err)
 			}
 		}
 	}
@@ -202,8 +180,8 @@ func (cl *Cluster) replayJournal(p *sim.Proc, i int, j *resyncJournal) error {
 }
 
 // copyHeld re-copies to slot i, through copyRange, every run of a file
-// that i holds under the file's layout — the per-file copy of a
-// full-slice resync and of a re-image whose epoch moved.
+// that i holds under the file's layout — the copy of a file whose
+// epoch moved in a readmission's re-image.
 func (cl *Cluster) copyHeld(p *sim.Proc, i int, ino kernel.InodeID, st fileState) error {
 	for _, r := range cl.pl.runs(st.layout, ino, 0, int(st.size), false, nil) {
 		if !cl.pl.holds(i, r.owner) {
@@ -298,7 +276,7 @@ type entryCheck struct {
 // carries sizes, epochs and layouts as state;
 // RenamePrepare is always resolved to Finalize or Abort before it is
 // journaled; membership commits and images move only in membership
-// changes and full-slice resyncs.
+// changes and a readmission's re-image.
 func replayVerdict(op *journalOp, resp *Resp) (verify *entryCheck, err error) {
 	req := &op.req
 	//analyze:dispatch ops -OpLookup -OpGetattr -OpReaddir -OpRead -OpWrite -OpSetSize -OpTruncate -OpRenamePrepare -OpMember -OpExport -OpImport
@@ -454,13 +432,13 @@ func (cl *Cluster) copyRange(p *sim.Proc, ino kernel.InodeID, off int64, n int, 
 
 // --- Namespace images ---
 //
-// A full-slice resync, a readmission's re-image and a membership change
-// move namespace metadata the same way: one snapshot of the live
-// members, each read with OpExport, and from it the exact image of
-// every ring position to rebuild (snapshot.image, snapshot.reimage),
-// shipped with OpImport. Data stripes follow through copyRange. All
-// ride the wire's data legs, so they cost simulated time and a fault
-// anywhere in them fails the operation.
+// A readmission's re-image and a membership change move namespace
+// metadata the same way: one snapshot of the live members, each read
+// with OpExport, and from it the exact image of every ring position to
+// rebuild (snapshot.image, snapshot.reimage), shipped with OpImport.
+// Data stripes follow through copyRange. All ride the wire's data legs,
+// so they cost simulated time and a fault anywhere in them fails the
+// operation.
 
 // fileState is a regular file's size state as the snapshot merged it:
 // the newest size epoch any image holds, the largest size held at that
@@ -695,33 +673,6 @@ func (cl *Cluster) importImage(p *sim.Proc, slot int, img *image) error {
 			cl.markDown(slot)
 		}
 		return fmt.Errorf("import to server %d: %w", slot, err)
-	}
-	return nil
-}
-
-// fullResync rebuilds excluded member slot i from the live members —
-// the fallback when its resync journal spilled: its image from the
-// snapshot, applied when served, then every run it holds of every file,
-// under the file's layout, re-copied over the wire (copyHeld). The image
-// goes first because the slot stays excluded until the copy succeeds:
-// no client reads it in between, and a fault in either leaves it
-// excluded and spilled for the next Reinstate to redo both.
-func (cl *Cluster) fullResync(p *sim.Proc, i int) error {
-	pos := cl.pl.pos(i)
-	if pos < 0 {
-		return fmt.Errorf("server %d is not a member", i)
-	}
-	snap, err := cl.takeSnapshot(p, nil)
-	if err != nil {
-		return err
-	}
-	if err := cl.importImage(p, i, snap.image(cl.pl, pos, 0)); err != nil {
-		return err
-	}
-	for _, ino := range snap.files {
-		if err := cl.copyHeld(p, i, ino, snap.state[ino]); err != nil {
-			return err
-		}
 	}
 	return nil
 }

@@ -3,14 +3,15 @@ package rfsrv_test
 // Elastic-membership tests (DESIGN.md §13): journaled resync under
 // partial replay failure (idempotent retry with the prefix already
 // applied), overlapping extending writes coalesced in the journal and
-// replayed, journal spill falling back to full-slice resync — from any
-// cluster, rig-built or not — live Join/Retire with online stripe
+// replayed, a journal past any former cap still replayed with each
+// missed byte copied once — from any cluster, rig-built or not — live
+// Join/Retire with online stripe
 // migration in both namespaces, a kill mid-Join leaving committed state
 // clean and retryable, an old member excluded mid-Join failing the
 // change closed, a write in flight when a migration starts reaching the
 // joiner, the Bounce in both namespaces, a fault in the wire copy or in
-// the namespace-image transfer of a Bounce or of a spilled journal's
-// full resync committing nothing, the Bounce's copy costing wire time,
+// the namespace-image transfer of a Bounce or of a readmission
+// committing nothing, the Bounce's copy costing wire time,
 // a single hand-built client changing membership on the view it owns,
 // and the stale-membership latch on a client whose own view missed a
 // change. Every store
@@ -20,6 +21,7 @@ package rfsrv_test
 import (
 	"bytes"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -230,8 +232,8 @@ func TestElasticReplayOverlappingExtendingWrites(t *testing.T) {
 		if err := cl.Reinstate(p, 1); err != nil {
 			t.Fatalf("reinstate: %v", err)
 		}
-		if cl.ReinstateRefusals.N != 0 || cl.ResyncBytes.Bytes == 0 {
-			t.Fatalf("refusals=%d resyncBytes=%d; want replay with dirty data", cl.ReinstateRefusals.N, cl.ResyncBytes.Bytes)
+		if cl.ResyncBytes.Bytes == 0 || cl.ResyncBytes.Bytes > size {
+			t.Fatalf("resyncBytes=%d; want replay with dirty data, at most the file once (%d)", cl.ResyncBytes.Bytes, size)
 		}
 		if a, err := cl.Meta(p, &rfsrv.Req{Op: rfsrv.OpGetattr, Ino: ino}); err != nil || a.Attr.Size != size {
 			t.Fatalf("size = %d err=%v, want %d", a.Attr.Size, err, size)
@@ -245,16 +247,15 @@ func TestElasticReplayOverlappingExtendingWrites(t *testing.T) {
 	})
 }
 
-// TestElasticSpillFallsBackToFullResync caps the journal at one op so
-// two missed mutations spill it, and requires Reinstate to fall back
-// to a full-slice resync over the wire: the fallback is
-// counted as a refusal and a spill, and the victim still converges to
-// the same namespace and bytes a replay would have produced.
+// TestElasticSpillFallsBackToFullResync: two missed mkdirs and a full
+// overwrite — a shape a one-op journal cap used to spill to a
+// full-slice resync — readmit by journal replay: the victim converges
+// to the same namespace and bytes, and each stripe of the overwrite it
+// holds is copied to it once.
 func TestElasticSpillFallsBackToFullResync(t *testing.T) {
 	r := newClusterRig(t, 3)
 	r.run(t, func(p *sim.Proc) {
 		cl := r.clusterRep(t, p, 4, testStripe, 2)
-		cl.SetJournalLimits(1, 0)
 		const size = 3 * testStripe
 		ino := clusterCreate(t, p, cl, "f")
 		expect := pattern(size)
@@ -270,29 +271,29 @@ func TestElasticSpillFallsBackToFullResync(t *testing.T) {
 			expect[i] = b ^ 0x77
 		}
 		elasticWrite(t, p, r, cl, ino, 0, expect)
-		if !cl.JournalSpilled(1) {
-			t.Fatal("two mutations under a one-op cap did not spill the journal")
+		if n := cl.JournalOps(1); n != 2 {
+			t.Fatalf("journal holds %d ops, want the 2 missed mkdirs", n)
 		}
 
 		r.servers[1].NIC.Revive()
 		if err := cl.Reinstate(p, 1); err != nil {
-			t.Fatalf("reinstate via full resync: %v", err)
+			t.Fatalf("reinstate: %v", err)
 		}
-		if cl.ReinstateRefusals.N != 1 || cl.ResyncSpills.N != 1 {
-			t.Fatalf("refusals=%d spills=%d, want 1 and 1 (the spill fallback)", cl.ReinstateRefusals.N, cl.ResyncSpills.N)
+		if want := int64(len(heldStripes(1, 3, 2, size/testStripe)) * testStripe); cl.ResyncBytes.Bytes != want || cl.ResyncOps.N != 2 {
+			t.Fatalf("replay copied %d bytes and %d ops, want %d (each held stripe once) and 2", cl.ResyncBytes.Bytes, cl.ResyncOps.N, want)
 		}
 		if down := cl.DownServers(); len(down) != 0 {
 			t.Fatalf("down = %v, want none", down)
 		}
 		for _, name := range []string{"d1", "d2"} {
 			if _, err := r.serverFS[1].Lookup(p, r.serverFS[1].Root(), name); err != nil {
-				t.Errorf("victim missing %q after full resync: %v", name, err)
+				t.Errorf("victim missing %q after replay: %v", name, err)
 			}
 		}
 		assertPlacementHeld(t, p, r, cl, nil, ino, expect)
 		r.servers[0].NIC.Kill()
 		if got := elasticReadBack(t, p, r, cl, ino, size); !bytes.Equal(got, expect) {
-			t.Error("full resync landed wrong bytes")
+			t.Error("replay landed wrong bytes")
 		}
 		assertWindowsIdle(t, cl)
 		r.checkNoLeaks(t)
@@ -322,15 +323,14 @@ func (r *clusterRig) handBuilt(t *testing.T, p *sim.Proc, epBase, replicas int) 
 	return cl
 }
 
-// TestElasticHandBuiltSpillResyncs spills the journal of a cluster
-// built by hand, outside the rig: a full-slice resync needs nothing but
-// the cluster's sessions, so Reinstate rebuilds the returning server
-// over the wire — namespace and bytes — instead of refusing.
+// TestElasticHandBuiltSpillResyncs readmits a server to a cluster
+// built by hand, outside the rig: journal replay needs nothing but the
+// cluster's sessions, so Reinstate brings the returning server up to
+// date over the wire — namespace and bytes — instead of refusing.
 func TestElasticHandBuiltSpillResyncs(t *testing.T) {
 	r := newClusterRig(t, 3)
 	r.run(t, func(p *sim.Proc) {
 		cl := r.handBuilt(t, p, 10, 2)
-		cl.SetJournalLimits(1, 0)
 		const size = 3 * testStripe
 		ino := clusterCreate(t, p, cl, "f")
 		expect := pattern(size)
@@ -345,15 +345,12 @@ func TestElasticHandBuiltSpillResyncs(t *testing.T) {
 			expect[i] = b ^ 0x6d
 		}
 		elasticWrite(t, p, r, cl, ino, 0, expect)
-		if !cl.JournalSpilled(1) {
-			t.Fatal("two mutations under a one-op cap did not spill the journal")
-		}
 		r.servers[1].NIC.Revive()
 		if err := cl.Reinstate(p, 1); err != nil {
-			t.Fatalf("reinstate of a spilled journal from a hand-built cluster: %v", err)
+			t.Fatalf("reinstate from a hand-built cluster: %v", err)
 		}
-		if cl.ReinstateRefusals.N != 1 || cl.ResyncBytes.Bytes == 0 {
-			t.Fatalf("refusals=%d resyncBytes=%d, want the full-resync fallback with its stripes", cl.ReinstateRefusals.N, cl.ResyncBytes.Bytes)
+		if cl.ResyncOps.N != 2 || cl.ResyncBytes.Bytes == 0 {
+			t.Fatalf("replayed %d ops and %d bytes, want the 2 mkdirs and the overwritten stripes", cl.ResyncOps.N, cl.ResyncBytes.Bytes)
 		}
 		if down := cl.DownServers(); len(down) != 0 {
 			t.Fatalf("down = %v, want none", down)
@@ -362,13 +359,13 @@ func TestElasticHandBuiltSpillResyncs(t *testing.T) {
 			a0, err0 := r.serverFS[0].Lookup(p, r.serverFS[0].Root(), name)
 			a1, err1 := r.serverFS[1].Lookup(p, r.serverFS[1].Root(), name)
 			if err0 != nil || err1 != nil || a0.Ino != a1.Ino || a0.Kind != a1.Kind || a0.Size != a1.Size {
-				t.Errorf("%q on the resynced server: %v (%v), on a live one: %v (%v)", name, a1, err1, a0, err0)
+				t.Errorf("%q on the readmitted server: %v (%v), on a live one: %v (%v)", name, a1, err1, a0, err0)
 			}
 		}
 		assertPlacementHeld(t, p, r, cl, nil, ino, expect)
 		r.servers[0].NIC.Kill()
 		if got := elasticReadBack(t, p, r, cl, ino, size); !bytes.Equal(got, expect) {
-			t.Error("read through the resynced server returned wrong bytes")
+			t.Error("read through the readmitted server returned wrong bytes")
 		}
 		assertWindowsIdle(t, cl)
 		r.checkNoLeaks(t)
@@ -933,15 +930,14 @@ func TestElasticBounceFaultMidCopyCommitsNothing(t *testing.T) {
 }
 
 // TestElasticSpillResyncFaultMidCopy cuts the returning server's NIC
-// while the full-slice resync of its spilled journal copies stripes
-// back over the wire: Reinstate must fail with the slot still excluded
-// and its journal still spilled, and succeed — byte-exact through the
-// returning server — once the NIC is revived.
+// while its journal replay copies stripes back over the wire: Reinstate
+// must fail with the slot still excluded and its journal intact, and
+// succeed — byte-exact through the returning server — once the NIC is
+// revived.
 func TestElasticSpillResyncFaultMidCopy(t *testing.T) {
 	r := newClusterRig(t, 3)
 	r.run(t, func(p *sim.Proc) {
 		cl := r.clusterRep(t, p, 4, testStripe, 2)
-		cl.SetJournalLimits(1, 0)
 		const size = 12 * testStripe
 		ino := clusterCreate(t, p, cl, "f")
 		expect := pattern(size)
@@ -957,9 +953,7 @@ func TestElasticSpillResyncFaultMidCopy(t *testing.T) {
 			expect[i] = b ^ 0x42
 		}
 		elasticWrite(t, p, r, cl, ino, 0, expect)
-		if !cl.JournalSpilled(1) {
-			t.Fatal("two mutations under a one-op cap did not spill the journal")
-		}
+		ops, dirty := cl.JournalOps(1), cl.JournalBytes(1)
 
 		r.servers[1].NIC.Revive()
 		stop := killWhen(r, 1, func() bool { return cl.ResyncBytes.Bytes > 0 })
@@ -969,10 +963,11 @@ func TestElasticSpillResyncFaultMidCopy(t *testing.T) {
 			t.Fatal("reinstate with the target cut mid-copy: want error")
 		}
 		if down := cl.DownServers(); !equalInts(down, []int{1}) {
-			t.Fatalf("down = %v after the failed resync, want [1]", down)
+			t.Fatalf("down = %v after the failed replay, want [1]", down)
 		}
-		if !cl.JournalSpilled(1) {
-			t.Fatal("the failed resync unspilled the journal; the retry would replay nothing")
+		if cl.JournalOps(1) != ops || cl.JournalBytes(1) != dirty {
+			t.Fatalf("the failed replay left %d ops and %d dirty bytes, want %d and %d intact for the retry",
+				cl.JournalOps(1), cl.JournalBytes(1), ops, dirty)
 		}
 		assertWindowsIdle(t, cl)
 		r.checkNoLeaks(t)
@@ -987,7 +982,7 @@ func TestElasticSpillResyncFaultMidCopy(t *testing.T) {
 		assertPlacementHeld(t, p, r, cl, nil, ino, expect)
 		r.servers[0].NIC.Kill()
 		if got := elasticReadBack(t, p, r, cl, ino, size); !bytes.Equal(got, expect) {
-			t.Error("read through the resynced server returned wrong bytes")
+			t.Error("read through the readmitted server returned wrong bytes")
 		}
 		assertWindowsIdle(t, cl)
 		r.checkNoLeaks(t)
@@ -995,15 +990,16 @@ func TestElasticSpillResyncFaultMidCopy(t *testing.T) {
 }
 
 // TestElasticSpillResyncFaultMidImport cuts the returning server's NIC
-// the instant the namespace image of its full-slice resync reaches it:
-// Reinstate must fail before a single stripe is copied, with the slot
-// still excluded and its journal still spilled, and succeed — namespace
-// and bytes exact — once the NIC is revived.
+// while its readmission takes the live members' snapshot, after the
+// namespace verbs replayed, so the re-image's import is what meets the
+// dead NIC: Reinstate must fail before a single stripe is copied, with
+// the slot still excluded and its journal intact, and succeed —
+// namespace and bytes exact — once the NIC is revived, replaying the
+// verbs the server already applied.
 func TestElasticSpillResyncFaultMidImport(t *testing.T) {
 	r := newClusterRig(t, 3)
 	r.run(t, func(p *sim.Proc) {
 		cl := r.clusterRep(t, p, 4, testStripe, 2)
-		cl.SetJournalLimits(1, 0)
 		const size = 6 * testStripe
 		ino := clusterCreate(t, p, cl, "f")
 		expect := pattern(size)
@@ -1015,26 +1011,27 @@ func TestElasticSpillResyncFaultMidImport(t *testing.T) {
 				t.Fatalf("mkdir %s: %v", name, err)
 			}
 		}
-		if !cl.JournalSpilled(1) {
-			t.Fatal("two mutations under a one-op cap did not spill the journal")
+		if n := cl.JournalOps(1); n != 2 {
+			t.Fatalf("journal holds %d ops, want the 2 missed mkdirs", n)
 		}
 
-		// The excluded server hears nothing until the resync's import
-		// arrives: cut it then.
+		// Server 2, the last live member, hears nothing until the
+		// snapshot exports it; the returning server's import follows the
+		// snapshot: cut the returning server then.
 		r.servers[1].NIC.Revive()
-		nic := r.servers[1].NIC
-		heard := nic.RxMsgs.N
-		stop := killWhen(r, 1, func() bool { return nic.RxMsgs.N > heard })
+		last := r.servers[2].NIC
+		heard := last.RxMsgs.N
+		stop := killWhen(r, 1, func() bool { return last.RxMsgs.N > heard })
 		err := cl.Reinstate(p, 1)
 		stop()
-		if !fabric.IsFault(err) {
-			t.Fatalf("reinstate with the target cut mid-import: err = %v, want a fault", err)
+		if !fabric.IsFault(err) || !strings.Contains(err.Error(), "import to server 1") {
+			t.Fatalf("reinstate with the target cut before its import: err = %v, want a fault on the import", err)
 		}
 		if cl.ResyncBytes.Bytes != 0 {
-			t.Fatalf("the resync copied %d bytes after its image transfer failed", cl.ResyncBytes.Bytes)
+			t.Fatalf("the replay copied %d bytes after its image transfer failed", cl.ResyncBytes.Bytes)
 		}
-		if down := cl.DownServers(); !equalInts(down, []int{1}) || !cl.JournalSpilled(1) {
-			t.Fatalf("down = %v, spilled = %v after the failed import, want [1] and spilled", down, cl.JournalSpilled(1))
+		if down := cl.DownServers(); !equalInts(down, []int{1}) || cl.JournalOps(1) != 2 {
+			t.Fatalf("down = %v, %d journaled ops after the failed import, want [1] and 2", down, cl.JournalOps(1))
 		}
 		assertWindowsIdle(t, cl)
 		r.checkNoLeaks(t)
@@ -1045,13 +1042,13 @@ func TestElasticSpillResyncFaultMidImport(t *testing.T) {
 		}
 		for _, name := range []string{"d1", "d2"} {
 			if _, err := r.serverFS[1].Lookup(p, r.serverFS[1].Root(), name); err != nil {
-				t.Errorf("resynced server missing %q: %v", name, err)
+				t.Errorf("readmitted server missing %q: %v", name, err)
 			}
 		}
 		assertPlacementHeld(t, p, r, cl, nil, ino, expect)
 		r.servers[0].NIC.Kill()
 		if got := elasticReadBack(t, p, r, cl, ino, size); !bytes.Equal(got, expect) {
-			t.Error("read through the resynced server returned wrong bytes")
+			t.Error("read through the readmitted server returned wrong bytes")
 		}
 		assertWindowsIdle(t, cl)
 		r.checkNoLeaks(t)

@@ -64,9 +64,17 @@ func (cl *Cluster) ShardedNamespace() bool { return cl.pl.sharded }
 func (cl *Cluster) JournalOps(i int) int { return len(cl.jn.slot(i).ops) }
 
 // JournalBytes returns how many dirty data bytes server slot i's
-// resync journal currently holds (0 when the server is up, nothing
-// was missed, or the journal spilled).
-func (cl *Cluster) JournalBytes(i int) int64 { return cl.jn.slot(i).bytes }
+// resync journal currently holds (0 when the server is up or nothing
+// was missed).
+func (cl *Cluster) JournalBytes(i int) int64 {
+	var n int64
+	for _, rs := range cl.jn.slot(i).dirty {
+		for _, r := range rs {
+			n += int64(r.n)
+		}
+	}
+	return n
+}
 
 // JournaledReqs returns the requests server slot i's resync journal
 // holds, in order — what Reinstate will replay there.

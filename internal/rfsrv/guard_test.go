@@ -182,7 +182,9 @@ func TestOneBatchDriver(t *testing.T) {
 // owns a membership view from construction, so no code compares a
 // cluster's view with nil, directly or through a variable that holds
 // it. Journal replay is combined batches, so no function named replay*
-// makes a serial round trip (syncMeta).
+// makes a serial round trip (syncMeta). Journal replay is the only
+// readmission: the one cluster method Reinstate calls is replayJournal,
+// and no identifier is named fullResync or spilled.
 func TestOneReinstatePath(t *testing.T) {
 	paths, err := filepath.Glob("*.go")
 	if err != nil {
@@ -190,6 +192,7 @@ func TestOneReinstatePath(t *testing.T) {
 	}
 	fset := token.NewFileSet()
 	replays := 0
+	var readmits []string // the cluster methods Reinstate calls
 	for _, path := range paths {
 		if strings.HasSuffix(path, "_test.go") {
 			continue
@@ -198,10 +201,29 @@ func TestOneReinstatePath(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && (id.Name == "fullResync" || id.Name == "spilled") {
+				t.Errorf("%s: %s names a second readmission path", fset.Position(id.Pos()), id.Name)
+			}
+			return true
+		})
 		for _, d := range f.Decls {
 			fn, ok := d.(*ast.FuncDecl)
 			if !ok || fn.Body == nil {
 				continue
+			}
+			if fn.Name.Name == "Reinstate" && fn.Recv != nil && len(fn.Recv.List[0].Names) == 1 {
+				recv := fn.Recv.List[0].Names[0].Name
+				ast.Inspect(fn.Body, func(n ast.Node) bool {
+					if call, ok := n.(*ast.CallExpr); ok {
+						if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
+							if id, ok := sel.X.(*ast.Ident); ok && id.Name == recv {
+								readmits = append(readmits, sel.Sel.Name)
+							}
+						}
+					}
+					return true
+				})
 			}
 			replay := strings.HasPrefix(fn.Name.Name, "replay")
 			if replay {
@@ -238,6 +260,9 @@ func TestOneReinstatePath(t *testing.T) {
 	}
 	if replays == 0 {
 		t.Error("no replay* function found: the guard checks nothing")
+	}
+	if !slices.Equal(readmits, []string{"replayJournal"}) {
+		t.Errorf("Reinstate calls the cluster methods %v, want only replayJournal", readmits)
 	}
 }
 

@@ -1,26 +1,20 @@
 package rfsrv
 
 // The resync journal (DESIGN.md §13): the namespace verbs and dirty
-// data ranges each excluded server slot missed, bounded, for Reinstate
-// to replay. Sizes are not journaled: Reinstate re-images them. The Cluster decides WHO
-// missed a mutation (placement says which slots it was meant for, the
-// exclusion state which of them are out — the journal* hooks in
-// elastic.go); the journal type here owns the records and the one rule
-// about their growth: past either cap a slot's journal spills — it
-// empties, records nothing further, and Reinstate rebuilds the server's
-// whole slice instead. Host-level bookkeeping: no simulated time.
+// data ranges each excluded server slot missed, for Reinstate to
+// replay. Sizes are not journaled: Reinstate re-images them. The
+// Cluster decides WHO missed a mutation (placement says which slots it
+// was meant for, the exclusion state which of them are out — the
+// journal* hooks in elastic.go); the journal type here owns the
+// records and the one rule about their growth: a slot's dirty ranges
+// merge at record time, so they never exceed the bytes the server
+// holds. Host-level bookkeeping: no simulated time.
 
-import "repro/internal/kernel"
+import (
+	"slices"
+	"sort"
 
-const (
-	// DefaultJournalOps is the default bound on journaled mutations
-	// per excluded server before the journal spills to full-slice
-	// resync.
-	DefaultJournalOps = 4096
-
-	// DefaultJournalBytes is the default bound on journaled dirty data
-	// bytes per excluded server before the journal spills.
-	DefaultJournalBytes = 8 << 20
+	"repro/internal/kernel"
 )
 
 // journalOp is one namespace mutation an excluded server missed: the
@@ -39,41 +33,29 @@ type dirtyRange struct {
 	n   int
 }
 
+func (r dirtyRange) end() int64 { return r.off + int64(r.n) }
+
 // resyncJournal accumulates what one excluded server missed. ops
 // replay in order (namespace mutations are order-sensitive); dirty
 // data is a state copy — re-read from live replicas and re-written —
-// so it needs no ordering, only coverage, and coalesces adjacent
-// writes. Once spilled the journal records nothing further; Reinstate
-// then rebuilds the server's whole slice instead.
+// so it needs no ordering, only coverage: each inode's ranges are
+// sorted and disjoint, every write merging into the ranges it overlaps
+// or touches, so replay copies each missed byte once. order lists the
+// dirty inodes as first written.
 type resyncJournal struct {
-	ops     []journalOp
-	dirty   map[kernel.InodeID][]dirtyRange
-	order   []kernel.InodeID
-	bytes   int64
-	spilled bool
+	ops   []journalOp
+	dirty map[kernel.InodeID][]dirtyRange
+	order []kernel.InodeID
 }
 
 // journal holds one resyncJournal per session slot — empty while the
-// server is up, reset at exclusion and at readmission — and the caps
-// that bound each.
+// server is up, reset at exclusion and at readmission.
 type journal struct {
-	slots   []resyncJournal
-	opCap   int
-	byteCap int64
+	slots []resyncJournal
 }
 
 func newJournal(slots int) journal {
-	return journal{slots: make([]resyncJournal, slots), opCap: DefaultJournalOps, byteCap: DefaultJournalBytes}
-}
-
-// limit sets the caps (a non-positive value keeps the current one).
-func (jn *journal) limit(ops int, bytes int64) {
-	if ops > 0 {
-		jn.opCap = ops
-	}
-	if bytes > 0 {
-		jn.byteCap = bytes
-	}
+	return journal{slots: make([]resyncJournal, slots)}
 }
 
 // slot returns slot i's journal.
@@ -82,47 +64,36 @@ func (jn *journal) slot(i int) *resyncJournal { return &jn.slots[i] }
 // reset empties slot i's journal.
 func (jn *journal) reset(i int) { jn.slots[i] = resyncJournal{} }
 
-// record appends one missed mutation to slot i's journal; it reports
-// whether this record spilled it (the op cap was already reached).
-func (jn *journal) record(i int, req Req, wantIno kernel.InodeID) (spilled bool) {
+// record appends one missed mutation to slot i's journal.
+func (jn *journal) record(i int, req Req, wantIno kernel.InodeID) {
 	j := &jn.slots[i]
-	if j.spilled {
-		return false
-	}
-	if len(j.ops) >= jn.opCap {
-		*j = resyncJournal{spilled: true}
-		return true
-	}
 	j.ops = append(j.ops, journalOp{req: req, wantIno: wantIno})
-	return false
 }
 
 // dirty records that [off, off+n) of ino was written while slot i was
-// excluded, coalescing with the inode's previous range when adjacent;
-// it reports whether this write spilled the journal (the byte cap
-// would be exceeded).
-func (jn *journal) dirty(i int, ino kernel.InodeID, off int64, n int) (spilled bool) {
+// excluded, merging it with every range of ino it overlaps or touches.
+func (jn *journal) dirty(i int, ino kernel.InodeID, off int64, n int) {
+	if n <= 0 {
+		return
+	}
 	j := &jn.slots[i]
-	if n <= 0 || j.spilled {
-		return false
-	}
-	if j.bytes+int64(n) > jn.byteCap {
-		*j = resyncJournal{spilled: true}
-		return true
-	}
 	if j.dirty == nil {
 		j.dirty = make(map[kernel.InodeID][]dirtyRange)
 	}
-	rs := j.dirty[ino]
-	if len(rs) == 0 {
+	rs, seen := j.dirty[ino]
+	if !seen {
 		j.order = append(j.order, ino)
 	}
-	if k := len(rs) - 1; k >= 0 && rs[k].off+int64(rs[k].n) == off {
-		rs[k].n += n
-	} else {
-		rs = append(rs, dirtyRange{off: off, n: n})
+	r := dirtyRange{off: off, n: n}
+	// rs[lo:hi] are the ranges r overlaps or touches.
+	lo := sort.Search(len(rs), func(k int) bool { return rs[k].end() >= r.off })
+	hi := lo
+	for hi < len(rs) && rs[hi].off <= r.end() {
+		hi++
 	}
-	j.dirty[ino] = rs
-	j.bytes += int64(n)
-	return false
+	if lo < hi {
+		from, to := min(r.off, rs[lo].off), max(r.end(), rs[hi-1].end())
+		r = dirtyRange{off: from, n: int(to - from)}
+	}
+	j.dirty[ino] = slices.Replace(rs, lo, hi, r)
 }

@@ -8,12 +8,16 @@ package rfsrv_test
 // truncate late keeps the new era other clients wrote to it; a hole
 // grown after a missed truncate reads as zeros at the exact size; a
 // re-image never shrinks past another client's extending writes that
-// were in flight when it began; and a spilled journal full-resyncs a
-// slot holding a whole-on-home file and part of a striped one.
+// were in flight when it began; and a slot holding a whole-on-home file
+// and part of a striped one gets both back. Journal replay is the only
+// readmission: a journal far past the op and byte counts that once
+// forced a full-slice resync still replays, copying each missed byte
+// once.
 
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -204,15 +208,14 @@ func TestReinstateFencesForeignExtends(t *testing.T) {
 	})
 }
 
-// TestReinstateWholeFullResync spills the journal of a slot that holds
-// a whole-on-home file and part of a striped one: the full-slice resync
-// walks every file's runs under its own class and restores both on the
-// slot.
+// TestReinstateWholeFullResync readmits a slot that holds a
+// whole-on-home file and part of a striped one, both overwritten while
+// it was out: the replay copies each file's dirty runs under its own
+// class, once, and restores both on the slot.
 func TestReinstateWholeFullResync(t *testing.T) {
 	r := newClusterRig(t, 3)
 	r.run(t, func(p *sim.Proc) {
 		cl := r.clusterRep(t, p, 4, testStripe, 2)
-		cl.SetJournalLimits(1, 0)
 		whole := wholeCreate(t, p, cl, 0, "whole")
 		striped := clusterCreate(t, p, cl, "striped")
 		const wholeSize, stripedSize = 3 * testStripe, 34 * testStripe
@@ -233,17 +236,14 @@ func TestReinstateWholeFullResync(t *testing.T) {
 				t.Fatalf("mkdir %s: %v", name, err)
 			}
 		}
-		if !cl.JournalSpilled(victim) {
-			t.Fatal("two mutations under a one-op cap did not spill the journal")
-		}
 
 		r.servers[victim].NIC.Revive()
 		p.Sleep(2 * faultTimeout)
 		if err := cl.Reinstate(p, victim); err != nil {
-			t.Fatalf("full-slice resync with a whole-on-home file: %v", err)
+			t.Fatalf("readmission with a whole-on-home file: %v", err)
 		}
-		if cl.ReinstateRefusals.N != 1 {
-			t.Fatalf("ReinstateRefusals = %d, want 1 (the full-resync fallback)", cl.ReinstateRefusals.N)
+		if want := int64(wholeSize + len(heldStripes(victim, 3, 2, 4))*testStripe); cl.ResyncBytes.Bytes != want {
+			t.Errorf("replay copied %d bytes, want %d: the whole file and the held overwritten stripes, once each", cl.ResyncBytes.Bytes, want)
 		}
 		if n := r.serverFS[victim].LocalSize(whole); n != wholeSize {
 			t.Errorf("whole-on-home file: size %d on its home, want %d", n, wholeSize)
@@ -255,6 +255,68 @@ func TestReinstateWholeFullResync(t *testing.T) {
 		for _, k := range heldStripes(victim, 3, 2, (stripedSize+testStripe-1)/testStripe) {
 			off := k * testStripe
 			assertHolds(t, r, victim, striped, int64(off), stripedData[off:min(off+testStripe, stripedSize)], "the striped file")
+		}
+		assertWindowsIdle(t, cl)
+		r.checkNoLeaks(t)
+	})
+}
+
+// TestReinstateCopiesEachMissedByteOnce: while the victim is out, one
+// 64 KB stripe it holds is rewritten 200 times (12.8 MB written) and
+// 4 097 files are created — past both bounds (8 MiB, 4 096 ops) that
+// once spilled a journal to a full-slice resync. Readmission replays
+// the journal: every create, and the rewritten stripe once, leaving the
+// victim identical to its replica.
+func TestReinstateCopiesEachMissedByteOnce(t *testing.T) {
+	const stripe, rewrites, creates = 64 << 10, 200, 4097
+	r := newClusterRig(t, 3)
+	r.run(t, func(p *sim.Proc) {
+		cl := r.clusterRep(t, p, 4, stripe, 2)
+		ino := clusterCreate(t, p, cl, "f")
+		writeAt(t, p, r, cl, ino, 0, pattern(3*stripe))
+		// Stripe 0 lives on ring positions 0 and 1: exclude 1.
+		const victim, replica = 1, 0
+		r.servers[victim].NIC.Kill()
+		va, vec := r.kbuf(t, stripe)
+		data := pattern(stripe)
+		for k := range rewrites {
+			for i := range data {
+				data[i] = byte(k + i*7)
+			}
+			if err := r.client.Kernel.WriteBytes(va, data); err != nil {
+				t.Fatal(err)
+			}
+			if resp, err := cl.Write(p, ino, 0, vec); err != nil || int(resp.N) != stripe {
+				t.Fatalf("rewrite %d: n=%d err=%v", k, resp.N, err)
+			}
+		}
+		for k := range creates {
+			clusterCreate(t, p, cl, fmt.Sprintf("c%d", k))
+		}
+		if down := cl.DownServers(); !slices.Equal(down, []int{victim}) {
+			t.Fatalf("down = %v, want [%d]", down, victim)
+		}
+		if n, b := cl.JournalOps(victim), cl.JournalBytes(victim); n != creates || b != stripe {
+			t.Fatalf("journal holds %d ops and %d dirty bytes, want %d and %d (the rewrites merged)", n, b, creates, stripe)
+		}
+
+		r.servers[victim].NIC.Revive()
+		p.Sleep(2 * faultTimeout)
+		if err := cl.Reinstate(p, victim); err != nil {
+			t.Fatalf("reinstate: %v", err)
+		}
+		if cl.ReinstateRefusals.N != 0 || cl.ResyncOps.N != creates || cl.ResyncBytes.Bytes != stripe {
+			t.Fatalf("refusals=%d, replayed %d ops and %d bytes; want 0, %d and %d (the stripe once)",
+				cl.ReinstateRefusals.N, cl.ResyncOps.N, cl.ResyncBytes.Bytes, creates, stripe)
+		}
+		got, want := r.serverFS[victim], r.serverFS[replica]
+		assertHolds(t, r, victim, ino, 0, want.ReadRange(ino, 0, stripe), "the rewritten stripe")
+		assertHolds(t, r, victim, ino, 0, data, "the last rewrite")
+		gotEnts, err1 := got.Readdir(p, got.Root())
+		wantEnts, err2 := want.Readdir(p, want.Root())
+		if err1 != nil || err2 != nil || !slices.Equal(gotEnts, wantEnts) || len(gotEnts) != creates+1 {
+			t.Fatalf("root on the victim: %d entries (%v), on its replica: %d (%v); want the same %d",
+				len(gotEnts), err1, len(wantEnts), err2, creates+1)
 		}
 		assertWindowsIdle(t, cl)
 		r.checkNoLeaks(t)

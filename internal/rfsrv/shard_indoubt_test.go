@@ -190,9 +190,6 @@ func TestShardRenameInDoubtFinalizeFaultStateB(t *testing.T) {
 				t.Fatalf("reinstate lagging source member %d (journaled finalize): %v", i, err)
 			}
 		}
-		if cl.ReinstateRefusals.N != 0 {
-			t.Fatalf("ReinstateRefusals = %d, want 0 (journaled replay, not refusal)", cl.ReinstateRefusals.N)
-		}
 		if cl.ResyncOps.N != 2 {
 			t.Fatalf("ResyncOps = %d, want 2 (one finalize per lagging member)", cl.ResyncOps.N)
 		}

@@ -82,76 +82,71 @@ func TestPublishRetriesStaleRounds(t *testing.T) {
 	}
 }
 
-// TestJournalCaps: a slot's journal spills at either cap — emptying and
-// recording nothing further — records coalesce adjacent dirty ranges,
-// and reset (markDown, Reinstate) starts it over; other slots are
-// untouched.
+// TestJournalCaps: the journal has no caps — each inode's dirty
+// ranges merge at record time into a sorted, disjoint set (adjacent,
+// overlapping and contained writes fold into the ranges they touch,
+// disjoint ones stay apart), order lists inodes as first written, and
+// reset (markDown, Reinstate) starts the slot over without touching
+// its neighbours.
 func TestJournalCaps(t *testing.T) {
-	jn := newJournal(3)
-	if jn.opCap != DefaultJournalOps || jn.byteCap != DefaultJournalBytes {
-		t.Fatalf("default caps (%d, %d)", jn.opCap, jn.byteCap)
+	type write struct {
+		ino kernel.InodeID
+		off int64
+		n   int
 	}
-	jn.limit(2, 0) // bytes: 0 keeps the default
-	jn.limit(0, 100)
-	if jn.opCap != 2 || jn.byteCap != 100 {
-		t.Fatalf("caps after limit = (%d, %d), want (2, 100)", jn.opCap, jn.byteCap)
-	}
-	// empty: the slot missed nothing and did not spill.
-	empty := func(j *resyncJournal) bool { return !j.spilled && len(j.ops) == 0 && len(j.order) == 0 }
-	j := jn.slot(1)
-	if !empty(j) {
-		t.Fatal("a fresh journal is not empty")
-	}
-
-	// The op cap: two records fit, the third spills, the fourth is a no-op.
-	for k, want := range []bool{false, false, true, false} {
-		if got := jn.record(1, Req{Op: OpUnlink, Name: "f"}, kernel.InodeID(k)); got != want {
-			t.Errorf("record %d: spilled-now %v, want %v", k, got, want)
-		}
-	}
-	if !j.spilled || len(j.ops) != 0 || empty(j) {
-		t.Errorf("after the op spill: spilled %v, %d ops, empty %v", j.spilled, len(j.ops), empty(j))
-	}
-	if jn.dirty(1, 5, 0, 10) || j.bytes != 0 {
-		t.Error("a spilled journal recorded a dirty range")
-	}
-	if !empty(jn.slot(0)) || !empty(jn.slot(2)) {
-		t.Error("slot 1's spill touched its neighbours")
-	}
-
-	// Reset (what markDown does at the next exclusion) starts over.
-	jn.reset(1)
-	if !empty(j) || j.spilled {
-		t.Fatal("reset left the journal spilled or non-empty")
-	}
-
-	// The byte cap: adjacent writes coalesce, a zero-length write is
-	// nothing, the write that would pass the cap spills.
-	for _, w := range []struct {
-		ino     kernel.InodeID
-		off     int64
-		n       int
-		spilled bool
+	for _, tc := range []struct {
+		name   string
+		writes []write
+		want   map[kernel.InodeID][]dirtyRange
+		order  []kernel.InodeID
 	}{
-		{5, 0, 40, false},
-		{5, 40, 20, false}, // adjacent: extends the range
-		{6, 0, 0, false},
-		{5, 200, 40, false},
-		{6, 0, 1, true},
+		{"adjacent", []write{{5, 0, 40}, {5, 40, 20}, {5, 60, 5}},
+			map[kernel.InodeID][]dirtyRange{5: {{0, 65}}}, []kernel.InodeID{5}},
+		{"adjacent before", []write{{5, 40, 20}, {5, 0, 40}},
+			map[kernel.InodeID][]dirtyRange{5: {{0, 60}}}, []kernel.InodeID{5}},
+		{"overlapping", []write{{5, 0, 40}, {5, 30, 30}, {5, 50, 20}},
+			map[kernel.InodeID][]dirtyRange{5: {{0, 70}}}, []kernel.InodeID{5}},
+		{"contained", []write{{5, 0, 100}, {5, 10, 20}, {5, 0, 100}},
+			map[kernel.InodeID][]dirtyRange{5: {{0, 100}}}, []kernel.InodeID{5}},
+		{"covers several", []write{{5, 10, 5}, {5, 30, 5}, {5, 50, 5}, {5, 0, 40}},
+			map[kernel.InodeID][]dirtyRange{5: {{0, 40}, {50, 5}}}, []kernel.InodeID{5}},
+		{"bridges a gap", []write{{5, 0, 10}, {5, 20, 10}, {5, 10, 10}},
+			map[kernel.InodeID][]dirtyRange{5: {{0, 30}}}, []kernel.InodeID{5}},
+		{"disjoint", []write{{5, 200, 40}, {5, 0, 40}, {5, 100, 10}, {5, 0, 0}},
+			map[kernel.InodeID][]dirtyRange{5: {{0, 40}, {100, 10}, {200, 40}}}, []kernel.InodeID{5}},
+		{"first-seen inode order", []write{{9, 0, 10}, {3, 0, 10}, {9, 10, 10}, {7, 5, 5}, {3, 50, 1}},
+			map[kernel.InodeID][]dirtyRange{9: {{0, 20}}, 3: {{0, 10}, {50, 1}}, 7: {{5, 5}}},
+			[]kernel.InodeID{9, 3, 7}},
+		{"zero-length", []write{{6, 0, 0}}, nil, nil},
 	} {
-		if got := jn.dirty(1, w.ino, w.off, w.n); got != w.spilled {
-			t.Errorf("dirty(%d, %d, %d): spilled-now %v, want %v", w.ino, w.off, w.n, got, w.spilled)
+		jn := newJournal(3)
+		jn.record(1, Req{Op: OpUnlink, Name: "f"}, 4)
+		for _, w := range tc.writes {
+			jn.dirty(1, w.ino, w.off, w.n)
 		}
-		if !w.spilled && w.ino == 5 && w.off == 200 {
-			if rs := j.dirty[5]; !slices.Equal(rs, []dirtyRange{{0, 60}, {200, 40}}) || j.bytes != 100 || !slices.Equal(j.order, []kernel.InodeID{5}) {
-				t.Errorf("dirty map %v, %d bytes, order %v; want [{0 60} {200 40}], 100, [5]", rs, j.bytes, j.order)
+		j := jn.slot(1)
+		if len(j.dirty) != len(tc.want) || !slices.Equal(j.order, tc.order) {
+			t.Errorf("%s: dirty %v order %v, want %v order %v", tc.name, j.dirty, j.order, tc.want, tc.order)
+			continue
+		}
+		for ino, want := range tc.want {
+			if got := j.dirty[ino]; !slices.Equal(got, want) {
+				t.Errorf("%s: inode %d ranges %v, want %v", tc.name, ino, got, want)
 			}
 		}
-	}
-	if !j.spilled || j.bytes != 0 || len(j.order) != 0 {
-		t.Errorf("after the byte spill: spilled %v, %d bytes, order %v", j.spilled, j.bytes, j.order)
-	}
-	if jn.record(1, Req{Op: OpUnlink}, 0) || len(j.ops) != 0 {
-		t.Error("a spilled journal recorded a mutation")
+		if len(j.ops) != 1 || j.ops[0].wantIno != 4 {
+			t.Errorf("%s: ops %v, want the one recorded unlink", tc.name, j.ops)
+		}
+		for _, k := range []int{0, 2} {
+			if n := jn.slot(k); len(n.ops) != 0 || len(n.dirty) != 0 || len(n.order) != 0 {
+				t.Errorf("%s: slot 1's records touched slot %d", tc.name, k)
+			}
+		}
+
+		// Reset (what markDown does at the next exclusion) starts over.
+		jn.reset(1)
+		if len(j.ops) != 0 || len(j.dirty) != 0 || len(j.order) != 0 {
+			t.Errorf("%s: reset left %d ops, dirty %v, order %v", tc.name, len(j.ops), j.dirty, j.order)
+		}
 	}
 }

@@ -268,11 +268,9 @@ func (st *runState) result() *Result {
 		r.StaleSkips += c.staleSkips
 		r.BusyRefusals += c.busyRefusals
 		r.Reinstates += int(c.cl.Reinstates.N)
-		r.ReinstateRefusals += int(c.cl.ReinstateRefusals.N)
 		r.RenameInDoubts += int(c.cl.RenameInDoubts.N)
 		r.ResyncOps += int(c.cl.ResyncOps.N)
 		r.ResyncBytes += c.cl.ResyncBytes.Bytes
-		r.ResyncSpills += int(c.cl.ResyncSpills.N)
 		r.RenameAutoResolves += int(c.cl.RenameAutoResolves.N)
 	}
 	r.Bounces = st.bounces

@@ -134,16 +134,15 @@ type Result struct {
 	// counts schedule points where no victim satisfied the
 	// replication-envelope invariant.
 	Kills, Stalls, Strikes, SkippedFaults int
-	// Reinstates, ReinstateRefusals and RenameInDoubts aggregate the
-	// clusters' observability counters across clients.
-	Reinstates, ReinstateRefusals, RenameInDoubts int
+	// Reinstates and RenameInDoubts aggregate the clusters'
+	// observability counters across clients.
+	Reinstates, RenameInDoubts int
 	// ResyncOps and ResyncBytes aggregate what Reinstate's journal
 	// replay re-drove across clients (mutations replayed; data bytes
-	// re-copied); ResyncSpills counts journals that outgrew their
-	// bounds and fell back to full-slice resync; RenameAutoResolves
-	// counts in-doubt renames the clusters settled on a later walk.
-	ResyncOps, ResyncSpills, RenameAutoResolves int
-	ResyncBytes                                 int64
+	// re-copied); RenameAutoResolves counts in-doubt renames the
+	// clusters settled on a later walk.
+	ResyncOps, RenameAutoResolves int
+	ResyncBytes                   int64
 	// BusyRefusals counts generated mutations of rename-tainted
 	// entries the cluster refused ErrBusy (the StBusy split: stray
 	// prepare marks showing through, not divergence).

@@ -61,11 +61,11 @@ func TestTortureShort(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			t.Logf("%d ops (%d r / %d w / %d meta), %d kills %d stalls %d strikes %d bounces, %d reinstates (%d refused, %d replayed ops, %d B replayed), %d in-doubt (%d auto-resolved), %d busy-refused, %.0f ops/s, recovery mean %v max %v over %d samples",
+			t.Logf("%d ops (%d r / %d w / %d meta), %d kills %d stalls %d strikes %d bounces, %d reinstates (%d replayed ops, %d B replayed), %d in-doubt (%d auto-resolved), %d busy-refused, %.0f ops/s, recovery mean %v max %v over %d samples",
 				res.Ops, res.Reads, res.Writes,
 				res.Creates+res.Unlinks+res.Renames+res.Readdirs+res.Truncates+res.Getattrs,
 				res.Kills, res.Stalls, res.Strikes, res.Bounces,
-				res.Reinstates, res.ReinstateRefusals, res.ResyncOps, res.ResyncBytes,
+				res.Reinstates, res.ResyncOps, res.ResyncBytes,
 				res.RenameInDoubts, res.RenameAutoResolves, res.BusyRefusals,
 				res.OpsPerSec, res.RecoveryMean, res.RecoveryMax, res.RecoverySamples)
 		})

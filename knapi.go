@@ -313,8 +313,7 @@ var NewFSCluster = rfsrv.NewCluster
 // replica when its server faults, and faulting servers are
 // excluded rather than reported as namespace divergence. Reinstate
 // re-admits a recovered server by replaying the resync journal of what
-// it missed while excluded, or — when that journal spilled its bounds
-// — by a full-slice resync (DESIGN.md §13).
+// it missed while excluded (DESIGN.md §13).
 var NewFSReplicatedCluster = rfsrv.NewReplicatedCluster
 
 // ErrFSStaleEpoch is the size-coherence refusal (wire status StStale):
@@ -340,17 +339,6 @@ var ErrFSRenameInDoubt = rfsrv.ErrRenameInDoubt
 // the cluster does not follow. The caller must rebuild the cluster
 // and attach it to the current view (AttachView) (DESIGN.md §13).
 var ErrFSStaleMembership = rfsrv.ErrStaleMembership
-
-// Resync-journal bounds a server installs when SetJournalLimits was
-// never called (DESIGN.md §13): while a replica is excluded, its
-// peers journal up to this many namespace/size mutations and this
-// many dirty data bytes for replay at Reinstate; past either bound
-// the journal spills and re-admission falls back to a full-slice
-// resync.
-const (
-	DefaultFSJournalOps   = rfsrv.DefaultJournalOps
-	DefaultFSJournalBytes = rfsrv.DefaultJournalBytes
-)
 
 // Layout classes a cluster file can carry (DESIGN.md §10): standard
 // round-robin striping (the default, bit-identical to the pre-layout

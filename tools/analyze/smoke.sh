@@ -17,8 +17,11 @@
 # race the re-image and the returning server holds wrong bytes. An
 # eighth must fail a tier-1 test as well: a read target that ignores
 # the read slices, so the primary serves every slice of a stripe and
-# its other replica none. Then it restores the tree byte-for-byte from backups (no git operations,
-# safe on a dirty tree).
+# its other replica none. A ninth must fail a tier-1 test too: a resync
+# journal that appends every dirty range instead of merging it, so a
+# stripe rewritten while its server was out is copied back once per
+# rewrite. Then it restores the tree byte-for-byte from backups (no git
+# operations, safe on a dirty tree).
 set -eu
 
 root="$(cd "$(dirname "$0")/../.." && pwd)"
@@ -29,6 +32,7 @@ publisher=internal/rfsrv/cluster.go
 server=internal/rfsrv/server.go
 waiter=internal/rfsrv/client.go
 reinstater=internal/rfsrv/elastic.go
+journal=internal/rfsrv/journal.go
 injected=internal/rfsrv/zz_smoke_injected.go
 
 tmp="$(mktemp -d)"
@@ -38,6 +42,7 @@ restore() {
 	cp "$tmp/server.go.bak" "$server"
 	cp "$tmp/client.go.bak" "$waiter"
 	cp "$tmp/elastic.go.bak" "$reinstater"
+	cp "$tmp/journal.go.bak" "$journal"
 	rm -f "$injected"
 	rm -rf "$tmp"
 }
@@ -47,6 +52,7 @@ cp "$publisher" "$tmp/cluster.go.bak"
 cp "$server" "$tmp/server.go.bak"
 cp "$waiter" "$tmp/client.go.bak"
 cp "$reinstater" "$tmp/elastic.go.bak"
+cp "$journal" "$tmp/journal.go.bak"
 
 run_analyzer() { go run ./tools/analyze ./... 2>&1; }
 
@@ -178,6 +184,23 @@ if ! echo "$out" | grep -q -- '--- FAIL: TestReadSlicesSpreadAStripe'; then
 	exit 1
 fi
 cp "$tmp/cluster.go.bak" "$publisher"
+
+echo "smoke: a journal appending overlapping dirty ranges must fail a tier-1 test"
+sed -i 's/^\tj\.dirty\[ino\] = slices\.Replace(rs, lo, hi, r)$/\tj.dirty[ino] = slices.Replace(rs, len(rs), len(rs), dirtyRange{off: off, n: n})/' "$journal"
+if cmp -s "$journal" "$tmp/journal.go.bak"; then
+	echo "smoke: FAIL — injection did not change $journal (site moved?)"
+	exit 1
+fi
+if out="$(go test -count=1 -run '^TestReinstateCopiesEachMissedByteOnce$' ./internal/rfsrv 2>&1)"; then
+	echo "smoke: FAIL — tier-1 tests passed with a journal that never merges its dirty ranges"
+	exit 1
+fi
+if ! echo "$out" | grep -q -- '--- FAIL: TestReinstateCopiesEachMissedByteOnce'; then
+	echo "$out"
+	echo "smoke: FAIL — the tests failed, but not TestReinstateCopiesEachMissedByteOnce"
+	exit 1
+fi
+cp "$tmp/journal.go.bak" "$journal"
 
 echo "smoke: untimed reply wait must fail boundedwait"
 sed -i 's/^\tst, ok = fabric\.WaitTimeout(p, op, d)$/\tst, ok = op.Wait(p), true/' "$waiter"
