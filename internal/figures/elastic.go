@@ -384,20 +384,22 @@ func (c Config) Elastic() ([]*Table, error) {
 		ID:    "elastic-recovery",
 		Title: "Elastic membership: recovery and migration accounting of the run above",
 		Columns: []string{"reinstates", "mean readmission ms", "resync ops", "resync KB",
-			"join migrated KB", "epoch", "members"},
+			"join migrated KB", "join ms", "epoch", "members"},
 		Rows: [][]string{{
 			fmt.Sprintf("%d", res.reinstates),
 			fmt.Sprintf("%.3f", res.meanReadmission()),
 			fmt.Sprintf("%d", res.resyncOps),
 			fmt.Sprintf("%.0f", float64(res.resyncBytes)/1024),
 			fmt.Sprintf("%.0f", float64(res.migratedBytes)/1024),
+			fmt.Sprintf("%.1f", ms(res.cutAt-res.joinStart)),
 			fmt.Sprintf("%d", res.epoch),
 			fmt.Sprintf("%v", res.members),
 		}},
 		Expected: "every exclusion re-admits through journal replay (resync bytes > 0 " +
 			"from the overwrites the victim missed, each copied once; a readmission " +
 			"takes a few ms, its fence's drain of the load included), and the Join " +
-			"migrates every stripe the joiner now owns",
+			"migrates every stripe the joiner now owns, then copies each byte written " +
+			"during that copy once, under the cutover fence",
 	}
 	return []*Table{phases, accounting}, nil
 }

@@ -9,9 +9,9 @@ import "testing"
 // TestElasticLifecycle runs the full lifecycle and requires: every
 // exclusion re-admitted by journal replay, taking virtual time, dirty
 // bytes actually replayed to the healed victim, the Join's
-// stripe migration moved data, the view cut over to N+1 members at a
-// fresh epoch, and the expanded cluster serving at >= 0.9x the
-// pre-kill rate.
+// stripe migration moved data but copied each dirty byte once, the
+// view cut over to N+1 members at a fresh epoch, and the expanded
+// cluster serving at >= 0.9x the pre-kill rate.
 func TestElasticLifecycle(t *testing.T) {
 	c := DefaultConfig()
 	base, err := c.elRun(0)
@@ -37,6 +37,14 @@ func TestElasticLifecycle(t *testing.T) {
 	}
 	if res.migratedBytes == 0 {
 		t.Error("join migrated no bytes; the joiner owns stripes under the new placement")
+	}
+	// The Join copies the delta once and then each dirty byte once: at
+	// most one more copy of every file's bytes on top of the delta, so
+	// never twice the bytes the clients' files hold. A live pass that
+	// re-copies the same hot stripes over and over breaks this.
+	if files := int64(elClients * elStripes * msStripe); res.migratedBytes > 2*files {
+		t.Errorf("join migrated %d KB, over twice the %d KB the files hold: dirty stripes were copied more than once",
+			res.migratedBytes/1024, files/1024)
 	}
 	if res.epoch == 0 {
 		t.Error("membership epoch did not advance across the join")

@@ -236,8 +236,8 @@ type Cluster struct {
 
 	// ResyncOps counts journaled mutations replayed by Reinstate;
 	// ResyncBytes counts data bytes re-copied to a returning server —
-	// the runs it holds of every file whose size epoch moved, and the
-	// merged dirty ranges of the rest, each byte once; ResyncSpills
+	// the runs it holds of every file whose size epoch moved merged
+	// with the journaled dirty ranges, each byte once; ResyncSpills
 	// stays zero — a journal has no bounds to outgrow — and remains
 	// only because bench/ still reads it; ResyncFallbacks counts
 	// journal replays that needed the verification batch after the
@@ -850,9 +850,10 @@ func (cl *Cluster) finishWriteParts(ino kernel.InodeID, runs []run, parts []*par
 	if err := cl.checkRunCoverage(runs, parts); err != nil {
 		return &Resp{Status: StatusOf(err)}, err
 	}
-	// The write succeeded; record its byte ranges in the resync journal
-	// of every excluded replica (skipped at issue or faulted above), so
-	// Reinstate can re-copy them.
+	// The write succeeded; record its byte ranges for every re-copy that
+	// must see them: the resync journal of every excluded replica
+	// (skipped at issue or faulted above), for Reinstate, and a running
+	// migration's dirty set, for the membership change.
 	cl.journalRunDirty(ino, runs)
 	return &Resp{Status: StOK, Attr: mergeAttr(parts), Epoch: mergeEpoch(parts), N: uint32(total)}, nil
 }
@@ -1022,7 +1023,6 @@ type clusterPending struct {
 	cl     *Cluster
 	ino    kernel.InodeID
 	lay    LayoutClass
-	off    int64 // the operation's file offset (writes: the migration dirty log)
 	parts  []*part
 	runs   []run // the logical runs (writes: replica coverage check)
 	want   int   // expected total (writes; -1 for reads)
@@ -1035,10 +1035,10 @@ type clusterPending struct {
 	gated bool // counted in the view's pending until Wait
 }
 
-// newPending resets cp for a new striped operation on ino at off,
-// keeping its parts/runs backing arrays (want < 0 marks a read).
-func (cl *Cluster) newPending(cp *clusterPending, ino kernel.InodeID, lay LayoutClass, off int64, want int) *clusterPending {
-	*cp = clusterPending{cl: cl, ino: ino, lay: lay, off: off, want: want, parts: cp.parts[:0], runs: cp.runs[:0]}
+// newPending resets cp for a new striped operation on ino, keeping
+// its parts/runs backing arrays (want < 0 marks a read).
+func (cl *Cluster) newPending(cp *clusterPending, ino kernel.InodeID, lay LayoutClass, want int) *clusterPending {
+	*cp = clusterPending{cl: cl, ino: ino, lay: lay, want: want, parts: cp.parts[:0], runs: cp.runs[:0]}
 	return cp
 }
 
@@ -1067,12 +1067,10 @@ func (cp *clusterPending) abandon(p *sim.Proc, err error) error {
 // read parts fail over to their stripe's next alive replica before the
 // merge; faulted write parts exclude their server and are tolerated as
 // long as every run kept a clean replica. Every reply feeds the
-// validated caches. A write that succeeded while a membership change
-// is copying stripes is logged here, once its bytes have landed, for
-// the operator to re-copy — whenever it was issued: one started before
-// the copy began can land after the copy read its range. The parts
-// return to the cluster's freelist once merged — the memoized
-// (resp, err) is all a second Wait needs.
+// validated caches; a write's merge (finishWriteParts) records its
+// ranges for every re-copy that must see them. The parts return to the
+// cluster's freelist once merged — the memoized (resp, err) is all a
+// second Wait needs.
 func (cp *clusterPending) Wait(p *sim.Proc) (*Resp, error) {
 	if cp.done {
 		return cp.resp, cp.err
@@ -1095,8 +1093,6 @@ func (cp *clusterPending) Wait(p *sim.Proc) (*Resp, error) {
 		} else {
 			cp.resp = mergeRead(cp.parts)
 		}
-	} else if v := cp.cl.view; cp.err == nil && v.migrating {
-		v.logWrite(cp.ino, cp.off, cp.want)
 	}
 	cp.cl.notePendingDone(cp)
 	cp.cl.putParts(cp.parts)
@@ -1210,10 +1206,10 @@ func (cl *Cluster) startData(p *sim.Proc, cp *clusterPending, op Op, ino kernel.
 	if op == OpWrite {
 		want = n
 	}
-	cl.newPending(cp, ino, lay, off, want)
+	cl.newPending(cp, ino, lay, want)
 	switch {
 	case n == 0:
-		return cl.issueZero(p, cp, data)
+		return cl.issueZero(p, cp, off, data)
 	case op == OpRead:
 		return cl.issueReads(p, cp, off, data)
 	}
@@ -1221,14 +1217,14 @@ func (cl *Cluster) startData(p *sim.Proc, cp *clusterPending, op Op, ino kernel.
 }
 
 // issueZero starts a zero-length operation's single attr-only request
-// on the offset's preferred replica (so the RPC trace and the returned
-// attributes match the Session's) as cp's only part, with the data
-// path's issue-time failover. A Wait-time fault is judged like any
+// at off on the offset's preferred replica (so the RPC trace and the
+// returned attributes match the Session's) as cp's only part, with the
+// data path's issue-time failover. A Wait-time fault is judged like any
 // other part's: a read fails over, and a write's synthetic run makes
 // finishWriteParts' coverage check see it instead of vacuously
 // succeeding.
-func (cl *Cluster) issueZero(p *sim.Proc, cp *clusterPending, vec core.Vector) error {
-	op, r := OpRead, run{owner: cl.pl.owner(cp.lay, cp.ino, cp.off), off: cp.off}
+func (cl *Cluster) issueZero(p *sim.Proc, cp *clusterPending, off int64, vec core.Vector) error {
+	op, r := OpRead, run{owner: cl.pl.owner(cp.lay, cp.ino, off), off: off}
 	if cp.want == 0 {
 		op = OpWrite
 		cp.runs = append(cp.runs, r)

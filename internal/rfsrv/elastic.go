@@ -8,8 +8,8 @@
 // full fence, replays the namespace verbs idempotently, re-images the
 // server's file sizes, size epochs and layouts from the newest-epoch
 // merge of the live members' state and its own (sizes are state, not
-// verbs), re-copies its runs of every file whose epoch moved, then the
-// journaled dirty ranges of every other file. (2) Live join/leave:
+// verbs), and re-copies one plan: its runs of every file whose epoch
+// moved, merged with the journaled dirty ranges. (2) Live join/leave:
 // Join, Retire and Bounce replace the placement's member ring under a
 // shared MemberView through one change (change), the same in both
 // namespaces: placement.delta — the stripes the new ring assigns to
@@ -86,15 +86,23 @@ func (cl *Cluster) journalGroup(owner int, req Req, wantIno kernel.InodeID) {
 	cl.journalSpan(owner, cl.pl.replicas, req, wantIno)
 }
 
-// journalRunDirty records a data write's byte ranges against every
-// excluded replica of its runs. Called once per write after the fan,
-// with the same run decomposition the write used, so the dirty map
-// covers exactly the stripes each excluded server would have held.
+// journalRunDirty records a finished write's byte ranges in every
+// dirty set that must re-copy them: the journal of every excluded
+// replica of its runs, and the view's while a membership change is
+// migrating — whenever the write was issued: one started before the
+// copy began can land after the copy read its range. Called once per
+// write after the fan, with the same run decomposition the write used,
+// so a journal covers exactly the stripes its excluded server would
+// have held.
 func (cl *Cluster) journalRunDirty(ino kernel.InodeID, runs []run) {
+	v := cl.view
 	for _, r := range runs {
+		if v.migrating {
+			v.dirty.add(ino, r.off, r.n)
+		}
 		for j := 0; j < cl.pl.replicas; j++ {
 			if i := cl.pl.slot(r.owner, j); cl.down[i] {
-				cl.jn.dirty(i, ino, r.off, r.n)
+				cl.jn.slot(i).dirty.add(ino, r.off, r.n)
 			}
 		}
 	}
@@ -106,10 +114,10 @@ func (cl *Cluster) journalRunDirty(ino kernel.InodeID, runs []run) {
 // so the caller waits its own pending ones first, as for a membership
 // change. Readmission is one path, journal replay (replayJournal): the
 // namespace verbs replay, the server's regular files are re-imaged at
-// the newest-epoch merge of the live members' sizes and its own, its
-// runs of every file whose epoch moved are re-copied, then the
-// journaled dirty ranges of every other file — all real simulated
-// traffic, each missed byte copied once. A readmission that fails
+// the newest-epoch merge of the live members' sizes and its own, and
+// one copy plan re-copies its runs of every file whose epoch moved and
+// the journaled dirty ranges — all real simulated traffic, each missed
+// byte copied once. A readmission that fails
 // (transport fault mid-copy, or a divergence the idempotent verbs
 // cannot reconcile) leaves the server excluded with the journal
 // intact, so the caller can heal the fault and call Reinstate again;
@@ -144,9 +152,9 @@ func (cl *Cluster) replayJournal(p *sim.Proc, i int, j *resyncJournal) error {
 	}
 	// Re-image i's regular files — the state replay does not carry —
 	// from the newest-epoch merge over the live members and i itself
-	// (snapshot.reimage), then re-copy i's runs of every file whose size
-	// epoch moved while it was out, or that it lacked: an exact size set
-	// it missed may have cut bytes a later write re-grew as a hole.
+	// (snapshot.reimage). Every file whose size epoch moved while i was
+	// out, or that it lacked, is moved: an exact size set it missed may
+	// have cut bytes a later write re-grew as a hole.
 	own, err := cl.exportImage(p, i)
 	if err != nil {
 		return err
@@ -159,39 +167,30 @@ func (cl *Cluster) replayJournal(p *sim.Proc, i int, j *resyncJournal) error {
 	if err := cl.importImage(p, i, own); err != nil {
 		return err
 	}
+	// One copy plan: the runs i holds of every moved file, then the
+	// journal's dirty ranges merged in, so adjacent and overlapping
+	// ranges copy once. The re-image already gave i the authoritative
+	// size, so a range the file has since shrunk out of is simply not
+	// copied.
+	var plan dirtySet
 	for _, ino := range moved {
-		if err := cl.copyHeld(p, i, ino, snap.state[ino]); err != nil {
-			return err
-		}
-	}
-	for _, ino := range j.order {
-		if _, whole := slices.BinarySearch(moved, ino); whole {
-			continue // copyHeld just re-copied every run i holds
-		}
-		for _, r := range j.dirty[ino] {
-			// The re-image already gave i the authoritative size, so a
-			// range the file has since shrunk out of is simply not copied.
-			if err := cl.copyRange(p, ino, r.off, r.n, []int{i}, &cl.ResyncBytes); err != nil {
-				return fmt.Errorf("replay data %d@[%d,%d): %w", ino, r.off, r.end(), err)
+		st := snap.state[ino]
+		for _, r := range cl.pl.runs(st.layout, ino, 0, int(st.size), false, nil) {
+			if cl.pl.holds(i, r.owner) {
+				plan.add(ino, r.off, r.n)
 			}
 		}
 	}
-	return nil
-}
-
-// copyHeld re-copies to slot i, through copyRange, every run of a file
-// that i holds under the file's layout — the copy of a file whose
-// epoch moved in a readmission's re-image.
-func (cl *Cluster) copyHeld(p *sim.Proc, i int, ino kernel.InodeID, st fileState) error {
-	for _, r := range cl.pl.runs(st.layout, ino, 0, int(st.size), false, nil) {
-		if !cl.pl.holds(i, r.owner) {
-			continue
-		}
+	j.dirty.each(func(ino kernel.InodeID, r dirtyRange) error {
+		plan.add(ino, r.off, r.n)
+		return nil
+	})
+	return plan.each(func(ino kernel.InodeID, r dirtyRange) error {
 		if err := cl.copyRange(p, ino, r.off, r.n, []int{i}, &cl.ResyncBytes); err != nil {
-			return err
+			return fmt.Errorf("replay data %d@[%d,%d): %w", ino, r.off, r.end(), err)
 		}
-	}
-	return nil
+		return nil
+	})
 }
 
 // replayOps replays the journaled namespace mutations in one pass of
@@ -705,16 +704,10 @@ type MemberView struct {
 	activeMut  int
 	pending    int
 
-	// dirty logs data writes that completed while a migration is
-	// copying stripes (clusterPending.Wait), so the operator can re-copy
-	// ranges the bulk pass missed.
-	dirty []viewWrite
-}
-
-type viewWrite struct {
-	ino kernel.InodeID
-	off int64
-	n   int
+	// dirty holds the ranges of data writes that completed while a
+	// migration is copying stripes (journalRunDirty), for the operator
+	// to re-copy under the fence.
+	dirty dirtySet
 }
 
 // Epoch returns the view's current membership epoch (0 until the
@@ -724,35 +717,6 @@ func (v *MemberView) Epoch() uint64 { return v.epoch }
 // Members returns a copy of the view's current position→slot map.
 func (v *MemberView) Members() []int {
 	return append([]int(nil), v.members...)
-}
-
-// dedupeWrites collapses repeated identical ranges in a dirty batch,
-// keeping first-appearance order. Safe because the drain copies live
-// content: one copy per distinct range is equivalent to one per write.
-func dedupeWrites(batch []viewWrite) []viewWrite {
-	seen := make(map[viewWrite]struct{}, len(batch))
-	out := batch[:0]
-	for _, w := range batch {
-		if _, dup := seen[w]; dup {
-			continue
-		}
-		seen[w] = struct{}{}
-		out = append(out, w)
-	}
-	return out
-}
-
-func (v *MemberView) logWrite(ino kernel.InodeID, off int64, n int) {
-	if n <= 0 {
-		return
-	}
-	if k := len(v.dirty) - 1; k >= 0 {
-		if w := &v.dirty[k]; w.ino == ino && w.off+int64(w.n) == off {
-			w.n += n
-			return
-		}
-	}
-	v.dirty = append(v.dirty, viewWrite{ino: ino, off: off, n: n})
 }
 
 // ShareView returns the membership view this cluster owns, for other
@@ -917,13 +881,13 @@ func (cl *Cluster) beginChange(lists ...[]int) (*MemberView, error) {
 func (v *MemberView) release() {
 	v.operator = nil
 	v.fenceMut, v.fenceAll, v.migrating = false, false, false
-	v.dirty = nil
+	v.dirty = dirtySet{}
 }
 
 // Join admits session slot into the membership at the end of the
 // placement order, migrating data to its new replica sets under load
 // before the epoch cutover (change): reads and writes keep flowing
-// through the old placement while stripes copy, a dirty log catches
+// through the old placement while stripes copy, a dirty set catches
 // racing writes, and only the cutover briefly fences everything. A
 // member found excluded during the change fails it with the old
 // geometry intact (membersUp); Reinstate it and retry.
@@ -1044,9 +1008,9 @@ func (cl *Cluster) flipView(next placement, epoch uint64) {
 // fence for the duration (the namespace and file set freeze), but the
 // data path stays live — stripes copy to their new replica sets through
 // ordinary striped reads and direct writes while client reads and
-// writes keep flowing through the old placement, a dirty log re-copies
-// ranges written mid-migration, and only the cutover briefly fences
-// everything. Nothing commits before the copy is complete and every
+// writes keep flowing through the old placement, and only the cutover
+// briefly fences everything, re-copying once the ranges written
+// mid-migration. Nothing commits before the copy is complete and every
 // member's cutover image is staged, and every copy is additive below
 // its file's size, so a fault anywhere before the commit fails the
 // change with every server's member epoch, the view and every byte a
@@ -1086,45 +1050,28 @@ func (cl *Cluster) change(p *sim.Proc, v *MemberView, members []int) error {
 		}
 	}
 
-	// 3. Copy the delta under load, then chase the dirty log while the
-	// data path is still live. Each batch is deduplicated first:
-	// migrateRange copies the file's CURRENT content, so one copy per
-	// distinct range per batch lands the same bytes as one per write —
-	// under heavy load the same hot stripe is redirtied thousands of
-	// times per pass, and re-copying every entry would multiply
-	// migration traffic by that factor.
+	// 3. Copy the delta under load. Every write that completes from here
+	// on adds its ranges to the view's dirty set (journalRunDirty). A
+	// file's class never changes and nothing is created while mutations
+	// are fenced, so the first snapshot's classes hold for every file
+	// the migration and the dirty set can name.
 	v.migrating = true
-	// A file's class never changes and nothing is created while
-	// mutations are fenced, so the first snapshot's classes hold for
-	// every file the migration and the dirty log can name.
 	lays := snap.state
 	for _, ino := range snap.files {
 		if err := cl.migrateRange(p, ino, lays[ino].layout, 0, snap.nodes[ino].Attr.Size, old, next); err != nil {
 			return err
 		}
 	}
-	drain := func() error {
-		batch := dedupeWrites(v.dirty)
-		v.dirty = nil
-		for _, w := range batch {
-			if err := cl.migrateRange(p, w.ino, lays[w.ino].layout, w.off, int64(w.n), old, next); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	for pass := 0; len(v.dirty) > 0 && pass < 16; pass++ {
-		if err := drain(); err != nil {
-			return err
-		}
-	}
 
-	// 4. Fence everything, quiesce, drain the final delta.
+	// 4. Fence everything and quiesce: no write completes under the full
+	// fence, so the dirty set is final — re-copy it once. It copies each
+	// file's current content, so a stripe rewritten many times during
+	// the bulk copy moves once.
 	v.fence(p, cl)
-	for len(v.dirty) > 0 {
-		if err := drain(); err != nil {
-			return err
-		}
+	if err := v.dirty.each(func(ino kernel.InodeID, r dirtyRange) error {
+		return cl.migrateRange(p, ino, lays[ino].layout, r.off, int64(r.n), old, next)
+	}); err != nil {
+		return err
 	}
 
 	// 5. Snapshot again — sizes grew under load since step 2 — and

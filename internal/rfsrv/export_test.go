@@ -68,7 +68,7 @@ func (cl *Cluster) JournalOps(i int) int { return len(cl.jn.slot(i).ops) }
 // was missed).
 func (cl *Cluster) JournalBytes(i int) int64 {
 	var n int64
-	for _, rs := range cl.jn.slot(i).dirty {
+	for _, rs := range cl.jn.slot(i).dirty.ranges {
 		for _, r := range rs {
 			n += int64(r.n)
 		}

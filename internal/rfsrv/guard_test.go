@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"path/filepath"
 	"slices"
 	"strings"
@@ -184,7 +185,12 @@ func TestOneBatchDriver(t *testing.T) {
 // it. Journal replay is combined batches, so no function named replay*
 // makes a serial round trip (syncMeta). Journal replay is the only
 // readmission: the one cluster method Reinstate calls is replayJournal,
-// and no identifier is named fullResync or spilled.
+// and no identifier is named fullResync or spilled. Every re-copy
+// records its bytes in one range-set type: no declaration is named
+// viewWrite, dedupeWrites, logWrite or copyHeld, MemberView's dirty
+// field has the type of resyncJournal's, and change re-copies its
+// dirty set once, under the fence — it holds no counted loop, so no
+// live pass chases the set.
 func TestOneReinstatePath(t *testing.T) {
 	paths, err := filepath.Glob("*.go")
 	if err != nil {
@@ -192,7 +198,9 @@ func TestOneReinstatePath(t *testing.T) {
 	}
 	fset := token.NewFileSet()
 	replays := 0
-	var readmits []string // the cluster methods Reinstate calls
+	var readmits []string             // the cluster methods Reinstate calls
+	dirtyTypes := map[string]string{} // struct name -> its dirty field's type
+	changes := 0
 	for _, path := range paths {
 		if strings.HasSuffix(path, "_test.go") {
 			continue
@@ -204,6 +212,30 @@ func TestOneReinstatePath(t *testing.T) {
 		ast.Inspect(f, func(n ast.Node) bool {
 			if id, ok := n.(*ast.Ident); ok && (id.Name == "fullResync" || id.Name == "spilled") {
 				t.Errorf("%s: %s names a second readmission path", fset.Position(id.Pos()), id.Name)
+			}
+			var names []*ast.Ident
+			switch n := n.(type) {
+			case *ast.FuncDecl:
+				names = []*ast.Ident{n.Name}
+			case *ast.TypeSpec:
+				names = []*ast.Ident{n.Name}
+				if st, ok := n.Type.(*ast.StructType); ok {
+					for _, fd := range st.Fields.List {
+						for _, id := range fd.Names {
+							if id.Name == "dirty" {
+								dirtyTypes[n.Name.Name] = types.ExprString(fd.Type)
+							}
+						}
+					}
+				}
+			case *ast.ValueSpec:
+				names = n.Names
+			}
+			for _, id := range names {
+				switch id.Name {
+				case "viewWrite", "dedupeWrites", "logWrite", "copyHeld":
+					t.Errorf("%s: %s declares a re-copy beside the one range set", fset.Position(id.Pos()), id.Name)
+				}
 			}
 			return true
 		})
@@ -221,6 +253,15 @@ func TestOneReinstatePath(t *testing.T) {
 								readmits = append(readmits, sel.Sel.Name)
 							}
 						}
+					}
+					return true
+				})
+			}
+			if fn.Name.Name == "change" && fn.Recv != nil {
+				changes++
+				ast.Inspect(fn.Body, func(n ast.Node) bool {
+					if loop, ok := n.(*ast.ForStmt); ok && (loop.Init != nil || loop.Post != nil) {
+						t.Errorf("%s: change holds a counted loop; the dirty set is re-copied once, under the fence", fset.Position(loop.Pos()))
 					}
 					return true
 				})
@@ -263,6 +304,12 @@ func TestOneReinstatePath(t *testing.T) {
 	}
 	if !slices.Equal(readmits, []string{"replayJournal"}) {
 		t.Errorf("Reinstate calls the cluster methods %v, want only replayJournal", readmits)
+	}
+	if changes != 1 {
+		t.Errorf("found %d methods named change, want 1: the loop check checks nothing", changes)
+	}
+	if mv, rj := dirtyTypes["MemberView"], dirtyTypes["resyncJournal"]; mv == "" || mv != rj {
+		t.Errorf("MemberView.dirty has type %q and resyncJournal.dirty %q; want one range-set type", mv, rj)
 	}
 }
 

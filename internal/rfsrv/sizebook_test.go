@@ -121,16 +121,17 @@ func TestJournalCaps(t *testing.T) {
 	} {
 		jn := newJournal(3)
 		jn.record(1, Req{Op: OpUnlink, Name: "f"}, 4)
-		for _, w := range tc.writes {
-			jn.dirty(1, w.ino, w.off, w.n)
-		}
 		j := jn.slot(1)
-		if len(j.dirty) != len(tc.want) || !slices.Equal(j.order, tc.order) {
-			t.Errorf("%s: dirty %v order %v, want %v order %v", tc.name, j.dirty, j.order, tc.want, tc.order)
+		for _, w := range tc.writes {
+			j.dirty.add(w.ino, w.off, w.n)
+		}
+		d := &j.dirty
+		if len(d.ranges) != len(tc.want) || !slices.Equal(d.order, tc.order) {
+			t.Errorf("%s: dirty %v order %v, want %v order %v", tc.name, d.ranges, d.order, tc.want, tc.order)
 			continue
 		}
 		for ino, want := range tc.want {
-			if got := j.dirty[ino]; !slices.Equal(got, want) {
+			if got := d.ranges[ino]; !slices.Equal(got, want) {
 				t.Errorf("%s: inode %d ranges %v, want %v", tc.name, ino, got, want)
 			}
 		}
@@ -138,15 +139,15 @@ func TestJournalCaps(t *testing.T) {
 			t.Errorf("%s: ops %v, want the one recorded unlink", tc.name, j.ops)
 		}
 		for _, k := range []int{0, 2} {
-			if n := jn.slot(k); len(n.ops) != 0 || len(n.dirty) != 0 || len(n.order) != 0 {
+			if n := jn.slot(k); len(n.ops) != 0 || len(n.dirty.ranges) != 0 || len(n.dirty.order) != 0 {
 				t.Errorf("%s: slot 1's records touched slot %d", tc.name, k)
 			}
 		}
 
 		// Reset (what markDown does at the next exclusion) starts over.
 		jn.reset(1)
-		if len(j.ops) != 0 || len(j.dirty) != 0 || len(j.order) != 0 {
-			t.Errorf("%s: reset left %d ops, dirty %v, order %v", tc.name, len(j.ops), j.dirty, j.order)
+		if len(j.ops) != 0 || len(j.dirty.ranges) != 0 || len(j.dirty.order) != 0 {
+			t.Errorf("%s: reset left %d ops, dirty %v, order %v", tc.name, len(j.ops), j.dirty.ranges, j.dirty.order)
 		}
 	}
 }

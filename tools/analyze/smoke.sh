@@ -20,8 +20,11 @@
 # its other replica none. A ninth must fail a tier-1 test too: a resync
 # journal that appends every dirty range instead of merging it, so a
 # stripe rewritten while its server was out is copied back once per
-# rewrite. Then it restores the tree byte-for-byte from backups (no git
-# operations, safe on a dirty tree).
+# rewrite. A tenth must fail a tier-1 test too: a membership change
+# that skips its fenced re-copy of the dirty set, so a write that lands
+# after the bulk copy read its stripe never reaches the joiner. Then it
+# restores the tree byte-for-byte from backups (no git operations, safe
+# on a dirty tree).
 set -eu
 
 root="$(cd "$(dirname "$0")/../.." && pwd)"
@@ -186,7 +189,7 @@ fi
 cp "$tmp/cluster.go.bak" "$publisher"
 
 echo "smoke: a journal appending overlapping dirty ranges must fail a tier-1 test"
-sed -i 's/^\tj\.dirty\[ino\] = slices\.Replace(rs, lo, hi, r)$/\tj.dirty[ino] = slices.Replace(rs, len(rs), len(rs), dirtyRange{off: off, n: n})/' "$journal"
+sed -i 's/^\td\.ranges\[ino\] = slices\.Replace(rs, lo, hi, r)$/\td.ranges[ino] = slices.Replace(rs, len(rs), len(rs), dirtyRange{off: off, n: n})/' "$journal"
 if cmp -s "$journal" "$tmp/journal.go.bak"; then
 	echo "smoke: FAIL — injection did not change $journal (site moved?)"
 	exit 1
@@ -201,6 +204,23 @@ if ! echo "$out" | grep -q -- '--- FAIL: TestReinstateCopiesEachMissedByteOnce';
 	exit 1
 fi
 cp "$tmp/journal.go.bak" "$journal"
+
+echo "smoke: a membership change skipping its fenced dirty-set copy must fail a tier-1 test"
+sed -i 's/^\tif err := v\.dirty\.each(func(ino kernel\.InodeID, r dirtyRange) error {$/\tif err := (\&dirtySet{}).each(func(ino kernel.InodeID, r dirtyRange) error {/' "$reinstater"
+if cmp -s "$reinstater" "$tmp/elastic.go.bak"; then
+	echo "smoke: FAIL — injection did not change $reinstater (site moved?)"
+	exit 1
+fi
+if out="$(go test -count=1 -run '^TestElasticJoinRecopiesWriteInFlightAtStart$' ./internal/rfsrv 2>&1)"; then
+	echo "smoke: FAIL — tier-1 tests passed with a membership change that never re-copies its dirty set"
+	exit 1
+fi
+if ! echo "$out" | grep -q -- '--- FAIL: TestElasticJoinRecopiesWriteInFlightAtStart'; then
+	echo "$out"
+	echo "smoke: FAIL — the tests failed, but not TestElasticJoinRecopiesWriteInFlightAtStart"
+	exit 1
+fi
+cp "$tmp/elastic.go.bak" "$reinstater"
 
 echo "smoke: untimed reply wait must fail boundedwait"
 sed -i 's/^\tst, ok = fabric\.WaitTimeout(p, op, d)$/\tst, ok = op.Wait(p), true/' "$waiter"
