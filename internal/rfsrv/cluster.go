@@ -78,7 +78,9 @@ package rfsrv
 // dead peer at send time, or — with Session.SetRequestTimeout armed —
 // a reply deadline expiring): the faulting server is recorded as
 // *excluded* and never addressed again, reads of its slices fail over
-// to the group's next alive member, writes succeed as long as every
+// to the group's next alive member and the read slices are re-cut so
+// every survivor serves an equal share of the ring's reads
+// (placement.recut), writes succeed as long as every
 // run keeps one clean replica, and namespace mutations simply skip it
 // instead of reporting divergence. Exclusion
 // is one-way — an operator who knows the server recovered calls
@@ -143,7 +145,13 @@ type Cluster struct {
 
 	// down marks servers excluded after an observed transport fault;
 	// excluded servers are skipped by every path until Reinstate.
-	down []bool
+	// downGen counts its changes (markDown, Reinstate); cutGen and
+	// cutRing are the generation and member ring pl's read slice table
+	// was last cut for (recut), cutLoad the cut's scratch.
+	down            []bool
+	downGen, cutGen uint64
+	cutRing         []int
+	cutLoad         []int
 
 	// sz is the size coherence book (sizebook.go): the validated
 	// (size, epoch) cache every reply feeds. The cluster runs the fans;
@@ -262,10 +270,11 @@ func NewCluster(p *sim.Proc, sessions []*Session, stripe int) (*Cluster, error) 
 
 // NewReplicatedCluster is NewCluster with a replication factor: every
 // stripe is written to replicas consecutive servers (1 <= replicas <=
-// len(sessions)), each replica serves a fixed read slice of every
-// stripe it holds (placement.reader), a slice fails over to the
-// group's next alive member when its server's transport reports a
-// fault, and replicas=1 degenerates bit-identically to NewCluster. See
+// len(sessions)), each replica serves a read slice of every stripe it
+// holds (placement.reader), a slice fails over to the group's next
+// alive member when its server's transport reports a fault and the
+// slices are re-cut around the exclusion, and replicas=1 degenerates
+// bit-identically to NewCluster. See
 // the package comment on replication and faults.
 func NewReplicatedCluster(p *sim.Proc, sessions []*Session, stripe, replicas int) (*Cluster, error) {
 	if len(sessions) == 0 {
@@ -371,6 +380,7 @@ func (cl *Cluster) DownServers() []int {
 func (cl *Cluster) markDown(i int) {
 	if !cl.down[i] {
 		cl.down[i] = true
+		cl.downGen++
 		cl.jn.reset(i)
 		cl.Excluded.Add(0)
 	}
@@ -456,17 +466,21 @@ func (cl *Cluster) CanStart(ino kernel.InodeID, off int64, n int) bool {
 // Where bytes and dentries live is cl.pl's answer (placement.go); what
 // the Cluster adds is the exclusion state placement knows nothing of.
 
-// firstUp returns the first non-excluded slot among the span ring
-// positions starting at pos, trying them from rank from on and
-// wrapping, or -1: a replica group's preferred member (span R) or a
-// hashed home's stand-in (span N) — the one first-alive-of-group loop.
+// firstUp is placement.firstUp under the cluster's exclusion set.
 func (cl *Cluster) firstUp(pos, from, span int) int {
-	for j := 0; j < span; j++ {
-		if k := cl.pl.slot(pos, (from+j)%span); !cl.down[k] {
-			return k
-		}
+	return cl.pl.firstUp(cl.down, pos, from, span)
+}
+
+// recut re-cuts the read slice table (placement.recut) when the
+// exclusion set or the member ring changed since it was last cut, so
+// the slices a read is split into and routed by are always the ones
+// balanced over the members still serving. Every question about read
+// slices (readIdx, a sliced runs) asks it first.
+func (cl *Cluster) recut() {
+	if cl.cutGen != cl.downGen || !slices.Equal(cl.cutRing, cl.pl.members) {
+		cl.cutLoad = cl.pl.recut(cl.down, cl.cutLoad)
+		cl.cutGen, cl.cutRing = cl.downGen, append(cl.cutRing[:0], cl.pl.members...)
 	}
-	return -1
 }
 
 // readIdx returns the read target for byte off of an inode under its
@@ -474,6 +488,7 @@ func (cl *Cluster) firstUp(pos, from, span int) int {
 // (placement.reader) when alive, else the next alive member of the
 // group after it, wrapping, else -1.
 func (cl *Cluster) readIdx(lay LayoutClass, ino kernel.InodeID, off int64) int {
+	cl.recut()
 	rank, _ := cl.pl.reader(lay, off)
 	return cl.firstUp(cl.pl.owner(lay, ino, off), rank, cl.pl.replicas)
 }
@@ -569,6 +584,9 @@ func (cl *Cluster) HomeServer(ino kernel.InodeID) int {
 // the next runs call, so callers that outlive their own issue loop
 // (StartRead/StartWrite pendings) must copy it.
 func (cl *Cluster) runs(lay LayoutClass, ino kernel.InodeID, off int64, n int, sliced bool) []run {
+	if sliced {
+		cl.recut()
+	}
 	cl.runScratch = cl.pl.runs(lay, ino, off, n, sliced, cl.runScratch[:0])
 	return cl.runScratch
 }

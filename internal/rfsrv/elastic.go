@@ -142,6 +142,7 @@ func (cl *Cluster) Reinstate(p *sim.Proc, i int) error {
 	cl.Reinstates.Add(0)
 	cl.ReinstateTime += p.Now() - start
 	cl.down[i] = false
+	cl.downGen++
 	cl.jn.reset(i)
 	return nil
 }

@@ -8,9 +8,11 @@ package rfsrv
 // (slot, rank, holds), which position a name hashes to (residue,
 // inodeHome, pathHome, home), which members hold a name's namespace
 // entry (nsGroup, nsRank), and which replica serves a byte's reads
-// (reader). It knows
-// nothing of exclusion, sessions or the wire; fault state stays with
-// the Cluster, which walks a group with slot and skips what is down.
+// (reader, over the read slice table recut builds). It tracks no
+// faults and knows nothing of sessions or the wire: the Cluster keeps
+// the exclusion set and hands it to the two questions that depend on
+// it, a group's first alive member (firstUp) and the read slice table
+// (recut).
 // The ring arithmetic lives here and nowhere else: the client data
 // path, the sharded namespace, the journal hooks, elastic migration
 // (delta) and the server's ownership check (a ringPlacement built from
@@ -20,6 +22,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/kernel"
 	"repro/internal/mem"
@@ -33,6 +36,11 @@ type placement struct {
 	// sharded: the namespace is sharded, so an inode's home is its
 	// residue's owner group rather than its hash (home).
 	sharded bool
+	// cuts is the read slice table (recut, reader): R+1 page indices
+	// per ring position, cuts[pos*(R+1)+j] being the first page of
+	// read slice j of that position's stripes and cuts[pos*(R+1)+R]
+	// the stripe's page count.
+	cuts []int
 }
 
 // ringPlacement is the geometry of n servers whose slots are their ring
@@ -86,6 +94,22 @@ func (pl placement) rank(pos, slot int) int {
 // holds reports whether the slot stores what position pos owns — stripe
 // replicas and owned dentries alike.
 func (pl placement) holds(slot, pos int) bool { return pl.rank(pos, slot) >= 0 }
+
+// firstUp returns the first slot among the span ring positions
+// starting at pos that down (indexed by slot) does not exclude, trying
+// them from rank from on and wrapping, or -1: a replica group's
+// preferred member (span R) or a hashed home's stand-in (span N) — the
+// one first-alive-of-group loop.
+//
+// allocfree
+func (pl placement) firstUp(down []bool, pos, from, span int) int {
+	for j := 0; j < span; j++ {
+		if k := pl.slot(pos, (from+j)%span); !down[k] {
+			return k
+		}
+	}
+	return -1
+}
 
 // nsGroup returns the ring positions that hold an inode's namespace
 // entry — its attributes and, for a directory, its dentries: span
@@ -182,13 +206,11 @@ func (pl placement) owner(lay LayoutClass, ino kernel.InodeID, off int64) int {
 
 // reader returns which replica of byte off's group serves its reads —
 // its rank, 0 being the primary — and the end of the read slice that
-// holds off. Each stripe of P pages is cut into R page-aligned read
-// slices, slice j starting at page ⌊j·P/R⌋, and slice j is read from
-// rank j: every member of a group serves a fixed share of the stripe's
-// reads (none is empty once P ≥ R), and every client reads a given
-// byte from the same replica. A class that does not stripe and a
-// placement of one replica have one slice, read from the primary, that
-// never ends.
+// holds off: slice j of a stripe is the pages from the table's cut j
+// (recut) up to cut j+1, read from rank j, so every client reads a
+// given byte from the same replica while the exclusion sets agree. A
+// class that does not stripe and a placement of one replica have one
+// slice, read from the primary, that never ends.
 //
 // allocfree
 func (pl placement) reader(lay LayoutClass, off int64) (rank int, end int64) {
@@ -196,11 +218,69 @@ func (pl placement) reader(lay LayoutClass, off int64) (rank int, end int64) {
 	if w == 0 || pl.replicas == 1 {
 		return 0, math.MaxInt64
 	}
-	pages, r := w/mem.PageSize, int64(pl.replicas)
+	r := pl.replicas
 	base := off / w * w
-	page := (off - base) / mem.PageSize
-	j := ((page+1)*r - 1) / pages // the last slice starting at or before page
-	return int(j), base + (j+1)*pages/r*mem.PageSize
+	page := int((off - base) / mem.PageSize)
+	pos := int(off / w % int64(len(pl.members)))
+	c := pl.cuts[pos*(r+1) : (pos+1)*(r+1)]
+	j := r - 1
+	for c[j] > page { // the last slice starting at or before page
+		j--
+	}
+	return j, base + int64(c[j+1])*mem.PageSize
+}
+
+// recut rebuilds the read slice table in place for the exclusion set
+// down (indexed by slot), using load (returned, one entry per slot) as
+// scratch. It starts from the even cuts — slice j of every stripe of P
+// pages starts at page ⌊j·P/R⌋, so every member of a group serves a
+// fixed share of its reads (none is empty once P ≥ R) — with an
+// excluded rank's slice served by the group's next alive member
+// (firstUp), as the read path routes it. Then, until nothing moves, it
+// shifts every cut between two non-empty slices served by different
+// alive members one page at a time toward the less loaded of them
+// while that lowers the larger load, a member's load being the pages
+// it serves summed over every group of the ring. With nothing excluded
+// every member serves each rank once and nothing moves; with a member
+// out, its load spreads down the chain of groups (chained
+// declustering) instead of landing on its neighbours alone. Every
+// slice keeps at least one page and an empty one (P < R) stays empty,
+// so a stripe read issues as many requests as under the even cuts, and
+// no member's load ever rises above the largest load of the even cuts.
+func (pl *placement) recut(down []bool, load []int) []int {
+	n, r, pages := len(pl.members), pl.replicas, int(pl.stripe/mem.PageSize)
+	load = append(load[:0], make([]int, len(down))...)
+	pl.cuts = slices.Grow(pl.cuts[:0], n*(r+1))
+	for pos := 0; pos < n; pos++ {
+		for j := 0; j <= r; j++ {
+			pl.cuts = append(pl.cuts, j*pages/r)
+		}
+		c := pl.cuts[pos*(r+1):]
+		for j := 0; j < r; j++ {
+			if k := pl.firstUp(down, pos, j, r); k >= 0 {
+				load[k] += c[j+1] - c[j]
+			}
+		}
+	}
+	for moved := true; moved; {
+		moved = false
+		for pos := 0; pos < n; pos++ {
+			c := pl.cuts[pos*(r+1) : (pos+1)*(r+1)]
+			for j := 1; j < r; j++ {
+				a, b := pl.firstUp(down, pos, j-1, r), pl.firstUp(down, pos, j, r)
+				if a == b || c[j-1] == c[j] || c[j] == c[j+1] {
+					continue
+				}
+				for ; load[a] > load[b]+1 && c[j]-1 > c[j-1]; c[j]-- {
+					load[a], load[b], moved = load[a]-1, load[b]+1, true
+				}
+				for ; load[b] > load[a]+1 && c[j]+1 < c[j+1]; c[j]++ {
+					load[a], load[b], moved = load[a]+1, load[b]-1, true
+				}
+			}
+		}
+	}
+	return load
 }
 
 // run is one contiguous byte range owned by a single position.
@@ -239,7 +319,8 @@ func (pl placement) runs(lay LayoutClass, ino kernel.InodeID, off int64, n int, 
 	return out
 }
 
-// withMembers returns the placement over a different member ring.
+// withMembers returns the placement over a different member ring. Its
+// read slice table stays the old ring's until recut.
 func (pl placement) withMembers(members []int) placement {
 	pl.members = members
 	return pl

@@ -7,8 +7,9 @@ package rfsrv
 // groups are cross-checked against refResidue/refGroup, the formulas of
 // the torture oracle's residueOf/groupOf (internal/torture/rig.go — an
 // in-package test cannot import it: torture imports rfsrv), and every
-// stripe's read slices cover it in rank order. The same invariants run
-// over arbitrary geometries in FuzzPlacement.
+// stripe's read slices cover it in rank order, under any exclusion set
+// served by alive members with the load spread. The same invariants
+// run over arbitrary geometries and exclusion sets in FuzzPlacement.
 
 import (
 	"fmt"
@@ -117,16 +118,26 @@ func checkRuns(t *testing.T, pl placement, lay LayoutClass, ino kernel.InodeID, 
 	}
 }
 
-// checkReaders: the read slices of the stripe holding off cover it in
-// rank order — every byte has exactly one reading rank in [0, R),
+// checkReaders cuts the read slice table for the exclusion set down
+// (indexed by slot) and checks it: with nothing excluded it is the even
+// cuts ⌊j·P/R⌋; every page is read by an alive member of its group
+// unless the whole group is out; no member reads more pages, summed
+// over the ring, than the most loaded one under the even cuts with
+// each excluded rank's slice on the group's next alive member (the
+// rule the table replaces); and every slice the even cuts give pages
+// keeps some. Then the read slices of the stripe holding off cover it
+// in rank order — every byte has exactly one reading rank in [0, R),
 // constant over a page, each rank's bytes one page-aligned range that
 // reader's end closes, every rank a share once the stripe has R pages
 // — and the sliced runs of [off, off+n) partition it into pieces that
 // each lie in one slice of one stripe. With one replica, or a class
 // that does not stripe, the owner reads everything and the sliced runs
 // are the runs.
-func checkReaders(t *testing.T, pl placement, lay LayoutClass, ino kernel.InodeID, off int64, n int) {
+func checkReaders(t *testing.T, pl placement, down []bool, lay LayoutClass, ino kernel.InodeID, off int64, n int) {
 	t.Helper()
+	pl.cuts = nil
+	pl.recut(down, nil)
+	checkSliceTable(t, pl, down)
 	sliced := pl.runs(lay, ino, off, n, true, nil)
 	w := pl.width(lay)
 	if w == 0 || pl.replicas == 1 {
@@ -178,35 +189,117 @@ func checkReaders(t *testing.T, pl placement, lay LayoutClass, ino kernel.InodeI
 	}
 }
 
+// checkSliceTable checks the table-wide half of checkReaders on a
+// placement cut for down, page by page through reader and firstUp. One
+// replica has one slice per stripe: nothing to cut.
+func checkSliceTable(t *testing.T, pl placement, down []bool) {
+	t.Helper()
+	if pl.replicas == 1 {
+		return
+	}
+	pages, r := pl.stripe/mem.PageSize, int64(pl.replicas)
+	even := placement{members: pl.members, stripe: pl.stripe, replicas: pl.replicas}
+	even.recut(make([]bool, len(down)), nil)
+	load, evenLoad := make([]int64, len(down)), make([]int64, len(down))
+	for pos := range pl.members {
+		base := int64(pos) * pl.stripe
+		issued, evenIssued := 0, 0 // non-empty slices: the requests a stripe read issues
+		for page := int64(0); page < pages; page++ {
+			at := base + page*mem.PageSize
+			rank, end := pl.reader(LayoutStandard, at)
+			evenRank, evenEnd := even.reader(LayoutStandard, at)
+			if j := (page+1)*r - 1; evenRank != int(j/pages) || evenEnd != base+(j/pages+1)*pages/r*mem.PageSize {
+				t.Fatalf("%v: with nothing excluded page %d of position %d is slice %d up to %d, want the even cut's %d", pl, page, pos, evenRank, evenEnd, j/pages)
+			}
+			if at+mem.PageSize == end {
+				issued++
+			}
+			if at+mem.PageSize == evenEnd {
+				evenIssued++
+			}
+			k := pl.firstUp(down, pos, rank, pl.replicas)
+			if k < 0 {
+				continue // the whole group is out: nobody reads it
+			}
+			if down[k] || !pl.holds(k, pos) {
+				t.Fatalf("%v down %v: page %d of position %d is read by slot %d, not an alive member of its group", pl, down, page, pos, k)
+			}
+			load[k]++
+			evenLoad[pl.firstUp(down, pos, evenRank, pl.replicas)]++
+		}
+		if issued != evenIssued {
+			t.Fatalf("%v down %v: a stripe of position %d has %d non-empty read slices, %d under the even cuts", pl, down, pos, issued, evenIssued)
+		}
+	}
+	if slices.Max(load) > slices.Max(evenLoad) {
+		t.Fatalf("%v down %v: loads %v peak above the even cuts' %v", pl, down, load, evenLoad)
+	}
+	if !slices.Contains(down, true) && !slices.Equal(pl.cuts, even.cuts) {
+		t.Fatalf("%v: with nothing excluded the table is %v, want the even %v", pl, pl.cuts, even.cuts)
+	}
+}
+
 // TestPlacementReadSlices checks the read slice rule over every ring of
-// 1..6 members, every R and stripes of 1..17 pages.
+// 1..6 members, every R and stripes of 1..17 pages, with nothing
+// excluded, each slot excluded and two slots excluded.
 func TestPlacementReadSlices(t *testing.T) {
 	for n := 1; n <= 6; n++ {
 		for r := 1; r <= n; r++ {
 			for pages := int64(1); pages <= 17; pages++ {
 				pl := placement{members: permuted(n, 0, uint64(n*8+r)), stripe: pages * mem.PageSize, replicas: r}
-				for lay := LayoutStandard; lay <= layoutMax; lay++ {
-					w := max(pl.width(lay), pl.stripe)
-					for _, off := range offsets(w) {
-						for _, ln := range []int{0, 1, int(w) - 1, int(w), 3*int(w) + 5} {
-							checkReaders(t, pl, lay, 7, off, ln)
+				for _, down := range exclusionSets(n) {
+					for lay := LayoutStandard; lay <= layoutMax; lay++ {
+						w := max(pl.width(lay), pl.stripe)
+						for _, off := range offsets(w) {
+							for _, ln := range []int{0, 1, int(w) - 1, int(w), 3*int(w) + 5} {
+								checkReaders(t, pl, down, lay, 7, off, ln)
+							}
 						}
 					}
 				}
 			}
 		}
 	}
-	// The default stripe at R=2: a half each, the primary first.
+	// The default stripe at R=2: a half each, the primary first; with
+	// slot 1 out its 32 pages of each ring round spread over the chain
+	// 2 → 3 → 0 (slots 0, 2 and 3 read 22, 21 and 21 pages, not 24, 24
+	// and 16): slot 3 takes 3 pages of stripe 2 from slot 2 (the cut
+	// moves from page 8 to 5) and 2 of stripe 3 from slot 0 (8 to 10).
 	pl := placement{members: []int{0, 1, 2, 3}, stripe: DefaultStripeSize, replicas: 2}
+	pl.recut(make([]bool, 4), nil)
+	out := pl
+	out.cuts = nil
+	out.recut([]bool{false, true, false, false}, nil)
 	for _, c := range []struct {
+		pl        placement
 		off       int64
 		rank      int
 		sliceEnds int64
-	}{{0, 0, 32 << 10}, {32<<10 - 1, 0, 32 << 10}, {32 << 10, 1, 64 << 10}, {64<<10 + 5, 0, 96 << 10}} {
-		if rank, end := pl.reader(LayoutStandard, c.off); rank != c.rank || end != c.sliceEnds {
-			t.Fatalf("byte %d: rank %d slice end %d, want %d %d", c.off, rank, end, c.rank, c.sliceEnds)
+	}{
+		{pl, 0, 0, 32 << 10}, {pl, 32<<10 - 1, 0, 32 << 10}, {pl, 32 << 10, 1, 64 << 10}, {pl, 64<<10 + 5, 0, 96 << 10},
+		{out, 0, 0, 32 << 10}, {out, 2 << 16, 0, 2<<16 + 20<<10}, {out, 2<<16 + 20<<10, 1, 3 << 16}, {out, 3 << 16, 0, 3<<16 + 40<<10},
+	} {
+		if rank, end := c.pl.reader(LayoutStandard, c.off); rank != c.rank || end != c.sliceEnds {
+			t.Fatalf("%v byte %d: rank %d slice end %d, want %d %d", c.pl, c.off, rank, end, c.rank, c.sliceEnds)
 		}
 	}
+}
+
+// exclusionSets lists, for a ring of slots 0..n-1, nothing excluded,
+// every slot excluded alone and, from 3 slots on, slots 0 and 2 both.
+func exclusionSets(n int) [][]bool {
+	out := [][]bool{make([]bool, n)}
+	for k := 0; k < n; k++ {
+		down := make([]bool, n)
+		down[k] = true
+		out = append(out, down)
+	}
+	if n >= 3 {
+		down := make([]bool, n)
+		down[0], down[2] = true, true
+		out = append(out, down)
+	}
+	return out
 }
 
 // checkDelta: over [off, off+n) of a file of class lay, delta's
@@ -343,9 +436,10 @@ func TestPlacementServerAgreesWithClient(t *testing.T) {
 // FuzzPlacement runs the table tests' invariants over arbitrary
 // geometries: a permuted ring of 1..8 members, any R, stripe width,
 // layout class (bit 0 of layout) and namespace (bit 1: sharded homes a
-// whole file on its residue), byte range, and one membership change (a
-// join or a retire at a fuzzed position) — delta checked for the fuzzed
-// class and, always, for a whole-on-home file.
+// whole file on its residue), byte range, read slices with nothing
+// excluded and under an exclusion set drawn from the seed, and one
+// membership change (a join or a retire at a fuzzed position) — delta
+// checked for the fuzzed class and, always, for a whole-on-home file.
 func FuzzPlacement(f *testing.F) {
 	f.Add(uint64(0), uint8(2), uint8(1), uint8(1), uint8(0), uint64(2), int64(0), uint32(3*mem.PageSize), uint8(3))
 	f.Add(uint64(7), uint8(3), uint8(1), uint8(15), uint8(2), uint64(9), int64(1<<20-1), uint32(2<<20+2), uint8(0))
@@ -366,7 +460,14 @@ func FuzzPlacement(f *testing.F) {
 		checkGroups(t, pl)
 		lay := LayoutClass(layout & 1)
 		checkRuns(t, pl, lay, kernel.InodeID(ino), off, ln)
-		checkReaders(t, pl, lay, kernel.InodeID(ino), off, ln)
+		checkReaders(t, pl, make([]bool, n), lay, kernel.InodeID(ino), off, ln)
+		if x := mix(^seed); x&3 != 0 { // three cases in four: a random exclusion set
+			down := make([]bool, n)
+			for k := range down {
+				down[k] = x>>(2+k)&1 == 1
+			}
+			checkReaders(t, pl, down, lay, kernel.InodeID(ino), off, ln)
+		}
 		if pl.residue(kernel.InodeID(ino)) != refResidue(kernel.InodeID(ino), n) {
 			t.Fatalf("%v: residue(%d) = %d, oracle says %d", pl, ino, pl.residue(kernel.InodeID(ino)), refResidue(kernel.InodeID(ino), n))
 		}

@@ -12,6 +12,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/gm"
 	"repro/internal/hw"
+	"repro/internal/mem"
 	"repro/internal/memfs"
 	"repro/internal/mx"
 	"repro/internal/rfsrv"
@@ -68,6 +69,124 @@ func TestReadSlicesSpreadAStripe(t *testing.T) {
 		if want := 181350 * sim.Time(1); took != want {
 			t.Errorf("idle 64 KB R=2 read took %v, want %v", took, want)
 		}
+	})
+}
+
+// excludeIdle takes server victim out of an idle cluster the way a
+// fault does — its NIC dies, a create fanned to every server faults on
+// it — then revives the NIC and lets the dead replies' deadlines pass:
+// the server is healthy again but stays excluded until Reinstate.
+func excludeIdle(t *testing.T, p *sim.Proc, r *clusterRig, cl *rfsrv.Cluster, victim int) {
+	t.Helper()
+	r.servers[victim].NIC.Kill()
+	clusterCreate(t, p, cl, fmt.Sprintf("excluder%d", victim))
+	if down := cl.DownServers(); len(down) != 1 || down[0] != victim {
+		t.Fatalf("down servers = %v, want [%d]", down, victim)
+	}
+	r.servers[victim].NIC.Revive()
+	p.Sleep(2 * faultTimeout)
+}
+
+// TestReadSlicesBalanceAroundAnExclusion excludes one server of idle
+// 4- and 8-server R=2 rigs and reads every stripe of a two-round file
+// once: the excluded server sends nothing, and each of the N-1 others
+// serves N/(N-1) stripe shares of each round, within one page per
+// group it reads for (R per round). The rule the read slice table
+// replaced put the victim's slices on its two neighbours alone: 1.5
+// shares each at N=4, where 4/3 is possible.
+func TestReadSlicesBalanceAroundAnExclusion(t *testing.T) {
+	const rounds, victim = 2, 1
+	for _, n := range []int{4, 8} {
+		t.Run(fmt.Sprint(n), func(t *testing.T) {
+			r := newRigOf(t, n, 2, false)
+			r.run(t, func(p *sim.Proc) {
+				cl := r.clusterOf(t, p, 10, platform.Desc{Replicas: 2, Stripe: sliceStripe, Window: 4, Timeout: faultTimeout})
+				size := rounds * n * sliceStripe
+				ino := clusterCreate(t, p, cl, "f")
+				for off := 0; off < size; off += sliceStripe { // a stripe at a time: well inside the deadline
+					elasticWrite(t, p, r, cl, ino, int64(off), pattern(sliceStripe))
+				}
+				excludeIdle(t, p, r, cl, victim)
+				before := make([]int64, n)
+				for i, node := range r.servers {
+					before[i] = node.NIC.TxMsgs.Bytes
+				}
+				_, rvec := r.kbuf(t, sliceStripe)
+				for off := 0; off < size; off += sliceStripe {
+					if resp, err := cl.Read(p, ino, int64(off), rvec); err != nil || int(resp.N) != sliceStripe {
+						t.Fatalf("read at %d: n=%d err=%v", off, resp.N, err)
+					}
+				}
+				want := float64(size) / float64(n-1)
+				slack := float64(rounds * 2 * mem.PageSize)
+				for i, node := range r.servers {
+					sent := float64(node.NIC.TxMsgs.Bytes - before[i])
+					if i == victim && sent != 0 || i != victim && (sent < want-slack || sent > want+slack) {
+						t.Errorf("N=%d: server %d sent %.0f bytes of the reads, want %.0f ± %.0f (0 from the excluded server %d)", n, i, sent, want, slack, victim)
+					}
+				}
+				assertWindowsIdle(t, cl)
+			})
+		})
+	}
+}
+
+// TestReadSlicesRecutAfterReinstate excludes server 2 of an idle
+// 4-server R=2 rig — which moves stripe 0's cut toward server 0, the
+// less loaded of its two members — and readmits it: the idle 64 KB
+// read of stripe 0 is again one request per replica and ends at
+// TestReadSlicesSpreadAStripe's pinned 181.35 µs, so the table was cut
+// again when the exclusion cleared.
+func TestReadSlicesRecutAfterReinstate(t *testing.T) {
+	r := newRigOf(t, 4, 2, false)
+	r.run(t, func(p *sim.Proc) {
+		cl := r.clusterOf(t, p, 10, platform.Desc{Replicas: 2, Stripe: sliceStripe, Window: 4, Timeout: faultTimeout})
+		data := pattern(sliceStripe)
+		ino := clusterCreate(t, p, cl, "f")
+		va, vec := r.kbuf(t, sliceStripe)
+		if err := r.client.Kernel.WriteBytes(va, data); err != nil {
+			t.Fatal(err)
+		}
+		if resp, err := cl.Write(p, ino, 0, vec); err != nil || int(resp.N) != sliceStripe {
+			t.Fatalf("replicated write: n=%d err=%v", resp.N, err)
+		}
+		excludeIdle(t, p, r, cl, 2)
+		rva, rvec := r.kbuf(t, sliceStripe)
+		readStripe := func(what string) sim.Time {
+			before := make([]int64, len(r.rsrv))
+			for i, s := range r.rsrv {
+				before[i] = s.Requests.N
+			}
+			start := p.Now()
+			if resp, err := cl.Read(p, ino, 0, rvec); err != nil || int(resp.N) != sliceStripe {
+				t.Fatalf("read %s: n=%d err=%v", what, resp.N, err)
+			}
+			took := p.Now() - start
+			if got, _ := r.client.Kernel.ReadBytes(rva, sliceStripe); !bytes.Equal(got, data) {
+				t.Fatalf("read %s returned wrong bytes", what)
+			}
+			for i, s := range r.rsrv {
+				want := int64(0)
+				if i < 2 { // stripe 0's group: servers 0 and 1
+					want = 1
+				}
+				if got := s.Requests.N - before[i]; got != want {
+					t.Errorf("server %d served %d requests of the read %s, want %d", i, got, what, want)
+				}
+			}
+			return took
+		}
+		const even = 181350 * sim.Time(1)
+		if took := readStripe("with server 2 out"); took == even {
+			t.Errorf("idle 64 KB read with server 2 out took %v, the even cut's time: its cut did not move", took)
+		}
+		if err := cl.Reinstate(p, 2); err != nil {
+			t.Fatalf("reinstate: %v", err)
+		}
+		if took := readStripe("after the readmission"); took != even {
+			t.Errorf("idle 64 KB read after the readmission took %v, want %v", took, even)
+		}
+		assertWindowsIdle(t, cl)
 	})
 }
 

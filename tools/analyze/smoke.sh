@@ -22,8 +22,10 @@
 # stripe rewritten while its server was out is copied back once per
 # rewrite. A tenth must fail a tier-1 test too: a membership change
 # that skips its fenced re-copy of the dirty set, so a write that lands
-# after the bulk copy read its stripe never reaches the joiner. Then it
-# restores the tree byte-for-byte from backups (no git operations, safe
+# after the bulk copy read its stripe never reaches the joiner. An
+# eleventh must fail a tier-1 test too: a readmission that clears the
+# exclusion without invalidating the read slice table, so the slices
+# stay cut for the exclusion that ended. Then it restores the tree byte-for-byte from backups (no git operations, safe
 # on a dirty tree).
 set -eu
 
@@ -218,6 +220,23 @@ fi
 if ! echo "$out" | grep -q -- '--- FAIL: TestElasticJoinRecopiesWriteInFlightAtStart'; then
 	echo "$out"
 	echo "smoke: FAIL — the tests failed, but not TestElasticJoinRecopiesWriteInFlightAtStart"
+	exit 1
+fi
+cp "$tmp/elastic.go.bak" "$reinstater"
+
+echo "smoke: a read slice table not recut when an exclusion clears must fail a tier-1 test"
+sed -i '/^\tcl\.downGen++$/d' "$reinstater"
+if cmp -s "$reinstater" "$tmp/elastic.go.bak"; then
+	echo "smoke: FAIL — injection did not change $reinstater (site moved?)"
+	exit 1
+fi
+if out="$(go test -count=1 -run '^TestReadSlicesRecutAfterReinstate$' ./internal/rfsrv 2>&1)"; then
+	echo "smoke: FAIL — tier-1 tests passed with read slices still cut for a cleared exclusion"
+	exit 1
+fi
+if ! echo "$out" | grep -q -- '--- FAIL: TestReadSlicesRecutAfterReinstate'; then
+	echo "$out"
+	echo "smoke: FAIL — the tests failed, but not TestReadSlicesRecutAfterReinstate"
 	exit 1
 fi
 cp "$tmp/elastic.go.bak" "$reinstater"
