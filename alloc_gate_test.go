@@ -23,54 +23,56 @@ import (
 	"repro/internal/figures"
 )
 
-// Measured with go1.24 on linux/amd64 once a send's NIC record, a
-// receive's extent list, a staged send's extents, a cluster part's
-// Pending and its destination slice were all recycled rather than
-// allocated per message (the "was" figures are from before). The two
-// figure ceilings are the measurements plus ~25% for toolchain drift,
-// the per-op count ceilings plus ~12%, the per-op bytes ceilings plus
-// ~15% and at least 300 B (a garbage collection that empties the pools
-// mid-measurement adds back a few hundred B/op, which the margin
-// covers; one reintroduced 64 KB buffer per request adds 65 536).
-// Lower them when a future pass cuts allocations further.
+// Measured with go1.24 on linux/amd64 once every fabric Op the rfsrv
+// client and server and the netpipe harness hold is released to its
+// transport's free list, the zero-copy send's completion callback is
+// built once per request and the server decodes each request into its
+// work record (the "was" figures are from before; a send's NIC record, a
+// staged send's extents, a cluster part's Pending and its destination
+// slice were recycled already). The two figure ceilings are the
+// measurements plus ~25% for toolchain drift, the per-op count ceilings
+// plus ~12%, the per-op bytes ceilings plus ~15% and at least 300 B (a
+// garbage collection that empties the pools mid-measurement adds back a
+// few hundred B/op, which the margin covers; one reintroduced 64 KB
+// buffer per request adds 65 536). Lower them when a future pass cuts
+// allocations further.
 const (
-	maxRequestPathAllocsPerOp    = 14    // measured 12.29 (was 24.04)
-	maxFig5aAllocs               = 7100  // measured 5666 (was 7111)
-	maxFig5bAllocs               = 21700 // measured 17297 (was 19203)
-	maxExtendingWriteAllocsPerOp = 37    // measured 32.30, a one-page write + a 3-server size fan (was 57.30)
+	maxRequestPathAllocsPerOp    = 2     // measured 1.55 (was 12.29)
+	maxFig5aAllocs               = 3500  // measured 2785 (was 5666)
+	maxFig5bAllocs               = 16800 // measured 13395 (was 17297)
+	maxExtendingWriteAllocsPerOp = 13    // measured 11.30, a one-page write + a 3-server size fan (was 32.30)
 
-	maxRequestPathBytesPerOp    = 2450  // measured 2128 (64 KB ops; was 3504)
-	maxWriteAllocsPerOp         = 15    // measured 13.02, a 64 KB write whose payload travels alone (was 25.08)
-	maxWriteBytesPerOp          = 2490  // measured 2161 (was 3465)
-	maxExtendingWriteBytesPerOp = 11420 // measured 9926 (was 12694)
-	maxORFSDirectAllocsPerOp    = 37    // measured 32.14 (was 42.14)
-	maxORFSDirectBytesPerOp     = 2310  // measured 2002 (was 3474)
+	maxRequestPathBytesPerOp    = 530  // measured 230 (64 KB ops; was 2128)
+	maxWriteAllocsPerOp         = 3    // measured 2.04, a 64 KB write whose payload travels alone (was 13.02)
+	maxWriteBytesPerOp          = 580  // measured 278 (was 2161)
+	maxExtendingWriteBytesPerOp = 6970 // measured 6061 (was 9926)
+	maxORFSDirectAllocsPerOp    = 28   // measured 24.15 (was 32.14)
+	maxORFSDirectBytesPerOp     = 880  // measured 580 (was 2002)
 
 	// A 64 KB MX Session read into kernel memory, synchronous and eight
 	// deep, in two eager pieces into receives posted before the request
 	// left, and a write from it eight deep, in two eager pieces into
 	// receives the server posts as it admits the header.
-	maxKernelRead64KAllocsPerOp    = 15   // measured 13.03 (was 25.02)
-	maxKernelRead64KBytesPerOp     = 2430 // measured 2113 (was 3409)
-	maxKernelRead64KW8AllocsPerOp  = 16   // measured 14.01 (was 26.01)
-	maxKernelRead64KW8BytesPerOp   = 2540 // measured 2208 (was 3504)
-	maxKernelWrite64KW8AllocsPerOp = 17   // measured 15.03 (was 27.03)
-	maxKernelWrite64KW8BytesPerOp  = 2660 // measured 2306 (was 3603)
+	maxKernelRead64KAllocsPerOp    = 3   // measured 2.04 (was 13.03)
+	maxKernelRead64KBytesPerOp     = 530 // measured 230 (was 2113)
+	maxKernelRead64KW8AllocsPerOp  = 4   // measured 3.02 (was 14.01)
+	maxKernelRead64KW8BytesPerOp   = 610 // measured 305 (was 2208)
+	maxKernelWrite64KW8AllocsPerOp = 5   // measured 4.03 (was 15.03)
+	maxKernelWrite64KW8BytesPerOp  = 710 // measured 403 (was 2306)
 
 	// One synchronous 64 KB read of a stripe that two of four servers
 	// hold: its two read slices are two requests, one to each replica.
-	// The ceilings are the usual margins over what the read cost while
-	// the primary served all of it in one request (27.02 allocs/op,
-	// 3 633 B/op), so the second request must not cost more than the
-	// per-message cuts saved; it measures 19.05 and 3 282.
-	maxReplicatedReadAllocsPerOp = 31
-	maxReplicatedReadBytesPerOp  = 4180
+	// It measured 19.05 allocs/op and 3 282 B/op while every request
+	// allocated its Ops, less than the one request the primary once
+	// served (27.02, 3 633); with the Ops released, 3.05 and 418.
+	maxReplicatedReadAllocsPerOp = 4
+	maxReplicatedReadBytesPerOp  = 720
 
 	// One 4 KB ping-pong round trip on the raw fabric: two messages.
-	maxGMRoundTripAllocsPerOp = 21   // measured 17.99 (was 19.99)
-	maxGMRoundTripBytesPerOp  = 1060 // measured 752 (was 1264)
-	maxMXRoundTripAllocsPerOp = 9    // measured 8.00 (was 13.99)
-	maxMXRoundTripBytesPerOp  = 1390 // measured 1087 (was 1727)
+	maxGMRoundTripAllocsPerOp = 12  // measured 10.00 (was 17.99)
+	maxGMRoundTripBytesPerOp  = 540 // measured 240 (was 752)
+	maxMXRoundTripAllocsPerOp = 1   // measured 0.00, a stray runtime allocation reads 0.01 (was 8.00)
+	maxMXRoundTripBytesPerOp  = 300 // measured 0 (was 1087)
 )
 
 // figAllocs generates the figure twice — once to warm lazy caches and
@@ -119,8 +121,8 @@ func TestAllocGateRequestPath(t *testing.T) {
 
 // TestAllocGateReplicatedRead gates a 64 KB read from a cluster that
 // keeps two replicas of every stripe: each replica serves its read
-// slice, so the read costs two requests where it once cost one, and
-// the ceilings are the one request's.
+// slice, so the read costs two requests where it once cost one; the
+// ceilings sit the usual margins over what it measures.
 func TestAllocGateReplicatedRead(t *testing.T) {
 	got, err := figures.ReplicatedReadAllocs(256)
 	if err != nil {

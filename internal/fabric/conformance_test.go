@@ -627,3 +627,184 @@ func TestGMSameTagFIFO(t *testing.T) {
 		}
 	})
 }
+
+// TestConformanceRelease: an Op released by its holder goes back to its
+// transport (MX's endpoint, GM's adapter) and comes out again for a
+// later Send or PostRecv, so a warmed send+receive pair allocates no Op
+// — nothing at all on MX, nothing beyond the raw port's own work on GM.
+// Releasing an Op that is not done panics; an MX receive released while
+// it waits in the endpoint's completion queue is never handed out by
+// WaitAny; and releasing changes no simulated number: a ping-pong run
+// that releases every Op ends at the instant, and after the events, of
+// one that releases none.
+func TestConformanceRelease(t *testing.T) {
+	const n, tag = 4096, 3
+	for _, b := range builders()[:2] {
+		t.Run(b.name, func(t *testing.T) {
+			run(t, b, func(p *sim.Proc, na, nb *hw.Node, pr pair) {
+				asA, vaA := buf(t, p, pr.a, n)
+				asB, vaB := buf(t, p, pr.b, n)
+				src, dst := core.Of(core.UserSeg(asA, vaA, n)), core.Of(core.UserSeg(asB, vaB, n))
+				seen := map[fabric.Op]bool{}
+				sendRecv := func() {
+					rop, err := pr.b.PostRecv(p, core.Exact(tag), dst)
+					if err != nil {
+						t.Fatal(err)
+					}
+					sop, err := pr.a.Send(p, nb.ID, pr.bEP, tag, src)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if st := sop.Wait(p); st.Err != nil {
+						t.Fatal(st.Err)
+					}
+					if st := rop.Wait(p); st.Err != nil || st.Len != n {
+						t.Fatalf("recv: %+v", st)
+					}
+					seen[sop], seen[rop] = true, true
+					sop.Release()
+					rop.Release()
+				}
+				for range 4 {
+					sendRecv()
+				}
+				if len(seen) != 2 {
+					t.Errorf("four released send+receive pairs used %d Ops, want 2", len(seen))
+				}
+				allocs := testing.AllocsPerRun(20, sendRecv)
+				want := 0.0
+				if b.name == "gm" {
+					ga, gb := pr.a.(*fabric.GMTransport).Port(), pr.b.(*fabric.GMTransport).Port()
+					want = testing.AllocsPerRun(20, func() {
+						if err := gb.PostRecv(p, tag, asB, vaB, n); err != nil {
+							t.Fatal(err)
+						}
+						if err := ga.Send(p, nb.ID, pr.bEP, tag, asA, vaA, n); err != nil {
+							t.Fatal(err)
+						}
+						for ga.WaitEvent(p).Type != gm.SendComplete {
+						}
+						for gb.WaitEvent(p).Type != gm.RecvComplete {
+						}
+					})
+				}
+				t.Logf("a warmed send+receive pair: %.1f allocs (the raw port's: %.1f)", allocs, want)
+				if allocs > want {
+					t.Errorf("a warmed send+receive pair allocates %.1f objects, want %.1f (the raw port's)", allocs, want)
+				}
+
+				rop, err := pr.b.PostRecv(p, core.Exact(tag), dst)
+				if err != nil {
+					t.Fatal(err)
+				}
+				func() {
+					defer func() {
+						if recover() == nil {
+							t.Error("releasing a receive still posted did not panic")
+						}
+					}()
+					rop.Release()
+				}()
+				if !fabric.Cancel(p, rop) {
+					t.Fatal("the receive could not be withdrawn")
+				}
+				rop.Release() // done now: withdrawn
+			})
+		})
+	}
+	t.Run("mx-waitany", func(t *testing.T) {
+		run(t, builders()[1], func(p *sim.Proc, na, nb *hw.Node, pr pair) {
+			asA, vaA := buf(t, p, pr.a, n)
+			asB, vaB := buf(t, p, pr.b, 4*n)
+			var ops []fabric.Op
+			for i := range 4 {
+				op, err := pr.b.PostRecv(p, core.Exact(uint64(1+i)), core.Of(core.UserSeg(asB, vaB+vm.VirtAddr(i*n), n)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				ops = append(ops, op)
+			}
+			for info := uint64(1); info <= 3; info++ {
+				if _, err := pr.a.Send(p, nb.ID, pr.bEP, info, core.Of(core.UserSeg(asA, vaA, 64))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for !ops[2].Done() {
+				p.Sleep(time.Microsecond)
+			}
+			// The second receive is queued behind the first, unconsumed:
+			// released there, it waits to be dropped, and a receive posted
+			// now must not be it, re-armed.
+			ops[1].Release()
+			late, err := pr.b.PostRecv(p, core.Exact(5), core.Of(core.UserSeg(asB, vaB+vm.VirtAddr(3*n), n)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, info := range []uint64{4, 5} {
+				if _, err := pr.a.Send(p, nb.ID, pr.bEP, info, core.Of(core.UserSeg(asA, vaA, 64))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			ep := pr.b.(*fabric.MXTransport).Endpoint()
+			var got []uint64
+			for range 4 {
+				st, _ := ep.WaitAny(p).Test()
+				got = append(got, st.Info)
+			}
+			if fmt.Sprint(got) != "[1 3 4 5]" {
+				t.Errorf("WaitAny handed out infos %v, want [1 3 4 5]: never the released receive", got)
+			}
+			late.Release()
+		})
+	})
+	for _, b := range builders()[:2] {
+		t.Run(b.name+"-pingpong", func(t *testing.T) {
+			type end struct {
+				now    sim.Time
+				events uint64
+			}
+			pingpong := func(release bool) end {
+				env := sim.NewEngine()
+				cl := hw.NewCluster(env, hw.DefaultParams(), b.model)
+				na, nb := cl.AddNode("a"), cl.AddNode("b")
+				env.Spawn("pingpong", func(p *sim.Proc) {
+					pr, err := b.make(p, na, nb)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					const max = 40000 // past MX's medium limit: a rendezvous
+					asA, vaA := buf(t, p, pr.a, max)
+					asB, vaB := buf(t, p, pr.b, max)
+					leg := func(from, to fabric.Transport, toNode hw.NodeID, toEP uint8, src, dst core.Vector) {
+						rop, err := to.PostRecv(p, core.Exact(tag), dst)
+						if err != nil {
+							t.Fatal(err)
+						}
+						sop, err := from.Send(p, toNode, toEP, tag, src)
+						if err != nil {
+							t.Fatal(err)
+						}
+						rop.Wait(p)
+						sop.Wait(p)
+						if release {
+							rop.Release()
+							sop.Release()
+						}
+					}
+					for i := range 12 {
+						size := []int{64, n, max}[i%3]
+						a, b := core.Of(core.UserSeg(asA, vaA, size)), core.Of(core.UserSeg(asB, vaB, size))
+						leg(pr.a, pr.b, nb.ID, pr.bEP, a, b)
+						leg(pr.b, pr.a, na.ID, pr.aEP, b, a)
+					}
+				})
+				env.Run(0)
+				return end{env.Now(), env.Events()}
+			}
+			if with, without := pingpong(true), pingpong(false); with != without {
+				t.Errorf("a ping-pong releasing its Ops ends at %v after %d events, one releasing none at %v after %d", with.now, with.events, without.now, without.events)
+			}
+		})
+	}
+}

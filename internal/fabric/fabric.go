@@ -30,6 +30,12 @@
 //     blocking wait drains every completion already queued (GM's unique
 //     event queue forces consuming them anyway; the fabric routes each
 //     to its Op instead of dropping foreign completions on the floor).
+//   - An Op is its holder's until Release, which the holder calls once
+//     the Op is done and read for the last time; the transport may then
+//     hand the same object out again (MX requests and GM ops come from
+//     per-endpoint free lists, the slab idiom of kernel allocators). An
+//     Op never released is the garbage collector's, so a holder that
+//     drops its Ops (nbd, the socket layers) stays correct.
 //
 // A sixth adapter (e.g. a sharded multi-NIC backend) only has to
 // implement Transport and pass the conformance suite in
@@ -128,6 +134,11 @@ type Op interface {
 	// transport's completion-processing cost exactly once, and returns
 	// the outcome.
 	Wait(p *sim.Proc) Status
+	// Release ends the holder's use of a done operation: the transport
+	// may recycle it, so the holder must not touch it again. It charges
+	// nothing and panics if the operation is not done. Calling it is
+	// optional — an Op never released is left to the garbage collector.
+	Release()
 }
 
 // Transport is one endpoint of the unified fabric.
@@ -239,5 +250,8 @@ func (o completedOp) Wait(p *sim.Proc) Status { return o.st }
 
 // OnDone implements NotifyOp: the operation is done, so fn runs now.
 func (o completedOp) OnDone(fn func()) { fn() }
+
+// Release implements Op: a completed stream operation holds nothing.
+func (o completedOp) Release() {}
 
 var _ NotifyOp = completedOp{}

@@ -40,8 +40,10 @@ type GMTransport struct {
 	// queue interleaves completions of unrelated operations, so
 	// whichever Op drains the queue dispatches everything it pulls.
 	// Each key's FIFO is threaded through the Ops themselves (gmOp.next),
-	// so enrolling allocates nothing.
+	// and free holds the released Ops enroll hands out again, so
+	// enrolling allocates nothing.
 	waiting map[gmEvKey]gmOpFIFO
+	free    []*gmOp
 
 	// regions tracks Register calls for Deregister/Close.
 	regions map[regKey]*gm.Region
@@ -216,6 +218,7 @@ func (t *GMTransport) Send(p *sim.Proc, dst hw.NodeID, dstEP uint8, info uint64,
 	}
 	if err != nil {
 		t.unwait(op)
+		t.free = append(t.free, op)
 		return nil, err
 	}
 	return op, nil
@@ -239,14 +242,25 @@ func (t *GMTransport) PostRecv(p *sim.Proc, match core.Match, v core.Vector) (Op
 	}
 	if err != nil {
 		t.unwait(op)
+		t.free = append(t.free, op)
 		return nil, err
 	}
 	return op, nil
 }
 
-// enroll appends a new Op to the FIFO of those waiting for key's event.
+// enroll appends an Op — a released one, or a new one — to the FIFO of
+// those waiting for key's event.
+//
+// allocfree
 func (t *GMTransport) enroll(key gmEvKey) *gmOp {
-	op := &gmOp{t: t, key: key}
+	var op *gmOp
+	if k := len(t.free); k > 0 {
+		op, t.free = t.free[k-1], t.free[:k-1]
+		*op = gmOp{t: t, key: key}
+	} else {
+		//analyze:allow allocfree pool-miss arm: the Op recycles from here on
+		op = &gmOp{t: t, key: key}
+	}
 	q := t.waiting[key]
 	if q.tail == nil {
 		q.head = op
@@ -354,11 +368,12 @@ func (t *GMTransport) Close(p *sim.Proc) error {
 
 // gmOp is an in-flight GM operation.
 type gmOp struct {
-	t    *GMTransport
-	key  gmEvKey
-	next *gmOp // the Op enrolled behind this one under the same key
-	done bool
-	st   Status
+	t        *GMTransport
+	key      gmEvKey
+	next     *gmOp // the Op enrolled behind this one under the same key
+	done     bool
+	released bool
+	st       Status
 }
 
 // Done implements Op. GM completions are delivered only by draining
@@ -418,6 +433,18 @@ func (o *gmOp) Cancel(p *sim.Proc) bool {
 	o.done = true
 	o.st = Status{Err: ErrTimeout}
 	return true
+}
+
+// Release implements Op: a done Op is off every FIFO, so it goes back
+// to the transport's free list for enroll to hand out again.
+//
+// allocfree
+func (o *gmOp) Release() {
+	if !o.done || o.released {
+		panic("fabric: GM op released before it completed, or twice")
+	}
+	o.released = true
+	o.t.free = append(o.t.free, o)
 }
 
 var _ Transport = (*GMTransport)(nil)

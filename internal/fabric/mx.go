@@ -122,6 +122,12 @@ func (o mxOp) Cancel(p *sim.Proc) bool {
 // OnDone implements NotifyOp via the request's completion callback.
 func (o mxOp) OnDone(fn func()) { o.req.OnDone(fn) }
 
+// Release implements Op: the request goes back to its endpoint's free
+// list (mx.Request.Release).
+//
+// allocfree
+func (o mxOp) Release() { o.req.Release() }
+
 var _ Transport = (*MXTransport)(nil)
 var _ TimedOp = mxOp{}
 var _ CancelableOp = mxOp{}

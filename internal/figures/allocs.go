@@ -54,6 +54,10 @@ func steadyAllocs(ops int, op func(i int) error) (HostCost, error) {
 		}
 	}
 	var before, after runtime.MemStats
+	// Finish any collection the set-up started first: its background
+	// workers and the scavenger allocate too, and an operation that
+	// allocates nothing would be charged for them.
+	runtime.GC()
 	runtime.ReadMemStats(&before)
 	for i := 0; i < ops; i++ {
 		if err := op(rpaWarmup + i); err != nil {

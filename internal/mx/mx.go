@@ -27,6 +27,7 @@
 package mx
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"repro/internal/core"
@@ -42,6 +43,9 @@ const (
 	kindCTS                // clear to send
 	kindData               // rendezvous payload
 )
+
+// le is the byte order of the rendezvous ids and lengths in headers.
+var le = binary.LittleEndian
 
 // MX is the per-node driver instance.
 type MX struct {
@@ -91,12 +95,12 @@ type Endpoint struct {
 	rndvOut map[uint64]*Request  // our RTSes awaiting CTS
 	rndvIn  map[rndvKey]*Request // matched RTSes awaiting data
 
-	// staged is the extent list of a send whose bytes the host moves
-	// (PIO, bounce copy) and so reads before Send returns; lists holds
-	// completed receives' extent lists for the next receives to build
-	// theirs in.
-	staged []mem.Extent
-	lists  [][]mem.Extent
+	// xs is the extent list of a vector whose bytes move now: a send's,
+	// which the host stages (PIO, bounce copy) before Send returns, or a
+	// receive's, checked as it is posted and resolved again as its data
+	// lands; free holds the released requests newRequest hands out again.
+	xs   []mem.Extent
+	free []*Request
 
 	// Stats
 	Sends, Recvs sim.Counter
@@ -156,27 +160,37 @@ type Status struct {
 	Err  error  // truncation etc.
 }
 
-// Request is an in-flight send or receive.
+// Request is an in-flight send or receive. It is its holder's until
+// Release, which hands it back to its endpoint for the next Send or
+// Recv; a request never released is the garbage collector's.
 type Request struct {
 	ep     *Endpoint
 	done   sim.Signal
 	status Status
-	// the flags, side by side so the three take one word
-	isRecv    bool
+	// the flags, side by side so they take one word; queued: in the
+	// completion queue, released: its holder is done with it
 	charged   bool
 	truncated bool
+	queued    bool
+	released  bool
+
+	// vector is a send's source or a receive's destination
+	vector core.Vector
+	unpin  func() // posted user pages to unpin at completion
 
 	// receive state
 	match    core.Match
-	vector   core.Vector
-	extents  []mem.Extent
-	recvCopy int    // bytes of deferred receive-side bounce copy
-	unpin    func() // posted user pages to unpin at completion
+	recvCopy int // bytes of deferred receive-side bounce copy
 
-	// rendezvous state: a send's source and its id; a matched receive's
-	// id (the sender's, see rndvKey)
-	sendVec core.Vector
+	// rendezvous state: a send's extents (their backing kept across
+	// recycles) and its id; a matched receive's id (the sender's, see
+	// rndvKey)
+	extents []mem.Extent
 	rndvID  uint64
+
+	// fire completes a zero-copy medium send from its TxDone event:
+	// built the first time the request is one and kept across recycles.
+	fire func()
 }
 
 // Done reports whether the request has completed (mx_test).
@@ -210,6 +224,58 @@ func (r *Request) WaitTimeout(p *sim.Proc, d sim.Time) (Status, bool) {
 // allocfree
 func (r *Request) OnDone(fn func()) { r.done.WaitFunc(fn) }
 
+// Release hands a completed request back to its endpoint, which
+// recycles it for a later Send or Recv: the holder calls it once, after
+// its last Wait, Test or Done, and keeps no reference. A receive still
+// in the completion queue is recycled when the queue drops it, and
+// WaitAny never returns it. Releasing a request that has not completed
+// panics.
+//
+// allocfree
+func (r *Request) Release() {
+	if !r.done.Fired() || r.released {
+		panic("mx: request released before it completed, or twice")
+	}
+	if r.released = true; !r.queued {
+		r.ep.free = append(r.ep.free, r)
+	}
+	r.ep.dropConsumed()
+}
+
+// dropConsumed drops every consumed receive — waited or released — from
+// the head of the completion queue, recycling the released ones: a
+// waited receive WaitAny will never hand out would otherwise stay
+// queued, pinning its vector and extents, for the endpoint's life.
+//
+// allocfree
+func (ep *Endpoint) dropConsumed() {
+	q := ep.completions
+	for head, ok := q.Peek(); ok && (head.charged || head.released); head, ok = q.Peek() {
+		q.TryRecv()
+		ep.dequeued(head)
+	}
+}
+
+// dequeued notes that r left the completion queue, recycling it when
+// its holder has released it.
+//
+// allocfree
+func (ep *Endpoint) dequeued(r *Request) {
+	r.queued = false
+	if r.released {
+		ep.free = append(ep.free, r)
+	}
+}
+
+// complete fires a receive's completion and queues it for WaitAny.
+//
+// allocfree
+func (ep *Endpoint) complete(req *Request) {
+	req.done.Fire()
+	req.queued = true
+	ep.completions.Send(req)
+}
+
 // Test polls for completion without blocking or charging.
 func (r *Request) Test() (Status, bool) {
 	if !r.done.Fired() {
@@ -223,14 +289,7 @@ func (r *Request) charge(p *sim.Proc) {
 		return
 	}
 	r.charged = true
-	// A receive consumed here will never be handed out by WaitAny.
-	// Drop it — and every other consumed receive — from the head of the
-	// completion queue, or each waited request would stay queued,
-	// pinning its vector and extents, for the endpoint's life.
-	q := r.ep.completions
-	for head, ok := q.Peek(); ok && head.charged; head, ok = q.Peek() {
-		q.TryRecv()
-	}
+	r.ep.dropConsumed() // WaitAny will never hand r out
 	cpu := r.ep.mx.node.CPU
 	cpu.Compute(p, r.ep.mx.p.MXHostEvent)
 	if r.recvCopy > 0 {
@@ -266,19 +325,7 @@ func (ep *Endpoint) resolve(p *sim.Proc, v core.Vector, out []mem.Extent) ([]mem
 		}
 		ep.mx.node.CPU.Pin(p, userPages, false)
 	} else if ep.kernel {
-		// Kernel/physical addressing: cheap or free translation; pin
-		// cost only when pages are not already locked. Kernel virtual
-		// memory is "often already pinned" (§4.2): charge the cheaper
-		// kernel rate for translation bookkeeping.
-		kpages := 0
-		for _, s := range v {
-			if s.Type == core.KernelVirtual {
-				kpages += s.Pages()
-			}
-		}
-		if kpages > 0 {
-			ep.mx.node.CPU.Pin(p, kpages, true)
-		}
+		ep.pinKernel(p, v)
 	}
 	var xs []mem.Extent
 	var err error
@@ -296,50 +343,63 @@ func (ep *Endpoint) resolve(p *sim.Proc, v core.Vector, out []mem.Extent) ([]mem
 	return xs, unpin, nil
 }
 
-// stage copies v's bytes into a pooled NIC buffer — the data movement
-// of a PIO push or a bounce copy — resolving it in the endpoint's
-// reused list, which the copy leaves free again.
+// extents resolves v in the endpoint's reused list, which is the
+// caller's until it next yields.
 //
 // allocfree
-func (ep *Endpoint) stage(v core.Vector) (*hw.Staged, error) {
-	xs, err := v.AppendExtents(ep.staged[:0])
+func (ep *Endpoint) extents(v core.Vector) ([]mem.Extent, error) {
+	xs, err := v.AppendExtents(ep.xs[:0])
 	if err != nil {
 		return nil, err
 	}
-	ep.staged = xs
+	ep.xs = xs
+	return xs, nil
+}
+
+// stage copies v's bytes into a pooled NIC buffer — the data movement
+// of a PIO push or a bounce copy.
+//
+// allocfree
+func (ep *Endpoint) stage(v core.Vector) (*hw.Staged, error) {
+	xs, err := ep.extents(v)
+	if err != nil {
+		return nil, err
+	}
 	return ep.mx.node.NIC.Stage(xs), nil
 }
 
-// takeList returns an empty extent list for a receive to resolve its
-// vector into: a completed receive's, or nil.
+// land scatters data into req's buffer, its vector resolved again as
+// Recv checked it, and returns how many extents the buffer spans.
 //
 // allocfree
-func (ep *Endpoint) takeList() []mem.Extent {
-	k := len(ep.lists)
-	if k == 0 {
-		return nil
+func (ep *Endpoint) land(req *Request, data []byte) int {
+	xs, err := ep.extents(req.vector)
+	if err != nil {
+		req.status.Err, req.status.Len = err, 0
+		return 0
 	}
-	xs := ep.lists[k-1]
-	ep.lists = ep.lists[:k-1]
-	return xs
+	ep.mx.node.Mem.Scatter(xs, data)
+	return len(xs)
 }
 
-// giveList takes back a receive's extent list once its data has landed
-// or it was withdrawn: nothing reads it after that.
+// newRequest returns a request of this endpoint: a released one, its
+// completion signal re-armed and its extent list emptied, or a new one,
+// its completion signal held by value (a request is one object) bound
+// to the engine.
 //
 // allocfree
-func (ep *Endpoint) giveList(req *Request) {
-	if cap(req.extents) > 0 {
-		ep.lists = append(ep.lists, req.extents[:0])
-	}
-	req.extents = nil
-}
-
-// newRequest returns a request of this endpoint, its completion signal
-// (held by value: a request is one object) bound to the engine.
 func (ep *Endpoint) newRequest() *Request {
+	env := ep.mx.node.Cluster.Env
+	if k := len(ep.free); k > 0 {
+		req := ep.free[k-1]
+		ep.free = ep.free[:k-1]
+		*req = Request{ep: ep, extents: req.extents[:0], fire: req.fire}
+		req.done.Init(env)
+		return req
+	}
+	//analyze:allow allocfree pool-miss arm: the request recycles from here on
 	req := &Request{ep: ep}
-	req.done.Init(ep.mx.node.Cluster.Env)
+	req.done.Init(env)
 	return req
 }
 
@@ -363,7 +423,7 @@ func (ep *Endpoint) Send(p *sim.Proc, dst hw.NodeID, dstEp uint8, info uint64, v
 	m := ep.mx
 	n := v.TotalLen()
 	req := ep.newRequest()
-	req.sendVec = v
+	req.vector = v
 	req.status = Status{Info: info, Len: n}
 	m.node.CPU.Compute(p, m.p.MXHostSend)
 	ep.Sends.Add(n)
@@ -415,7 +475,8 @@ func (ep *Endpoint) sendMedium(p *sim.Proc, req *Request, dst hw.NodeID, dstEp u
 	m := ep.mx
 	j := ep.newTxJob(dst, dstEp, kindEager, info, 2)
 	if ep.kernel && ep.zeroCopySend(v) {
-		xs, unpin, err := ep.resolve(p, v, j.GatherBuf())
+		// zeroCopySend admits no user pages, so nothing is pinned.
+		xs, _, err := ep.resolve(p, v, j.GatherBuf())
 		if err != nil {
 			return nil, err
 		}
@@ -423,12 +484,10 @@ func (ep *Endpoint) sendMedium(p *sim.Proc, req *Request, dst hw.NodeID, dstEp u
 		m.node.NIC.Send(j)
 		// The buffer is reusable once the NIC has read it: no process is
 		// needed to wait for that, the completion rides TxDone's event.
-		j.Msg.TxDone.WaitFunc(func() {
-			if unpin != nil {
-				unpin()
-			}
-			req.done.Fire()
-		})
+		if req.fire == nil {
+			req.fire = req.done.Fire
+		}
+		j.Msg.TxDone.WaitFunc(req.fire)
 		return req, nil
 	}
 	data, err := ep.stage(v)
@@ -468,7 +527,7 @@ func hasUser(v core.Vector) bool {
 // (driven by the receive path), then DMA the payload zero-copy.
 func (ep *Endpoint) sendLarge(p *sim.Proc, req *Request, dst hw.NodeID, dstEp uint8, info uint64, v core.Vector) (*Request, error) {
 	m := ep.mx
-	xs, unpin, err := ep.resolve(p, v, nil)
+	xs, unpin, err := ep.resolve(p, v, req.extents)
 	if err != nil {
 		return nil, err
 	}
@@ -484,8 +543,8 @@ func (ep *Endpoint) sendLarge(p *sim.Proc, req *Request, dst hw.NodeID, dstEp ui
 	}
 	ep.rndvOut[id] = req
 	j := ep.newTxJob(dst, dstEp, kindRTS, info, 2+8+4)
-	put64(j.Msg.Header[2:], id)
-	put32(j.Msg.Header[10:], uint32(v.TotalLen()))
+	le.PutUint64(j.Msg.Header[2:], id)
+	le.PutUint32(j.Msg.Header[10:], uint32(v.TotalLen()))
 	j.PIO = true
 	m.node.NIC.Send(j)
 	return req, nil
@@ -501,16 +560,12 @@ func (ep *Endpoint) sendLarge(p *sim.Proc, req *Request, dst hw.NodeID, dstEp ui
 // how the real implementation avoids GM's register-everything model.
 func (ep *Endpoint) Recv(p *sim.Proc, match core.Match, v core.Vector) (*Request, error) {
 	m := ep.mx
-	if err := v.Validate(); err != nil {
-		return nil, err
-	}
-	xs, err := v.AppendExtents(ep.takeList())
-	if err != nil {
+	if _, err := ep.extents(v); err != nil { // validates each segment
 		return nil, err
 	}
 	m.node.CPU.Compute(p, m.p.MXHostSend/2) // post descriptor
 	req := ep.newRequest()
-	req.isRecv, req.match, req.vector, req.extents = true, match, v, xs
+	req.match, req.vector = match, v
 	// Unexpected queue first (in arrival order).
 	for i, u := range ep.unexpected {
 		if !match.Accepts(u.info) {
@@ -544,7 +599,6 @@ func (ep *Endpoint) CancelRecv(p *sim.Proc, req *Request) bool {
 		if r == req {
 			ep.posted = append(ep.posted[:i], ep.posted[i+1:]...)
 			ep.mx.node.CPU.Compute(p, ep.mx.p.MXHostSend/2) // descriptor removal
-			ep.giveList(req)
 			req.status.Err = ErrCancelled
 			req.done.Fire()
 			return true
@@ -556,7 +610,6 @@ func (ep *Endpoint) CancelRecv(p *sim.Proc, req *Request) bool {
 	}
 	delete(ep.rndvIn, key)
 	ep.mx.node.CPU.Compute(p, ep.mx.p.MXHostSend/2) // descriptor removal
-	ep.giveList(req)
 	// The buffer was pinned when the CTS went out; undo it here — the
 	// completion path that normally unpins will never run.
 	if req.unpin != nil {
@@ -585,7 +638,8 @@ var ErrCancelled = fmt.Errorf("mx: request cancelled")
 func (ep *Endpoint) WaitAny(p *sim.Proc) *Request {
 	for {
 		r := ep.completions.Recv(p)
-		if r.charged {
+		ep.dequeued(r)
+		if r.charged || r.released {
 			continue
 		}
 		r.charge(p)
@@ -615,6 +669,16 @@ func (ep *Endpoint) pinForRendezvous(p *sim.Proc, req *Request) error {
 		ep.mx.node.CPU.Pin(p, userPages, false)
 		return nil
 	}
+	ep.pinKernel(p, v)
+	return nil
+}
+
+// pinKernel charges the pinning of v's kernel virtual pages.
+// Kernel/physical addressing: cheap or free translation; pin cost only
+// when pages are not already locked. Kernel virtual memory is "often
+// already pinned" (§4.2): charge the cheaper kernel rate for
+// translation bookkeeping.
+func (ep *Endpoint) pinKernel(p *sim.Proc, v core.Vector) {
 	kpages := 0
 	for _, s := range v {
 		if s.Type == core.KernelVirtual {
@@ -624,7 +688,6 @@ func (ep *Endpoint) pinForRendezvous(p *sim.Proc, req *Request) error {
 	if kpages > 0 {
 		ep.mx.node.CPU.Pin(p, kpages, true)
 	}
-	return nil
 }
 
 // sendCTS tells the sender to transmit rendezvous id; recvLen is our
@@ -632,17 +695,17 @@ func (ep *Endpoint) pinForRendezvous(p *sim.Proc, req *Request) error {
 func (ep *Endpoint) sendCTS(p *sim.Proc, dst hw.NodeID, dstEp uint8, id uint64, recvLen, sendLen int, req *Request) {
 	m := ep.mx
 	if err := ep.pinForRendezvous(p, req); err != nil {
+		delete(ep.rndvIn, rndvKey{dst, id})
 		req.status.Err = err
-		req.done.Fire()
-		ep.completions.Send(req)
+		ep.complete(req)
 		return
 	}
 	if recvLen < sendLen {
 		req.truncated = true
 	}
 	j := ep.newTxJob(dst, dstEp, kindCTS, 0, 2+8+4)
-	put64(j.Msg.Header[2:], id)
-	put32(j.Msg.Header[10:], uint32(min(recvLen, sendLen)))
+	le.PutUint64(j.Msg.Header[2:], id)
+	le.PutUint32(j.Msg.Header[10:], uint32(min(recvLen, sendLen)))
 	j.PIO = true
 	m.node.NIC.Send(j)
 }
@@ -661,7 +724,7 @@ func (ep *Endpoint) completeEager(req *Request, src hw.NodeID, info uint64, data
 		//analyze:allow allocfree truncation error arm
 		req.status.Err = fmt.Errorf("mx: message truncated to %d bytes", n)
 	}
-	ep.mx.node.Mem.Scatter(req.extents, data[:n])
+	spans := ep.land(req, data[:n])
 	// Receive-side bounce copy, charged at Wait time. It is skipped
 	// when the message was small (PIO-sized), or when the NIC could
 	// place the data directly: physically addressed kernel receives
@@ -671,29 +734,28 @@ func (ep *Endpoint) completeEager(req *Request, src hw.NodeID, info uint64, data
 	// unexpected queue is already in host memory, and the host copies it
 	// out whatever the receive's addressing: the NIC placed it before
 	// there was anywhere to place it.
-	if n > ep.mx.p.MXSmallMax && (staged || !ep.zeroCopyRecv(req)) {
+	if n > ep.mx.p.MXSmallMax && (staged || !ep.zeroCopyRecv(req, spans)) {
 		req.recvCopy = n
 	}
-	ep.giveList(req)
 	ep.Recvs.Add(n)
 	if env := ep.mx.node.Cluster.Env; env.Tracing() {
 		//analyze:allow allocfree tracing is on: the arguments are boxed only when somebody reads them
 		env.Tracef("mx[%s:%d] recv %dB info=%#x from node %d", ep.mx.node.Name, ep.id, n, info, src)
 	}
-	req.done.Fire()
-	ep.completions.Send(req)
+	ep.complete(req)
 }
 
 // zeroCopyRecv reports whether a medium delivery lands directly in the
-// posted buffer on this endpoint (no host drain copy).
-func (ep *Endpoint) zeroCopyRecv(req *Request) bool {
+// posted buffer on this endpoint (no host drain copy), which spans that
+// many extents.
+func (ep *Endpoint) zeroCopyRecv(req *Request, spans int) bool {
 	if !ep.kernel {
 		return false
 	}
 	if req.vector.AllPhysical() {
 		return true
 	}
-	return ep.noRecvCopy && !hasUser(req.vector) && len(req.extents) <= 1
+	return ep.noRecvCopy && !hasUser(req.vector) && spans <= 1
 }
 
 // receive runs in the NIC's receive process.
@@ -717,8 +779,8 @@ func (m *MX) receive(p *sim.Proc, msg *hw.Message) {
 			eager: append([]byte(nil), msg.Payload...),
 		})
 	case kindRTS:
-		id := get64(msg.Header[2:])
-		length := int(get32(msg.Header[10:]))
+		id := le.Uint64(msg.Header[2:])
+		length := int(le.Uint32(msg.Header[10:]))
 		if req := ep.takePosted(msg.Tag); req != nil {
 			ep.awaitData(req, msg.Src, id, msg.Tag)
 			ep.sendCTS(p, msg.Src, srcEp, id, req.vector.TotalLen(), length, req)
@@ -728,8 +790,8 @@ func (m *MX) receive(p *sim.Proc, msg *hw.Message) {
 			src: msg.Src, srcEp: srcEp, info: msg.Tag, rndvID: id, rndvLen: length,
 		})
 	case kindCTS:
-		id := get64(msg.Header[2:])
-		length := int(get32(msg.Header[10:]))
+		id := le.Uint64(msg.Header[2:])
+		length := int(le.Uint32(msg.Header[10:]))
 		req := ep.rndvOut[id]
 		if req == nil {
 			return
@@ -737,22 +799,20 @@ func (m *MX) receive(p *sim.Proc, msg *hw.Message) {
 		delete(ep.rndvOut, id)
 		ep.startData(req, msg.Src, srcEp, id, length)
 	case kindData:
-		key := rndvKey{msg.Src, get64(msg.Header[2:])}
+		key := rndvKey{msg.Src, le.Uint64(msg.Header[2:])}
 		req := ep.rndvIn[key]
 		if req == nil {
 			return
 		}
 		delete(ep.rndvIn, key)
 		n := len(msg.Payload)
-		ep.mx.node.Mem.Scatter(req.extents, msg.Payload)
-		ep.giveList(req)
 		req.status.Len = n
+		ep.land(req, msg.Payload)
 		if req.truncated {
 			req.status.Err = fmt.Errorf("mx: rendezvous truncated to %d bytes", n)
 		}
 		ep.Recvs.Add(n)
-		req.done.Fire()
-		ep.completions.Send(req)
+		ep.complete(req)
 	}
 }
 
@@ -761,7 +821,7 @@ func (m *MX) receive(p *sim.Proc, msg *hw.Message) {
 func (ep *Endpoint) startData(req *Request, dst hw.NodeID, dstEp uint8, id uint64, length int) {
 	m := ep.mx
 	j := ep.newTxJob(dst, dstEp, kindData, req.status.Info, 2+8)
-	put64(j.Msg.Header[2:], id)
+	le.PutUint64(j.Msg.Header[2:], id)
 	// The flat large-message penalty (immature large-message path,
 	// §5.1) rides on the data message's firmware processing.
 	j.Gather, j.FwExtra = mem.Clip(req.extents, length), m.p.MXLargeOverhead
@@ -769,7 +829,7 @@ func (ep *Endpoint) startData(req *Request, dst hw.NodeID, dstEp uint8, id uint6
 	// Completion waits for the NIC to have read the source. Only user
 	// pages cost CPU time to unpin, which takes a process to charge;
 	// every other send completes from TxDone's own event.
-	pages := req.sendVec.UserPages()
+	pages := req.vector.UserPages()
 	done := func() {
 		if req.unpin != nil {
 			req.unpin()
@@ -798,32 +858,4 @@ func (ep *Endpoint) takePosted(info uint64) *Request {
 		}
 	}
 	return nil
-}
-
-func put64(b []byte, v uint64) {
-	for i := 0; i < 8; i++ {
-		b[i] = byte(v >> (8 * i))
-	}
-}
-
-func get64(b []byte) uint64 {
-	var v uint64
-	for i := 0; i < 8; i++ {
-		v |= uint64(b[i]) << (8 * i)
-	}
-	return v
-}
-
-func put32(b []byte, v uint32) {
-	for i := 0; i < 4; i++ {
-		b[i] = byte(v >> (8 * i))
-	}
-}
-
-func get32(b []byte) uint32 {
-	var v uint32
-	for i := 0; i < 4; i++ {
-		v |= uint32(b[i]) << (8 * i)
-	}
-	return v
 }

@@ -52,6 +52,10 @@ const pingTag = 1
 // hand-rolled endpoint types (raw GM, raw MX, sockets) is now this
 // single type; the per-interconnect differences live in the fabric
 // adapters where they belong.
+//
+// End holds each Op until it is done and then releases it (fabric.Op):
+// a receive after its Wait, a send after its Wait or — skipped under
+// Caps.EagerSend — once the next receive's Wait has seen it done.
 type End struct {
 	t     fabric.Transport
 	peer  hw.NodeID
@@ -59,6 +63,9 @@ type End struct {
 	vec   core.Vector
 	max   int
 	eager bool // Caps.EagerSend: skip the send-completion wait
+
+	sent             fabric.Op   // an eager send not yet released
+	sendCut, recvCut core.Vector // the first n bytes of vec, for the send and the receive
 }
 
 // NewEnd prepares one side of a ping-pong over t: it allocates a
@@ -136,24 +143,33 @@ func (e *End) Ping(p *sim.Proc, n int) error {
 	if n > e.max {
 		return fmt.Errorf("netpipe: size %d over buffer %d", n, e.max)
 	}
-	op, err := e.t.Send(p, e.peer, e.pEP, pingTag, e.vec.Slice(0, n))
+	e.sendCut = e.vec.AppendSlice(e.sendCut[:0], 0, n)
+	op, err := e.t.Send(p, e.peer, e.pEP, pingTag, e.sendCut)
 	if err != nil {
 		return err
 	}
 	if e.eager {
+		e.sent = op
 		return nil
 	}
 	st := op.Wait(p)
+	op.Release()
 	return st.Err
 }
 
 // Pong implements Transport.
 func (e *End) Pong(p *sim.Proc, n int) (int, error) {
-	op, err := e.t.PostRecv(p, core.Exact(pingTag), e.vec.Slice(0, n))
+	e.recvCut = e.vec.AppendSlice(e.recvCut[:0], 0, n)
+	op, err := e.t.PostRecv(p, core.Exact(pingTag), e.recvCut)
 	if err != nil {
 		return 0, err
 	}
 	st := op.Wait(p)
+	op.Release()
+	if e.sent != nil && e.sent.Done() {
+		e.sent.Release()
+	}
+	e.sent = nil
 	return st.Len, st.Err
 }
 

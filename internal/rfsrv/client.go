@@ -93,7 +93,10 @@ type FabricClient struct {
 // for data that travels in pieces, by each piece's share of it
 // (pieceOps); pieces holds the data receives of the slot's request,
 // one per piece of a read (postData) and none for any other; retire,
-// or an issue that fails, empties it once they are inert. batch holds
+// or an issue that fails, empties it once they are inert. sends holds
+// the sends of a separate payload before its last (flight.paid), which
+// complete before it, and one the client does not wait for (sendData),
+// until retire releases them (drop). batch holds
 // the requests of a combined message the slot sent (Session.startBatch),
 // whose one reply answers them all, until retire; nil for one request.
 // Each is rebuilt in place: a slot is reused only once its request is
@@ -102,7 +105,7 @@ type ctlBufs struct {
 	reqVA, hdrVA            vm.VirtAddr
 	reqXS, hdrXS            []mem.Extent // kernel side, physical transports: resolved once
 	reqVec, hdrVec, dataVec core.Vector
-	pieces                  []fabric.Op
+	pieces, sends           []fabric.Op
 	batch                   []*Req
 	req                     Req
 	pd                      Pending
@@ -222,7 +225,7 @@ func (c *FabricClient) deadlineFrom(p *sim.Proc, issued sim.Time) sim.Time {
 // the posted receive is withdrawn — or, if it matched while the timer
 // ran, waited to completion normally. ok is false only when the
 // operation was withdrawn, i.e. the buffer is quiescent and nothing
-// ever landed.
+// ever landed. Either way op is done, and the caller's to release.
 func (c *FabricClient) waitData(p *sim.Proc, op fabric.Op, d sim.Time) (st fabric.Status, ok bool) {
 	st, ok = fabric.WaitTimeout(p, op, d)
 	if ok || fabric.Cancel(p, op) {
@@ -419,7 +422,8 @@ func (c *FabricClient) askPieces(req *Req, v core.Vector) int {
 // b.dataVec behind v (cutPiece): a receive posted into each (recv),
 // collected in b.pieces, or a send of each, tagged tg. It stops at the
 // first error and returns the last send made, which completes after the
-// others: one NIC sends to one peer in order.
+// others — one NIC sends to one peer in order — collecting the ones
+// before it in b.sends.
 func (c *FabricClient) pieceOps(p *sim.Proc, b *ctlBufs, v core.Vector, k int, tg uint64, recv bool) (last fabric.Op, err error) {
 	for i := 0; i < k; i++ {
 		piece := cutPiece(&b.dataVec, v, i, k, c.t.Caps().EagerMax)
@@ -432,9 +436,13 @@ func (c *FabricClient) pieceOps(p *sim.Proc, b *ctlBufs, v core.Vector, k int, t
 		if err != nil {
 			return last, err
 		}
-		if last = op; recv {
+		switch {
+		case recv:
 			b.pieces = append(b.pieces, op)
+		case last != nil:
+			b.sends = append(b.sends, last)
 		}
+		last = op
 	}
 	return last, nil
 }
@@ -544,7 +552,10 @@ func (c *FabricClient) sendData(p *sim.Proc, b *ctlBufs, seq uint64, src core.Ve
 		return nil, op, err
 	}
 	if c.t.Caps().Vectors {
-		_, err := c.t.Send(p, c.server, c.serverEP, dataTag, src)
+		op, err := c.t.Send(p, c.server, c.serverEP, dataTag, src)
+		if err == nil {
+			b.sends = append(b.sends, op)
+		}
 		return nil, nil, err
 	}
 	xs, release, err := c.stockData(p, src)
@@ -694,10 +705,12 @@ func (c *FabricClient) issue(p *sim.Proc, b *ctlBufs, req *Req, data core.Vector
 	if err != nil {
 		for _, op := range append(b.pieces, fl.hdrOp) { // no reply comes: the request or its payload never left
 			fabric.Cancel(p, op)
+			drop(op)
 		}
 		b.pieces = b.pieces[:0]
 		c.settle(p, fl.sent) // a separate payload failed after its request left…
 		c.settle(p, fl.paid) // …and after the pieces of it before the one that failed
+		dropSends(&fl)
 		if fl.release != nil {
 			fl.release()
 		}
@@ -719,11 +732,13 @@ func (c *FabricClient) issue(p *sim.Proc, b *ctlBufs, req *Req, data core.Vector
 // withdrawn instead of waited a second time; after any other data error
 // (truncation) the reply is still coming and is consumed. The slot and
 // the caller's memory go back only once the sends that gather from them
-// are done (settle).
+// are done (settle). Every receive retire made inert, and every send
+// done by then, goes back to the transport (Op.Release).
 func (c *FabricClient) retire(p *sim.Proc, fl *flight, out []*Resp) ([]*Resp, error) {
 	var dataErr error
 	for _, op := range fl.bufs.pieces {
 		st, ok := c.waitData(p, op, c.deadlineFrom(p, fl.issued))
+		op.Release()
 		switch {
 		case dataErr != nil: // an earlier piece failed: this one is only made inert
 		case !ok:
@@ -745,11 +760,13 @@ func (c *FabricClient) retire(p *sim.Proc, fl *flight, out []*Resp) ([]*Resp, er
 			err = dataErr
 		}
 	}
+	fl.hdrOp.Release()
 	fl.bufs.batch = nil
 	if fabric.IsFault(err) {
 		c.settle(p, fl.sent)
 		c.settle(p, fl.paid)
 	}
+	dropSends(fl)
 	if fl.release != nil {
 		fl.release()
 	}
@@ -778,11 +795,37 @@ func (c *FabricClient) retireOne(p *sim.Proc, fl *flight) (*Resp, error) {
 // for at most one more deadline. A send that completes locally (MX's)
 // is done within that unless its own NIC stays stalled; one whose
 // completion is the peer's acknowledgement (GM's) never completes toward
-// a peer that died, and is given up on like GM's own send timeout.
+// a peer that died, and is given up on like GM's own send timeout. The
+// caller releases the send afterwards if it is done (drop), and leaves it
+// to the garbage collector if not.
 func (c *FabricClient) settle(p *sim.Proc, op fabric.Op) {
 	if op != nil && !op.Done() {
 		fabric.WaitTimeout(p, op, c.timeout)
 	}
+}
+
+// drop ends the client's use of op: released when done, and left to the
+// garbage collector while a send the client no longer waits for is
+// still in flight (fabric.Op).
+//
+// allocfree
+func drop(op fabric.Op) {
+	if op != nil && op.Done() {
+		op.Release()
+	}
+}
+
+// dropSends ends the client's use of every send fl made (drop).
+//
+// allocfree
+func dropSends(fl *flight) {
+	drop(fl.sent)
+	drop(fl.paid)
+	for _, op := range fl.bufs.sends {
+		drop(op)
+	}
+	clear(fl.bufs.sends)
+	fl.bufs.sends = fl.bufs.sends[:0]
 }
 
 // The package's lock order: a window slot (Session.win.Acquire) may be

@@ -69,8 +69,9 @@ func TestRetiredOpIsUnknown(t *testing.T) {
 	env.Run(0)
 }
 
-// FuzzDecodeReq: arbitrary bytes never panic DecodeReq, and
-// encode∘decode is the identity on whatever decodes.
+// FuzzDecodeReq: arbitrary bytes never panic DecodeReq, encode∘decode
+// is the identity on whatever decodes, and DecodeReqInto decodes the
+// same request over whatever its record held before.
 func FuzzDecodeReq(f *testing.F) {
 	f.Add(EncodeReqInto(nil, &Req{Op: OpLookup, Seq: 7, EP: 2, Ino: 1, Name: "f"}))
 	f.Add(EncodeReqInto(nil, &Req{Op: OpWrite, Seq: 1 << 40, EP: 255, Ino: 9, Off: -1, Len: MaxWriteChunk}))
@@ -95,6 +96,10 @@ func FuzzDecodeReq(f *testing.F) {
 		again, n, err := DecodeReq(enc)
 		if err != nil || n != consumed || !reflect.DeepEqual(again, req) {
 			t.Fatalf("decode(encode(%+v)) = %+v, %d, %v", req, again, n, err)
+		}
+		into := Req{Op: OpRead, Seq: 99, EP: 9, Ino: 99, Off: 99, Len: 99, Name: "stale"}
+		if n, err := DecodeReqInto(raw, &into); err != nil || n != consumed || !reflect.DeepEqual(&into, req) {
+			t.Fatalf("DecodeReqInto over a used record = %+v, %d, %v; DecodeReq gave %+v", into, n, err, req)
 		}
 	})
 }
@@ -279,10 +284,11 @@ func FuzzServeBytes(f *testing.F) {
 			if w == nil {
 				t.Fatalf("the head %x decoded, but not out of the inbox", head[:consumed])
 			}
-			if !reflect.DeepEqual(w.req, req) || w.consumed != consumed {
+			if !reflect.DeepEqual(&w.req, req) || w.consumed != consumed {
 				t.Fatalf("the inbox decoded %+v (%d bytes), the message %+v (%d)", w.req, w.consumed, req, consumed)
 			}
-			req := w.req
+			req := new(Req)
+			*req = w.req // the work record's is cleared when it is recycled
 			switch {
 			case req.Op == OpRead || req.Op == OpExport && req.Len&piecesBit != 0:
 				checkPieces(t, p, s, w, eager)
@@ -353,9 +359,8 @@ func FuzzServeBytes(f *testing.F) {
 				// The separate arm: every frame it allocated is afterwards a
 				// block of the written range, or freed.
 				before := node.Mem.Allocated()
-				hdr := *req
 				w := s.getWork()
-				w.req = &hdr
+				w.req = *req
 				wire := &wireLog{node: node, eager: eager}
 				s.postPayload(p, wire, w, true)
 				k := takePieces(req, eager)
@@ -394,7 +399,11 @@ func FuzzServeBytes(f *testing.F) {
 				// One reply answers the request and what is packed behind
 				// it, in order, up to where the combined-reply rule lets it
 				// end.
-				reqs := append([]*Req{req}, s.unpack(w.raw[w.consumed:])...)
+				reqs := []*Req{req}
+				s.unpack(w)
+				for _, extra := range w.extra {
+					reqs = append(reqs, &extra)
+				}
 				wire := &wireLog{node: node, eager: eager}
 				s.serve(p, wire, w)
 				s.sweepStaged()
@@ -428,7 +437,7 @@ func FuzzServeBytes(f *testing.F) {
 // defined one.
 func checkPieces(t *testing.T, p *sim.Proc, s *Server, w *work, eager int) {
 	t.Helper()
-	req := *w.req
+	req := w.req
 	n := int(req.Len &^ piecesBit)
 	pieced := req.Len&piecesBit != 0
 	wire := &wireLog{node: s.node, eager: eager}
@@ -492,6 +501,7 @@ type handOp struct {
 
 func (o *handOp) Done() bool                     { return true }
 func (o *handOp) Wait(p *sim.Proc) fabric.Status { return o.st }
+func (o *handOp) Release()                       {}
 
 // deliverPieces lands payload in the receives posted through l, in
 // order, cut as a client cuts a pieced payload: eager bytes each, the
@@ -541,6 +551,7 @@ type sentOp struct{}
 
 func (sentOp) Done() bool                     { return true }
 func (sentOp) Wait(p *sim.Proc) fabric.Status { return fabric.Status{} }
+func (sentOp) Release()                       {}
 
 // notZero reports a non-zero byte (bytes.ContainsFunc).
 func notZero(r rune) bool { return r != 0 }

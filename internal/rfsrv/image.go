@@ -290,7 +290,7 @@ func (s *Server) exportImage(room int) ([]byte, error) {
 func (s *Server) serveExport(p *sim.Proc, t fabric.Transport, w *work) *Resp {
 	resp := &Resp{Seq: w.req.Seq}
 	raw, err := []byte(nil), error(ErrInval) // an export is never answered in pieces
-	if takePieces(w.req, t.Caps().EagerMax) == 1 {
+	if takePieces(&w.req, t.Caps().EagerMax) == 1 {
 		raw, err = s.exportImage(int(w.req.Len))
 	}
 	resp.Status, resp.N = StatusOf(err), uint32(len(raw))

@@ -73,7 +73,7 @@ func FuzzDecodeImage(f *testing.F) {
 func importBytes(p *sim.Proc, s *Server, req *Req, payload []byte) *Resp {
 	w := s.getWork()
 	defer s.putWork(w)
-	w.req = req
+	w.req = *req
 	if w.ok = s.payloadFrames(w); w.ok {
 		xs, err := w.vec.Extents()
 		if err != nil {

@@ -417,27 +417,39 @@ func EncodeReqInto(dst []byte, r *Req) []byte {
 // DecodeReq parses a request, returning it and the number of bytes
 // consumed (the remainder of the buffer is inline write data).
 func DecodeReq(b []byte) (*Req, int, error) {
-	if len(b) < reqFixed {
-		return nil, 0, fmt.Errorf("rfsrv: short request (%d bytes)", len(b))
+	r := new(Req)
+	n, err := DecodeReqInto(b, r)
+	if err != nil {
+		return nil, 0, err
 	}
-	r := &Req{
-		Op:  Op(b[0]),
-		Seq: binary.LittleEndian.Uint64(b[1:]),
-		EP:  b[9],
-		Ino: kernel.InodeID(binary.LittleEndian.Uint64(b[10:])),
-		Off: int64(binary.LittleEndian.Uint64(b[18:])),
-		Len: binary.LittleEndian.Uint32(b[26:]),
+	return r, n, nil
+}
+
+// DecodeReqInto is DecodeReq into r, which it overwrites whole on
+// success and leaves alone on an error: the server decodes each request
+// into its work record instead of allocating one.
+func DecodeReqInto(b []byte, r *Req) (int, error) {
+	if len(b) < reqFixed {
+		return 0, fmt.Errorf("rfsrv: short request (%d bytes)", len(b))
 	}
 	nameLen := int(binary.LittleEndian.Uint16(b[30:]))
 	if nameLen > MaxNameLen {
 		// No request buffer holds it, and EncodeReqInto would refuse it.
-		return nil, 0, fmt.Errorf("rfsrv: %d-byte name exceeds the request buffer", nameLen)
+		return 0, fmt.Errorf("rfsrv: %d-byte name exceeds the request buffer", nameLen)
 	}
 	if len(b) < reqFixed+nameLen {
-		return nil, 0, fmt.Errorf("rfsrv: truncated name")
+		return 0, fmt.Errorf("rfsrv: truncated name")
 	}
-	r.Name = string(b[reqFixed : reqFixed+nameLen])
-	return r, reqFixed + nameLen, nil
+	*r = Req{
+		Op:   Op(b[0]),
+		Seq:  binary.LittleEndian.Uint64(b[1:]),
+		EP:   b[9],
+		Ino:  kernel.InodeID(binary.LittleEndian.Uint64(b[10:])),
+		Off:  int64(binary.LittleEndian.Uint64(b[18:])),
+		Len:  binary.LittleEndian.Uint32(b[26:]),
+		Name: string(b[reqFixed : reqFixed+nameLen]),
+	}
+	return reqFixed + nameLen, nil
 }
 
 // Status codes.

@@ -116,13 +116,14 @@ func (s *Server) getWork() *work {
 }
 
 // putWork recycles a finished work record, keeping the backing of its
-// payload scratch, receive list and reply encoding and its hand-off
-// callback.
+// payload scratch, receive list, packed requests and reply encoding and
+// its hand-off callback.
 func (s *Server) putWork(w *work) {
-	w.req, w.raw, w.sess, w.queue = nil, nil, nil, nil
+	w.req, w.raw, w.sess, w.queue = Req{}, nil, nil, nil
 	clear(w.frames)
 	clear(w.pay)
-	w.frames, w.vec, w.pay, w.enc, w.at, w.dirty, w.ok = w.frames[:0], w.vec[:0], w.pay[:0], w.enc[:0], 0, 0, false
+	clear(w.extra)
+	w.frames, w.vec, w.pay, w.extra, w.enc, w.at, w.dirty, w.ok = w.frames[:0], w.vec[:0], w.pay[:0], w.extra[:0], w.enc[:0], 0, 0, false
 	s.workFree = append(s.workFree, w)
 }
 
@@ -372,7 +373,7 @@ func (s *Server) handleSetSize(p *sim.Proc, ino kernel.InodeID, req *Req, resp *
 // back to the allocator. The caller gives the references back with
 // putFrames once the send is done.
 func (s *Server) readExtents(p *sim.Proc, w *work, eagerMax int) (*Resp, int, core.Vector) {
-	req, resp := w.req, &w.resp
+	req, resp := &w.req, &w.resp
 	*resp = Resp{Seq: req.Seq}
 	k := takePieces(req, eagerMax)
 	// A negative or overflowing range, or pieces the rule does not
@@ -447,7 +448,7 @@ func validWrite(req *Req) bool {
 // payload's share, as a hole does, so what earlier messages left there
 // (w.dirty) is cleared first, and the clearing charged.
 func (s *Server) handleWrite(p *sim.Proc, w *work) *Resp {
-	req := w.req
+	req := &w.req
 	if !w.ok {
 		return &Resp{Seq: req.Seq, Status: StInval}
 	}
@@ -486,18 +487,20 @@ func (s *Server) handleWrite(p *sim.Proc, w *work) *Resp {
 // store takes as the file's blocks (handleWrite).
 
 // work is one received request message on its way to being served: the
-// decoded leading request, the head of the raw message (which may carry
-// further packed metadata requests), the reply it builds (the answer to
+// leading request, decoded in place, the head of the raw message (which
+// may carry further packed metadata requests, decoded into extra), the
+// reply it builds (the answer to
 // every request the message carried, answer) and, for a write, the
 // frames its payload landed in — the receiver's own, handed over with an
 // inline payload (admit), or fresh ones the receiver posted the receives
 // of a separate payload into. The install takes them over; any other
 // request leaves every frame with its receiver.
 type work struct {
-	req      *Req
+	req      Req
 	src      hw.NodeID
 	raw      []byte // leading <= reqBufSize bytes (header+name, or a packed batch)
 	rawBuf   []byte // backing storage for raw, reused across recycles
+	extra    []Req  // the metadata requests packed behind req (unpack; backing reused)
 	consumed int
 	frames   []*mem.Frame // a write's payload frames (backing reused)
 	at       int          // where the payload starts in frames[0]
@@ -695,6 +698,7 @@ func (s *Server) recvReq(p *sim.Proc, t fabric.Transport, in *inbox) *work {
 		}
 		//analyze:allow boundedwait a receiver idles here until some client sends a request; no peer owes it one
 		st := op.Wait(p)
+		op.Release()
 		w := s.admit(in, st, eagerMax)
 		if w == nil {
 			continue // malformed: drop, and post the same inbox again
@@ -727,17 +731,18 @@ func (s *Server) admit(in *inbox, st fabric.Status, eagerMax int) *work {
 		panic(err)
 	}
 	mem.ReadFrames(in.frames, 0, raw[head:])
-	req, consumed, err := DecodeReq(raw)
+	consumed, err := DecodeReqInto(raw, &w.req)
 	if err != nil {
 		s.putWork(w)
 		return nil
 	}
+	req := &w.req
 	s.Requests.Add(st.Len)
 	sess := s.session(st.Src, req.EP)
 	sess.Outstanding++
 	sess.MaxOutstanding = max(sess.MaxOutstanding, sess.Outstanding)
 	s.inside++
-	w.req, w.src, w.raw, w.consumed, w.sess = req, st.Src, raw, consumed, sess
+	w.src, w.raw, w.consumed, w.sess = st.Src, raw, consumed, sess
 	if writeShaped(req.Op) && inlinePayload(eagerMax, consumed, int(req.Len)) &&
 		st.Err == nil && st.Len-consumed == int(req.Len) && validWrite(req) {
 		k := mem.PagesIn(consumed-reqFixed, int(req.Len))
@@ -763,15 +768,15 @@ func (s *Server) admit(in *inbox, st fabric.Status, eagerMax int) *work {
 //
 // allocfree
 func (s *Server) postPayload(p *sim.Proc, t fabric.Transport, w *work, ok bool) {
-	k := takePieces(w.req, t.Caps().EagerMax)
+	k := takePieces(&w.req, t.Caps().EagerMax)
 	w.ok = ok && k > 0 && s.payloadFrames(w)
 	s.pieceOps(p, t, w, w.vec, max(k, 1), true)
 }
 
 // landPayload collects the payload postPayload posted for w, if any: it
-// waits every receive — already complete on a vectorial transport,
-// whose receiver hands w on from the last one's completion — which
-// charges each completion once, and applies the one length rule to
+// waits and releases every receive — already complete on a vectorial
+// transport, whose receiver hands w on from the last one's completion —
+// which charges each completion once, and applies the one length rule to
 // their sum: w.ok stays true only if exactly req.Len bytes landed for a
 // well-formed header (or came inline, admit), and otherwise w holds no
 // frames.
@@ -780,6 +785,7 @@ func (s *Server) landPayload(p *sim.Proc, w *work) {
 	for _, op := range w.pay {
 		//analyze:allow boundedwait ROADMAP item 2(a): a client dead between header and payload strands this receive until the server has a deadline
 		st := op.Wait(p)
+		op.Release()
 		w.ok, n = w.ok && st.Err == nil, n+st.Len
 	}
 	if w.ok = w.ok && (len(w.pay) == 0 || n == int(w.req.Len)); !w.ok {
@@ -805,7 +811,7 @@ func (s *Server) dropFrames(w *work) {
 // allocfree
 func (s *Server) payloadFrames(w *work) bool {
 	w.vec = w.vec[:0]
-	if !validWrite(w.req) {
+	if !validWrite(&w.req) {
 		return false
 	}
 	off, end := w.req.Off, w.req.Off+int64(w.req.Len)
@@ -827,7 +833,7 @@ func (s *Server) payloadFrames(w *work) bool {
 // reply, landing a separate payload first.
 func (s *Server) serve(p *sim.Proc, t fabric.Transport, w *work) {
 	s.landPayload(p, w)
-	req := w.req
+	req := &w.req
 	s.node.CPU.VFS(p) // request dispatch
 	//analyze:dispatch ops group=serve
 	switch req.Op {
@@ -849,7 +855,9 @@ func (s *Server) serve(p *sim.Proc, t fabric.Transport, w *work) {
 		// the same reply while its answer can fit (answerFits) — a fixed
 		// answer's room checked before the request runs, a readdir's
 		// listing after.
-		for _, extra := range s.unpack(w.raw[w.consumed:]) {
+		s.unpack(w)
+		for i := range w.extra {
+			extra := &w.extra[i]
 			if !answerFits(len(w.enc), respFixed) || !s.answer(w, extra, s.handleMeta(p, extra)) {
 				break
 			}
@@ -873,21 +881,20 @@ func (s *Server) serve(p *sim.Proc, t fabric.Transport, w *work) {
 // held keeps goes back once the last queued send is done, or at once
 // when none was queued.
 func (s *Server) sendData(p *sim.Proc, t fabric.Transport, w *work, data core.Vector, k int, held stagedSend) {
-	switch sent := s.pieceOps(p, t, w, data, k, false); {
-	case sent == nil:
+	if held.op = s.pieceOps(p, t, w, data, k, false); held.op == nil {
 		s.release(held)
-	case held.buf != nil || held.frames != nil:
-		held.op = sent
-		s.staged = append(s.staged, held)
+		return
 	}
+	s.staged = append(s.staged, held)
 }
 
 // pieceOps puts the k pieces of v on the wire for w's request, in
 // order, each cut into w.vec (cutPiece): the receives of w's payload
 // (recv), collected in w.pay, or the messages of w's read data, an
 // empty one past the data's end. It returns the last send made, which
-// completes after the others — one NIC sends to one peer in order — and
-// stops sending at a transport fault: the client is dead.
+// completes after the others — one NIC sends to one peer in order —
+// staging the ones before it to be released once done (sweepStaged),
+// and stops sending at a transport fault: the client is dead.
 //
 // allocfree
 func (s *Server) pieceOps(p *sim.Proc, t fabric.Transport, w *work, v core.Vector, k int, recv bool) (last fabric.Op) {
@@ -912,37 +919,41 @@ func (s *Server) pieceOps(p *sim.Proc, t fabric.Transport, w *work, v core.Vecto
 			}
 			break
 		}
+		if last != nil {
+			s.staged = append(s.staged, stagedSend{op: last})
+		}
 		last = op
 	}
 	return last
 }
 
 // unpack decodes the metadata requests packed behind the first one in
-// a combined message. A decode error drops the remainder (malformed
-// trailing bytes), like any other malformed request.
-func (s *Server) unpack(raw []byte) []*Req {
-	var out []*Req
-	for len(raw) >= reqFixed {
-		req, consumed, err := DecodeReq(raw)
+// w's combined message into w.extra. A decode error drops the remainder
+// (malformed trailing bytes), like any other malformed request.
+func (s *Server) unpack(w *work) {
+	w.extra = w.extra[:0]
+	for raw := w.raw[w.consumed:]; len(raw) >= reqFixed; {
+		var req Req
+		consumed, err := DecodeReqInto(raw, &req)
 		if err != nil || readShaped(req.Op) || writeShaped(req.Op) {
 			break
 		}
-		out = append(out, req)
+		w.extra = append(w.extra, req)
 		raw = raw[consumed:]
 	}
-	return out
 }
 
 // stagedSend is one reply message on its way out and the memory the NIC
-// reads it from: a header's pooled buffer, or the block-store frames
-// under a read's data.
+// reads it from: a header's pooled buffer, the block-store frames under
+// a read's data, or nothing, for a data piece before the last.
 type stagedSend struct {
 	op     fabric.Op
 	buf    *fabric.Buffer // header staging, released when op is done
 	frames core.Vector    // held by readExtents, put back when op is done
 }
 
-// sweepStaged gives back what completed sends were holding.
+// sweepStaged gives back what completed sends were holding, and the
+// sends themselves.
 func (s *Server) sweepStaged() {
 	live := s.staged[:0]
 	for _, ss := range s.staged {
@@ -956,8 +967,12 @@ func (s *Server) sweepStaged() {
 	s.staged = live
 }
 
-// release gives back what a reply message was sent from.
+// release gives back what a reply message was sent from, and its send
+// once done.
 func (s *Server) release(ss stagedSend) {
+	if ss.op != nil {
+		ss.op.Release()
+	}
 	if ss.buf != nil {
 		ss.buf.Release()
 	}

@@ -366,6 +366,7 @@ func (s *Session) startBatch(p *sim.Proc, reqs []*Req, start int) ([]flight, err
 	abort := func(err error) ([]flight, error) {
 		if fls[0].hdrOp != nil {
 			fabric.Cancel(p, fls[0].hdrOp)
+			drop(fls[0].hdrOp)
 		}
 		for _, fl := range fls {
 			s.win.Release(fl.bufs)

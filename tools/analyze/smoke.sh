@@ -25,8 +25,12 @@
 # after the bulk copy read its stripe never reaches the joiner. An
 # eleventh must fail a tier-1 test too: a readmission that clears the
 # exclusion without invalidating the read slice table, so the slices
-# stay cut for the exclusion that ended. Then it restores the tree byte-for-byte from backups (no git operations, safe
-# on a dirty tree).
+# stay cut for the exclusion that ended. A twelfth must fail a tier-1
+# test too: an MX endpoint that recycles a released request without
+# clearing its charged flag, so the request's next completion is never
+# charged and a ping-pong that releases its Ops ends earlier than one
+# that does not. Then it restores the tree byte-for-byte from backups
+# (no git operations, safe on a dirty tree).
 set -eu
 
 root="$(cd "$(dirname "$0")/../.." && pwd)"
@@ -38,6 +42,7 @@ server=internal/rfsrv/server.go
 waiter=internal/rfsrv/client.go
 reinstater=internal/rfsrv/elastic.go
 journal=internal/rfsrv/journal.go
+endpoint=internal/mx/mx.go
 injected=internal/rfsrv/zz_smoke_injected.go
 
 tmp="$(mktemp -d)"
@@ -48,6 +53,7 @@ restore() {
 	cp "$tmp/client.go.bak" "$waiter"
 	cp "$tmp/elastic.go.bak" "$reinstater"
 	cp "$tmp/journal.go.bak" "$journal"
+	cp "$tmp/mx.go.bak" "$endpoint"
 	rm -f "$injected"
 	rm -rf "$tmp"
 }
@@ -58,6 +64,7 @@ cp "$server" "$tmp/server.go.bak"
 cp "$waiter" "$tmp/client.go.bak"
 cp "$reinstater" "$tmp/elastic.go.bak"
 cp "$journal" "$tmp/journal.go.bak"
+cp "$endpoint" "$tmp/mx.go.bak"
 
 run_analyzer() { go run ./tools/analyze ./... 2>&1; }
 
@@ -240,6 +247,23 @@ if ! echo "$out" | grep -q -- '--- FAIL: TestReadSlicesRecutAfterReinstate'; the
 	exit 1
 fi
 cp "$tmp/elastic.go.bak" "$reinstater"
+
+echo "smoke: an MX request recycled without clearing charged must fail a tier-1 test"
+sed -i 's/^\t\t\*req = Request{ep: ep, extents: req\.extents\[:0\], fire: req\.fire}$/\t\t*req = Request{ep: ep, extents: req.extents[:0], fire: req.fire, charged: req.charged}/' "$endpoint"
+if cmp -s "$endpoint" "$tmp/mx.go.bak"; then
+	echo "smoke: FAIL — injection did not change $endpoint (site moved?)"
+	exit 1
+fi
+if out="$(go test -count=1 -run '^TestConformanceRelease$' ./internal/fabric 2>&1)"; then
+	echo "smoke: FAIL — tier-1 tests passed with requests recycled still charged"
+	exit 1
+fi
+if ! echo "$out" | grep -q -- '--- FAIL: TestConformanceRelease'; then
+	echo "$out"
+	echo "smoke: FAIL — the tests failed, but not TestConformanceRelease"
+	exit 1
+fi
+cp "$tmp/mx.go.bak" "$endpoint"
 
 echo "smoke: untimed reply wait must fail boundedwait"
 sed -i 's/^\tst, ok = fabric\.WaitTimeout(p, op, d)$/\tst, ok = op.Wait(p), true/' "$waiter"
