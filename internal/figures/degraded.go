@@ -18,15 +18,17 @@ package figures
 // latency), the way real deployments derive RPC timeouts from healthy
 // tail latency. A scheduled NIC kill (hw.NIC.KillAfter) then takes one
 // server off the fabric at a fixed fraction of the fault-free
-// makespan; clients time out or get dead-peer rejections, exclude the
-// victim, and re-cut the read slices so the victim's share of every
-// stripe's reads spreads over all the survivors.
+// makespan; clients time out or get dead-peer rejections and exclude
+// the victim, and the read slices follow the exclusion: the survivors
+// form one chain whose cuts (rfsrv placement's chainCut) spread the
+// victim's share of every stripe's reads over all of them.
 //
 // The interesting numbers are aggregate throughput before the kill,
 // the settle window (one deadline long: every request in flight to the
 // victim has expired by then, since deadlines run from issue), and the
 // post-settle rate — the cluster serving every byte from N-1 servers,
-// each reading an equal share of the ring's pages.
+// each reading an equal share of the ring's pages, to within a page
+// per ring round.
 
 import (
 	"fmt"

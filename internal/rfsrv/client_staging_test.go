@@ -257,11 +257,12 @@ func TestFailedPayloadSendKeepsTheRequestsStaging(t *testing.T) {
 	}
 }
 
-// sendLog is a client transport that keeps every send made through it
-// and, when onSend is set, calls it before each with the number made.
+// sendLog is a client transport that keeps a record of every send made
+// through it (LogOp) and, when onSend is set, calls it before each with
+// the number made.
 type sendLog struct {
 	fabric.Transport
-	sent   []fabric.Op
+	sent   []*OpRecord
 	onSend func(i int)
 }
 
@@ -270,10 +271,12 @@ func (l *sendLog) Send(p *sim.Proc, dst hw.NodeID, ep uint8, info uint64, v core
 		l.onSend(len(l.sent))
 	}
 	op, err := l.Transport.Send(p, dst, ep, info, v)
-	if err == nil {
-		l.sent = append(l.sent, op)
+	if err != nil {
+		return op, err
 	}
-	return op, err
+	op, rec := LogOp(op)
+	l.sent = append(l.sent, rec)
+	return op, nil
 }
 
 // TestFailedPieceSendSettlesThePiecesThatLeft: a 64 KB write from
@@ -349,8 +352,8 @@ func TestFailedPieceSendSettlesThePiecesThatLeft(t *testing.T) {
 		if len(log.sent) != 2 {
 			t.Errorf("issue made %d sends, want 2 (the request, the first piece)", len(log.sent))
 		}
-		for i, op := range log.sent {
-			if !op.Done() {
+		for i, rec := range log.sent {
+			if !rec.Done {
 				t.Errorf("send %d still gathers from its memory after issue returned", i)
 			}
 		}

@@ -78,9 +78,9 @@ package rfsrv
 // dead peer at send time, or — with Session.SetRequestTimeout armed —
 // a reply deadline expiring): the faulting server is recorded as
 // *excluded* and never addressed again, reads of its slices fail over
-// to the group's next alive member and the read slices are re-cut so
-// every survivor serves an equal share of the ring's reads
-// (placement.recut), writes succeed as long as every
+// to the group's next alive member and, at R=2, each chain of
+// survivors the exclusion leaves splits its groups' reads evenly
+// (placement.chainCut), writes succeed as long as every
 // run keeps one clean replica, and namespace mutations simply skip it
 // instead of reporting divergence. Exclusion
 // is one-way — an operator who knows the server recovered calls
@@ -145,13 +145,7 @@ type Cluster struct {
 
 	// down marks servers excluded after an observed transport fault;
 	// excluded servers are skipped by every path until Reinstate.
-	// downGen counts its changes (markDown, Reinstate); cutGen and
-	// cutRing are the generation and member ring pl's read slice table
-	// was last cut for (recut), cutLoad the cut's scratch.
-	down            []bool
-	downGen, cutGen uint64
-	cutRing         []int
-	cutLoad         []int
+	down []bool
 
 	// sz is the size coherence book (sizebook.go): the validated
 	// (size, epoch) cache every reply feeds. The cluster runs the fans;
@@ -272,10 +266,10 @@ func NewCluster(p *sim.Proc, sessions []*Session, stripe int) (*Cluster, error) 
 // stripe is written to replicas consecutive servers (1 <= replicas <=
 // len(sessions)), each replica serves a read slice of every stripe it
 // holds (placement.reader), a slice fails over to the group's next
-// alive member when its server's transport reports a fault and the
-// slices are re-cut around the exclusion, and replicas=1 degenerates
-// bit-identically to NewCluster. See
-// the package comment on replication and faults.
+// alive member when its server's transport reports a fault and, at
+// replicas=2, the slices follow the exclusion (placement.chainCut), and
+// replicas=1 degenerates bit-identically to NewCluster. See the package
+// comment on replication and faults.
 func NewReplicatedCluster(p *sim.Proc, sessions []*Session, stripe, replicas int) (*Cluster, error) {
 	if len(sessions) == 0 {
 		return nil, fmt.Errorf("rfsrv: cluster needs at least one session")
@@ -380,7 +374,6 @@ func (cl *Cluster) DownServers() []int {
 func (cl *Cluster) markDown(i int) {
 	if !cl.down[i] {
 		cl.down[i] = true
-		cl.downGen++
 		cl.jn.reset(i)
 		cl.Excluded.Add(0)
 	}
@@ -471,25 +464,12 @@ func (cl *Cluster) firstUp(pos, from, span int) int {
 	return cl.pl.firstUp(cl.down, pos, from, span)
 }
 
-// recut re-cuts the read slice table (placement.recut) when the
-// exclusion set or the member ring changed since it was last cut, so
-// the slices a read is split into and routed by are always the ones
-// balanced over the members still serving. Every question about read
-// slices (readIdx, a sliced runs) asks it first.
-func (cl *Cluster) recut() {
-	if cl.cutGen != cl.downGen || !slices.Equal(cl.cutRing, cl.pl.members) {
-		cl.cutLoad = cl.pl.recut(cl.down, cl.cutLoad)
-		cl.cutGen, cl.cutRing = cl.downGen, append(cl.cutRing[:0], cl.pl.members...)
-	}
-}
-
 // readIdx returns the read target for byte off of an inode under its
 // layout, as a session slot: the member serving the byte's read slice
 // (placement.reader) when alive, else the next alive member of the
 // group after it, wrapping, else -1.
 func (cl *Cluster) readIdx(lay LayoutClass, ino kernel.InodeID, off int64) int {
-	cl.recut()
-	rank, _ := cl.pl.reader(lay, off)
+	rank, _ := cl.pl.reader(cl.down, lay, off)
 	return cl.firstUp(cl.pl.owner(lay, ino, off), rank, cl.pl.replicas)
 }
 
@@ -580,14 +560,12 @@ func (cl *Cluster) HomeServer(ino kernel.InodeID) int {
 }
 
 // runs splits [off, off+n) of an inode into its per-owner runs
-// (placement.runs) in the cluster's per-operation scratch: valid until
-// the next runs call, so callers that outlive their own issue loop
-// (StartRead/StartWrite pendings) must copy it.
+// (placement.runs), cut at the read slice boundaries of the cluster's
+// exclusion set when sliced, in the cluster's per-operation scratch:
+// valid until the next runs call, so callers that outlive their own
+// issue loop (StartRead/StartWrite pendings) must copy it.
 func (cl *Cluster) runs(lay LayoutClass, ino kernel.InodeID, off int64, n int, sliced bool) []run {
-	if sliced {
-		cl.recut()
-	}
-	cl.runScratch = cl.pl.runs(lay, ino, off, n, sliced, cl.runScratch[:0])
+	cl.runScratch = cl.pl.runs(cl.down, lay, ino, off, n, sliced, cl.runScratch[:0])
 	return cl.runScratch
 }
 

@@ -142,7 +142,6 @@ func (cl *Cluster) Reinstate(p *sim.Proc, i int) error {
 	cl.Reinstates.Add(0)
 	cl.ReinstateTime += p.Now() - start
 	cl.down[i] = false
-	cl.downGen++
 	cl.jn.reset(i)
 	return nil
 }
@@ -176,7 +175,7 @@ func (cl *Cluster) replayJournal(p *sim.Proc, i int, j *resyncJournal) error {
 	var plan dirtySet
 	for _, ino := range moved {
 		st := snap.state[ino]
-		for _, r := range cl.pl.runs(st.layout, ino, 0, int(st.size), false, nil) {
+		for _, r := range cl.pl.runs(nil, st.layout, ino, 0, int(st.size), false, nil) {
 			if cl.pl.holds(i, r.owner) {
 				plan.add(ino, r.off, r.n)
 			}

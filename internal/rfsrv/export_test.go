@@ -28,6 +28,10 @@ func (s *Server) MemberEpoch() uint64 { return s.member }
 // OpImport staged for a membership cutover.
 func (s *Server) StagedImage() bool { return s.stage != nil }
 
+// ReplyHeaderBytes is the size of a data reply's header message: every
+// answer but a readdir's is this long.
+const ReplyHeaderBytes = respFixed
+
 // Read-only views of a cluster's configuration, for the tests that
 // rebuild or audit one.
 

@@ -8,35 +8,36 @@ package rfsrv_test
 
 import (
 	"bytes"
-	"errors"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/fabric"
-	"repro/internal/mx"
 	"repro/internal/rfsrv"
 	"repro/internal/sim"
 )
 
-// recvLog is a client transport that keeps every receive posted
-// through it, in posting order: a read's reply header, then its pieces.
+// recvLog is a client transport that keeps a record of every receive
+// posted through it (rfsrv.LogOp), in posting order: a read's reply
+// header, then its pieces.
 type recvLog struct {
 	fabric.Transport
-	posted []fabric.Op
+	posted []*rfsrv.OpRecord
 	// onPost, when set, sees every receive as it is posted.
 	onPost func(i int, op fabric.Op)
 }
 
 func (l *recvLog) PostRecv(p *sim.Proc, match core.Match, v core.Vector) (fabric.Op, error) {
 	op, err := l.Transport.PostRecv(p, match, v)
-	if err == nil {
-		if l.onPost != nil {
-			l.onPost(len(l.posted), op)
-		}
-		l.posted = append(l.posted, op)
+	if err != nil {
+		return op, err
 	}
-	return op, err
+	op, rec := rfsrv.LogOp(op)
+	if l.onPost != nil {
+		l.onPost(len(l.posted), op)
+	}
+	l.posted = append(l.posted, rec)
+	return op, nil
 }
 
 // loggedSession is a window-1 kernel session over MX endpoint 2 whose
@@ -138,11 +139,11 @@ func TestKernelReadShorterThanItsFirstPiece(t *testing.T) {
 		if len(log.posted) != 3 {
 			t.Fatalf("the client posted %d receives, want 3 (the header, two pieces)", len(log.posted))
 		}
-		for i, op := range log.posted {
-			if !op.Done() {
+		for i, rec := range log.posted {
+			if !rec.Done {
 				t.Errorf("receive %d is still posted after the read returned", i)
-			} else if st := op.Wait(p); st.Err != nil || i == 2 && st.Len != 0 {
-				t.Errorf("receive %d completed %+v", i, st)
+			} else if !rec.Waited || rec.Status.Err != nil || i == 2 && rec.Status.Len != 0 {
+				t.Errorf("receive %d completed %+v", i, *rec)
 			}
 		}
 		if !bytes.Equal(r.readBack(t, dst, size), data) {
@@ -198,13 +199,12 @@ func TestKernelReadPieceFault(t *testing.T) {
 				if len(log.posted) != 3 {
 					t.Fatalf("the client posted %d receives, want 3 (the header, two pieces)", len(log.posted))
 				}
-				for i, op := range log.posted {
-					if !op.Done() {
+				for i, rec := range log.posted {
+					if !rec.Done {
 						t.Fatalf("receive %d is still posted after the read failed", i)
 					}
-					st := op.Wait(p)
-					if withdrawn := errors.Is(st.Err, mx.ErrCancelled); withdrawn != (i != tc.landed) {
-						t.Errorf("receive %d ended %+v (withdrawn %v), want only receive %d landed", i, st, withdrawn, tc.landed)
+					if landed := rec.Waited && rec.Status.Err == nil; rec.Cancelled == landed || landed != (i == tc.landed) {
+						t.Errorf("receive %d ended %+v, want only receive %d landed and the others withdrawn", i, *rec, tc.landed)
 					}
 				}
 				if sess.InFlight() != 0 {

@@ -8,11 +8,11 @@ package rfsrv
 // (slot, rank, holds), which position a name hashes to (residue,
 // inodeHome, pathHome, home), which members hold a name's namespace
 // entry (nsGroup, nsRank), and which replica serves a byte's reads
-// (reader, over the read slice table recut builds). It tracks no
-// faults and knows nothing of sessions or the wire: the Cluster keeps
-// the exclusion set and hands it to the two questions that depend on
-// it, a group's first alive member (firstUp) and the read slice table
-// (recut).
+// (reader, runs). It tracks no faults and knows nothing of sessions or
+// the wire: the Cluster keeps the exclusion set and hands it to the
+// questions that depend on it, a group's first alive member (firstUp)
+// and the read slices (reader, a sliced runs), computed afresh on every
+// call, so no answer can go stale.
 // The ring arithmetic lives here and nowhere else: the client data
 // path, the sharded namespace, the journal hooks, elastic migration
 // (delta) and the server's ownership check (a ringPlacement built from
@@ -22,7 +22,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 
 	"repro/internal/kernel"
 	"repro/internal/mem"
@@ -36,11 +35,6 @@ type placement struct {
 	// sharded: the namespace is sharded, so an inode's home is its
 	// residue's owner group rather than its hash (home).
 	sharded bool
-	// cuts is the read slice table (recut, reader): R+1 page indices
-	// per ring position, cuts[pos*(R+1)+j] being the first page of
-	// read slice j of that position's stripes and cuts[pos*(R+1)+R]
-	// the stripe's page count.
-	cuts []int
 }
 
 // ringPlacement is the geometry of n servers whose slots are their ring
@@ -206,81 +200,82 @@ func (pl placement) owner(lay LayoutClass, ino kernel.InodeID, off int64) int {
 
 // reader returns which replica of byte off's group serves its reads —
 // its rank, 0 being the primary — and the end of the read slice that
-// holds off: slice j of a stripe is the pages from the table's cut j
-// (recut) up to cut j+1, read from rank j, so every client reads a
-// given byte from the same replica while the exclusion sets agree. A
-// class that does not stripe and a placement of one replica have one
-// slice, read from the primary, that never ends.
+// holds off, under the exclusion set down (indexed by slot): slice j of
+// a stripe is the pages from cut j up to cut j+1, read from rank j, so
+// every client reads a given byte from the same replica while the
+// exclusion sets agree. The cuts of a stripe of P pages are the even
+// ⌊j·P/R⌋, so every member of a group serves a fixed share of its reads
+// (none is empty once P ≥ R) — except at R=2 in a group that an
+// exclusion leaves linked into a chain (chainCut). A class that does
+// not stripe and a placement of one replica have one slice, read from
+// the primary, that never ends.
 //
 // allocfree
-func (pl placement) reader(lay LayoutClass, off int64) (rank int, end int64) {
+func (pl placement) reader(down []bool, lay LayoutClass, off int64) (rank int, end int64) {
 	w := pl.width(lay)
 	if w == 0 || pl.replicas == 1 {
 		return 0, math.MaxInt64
 	}
-	r := pl.replicas
+	r, pages := pl.replicas, int(w/mem.PageSize)
 	base := off / w * w
 	page := int((off - base) / mem.PageSize)
-	pos := int(off / w % int64(len(pl.members)))
-	c := pl.cuts[pos*(r+1) : (pos+1)*(r+1)]
-	j := r - 1
-	for c[j] > page { // the last slice starting at or before page
-		j--
+	if c, ok := pl.chainCut(down, int(off/w%int64(len(pl.members))), pages); ok {
+		if page < c {
+			return 0, base + int64(c)*mem.PageSize
+		}
+		return 1, base + w
 	}
-	return j, base + int64(c[j+1])*mem.PageSize
+	j := ((page+1)*r - 1) / pages // the last slice starting at or before page
+	return j, base + int64((j+1)*pages/r)*mem.PageSize
 }
 
-// recut rebuilds the read slice table in place for the exclusion set
-// down (indexed by slot), using load (returned, one entry per slot) as
-// scratch. It starts from the even cuts — slice j of every stripe of P
-// pages starts at page ⌊j·P/R⌋, so every member of a group serves a
-// fixed share of its reads (none is empty once P ≥ R) — with an
-// excluded rank's slice served by the group's next alive member
-// (firstUp), as the read path routes it. Then, until nothing moves, it
-// shifts every cut between two non-empty slices served by different
-// alive members one page at a time toward the less loaded of them
-// while that lowers the larger load, a member's load being the pages
-// it serves summed over every group of the ring. With nothing excluded
-// every member serves each rank once and nothing moves; with a member
-// out, its load spreads down the chain of groups (chained
-// declustering) instead of landing on its neighbours alone. Every
-// slice keeps at least one page and an empty one (P < R) stays empty,
-// so a stripe read issues as many requests as under the even cuts, and
-// no member's load ever rises above the largest load of the even cuts.
-func (pl *placement) recut(down []bool, load []int) []int {
-	n, r, pages := len(pl.members), pl.replicas, int(pl.stripe/mem.PageSize)
-	load = append(load[:0], make([]int, len(down))...)
-	pl.cuts = slices.Grow(pl.cuts[:0], n*(r+1))
-	for pos := 0; pos < n; pos++ {
-		for j := 0; j <= r; j++ {
-			pl.cuts = append(pl.cuts, j*pages/r)
-		}
-		c := pl.cuts[pos*(r+1):]
-		for j := 0; j < r; j++ {
-			if k := pl.firstUp(down, pos, j, r); k >= 0 {
-				load[k] += c[j+1] - c[j]
-			}
+// chainCut returns the first page of the second read slice of ring
+// position pos's stripes, P = pages long, when R=2 and the exclusion
+// set down leaves both members of the group alive but not every ring
+// position: the group is then a link of a chain (chained declustering,
+// Hsiao & DeWitt, ICDE 1990) — the maximal run of m alive ring
+// positions holding it, the primary the run's i-th, counting from 1.
+// Each end of a run also serves all P pages of the group it shares
+// with an excluded member, so the run's total is fixed, and cutting at
+// ⌊i·P/m⌋ gives every member of the run ⌊P/m⌋ or ⌈P/m⌉ pages on top of
+// P: the least peak load any cut reaches. The cut is kept within
+// [1, P−1] for P ≥ 2, so a stripe read issues as many requests as
+// under the even cuts. ok is false, for the even cuts, in every other
+// case: at R ≥ 3 an exclusion leaves the alive members of a group
+// joined in one cycle rather than cut into chains, and a group with an
+// excluded member reads every page from its one alive member anyway.
+// It walks the ring only while something is excluded.
+//
+// allocfree
+func (pl placement) chainCut(down []bool, pos, pages int) (cut int, ok bool) {
+	n := len(pl.members)
+	if pl.replicas != 2 || !excludes(down) || down[pl.slot(pos, 0)] || down[pl.slot(pos, 1)] {
+		return 0, false
+	}
+	i := 1
+	for i < n-1 && !down[pl.slot(pos, n-i)] { // back from the primary to the run's start
+		i++
+	}
+	if i == n-1 { // every ring position is alive
+		return 0, false
+	}
+	m := i + 1
+	for !down[pl.slot(pos, m-i+1)] { // on from the second replica to the run's end
+		m++
+	}
+	return min(max(i*pages/m, 1), pages-1), true
+}
+
+// excludes reports whether the exclusion set down holds anybody.
+//
+// allocfree
+func excludes(down []bool) bool {
+	for _, d := range down {
+		if d {
+			return true
 		}
 	}
-	for moved := true; moved; {
-		moved = false
-		for pos := 0; pos < n; pos++ {
-			c := pl.cuts[pos*(r+1) : (pos+1)*(r+1)]
-			for j := 1; j < r; j++ {
-				a, b := pl.firstUp(down, pos, j-1, r), pl.firstUp(down, pos, j, r)
-				if a == b || c[j-1] == c[j] || c[j] == c[j+1] {
-					continue
-				}
-				for ; load[a] > load[b]+1 && c[j]-1 > c[j-1]; c[j]-- {
-					load[a], load[b], moved = load[a]-1, load[b]+1, true
-				}
-				for ; load[b] > load[a]+1 && c[j]+1 < c[j+1]; c[j]++ {
-					load[a], load[b], moved = load[a]+1, load[b]-1, true
-				}
-			}
-		}
-	}
-	return load
+	return false
 }
 
 // run is one contiguous byte range owned by a single position.
@@ -293,12 +288,12 @@ type run struct {
 // runs appends to out the maximal contiguous same-owner ranges of
 // [off, off+n) under the inode's layout class, in offset order: one run
 // for a whole-on-home file or a one-member ring, one per stripe
-// fragment otherwise. sliced also cuts the runs at read slice
-// boundaries (reader), so one replica serves each: the runs a read
-// issues.
+// fragment otherwise. sliced also cuts the runs at the read slice
+// boundaries the exclusion set down leaves (reader), so one replica
+// serves each: the runs a read issues.
 //
 // allocfree
-func (pl placement) runs(lay LayoutClass, ino kernel.InodeID, off int64, n int, sliced bool, out []run) []run {
+func (pl placement) runs(down []bool, lay LayoutClass, ino kernel.InodeID, off int64, n int, sliced bool, out []run) []run {
 	w := pl.width(lay)
 	if w == 0 {
 		return append(out, run{owner: pl.home(ino), off: off, n: n})
@@ -309,7 +304,7 @@ func (pl placement) runs(lay LayoutClass, ino kernel.InodeID, off int64, n int, 
 			cut = min((off/w+1)*w, end)
 		}
 		if sliced {
-			if _, e := pl.reader(lay, off); e < cut {
+			if _, e := pl.reader(down, lay, off); e < cut {
 				cut = e
 			}
 		}
@@ -319,8 +314,7 @@ func (pl placement) runs(lay LayoutClass, ino kernel.InodeID, off int64, n int, 
 	return out
 }
 
-// withMembers returns the placement over a different member ring. Its
-// read slice table stays the old ring's until recut.
+// withMembers returns the placement over a different member ring.
 func (pl placement) withMembers(members []int) placement {
 	pl.members = members
 	return pl

@@ -87,16 +87,21 @@ func excludeIdle(t *testing.T, p *sim.Proc, r *clusterRig, cl *rfsrv.Cluster, vi
 	p.Sleep(2 * faultTimeout)
 }
 
-// TestReadSlicesBalanceAroundAnExclusion excludes one server of idle
+// TestReadSlicesBalanceAroundAnExclusion excludes server 1 of idle
 // 4- and 8-server R=2 rigs and reads every stripe of a two-round file
-// once: the excluded server sends nothing, and each of the N-1 others
-// serves N/(N-1) stripe shares of each round, within one page per
-// group it reads for (R per round). The rule the read slice table
-// replaced put the victim's slices on its two neighbours alone: 1.5
-// shares each at N=4, where 4/3 is possible.
+// once: the excluded server sends nothing, and the N-1 others — one
+// chain, from server 2 round to server 0 — each send exactly the pages
+// per ring round the chain's cuts give it, plus a reply header per
+// request it answers: 22, 21 and 21 of the ring's 64 at N=4 (the even
+// cuts put 24 on each neighbour of the victim and 16 on server 3),
+// and 19, 18, 18, 18, 19, 18 and 18 of its 128 at N=8.
 func TestReadSlicesBalanceAroundAnExclusion(t *testing.T) {
 	const rounds, victim = 2, 1
-	for _, n := range []int{4, 8} {
+	for _, pages := range [][]int64{
+		{22, 0, 21, 21},
+		{19, 0, 18, 18, 18, 19, 18, 18},
+	} {
+		n := len(pages)
 		t.Run(fmt.Sprint(n), func(t *testing.T) {
 			r := newRigOf(t, n, 2, false)
 			r.run(t, func(p *sim.Proc) {
@@ -107,9 +112,9 @@ func TestReadSlicesBalanceAroundAnExclusion(t *testing.T) {
 					elasticWrite(t, p, r, cl, ino, int64(off), pattern(sliceStripe))
 				}
 				excludeIdle(t, p, r, cl, victim)
-				before := make([]int64, n)
+				before, answered := make([]int64, n), make([]int64, n)
 				for i, node := range r.servers {
-					before[i] = node.NIC.TxMsgs.Bytes
+					before[i], answered[i] = node.NIC.TxMsgs.Bytes, r.rsrv[i].Requests.N
 				}
 				_, rvec := r.kbuf(t, sliceStripe)
 				for off := 0; off < size; off += sliceStripe {
@@ -117,12 +122,11 @@ func TestReadSlicesBalanceAroundAnExclusion(t *testing.T) {
 						t.Fatalf("read at %d: n=%d err=%v", off, resp.N, err)
 					}
 				}
-				want := float64(size) / float64(n-1)
-				slack := float64(rounds * 2 * mem.PageSize)
 				for i, node := range r.servers {
-					sent := float64(node.NIC.TxMsgs.Bytes - before[i])
-					if i == victim && sent != 0 || i != victim && (sent < want-slack || sent > want+slack) {
-						t.Errorf("N=%d: server %d sent %.0f bytes of the reads, want %.0f ± %.0f (0 from the excluded server %d)", n, i, sent, want, slack, victim)
+					sent := node.NIC.TxMsgs.Bytes - before[i]
+					headers := (r.rsrv[i].Requests.N - answered[i]) * rfsrv.ReplyHeaderBytes
+					if want := rounds * pages[i] * mem.PageSize; sent-headers != want {
+						t.Errorf("N=%d: server %d sent %d bytes of data, want %d (%d pages a round)", n, i, sent-headers, want, pages[i])
 					}
 				}
 				assertWindowsIdle(t, cl)
@@ -132,11 +136,11 @@ func TestReadSlicesBalanceAroundAnExclusion(t *testing.T) {
 }
 
 // TestReadSlicesRecutAfterReinstate excludes server 2 of an idle
-// 4-server R=2 rig — which moves stripe 0's cut toward server 0, the
-// less loaded of its two members — and readmits it: the idle 64 KB
-// read of stripe 0 is again one request per replica and ends at
-// TestReadSlicesSpreadAStripe's pinned 181.35 µs, so the table was cut
-// again when the exclusion cleared.
+// 4-server R=2 rig — which moves stripe 0's cut from page 8 to page 10:
+// its group is the last link of the chain 3 → 0 → 1 — and readmits it:
+// the idle 64 KB read of stripe 0 is again one request per replica and
+// ends at TestReadSlicesSpreadAStripe's pinned 181.35 µs, so the slices
+// are the even ones again once the exclusion clears.
 func TestReadSlicesRecutAfterReinstate(t *testing.T) {
 	r := newRigOf(t, 4, 2, false)
 	r.run(t, func(p *sim.Proc) {

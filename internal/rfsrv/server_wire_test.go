@@ -508,28 +508,31 @@ func TestDeadClientBetweenHeaderAndPayload(t *testing.T) {
 	}
 }
 
-// payloadWatch is a server's MX transport that notes every payload
-// receive the server posts (any receive but a request's), so a test can
-// tell which payloads are still in flight.
+// payloadWatch is a server's MX transport that keeps a record of every
+// payload receive the server posts (any receive but a request's; LogOp),
+// so a test can tell which payloads are still in flight.
 type payloadWatch struct {
 	*fabric.MXTransport
-	posted []fabric.Op
+	posted []*OpRecord
 }
 
 func (w *payloadWatch) PostRecv(p *sim.Proc, m core.Match, v core.Vector) (fabric.Op, error) {
 	op, err := w.MXTransport.PostRecv(p, m, v)
-	if err == nil && m != core.Exact(reqTag) {
-		w.posted = append(w.posted, op)
+	if err != nil || m == core.Exact(reqTag) {
+		return op, err
 	}
-	return op, err
+	op, rec := LogOp(op)
+	w.posted = append(w.posted, rec)
+	return op, nil
 }
 
-// inFlight returns the posted payload receives that have not completed.
-func (w *payloadWatch) inFlight() []fabric.Op {
-	var out []fabric.Op
-	for _, op := range w.posted {
-		if !op.Done() {
-			out = append(out, op)
+// inFlight returns the records of the posted payload receives that have
+// not completed.
+func (w *payloadWatch) inFlight() []*OpRecord {
+	var out []*OpRecord
+	for _, rec := range w.posted {
+		if !rec.Done {
+			out = append(out, rec)
 		}
 	}
 	return out
@@ -628,8 +631,8 @@ func TestControlRequestsPassPayloadsInFlight(t *testing.T) {
 			if err != nil || resp.Status != StOK {
 				t.Errorf("%v mid-stream: %+v %v", req.Op, resp, err)
 			}
-			for _, op := range pending {
-				if op.Done() {
+			for _, rec := range pending {
+				if rec.Done {
 					t.Errorf("%v was answered only after a payload in flight at its issue had landed", req.Op)
 					break
 				}

@@ -23,14 +23,14 @@
 # rewrite. A tenth must fail a tier-1 test too: a membership change
 # that skips its fenced re-copy of the dirty set, so a write that lands
 # after the bulk copy read its stripe never reaches the joiner. An
-# eleventh must fail a tier-1 test too: a readmission that clears the
-# exclusion without invalidating the read slice table, so the slices
-# stay cut for the exclusion that ended. A twelfth must fail a tier-1
-# test too: an MX endpoint that recycles a released request without
-# clearing its charged flag, so the request's next completion is never
-# charged and a ping-pong that releases its Ops ends earlier than one
-# that does not. Then it restores the tree byte-for-byte from backups
-# (no git operations, safe on a dirty tree).
+# eleventh must fail a tier-1 test too: read slices that ignore the
+# exclusion set and stay the even cuts, so the members next to an
+# excluded server read its share and the rest of its chain none of it.
+# A twelfth must fail a tier-1 test too: an MX endpoint that recycles a
+# released request without clearing its charged flag, so the request's
+# next completion is never charged and a ping-pong that releases its
+# Ops ends earlier than one that does not. Then it restores the tree
+# byte-for-byte from backups (no git operations, safe on a dirty tree).
 set -eu
 
 root="$(cd "$(dirname "$0")/../.." && pwd)"
@@ -41,6 +41,7 @@ publisher=internal/rfsrv/cluster.go
 server=internal/rfsrv/server.go
 waiter=internal/rfsrv/client.go
 reinstater=internal/rfsrv/elastic.go
+placer=internal/rfsrv/placement.go
 journal=internal/rfsrv/journal.go
 endpoint=internal/mx/mx.go
 injected=internal/rfsrv/zz_smoke_injected.go
@@ -52,6 +53,7 @@ restore() {
 	cp "$tmp/server.go.bak" "$server"
 	cp "$tmp/client.go.bak" "$waiter"
 	cp "$tmp/elastic.go.bak" "$reinstater"
+	cp "$tmp/placement.go.bak" "$placer"
 	cp "$tmp/journal.go.bak" "$journal"
 	cp "$tmp/mx.go.bak" "$endpoint"
 	rm -f "$injected"
@@ -63,6 +65,7 @@ cp "$publisher" "$tmp/cluster.go.bak"
 cp "$server" "$tmp/server.go.bak"
 cp "$waiter" "$tmp/client.go.bak"
 cp "$reinstater" "$tmp/elastic.go.bak"
+cp "$placer" "$tmp/placement.go.bak"
 cp "$journal" "$tmp/journal.go.bak"
 cp "$endpoint" "$tmp/mx.go.bak"
 
@@ -181,7 +184,7 @@ fi
 cp "$tmp/elastic.go.bak" "$reinstater"
 
 echo "smoke: a read target ignoring the read slices must fail a tier-1 test"
-sed -i 's/^\trank, _ := cl\.pl\.reader(lay, off)$/\trank := 0/' "$publisher"
+sed -i 's/^\trank, _ := cl\.pl\.reader(cl\.down, lay, off)$/\trank := 0/' "$publisher"
 if cmp -s "$publisher" "$tmp/cluster.go.bak"; then
 	echo "smoke: FAIL — injection did not change $publisher (site moved?)"
 	exit 1
@@ -231,22 +234,22 @@ if ! echo "$out" | grep -q -- '--- FAIL: TestElasticJoinRecopiesWriteInFlightAtS
 fi
 cp "$tmp/elastic.go.bak" "$reinstater"
 
-echo "smoke: a read slice table not recut when an exclusion clears must fail a tier-1 test"
-sed -i '/^\tcl\.downGen++$/d' "$reinstater"
-if cmp -s "$reinstater" "$tmp/elastic.go.bak"; then
-	echo "smoke: FAIL — injection did not change $reinstater (site moved?)"
+echo "smoke: read slices ignoring the exclusion set must fail a tier-1 test"
+sed -i 's/^\tif c, ok := pl\.chainCut(down, /\tif c, ok := pl.chainCut(nil, /' "$placer"
+if cmp -s "$placer" "$tmp/placement.go.bak"; then
+	echo "smoke: FAIL — injection did not change $placer (site moved?)"
 	exit 1
 fi
-if out="$(go test -count=1 -run '^TestReadSlicesRecutAfterReinstate$' ./internal/rfsrv 2>&1)"; then
-	echo "smoke: FAIL — tier-1 tests passed with read slices still cut for a cleared exclusion"
+if out="$(go test -count=1 -run '^TestReadSlicesBalanceAroundAnExclusion$' ./internal/rfsrv 2>&1)"; then
+	echo "smoke: FAIL — tier-1 tests passed with read slices that ignore the exclusion set"
 	exit 1
 fi
-if ! echo "$out" | grep -q -- '--- FAIL: TestReadSlicesRecutAfterReinstate'; then
+if ! echo "$out" | grep -q -- '--- FAIL: TestReadSlicesBalanceAroundAnExclusion'; then
 	echo "$out"
-	echo "smoke: FAIL — the tests failed, but not TestReadSlicesRecutAfterReinstate"
+	echo "smoke: FAIL — the tests failed, but not TestReadSlicesBalanceAroundAnExclusion"
 	exit 1
 fi
-cp "$tmp/elastic.go.bak" "$reinstater"
+cp "$tmp/placement.go.bak" "$placer"
 
 echo "smoke: an MX request recycled without clearing charged must fail a tier-1 test"
 sed -i 's/^\t\t\*req = Request{ep: ep, extents: req\.extents\[:0\], fire: req\.fire}$/\t\t*req = Request{ep: ep, extents: req.extents[:0], fire: req.fire, charged: req.charged}/' "$endpoint"
