@@ -28,7 +28,10 @@ package figures
 // victim has expired by then, since deadlines run from issue), and the
 // post-settle rate — the cluster serving every byte from N-1 servers,
 // each reading an equal share of the ring's pages, to within a page
-// per ring round.
+// per ring round. That window runs to the last completion, so it also
+// holds the drain tail: a stripe's owner depends on its offset alone,
+// so every client's last stripe lands on the same ring position, and
+// the survivor that serves it sets the tail.
 
 import (
 	"fmt"

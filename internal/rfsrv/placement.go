@@ -266,7 +266,9 @@ func (pl placement) chainCut(down []bool, pos, pages int) (cut int, ok bool) {
 	return min(max(i*pages/m, 1), pages-1), true
 }
 
-// excludes reports whether the exclusion set down holds anybody.
+// excludes reports whether the exclusion set down holds anybody. It is
+// slices.Contains(down, true) written out: the allocfree analyzer takes
+// a generic call's slice argument for one boxed into its constraint.
 //
 // allocfree
 func excludes(down []bool) bool {
