@@ -69,8 +69,8 @@ const (
 	maxReplicatedReadBytesPerOp  = 720
 
 	// One 4 KB ping-pong round trip on the raw fabric: two messages.
-	maxGMRoundTripAllocsPerOp = 12  // measured 10.00 (was 17.99)
-	maxGMRoundTripBytesPerOp  = 540 // measured 240 (was 752)
+	maxGMRoundTripAllocsPerOp = 7   // measured 6.00 (10.00 while each physical op resolved a fresh extent list; was 17.99)
+	maxGMRoundTripBytesPerOp  = 480 // measured 176 (240 with the fresh lists; was 752)
 	maxMXRoundTripAllocsPerOp = 1   // measured 0.00, a stray runtime allocation reads 0.01 (was 8.00)
 	maxMXRoundTripBytesPerOp  = 300 // measured 0 (was 1087)
 )

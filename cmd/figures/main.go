@@ -24,7 +24,7 @@ import (
 // experiments lists every id -only accepts.
 var experiments = []string{
 	"fig1b", "fig3b", "fig4a", "fig4b", "fig5a", "fig5b", "fig6", "fig7a", "fig7b", "fig8a", "fig8b",
-	"table1", "scalability", "multiserver", "sharedfile", "smallfile", "metadata", "torture",
+	"table1", "scalability", "multiserver", "sharedfile", "smallfile", "metadata",
 	"degraded", "elastic",
 }
 
@@ -58,7 +58,7 @@ func main() {
 	// add futex wake-ups between threads (bench/runner.go has numbers).
 	runtime.GOMAXPROCS(1)
 	iters := flag.Int("iters", 10, "ping-pong iterations per message size")
-	only := flag.String("only", "", "run only these comma-separated experiment ids (fig1b…fig8b, table1, scalability, multiserver, degraded, elastic, sharedfile, smallfile, metadata, torture)")
+	only := flag.String("only", "", "run only these comma-separated experiment ids (fig1b…fig8b, table1, scalability, multiserver, degraded, elastic, sharedfile, smallfile, metadata)")
 	flag.Parse()
 
 	cfg := figures.Config{Iters: *iters, Warmup: 2}
@@ -112,9 +112,8 @@ func main() {
 		"sharedfile":  cfg.SharedFile,
 		"smallfile":   cfg.SmallFile,
 		"metadata":    cfg.Metadata,
-		"torture":     cfg.Torture,
 	}
-	for _, id := range []string{"scalability", "multiserver", "sharedfile", "smallfile", "metadata", "torture"} {
+	for _, id := range []string{"scalability", "multiserver", "sharedfile", "smallfile", "metadata"} {
 		if !sel[id] {
 			continue
 		}

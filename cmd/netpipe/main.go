@@ -12,7 +12,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"time"
 
 	"repro/internal/figures"
 	"repro/internal/hw"
@@ -25,7 +24,7 @@ func main() {
 	link := flag.String("link", "xd", "card model: xd (250 MB/s) | xe (500 MB/s)")
 	maxSize := flag.Int("max", 1<<20, "largest message size")
 	iters := flag.Int("iters", 10, "round trips per size")
-	trace := flag.Bool("trace", false, "print per-message driver trace to stderr")
+	trace := flag.Bool("trace", false, "print each message's fw-send and fw-recv NIC steps to stderr")
 	flag.Parse()
 
 	model := hw.PCIXD
@@ -47,8 +46,10 @@ func main() {
 
 	cfg := figures.Config{Iters: *iters, Warmup: 2}
 	if *trace {
-		cfg.Trace = func(t time.Duration, format string, args ...any) {
-			fmt.Fprintf(os.Stderr, "[%12v] %s\n", t, fmt.Sprintf(format, args...))
+		cfg.Probe = func(s hw.Step) {
+			if s.Frag < 0 {
+				fmt.Fprintln(os.Stderr, s)
+			}
 		}
 	}
 	pts, err := figures.RunPingPong(*transport, am, model, netpipe.Sizes(*maxSize), cfg)

@@ -183,19 +183,33 @@ func (t *GMTransport) Acquire(p *sim.Proc, v core.Vector) (func(), error) {
 }
 
 // vectorArgs classifies a vector into the one shape per primitive GM
-// supports — all-physical extents (resolved here, once), or a single
-// virtually contiguous registered range. An empty vector is a
-// zero-length physical message: GM completes the protocol handshake
-// with no payload, as zero-byte file transfers need.
-func (t *GMTransport) vectorArgs(v core.Vector) (xs []mem.Extent, phys bool, s core.Segment, err error) {
+// supports — all-physical extents, or a single virtually contiguous
+// registered range. An empty vector is a zero-length physical message:
+// GM completes the protocol handshake with no payload, as zero-byte
+// file transfers need.
+func vectorArgs(v core.Vector) (phys bool, err error) {
 	if len(v) == 0 || v.AllPhysical() {
-		xs, err := v.Extents()
-		return xs, true, core.Segment{}, err
+		return true, nil
 	}
 	if len(v) != 1 {
-		return nil, false, core.Segment{}, fmt.Errorf("fabric: GM has no vectorial primitives (%d segments)", len(v))
+		return false, fmt.Errorf("fabric: GM has no vectorial primitives (%d segments)", len(v))
 	}
-	return nil, false, v[0], nil
+	return false, nil
+}
+
+// extents resolves a physical vector into the op's own extent list,
+// whose backing the op keeps across recycles. The list lives as long as
+// the op is in flight: the NIC gathers a send from it, and a posted
+// receive is scattered into it. An empty vector resolves to no list.
+//
+// allocfree
+func (o *gmOp) extents(v core.Vector) ([]mem.Extent, error) {
+	xs, err := v.AppendExtents(o.xs[:0])
+	o.xs = xs
+	if len(xs) == 0 {
+		return nil, err
+	}
+	return xs, err
 }
 
 // Send implements Transport. A destination whose NIC is dead fails
@@ -206,15 +220,18 @@ func (t *GMTransport) Send(p *sim.Proc, dst hw.NodeID, dstEP uint8, info uint64,
 	if t.Node().Cluster.Node(dst).NIC.Dead() {
 		return nil, ErrPeerDead
 	}
-	xs, phys, s, err := t.vectorArgs(v)
+	phys, err := vectorArgs(v)
 	if err != nil {
 		return nil, err
 	}
 	op := t.enroll(gmEvKey{send: true, tag: info})
 	if phys {
-		err = t.port.SendPhysical(p, dst, dstEP, info, xs)
+		var xs []mem.Extent
+		if xs, err = op.extents(v); err == nil {
+			err = t.port.SendPhysical(p, dst, dstEP, info, xs)
+		}
 	} else {
-		err = t.port.Send(p, dst, dstEP, info, s.AS, s.VA, s.Len)
+		err = t.port.Send(p, dst, dstEP, info, v[0].AS, v[0].VA, v[0].Len)
 	}
 	if err != nil {
 		t.unwait(op)
@@ -230,15 +247,18 @@ func (t *GMTransport) PostRecv(p *sim.Proc, match core.Match, v core.Vector) (Op
 		return nil, fmt.Errorf("fabric: GM matches exact tags only (mask %#x)", match.Mask)
 	}
 	tag := match.Bits
-	xs, phys, s, err := t.vectorArgs(v)
+	phys, err := vectorArgs(v)
 	if err != nil {
 		return nil, err
 	}
 	op := t.enroll(gmEvKey{tag: tag})
 	if phys {
-		err = t.port.PostRecvPhysical(p, tag, xs)
+		var xs []mem.Extent
+		if xs, err = op.extents(v); err == nil {
+			err = t.port.PostRecvPhysical(p, tag, xs)
+		}
 	} else {
-		err = t.port.PostRecv(p, tag, s.AS, s.VA, s.Len)
+		err = t.port.PostRecv(p, tag, v[0].AS, v[0].VA, v[0].Len)
 	}
 	if err != nil {
 		t.unwait(op)
@@ -256,7 +276,7 @@ func (t *GMTransport) enroll(key gmEvKey) *gmOp {
 	var op *gmOp
 	if k := len(t.free); k > 0 {
 		op, t.free = t.free[k-1], t.free[:k-1]
-		*op = gmOp{t: t, key: key}
+		*op = gmOp{t: t, key: key, xs: op.xs[:0]}
 	} else {
 		//analyze:allow allocfree pool-miss arm: the Op recycles from here on
 		op = &gmOp{t: t, key: key}
@@ -374,6 +394,7 @@ type gmOp struct {
 	done     bool
 	released bool
 	st       Status
+	xs       []mem.Extent // a physical op's extents (see extents); the backing outlives recycles
 }
 
 // Done implements Op. GM completions are delivered only by draining

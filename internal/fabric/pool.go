@@ -102,14 +102,12 @@ type Buffer struct {
 	regs map[Transport]bool
 
 	// Quiescence tracking: a buffer goes back to the free list only
-	// when it has been Released, no operation holds a Pin, and it has
-	// not been Poisoned. Consumers pin around every operation that
-	// touches the buffer (including ones that may park), so the
-	// release protocol lives here, in one place, instead of as ad-hoc
-	// flags in every consumer.
+	// when it has been Released and no operation holds a Pin.
+	// Consumers pin around every operation that touches the buffer
+	// (including ones that may park), so the release protocol lives
+	// here, in one place, instead of as ad-hoc flags in every consumer.
 	pins     int
 	released bool
-	poisoned bool
 	free     bool // currently in the pool's free list
 }
 
@@ -192,15 +190,6 @@ func (b *Buffer) Unpin() {
 	b.tryFree()
 }
 
-// Poison permanently bars the buffer from the free list — the last
-// resort for a buffer some operation may still scatter into when the
-// operation cannot be withdrawn (leaking one buffer is safe; recycling
-// it would corrupt another consumer's data). In-tree consumers no
-// longer need it: stale posted receives are cancelled at the driver
-// (mx.Endpoint.CancelRecv, gm.Port.CancelRecv) so their buffers
-// recycle. CheckLeaks reports any poisoned buffer as a leak.
-func (b *Buffer) Poison() { b.poisoned = true }
-
 // Outstanding returns the number of buffers currently handed out
 // (not in the free list).
 func (p *Pool) Outstanding() int {
@@ -213,34 +202,19 @@ func (p *Pool) Outstanding() int {
 	return n
 }
 
-// Poisoned returns the number of permanently quarantined buffers.
-func (p *Pool) Poisoned() int {
-	n := 0
-	for _, b := range p.all {
-		if b.poisoned {
-			n++
-		}
-	}
-	return n
-}
-
 // CheckLeaks is the pool's leak-accounting assertion for tests: once
 // every consumer has released its buffers and quiesced, it returns an
-// error naming anything that can never recycle — poisoned buffers,
-// and released buffers still pinned by an operation that never
-// finished.
+// error naming the released buffers still pinned by an operation that
+// never finished: they can never recycle.
 func (p *Pool) CheckLeaks() error {
-	poisoned, stuck := 0, 0
+	stuck := 0
 	for _, b := range p.all {
-		if b.poisoned {
-			poisoned++
-		} else if b.released && !b.free {
+		if b.released && !b.free {
 			stuck++
 		}
 	}
-	if poisoned > 0 || stuck > 0 {
-		return fmt.Errorf("fabric: pool leaks: %d poisoned, %d released-but-stuck of %d buffers",
-			poisoned, stuck, len(p.all))
+	if stuck > 0 {
+		return fmt.Errorf("fabric: pool leaks: %d released-but-stuck of %d buffers", stuck, len(p.all))
 	}
 	return nil
 }
@@ -260,7 +234,7 @@ func (b *Buffer) Release() {
 }
 
 func (b *Buffer) tryFree() {
-	if b.released && b.pins == 0 && !b.poisoned && !b.free {
+	if b.released && b.pins == 0 && !b.free {
 		b.free = true
 		b.pool.free[b.size] = append(b.pool.free[b.size], b)
 	}

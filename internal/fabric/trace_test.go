@@ -1,7 +1,6 @@
 package fabric_test
 
 import (
-	"fmt"
 	"slices"
 	"testing"
 
@@ -13,20 +12,15 @@ import (
 	"repro/internal/sim"
 )
 
-// TestDriverTraceRecords pins what the drivers hand to a trace function
-// (cmd/netpipe -trace prints it): one GM and one MX message between two
-// nodes yield a send and a receive record each, and the virtual time,
-// format and arguments of all four equal what the drivers emitted
-// before their call sites were guarded with Engine.Tracing — the guard
-// only decides whether the arguments are built, never what they are.
-func TestDriverTraceRecords(t *testing.T) {
+// traceRun sends one 3000-byte GM message and then one MX message from
+// node a to node b with probe installed on both NICs (nil: none), and
+// returns the engine once the run has drained.
+func traceRun(t *testing.T, probe func(hw.Step)) *sim.Engine {
 	env := sim.NewEngine()
-	var got []string
-	env.SetTrace(func(at sim.Time, format string, args ...any) {
-		got = append(got, fmt.Sprintf("%dns %q %v", at.Nanoseconds(), format, args))
-	})
 	cl := hw.NewCluster(env, hw.DefaultParams(), hw.PCIXD)
 	na, nb := cl.AddNode("a"), cl.AddNode("b")
+	na.NIC.SetProbe(probe)
+	nb.NIC.SetProbe(probe)
 	const size = 3000
 	env.Spawn("trace", func(p *sim.Proc) {
 		open := func(n *hw.Node) (g, m fabric.Transport) {
@@ -70,15 +64,44 @@ func TestDriverTraceRecords(t *testing.T) {
 		}
 	})
 	env.Run(0)
-	// Recorded from the commit before the guards went in.
+	return env
+}
+
+// TestProbeTraceLines pins the per-message trace cmd/netpipe -trace
+// prints — each message's fw-send and fw-recv NIC steps — for one GM
+// and one MX message: virtual time, node, stage, tag and wire bytes.
+// The GM tag carries the destination port in its low byte. Each fw-recv
+// line falls at the instant the receiving driver's handler runs.
+func TestProbeTraceLines(t *testing.T) {
+	var got []string
+	traceRun(t, func(s hw.Step) {
+		if s.Frag < 0 {
+			got = append(got, s.String())
+		}
+	})
 	want := []string{
-		`12350ns "gm[%s:%d] send %dB tag=%#x -> node %d port %d" [a 1 3000 64 1 1]`,
-		`40506ns "gm[%s:%d] recv %dB tag=%#x from node %d" [b 1 3000 64 0]`,
-		`48956ns "mx[%s:%d] send %dB info=%#x -> node %d ep %d" [a 2 3000 65 1 2]`,
-		`79118ns "mx[%s:%d] recv %dB info=%#x from node %d" [b 2 3000 65 0]`,
+		"14150ns a fw-send tag=0x4001 3017B",
+		"40506ns b fw-recv tag=0x4001 3017B",
+		"53056ns a fw-send tag=0x41 3018B",
+		"79118ns b fw-recv tag=0x41 3018B",
 	}
 	if !slices.Equal(got, want) {
-		t.Errorf("trace records differ from the golden:\n got:\n%s\nwant:\n%s", lines(got), lines(want))
+		t.Errorf("trace lines differ from the golden:\n got:\n%s\nwant:\n%s", lines(got), lines(want))
+	}
+}
+
+// TestProbeMovesNoEvent: the probe only observes. A run with it
+// installed ends at the same virtual instant after the same number of
+// events as a run without it.
+func TestProbeMovesNoEvent(t *testing.T) {
+	steps := 0
+	on := traceRun(t, func(hw.Step) { steps++ })
+	off := traceRun(t, nil)
+	if steps == 0 {
+		t.Fatal("the probe heard no step")
+	}
+	if on.Now() != off.Now() || on.Events() != off.Events() {
+		t.Errorf("probe on: %v after %d events; off: %v after %d events", on.Now(), on.Events(), off.Now(), off.Events())
 	}
 }
 

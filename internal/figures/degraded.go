@@ -28,10 +28,11 @@ package figures
 // victim has expired by then, since deadlines run from issue), and the
 // post-settle rate — the cluster serving every byte from N-1 servers,
 // each reading an equal share of the ring's pages, to within a page
-// per ring round. That window runs to the last completion, so it also
-// holds the drain tail: a stripe's owner depends on its offset alone,
-// so every client's last stripe lands on the same ring position, and
-// the survivor that serves it sets the tail.
+// per ring round. That window ends at the first client's finish: past
+// it fewer clients load the servers, and since a stripe's owner depends
+// on its offset alone, every client's last stripe lands on the same
+// ring position, so the drain tail measures whichever survivor serves
+// it rather than the degraded cluster.
 
 import (
 	"fmt"
@@ -84,33 +85,37 @@ type dgSample struct {
 	bytes int
 }
 
-// dgResult is one degraded run: the measurement window, every client's
-// completion samples, the summed failover counters, and the worst
-// request latency observed (the number dgTimeout must dominate).
+// dgResult is one degraded run: the measurement window, the instant
+// the first client finished, every client's completion samples, the
+// summed failover counters, and the worst request latency observed
+// (the number dgTimeout must dominate).
 type dgResult struct {
 	started, finished   sim.Time
+	firstDone           sim.Time
 	samples             []dgSample
 	maxLat              sim.Time
 	failovers, excluded int64
 }
 
 // mbpsSplit returns aggregate throughput over [started, killAt) and
-// [settleAt, finished] — the before/after-failover numbers of the
+// [settleAt, firstDone] — the before/after-failover numbers of the
 // suite. The settle window [killAt, settleAt) is excluded from the
 // "after" rate: by construction (deadlines run from issue) every
 // request in flight to the victim at the kill has expired by
 // killAt+timeout, so the regime after settleAt is pure degraded
-// operation; the settle window itself is reported as a duration.
+// operation; the settle window itself is reported as a duration. The
+// "after" window stops at the first client's finish, where the drain
+// tail begins.
 func (r *dgResult) mbpsSplit(killAt, settleAt sim.Time) (pre, post float64) {
 	var preB, postB int
 	for _, s := range r.samples {
 		if s.at < killAt {
 			preB += s.bytes
-		} else if s.at >= settleAt {
+		} else if s.at >= settleAt && s.at <= r.firstDone {
 			postB += s.bytes
 		}
 	}
-	return mbps(preB, killAt-r.started), mbps(postB, r.finished-settleAt)
+	return mbps(preB, killAt-r.started), mbps(postB, r.firstDone-settleAt)
 }
 
 // mbpsTotal returns whole-run aggregate throughput.
@@ -174,6 +179,9 @@ func (c Config) dgRun(servers int, killAt, timeout sim.Time) (*dgResult, error) 
 		samples, maxLat, err := dgClient(p, cluster, inos[i])
 		if err != nil {
 			return err
+		}
+		if res.firstDone == 0 || p.Now() < res.firstDone {
+			res.firstDone = p.Now()
 		}
 		res.maxLat = max(res.maxLat, maxLat)
 		res.samples = append(res.samples, samples...)

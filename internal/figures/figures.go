@@ -22,9 +22,9 @@ type Config struct {
 	Iters int
 	// Warmup exchanges per size (default 2).
 	Warmup int
-	// Trace, if set, receives the ping-pong runs' per-message GM/MX
-	// trace records (virtual time plus a formatted event line).
-	Trace func(t sim.Time, format string, args ...any)
+	// Probe, if set, hears of every pipeline step of both NICs in the
+	// ping-pong runs (hw.NIC.SetProbe).
+	Probe func(hw.Step)
 }
 
 // DefaultConfig returns the settings used for EXPERIMENTS.md.
@@ -141,11 +141,10 @@ type pairMaker func(p *sim.Proc, a, b *hw.Node) (netpipe.Transport, netpipe.Tran
 // the transport pair.
 func (c Config) pingpong(model hw.LinkModel, sizes []int, mk pairMaker) ([]netpipe.Point, error) {
 	env := sim.NewEngine()
-	if c.Trace != nil {
-		env.SetTrace(c.Trace)
-	}
 	cl := hw.NewCluster(env, hw.DefaultParams(), model)
 	a, b := cl.AddNode("a"), cl.AddNode("b")
+	a.NIC.SetProbe(c.Probe)
+	b.NIC.SetProbe(c.Probe)
 	var pts []netpipe.Point
 	var setupErr, runErr error
 	ready := sim.NewSignal(env)

@@ -326,10 +326,6 @@ func (pt *Port) sendExtents(p *sim.Proc, dst hw.NodeID, dstPort uint8, tag uint6
 	m.Header[0] = pt.id // source port, for the ACK path
 	g.node.NIC.Send(j)
 	pt.Sends.Add(n)
-	if env := g.node.Cluster.Env; env.Tracing() {
-		//analyze:allow allocfree tracing is on: the arguments are boxed only when somebody reads them
-		env.Tracef("gm[%s:%d] send %dB tag=%#x -> node %d port %d", g.node.Name, pt.id, n, tag, dst, dstPort)
-	}
 	return nil
 }
 
@@ -383,9 +379,6 @@ func (pt *Port) DirectedSend(p *sim.Proc, dst hw.NodeID, dstPort uint8, tag uint
 	}
 	g.node.NIC.Send(j)
 	pt.Sends.Add(n)
-	if env := g.node.Cluster.Env; env.Tracing() {
-		env.Tracef("gm[%s:%d] directed-send %dB -> node %d port %d va=%#x", g.node.Name, pt.id, n, dst, dstPort, remoteVA)
-	}
 	return nil
 }
 
@@ -411,9 +404,6 @@ func (pt *Port) deliverDirected(p *sim.Proc, m *hw.Message) {
 	}
 	pt.gm.node.Mem.Scatter(xs, m.Payload)
 	pt.Recvs.Add(n)
-	if env := pt.gm.node.Cluster.Env; env.Tracing() {
-		env.Tracef("gm[%s:%d] directed-recv %dB at va=%#x", pt.gm.node.Name, pt.id, n, remoteVA)
-	}
 }
 
 // PostRecv posts a receive buffer (registered virtual range) for the
@@ -506,10 +496,6 @@ func (g *GM) receive(p *sim.Proc, m *hw.Message) {
 		delete(pt.posted, tag)
 	} else {
 		pt.posted[tag] = q[1:]
-	}
-	if env := g.node.Cluster.Env; env.Tracing() {
-		//analyze:allow allocfree tracing is on: the arguments are boxed only when somebody reads them
-		env.Tracef("gm[%s:%d] recv %dB tag=%#x from node %d", g.node.Name, pt.id, len(m.Payload), tag, m.Src)
 	}
 	if pr.virtual {
 		// The NIC resolves the posted buffer through its translation

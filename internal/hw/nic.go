@@ -43,9 +43,6 @@ type Message struct {
 	arrived int
 }
 
-// WireLen returns the total on-wire byte count used for timing.
-func (m *Message) WireLen() int { return m.wireLen }
-
 // PayloadLen returns len(Header) + len(Payload) — the logical size.
 func (m *Message) PayloadLen() int { return len(m.Header) + len(m.Payload) }
 
@@ -218,11 +215,7 @@ type NIC struct {
 	// at transmit or delivery time).
 	Dropped sim.Counter
 
-	// probe, when a test sets it, hears of every pipeline step as it
-	// completes: the stage, the message, and the fragment (-1 for the
-	// per-message firmware work). The golden-schedule test reads the
-	// pipeline's event order through it.
-	probe func(stage string, m *Message, frag int)
+	probe func(Step) // see SetProbe
 }
 
 type frag struct {
@@ -357,13 +350,48 @@ func (n *NIC) StallFor(d sim.Time) {
 	}
 }
 
-// step reports a completed pipeline step to the test probe, if any.
+// A Step is one pipeline step a NIC has completed, as its probe hears
+// of it (see SetProbe).
+type Step struct {
+	At    sim.Time
+	Node  *Node  // the node whose NIC did the step
+	Stage string // fw-send, txdma and link on the sender; rxdma and fw-recv on the receiver
+	Msg   *Message
+	Frag  int // the fragment's index; -1 for the per-message firmware steps
+	Bytes int // wire bytes: the fragment's, or the message's when Frag is -1
+}
+
+// String formats the step as one trace line: virtual time in ns, node,
+// stage, message tag and bytes, then the fragment for a per-fragment
+// step.
+func (s Step) String() string {
+	line := fmt.Sprintf("%dns %s %s tag=%#x %dB", s.At.Nanoseconds(), s.Node.Name, s.Stage, s.Msg.Tag, s.Bytes)
+	if s.Frag >= 0 {
+		line += fmt.Sprintf(" frag=%d", s.Frag)
+	}
+	return line
+}
+
+// SetProbe installs fn to hear of every pipeline step the NIC completes,
+// in the order the steps complete: the one per-message trace (cmd/netpipe
+// -trace prints its fw-send and fw-recv steps) and what the hw tests read
+// the pipeline's schedule through. The probe only observes: it moves no
+// event. A nil fn (the default) turns it off, leaving one nil check per
+// step.
+func (n *NIC) SetProbe(fn func(Step)) { n.probe = fn }
+
+// step reports a completed pipeline step to the probe, if any.
 //
 // allocfree
 func (n *NIC) step(stage string, m *Message, frag int) {
-	if n.probe != nil {
-		n.probe(stage, m, frag)
+	if n.probe == nil {
+		return
 	}
+	bytes := m.wireLen
+	if frag >= 0 {
+		bytes = n.fragBytes(m, frag)
+	}
+	n.probe(Step{At: n.node.Cluster.Env.Now(), Node: n.node, Stage: stage, Msg: m, Frag: frag, Bytes: bytes})
 }
 
 // stall parks the receive process until any stall in effect has passed.
@@ -805,9 +833,6 @@ func NewTransTable(capacity int) *TransTable {
 
 // Used returns the number of live entries.
 func (t *TransTable) Used() int { return len(t.entries) }
-
-// Capacity returns the table capacity.
-func (t *TransTable) Capacity() int { return t.capacity }
 
 // Insert adds a page translation. It fails when the table is full.
 func (t *TransTable) Insert(k TransKey, pa mem.PhysAddr) error {

@@ -283,14 +283,6 @@ func (p *Params) LinkTime(m LinkModel, n int) time.Duration {
 	return btime(n, bw)
 }
 
-// LinkBandwidth returns the wire bandwidth of the model in bytes/s.
-func (p *Params) LinkBandwidth(m LinkModel) float64 {
-	if m == PCIXE {
-		return p.LinkBandwidthXE
-	}
-	return p.LinkBandwidthXD
-}
-
 // Frags returns the number of NIC fragments for n wire bytes.
 func (p *Params) Frags(n int) int {
 	if n <= 0 {

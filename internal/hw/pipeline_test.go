@@ -102,12 +102,12 @@ func pipelineSchedule(t *testing.T, withC bool) []string {
 	contended := 0 // steps that found somebody queued for the receiver's firmware
 	for _, n := range c.Nodes() {
 		n := n
-		n.NIC.probe = func(stage string, m *Message, frag int) {
+		n.NIC.SetProbe(func(s Step) {
 			if nb.NIC.Firmware.QueueLen() > 0 {
 				contended++
 			}
-			got = append(got, fmt.Sprintf("%dns %s %s m%d f%d", env.Now().Nanoseconds(), n.Name, stage, m.Tag, frag))
-		}
+			got = append(got, fmt.Sprintf("%dns %s %s m%d f%d", s.At.Nanoseconds(), s.Node.Name, s.Stage, s.Msg.Tag, s.Frag))
+		})
 		n.NIC.Handle(protoTest, func(proc *sim.Proc, m *Message) {
 			// A driver that uses the firmware from its handler, as GM's
 			// translation lookup does.

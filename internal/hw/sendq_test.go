@@ -43,9 +43,9 @@ func newFanRig() *fanRig {
 	r := &fanRig{env: env, got: map[NodeID][]uint64{}, at: map[uint64]sim.Time{},
 		msgs: map[uint64]*Message{}, txDone: map[uint64]int{}}
 	r.a, r.b, r.c = c.AddNode("a"), c.AddNode("b"), c.AddNode("c")
-	r.a.NIC.probe = func(stage string, m *Message, frag int) {
-		r.steps = append(r.steps, step{stage, m.Tag, frag, env.Now()})
-	}
+	r.a.NIC.SetProbe(func(s Step) {
+		r.steps = append(r.steps, step{s.Stage, s.Msg.Tag, s.Frag, s.At})
+	})
 	for _, n := range []*Node{r.b, r.c} {
 		n := n
 		n.NIC.Handle(protoTest, func(p *sim.Proc, m *Message) {

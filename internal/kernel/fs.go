@@ -125,14 +125,6 @@ type PageRangeReader interface {
 // pageIndex returns the page index containing byte offset off.
 func pageIndex(off int64) int64 { return off / mem.PageSize }
 
-// pagesSpanned returns how many pages [off, off+n) touches.
-func pagesSpanned(off int64, n int) int64 {
-	if n <= 0 {
-		return 0
-	}
-	return pageIndex(off+int64(n)-1) - pageIndex(off) + 1
-}
-
 // String renders the attributes for logs and test failures: kind,
 // inode, size and version.
 func (a Attr) String() string {

@@ -238,19 +238,6 @@ func (m *Memory) PutAll(fs []*Frame) {
 // Frame returns the live frame with the given PFN, or nil.
 func (m *Memory) Frame(pfn uint64) *Frame { return m.frames[pfn] }
 
-// CheckExtent verifies that an extent lies entirely within live frames.
-func (m *Memory) CheckExtent(x Extent) error {
-	if x.Len < 0 {
-		return fmt.Errorf("mem: negative extent length %d", x.Len)
-	}
-	for pfn := x.Addr.PFN(); pfn <= (x.End() - 1).PFN(); pfn++ {
-		if m.frames[pfn] == nil {
-			return fmt.Errorf("mem: extent %#x+%d touches unallocated frame %d", x.Addr, x.Len, pfn)
-		}
-	}
-	return nil
-}
-
 // ReadAt copies bytes from physical memory into buf, crossing frame
 // boundaries as needed. It panics on access to unallocated frames —
 // in the simulation that is a wild DMA, always a bug.

@@ -427,10 +427,6 @@ func (ep *Endpoint) Send(p *sim.Proc, dst hw.NodeID, dstEp uint8, info uint64, v
 	req.status = Status{Info: info, Len: n}
 	m.node.CPU.Compute(p, m.p.MXHostSend)
 	ep.Sends.Add(n)
-	if env := m.node.Cluster.Env; env.Tracing() {
-		//analyze:allow allocfree tracing is on: the arguments are boxed only when somebody reads them
-		env.Tracef("mx[%s:%d] send %dB info=%#x -> node %d ep %d", m.node.Name, ep.id, n, info, dst, dstEp)
-	}
 
 	switch {
 	case n <= m.p.MXSmallMax:
@@ -738,10 +734,6 @@ func (ep *Endpoint) completeEager(req *Request, src hw.NodeID, info uint64, data
 		req.recvCopy = n
 	}
 	ep.Recvs.Add(n)
-	if env := ep.mx.node.Cluster.Env; env.Tracing() {
-		//analyze:allow allocfree tracing is on: the arguments are boxed only when somebody reads them
-		env.Tracef("mx[%s:%d] recv %dB info=%#x from node %d", ep.mx.node.Name, ep.id, n, info, src)
-	}
 	ep.complete(req)
 }
 

@@ -14,6 +14,7 @@ package rfsrv_test
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -42,17 +43,26 @@ func (r *clusterRig) shardClient(t *testing.T, p *sim.Proc, replicas int) *rfsrv
 // wanted owner residue and returns its inode.
 func mkdirRes(t *testing.T, p *sim.Proc, cl *rfsrv.Cluster, n, want int, tag string) kernel.InodeID {
 	t.Helper()
+	ino, _ := mkdirUnder(t, p, cl, 0, n, want, tag)
+	return ino
+}
+
+// mkdirUnder creates directories under parent until one lands on the
+// wanted owner residue and returns its inode and name.
+func mkdirUnder(t *testing.T, p *sim.Proc, cl *rfsrv.Cluster, parent kernel.InodeID, n, want int, tag string) (kernel.InodeID, string) {
+	t.Helper()
 	for k := 0; k < 64; k++ {
-		resp, err := cl.Meta(p, &rfsrv.Req{Op: rfsrv.OpMkdir, Ino: 0, Name: fmt.Sprintf("%s%d", tag, k)})
+		name := fmt.Sprintf("%s%d", tag, k)
+		resp, err := cl.Meta(p, &rfsrv.Req{Op: rfsrv.OpMkdir, Ino: parent, Name: name})
 		if err != nil {
-			t.Fatalf("mkdir %s%d: %v", tag, k, err)
+			t.Fatalf("mkdir %s: %v", name, err)
 		}
 		if int((resp.Attr.Ino-2)%kernel.InodeID(n)) == want {
-			return resp.Attr.Ino
+			return resp.Attr.Ino, name
 		}
 	}
 	t.Fatalf("no directory with residue %d in 64 tries", want)
-	return 0
+	return 0, ""
 }
 
 // TestShardRenameDestKillPreCommit kills the destination owner's NIC
@@ -404,6 +414,122 @@ func TestShardUnlinkScrubsEveryServer(t *testing.T) {
 		if h := holders(b); len(h) != 0 {
 			t.Fatalf("servers %v hold the unlinked file after the replay", h)
 		}
+		assertWindowsIdle(t, cl)
+		r.checkNoLeaks(t)
+	})
+}
+
+// TestShardRmdir covers the sharded rmdir (N=4, R=2, the parent in
+// owner group {0,1}): a child directory owned by the disjoint group
+// {2,3} is removed from every server; a non-empty one is refused with
+// ErrNotEmpty and nothing is removed; a child owned by the parent's
+// own group leaves its dentry dangling after the scrub, which the
+// rmdir then drops; a missing name or a file is refused; and a member of both groups excluded by the rmdir
+// journals the scrub and the rmdir, which Reinstate replays there.
+func TestShardRmdir(t *testing.T) {
+	r := newShardRig(t, 4, 2)
+	r.run(t, func(p *sim.Proc) {
+		cl := r.shardClient(t, p, 2)
+		parent := mkdirRes(t, p, cl, 4, 0, "p")
+		rmdir := func(name string) error {
+			_, err := cl.Meta(p, &rfsrv.Req{Op: rfsrv.OpRmdir, Ino: parent, Name: name})
+			return err
+		}
+		// holders lists the servers that hold the child's dentry under
+		// the parent, and those that hold its object.
+		holders := func(child kernel.InodeID, name string) (dentry, object []int) {
+			for i, fs := range r.serverFS {
+				if _, err := fs.Lookup(p, parent, name); err == nil {
+					dentry = append(dentry, i)
+				}
+				if _, err := fs.Getattr(p, child); err == nil {
+					object = append(object, i)
+				}
+			}
+			return dentry, object
+		}
+		gone := func(child kernel.InodeID, name string) {
+			t.Helper()
+			if d, o := holders(child, name); len(d) != 0 || len(o) != 0 {
+				t.Fatalf("after rmdir %s: dentry on servers %v, object on %v; want none", name, d, o)
+			}
+		}
+
+		// A child in another owner group: the scrub at {2,3} and the
+		// rmdir at {0,1} leave nothing anywhere.
+		far, farName := mkdirUnder(t, p, cl, parent, 4, 2, "far")
+		if d, o := holders(far, farName); !slices.Equal(d, []int{0, 1}) || !slices.Equal(o, []int{0, 1, 2, 3}) {
+			t.Fatalf("before rmdir: dentry on %v, object on %v; want [0 1] and [0 1 2 3]", d, o)
+		}
+		if err := rmdir(farName); err != nil {
+			t.Fatalf("rmdir %s: %v", farName, err)
+		}
+		gone(far, farName)
+
+		// A non-empty child: refused, and nothing is removed.
+		full, fullName := mkdirUnder(t, p, cl, parent, 4, 2, "full")
+		if _, err := cl.Meta(p, &rfsrv.Req{Op: rfsrv.OpCreate, Ino: full, Name: "f"}); err != nil {
+			t.Fatal(err)
+		}
+		if err := rmdir(fullName); !errors.Is(err, kernel.ErrNotEmpty) {
+			t.Fatalf("rmdir of a non-empty directory: %v, want ErrNotEmpty", err)
+		}
+		if d, o := holders(full, fullName); !slices.Equal(d, []int{0, 1}) || !slices.Equal(o, []int{0, 1, 2, 3}) {
+			t.Fatalf("after the refused rmdir: dentry on %v, object on %v; want [0 1] and [0 1 2 3]", d, o)
+		}
+		for _, i := range []int{2, 3} {
+			if _, err := r.serverFS[i].Lookup(p, full, "f"); err != nil {
+				t.Fatalf("after the refused rmdir, server %d lost the child's entry: %v", i, err)
+			}
+		}
+
+		// A name that is missing or names a file is refused before any
+		// scrub.
+		if err := rmdir("nosuch"); !errors.Is(err, kernel.ErrNotFound) {
+			t.Fatalf("rmdir of a missing name: %v, want ErrNotFound", err)
+		}
+		if _, err := cl.Meta(p, &rfsrv.Req{Op: rfsrv.OpCreate, Ino: parent, Name: "file"}); err != nil {
+			t.Fatal(err)
+		}
+		if err := rmdir("file"); !errors.Is(err, kernel.ErrNotDir) {
+			t.Fatalf("rmdir of a file: %v, want ErrNotDir", err)
+		}
+
+		// A child in the parent's own group: the scrub frees the object
+		// where the dentry lives, and the rmdir drops the dangling name.
+		near, nearName := mkdirUnder(t, p, cl, parent, 4, 0, "near")
+		if err := rmdir(nearName); err != nil {
+			t.Fatalf("rmdir %s: %v", nearName, err)
+		}
+		gone(near, nearName)
+
+		// Server 1 sits in the parent's group {0,1} and the child's group
+		// {1,2}: the rmdir's scrub fan finds it dead and excludes it, and
+		// it journals both the scrub and the rmdir.
+		mid, midName := mkdirUnder(t, p, cl, parent, 4, 1, "mid")
+		r.servers[1].NIC.Kill()
+		if err := rmdir(midName); err != nil {
+			t.Fatalf("rmdir %s with server 1 dead: %v", midName, err)
+		}
+		if down := cl.DownServers(); len(down) != 1 || down[0] != 1 {
+			t.Fatalf("down servers = %v, want [1]", down)
+		}
+		if d, o := holders(mid, midName); !slices.Equal(d, []int{1}) || !slices.Equal(o, []int{1}) {
+			t.Fatalf("rmdir with server 1 dead: dentry on %v, object on %v; want only the dead [1]", d, o)
+		}
+		j := cl.JournaledReqs(1)
+		if len(j) != 2 || j[0].Op != rfsrv.OpScrub || j[0].Ino != mid || j[1].Op != rfsrv.OpRmdir || j[1].Ino != parent || j[1].Name != midName {
+			t.Fatalf("server 1's journal = %+v, want the scrub of %d then the rmdir of %s", j, mid, midName)
+		}
+		r.servers[1].NIC.Revive()
+		p.Sleep(2 * faultTimeout)
+		if err := cl.Reinstate(p, 1); err != nil {
+			t.Fatalf("reinstate: %v", err)
+		}
+		if cl.ResyncOps.N != 2 {
+			t.Errorf("ResyncOps = %d, want the replayed scrub and rmdir", cl.ResyncOps.N)
+		}
+		gone(mid, midName)
 		assertWindowsIdle(t, cl)
 		r.checkNoLeaks(t)
 	})

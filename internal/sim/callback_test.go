@@ -309,30 +309,6 @@ func TestWaitFuncTakesTheWokenWaitersSlot(t *testing.T) {
 	}
 }
 
-func TestGuardedTraceIsFreeWhenTracingIsOff(t *testing.T) {
-	e := NewEngine()
-	node, port, n, tag := "client", uint8(3), 65536, uint64(0xbeef)
-	statement := func() {
-		if e.Tracing() {
-			e.Tracef("gm[%s:%d] send %dB tag=%#x", node, port, n, tag)
-		}
-	}
-	if got := testing.AllocsPerRun(100, statement); got != 0 {
-		t.Errorf("a guarded Tracef with tracing off allocates %.0f objects, want 0", got)
-	}
-	records := 0
-	e.SetTrace(func(at Time, format string, args ...any) {
-		records++
-		if len(args) != 4 || args[2] != n {
-			t.Errorf("trace record carries %v", args)
-		}
-	})
-	statement()
-	if records != 1 {
-		t.Errorf("%d records with tracing on, want 1", records)
-	}
-}
-
 // handoffChurn sets up n hand-overs of one Resource between two
 // callback holders: while one holds the unit the other is queued.
 func handoffChurn(e *Engine, n int) {

@@ -157,7 +157,6 @@ type Engine struct {
 	procs    int    // number of live Procs (spawned, not yet finished)
 	switches uint64 // baton hand-offs between goroutines; the tests pin the switch cost with it
 	failure  any    // panic captured from a Proc body or a callback, re-raised by Run
-	trace    func(t Time, format string, args ...any)
 }
 
 // NewEngine returns an empty engine with the clock at zero.
@@ -167,24 +166,6 @@ func NewEngine() *Engine {
 
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
-
-// SetTrace installs a trace function invoked by Tracef. A nil function
-// disables tracing (the default).
-func (e *Engine) SetTrace(fn func(t Time, format string, args ...any)) { e.trace = fn }
-
-// Tracing reports whether a trace function is installed. Tracef's
-// variadic arguments are boxed by its caller before Tracef can look, so
-// a per-message call site guards itself — if env.Tracing() {
-// env.Tracef(...) } — and costs nothing while tracing is off.
-func (e *Engine) Tracing() bool { return e.trace != nil }
-
-// Tracef emits a trace record at the current virtual time if tracing is
-// enabled.
-func (e *Engine) Tracef(format string, args ...any) {
-	if e.trace != nil {
-		e.trace(e.now, format, args...)
-	}
-}
 
 // schedule inserts an event at absolute time at. Panics if at is in the
 // past (events may be scheduled for the current instant).

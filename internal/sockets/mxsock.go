@@ -152,7 +152,7 @@ func (c *mxConn) Recv(p *sim.Proc, as *vm.AddressSpace, va vm.VirtAddr, n int) (
 	}
 	// EOF raced the receive. Withdraw the posted receive so it can
 	// never scatter into the overflow buffer after the connection
-	// releases it — the one-buffer leak Poison used to paper over.
+	// releases it.
 	if s.ep.CancelRecv(p, req) {
 		return 0, nil
 	}
@@ -188,8 +188,8 @@ func (c *mxConn) Close(p *sim.Proc) error {
 	}
 	// Hand the 1 MB overflow buffer back; the pool defers recycling
 	// until an in-flight Recv unpins, and an EOF-raced posted receive
-	// has poisoned it for good (connection IDs are never reused, so it
-	// is otherwise quiescent).
+	// was withdrawn (connection IDs are never reused, so it is
+	// otherwise quiescent).
 	c.overflowBuf.Release()
 	return nil
 }

@@ -255,21 +255,6 @@ func (as *AddressSpace) mapPages(length int, label string, alloc func() (*mem.Fr
 	return base, nil
 }
 
-// MapFrames maps existing frames (taking references) into the space,
-// e.g. a kernel mapping of page-cache pages or a shared region.
-func (as *AddressSpace) MapFrames(frames []*mem.Frame, label string) VirtAddr {
-	as.checkLive()
-	base := as.next
-	as.next += VirtAddr(len(frames)+1) * PageSize
-	for i, f := range frames {
-		f.Get()
-		as.pt[(base + VirtAddr(i)*PageSize).VPN()] = f
-	}
-	as.insertVMA(&VMA{Start: base, End: base + VirtAddr(len(frames))*PageSize, Label: label})
-	as.spyGen++
-	return base
-}
-
 func (as *AddressSpace) insertVMA(v *VMA) {
 	i := sort.Search(len(as.vmas), func(i int) bool { return as.vmas[i].Start >= v.Start })
 	as.vmas = append(as.vmas, nil)

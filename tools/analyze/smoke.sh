@@ -29,7 +29,9 @@
 # A twelfth must fail a tier-1 test too: an MX endpoint that recycles a
 # released request without clearing its charged flag, so the request's
 # next completion is never charged and a ping-pong that releases its
-# Ops ends earlier than one that does not. Then it restores the tree
+# Ops ends earlier than one that does not. A thirteenth must fail a
+# tier-1 test too: a NIC that skips its fw-recv step, so the per-message
+# trace loses every receive line. Then it restores the tree
 # byte-for-byte from backups (no git operations, safe on a dirty tree).
 set -eu
 
@@ -44,6 +46,7 @@ reinstater=internal/rfsrv/elastic.go
 placer=internal/rfsrv/placement.go
 journal=internal/rfsrv/journal.go
 endpoint=internal/mx/mx.go
+nic=internal/hw/nic.go
 injected=internal/rfsrv/zz_smoke_injected.go
 
 tmp="$(mktemp -d)"
@@ -56,6 +59,7 @@ restore() {
 	cp "$tmp/placement.go.bak" "$placer"
 	cp "$tmp/journal.go.bak" "$journal"
 	cp "$tmp/mx.go.bak" "$endpoint"
+	cp "$tmp/nic.go.bak" "$nic"
 	rm -f "$injected"
 	rm -rf "$tmp"
 }
@@ -68,6 +72,7 @@ cp "$reinstater" "$tmp/elastic.go.bak"
 cp "$placer" "$tmp/placement.go.bak"
 cp "$journal" "$tmp/journal.go.bak"
 cp "$endpoint" "$tmp/mx.go.bak"
+cp "$nic" "$tmp/nic.go.bak"
 
 run_analyzer() { go run ./tools/analyze ./... 2>&1; }
 
@@ -267,6 +272,23 @@ if ! echo "$out" | grep -q -- '--- FAIL: TestConformanceRelease'; then
 	exit 1
 fi
 cp "$tmp/mx.go.bak" "$endpoint"
+
+echo "smoke: a NIC skipping its fw-recv step must fail a tier-1 test"
+sed -i '/^\t\tn\.step("fw-recv", m, -1)$/d' "$nic"
+if cmp -s "$nic" "$tmp/nic.go.bak"; then
+	echo "smoke: FAIL — injection did not change $nic (site moved?)"
+	exit 1
+fi
+if out="$(go test -count=1 -run '^TestProbeTraceLines$' ./internal/fabric 2>&1)"; then
+	echo "smoke: FAIL — tier-1 tests passed with a NIC that never reports fw-recv"
+	exit 1
+fi
+if ! echo "$out" | grep -q -- '--- FAIL: TestProbeTraceLines'; then
+	echo "$out"
+	echo "smoke: FAIL — the tests failed, but not TestProbeTraceLines"
+	exit 1
+fi
+cp "$tmp/nic.go.bak" "$nic"
 
 echo "smoke: untimed reply wait must fail boundedwait"
 sed -i 's/^\tst, ok = fabric\.WaitTimeout(p, op, d)$/\tst, ok = op.Wait(p), true/' "$waiter"
