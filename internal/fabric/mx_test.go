@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fabric"
+	"repro/internal/gm"
 	"repro/internal/hw"
 	"repro/internal/mx"
 	"repro/internal/sim"
@@ -16,12 +17,31 @@ import (
 // rfsrv client and server take for every request. Released requests
 // come back from their endpoint's free list, so it runs at 0 allocs/op.
 func BenchmarkMXRoundTrip(b *testing.B) {
+	benchRoundTrip(b, func(node *hw.Node) (fabric.Transport, error) {
+		return fabric.NewMX(mx.Attach(node), 1, true)
+	})
+}
+
+// BenchmarkGMRoundTrip is BenchmarkMXRoundTrip over two GM kernel ports
+// and GM's physical-address primitives. Released Ops come back from the
+// transport's free list, and the port keeps its posted receives and its
+// send acknowledgements in FIFOs of records held by value, so it runs
+// at 0 allocs/op.
+func BenchmarkGMRoundTrip(b *testing.B) {
+	benchRoundTrip(b, func(node *hw.Node) (fabric.Transport, error) {
+		return fabric.NewGM(gm.Attach(node), 1, true)
+	})
+}
+
+// benchRoundTrip runs b.N 4 KB round trips between two nodes' kernel
+// transports over physical buffers.
+func benchRoundTrip(b *testing.B, attach func(node *hw.Node) (fabric.Transport, error)) {
 	const n, tag = 4096, 1
 	env := sim.NewEngine()
 	cl := hw.NewCluster(env, hw.DefaultParams(), hw.PCIXD)
 	na, nb := cl.AddNode("a"), cl.AddNode("b")
 	open := func(node *hw.Node) (fabric.Transport, core.Vector) {
-		t, err := fabric.NewMX(mx.Attach(node), 1, true)
+		t, err := attach(node)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -22,6 +22,7 @@ import (
 	"repro/internal/hw"
 	"repro/internal/kernel"
 	"repro/internal/mem"
+	"repro/internal/memfs"
 	"repro/internal/mx"
 	"repro/internal/netpipe"
 	"repro/internal/orfs"
@@ -343,15 +344,35 @@ func PipelinedReadBounces(ops int) (float64, error) {
 	return bounces, err
 }
 
+// ORFSFileCost is what one 64 KB read syscall on an ORFS mount costs the
+// host, each way the paper's file path goes.
+type ORFSFileCost struct {
+	// Hit is a buffered read served entirely from the page cache:
+	// sixteen frame → user-page copies, no wire operation, so nothing
+	// to allocate.
+	Hit HostCost
+	// Direct is an O_DIRECT read over MX: orfs → Session → wire →
+	// server worker → memfs and back into the user's pages.
+	Direct HostCost
+	// MissGM and MissMX are a buffered read that misses every page: the
+	// page-cache fill, one window-1 request per page straight into a
+	// fresh frame (GM's physical-address primitives, and MX), and the
+	// eviction of the least recently used page per fill.
+	MissGM, MissMX HostCost
+}
+
 // ORFSFileAllocs measures the steady-state host cost of one 64 KB read
-// syscall on an ORFS mount over one Session to one MX server, both
-// ways the paper's file path goes: buffered and served entirely from
-// the page cache (sixteen frame → user-page copies, no wire operation,
-// so nothing to allocate), and O_DIRECT (orfs → Session → wire → server
-// worker → memfs and back into the user's pages).
-func ORFSFileAllocs(ops int) (hit, direct HostCost, err error) {
+// syscall on an ORFS mount over one Session to one server: buffered
+// hits and O_DIRECT over MX, buffered misses over GM and over MX.
+func ORFSFileAllocs(ops int) (cost ORFSFileCost, err error) {
 	if ops <= 0 {
-		return hit, direct, fmt.Errorf("figures: ORFSFileAllocs needs ops > 0")
+		return cost, fmt.Errorf("figures: ORFSFileAllocs needs ops > 0")
+	}
+	if cost.MissGM, err = orfsMissAllocs(ops, false); err != nil {
+		return cost, err
+	}
+	if cost.MissMX, err = orfsMissAllocs(ops, true); err != nil {
+		return cost, err
 	}
 	err = probe(1, 1, msStripe, func(p *sim.Proc, cl *rfsrv.Cluster) error {
 		const chunk, chunks = 64 * 1024, 8
@@ -388,13 +409,87 @@ func ORFSFileAllocs(ops int) (hit, direct HostCost, err error) {
 				return err
 			}
 		}
-		if hit, err = steadyAllocs(ops, read(buffered)); err != nil {
+		if cost.Hit, err = steadyAllocs(ops, read(buffered)); err != nil {
 			return err
 		}
-		direct, err = steadyAllocs(ops, read(odirect))
+		cost.Direct, err = steadyAllocs(ops, read(odirect))
 		return err
 	})
-	return hit, direct, err
+	return cost, err
+}
+
+// orfsMissAllocs measures a buffered 64 KB read that misses the page
+// cache on every page, the way the orfs_file workload's buffered reads
+// do: a kernel client on a window-1 Session to one server, over GM's
+// physical-address primitives or over MX, with a page cache a quarter
+// of the file it cycles through.
+func orfsMissAllocs(ops int, useMX bool) (HostCost, error) {
+	const chunk, chunks = 64 * 1024, 8
+	env := sim.NewEngine()
+	hwc := hw.NewCluster(env, hw.DefaultParams(), hw.PCIXD)
+	client, server := hwc.AddNode("client"), hwc.AddNode("server")
+	serverFS := memfs.New("backing", server, 0)
+	srv := rfsrv.NewServer(server, serverFS)
+	var err error
+	if useMX {
+		_, err = srv.ServeMX(mx.Attach(server), 1, 1)
+	} else {
+		_, err = srv.ServeGM(gm.Attach(server), 1)
+	}
+	if err != nil {
+		return HostCost{}, err
+	}
+	var cost HostCost
+	finished := false
+	env.Spawn("probe", func(p *sim.Proc) {
+		err = func() error {
+			attr, err := serverFS.Create(p, serverFS.Root(), "probe")
+			if err != nil {
+				return err
+			}
+			if err := serverFS.WriteAt(attr.Ino, 0, make([]byte, chunk*chunks)); err != nil {
+				return err
+			}
+			var fc *rfsrv.FabricClient
+			if useMX {
+				fc, err = rfsrv.NewMXClient(mx.Attach(client), 2, true, client.Kernel, server.ID, 1)
+			} else {
+				fc, err = rfsrv.NewGMClient(p, gm.Attach(client), 2, true, client.Kernel, server.ID, 1, 1024)
+			}
+			if err != nil {
+				return err
+			}
+			sess, err := rfsrv.NewSession(p, fc, 1)
+			if err != nil {
+				return err
+			}
+			osys := kernel.NewOS(client, chunk*chunks/mem.PageSize/4)
+			osys.Mount("/mnt", orfs.New("orfs", sess))
+			as := client.NewUserSpace("probe-app")
+			va, err := as.Mmap(chunk, "probe-buf")
+			if err != nil {
+				return err
+			}
+			f, err := osys.Open(p, "/mnt/probe", 0)
+			if err != nil {
+				return err
+			}
+			cost, err = steadyAllocs(ops, func(i int) error {
+				n, err := f.ReadAt(p, as, va, chunk, int64(i%chunks)*chunk)
+				if err == nil && n != chunk {
+					err = fmt.Errorf("figures: ORFS miss probe read %d of %d bytes", n, chunk)
+				}
+				return err
+			})
+			return err
+		}()
+		finished = true
+	})
+	env.Run(0)
+	if err == nil && !finished {
+		err = fmt.Errorf("figures: ORFS miss probe deadlocked")
+	}
+	return cost, err
 }
 
 // FabricRoundTripAllocs measures the steady-state host cost of one

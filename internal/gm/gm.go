@@ -83,9 +83,18 @@ type Port struct {
 	events *sim.Chan[Event]
 	tokens *sim.Resource
 
-	posted     map[uint64][]*postedRecv // tag → FIFO
+	posted     []postedRecv // in posting order; a tag's oldest matches first
 	unexpected []arrival
 	regions    []*Region // live registrations (directed-send targets)
+
+	// acks is the FIFO of this port's sends whose receiving NIC has
+	// acknowledged them, each waiting out the return path. Every entry
+	// waits the same delay, taken from this port's own node (ack), so
+	// the callbacks fire in the order they were scheduled and fireAck
+	// — built once, at OpenPort — completes the oldest.
+	acks    []ackRec
+	ackHead int
+	fireAck func()
 
 	// Stats
 	Sends, Recvs sim.Counter
@@ -103,7 +112,14 @@ type arrival struct {
 	data []byte
 }
 
+// ackRec is one acknowledged send waiting out the return path.
+type ackRec struct {
+	tag uint64 // application tag
+	n   int
+}
+
 type postedRecv struct {
+	tag     uint64 // application tag
 	extents []mem.Extent
 	length  int
 	virtual bool // posted with a registered virtual range (lookup cost)
@@ -122,8 +138,8 @@ func (g *GM) OpenPort(id uint8, kernel bool) (*Port, error) {
 		kernel: kernel,
 		events: sim.NewChan[Event](g.node.Cluster.Env),
 		tokens: sim.NewResource(g.node.Cluster.Env, fmt.Sprintf("%s-gm%d-tokens", g.node.Name, id), g.p.GMSendTokens),
-		posted: make(map[uint64][]*postedRecv),
 	}
+	pt.fireAck = pt.completeSend
 	g.ports[id] = pt
 	return pt, nil
 }
@@ -330,7 +346,10 @@ func (pt *Port) sendExtents(p *sim.Proc, dst hw.NodeID, dstPort uint8, tag uint6
 }
 
 // ack runs on the receiving node when a message arrives and schedules
-// the sender-side completion after the return-path delay.
+// the sender-side completion after the sending port's return-path
+// delay.
+//
+// allocfree
 func (g *GM) ack(m *hw.Message) {
 	if len(m.Header) == 0 {
 		return
@@ -343,12 +362,28 @@ func (g *GM) ack(m *hw.Message) {
 	if srcPort == nil {
 		return
 	}
-	tag := m.Tag >> portBits
-	n := len(m.Payload)
-	g.node.Cluster.Env.AfterDetached(g.p.WireProp+200*nanosecond, func() {
-		srcPort.tokens.Release()
-		srcPort.events.Send(Event{Type: SendComplete, Tag: tag, Len: n})
-	})
+	if srcPort.ackHead > 0 && len(srcPort.acks) == cap(srcPort.acks) {
+		// Reuse the consumed prefix rather than let append regrow a
+		// FIFO that never drains empty.
+		k := copy(srcPort.acks, srcPort.acks[srcPort.ackHead:])
+		srcPort.acks, srcPort.ackHead = srcPort.acks[:k], 0
+	}
+	srcPort.acks = append(srcPort.acks, ackRec{tag: m.Tag >> portBits, n: len(m.Payload)})
+	g.node.Cluster.Env.AfterDetached(srcGM.p.WireProp+200*nanosecond, srcPort.fireAck)
+}
+
+// completeSend is the return path's end for the oldest acknowledged
+// send: its token comes back and its SendComplete is queued.
+//
+// allocfree
+func (pt *Port) completeSend() {
+	a := pt.acks[pt.ackHead]
+	pt.ackHead++
+	if pt.ackHead == len(pt.acks) {
+		pt.acks, pt.ackHead = pt.acks[:0], 0
+	}
+	pt.tokens.Release()
+	pt.events.Send(Event{Type: SendComplete, Tag: a.tag, Len: a.n})
 }
 
 // kindDirected marks remote-memory-access messages on the wire.
@@ -414,18 +449,23 @@ func (pt *Port) PostRecv(p *sim.Proc, tag uint64, as *vm.AddressSpace, va vm.Vir
 		return err
 	}
 	pt.gm.node.CPU.Compute(p, pt.gm.p.GMHostSend/2)
-	pt.post(tag, &postedRecv{extents: xs, length: n, virtual: true})
+	pt.post(postedRecv{tag: tag, extents: xs, length: n, virtual: true})
 	return nil
 }
 
 // PostRecvPhysical posts a receive straight into physical extents
-// (page-cache pages) — the §3.3 extension. Kernel ports only.
+// (page-cache pages) — the §3.3 extension. Kernel ports only. The port
+// scatters into xs when the receive matches, so xs must stay as it is
+// until then.
+//
+// allocfree
 func (pt *Port) PostRecvPhysical(p *sim.Proc, tag uint64, xs []mem.Extent) error {
 	if !pt.kernel {
+		//analyze:allow allocfree misuse error path
 		return fmt.Errorf("gm: PostRecvPhysical requires a kernel port")
 	}
 	pt.gm.node.CPU.Compute(p, pt.gm.p.GMHostSend/2)
-	pt.post(tag, &postedRecv{extents: mem.MergeExtents(xs), length: mem.TotalLen(xs), virtual: false})
+	pt.post(postedRecv{tag: tag, extents: mem.MergeExtents(xs), length: mem.TotalLen(xs)})
 	return nil
 }
 
@@ -435,35 +475,48 @@ func (pt *Port) PostRecvPhysical(p *sim.Proc, tag uint64, xs []mem.Extent) error
 // it returns false the receive has already matched, which in GM means
 // the NIC has already scattered the payload (delivery is synchronous
 // at match time) — either way the buffer is quiescent afterwards.
+//
+// allocfree
 func (pt *Port) CancelRecv(p *sim.Proc, tag uint64) bool {
-	q := pt.posted[tag]
-	if len(q) == 0 {
-		return false
+	for i := len(pt.posted) - 1; i >= 0; i-- {
+		if pt.posted[i].tag == tag {
+			pt.unpost(i)
+			pt.gm.node.CPU.Compute(p, pt.gm.p.GMHostSend/2) // descriptor removal
+			return true
+		}
 	}
-	if len(q) == 1 {
-		delete(pt.posted, tag)
-	} else {
-		pt.posted[tag] = q[:len(q)-1]
-	}
-	pt.gm.node.CPU.Compute(p, pt.gm.p.GMHostSend/2) // descriptor removal
-	return true
+	return false
 }
 
-func (pt *Port) post(tag uint64, pr *postedRecv) {
+// unpost removes the i-th posted receive, keeping the others' order.
+//
+// allocfree
+func (pt *Port) unpost(i int) {
+	last := len(pt.posted) - 1
+	copy(pt.posted[i:], pt.posted[i+1:])
+	pt.posted[last] = postedRecv{} // the dropped extents are the caller's
+	pt.posted = pt.posted[:last]
+}
+
+// post matches a new receive against the unexpected queue, or queues
+// it behind the port's other posted receives.
+//
+// allocfree
+func (pt *Port) post(pr postedRecv) {
 	// Check the unexpected queue first: a message may already have
 	// arrived. GM proper drops unexpected messages and relies on its
 	// token flow control; we stage them NIC-side and charge a host
 	// copy on the late match, which is kinder but does not change any
 	// measured path (the benchmarks always pre-post).
 	for i, a := range pt.unexpected {
-		if a.tag == tag {
+		if a.tag == pr.tag {
 			pt.unexpected = append(pt.unexpected[:i], pt.unexpected[i+1:]...)
 			pt.gm.node.CPU.CopyStats.Add(len(a.data))
 			pt.deliver(a, pr, pt.gm.p.CopyTime(len(a.data)))
 			return
 		}
 	}
-	pt.posted[tag] = append(pt.posted[tag], pr)
+	pt.posted = append(pt.posted, pr)
 }
 
 // receive runs in the NIC's receive process.
@@ -481,22 +534,18 @@ func (g *GM) receive(p *sim.Proc, m *hw.Message) {
 		return
 	}
 	tag := m.Tag >> portBits
-	q := pt.posted[tag]
-	if len(q) == 0 {
+	i := 0
+	for i < len(pt.posted) && pt.posted[i].tag != tag {
+		i++
+	}
+	if i == len(pt.posted) {
 		// The payload buffer returns to the NIC's pool when this
 		// handler does (hw.Message): stage a copy.
 		pt.unexpected = append(pt.unexpected, arrival{tag: tag, src: m.Src, data: append([]byte(nil), m.Payload...)})
 		return
 	}
-	pr := q[0]
-	if len(q) == 1 {
-		// Drop the drained key: reply tags carry a sequence number, so
-		// keeping empty queues would keep one map entry per request ever
-		// matched.
-		delete(pt.posted, tag)
-	} else {
-		pt.posted[tag] = q[1:]
-	}
+	pr := pt.posted[i]
+	pt.unpost(i)
 	if pr.virtual {
 		// The NIC resolves the posted buffer through its translation
 		// table: the lookup cost physical addressing avoids.
@@ -505,7 +554,7 @@ func (g *GM) receive(p *sim.Proc, m *hw.Message) {
 	pt.deliver(arrival{tag: tag, src: m.Src, data: m.Payload}, pr, 0)
 }
 
-func (pt *Port) deliver(a arrival, pr *postedRecv, extra sim.Time) {
+func (pt *Port) deliver(a arrival, pr postedRecv, extra sim.Time) {
 	n := len(a.data)
 	ev := Event{Type: RecvComplete, Tag: a.tag, Len: n, Src: a.src}
 	if n > pr.length {

@@ -600,9 +600,10 @@ func TestDirectedSendRequiresLocalRegistration(t *testing.T) {
 	r.env.Run(0)
 }
 
-// TestPostedQueueDrainsItsKeys pins the posted-receive table's size:
-// reply tags carry a sequence number, so a port sees one distinct tag
-// per request, and a matched receive must take its map entry with it.
+// TestPostedQueueDrainsItsKeys pins the posted queue's size: reply
+// tags carry a sequence number, so a port sees one distinct tag per
+// request, and a matched receive must leave the queue with nothing of
+// its tag behind.
 func TestPostedQueueDrainsItsKeys(t *testing.T) {
 	r := newRig()
 	asA := r.a.NewUserSpace("appA")
@@ -645,6 +646,171 @@ func TestPostedQueueDrainsItsKeys(t *testing.T) {
 	})
 	r.env.Run(0)
 	if n := len(pb.posted); n != 0 {
-		t.Fatalf("%d posted-receive keys left after %d matched tags, want 0", n, tags)
+		t.Fatalf("%d posted receives left after %d matched tags, want 0", n, tags)
+	}
+}
+
+// physBufs maps count one-page kernel buffers on node and returns them
+// with their physical extents.
+func physBufs(t *testing.T, node *hw.Node, count int) ([]vm.VirtAddr, [][]mem.Extent) {
+	t.Helper()
+	vas := make([]vm.VirtAddr, count)
+	xss := make([][]mem.Extent, count)
+	for i := range vas {
+		va, err := node.Kernel.MmapContig(mem.PageSize, "buf")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if xss[i], err = node.Kernel.Resolve(va, mem.PageSize); err != nil {
+			t.Fatal(err)
+		}
+		vas[i] = va
+	}
+	return vas, xss
+}
+
+// sendBytes sends data from a fresh kernel buffer on pt's node with
+// the physical primitive.
+func sendBytes(t *testing.T, p *sim.Proc, pt *Port, dst hw.NodeID, tag uint64, data []byte) {
+	t.Helper()
+	kern := pt.Node().Kernel
+	va, err := kern.MmapContig(len(data), "src")
+	if err != nil {
+		t.Fatal(err)
+	}
+	kern.WriteBytes(va, data)
+	xs, err := kern.Resolve(va, len(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pt.SendPhysical(p, dst, 1, tag, xs); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestPostedReceivesMatchOldestFirst pins the posted queue's matching
+// rule: a message takes the oldest posted receive of its own tag, past
+// receives of other tags posted before it.
+func TestPostedReceivesMatchOldestFirst(t *testing.T) {
+	r := newRig()
+	vas, xss := physBufs(t, r.b, 3)
+	var pb *Port
+	r.env.Spawn("b", func(p *sim.Proc) {
+		pb, _ = r.gb.OpenPort(1, true)
+		for i, tag := range []uint64{5, 6, 5} {
+			if err := pb.PostRecvPhysical(p, tag, xss[i]); err != nil {
+				t.Error(err)
+			}
+		}
+		for range 3 {
+			waitRecv(p, pb)
+		}
+	})
+	r.env.Spawn("a", func(p *sim.Proc) {
+		pa, _ := r.ga.OpenPort(1, true)
+		p.Sleep(10 * us) // let b post first
+		sendBytes(t, p, pa, r.b.ID, 5, []byte("first"))
+		sendBytes(t, p, pa, r.b.ID, 5, []byte("second"))
+		sendBytes(t, p, pa, r.b.ID, 6, []byte("other"))
+	})
+	r.env.Run(0)
+	for i, want := range []string{"first", "other", "second"} {
+		got, _ := r.b.Kernel.ReadBytes(vas[i], len(want))
+		if string(got) != want {
+			t.Errorf("posted receive %d holds %q, want %q", i, got, want)
+		}
+	}
+	if n := len(pb.posted); n != 0 {
+		t.Errorf("%d posted receives left after every one matched, want 0", n)
+	}
+}
+
+// TestCancelRecvWithdrawsNewest pins which receive CancelRecv takes
+// back: the most recently posted of its tag, so the older one still
+// matches the next message.
+func TestCancelRecvWithdrawsNewest(t *testing.T) {
+	r := newRig()
+	vas, xss := physBufs(t, r.b, 2)
+	var pb *Port
+	r.env.Spawn("b", func(p *sim.Proc) {
+		pb, _ = r.gb.OpenPort(1, true)
+		for _, xs := range xss {
+			if err := pb.PostRecvPhysical(p, 5, xs); err != nil {
+				t.Error(err)
+			}
+		}
+		if !pb.CancelRecv(p, 5) {
+			t.Error("CancelRecv found no posted receive")
+		}
+		waitRecv(p, pb)
+		if pb.CancelRecv(p, 5) {
+			t.Error("CancelRecv withdrew a receive after its tag's last one matched")
+		}
+	})
+	r.env.Spawn("a", func(p *sim.Proc) {
+		pa, _ := r.ga.OpenPort(1, true)
+		p.Sleep(10 * us)
+		sendBytes(t, p, pa, r.b.ID, 5, []byte("payload"))
+	})
+	r.env.Run(0)
+	if got, _ := r.b.Kernel.ReadBytes(vas[0], 7); string(got) != "payload" {
+		t.Errorf("the older receive holds %q, want the message", got)
+	}
+	if got, _ := r.b.Kernel.ReadBytes(vas[1], 7); string(got) == "payload" {
+		t.Error("the message landed in the withdrawn receive")
+	}
+	if n := len(pb.posted); n != 0 {
+		t.Errorf("%d posted receives left, want 0", n)
+	}
+}
+
+// TestSendCompletesInSendOrder interleaves sends from one port to two
+// destinations and requires their SendComplete events — tag and length
+// together — in the order the sends were made: the port's
+// acknowledgements share one return-path delay, so its ack FIFO fires
+// oldest first.
+func TestSendCompletesInSendOrder(t *testing.T) {
+	r := newRig()
+	c := r.a.Cluster.AddNode("c")
+	gc := Attach(c)
+	type done struct {
+		tag uint64
+		n   int
+	}
+	var want, got []done
+	for i := range 8 {
+		want = append(want, done{tag: uint64(10 + i), n: 64 * (i + 1)})
+	}
+	for _, g := range []*GM{r.gb, gc} {
+		node := g.Node()
+		_, xss := physBufs(t, node, len(want))
+		r.env.Spawn("recv-"+node.Name, func(p *sim.Proc) {
+			pt, _ := g.OpenPort(1, true)
+			for i, w := range want {
+				if err := pt.PostRecvPhysical(p, w.tag, xss[i]); err != nil {
+					t.Error(err)
+				}
+			}
+		})
+	}
+	r.env.Spawn("a", func(p *sim.Proc) {
+		pa, _ := r.ga.OpenPort(1, true)
+		p.Sleep(10 * us)
+		for i, w := range want {
+			dst := []hw.NodeID{r.b.ID, c.ID}[i%2]
+			sendBytes(t, p, pa, dst, w.tag, make([]byte, w.n))
+		}
+		for range want {
+			ev := pa.PollEvent(p)
+			if ev.Type != SendComplete {
+				t.Errorf("event %+v, want a SendComplete", ev)
+				continue
+			}
+			got = append(got, done{tag: ev.Tag, n: ev.Len})
+		}
+	})
+	r.env.Run(0)
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("send completions %v, want %v", got, want)
 	}
 }

@@ -5,7 +5,6 @@ package kernel
 // the chunked fill path that models Linux 2.6-style read combining.
 import (
 	"cmp"
-	"container/list"
 	"fmt"
 	"slices"
 
@@ -25,7 +24,13 @@ type PageCache struct {
 	maxPages int
 	inodes   map[inodeKey]*inodePages // resident pages, by file then page
 	resident int
-	lru      *list.List
+	// lru is the sentinel of the resident pages' recency ring: lru.next
+	// is the most recently used page, lru.prev the least.
+	lru CachedPage
+	// frames is FillChunk's frame list, lent to one fill at a time: a
+	// fill that finds it lent out (another process's fill is blocked in
+	// its read) makes its own.
+	frames []*mem.Frame
 
 	// Stats
 	HitCount, MissCount, WritebackCount sim.Counter
@@ -50,20 +55,34 @@ type CachedPage struct {
 	Frame *mem.Frame
 	N     int // valid bytes (short only for the EOF page)
 	Dirty bool
-	busy  bool // pinned by an in-progress operation (not evictable)
-	lruEl *list.Element
+	busy  bool        // pinned by an in-progress operation (not evictable)
 	ip    *inodePages // the file's index while resident, nil once removed
+
+	prev, next *CachedPage // recency-ring neighbours while resident
 }
 
 // NewPageCache creates a cache bounded to maxPages resident pages
 // (0 = unbounded).
 func NewPageCache(node *hw.Node, maxPages int) *PageCache {
-	return &PageCache{
+	pc := &PageCache{
 		node:     node,
 		maxPages: maxPages,
 		inodes:   make(map[inodeKey]*inodePages),
-		lru:      list.New(),
 	}
+	pc.lru.prev, pc.lru.next = &pc.lru, &pc.lru
+	return pc
+}
+
+// pushFront links pg into the recency ring as the most recently used.
+func (pc *PageCache) pushFront(pg *CachedPage) {
+	pg.prev, pg.next = &pc.lru, pc.lru.next
+	pg.prev.next, pg.next.prev = pg, pg
+}
+
+// unlink takes pg out of the recency ring.
+func (pc *PageCache) unlink(pg *CachedPage) {
+	pg.prev.next, pg.next.prev = pg.next, pg.prev
+	pg.prev, pg.next = nil, nil
 }
 
 // Resident returns the number of cached pages.
@@ -97,7 +116,7 @@ func (pc *PageCache) insert(pg *CachedPage) {
 	ip.pages[pg.key.idx] = pg
 	pg.ip = ip
 	pc.resident++
-	pg.lruEl = pc.lru.PushFront(pg)
+	pc.pushFront(pg)
 }
 
 // setDirty records whether pg differs from the backing store, keeping
@@ -125,7 +144,8 @@ func (pc *PageCache) Lookup(fs FileSystem, ino InodeID, idx int64) *CachedPage {
 		pc.MissCount.Add(mem.PageSize)
 		return nil
 	}
-	pc.lru.MoveToFront(pg.lruEl)
+	pc.unlink(pg)
+	pc.pushFront(pg)
 	pc.HitCount.Add(mem.PageSize)
 	return pg
 }
@@ -161,17 +181,21 @@ func (pc *PageCache) FillChunk(p *sim.Proc, fs FileSystem, ino InodeID, idx int6
 	if err := pc.makeRoom(p); err != nil {
 		return nil, err
 	}
-	frames := make([]*mem.Frame, run)
-	for i := range frames {
+	// Neither ReadPage nor ReadPages keeps the list past its return, so
+	// it goes back to the cache when this fill is done with it.
+	frames := pc.frames[:0]
+	pc.frames = nil
+	defer func() { clear(frames); pc.frames = frames[:0] }()
+	for range run {
 		pc.node.CPU.PageAlloc(p)
 		f, err := pc.node.Mem.AllocFrame()
 		if err != nil {
-			for _, g := range frames[:i] {
+			for _, g := range frames {
 				pc.node.Mem.Put(g)
 			}
 			return nil, err
 		}
-		frames[i] = f
+		frames = append(frames, f)
 	}
 	var total int
 	var err error
@@ -230,8 +254,7 @@ func (pc *PageCache) makeRoom(p *sim.Proc) error {
 	}
 	for pc.resident >= pc.maxPages {
 		evicted := false
-		for el := pc.lru.Back(); el != nil; el = el.Prev() {
-			pg := el.Value.(*CachedPage)
+		for pg := pc.lru.prev; pg != &pc.lru; pg = pg.prev {
 			if pg.busy {
 				continue
 			}
@@ -259,7 +282,7 @@ func (pc *PageCache) remove(pg *CachedPage) {
 	}
 	pg.ip = nil
 	pc.resident--
-	pc.lru.Remove(pg.lruEl)
+	pc.unlink(pg)
 	pc.node.Mem.Put(pg.Frame)
 }
 

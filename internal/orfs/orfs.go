@@ -73,6 +73,10 @@ type FS struct {
 	wbEnd    map[kernel.InodeID]int64
 	wbFailed map[kernel.InodeID]bool
 
+	// page is the one-segment vector of the synchronous page requests,
+	// lent to one request at a time (pageRead, pageWrite).
+	page core.Vector
+
 	// Ops counts RPCs issued per operation class.
 	MetaOps, ReadOps, WriteOps sim.Counter
 	// ReadaheadHits counts pages served from a completed prefetch;
@@ -300,7 +304,7 @@ func (f *FS) Truncate(p *sim.Proc, ino kernel.InodeID, size int64) error {
 func (f *FS) ReadPage(p *sim.Proc, ino kernel.InodeID, idx int64, frame *mem.Frame) (int, error) {
 	if !f.piped {
 		f.ReadOps.Add(mem.PageSize)
-		resp, err := f.cl.Read(p, ino, idx*mem.PageSize, core.Of(core.PhysSeg(frame.Addr(), mem.PageSize)))
+		resp, err := f.pageRead(p, ino, idx, frame)
 		if err != nil {
 			return 0, err
 		}
@@ -426,8 +430,7 @@ func (f *FS) ReadPages(p *sim.Proc, ino kernel.InodeID, idx int64, frames []*mem
 func (f *FS) WritePage(p *sim.Proc, ino kernel.InodeID, idx int64, frame *mem.Frame, n int) error {
 	f.WriteOps.Add(n)
 	if !f.piped {
-		_, err := f.cl.Write(p, ino, idx*mem.PageSize, core.Of(core.PhysSeg(frame.Addr(), n)))
-		return err
+		return f.pageWrite(p, ino, idx, frame, n)
 	}
 	if ino == f.raIno {
 		f.dropReadahead(p) // the write supersedes prefetched contents
@@ -444,8 +447,7 @@ func (f *FS) WritePage(p *sim.Proc, ino kernel.InodeID, idx int64, frame *mem.Fr
 	shadow, err := f.node.Mem.AllocFrame()
 	if err != nil {
 		// No shadow memory: fall back to the synchronous write.
-		_, err := f.cl.Write(p, ino, idx*mem.PageSize, core.Of(core.PhysSeg(frame.Addr(), n)))
-		return err
+		return f.pageWrite(p, ino, idx, frame, n)
 	}
 	f.node.CPU.Copy(p, n)
 	copy(shadow.Data()[:n], frame.Data()[:n])
@@ -459,6 +461,39 @@ func (f *FS) WritePage(p *sim.Proc, ino kernel.InodeID, idx int64, frame *mem.Fr
 		f.wbEnd[ino] = end
 	}
 	return nil
+}
+
+// pageVec lends f.page set to the n bytes of frame; a request that
+// finds it lent out (another process's page request is blocked) makes
+// its own. The client resolves the vector when it issues the request
+// and keeps none of it once the request returns, so the caller hands
+// it back then.
+func (f *FS) pageVec(frame *mem.Frame, n int) core.Vector {
+	v := f.page
+	f.page = nil
+	if v == nil {
+		v = make(core.Vector, 1)
+	}
+	v[0] = core.PhysSeg(frame.Addr(), n)
+	return v
+}
+
+// pageRead reads page idx of ino into frame with one synchronous
+// request.
+func (f *FS) pageRead(p *sim.Proc, ino kernel.InodeID, idx int64, frame *mem.Frame) (*rfsrv.Resp, error) {
+	v := f.pageVec(frame, mem.PageSize)
+	resp, err := f.cl.Read(p, ino, idx*mem.PageSize, v)
+	f.page = v
+	return resp, err
+}
+
+// pageWrite writes the first n bytes of frame as page idx of ino with
+// one synchronous request.
+func (f *FS) pageWrite(p *sim.Proc, ino kernel.InodeID, idx int64, frame *mem.Frame, n int) error {
+	v := f.pageVec(frame, n)
+	_, err := f.cl.Write(p, ino, idx*mem.PageSize, v)
+	f.page = v
+	return err
 }
 
 // ReadDirect implements kernel.FileSystem: the O_DIRECT path, handing

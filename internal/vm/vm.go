@@ -125,7 +125,7 @@ type AddressSpace struct {
 	ids    *IDSource
 	vmas   []*VMA // sorted by Start, non-overlapping
 	pt     map[uint64]*mem.Frame
-	pins   map[uint64]*pin
+	pins   map[uint64]pin
 	spies  []Spy
 	next   VirtAddr
 	dead   bool
@@ -145,7 +145,7 @@ func NewAddressSpace(m *mem.Memory, ids *IDSource, kind Kind, name string) *Addr
 		mem:  m,
 		ids:  ids,
 		pt:   make(map[uint64]*mem.Frame),
-		pins: make(map[uint64]*pin),
+		pins: make(map[uint64]pin),
 		next: base,
 	}
 }
@@ -404,11 +404,12 @@ func (as *AddressSpace) Pin(va VirtAddr, n int) (int, error) {
 	for vpn := first; vpn <= last; vpn++ {
 		f := as.pt[vpn]
 		f.Get()
-		if p := as.pins[vpn]; p != nil {
-			p.count++
-		} else {
-			as.pins[vpn] = &pin{frame: f, count: 1}
+		p, ok := as.pins[vpn]
+		if !ok {
+			p.frame = f // the first pin records the frame; a re-pin keeps it
 		}
+		p.count++
+		as.pins[vpn] = p
 	}
 	return int(last - first + 1), nil
 }
@@ -419,7 +420,7 @@ func (as *AddressSpace) Unpin(va VirtAddr, n int) error {
 	first := va.VPN()
 	last := (va + VirtAddr(n) - 1).VPN()
 	for vpn := first; vpn <= last; vpn++ {
-		if p := as.pins[vpn]; p == nil || p.count <= 0 {
+		if as.pins[vpn].count <= 0 {
 			return fmt.Errorf("vm: Unpin of unpinned page vpn=%#x", vpn)
 		}
 	}
@@ -429,6 +430,8 @@ func (as *AddressSpace) Unpin(va VirtAddr, n int) error {
 		as.mem.Put(p.frame)
 		if p.count == 0 {
 			delete(as.pins, vpn)
+		} else {
+			as.pins[vpn] = p
 		}
 	}
 	return nil
@@ -436,10 +439,7 @@ func (as *AddressSpace) Unpin(va VirtAddr, n int) error {
 
 // PinCount returns the pin count of the page containing va.
 func (as *AddressSpace) PinCount(va VirtAddr) int {
-	if p := as.pins[va.VPN()]; p != nil {
-		return p.count
-	}
-	return 0
+	return as.pins[va.VPN()].count
 }
 
 // ReadBytes copies n bytes at va into a fresh slice, via translation

@@ -31,7 +31,10 @@
 # next completion is never charged and a ping-pong that releases its
 # Ops ends earlier than one that does not. A thirteenth must fail a
 # tier-1 test too: a NIC that skips its fw-recv step, so the per-message
-# trace loses every receive line. Then it restores the tree
+# trace loses every receive line. A fourteenth must fail a tier-1 test
+# too: a GM port whose CancelRecv withdraws the oldest posted receive of
+# its tag instead of the newest, so the next message lands in the
+# receive meant to be withdrawn. Then it restores the tree
 # byte-for-byte from backups (no git operations, safe on a dirty tree).
 set -eu
 
@@ -47,6 +50,7 @@ placer=internal/rfsrv/placement.go
 journal=internal/rfsrv/journal.go
 endpoint=internal/mx/mx.go
 nic=internal/hw/nic.go
+port=internal/gm/gm.go
 injected=internal/rfsrv/zz_smoke_injected.go
 
 tmp="$(mktemp -d)"
@@ -60,6 +64,7 @@ restore() {
 	cp "$tmp/journal.go.bak" "$journal"
 	cp "$tmp/mx.go.bak" "$endpoint"
 	cp "$tmp/nic.go.bak" "$nic"
+	cp "$tmp/gm.go.bak" "$port"
 	rm -f "$injected"
 	rm -rf "$tmp"
 }
@@ -73,6 +78,7 @@ cp "$placer" "$tmp/placement.go.bak"
 cp "$journal" "$tmp/journal.go.bak"
 cp "$endpoint" "$tmp/mx.go.bak"
 cp "$nic" "$tmp/nic.go.bak"
+cp "$port" "$tmp/gm.go.bak"
 
 run_analyzer() { go run ./tools/analyze ./... 2>&1; }
 
@@ -289,6 +295,23 @@ if ! echo "$out" | grep -q -- '--- FAIL: TestProbeTraceLines'; then
 	exit 1
 fi
 cp "$tmp/nic.go.bak" "$nic"
+
+echo "smoke: a GM CancelRecv withdrawing the oldest receive must fail a tier-1 test"
+sed -i 's/^\tfor i := len(pt\.posted) - 1; i >= 0; i-- {$/\tfor i := 0; i < len(pt.posted); i++ {/' "$port"
+if cmp -s "$port" "$tmp/gm.go.bak"; then
+	echo "smoke: FAIL — injection did not change $port (site moved?)"
+	exit 1
+fi
+if out="$(go test -count=1 -run '^TestCancelRecvWithdrawsNewest$' ./internal/gm 2>&1)"; then
+	echo "smoke: FAIL — tier-1 tests passed with a CancelRecv that withdraws the oldest receive"
+	exit 1
+fi
+if ! echo "$out" | grep -q -- '--- FAIL: TestCancelRecvWithdrawsNewest'; then
+	echo "$out"
+	echo "smoke: FAIL — the tests failed, but not TestCancelRecvWithdrawsNewest"
+	exit 1
+fi
+cp "$tmp/gm.go.bak" "$port"
 
 echo "smoke: untimed reply wait must fail boundedwait"
 sed -i 's/^\tst, ok = fabric\.WaitTimeout(p, op, d)$/\tst, ok = op.Wait(p), true/' "$waiter"

@@ -14,8 +14,10 @@
 // -- -trace 0 -reps 7`. A revision is checked out with `git worktree
 // add` into a temporary directory, removed afterwards; a directory is
 // taken as a checkout to build from as it is. The head defaults to the
-// working tree the command runs in. The module has no dependencies, so
-// the builds need no network.
+// module the command runs in, found by walking up to its go.mod; git is
+// needed only to check out a revision, so two directories compare
+// outside any git checkout. The module has no dependencies, so the
+// builds need no network.
 //
 // Per workload and metric of BENCHMARK.json, the table gives the base
 // median with its first and third quartile over the seeds, the head
@@ -67,7 +69,7 @@ func run(base, head, workload, seedList string, same bool, benchArgs []string, o
 	if err != nil {
 		return err
 	}
-	root, err := gitOut(".", "rev-parse", "--show-toplevel")
+	root, err := moduleRoot()
 	if err != nil {
 		return err
 	}
@@ -122,6 +124,25 @@ func run(base, head, workload, seedList string, same bool, benchArgs []string, o
 		fmt.Fprint(out, w)
 	}
 	return nil
+}
+
+// moduleRoot returns the nearest directory at or above the working
+// directory that holds a go.mod.
+func moduleRoot() (string, error) {
+	dir, err := os.Getwd()
+	if err != nil {
+		return "", err
+	}
+	for {
+		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
+			return dir, nil
+		}
+		up := filepath.Dir(dir)
+		if up == dir {
+			return "", fmt.Errorf("no go.mod at or above the working directory")
+		}
+		dir = up
+	}
 }
 
 // build compiles ./bench of the tree src — a directory, or a revision

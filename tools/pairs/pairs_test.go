@@ -2,7 +2,11 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"math"
+	"os"
+	"os/exec"
+	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
@@ -105,5 +109,69 @@ func TestParseSeeds(t *testing.T) {
 		if _, err := parseSeeds(bad); err == nil {
 			t.Errorf("%q parsed", bad)
 		}
+	}
+}
+
+// fakeModule writes a module at dir whose ./bench reports sim_mbps as
+// mbps for every seed, the way the real bench's -json report does.
+func fakeModule(t *testing.T, dir string, mbps int) {
+	t.Helper()
+	files := map[string]string{
+		"go.mod":         "module fakebench\n\ngo 1.24\n",
+		"BENCHMARK.json": `{"end_to_end": [{"name": "sim_mbps", "unit": "MB/s", "better": "higher"}], "per_layer": []}`,
+		"bench/main.go": fmt.Sprintf(`package main
+
+import (
+	"flag"
+	"fmt"
+	"os"
+)
+
+func main() {
+	seed := flag.Int64("seed", 0, "")
+	out := flag.String("json", "", "")
+	flag.String("workload", "", "")
+	flag.Parse()
+	report := fmt.Sprintf(%q, *seed)
+	if err := os.WriteFile(*out, []byte(report), 0o644); err != nil {
+		panic(err)
+	}
+}
+`, fmt.Sprintf(`{"results": [{"workload": "w", "seed": %%d, "metrics": {"sim_mbps": {"value": %d, "unit": "MB/s", "clock": "virtual"}}}]}`, mbps)),
+	}
+	for name, body := range files {
+		path := filepath.Join(dir, name)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestRunOutsideAGitCheckout compares two plain directories from inside
+// one of them, with git off the PATH: the module root comes from go.mod,
+// and git is needed only to check out a revision.
+func TestRunOutsideAGitCheckout(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds two bench binaries")
+	}
+	goBin, err := exec.LookPath("go")
+	if err != nil {
+		t.Skip("no go command on the PATH")
+	}
+	head, base := filepath.Join(t.TempDir(), "head"), filepath.Join(t.TempDir(), "base")
+	fakeModule(t, head, 110)
+	fakeModule(t, base, 100)
+	t.Setenv("PATH", filepath.Dir(goBin))
+	t.Chdir(filepath.Join(head, "bench"))
+	var out bytes.Buffer
+	if err := run(base, "", "", "1-7", false, nil, &out); err != nil {
+		t.Fatal(err)
+	}
+	want := "| sim_mbps (MB/s, higher) | 100 [100–100] | 110 | +10.00 | 7/7 | 0.0156 |  |"
+	if !strings.Contains(out.String(), want) {
+		t.Errorf("output:\n%s\nwant a row %q", out.String(), want)
 	}
 }
