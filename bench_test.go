@@ -273,36 +273,3 @@ func BenchmarkAblationPhysicalAPI(b *testing.B) {
 		b.ReportMetric(f.Series[1].Points[last].MBps, "stockGM-MB/s")
 	})
 }
-
-// BenchmarkScalability — the sliding-window suite: aggregate
-// throughput and p50/p99 latency against the session window and the
-// client count, for ORFS-direct, ORFS-buffered and NBD (all beyond
-// the paper: its prototypes allow one outstanding request).
-func BenchmarkScalability(b *testing.B) {
-	var figs []*figures.Figure
-	var err error
-	for i := 0; i < b.N; i++ {
-		figs, err = benchConfig().Scalability()
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	if len(figs) == 0 {
-		return
-	}
-	winBW := figs[0]
-	for _, s := range winBW.Series {
-		if s.Label != "orfs-direct" {
-			continue
-		}
-		b.ReportMetric(at(s, 1).MBps, "direct-w1-MB/s")
-		b.ReportMetric(at(s, 8).MBps, "direct-w8-MB/s")
-		b.ReportMetric(at(s, 32).MBps, "direct-w32-MB/s")
-	}
-	cliBW := figs[2]
-	for _, s := range cliBW.Series {
-		if s.Label == "orfs-direct" {
-			b.ReportMetric(at(s, 8).MBps, "direct-8cli-MB/s")
-		}
-	}
-}

@@ -22,7 +22,6 @@ import (
 	"repro/internal/hw"
 	"repro/internal/kernel"
 	"repro/internal/mem"
-	"repro/internal/memfs"
 	"repro/internal/mx"
 	"repro/internal/netpipe"
 	"repro/internal/orfs"
@@ -368,10 +367,10 @@ func ORFSFileAllocs(ops int) (cost ORFSFileCost, err error) {
 	if ops <= 0 {
 		return cost, fmt.Errorf("figures: ORFSFileAllocs needs ops > 0")
 	}
-	if cost.MissGM, err = orfsMissAllocs(ops, false); err != nil {
+	if cost.MissGM, err = orfsMissAllocs(ops, fsGM); err != nil {
 		return cost, err
 	}
-	if cost.MissMX, err = orfsMissAllocs(ops, true); err != nil {
+	if cost.MissMX, err = orfsMissAllocs(ops, fsMX); err != nil {
 		return cost, err
 	}
 	err = probe(1, 1, msStripe, func(p *sim.Proc, cl *rfsrv.Cluster) error {
@@ -423,72 +422,45 @@ func ORFSFileAllocs(ops int) (cost ORFSFileCost, err error) {
 // do: a kernel client on a window-1 Session to one server, over GM's
 // physical-address primitives or over MX, with a page cache a quarter
 // of the file it cycles through.
-func orfsMissAllocs(ops int, useMX bool) (HostCost, error) {
+func orfsMissAllocs(ops int, tr fsTransport) (HostCost, error) {
 	const chunk, chunks = 64 * 1024, 8
-	env := sim.NewEngine()
-	hwc := hw.NewCluster(env, hw.DefaultParams(), hw.PCIXD)
-	client, server := hwc.AddNode("client"), hwc.AddNode("server")
-	serverFS := memfs.New("backing", server, 0)
-	srv := rfsrv.NewServer(server, serverFS)
-	var err error
-	if useMX {
-		_, err = srv.ServeMX(mx.Attach(server), 1, 1)
-	} else {
-		_, err = srv.ServeGM(gm.Attach(server), 1)
-	}
+	r, client, serverFS, err := fileRig(tr)
 	if err != nil {
 		return HostCost{}, err
 	}
 	var cost HostCost
-	finished := false
-	env.Spawn("probe", func(p *sim.Proc) {
-		err = func() error {
-			attr, err := serverFS.Create(p, serverFS.Root(), "probe")
-			if err != nil {
-				return err
-			}
-			if err := serverFS.WriteAt(attr.Ino, 0, make([]byte, chunk*chunks)); err != nil {
-				return err
-			}
-			var fc *rfsrv.FabricClient
-			if useMX {
-				fc, err = rfsrv.NewMXClient(mx.Attach(client), 2, true, client.Kernel, server.ID, 1)
-			} else {
-				fc, err = rfsrv.NewGMClient(p, gm.Attach(client), 2, true, client.Kernel, server.ID, 1, 1024)
-			}
-			if err != nil {
-				return err
-			}
-			sess, err := rfsrv.NewSession(p, fc, 1)
-			if err != nil {
-				return err
-			}
-			osys := kernel.NewOS(client, chunk*chunks/mem.PageSize/4)
-			osys.Mount("/mnt", orfs.New("orfs", sess))
-			as := client.NewUserSpace("probe-app")
-			va, err := as.Mmap(chunk, "probe-buf")
-			if err != nil {
-				return err
-			}
-			f, err := osys.Open(p, "/mnt/probe", 0)
-			if err != nil {
-				return err
-			}
-			cost, err = steadyAllocs(ops, func(i int) error {
-				n, err := f.ReadAt(p, as, va, chunk, int64(i%chunks)*chunk)
-				if err == nil && n != chunk {
-					err = fmt.Errorf("figures: ORFS miss probe read %d of %d bytes", n, chunk)
-				}
-				return err
-			})
+	_, err = r.Run("probe", 0, func(p *sim.Proc) error {
+		attr, err := serverFS.Create(p, serverFS.Root(), "probe")
+		if err != nil {
 			return err
-		}()
-		finished = true
-	})
-	env.Run(0)
-	if err == nil && !finished {
-		err = fmt.Errorf("figures: ORFS miss probe deadlocked")
-	}
+		}
+		if err := serverFS.WriteAt(attr.Ino, 0, make([]byte, chunk*chunks)); err != nil {
+			return err
+		}
+		sess, err := fileSession(p, faOpts{tr: tr}, r, client)
+		if err != nil {
+			return err
+		}
+		osys := kernel.NewOS(client, chunk*chunks/mem.PageSize/4)
+		osys.Mount("/mnt", orfs.New("orfs", sess))
+		as := client.NewUserSpace("probe-app")
+		va, err := as.Mmap(chunk, "probe-buf")
+		if err != nil {
+			return err
+		}
+		f, err := osys.Open(p, "/mnt/probe", 0)
+		if err != nil {
+			return err
+		}
+		cost, err = steadyAllocs(ops, func(i int) error {
+			n, err := f.ReadAt(p, as, va, chunk, int64(i%chunks)*chunk)
+			if err == nil && n != chunk {
+				err = fmt.Errorf("figures: ORFS miss probe read %d of %d bytes", n, chunk)
+			}
+			return err
+		})
+		return err
+	}, nil)
 	return cost, err
 }
 
@@ -504,9 +476,7 @@ func FabricRoundTripAllocs(ops int) (gmPhysical, mxKernel HostCost, err error) {
 		return gmPhysical, mxKernel, fmt.Errorf("figures: FabricRoundTripAllocs needs ops > 0")
 	}
 	const size = 4096
-	env := sim.NewEngine()
-	cl := hw.NewCluster(env, hw.DefaultParams(), hw.PCIXD)
-	a, b := cl.AddNode("a"), cl.AddNode("b")
+	env, a, b := Config{}.twoNodes(hw.PCIXD)
 	finished := false
 	env.Spawn("initiator", func(p *sim.Proc) {
 		pingPong := func(near, far *netpipe.End) (HostCost, error) {

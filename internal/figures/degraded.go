@@ -54,8 +54,8 @@ const (
 	// the deadline — and with it the failover settle time — small
 	// against the run length.
 	dgWindow = 4
-	// dgFilePerCli is each client's file: larger than the scalability
-	// suites' so the run dwarfs the settle window and the post-failover
+	// dgFilePerCli is each client's file: larger than the multiserver
+	// suite's so the run dwarfs the settle window and the post-failover
 	// regime is actually observable.
 	dgFilePerCli = 8 << 20
 	// dgKillNum/dgKillDen place the kill at 2/5 of the fault-free

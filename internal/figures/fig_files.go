@@ -10,11 +10,11 @@ import (
 	"repro/internal/hw"
 	"repro/internal/kernel"
 	"repro/internal/memfs"
-	"repro/internal/mx"
 	"repro/internal/netpipe"
 	"repro/internal/orfa"
 	"repro/internal/orfs"
 	"repro/internal/rfsrv"
+	"repro/internal/rig"
 	"repro/internal/sim"
 	"repro/internal/vm"
 )
@@ -69,49 +69,78 @@ type faOpts struct {
 }
 
 func (c Config) fileAccessOpt(o faOpts, sizes []int) ([]netpipe.Point, error) {
-	tr := o.tr
 	var pts []netpipe.Point
-	var failure error
 	for _, n := range sizes {
-		// A fresh cluster per point: cold page cache, cold dentry
+		// A fresh platform per point: cold page cache, cold dentry
 		// cache, deterministic state.
-		env := sim.NewEngine()
-		cl := hw.NewCluster(env, hw.DefaultParams(), hw.PCIXD)
-		client, server := cl.AddNode("client"), cl.AddNode("server")
-		serverFS := memfs.New("backing", server, 0)
-		srv := rfsrv.NewServer(server, serverFS)
-		switch tr {
-		case fsMX:
-			if _, err := srv.ServeMX(mx.Attach(server), 1, 1); err != nil {
-				return nil, err
-			}
-		default:
-			if _, err := srv.ServeGM(gm.Attach(server), 1); err != nil {
-				return nil, err
-			}
+		r, client, serverFS, err := fileRig(o.tr)
+		if err != nil {
+			return nil, err
 		}
-		n := n
-		env.Spawn("bench", func(p *sim.Proc) {
-			mbps, err := c.fileAccessOnce(p, o, client, server, serverFS, n)
-			if err != nil {
-				failure = err
-				return
-			}
-			pts = append(pts, netpipe.Point{
-				Size: n,
-				MBps: mbps,
-			})
-		})
-		env.Run(0)
-		if failure != nil {
-			return nil, failure
+		var mbps float64
+		if _, err := r.Run("bench", 0, func(p *sim.Proc) (err error) {
+			mbps, err = c.fileAccessOnce(p, o, r, client, serverFS, n)
+			return err
+		}, nil); err != nil {
+			return nil, err
 		}
+		pts = append(pts, netpipe.Point{Size: n, MBps: mbps})
 	}
 	return pts, nil
 }
 
-func (c Config) fileAccessOnce(p *sim.Proc, o faOpts, client, server *hw.Node, serverFS *memfs.FS, reqSize int) (float64, error) {
+// fileRig builds the file figures' platform: a bare one-server rig
+// whose server serves memfs "backing" through rfsrv on GM port
+// rig.ServerEP or MX endpoint rig.ServerEP, and a client node added
+// after it. MX serves with one worker, as the paper's synchronous
+// server and bench's orfs_file workload do: the alloc probe built on
+// this rig gates that path.
+func fileRig(tr fsTransport) (r *rig.Rig, client *hw.Node, fs *memfs.FS, err error) {
+	r, err = rig.NewBare(rig.Desc{Servers: 1, Replicas: 1, Stripe: rfsrv.DefaultStripeSize, Window: 1}, func(r *rig.Rig, n *hw.Node) error {
+		fs = memfs.New("backing", n, 0)
+		srv := rfsrv.NewServer(n, fs)
+		var err error
+		if tr == fsMX {
+			_, err = srv.ServeMX(r.MX(n), rig.ServerEP, 1)
+		} else {
+			_, err = srv.ServeGM(gm.Attach(n), rig.ServerEP)
+		}
+		return err
+	})
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return r, r.HW.AddNode("client"), fs, nil
+}
+
+// fileSession opens the file figures' client on fileRig's platform:
+// the synchronous protocol, a window-1 Session from GM port 2 or MX
+// endpoint 2 of the client node, kernel-side for ORFS, user-side for
+// ORFA.
+func fileSession(p *sim.Proc, o faOpts, r *rig.Rig, client *hw.Node) (*rfsrv.Session, error) {
+	bufAS := client.Kernel
+	if o.userSpace {
+		bufAS = client.NewUserSpace("orfa")
+	}
+	var fc *rfsrv.FabricClient
+	var err error
+	if o.tr == fsMX {
+		fc, err = rfsrv.NewMXClient(r.MX(client), 2, !o.userSpace, bufAS, r.Nodes[0].ID, rig.ServerEP)
+	} else {
+		fc, err = rfsrv.NewGMClient(p, gm.Attach(client), 2, !o.userSpace, bufAS, r.Nodes[0].ID, rig.ServerEP, 8192)
+		if err == nil && o.noPhys {
+			err = fc.DisablePhysicalAPI(p)
+		}
+	}
+	if err != nil {
+		return nil, err
+	}
+	return rfsrv.NewSession(p, fc, 1)
+}
+
+func (c Config) fileAccessOnce(p *sim.Proc, o faOpts, r *rig.Rig, client *hw.Node, serverFS *memfs.FS, reqSize int) (float64, error) {
 	tr, userSpace, direct := o.tr, o.userSpace, o.direct
+	server := r.Nodes[0]
 	// Seed the file server-side.
 	attr, err := serverFS.Create(p, serverFS.Root(), "data")
 	if err != nil {
@@ -130,26 +159,7 @@ func (c Config) fileAccessOnce(p *sim.Proc, o faOpts, client, server *hw.Node, s
 		return 0, err
 	}
 
-	// Client transport: the synchronous protocol, a session at window 1.
-	kernSide := !userSpace
-	bufAS := client.Kernel
-	if userSpace {
-		bufAS = client.NewUserSpace("orfa")
-	}
-	var fc *rfsrv.FabricClient
-	switch tr {
-	case fsMX:
-		fc, err = rfsrv.NewMXClient(mx.Attach(client), 2, kernSide, bufAS, server.ID, 1)
-	case fsGM, fsGMNoCache:
-		fc, err = rfsrv.NewGMClient(p, gm.Attach(client), 2, kernSide, bufAS, server.ID, 1, 8192)
-		if err == nil && o.noPhys {
-			err = fc.DisablePhysicalAPI(p)
-		}
-	}
-	if err != nil {
-		return 0, err
-	}
-	clTr, err := rfsrv.NewSession(p, fc, 1)
+	clTr, err := fileSession(p, o, r, client)
 	if err != nil {
 		return 0, err
 	}

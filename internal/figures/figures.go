@@ -52,6 +52,69 @@ type Table struct {
 	Expected string
 }
 
+// Experiment is one entry of the experiment registry: the id
+// cmd/figures -only selects it by, and the run that returns its
+// rendered text.
+type Experiment struct {
+	ID  string
+	Run func(Config) (string, error)
+}
+
+// Experiments is every experiment cmd/figures runs, in print order: the
+// paper's figures and Table 1, then the suites built since.
+var Experiments = []Experiment{
+	{"fig1b", one(Config.Fig1b)},
+	{"fig3b", one(Config.Fig3b)},
+	{"fig4a", one(Config.Fig4a)},
+	{"fig4b", one(Config.Fig4b)},
+	{"fig5a", one(Config.Fig5a)},
+	{"fig5b", one(Config.Fig5b)},
+	{"fig6", one(Config.Fig6)},
+	{"fig7a", one(Config.Fig7a)},
+	{"fig7b", one(Config.Fig7b)},
+	{"fig8a", one(Config.Fig8a)},
+	{"fig8b", one(Config.Fig8b)},
+	{"table1", one(Config.Table1)},
+	{"multiserver", all(Config.MultiServer)},
+	{"sharedfile", all(Config.SharedFile)},
+	{"smallfile", all(Config.SmallFile)},
+	{"metadata", all(Config.Metadata)},
+	{"degraded", one(Config.Degraded)},
+	{"elastic", all(Config.Elastic)},
+}
+
+// one adapts an experiment that returns one figure or table.
+func one[T fmt.Stringer](run func(Config) (T, error)) func(Config) (string, error) {
+	return all(func(c Config) ([]T, error) {
+		v, err := run(c)
+		return []T{v}, err
+	})
+}
+
+// all adapts an experiment that returns several: its text is each one
+// rendered, followed by a blank line.
+func all[T fmt.Stringer](run func(Config) ([]T, error)) func(Config) (string, error) {
+	return func(c Config) (string, error) {
+		vs, err := run(c)
+		if err != nil {
+			return "", err
+		}
+		var b strings.Builder
+		for _, v := range vs {
+			b.WriteString(v.String())
+			b.WriteByte('\n')
+		}
+		return b.String(), nil
+	}
+}
+
+// String renders the figure in its own unit: latency if its y axis is
+// in µs, otherwise bandwidth (or its Unit).
+func (f *Figure) String() string { return f.Render(f.Latency()) }
+
+// String renders the table.
+func (t *Table) String() string { return t.Render() }
+
 // Render formats a figure as aligned text columns (size + one column
 // per series, latency in µs or bandwidth in MB/s depending on kind).
 func (f *Figure) Render(latency bool) string {
@@ -137,14 +200,21 @@ func trunc(s string, n int) string {
 // pairMaker builds the two transport ends on freshly created nodes.
 type pairMaker func(p *sim.Proc, a, b *hw.Node) (netpipe.Transport, netpipe.Transport, error)
 
+// twoNodes builds the raw transport platform: nodes "a" and "b" on one
+// link model, both NICs reporting their steps to c.Probe.
+func (c Config) twoNodes(model hw.LinkModel) (env *sim.Engine, a, b *hw.Node) {
+	env = sim.NewEngine()
+	cl := hw.NewCluster(env, hw.DefaultParams(), model)
+	a, b = cl.AddNode("a"), cl.AddNode("b")
+	a.NIC.SetProbe(c.Probe)
+	b.NIC.SetProbe(c.Probe)
+	return env, a, b
+}
+
 // pingpong builds a two-node cluster and measures the schedule over
 // the transport pair.
 func (c Config) pingpong(model hw.LinkModel, sizes []int, mk pairMaker) ([]netpipe.Point, error) {
-	env := sim.NewEngine()
-	cl := hw.NewCluster(env, hw.DefaultParams(), model)
-	a, b := cl.AddNode("a"), cl.AddNode("b")
-	a.NIC.SetProbe(c.Probe)
-	b.NIC.SetProbe(c.Probe)
+	env, a, b := c.twoNodes(model)
 	var pts []netpipe.Point
 	var setupErr, runErr error
 	ready := sim.NewSignal(env)
@@ -203,30 +273,6 @@ func (c Config) warmup() int {
 		return 2
 	}
 	return c.Warmup
-}
-
-// All runs every experiment, in paper order.
-func (c Config) All() ([]*Figure, []*Table, error) {
-	var figs []*Figure
-	var tabs []*Table
-	type figFn func() (*Figure, error)
-	for _, fn := range []figFn{
-		c.Fig1b, c.Fig3b, c.Fig4a, c.Fig4b,
-		c.Fig5a, c.Fig5b, c.Fig6, c.Fig7a, c.Fig7b,
-		c.Fig8a, c.Fig8b,
-	} {
-		f, err := fn()
-		if err != nil {
-			return nil, nil, err
-		}
-		figs = append(figs, f)
-	}
-	t1, err := c.Table1()
-	if err != nil {
-		return nil, nil, err
-	}
-	tabs = append(tabs, t1)
-	return figs, tabs, nil
 }
 
 // Latency reports whether a figure plots latency (vs bandwidth).

@@ -16,7 +16,7 @@ import (
 
 // TestMultiServerScaling is the acceptance bar: aggregate ORFS-direct
 // throughput at 4 servers must be at least 2.5x the 1-server
-// configuration, at the PR 2 best window, with the fixed client count.
+// configuration, at window 8 per server, with the fixed client count.
 func TestMultiServerScaling(t *testing.T) {
 	c := DefaultConfig()
 	base, err := c.msRun("orfs-direct", 1, msClients, msWindow)
@@ -34,12 +34,12 @@ func TestMultiServerScaling(t *testing.T) {
 		base.mbps, wide.mbps, wide.mbps/base.mbps)
 }
 
-// TestMultiServerOneServerMatchesScalability ties the cluster harness
-// to the PR 2 plain-session one: a 1-server point drives the whole
-// cluster code path, and must reproduce the same workload issued
-// through a bare Session on the same platform bit-identically (same
-// window, same client count).
-func TestMultiServerOneServerMatchesScalability(t *testing.T) {
+// TestMultiServerOneServerMatchesSession ties the cluster harness to
+// a bare Session: a 1-server point drives the whole cluster code path,
+// and must reproduce the same workload issued through a plain Session
+// on the same platform bit-identically (same window, same client
+// count).
+func TestMultiServerOneServerMatchesSession(t *testing.T) {
 	c := DefaultConfig()
 	viaCluster, err := c.msRun("orfs-direct", 1, 1, msWindow)
 	if err != nil {
@@ -52,7 +52,7 @@ func TestMultiServerOneServerMatchesScalability(t *testing.T) {
 	var inos []kernel.InodeID
 	var samples []sim.Time
 	span, err := r.Run("cl", 1, func(p *sim.Proc) (err error) {
-		inos, err = msSeedStriped(p, r, 1, 1, scalFilePerCli)
+		inos, err = msSeedStriped(p, r, 1, 1, msFilePerCli)
 		return err
 	}, func(p *sim.Proc, _ int) error {
 		node := r.HW.AddNode("client0")
@@ -64,13 +64,13 @@ func TestMultiServerOneServerMatchesScalability(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		samples, err = scalDirectReads(p, sess, inos[0], scalChunk)
+		samples, err = msDirectReads(p, sess, inos[0], msStripe)
 		return err
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaSession := summarize(samples, scalFilePerCli, span)
+	viaSession := summarize(samples, msFilePerCli, span)
 	if viaCluster.mbps != viaSession.mbps {
 		t.Errorf("1-server cluster harness %.6f MB/s != session harness %.6f MB/s", viaCluster.mbps, viaSession.mbps)
 	}
@@ -116,7 +116,7 @@ func TestDirectReadsDrainOnFault(t *testing.T) {
 	var inos []kernel.InodeID
 	var sess *rfsrv.Session
 	_, err = r.Run("cl", 1, func(p *sim.Proc) (err error) {
-		inos, err = msSeedStriped(p, r, 1, 1, scalFilePerCli)
+		inos, err = msSeedStriped(p, r, 1, 1, msFilePerCli)
 		return err
 	}, func(p *sim.Proc, _ int) error {
 		node := r.HW.AddNode("client0")
@@ -129,7 +129,7 @@ func TestDirectReadsDrainOnFault(t *testing.T) {
 			return err
 		}
 		r.Nodes[0].NIC.KillAfter(time.Millisecond)
-		_, err = scalDirectReads(p, sess, inos[0], scalChunk)
+		_, err = msDirectReads(p, sess, inos[0], msStripe)
 		return err
 	})
 	if !fabric.IsFault(err) {

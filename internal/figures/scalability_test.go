@@ -43,20 +43,20 @@ func directReads(t *testing.T, chunk, window int) float64 {
 	var inos []kernel.InodeID
 	var samples []sim.Time
 	span, err := r.Run("cl", 1, func(p *sim.Proc) (err error) {
-		inos, err = msSeedStriped(p, r, 1, 1, scalFilePerCli)
+		inos, err = msSeedStriped(p, r, 1, 1, msFilePerCli)
 		return err
 	}, func(p *sim.Proc, _ int) error {
 		cl, err := r.Cluster(p, r.HW.AddNode("client0"), 10)
 		if err != nil {
 			return err
 		}
-		samples, err = scalDirectReads(p, cl, inos[0], chunk)
+		samples, err = msDirectReads(p, cl, inos[0], chunk)
 		return err
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return summarize(samples, scalFilePerCli, span).mbps
+	return summarize(samples, msFilePerCli, span).mbps
 }
 
 // TestScalabilityBufferedAndNBDWindows: the other two scenarios must

@@ -38,8 +38,8 @@ import (
 )
 
 const (
-	// sfWindow is the per-server session window (the scalability
-	// suite's best window).
+	// sfWindow is the per-server session window (msWindow: window 8
+	// saturates one link).
 	sfWindow = 8
 	// sfWriters and sfReaders are the client counts on each side of
 	// the shared file.

@@ -116,7 +116,7 @@ import (
 )
 
 // DefaultStripeSize is the stripe width used when NewCluster is given
-// none: 64 KiB, the application chunk size of the scalability suites
+// none: 64 KiB, the application chunk size of the cluster figures
 // (so one figure-harness read maps to exactly one stripe).
 const DefaultStripeSize = 64 * 1024
 

@@ -105,7 +105,7 @@ type Pending struct {
 }
 
 // Issued returns the virtual time the request entered the window
-// (latency accounting for the scalability figures).
+// (latency accounting for the cluster figures).
 func (pd *Pending) Issued() sim.Time { return pd.fl.issued }
 
 // launch issues req through window slot b (FabricClient.issue), giving
