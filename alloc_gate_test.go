@@ -12,8 +12,7 @@
 // file path (buffered hit and miss, O_DIRECT) and the raw fabric (a
 // 4 KB round trip on GM-physical and MX-kernel) are gated too.
 // Excluded under the race detector, whose instrumentation changes
-// allocation counts (and whose sync.Pool drops a quarter of what is
-// put back).
+// allocation counts.
 package knapi
 
 import (
@@ -32,42 +31,43 @@ import (
 // staged send's extents, a cluster part's Pending and its destination
 // slice were recycled already). The two figure ceilings are the
 // measurements plus ~25% for toolchain drift, the per-op count ceilings
-// plus ~12%, the per-op bytes ceilings plus ~15% and at least 300 B (a
-// garbage collection that empties the pools mid-measurement adds back a
-// few hundred B/op, which the margin covers; one reintroduced 64 KB
-// buffer per request adds 65 536). Lower them when a future pass cuts
-// allocations further.
+// plus ~12%, the per-op bytes ceilings plus ~15% and at least 300 B
+// (runs vary by a few tens of B/op; one reintroduced 64 KB buffer per
+// request adds 65 536). Lower them when a future pass cuts allocations
+// further. A measurement marked "before" was taken while freed frames
+// went to a sync.Pool, which a collection mid-measurement emptied.
 const (
 	maxRequestPathAllocsPerOp    = 2     // measured 1.55 (was 12.29)
 	maxFig5aAllocs               = 3500  // measured 2785 (was 5666)
 	maxFig5bAllocs               = 16800 // measured 13395 (was 17297)
 	maxExtendingWriteAllocsPerOp = 13    // measured 11.30, a one-page write + a 3-server size fan (was 32.30)
 
-	maxRequestPathBytesPerOp    = 530  // measured 230 (64 KB ops; was 2128)
+	maxRequestPathBytesPerOp    = 450  // measured 144 (230 before; 64 KB ops; was 2128)
 	maxWriteAllocsPerOp         = 3    // measured 2.04, a 64 KB write whose payload travels alone (was 13.02)
-	maxWriteBytesPerOp          = 580  // measured 278 (was 2161)
-	maxExtendingWriteBytesPerOp = 6970 // measured 6061 (was 9926)
+	maxWriteBytesPerOp          = 500  // measured 192 (278 before; was 2161)
+	maxExtendingWriteBytesPerOp = 6760 // measured 5872 (6061 before; was 9926)
 	maxORFSDirectAllocsPerOp    = 10   // measured 8.15 once pins are held by value (24.15 before; was 32.14)
-	maxORFSDirectBytesPerOp     = 630  // measured 327 (580 before; was 2002)
+	maxORFSDirectBytesPerOp     = 580  // measured 276 (327 before; was 2002)
 
 	// A 64 KB MX Session read into kernel memory, synchronous and eight
 	// deep, in two eager pieces into receives posted before the request
 	// left, and a write from it eight deep, in two eager pieces into
 	// receives the server posts as it admits the header.
 	maxKernelRead64KAllocsPerOp    = 3   // measured 2.04 (was 13.03)
-	maxKernelRead64KBytesPerOp     = 530 // measured 230 (was 2113)
+	maxKernelRead64KBytesPerOp     = 450 // measured 144 (230 before; was 2113)
 	maxKernelRead64KW8AllocsPerOp  = 4   // measured 3.02 (was 14.01)
-	maxKernelRead64KW8BytesPerOp   = 610 // measured 305 (was 2208)
+	maxKernelRead64KW8BytesPerOp   = 580 // measured 272 (305 before; was 2208)
 	maxKernelWrite64KW8AllocsPerOp = 5   // measured 4.03 (was 15.03)
-	maxKernelWrite64KW8BytesPerOp  = 710 // measured 403 (was 2306)
+	maxKernelWrite64KW8BytesPerOp  = 670 // measured 368 (403 before; was 2306)
 
 	// One synchronous 64 KB read of a stripe that two of four servers
 	// hold: its two read slices are two requests, one to each replica.
 	// It measured 19.05 allocs/op and 3 282 B/op while every request
 	// allocated its Ops, less than the one request the primary once
-	// served (27.02, 3 633); with the Ops released, 3.05 and 418.
+	// served (27.02, 3 633); with the Ops released, 3.05 and 418; with
+	// freed frames kept through collections, 3.00 and 288.
 	maxReplicatedReadAllocsPerOp = 4
-	maxReplicatedReadBytesPerOp  = 720
+	maxReplicatedReadBytesPerOp  = 590
 
 	// One 4 KB ping-pong round trip on the raw fabric: two messages.
 	maxGMRoundTripAllocsPerOp = 1   // measured 0.00 with posted receives and acks as FIFOs (6.00 before; was 17.99)

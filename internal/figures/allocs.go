@@ -5,7 +5,7 @@ package figures
 // measurements of how many Go heap allocations — and how many heap
 // bytes — one request costs on the host, after the per-object scratch
 // (encode buffers, part freelists, slot-staged requests) and the
-// process-wide pools (page frames, NIC payload buffers) have warmed up.
+// process-wide free lists (page frames, NIC payload buffers) have warmed up.
 // bench_test.go reports them as metrics and alloc_gate_test.go pins
 // ceilings on them, so a regression that reintroduces per-request
 // garbage fails CI rather than silently eroding simulation throughput.

@@ -5,7 +5,6 @@ package hw
 // link, and the translation table backing registered virtual memory.
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/mem"
 	"repro/internal/sim"
@@ -75,17 +74,9 @@ type txRecord struct {
 }
 
 // recordFree holds delivered messages' records for the next sends,
-// process-wide for the reason payloadFree is: a record is made on the
-// sending node and freed on the receiving one, and a finished rig
-// stays reachable. It keeps at most maxFreeRecords.
-var recordFree struct {
-	sync.Mutex
-	recs []*txRecord
-}
-
-// maxFreeRecords bounds recordFree: far more messages than a busy
-// cluster holds in flight at once, at ≈ 300 bytes each.
-const maxFreeRecords = 4096
+// process-wide for the reason payloadFree is, and bounded the same way:
+// by the process's peak of messages in flight at once.
+var recordFree mem.FreeList[txRecord]
 
 // NewTxJob returns a zero job whose Msg is set and has a zeroed Header
 // of the given length, all in one record (headers longer than the
@@ -97,15 +88,9 @@ const maxFreeRecords = 4096
 //
 // allocfree
 func NewTxJob(header int) *TxJob {
-	f := &recordFree
-	f.Lock()
-	var r *txRecord
-	if k := len(f.recs); k > 0 {
-		r, f.recs = f.recs[k-1], f.recs[:k-1]
-	}
-	f.Unlock()
+	r := recordFree.Get()
 	if r == nil {
-		//analyze:allow allocfree pool-miss arm: the record recycles from here on
+		//analyze:allow allocfree free-list miss: the record recycles from here on
 		r = &txRecord{}
 	}
 	r.job.Msg, r.msg.rec = &r.msg, r
@@ -142,12 +127,7 @@ func putTxRecord(r *txRecord) {
 		gather = r.job.Gather // the list built in GatherBuf grew: keep the larger array
 	}
 	*r = txRecord{gather: gather[:0]}
-	f := &recordFree
-	f.Lock()
-	if len(f.recs) < maxFreeRecords {
-		f.recs = append(f.recs, r)
-	}
-	f.Unlock()
+	recordFree.Put(r)
 }
 
 // Handler is a driver's receive entry point. It runs in the NIC's

@@ -1,21 +1,20 @@
 package hw
 
-// This file is the pool of in-flight payload buffers: the bytes of a
+// This file is the free list of in-flight payload buffers: the bytes of a
 // message between the sender's host memory and the receiver's.
 import (
 	"math/bits"
-	"sync"
 
 	"repro/internal/mem"
 )
 
 // Staged is a message payload held in NIC memory, in a buffer drawn
-// from the process-wide pool. A gather send fills one inside the NIC as
+// from the process-wide free list. A gather send fills one inside the NIC as
 // its DMA engine reads host memory; a driver whose protocol moves the
 // bytes on the host (MX's PIO push and bounce copy) fills one with
 // Stage and hands it to Send as TxJob.Inline. Either way the buffer
 // belongs to the NIC from then on: the receiving NIC returns it to the
-// pool when the driver's Handler returns.
+// list when the driver's Handler returns.
 type Staged struct {
 	b []byte // len = payload bytes; cap = the size class, exactly
 }
@@ -35,28 +34,15 @@ const (
 	maxPayloadShift = 22
 )
 
-// payloadFree holds free buffers by size class, process-wide rather
-// than a field of Cluster or NIC: a finished rig stays reachable
-// through its parked goroutines, and a rig-owned free list would keep
-// every buffer it ever used (DESIGN.md §14). Unlike mem's frame pool it
-// is not a sync.Pool, which every second collection empties: the
-// buffers in use at once follow the messages in flight at once, so a
-// refill after each collection would allocate a burst's worth of
-// buffers anew, a few times per run. It keeps at most maxFreePayload
-// bytes; a buffer returned past that is left to the GC.
-var payloadFree struct {
-	sync.Mutex
-	bytes int
-	class [maxPayloadShift - minPayloadShift + 1][]*Staged
-}
-
-// maxFreePayload bounds what payloadFree keeps: comfortably more than
-// a busy cluster's messages hold in flight at once (12 MB at the peak
-// of bench's cluster_stream), and small beside a rig's frames.
-const maxFreePayload = 32 << 20
+// payloadFree holds freed buffers by size class, process-wide for the
+// reason mem's frames are (a buffer is taken on the sending node and
+// freed on the receiving one, and a finished rig stays reachable). The
+// buffers it keeps plus those in flight never exceed the process's peak
+// of payload in flight at once.
+var payloadFree [maxPayloadShift - minPayloadShift + 1]mem.FreeList[Staged]
 
 // payloadClass returns the index of the smallest class holding n bytes
-// (past the end of payloadFree.class when no class does).
+// (past the end of payloadFree when no class does).
 //
 // allocfree
 func payloadClass(n int) int {
@@ -72,20 +58,13 @@ func payloadClass(n int) int {
 // allocfree
 func getPayload(n int) *Staged {
 	c := payloadClass(n)
-	if c >= len(payloadFree.class) {
+	if c >= len(payloadFree) {
 		//analyze:allow allocfree larger than the largest class: not pooled
 		return &Staged{b: make([]byte, n)}
 	}
-	f := &payloadFree
-	f.Lock()
-	var s *Staged
-	if free := f.class[c]; len(free) > 0 {
-		s, f.class[c] = free[len(free)-1], free[:len(free)-1]
-		f.bytes -= cap(s.b)
-	}
-	f.Unlock()
+	s := payloadFree[c].Get()
 	if s == nil {
-		//analyze:allow allocfree pool-miss arm: the buffer recycles from here on
+		//analyze:allow allocfree free-list miss: the buffer recycles from here on
 		s = &Staged{b: make([]byte, 1<<(c+minPayloadShift))}
 	}
 	s.b = s.b[:n]
@@ -96,17 +75,9 @@ func getPayload(n int) *Staged {
 //
 // allocfree
 func putPayload(s *Staged) {
-	c := payloadClass(cap(s.b))
-	if c >= len(payloadFree.class) || cap(s.b) != 1<<(c+minPayloadShift) {
-		return
+	if c := payloadClass(cap(s.b)); c < len(payloadFree) && cap(s.b) == 1<<(c+minPayloadShift) {
+		payloadFree[c].Put(s)
 	}
-	f := &payloadFree
-	f.Lock()
-	if f.bytes+cap(s.b) <= maxFreePayload {
-		f.class[c] = append(f.class[c], s)
-		f.bytes += cap(s.b)
-	}
-	f.Unlock()
 }
 
 // Stage copies the bytes xs describes out of this node's memory into a

@@ -15,11 +15,13 @@
 // physically contiguous runs, so contiguity must be controllable.
 //
 // Frames are recycled: the Go object behind a freed frame goes to a
-// process-wide pool and the next allocation on any node reuses it,
+// process-wide free list and the next allocation on any node reuses it,
 // contents re-zeroed, PFNs assigned as before (the PFN recycle list and
-// the fresh-PFN counter — hence physical contiguity and every simulated
-// number — do not know the pool exists). A *Frame is therefore valid
-// only while its holder owns a reference.
+// the next fresh PFN — hence physical contiguity and every simulated
+// number — do not know the list exists). A *Frame is therefore valid
+// only while its holder owns a reference. Freed frames stay with the
+// process, bounded by its peak of live frames: the collector does not
+// empty the list, and a frame is allocated only when the list is empty.
 package mem
 
 import (
@@ -97,8 +99,7 @@ func TotalLen(xs []Extent) int {
 
 // Memory is the physical memory of one node.
 type Memory struct {
-	frames   map[uint64]*Frame
-	nextPFN  uint64
+	frames   []*Frame // indexed by PFN, nil for a free one; the length is the next fresh PFN
 	freeList []uint64 // LIFO recycle list; makes reused frames scattered
 	numPages int      // capacity in frames; 0 = unlimited
 	allocked int
@@ -108,8 +109,7 @@ type Memory struct {
 // (0 = unlimited).
 func New(numPages int) *Memory {
 	return &Memory{
-		frames:   make(map[uint64]*Frame),
-		nextPFN:  1, // keep PFN 0 / address 0 invalid
+		frames:   make([]*Frame, 1), // keep PFN 0 / address 0 invalid
 		numPages: numPages,
 	}
 }
@@ -117,26 +117,67 @@ func New(numPages int) *Memory {
 // Allocated returns the number of live frames.
 func (m *Memory) Allocated() int { return m.allocked }
 
-// framePool holds the Go objects of freed frames. It is process-wide
-// and emptied by the garbage collector, not a field of Memory: a
-// finished rig stays reachable through its parked daemon goroutines, so
-// a per-Memory free list would retain every frame the rig ever freed
-// (DESIGN.md §14).
-var framePool sync.Pool
+// FreeList is a LIFO list of freed objects kept for reuse, safe for
+// concurrent use. It has no cap and the collector does not empty it: an
+// object joins it only after being live, and its owner allocates a new
+// one only when Get finds it empty, so the list plus the live objects
+// never exceed the peak of live objects. The zero value is empty.
+//
+// The lists are process-wide variables, not fields of a Memory or a
+// rig: a finished rig stays reachable through its parked daemon
+// goroutines, so a rig-owned list would keep every object the rig ever
+// freed, while a process-wide one feeds the next rig (DESIGN.md §14).
+type FreeList[T any] struct {
+	mu   sync.Mutex
+	free []*T
+}
 
-// newFrame returns a zero-filled frame with the given PFN and reference
-// count 1, reusing a pooled object when there is one.
+// Get takes the most recently freed object off the list, or returns nil
+// when the list is empty.
 //
 // allocfree
-func newFrame(pfn uint64) *Frame {
-	f, _ := framePool.Get().(*Frame)
+func (l *FreeList[T]) Get() *T {
+	var x *T
+	l.mu.Lock()
+	if n := len(l.free) - 1; n >= 0 {
+		x, l.free[n], l.free = l.free[n], nil, l.free[:n]
+	}
+	l.mu.Unlock()
+	return x
+}
+
+// Put adds a freed object to the list; the caller gives up its pointer.
+//
+// allocfree
+func (l *FreeList[T]) Put(x *T) {
+	l.mu.Lock()
+	l.free = append(l.free, x)
+	l.mu.Unlock()
+}
+
+// freeFrames holds the Go objects of freed frames, for every node.
+var freeFrames FreeList[Frame]
+
+// newFrame returns a zero-filled frame with the given PFN and reference
+// count 1, reusing a freed object when there is one, and enters it in
+// the frame table.
+//
+// allocfree
+func (m *Memory) newFrame(pfn uint64) *Frame {
+	f := freeFrames.Get()
 	if f == nil {
-		//analyze:allow allocfree pool-miss arm: the object recycles from here on
+		//analyze:allow allocfree free-list miss: the object recycles from here on
 		f = new(Frame)
 	} else {
 		clear(f.data[:])
 	}
 	f.pfn, f.ref = pfn, 1
+	if pfn == uint64(len(m.frames)) {
+		m.frames = append(m.frames, f)
+	} else {
+		m.frames[pfn] = f
+	}
+	m.allocked++
 	return f
 }
 
@@ -150,18 +191,12 @@ func (m *Memory) AllocFrame() (*Frame, error) {
 		//analyze:allow allocfree out-of-memory error path
 		return nil, fmt.Errorf("mem: out of physical memory (%d frames)", m.numPages)
 	}
-	var pfn uint64
+	pfn := uint64(len(m.frames))
 	if n := len(m.freeList); n > 0 {
 		pfn = m.freeList[n-1]
 		m.freeList = m.freeList[:n-1]
-	} else {
-		pfn = m.nextPFN
-		m.nextPFN++
 	}
-	f := newFrame(pfn)
-	m.frames[pfn] = f
-	m.allocked++
-	return f, nil
+	return m.newFrame(pfn), nil
 }
 
 // AllocFrames appends n frames from AllocFrame to fs, the new ones in
@@ -198,18 +233,14 @@ func (m *Memory) AllocContig(n int) ([]*Frame, error) {
 	}
 	out := make([]*Frame, n)
 	for i := range out {
-		f := newFrame(m.nextPFN)
-		m.nextPFN++
-		m.frames[f.pfn] = f
-		m.allocked++
-		out[i] = f
+		out[i] = m.newFrame(uint64(len(m.frames)))
 	}
 	return out, nil
 }
 
 // Put decrements a frame's reference count, freeing it when it reaches
 // zero. Freed PFNs go to the recycle list and the frame object to the
-// process-wide pool: the caller's pointer is dead from here on.
+// process-wide free list: the caller's pointer is dead from here on.
 //
 // allocfree
 func (m *Memory) Put(f *Frame) {
@@ -219,10 +250,10 @@ func (m *Memory) Put(f *Frame) {
 	}
 	f.ref--
 	if f.ref == 0 {
-		delete(m.frames, f.pfn)
+		m.frames[f.pfn] = nil
 		m.freeList = append(m.freeList, f.pfn)
 		m.allocked--
-		framePool.Put(f)
+		freeFrames.Put(f)
 	}
 }
 
@@ -236,14 +267,19 @@ func (m *Memory) PutAll(fs []*Frame) {
 }
 
 // Frame returns the live frame with the given PFN, or nil.
-func (m *Memory) Frame(pfn uint64) *Frame { return m.frames[pfn] }
+func (m *Memory) Frame(pfn uint64) *Frame {
+	if pfn >= uint64(len(m.frames)) {
+		return nil
+	}
+	return m.frames[pfn]
+}
 
 // ReadAt copies bytes from physical memory into buf, crossing frame
 // boundaries as needed. It panics on access to unallocated frames —
 // in the simulation that is a wild DMA, always a bug.
 func (m *Memory) ReadAt(addr PhysAddr, buf []byte) {
 	for len(buf) > 0 {
-		f := m.frames[addr.PFN()]
+		f := m.Frame(addr.PFN())
 		if f == nil {
 			panic(fmt.Sprintf("mem: read from unallocated frame %d", addr.PFN()))
 		}
@@ -257,7 +293,7 @@ func (m *Memory) ReadAt(addr PhysAddr, buf []byte) {
 // WriteAt copies bytes from buf into physical memory.
 func (m *Memory) WriteAt(addr PhysAddr, buf []byte) {
 	for len(buf) > 0 {
-		f := m.frames[addr.PFN()]
+		f := m.Frame(addr.PFN())
 		if f == nil {
 			panic(fmt.Sprintf("mem: write to unallocated frame %d", addr.PFN()))
 		}

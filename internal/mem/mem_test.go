@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sort"
 	"sync"
@@ -389,7 +390,7 @@ func TestRecycledFramesAreZeroAndKeepThePFNSequence(t *testing.T) {
 	}
 }
 
-// The pool is the one piece of mem that several goroutines reach at
+// The free list is the one piece of mem that several goroutines reach at
 // once (parallel tests each run their own rigs): frames freed by one
 // goroutine's Memory are handed, zeroed, to another's. Run under -race.
 func TestFramePoolAcrossGoroutines(t *testing.T) {
@@ -423,6 +424,71 @@ func TestFramePoolAcrossGoroutines(t *testing.T) {
 	wg.Wait()
 }
 
+// TestFramesSurviveCollection: freed frames stay on the free list
+// through garbage collections, so once a working set has been live,
+// allocating and freeing it again allocates nothing, and every reused
+// frame comes back zeroed.
+func TestFramesSurviveCollection(t *testing.T) {
+	const n = 64
+	m := New(0)
+	fs := make([]*Frame, 0, n)
+	churn := func() {
+		fs = fs[:0]
+		for range n {
+			f, err := m.AllocFrame()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if *f != (Frame{pfn: f.pfn, ref: 1}) {
+				t.Fatalf("reused frame %d is not zero", f.PFN())
+			}
+			f.Data()[0], f.Data()[PageSize/2] = 0xff, 0xff
+			fs = append(fs, f)
+		}
+		m.PutAll(fs)
+	}
+	churn()
+	a := testing.AllocsPerRun(10, func() {
+		runtime.GC()
+		runtime.GC()
+		churn()
+	})
+	if a != 0 {
+		t.Errorf("allocating and freeing %d frames after two collections: %v allocs, want 0", n, a)
+	}
+}
+
+// TestFrameTableBounds: the PFN-indexed table answers nil for PFN 0,
+// for a freed PFN and for one not handed out yet, and AllocContig's
+// fresh PFNs extend it.
+func TestFrameTableBounds(t *testing.T) {
+	m := New(0)
+	a, _ := m.AllocFrame()
+	b, _ := m.AllocFrame()
+	m.Put(a)
+	next := uint64(len(m.frames))
+	for _, pfn := range []uint64{0, a.PFN(), next, next + 1, 1 << 40} {
+		if f := m.Frame(pfn); f != nil {
+			t.Errorf("Frame(%d) = frame %d, want nil", pfn, f.PFN())
+		}
+	}
+	if m.Frame(b.PFN()) != b {
+		t.Errorf("Frame(%d) lost the live frame", b.PFN())
+	}
+	run, err := m.AllocContig(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, f := range run {
+		if f.PFN() != next+uint64(i) || m.Frame(f.PFN()) != f {
+			t.Errorf("contiguous frame %d: PFN %d, table holds %p, want PFN %d, %p", i, f.PFN(), m.Frame(f.PFN()), next+uint64(i), f)
+		}
+	}
+	if m.Frame(next+3) != nil {
+		t.Errorf("Frame(%d) past the contiguous run is not nil", next+3)
+	}
+}
+
 func TestGetOnFreeFramePanics(t *testing.T) {
 	m := New(0)
 	f, _ := m.AllocFrame()
@@ -437,7 +503,7 @@ func TestGetOnFreeFramePanics(t *testing.T) {
 
 // BenchmarkFrameChurn is the page-cache steady state: a bounded working
 // set of frames allocated and freed over and over. The frame objects
-// come from the pool, so it allocates nothing.
+// come from the free list, so it allocates nothing.
 func BenchmarkFrameChurn(b *testing.B) {
 	m := New(0)
 	var ring [64]*Frame

@@ -239,70 +239,26 @@ func TestClusterOnBareRig(t *testing.T) {
 // A finished rig stays reachable for ever — its daemon processes are
 // goroutines parked on it — so whatever a rig keeps of the frames and
 // payload buffers it freed is kept for the life of the process. The
-// pools are therefore process-wide — the frame pool GC-emptied, the
-// payload list bounded: building, loading and tearing down the same
+// free lists are therefore process-wide, holding at most the process's
+// peak of live objects: building, loading and tearing down the same
 // rig over and over must leave the heap flat, each cycle's frames and
 // buffers feeding the next, where rig-owned free lists would grow it
 // by one rig's worth per cycle.
 func TestHeapStaysFlatAcrossRigs(t *testing.T) {
-	const (
-		fileBytes = 16 << 20 // "one rig's worth": the frames a cycle allocates and frees
-		chunk     = 64 * 1024
-		cycles    = 20
-	)
-	cycle := func() {
-		r := mustRig(t, rig.Desc{Servers: 1, Replicas: 1, Stripe: chunk, Window: 4})
-		var ino kernel.InodeID
-		_, err := r.Run("load", 0, func(p *sim.Proc) error {
-			cl, err := r.Cluster(p, r.HW.AddNode("client"), 10)
-			if err != nil {
-				return err
-			}
-			resp, err := cl.Meta(p, &rfsrv.Req{Op: rfsrv.OpCreate, Name: "f"})
-			if err != nil {
-				return err
-			}
-			ino = resp.Attr.Ino
-			kern := cl.Node().Kernel
-			va, err := kern.Mmap(chunk, "buf")
-			if err != nil {
-				return err
-			}
-			vec := core.Of(core.KernelSeg(kern, va, chunk))
-			for off := int64(0); off < fileBytes; off += chunk {
-				if _, err := cl.Write(p, ino, off, vec); err != nil {
-					return err
-				}
-			}
-			return nil
-		}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Tear down as bench/ does: the store's blocks and every kernel
-		// mapping go back to the allocator.
-		if err := r.Stores[0].Resize(ino, 0); err != nil {
-			t.Fatal(err)
-		}
-		for _, n := range r.HW.Nodes() {
-			n.Kernel.Destroy()
-		}
-	}
+	const cycles = 20
 	inUse := func() uint64 {
-		// A sync.Pool is emptied by two collections, not one: the first
-		// only moves it to its victim cache. With one, the frames the
-		// last teardown pooled (up to a rig's worth) are still counted,
-		// and how many depends on when the collector last ran.
+		// Two collections, so that nothing the last cycle dropped is
+		// still counted, however recently the collector last ran.
 		runtime.GC()
 		runtime.GC()
 		var ms runtime.MemStats
 		runtime.ReadMemStats(&ms)
 		return ms.HeapInuse
 	}
-	cycle() // warm the pools
+	rigCycle(t) // warm the free lists
 	before := inUse()
 	for i := 0; i < cycles; i++ {
-		cycle()
+		rigCycle(t)
 	}
 	after := inUse()
 	t.Logf("HeapInuse %d KB -> %d KB over %d build/load/tear-down cycles of %d KB each",
@@ -310,5 +266,71 @@ func TestHeapStaysFlatAcrossRigs(t *testing.T) {
 	if after > before+fileBytes {
 		t.Errorf("heap grew by %d KB over %d cycles: freed frames or payload buffers are being retained per rig",
 			(after-before)>>10, cycles)
+	}
+}
+
+// TestWarmRigAllocatesLittle: once one cycle has run, the frames and
+// payload buffers the next cycle needs are on the free lists even after
+// two collections, so the cycle allocates far less than the bytes it
+// moves.
+func TestWarmRigAllocatesLittle(t *testing.T) {
+	rigCycle(t) // warm the free lists
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.TotalAlloc
+	rigCycle(t)
+	runtime.ReadMemStats(&ms)
+	got := ms.TotalAlloc - before
+	t.Logf("a warm cycle allocated %d KB to write %d KB", got>>10, fileBytes>>10)
+	if got >= fileBytes/4 {
+		t.Errorf("a warm cycle allocated %d KB, want < %d KB: freed frames did not survive the collector",
+			got>>10, fileBytes/4>>10)
+	}
+}
+
+const fileBytes = 16 << 20 // "one rig's worth": the frames a cycle allocates and frees
+
+// rigCycle builds a one-server rig, writes fileBytes to one file
+// through a cluster client, and tears the rig down.
+func rigCycle(t *testing.T) {
+	t.Helper()
+	const chunk = 64 * 1024
+	r := mustRig(t, rig.Desc{Servers: 1, Replicas: 1, Stripe: chunk, Window: 4})
+	var ino kernel.InodeID
+	_, err := r.Run("load", 0, func(p *sim.Proc) error {
+		cl, err := r.Cluster(p, r.HW.AddNode("client"), 10)
+		if err != nil {
+			return err
+		}
+		resp, err := cl.Meta(p, &rfsrv.Req{Op: rfsrv.OpCreate, Name: "f"})
+		if err != nil {
+			return err
+		}
+		ino = resp.Attr.Ino
+		kern := cl.Node().Kernel
+		va, err := kern.Mmap(chunk, "buf")
+		if err != nil {
+			return err
+		}
+		vec := core.Of(core.KernelSeg(kern, va, chunk))
+		for off := int64(0); off < fileBytes; off += chunk {
+			if _, err := cl.Write(p, ino, off, vec); err != nil {
+				return err
+			}
+		}
+		return nil
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Tear down as bench/ does: the store's blocks and every kernel
+	// mapping go back to the allocator.
+	if err := r.Stores[0].Resize(ino, 0); err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range r.HW.Nodes() {
+		n.Kernel.Destroy()
 	}
 }

@@ -161,15 +161,9 @@ func (s *Signal) remove(p *Proc) {
 // Senders never block (protocol-level flow control, where the paper's
 // systems need it, is modelled explicitly with Resources or credits).
 type Chan[T any] struct {
-	e *Engine
-	// buf and waiters pop from the front by advancing a head index
-	// (resetting to a length-0 slice when drained) instead of
-	// reslicing: reslicing strands the backing array's front, so a hot
-	// channel would reallocate on append every few operations.
-	buf     []T
-	bufHead int
-	waiters []*chanWaiter[T]
-	wHead   int
+	e       *Engine
+	buf     queue[T]
+	waiters queue[*chanWaiter[T]]
 	// free recycles waiter records: every blocking Recv on a hot
 	// channel (NIC pumps, server queues) would otherwise allocate one,
 	// and channels are the inner loop of every transfer.
@@ -220,19 +214,7 @@ func (c *Chan[T]) putWaiter(w *chanWaiter[T]) {
 func NewChan[T any](e *Engine) *Chan[T] { return &Chan[T]{e: e} }
 
 // Len returns the number of buffered values.
-func (c *Chan[T]) Len() int { return len(c.buf) - c.bufHead }
-
-// popBuf dequeues the oldest buffered value (caller checked Len > 0).
-func (c *Chan[T]) popBuf() T {
-	v := c.buf[c.bufHead]
-	var zero T
-	c.buf[c.bufHead] = zero
-	c.bufHead++
-	if c.bufHead == len(c.buf) {
-		c.buf, c.bufHead = c.buf[:0], 0
-	}
-	return v
-}
+func (c *Chan[T]) Len() int { return c.buf.n }
 
 // Send enqueues v, handing it to the oldest waiting receiver if any: a
 // Proc is woken, a callback scheduled at the current instant in the
@@ -241,13 +223,8 @@ func (c *Chan[T]) popBuf() T {
 //
 // allocfree
 func (c *Chan[T]) Send(v T) {
-	for c.wHead < len(c.waiters) {
-		w := c.waiters[c.wHead]
-		c.waiters[c.wHead] = nil
-		c.wHead++
-		if c.wHead == len(c.waiters) {
-			c.waiters, c.wHead = c.waiters[:0], 0
-		}
+	for c.waiters.n > 0 {
+		w := c.waiters.pop()
 		if w.fn != nil {
 			w.val = v
 			c.e.AfterDetached(0, w.run)
@@ -260,7 +237,7 @@ func (c *Chan[T]) Send(v T) {
 		c.e.wake(w.p)
 		return
 	}
-	c.buf = append(c.buf, v)
+	c.buf.push(v)
 }
 
 // RecvFunc is Recv for a receiver that is not a process: fn gets the
@@ -272,7 +249,7 @@ func (c *Chan[T]) Send(v T) {
 // allocfree
 func (c *Chan[T]) RecvFunc(fn func(T)) {
 	if c.Len() > 0 {
-		fn(c.popBuf())
+		fn(c.buf.pop())
 		return
 	}
 	w := c.getWaiter(nil)
@@ -285,16 +262,16 @@ func (c *Chan[T]) RecvFunc(fn func(T)) {
 			fn(v)
 		}
 	}
-	c.waiters = append(c.waiters, w)
+	c.waiters.push(w)
 }
 
 // Recv dequeues the oldest value, blocking p until one is available.
 func (c *Chan[T]) Recv(p *Proc) T {
 	if c.Len() > 0 {
-		return c.popBuf()
+		return c.buf.pop()
 	}
 	w := c.getWaiter(p)
-	c.waiters = append(c.waiters, w)
+	c.waiters.push(w)
 	p.park()
 	if !w.valid {
 		panic("sim: Chan.Recv resumed without a value (killed proc?)")
@@ -309,7 +286,7 @@ func (c *Chan[T]) TryRecv() (v T, ok bool) {
 	if c.Len() == 0 {
 		return v, false
 	}
-	return c.popBuf(), true
+	return c.buf.pop(), true
 }
 
 // Peek returns the oldest buffered value without dequeuing it; ok
@@ -318,17 +295,17 @@ func (c *Chan[T]) Peek() (v T, ok bool) {
 	if c.Len() == 0 {
 		return v, false
 	}
-	return c.buf[c.bufHead], true
+	return c.buf.at(0), true
 }
 
 // RecvTimeout dequeues the oldest value, blocking p for at most d.
 // ok reports whether a value was received.
 func (c *Chan[T]) RecvTimeout(p *Proc, d Time) (v T, ok bool) {
 	if c.Len() > 0 {
-		return c.popBuf(), true
+		return c.buf.pop(), true
 	}
 	w := c.getWaiter(p)
-	c.waiters = append(c.waiters, w)
+	c.waiters.push(w)
 	timer := c.e.wakeAt(c.e.now+d, p)
 	p.park()
 	if w.valid {
@@ -338,14 +315,11 @@ func (c *Chan[T]) RecvTimeout(p *Proc, d Time) (v T, ok bool) {
 		return v, true
 	}
 	// Timeout path: withdraw from the waiter list.
-	for i := c.wHead; i < len(c.waiters); i++ {
-		if c.waiters[i] == w {
-			c.waiters = append(c.waiters[:i], c.waiters[i+1:]...)
+	for i := range c.waiters.n {
+		if c.waiters.at(i) == w {
+			c.waiters.remove(i)
 			break
 		}
-	}
-	if c.wHead == len(c.waiters) {
-		c.waiters, c.wHead = c.waiters[:0], 0
 	}
 	c.putWaiter(w)
 	return v, false
@@ -359,8 +333,7 @@ type Resource struct {
 	name     string
 	capacity int
 	inUse    int
-	queue    []resWaiter // pops from the front by advancing head, like Chan
-	head     int
+	queue    queue[resWaiter]
 
 	// Busy accumulates total occupancy (capacity-weighted virtual time)
 	// for utilization accounting.
@@ -396,7 +369,7 @@ func (r *Resource) Acquire(p *Proc) {
 		r.inUse++
 		return
 	}
-	r.queue = append(r.queue, resWaiter{p: p})
+	r.queue.push(resWaiter{p: p})
 	p.park()
 	// The releaser transferred its unit to us directly (inUse unchanged).
 }
@@ -417,7 +390,7 @@ func (r *Resource) AcquireFunc(held func()) {
 		held()
 		return
 	}
-	r.queue = append(r.queue, resWaiter{fn: held})
+	r.queue.push(resWaiter{fn: held})
 }
 
 // Release frees a unit, handing it to the oldest queued waiter if any:
@@ -430,13 +403,8 @@ func (r *Resource) Release() {
 		//analyze:allow allocfree release-without-acquire panic path
 		panic("sim: Release of idle resource " + r.name)
 	}
-	for r.head < len(r.queue) {
-		next := r.queue[r.head]
-		r.queue[r.head] = resWaiter{}
-		r.head++
-		if r.head == len(r.queue) {
-			r.queue, r.head = r.queue[:0], 0
-		}
+	for r.queue.n > 0 {
+		next := r.queue.pop()
 		// Ownership passes directly; inUse is unchanged.
 		if next.fn != nil {
 			r.e.AfterDetached(0, next.fn)
@@ -465,13 +433,68 @@ func (r *Resource) Use(p *Proc, d Time) {
 func (r *Resource) InUse() int { return r.inUse }
 
 // QueueLen returns the number of waiters, Procs and callbacks.
-func (r *Resource) QueueLen() int { return len(r.queue) - r.head }
+func (r *Resource) QueueLen() int { return r.queue.n }
 
 // BusyTime returns accumulated occupancy (unit-weighted virtual time) up
 // to the current instant.
 func (r *Resource) BusyTime() Time {
 	r.stamp()
 	return r.busy
+}
+
+// queue is a FIFO ring, the wait and value queue of Chan and Resource.
+// Its capacity is a power of two, doubled when a push finds it full, so
+// it stays below twice the peak number of values queued at once, however
+// long the queue lives and whether or not it ever drains.
+type queue[T any] struct {
+	ring []T
+	head int // index of the oldest value
+	n    int // values queued
+}
+
+// at returns the i-th oldest value (0 <= i < n).
+func (q *queue[T]) at(i int) T { return q.ring[(q.head+i)&(len(q.ring)-1)] }
+
+// push appends v.
+//
+// allocfree
+func (q *queue[T]) push(v T) {
+	if q.n == len(q.ring) {
+		q.grow()
+	}
+	q.ring[(q.head+q.n)&(len(q.ring)-1)] = v
+	q.n++
+}
+
+// grow doubles the full ring, unrolling it into order.
+func (q *queue[T]) grow() {
+	ring := make([]T, max(1, 2*len(q.ring)))
+	k := copy(ring, q.ring[q.head:])
+	copy(ring[k:], q.ring[:q.head])
+	q.ring, q.head = ring, 0
+}
+
+// pop removes and returns the oldest value (the caller checked n > 0).
+//
+// allocfree
+func (q *queue[T]) pop() T {
+	var zero T
+	v := q.ring[q.head]
+	q.ring[q.head] = zero
+	q.head = (q.head + 1) & (len(q.ring) - 1)
+	q.n--
+	return v
+}
+
+// remove deletes the i-th oldest value, keeping the others in order.
+func (q *queue[T]) remove(i int) {
+	mask := len(q.ring) - 1
+	for ; i < q.n-1; i++ {
+		q.ring[(q.head+i)&mask] = q.ring[(q.head+i+1)&mask]
+	}
+	var zero T
+	q.ring[(q.head+q.n-1)&mask] = zero
+	q.n--
 }
 
 // Counter is a monotonic statistics counter usable from any context.

@@ -391,3 +391,89 @@ func TestChanRecvTimeoutRaceLeavesNoWakeup(t *testing.T) {
 		t.Errorf("Sleep(5µs) after the race returned after %v", slept)
 	}
 }
+
+// TestChanIdleReceiversStayFlat: four receivers parked on one Chan,
+// each taking a value and parking again, 100 000 times over (a server's
+// worker queue with fewer requests than workers). The waiter list never
+// drains, and its capacity must follow the four waiters, not the run.
+func TestChanIdleReceiversStayFlat(t *testing.T) {
+	const receivers, msgs = 4, 100_000
+	e := NewEngine()
+	c := NewChan[int](e)
+	next := 0
+	for range receivers {
+		e.Spawn("recv", func(p *Proc) {
+			for {
+				if v := c.Recv(p); v != next {
+					t.Errorf("received %d, want %d", v, next)
+				}
+				next++
+			}
+		})
+	}
+	e.Spawn("send", func(p *Proc) {
+		for i := range msgs {
+			p.Sleep(1)
+			c.Send(i)
+		}
+	})
+	e.Run(0)
+	if next != msgs {
+		t.Fatalf("received %d values, want %d", next, msgs)
+	}
+	if n := len(c.waiters.ring); n > 2*receivers {
+		t.Errorf("waiter list holds %d slots for %d waiters", n, receivers)
+	}
+}
+
+// TestChanBacklogStaysFlat: a four-value backlog taken and returned
+// 100 000 times (a window whose in-flight count stays below its size).
+// The buffer never drains, and its capacity must follow the backlog.
+func TestChanBacklogStaysFlat(t *testing.T) {
+	const backlog, rounds = 4, 100_000
+	c := NewChan[int](NewEngine())
+	for i := range backlog {
+		c.Send(i)
+	}
+	for i := range rounds {
+		v, ok := c.TryRecv()
+		if !ok || v != i%backlog {
+			t.Fatalf("round %d: TryRecv = %d,%v, want %d,true", i, v, ok, i%backlog)
+		}
+		c.Send(v)
+	}
+	if n := len(c.buf.ring); n > 2*backlog {
+		t.Errorf("buffer holds %d slots for %d values", n, backlog)
+	}
+}
+
+// TestQueueMatchesSlice drives the ring through pushes, pops and
+// removals at every offset of its head, against a plain slice.
+func TestQueueMatchesSlice(t *testing.T) {
+	var q queue[int]
+	var want []int
+	for i := range 2000 {
+		switch op := (i * 7919) % 11; {
+		case op < 6:
+			q.push(i)
+			want = append(want, i)
+		case op < 9 && len(want) > 0:
+			if v := q.pop(); v != want[0] {
+				t.Fatalf("step %d: pop = %d, want %d", i, v, want[0])
+			}
+			want = want[1:]
+		case len(want) > 0:
+			k := i % len(want)
+			q.remove(k)
+			want = append(want[:k:k], want[k+1:]...)
+		}
+		if q.n != len(want) {
+			t.Fatalf("step %d: %d queued, want %d", i, q.n, len(want))
+		}
+		for k, v := range want {
+			if q.at(k) != v {
+				t.Fatalf("step %d: at(%d) = %d, want %d", i, k, q.at(k), v)
+			}
+		}
+	}
+}
