@@ -249,7 +249,7 @@ func TestAllocGateFabricRoundTrip(t *testing.T) {
 
 // TestAllocGateFig5a gates the latency figure's simulation hot path.
 func TestAllocGateFig5a(t *testing.T) {
-	cfg := figures.Config{Iters: 6, Warmup: 1} // bench_test.go's benchConfig
+	cfg := figures.Config{Iters: 6, Warmup: 1} // the ceilings were measured at this effort
 	n := figAllocs(t, cfg.Fig5a)
 	t.Logf("Fig5a generation: %.0f allocs (ceiling %d)", n, maxFig5aAllocs)
 	if n > maxFig5aAllocs {

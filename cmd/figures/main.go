@@ -1,8 +1,9 @@
 // Command figures regenerates every table and figure of the paper's
 // evaluation and prints them as text, with the paper's qualitative
-// expectation under each one. This is the program whose output
-// EXPERIMENTS.md records. It runs the experiments of
-// figures.Experiments, in that order.
+// expectation under each one. It runs the experiments of
+// figures.Experiments, in that order; EXPERIMENTS.md holds each one's
+// output at the default settings, and `go run ./tools/experiments`
+// rewrites those blocks.
 //
 // Usage:
 //
@@ -64,11 +65,11 @@ func main() {
 	// One simulated process is runnable at any instant: extra Ps only
 	// add futex wake-ups between threads (bench/runner.go has numbers).
 	runtime.GOMAXPROCS(1)
-	iters := flag.Int("iters", 10, "ping-pong iterations per message size")
+	cfg := figures.DefaultConfig()
+	flag.IntVar(&cfg.Iters, "iters", cfg.Iters, "ping-pong iterations per message size")
 	only := flag.String("only", "", "run only these comma-separated experiment ids ("+strings.Join(idsOf(figures.Experiments), ", ")+")")
 	flag.Parse()
 
-	cfg := figures.Config{Iters: *iters, Warmup: 2}
 	sel, err := selectExperiments(*only)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

@@ -6,8 +6,8 @@ package figures
 // bytes — one request costs on the host, after the per-object scratch
 // (encode buffers, part freelists, slot-staged requests) and the
 // process-wide free lists (page frames, NIC payload buffers) have warmed up.
-// bench_test.go reports them as metrics and alloc_gate_test.go pins
-// ceilings on them, so a regression that reintroduces per-request
+// alloc_gate_test.go pins ceilings on them (and BenchmarkRequestPathAllocs
+// reports the request path's), so a regression that reintroduces per-request
 // garbage fails CI rather than silently eroding simulation throughput.
 // The count alone cannot see a 64 KB staging buffer (one allocation);
 // the bytes can.

@@ -1,6 +1,6 @@
 // Package figures regenerates every table and figure of the paper's
-// evaluation from the simulated cluster: the experiment harness behind
-// cmd/figures, bench_test.go and EXPERIMENTS.md.
+// evaluation from the simulated cluster: the experiment registry behind
+// cmd/figures and EXPERIMENTS.md's generated blocks.
 //
 // Each FigN function builds the cluster(s) it needs, runs the paper's
 // workload, and returns labelled series plus the paper's qualitative
@@ -61,7 +61,8 @@ type Experiment struct {
 }
 
 // Experiments is every experiment cmd/figures runs, in print order: the
-// paper's figures and Table 1, then the suites built since.
+// paper's figures and Table 1, the two ablations of its design, then the
+// suites built since.
 var Experiments = []Experiment{
 	{"fig1b", one(Config.Fig1b)},
 	{"fig3b", one(Config.Fig3b)},
@@ -75,6 +76,8 @@ var Experiments = []Experiment{
 	{"fig8a", one(Config.Fig8a)},
 	{"fig8b", one(Config.Fig8b)},
 	{"table1", one(Config.Table1)},
+	{"ablation-combining", one(Config.AblationCombining)},
+	{"ablation-physapi", one(Config.AblationPhysicalAPI)},
 	{"multiserver", all(Config.MultiServer)},
 	{"sharedfile", all(Config.SharedFile)},
 	{"smallfile", all(Config.SmallFile)},

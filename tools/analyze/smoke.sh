@@ -34,8 +34,12 @@
 # trace loses every receive line. A fourteenth must fail a tier-1 test
 # too: a GM port whose CancelRecv withdraws the oldest posted receive of
 # its tag instead of the newest, so the next message lands in the
-# receive meant to be withdrawn. Then it restores the tree
-# byte-for-byte from backups (no git operations, safe on a dirty tree).
+# receive meant to be withdrawn. A fifteenth must fail a tier-1 test
+# too: a simulated cost constant that no anchor test pins (the sockets
+# layer's per-message MX overhead) nudged by 10 ns without regenerating
+# EXPERIMENTS.md, so the figures it moves no longer match their blocks.
+# Then it restores the tree byte-for-byte from backups (no git
+# operations, safe on a dirty tree).
 set -eu
 
 root="$(cd "$(dirname "$0")/../.." && pwd)"
@@ -51,6 +55,8 @@ journal=internal/rfsrv/journal.go
 endpoint=internal/mx/mx.go
 nic=internal/hw/nic.go
 port=internal/gm/gm.go
+params=internal/hw/params.go
+record=EXPERIMENTS.md
 injected=internal/rfsrv/zz_smoke_injected.go
 
 tmp="$(mktemp -d)"
@@ -65,6 +71,8 @@ restore() {
 	cp "$tmp/mx.go.bak" "$endpoint"
 	cp "$tmp/nic.go.bak" "$nic"
 	cp "$tmp/gm.go.bak" "$port"
+	cp "$tmp/params.go.bak" "$params"
+	cp "$tmp/EXPERIMENTS.md.bak" "$record"
 	rm -f "$injected"
 	rm -rf "$tmp"
 }
@@ -79,6 +87,8 @@ cp "$journal" "$tmp/journal.go.bak"
 cp "$endpoint" "$tmp/mx.go.bak"
 cp "$nic" "$tmp/nic.go.bak"
 cp "$port" "$tmp/gm.go.bak"
+cp "$params" "$tmp/params.go.bak"
+cp "$record" "$tmp/EXPERIMENTS.md.bak"
 
 run_analyzer() { go run ./tools/analyze ./... 2>&1; }
 
@@ -312,6 +322,24 @@ if ! echo "$out" | grep -q -- '--- FAIL: TestCancelRecvWithdrawsNewest'; then
 	exit 1
 fi
 cp "$tmp/gm.go.bak" "$port"
+
+echo "smoke: a cost constant changed without regenerating EXPERIMENTS.md must fail a tier-1 test"
+sed -i 's/^\t\tSockMXOverhead: 600 \* ns,$/\t\tSockMXOverhead: 610 * ns,/' "$params"
+if cmp -s "$params" "$tmp/params.go.bak"; then
+	echo "smoke: FAIL — injection did not change $params (site moved?)"
+	exit 1
+fi
+if out="$(go test -count=1 -run '^TestExperimentsMatchRegistry$' ./tools/experiments 2>&1)"; then
+	echo "smoke: FAIL — tier-1 tests passed with figures that no longer match EXPERIMENTS.md"
+	exit 1
+fi
+if ! echo "$out" | grep -q 'block fig8a differs'; then
+	echo "$out"
+	echo "smoke: FAIL — the tests failed, but not on the fig8a block"
+	exit 1
+fi
+cp "$tmp/params.go.bak" "$params"
+cp "$tmp/EXPERIMENTS.md.bak" "$record"
 
 echo "smoke: untimed reply wait must fail boundedwait"
 sed -i 's/^\tst, ok = fabric\.WaitTimeout(p, op, d)$/\tst, ok = op.Wait(p), true/' "$waiter"
