@@ -23,13 +23,15 @@ import (
 	"repro/internal/figures"
 )
 
-// Measured with go1.24 on linux/amd64 once every fabric Op the rfsrv
-// client and server and the netpipe harness hold is released to its
-// transport's free list, the zero-copy send's completion callback is
-// built once per request and the server decodes each request into its
-// work record (the "was" figures are from before; a send's NIC record, a
-// staged send's extents, a cluster part's Pending and its destination
-// slice were recycled already). The two figure ceilings are the
+// Measured with go1.24 on linux/amd64 once every reply lives in its
+// request's record — the server's work record, a Pending, a cluster
+// part or pending, the cluster's control-path record — page-cache
+// records recycle and NIC fragment records share one process-wide free
+// list (the "was" figures are from before, each measured after the Ops
+// the rfsrv client and server hold were released to their transports'
+// free lists, the zero-copy send's completion callback was built once
+// per request and the server decoded each request into its work
+// record). The two figure ceilings are the
 // measurements plus ~25% for toolchain drift, the per-op count ceilings
 // plus ~12%, the per-op bytes ceilings plus ~15% and at least 300 B
 // (runs vary by a few tens of B/op; one reintroduced 64 KB buffer per
@@ -37,37 +39,53 @@ import (
 // further. A measurement marked "before" was taken while freed frames
 // went to a sync.Pool, which a collection mid-measurement emptied.
 const (
-	maxRequestPathAllocsPerOp    = 2     // measured 1.55 (was 12.29)
-	maxFig5aAllocs               = 3500  // measured 2785 (was 5666)
-	maxFig5bAllocs               = 16800 // measured 13395 (was 17297)
-	maxExtendingWriteAllocsPerOp = 13    // measured 11.30, a one-page write + a 3-server size fan (was 32.30)
+	maxRequestPathAllocsPerOp    = 1    // measured 0.01 (1.55 before; was 12.29)
+	maxFig5aAllocs               = 2100 // measured 1649 (2785 before; was 5666)
+	maxFig5bAllocs               = 4600 // measured 3639 (13395 before; was 17297)
+	maxExtendingWriteAllocsPerOp = 3    // measured 2.18, a one-page write + a 3-server size fan (11.30 before; was 32.30)
 
-	maxRequestPathBytesPerOp    = 450  // measured 144 (230 before; 64 KB ops; was 2128)
-	maxWriteAllocsPerOp         = 3    // measured 2.04, a 64 KB write whose payload travels alone (was 13.02)
-	maxWriteBytesPerOp          = 500  // measured 192 (278 before; was 2161)
-	maxExtendingWriteBytesPerOp = 6760 // measured 5872 (6061 before; was 9926)
-	maxORFSDirectAllocsPerOp    = 10   // measured 8.15 once pins are held by value (24.15 before; was 32.14)
-	maxORFSDirectBytesPerOp     = 580  // measured 276 (327 before; was 2002)
+	maxRequestPathBytesPerOp    = 300  // measured 0 (144 before; 64 KB ops; was 2128)
+	maxWriteAllocsPerOp         = 1    // measured 0.00, a 64 KB write whose payload travels alone (2.04 before; was 13.02)
+	maxWriteBytesPerOp          = 300  // measured 0 (192 before; was 2161)
+	maxExtendingWriteBytesPerOp = 5760 // measured 5008 (5872 before; was 9926)
+	maxORFSDirectAllocsPerOp    = 8    // measured 7.14 (8.15 before; was 32.14)
+	maxORFSDirectBytesPerOp     = 300  // measured 180 (276 before; was 2002)
 
 	// A 64 KB MX Session read into kernel memory, synchronous and eight
 	// deep, in two eager pieces into receives posted before the request
 	// left, and a write from it eight deep, in two eager pieces into
-	// receives the server posts as it admits the header.
-	maxKernelRead64KAllocsPerOp    = 3   // measured 2.04 (was 13.03)
-	maxKernelRead64KBytesPerOp     = 450 // measured 144 (230 before; was 2113)
-	maxKernelRead64KW8AllocsPerOp  = 4   // measured 3.02 (was 14.01)
-	maxKernelRead64KW8BytesPerOp   = 580 // measured 272 (305 before; was 2208)
-	maxKernelWrite64KW8AllocsPerOp = 5   // measured 4.03 (was 15.03)
-	maxKernelWrite64KW8BytesPerOp  = 670 // measured 368 (403 before; was 2306)
+	// receives the server posts as it admits the header. One allocation
+	// per operation is the probe's own (the vector it reads into); the
+	// pipelined ones add their kept Pending.
+	maxKernelRead64KAllocsPerOp    = 2   // measured 1.00 (2.04 before; was 13.03)
+	maxKernelRead64KBytesPerOp     = 300 // measured 48 (144 before; was 2113)
+	maxKernelRead64KW8AllocsPerOp  = 3   // measured 2.00 (3.02 before; was 14.01)
+	maxKernelRead64KW8BytesPerOp   = 320 // measured 272 (272 before; was 2208)
+	maxKernelWrite64KW8AllocsPerOp = 3   // measured 2.00 (4.03 before; was 15.03)
+	maxKernelWrite64KW8BytesPerOp  = 320 // measured 272 (368 before; was 2306)
+
+	// The same synchronous read issued with StartRead and waited at once:
+	// its kept Pending, which holds the reply, is the one allocation the
+	// client makes.
+	maxKeptRead64KAllocsPerOp = 3   // measured 2.00
+	maxKeptRead64KBytesPerOp  = 320 // measured 272
+
+	// One Cluster.Meta lookup on a 4-server cluster: a control-path
+	// round trip whose reply lives in the cluster's record and whose
+	// request the server answers in its work record. What is left is
+	// the server's copy of the looked-up name.
+	maxClusterLookupAllocsPerOp = 2   // measured 1.00
+	maxClusterLookupBytesPerOp  = 300 // measured 8
 
 	// One synchronous 64 KB read of a stripe that two of four servers
 	// hold: its two read slices are two requests, one to each replica.
 	// It measured 19.05 allocs/op and 3 282 B/op while every request
 	// allocated its Ops, less than the one request the primary once
 	// served (27.02, 3 633); with the Ops released, 3.05 and 418; with
-	// freed frames kept through collections, 3.00 and 288.
-	maxReplicatedReadAllocsPerOp = 4
-	maxReplicatedReadBytesPerOp  = 590
+	// freed frames kept through collections, 3.00 and 288; with every
+	// reply in its request's record, 0.00 and 0.
+	maxReplicatedReadAllocsPerOp = 1
+	maxReplicatedReadBytesPerOp  = 300
 
 	// One 4 KB ping-pong round trip on the raw fabric: two messages.
 	maxGMRoundTripAllocsPerOp = 1   // measured 0.00 with posted receives and acks as FIFOs (6.00 before; was 17.99)
@@ -77,16 +95,18 @@ const (
 
 	// A buffered 64 KB read that misses all sixteen pages, the
 	// orfs_file workload's buffered read: sixteen window-1 page
-	// requests into fresh page-cache frames, sixteen LRU evictions.
-	// What is left per page is its CachedPage record and its decoded
-	// reply. Before GM's posted receives and acks were FIFOs, the LRU
-	// intrusive and the fill's frame list and the page request's vector
-	// reused, it measured 224.03 allocs/op and 8 726 B/op over GM, 80.02
-	// and 4 482 over MX.
-	maxORFSMissGMAllocsPerOp = 36   // measured 32.03
-	maxORFSMissGMBytesPerOp  = 3270 // measured 2838
-	maxORFSMissMXAllocsPerOp = 36   // measured 32.01
-	maxORFSMissMXBytesPerOp  = 3240 // measured 2817
+	// requests into fresh page-cache frames, sixteen LRU evictions. A
+	// page's record is an evicted one's and its reply lives in the
+	// session's slot, so nothing is left per page. With a CachedPage
+	// record and a decoded reply per page it measured 32.03 allocs/op
+	// and 2 838 B/op over GM, 32.01 and 2 817 over MX; before GM's
+	// posted receives and acks were FIFOs, the LRU intrusive and the
+	// fill's frame list and the page request's vector reused, 224.03
+	// and 8 726 over GM, 80.02 and 4 482 over MX.
+	maxORFSMissGMAllocsPerOp = 1   // measured 0.00
+	maxORFSMissGMBytesPerOp  = 300 // measured 0
+	maxORFSMissMXAllocsPerOp = 1   // measured 0.00
+	maxORFSMissMXBytesPerOp  = 300 // measured 0
 )
 
 // figAllocs generates the figure twice — once to warm lazy caches and
@@ -194,6 +214,28 @@ func TestAllocGateKernelRead64K(t *testing.T) {
 		}
 		gate(t, fmt.Sprintf("64 KB kernel %s, window %d", w.op, w.window), got, w.maxAllocs, w.maxBytes)
 	}
+}
+
+// TestAllocGateKeptRead gates a 64 KB MX Session read into kernel
+// memory issued with StartRead and waited at once: the Pending the
+// caller keeps, which holds its reply, is the client's only allocation.
+func TestAllocGateKeptRead(t *testing.T) {
+	got, err := figures.KeptReadAllocs(256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gate(t, "64 KB kept-Pending read", got, maxKeptRead64KAllocsPerOp, maxKeptRead64KBytesPerOp)
+}
+
+// TestAllocGateClusterLookup gates one Cluster.Meta lookup: the reply
+// decodes into the cluster's record and the server answers in its work
+// record, so neither side allocates a reply per message.
+func TestAllocGateClusterLookup(t *testing.T) {
+	got, err := figures.ClusterLookupAllocs(256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gate(t, "Cluster.Meta lookup", got, maxClusterLookupAllocsPerOp, maxClusterLookupBytesPerOp)
 }
 
 // TestAllocGateORFSFile gates the paper's headline path (the orfs_file

@@ -222,8 +222,22 @@ func sessionAllocs(name string, ops int, write func(i int) bool) (HostCost, erro
 // the server posts as it admits the header. Both once took MX's
 // rendezvous.
 func KernelDataAllocs(ops, window int, write bool) (HostCost, error) {
+	return kernelDataAllocs("KernelDataAllocs", ops, window, write, window == 1)
+}
+
+// KeptReadAllocs measures the steady-state host cost of one 64 KB read
+// into kernel memory through one Session to one MX server, issued with
+// StartRead and waited at once: KernelDataAllocs' window-1 read with a
+// kept Pending, which holds its reply, instead of the slot's.
+func KeptReadAllocs(ops int) (HostCost, error) {
+	return kernelDataAllocs("KeptReadAllocs", ops, 1, false, false)
+}
+
+// kernelDataAllocs is KernelDataAllocs through the synchronous verbs
+// (sync, window 1 only) or through Start* and Wait.
+func kernelDataAllocs(name string, ops, window int, write, sync bool) (HostCost, error) {
 	if ops <= 0 || window < 1 {
-		return HostCost{}, fmt.Errorf("figures: KernelDataAllocs needs ops > 0 and window >= 1")
+		return HostCost{}, fmt.Errorf("figures: %s needs ops > 0 and window >= 1", name)
 	}
 	var allocs HostCost
 	err := probe(1, 1, msStripe, func(p *sim.Proc, cl *rfsrv.Cluster) error {
@@ -245,15 +259,15 @@ func KernelDataAllocs(ops, window int, write bool) (HostCost, error) {
 				return err
 			}
 		}
-		sync, start := sess.Read, sess.StartRead
+		call, start := sess.Read, sess.StartRead
 		if write {
-			sync, start = sess.Write, sess.StartWrite
+			call, start = sess.Write, sess.StartWrite
 		}
 		pds := make([]rfsrv.PendingOp, window)
 		allocs, err = steadyAllocs(ops, func(i int) error {
 			off := int64(i%chunks) * chunk
-			if window == 1 {
-				_, err := sync(p, ino, off, slot(i))
+			if sync {
+				_, err := call(p, ino, off, slot(i))
 				return err
 			}
 			if pd := pds[i%window]; pd != nil {
@@ -341,6 +355,33 @@ func PipelinedReadBounces(ops int) (float64, error) {
 		return nil
 	}, nil)
 	return bounces, err
+}
+
+// ClusterLookupAllocs measures the steady-state host cost of one
+// Cluster.Meta lookup on a 4-server striped cluster: one control-path
+// round trip to the name's home, its reply decoded into the cluster's
+// own record and its request answered in the serving work record's.
+func ClusterLookupAllocs(ops int) (HostCost, error) {
+	if ops <= 0 {
+		return HostCost{}, fmt.Errorf("figures: ClusterLookupAllocs needs ops > 0")
+	}
+	var allocs HostCost
+	err := probe(4, 1, msStripe, func(p *sim.Proc, cl *rfsrv.Cluster) error {
+		ino, err := probeFile(p, cl)
+		if err != nil {
+			return err
+		}
+		req := rfsrv.Req{Op: rfsrv.OpLookup, Name: "probe"}
+		allocs, err = steadyAllocs(ops, func(int) error {
+			resp, err := cl.Meta(p, &req)
+			if err == nil && resp.Attr.Ino != ino {
+				err = fmt.Errorf("figures: lookup resolved inode %d, want %d", resp.Attr.Ino, ino)
+			}
+			return err
+		})
+		return err
+	})
+	return allocs, err
 }
 
 // ORFSFileCost is what one 64 KB read syscall on an ORFS mount costs the

@@ -181,7 +181,6 @@ type NIC struct {
 	link     linkStage
 	handlers map[uint8]Handler
 	seq      uint64
-	fragFree []*frag // recycled fragment records (see getFrag)
 
 	// Fault state (see Kill, StallFor): a dead NIC drops every frame
 	// it would transmit or deliver; a stalled one delays its stages.
@@ -202,7 +201,6 @@ type frag struct {
 	msg  *Message
 	idx  int
 	size int  // wire bytes of this fragment
-	src  *NIC // owner; the record recycles to src's pool when done
 	dst  *NIC // destination NIC, set by the link stage at transmit time
 	// deliver hands the fragment to dst after the wire delay. Built
 	// once per record and reused across recycles, so the per-fragment
@@ -211,17 +209,19 @@ type frag struct {
 	deliver func()
 }
 
-// getFrag takes a fragment record from the transmit pool.
+// fragFree holds fragment records nobody references any more, for every
+// NIC: process-wide for the reason recordFree is, and bounded the same
+// way, by the process's peak of fragments in flight at once.
+var fragFree mem.FreeList[frag]
+
+// getFrag takes a fragment record from fragFree.
 //
 // allocfree
 func (n *NIC) getFrag(m *Message, idx, size int) *frag {
-	var f *frag
-	if k := len(n.fragFree); k > 0 {
-		f = n.fragFree[k-1]
-		n.fragFree = n.fragFree[:k-1]
-	} else {
-		//analyze:allow allocfree pool-miss cold path, record recycled forever after
-		f = &frag{src: n}
+	f := fragFree.Get()
+	if f == nil {
+		//analyze:allow allocfree free-list miss cold path, record recycled forever after
+		f = &frag{}
 		//analyze:allow allocfree built once per record, reused across recycles
 		f.deliver = func() {
 			// Death is checked at delivery time: a frame already on the
@@ -229,7 +229,7 @@ func (n *NIC) getFrag(m *Message, idx, size int) *frag {
 			// vanishes.
 			if f.dst.dead {
 				f.dst.Dropped.Add(f.size)
-				f.src.putFrag(f)
+				putFrag(f)
 				return
 			}
 			f.dst.rxq.Send(f)
@@ -242,9 +242,9 @@ func (n *NIC) getFrag(m *Message, idx, size int) *frag {
 // putFrag recycles a fragment record nobody references anymore.
 //
 // allocfree
-func (n *NIC) putFrag(f *frag) {
+func putFrag(f *frag) {
 	f.msg, f.dst = nil, nil
-	n.fragFree = append(n.fragFree, f)
+	fragFree.Put(f)
 }
 
 func newNIC(node *Node, model LinkModel) *NIC {
@@ -687,7 +687,7 @@ func (n *NIC) linkBegin() {
 	if n.dead {
 		// Frames still queued for the wire when the card died.
 		n.Dropped.Add(f.size)
-		n.putFrag(f)
+		putFrag(f)
 		n.linkNext()
 		return
 	}
@@ -724,14 +724,14 @@ func (n *NIC) rxPump(p *sim.Proc) {
 		n.stall(p)
 		if n.dead {
 			n.Dropped.Add(f.size)
-			f.src.putFrag(f)
+			putFrag(f)
 			continue
 		}
 		// Copy what the rest of the iteration needs and recycle the
 		// record before yielding in RxDMA (the source NIC may reuse it
 		// for a later fragment meanwhile).
 		m, size := f.msg, f.size
-		f.src.putFrag(f)
+		putFrag(f)
 		n.RxDMA.Use(p, n.p.DMATime(n.model, size))
 		m.arrived++
 		n.step("rxdma", m, m.arrived-1)

@@ -139,9 +139,6 @@ type Params struct {
 	// SockMXOverhead is the per-call protocol work of SOCKETS-MX above
 	// raw MX (measured 1 µs including the ~400 ns syscall).
 	SockMXOverhead time.Duration
-	// SockGMDispatch is the extra dispatching-kernel-thread hop of
-	// SOCKETS-GM per message, each way.
-	SockGMDispatch time.Duration
 	// SockGMOverhead is SOCKETS-GM's per-call protocol work.
 	SockGMOverhead time.Duration
 
@@ -212,7 +209,6 @@ func DefaultParams() *Params {
 		MXLargeOverhead: 60 * us,
 
 		SockMXOverhead: 600 * ns,
-		SockGMDispatch: 4 * us,
 		SockGMOverhead: 1 * us,
 
 		TCPPerMessage: 15 * us,

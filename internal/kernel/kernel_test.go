@@ -629,3 +629,89 @@ func BenchmarkBufferedReadAt64K(b *testing.B) {
 	})
 	env.Run(0)
 }
+
+// A page-cache hit is held while its reader copies it out: another
+// process's miss on the same node must not evict it and hand its frame
+// to the fill meanwhile. With a two-page cache holding pages 0 and 1,
+// reader A hits page 0 and parks copying it while B hits page 1 and
+// then misses page 2, whose fill needs a page evicted: page 0 is the
+// least recently used of the two once B touched page 1, so only A's
+// hold keeps B from freeing its frame, which the fill would take and
+// zero under A's copy.
+func TestHitHeldWhileCopied(t *testing.T) {
+	env := sim.NewEngine()
+	node := hw.NewCluster(env, hw.DefaultParams(), hw.PCIXD).AddNode("n")
+	osys := kernel.NewOS(node, 2)
+	fs := memfs.New("memfs", node, 0)
+	osys.Mount("/mnt", fs)
+	data := pattern(3 * mem.PageSize)
+	var got []byte
+	env.Spawn("a", func(p *sim.Proc) {
+		a, err := fs.Create(p, fs.Root(), "f")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := fs.WriteAt(a.Ino, 0, data); err != nil {
+			t.Fatal(err)
+		}
+		f, err := osys.Open(p, "/mnt/f", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		as := node.NewUserSpace("a")
+		va, _ := as.Mmap(2*mem.PageSize, "buf")
+		if _, err := f.ReadAt(p, as, va, 2*mem.PageSize, 0); err != nil { // pages 0 and 1 resident
+			t.Fatal(err)
+		}
+		// B runs once A is past its syscall and VFS costs: inside the
+		// copy of its hit.
+		prm := node.Cluster.Params
+		env.Spawn("b", func(p *sim.Proc) {
+			p.Sleep(prm.Syscall + prm.VFSOp + 1)
+			for _, idx := range []int64{1, 2} {
+				pg, err := osys.PC.FillChunk(p, fs, a.Ino, idx, 1)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				osys.PC.Unbusy(pg)
+			}
+		})
+		if _, err := f.ReadAt(p, as, va, mem.PageSize, 0); err != nil {
+			t.Fatal(err)
+		}
+		got, _ = as.ReadBytes(va, mem.PageSize)
+	})
+	env.Run(0)
+	if !bytes.Equal(got, data[:mem.PageSize]) {
+		t.Fatalf("the reader of page 0 got %d zero bytes, not the page: its frame was evicted and refilled under the copy",
+			bytes.Count(got, []byte{0}))
+	}
+}
+
+// InvalidateInode drops a held page from the cache at once but keeps
+// its frame, bytes intact, for its holder: the last Unbusy frees it.
+func TestInvalidateDefersAHeldPage(t *testing.T) {
+	run(t, func(r *rig, p *sim.Proc) {
+		data := pattern(mem.PageSize)
+		r.writeFile(t, p, "/mnt/f", data)
+		a := mustStat(t, r, p, "/mnt/f")
+		r.os.PC.InvalidateInode(r.fs, a.Ino)
+		pg, err := r.os.PC.Fill(p, r.fs, a.Ino, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		held := r.node.Mem.Allocated()
+		r.os.PC.InvalidateInode(r.fs, a.Ino)
+		if r.os.PC.Resident() != 0 {
+			t.Fatalf("%d pages resident after the invalidate", r.os.PC.Resident())
+		}
+		if got := r.node.Mem.Allocated(); got != held || !bytes.Equal(pg.Frame.Data(), data) {
+			t.Fatalf("the held page's frame was freed or changed under its holder (%d frames allocated, want %d)", got, held)
+		}
+		r.os.PC.Unbusy(pg)
+		if got := r.node.Mem.Allocated(); got != held-1 {
+			t.Fatalf("%d frames allocated after the last Unbusy, want %d", got, held-1)
+		}
+	})
+}

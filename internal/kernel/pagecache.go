@@ -1,8 +1,8 @@
 package kernel
 
 // This file is the page cache: per-(filesystem, inode, page) frames
-// with LRU eviction, busy pinning, dirty tracking and writeback, plus
-// the chunked fill path that models Linux 2.6-style read combining.
+// with LRU eviction, holds, dirty tracking and writeback, plus the
+// chunked fill path that models Linux 2.6-style read combining.
 import (
 	"cmp"
 	"fmt"
@@ -49,16 +49,39 @@ type inodePages struct {
 	dirty int
 }
 
-// CachedPage is one resident page.
+// CachedPage is one resident page. Its record and frame are recycled
+// once it is removed and no holder remains (the page-hold rule): a holder —
+// an operation that got it from Fill, FillChunk or Add, until its
+// Unbusy — may read and write the page across parks, for a held page is
+// never evicted and one InvalidateInode drops keeps its frame until the
+// last Unbusy.
 type CachedPage struct {
 	key   pcKey
 	Frame *mem.Frame
 	N     int // valid bytes (short only for the EOF page)
 	Dirty bool
-	busy  bool        // pinned by an in-progress operation (not evictable)
+	holds int         // in-progress operations holding the page (not evictable while > 0)
 	ip    *inodePages // the file's index while resident, nil once removed
 
 	prev, next *CachedPage // recency-ring neighbours while resident
+}
+
+// freePages holds removed pages' records for the next fills, process-wide
+// for the reason mem's frame list is (mem.FreeList).
+var freePages mem.FreeList[CachedPage]
+
+// newPage returns a page record for frame f, as page key with n valid
+// bytes, reusing a removed page's record when there is one.
+//
+// allocfree
+func newPage(key pcKey, f *mem.Frame, n int) *CachedPage {
+	pg := freePages.Get()
+	if pg == nil {
+		//analyze:allow allocfree free-list miss: the record recycles from here on
+		pg = new(CachedPage)
+	}
+	*pg = CachedPage{key: key, Frame: f, N: n}
+	return pg
 }
 
 // NewPageCache creates a cache bounded to maxPages resident pages
@@ -153,7 +176,7 @@ func (pc *PageCache) Lookup(fs FileSystem, ino InodeID, idx int64) *CachedPage {
 // Fill reads page idx of (fs, ino) into the cache and returns it,
 // allocating a frame (charged to the CPU) and calling fs.ReadPage —
 // which for a remote filesystem is a network transfer straight into the
-// frame. On miss+fill the returned page is marked busy until Unbusy.
+// frame. The returned page, hit or fill, is held until Unbusy.
 func (pc *PageCache) Fill(p *sim.Proc, fs FileSystem, ino InodeID, idx int64) (*CachedPage, error) {
 	return pc.FillChunk(p, fs, ino, idx, 1)
 }
@@ -161,9 +184,12 @@ func (pc *PageCache) Fill(p *sim.Proc, fs FileSystem, ino InodeID, idx int64) (*
 // FillChunk is Fill with request combining: on a miss, up to chunk
 // consecutive uncached pages are fetched in one vectorial request if
 // the filesystem supports PageRangeReader (the Linux 2.6 behaviour the
-// paper's §3.3 anticipates). The page at idx is returned busy.
+// paper's §3.3 anticipates). The page at idx is returned held, a hit as
+// much as a fill: its caller parks copying it, and another process's
+// miss must not evict it and reuse its frame meanwhile.
 func (pc *PageCache) FillChunk(p *sim.Proc, fs FileSystem, ino InodeID, idx int64, chunk int) (*CachedPage, error) {
 	if pg := pc.Lookup(fs, ino, idx); pg != nil {
+		pg.holds++
 		return pg, nil
 	}
 	rr, vectorial := fs.(PageRangeReader)
@@ -219,10 +245,10 @@ func (pc *PageCache) FillChunk(p *sim.Proc, fs FileSystem, ino InodeID, idx int6
 		if n > mem.PageSize {
 			n = mem.PageSize
 		}
-		pg := &CachedPage{key: pcKey{inodeKey{fs, ino}, idx + int64(i)}, Frame: f, N: n}
+		pg := newPage(pcKey{inodeKey{fs, ino}, idx + int64(i)}, f, n)
 		pc.insert(pg)
 		if i == 0 {
-			pg.busy = true
+			pg.holds++
 			first = pg
 		}
 	}
@@ -230,7 +256,7 @@ func (pc *PageCache) FillChunk(p *sim.Proc, fs FileSystem, ino InodeID, idx int6
 }
 
 // Add inserts a fresh writable page without reading from the backing
-// store (whole-page overwrite).
+// store (whole-page overwrite), held until Unbusy.
 func (pc *PageCache) Add(p *sim.Proc, fs FileSystem, ino InodeID, idx int64) (*CachedPage, error) {
 	if err := pc.makeRoom(p); err != nil {
 		return nil, err
@@ -240,13 +266,36 @@ func (pc *PageCache) Add(p *sim.Proc, fs FileSystem, ino InodeID, idx int64) (*C
 	if err != nil {
 		return nil, err
 	}
-	pg := &CachedPage{key: pcKey{inodeKey{fs, ino}, idx}, Frame: frame, busy: true}
+	pg := newPage(pcKey{inodeKey{fs, ino}, idx}, frame, 0)
+	pg.holds++
 	pc.insert(pg)
 	return pg, nil
 }
 
-// Unbusy clears the busy mark set by Fill/Add.
-func (pc *PageCache) Unbusy(pg *CachedPage) { pg.busy = false }
+// hold takes one more hold on a resident page for an in-progress
+// operation; Unbusy gives it back.
+func (pc *PageCache) hold(pg *CachedPage) { pg.holds++ }
+
+// Unbusy gives back one hold taken by Fill, FillChunk, Add or hold. The
+// last hold on a page removed while held frees its frame and recycles
+// its record (free); the caller gives up its pointer.
+//
+// allocfree
+func (pc *PageCache) Unbusy(pg *CachedPage) {
+	if pg.holds--; pg.holds == 0 && pg.ip == nil {
+		pc.free(pg)
+	}
+}
+
+// free gives a removed, unheld page's frame back to the allocator and
+// its record to freePages.
+//
+// allocfree
+func (pc *PageCache) free(pg *CachedPage) {
+	pc.node.Mem.Put(pg.Frame)
+	*pg = CachedPage{}
+	freePages.Put(pg)
+}
 
 func (pc *PageCache) makeRoom(p *sim.Proc) error {
 	if pc.maxPages <= 0 {
@@ -255,12 +304,20 @@ func (pc *PageCache) makeRoom(p *sim.Proc) error {
 	for pc.resident >= pc.maxPages {
 		evicted := false
 		for pg := pc.lru.prev; pg != &pc.lru; pg = pg.prev {
-			if pg.busy {
+			if pg.holds > 0 {
 				continue
 			}
 			if pg.Dirty {
-				if err := pc.writeback(p, pg); err != nil {
+				pc.hold(pg) // the writeback parks: keep the record meanwhile
+				err := pc.writeback(p, pg)
+				stale := pg.holds > 1 || pg.ip == nil // held or dropped while parked
+				pc.Unbusy(pg)
+				if err != nil {
 					return err
+				}
+				if stale {
+					evicted = true // look again
+					break
 				}
 			}
 			pc.remove(pg)
@@ -274,6 +331,8 @@ func (pc *PageCache) makeRoom(p *sim.Proc) error {
 	return nil
 }
 
+// remove takes pg out of the cache. Its frame and record are freed now,
+// or at the last Unbusy of a held page (the hold rule).
 func (pc *PageCache) remove(pg *CachedPage) {
 	pc.setDirty(pg, false)
 	delete(pg.ip.pages, pg.key.idx)
@@ -283,11 +342,17 @@ func (pc *PageCache) remove(pg *CachedPage) {
 	pg.ip = nil
 	pc.resident--
 	pc.unlink(pg)
-	pc.node.Mem.Put(pg.Frame)
+	if pg.holds == 0 {
+		pc.free(pg)
+	}
 }
 
+// writeback writes pg back to its file, holding it while the write
+// parks.
 func (pc *PageCache) writeback(p *sim.Proc, pg *CachedPage) error {
 	pc.WritebackCount.Add(pg.N)
+	pc.hold(pg)
+	defer pc.Unbusy(pg)
 	if err := pg.key.fs.WritePage(p, pg.key.ino, pg.key.idx, pg.Frame, pg.N); err != nil {
 		return err
 	}
@@ -311,15 +376,25 @@ func (ip *inodePages) sorted(dirtyOnly bool) []*CachedPage {
 }
 
 // FlushInode writes back all dirty pages of (fs, ino) in page order
-// (fsync / close semantics).
+// (fsync / close semantics). Each writeback parks, and another process
+// may evict or drop a page meanwhile, and its record be recycled: the
+// flush walks the dirty pages' indices and writes back what is still
+// resident and dirty under each.
 func (pc *PageCache) FlushInode(p *sim.Proc, fs FileSystem, ino InodeID) error {
 	ip := pc.inodes[inodeKey{fs, ino}]
 	if ip == nil || ip.dirty == 0 {
 		return nil
 	}
-	for _, pg := range ip.sorted(true) {
-		if err := pc.writeback(p, pg); err != nil {
-			return err
+	pages := ip.sorted(true)
+	idxs := make([]int64, len(pages))
+	for i, pg := range pages {
+		idxs[i] = pg.key.idx
+	}
+	for _, idx := range idxs {
+		if pg := pc.page(fs, ino, idx); pg != nil && pg.Dirty {
+			if err := pc.writeback(p, pg); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
@@ -327,7 +402,7 @@ func (pc *PageCache) FlushInode(p *sim.Proc, fs FileSystem, ino InodeID) error {
 
 // InvalidateInode drops all pages of (fs, ino), discarding dirty data
 // (used by truncate/unlink and O_DIRECT coherence). Frames are freed in
-// page order.
+// page order — a held page's at its last Unbusy.
 func (pc *PageCache) InvalidateInode(fs FileSystem, ino InodeID) {
 	ip := pc.inodes[inodeKey{fs, ino}]
 	if ip == nil {

@@ -432,7 +432,7 @@ func (f *File) WriteAt(p *sim.Proc, as *vm.AddressSpace, va vm.VirtAddr, n int, 
 			if pg = o.PC.Lookup(f.fs, f.attr.Ino, idx); pg == nil {
 				pg, err = o.PC.Add(p, f.fs, f.attr.Ino, idx)
 			} else {
-				pg.busy = true
+				o.PC.hold(pg)
 			}
 		} else {
 			pg, err = o.PC.Fill(p, f.fs, f.attr.Ino, idx) // RMW

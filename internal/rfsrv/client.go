@@ -99,6 +99,8 @@ type FabricClient struct {
 // until retire releases them (drop). batch holds
 // the requests of a combined message the slot sent (Session.startBatch),
 // whose one reply answers them all, until retire; nil for one request.
+// answers is where retire decodes the slot's reply: records its caller
+// copies what it keeps out of before the slot is handed on.
 // Each is rebuilt in place: a slot is reused only once its request is
 // retired, when none is still in use (retire, settle).
 type ctlBufs struct {
@@ -107,6 +109,7 @@ type ctlBufs struct {
 	reqVec, hdrVec, dataVec core.Vector
 	pieces, sends           []fabric.Op
 	batch                   []*Req
+	answers                 []Resp
 	req                     Req
 	pd                      Pending
 }
@@ -585,7 +588,7 @@ func (c *FabricClient) sendData(p *sim.Proc, b *ctlBufs, seq uint64, src core.Ve
 }
 
 // finish waits for fl's reply (at most d; 0 = forever) and decodes its
-// answers from the header buffer, appending them to out: one per
+// answers from the header buffer, appending them to out by value: one per
 // request fl's message carried (ctlBufs.batch), in order, each under
 // its own sequence number (fl.seq, fl.seq+1, …). A combined reply may
 // end early only where the combined-reply rule lets the server stop
@@ -595,7 +598,7 @@ func (c *FabricClient) sendData(p *sim.Proc, b *ctlBufs, seq uint64, src core.Ve
 // is the first answer's status that is not StOK. On expiry the posted
 // receive is withdrawn (so the slot's buffer can be reused) and the
 // error satisfies fabric.IsFault.
-func (c *FabricClient) finish(p *sim.Proc, fl *flight, d sim.Time, out []*Resp) ([]*Resp, error) {
+func (c *FabricClient) finish(p *sim.Proc, fl *flight, d sim.Time, out []Resp) ([]Resp, error) {
 	st, ok := c.waitData(p, fl.hdrOp, d)
 	if !ok {
 		return out, fmt.Errorf("rfsrv: reply for request %d: %w", fl.seq, fabric.ErrTimeout)
@@ -610,10 +613,10 @@ func (c *FabricClient) finish(p *sim.Proc, fl *flight, d sim.Time, out []*Resp) 
 	if err := c.as.ReadBytesInto(fl.bufs.hdrVA, raw); err != nil {
 		return out, err
 	}
-	// DecodeResps copies everything it keeps (names become fresh
+	// decodeAnswers copies everything it keeps (names become fresh
 	// strings), so the scratch is free for the next reply.
 	at := len(out)
-	out, err := DecodeResps(raw, out)
+	out, err := decodeAnswers(raw, out)
 	if err != nil {
 		return out[:at], err
 	}
@@ -622,13 +625,13 @@ func (c *FabricClient) finish(p *sim.Proc, fl *flight, d sim.Time, out []*Resp) 
 	if len(got) == 0 || len(got) > want || len(got) < want && !endsEarly(batch[len(got)].Op, len(raw)) {
 		return out[:at], fmt.Errorf("rfsrv: reply for request %d carries %d answers for %d requests", fl.seq, len(got), want)
 	}
-	for i, r := range got {
-		if r.Seq != fl.seq+uint64(i) {
+	for i := range got {
+		if r := &got[i]; r.Seq != fl.seq+uint64(i) {
 			return out[:at], fmt.Errorf("rfsrv: answer %d for seq %d, want %d", i, r.Seq, fl.seq+uint64(i))
 		}
 	}
-	for _, r := range got {
-		if err := ErrOf(r.Status); err != nil {
+	for i := range got {
+		if err := ErrOf(got[i].Status); err != nil {
 			return out, err
 		}
 	}
@@ -734,7 +737,7 @@ func (c *FabricClient) issue(p *sim.Proc, b *ctlBufs, req *Req, data core.Vector
 // the caller's memory go back only once the sends that gather from them
 // are done (settle). Every receive retire made inert, and every send
 // done by then, goes back to the transport (Op.Release).
-func (c *FabricClient) retire(p *sim.Proc, fl *flight, out []*Resp) ([]*Resp, error) {
+func (c *FabricClient) retire(p *sim.Proc, fl *flight, out []Resp) ([]Resp, error) {
 	var dataErr error
 	for _, op := range fl.bufs.pieces {
 		st, ok := c.waitData(p, op, c.deadlineFrom(p, fl.issued))
@@ -773,17 +776,20 @@ func (c *FabricClient) retire(p *sim.Proc, fl *flight, out []*Resp) ([]*Resp, er
 	return out, err
 }
 
-// retireOne retires a flight of one request and returns its answer, nil
-// when none came.
+// retireOne retires a flight of one request and returns its answer,
+// copied out of the slot's records into the caller's, into, or nil when
+// none came.
 //
 // allocfree
-func (c *FabricClient) retireOne(p *sim.Proc, fl *flight) (*Resp, error) {
-	var one [1]*Resp
-	out, err := c.retire(p, fl, one[:0])
+func (c *FabricClient) retireOne(p *sim.Proc, fl *flight, into *Resp) (*Resp, error) {
+	b := fl.bufs
+	out, err := c.retire(p, fl, b.answers[:0])
+	b.answers = out[:0]
 	if len(out) == 0 {
 		return nil, err
 	}
-	return out[0], err
+	*into = out[0]
+	return into, err
 }
 
 // settle is the client half of the one staging rule (Server.reply
@@ -851,10 +857,11 @@ func (c *FabricClient) startCtl(p *sim.Proc, req *Req) (flight, error) {
 	return fl, err
 }
 
-// waitCtl retires a startCtl flight and releases the control path.
-func (c *FabricClient) waitCtl(p *sim.Proc, fl *flight) (*Resp, error) {
+// waitCtl retires a startCtl flight into the caller's record (retireOne)
+// and releases the control path.
+func (c *FabricClient) waitCtl(p *sim.Proc, fl *flight, into *Resp) (*Resp, error) {
 	defer c.lock.Release()
-	return c.retireOne(p, fl)
+	return c.retireOne(p, fl, into)
 }
 
 // ctlData is one synchronous data-shaped request on the control path:
@@ -864,8 +871,9 @@ func (c *FabricClient) waitCtl(p *sim.Proc, fl *flight) (*Resp, error) {
 // pendings may hold every window slot of this server. A write is ONE
 // request, so data is at most MaxWriteChunk (every caller moves a
 // stripe fragment or a staged chunk, both bounded by it) and a short
-// count is the caller's error.
-func (c *FabricClient) ctlData(p *sim.Proc, op Op, ino kernel.InodeID, off int64, data core.Vector) (*Resp, error) {
+// count is the caller's error. The answer goes into the caller's record
+// (retireOne).
+func (c *FabricClient) ctlData(p *sim.Proc, op Op, ino kernel.InodeID, off int64, data core.Vector, into *Resp) (*Resp, error) {
 	c.lock.Acquire(p)
 	defer c.lock.Release()
 	c.ctl.req = Req{Op: op, Ino: ino, Off: off, Len: uint32(data.TotalLen())}
@@ -873,7 +881,7 @@ func (c *FabricClient) ctlData(p *sim.Proc, op Op, ino kernel.InodeID, off int64
 	if err != nil {
 		return nil, err
 	}
-	return c.retireOne(p, &fl)
+	return c.retireOne(p, &fl, into)
 }
 
 func hasUserSeg(v core.Vector) bool {

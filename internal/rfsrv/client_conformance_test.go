@@ -172,11 +172,14 @@ func TestMetaOpsOverBothTransports(t *testing.T) {
 		t.Run(transport, func(t *testing.T) {
 			overClients(t, transport, func(t *testing.T, r *confRig, p *sim.Proc) {
 				cl := r.cl
+				// A synchronous reply is valid until the client's next
+				// call: keep copies of what later steps compare.
 				root, err := cl.Meta(p, &rfsrv.Req{Op: rfsrv.OpGetattr, Ino: 0})
 				if err != nil || root.Attr.Kind != kernel.Directory {
 					t.Fatalf("root getattr: %+v %v", root, err)
 				}
-				mk, err := cl.Meta(p, &rfsrv.Req{Op: rfsrv.OpMkdir, Ino: root.Attr.Ino, Name: "d"})
+				rootAttr := root.Attr
+				mk, err := cl.Meta(p, &rfsrv.Req{Op: rfsrv.OpMkdir, Ino: rootAttr.Ino, Name: "d"})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -188,24 +191,25 @@ func TestMetaOpsOverBothTransports(t *testing.T) {
 				if err != nil || lk.Attr.Kind != kernel.RegularFile {
 					t.Fatalf("lookup: %+v %v", lk, err)
 				}
+				file := lk.Attr.Ino
 				rd, err := cl.Meta(p, &rfsrv.Req{Op: rfsrv.OpReaddir, Ino: dir})
 				if err != nil || len(rd.Entries) != 1 || rd.Entries[0].Name != "f" {
 					t.Fatalf("readdir: %+v %v", rd, err)
 				}
-				if _, err := cl.Meta(p, &rfsrv.Req{Op: rfsrv.OpLookup, Ino: root.Attr.Ino, Name: "nope"}); err != kernel.ErrNotFound {
+				if _, err := cl.Meta(p, &rfsrv.Req{Op: rfsrv.OpLookup, Ino: rootAttr.Ino, Name: "nope"}); err != kernel.ErrNotFound {
 					t.Fatalf("missing lookup: %v", err)
 				}
 				// Rename is part of Client: across directories, then
 				// the old name is gone and the new one is the same file.
-				if _, err := cl.Rename(p, dir, "f", root.Attr.Ino, "g"); err != nil {
+				if _, err := cl.Rename(p, dir, "f", rootAttr.Ino, "g"); err != nil {
 					t.Fatalf("rename: %v", err)
 				}
 				if _, err := cl.Meta(p, &rfsrv.Req{Op: rfsrv.OpLookup, Ino: dir, Name: "f"}); err != kernel.ErrNotFound {
 					t.Fatalf("lookup of the renamed-away name: %v", err)
 				}
-				moved, err := cl.Meta(p, &rfsrv.Req{Op: rfsrv.OpLookup, Ino: root.Attr.Ino, Name: "g"})
-				if err != nil || moved.Attr.Ino != lk.Attr.Ino {
-					t.Fatalf("lookup of the new name: %+v %v, want inode %d", moved, err, lk.Attr.Ino)
+				moved, err := cl.Meta(p, &rfsrv.Req{Op: rfsrv.OpLookup, Ino: rootAttr.Ino, Name: "g"})
+				if err != nil || moved.Attr.Ino != file {
+					t.Fatalf("lookup of the new name: %+v %v, want inode %d", moved, err, file)
 				}
 				if _, err := cl.Rename(p, dir, "nope", dir, "x"); err != kernel.ErrNotFound {
 					t.Fatalf("rename of a missing name: %v", err)

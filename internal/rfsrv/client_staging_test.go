@@ -237,7 +237,7 @@ func TestFailedPayloadSendKeepsTheRequestsStaging(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if _, err := fc.retireOne(p, &fl); !fabric.IsFault(err) {
+				if _, err := fc.retireOne(p, &fl, new(Resp)); !fabric.IsFault(err) {
 					t.Errorf("a lookup against a silent server = %v, want a timeout", err)
 				}
 				done = true

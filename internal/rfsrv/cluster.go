@@ -175,7 +175,9 @@ type Cluster struct {
 	targetScratch []int
 	tailScratch   []int
 	fanFlights    []fanFlight
-	respScratch   []*Resp // reply scratch of fan and of runShares' waits (neither runs inside the other)
+	answers       []Resp  // reply records of fan and of runShares' waits (neither runs inside the other)
+	respScratch   []*Resp // fan's answers, pointers into answers
+	metaResp      Resp    // metaFirstAlive's reply record, valid until its next round trip
 	fanReq        Req
 	shares        []share // runShares' per-slot scratch (newShares)
 	mintTried     []int   // groupMint's members asked
@@ -534,13 +536,16 @@ func withReplica[T any](cl *Cluster, lay LayoutClass, ino kernel.InodeID, off in
 
 // metaFirstAlive is firstAlive for one metadata round trip on the
 // control path. The answer is the control-path revalidation point: its
-// epoch either confirms the cached size or invalidates it.
+// epoch either confirms the cached size or invalidates it. It lives in
+// the cluster's record (metaResp) until the next metaFirstAlive: a fan
+// does not touch it.
 func (cl *Cluster) metaFirstAlive(p *sim.Proc, req *Req, pick func() int, dead func() error) (*Resp, int, error) {
 	resp, idx, err := firstAlive(cl, 0, pick, dead, func(idx int) (*Resp, error) {
-		return cl.syncMeta(p, idx, req)
+		return cl.syncMeta(p, idx, req, &cl.metaResp)
 	})
 	if resp == nil {
-		resp = &Resp{Status: StatusOf(err)}
+		cl.metaResp = Resp{Status: StatusOf(err)}
+		resp = &cl.metaResp
 	}
 	cl.observeResp(resp)
 	return resp, idx, err
@@ -573,23 +578,29 @@ func (cl *Cluster) runs(lay LayoutClass, ino kernel.InodeID, off int64, n int, s
 
 // part is one per-server request of a striped operation.
 type part struct {
-	pd     *Pending
-	r      run
-	want   int         // expected byte count (writes)
-	ridx   int         // index of the run this part belongs to
-	target int         // server the request was issued to
-	vec    core.Vector // destination slice (reads: kept for failover reissue), its array kept across recycles
-	resp   *Resp
-	err    error
-	done   bool
+	pd       *Pending
+	r        run
+	want     int         // expected byte count (writes)
+	ridx     int         // index of the run this part belongs to
+	target   int         // server the request was issued to
+	vec      core.Vector // destination slice (reads: kept for failover reissue), its array kept across recycles
+	resp     Resp        // the part's reply, when answered: its own copy, for the slot's is the slot's next request's
+	answered bool
+	err      error
+	done     bool
 }
 
 // retire waits the part once and memoizes its outcome.
+//
+// allocfree
 func (pt *part) retire(p *sim.Proc) {
 	if pt.done {
 		return
 	}
-	pt.resp, pt.err = pt.pd.Wait(p)
+	resp, err := pt.pd.Wait(p)
+	if pt.answered, pt.err = resp != nil, err; pt.answered {
+		pt.resp = *resp
+	}
 	pt.done = true
 }
 
@@ -609,8 +620,8 @@ func (cl *Cluster) getPart() *part {
 }
 
 // putParts returns retired parts to the freelist. Callers must drop
-// every reference first (results are merged into fresh Resps before
-// any part is recycled).
+// every reference first (results are merged into the pending's own
+// reply before any part is recycled).
 func (cl *Cluster) putParts(parts []*part) {
 	cl.partFree = append(cl.partFree, parts...)
 }
@@ -634,7 +645,7 @@ func makeRoom(p *sim.Proc, s *Session, parts []*part) {
 func mergeAttr(parts []*part) kernel.Attr {
 	var attr kernel.Attr
 	for _, pt := range parts {
-		if pt.resp != nil && (attr.Ino == 0 || pt.resp.Attr.Size > attr.Size) {
+		if pt.answered && (attr.Ino == 0 || pt.resp.Attr.Size > attr.Size) {
 			attr = pt.resp.Attr
 		}
 	}
@@ -707,7 +718,8 @@ func (cl *Cluster) failoverReads(p *sim.Proc, lay LayoutClass, ino kernel.InodeI
 			}
 			cl.Failovers.Add(pt.r.n)
 			pt.target = idx
-			pt.resp, pt.err = cl.sessions[idx].c.ctlData(p, OpRead, ino, pt.r.off, pt.vec)
+			resp, err := cl.sessions[idx].c.ctlData(p, OpRead, ino, pt.r.off, pt.vec, &pt.resp)
+			pt.answered, pt.err = resp != nil, err
 			if pt.err == nil {
 				cl.StripeReads.Add(pt.r.n)
 			}
@@ -737,7 +749,9 @@ func (cl *Cluster) Read(p *sim.Proc, ino kernel.InodeID, off int64, dst core.Vec
 
 // mergeRead folds per-run read responses into one: byte count is the
 // contiguous prefix, attributes are the authoritative merge.
-func mergeRead(parts []*part) *Resp {
+//
+// allocfree
+func mergeRead(parts []*part) Resp {
 	n := 0
 	for _, pt := range parts {
 		n += int(pt.resp.N)
@@ -745,7 +759,7 @@ func mergeRead(parts []*part) *Resp {
 			break // EOF inside this run; later runs are past the end
 		}
 	}
-	return &Resp{Status: StOK, Attr: mergeAttr(parts), Epoch: mergeEpoch(parts), N: uint32(n)}
+	return Resp{Status: StOK, Attr: mergeAttr(parts), Epoch: mergeEpoch(parts), N: uint32(n)}
 }
 
 // mergeEpoch picks the newest size epoch out of per-server responses
@@ -754,7 +768,7 @@ func mergeRead(parts []*part) *Resp {
 func mergeEpoch(parts []*part) uint64 {
 	var e uint64
 	for _, pt := range parts {
-		if pt.resp != nil && pt.resp.Epoch > e {
+		if pt.answered && pt.resp.Epoch > e {
 			e = pt.resp.Epoch
 		}
 	}
@@ -820,7 +834,8 @@ func (cl *Cluster) Write(p *sim.Proc, ino kernel.InodeID, off int64, src core.Ve
 }
 
 // finishWriteParts is the shared epilogue of the two replicated write
-// paths (Cluster.Write and clusterPending.Wait); every part must
+// paths (Cluster.Write and StartWrite, both through clusterPending.Wait),
+// returning the merged reply by value; every part must
 // already be retired. Transport faults exclude their server; a
 // non-fault error or a clean-but-short chunk aborts (a short chunk at
 // a fixed offset is a hole, not a prefix, exactly like Session.Write's
@@ -828,30 +843,30 @@ func (cl *Cluster) Write(p *sim.Proc, ino kernel.InodeID, off int64, src core.Ve
 // run coverage instead); otherwise every run must retain one replica
 // all of whose chunks are clean. On success the merged response covers
 // all `total` logical bytes.
-func (cl *Cluster) finishWriteParts(ino kernel.InodeID, runs []run, parts []*part, total int) (*Resp, error) {
+func (cl *Cluster) finishWriteParts(ino kernel.InodeID, runs []run, parts []*part, total int) (Resp, error) {
 	for _, pt := range parts {
 		if pt.err != nil && fabric.IsFault(pt.err) {
 			cl.markDown(pt.target)
 		}
 	}
 	if err := firstAppError(parts); err != nil {
-		return &Resp{Status: StatusOf(err), Attr: mergeAttr(parts)}, err
+		return Resp{Status: StatusOf(err), Attr: mergeAttr(parts)}, err
 	}
 	for _, pt := range parts {
 		if pt.err == nil && int(pt.resp.N) != pt.want {
 			err := fmt.Errorf("rfsrv: short striped write (%d of %d) at %d", pt.resp.N, pt.want, pt.r.off)
-			return &Resp{Status: StIO, Attr: mergeAttr(parts)}, err
+			return Resp{Status: StIO, Attr: mergeAttr(parts)}, err
 		}
 	}
 	if err := cl.checkRunCoverage(runs, parts); err != nil {
-		return &Resp{Status: StatusOf(err)}, err
+		return Resp{Status: StatusOf(err)}, err
 	}
 	// The write succeeded; record its byte ranges for every re-copy that
 	// must see them: the resync journal of every excluded replica
 	// (skipped at issue or faulted above), for Reinstate, and a running
 	// migration's dirty set, for the membership change.
 	cl.journalRunDirty(ino, runs)
-	return &Resp{Status: StOK, Attr: mergeAttr(parts), Epoch: mergeEpoch(parts), N: uint32(total)}, nil
+	return Resp{Status: StOK, Attr: mergeAttr(parts), Epoch: mergeEpoch(parts), N: uint32(total)}, nil
 }
 
 // checkRunCoverage verifies, after a replicated write's parts retired,
@@ -1014,7 +1029,10 @@ func (cl *Cluster) SetFileSize(p *sim.Proc, ino kernel.InodeID, size int64) erro
 // ---- pipelined data path (Async) ----
 
 // clusterPending is one striped in-flight operation: the per-server
-// parts of a single logical read or write.
+// parts of a single logical read or write, and the merged reply's
+// record — the cluster's own pending's (syncOp) for the synchronous
+// verbs, valid until the next one, and a Start* caller's for as long as
+// it keeps the pending.
 type clusterPending struct {
 	cl     *Cluster
 	ino    kernel.InodeID
@@ -1025,7 +1043,7 @@ type clusterPending struct {
 	issued sim.Time
 
 	done bool
-	resp *Resp
+	resp Resp
 	err  error
 
 	gated bool // counted in the view's pending until Wait
@@ -1069,7 +1087,7 @@ func (cp *clusterPending) abandon(p *sim.Proc, err error) error {
 // second Wait needs.
 func (cp *clusterPending) Wait(p *sim.Proc) (*Resp, error) {
 	if cp.done {
-		return cp.resp, cp.err
+		return &cp.resp, cp.err
 	}
 	cp.done = true
 	for _, pt := range cp.parts {
@@ -1081,11 +1099,13 @@ func (cp *clusterPending) Wait(p *sim.Proc) (*Resp, error) {
 		cp.resp, cp.err = cp.cl.finishWriteParts(cp.ino, cp.runs, cp.parts, cp.want)
 	}
 	for _, pt := range cp.parts {
-		cp.cl.observeResp(pt.resp)
+		if pt.answered {
+			cp.cl.observeResp(&pt.resp)
+		}
 	}
 	if cp.want < 0 {
 		if err := firstError(cp.parts); err != nil {
-			cp.resp, cp.err = &Resp{Status: StatusOf(err), Attr: mergeAttr(cp.parts)}, err
+			cp.resp, cp.err = Resp{Status: StatusOf(err), Attr: mergeAttr(cp.parts)}, err
 		} else {
 			cp.resp = mergeRead(cp.parts)
 		}
@@ -1093,7 +1113,7 @@ func (cp *clusterPending) Wait(p *sim.Proc) (*Resp, error) {
 	cp.cl.notePendingDone(cp)
 	cp.cl.putParts(cp.parts)
 	cp.parts = cp.parts[:0]
-	return cp.resp, cp.err
+	return &cp.resp, cp.err
 }
 
 // Issued implements PendingOp: the time the first per-server request
@@ -1271,14 +1291,15 @@ func (cl *Cluster) StartWrite(p *sim.Proc, ino kernel.InodeID, off int64, src co
 // ---- metadata path ----
 
 // syncMeta is one synchronous metadata round trip on server idx's
-// control path (FabricClient.startCtl — never a window slot).
-func (cl *Cluster) syncMeta(p *sim.Proc, idx int, req *Req) (*Resp, error) {
+// control path (FabricClient.startCtl — never a window slot), answered
+// into the caller's record into.
+func (cl *Cluster) syncMeta(p *sim.Proc, idx int, req *Req, into *Resp) (*Resp, error) {
 	c := cl.sessions[idx].c
 	fl, err := c.startCtl(p, req)
 	if err != nil {
 		return &Resp{Status: StatusOf(err)}, err
 	}
-	return c.waitCtl(p, &fl)
+	return c.waitCtl(p, &fl, into)
 }
 
 // fanFlight is one control-path request of a fan in flight.
@@ -1294,8 +1315,8 @@ type fanned struct {
 	flights []fanFlight
 	// resps holds the answer of every target that gave one — application
 	// statuses included; faulted targets and stale refusals are not in
-	// it — in target order. It is cluster scratch, valid until the next
-	// fan.
+	// it — in target order. The answers and the list are cluster
+	// scratch, valid until the next fan.
 	resps []*Resp
 	// tried counts the targets the request was started on; extra counts
 	// those started while an earlier one was already on the wire (the
@@ -1365,10 +1386,13 @@ func (cl *Cluster) fanStart(p *sim.Proc, targets []int, req *Req) fanned {
 // releasing its control path, and classified (see fan).
 func (cl *Cluster) fanWait(p *sim.Proc, f *fanned) {
 	flights := f.flights
-	resps := cl.respScratch[:0]
+	if cap(cl.answers) < len(flights) {
+		cl.answers = make([]Resp, len(flights))
+	}
+	answers, resps := cl.answers[:len(flights)], cl.respScratch[:0]
 	for k := range flights {
 		i := flights[k].target
-		resp, err := cl.sessions[i].c.waitCtl(p, &flights[k].fl)
+		resp, err := cl.sessions[i].c.waitCtl(p, &flights[k].fl, &answers[k])
 		if err != nil && fabric.IsFault(err) {
 			cl.markDown(i)
 			continue
@@ -1603,7 +1627,10 @@ func (cl *Cluster) fanout(p *sim.Proc, owner int, req *Req) (*Resp, error) {
 	if owner == ring {
 		cl.noteMutation(req, base, f.err)
 	}
-	return base, f.err
+	// The answer outlives the fan's scratch: callers run further fans
+	// before they return it.
+	kept := *base
+	return &kept, f.err
 }
 
 // groupDead is the error for an owner group — or, owner == ring, the
@@ -1680,14 +1707,16 @@ func (cl *Cluster) newShares() []share {
 // observed size epoch from BEHIND the book excludes its server like a
 // fault (sizeBook.behind: no retry can satisfy it).
 //
-// The replies merge into out by the caller's positions — replicated
-// requests must agree on (status, inode) — and nothing retries: the
+// The replies merge into out by the caller's positions, each the first
+// to answer its request, copied into the caller's record at the same
+// position of keep — replicated requests must agree on (status, inode)
+// — and nothing retries: the
 // first error, a fault and a stale refusal included, ends the run with
 // the round it surfaced in, and the caller re-issues around whoever
 // was excluded.
 //
 // allocfree
-func (cl *Cluster) runShares(p *sim.Proc, shares []share, out []*Resp) (err error) {
+func (cl *Cluster) runShares(p *sim.Proc, shares []share, out []*Resp, keep []Resp) (err error) {
 	for {
 		started := false
 		for k := range shares {
@@ -1716,10 +1745,10 @@ func (cl *Cluster) runShares(p *sim.Proc, shares []share, out []*Resp) (err erro
 			if len(sh.fls) == 0 {
 				continue
 			}
-			resps, werr := cl.sessions[sh.slot].retireBatch(p, sh.fls, cl.respScratch[:0])
-			sh.fls, cl.respScratch = nil, resps[:0]
-			for _, r := range resps {
-				cl.observeResp(r)
+			resps, werr := cl.sessions[sh.slot].retireBatch(p, sh.fls, cl.answers[:0])
+			sh.fls, cl.answers = nil, resps[:0]
+			for ri := range resps {
+				cl.observeResp(&resps[ri])
 			}
 			// rerr is the batch's first error: the reply's own failure
 			// when it answered nothing.
@@ -1728,8 +1757,8 @@ func (cl *Cluster) runShares(p *sim.Proc, shares []share, out []*Resp) (err erro
 				rerr = werr
 			}
 			lagging := false
-			for ri, r := range resps {
-				pos := sh.idx[sh.done+ri]
+			for ri := range resps {
+				r, pos := &resps[ri], sh.idx[sh.done+ri]
 				var e error
 				switch {
 				case r.Status == StStale && cl.sz.behind(r.Attr.Ino, r.Epoch):
@@ -1741,7 +1770,8 @@ func (cl *Cluster) runShares(p *sim.Proc, shares []share, out []*Resp) (err erro
 					e = ErrOf(r.Status)
 				}
 				if out[pos] == nil {
-					out[pos] = r
+					keep[pos] = *r
+					out[pos] = &keep[pos]
 				}
 				if e != nil && rerr == nil {
 					rerr = e
@@ -1799,11 +1829,16 @@ func (cl *Cluster) MetaBatch(p *sim.Proc, reqs []*Req) ([]*Resp, error) {
 	if len(cl.aliveTargets(0, len(cl.pl.members), nil)) == 0 {
 		return nil, fmt.Errorf("rfsrv: MetaBatch: every server excluded: %w", fabric.ErrPeerDead)
 	}
-	out := make([]*Resp, len(reqs))
+	// The answers are the caller's to keep: records of the call's own.
+	out, keep := make([]*Resp, len(reqs)), make([]Resp, len(reqs))
 	if slices.ContainsFunc(reqs, func(r *Req) bool { return !slices.Contains(combinedOps, r.Op) }) {
 		for i, r := range reqs {
-			var err error
-			if out[i], err = cl.Meta(p, r); err != nil {
+			resp, err := cl.Meta(p, r)
+			if resp != nil {
+				keep[i] = *resp
+				out[i] = &keep[i]
+			}
+			if err != nil {
 				return out, err
 			}
 		}
@@ -1850,7 +1885,7 @@ func (cl *Cluster) MetaBatch(p *sim.Proc, reqs []*Req) ([]*Resp, error) {
 			shares[s].add(i, w)
 		}
 	}
-	if err := cl.runShares(p, shares, out); err != nil {
+	if err := cl.runShares(p, shares, out, keep); err != nil {
 		return out, err
 	}
 	// Post-batch rounds and bookkeeping, in request order: the ring's

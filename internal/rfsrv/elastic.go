@@ -409,7 +409,8 @@ func (cl *Cluster) copyRange(p *sim.Proc, ino kernel.InodeID, off int64, n int, 
 			return nil
 		}
 		for _, slot := range to {
-			wresp, err := cl.sessions[slot].c.ctlData(p, OpWrite, ino, off, vec.Slice(0, got))
+			var reply Resp
+			wresp, err := cl.sessions[slot].c.ctlData(p, OpWrite, ino, off, vec.Slice(0, got), &reply)
 			if err != nil {
 				if fabric.IsFault(err) {
 					cl.markDown(slot)
@@ -633,7 +634,8 @@ func (cl *Cluster) exportImage(p *sim.Proc, slot int) (*image, error) {
 	if err != nil {
 		return nil, err
 	}
-	resp, err := cl.sessions[slot].c.ctlData(p, OpExport, 0, 0, vec)
+	var reply Resp
+	resp, err := cl.sessions[slot].c.ctlData(p, OpExport, 0, 0, vec, &reply)
 	var img *image
 	if err == nil {
 		var raw []byte
@@ -665,7 +667,7 @@ func (cl *Cluster) importImage(p *sim.Proc, slot int, img *image) error {
 		err = cl.sessions[0].c.as.WriteBytes(cl.stageVA, raw)
 	}
 	if err == nil {
-		_, err = cl.sessions[slot].c.ctlData(p, OpImport, 0, 0, vec)
+		_, err = cl.sessions[slot].c.ctlData(p, OpImport, 0, 0, vec, new(Resp))
 	}
 	if err != nil {
 		if fabric.IsFault(err) {
@@ -970,7 +972,8 @@ func (cl *Cluster) commitMember(p *sim.Proc, old, next placement, epoch uint64, 
 		return err
 	}
 	send := func(what string, slot int, geometry uint32) error {
-		resp, err := cl.syncMeta(p, slot, &Req{Op: OpMember, Ino: floor, Off: int64(epoch), Len: geometry})
+		var reply Resp
+		resp, err := cl.syncMeta(p, slot, &Req{Op: OpMember, Ino: floor, Off: int64(epoch), Len: geometry}, &reply)
 		if err == nil {
 			err = ErrOf(resp.Status)
 		}

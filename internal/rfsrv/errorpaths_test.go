@@ -49,7 +49,7 @@ func TestServerRejectsBadRanges(t *testing.T) {
 			if _, err := fc.sendReq(p, &fc.ctl, req, nil); err != nil {
 				return nil, err
 			}
-			return fc.retireOne(p, &fl)
+			return fc.retireOne(p, &fl, new(Resp))
 		}
 		cases := []struct {
 			name string

@@ -61,7 +61,9 @@ func TestRetiredOpIsUnknown(t *testing.T) {
 	node := hw.NewCluster(env, hw.DefaultParams(), hw.PCIXD).AddNode("server")
 	s := NewServer(node, memfs.New("backing", node, 0))
 	env.Spawn("probe", func(p *sim.Proc) {
-		got, want := s.handleMeta(p, &Req{Op: retiredOp, Ino: 1}), s.handleMeta(p, &Req{Op: Op(200), Ino: 1})
+		var got, want Resp
+		s.handleMeta(p, &Req{Op: retiredOp, Ino: 1}, &got)
+		s.handleMeta(p, &Req{Op: Op(200), Ino: 1}, &want)
 		if got.Status != want.Status || got.Status == StOK {
 			t.Errorf("retired opcode answered status %d, an unknown one %d", got.Status, want.Status)
 		}
@@ -309,7 +311,8 @@ func FuzzServeBytes(f *testing.F) {
 				before, was, staged := node.Mem.Allocated(), state(), s.stage
 				var resp *Resp
 				if w.ok {
-					resp = s.serveImport(p, w) // inline: out of the inbox's frames
+					s.serveImport(p, w) // inline: out of the inbox's frames
+					resp = &w.resp
 				} else {
 					payload := head[consumed:]
 					req.Len = uint32(len(payload))
@@ -329,8 +332,9 @@ func FuzzServeBytes(f *testing.F) {
 				// both arms, the inline one first while the store holds
 				// no block of the file.
 				if w.ok {
-					resp := s.handleWrite(p, w)
-					check(req, resp)
+					s.handleWrite(p, w)
+					resp := w.resp
+					check(req, &resp)
 					n := int(req.Len)
 					if resp.Status == StOK {
 						if !bytes.Equal(fs.ReadRange(req.Ino, req.Off, n), msg[consumed:]) {
@@ -375,7 +379,8 @@ func FuzzServeBytes(f *testing.F) {
 					t.Fatalf("%+v: %d receives posted for %d bytes, want %d for %d", req, len(wire.recvs), got, max(k, 1), req.Len)
 				}
 				s.landPayload(p, w)
-				resp := s.handleWrite(p, w)
+				s.handleWrite(p, w)
+				resp := &w.resp
 				check(req, resp)
 				if resp.Status == StOK && (len(payload) != int(req.Len) || !bytes.Equal(fs.ReadRange(req.Ino, req.Off, len(payload)), payload)) {
 					t.Fatalf("%+v installed, from a %d-byte payload it does not hold", req, len(payload))

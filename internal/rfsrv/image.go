@@ -286,9 +286,10 @@ func (s *Server) exportImage(room int) ([]byte, error) {
 
 // serveExport serves an OpExport like a read: the image goes out as
 // the data message, from a pooled buffer the CPU copies it into, and
-// the answer it returns, with the image's length, follows.
-func (s *Server) serveExport(p *sim.Proc, t fabric.Transport, w *work) *Resp {
-	resp := &Resp{Seq: w.req.Seq}
+// the answer it builds in w.resp, with the image's length, follows.
+func (s *Server) serveExport(p *sim.Proc, t fabric.Transport, w *work) {
+	resp := &w.resp
+	*resp = Resp{Seq: w.req.Seq}
 	raw, err := []byte(nil), error(ErrInval) // an export is never answered in pieces
 	if takePieces(&w.req, t.Caps().EagerMax) == 1 {
 		raw, err = s.exportImage(int(w.req.Len))
@@ -308,14 +309,14 @@ func (s *Server) serveExport(p *sim.Proc, t fabric.Transport, w *work) *Resp {
 		held.buf, data = buf, buf.PhysVec(len(raw))
 	}
 	s.sendData(p, t, w, data, 1, held)
-	return resp
 }
 
 // serveImport applies or stages the image w's OpImport carried (the
 // CPU copies it out of the frames it landed in and decodes it first),
-// then gives the frames back.
-func (s *Server) serveImport(p *sim.Proc, w *work) *Resp {
-	resp := &Resp{Seq: w.req.Seq, Status: StInval}
+// then gives the frames back. The answer goes in w.resp.
+func (s *Server) serveImport(p *sim.Proc, w *work) {
+	resp := &w.resp
+	*resp = Resp{Seq: w.req.Seq, Status: StInval}
 	if _, ok := s.fs.(imageFS); ok && w.ok {
 		s.node.CPU.Copy(p, int(w.req.Len))
 		raw := make([]byte, w.req.Len)
@@ -329,7 +330,6 @@ func (s *Server) serveImport(p *sim.Proc, w *work) *Resp {
 		}
 	}
 	s.dropFrames(w)
-	return resp
 }
 
 // applyImage makes the server hold exactly the image: its store, its

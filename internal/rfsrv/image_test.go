@@ -81,7 +81,9 @@ func importBytes(p *sim.Proc, s *Server, req *Req, payload []byte) *Resp {
 		}
 		s.node.Mem.Scatter(xs, payload)
 	}
-	return s.serveImport(p, w)
+	s.serveImport(p, w)
+	resp := w.resp
+	return &resp
 }
 
 // TestImageAppliesAtItsCommit stages images on a server and requires

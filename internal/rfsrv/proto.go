@@ -673,11 +673,12 @@ func EncodeRespInto(dst []byte, r *Resp) ([]byte, error) {
 }
 
 // DecodeResps parses a whole reply — one answer, or the answers of a
-// combined reply back to back (answerFits) — appending each to out. Every
-// byte must belong to an answer.
+// combined reply back to back (answerFits) — appending each to out, in a
+// record of its own. Every byte must belong to an answer.
 func DecodeResps(b []byte, out []*Resp) ([]*Resp, error) {
 	for len(b) > 0 {
-		r, n, err := decodeAnswer(b)
+		r := new(Resp)
+		n, err := decodeAnswer(b, r)
 		if err != nil {
 			return out, err
 		}
@@ -686,13 +687,35 @@ func DecodeResps(b []byte, out []*Resp) ([]*Resp, error) {
 	return out, nil
 }
 
-// decodeAnswer parses the answer at the front of b and returns it with
-// its length.
-func decodeAnswer(b []byte) (*Resp, int, error) {
-	if len(b) < respFixed {
-		return nil, 0, fmt.Errorf("rfsrv: short response (%d bytes)", len(b))
+// decodeAnswers is DecodeResps into caller-owned records: it appends the
+// answers of the reply b to out by value, reusing out's backing array,
+// so a client that keeps its replies in its own records decodes without
+// allocating.
+//
+// allocfree
+func decodeAnswers(b []byte, out []Resp) ([]Resp, error) {
+	for len(b) > 0 {
+		out = append(out, Resp{})
+		n, err := decodeAnswer(b, &out[len(out)-1])
+		if err != nil {
+			return out[:len(out)-1], err
+		}
+		b = b[n:]
 	}
-	r := &Resp{
+	return out, nil
+}
+
+// decodeAnswer parses the answer at the front of b into r, which it
+// overwrites whole, and returns the answer's length. A listing's entries
+// get a fresh slice: a caller may keep them past the record's reuse.
+//
+// allocfree
+func decodeAnswer(b []byte, r *Resp) (int, error) {
+	if len(b) < respFixed {
+		//analyze:allow allocfree error path, a malformed reply
+		return 0, fmt.Errorf("rfsrv: short response (%d bytes)", len(b))
+	}
+	*r = Resp{
 		Seq:    binary.LittleEndian.Uint64(b[0:]),
 		Status: int32(binary.LittleEndian.Uint32(b[8:])),
 		Attr: kernel.Attr{
@@ -709,7 +732,8 @@ func decodeAnswer(b []byte) (*Resp, int, error) {
 	pos := respFixed
 	for i := 0; i < count; i++ {
 		if len(b) < pos+11 {
-			return nil, 0, fmt.Errorf("rfsrv: truncated dirent")
+			//analyze:allow allocfree error path, a malformed reply
+			return 0, fmt.Errorf("rfsrv: truncated dirent")
 		}
 		e := kernel.DirEntry{
 			Ino:  kernel.InodeID(binary.LittleEndian.Uint64(b[pos:])),
@@ -717,13 +741,15 @@ func decodeAnswer(b []byte) (*Resp, int, error) {
 		}
 		nameLen := int(binary.LittleEndian.Uint16(b[pos+9:]))
 		if len(b) < pos+11+nameLen {
-			return nil, 0, fmt.Errorf("rfsrv: truncated dirent name")
+			//analyze:allow allocfree error path, a malformed reply
+			return 0, fmt.Errorf("rfsrv: truncated dirent name")
 		}
+		//analyze:allow allocfree a listing's names are the caller's to keep
 		e.Name = string(b[pos+11 : pos+11+nameLen])
 		r.Entries = append(r.Entries, e)
 		pos += 11 + nameLen
 	}
-	return r, pos, nil
+	return pos, nil
 }
 
 // Client is the synchronous protocol: post a request and wait on it.

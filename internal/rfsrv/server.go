@@ -187,9 +187,14 @@ func (s *Server) Sessions() []*ClientSession {
 	return out
 }
 
-// handleMeta executes a metadata request against the backing store.
-func (s *Server) handleMeta(p *sim.Proc, req *Req) *Resp {
-	resp := &Resp{Seq: req.Seq}
+// handleMeta executes a metadata request against the backing store,
+// building its answer in resp, which it overwrites whole: the serving
+// work record's (serve answers a packed request's before the next one
+// runs).
+//
+// allocfree
+func (s *Server) handleMeta(p *sim.Proc, req *Req, resp *Resp) {
+	*resp = Resp{Seq: req.Seq}
 	ino := req.Ino
 	if ino == 0 {
 		ino = s.fs.Root()
@@ -282,10 +287,10 @@ func (s *Server) handleMeta(p *sim.Proc, req *Req) *Resp {
 	case OpMember:
 		err = s.handleMember(p, req)
 	default:
+		//analyze:allow allocfree error path: a request for no operation
 		err = fmt.Errorf("rfsrv: bad op %v", req.Op)
 	}
 	resp.Status = StatusOf(err)
-	return resp
 }
 
 // handleMember commits a new membership view on this server
@@ -364,7 +369,7 @@ func (s *Server) handleSetSize(p *sim.Proc, ino kernel.InodeID, req *Req, resp *
 
 // readExtents builds the zero-copy reply data for w's read: a physical
 // vector of the file's block frames (the zero page for holes), clipped
-// to EOF. It returns the response, the number of data messages that
+// to EOF, and its answer in w.resp. It returns the number of data messages that
 // carry it — the piece rule's count for a read that asks for pieces
 // under it, one otherwise (takePieces) — and the data to transmit,
 // holding a reference on the frame under every page of them: the NIC
@@ -372,7 +377,7 @@ func (s *Server) handleSetSize(p *sim.Proc, ino kernel.InodeID, req *Req, resp *
 // truncate, unlink or overwrite served before then must not hand them
 // back to the allocator. The caller gives the references back with
 // putFrames once the send is done.
-func (s *Server) readExtents(p *sim.Proc, w *work, eagerMax int) (*Resp, int, core.Vector) {
+func (s *Server) readExtents(p *sim.Proc, w *work, eagerMax int) (int, core.Vector) {
 	req, resp := &w.req, &w.resp
 	*resp = Resp{Seq: req.Seq}
 	k := takePieces(req, eagerMax)
@@ -382,7 +387,7 @@ func (s *Server) readExtents(p *sim.Proc, w *work, eagerMax int) (*Resp, int, co
 	// clip below assumes a well-formed [Off, Off+Len) window).
 	if k == 0 || req.Off < 0 || req.Off+int64(req.Len) < req.Off {
 		resp.Status = StInval
-		return resp, 1, nil
+		return 1, nil
 	}
 	attr, err := s.fs.Getattr(p, req.Ino)
 	if err != nil {
@@ -390,10 +395,10 @@ func (s *Server) readExtents(p *sim.Proc, w *work, eagerMax int) (*Resp, int, co
 			// Sharded data server that never saw this inode: nothing of
 			// it lives here yet, which reads as EOF, not as an error —
 			// the stripe layout is global but materialization is lazy.
-			return resp, k, nil
+			return k, nil
 		}
 		resp.Status = StatusOf(err)
-		return resp, k, nil
+		return k, nil
 	}
 	n := max(min(int64(req.Len), attr.Size-req.Off), 0)
 	var data core.Vector
@@ -413,7 +418,7 @@ func (s *Server) readExtents(p *sim.Proc, w *work, eagerMax int) (*Resp, int, co
 	}
 	resp.N = uint32(n)
 	resp.Attr = attr
-	return resp, k, data
+	return k, data
 }
 
 // putFrames drops the reference readExtents took on the frame under
@@ -446,11 +451,15 @@ func validWrite(req *Req) bool {
 // flip where the payload sits at its in-page position, and takes them
 // over whatever happens. A flipped frame must read as zeros outside the
 // payload's share, as a hole does, so what earlier messages left there
-// (w.dirty) is cleared first, and the clearing charged.
-func (s *Server) handleWrite(p *sim.Proc, w *work) *Resp {
-	req := &w.req
+// (w.dirty) is cleared first, and the clearing charged. The answer goes
+// in w.resp.
+//
+// allocfree
+func (s *Server) handleWrite(p *sim.Proc, w *work) {
+	req, resp := &w.req, &w.resp
 	if !w.ok {
-		return &Resp{Seq: req.Seq, Status: StInval}
+		*resp = Resp{Seq: req.Seq, Status: StInval}
+		return
 	}
 	if w.at == int(req.Off%mem.PageSize) {
 		if n := mem.ClearFrames(w.frames, 0, min(w.at, w.dirty)) + mem.ClearFrames(w.frames, w.at+int(req.Len), w.dirty); n > 0 {
@@ -459,11 +468,10 @@ func (s *Server) handleWrite(p *sim.Proc, w *work) *Resp {
 	}
 	s.materializeOnDemand(p, req.Ino, kernel.RegularFile)
 	n, err := s.fs.InstallPages(p, req.Ino, req.Off, int(req.Len), w.frames, w.at)
-	resp := &Resp{Seq: req.Seq, Status: StatusOf(err), N: uint32(n)}
+	*resp = Resp{Seq: req.Seq, Status: StatusOf(err), N: uint32(n)}
 	if err == nil {
 		resp.Attr, _ = s.fs.Getattr(p, req.Ino) // the zero Attr on an error
 	}
-	return resp
 }
 
 // ---- serving over the fabric ----
@@ -508,7 +516,7 @@ type work struct {
 	vec      core.Vector  // a separate payload's receive vector, then each piece's share (backing reused)
 	pay      []fabric.Op  // a separate payload's posted receives, one per piece, until landPayload collects them
 	ok       bool         // a write's payload is exactly the req.Len bytes announced
-	resp     Resp         // a read's reply, built in place (readExtents)
+	resp     Resp         // the answer being built, by every handler in turn (answer encodes it)
 	enc      []byte       // the reply's answers, encoded (answer; backing reused)
 	sess     *ClientSession
 	// enqueue sends the record to queue — the worker queue of the
@@ -838,18 +846,20 @@ func (s *Server) serve(p *sim.Proc, t fabric.Transport, w *work) {
 	//analyze:dispatch ops group=serve
 	switch req.Op {
 	case OpRead:
-		resp, k, data := s.readExtents(p, w, t.Caps().EagerMax)
+		k, data := s.readExtents(p, w, t.Caps().EagerMax)
 		// Data first (zero-copy from the block store), then the header.
 		s.sendData(p, t, w, data, k, stagedSend{frames: data})
-		s.answer(w, req, resp)
 	case OpExport:
-		s.answer(w, req, s.serveExport(p, t, w))
+		s.serveExport(p, t, w)
 	case OpImport:
-		s.answer(w, req, s.serveImport(p, w))
+		s.serveImport(p, w)
 	case OpWrite:
-		s.answer(w, req, s.handleWrite(p, w))
+		s.handleWrite(p, w)
 	default:
-		s.answer(w, req, s.handleMeta(p, req))
+		s.handleMeta(p, req, &w.resp)
+	}
+	s.answer(w, req)
+	if !readShaped(req.Op) && !writeShaped(req.Op) {
 		// Trailing bytes after a metadata request are further packed
 		// requests (client-side combining): each is served and answered in
 		// the same reply while its answer can fit (answerFits) — a fixed
@@ -858,7 +868,10 @@ func (s *Server) serve(p *sim.Proc, t fabric.Transport, w *work) {
 		s.unpack(w)
 		for i := range w.extra {
 			extra := &w.extra[i]
-			if !answerFits(len(w.enc), respFixed) || !s.answer(w, extra, s.handleMeta(p, extra)) {
+			if !answerFits(len(w.enc), respFixed) {
+				break
+			}
+			if s.handleMeta(p, extra, &w.resp); !s.answer(w, extra) {
 				break
 			}
 			s.Batched.Add(1)
@@ -981,8 +994,9 @@ func (s *Server) release(ss stagedSend) {
 	}
 }
 
-// answer stamps resp and appends its encoding to w's reply (w.enc),
-// reporting whether it fitted (answerFits). It is the only encoder of
+// answer stamps the answer w.resp holds for req and appends its encoding
+// to w's reply (w.enc), reporting whether it fitted (answerFits). It is
+// the only encoder of
 // answers, so every answer — error answers included — advertises the
 // size epoch and layout class of the inode it resolved (the looked-up
 // child when the operation returned one), which revalidates a cluster
@@ -991,7 +1005,10 @@ func (s *Server) release(ss stagedSend) {
 // server's membership epoch, which poisons a client routing under a
 // retired view (DESIGN.md §13). The leading answer always goes in: one
 // whose listing no reply can hold is answered StIO instead.
-func (s *Server) answer(w *work, req *Req, resp *Resp) bool {
+//
+// allocfree
+func (s *Server) answer(w *work, req *Req) bool {
+	resp := &w.resp
 	ino := resp.Attr.Ino
 	if ino == 0 {
 		if ino = req.Ino; ino == 0 {

@@ -94,14 +94,18 @@ func (s *Session) CanStart(ino kernel.InodeID, off int64, n int) bool { return s
 func (s *Session) MaxInFlight() int { return s.win.MaxInFlight() }
 
 // Pending is one in-flight request: a flight on a window slot. Wait
-// retires it; requests of one session may be waited in any order.
+// retires it; requests of one session may be waited in any order. Its
+// reply lives in it (resp, when answered), so the Pending is the reply's
+// record: a kept one's stays valid for as long as its holder keeps it,
+// and a slot's (launch) until the slot carries its next request.
 type Pending struct {
 	s  *Session
 	fl flight
 
-	done bool
-	resp *Resp
-	err  error
+	done     bool
+	answered bool
+	resp     Resp
+	err      error
 }
 
 // Issued returns the virtual time the request entered the window
@@ -110,10 +114,11 @@ func (pd *Pending) Issued() sim.Time { return pd.fl.issued }
 
 // launch issues req through window slot b (FabricClient.issue), giving
 // the slot back when the request never left. A Start* caller keeps the
-// Pending (memoized result, Issued) past Wait, so it gets a fresh one;
-// a synchronous verb's dies inside the call, before the slot can be
-// handed out again, and a Cluster part waits its own once and keeps
-// what it needs, so theirs lives in the slot.
+// Pending (memoized result, Issued) and its reply past Wait, so it gets
+// a fresh one; a synchronous verb's lives in the slot, and so does its
+// reply, valid until the slot carries its next request — at window 1,
+// the session's next call — and a Cluster part waits its own once and
+// copies what it needs, so theirs lives in the slot too.
 func (s *Session) launch(p *sim.Proc, b *ctlBufs, req *Req, data core.Vector, kept bool) (*Pending, error) {
 	fl, err := s.c.issue(p, b, req, data)
 	if err != nil {
@@ -187,22 +192,28 @@ func (s *Session) startData(p *sim.Proc, op Op, ino kernel.InodeID, off int64, d
 // to the window; waiting twice returns the memoized result. Under an
 // armed request timeout the slot still comes back with all its staging
 // quiescent.
+//
+// allocfree
 func (pd *Pending) Wait(p *sim.Proc) (*Resp, error) {
-	if pd.done {
-		return pd.resp, pd.err
+	if !pd.done {
+		pd.answered, pd.err = pd.s.retire(p, &pd.fl, &pd.resp)
+		pd.done = true
 	}
-	pd.resp, pd.err = pd.s.retire(p, &pd.fl)
-	pd.done = true
-	return pd.resp, pd.err
+	if !pd.answered {
+		return nil, pd.err
+	}
+	return &pd.resp, pd.err
 }
 
-// retire retires a flight on one of the window's slots and gives the
-// slot back.
-func (s *Session) retire(p *sim.Proc, fl *flight) (*Resp, error) {
-	resp, err := s.c.retireOne(p, fl)
+// retire retires a flight on one of the window's slots into the record
+// into, reporting whether an answer came, and gives the slot back.
+//
+// allocfree
+func (s *Session) retire(p *sim.Proc, fl *flight, into *Resp) (bool, error) {
+	resp, err := s.c.retireOne(p, fl, into)
 	s.Completed.Add(1)
 	s.win.Release(fl.bufs)
-	return resp, err
+	return resp != nil, err
 }
 
 // ---- the synchronous Client interface: issue and wait, back to back ----
@@ -301,26 +312,37 @@ func (s *Session) writeChunked(p *sim.Proc, ino kernel.InodeID, off int64, src c
 // are split transparently, and so is one whose reply ends early under
 // the combined-reply rule: the next batch starts at the first request
 // it left unanswered. Read- and write-shaped operations cannot be
-// batched.
+// batched. The answers are the caller's to keep: they live in records
+// of the call's own, one array of them.
 func (s *Session) MetaBatch(p *sim.Proc, reqs []*Req) ([]*Resp, error) {
 	// Validate everything before acquiring any window slot, so a bad
 	// request cannot abandon slots already holding posted receives.
 	if err := validateBatch(reqs); err != nil {
 		return nil, err
 	}
-	resps := make([]*Resp, 0, len(reqs))
+	// At most one answer per request: the retires append in place.
+	answers := make([]Resp, 0, len(reqs))
 	for start := 0; start < len(reqs); {
 		fls, err := s.startBatch(p, reqs, start)
 		if err != nil {
-			return resps, err
+			return respPtrs(answers), err
 		}
-		at := len(resps)
-		if resps, err = s.retireBatch(p, fls, resps); err != nil {
-			return resps, err
+		at := len(answers)
+		if answers, err = s.retireBatch(p, fls, answers); err != nil {
+			return respPtrs(answers), err
 		}
-		start += len(resps) - at
+		start += len(answers) - at
 	}
-	return resps, nil
+	return respPtrs(answers), nil
+}
+
+// respPtrs returns a pointer to each of the records rs.
+func respPtrs(rs []Resp) []*Resp {
+	out := make([]*Resp, len(rs))
+	for i := range rs {
+		out[i] = &rs[i]
+	}
+	return out
 }
 
 // validateMeta is the check every metadata entry point makes before
@@ -410,11 +432,11 @@ func (s *Session) startBatch(p *sim.Proc, reqs []*Req, start int) ([]flight, err
 }
 
 // retireBatch retires a batch: its first flight's reply, whose answers
-// it appends to out (FabricClient.retire) — every request's, or a prefix
+// it appends to out by value (FabricClient.retire) — every request's, or a prefix
 // the combined-reply rule ended early — and then every slot, back to the
 // window. The error is the first answer's failing status, or the reply's
 // own failure, when no answer is appended.
-func (s *Session) retireBatch(p *sim.Proc, fls []flight, out []*Resp) ([]*Resp, error) {
+func (s *Session) retireBatch(p *sim.Proc, fls []flight, out []Resp) ([]Resp, error) {
 	out, err := s.c.retire(p, &fls[0], out)
 	for _, fl := range fls {
 		s.win.Release(fl.bufs)

@@ -141,10 +141,11 @@ func TestShardedRigAgrees(t *testing.T) {
 		}
 		seen := make([]bool, n)
 		for k := 0; k < 64; k++ {
-			dir, err := cl.Meta(p, &rfsrv.Req{Op: rfsrv.OpMkdir, Ino: 0, Name: fmt.Sprintf("d%d", k)})
+			resp, err := cl.Meta(p, &rfsrv.Req{Op: rfsrv.OpMkdir, Ino: 0, Name: fmt.Sprintf("d%d", k)})
 			if err != nil {
 				return err
 			}
+			dir := *resp // a reply is valid until the client's next call
 			res := int((dir.Attr.Ino - 2) % n)
 			if seen[res] {
 				continue

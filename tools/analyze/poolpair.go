@@ -9,7 +9,7 @@ package main
 // stand in for the real packages):
 //
 //	fabric.Pool.Get              -> Buffer.Release() (or defer)
-//	hw.NIC.getFrag               -> NIC.putFrag(f)
+//	hw.NIC.getFrag               -> putFrag(f)
 //	rfsrv.Server.getWork         -> Server.putWork(w)
 //	rfsrv.Cluster.startPublish   -> Cluster.finishPublish(p, pub, err)
 //	rfsrv.Server.postPayload(w)  -> Server.landPayload(p, w)

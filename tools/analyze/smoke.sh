@@ -38,6 +38,11 @@
 # too: a simulated cost constant that no anchor test pins (the sockets
 # layer's per-message MX overhead) nudged by 10 ns without regenerating
 # EXPERIMENTS.md, so the figures it moves no longer match their blocks.
+# A sixteenth must fail a tier-1 test too: a page-cache hit returned
+# without its hold, so another process's miss evicts the page and
+# recycles it while the reader copies it. A seventeenth must fail a
+# tier-1 test too: a kept Pending that lives in its window slot, so its
+# reply is overwritten when the slot carries its next request.
 # Then it restores the tree byte-for-byte from backups (no git
 # operations, safe on a dirty tree).
 set -eu
@@ -56,6 +61,8 @@ endpoint=internal/mx/mx.go
 nic=internal/hw/nic.go
 port=internal/gm/gm.go
 params=internal/hw/params.go
+pagecache=internal/kernel/pagecache.go
+session=internal/rfsrv/session.go
 record=EXPERIMENTS.md
 injected=internal/rfsrv/zz_smoke_injected.go
 
@@ -72,6 +79,8 @@ restore() {
 	cp "$tmp/nic.go.bak" "$nic"
 	cp "$tmp/gm.go.bak" "$port"
 	cp "$tmp/params.go.bak" "$params"
+	cp "$tmp/pagecache.go.bak" "$pagecache"
+	cp "$tmp/session.go.bak" "$session"
 	cp "$tmp/EXPERIMENTS.md.bak" "$record"
 	rm -f "$injected"
 	rm -rf "$tmp"
@@ -88,6 +97,8 @@ cp "$endpoint" "$tmp/mx.go.bak"
 cp "$nic" "$tmp/nic.go.bak"
 cp "$port" "$tmp/gm.go.bak"
 cp "$params" "$tmp/params.go.bak"
+cp "$pagecache" "$tmp/pagecache.go.bak"
+cp "$session" "$tmp/session.go.bak"
 cp "$record" "$tmp/EXPERIMENTS.md.bak"
 
 run_analyzer() { go run ./tools/analyze ./... 2>&1; }
@@ -340,6 +351,40 @@ if ! echo "$out" | grep -q 'block fig8a differs'; then
 fi
 cp "$tmp/params.go.bak" "$params"
 cp "$tmp/EXPERIMENTS.md.bak" "$record"
+
+echo "smoke: a page-cache hit returned without its hold must fail a tier-1 test"
+sed -i '/^\t\tpg\.holds++$/d' "$pagecache"
+if cmp -s "$pagecache" "$tmp/pagecache.go.bak"; then
+	echo "smoke: FAIL — injection did not change $pagecache (site moved?)"
+	exit 1
+fi
+if out="$(go test -count=1 -run '^TestHitHeldWhileCopied$' ./internal/kernel 2>&1)"; then
+	echo "smoke: FAIL — tier-1 tests passed with a page-cache hit that is not held"
+	exit 1
+fi
+if ! echo "$out" | grep -q -- '--- FAIL: TestHitHeldWhileCopied'; then
+	echo "$out"
+	echo "smoke: FAIL — the tests failed, but not TestHitHeldWhileCopied"
+	exit 1
+fi
+cp "$tmp/pagecache.go.bak" "$pagecache"
+
+echo "smoke: a kept Pending whose reply lives in its slot must fail a tier-1 test"
+sed -i '/^\t\tpd = new(Pending)$/d' "$session"
+if cmp -s "$session" "$tmp/session.go.bak"; then
+	echo "smoke: FAIL — injection did not change $session (site moved?)"
+	exit 1
+fi
+if out="$(go test -count=1 -run '^TestKeptReplySurvivesSlotReuse$' ./internal/rfsrv 2>&1)"; then
+	echo "smoke: FAIL — tier-1 tests passed with kept replies that live in their slots"
+	exit 1
+fi
+if ! echo "$out" | grep -q -- '--- FAIL: TestKeptReplySurvivesSlotReuse'; then
+	echo "$out"
+	echo "smoke: FAIL — the tests failed, but not TestKeptReplySurvivesSlotReuse"
+	exit 1
+fi
+cp "$tmp/session.go.bak" "$session"
 
 echo "smoke: untimed reply wait must fail boundedwait"
 sed -i 's/^\tst, ok = fabric\.WaitTimeout(p, op, d)$/\tst, ok = op.Wait(p), true/' "$waiter"

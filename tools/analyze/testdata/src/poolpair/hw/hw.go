@@ -3,19 +3,21 @@
 // it.
 package hw
 
-type NIC struct{ fragFree []*frag }
+type NIC struct{}
 
 type frag struct{}
 
 type Message struct{}
 
+var fragFree []*frag
+
 func (n *NIC) getFrag(m *Message, idx, size int) *frag { return &frag{} }
 
-func (n *NIC) putFrag(f *frag) { n.fragFree = append(n.fragFree, f) }
+func putFrag(f *frag) { fragFree = append(fragFree, f) }
 
 func balanced(n *NIC, m *Message) {
 	f := n.getFrag(m, 0, 1)
-	n.putFrag(f)
+	putFrag(f)
 }
 
 func leak(n *NIC, m *Message, cond bool) {
@@ -23,5 +25,5 @@ func leak(n *NIC, m *Message, cond bool) {
 	if cond {
 		return
 	}
-	n.putFrag(f)
+	putFrag(f)
 }
